@@ -230,6 +230,9 @@ pub(crate) struct EdgeRequest {
 pub(crate) struct WorkerScratch<M> {
     /// Requests accumulated since the last issue flush.
     pub requests: Vec<EdgeRequest>,
+    /// Spare buffer the engine swaps with `requests` while it absorbs
+    /// them (always empty between absorptions).
+    pub absorbing: Vec<EdgeRequest>,
     /// Packed outgoing unicasts per destination partition.
     pub out_unicasts: Vec<Vec<(VertexId, M)>>,
     /// Outgoing multicast batches per destination partition.
@@ -256,6 +259,7 @@ impl<M> WorkerScratch<M> {
     pub(crate) fn new(partitions: usize, shards: usize) -> Self {
         WorkerScratch {
             requests: Vec::new(),
+            absorbing: Vec::new(),
             out_unicasts: (0..partitions).map(|_| Vec::new()).collect(),
             out_multicasts: (0..partitions).map(|_| Vec::new()).collect(),
             buffered_fanout: 0,

@@ -43,7 +43,8 @@ use crate::context::{
     DegreeSource, EdgeRequest, RunShared, ShardView, VertexContext, WorkerScratch,
 };
 use crate::merge::{
-    coalesce_stream_around, merge_requests, subtract_inflight, MergedReq, PageRange, RangeReq,
+    coalesce_stream_around, merge_requests, subtract_inflight, InflightPages, MergedReq, PageRange,
+    RangeReq,
 };
 use crate::messages::{Batch, MessageBoard, NotifyBoard, ShardPacket};
 use crate::partition::PartitionMap;
@@ -847,9 +848,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let mut seen_notify = Bitmap::new(self.shared.n);
         // Worker 0's counter snapshot at the last recorded boundary.
         // Taken here — before any worker can pass the first phase-A
-        // barrier, hence before any I/O — and advanced only at
-        // quiesced phase-D boundaries, so the per-iteration deltas
-        // chain without gaps or double counting.
+        // barrier, and nothing before that barrier touches a counter
+        // or the device — and advanced only at quiesced phase-D
+        // boundaries, so the per-iteration deltas chain without gaps
+        // or double counting.
         let mut boundary = self.boundary_snapshot();
         loop {
             let iter = self.control.iteration.load(Ordering::Acquire);
@@ -864,17 +866,19 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // decide this iteration's execution mode from its density.
             let mut list = self.collect_active();
             let stream = self.decide_stream(list.len());
-            if stream {
-                // A sweep reads the extent front to back; processing
-                // in id order keeps buffered requests aligned with
-                // the covers, so the scheduler is overridden.
-                self.counters.stream_partitions.inc();
-            } else {
+            if !stream {
+                // A sweep overrides the scheduler: it reads the extent
+                // front to back, and processing in id order keeps
+                // buffered requests aligned with the covers.
                 self.apply_scheduler(iter, &mut list);
             }
             self.stream_flags[self.w].store(stream, Ordering::Release);
             self.active.install(self.w, list);
             self.barrier.wait();
+            // Counted behind the barrier: worker 0 snapshots the
+            // counters before it, with no ordering against the other
+            // workers' phase A.
+            self.counters.stream_partitions.add(stream as u64);
 
             // Compute phase. The pipelined scheduler runs every
             // vertical pass in one completion-counted sweep with no
@@ -1431,8 +1435,12 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         stream: bool,
     ) {
         while !scratch.requests.is_empty() {
-            let reqs: Vec<EdgeRequest> = scratch.requests.drain(..).collect();
-            for req in reqs {
+            // Callbacks run below queue follow-on requests: take the
+            // pending ones out and leave the spare buffer in their
+            // place, so neither side allocates per round.
+            let mut reqs = std::mem::take(&mut scratch.absorbing);
+            std::mem::swap(&mut reqs, &mut scratch.requests);
+            for req in reqs.drain(..) {
                 match (&self.engine.backend, &mut *io) {
                     (Backend::Mem(g), IoDriver::Mem) => {
                         let csr = g.csr(req.dir);
@@ -1694,6 +1702,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                     _ => unreachable!("backend and io driver always match"),
                 }
             }
+            scratch.absorbing = reqs;
         }
     }
 
@@ -2100,6 +2109,12 @@ struct PartMeta {
 struct MergedMeta {
     offset: u64,
     parts: Vec<(u64, u64, PartMeta)>,
+    /// Whether the cover went out as a stream sweep.
+    stream: bool,
+    /// The page range the cover is recorded under in the session's
+    /// in-flight set until it resolves; `None` for attach-only covers
+    /// (their pages are subsets of ranges already recorded).
+    recorded: Option<PageRange>,
 }
 
 /// A (edges, attrs) join slot for weighted requests.
@@ -2176,15 +2191,15 @@ struct SemIo<'s> {
     pairs: Vec<Option<AttrPair>>,
     pairs_free: Vec<usize>,
     ready: Vec<ReadyVertex>,
-    /// Page ranges `[first, end)` of selective covers submitted and
-    /// not yet resolved, tagged by slab slot. Later flush batches
-    /// subtract these before building covers: a request fully inside
-    /// them is submitted alone and attaches to the in-flight read via
-    /// the mount table instead of joining a new device cover.
-    inflight_sel: Vec<(usize, u64, u64)>,
+    /// Page ranges of selective covers submitted and not yet resolved
+    /// (each cover's slab entry remembers its own). Later flush
+    /// batches subtract these before building covers: a request fully
+    /// inside them is submitted alone and attaches to the in-flight
+    /// read via the mount table instead of joining a new device cover.
+    inflight_sel: InflightPages,
     /// Same for in-flight stream covers; stream sweeps refuse to
     /// bridge gaps across either set (see [`coalesce_stream_around`]).
-    inflight_stream: Vec<(usize, u64, u64)>,
+    inflight_stream: InflightPages,
     outstanding: usize,
     /// How many of `outstanding` are still buffered in the selective
     /// queue rather than submitted. Counted in logical requests, not
@@ -2220,29 +2235,11 @@ impl<'s> SemIo<'s> {
             pairs: Vec::new(),
             pairs_free: Vec::new(),
             ready: Vec::new(),
-            inflight_sel: Vec::new(),
-            inflight_stream: Vec::new(),
+            inflight_sel: InflightPages::default(),
+            inflight_stream: InflightPages::default(),
             outstanding: 0,
             selective_buffered: 0,
         }
-    }
-
-    /// Sorted, disjoint union of the recorded in-flight page ranges —
-    /// the shape [`subtract_inflight`]/[`coalesce_stream_around`]
-    /// require. Ranges from different batches may overlap (a page can
-    /// be re-requested while its first cover is still in flight), so
-    /// overlaps coalesce here.
-    fn inflight_ranges(a: &[(usize, u64, u64)], b: &[(usize, u64, u64)]) -> Vec<PageRange> {
-        let mut r: Vec<PageRange> = a.iter().chain(b).map(|&(_, s, e)| (s, e)).collect();
-        r.sort_unstable();
-        let mut out: Vec<PageRange> = Vec::with_capacity(r.len());
-        for (s, e) in r {
-            match out.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => out.push((s, e)),
-            }
-        }
-        out
     }
 
     /// Widest per-section byte span of the buffered stream queue (0
@@ -2505,7 +2502,8 @@ impl<'s> SemIo<'s> {
         counters.bytes_requested.add(bytes);
     }
 
-    /// Installs one merged cover in the slab and submits it. With
+    /// Installs one merged cover in the slab and submits it (the
+    /// caller kicks the session once its batch is through). With
     /// `record` set the cover's page range is remembered as in-flight
     /// until its completion resolves (attach-only covers pass false:
     /// their pages are subsets of ranges already recorded).
@@ -2523,31 +2521,31 @@ impl<'s> SemIo<'s> {
             .iter()
             .map(|p| (p.offset, p.bytes, metas[p.meta as usize]))
             .collect();
-        let tag = if let Some(i) = self.slab_free.pop() {
-            self.slab[i] = Some(MergedMeta {
-                offset: m.offset,
-                parts,
-            });
-            i
-        } else {
-            self.slab.push(Some(MergedMeta {
-                offset: m.offset,
-                parts,
-            }));
-            self.slab.len() - 1
-        };
-        if record {
+        let recorded = record.then(|| {
             let range = (
-                tag,
                 m.offset / page_bytes,
                 (m.offset + m.bytes - 1) / page_bytes + 1,
             );
             if stream {
-                self.inflight_stream.push(range);
+                self.inflight_stream.insert(range);
             } else {
-                self.inflight_sel.push(range);
+                self.inflight_sel.insert(range);
             }
-        }
+            range
+        });
+        let meta = Some(MergedMeta {
+            offset: m.offset,
+            parts,
+            stream,
+            recorded,
+        });
+        let tag = if let Some(i) = self.slab_free.pop() {
+            self.slab[i] = meta;
+            i
+        } else {
+            self.slab.push(meta);
+            self.slab.len() - 1
+        };
         counters.issued_requests.inc();
         let submitted = if stream {
             counters.stream_stripes.inc();
@@ -2570,8 +2568,7 @@ impl<'s> SemIo<'s> {
         // covered requests skip cover-building and ride the existing
         // reads (each page attaches via the mount's in-flight table,
         // or hits the cache if the cover has landed by then).
-        let inflight = Self::inflight_ranges(&self.inflight_sel, &[]);
-        let (fetch, attached) = subtract_inflight(reqs, page_bytes, &inflight);
+        let (fetch, attached) = subtract_inflight(reqs, page_bytes, &self.inflight_sel);
         for m in merge_requests(fetch, page_bytes, merge, max_merge_bytes) {
             self.submit_cover(m, &metas, false, page_bytes, true, counters);
         }
@@ -2583,6 +2580,9 @@ impl<'s> SemIo<'s> {
             };
             self.submit_cover(single, &metas, false, page_bytes, false, counters);
         }
+        // The whole batch crosses to the I/O threads as one message
+        // per thread, so they sort and coalesce it as a whole too.
+        self.session.kick();
     }
 
     /// Coalesces the buffered stream queue into stride covers and
@@ -2602,10 +2602,16 @@ impl<'s> SemIo<'s> {
         // fetched (by earlier covers of either kind): stream reads
         // bypass the cache and the dedup table, so a bridged
         // in-flight page is the one genuine duplicate device read.
-        let inflight = Self::inflight_ranges(&self.inflight_sel, &self.inflight_stream);
-        for m in coalesce_stream_around(reqs, page_bytes, stride, &inflight) {
+        let covers = coalesce_stream_around(
+            reqs,
+            page_bytes,
+            stride,
+            &[&self.inflight_sel, &self.inflight_stream],
+        );
+        for m in covers {
             self.submit_cover(m, &metas, true, page_bytes, true, counters);
         }
+        self.session.kick();
     }
 
     /// Turns a SAFS completion back into per-vertex ready entries.
@@ -2613,10 +2619,12 @@ impl<'s> SemIo<'s> {
         let tag = c.tag as usize;
         let meta = self.slab[tag].take().expect("completion for a live tag");
         self.slab_free.push(tag);
-        if let Some(i) = self.inflight_sel.iter().position(|&(t, ..)| t == tag) {
-            self.inflight_sel.swap_remove(i);
-        } else if let Some(i) = self.inflight_stream.iter().position(|&(t, ..)| t == tag) {
-            self.inflight_stream.swap_remove(i);
+        if let Some(range) = meta.recorded {
+            if meta.stream {
+                self.inflight_stream.remove(range);
+            } else {
+                self.inflight_sel.remove(range);
+            }
         }
         for (abs_off, bytes, pm) in meta.parts {
             let span = c

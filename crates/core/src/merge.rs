@@ -26,6 +26,8 @@
 //! full batch's page-disjoint covers fetch once — `fig_pipeline`'s
 //! no-extra-device-bytes assertion guards exactly this.
 
+use std::collections::BTreeMap;
+
 /// One logical edge-list (or attribute-run) request before merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeReq {
@@ -122,19 +124,107 @@ pub fn merge_requests(
 /// in-flight table, another tenant's read).
 pub type PageRange = (u64, u64);
 
-/// True when every page of `[first_page, last_page]` lies inside the
-/// sorted, disjoint in-flight set.
-fn covered(inflight: &[PageRange], first_page: u64, last_page: u64) -> bool {
-    // The candidate range is the last one starting at or before
-    // `first_page`; disjointness means no other range can contain it.
-    let i = inflight.partition_point(|&(s, _)| s <= first_page);
-    i > 0 && inflight[i - 1].1 > last_page
+/// The pages a session's unresolved covers are fetching: a multiset of
+/// [`PageRange`]s kept as an ordered map of disjoint, reference-counted
+/// segments, so recording a cover, retiring it and asking whether a
+/// request's footprint is in flight each cost O(log n) in the number
+/// of covers outstanding (up to `max_pending`) instead of a scan or a
+/// re-sort of all of them per batch.
+///
+/// Ranges from different batches may overlap (a page can be
+/// re-requested while its first cover is still in flight), hence the
+/// counts; touching segments read as one span.
+#[derive(Debug, Default)]
+pub struct InflightPages {
+    /// `start -> (end, covers holding it)`; segments never overlap.
+    segs: BTreeMap<u64, (u64, u32)>,
 }
 
-/// True when any page of `[first_page, last_page]` is in flight.
-fn touches(inflight: &[PageRange], first_page: u64, last_page: u64) -> bool {
-    let i = inflight.partition_point(|&(_, e)| e <= first_page);
-    i < inflight.len() && inflight[i].0 <= last_page
+impl InflightPages {
+    /// True when no range is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.segs.is_empty()
+    }
+
+    /// Cuts the segment straddling page `at`, if any, so that `at` is
+    /// a segment boundary.
+    fn split(&mut self, at: u64) {
+        if let Some((&start, &(end, refs))) = self.segs.range(..at).next_back() {
+            if end > at {
+                self.segs.insert(start, (at, refs));
+                self.segs.insert(at, (end, refs));
+            }
+        }
+    }
+
+    /// Records one cover's range.
+    pub fn insert(&mut self, (first, end): PageRange) {
+        debug_assert!(first < end, "covers span at least one page");
+        self.split(first);
+        self.split(end);
+        // `[first, end)` is now tiled by whole segments and gaps:
+        // count the cover on the former, fill the latter.
+        let mut cur = first;
+        while cur < end {
+            let next = self.segs.range(cur..end).next().map(|(&s, &(e, _))| (s, e));
+            cur = match next {
+                Some((s, e)) if s == cur => {
+                    self.segs.get_mut(&s).expect("segment just seen").1 += 1;
+                    e
+                }
+                Some((s, _)) => {
+                    self.segs.insert(cur, (s, 1));
+                    s
+                }
+                None => {
+                    self.segs.insert(cur, (end, 1));
+                    end
+                }
+            };
+        }
+    }
+
+    /// Retires a range recorded by [`InflightPages::insert`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range is not currently recorded.
+    pub fn remove(&mut self, (first, end): PageRange) {
+        // Later inserts may have cut the range into more segments but
+        // never merge any, so it is still tiled from `first`.
+        let mut cur = first;
+        while cur < end {
+            let seg = self.segs.get_mut(&cur).expect("retiring a recorded range");
+            seg.1 -= 1;
+            let (seg_end, refs) = *seg;
+            if refs == 0 {
+                self.segs.remove(&cur);
+            }
+            cur = seg_end;
+        }
+    }
+
+    /// True when every page of `[first_page, last_page]` is in flight.
+    pub fn covered(&self, first_page: u64, last_page: u64) -> bool {
+        let mut cur = first_page;
+        loop {
+            match self.segs.range(..=cur).next_back() {
+                Some((_, &(end, _))) if end > last_page => return true,
+                Some((_, &(end, _))) if end > cur => cur = end,
+                _ => return false,
+            }
+        }
+    }
+
+    /// True when any page of `[first_page, last_page]` is in flight.
+    pub fn touches(&self, first_page: u64, last_page: u64) -> bool {
+        let straddles_first = self
+            .segs
+            .range(..=first_page)
+            .next_back()
+            .is_some_and(|(_, &(end, _))| end > first_page);
+        straddles_first || self.segs.range(first_page..=last_page).next().is_some()
+    }
 }
 
 /// Splits an issue batch around pages already being fetched: requests
@@ -147,27 +237,20 @@ fn touches(inflight: &[PageRange], first_page: u64, last_page: u64) -> bool {
 /// submit layer attaches their in-flight pages and dispatches only
 /// the truly missing runs, so splitting the request here would only
 /// fragment the cover without saving a device read.
-///
-/// `inflight` must be sorted by start page and pairwise disjoint
-/// (what [`merge_requests`]' own page-disjoint covers produce).
 pub fn subtract_inflight(
     reqs: Vec<RangeReq>,
     page_bytes: u64,
-    inflight: &[PageRange],
+    inflight: &InflightPages,
 ) -> (Vec<RangeReq>, Vec<RangeReq>) {
     if inflight.is_empty() {
         return (reqs, Vec::new());
     }
-    debug_assert!(
-        inflight.windows(2).all(|w| w[0].1 <= w[1].0),
-        "in-flight ranges must be sorted and disjoint"
-    );
     let mut fetch = Vec::with_capacity(reqs.len());
     let mut attached = Vec::new();
     for r in reqs {
         let first = r.offset / page_bytes;
         let last = (r.offset + r.bytes - 1) / page_bytes;
-        if covered(inflight, first, last) {
+        if inflight.covered(first, last) {
             attached.push(r);
         } else {
             fetch.push(r);
@@ -206,14 +289,14 @@ pub fn coalesce_stream(reqs: Vec<RangeReq>, page_bytes: u64, stride: u64) -> Vec
 /// batch's covers page-disjoint from what is already on the device
 /// queue. Page-sharing still wins over splitting (a request *itself*
 /// overlapping the cover or an in-flight span must be fetched
-/// regardless; only gap bytes are optional).
-///
-/// `inflight` must be sorted by start page and pairwise disjoint.
+/// regardless; only gap bytes are optional). A page counts as in
+/// flight when any of the `inflight` sets holds it (the engine keeps
+/// its selective and its stream covers apart).
 pub fn coalesce_stream_around(
     mut reqs: Vec<RangeReq>,
     page_bytes: u64,
     stride: u64,
-    inflight: &[PageRange],
+    inflight: &[&InflightPages],
 ) -> Vec<MergedReq> {
     let stride = stride.max(page_bytes);
     reqs.sort_by_key(|r| (r.offset, r.bytes));
@@ -228,7 +311,9 @@ pub fn coalesce_stream_around(
             // needing them; an in-flight page among them forces a
             // split (sharing a page with the cover still absorbs).
             let bridge_blocked = r_start_page > last_end_page + 1
-                && touches(inflight, last_end_page + 1, r_start_page - 1);
+                && inflight
+                    .iter()
+                    .any(|set| set.touches(last_end_page + 1, r_start_page - 1));
             if (grown <= stride && !bridge_blocked) || r_start_page <= last_end_page {
                 last.bytes = grown;
                 last.parts.push(r);
@@ -247,6 +332,14 @@ pub fn coalesce_stream_around(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn inflight(ranges: &[PageRange]) -> InflightPages {
+        let mut set = InflightPages::default();
+        for &r in ranges {
+            set.insert(r);
+        }
+        set
+    }
 
     fn req(offset: u64, bytes: u64, meta: u32) -> RangeReq {
         RangeReq {
@@ -537,7 +630,7 @@ mod tests {
 
     #[test]
     fn subtract_inflight_classifies_by_page_footprint() {
-        let inflight = [(2u64, 5u64), (9, 10)]; // pages 2-4 and 9
+        let inflight = inflight(&[(2, 5), (9, 10)]); // pages 2-4 and 9
         let reqs = vec![
             req(2 * 4096 + 100, 200, 0), // inside pages 2-4: attach
             req(4 * 4096, 2 * 4096, 1),  // pages 4-5: straddles, fetch
@@ -558,7 +651,7 @@ mod tests {
     #[test]
     fn subtract_inflight_empty_set_is_identity() {
         let reqs = vec![req(0, 64, 0), req(8192, 64, 1)];
-        let (fetch, attached) = subtract_inflight(reqs.clone(), 4096, &[]);
+        let (fetch, attached) = subtract_inflight(reqs.clone(), 4096, &InflightPages::default());
         assert_eq!(fetch, reqs);
         assert!(attached.is_empty());
     }
@@ -571,7 +664,7 @@ mod tests {
         let reqs = vec![req(0, 400, 0), req(6 * 4096, 400, 1)];
         let plain = coalesce_stream(reqs.clone(), 4096, 32 * 4096);
         assert_eq!(plain.len(), 1, "baseline: one bridged cover");
-        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[(2, 4)]);
+        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[&inflight(&[(2, 4)])]);
         assert_eq!(around.len(), 2, "bridge over in-flight pages refused");
         assert_eq!(around[0].offset, 0);
         assert_eq!(around[1].offset, 6 * 4096);
@@ -584,7 +677,7 @@ mod tests {
         // even when an in-flight span sits beyond it: sharing a page
         // always wins (splitting would duplicate the shared page).
         let reqs = vec![req(0, 4096 + 100, 0), req(4096 + 200, 300, 1)];
-        let around = coalesce_stream_around(reqs, 4096, 4096, &[(3, 5)]);
+        let around = coalesce_stream_around(reqs, 4096, 4096, &[&inflight(&[(3, 5)])]);
         assert_eq!(around.len(), 1);
         assert_eq!(around[0].parts.len(), 2);
     }
@@ -593,8 +686,68 @@ mod tests {
     fn stream_bridge_allowed_when_inflight_elsewhere() {
         // In-flight pages outside the gap do not block the bridge.
         let reqs = vec![req(0, 400, 0), req(3 * 4096, 400, 1)];
-        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[(10, 12)]);
+        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[&inflight(&[(10, 12)])]);
         assert_eq!(around.len(), 1);
+    }
+
+    #[test]
+    fn inflight_pages_count_overlapping_covers() {
+        let mut set = InflightPages::default();
+        set.insert((2, 6));
+        set.insert((4, 9)); // overlaps the first on pages 4-5
+        set.insert((9, 10)); // touches the second
+        assert!(set.covered(2, 9), "touching segments read as one span");
+        assert!(!set.covered(1, 3) && !set.covered(8, 10));
+        assert!(set.touches(0, 2) && set.touches(9, 20) && !set.touches(10, 20));
+        // Retiring the first cover keeps the pages the second holds.
+        set.remove((2, 6));
+        assert!(!set.touches(2, 3));
+        assert!(set.covered(4, 9));
+        set.remove((9, 10));
+        set.remove((4, 9));
+        assert!(set.is_empty());
+    }
+
+    #[test]
+    fn inflight_pages_match_a_per_page_count() {
+        // Random inserts and retirements against the obvious model: a
+        // count per page.
+        let mut set = InflightPages::default();
+        let mut model = [0u32; 64];
+        let mut live: Vec<PageRange> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for _ in 0..2000 {
+            if live.is_empty() || next(3) > 0 {
+                let first = next(60);
+                let r = (first, first + 1 + next(64 - first - 1).min(7));
+                set.insert(r);
+                live.push(r);
+                model[r.0 as usize..r.1 as usize]
+                    .iter_mut()
+                    .for_each(|c| *c += 1);
+            } else {
+                let r = live.swap_remove(next(live.len() as u64) as usize);
+                set.remove(r);
+                model[r.0 as usize..r.1 as usize]
+                    .iter_mut()
+                    .for_each(|c| *c -= 1);
+            }
+            let (a, b) = (next(64), next(64));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let counts = &model[lo as usize..=hi as usize];
+            assert_eq!(set.covered(lo, hi), counts.iter().all(|&c| c > 0));
+            assert_eq!(set.touches(lo, hi), counts.iter().any(|&c| c > 0));
+        }
+        for r in live {
+            set.remove(r);
+        }
+        assert!(set.is_empty());
     }
 
     #[test]

@@ -1226,9 +1226,18 @@ impl GraphService {
 /// [`Compactor::stop`]ping) the handle signals the thread and joins
 /// it.
 pub struct Compactor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    state: Arc<(Mutex<CompactorState>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
-    compactions: Arc<Counter>,
+}
+
+/// What the compactor thread and its handle share, under one lock.
+#[derive(Default)]
+struct CompactorState {
+    stop: bool,
+    /// Generations installed so far. Bumped (and waiters notified)
+    /// after the flip, so whoever reads a count here also sees the
+    /// generation it stands for.
+    compactions: u64,
 }
 
 impl Compactor {
@@ -1244,43 +1253,57 @@ impl Compactor {
         poll: Duration,
         provision: impl Fn(u64) -> Result<SsdArray> + Send + 'static,
     ) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let compactions = Arc::new(Counter::default());
+        let state = Arc::new((Mutex::new(CompactorState::default()), Condvar::new()));
         let handle = {
-            let stop = Arc::clone(&stop);
-            let done = Arc::clone(&compactions);
+            let state = Arc::clone(&state);
             std::thread::spawn(move || loop {
+                let (lock, cv) = &*state;
                 {
-                    let (lock, cv) = &*stop;
-                    let stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    if *stopped {
+                    let st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    if st.stop {
                         break;
                     }
-                    let (stopped, _) = cv
-                        .wait_timeout(stopped, poll)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if *stopped {
+                    // A wake-up is a stop request or a waiter being
+                    // notified of a compaction; either way the flag
+                    // says which.
+                    let (st, _) = cv.wait_timeout(st, poll).unwrap_or_else(|e| e.into_inner());
+                    if st.stop {
                         break;
                     }
                 }
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
                     if svc.compact_with(&provision).is_ok_and(|g| g > before) {
-                        done.inc();
+                        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions += 1;
+                        cv.notify_all();
                     }
                 }
             })
         };
         Compactor {
-            stop,
+            state,
             handle: Some(handle),
-            compactions,
         }
     }
 
     /// Generations this compactor has installed so far.
     pub fn compactions(&self) -> u64 {
-        self.compactions.get()
+        let (lock, _) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions
+    }
+
+    /// Blocks until this compactor has installed at least `n`
+    /// generations or `timeout` passes, and returns the count. The
+    /// count is published after the flip, under the lock this waits
+    /// on: once it reads `n`, [`GraphService::generation`] has moved
+    /// at least that far.
+    pub fn wait_for_compactions(&self, n: u64, timeout: Duration) -> u64 {
+        let (lock, cv) = &*self.state;
+        let st = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let (st, _) = cv
+            .wait_timeout_while(st, timeout, |st| st.compactions < n)
+            .unwrap_or_else(|e| e.into_inner());
+        st.compactions
     }
 
     /// Signals the thread and joins it (also done on drop).
@@ -1292,8 +1315,8 @@ impl Compactor {
         let Some(handle) = self.handle.take() else {
             return;
         };
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        let (lock, cv) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
         cv.notify_all();
         let _ = handle.join();
     }
@@ -2029,13 +2052,13 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.add_edge(VertexId(0), VertexId(15));
         svc.ingest(&batch).unwrap();
-        let t0 = Instant::now();
-        while svc.generation() == 0 && t0.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(svc.generation(), 1, "the compactor must have flipped");
+        // Wait on the compactor's own completion signal: it is
+        // published after the flip, so the generation is visible too.
+        let done = compactor.wait_for_compactions(1, Duration::from_secs(10));
+        assert_eq!(done, 1, "the compactor must have folded the batch");
+        assert_eq!(svc.generation(), 1, "the flip precedes the signal");
         assert_eq!(svc.pending_deltas(), 0);
-        assert!(compactor.compactions() >= 1);
+        assert_eq!(compactor.compactions(), 1);
         compactor.stop();
         // Queries keep matching the mutated graph afterwards.
         let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();

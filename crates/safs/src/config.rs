@@ -17,7 +17,10 @@ pub struct SafsConfig {
     pub cache_bytes: u64,
     /// Associativity of each cache set. The SA-cache paper uses 8.
     pub cache_ways: usize,
-    /// Number of I/O threads. Zero means one per simulated SSD.
+    /// Number of I/O threads. Zero means one per simulated SSD, capped
+    /// at the host's available parallelism: `min(num_ssds, cores)`.
+    /// Drives map onto threads by `ssd % io_threads`, so every drive
+    /// is served whatever the count.
     pub io_threads: usize,
     /// Whether I/O threads sort-and-merge the requests waiting in
     /// their queue before hitting the device (the "merge in SAFS"

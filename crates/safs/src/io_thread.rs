@@ -1,22 +1,29 @@
 //! Dedicated I/O threads, fed by message passing (§3.1).
 //!
 //! Application threads never touch the device: they mail page-run
-//! requests to an I/O thread and receive filled pages back. When
-//! `safs_merge` is on, each I/O thread drains its mailbox into a
-//! batch, sorts it by page number, and coalesces adjacent or
-//! overlapping runs into single device reads — the "merge in SAFS"
-//! configuration that Figure 12 compares against engine-side merging.
+//! requests to an I/O thread and receive filled pages back. The hop is
+//! paid per *batch* in both directions: a session sends one
+//! [`IoMsg::Batch`] per I/O thread per kick, and the thread answers
+//! everything it served in one pass with one `Vec<RunDone>` per
+//! session, in-flight waiter fan-out included. When `safs_merge` is
+//! on, each I/O thread drains its mailbox into one pass, sorts it by
+//! page number, and coalesces adjacent or overlapping runs into single
+//! device reads — the "merge in SAFS" configuration that Figure 12
+//! compares against engine-side merging.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 use fg_ssdsim::SsdArray;
 
 use crate::cache::PageCache;
+use crate::config::SafsConfig;
 use crate::inflight::InflightTable;
 use crate::page::Page;
 
-/// Upper bound on how many queued requests one batch drains; keeps
+/// Upper bound on how many queued runs one pass drains (checked
+/// between messages, so a pass may overshoot by one batch); keeps
 /// merge latency bounded the way SAFS bounds its request queues.
 const MAX_BATCH: usize = 1024;
 
@@ -35,8 +42,10 @@ pub(crate) struct RunRequest {
     /// cache. Streaming scans pass `false` so a sequential sweep
     /// cannot evict the hot working set (the pages are used once).
     pub insert: bool,
+    /// Mount-unique id of the issuing session (groups its replies).
+    pub session: u64,
     /// Completion mailbox of the issuing session.
-    pub reply: Sender<RunDone>,
+    pub reply: Sender<Vec<RunDone>>,
 }
 
 /// Pages delivered back to a session.
@@ -53,91 +62,119 @@ pub(crate) struct RunDone {
 /// Mailbox protocol of an I/O thread.
 #[derive(Debug)]
 pub(crate) enum IoMsg {
-    /// Read a run of pages.
-    Run(RunRequest),
+    /// Read these runs (one session's kick for this thread).
+    Batch(Vec<RunRequest>),
     /// Exit the thread loop.
     Shutdown,
 }
 
-/// The body of one I/O thread.
-pub(crate) fn io_thread_loop(
-    rx: Receiver<IoMsg>,
-    array: SsdArray,
-    cache: Arc<PageCache>,
-    inflight: Arc<InflightTable>,
-    page_bytes: u64,
-    merge: bool,
-) {
-    let mut batch: Vec<RunRequest> = Vec::with_capacity(MAX_BATCH);
-    loop {
-        batch.clear();
-        let mut shutdown = false;
-        match rx.recv() {
-            Ok(IoMsg::Run(r)) => batch.push(r),
-            Ok(IoMsg::Shutdown) | Err(_) => shutdown = true,
+/// The state one mount's sessions and I/O threads share.
+pub(crate) struct Mount {
+    pub cfg: SafsConfig,
+    pub array: SsdArray,
+    pub cache: PageCache,
+    pub inflight: InflightTable,
+    /// Device capacity in bytes (fixed at mount time).
+    pub capacity: u64,
+}
+
+impl Mount {
+    pub(crate) fn new(cfg: SafsConfig, array: SsdArray) -> Self {
+        Mount {
+            cfg,
+            cache: PageCache::new(cfg.cache_pages(), cfg.cache_ways),
+            inflight: InflightTable::new(),
+            capacity: array.capacity(),
+            array,
         }
-        if !shutdown {
-            while batch.len() < MAX_BATCH {
-                match rx.try_recv() {
-                    Ok(IoMsg::Run(r)) => batch.push(r),
-                    Ok(IoMsg::Shutdown) => {
-                        shutdown = true;
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        if shutdown {
-            // Serve every run still queued behind the shutdown:
-            // dropping one would drop its reply sender and leave the
-            // issuing session blocked forever on a completion that
-            // can never arrive. The final batch may exceed MAX_BATCH;
-            // bounded merge latency no longer matters on exit.
-            loop {
-                match rx.try_recv() {
-                    Ok(IoMsg::Run(r)) => batch.push(r),
-                    Ok(IoMsg::Shutdown) => {}
-                    Err(_) => break,
-                }
-            }
-            serve(&batch, &array, &cache, &inflight, page_bytes, merge);
-            return;
-        }
-        serve(&batch, &array, &cache, &inflight, page_bytes, merge);
     }
 }
 
-fn serve(
-    batch: &[RunRequest],
-    array: &SsdArray,
-    cache: &PageCache,
-    inflight: &InflightTable,
-    page_bytes: u64,
-    merge: bool,
-) {
-    if !merge {
-        for r in batch {
-            let pages = read_pages_hint(
-                array,
-                cache,
-                page_bytes,
-                r.first_page,
-                r.num_pages as u64,
-                r.insert,
-            );
-            // Selective runs carry open in-flight claims: resolve
-            // them here, on the I/O thread, so waiter fan-out cannot
-            // depend on the claiming session staying alive.
-            if r.insert {
-                inflight.resolve(r.first_page, &pages);
+/// The body of one I/O thread.
+pub(crate) fn io_thread_loop(rx: Receiver<IoMsg>, ctx: Arc<Mount>) {
+    let mut batch: Vec<RunRequest> = Vec::with_capacity(MAX_BATCH);
+    let mut shutdown = false;
+    while !shutdown {
+        match rx.recv() {
+            Ok(IoMsg::Batch(runs)) => batch.extend(runs),
+            Ok(IoMsg::Shutdown) | Err(_) => shutdown = true,
+        }
+        // Drain what else is queued into the same pass. After a
+        // shutdown that is *everything*: dropping a queued run would
+        // drop its reply sender and leave the issuing session blocked
+        // forever on a completion that can never arrive (bounded merge
+        // latency no longer matters on exit).
+        while shutdown || batch.len() < MAX_BATCH {
+            match rx.try_recv() {
+                Ok(IoMsg::Batch(runs)) => batch.extend(runs),
+                Ok(IoMsg::Shutdown) => shutdown = true,
+                Err(_) => break,
             }
-            let _ = r.reply.send(RunDone {
+        }
+        serve(&batch, &ctx);
+        batch.clear();
+    }
+}
+
+/// The completions of one pass, grouped by destination session so
+/// each session is woken once.
+#[derive(Default)]
+struct Replies(HashMap<u64, (Sender<Vec<RunDone>>, Vec<RunDone>)>);
+
+impl Replies {
+    fn push(&mut self, session: u64, reply: &Sender<Vec<RunDone>>, done: RunDone) {
+        self.0
+            .entry(session)
+            .or_insert_with(|| (reply.clone(), Vec::new()))
+            .1
+            .push(done);
+    }
+
+    /// Resolves the in-flight claims a finished selective read of
+    /// `pages` (consecutive from `first_page`) covers, queueing a
+    /// one-page completion for every attached waiter. Claims are
+    /// resolved here, on the I/O thread, so waiter fan-out cannot
+    /// depend on the claiming session staying alive. Pages without a
+    /// claim (cache-served members of a coalesced group) are no-ops.
+    fn fan_out(&mut self, inflight: &InflightTable, first_page: u64, pages: &[Arc<Page>]) {
+        for (k, page) in pages.iter().enumerate() {
+            for w in inflight.resolve(first_page + k as u64) {
+                let done = RunDone {
+                    req_id: w.req_id,
+                    first_slot: w.slot,
+                    pages: vec![Arc::clone(page)],
+                };
+                self.push(w.session, &w.reply, done);
+            }
+        }
+    }
+
+    fn send(self) {
+        for (reply, done) in self.0.into_values() {
+            // A disconnected session (dropped mid-wait) is fine: its
+            // pages simply go undelivered.
+            let _ = reply.send(done);
+        }
+    }
+}
+
+fn serve(batch: &[RunRequest], ctx: &Mount) {
+    let mut replies = Replies::default();
+    if !ctx.cfg.safs_merge {
+        for r in batch {
+            let pages = read_pages_hint(ctx, r.first_page, r.num_pages as u64, r.insert);
+            // Only selective runs carry open in-flight claims.
+            if r.insert {
+                replies.fan_out(&ctx.inflight, r.first_page, &pages);
+            }
+            let done = RunDone {
                 req_id: r.req_id,
                 first_slot: r.first_slot,
                 pages,
-            });
+            };
+            replies.push(r.session, &r.reply, done);
         }
+        replies.send();
         return;
     }
 
@@ -147,30 +184,30 @@ fn serve(
     order.sort_by_key(|&i| batch[i].first_page);
     let mut group: Vec<usize> = Vec::new();
     let mut group_end = 0u64;
-    let flush = |group: &mut Vec<usize>, lo: u64, hi: u64| {
+    let mut flush = |group: &mut Vec<usize>, lo: u64, hi: u64| {
         if group.is_empty() {
             return;
         }
         // A coalesced group inserts into the cache if *any* member
         // wants insertion; a pure-stream group stays out of it.
         let insert = group.iter().any(|&gi| batch[gi].insert);
-        let pages = read_pages_hint(array, cache, page_bytes, lo, hi - lo, insert);
+        let pages = read_pages_hint(ctx, lo, hi - lo, insert);
         // Resolve claims covered by the group (claims only exist on
         // selective runs, and an all-stream group cannot cover one:
         // stream submits never claim, and a selective run holding the
         // claim would have joined this group).
         if insert {
-            inflight.resolve(lo, &pages);
+            replies.fan_out(&ctx.inflight, lo, &pages);
         }
         for &gi in group.iter() {
             let r = &batch[gi];
             let off = (r.first_page - lo) as usize;
-            let slice = pages[off..off + r.num_pages as usize].to_vec();
-            let _ = r.reply.send(RunDone {
+            let done = RunDone {
                 req_id: r.req_id,
                 first_slot: r.first_slot,
-                pages: slice,
-            });
+                pages: pages[off..off + r.num_pages as usize].to_vec(),
+            };
+            replies.push(r.session, &r.reply, done);
         }
         group.clear();
     };
@@ -194,6 +231,7 @@ fn serve(
         group.push(i);
     }
     flush(&mut group, group_start, group_end);
+    replies.send();
 }
 
 /// Returns `num_pages` pages starting at `first_page`, reading each
@@ -206,14 +244,8 @@ fn serve(
 /// second, which then costs no device read. Without this, sequential
 /// scheduling would paradoxically read *more* than random (duplicate
 /// in-flight pages).
-pub(crate) fn read_pages(
-    array: &SsdArray,
-    cache: &PageCache,
-    page_bytes: u64,
-    first_page: u64,
-    num_pages: u64,
-) -> Vec<Arc<Page>> {
-    read_pages_hint(array, cache, page_bytes, first_page, num_pages, true)
+pub(crate) fn read_pages(ctx: &Mount, first_page: u64, num_pages: u64) -> Vec<Arc<Page>> {
+    read_pages_hint(ctx, first_page, num_pages, true)
 }
 
 /// [`read_pages`] with an explicit cache-insertion hint. With
@@ -222,15 +254,14 @@ pub(crate) fn read_pages(
 /// handed straight to the caller without touching the cache, so a
 /// whole-partition sweep cannot evict the selective working set.
 pub(crate) fn read_pages_hint(
-    array: &SsdArray,
-    cache: &PageCache,
-    page_bytes: u64,
+    ctx: &Mount,
     first_page: u64,
     num_pages: u64,
     insert: bool,
 ) -> Vec<Arc<Page>> {
+    let pb = ctx.cfg.page_bytes;
     let mut pages: Vec<Option<Arc<Page>>> = (first_page..first_page + num_pages)
-        .map(|p| cache.get_quiet(p))
+        .map(|p| ctx.cache.get_quiet(p))
         .collect();
     let mut i = 0usize;
     while i < pages.len() {
@@ -243,30 +274,30 @@ pub(crate) fn read_pages_hint(
             j += 1;
         }
         let run_first = first_page + i as u64;
-        let run_pages = (j - i) as u64;
-        let mut buf = vec![0u8; (run_pages * page_bytes) as usize];
-        // Clamp the tail: the image may end mid-page.
-        let offset = run_first * page_bytes;
-        let avail = array.capacity().saturating_sub(offset);
-        let len = (buf.len() as u64).min(avail) as usize;
-        array
-            .read(offset, &mut buf[..len])
+        // The device fills the run's page buffers directly. Clamp the
+        // tail: the image may end mid-page, the rest stays zero.
+        let mut bufs: Vec<Box<[u8]>> = (i..j)
+            .map(|_| vec![0u8; pb as usize].into_boxed_slice())
+            .collect();
+        let offset = run_first * pb;
+        let avail = ctx.capacity.saturating_sub(offset);
+        let len = ((j - i) as u64 * pb).min(avail);
+        ctx.array
+            .read_scatter(offset, len, bufs.iter_mut().map(|b| &mut b[..]))
             .expect("io thread read within device bounds");
-        for k in 0..run_pages as usize {
-            let start = k * page_bytes as usize;
-            let end = start + page_bytes as usize;
-            let page = Arc::new(Page::new(
-                run_first + k as u64,
-                buf[start..end].to_vec().into_boxed_slice(),
-            ));
+        for (k, buf) in bufs.into_iter().enumerate() {
+            let page = Arc::new(Page::new(run_first + k as u64, buf));
             if insert {
-                cache.insert(Arc::clone(&page));
+                ctx.cache.insert(Arc::clone(&page));
             }
             pages[i + k] = Some(page);
         }
         i = j;
     }
-    pages.into_iter().map(|p| p.unwrap()).collect()
+    pages
+        .into_iter()
+        .map(|p| p.expect("every gap was filled above"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -275,55 +306,77 @@ mod tests {
     use crossbeam::channel::unbounded;
     use fg_ssdsim::ArrayConfig;
 
-    fn setup(capacity: u64) -> (SsdArray, Arc<PageCache>) {
+    fn setup(capacity: u64, merge: bool) -> Arc<Mount> {
         let array = SsdArray::new_mem(ArrayConfig::small_test(), capacity).unwrap();
         // Fill with a recognizable pattern: byte at offset o = o % 251.
         let data: Vec<u8> = (0..capacity).map(|o| (o % 251) as u8).collect();
         array.write(0, &data).unwrap();
         array.stats().reset();
-        (array, Arc::new(PageCache::new(64, 8)))
+        let cfg = SafsConfig::default()
+            .with_cache_bytes(64 * 4096)
+            .with_safs_merge(merge);
+        Arc::new(Mount::new(cfg, array))
+    }
+
+    fn run(
+        req_id: u64,
+        first_page: u64,
+        num_pages: u32,
+        reply: &Sender<Vec<RunDone>>,
+    ) -> RunRequest {
+        RunRequest {
+            first_page,
+            num_pages,
+            req_id,
+            first_slot: 0,
+            insert: true,
+            session: 0,
+            reply: reply.clone(),
+        }
+    }
+
+    /// Every reply still queued, flattened and ordered by request id.
+    fn drain(rx: &Receiver<Vec<RunDone>>) -> Vec<RunDone> {
+        let mut got: Vec<RunDone> = rx.try_iter().flatten().collect();
+        got.sort_by_key(|d| d.req_id);
+        got
     }
 
     #[test]
     fn read_pages_fills_cache_and_content() {
-        let (array, cache) = setup(1 << 16);
-        let pages = read_pages(&array, &cache, 4096, 2, 2);
+        let m = setup(1 << 16, true);
+        let pages = read_pages(&m, 2, 2);
         assert_eq!(pages.len(), 2);
         assert_eq!(pages[0].pageno(), 2);
         assert_eq!(pages[0].bytes()[0], ((2 * 4096) % 251) as u8);
-        assert!(cache.get(2).is_some());
-        assert!(cache.get(3).is_some());
+        assert_eq!(pages[1].bytes()[5], ((3 * 4096 + 5) % 251) as u8);
+        assert!(m.cache.get(2).is_some());
+        assert!(m.cache.get(3).is_some());
+        assert_eq!(m.array.stats().snapshot().read_requests, 1);
     }
 
     #[test]
     fn unmerged_thread_serves_each_run() {
-        let (array, cache) = setup(1 << 16);
+        let m = setup(1 << 16, false);
         let (tx, rx) = unbounded();
         let (reply_tx, reply_rx) = unbounded();
-        let a2 = array.clone();
-        let c2 = Arc::clone(&cache);
-        let h = std::thread::spawn(move || {
-            io_thread_loop(rx, a2, c2, Arc::new(InflightTable::new()), 4096, false)
-        });
-        for (req_id, page) in [(1u64, 0u64), (2, 5)] {
-            tx.send(IoMsg::Run(RunRequest {
-                first_page: page,
-                num_pages: 1,
-                req_id,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            }))
-            .unwrap();
-        }
-        let mut got = [reply_rx.recv().unwrap(), reply_rx.recv().unwrap()];
+        let m2 = Arc::clone(&m);
+        let h = std::thread::spawn(move || io_thread_loop(rx, m2));
+        tx.send(IoMsg::Batch(vec![
+            run(1, 0, 1, &reply_tx),
+            run(2, 5, 1, &reply_tx),
+        ]))
+        .unwrap();
+        let got = reply_rx.recv().unwrap();
+        assert_eq!(got.len(), 2, "one reply message for the whole batch");
+        let mut got = got;
         got.sort_by_key(|d| d.req_id);
         assert_eq!(got[0].pages[0].pageno(), 0);
         assert_eq!(got[1].pages[0].pageno(), 5);
         tx.send(IoMsg::Shutdown).unwrap();
         h.join().unwrap();
         // Two separate device requests.
-        assert_eq!(array.stats().snapshot().read_requests, 2);
+        assert_eq!(m.array.stats().snapshot().read_requests, 2);
     }
 
     #[test]
@@ -333,31 +386,21 @@ mod tests {
         // reply senders and a session waiting on the completion would
         // block forever. Queue everything before the thread starts so
         // the receive order is deterministic: Shutdown first, three
-        // runs behind it.
-        let (array, cache) = setup(1 << 16);
+        // runs (in two batches) behind it.
+        let m = setup(1 << 16, true);
         let (tx, rx) = unbounded();
         let (reply_tx, reply_rx) = unbounded();
         tx.send(IoMsg::Shutdown).unwrap();
-        for (req_id, page) in [(1u64, 0u64), (2, 3), (3, 7)] {
-            tx.send(IoMsg::Run(RunRequest {
-                first_page: page,
-                num_pages: 1,
-                req_id,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            }))
+        tx.send(IoMsg::Batch(vec![
+            run(1, 0, 1, &reply_tx),
+            run(2, 3, 1, &reply_tx),
+        ]))
+        .unwrap();
+        tx.send(IoMsg::Batch(vec![run(3, 7, 1, &reply_tx)]))
             .unwrap();
-        }
-        let h = std::thread::spawn(move || {
-            io_thread_loop(rx, array, cache, Arc::new(InflightTable::new()), 4096, true)
-        });
+        let h = std::thread::spawn(move || io_thread_loop(rx, m));
         h.join().unwrap();
-        drop(reply_tx);
-        let mut ids: Vec<u64> = std::iter::from_fn(|| reply_rx.recv().ok())
-            .map(|d| d.req_id)
-            .collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = drain(&reply_rx).iter().map(|d| d.req_id).collect();
         assert_eq!(ids, vec![1, 2, 3], "every queued run must be answered");
     }
 
@@ -365,111 +408,51 @@ mod tests {
     fn shutdown_mid_batch_drains_the_rest() {
         // Same property through the inner try_recv path: a run, the
         // shutdown, then more runs.
-        let (array, cache) = setup(1 << 16);
+        let m = setup(1 << 16, false);
         let (tx, rx) = unbounded();
         let (reply_tx, reply_rx) = unbounded();
-        let mk = |req_id: u64, page: u64| {
-            IoMsg::Run(RunRequest {
-                first_page: page,
-                num_pages: 1,
-                req_id,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            })
-        };
-        tx.send(mk(1, 0)).unwrap();
+        tx.send(IoMsg::Batch(vec![run(1, 0, 1, &reply_tx)]))
+            .unwrap();
         tx.send(IoMsg::Shutdown).unwrap();
-        tx.send(mk(2, 5)).unwrap();
-        tx.send(mk(3, 9)).unwrap();
-        let h = std::thread::spawn(move || {
-            io_thread_loop(
-                rx,
-                array,
-                cache,
-                Arc::new(InflightTable::new()),
-                4096,
-                false,
-            )
-        });
+        tx.send(IoMsg::Batch(vec![run(2, 5, 1, &reply_tx)]))
+            .unwrap();
+        tx.send(IoMsg::Batch(vec![run(3, 9, 1, &reply_tx)]))
+            .unwrap();
+        let h = std::thread::spawn(move || io_thread_loop(rx, m));
         h.join().unwrap();
-        drop(reply_tx);
-        let mut ids: Vec<u64> = std::iter::from_fn(|| reply_rx.recv().ok())
-            .map(|d| d.req_id)
-            .collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = drain(&reply_rx).iter().map(|d| d.req_id).collect();
         assert_eq!(ids, vec![1, 2, 3]);
     }
 
     #[test]
     fn merged_thread_coalesces_adjacent_runs() {
-        let (array, cache) = setup(1 << 16);
+        let m = setup(1 << 16, true);
         let (reply_tx, reply_rx) = unbounded();
         // Two adjacent single-page runs and one distant run, served in
         // one batch directly through `serve`.
         let batch = vec![
-            RunRequest {
-                first_page: 1,
-                num_pages: 1,
-                req_id: 10,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            },
-            RunRequest {
-                first_page: 2,
-                num_pages: 1,
-                req_id: 11,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            },
-            RunRequest {
-                first_page: 9,
-                num_pages: 1,
-                req_id: 12,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            },
+            run(10, 1, 1, &reply_tx),
+            run(11, 2, 1, &reply_tx),
+            run(12, 9, 1, &reply_tx),
         ];
-        serve(&batch, &array, &cache, &InflightTable::new(), 4096, true);
-        let snap = array.stats().snapshot();
+        serve(&batch, &m);
+        let snap = m.array.stats().snapshot();
         // Pages 1-2 coalesce; page 9 is separate. Device request count
         // may further split on stripe boundaries, but pages 1,2 share
         // a stripe in the small_test config (4-page stripes).
         assert_eq!(snap.read_requests, 2);
         assert_eq!(snap.pages_read, 3);
-        let mut ids: Vec<u64> = (0..3).map(|_| reply_rx.recv().unwrap().req_id).collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = drain(&reply_rx).iter().map(|d| d.req_id).collect();
         assert_eq!(ids, vec![10, 11, 12]);
     }
 
     #[test]
     fn merged_thread_handles_overlapping_runs() {
-        let (array, cache) = setup(1 << 16);
+        let m = setup(1 << 16, true);
         let (reply_tx, reply_rx) = unbounded();
-        let batch = vec![
-            RunRequest {
-                first_page: 4,
-                num_pages: 3,
-                req_id: 1,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            },
-            RunRequest {
-                first_page: 5,
-                num_pages: 3,
-                req_id: 2,
-                first_slot: 0,
-                insert: true,
-                reply: reply_tx.clone(),
-            },
-        ];
-        serve(&batch, &array, &cache, &InflightTable::new(), 4096, true);
-        let mut got = [reply_rx.recv().unwrap(), reply_rx.recv().unwrap()];
-        got.sort_by_key(|d| d.req_id);
+        let batch = vec![run(1, 4, 3, &reply_tx), run(2, 5, 3, &reply_tx)];
+        serve(&batch, &m);
+        let got = drain(&reply_rx);
         assert_eq!(
             got[0].pages.iter().map(|p| p.pageno()).collect::<Vec<_>>(),
             vec![4, 5, 6]
@@ -481,12 +464,49 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_answers_each_session_once_waiters_included() {
+        use crate::inflight::PageWaiter;
+        let m = setup(1 << 16, true);
+        let (tx_a, rx_a) = unbounded();
+        let (tx_b, rx_b) = unbounded();
+        // Session 1 fetches pages 0 and 8; session 2 fetches page 4
+        // and waits on session 1's page 8.
+        for p in [0, 4, 8] {
+            assert!(!m.inflight.claim_or_attach(p, || unreachable!()));
+        }
+        assert!(m.inflight.claim_or_attach(8, || PageWaiter {
+            req_id: 21,
+            slot: 3,
+            session: 2,
+            reply: tx_b.clone(),
+        }));
+        let mut batch = vec![run(10, 0, 1, &tx_a), run(11, 8, 1, &tx_a)];
+        batch[0].session = 1;
+        batch[1].session = 1;
+        batch.push(RunRequest {
+            session: 2,
+            ..run(20, 4, 1, &tx_b)
+        });
+        serve(&batch, &m);
+        let a = rx_a.try_recv().unwrap();
+        assert_eq!(a.len(), 2);
+        assert!(rx_a.try_recv().is_err(), "session 1 woken once");
+        let mut b = rx_b.try_recv().unwrap();
+        assert!(rx_b.try_recv().is_err(), "session 2 woken once");
+        b.sort_by_key(|d| d.req_id);
+        assert_eq!(b.len(), 2, "own run + fan-out share the message");
+        assert_eq!((b[1].req_id, b[1].first_slot), (21, 3));
+        assert_eq!(b[1].pages[0].pageno(), 8);
+        assert_eq!(m.inflight.open_claims(), 0);
+    }
+
+    #[test]
     fn tail_page_beyond_capacity_is_zero_padded() {
         // Capacity 6000 bytes: page 1 is only half-backed by device.
         let array = SsdArray::new_mem(ArrayConfig::small_test(), 6000).unwrap();
         array.write(0, &vec![9u8; 6000]).unwrap();
-        let cache = Arc::new(PageCache::new(16, 8));
-        let pages = read_pages(&array, &cache, 4096, 1, 1);
+        let m = Mount::new(SafsConfig::default(), array);
+        let pages = read_pages(&m, 1, 1);
         assert_eq!(pages[0].bytes()[0], 9);
         assert_eq!(pages[0].bytes()[4095], 0, "unbacked tail must be zeroed");
     }

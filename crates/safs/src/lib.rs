@@ -7,7 +7,9 @@
 //!   Application threads never block on the device; they submit
 //!   requests to an [`IoSession`] and poll completions. This is the
 //!   "refactors I/Os from applications and sends them to I/O threads
-//!   with message passing" design.
+//!   with message passing" design. Messages carry batches in both
+//!   directions — one per I/O thread per [`IoSession::kick`], one per
+//!   session per served pass — so the hop's cost is amortised.
 //! * **A set-associative, lightweight page cache** ([`PageCache`]):
 //!   pages hash to small independent sets, each with its own lock and
 //!   a gclock eviction hand. Locking is per-set so the cache scales

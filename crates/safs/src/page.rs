@@ -57,7 +57,12 @@ impl Page {
 #[derive(Debug, Clone)]
 pub struct PageSpan {
     pages: Vec<Arc<Page>>,
-    page_bytes: usize,
+    /// log2 of the page size: the page of absolute position `abs` is
+    /// `abs >> page_shift`, its offset inside it `abs & page_mask`
+    /// (page sizes are powers of two, see `SafsConfig::validate`).
+    page_shift: u32,
+    /// Page size minus one.
+    page_mask: usize,
     /// Offset of the span's first byte inside `pages[0]`.
     head: usize,
     len: usize,
@@ -70,11 +75,18 @@ impl PageSpan {
     /// # Panics
     ///
     /// Panics when the pages do not cover `head + len` bytes, when
-    /// pages differ in size, or when their page numbers are not
-    /// consecutive.
+    /// pages differ in size or their size is not a power of two, or
+    /// when their page numbers are not consecutive.
     pub fn new(pages: Vec<Arc<Page>>, head: usize, len: usize) -> Self {
-        assert!(!pages.is_empty() || len == 0, "empty span needs no pages");
-        let page_bytes = pages.first().map(|p| p.len()).unwrap_or(0);
+        let Some(first) = pages.first() else {
+            assert!(len == 0, "empty span needs no pages");
+            return PageSpan::empty();
+        };
+        let page_bytes = first.len();
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size {page_bytes} must be a power of two"
+        );
         for w in pages.windows(2) {
             assert_eq!(w[0].len(), w[1].len(), "span pages must share a size");
             assert_eq!(
@@ -93,7 +105,8 @@ impl PageSpan {
         }
         PageSpan {
             pages,
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
+            page_mask: page_bytes - 1,
             head,
             len,
         }
@@ -103,7 +116,8 @@ impl PageSpan {
     pub fn empty() -> Self {
         PageSpan {
             pages: Vec::new(),
-            page_bytes: 0,
+            page_shift: 0,
+            page_mask: 0,
             head: 0,
             len: 0,
         }
@@ -130,7 +144,7 @@ impl PageSpan {
     pub fn byte(&self, i: usize) -> u8 {
         assert!(i < self.len, "span index {i} out of {} bytes", self.len);
         let abs = self.head + i;
-        self.pages[abs / self.page_bytes].bytes()[abs % self.page_bytes]
+        self.pages[abs >> self.page_shift].bytes()[abs & self.page_mask]
     }
 
     /// Copies `out.len()` bytes starting at span position `at`.
@@ -148,9 +162,9 @@ impl PageSpan {
         let mut abs = self.head + at;
         let mut done = 0;
         while done < out.len() {
-            let page = &self.pages[abs / self.page_bytes];
-            let off = abs % self.page_bytes;
-            let take = (self.page_bytes - off).min(out.len() - done);
+            let page = &self.pages[abs >> self.page_shift];
+            let off = abs & self.page_mask;
+            let take = (self.page_mask + 1 - off).min(out.len() - done);
             out[done..done + take].copy_from_slice(&page.bytes()[off..off + take]);
             done += take;
             abs += take;
@@ -165,10 +179,10 @@ impl PageSpan {
     #[inline]
     pub fn read_u32_le(&self, at: usize) -> u32 {
         let abs = self.head + at;
-        let off = abs % self.page_bytes;
-        if off + 4 <= self.page_bytes {
+        let off = abs & self.page_mask;
+        if off + 4 <= self.page_mask + 1 {
             assert!(at + 4 <= self.len, "u32 at {at} exceeds span");
-            let b = &self.pages[abs / self.page_bytes].bytes()[off..off + 4];
+            let b = &self.pages[abs >> self.page_shift].bytes()[off..off + 4];
             u32::from_le_bytes(b.try_into().unwrap())
         } else {
             let mut b = [0u8; 4];
@@ -223,12 +237,13 @@ impl PageSpan {
             return PageSpan::empty();
         }
         let abs = self.head + at;
-        let first = abs / self.page_bytes;
-        let last = (abs + len - 1) / self.page_bytes;
+        let first = abs >> self.page_shift;
+        let last = (abs + len - 1) >> self.page_shift;
         PageSpan {
             pages: self.pages[first..=last].to_vec(),
-            page_bytes: self.page_bytes,
-            head: abs - first * self.page_bytes,
+            page_shift: self.page_shift,
+            page_mask: self.page_mask,
+            head: abs & self.page_mask,
             len,
         }
     }
@@ -296,6 +311,13 @@ mod tests {
         let p0 = page(0, |_| 0, 8);
         let p2 = page(2, |_| 0, 8);
         PageSpan::new(vec![p0, p2], 0, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn odd_page_size_rejected() {
+        // The index math is shift-and-mask.
+        PageSpan::new(vec![page(0, |_| 0, 12)], 0, 4);
     }
 
     #[test]

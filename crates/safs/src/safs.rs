@@ -6,13 +6,14 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fg_ssdsim::SsdArray;
+use fg_types::sync::Counter;
 use fg_types::{FgError, Result};
 use parking_lot::Mutex;
 
-use crate::cache::{CacheStats, CacheStatsSnapshot, PageCache};
+use crate::cache::{CacheStats, CacheStatsSnapshot};
 use crate::config::SafsConfig;
-use crate::inflight::InflightTable;
-use crate::io_thread::{io_thread_loop, read_pages, IoMsg, RunDone, RunRequest};
+use crate::inflight::PageWaiter;
+use crate::io_thread::{io_thread_loop, read_pages, IoMsg, Mount, RunDone, RunRequest};
 use crate::page::{Page, PageSpan};
 
 /// A completed logical read: the caller's tag plus a zero-copy span
@@ -30,18 +31,17 @@ pub struct Completion {
 ///
 /// Dropping a `Safs` shuts its I/O threads down.
 pub struct Safs {
-    cfg: SafsConfig,
-    array: SsdArray,
-    cache: Arc<PageCache>,
-    inflight: Arc<InflightTable>,
+    mount: Arc<Mount>,
     senders: Vec<Sender<IoMsg>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Source of session ids (the I/O threads group replies by them).
+    sessions: Counter,
 }
 
 impl std::fmt::Debug for Safs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Safs")
-            .field("cfg", &self.cfg)
+            .field("cfg", &self.mount.cfg)
             .field("io_threads", &self.senders.len())
             .finish_non_exhaustive()
     }
@@ -55,62 +55,59 @@ impl Safs {
     /// Returns [`FgError::InvalidConfig`] when `cfg` is invalid.
     pub fn new(cfg: SafsConfig, array: SsdArray) -> Result<Self> {
         cfg.validate()?;
-        let cache = Arc::new(PageCache::new(cfg.cache_pages(), cfg.cache_ways));
-        let inflight = Arc::new(InflightTable::new());
-        let nthreads = if cfg.io_threads == 0 {
-            array.config().num_ssds
-        } else {
-            cfg.io_threads
+        let nthreads = match cfg.io_threads {
+            // One per drive, but no more than can run at once: the
+            // device is a virtual-time ledger that does not care which
+            // thread books a read, and threads beyond the cores only
+            // add wake-ups.
+            0 => {
+                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                array.config().num_ssds.min(cores)
+            }
+            n => n,
         };
+        let mount = Arc::new(Mount::new(cfg, array));
         let mut senders = Vec::with_capacity(nthreads);
         let mut handles = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
             let (tx, rx) = unbounded();
-            let a = array.clone();
-            let c = Arc::clone(&cache);
-            let t = Arc::clone(&inflight);
-            let page_bytes = cfg.page_bytes;
-            let merge = cfg.safs_merge;
-            handles.push(std::thread::spawn(move || {
-                io_thread_loop(rx, a, c, t, page_bytes, merge)
-            }));
+            let m = Arc::clone(&mount);
+            handles.push(std::thread::spawn(move || io_thread_loop(rx, m)));
             senders.push(tx);
         }
         Ok(Safs {
-            cfg,
-            array,
-            cache,
-            inflight,
+            mount,
             senders,
             handles: Mutex::new(handles),
+            sessions: Counter::new(0),
         })
     }
 
     /// The mounted configuration.
     pub fn config(&self) -> &SafsConfig {
-        &self.cfg
+        &self.mount.cfg
     }
 
     /// The underlying array (for its I/O statistics).
     pub fn array(&self) -> &SsdArray {
-        &self.array
+        &self.mount.array
     }
 
     /// Page-cache statistics snapshot.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        self.cache.stats().snapshot()
+        self.mount.cache.stats().snapshot()
     }
 
     /// Resets cache and device statistics (between experiment phases).
     pub fn reset_stats(&self) {
-        self.cache.stats().reset();
-        self.array.stats().reset();
+        self.mount.cache.stats().reset();
+        self.mount.array.stats().reset();
     }
 
     /// SAFS page size in bytes.
     #[inline]
     pub fn page_bytes(&self) -> u64 {
-        self.cfg.page_bytes
+        self.mount.cfg.page_bytes
     }
 
     /// Opens an asynchronous session. Each worker thread gets its own;
@@ -131,12 +128,29 @@ impl Safs {
         IoSession {
             safs: self,
             scope,
+            id: self.sessions.inc(),
             next_req: 0,
             in_flight: HashMap::new(),
             ready: Vec::new(),
+            outbox: self.senders.iter().map(|_| Vec::new()).collect(),
             reply_tx: tx,
             reply_rx: rx,
         }
+    }
+
+    /// Validates `[offset, offset + len)` against the device and
+    /// returns its end.
+    fn check_range(&self, offset: u64, len: u64) -> Result<u64> {
+        let end = offset
+            .checked_add(len)
+            .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
+        if end > self.mount.capacity {
+            return Err(FgError::InvalidRequest(format!(
+                "read [{offset}, {end}) exceeds device of {} bytes",
+                self.mount.capacity
+            )));
+        }
+        Ok(end)
     }
 
     /// Synchronous read: blocks the calling thread, still goes through
@@ -151,19 +165,12 @@ impl Safs {
         if len == 0 {
             return Ok(PageSpan::empty());
         }
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
-        if end > self.array.capacity() {
-            return Err(FgError::InvalidRequest(format!(
-                "read [{offset}, {end}) exceeds device of {} bytes",
-                self.array.capacity()
-            )));
-        }
-        let pb = self.cfg.page_bytes;
+        let end = self.check_range(offset, len)?;
+        let pb = self.page_bytes();
         let first = offset / pb;
         let last = (end - 1) / pb;
-        let mut pages: Vec<Option<Arc<Page>>> = (first..=last).map(|p| self.cache.get(p)).collect();
+        let mut pages: Vec<Option<Arc<Page>>> =
+            (first..=last).map(|p| self.mount.cache.get(p)).collect();
         // Read each contiguous miss run in one device request.
         let mut i = 0usize;
         while i < pages.len() {
@@ -175,13 +182,7 @@ impl Safs {
             while j < pages.len() && pages[j].is_none() {
                 j += 1;
             }
-            let got = read_pages(
-                &self.array,
-                &self.cache,
-                pb,
-                first + i as u64,
-                (j - i) as u64,
-            );
+            let got = read_pages(&self.mount, first + i as u64, (j - i) as u64);
             for (k, page) in got.into_iter().enumerate() {
                 pages[i + k] = Some(page);
             }
@@ -195,13 +196,14 @@ impl Safs {
         ))
     }
 
-    /// Routes a page run to an I/O thread: by owning drive, so one
-    /// thread's queue serves one drive's neighbourhood (the per-SSD
-    /// I/O thread design).
-    fn route(&self, first_page: u64) -> &Sender<IoMsg> {
-        let stripe = first_page * self.cfg.page_bytes / self.array.config().stripe_bytes();
-        let ssd = (stripe as usize) % self.array.config().num_ssds;
-        &self.senders[ssd % self.senders.len()]
+    /// Routes a page run to an I/O thread (its index): by owning
+    /// drive, so one thread's queue serves one drive's neighbourhood
+    /// (the per-SSD I/O thread design).
+    fn route(&self, first_page: u64) -> usize {
+        let array = self.mount.array.config();
+        let stripe = first_page * self.page_bytes() / array.stripe_bytes();
+        let ssd = (stripe as usize) % array.num_ssds;
+        ssd % self.senders.len()
     }
 }
 
@@ -220,17 +222,30 @@ impl Drop for Safs {
 ///
 /// The session checks the page cache *at submit time* on the caller's
 /// thread (the lightweight-cache design: application threads touch the
-/// cache directly); only missing page runs travel to I/O threads.
-/// Completions are polled, each carrying a [`PageSpan`] — the
-/// user-task interface of §3.1.
+/// cache directly); only missing page runs travel to I/O threads, and
+/// they travel in batches: `submit` buffers a run in the session's
+/// outbox for its I/O thread, [`IoSession::kick`] sends each non-empty
+/// outbox as one message. Completions are polled, each carrying a
+/// [`PageSpan`] — the user-task interface of §3.1.
+///
+/// A buffered run is never left behind: [`IoSession::poll`],
+/// [`IoSession::wait`], [`IoSession::wait_timeout`] and `Drop` all
+/// kick first, so submit-then-wait completes without an explicit kick
+/// and a session that dies (cancelled query, panicking program) still
+/// gets the pages it claimed fetched for the sessions waiting on them.
 pub struct IoSession<'fs> {
     safs: &'fs Safs,
     scope: Option<Arc<CacheStats>>,
+    /// Mount-unique id; tags runs and waiters so an I/O thread can
+    /// answer this session once per pass.
+    id: u64,
     next_req: u64,
     in_flight: HashMap<u64, Pending>,
     ready: Vec<Completion>,
-    reply_tx: Sender<RunDone>,
-    reply_rx: Receiver<RunDone>,
+    /// Runs submitted but not yet sent, one outbox per I/O thread.
+    outbox: Vec<Vec<RunRequest>>,
+    reply_tx: Sender<Vec<RunDone>>,
+    reply_rx: Receiver<Vec<RunDone>>,
 }
 
 struct Pending {
@@ -246,6 +261,7 @@ impl std::fmt::Debug for IoSession<'_> {
         f.debug_struct("IoSession")
             .field("pending", &self.in_flight.len())
             .field("ready", &self.ready.len())
+            .field("unkicked", &self.outbox.iter().map(Vec::len).sum::<usize>())
             .finish_non_exhaustive()
     }
 }
@@ -253,7 +269,8 @@ impl std::fmt::Debug for IoSession<'_> {
 impl IoSession<'_> {
     /// Submits a logical read of `[offset, offset + len)` tagged
     /// `tag`. Cache-resident requests complete immediately (pick them
-    /// up with [`IoSession::poll`]); misses go to I/O threads.
+    /// up with [`IoSession::poll`]); misses are buffered for the I/O
+    /// threads until the next [`IoSession::kick`].
     ///
     /// # Errors
     ///
@@ -287,108 +304,75 @@ impl IoSession<'_> {
             });
             return Ok(());
         }
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
-        if end > self.safs.array.capacity() {
-            return Err(FgError::InvalidRequest(format!(
-                "read [{offset}, {end}) exceeds device of {} bytes",
-                self.safs.array.capacity()
-            )));
-        }
-        let pb = self.safs.cfg.page_bytes;
+        let end = self.safs.check_range(offset, len)?;
+        let pb = self.safs.page_bytes();
         let first = offset / pb;
         let last = (end - 1) / pb;
-        let slots: Vec<Option<Arc<Page>>> = (first..=last)
-            .map(|p| {
-                if stream {
-                    self.safs.cache.get_quiet(p)
-                } else {
-                    self.lookup(p)
-                }
-            })
-            .collect();
-        let missing = slots.iter().filter(|s| s.is_none()).count();
+        let npages = (last - first + 1) as usize;
         let head = (offset - first * pb) as usize;
-        if missing == 0 {
-            let pages = slots.into_iter().map(|s| s.unwrap()).collect();
+        // Look pages up straight into the span's own vector: an
+        // all-hit request allocates nothing else.
+        let mut pages: Vec<Arc<Page>> = Vec::with_capacity(npages);
+        for p in first..=last {
+            match self.lookup(p, stream) {
+                Some(page) => pages.push(page),
+                None => break,
+            }
+        }
+        if pages.len() == npages {
             self.ready.push(Completion {
                 tag,
                 span: PageSpan::new(pages, head, len as usize),
             });
             return Ok(());
         }
+        let first_miss = pages.len();
+        let mut slots: Vec<Option<Arc<Page>>> = pages.into_iter().map(Some).collect();
+        slots.push(None);
+        slots.extend((first + first_miss as u64 + 1..=last).map(|p| self.lookup(p, stream)));
+
         let req_id = self.next_req;
         self.next_req += 1;
-        // Cross-session in-flight dedup (selective path only): misses
-        // already being fetched by another session attach as waiters
-        // to that read instead of dispatching their own run. Streaming
-        // sweeps stay out of the table on both sides — they neither
-        // claim (their pages bypass cache insertion, so a waiter could
-        // observe a resolve without a cached page) nor attach (a sweep
-        // is once-only traffic, not a hot-set collision).
-        let mut attached = vec![false; slots.len()];
-        if !stream {
-            let misses: Vec<(u64, u32)> = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_none())
-                .map(|(k, _)| (first + k as u64, k as u32))
-                .collect();
-            let verdict = self
-                .safs
-                .inflight
-                .claim_or_attach(req_id, &self.reply_tx, &misses);
-            let hits = verdict.iter().filter(|&&a| a).count() as u64;
-            if hits > 0 {
-                for (&(_, slot), &att) in misses.iter().zip(&verdict) {
-                    if att {
-                        attached[slot as usize] = true;
-                        // Each attachment is one queued-but-unharvested
-                        // delivery: enter the depth gauge now, exit in
-                        // `apply` when its one-page RunDone is
-                        // harvested, exactly like a dispatched run.
-                        self.safs.array.stats().queue_enter();
-                    }
+        // One pass over the misses decides each page's fate and cuts
+        // the dispatch runs. Cross-session in-flight dedup (selective
+        // path only): a miss another session is already fetching
+        // attaches as a waiter to that read; every other miss is
+        // claimed, and each contiguous run of claimed misses goes to
+        // its drive's thread. Streaming sweeps stay out of the table
+        // on both sides — they neither claim (their pages bypass cache
+        // insertion, so a waiter could observe a resolve without a
+        // cached page) nor attach (a sweep is once-only traffic, not a
+        // hot-set collision).
+        let (mut missing, mut attached) = (0usize, 0u64);
+        let mut run_start = None;
+        for k in first_miss..=slots.len() {
+            let miss = k < slots.len() && slots[k].is_none();
+            let rides = miss && !stream && self.attach(first + k as u64, req_id, k as u32);
+            missing += miss as usize;
+            attached += rides as u64;
+            match (miss && !rides, run_start) {
+                (true, None) => run_start = Some(k),
+                (false, Some(i)) => {
+                    let thread = self.safs.route(first + i as u64);
+                    self.outbox[thread].push(RunRequest {
+                        first_page: first + i as u64,
+                        num_pages: (k - i) as u32,
+                        req_id,
+                        first_slot: i as u32,
+                        insert: !stream,
+                        session: self.id,
+                        reply: self.reply_tx.clone(),
+                    });
+                    run_start = None;
                 }
-                self.safs.array.stats().record_dedup(hits, hits * pb);
+                _ => {}
             }
         }
-        // Dispatch each contiguous run of *claimed* misses to its
-        // drive's thread; attached pages arrive via waiter fan-out.
-        let mut i = 0usize;
-        while i < slots.len() {
-            if slots[i].is_some() || attached[i] {
-                i += 1;
-                continue;
-            }
-            let mut j = i;
-            while j < slots.len() && slots[j].is_none() && !attached[j] {
-                j += 1;
-            }
-            let run = RunRequest {
-                first_page: first + i as u64,
-                num_pages: (j - i) as u32,
-                req_id,
-                first_slot: i as u32,
-                insert: !stream,
-                reply: self.reply_tx.clone(),
-            };
-            // The run is now queued on the device: sample the queue
-            // depth so schedulers can be compared on how well they
-            // keep the array fed. The exit is booked when *this
-            // session harvests the reply* (see [`IoSession::apply`]),
-            // not when the I/O thread posts it — the gauge measures
-            // dispatched-but-unharvested runs, which is exactly the
-            // compute/I/O overlap a scheduler controls: a lock-step
-            // scheduler drains it to zero at every phase boundary,
-            // a pipelined one keeps it open across them.
-            self.safs.array.stats().queue_enter();
+        if attached > 0 {
             self.safs
-                .route(run.first_page)
-                .send(IoMsg::Run(run))
-                .expect("io thread alive while session exists");
-            i = j;
+                .array()
+                .stats()
+                .record_dedup(attached, attached * pb);
         }
         self.in_flight.insert(
             req_id,
@@ -403,15 +387,82 @@ impl IoSession<'_> {
         Ok(())
     }
 
+    /// Tries to ride another session's in-flight read of `pageno`;
+    /// `false` means the page is now claimed by this session, which
+    /// must fetch it.
+    fn attach(&self, pageno: u64, req_id: u64, slot: u32) -> bool {
+        let attached = self
+            .safs
+            .mount
+            .inflight
+            .claim_or_attach(pageno, || PageWaiter {
+                req_id,
+                slot,
+                session: self.id,
+                reply: self.reply_tx.clone(),
+            });
+        if attached {
+            // Each attachment is one queued-but-unharvested delivery:
+            // enter the depth gauge now, exit in `apply` when its
+            // one-page RunDone is harvested, exactly like a
+            // dispatched run.
+            self.safs.array().stats().queue_enter();
+        }
+        attached
+    }
+
+    /// Sends every buffered run to its I/O thread, one message per
+    /// thread. Cheap when nothing is buffered. Call it after a burst
+    /// of submits; `poll` / `wait` / `wait_timeout` and `Drop` call it
+    /// too, so a claimed page is dispatched no later than the
+    /// claimer's next harvest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an I/O thread has died (it never exits while the
+    /// mount is alive, so that is a bug in the thread).
+    pub fn kick(&mut self) {
+        assert!(self.dispatch(), "io thread alive while session exists");
+    }
+
+    /// [`IoSession::kick`] that reports a dead I/O thread instead of
+    /// panicking (`Drop` must not).
+    fn dispatch(&mut self) -> bool {
+        let mut alive = true;
+        for (runs, tx) in self.outbox.iter_mut().zip(&self.safs.senders) {
+            if runs.is_empty() {
+                continue;
+            }
+            // The runs are now queued on the device: sample the queue
+            // depth so schedulers can be compared on how well they
+            // keep the array fed. The exit is booked when *this
+            // session harvests the reply* (see [`IoSession::apply`]),
+            // not when the I/O thread posts it — the gauge measures
+            // dispatched-but-unharvested runs, which is exactly the
+            // compute/I/O overlap a scheduler controls: a lock-step
+            // scheduler drains it to zero at every phase boundary,
+            // a pipelined one keeps it open across them.
+            for _ in 0..runs.len() {
+                self.safs.array().stats().queue_enter();
+            }
+            alive &= tx.send(IoMsg::Batch(std::mem::take(runs))).is_ok();
+        }
+        alive
+    }
+
     /// Number of submitted-but-uncompleted logical requests.
     pub fn pending(&self) -> usize {
         self.in_flight.len() + self.ready.len()
     }
 
-    /// Cache lookup that also books the outcome into the session's
-    /// scope, when one is attached.
-    fn lookup(&self, pageno: u64) -> Option<Arc<Page>> {
-        let got = self.safs.cache.get(pageno);
+    /// Cache lookup. Selective lookups book their outcome mount-wide
+    /// and into the session's scope, when one is attached; streaming
+    /// ones stay quiet.
+    fn lookup(&self, pageno: u64, stream: bool) -> Option<Arc<Page>> {
+        if stream {
+            return self.safs.mount.cache.get_quiet(pageno);
+        }
+        let got = self.safs.mount.cache.get(pageno);
         if let Some(scope) = &self.scope {
             scope.record_lookup(got.is_some());
         }
@@ -419,9 +470,10 @@ impl IoSession<'_> {
     }
 
     fn apply(&mut self, done: RunDone) {
-        // One dispatched run harvested: book the queue-depth exit
-        // (the matching `queue_enter` is in `dispatch`).
-        self.safs.array.stats().queue_exit();
+        // One dispatched run (or attachment) harvested: book the
+        // queue-depth exit (the matching `queue_enter` is in
+        // `dispatch` / `attach`).
+        self.safs.array().stats().queue_exit();
         let finished = {
             let p = self
                 .in_flight
@@ -446,11 +498,18 @@ impl IoSession<'_> {
         }
     }
 
+    fn apply_all(&mut self, batch: Vec<RunDone>) {
+        for done in batch {
+            self.apply(done);
+        }
+    }
+
     /// Drains every available completion into `out` without blocking.
     /// Returns how many were delivered.
     pub fn poll(&mut self, out: &mut Vec<Completion>) -> usize {
-        while let Ok(done) = self.reply_rx.try_recv() {
-            self.apply(done);
+        self.kick();
+        while let Ok(batch) = self.reply_rx.try_recv() {
+            self.apply_all(batch);
         }
         let n = self.ready.len();
         out.append(&mut self.ready);
@@ -461,9 +520,10 @@ impl IoSession<'_> {
     /// completion is available (returns 0 only when nothing is
     /// pending).
     pub fn wait(&mut self, out: &mut Vec<Completion>) -> usize {
+        self.kick();
         if self.ready.is_empty() && !self.in_flight.is_empty() {
             match self.reply_rx.recv() {
-                Ok(done) => self.apply(done),
+                Ok(batch) => self.apply_all(batch),
                 Err(_) => return 0,
             }
         }
@@ -481,12 +541,21 @@ impl IoSession<'_> {
         out: &mut Vec<Completion>,
         timeout: std::time::Duration,
     ) -> usize {
+        self.kick();
         if self.ready.is_empty() && !self.in_flight.is_empty() {
-            if let Ok(done) = self.reply_rx.recv_timeout(timeout) {
-                self.apply(done);
+            if let Ok(batch) = self.reply_rx.recv_timeout(timeout) {
+                self.apply_all(batch);
             }
         }
         self.poll(out)
+    }
+}
+
+impl Drop for IoSession<'_> {
+    fn drop(&mut self) {
+        // Claims opened by this session must still be fetched: other
+        // sessions may be attached to them.
+        let _ = self.dispatch();
     }
 }
 
@@ -494,6 +563,7 @@ impl IoSession<'_> {
 mod tests {
     use super::*;
     use fg_ssdsim::ArrayConfig;
+    use proptest::prelude::*;
 
     /// An array whose byte at offset o is (o / 4 % 251) in each u32.
     fn patterned_safs(cfg: SafsConfig, capacity: u64) -> Safs {
@@ -779,17 +849,13 @@ mod tests {
 
     #[test]
     fn overlapping_session_attaches_to_in_flight_read() {
-        use crate::io_thread::{IoMsg, RunRequest};
-        use crossbeam::channel::unbounded;
         let safs = patterned_safs(SafsConfig::default(), 1 << 16);
-        // Stage a fetcher: claim pages 0-1 as if another session's run
-        // were queued on an I/O thread, but hold the run back so the
-        // in-flight window stays open deterministically.
-        let (fetch_tx, fetch_rx) = unbounded();
-        let claimed = safs
-            .inflight
-            .claim_or_attach(0, &fetch_tx, &[(0, 0), (1, 1)]);
-        assert_eq!(claimed, vec![false, false]);
+        // The fetcher claims pages 0-1 at submit; until it kicks, the
+        // run sits in its outbox and the in-flight window stays open
+        // deterministically.
+        let mut fetcher = safs.session();
+        fetcher.submit(0, 2 * 4096, 0).unwrap();
+        assert_eq!(safs.mount.inflight.open_claims(), 2);
 
         // A second session missing page 1 attaches as a waiter instead
         // of dispatching its own device run.
@@ -798,41 +864,36 @@ mod tests {
         let snap = safs.array().stats().snapshot();
         assert_eq!(snap.dedup_hits, 1);
         assert_eq!(snap.dedup_bytes, 4096);
-        assert_eq!(snap.read_requests, 0, "the waiter dispatched nothing");
         assert_eq!(s.pending(), 1);
+        let mut out = Vec::new();
+        assert_eq!(s.poll(&mut out), 0, "the waiter has nothing to kick");
+        let snap = safs.array().stats().snapshot();
+        assert_eq!(snap.read_requests, 0, "the waiter dispatched nothing");
+        assert_eq!(snap.depth_samples, 1, "only the attachment is queued");
 
         // Now the fetcher's run reaches its I/O thread: one device
         // read serves both sessions.
-        safs.route(0)
-            .send(IoMsg::Run(RunRequest {
-                first_page: 0,
-                num_pages: 2,
-                req_id: 0,
-                first_slot: 0,
-                insert: true,
-                reply: fetch_tx,
-            }))
-            .unwrap();
-        let mut out = Vec::new();
+        fetcher.kick();
         while out.is_empty() {
             s.wait(&mut out);
         }
         assert_eq!(out[0].tag, 9);
         assert_eq!(out[0].span.read_u32_le(0), (4096 / 4) % 251);
-        let fetched = fetch_rx.recv().unwrap();
-        assert_eq!(fetched.pages.len(), 2, "fetcher still gets its pages");
+        let mut fetched = Vec::new();
+        while fetched.is_empty() {
+            fetcher.wait(&mut fetched);
+        }
+        assert_eq!(fetched[0].span.page_count(), 2, "fetcher gets its pages");
         let snap = safs.array().stats().snapshot();
         assert_eq!(snap.read_requests, 1, "exactly one device read total");
-        assert_eq!(safs.inflight.open_claims(), 0, "claims fully resolved");
+        assert_eq!(safs.mount.inflight.open_claims(), 0, "claims resolved");
     }
 
     #[test]
     fn dead_waiter_session_does_not_wedge_the_fetcher() {
-        use crate::io_thread::{IoMsg, RunRequest};
-        use crossbeam::channel::unbounded;
         let safs = patterned_safs(SafsConfig::default(), 1 << 16);
-        let (fetch_tx, fetch_rx) = unbounded();
-        safs.inflight.claim_or_attach(0, &fetch_tx, &[(2, 0)]);
+        let mut fetcher = safs.session();
+        fetcher.submit(2 * 4096, 4096, 0).unwrap();
         {
             let mut dying = safs.session();
             dying.submit(2 * 4096, 16, 1).unwrap();
@@ -840,27 +901,51 @@ mod tests {
             // The waiter session is dropped mid-wait (a cancelled or
             // panicking tenant).
         }
-        safs.route(2)
-            .send(IoMsg::Run(RunRequest {
-                first_page: 2,
-                num_pages: 1,
-                req_id: 0,
-                first_slot: 0,
-                insert: true,
-                reply: fetch_tx,
-            }))
-            .unwrap();
-        let fetched = fetch_rx.recv().unwrap();
-        assert_eq!(fetched.pages[0].pageno(), 2);
-        assert_eq!(safs.inflight.open_claims(), 0);
+        let mut fetched = Vec::new();
+        while fetched.is_empty() {
+            fetcher.wait(&mut fetched);
+        }
+        assert_eq!(fetched[0].span.read_u32_le(0), (2 * 4096 / 4) % 251);
+        assert_eq!(safs.mount.inflight.open_claims(), 0);
+    }
+
+    #[test]
+    fn session_exit_dispatches_its_claimed_runs() {
+        // A session that goes away between claiming pages and kicking
+        // them — dropped by a cancelled query, or unwound by a
+        // panicking vertex program — must still get the runs served:
+        // another session may be attached to those claims.
+        for unwind in [false, true] {
+            let safs = patterned_safs(SafsConfig::default(), 1 << 16);
+            let mut waiter = safs.session();
+            let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut dying = safs.session();
+                dying.submit(0, 2 * 4096, 1).unwrap();
+                waiter.submit(4096, 64, 9).unwrap();
+                let snap = safs.array().stats().snapshot();
+                assert_eq!(snap.dedup_hits, 1, "the waiter rides the claim");
+                assert_eq!(snap.read_requests, 0, "nothing dispatched yet");
+                if unwind {
+                    panic!("vertex program blew up");
+                }
+            }));
+            assert_eq!(exit.is_err(), unwind);
+            let mut out = Vec::new();
+            while out.is_empty() {
+                waiter.wait(&mut out);
+            }
+            assert_eq!(out[0].span.read_u32_le(0), (4096 / 4) % 251);
+            assert_eq!(safs.array().stats().snapshot().read_requests, 1);
+            assert_eq!(safs.mount.inflight.open_claims(), 0);
+        }
     }
 
     #[test]
     fn stream_submits_stay_out_of_the_inflight_table() {
         let safs = patterned_safs(SafsConfig::default(), 1 << 20);
-        let (fetch_tx, _fetch_rx) = crossbeam::channel::unbounded();
         // An open claim on page 0 must not capture a streaming sweep.
-        safs.inflight.claim_or_attach(0, &fetch_tx, &[(0, 0)]);
+        let mut holder = safs.session();
+        holder.submit(0, 4096, 0).unwrap();
         let mut s = safs.session();
         s.submit_stream(0, 2 * 4096, 5).unwrap();
         let mut out = Vec::new();
@@ -870,10 +955,54 @@ mod tests {
         assert_eq!(out[0].span.len(), 2 * 4096);
         assert_eq!(safs.array().stats().snapshot().dedup_hits, 0);
         assert_eq!(
-            safs.inflight.open_claims(),
+            safs.mount.inflight.open_claims(),
             1,
             "sweep neither attached nor claimed"
         );
+    }
+
+    #[test]
+    fn buffered_runs_enter_the_queue_at_kick() {
+        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
+        let mut s = safs.session();
+        for i in 0..8 {
+            s.submit(i * 3 * 4096, 4096, i).unwrap();
+        }
+        let snap = safs.array().stats().snapshot();
+        assert_eq!(snap.depth_samples, 0, "buffered, not dispatched");
+        assert_eq!(snap.read_requests, 0);
+        s.kick();
+        assert_eq!(safs.array().stats().snapshot().depth_max, 8);
+        let mut out = Vec::new();
+        while s.pending() > 0 {
+            s.wait(&mut out);
+        }
+        assert_eq!(out.len(), 8);
+    }
+
+    #[test]
+    fn default_io_threads_fit_the_cores_and_serve_every_drive() {
+        let cfg = ArrayConfig::paper_array();
+        let array = SsdArray::new_mem(cfg, 1 << 22).unwrap();
+        let safs = Safs::new(SafsConfig::default(), array).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = safs.senders.len();
+        assert!((1..=cores.min(cfg.num_ssds)).contains(&threads));
+        // One stripe per drive: every drive has a thread, and every
+        // thread has at least one drive.
+        let stripe_pages = cfg.stripe_bytes() / safs.page_bytes();
+        let routed: std::collections::BTreeSet<usize> = (0..cfg.num_ssds as u64)
+            .map(|drive| safs.route(drive * stripe_pages))
+            .collect();
+        assert_eq!(routed, (0..threads).collect());
+
+        // An explicit count is taken as given.
+        let array = SsdArray::new_mem(cfg, 1 << 22).unwrap();
+        let three = SafsConfig {
+            io_threads: 3,
+            ..SafsConfig::default()
+        };
+        assert_eq!(Safs::new(three, array).unwrap().senders.len(), 3);
     }
 
     #[test]
@@ -896,5 +1025,86 @@ mod tests {
             big_bytes >= 16 * small_bytes,
             "64K pages should read >=16x the bytes of 4K pages ({big_bytes} vs {small_bytes})"
         );
+    }
+
+    /// One step of a two-session interleaving.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Submit {
+            who: usize,
+            page: u64,
+            head: u64,
+            len: u64,
+        },
+        Kick(usize),
+        Poll(usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..2, 0u64..48, 0u64..4096, 1u64..3 * 4096).prop_map(|(who, page, head, len)| {
+                Op::Submit {
+                    who,
+                    page,
+                    head,
+                    len,
+                }
+            }),
+            (0usize..2).prop_map(Op::Kick),
+            (0usize..2).prop_map(Op::Poll),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn interleaved_sessions_deliver_read_sync_bytes_exactly_once(
+            ops in prop::collection::vec(op_strategy(), 1..60),
+        ) {
+            // The cache holds the whole device, so nothing is evicted:
+            // a page read from the device twice was read while its
+            // first read was in flight (or already cached).
+            let safs = patterned_safs(SafsConfig::default(), 1 << 18);
+            let mut sessions = [safs.session(), safs.session()];
+            let mut asked: Vec<(u64, u64)> = Vec::new();
+            let mut done: [Vec<Completion>; 2] = [Vec::new(), Vec::new()];
+            for op in ops {
+                match op {
+                    Op::Submit { who, page, head, len } => {
+                        let offset = page * 4096 + head;
+                        sessions[who].submit(offset, len, asked.len() as u64).unwrap();
+                        asked.push((offset, len));
+                    }
+                    Op::Kick(who) => sessions[who].kick(),
+                    Op::Poll(who) => {
+                        sessions[who].poll(&mut done[who]);
+                    }
+                }
+            }
+            // Drain: dispatch both sides first — a session may be
+            // waiting on pages the other has claimed but not kicked.
+            for s in &mut sessions {
+                s.kick();
+            }
+            for (s, out) in sessions.iter_mut().zip(&mut done) {
+                while s.pending() > 0 {
+                    s.wait(out);
+                }
+            }
+            prop_assert_eq!(safs.mount.inflight.open_claims(), 0);
+            let io = safs.array().stats().snapshot();
+            let touched: std::collections::BTreeSet<u64> = asked
+                .iter()
+                .flat_map(|&(o, l)| o / 4096..=(o + l - 1) / 4096)
+                .collect();
+            prop_assert_eq!(io.pages_read, touched.len() as u64);
+            prop_assert_eq!(done[0].len() + done[1].len(), asked.len());
+            for c in done.iter().flatten() {
+                let (offset, len) = asked[c.tag as usize];
+                let want = safs.read_sync(offset, len).unwrap().to_vec();
+                prop_assert_eq!(c.span.to_vec(), want);
+            }
+        }
     }
 }

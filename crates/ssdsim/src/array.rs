@@ -97,19 +97,51 @@ impl SsdArray {
     /// Returns [`FgError::InvalidRequest`] for empty or out-of-bounds
     /// ranges.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        if buf.is_empty() {
+        self.read_scatter(offset, buf.len() as u64, std::iter::once(buf))
+    }
+
+    /// [`SsdArray::read`] of `len` bytes scattered over consecutive
+    /// buffers: `bufs` are filled in order (the last one used possibly
+    /// only partly) until `len` bytes have landed. The ledger books the
+    /// range exactly as one contiguous read — this is how SAFS fills a
+    /// run of page buffers from a single device request without an
+    /// intermediate copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FgError::InvalidRequest`] for empty or out-of-bounds
+    /// ranges, and when `bufs` hold fewer than `len` bytes.
+    pub fn read_scatter<'a>(
+        &self,
+        offset: u64,
+        len: u64,
+        bufs: impl IntoIterator<Item = &'a mut [u8]>,
+    ) -> Result<()> {
+        if len == 0 {
             return Err(FgError::InvalidRequest("zero-length read".into()));
         }
-        for e in self.extents(offset, buf.len() as u64)? {
+        for e in self.extents(offset, len)? {
             let pages = self.pages_spanned(e.logical_offset, e.len);
             let service = self.inner.cfg.spec.read_service_ns(pages);
             self.inner
                 .stats
                 .record_read(e.ssd, pages, pages * self.inner.cfg.page_bytes, service);
-            let dst = (e.logical_offset - offset) as usize;
-            self.inner
-                .store
-                .read_at(e.logical_offset, &mut buf[dst..dst + e.len as usize])?;
+        }
+        let mut cur = offset;
+        let end = offset + len;
+        for buf in bufs {
+            if cur == end {
+                break;
+            }
+            let take = (buf.len() as u64).min(end - cur) as usize;
+            self.inner.store.read_at(cur, &mut buf[..take])?;
+            cur += take as u64;
+        }
+        if cur < end {
+            return Err(FgError::InvalidRequest(format!(
+                "scatter buffers hold {} of {len} bytes",
+                cur - offset
+            )));
         }
         Ok(())
     }
@@ -205,6 +237,33 @@ mod tests {
         let mut buf = vec![0u8; 8192];
         a.read(4096, &mut buf).unwrap();
         assert_eq!(buf, data);
+    }
+
+    #[test]
+    fn scatter_read_books_like_one_read() {
+        let a = small();
+        let data: Vec<u8> = (0..3 * 4096u32).map(|i| (i % 251) as u8).collect();
+        a.write(0, &data).unwrap();
+        a.stats().reset();
+        let mut whole = vec![0u8; 2 * 4096 + 100];
+        a.read(4096, &mut whole).unwrap();
+        let one = a.stats().snapshot();
+        a.stats().reset();
+        let mut bufs = vec![vec![0u8; 4096]; 3];
+        a.read_scatter(
+            4096,
+            whole.len() as u64,
+            bufs.iter_mut().map(|b| &mut b[..]),
+        )
+        .unwrap();
+        let scattered = a.stats().snapshot();
+        assert_eq!(scattered.read_requests, one.read_requests);
+        assert_eq!(scattered.bytes_read, one.bytes_read);
+        assert_eq!(bufs.concat()[..whole.len()], whole[..]);
+        assert_eq!(bufs[2][100..], [0u8; 4096 - 100], "tail left untouched");
+        // Too few buffer bytes for the range is an error.
+        let mut short = [0u8; 16];
+        assert!(a.read_scatter(0, 32, [&mut short[..]]).is_err());
     }
 
     #[test]

@@ -186,6 +186,17 @@ fn inflight_waiter_mutations_caught() {
         ),
         "a Relaxed completion publish must surface as a data race"
     );
+    // A claiming session that exits with its run still buffered: the
+    // claims are never served and the attached waiter never wakes.
+    let unkicked = check(Some(Mutation::DropWithoutKick), &cfg());
+    assert_caught("inflight_waiter+DropWithoutKick", &unkicked);
+    assert!(
+        matches!(
+            unkicked.failure.as_ref().unwrap().kind,
+            FailureKind::Deadlock(_)
+        ),
+        "an undispatched claim must surface as a deadlock"
+    );
 }
 
 #[test]
