@@ -84,6 +84,12 @@
 //! running query sees. [`QueryOpts::at_watermark`] replays an older
 //! watermark explicitly (time travel within the unfolded window).
 //!
+//! Both halves of the write path read the image through the mount,
+//! page cache first, like every query: ingest canonicalizes against
+//! point reads that take the normal insert policy, compaction reads
+//! the old generation back as one streaming sweep that uses the cache
+//! and leaves it alone.
+//!
 //! When [`GraphService::pending_deltas`] grows large,
 //! [`GraphService::compact_with`] (or a background [`Compactor`])
 //! rewrites base + deltas into a fresh image stamped with the next
@@ -94,12 +100,12 @@
 //! to the old generation keep it alive via `Arc` until they drain.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use fg_format::{
-    load_index, read_graph, read_list, read_meta, required_capacity_with, write_image_with,
-    GraphIndex, ImageMeta, ShardedIndex, WriteOptions,
+    load_index, read_graph_from, read_list_from, read_meta_from, GraphIndex, ImageMeta, ImagePlan,
+    ShardedIndex, WriteOptions,
 };
 use fg_graph::{BaseLists, DeltaBatch, DeltaLog, DeltaView};
 use fg_safs::{CacheStatsSnapshot, Handoff, Safs, ShardSet};
@@ -527,19 +533,56 @@ pub struct GraphService {
 
 /// What the service serves from: one shared mount, or one mount per
 /// shard of a sharded image (each admitted query then runs one
-/// [`ShardedEngine`] across all of them).
+/// [`ShardedEngine`] across all of them). `metas` holds the image
+/// header of each mount, in shard order: set by the compaction that
+/// wrote the image, else read through the mount by the first ingest
+/// or compaction that needs it — once per generation either way.
 enum ServeBackend {
     Single {
         safs: Arc<Safs>,
         index: Arc<GraphIndex>,
+        metas: OnceLock<Vec<ImageMeta>>,
     },
     Sharded {
         set: Arc<ShardSet>,
         index: Arc<ShardedIndex>,
+        metas: OnceLock<Vec<ImageMeta>>,
     },
 }
 
+/// `safs` as the byte source of `fg_format`'s back-readers: the write
+/// path reaches the device the way queries do, page cache first. Point
+/// reads (a header, one list) take the insert policy of
+/// [`Safs::read_sync`]; a sweep (`stream`) takes the streaming policy
+/// of [`Safs::read_sync_stream`].
+fn mount_bytes(safs: &Safs, stream: bool) -> impl Fn(u64, &mut [u8]) -> Result<()> + '_ {
+    move |offset, buf| {
+        let len = buf.len() as u64;
+        let span = if stream {
+            safs.read_sync_stream(offset, len)?
+        } else {
+            safs.read_sync(offset, len)?
+        };
+        span.read_bytes(0, buf);
+        Ok(())
+    }
+}
+
 impl ServeBackend {
+    /// This generation's image headers, one per mount.
+    fn metas(&self) -> Result<&[ImageMeta]> {
+        let (ServeBackend::Single { metas, .. } | ServeBackend::Sharded { metas, .. }) = self;
+        if let Some(metas) = metas.get() {
+            return Ok(metas);
+        }
+        let read = |safs: &Safs| read_meta_from(&mount_bytes(safs, false), safs.array().capacity());
+        let fresh = match self {
+            ServeBackend::Single { safs, .. } => vec![read(safs)?],
+            ServeBackend::Sharded { set, .. } => set.iter().map(read).collect::<Result<_>>()?,
+        };
+        Ok(metas.get_or_init(|| fresh))
+    }
+
     fn num_vertices(&self) -> usize {
         match self {
             ServeBackend::Single { index, .. } => index.num_vertices(),
@@ -556,45 +599,25 @@ impl ServeBackend {
 }
 
 /// [`BaseLists`] over one pinned image generation: ingest-time
-/// canonicalization reads base adjacency straight off the device.
-/// This is a cold path — a batch touches few source vertices, and the
-/// page cache absorbs the reads like any query's.
-struct ImageBase<'a> {
-    backend: &'a ServeBackend,
-    /// One meta for a single mount, one per shard otherwise.
-    metas: Vec<ImageMeta>,
-}
+/// canonicalization reads base adjacency through the generation's
+/// mounts, one point read per touched source. The reads take the
+/// normal insert policy, so the page cache absorbs them like any
+/// query's: a source whose pages are resident costs no device read,
+/// and the lists a batch fetches warm the cache for the queries that
+/// go on to read the vertices it changed.
+struct ImageBase(Arc<ServeBackend>);
 
-impl<'a> ImageBase<'a> {
-    fn over(backend: &'a ServeBackend) -> Result<Self> {
-        let metas = match backend {
-            ServeBackend::Single { safs, .. } => vec![read_meta(safs.array())?],
-            ServeBackend::Sharded { set, .. } => set
-                .iter()
-                .map(|s| read_meta(s.array()))
-                .collect::<Result<_>>()?,
-        };
-        Ok(ImageBase { backend, metas })
-    }
-}
-
-impl BaseLists for ImageBase<'_> {
+impl BaseLists for ImageBase {
     fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
-        match self.backend {
-            ServeBackend::Single { safs, index } => {
-                read_list(safs.array(), &self.metas[0], index, v, EdgeDir::Out)
-            }
-            ServeBackend::Sharded { set, index } => {
+        let metas = self.0.metas()?;
+        let (safs, meta, index, v) = match self.0.as_ref() {
+            ServeBackend::Single { safs, index, .. } => (&**safs, &metas[0], &**index, v),
+            ServeBackend::Sharded { set, index, .. } => {
                 let (s, local) = index.local(v);
-                read_list(
-                    set.shard(s).array(),
-                    &self.metas[s],
-                    index.shard(s),
-                    local,
-                    EdgeDir::Out,
-                )
+                (set.shard(s), &metas[s], &**index.shard(s), local)
             }
-        }
+        };
+        read_list_from(&mount_bytes(safs, false), meta, index, v, EdgeDir::Out)
     }
 }
 
@@ -619,7 +642,8 @@ impl GraphService {
     /// A service over already-shared mount and index (when other
     /// subsystems — loaders, snapshotters — keep their own handles).
     pub fn from_shared(safs: Arc<Safs>, index: Arc<GraphIndex>, cfg: ServiceConfig) -> Self {
-        Self::with_backend(ServeBackend::Single { safs, index }, cfg)
+        let metas = OnceLock::new();
+        Self::with_backend(ServeBackend::Single { safs, index, metas }, cfg)
     }
 
     /// A service over a sharded image: one mount per shard, every
@@ -649,7 +673,8 @@ impl GraphService {
             index.num_shards(),
             "one mount per shard of the index"
         );
-        Self::with_backend(ServeBackend::Sharded { set, index }, cfg)
+        let metas = OnceLock::new();
+        Self::with_backend(ServeBackend::Sharded { set, index, metas }, cfg)
     }
 
     fn with_backend(backend: ServeBackend, cfg: ServiceConfig) -> Self {
@@ -769,7 +794,8 @@ impl GraphService {
     /// queries admitted before this call never see any of it, queries
     /// admitted after see all of it. Works on both backends; the base
     /// adjacency needed to canonicalize the batch is read through the
-    /// pinned generation's mounts.
+    /// serving generation's mounts — page cache first, so a batch whose
+    /// sources are resident reads nothing from the device.
     ///
     /// # Errors
     ///
@@ -778,9 +804,19 @@ impl GraphService {
     /// mutates edges, not the vertex space), and I/O errors from the
     /// base reads.
     pub fn ingest(&self, batch: &DeltaBatch) -> Result<u64> {
-        let (_, backend) = self.live.pin();
-        let base = ImageBase::over(&backend)?;
-        self.delta.apply(&base, batch)
+        self.delta.apply_with(|| self.pin_base(), batch)
+    }
+
+    /// The serving generation as a canonicalization base. Ingest calls
+    /// this under the log lock: a compaction folds the log and flips
+    /// the generation inside that lock, so a base pinned outside it
+    /// could be the generation *before* a flip, read after the runs
+    /// that flip absorbed have left the log — and an edge one of them
+    /// added would look absent and be added twice.
+    fn pin_base(&self) -> Result<ImageBase> {
+        let backend = self.live.pin().1;
+        backend.metas()?;
+        Ok(ImageBase(backend))
     }
 
     /// Folds every pending delta into a fresh on-SSD image and
@@ -806,7 +842,7 @@ impl GraphService {
         // ingested after this snapshot stays in the log for the next
         // compaction.
         let ((gen, backend), view) = self.delta.snapshot_with(|| self.live.pin());
-        let ServeBackend::Single { safs, index } = backend.as_ref() else {
+        let ServeBackend::Single { safs, index, .. } = backend.as_ref() else {
             return Err(FgError::InvalidConfig(
                 "compaction rewrites a single-mount image; shard-wise compaction is not supported"
                     .into(),
@@ -815,8 +851,12 @@ impl GraphService {
         if view.is_empty() {
             return Ok(gen);
         }
-        let meta = read_meta(safs.array())?;
-        let base = read_graph(safs.array(), &meta, index)?;
+        let meta = &backend.metas()?[0];
+        // The read-back is a sweep of the whole image: it takes the
+        // streaming policy, so it uses what the cache holds and leaves
+        // the cache alone — queries pinned to this generation keep
+        // their hot set however small the cache is next to the image.
+        let base = read_graph_from(&mount_bytes(safs, true), meta, index)?;
         let merged = DeltaLog::union(&base, &view);
         let mut opts = WriteOptions {
             format: meta.format,
@@ -826,13 +866,17 @@ impl GraphService {
         if meta.skip_interval != 0 {
             opts.skip_interval = meta.skip_interval;
         }
-        let array = provision(required_capacity_with(&merged, &opts))?;
-        write_image_with(&merged, &array, &opts)?;
-        let (_, new_index) = load_index(&array)?;
+        // One plan sizes the device and writes to it: planning a
+        // compressed image encodes every list.
+        let plan = ImagePlan::new(&merged, &opts);
+        let array = provision(plan.required_capacity())?;
+        plan.write(&array)?;
+        let (new_meta, new_index) = load_index(&array)?;
         let new_safs = Safs::new(*safs.config(), array)?;
         let next = ServeBackend::Single {
             safs: Arc::new(new_safs),
             index: Arc::new(new_index),
+            metas: OnceLock::from(vec![new_meta]),
         };
         // Atomic cutover: drop the folded runs and install the new
         // image inside one log critical section (see the module docs).
@@ -938,13 +982,13 @@ impl GraphService {
         let (backend, view) = self.pin_view(&opts);
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
         let result = match backend.as_ref() {
-            ServeBackend::Single { safs, index } => {
+            ServeBackend::Single { safs, index, .. } => {
                 Engine::new_sem_shared(safs, Arc::clone(index), cfg)
                     .with_deltas(view)
                     .with_cancel(token.clone())
                     .run(program, init)
             }
-            ServeBackend::Sharded { set, index } => {
+            ServeBackend::Sharded { set, index, .. } => {
                 ShardedEngine::new_shared(set, Arc::clone(index), cfg)
                     .with_deltas(view)
                     .with_cancel(token.clone())
@@ -1012,7 +1056,7 @@ impl GraphService {
         let token = opts.cancel.clone().unwrap_or_default();
         let (permit, _waited) = self.admit(&opts, &token)?;
         let (backend, view) = self.pin_view(&opts);
-        let ServeBackend::Single { safs, index } = backend.as_ref() else {
+        let ServeBackend::Single { safs, index, .. } = backend.as_ref() else {
             panic!("sharded service: use query_sharded / query_sharded_opts")
         };
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
@@ -1070,7 +1114,7 @@ impl GraphService {
         let token = opts.cancel.clone().unwrap_or_default();
         let (permit, _waited) = self.admit(&opts, &token)?;
         let (backend, view) = self.pin_view(&opts);
-        let ServeBackend::Sharded { set, index } = backend.as_ref() else {
+        let ServeBackend::Sharded { set, index, .. } = backend.as_ref() else {
             panic!("single-mount service: use query / query_opts")
         };
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
@@ -1238,6 +1282,10 @@ struct CompactorState {
     /// after the flip, so whoever reads a count here also sees the
     /// generation it stands for.
     compactions: u64,
+    /// Rewrites that returned an error (each is retried at the next
+    /// poll), and the text of the latest one.
+    failures: u64,
+    last_error: Option<String>,
 }
 
 impl Compactor {
@@ -1245,8 +1293,9 @@ impl Compactor {
     /// [`GraphService::pending_deltas`] reaches `threshold`, checking
     /// every `poll`. `provision` supplies a fresh device of at least
     /// the requested capacity for each rewrite (see
-    /// [`GraphService::compact_with`]); a failed rewrite is retried
-    /// at the next poll.
+    /// [`GraphService::compact_with`]); a failed rewrite is counted
+    /// ([`Compactor::failures`], [`Compactor::last_error`]) and
+    /// retried at the next poll.
     pub fn spawn(
         svc: Arc<GraphService>,
         threshold: u64,
@@ -1273,10 +1322,18 @@ impl Compactor {
                 }
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
-                    if svc.compact_with(&provision).is_ok_and(|g| g > before) {
-                        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions += 1;
-                        cv.notify_all();
+                    let outcome = svc.compact_with(&provision);
+                    let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    match outcome {
+                        Ok(g) if g > before => st.compactions += 1,
+                        Ok(_) => continue,
+                        Err(e) => {
+                            st.failures += 1;
+                            st.last_error = Some(e.to_string());
+                        }
                     }
+                    drop(st);
+                    cv.notify_all();
                 }
             })
         };
@@ -1290,6 +1347,26 @@ impl Compactor {
     pub fn compactions(&self) -> u64 {
         let (lock, _) = &*self.state;
         lock.lock().unwrap_or_else(|e| e.into_inner()).compactions
+    }
+
+    /// Rewrites that failed so far. A failed rewrite leaves the log
+    /// and the serving generation as they were and is retried at the
+    /// next poll, so a count that keeps growing beside a
+    /// [`GraphService::pending_deltas`] that never falls is a
+    /// compactor that cannot make progress.
+    pub fn failures(&self) -> u64 {
+        let (lock, _) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).failures
+    }
+
+    /// The error of the latest failed rewrite, kept across later
+    /// successes; `None` while none has failed.
+    pub fn last_error(&self) -> Option<String> {
+        let (lock, _) = &*self.state;
+        lock.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .last_error
+            .clone()
     }
 
     /// Blocks until this compactor has installed at least `n`
@@ -1346,8 +1423,10 @@ mod tests {
     use super::*;
     use crate::context::VertexContext;
     use crate::vertex::PageVertex;
-    use fg_format::{load_index, required_capacity, write_image};
-    use fg_graph::fixtures;
+    use fg_format::{
+        load_index, required_capacity, required_capacity_with, write_image, write_image_with,
+    };
+    use fg_graph::{fixtures, Graph};
     use fg_safs::SafsConfig;
     use fg_ssdsim::{ArrayConfig, SsdArray};
     use fg_types::{EdgeDir, FgError, VertexId};
@@ -1436,6 +1515,48 @@ mod tests {
         let safs = Safs::new(SafsConfig::default().with_cache_bytes(8 * 4096), array).unwrap();
         safs.reset_stats();
         GraphService::new(safs, index, cfg)
+    }
+
+    /// Records every delivered out-list, in delivery order.
+    struct Collect;
+
+    #[derive(Default, Clone)]
+    struct Collected {
+        started: bool,
+        got: Vec<u32>,
+    }
+
+    impl VertexProgram for Collect {
+        type State = Collected;
+        type Msg = ();
+
+        fn run(&self, v: VertexId, state: &mut Collected, ctx: &mut VertexContext<'_, ()>) {
+            if !state.started {
+                state.started = true;
+                ctx.request_edges(v, EdgeDir::Out);
+            }
+        }
+
+        fn run_on_vertex(
+            &self,
+            _v: VertexId,
+            state: &mut Collected,
+            vertex: &PageVertex<'_>,
+            _ctx: &mut VertexContext<'_, ()>,
+        ) {
+            state.got.extend(vertex.edges().map(|e| e.0));
+        }
+    }
+
+    /// Every list the service delivers is `want`'s, and
+    /// `edges_delivered` is their total.
+    fn assert_serves(svc: &GraphService, want: &Graph, what: &str) {
+        let (states, stats) = svc.run(&Collect, Init::All).unwrap();
+        for v in want.vertices() {
+            let list: Vec<u32> = want.out_neighbors(v).iter().map(|e| e.0).collect();
+            assert_eq!(states[v.index()].got, list, "{what}: out-list of {v}");
+        }
+        assert_eq!(stats.edges_delivered, want.num_edges(), "{what}");
     }
 
     #[test]
@@ -2061,6 +2182,108 @@ mod tests {
         assert_eq!(compactor.compactions(), 1);
         compactor.stop();
         // Queries keep matching the mutated graph afterwards.
+        let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+        assert_eq!(states[15].level, 1);
+    }
+
+    #[test]
+    fn ingest_pins_its_base_where_no_compaction_can_flip_it_away() {
+        // The schedule that used to corrupt the log: an ingest pins
+        // generation 0, a compaction folds run 1 into generation 1 and
+        // flips, and the ingest then canonicalizes against the base
+        // it pinned — which lacks run 1's edges, while the log no
+        // longer holds run 1 either. Re-adding an edge of run 1 then
+        // records an effective `Add` on top of an image that already
+        // has it (delivered twice), and removing one is dropped as
+        // absent. The ingest below stops at its pin and gives a
+        // compaction every chance to land there; pinned under the log
+        // lock it cannot, so the wait runs out and the compaction
+        // follows the batch.
+        for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+            let g = fixtures::path(16);
+            let array =
+                SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(&g, &opts))
+                    .unwrap();
+            write_image_with(&g, &array, &opts).unwrap();
+            let (_, index) = load_index(&array).unwrap();
+            let safs = Safs::new(SafsConfig::default(), array).unwrap();
+            let cfg = ServiceConfig::default().with_engine(EngineConfig::small());
+            let svc = GraphService::new(safs, index, cfg);
+
+            let mut first = DeltaBatch::new();
+            first
+                .add_edge(VertexId(0), VertexId(15))
+                .add_edge(VertexId(3), VertexId(9));
+            let mut second = DeltaBatch::new();
+            second
+                .add_edge(VertexId(0), VertexId(15))
+                .remove_edge(VertexId(3), VertexId(9))
+                .add_edge(VertexId(5), VertexId(2));
+            let mirror = DeltaLog::for_graph(&g);
+            mirror.apply(&g, &first).unwrap();
+            mirror.apply(&g, &second).unwrap();
+            let want = DeltaLog::union(&g, &mirror.current_view());
+
+            svc.ingest(&first).unwrap();
+            let (at_pin_tx, at_pin_rx) = std::sync::mpsc::channel();
+            let (flipped_tx, flipped_rx) = std::sync::mpsc::channel::<()>();
+            std::thread::scope(|s| {
+                let (svc, second) = (&svc, &second);
+                let ingest = s.spawn(move || {
+                    // `GraphService::ingest`, paused at its pin.
+                    svc.delta.apply_with(
+                        || {
+                            at_pin_tx.send(()).unwrap();
+                            let _ = flipped_rx.recv_timeout(Duration::from_millis(200));
+                            svc.pin_base()
+                        },
+                        second,
+                    )
+                });
+                at_pin_rx.recv().unwrap();
+                let gen = svc
+                    .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+                    .unwrap();
+                let _ = flipped_tx.send(());
+                assert_eq!(gen, 1);
+                assert_eq!(ingest.join().unwrap().unwrap(), 2);
+            });
+            let what = format!("{:?}", opts.format);
+            assert_serves(&svc, &want, &what);
+            // And again off the image alone, once everything is folded.
+            svc.compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+                .unwrap();
+            assert_eq!(svc.pending_deltas(), 0, "{what}");
+            assert_serves(&svc, &want, &what);
+        }
+    }
+
+    #[test]
+    fn compactor_counts_failed_rewrites_and_keeps_the_error() {
+        let svc = Arc::new(service(2));
+        let mut batch = DeltaBatch::new();
+        batch.add_edge(VertexId(0), VertexId(15));
+        svc.ingest(&batch).unwrap();
+        // The device pool is dry for the first two rewrites.
+        let calls = Counter::default();
+        let compactor = Compactor::spawn(
+            Arc::clone(&svc),
+            1,
+            Duration::from_millis(2),
+            move |need| match calls.inc() {
+                1 | 2 => Err(FgError::InvalidRequest("no spare device".into())),
+                _ => SsdArray::new_mem(ArrayConfig::small_test(), need),
+            },
+        );
+        assert_eq!(compactor.last_error(), None);
+        let done = compactor.wait_for_compactions(1, Duration::from_secs(10));
+        assert_eq!(done, 1, "the third poll must have installed generation 1");
+        assert_eq!(svc.generation(), 1);
+        assert_eq!(svc.pending_deltas(), 0);
+        assert_eq!(compactor.failures(), 2);
+        let error = compactor.last_error().expect("the error text is kept");
+        assert!(error.contains("no spare device"), "{error}");
+        compactor.stop();
         let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
         assert_eq!(states[15].level, 1);
     }

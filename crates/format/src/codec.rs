@@ -211,6 +211,19 @@ pub fn encode_list(list: &[u32], k: u32, out: &mut Vec<u8>) -> bool {
 /// overflows the id space, the list comes out unsorted, or the
 /// payload length does not match `degree` exactly.
 pub fn decode_list(block: &[u8], degree: u64, k: u32) -> Result<Vec<u32>> {
+    let mut list = Vec::with_capacity(degree as usize);
+    decode_list_into(block, degree, k, &mut list)?;
+    Ok(list)
+}
+
+/// [`decode_list`] appending to `out` — the form sweeps use to decode
+/// list after list into one buffer. On an error `out` may hold a
+/// prefix of the failed list.
+///
+/// # Errors
+///
+/// See [`decode_list`].
+pub fn decode_list_into(block: &[u8], degree: u64, k: u32, out: &mut Vec<u32>) -> Result<()> {
     if k == 0 {
         return Err(FgError::CorruptImage("zero skip interval".into()));
     }
@@ -223,17 +236,6 @@ pub fn decode_list(block: &[u8], degree: u64, k: u32) -> Result<Vec<u32>> {
         )));
     };
     let payload = &block[table_bytes..];
-    let mut skips = Vec::with_capacity(n_skips);
-    for e in 0..n_skips {
-        let off = u32::from_le_bytes(block[e * 4..e * 4 + 4].try_into().unwrap()) as usize;
-        if off >= payload.len() || skips.last().is_some_and(|&p| off <= p) {
-            return Err(FgError::CorruptImage(format!(
-                "skip entry {e} offset {off} not monotone within {}-byte payload",
-                payload.len()
-            )));
-        }
-        skips.push(off);
-    }
     let mut at = 0usize;
     let next = |at: &mut usize| -> Option<u8> {
         let b = payload.get(*at).copied();
@@ -241,10 +243,15 @@ pub fn decode_list(block: &[u8], degree: u64, k: u32) -> Result<Vec<u32>> {
         b
     };
     let mut gaps = GapDecoder::new(0, k);
-    let mut list = Vec::with_capacity(degree as usize);
+    let mut prev = None;
     for i in 0..degree {
         if i > 0 && i % k as u64 == 0 {
-            let want = skips[(i / k as u64 - 1) as usize];
+            // Every table entry is compared with the byte its restart
+            // was actually decoded at, which also proves the entries
+            // monotone and inside the payload: `at` only grows, and a
+            // varint is read at it next.
+            let e = (i / k as u64 - 1) as usize;
+            let want = u32::from_le_bytes(block[e * 4..e * 4 + 4].try_into().unwrap()) as usize;
             if at != want {
                 return Err(FgError::CorruptImage(format!(
                     "restart at position {i} lies at payload byte {at}, skip table says {want}"
@@ -257,12 +264,13 @@ pub fn decode_list(block: &[u8], degree: u64, k: u32) -> Result<Vec<u32>> {
         let v = gaps
             .step(raw)
             .ok_or_else(|| FgError::CorruptImage(format!("gap overflow at position {i}")))?;
-        if list.last().is_some_and(|&p| v < p) {
+        if prev.is_some_and(|p| v < p) {
             return Err(FgError::CorruptImage(format!(
                 "decoded list unsorted at position {i}"
             )));
         }
-        list.push(v);
+        prev = Some(v);
+        out.push(v);
     }
     if at != payload.len() {
         return Err(FgError::CorruptImage(format!(
@@ -270,7 +278,7 @@ pub fn decode_list(block: &[u8], degree: u64, k: u32) -> Result<Vec<u32>> {
             payload.len()
         )));
     }
-    Ok(list)
+    Ok(())
 }
 
 #[cfg(test)]

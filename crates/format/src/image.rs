@@ -39,7 +39,7 @@ use fg_ssdsim::SsdArray;
 use fg_types::{EdgeDir, FgError, Result, VertexId};
 
 use crate::codec::{self, skip_entries, DEFAULT_SKIP_INTERVAL, RAW_LIST_FLAG, TINY_RAW_DEGREE};
-use crate::index::{GraphIndex, PackedDirInput, SliceDecode};
+use crate::index::{EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDecode};
 
 /// Alignment of every section start, independent of the SAFS page
 /// size an engine later chooses.
@@ -189,9 +189,17 @@ fn align_up(x: u64) -> u64 {
     x.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-/// One write's fully computed plan: the header fields plus, for v2,
+/// One image write, fully planned: the header fields plus, for v2,
 /// the per-direction flagged block lengths the encode pass produced.
-struct Plan {
+/// Planning a compressed image encodes every list once to size its
+/// block, so a caller that must size a device *and* write to it — the
+/// compactor — builds one plan and asks it for both:
+/// [`ImagePlan::required_capacity`], then [`ImagePlan::write`].
+pub struct ImagePlan<'g> {
+    g: &'g Graph,
+    /// The image holds vertices `[lo, hi)` of `g`.
+    lo: usize,
+    hi: usize,
     meta: ImageMeta,
     out_blocks: Option<Vec<u32>>,
     in_blocks: Option<Vec<u32>>,
@@ -251,7 +259,7 @@ fn plan_blocks(g: &Graph, dir: EdgeDir, k: u32, force_raw: bool, lo: usize, hi: 
 
 /// Computes the section layout (and, for v2, block lengths) for `g`
 /// without writing anything.
-fn plan(g: &Graph, opts: &WriteOptions) -> Plan {
+fn plan<'g>(g: &'g Graph, opts: &WriteOptions) -> ImagePlan<'g> {
     plan_window(g, opts, 0, g.num_vertices())
 }
 
@@ -260,7 +268,7 @@ fn plan(g: &Graph, opts: &WriteOptions) -> Plan {
 /// [`write_sharded_image`]. Vertex `lo + i` becomes local id `i` in
 /// the shard image (section positions are local); edge *values* stay
 /// global vertex ids, so shard lists splice back losslessly.
-fn plan_window(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> Plan {
+fn plan_window<'g>(g: &'g Graph, opts: &WriteOptions, lo: usize, hi: usize) -> ImagePlan<'g> {
     assert!(opts.skip_interval > 0, "skip interval must be positive");
     assert!(
         lo <= hi && hi <= g.num_vertices(),
@@ -272,6 +280,13 @@ fn plan_window(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> Plan {
     let directed = g.is_directed();
     let weighted = g.has_weights();
     let compressed = opts.format == ImageFormat::Compressed;
+    if compressed {
+        assert!(
+            g.csr(EdgeDir::Out).lists_sorted()
+                && (!g.is_directed() || g.csr(EdgeDir::In).lists_sorted()),
+            "delta encoding requires sorted adjacency lists"
+        );
+    }
 
     let (out_blocks, in_blocks) = if compressed {
         let k = opts.skip_interval;
@@ -343,7 +358,10 @@ fn plan_window(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> Plan {
     } else {
         align_up(after_edges)
     };
-    Plan {
+    ImagePlan {
+        g,
+        lo,
+        hi,
         meta: ImageMeta {
             num_vertices: n,
             // Shard windows report the edge-list entries they store
@@ -381,10 +399,12 @@ pub fn required_capacity(g: &Graph) -> u64 {
 
 /// Bytes of array capacity needed for the image of `g` under `opts`.
 /// For compressed images this runs the encode pass to size the
-/// variable-length blocks (the write runs it again; the whole-graph
-/// write is a once-per-graph event — §5.4).
+/// variable-length blocks, and [`write_image_with`] plans again (the
+/// whole-graph write is a once-per-graph event — §5.4); a caller that
+/// rewrites images as a matter of course sizes and writes from one
+/// [`ImagePlan`].
 pub fn required_capacity_with(g: &Graph, opts: &WriteOptions) -> u64 {
-    plan(g, opts).meta.total_bytes
+    plan(g, opts).required_capacity()
 }
 
 /// Streams one section to the array in [`WRITE_CHUNK`]-sized writes.
@@ -515,20 +535,51 @@ pub fn write_image_window(
     lo: usize,
     hi: usize,
 ) -> Result<ImageMeta> {
-    if opts.format == ImageFormat::Compressed {
-        assert!(
-            g.csr(EdgeDir::Out).lists_sorted()
-                && (!g.is_directed() || g.csr(EdgeDir::In).lists_sorted()),
-            "delta encoding requires sorted adjacency lists"
-        );
+    plan_window(g, opts, lo, hi).write(array)
+}
+
+impl<'g> ImagePlan<'g> {
+    /// Plans the image of the whole of `g` under `opts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.skip_interval` is zero, and for a compressed
+    /// plan when the adjacency lists of `g` are not sorted or one is
+    /// too long for a v2 block (degree ≥ 2²⁹).
+    pub fn new(g: &'g Graph, opts: &WriteOptions) -> Self {
+        plan(g, opts)
     }
-    let Plan {
-        meta,
-        out_blocks,
-        in_blocks,
+
+    /// Bytes of array capacity the planned image needs.
+    pub fn required_capacity(&self) -> u64 {
+        self.meta.total_bytes
+    }
+
+    /// Writes the planned image at logical offset 0 of `array`.
+    ///
+    /// # Errors
+    ///
+    /// See [`write_image_with`].
+    ///
+    /// # Panics
+    ///
+    /// See [`write_image_with`].
+    pub fn write(&self, array: &SsdArray) -> Result<ImageMeta> {
+        write_planned(self, array)
+    }
+}
+
+fn write_planned(plan: &ImagePlan<'_>, array: &SsdArray) -> Result<ImageMeta> {
+    let &ImagePlan {
+        g,
+        lo,
+        hi,
+        ref meta,
+        ref out_blocks,
+        ref in_blocks,
         out_bytes,
         in_bytes,
-    } = plan_window(g, opts, lo, hi);
+    } = plan;
     if array.capacity() < meta.total_bytes {
         return Err(FgError::InvalidRequest(format!(
             "array capacity {} below image size {}",
@@ -609,7 +660,7 @@ pub fn write_image_window(
     };
     let out_total = out_bytes;
     if out_total > 0 {
-        match &out_blocks {
+        match out_blocks {
             Some(b) => write_block_section(
                 array,
                 meta.out_edges_offset,
@@ -631,7 +682,7 @@ pub fn write_image_window(
     if meta.directed {
         let in_total = in_bytes;
         if in_total > 0 {
-            match &in_blocks {
+            match in_blocks {
                 Some(b) => write_block_section(
                     array,
                     meta.in_edges_offset,
@@ -692,7 +743,7 @@ pub fn write_image_window(
         }
     }
 
-    Ok(meta)
+    Ok(meta.clone())
 }
 
 /// Even contiguous vertex-range split of `n` vertices into `shards`
@@ -763,8 +814,17 @@ pub fn write_sharded_image(
 /// Returns [`FgError::CorruptImage`] on a bad magic, impossible
 /// section table, or counts that do not fit the array.
 pub fn read_meta(array: &SsdArray) -> Result<ImageMeta> {
+    read_meta_from(&|offset, buf| array.read(offset, buf), array.capacity())
+}
+
+/// [`read_meta`] over any byte source holding `capacity` bytes.
+///
+/// # Errors
+///
+/// See [`read_meta`]; propagates the source's read failures.
+pub fn read_meta_from(src: ReadAt<'_>, capacity: u64) -> Result<ImageMeta> {
     let mut header = vec![0u8; SECTION_ALIGN as usize];
-    array.read(0, &mut header)?;
+    src(0, &mut header)?;
     let format = match &header[..8] {
         m if m == MAGIC_V1 => ImageFormat::Raw,
         m if m == MAGIC_V2 => ImageFormat::Compressed,
@@ -806,11 +866,10 @@ pub fn read_meta(array: &SsdArray) -> Result<ImageMeta> {
         },
         generation,
     };
-    if meta.total_bytes > array.capacity() {
+    if meta.total_bytes > capacity {
         return Err(FgError::CorruptImage(format!(
-            "image claims {} bytes, array holds {}",
-            meta.total_bytes,
-            array.capacity()
+            "image claims {} bytes, array holds {capacity}",
+            meta.total_bytes
         )));
     }
     if meta.num_vertices > u32::MAX as u64 {
@@ -1019,6 +1078,59 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
     Ok((meta, index))
 }
 
+/// Where the back-readers ([`read_meta_from`], [`read_list_from`],
+/// [`read_graph_from`]) get image bytes: a function that fills `buf`
+/// with the `buf.len()` bytes at `offset`. The [`SsdArray`] forms pass
+/// the raw device; the serving layer passes its mount, so its reads
+/// meet the page cache first.
+pub type ReadAt<'a> = &'a dyn Fn(u64, &mut [u8]) -> Result<()>;
+
+/// Bytes one sequential read of [`read_graph_from`]'s section sweep
+/// asks its source for — the engine's default stream stride.
+const READ_CHUNK: usize = WRITE_CHUNK;
+
+/// Locates the whole list of `v` in `dir` and checks it lies inside
+/// the image.
+fn locate_list(
+    meta: &ImageMeta,
+    index: &GraphIndex,
+    v: VertexId,
+    dir: EdgeDir,
+) -> Result<ListSlice> {
+    let slice = index.locate_slice(v, dir, 0, u64::MAX);
+    if slice.loc.bytes > 0 && slice.loc.offset + slice.loc.bytes > meta.total_bytes {
+        return Err(FgError::CorruptImage(format!(
+            "list of {v} ends at {} past image of {} bytes",
+            slice.loc.offset + slice.loc.bytes,
+            meta.total_bytes
+        )));
+    }
+    Ok(slice)
+}
+
+/// Validates and decodes the fetched `block` of `v`'s located list,
+/// appending its edges to `out`.
+fn decode_block(block: &[u8], slice: &ListSlice, v: VertexId, out: &mut Vec<u32>) -> Result<()> {
+    match slice.decode {
+        SliceDecode::Raw => {
+            if block.len() as u64 != slice.loc.degree * 4 {
+                return Err(FgError::CorruptImage(format!(
+                    "raw list of {v}: {} bytes for degree {}",
+                    block.len(),
+                    slice.loc.degree
+                )));
+            }
+            out.extend(
+                block
+                    .chunks_exact(4)
+                    .map(|q| u32::from_le_bytes(q.try_into().unwrap())),
+            );
+            Ok(())
+        }
+        SliceDecode::Varint(p) => codec::decode_list_into(block, slice.loc.degree, p.k, out),
+    }
+}
+
 /// Reads back and fully validates one vertex's edge list from the
 /// image — the fallible decode surface the corrupt-image robustness
 /// tests drive. The engine's hot path instead decodes incrementally
@@ -1043,77 +1155,172 @@ pub fn read_list(
     v: VertexId,
     dir: EdgeDir,
 ) -> Result<Vec<u32>> {
-    let slice = index.locate_slice(v, dir, 0, u64::MAX);
-    if slice.loc.bytes == 0 {
-        return Ok(Vec::new());
+    read_list_from(&|offset, buf| array.read(offset, buf), meta, index, v, dir)
+}
+
+/// [`read_list`] over any byte source: one read of exactly the list's
+/// bytes — the point read of ingest-time canonicalization.
+///
+/// # Errors
+///
+/// See [`read_list`].
+///
+/// # Panics
+///
+/// See [`read_list`].
+pub fn read_list_from(
+    src: ReadAt<'_>,
+    meta: &ImageMeta,
+    index: &GraphIndex,
+    v: VertexId,
+    dir: EdgeDir,
+) -> Result<Vec<u32>> {
+    let slice = locate_list(meta, index, v, dir)?;
+    let mut list = Vec::with_capacity(slice.loc.degree as usize);
+    if slice.loc.bytes > 0 {
+        let mut block = vec![0u8; slice.loc.bytes as usize];
+        src(slice.loc.offset, &mut block)?;
+        decode_block(&block, &slice, v, &mut list)?;
     }
-    if slice.loc.offset + slice.loc.bytes > meta.total_bytes {
-        return Err(FgError::CorruptImage(format!(
-            "list of {v} ends at {} past image of {} bytes",
-            slice.loc.offset + slice.loc.bytes,
-            meta.total_bytes
-        )));
-    }
-    let mut buf = vec![0u8; slice.loc.bytes as usize];
-    array.read(slice.loc.offset, &mut buf)?;
-    match slice.decode {
-        SliceDecode::Raw => {
-            if buf.len() as u64 != slice.loc.degree * 4 {
-                return Err(FgError::CorruptImage(format!(
-                    "raw list of {v}: {} bytes for degree {}",
-                    buf.len(),
-                    slice.loc.degree
-                )));
-            }
-            Ok(buf
-                .chunks_exact(4)
-                .map(|q| u32::from_le_bytes(q.try_into().unwrap()))
-                .collect())
+    Ok(list)
+}
+
+/// One forward pass over a section: hands out byte ranges at
+/// ascending offsets from a buffer it extends with back-to-back reads
+/// of `chunk` bytes (one longer read for a range longer than that),
+/// so the source is asked for every byte of the section at most once.
+struct Sweep<'a> {
+    src: ReadAt<'a>,
+    chunk: u64,
+    /// End of the section; no read goes past it.
+    end: u64,
+    /// Offset of `buf[0]`.
+    at: u64,
+    buf: Vec<u8>,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(src: ReadAt<'a>, chunk: usize, section: EdgeListLoc) -> Self {
+        Sweep {
+            src,
+            chunk: chunk as u64,
+            end: section.offset + section.bytes,
+            at: section.offset,
+            buf: Vec::new(),
         }
-        SliceDecode::Varint(p) => codec::decode_list(&buf, slice.loc.degree, p.k),
+    }
+
+    /// The `len` bytes at `offset`, which must lie inside the section
+    /// and not before the previous call's range.
+    fn bytes(&mut self, offset: u64, len: u64) -> Result<&[u8]> {
+        if offset < self.at || offset + len > self.end {
+            return Err(FgError::CorruptImage(format!(
+                "range [{offset}, {}) outside the rest of its section [{}, {})",
+                offset + len,
+                self.at,
+                self.end
+            )));
+        }
+        let read_to = self.at + self.buf.len() as u64;
+        if offset + len > read_to {
+            // Keep the unread tail (the head of this range), drop what
+            // lies before it, and read on from where the buffer ended.
+            let keep = offset.min(read_to);
+            self.buf.drain(..(keep - self.at) as usize);
+            self.at = keep;
+            let want = (offset + len - read_to)
+                .max(self.chunk)
+                .min(self.end - read_to);
+            let have = self.buf.len();
+            self.buf.resize(have + want as usize, 0);
+            (self.src)(read_to, &mut self.buf[have..])?;
+        }
+        let start = (offset - self.at) as usize;
+        Ok(&self.buf[start..start + len as usize])
     }
 }
 
-/// Reads the whole graph back out of an image — edge lists via
-/// [`read_list`] plus, for weighted images, the parallel attribute
-/// runs. This is the compactor's input path: it unions the read-back
-/// base with a delta view and writes the result as the next image
-/// generation. Like [`read_list`] it is a cold-path tool: one
-/// sequential pass per direction, every block fully validated.
+/// Reads the whole graph back out of an image — every edge list plus,
+/// for weighted images, the parallel attribute runs. This is the
+/// compactor's input path: it unions the read-back base with a delta
+/// view and writes the result as the next image generation. It is the
+/// sweep of the back-readers: one sequential pass per section in
+/// 4 MiB reads, the lists cut out of each chunk by the index's
+/// offsets and fully validated like [`read_list`]'s.
 ///
 /// # Errors
 ///
 /// Propagates store read failures and [`FgError::CorruptImage`] from
 /// block validation.
 pub fn read_graph(array: &SsdArray, meta: &ImageMeta, index: &GraphIndex) -> Result<Graph> {
+    read_graph_from(&|offset, buf| array.read(offset, buf), meta, index)
+}
+
+/// [`read_graph`] over any byte source.
+///
+/// # Errors
+///
+/// See [`read_graph`].
+pub fn read_graph_from(src: ReadAt<'_>, meta: &ImageMeta, index: &GraphIndex) -> Result<Graph> {
+    read_graph_chunked(src, meta, index, READ_CHUNK)
+}
+
+fn read_graph_chunked(
+    src: ReadAt<'_>,
+    meta: &ImageMeta,
+    index: &GraphIndex,
+    chunk: usize,
+) -> Result<Graph> {
     let n = meta.num_vertices as usize;
     let read_dir = |dir: EdgeDir| -> Result<fg_graph::Csr> {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
-        let mut neighbors: Vec<VertexId> = Vec::new();
-        let mut weights: Option<Vec<f32>> = meta.weighted.then(Vec::new);
+        let section = index.locate_extent(VertexId(0), n as u64, dir);
+        let mut ids: Vec<u32> = Vec::with_capacity(section.degree as usize);
+        let mut edges = Sweep::new(src, chunk, section);
+        // Weighted images keep every block raw, so the attribute run
+        // has the edge section's shape, moved to the attribute base.
+        let mut weights = meta
+            .weighted
+            .then(|| Vec::with_capacity(section.degree as usize));
+        let mut attrs = None;
+        if meta.weighted && n > 0 {
+            let first = index
+                .locate_attrs(VertexId(0), dir)
+                .ok_or_else(|| FgError::CorruptImage("weighted image has no attributes".into()))?;
+            let run = EdgeListLoc {
+                offset: first.offset,
+                ..section
+            };
+            attrs = Some(Sweep::new(src, chunk, run));
+        }
         for i in 0..n {
             let v = VertexId::from_index(i);
-            let ids = read_list(array, meta, index, v, dir)?;
-            if let Some(ws) = &mut weights {
-                let d = ids.len() as u64;
-                if d > 0 {
-                    let loc = index.locate_attrs_range(v, dir, 0, d).ok_or_else(|| {
-                        FgError::CorruptImage(format!(
-                            "weighted image has no attribute run for {v}"
-                        ))
-                    })?;
-                    let mut buf = vec![0u8; loc.bytes as usize];
-                    array.read(loc.offset, &mut buf)?;
+            let slice = locate_list(meta, index, v, dir)?;
+            if slice.loc.bytes > 0 {
+                let block = edges.bytes(slice.loc.offset, slice.loc.bytes)?;
+                decode_block(block, &slice, v, &mut ids)?;
+            }
+            if let (Some(ws), Some(attrs)) = (&mut weights, &mut attrs) {
+                if slice.loc.degree > 0 {
+                    let loc = index
+                        .locate_attrs_range(v, dir, 0, slice.loc.degree)
+                        .ok_or_else(|| {
+                            FgError::CorruptImage(format!(
+                                "weighted image has no attribute run for {v}"
+                            ))
+                        })?;
                     ws.extend(
-                        buf.chunks_exact(4)
+                        attrs
+                            .bytes(loc.offset, loc.bytes)?
+                            .chunks_exact(4)
                             .map(|q| f32::from_le_bytes(q.try_into().unwrap())),
                     );
                 }
             }
-            neighbors.extend(ids.into_iter().map(VertexId));
-            offsets.push(neighbors.len() as u64);
+            offsets.push(ids.len() as u64);
         }
+        let neighbors = ids.into_iter().map(VertexId).collect();
         fg_graph::Csr::from_parts(offsets, neighbors, weights)
     };
     let out = read_dir(EdgeDir::Out)?;
@@ -1191,6 +1398,135 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    fn assert_same_graph(back: &Graph, g: &Graph, what: &str) {
+        assert_eq!(back.num_vertices(), g.num_vertices(), "{what}");
+        assert_eq!(back.is_directed(), g.is_directed(), "{what}");
+        for v in g.vertices() {
+            for dir in [EdgeDir::Out, EdgeDir::In] {
+                assert_eq!(
+                    back.csr(dir).neighbors(v),
+                    g.csr(dir).neighbors(v),
+                    "{what}: {dir:?} list of {v}"
+                );
+                assert_eq!(
+                    back.csr(dir).weights_of(v),
+                    g.csr(dir).weights_of(v),
+                    "{what}: {dir:?} weights of {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_graph_sweeps_each_section_once_at_any_chunk_size() {
+        // Chunks shorter than a list, chunks that cut lists in two,
+        // and the real one (every test image fits in it).
+        for opts in both_formats() {
+            for g in [
+                fixtures::weighted_square(),
+                fixtures::star(400),
+                gen::rmat(8, 6, gen::RmatSkew::default(), 3),
+            ] {
+                let (array, meta, index) = image_of_with(&g, &opts);
+                let n = meta.num_vertices;
+                let dirs: &[EdgeDir] = if meta.directed {
+                    &[EdgeDir::Out, EdgeDir::In]
+                } else {
+                    &[EdgeDir::Out]
+                };
+                let sections = dirs
+                    .iter()
+                    .map(|&d| index.locate_extent(VertexId(0), n, d))
+                    .filter(|s| s.bytes > 0);
+                let section_bytes: Vec<u64> = sections
+                    .flat_map(|s| std::iter::repeat_n(s.bytes, 1 + meta.weighted as usize))
+                    .collect();
+                for chunk in [1usize, 7, 64, 4096, 5000, READ_CHUNK] {
+                    let what = format!("{:?} chunk {chunk}", opts.format);
+                    let reads = std::cell::RefCell::new(Vec::new());
+                    let src = |offset: u64, buf: &mut [u8]| {
+                        reads.borrow_mut().push((offset, buf.len() as u64));
+                        array.read(offset, buf)
+                    };
+                    let back = read_graph_chunked(&src, &meta, &index, chunk).unwrap();
+                    assert_same_graph(&back, &g, &what);
+                    let mut reads = reads.into_inner();
+                    let want: u64 = section_bytes.iter().sum();
+                    assert_eq!(reads.iter().map(|r| r.1).sum::<u64>(), want, "{what}");
+                    let most: u64 = section_bytes.iter().map(|b| b.div_ceil(chunk as u64)).sum();
+                    assert!(reads.len() as u64 <= most, "{what}: {} reads", reads.len());
+                    reads.sort_unstable();
+                    assert!(
+                        reads.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+                        "{what}: a byte was read twice"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn back_readers_agree_across_sources_and_keep_their_checks() {
+        let g = gen::rmat(7, 6, gen::RmatSkew::default(), 11);
+        for opts in both_formats() {
+            let (array, meta, index) = image_of_with(&g, &opts);
+            let src = |offset: u64, buf: &mut [u8]| array.read(offset, buf);
+            assert_eq!(read_meta_from(&src, array.capacity()).unwrap(), meta);
+            for v in g.vertices() {
+                for dir in [EdgeDir::Out, EdgeDir::In] {
+                    assert_eq!(
+                        read_list_from(&src, &meta, &index, v, dir).unwrap(),
+                        read_list(&array, &meta, &index, v, dir).unwrap()
+                    );
+                }
+            }
+            // A source that holds less than the header claims.
+            assert!(matches!(
+                read_meta_from(&src, meta.total_bytes - 1),
+                Err(FgError::CorruptImage(_))
+            ));
+            // A list the header says lies past the image.
+            let short = ImageMeta {
+                total_bytes: meta.out_edges_offset,
+                ..meta.clone()
+            };
+            let busy = g.vertices().find(|&v| g.out_degree(v) > 0).unwrap();
+            assert!(matches!(
+                read_list_from(&src, &short, &index, busy, EdgeDir::Out),
+                Err(FgError::CorruptImage(_))
+            ));
+            assert!(matches!(
+                read_graph_from(&src, &short, &index),
+                Err(FgError::CorruptImage(_))
+            ));
+            // A source that fails: the error comes back as it is.
+            let broken = |_: u64, _: &mut [u8]| Err(FgError::InvalidRequest("gone".into()));
+            assert!(matches!(
+                read_graph_from(&broken, &meta, &index),
+                Err(FgError::InvalidRequest(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn one_plan_sizes_and_writes_like_the_two_calls() {
+        let g = gen::rmat(8, 6, gen::RmatSkew::default(), 21);
+        for opts in both_formats() {
+            let plan = ImagePlan::new(&g, &opts.with_generation(3));
+            assert_eq!(
+                plan.required_capacity(),
+                required_capacity_with(&g, &opts.with_generation(3))
+            );
+            let array =
+                SsdArray::new_mem(ArrayConfig::small_test(), plan.required_capacity()).unwrap();
+            let meta = plan.write(&array).unwrap();
+            let (loaded, index) = load_index(&array).unwrap();
+            assert_eq!(meta, loaded);
+            assert_eq!(meta.generation, 3);
+            assert_same_graph(&read_graph(&array, &meta, &index).unwrap(), &g, "planned");
         }
     }
 

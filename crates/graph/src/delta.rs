@@ -140,6 +140,12 @@ pub trait BaseLists {
     fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>>;
 }
 
+impl<B: BaseLists + ?Sized> BaseLists for &B {
+    fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
+        (**self).base_out_list(v)
+    }
+}
+
 impl BaseLists for Graph {
     fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
         Ok(self.out_neighbors(v).iter().map(|u| u.0).collect())
@@ -398,7 +404,10 @@ impl DeltaLog {
     /// Ingest is serialized on the log's lock; `base` is consulted
     /// inside the critical section so canonicalization and the fold
     /// point (see [`DeltaLog::fold`]) stay coherent under concurrent
-    /// compaction.
+    /// compaction — as long as `base` is the base the log currently
+    /// sits on. A caller whose base can be replaced by a concurrent
+    /// [`DeltaLog::fold`] must pick it under the lock too: see
+    /// [`DeltaLog::apply_with`].
     ///
     /// # Errors
     ///
@@ -406,13 +415,30 @@ impl DeltaLog {
     /// outside the fixed vertex set, and propagates `base` read
     /// errors.
     pub fn apply(&self, base: &dyn BaseLists, batch: &DeltaBatch) -> Result<u64> {
+        self.apply_with(|| Ok(base), batch)
+    }
+
+    /// [`DeltaLog::apply`] against the base `pin` returns, with `pin`
+    /// run under the log lock like [`DeltaLog::snapshot_with`]'s: the
+    /// base it captures (an image generation) is the one the log's
+    /// runs are relative to, whatever [`DeltaLog::fold`]s race the
+    /// call. Pinning before the call instead lets a fold land in
+    /// between, and the batch is then canonicalized against a base
+    /// that lacks the runs the fold absorbed.
+    ///
+    /// # Errors
+    ///
+    /// See [`DeltaLog::apply`]; propagates `pin`'s error before
+    /// anything is applied.
+    pub fn apply_with<B: BaseLists>(
+        &self,
+        pin: impl FnOnce() -> Result<B>,
+        batch: &DeltaBatch,
+    ) -> Result<u64> {
         let mut g = self.inner.lock().unwrap();
-        // Per-source canonicalization state: the base list (fetched
-        // once per touched source) and the net ops so far (earlier
-        // runs folded, then this batch's entries replayed in order).
-        let mut bases: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut pending: HashMap<u32, HashMap<u32, Option<DeltaOp>>> = HashMap::new();
-        for &(s, d, op) in &batch.entries {
+        let base = pin()?;
+        let mut sources = Vec::new();
+        for &(s, d, _) in &batch.entries {
             for v in [s, d] {
                 if v.index() >= self.n {
                     return Err(FgError::VertexOutOfRange {
@@ -424,6 +450,30 @@ impl DeltaLog {
             if s == d {
                 continue; // self-loops dropped, the builder convention
             }
+            sources.push(s.0);
+            if !self.directed {
+                sources.push(d.0);
+            }
+        }
+        // Per-source canonicalization state: the base list (fetched
+        // once per touched source, in ascending id order — the order
+        // the lists lie in on the device, so neighbours share a page
+        // while it is still cached) and the net ops so far (earlier
+        // runs folded, then this batch's entries replayed in order).
+        sources.sort_unstable();
+        sources.dedup();
+        let mut bases: HashMap<u32, Vec<u32>> = HashMap::with_capacity(sources.len());
+        for src in sources {
+            bases.insert(src, base.base_out_list(VertexId(src))?);
+        }
+        // Per touched edge: its folded state before the batch (kept
+        // for the diff below) and after the entries replayed so far.
+        type EdgeState = (Option<DeltaOp>, Option<DeltaOp>);
+        let mut pending: HashMap<u32, HashMap<u32, EdgeState>> = HashMap::new();
+        for &(s, d, op) in &batch.entries {
+            if s == d {
+                continue;
+            }
             // Undirected edges mutate both endpoints' lists; the two
             // mirrored entries canonicalize identically because the
             // base is symmetric.
@@ -433,9 +483,6 @@ impl DeltaLog {
                 &[(s.0, d.0), (d.0, s.0)]
             };
             for &(src, dst) in mirrors {
-                if let std::collections::hash_map::Entry::Vacant(e) = bases.entry(src) {
-                    e.insert(base.base_out_list(VertexId(src))?);
-                }
                 let list = &bases[&src];
                 let ops = pending.entry(src).or_default();
                 if let std::collections::hash_map::Entry::Vacant(e) = ops.entry(dst) {
@@ -449,9 +496,9 @@ impl DeltaLog {
                             }
                         }
                     }
-                    e.insert(folded);
+                    e.insert((folded, folded));
                 }
-                let cur = ops.get_mut(&dst).unwrap();
+                let cur = &mut ops.get_mut(&dst).unwrap().1;
                 let in_base = list.binary_search(&dst).is_ok();
                 let present = match *cur {
                     None => in_base,
@@ -471,21 +518,12 @@ impl DeltaLog {
             }
         }
         // Extract this batch's *net* effect: the difference between
-        // the folded state before the batch and after. Re-fold the
-        // prior runs per touched edge and diff.
+        // the folded state before the batch and after.
         let mut out: HashMap<u32, Vec<(u32, DeltaOp)>> = HashMap::new();
         let mut in_: HashMap<u32, Vec<(u32, DeltaOp)>> = HashMap::new();
         for (src, ops) in pending {
             let list = &bases[&src];
-            for (dst, after) in ops {
-                let mut before = None;
-                for run in &g.runs {
-                    if let Some(v) = run.out.get(&src) {
-                        if let Ok(i) = v.binary_search_by_key(&dst, |e| e.0) {
-                            before = compose(before, v[i].1);
-                        }
-                    }
-                }
+            for (dst, (before, after)) in ops {
                 let Some(eff) = net_op(before, after, list.binary_search(&dst).is_ok()) else {
                     continue;
                 };
@@ -865,6 +903,69 @@ mod tests {
             assert_eq!(u.out_neighbors(v), want.out_neighbors(v), "out list of {v}");
             assert_eq!(u.in_neighbors(v), want.in_neighbors(v), "in list of {v}");
         }
+    }
+
+    /// A base that records which lists it was asked for.
+    struct Recording<'a>(&'a Graph, std::cell::RefCell<Vec<u32>>);
+
+    impl BaseLists for Recording<'_> {
+        fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
+            self.1.borrow_mut().push(v.0);
+            self.0.base_out_list(v)
+        }
+    }
+
+    #[test]
+    fn apply_fetches_each_source_once_in_ascending_order() {
+        let mut b = DeltaBatch::new();
+        b.add_edge(VertexId(4), VertexId(0))
+            .add_edge(VertexId(1), VertexId(3))
+            .remove_edge(VertexId(4), VertexId(2))
+            .add_edge(VertexId(2), VertexId(2)) // self-loop: no fetch
+            .add_edge(VertexId(0), VertexId(4));
+        let g = fixtures::path(5);
+        let base = Recording(&g, Default::default());
+        DeltaLog::for_graph(&g).apply(&base, &b).unwrap();
+        assert_eq!(*base.1.borrow(), [0, 1, 4]);
+        // Undirected logs canonicalize both endpoints.
+        let g = fixtures::star(4);
+        let base = Recording(&g, Default::default());
+        DeltaLog::for_graph(&g).apply(&base, &b).unwrap();
+        assert_eq!(*base.1.borrow(), [0, 1, 2, 3, 4]);
+        // A bad endpoint is refused before any list is fetched.
+        let mut bad = DeltaBatch::new();
+        bad.add_edge(VertexId(0), VertexId(1))
+            .add_edge(VertexId(0), VertexId(9));
+        let base = Recording(&g, Default::default());
+        assert!(DeltaLog::for_graph(&g).apply(&base, &bad).is_err());
+        assert!(base.1.borrow().is_empty());
+    }
+
+    #[test]
+    fn apply_with_pins_its_base_under_the_log_lock() {
+        let g = fixtures::path(4);
+        let log = DeltaLog::for_graph(&g);
+        let mut b = DeltaBatch::new();
+        b.add_edge(VertexId(0), VertexId(2));
+        // The pin runs while the log is locked: a fold cannot land
+        // between it and the canonicalization that follows.
+        let w = log
+            .apply_with(
+                || {
+                    assert!(log.inner.try_lock().is_err(), "pin runs under the lock");
+                    Ok(&g)
+                },
+                &b,
+            )
+            .unwrap();
+        assert_eq!(w, 1);
+        // A failing pin applies nothing.
+        let failed = log.apply_with(
+            || Err::<&Graph, _>(FgError::InvalidRequest("no base".into())),
+            &b,
+        );
+        assert!(failed.is_err());
+        assert_eq!(log.watermark(), 1);
     }
 
     #[test]

@@ -13,7 +13,9 @@ use parking_lot::Mutex;
 use crate::cache::{CacheStats, CacheStatsSnapshot};
 use crate::config::SafsConfig;
 use crate::inflight::PageWaiter;
-use crate::io_thread::{io_thread_loop, read_pages, IoMsg, Mount, RunDone, RunRequest};
+use crate::io_thread::{
+    io_thread_loop, read_pages, read_pages_hint, IoMsg, Mount, RunDone, RunRequest,
+};
 use crate::page::{Page, PageSpan};
 
 /// A completed logical read: the caller's tag plus a zero-copy span
@@ -189,6 +191,35 @@ impl Safs {
             i = j;
         }
         let pages: Vec<Arc<Page>> = pages.into_iter().map(|p| p.unwrap()).collect();
+        Ok(PageSpan::new(
+            pages,
+            (offset - first * pb) as usize,
+            len as usize,
+        ))
+    }
+
+    /// [`Safs::read_sync`] with the *streaming* cache policy — the
+    /// synchronous sibling of [`IoSession::submit_stream`], for a
+    /// caller that sweeps a large range once (a compaction reading
+    /// the old image back): resident pages are used, without booking
+    /// hits or misses, and freshly read pages are not inserted, so the
+    /// sweep cannot evict the hot working set however small the cache
+    /// is next to it. Each contiguous run of absent pages is one
+    /// device request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FgError::InvalidRequest`] when the range exceeds the
+    /// device.
+    pub fn read_sync_stream(&self, offset: u64, len: u64) -> Result<PageSpan> {
+        if len == 0 {
+            return Ok(PageSpan::empty());
+        }
+        let end = self.check_range(offset, len)?;
+        let pb = self.page_bytes();
+        let first = offset / pb;
+        let last = (end - 1) / pb;
+        let pages = read_pages_hint(&self.mount, first, last - first + 1, false);
         Ok(PageSpan::new(
             pages,
             (offset - first * pb) as usize,
@@ -820,6 +851,38 @@ mod tests {
         let before = safs.array().stats().snapshot().pages_read;
         safs.read_sync(0, 4096).unwrap();
         assert_eq!(safs.array().stats().snapshot().pages_read, before + 1);
+    }
+
+    #[test]
+    fn sync_stream_read_leaves_the_cache_as_it_found_it() {
+        // A cache of 8 pages in front of a 256-page device.
+        let cfg = SafsConfig::default().with_cache_bytes(8 * 4096);
+        let safs = patterned_safs(cfg, 1 << 20);
+        // Pages 2 and 3 are hot.
+        safs.read_sync(2 * 4096, 2 * 4096).unwrap();
+        let cache_before = safs.cache_stats();
+        let io_before = safs.array().stats().snapshot();
+        // A sweep over pages 0..64 reads around them: 0-1 and 4-63.
+        let span = safs.read_sync_stream(100, 64 * 4096 - 100).unwrap();
+        let io = safs.array().stats().snapshot();
+        assert_eq!(io.pages_read - io_before.pages_read, 62);
+        assert_eq!(io.read_requests - io_before.read_requests, 1 + 15);
+        let mut want = vec![0u8; 64 * 4096 - 100];
+        safs.array().read(100, &mut want).unwrap();
+        assert_eq!(span.to_vec(), want);
+        assert_eq!(
+            safs.cache_stats(),
+            cache_before,
+            "no lookup, insert or eviction"
+        );
+        // The hot pages are still resident, the swept ones are not.
+        let before = safs.array().stats().snapshot().pages_read;
+        safs.read_sync(2 * 4096, 2 * 4096).unwrap();
+        assert_eq!(safs.array().stats().snapshot().pages_read, before);
+        safs.read_sync(0, 4096).unwrap();
+        assert_eq!(safs.array().stats().snapshot().pages_read, before + 1);
+        assert!(safs.read_sync_stream(1 << 20, 1).is_err());
+        assert!(safs.read_sync_stream(0, 0).unwrap().is_empty());
     }
 
     #[test]

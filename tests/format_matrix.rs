@@ -5,8 +5,13 @@
 //! same results as the in-memory oracles, deliver the same number of
 //! edges as the other format (the programming model is
 //! format-transparent), and — the point of the compressed format —
-//! read strictly fewer device bytes from a compressed image than from
-//! a raw one.
+//! request strictly fewer bytes of a compressed image than of a raw
+//! one. The comparison is on `bytes_requested`, the bytes the
+//! programs' logical requests cover: it depends only on which lists
+//! were asked for, while the device bytes those requests turn into
+//! move with the schedule (stealing, cache interleaving and merge
+//! batching shift page boundaries; at 16–140 KiB of traffic that ties
+//! or inverts a cell under load). Device bytes are the ledger's.
 
 use fg_format::{load_index, required_capacity_with, write_image_with, GraphIndex, WriteOptions};
 use fg_graph::{gen, Graph, GraphBuilder};
@@ -52,8 +57,8 @@ fn mount(g: &Graph, opts: &WriteOptions) -> (Safs, GraphIndex) {
 /// Runs `f` over a fresh semi-external mount per (format, mode) cell
 /// and over the in-memory engine, then checks the matrix invariants:
 /// oracle-identical results (by `check`), equal `edges_delivered`
-/// across formats within each mode, and strictly fewer compressed
-/// device bytes within each mode.
+/// across formats within each mode, and strictly fewer bytes
+/// requested of the compressed image within each mode.
 fn run_matrix<R>(
     app: &str,
     g: &Graph,
@@ -71,7 +76,7 @@ fn run_matrix<R>(
             check(&result, &mem_result, &cell);
             let io = stats.io.as_ref().expect("sem run reports io");
             assert!(io.read_requests > 0, "{cell}: never touched the device");
-            by_format.push((stats.edges_delivered, io.bytes_read));
+            by_format.push((stats.edges_delivered, stats.bytes_requested));
         }
         let (raw_edges, raw_bytes) = by_format[0];
         let (v2_edges, v2_bytes) = by_format[1];
@@ -81,7 +86,8 @@ fn run_matrix<R>(
         );
         assert!(
             v2_bytes < raw_bytes,
-            "{app}/{mode_name}: compressed read {v2_bytes} device bytes, raw {raw_bytes}"
+            "{app}/{mode_name}: {v2_bytes} bytes requested of the compressed image, \
+             {raw_bytes} of the raw one"
         );
     }
 }

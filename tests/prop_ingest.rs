@@ -8,17 +8,28 @@
 //! checked by replaying a pinned watermark while ingest races: the
 //! replays must be bit-identical.
 //!
+//! The write path reads the image through the mount, and the second
+//! half of this file holds it to that: `fg_format`'s back-readers
+//! return the same lists (and the same `CorruptImage` errors) over the
+//! raw array and over a `Safs` source, and the device ledger — counts
+//! from `IoStats`, never wall-clock — shows canonicalization reads
+//! served by the cache and a compaction reading the old image back as
+//! one sweep that leaves the cache alone.
+//!
 //! CI's release stress step drives this suite at `PROPTEST_CASES=256`
 //! alongside `prop_serve`.
 
 use std::sync::Arc;
 
 use fg_bench::build_shard_fixture;
-use fg_format::{load_index, required_capacity_with, write_image_with, WriteOptions};
-use fg_graph::{DeltaBatch, DeltaLog, Graph, GraphBuilder};
+use fg_format::{
+    load_index, read_graph, read_graph_from, read_list, read_list_from, required_capacity_with,
+    write_image_with, GraphIndex, ImageMeta, SliceDecode, WriteOptions,
+};
+use fg_graph::{gen, DeltaBatch, DeltaLog, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
-use fg_ssdsim::{ArrayConfig, SsdArray};
-use fg_types::{EdgeDir, VertexId};
+use fg_ssdsim::{ArrayConfig, IoStatsSnapshot, SsdArray};
+use fg_types::{EdgeDir, FgError, VertexId};
 use flashgraph::{
     EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, ScanMode, ServiceConfig,
     VertexContext, VertexProgram,
@@ -373,5 +384,331 @@ fn apps_match_union_oracle_across_backends_and_formats() {
                 assert_eq!(tc, want_tc, "triangle count diverged ({label})");
             });
         }
+    }
+}
+
+// ------------------------------------------------ reads through the mount
+
+/// Writes `g` under `opts`, lets `tamper` at the raw image, and mounts
+/// it behind a cache of `cache_pages`.
+fn mounted(
+    g: &Graph,
+    opts: &WriteOptions,
+    cache_pages: u64,
+    tamper: impl FnOnce(&SsdArray, &ImageMeta, &GraphIndex),
+) -> (Safs, ImageMeta, GraphIndex) {
+    let array =
+        SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(g, opts)).unwrap();
+    write_image_with(g, &array, opts).unwrap();
+    let (meta, index) = load_index(&array).unwrap();
+    tamper(&array, &meta, &index);
+    let cfg = SafsConfig::default().with_cache_bytes(cache_pages * 4096);
+    (Safs::new(cfg, array).unwrap(), meta, index)
+}
+
+/// The two byte sources the serving layer hands `fg_format`: point
+/// reads with the insert policy, sweeps with the streaming one.
+fn cached(safs: &Safs) -> impl Fn(u64, &mut [u8]) -> fg_types::Result<()> + '_ {
+    |offset, buf| {
+        safs.read_sync(offset, buf.len() as u64)?.read_bytes(0, buf);
+        Ok(())
+    }
+}
+
+fn streamed(safs: &Safs) -> impl Fn(u64, &mut [u8]) -> fg_types::Result<()> + '_ {
+    |offset, buf| {
+        safs.read_sync_stream(offset, buf.len() as u64)?
+            .read_bytes(0, buf);
+        Ok(())
+    }
+}
+
+/// `Ok` payloads compared whole, errors by kind.
+fn same_outcome<T: PartialEq + std::fmt::Debug>(
+    a: &fg_types::Result<T>,
+    b: &fg_types::Result<T>,
+) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a == b,
+        (Err(FgError::CorruptImage(_)), Err(FgError::CorruptImage(_))) => true,
+        _ => false,
+    }
+}
+
+fn lists_of(g: &Graph) -> Vec<(Vec<VertexId>, Option<Vec<f32>>)> {
+    [EdgeDir::Out, EdgeDir::In]
+        .into_iter()
+        .flat_map(|dir| {
+            g.vertices().map(move |v| {
+                let csr = g.csr(dir);
+                (
+                    csr.neighbors(v).to_vec(),
+                    csr.weights_of(v).map(<[f32]>::to_vec),
+                )
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Sections of 4–40 KiB behind a two-page cache: most lists share
+    /// a page with their neighbours, some straddle two, and every
+    /// cached read evicts. (Lists straddling the sweep's 4 MiB chunks
+    /// are `fg_format`'s own unit test, which shrinks the chunk.)
+    #[test]
+    fn back_readers_agree_over_the_array_and_the_mount(
+        scale in 7u32..10,
+        degree in 2u32..9,
+        seed in 0u64..1 << 20,
+        weighted in any::<bool>(),
+        undirected in any::<bool>(),
+        flip in 0u64..1 << 30,
+    ) {
+        let mut g = gen::rmat(scale, degree, gen::RmatSkew::default(), seed);
+        if undirected {
+            let mut b = GraphBuilder::undirected();
+            b.extend_edges(g.edges());
+            g = b.build();
+        }
+        if weighted {
+            g = gen::with_random_weights(&g, 9.0, seed);
+        }
+        for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+            // The intact image, then one with a flipped byte somewhere
+            // in its edge sections.
+            for corrupt in [false, true] {
+                let (safs, meta, index) = mounted(&g, &opts, 2, |array, meta, _| {
+                    let span = meta.total_bytes - meta.out_edges_offset;
+                    if corrupt && span > 0 {
+                        let at = meta.out_edges_offset + flip % span;
+                        let mut byte = [0u8];
+                        array.read(at, &mut byte).unwrap();
+                        byte[0] ^= 1 << (flip % 8);
+                        array.write(at, &byte).unwrap();
+                    }
+                });
+                let array = safs.array();
+                for v in g.vertices() {
+                    for dir in [EdgeDir::Out, EdgeDir::In] {
+                        let direct = read_list(array, &meta, &index, v, dir);
+                        let through = read_list_from(&cached(&safs), &meta, &index, v, dir);
+                        prop_assert!(
+                            same_outcome(&direct, &through),
+                            "{:?} {dir:?} list of {v}: {direct:?} vs {through:?}",
+                            opts.format
+                        );
+                        if !corrupt {
+                            let want: Vec<u32> =
+                                g.csr(dir).neighbors(v).iter().map(|u| u.0).collect();
+                            prop_assert_eq!(direct.unwrap(), want);
+                        }
+                    }
+                }
+                let direct = read_graph(array, &meta, &index).map(|g| lists_of(&g));
+                for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
+                    let through = read_graph_from(source, &meta, &index).map(|g| lists_of(&g));
+                    prop_assert!(same_outcome(&direct, &through), "{:?}", opts.format);
+                }
+                if !corrupt {
+                    prop_assert_eq!(direct.unwrap(), lists_of(&g));
+                }
+            }
+        }
+    }
+}
+
+/// A block whose payload is all continuation bytes cannot decode, and
+/// a header that ends the image early cannot hold its lists: both
+/// must come back as `CorruptImage` through a `Safs` source exactly
+/// as they do off the raw array.
+#[test]
+fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
+    let g = gen::rmat(9, 8, gen::RmatSkew::default(), 0xBAD);
+    let opts = WriteOptions::compressed();
+    let mut victim = None;
+    let (safs, meta, index) = mounted(&g, &opts, 4, |array, _, index| {
+        // The first varint-encoded out-list: overwrite the head of its
+        // payload, behind the skip table.
+        let (v, slice, table) = g
+            .vertices()
+            .find_map(|v| {
+                let slice = index.locate_slice(v, EdgeDir::Out, 0, u64::MAX);
+                match slice.decode {
+                    SliceDecode::Varint(p) => Some((v, slice, p.header_bytes as u64)),
+                    SliceDecode::Raw => None,
+                }
+            })
+            .expect("an R-MAT image has compressed blocks");
+        array.write(slice.loc.offset + table, &[0x80; 6]).unwrap();
+        victim = Some(v);
+    });
+    let victim = victim.unwrap();
+    for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
+        assert!(matches!(
+            read_list_from(source, &meta, &index, victim, EdgeDir::Out),
+            Err(FgError::CorruptImage(_))
+        ));
+        assert!(matches!(
+            read_graph_from(source, &meta, &index),
+            Err(FgError::CorruptImage(_))
+        ));
+    }
+    // Truncated: the header claims an image that ends inside the
+    // out-edge section.
+    let (safs, meta, index) = mounted(&g, &opts, 4, |_, _, _| {});
+    let cut = ImageMeta {
+        total_bytes: meta.out_edges_offset + 64,
+        ..meta
+    };
+    let last = g.vertices().filter(|&v| g.in_degree(v) > 0).last().unwrap();
+    for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
+        assert!(matches!(
+            read_list_from(source, &cut, &index, last, EdgeDir::In),
+            Err(FgError::CorruptImage(_))
+        ));
+        assert!(matches!(
+            read_graph_from(source, &cut, &index),
+            Err(FgError::CorruptImage(_))
+        ));
+    }
+}
+
+// ------------------------------------------------------ the device ledger
+
+fn device(svc: &GraphService) -> IoStatsSnapshot {
+    svc.safs().array().stats().snapshot()
+}
+
+/// 48 ops on 48 distinct sources spread over the id space.
+fn spread_batch(g: &Graph) -> DeltaBatch {
+    let n = g.num_vertices() as u32;
+    let mut batch = DeltaBatch::new();
+    for i in 0..48u32 {
+        let src = VertexId(i * (n / 48));
+        match g.out_neighbors(src).first() {
+            Some(&dst) if i % 4 == 0 => batch.remove_edge(src, dst),
+            _ => batch.add_edge(src, VertexId((src.0 * 7 + 13) % n)),
+        };
+    }
+    batch
+}
+
+#[test]
+fn canonicalization_reads_meet_the_page_cache_first() {
+    let g = gen::rmat(10, 8, gen::RmatSkew::default(), 0x1A6E);
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        // A cold mount whose cache holds the whole image.
+        let (safs, _, index) = mounted(&g, &opts, 1 << 10, |_, _, _| {});
+        safs.reset_stats();
+        let cfg = ServiceConfig::default().with_engine(EngineConfig::small());
+        let svc = GraphService::new(safs, index, cfg);
+        let batch = spread_batch(&g);
+        svc.ingest(&batch).unwrap();
+        let cold = device(&svc);
+        let cache = svc.cache_stats();
+        assert!(cold.read_requests > 0, "a cold mount must touch the device");
+        assert!(
+            cold.read_requests <= 1 + 48,
+            "{:?}: {} device reads for a header and 48 lists",
+            opts.format,
+            cold.read_requests
+        );
+        // Every source of the batch is resident now: canonicalizing it
+        // again (every op a no-op the second time) reads nothing.
+        svc.ingest(&batch).unwrap();
+        let warm = device(&svc);
+        assert_eq!(warm.read_requests, cold.read_requests, "{:?}", opts.format);
+        assert_eq!(warm.bytes_read, cold.bytes_read, "{:?}", opts.format);
+        let again = svc.cache_stats().delta_since(&cache);
+        assert!(again.hits > 0 && again.misses == 0, "{again:?}");
+    }
+}
+
+#[test]
+fn compaction_reads_the_old_image_back_as_one_sweep_per_section() {
+    let g = gen::rmat(11, 8, gen::RmatSkew::default(), 0x5EE9);
+    let stripe = ArrayConfig::small_test().stripe_bytes();
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        let (safs, meta, index) = mounted(&g, &opts, 1 << 10, |_, _, _| {});
+        let n = meta.num_vertices;
+        let sections = [EdgeDir::Out, EdgeDir::In].map(|d| index.locate_extent(VertexId(0), n, d));
+        let cfg = ServiceConfig::default().with_engine(EngineConfig::small());
+        let svc = GraphService::new(safs, index, cfg);
+        // One effective op: the ingest warms one page of the mount.
+        let src = g.vertices().find(|&v| g.out_degree(v) > 0).unwrap();
+        let mut batch = DeltaBatch::new();
+        batch.remove_edge(src, g.out_neighbors(src)[0]);
+        svc.ingest(&batch).unwrap();
+        let old = svc.safs();
+        old.reset_stats();
+        let gen = svc
+            .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+            .unwrap();
+        assert_eq!(gen, 1);
+        let io = old.array().stats().snapshot();
+        // One device request per stripe a section covers (a section
+        // may begin inside a stripe) — not one per vertex and
+        // direction, which is what point reads would book.
+        let most: u64 = sections.iter().map(|s| s.bytes.div_ceil(stripe) + 1).sum();
+        assert!(
+            io.read_requests <= most && most < n / 8,
+            "{:?}: {} requests, at most {most} stripes, {n} vertices",
+            opts.format,
+            io.read_requests
+        );
+        // And every byte of the old image at most once.
+        let swept: u64 = sections.iter().map(|s| s.bytes.div_ceil(4096) * 4096).sum();
+        assert!(io.bytes_read <= swept, "{} > {swept}", io.bytes_read);
+        assert!(io.bytes_read > swept / 2, "the mount was cold");
+    }
+}
+
+#[test]
+fn compaction_leaves_a_small_cache_and_its_hot_set_alone() {
+    // A four-vertex chain whose lists open the edge sections, and a
+    // blob of 2040 vertices it never reaches.
+    let blob = gen::rmat(11, 8, gen::RmatSkew::default(), 0xCAFE);
+    let mut b = GraphBuilder::directed();
+    b.reserve_vertices(blob.num_vertices());
+    for v in 0..3u32 {
+        b.add_edge(VertexId(v), VertexId(v + 1));
+    }
+    b.extend_edges(blob.edges().filter(|(s, d)| s.0 >= 8 && d.0 >= 8));
+    let g = b.build();
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        let image_pages = required_capacity_with(&g, &opts) / 4096;
+        let (safs, _, index) = mounted(&g, &opts, image_pages / 4, |_, _, _| {});
+        let cfg = ServiceConfig::default().with_engine(EngineConfig::small());
+        let svc = GraphService::new(safs, index, cfg);
+        let mut batch = DeltaBatch::new();
+        batch.add_edge(VertexId(100), VertexId(200));
+        svc.ingest(&batch).unwrap();
+        let old = svc.safs();
+        let bfs_bytes = |engine: &flashgraph::Engine<'_>| {
+            let before = old.array().stats().snapshot().bytes_read;
+            let (levels, _) = fg_apps::bfs(engine, VertexId(0)).unwrap();
+            assert_eq!(levels[3], Some(3));
+            old.array().stats().snapshot().bytes_read - before
+        };
+        // A query pinned to generation 0 across the compaction.
+        svc.query(|engine| {
+            bfs_bytes(engine);
+            let before = bfs_bytes(engine);
+            let cache = old.cache_stats();
+            let gen = svc
+                .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+                .unwrap();
+            assert_eq!(gen, 1);
+            let swept = old.cache_stats().delta_since(&cache);
+            assert_eq!(
+                (swept.evictions, swept.insertions),
+                (0, 0),
+                "{:?}: the read-back went through the cache",
+                opts.format
+            );
+            assert_eq!(bfs_bytes(engine), before, "{:?}", opts.format);
+        });
     }
 }
