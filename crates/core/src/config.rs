@@ -132,16 +132,6 @@ pub struct EngineConfig {
     pub max_iterations: u32,
     /// Enable cursor-based work stealing between workers (§3.8.1).
     pub work_stealing: bool,
-    /// Run iterations through the completion-counted pipelined
-    /// scheduler (the default): workers issue merged covers without
-    /// waiting, execute `run_on_vertex` deliveries the moment pages
-    /// land — their own or stolen from other workers' ready queues —
-    /// and synchronize only at the iteration boundary, so the device
-    /// stays fed while CPUs compute. `false` restores the lock-step
-    /// phase-barrier loop (one barrier per vertical pass), which is
-    /// what `fig_pipeline` and the scheduler-equivalence properties
-    /// diff against. Results are bit-identical between the two.
-    pub pipeline: bool,
 }
 
 impl EngineConfig {
@@ -222,13 +212,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: selects the pipelined (`true`, default) or
-    /// phase-barrier (`false`) scheduler.
-    pub fn with_pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
-        self
-    }
-
     /// Resolved thread count.
     pub fn threads(&self) -> usize {
         if self.num_threads == 0 {
@@ -277,7 +260,6 @@ impl Default for EngineConfig {
             vertical_parts: 1,
             max_iterations: u32::MAX,
             work_stealing: true,
-            pipeline: true,
         }
     }
 }
@@ -354,12 +336,6 @@ mod tests {
             1 << 16
         );
         assert_eq!(c.with_max_merge_bytes(0).stream_stride_bytes(), 4 << 20);
-    }
-
-    #[test]
-    fn pipeline_defaults_on() {
-        assert!(EngineConfig::default().pipeline);
-        assert!(!EngineConfig::default().with_pipeline(false).pipeline);
     }
 
     #[test]

@@ -2,23 +2,22 @@
 
 use std::sync::Arc;
 
-use fg_format::{GraphIndex, ShardedIndex};
+use fg_format::ShardedIndex;
 use fg_graph::{DeltaView, Graph};
 use fg_types::{AtomicBitmap, EdgeDir, VertexId};
 
 use crate::messages::Batch as Envelope;
 use crate::partition::PartitionMap;
 
-/// Where per-vertex degrees come from: the compact index in
-/// semi-external mode, the CSR in in-memory mode, the global router
-/// over per-shard indexes in sharded mode.
+/// Where per-vertex degrees come from: the CSR in in-memory mode, the
+/// global router over the per-shard compact indexes (one shard for a
+/// single mount) in semi-external mode.
 ///
-/// The semi-external arms hold the index by `Arc` rather than
+/// The semi-external arm holds the index by `Arc` rather than
 /// borrowing it from the engine: the index is shared, immutable state
 /// that many concurrent runs (one per [`crate::GraphService`] query)
 /// read simultaneously, each from its own `RunShared`.
 pub(crate) enum DegreeSource<'g> {
-    Index(Arc<GraphIndex>),
     Graph(&'g Graph),
     Sharded(Arc<ShardedIndex>),
 }
@@ -26,16 +25,6 @@ pub(crate) enum DegreeSource<'g> {
 impl DegreeSource<'_> {
     pub(crate) fn degree(&self, v: VertexId, dir: EdgeDir) -> u64 {
         match self {
-            DegreeSource::Index(ix) => match dir {
-                EdgeDir::Both => {
-                    if ix.is_directed() {
-                        ix.degree(v, EdgeDir::In) + ix.degree(v, EdgeDir::Out)
-                    } else {
-                        ix.degree(v, EdgeDir::Out)
-                    }
-                }
-                d => ix.degree(v, d),
-            },
             DegreeSource::Graph(g) => match dir {
                 EdgeDir::Both => {
                     if g.is_directed() {
@@ -62,20 +51,17 @@ impl DegreeSource<'_> {
 
     pub(crate) fn is_directed(&self) -> bool {
         match self {
-            DegreeSource::Index(ix) => ix.is_directed(),
             DegreeSource::Graph(g) => g.is_directed(),
             DegreeSource::Sharded(ix) => ix.is_directed(),
         }
     }
 }
 
-/// A shard engine's view of the sharded run it belongs to: which
-/// shard it is, its owned global id range, and the router to every
-/// other shard. `None` in `RunShared` means the classic single-engine
-/// run, where every vertex is "owned" and no routing happens.
+/// One shard's view of the k > 1 run it belongs to: its owned global
+/// id range and the router to every other shard. `None` in `RunShared` means a run without peers (one mount,
+/// or in memory), where every vertex is "owned" and no routing
+/// happens.
 pub(crate) struct ShardView {
-    /// This engine's shard number.
-    pub me: usize,
     /// First owned global vertex id.
     pub lo: u32,
     /// One past the last owned global vertex id.
@@ -108,7 +94,7 @@ pub(crate) struct RunShared<'g> {
     /// Chunked-delivery bound: a request longer than this many edges
     /// is split into multiple chunk requests (0 = unlimited).
     pub max_request_edges: u64,
-    /// Present when this engine executes one shard of a sharded run.
+    /// Present when this run executes one shard of several.
     pub shard: Option<ShardView>,
     /// Pinned delta overlay: ingested edges not yet compacted into
     /// the image this run reads. `None` (frozen image) keeps every
@@ -137,7 +123,7 @@ impl RunShared<'_> {
 /// use fg_types::EdgeDir;
 /// use flashgraph::Request;
 ///
-/// // The whole out-list (what `request_edges` always did).
+/// // The whole out-list.
 /// let full = Request::edges(EdgeDir::Out);
 /// // Eight edges starting at position 100 of a hub's list, with
 /// // their weights.
@@ -317,8 +303,7 @@ impl<M> VertexContext<'_, M> {
     /// `(current vertical pass, total passes)` — `(0, 1)` unless
     /// vertical partitioning is configured (§3.8).
     ///
-    /// Under the default pipelined scheduler, passes are *not*
-    /// globally ordered: pass `j + 1`'s `run` may execute while pass
+    /// Compute is pipelined, so passes are *not* globally ordered: pass `j + 1`'s `run` may execute while pass
     /// `j`'s deliveries are still arriving (each callback for this
     /// vertex stays exclusive, whichever pass it belongs to). State
     /// that spans passes must therefore be pass-order independent —
@@ -426,25 +411,6 @@ impl<M> VertexContext<'_, M> {
                 }
             }
         }
-    }
-
-    /// Requests the full edge list(s) of `v` in `dir` — a one-line
-    /// compatibility wrapper over [`VertexContext::request`] with
-    /// [`Request::edges`], kept because most programs want exactly
-    /// this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn request_edges(&mut self, v: VertexId, dir: EdgeDir) {
-        self.request(v, Request::edges(dir));
-    }
-
-    /// Like [`VertexContext::request_edges`] but also fetches the
-    /// parallel edge-attribute run — the compatibility wrapper over
-    /// [`Request::with_attrs`]. The graph image must carry attributes.
-    pub fn request_edges_with_attrs(&mut self, v: VertexId, dir: EdgeDir) {
-        self.request(v, Request::edges(dir).with_attrs());
     }
 
     /// Sends `msg` to vertex `to`, delivered via `run_on_message` at

@@ -5,8 +5,8 @@
 //! Each iteration has a build step (collect the partition's active
 //! vertices, decide the scan mode), a compute step, and a boundary
 //! (message delivery, iteration-end callbacks, frontier flip, stats).
-//! Under the default *pipelined* scheduler the compute step runs
-//! without any intra-iteration barrier: workers issue merged covers
+//! The compute step is *pipelined* — it runs without any
+//! intra-iteration barrier: workers issue merged covers
 //! into [`SemIo`] without waiting for replies, resolve completions
 //! into per-worker ready deques, and execute `run_on_vertex`
 //! deliveries the moment pages land — their own, or stolen from the
@@ -20,10 +20,11 @@
 //! any worker may run a vertex's delivery, but never two at once, so
 //! `SharedStates`' exclusivity contract survives stealing.
 //!
-//! `EngineConfig::pipeline = false` restores the historical lock-step
-//! loop — one barrier per vertical pass, compute fully drained before
-//! anything else proceeds — kept so benchmarks and equivalence
-//! properties can diff the two schedulers; results are bit-identical.
+//! This is the only scheduler, and [`Engine`] the only engine: the
+//! in-memory mode differs from the semi-external one only in where an
+//! edge list comes from, and a semi-external run over one mount is the
+//! one-shard case of a run over k (see [`crate::shard`]). The referees
+//! are `Engine::new_mem` on the same graph and `fg_baselines::direct`.
 
 use fg_types::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Counter, Ordering};
 use std::cell::UnsafeCell;
@@ -31,7 +32,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use fg_format::{GraphIndex, ShardedIndex, SliceDecode};
+use fg_format::{GraphIndex, ListSlice, ShardedIndex, SliceDecode};
 use fg_graph::{DeltaView, Graph};
 use fg_safs::{CacheStats, Completion, IoSession, PageSpan, Safs, ShardSet};
 use fg_types::{
@@ -65,36 +66,36 @@ pub enum Init {
 
 /// The engine never owns its backend exclusively: the in-memory arm
 /// borrows the graph, and the semi-external arm borrows the SAFS
-/// mount and shares the (immutable) index behind an `Arc`. Sharing
+/// mounts and shares the (immutable) index behind an `Arc`. Sharing
 /// the index is what lets many engines — and through them, the
 /// concurrent queries of [`crate::GraphService`] — run against one
-/// mount without duplicating per-vertex location tables.
+/// set of mounts without duplicating per-vertex location tables.
 enum Backend<'g> {
     Mem(&'g Graph),
+    /// One mount per shard of `index`, k ≥ 1. Shard `s` of a run owns
+    /// the contiguous global id range `index.shard_range(s)`, reads
+    /// its own shard image through `mounts[s]`, and — when k > 1 —
+    /// reaches foreign shards only through the router (synchronous
+    /// reads of foreign subjects) and the shard bus
+    /// (messages/activations). A single mount is the k = 1 case: one
+    /// shard that owns every vertex and has no peers.
     Sem {
-        safs: &'g Safs,
-        index: Arc<GraphIndex>,
-    },
-    /// One shard of a sharded run: this engine owns the contiguous
-    /// global id range `index.shard_range(me)`, reads its own shard
-    /// image through its own mount (`set.shard(me)`), and reaches
-    /// foreign shards only through the router (synchronous reads of
-    /// foreign subjects) and the shard bus (messages/activations).
-    Shard {
-        set: &'g ShardSet,
+        mounts: &'g [Safs],
         index: Arc<ShardedIndex>,
-        me: usize,
     },
 }
 
-/// The FlashGraph engine over one graph, in semi-external-memory or
-/// in-memory mode. See the crate docs for an end-to-end example.
+/// The FlashGraph engine over one graph, in semi-external-memory
+/// (one mount, or one per shard of a sharded image) or in-memory mode.
+/// See the crate docs for an end-to-end example.
 pub struct Engine<'g> {
     backend: Backend<'g>,
     cfg: EngineConfig,
     n: usize,
     /// Cooperative cancellation, polled at iteration boundaries
     /// (worker 0, phase D). `None` — the common case — costs nothing.
+    /// Every shard of a k > 1 run polls the same token and votes its
+    /// observation into the stop rendezvous.
     cancel: Option<CancelToken>,
     /// Pinned delta overlay (uncompacted ingest) merged into every
     /// delivery. `None` — the frozen-image case — is free.
@@ -110,9 +111,9 @@ impl std::fmt::Debug for Engine<'_> {
                 &match self.backend {
                     Backend::Mem(_) => "in-memory",
                     Backend::Sem { .. } => "semi-external",
-                    Backend::Shard { .. } => "shard",
                 },
             )
+            .field("shards", &self.num_shards())
             .finish_non_exhaustive()
     }
 }
@@ -141,40 +142,65 @@ impl<'g> Engine<'g> {
     /// the constructor [`crate::GraphService`] uses so every
     /// concurrent query reads one index instead of cloning it.
     pub fn new_sem_shared(safs: &'g Safs, index: Arc<GraphIndex>, cfg: EngineConfig) -> Self {
-        Engine {
-            n: index.num_vertices(),
-            backend: Backend::Sem { safs, index },
-            cfg,
-            cancel: None,
-            deltas: None,
-        }
+        let index = Arc::new(ShardedIndex::new(vec![index]));
+        Self::over_mounts(std::slice::from_ref(safs), index, cfg)
     }
 
-    /// One shard engine of a sharded run (`n` stays the *global*
-    /// vertex count: state, frontiers, and every id a program sees
-    /// are global; only collection and I/O are windowed to the owned
-    /// range). Constructed exclusively by [`crate::ShardedEngine`],
-    /// which provides the bus and barrier group the run needs.
-    pub(crate) fn new_shard(
-        set: &'g ShardSet,
+    /// A semi-external engine over a sharded image: one mount per
+    /// shard of `index`. A run executes one shard per mount in
+    /// lockstep, exchanging batched cross-shard messages; results are
+    /// bit-identical to an engine over the unsharded image.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the mount count differs from the shard count.
+    pub fn new(set: &'g ShardSet, index: ShardedIndex, cfg: EngineConfig) -> Self {
+        Self::new_shared(set, Arc::new(index), cfg)
+    }
+
+    /// Like [`Engine::new`] but sharing an already-`Arc`ed index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the mount count differs from the shard count.
+    pub fn new_shared(set: &'g ShardSet, index: Arc<ShardedIndex>, cfg: EngineConfig) -> Self {
+        Self::over_mounts(set.as_slice(), index, cfg)
+    }
+
+    /// The one semi-external constructor (`n` is the *global* vertex
+    /// count: state, frontiers, and every id a program sees are global;
+    /// only collection and I/O are windowed to a shard's owned range).
+    pub(crate) fn over_mounts(
+        mounts: &'g [Safs],
         index: Arc<ShardedIndex>,
-        me: usize,
         cfg: EngineConfig,
     ) -> Self {
-        assert_eq!(set.len(), index.num_shards(), "one mount per shard");
-        assert!(me < index.num_shards());
+        assert_eq!(
+            mounts.len(),
+            index.num_shards(),
+            "one mount per shard of the index"
+        );
         Engine {
             n: index.num_vertices(),
-            backend: Backend::Shard { set, index, me },
+            backend: Backend::Sem { mounts, index },
             cfg,
             cancel: None,
             deltas: None,
         }
     }
 
-    /// Number of vertices.
+    /// Number of vertices (global, over a sharded image).
     pub fn num_vertices(&self) -> usize {
         self.n
+    }
+
+    /// Number of shards a run executes: the mount count of a
+    /// semi-external engine, 1 in memory.
+    pub fn num_shards(&self) -> usize {
+        match &self.backend {
+            Backend::Mem(_) => 1,
+            Backend::Sem { mounts, .. } => mounts.len(),
+        }
     }
 
     /// The engine configuration.
@@ -190,14 +216,9 @@ impl<'g> Engine<'g> {
         Engine {
             backend: match &self.backend {
                 Backend::Mem(g) => Backend::Mem(g),
-                Backend::Sem { safs, index } => Backend::Sem {
-                    safs,
+                Backend::Sem { mounts, index } => Backend::Sem {
+                    mounts,
                     index: Arc::clone(index),
-                },
-                Backend::Shard { set, index, me } => Backend::Shard {
-                    set,
-                    index: Arc::clone(index),
-                    me: *me,
                 },
             },
             cfg,
@@ -212,6 +233,9 @@ impl<'g> Engine<'g> {
     /// every I/O pipeline is drained), so a fired token stops the run
     /// at the *next* boundary with all shared state — sessions, cache,
     /// busy bits — in a consistent between-iterations configuration.
+    /// Over k > 1 shards cancellation travels through the stop
+    /// rendezvous exactly like termination, so every shard stops on
+    /// the same iteration and no shard blocks on a cancelled peer.
     /// The run then errors with [`FgError::Cancelled`] or
     /// [`FgError::DeadlineExpired`].
     #[must_use]
@@ -257,52 +281,38 @@ impl<'g> Engine<'g> {
     ///
     /// # Errors
     ///
-    /// Returns [`FgError::VertexOutOfRange`] for bad seeds or a state
-    /// vector of the wrong length.
+    /// Returns [`FgError::VertexOutOfRange`] for bad seeds and
+    /// [`FgError::InvalidRequest`] for a state vector of the wrong
+    /// length.
     pub fn run_with_states<P: VertexProgram>(
         &self,
         program: &P,
         init: Init,
-        states_vec: Vec<P::State>,
+        states: Vec<P::State>,
     ) -> Result<(Vec<P::State>, RunStats)> {
-        if states_vec.len() != self.n {
-            return Err(FgError::InvalidRequest(format!(
-                "state vector has {} entries for {} vertices",
-                states_vec.len(),
-                self.n
-            )));
-        }
-        let states = SharedStates::new(states_vec);
-        let stats = self.run_inner(program, init, &states, None)?;
-        if let Some(cause) = stats.cancelled {
-            // Partial states are consistent (the stop happened at an
-            // iteration boundary) but incomplete; the contract is an
-            // error, mirroring what the serving layer reports.
-            return Err(cause.into());
-        }
-        Ok((states.into_inner(), stats))
+        let (states, total, _) = self.run_detailed(program, init, states)?;
+        Ok((states, total))
     }
 
-    /// The run body shared by single-engine and sharded execution.
-    /// `states` is the *global* state vector; in a sharded run every
-    /// shard engine runs against the same `SharedStates` (each only
-    /// ever touches states of vertices it owns, so the exclusivity
-    /// discipline extends across engines). `link` carries the shard
-    /// bus and barrier group, present exactly when the backend is
-    /// [`Backend::Shard`].
-    pub(crate) fn run_inner<P: VertexProgram>(
+    /// The full-detail run: global states, the aggregate [`RunStats`]
+    /// roll-up, and each shard's own stats (whose summed counters
+    /// equal the aggregate's — the invariant `RunStats::absorb`
+    /// maintains; one row equal to the total over a single mount or
+    /// in memory).
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::run_with_states`].
+    pub fn run_detailed<P: VertexProgram>(
         &self,
         program: &P,
         init: Init,
-        states: &SharedStates<P::State>,
-        link: Option<&ShardLink<'_, P::Msg>>,
-    ) -> Result<RunStats> {
+        states: Vec<P::State>,
+    ) -> Result<(Vec<P::State>, RunStats, Vec<RunStats>)> {
         let n = self.n;
-        debug_assert_eq!(
-            matches!(self.backend, Backend::Shard { .. }),
-            link.is_some(),
-            "shard backends run with a link, others without"
-        );
+        // Every validation must happen *before* any shard thread
+        // starts: a shard that errored out before its first rendezvous
+        // would leave its peers waiting forever.
         if states.len() != n {
             return Err(FgError::InvalidRequest(format!(
                 "state vector has {} entries for {} vertices",
@@ -310,36 +320,92 @@ impl<'g> Engine<'g> {
                 n
             )));
         }
+        if let Init::Seeds(seeds) = &init {
+            for s in seeds {
+                if s.index() >= n {
+                    return Err(FgError::VertexOutOfRange {
+                        vertex: s.0 as u64,
+                        num_vertices: n as u64,
+                    });
+                }
+            }
+        }
+        let states = SharedStates::new(states);
+        // Peers or no peers is decided by the shard count: a group of
+        // one would still pay two rendezvous per iteration and a
+        // thread, so one shard runs right here with no link.
+        let per_shard = match self.num_shards() {
+            1 => vec![self.run_shard(program, &init, &states, 0, None)],
+            _ => crate::shard::run_shards(self, program, &init, &states),
+        };
+        let mut total = per_shard[0].clone();
+        for s in &per_shard[1..] {
+            total.absorb(s);
+        }
+        // Cancellation surfaces here — *after* every shard thread has
+        // joined and the group is retired — never inside a shard
+        // thread, where an early `Err` would poison peers mid-round.
+        // Partial states are consistent (the stop happened at an
+        // iteration boundary) but incomplete; the contract is an error.
+        if let Some(cause) = total.cancelled {
+            return Err(cause.into());
+        }
+        Ok((states.into_inner(), total, per_shard))
+    }
+
+    /// Shard `me`'s mount; `None` in memory.
+    fn mount(&self, me: usize) -> Option<&'g Safs> {
+        match &self.backend {
+            Backend::Mem(_) => None,
+            Backend::Sem { mounts, .. } => Some(&mounts[me]),
+        }
+    }
+
+    /// The run body of shard `me` (0 when there is only one), on
+    /// pre-validated input. `states` is the *global* state vector: in
+    /// a k > 1 run every shard runs against the same `SharedStates`
+    /// (each only ever touches states of vertices it owns, so the
+    /// exclusivity discipline extends across shards). `link` carries
+    /// the shard bus and barrier group, present exactly when the run
+    /// has peers.
+    pub(crate) fn run_shard<P: VertexProgram>(
+        &self,
+        program: &P,
+        init: &Init,
+        states: &SharedStates<P::State>,
+        me: usize,
+        link: Option<&ShardLink<'_, P::Msg>>,
+    ) -> RunStats {
+        let n = self.n;
+        debug_assert_eq!(
+            self.num_shards() > 1,
+            link.is_some(),
+            "runs with peers carry a link, others do not"
+        );
         let start = Instant::now();
-        // The id window this engine collects and computes: the whole
-        // graph, or — for one shard of a sharded run — its owned
-        // contiguous range. Everything indexed by vertex id (states,
-        // frontiers, busy bits) stays global-length either way.
+        // The id window this shard collects and computes: its owned
+        // contiguous range — the whole graph when it is the only one.
+        // Everything indexed by vertex id (states, frontiers, busy
+        // bits) stays global-length either way.
         let (lo, hi) = match &self.backend {
-            Backend::Shard { index, me, .. } => {
-                let r = index.shard_range(*me);
+            Backend::Sem { index, .. } => {
+                let r = index.shard_range(me);
                 (r.start as usize, r.end as usize)
             }
-            _ => (0, n),
+            Backend::Mem(_) => (0, n),
         };
 
         let frontiers = Frontiers::new(n);
-        match &init {
+        match init {
             Init::All => {
                 for i in lo..hi {
                     frontiers.cur().set(VertexId::from_index(i));
                 }
             }
             Init::Seeds(seeds) => {
+                // Every shard receives the same seed list; each seeds
+                // only what it owns.
                 for &s in seeds {
-                    if s.index() >= n {
-                        return Err(FgError::VertexOutOfRange {
-                            vertex: s.0 as u64,
-                            num_vertices: n as u64,
-                        });
-                    }
-                    // Every shard of a sharded run receives the same
-                    // seed list; each seeds only what it owns.
                     if (lo..hi).contains(&s.index()) {
                         frontiers.cur().set(s);
                     }
@@ -356,15 +422,13 @@ impl<'g> Engine<'g> {
             vparts,
             degrees: match &self.backend {
                 Backend::Mem(g) => DegreeSource::Graph(g),
-                Backend::Sem { index, .. } => DegreeSource::Index(Arc::clone(index)),
-                Backend::Shard { index, .. } => DegreeSource::Sharded(Arc::clone(index)),
+                Backend::Sem { index, .. } => DegreeSource::Sharded(Arc::clone(index)),
             },
             pmap: pmap.clone(),
             max_request_edges: self.cfg.max_request_edges,
             deltas: self.deltas.clone(),
-            shard: match &self.backend {
-                Backend::Shard { index, me, .. } => Some(ShardView {
-                    me: *me,
+            shard: match (&self.backend, link) {
+                (Backend::Sem { index, .. }, Some(_)) => Some(ShardView {
                     lo: lo as u32,
                     hi: hi as u32,
                     index: Arc::clone(index),
@@ -385,36 +449,24 @@ impl<'g> Engine<'g> {
         let control = Control::default();
         let counters = Counters::default();
         let ready_pool = ReadyPool::new(nthreads);
-        // Per-vertex callback locks of the pipelined scheduler: a
-        // claim or delivery holds the vertex's bit for the duration
-        // of its callback (and any inline cascade), so two workers
-        // never run the same vertex concurrently even when stealing
-        // moves deliveries across threads.
+        // Per-vertex callback locks: a claim or delivery holds the
+        // vertex's bit for the duration of its callback (and any
+        // inline cascade), so two workers never run the same vertex
+        // concurrently even when stealing moves deliveries across
+        // threads.
         let busy = AtomicBitmap::new(n);
+        let mount = self.mount(me);
         // Per-run cache scope: with many queries sharing one mount, a
         // before/after delta of the global counters would book every
         // tenant's traffic to this run. The scope records only the
         // lookups this run's own sessions performed.
-        let cache_scope = match &self.backend {
-            Backend::Sem { .. } | Backend::Shard { .. } => Some(Arc::new(CacheStats::default())),
-            Backend::Mem(_) => None,
-        };
-        // A shard engine's device/cache deltas cover its *own* mount
-        // only. That is exact for algorithms that request their own
-        // lists (everything but TC-style foreign reads, which land on
-        // the subject owner's array); summed across shards the deltas
-        // are exact regardless, since each array has one owner.
-        let (io_before, cache_before) = match &self.backend {
-            Backend::Sem { safs, .. } => (
-                Some(safs.array().stats().snapshot()),
-                Some(safs.cache_stats()),
-            ),
-            Backend::Shard { set, me, .. } => (
-                Some(set.shard(*me).array().stats().snapshot()),
-                Some(set.shard(*me).cache_stats()),
-            ),
-            Backend::Mem(_) => (None, None),
-        };
+        let cache_scope = mount.map(|_| Arc::new(CacheStats::default()));
+        // A shard's device/cache deltas cover its *own* mount only.
+        // That is exact for algorithms that request their own lists
+        // (everything but TC-style foreign reads, which land on the
+        // subject owner's array); summed across shards the deltas are
+        // exact regardless, since each array has one owner.
+        let before = mount.map(|m| (m.array().stats().snapshot(), m.cache_stats()));
         let per_iteration: parking_lot::Mutex<Vec<IterStats>> = parking_lot::Mutex::new(Vec::new());
 
         if n > 0 {
@@ -422,6 +474,7 @@ impl<'g> Engine<'g> {
                 for w in 0..nthreads {
                     let worker = WorkerEnv {
                         w,
+                        me,
                         engine: self,
                         program,
                         states,
@@ -446,33 +499,16 @@ impl<'g> Engine<'g> {
         }
 
         let elapsed = start.elapsed();
-        let (io, cache_mount) = match &self.backend {
-            Backend::Sem { safs, .. } => (
-                Some(
-                    safs.array()
-                        .stats()
-                        .snapshot()
-                        .delta_since(&io_before.unwrap()),
-                ),
-                Some(safs.cache_stats().delta_since(&cache_before.unwrap())),
-            ),
-            Backend::Shard { set, me, .. } => (
-                Some(
-                    set.shard(*me)
-                        .array()
-                        .stats()
-                        .snapshot()
-                        .delta_since(&io_before.unwrap()),
-                ),
-                Some(
-                    set.shard(*me)
-                        .cache_stats()
-                        .delta_since(&cache_before.unwrap()),
-                ),
-            ),
-            Backend::Mem(_) => (None, None),
-        };
-        let stats = RunStats {
+        let (io, cache_mount) = mount
+            .zip(before)
+            .map(|(m, (io_before, cache_before))| {
+                (
+                    m.array().stats().snapshot().delta_since(&io_before),
+                    m.cache_stats().delta_since(&cache_before),
+                )
+            })
+            .unzip();
+        RunStats {
             // ordering: read after every worker thread has joined.
             iterations: control.iteration.load(Ordering::Relaxed),
             elapsed,
@@ -497,17 +533,16 @@ impl<'g> Engine<'g> {
                 _ => None,
             },
             per_iteration: per_iteration.into_inner(),
-        };
-        Ok(stats)
+        }
     }
 }
 
 /// The engine surface applications program against — implemented by
-/// the single [`Engine`] (in-memory, semi-external) and the sharded
-/// [`crate::ShardedEngine`], so every algorithm in `fg_apps` runs on
-/// any of the three backends unchanged, with bit-identical results.
+/// [`Engine`], so every algorithm in `fg_apps` runs in memory, over
+/// one mount and over a sharded image unchanged, with bit-identical
+/// results.
 pub trait GraphEngine {
-    /// Number of vertices (global, for a sharded engine).
+    /// Number of vertices (global, over a sharded image).
     fn num_vertices(&self) -> usize;
 
     /// The configuration runs execute under.
@@ -737,25 +772,12 @@ impl ReadyPool {
 /// Cross-worker run control, owned by worker 0 at barriers.
 #[derive(Default)]
 struct Control {
-    iteration: AtomicU64Like,
+    iteration: AtomicU32,
     stop: AtomicBool,
     /// Why the run stopped early: 0 = it didn't, 1 = cancelled,
     /// 2 = deadline expired. Written by worker 0 in phase D, read
     /// after the join.
     cancel_kind: AtomicU32,
-}
-
-/// `AtomicU32` wrapper defaulting to zero (keeps `Control` derivable).
-#[derive(Default)]
-struct AtomicU64Like(AtomicU32);
-
-impl AtomicU64Like {
-    fn load(&self, o: Ordering) -> u32 {
-        self.0.load(o)
-    }
-    fn store(&self, v: u32, o: Ordering) {
-        self.0.store(v, o)
-    }
 }
 
 /// Per-run statistics, all relaxed [`Counter`]s: exact reads happen
@@ -782,6 +804,8 @@ struct Counters {
 /// Everything one worker thread needs, borrowed from the run.
 struct WorkerEnv<'r, 'g, P: VertexProgram> {
     w: usize,
+    /// The shard this run executes (0 when there is only one).
+    me: usize,
     engine: &'r Engine<'g>,
     program: &'r P,
     states: &'r SharedStates<P::State>,
@@ -798,7 +822,7 @@ struct WorkerEnv<'r, 'g, P: VertexProgram> {
     busy: &'r AtomicBitmap,
     cache_scope: &'r Option<Arc<CacheStats>>,
     per_iteration: &'r parking_lot::Mutex<Vec<IterStats>>,
-    /// The shard bus + cross-shard barrier group, in sharded runs.
+    /// The shard bus + cross-shard barrier group, in runs with peers.
     link: Option<&'r ShardLink<'r, P::Msg>>,
 }
 
@@ -831,16 +855,13 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let mut scratch: WorkerScratch<P::Msg> =
             WorkerScratch::new(self.shared.pmap.num_partitions(), shards);
         let mut io = match &self.engine.backend {
-            Backend::Sem { safs, .. } => {
-                IoDriver::Sem(SemIo::new(safs.session_scoped(self.cache_scope.clone())))
-            }
-            Backend::Shard { set, me, .. } => {
-                // The shard's index speaks local ids; the session
-                // localizes owned subjects by the window base.
-                let base = self.shared.shard.as_ref().expect("shard view").lo;
+            Backend::Sem { mounts, index } => {
+                // A shard's index speaks local ids; the session
+                // localizes owned subjects by the window base (0 for
+                // the only shard of a whole-graph image).
                 IoDriver::Sem(SemIo::with_base(
-                    set.shard(*me).session_scoped(self.cache_scope.clone()),
-                    base,
+                    mounts[self.me].session_scoped(self.cache_scope.clone()),
+                    index.shard_range(self.me).start,
                 ))
             }
             Backend::Mem(_) => IoDriver::Mem,
@@ -880,38 +901,20 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // workers' phase A.
             self.counters.stream_partitions.add(stream as u64);
 
-            // Compute phase. The pipelined scheduler runs every
-            // vertical pass in one completion-counted sweep with no
-            // intra-iteration barrier — the device queue never drains
-            // between passes — and synchronizes once, after quiesce,
-            // so every worker's message flush is on the boards before
-            // any worker starts phase C's drains. The barrier-per-pass
-            // loop is the historical lock-step discipline, kept for
-            // scheduler-equivalence diffing.
-            if self.engine.cfg.pipeline {
-                let wait_before = self.counters.wait_ns.get();
-                let t = Instant::now();
-                self.compute_pipelined(iter, &mut scratch, &mut io, stream);
-                self.flush_boards(&mut scratch);
-                let busy = t.elapsed().as_nanos() as u64;
-                let waited = self.counters.wait_ns.get() - wait_before;
-                self.counters.compute_ns.add(busy.saturating_sub(waited));
-                self.barrier.wait();
-            } else {
-                // Phase B: vertical passes of compute + I/O. Buffered
-                // messages and notifications must be on the boards
-                // before the barrier so phase C's drains see them.
-                for vp in 0..self.shared.vparts {
-                    let wait_before = self.counters.wait_ns.get();
-                    let t = Instant::now();
-                    self.compute_pass(iter, vp, &mut scratch, &mut io, stream);
-                    self.flush_boards(&mut scratch);
-                    let busy = t.elapsed().as_nanos() as u64;
-                    let waited = self.counters.wait_ns.get() - wait_before;
-                    self.counters.compute_ns.add(busy.saturating_sub(waited));
-                    self.barrier.wait();
-                }
-            }
+            // Phase B, compute: every vertical pass in one
+            // completion-counted sweep with no intra-iteration barrier
+            // — the device queue never drains between passes — and one
+            // synchronization, after quiesce, so every worker's message
+            // flush is on the boards before any worker starts phase
+            // C's drains.
+            let wait_before = self.counters.wait_ns.get();
+            let t = Instant::now();
+            self.compute_pipelined(iter, &mut scratch, &mut io, stream);
+            self.flush_boards(&mut scratch);
+            let busy = t.elapsed().as_nanos() as u64;
+            let waited = self.counters.wait_ns.get() - wait_before;
+            self.counters.compute_ns.add(busy.saturating_sub(waited));
+            self.barrier.wait();
 
             // Cross-shard sync 1: every shard has finished compute, so
             // every foreign packet of this iteration is on the bus.
@@ -1002,13 +1005,11 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         if self.w != 0 {
             return None;
         }
-        let io = match &self.engine.backend {
-            Backend::Sem { safs, .. } => Some(safs.array().stats().snapshot()),
-            Backend::Shard { set, me, .. } => Some(set.shard(*me).array().stats().snapshot()),
-            Backend::Mem(_) => None,
-        };
         Some(IterSnapshot {
-            io,
+            io: self
+                .engine
+                .mount(self.me)
+                .map(|m| m.array().stats().snapshot()),
             bytes_requested: self.counters.bytes_requested.get(),
             issued_requests: self.counters.issued_requests.get(),
             edges_delivered: self.counters.edges_delivered.get(),
@@ -1110,58 +1111,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// The issue/poll pipeline of one vertical pass.
-    ///
-    /// With `stream` set, requests whose subject belongs to this
-    /// worker's partition accumulate in the stream queue and go to
-    /// the device as stride-sized sequential covers (flushed when a
-    /// stride's worth of extent is buffered, and finally when the
-    /// pass runs out of claims); everything else — stolen vertices'
-    /// lists, other partitions' hubs — still takes the selective
-    /// path.
-    fn compute_pass(
-        &self,
-        iter: u32,
-        vp: u32,
-        scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
-        stream: bool,
-    ) {
-        let nparts = self.shared.pmap.num_partitions();
-        let max_pending = self.engine.cfg.max_pending.max(1);
-        loop {
-            // Fill the pipeline with freshly claimed vertices.
-            let mut claimed_any = false;
-            while io.outstanding() < max_pending {
-                let v = match self.claim(vp as usize, nparts) {
-                    Some(v) => v,
-                    None => break,
-                };
-                claimed_any = true;
-                self.counters.vertices.inc();
-                self.with_ctx(iter, vp, scratch, v, |prog, state, ctx| {
-                    prog.run(v, state, ctx);
-                });
-                self.absorb_requests(iter, vp, scratch, io, stream);
-                io.flush_if_full(self);
-                self.maybe_flush_messages(scratch);
-            }
-            io.flush_selective(self);
-            if io.outstanding() == 0 {
-                if claimed_any {
-                    continue;
-                }
-                // No more claims: release the final partial stride.
-                io.flush_stream_tail(self);
-                if io.outstanding() == 0 {
-                    break;
-                }
-            }
-            // Wait for completions and run the user tasks they carry.
-            self.drain_completions(iter, vp, scratch, io, stream, true);
-        }
-    }
-
     fn claim(&self, vp: usize, nparts: usize) -> Option<VertexId> {
         if let Some(v) = self.active.claim(self.w, vp) {
             return Some(v);
@@ -1197,11 +1146,11 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// `claims_done` and keeps harvesting/stealing until the pool's
     /// obligation count reaches zero — the iteration's quiesce point.
     ///
-    /// Unlike the lock-step loop, vertical passes of one vertex may
-    /// run concurrently with deliveries from an earlier pass; the
-    /// per-vertex busy bit serializes the callbacks, but cross-pass
-    /// *order* is no longer global. Programs that keep per-pass
-    /// results independent (all in-tree algorithms) are unaffected.
+    /// Vertical passes of one vertex may run concurrently with
+    /// deliveries from an earlier pass; the per-vertex busy bit
+    /// serializes the callbacks, but cross-pass *order* is not
+    /// global. Programs that keep per-pass results independent (all
+    /// in-tree algorithms) are unaffected.
     fn compute_pipelined(
         &self,
         iter: u32,
@@ -1485,8 +1434,58 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         };
                         self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
                     }
-                    (Backend::Sem { index, .. }, IoDriver::Sem(sem)) => {
-                        // A streaming worker routes *own-list*
+                    (Backend::Sem { mounts, index }, IoDriver::Sem(sem)) => {
+                        let deltas = self.shared.deltas.as_deref();
+                        let foreign = self
+                            .shared
+                            .shard
+                            .as_ref()
+                            .is_some_and(|sv| req.len > 0 && !sv.owns(req.subject));
+                        if foreign {
+                            // Foreign-subject request (TC-style
+                            // neighbour-list reads): locate on the
+                            // owning shard's index and read its mount
+                            // synchronously — the cross-shard analogue
+                            // of the Mem arm's inline delivery, safe
+                            // because the requester holds the busy bit
+                            // and the subject's *state* is never
+                            // touched, only its on-disk edges.
+                            let (start, len, overlay) =
+                                fetch_window(&req, deltas, || index.degree(req.subject, req.dir));
+                            let mut ready = ReadyVertex::empty(&req, vp, start, overlay);
+                            if len > 0 {
+                                let (s, slice) =
+                                    index.locate_slice(req.subject, req.dir, start, len);
+                                let loc = slice.loc;
+                                debug_assert_eq!(loc.degree, len);
+                                self.counters.bytes_requested.add(loc.bytes);
+                                self.counters.issued_requests.inc();
+                                ready.count = len;
+                                ready.decode = slice.decode;
+                                ready.edges = mounts[s]
+                                    .read_sync(loc.offset, loc.bytes)
+                                    .expect("foreign shard edge read");
+                                if req.attrs {
+                                    let (sa, aloc) = index
+                                        .locate_attrs_range(req.subject, req.dir, start, len)
+                                        .expect(
+                                            "attrs requested but image has no attribute section",
+                                        );
+                                    self.counters.bytes_requested.add(aloc.bytes);
+                                    self.counters.issued_requests.inc();
+                                    ready.attrs = Some(
+                                        mounts[sa]
+                                            .read_sync(aloc.offset, aloc.bytes)
+                                            .expect("foreign shard attr read"),
+                                    );
+                                }
+                            }
+                            let pv = SemIo::decode_ready(ready, deltas);
+                            self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
+                            continue;
+                        }
+                        // Owned subject, on this shard's own index and
+                        // mount. A streaming worker routes *own-list*
                         // requests of its own partition into the
                         // sweep — the access pattern of the dense
                         // algorithms the mode exists for, arriving
@@ -1519,9 +1518,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         }
                         // Every accepted request is an obligation
                         // until its delivery (and the absorption of
-                        // its follow-ons) finishes. The pipelined
-                        // quiesce condition counts these; the barrier
-                        // loop keeps them balanced for free.
+                        // its follow-ons) finishes; the quiesce
+                        // condition counts these.
                         // ordering: Relaxed — publication of this increment to
                         // the quiesce check rides on the `claims_done` release
                         // chain (claim phase) or on the enclosing obligation's
@@ -1532,162 +1530,18 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         self.ready.obligations.fetch_add(1, Ordering::Relaxed);
                         sem.enqueue(
                             req,
-                            index,
+                            index.shard(self.me),
                             self.counters,
                             via_stream,
                             vp,
-                            self.shared.deltas.as_deref(),
+                            deltas,
                         );
                         // Zero-degree requests become ready
-                        // completions without I/O. (Under pipelining
-                        // the pool never holds these: `harvest` is
-                        // the only producer of resolved entries, and
-                        // it drains `sem.ready` before returning.)
-                        while let Some((requester, vpd, pv)) =
-                            sem.pop_ready(self.shared.deltas.as_deref())
-                        {
-                            self.deliver_vertex(iter, vpd, scratch, requester, &pv);
-                            // ordering: AcqRel — release publishes the delivery's
-                            // state writes to the worker whose quiesce load sees
-                            // the count reach zero; acquire folds earlier
-                            // decrements into this RMW's release sequence. The
-                            // RelaxedPublish mutation of fg_check's `quiesce`
-                            // model demonstrates the lost publication if this is
-                            // weakened.
-                            self.ready.obligations.fetch_sub(1, Ordering::AcqRel);
-                        }
-                    }
-                    (Backend::Shard { set, index, me }, IoDriver::Sem(sem)) => {
-                        let sv = self.shared.shard.as_ref().expect("sharded run");
-                        if req.len > 0 && !sv.owns(req.subject) {
-                            // Foreign-subject request (TC-style
-                            // neighbour-list reads): locate on the
-                            // owning shard's index and read its mount
-                            // synchronously — the cross-shard analogue
-                            // of the Mem arm's inline delivery, safe
-                            // because the requester holds the busy bit
-                            // and the subject's *state* is never
-                            // touched, only its on-disk edges.
-                            // Overlaid subjects fetch the full base
-                            // list and carry the merged window aside,
-                            // exactly like `enqueue_overlay`.
-                            let overlaid = self
-                                .shared
-                                .deltas
-                                .as_ref()
-                                .is_some_and(|d| d.list(req.subject, req.dir).is_some());
-                            let (fetch_start, fetch_len, overlay) = if overlaid {
-                                (
-                                    0,
-                                    index.degree(req.subject, req.dir),
-                                    Some((req.start, req.len)),
-                                )
-                            } else {
-                                (req.start, req.len, None)
-                            };
-                            if fetch_len == 0 {
-                                // Overlaid subject with an empty base
-                                // list: pure adds, no I/O.
-                                let pv = SemIo::decode_ready(
-                                    ReadyVertex {
-                                        requester: req.requester,
-                                        subject: req.subject,
-                                        vpart: vp,
-                                        dir: req.dir,
-                                        start: 0,
-                                        count: 0,
-                                        decode: SliceDecode::Raw,
-                                        edges: PageSpan::empty(),
-                                        attrs: req.attrs.then(PageSpan::empty),
-                                        overlay,
-                                    },
-                                    self.shared.deltas.as_deref(),
-                                );
-                                self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
-                                continue;
-                            }
-                            let (s, slice) =
-                                index.locate_slice(req.subject, req.dir, fetch_start, fetch_len);
-                            let loc = slice.loc;
-                            debug_assert_eq!(loc.degree, fetch_len);
-                            self.counters.bytes_requested.add(loc.bytes);
-                            self.counters.issued_requests.inc();
-                            let espan = set
-                                .shard(s)
-                                .read_sync(loc.offset, loc.bytes)
-                                .expect("foreign shard edge read");
-                            let attrs = if req.attrs {
-                                let (sa, aloc) = index
-                                    .locate_attrs_range(
-                                        req.subject,
-                                        req.dir,
-                                        fetch_start,
-                                        fetch_len,
-                                    )
-                                    .expect("attrs requested but image has no attribute section");
-                                self.counters.bytes_requested.add(aloc.bytes);
-                                self.counters.issued_requests.inc();
-                                Some(
-                                    set.shard(sa)
-                                        .read_sync(aloc.offset, aloc.bytes)
-                                        .expect("foreign shard attr read"),
-                                )
-                            } else {
-                                None
-                            };
-                            let pv = SemIo::decode_ready(
-                                ReadyVertex {
-                                    requester: req.requester,
-                                    subject: req.subject,
-                                    vpart: vp,
-                                    dir: req.dir,
-                                    start: fetch_start,
-                                    count: fetch_len,
-                                    decode: slice.decode,
-                                    edges: espan,
-                                    attrs,
-                                    overlay,
-                                },
-                                self.shared.deltas.as_deref(),
-                            );
-                            self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
-                            continue;
-                        }
-                        // Owned subject: identical to the Sem arm, on
-                        // this shard's own index and mount.
-                        let via_stream = stream
-                            && req.subject == req.requester
-                            && self.shared.pmap.partition_of(req.subject) == self.w;
-                        if via_stream {
-                            let region = self.shared.pmap.region_of(req.subject);
-                            if sem.stream_region != Some(region) {
-                                sem.flush_stream(
-                                    self.engine.safs_page_bytes(),
-                                    self.engine.cfg.stream_stride_bytes(),
-                                    self.counters,
-                                );
-                                sem.stream_region = Some(region);
-                            }
-                        }
-                        // ordering: Relaxed — publication of this increment to
-                        // the quiesce check rides on the `claims_done` release
-                        // chain (claim phase) or on the enclosing obligation's
-                        // AcqRel decrement (cascades), never on the increment
-                        // itself. fg_check's `quiesce` model is the referee;
-                        // its NoOuterObligation mutation shows what breaks
-                        // when a cascade runs without cover.
-                        self.ready.obligations.fetch_add(1, Ordering::Relaxed);
-                        sem.enqueue(
-                            req,
-                            index.shard(*me),
-                            self.counters,
-                            via_stream,
-                            vp,
-                            self.shared.deltas.as_deref(),
-                        );
-                        while let Some((requester, vpd, pv)) =
-                            sem.pop_ready(self.shared.deltas.as_deref())
-                        {
+                        // completions without I/O. (The pool never
+                        // holds these: `harvest` is the only producer
+                        // of resolved entries, and it drains
+                        // `sem.ready` before returning.)
+                        while let Some((requester, vpd, pv)) = sem.pop_ready(deltas) {
                             self.deliver_vertex(iter, vpd, scratch, requester, &pv);
                             // ordering: AcqRel — release publishes the delivery's
                             // state writes to the worker whose quiesce load sees
@@ -1720,30 +1574,25 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         });
     }
 
-    /// Blocks for at least one completion (when `wait`), then drains
-    /// everything available, running `run_on_vertex` for each part.
+    /// The barrier phase's synchronous drain: blocks for at least one
+    /// completion, then runs `run_on_vertex` for every part that
+    /// landed, on the selective path and in pass 0 like every
+    /// barrier-phase request.
     fn drain_completions(
         &self,
         iter: u32,
-        vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
-        stream: bool,
-        wait: bool,
     ) {
         let IoDriver::Sem(sem) = io else { return };
         let mut done = Vec::new();
         let t = Instant::now();
-        if wait {
-            sem.session.wait(&mut done);
-        } else {
-            sem.session.poll(&mut done);
-        }
+        sem.session.wait(&mut done);
         self.counters.wait_ns.add(t.elapsed().as_nanos() as u64);
         for c in done {
             sem.resolve(c);
             while let Some((requester, vpd, pv)) = sem.pop_ready(self.shared.deltas.as_deref()) {
-                debug_assert_eq!(vpd, vp, "lock-step deliveries stay within their pass");
+                debug_assert_eq!(vpd, 0, "barrier-phase deliveries stay in pass 0");
                 self.deliver_vertex(iter, vpd, scratch, requester, &pv);
                 // ordering: AcqRel — release publishes the delivery's
                 // state writes to the worker whose quiesce load sees
@@ -1756,7 +1605,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             }
         }
         // Callbacks may have queued more requests.
-        self.absorb_requests(iter, vp, scratch, io, stream);
+        self.absorb_requests(iter, 0, scratch, io, false);
         io.flush_if_full(self);
         self.maybe_flush_messages(scratch);
     }
@@ -1816,9 +1665,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// destination partition onto the local board, activations OR'd
     /// into the next frontier.
     fn drain_shard_bus(&self, link: &ShardLink<'_, P::Msg>) {
-        let me = self.shared.shard.as_ref().expect("sharded run").me;
         let parts = self.shared.pmap.num_partitions();
-        for pkt in link.bus.drain(me) {
+        for pkt in link.bus.drain(self.me) {
             match pkt {
                 ShardPacket::Unicasts(entries) => {
                     let mut split: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); parts];
@@ -1944,7 +1792,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         self.absorb_requests(iter, 0, scratch, io, false);
         io.flush_all(self);
         while io.outstanding() > 0 {
-            self.drain_completions(iter, 0, scratch, io, false, true);
+            self.drain_completions(iter, scratch, io);
             io.flush_all(self);
         }
     }
@@ -2011,9 +1859,12 @@ impl IoDriver<'_> {
         }
     }
 
-    /// Releases the stream queue regardless of how much is buffered —
-    /// the end-of-claims flush that submits the final partial stride.
-    fn flush_stream_tail<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
+    /// Flushes both queues: the selective one, and the stream queue
+    /// regardless of how much is buffered — the end-of-claims flush
+    /// that submits the final partial stride, and the synchronous
+    /// barrier-phase drain.
+    fn flush_all<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
+        self.flush_selective(env);
         if let IoDriver::Sem(s) = self {
             s.flush_stream(
                 env.engine.safs_page_bytes(),
@@ -2021,12 +1872,6 @@ impl IoDriver<'_> {
                 env.counters,
             );
         }
-    }
-
-    /// Flushes both queues (the synchronous barrier-phase drain).
-    fn flush_all<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
-        self.flush_selective(env);
-        self.flush_stream_tail(env);
     }
 }
 
@@ -2064,12 +1909,9 @@ impl SectionSpan {
 const STREAM_FLUSH_REQUESTS: usize = 16 * 1024;
 
 impl Engine<'_> {
+    /// Page size shared by every mount.
     fn safs_page_bytes(&self) -> u64 {
-        match &self.backend {
-            Backend::Sem { safs, .. } => safs.page_bytes(),
-            Backend::Shard { set, .. } => set.page_bytes(),
-            Backend::Mem(_) => 4096,
-        }
+        self.mount(0).map_or(4096, Safs::page_bytes)
     }
 }
 
@@ -2152,6 +1994,49 @@ struct ReadyVertex {
     overlay: Option<(u64, u64)>,
 }
 
+impl ReadyVertex {
+    /// The delivery of a fetch of nothing (see [`fetch_window`]): no
+    /// I/O, empty spans, the overlay window — if any — still applied.
+    fn empty(req: &EdgeRequest, vp: u32, start: u64, overlay: Option<(u64, u64)>) -> Self {
+        ReadyVertex {
+            requester: req.requester,
+            subject: req.subject,
+            vpart: vp,
+            dir: req.dir,
+            start,
+            count: 0,
+            decode: SliceDecode::Raw,
+            edges: PageSpan::empty(),
+            attrs: req.attrs.then(PageSpan::empty),
+            overlay,
+        }
+    }
+}
+
+/// What one chunk request fetches from the subject's on-SSD list, as
+/// `(start, len, overlay)` in base-list edge positions: the requested
+/// slice as is, or — when the subject carries pinned delta ops — the
+/// *full* base list, with the request's window (already expressed in
+/// *merged* coordinates by the context's clamp) riding aside in
+/// `overlay`. The delivery-time merge needs every on-SSD edge to map
+/// merged positions; chunked hubs re-fetch the same pages, which the
+/// page cache and in-flight dedup table absorb. A `len` of zero — an
+/// empty slice, or an overlaid subject with nothing on SSD, whose
+/// merged list is pure adds — completes without I/O. `base_degree` is
+/// consulted for overlaid subjects only.
+fn fetch_window(
+    req: &EdgeRequest,
+    deltas: Option<&DeltaView>,
+    base_degree: impl FnOnce() -> u64,
+) -> (u64, u64, Option<(u64, u64)>) {
+    let overlaid = req.len > 0 && deltas.is_some_and(|d| d.list(req.subject, req.dir).is_some());
+    if overlaid {
+        (0, base_degree(), Some((req.start, req.len)))
+    } else {
+        (req.start, req.len, None)
+    }
+}
+
 /// The semi-external per-worker I/O state: selective issue queue,
 /// streaming-scan queue, merged-request slab, attribute pairing, and
 /// the SAFS session.
@@ -2214,10 +2099,6 @@ struct SemIo<'s> {
 }
 
 impl<'s> SemIo<'s> {
-    fn new(session: IoSession<'s>) -> Self {
-        Self::with_base(session, 0)
-    }
-
     fn with_base(session: IoSession<'s>, base: u32) -> Self {
         SemIo {
             session,
@@ -2261,10 +2142,9 @@ impl<'s> SemIo<'s> {
     }
 
     /// Resolves one chunk request into issue-queue ranges (or a ready
-    /// completion for empty slices — zero-degree subjects and ranges
-    /// clamped to nothing complete without I/O). With `stream` set
-    /// the ranges buffer in the stream queue instead, awaiting a
-    /// stride-sized sweep cover.
+    /// completion for empty fetches — see [`fetch_window`]). With
+    /// `stream` set the ranges buffer in the stream queue instead,
+    /// awaiting a stride-sized sweep cover.
     fn enqueue(
         &mut self,
         req: EdgeRequest,
@@ -2274,30 +2154,23 @@ impl<'s> SemIo<'s> {
         vp: u32,
         deltas: Option<&DeltaView>,
     ) {
-        if req.len == 0 {
-            self.ready.push(ReadyVertex {
-                requester: req.requester,
-                subject: req.subject,
-                vpart: vp,
-                dir: req.dir,
-                start: req.start,
-                count: 0,
-                decode: SliceDecode::Raw,
-                edges: PageSpan::empty(),
-                attrs: req.attrs.then(PageSpan::empty),
-                overlay: None,
-            });
+        // Rebased only where a fetch is certain: a zero-length request
+        // may name a subject a lower shard owns (`absorb_requests`
+        // routes those here, there being nothing to read), and its id
+        // is below `base`.
+        let base = self.base;
+        let rebase = |v: VertexId| VertexId(v.0 - base);
+        let (start, len, overlay) =
+            fetch_window(&req, deltas, || index.degree(rebase(req.subject), req.dir));
+        if len == 0 {
+            self.ready
+                .push(ReadyVertex::empty(&req, vp, start, overlay));
             return;
         }
-        let local = VertexId(req.subject.0 - self.base);
-        if deltas.is_some_and(|d| d.list(req.subject, req.dir).is_some()) {
-            self.enqueue_overlay(req, local, index, counters, stream, vp);
-            return;
-        }
-        let slice = index.locate_slice(local, req.dir, req.start, req.len);
-        let loc = slice.loc;
+        let local = rebase(req.subject);
+        let ListSlice { loc, decode } = index.locate_slice(local, req.dir, start, len);
         debug_assert_eq!(
-            loc.degree, req.len,
+            loc.degree, len,
             "ranges are clamped at request time against the same index"
         );
         if stream {
@@ -2306,169 +2179,44 @@ impl<'s> SemIo<'s> {
             self.outstanding += 1;
             self.selective_buffered += 1;
         }
+        let meta = |decode, kind| PartMeta {
+            requester: req.requester,
+            subject: req.subject,
+            vpart: vp,
+            dir: req.dir,
+            start,
+            count: len,
+            decode,
+            kind,
+            overlay,
+        };
         let pair = if req.attrs {
             debug_assert_eq!(
-                slice.decode,
+                decode,
                 SliceDecode::Raw,
                 "attribute-bearing blocks are always raw (weighted images force it)"
             );
             let aloc = index
-                .locate_attrs_range(local, req.dir, req.start, req.len)
+                .locate_attrs_range(local, req.dir, start, len)
                 .expect("attrs requested but image has no attribute section");
             let slot = self.alloc_pair(AttrPair {
                 requester: req.requester,
                 subject: req.subject,
                 vpart: vp,
                 dir: req.dir,
-                start: req.start,
-                edges: None,
-                attrs: None,
-                overlay: None,
-            });
-            self.push_part(
-                stream,
-                aloc.offset,
-                aloc.bytes,
-                PartMeta {
-                    requester: req.requester,
-                    subject: req.subject,
-                    vpart: vp,
-                    dir: req.dir,
-                    start: req.start,
-                    count: req.len,
-                    decode: SliceDecode::Raw,
-                    kind: PartKind::Attrs { pair: slot },
-                    overlay: None,
-                },
-                counters,
-            );
-            Some(slot)
-        } else {
-            None
-        };
-        self.push_part(
-            stream,
-            loc.offset,
-            loc.bytes,
-            PartMeta {
-                requester: req.requester,
-                subject: req.subject,
-                vpart: vp,
-                dir: req.dir,
-                start: req.start,
-                count: req.len,
-                decode: slice.decode,
-                kind: PartKind::Edges { pair },
-                overlay: None,
-            },
-            counters,
-        );
-    }
-
-    /// The overlay variant of [`SemIo::enqueue`]: the subject has
-    /// pinned delta ops, so the request's window — already expressed
-    /// in *merged* coordinates by the context's clamp — rides aside in
-    /// the metadata while the fetch covers the *full* base list (the
-    /// delivery-time merge needs every on-SSD edge to map merged
-    /// positions; chunked hubs re-fetch the same pages, which the
-    /// page cache and in-flight dedup table absorb).
-    fn enqueue_overlay(
-        &mut self,
-        req: EdgeRequest,
-        local: VertexId,
-        index: &GraphIndex,
-        counters: &Counters,
-        stream: bool,
-        vp: u32,
-    ) {
-        let overlay = Some((req.start, req.len));
-        let base_degree = index.degree(local, req.dir);
-        if base_degree == 0 {
-            // Nothing on SSD — the merged list is pure adds and
-            // delivers without I/O, like the zero-length fast path.
-            self.ready.push(ReadyVertex {
-                requester: req.requester,
-                subject: req.subject,
-                vpart: vp,
-                dir: req.dir,
-                start: 0,
-                count: 0,
-                decode: SliceDecode::Raw,
-                edges: PageSpan::empty(),
-                attrs: req.attrs.then(PageSpan::empty),
-                overlay,
-            });
-            return;
-        }
-        let slice = index.locate_slice(local, req.dir, 0, u64::MAX);
-        let loc = slice.loc;
-        debug_assert_eq!(
-            loc.degree, base_degree,
-            "an unclamped slice is the whole list"
-        );
-        if stream {
-            self.stream_buffered += 1;
-        } else {
-            self.outstanding += 1;
-            self.selective_buffered += 1;
-        }
-        let pair = if req.attrs {
-            debug_assert_eq!(
-                slice.decode,
-                SliceDecode::Raw,
-                "attribute-bearing blocks are always raw (weighted images force it)"
-            );
-            let aloc = index
-                .locate_attrs_range(local, req.dir, 0, base_degree)
-                .expect("attrs requested but image has no attribute section");
-            let slot = self.alloc_pair(AttrPair {
-                requester: req.requester,
-                subject: req.subject,
-                vpart: vp,
-                dir: req.dir,
-                start: 0,
+                start,
                 edges: None,
                 attrs: None,
                 overlay,
             });
-            self.push_part(
-                stream,
-                aloc.offset,
-                aloc.bytes,
-                PartMeta {
-                    requester: req.requester,
-                    subject: req.subject,
-                    vpart: vp,
-                    dir: req.dir,
-                    start: 0,
-                    count: base_degree,
-                    decode: SliceDecode::Raw,
-                    kind: PartKind::Attrs { pair: slot },
-                    overlay,
-                },
-                counters,
-            );
+            let attrs = meta(SliceDecode::Raw, PartKind::Attrs { pair: slot });
+            self.push_part(stream, aloc.offset, aloc.bytes, attrs, counters);
             Some(slot)
         } else {
             None
         };
-        self.push_part(
-            stream,
-            loc.offset,
-            loc.bytes,
-            PartMeta {
-                requester: req.requester,
-                subject: req.subject,
-                vpart: vp,
-                dir: req.dir,
-                start: 0,
-                count: base_degree,
-                decode: slice.decode,
-                kind: PartKind::Edges { pair },
-                overlay,
-            },
-            counters,
-        );
+        let edges = meta(decode, PartKind::Edges { pair });
+        self.push_part(stream, loc.offset, loc.bytes, edges, counters);
     }
 
     /// Appends one byte range + its metadata to the selected queue.

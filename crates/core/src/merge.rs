@@ -18,13 +18,12 @@
 //! delivery bounds the *callback* granularity without shrinking the
 //! *I/O* granularity.
 //!
-//! The pipelined scheduler deliberately keeps the same batching
-//! cadence as the lock-step one: requests buffer until a full batch
-//! (or claim exhaustion) flushes them, and only the *overlap* of
-//! batches with computation changes. Flushing eagerly on every
-//! scheduler round would fragment batches and re-read pages that a
-//! full batch's page-disjoint covers fetch once — `fig_pipeline`'s
-//! no-extra-device-bytes assertion guards exactly this.
+//! The pipelined scheduler deliberately batches the way a lock-step
+//! loop would: requests buffer until a full batch (or claim
+//! exhaustion) flushes them, and only the *overlap* of batches with
+//! computation differs. Flushing eagerly on every scheduler round
+//! would fragment batches and re-read pages that a full batch's
+//! page-disjoint covers fetch once.
 
 use std::collections::BTreeMap;
 

@@ -1,4 +1,5 @@
-//! A concurrent query service over one shared SAFS mount.
+//! A concurrent query service over shared SAFS mounts — one, or one
+//! per shard of a sharded image.
 //!
 //! SAFS is designed as a *shared* substrate (§3.1): application
 //! threads mail I/O requests to common per-drive I/O threads, and the
@@ -9,8 +10,11 @@
 //! rate is low", §3.1; Figures 12–14 quantify the cache and I/O
 //! paths). A single [`crate::Engine::run`] uses that machinery for
 //! one job; [`GraphService`] turns it into a multi-tenant serving
-//! layer: one mount, one in-memory [`GraphIndex`], many vertex
-//! programs running *concurrently* against them.
+//! layer: one set of mounts, one in-memory index, many vertex
+//! programs running *concurrently* against them. Every query enters
+//! through one door — [`GraphService::query_opts`], which `run`,
+//! `run_opts` and `query` are shorthands for — whatever the mount
+//! count: the engine it hands out runs one shard per mount.
 //!
 //! What is shared and what is per-query:
 //!
@@ -116,7 +120,6 @@ use fg_types::{CancelCause, CancelToken, EdgeDir, FgError, Result, VertexId};
 use crate::config::EngineConfig;
 use crate::engine::{Engine, Init};
 use crate::program::VertexProgram;
-use crate::shard::ShardedEngine;
 use crate::stats::RunStats;
 
 /// Admission priority class of a query. Classes are strict: the gate
@@ -531,23 +534,23 @@ pub struct GraphService {
     wait_histo: WaitHistogram,
 }
 
-/// What the service serves from: one shared mount, or one mount per
-/// shard of a sharded image (each admitted query then runs one
-/// [`ShardedEngine`] across all of them). `metas` holds the image
-/// header of each mount, in shard order: set by the compaction that
-/// wrote the image, else read through the mount by the first ingest
-/// or compaction that needs it — once per generation either way.
-enum ServeBackend {
-    Single {
-        safs: Arc<Safs>,
-        index: Arc<GraphIndex>,
-        metas: OnceLock<Vec<ImageMeta>>,
-    },
-    Sharded {
-        set: Arc<ShardSet>,
-        index: Arc<ShardedIndex>,
-        metas: OnceLock<Vec<ImageMeta>>,
-    },
+/// One generation of what the service serves from: k ≥ 1 mounts and
+/// the index that routes over them (a single mount is one shard that
+/// owns every vertex). `metas` holds the image header of each mount,
+/// in shard order: set by the compaction that wrote the image, else
+/// read through the mount by the first ingest or compaction that needs
+/// it — once per generation either way.
+struct ServeBackend {
+    mounts: Mounts,
+    index: Arc<ShardedIndex>,
+    metas: OnceLock<Vec<ImageMeta>>,
+}
+
+/// The mount handles a generation was built from; everything but
+/// [`ServeBackend::mounts`] sees them as a slice.
+enum Mounts {
+    Single(Arc<Safs>),
+    Sharded(Arc<ShardSet>),
 }
 
 /// `safs` as the byte source of `fg_format`'s back-readers: the write
@@ -569,32 +572,22 @@ fn mount_bytes(safs: &Safs, stream: bool) -> impl Fn(u64, &mut [u8]) -> Result<(
 }
 
 impl ServeBackend {
+    /// The mounts, in shard order.
+    fn mounts(&self) -> &[Safs] {
+        match &self.mounts {
+            Mounts::Single(safs) => std::slice::from_ref(safs),
+            Mounts::Sharded(set) => set.as_slice(),
+        }
+    }
+
     /// This generation's image headers, one per mount.
     fn metas(&self) -> Result<&[ImageMeta]> {
-        let (ServeBackend::Single { metas, .. } | ServeBackend::Sharded { metas, .. }) = self;
-        if let Some(metas) = metas.get() {
+        if let Some(metas) = self.metas.get() {
             return Ok(metas);
         }
         let read = |safs: &Safs| read_meta_from(&mount_bytes(safs, false), safs.array().capacity());
-        let fresh = match self {
-            ServeBackend::Single { safs, .. } => vec![read(safs)?],
-            ServeBackend::Sharded { set, .. } => set.iter().map(read).collect::<Result<_>>()?,
-        };
-        Ok(metas.get_or_init(|| fresh))
-    }
-
-    fn num_vertices(&self) -> usize {
-        match self {
-            ServeBackend::Single { index, .. } => index.num_vertices(),
-            ServeBackend::Sharded { index, .. } => index.num_vertices(),
-        }
-    }
-
-    fn is_directed(&self) -> bool {
-        match self {
-            ServeBackend::Single { index, .. } => index.is_directed(),
-            ServeBackend::Sharded { index, .. } => index.is_directed(),
-        }
+        let fresh = self.mounts().iter().map(read).collect::<Result<_>>()?;
+        Ok(self.metas.get_or_init(|| fresh))
     }
 }
 
@@ -609,15 +602,15 @@ struct ImageBase(Arc<ServeBackend>);
 
 impl BaseLists for ImageBase {
     fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
-        let metas = self.0.metas()?;
-        let (safs, meta, index, v) = match self.0.as_ref() {
-            ServeBackend::Single { safs, index, .. } => (&**safs, &metas[0], &**index, v),
-            ServeBackend::Sharded { set, index, .. } => {
-                let (s, local) = index.local(v);
-                (set.shard(s), &metas[s], &**index.shard(s), local)
-            }
-        };
-        read_list_from(&mount_bytes(safs, false), meta, index, v, EdgeDir::Out)
+        let backend = &*self.0;
+        let (s, local) = backend.index.local(v);
+        read_list_from(
+            &mount_bytes(&backend.mounts()[s], false),
+            &backend.metas()?[s],
+            backend.index.shard(s),
+            local,
+            EdgeDir::Out,
+        )
     }
 }
 
@@ -642,14 +635,14 @@ impl GraphService {
     /// A service over already-shared mount and index (when other
     /// subsystems — loaders, snapshotters — keep their own handles).
     pub fn from_shared(safs: Arc<Safs>, index: Arc<GraphIndex>, cfg: ServiceConfig) -> Self {
-        let metas = OnceLock::new();
-        Self::with_backend(ServeBackend::Single { safs, index, metas }, cfg)
+        let index = Arc::new(ShardedIndex::new(vec![index]));
+        Self::with_backend(Mounts::Single(safs), index, cfg)
     }
 
     /// A service over a sharded image: one mount per shard, every
-    /// admitted query running one [`ShardedEngine`] across all of
-    /// them. Concurrent queries share the shard caches and I/O
-    /// threads exactly as single-mount tenants share theirs.
+    /// admitted query's engine running one shard per mount.
+    /// Concurrent queries share the shard caches and I/O threads
+    /// exactly as single-mount tenants share theirs.
     ///
     /// # Panics
     ///
@@ -668,17 +661,21 @@ impl GraphService {
         index: Arc<ShardedIndex>,
         cfg: ServiceConfig,
     ) -> Self {
-        assert_eq!(
-            set.len(),
-            index.num_shards(),
-            "one mount per shard of the index"
-        );
-        let metas = OnceLock::new();
-        Self::with_backend(ServeBackend::Sharded { set, index, metas }, cfg)
+        Self::with_backend(Mounts::Sharded(set), index, cfg)
     }
 
-    fn with_backend(backend: ServeBackend, cfg: ServiceConfig) -> Self {
-        let delta = DeltaLog::new(backend.num_vertices(), backend.is_directed());
+    fn with_backend(mounts: Mounts, index: Arc<ShardedIndex>, cfg: ServiceConfig) -> Self {
+        let delta = DeltaLog::new(index.num_vertices(), index.is_directed());
+        let backend = ServeBackend {
+            mounts,
+            index,
+            metas: OnceLock::new(),
+        };
+        assert_eq!(
+            backend.mounts().len(),
+            backend.index.num_shards(),
+            "one mount per shard of the index"
+        );
         GraphService {
             live: Handoff::new(backend),
             delta,
@@ -720,56 +717,32 @@ impl GraphService {
     ///
     /// # Panics
     ///
-    /// Panics on a sharded service (it has no single mount); use
-    /// [`GraphService::shard_set`].
+    /// Panics on a service built over a [`ShardSet`] (it has no
+    /// single mount handle); use [`GraphService::shard_set`].
     pub fn safs(&self) -> Arc<Safs> {
-        match self.live.pin().1.as_ref() {
-            ServeBackend::Single { safs, .. } => Arc::clone(safs),
-            ServeBackend::Sharded { .. } => {
+        match &self.live.pin().1.mounts {
+            Mounts::Single(safs) => Arc::clone(safs),
+            Mounts::Sharded(_) => {
                 panic!("sharded service has no single mount; use shard_set()")
             }
         }
     }
 
-    /// The current generation's index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded service; use [`GraphService::sharded_index`].
-    pub fn index(&self) -> Arc<GraphIndex> {
-        match self.live.pin().1.as_ref() {
-            ServeBackend::Single { index, .. } => Arc::clone(index),
-            ServeBackend::Sharded { .. } => {
-                panic!("sharded service has no single index; use sharded_index()")
-            }
-        }
-    }
-
-    /// The shard mounts of a sharded service, `None` otherwise.
+    /// The shard mounts of a service built over a [`ShardSet`], `None`
+    /// otherwise (also once a compaction has rewritten a 1-shard set
+    /// into a single mount).
     pub fn shard_set(&self) -> Option<Arc<ShardSet>> {
-        match self.live.pin().1.as_ref() {
-            ServeBackend::Sharded { set, .. } => Some(Arc::clone(set)),
-            ServeBackend::Single { .. } => None,
-        }
-    }
-
-    /// The sharded index of a sharded service, `None` otherwise.
-    pub fn sharded_index(&self) -> Option<Arc<ShardedIndex>> {
-        match self.live.pin().1.as_ref() {
-            ServeBackend::Sharded { index, .. } => Some(Arc::clone(index)),
-            ServeBackend::Single { .. } => None,
+        match &self.live.pin().1.mounts {
+            Mounts::Sharded(set) => Some(Arc::clone(set)),
+            Mounts::Single(_) => None,
         }
     }
 
     /// Mount-wide page-cache counters — the aggregate across every
-    /// tenant (and, sharded, across every shard cache), where
-    /// cross-query hits show up. Counters reset when compaction
-    /// installs a fresh mount.
+    /// tenant and every mount's cache, where cross-query hits show up.
+    /// Counters reset when compaction installs a fresh mount.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        match self.live.pin().1.as_ref() {
-            ServeBackend::Single { safs, .. } => safs.cache_stats(),
-            ServeBackend::Sharded { set, .. } => set.cache_stats(),
-        }
+        ShardSet::cache_stats_of(self.live.pin().1.mounts())
     }
 
     /// The current image generation (0 until the first compaction).
@@ -792,8 +765,8 @@ impl GraphService {
     /// Ingests one batch of edge mutations under live serving and
     /// returns the new watermark. The batch becomes one atomic run:
     /// queries admitted before this call never see any of it, queries
-    /// admitted after see all of it. Works on both backends; the base
-    /// adjacency needed to canonicalize the batch is read through the
+    /// admitted after see all of it. Works over any mount count; the
+    /// base adjacency needed to canonicalize the batch is read through the
     /// serving generation's mounts — page cache first, so a batch whose
     /// sources are resident reads nothing from the device.
     ///
@@ -833,16 +806,16 @@ impl GraphService {
     ///
     /// # Errors
     ///
-    /// [`FgError::InvalidConfig`] on a sharded service (per-shard
-    /// compaction is future work), read-back/write errors from the
-    /// image pass, and whatever `provision` returns.
+    /// [`FgError::InvalidConfig`] on a service over more than one
+    /// mount (per-shard compaction is future work), read-back/write
+    /// errors from the image pass, and whatever `provision` returns.
     pub fn compact_with(&self, provision: impl FnOnce(u64) -> Result<SsdArray>) -> Result<u64> {
         let _guard = self.compacting.lock().unwrap_or_else(|e| e.into_inner());
         // Pin generation and view at one coherent point; everything
         // ingested after this snapshot stays in the log for the next
         // compaction.
         let ((gen, backend), view) = self.delta.snapshot_with(|| self.live.pin());
-        let ServeBackend::Single { safs, index, .. } = backend.as_ref() else {
+        let [safs] = backend.mounts() else {
             return Err(FgError::InvalidConfig(
                 "compaction rewrites a single-mount image; shard-wise compaction is not supported"
                     .into(),
@@ -856,7 +829,7 @@ impl GraphService {
         // streaming policy, so it uses what the cache holds and leaves
         // the cache alone — queries pinned to this generation keep
         // their hot set however small the cache is next to the image.
-        let base = read_graph_from(&mount_bytes(safs, true), meta, index)?;
+        let base = read_graph_from(&mount_bytes(safs, true), meta, backend.index.shard(0))?;
         let merged = DeltaLog::union(&base, &view);
         let mut opts = WriteOptions {
             format: meta.format,
@@ -873,9 +846,9 @@ impl GraphService {
         plan.write(&array)?;
         let (new_meta, new_index) = load_index(&array)?;
         let new_safs = Safs::new(*safs.config(), array)?;
-        let next = ServeBackend::Single {
-            safs: Arc::new(new_safs),
-            index: Arc::new(new_index),
+        let next = ServeBackend {
+            mounts: Mounts::Single(Arc::new(new_safs)),
+            index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),
             metas: OnceLock::from(vec![new_meta]),
         };
         // Atomic cutover: drop the folded runs and install the new
@@ -942,22 +915,6 @@ impl GraphService {
         self.run_opts(program, init, QueryOpts::new())
     }
 
-    /// Like [`GraphService::run`] with a per-query engine
-    /// configuration override (iteration caps, schedulers, merge
-    /// knobs — anything in [`EngineConfig`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run_with<P: VertexProgram>(
-        &self,
-        cfg: EngineConfig,
-        program: &P,
-        init: Init,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        self.run_opts(program, init, QueryOpts::new().with_engine(cfg))
-    }
-
     /// The full-control run: tenant attribution, priority,
     /// cancellation/deadline, engine override — see [`QueryOpts`].
     ///
@@ -974,47 +931,23 @@ impl GraphService {
         init: Init,
         opts: QueryOpts,
     ) -> Result<(Vec<P::State>, RunStats)> {
-        let token = opts.cancel.clone().unwrap_or_default();
-        let (permit, waited) = self.admit(&opts, &token)?;
-        // Snapshot isolation: pin (image generation, delta watermark)
-        // at admission — the run sees exactly this view no matter how
-        // much is ingested or compacted while it executes.
-        let (backend, view) = self.pin_view(&opts);
-        let cfg = opts.engine.unwrap_or(self.cfg.engine);
-        let result = match backend.as_ref() {
-            ServeBackend::Single { safs, index, .. } => {
-                Engine::new_sem_shared(safs, Arc::clone(index), cfg)
-                    .with_deltas(view)
-                    .with_cancel(token.clone())
-                    .run(program, init)
+        self.serve(opts, |engine, waited| {
+            let (states, mut stats) = engine.run(program, init)?;
+            stats.queue_wait_ns = waited.as_nanos() as u64;
+            Ok((states, stats))
+        })?
+        .inspect_err(|e| {
+            if let Some(cause) = cancel_cause_of(e) {
+                self.book_abort(cause);
             }
-            ServeBackend::Sharded { set, index, .. } => {
-                ShardedEngine::new_shared(set, Arc::clone(index), cfg)
-                    .with_deltas(view)
-                    .with_cancel(token.clone())
-                    .run(program, init)
-            }
-        };
-        drop(permit);
-        match result {
-            Err(e) => {
-                if let Some(cause) = cancel_cause_of(&e) {
-                    self.book_abort(cause);
-                }
-                Err(e)
-            }
-            Ok((states, mut stats)) => {
-                stats.queue_wait_ns = waited.as_nanos() as u64;
-                Ok((states, stats))
-            }
-        }
+        })
     }
 
     /// Admits one query and hands the closure a borrowed [`Engine`]
     /// over the shared backend — the escape hatch for app wrappers
-    /// (`fg_apps`-style functions taking `&Engine`) and multi-phase
-    /// runs that need several `run_with_states` calls under a single
-    /// admission.
+    /// (`fg_apps`-style functions generic over [`crate::GraphEngine`])
+    /// and multi-phase runs that need several `run_with_states` calls
+    /// under a single admission.
     ///
     /// Because the closure's return type is opaque, any [`RunStats`]
     /// it produces keeps `queue_wait_ns == 0`; the admission wait is
@@ -1022,24 +955,15 @@ impl GraphService {
     /// [`ServiceStatsSnapshot::queue_wait_ns`]. Use
     /// [`GraphService::run`] when the per-query wait matters.
     pub fn query<R>(&self, f: impl FnOnce(&Engine<'_>) -> R) -> R {
-        self.query_with(self.cfg.engine, f)
-    }
-
-    /// [`GraphService::query`] with a per-query configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded service (the closure is typed against the
-    /// single [`Engine`]); use [`GraphService::query_sharded_with`].
-    pub fn query_with<R>(&self, cfg: EngineConfig, f: impl FnOnce(&Engine<'_>) -> R) -> R {
-        self.query_opts(QueryOpts::new().with_engine(cfg), f)
+        self.query_opts(QueryOpts::new(), f)
             .expect("admission without a token cannot fail")
     }
 
-    /// [`GraphService::query`] with full per-query options. The
-    /// engine handed to the closure carries the query's token, so
-    /// `engine.run(...)` calls inside it error with
-    /// [`fg_types::FgError::Cancelled`] at the next iteration
+    /// [`GraphService::query`] with full per-query options — the entry
+    /// point of every kind of service: over k mounts the engine runs
+    /// one shard per mount. The engine handed to the closure carries
+    /// the query's token, so `engine.run(...)` calls inside it error
+    /// with [`fg_types::FgError::Cancelled`] at the next iteration
     /// boundary once the token fires.
     ///
     /// # Errors
@@ -1047,81 +971,35 @@ impl GraphService {
     /// [`fg_types::FgError::Cancelled`] /
     /// [`fg_types::FgError::DeadlineExpired`] when the token fires
     /// before admission (the closure then never runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a sharded service; use
-    /// [`GraphService::query_sharded_opts`].
     pub fn query_opts<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>) -> R) -> Result<R> {
-        let token = opts.cancel.clone().unwrap_or_default();
-        let (permit, _waited) = self.admit(&opts, &token)?;
-        let (backend, view) = self.pin_view(&opts);
-        let ServeBackend::Single { safs, index, .. } = backend.as_ref() else {
-            panic!("sharded service: use query_sharded / query_sharded_opts")
-        };
-        let cfg = opts.engine.unwrap_or(self.cfg.engine);
-        let engine = Engine::new_sem_shared(safs, Arc::clone(index), cfg)
-            .with_deltas(view)
-            .with_cancel(token);
-        let out = f(&engine);
-        drop(permit);
-        Ok(out)
+        self.serve(opts, |engine, _waited| f(engine))
     }
 
-    /// The sharded counterpart of [`GraphService::query`]: hands the
-    /// closure a borrowed [`ShardedEngine`] over the shared shard
-    /// mounts. With `fg_apps` generic over
-    /// [`crate::GraphEngine`], the same closures serve both.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-mount service.
-    pub fn query_sharded<R>(&self, f: impl FnOnce(&ShardedEngine<'_>) -> R) -> R {
-        self.query_sharded_with(self.cfg.engine, f)
-    }
-
-    /// [`GraphService::query_sharded`] with a per-query configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-mount service.
-    pub fn query_sharded_with<R>(
-        &self,
-        cfg: EngineConfig,
-        f: impl FnOnce(&ShardedEngine<'_>) -> R,
-    ) -> R {
-        self.query_sharded_opts(QueryOpts::new().with_engine(cfg), f)
-            .expect("admission without a token cannot fail")
-    }
-
-    /// [`GraphService::query_sharded`] with full per-query options
-    /// (the sharded twin of [`GraphService::query_opts`]).
-    ///
-    /// # Errors
-    ///
-    /// [`fg_types::FgError::Cancelled`] /
-    /// [`fg_types::FgError::DeadlineExpired`] when the token fires
-    /// before admission.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-mount service.
+    /// [`GraphService::query_opts`] under the name it had while
+    /// sharded services needed an entry point of their own.
+    #[doc(hidden)]
     pub fn query_sharded_opts<R>(
         &self,
         opts: QueryOpts,
-        f: impl FnOnce(&ShardedEngine<'_>) -> R,
+        f: impl FnOnce(&Engine<'_>) -> R,
     ) -> Result<R> {
+        self.query_opts(opts, f)
+    }
+
+    /// The one way in: admit, pin the view, build the engine, call,
+    /// release. The closure gets the engine and the admission wait.
+    fn serve<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>, Duration) -> R) -> Result<R> {
         let token = opts.cancel.clone().unwrap_or_default();
-        let (permit, _waited) = self.admit(&opts, &token)?;
+        let (permit, waited) = self.admit(&opts, &token)?;
+        // Snapshot isolation: pin (image generation, delta watermark)
+        // at admission — the run sees exactly this view no matter how
+        // much is ingested or compacted while it executes.
         let (backend, view) = self.pin_view(&opts);
-        let ServeBackend::Sharded { set, index, .. } = backend.as_ref() else {
-            panic!("single-mount service: use query / query_opts")
-        };
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
-        let engine = ShardedEngine::new_shared(set, Arc::clone(index), cfg)
+        let engine = Engine::over_mounts(backend.mounts(), Arc::clone(&backend.index), cfg)
             .with_deltas(view)
             .with_cancel(token);
-        let out = f(&engine);
+        let out = f(&engine, waited);
         drop(permit);
         Ok(out)
     }
@@ -1421,7 +1299,7 @@ fn cancel_cause_of(e: &fg_types::FgError) -> Option<CancelCause> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::VertexContext;
+    use crate::context::{Request, VertexContext};
     use crate::vertex::PageVertex;
     use fg_format::{
         load_index, required_capacity, required_capacity_with, write_image, write_image_with,
@@ -1447,7 +1325,7 @@ mod tests {
             if !state.visited {
                 state.visited = true;
                 state.level = ctx.iteration();
-                ctx.request_edges(v, EdgeDir::Out);
+                ctx.request(v, Request::edges(EdgeDir::Out));
             }
         }
 
@@ -1482,7 +1360,7 @@ mod tests {
             if !state.visited {
                 state.visited = true;
                 state.level = ctx.iteration();
-                ctx.request_edges(v, EdgeDir::Out);
+                ctx.request(v, Request::edges(EdgeDir::Out));
             }
         }
 
@@ -1533,7 +1411,7 @@ mod tests {
         fn run(&self, v: VertexId, state: &mut Collected, ctx: &mut VertexContext<'_, ()>) {
             if !state.started {
                 state.started = true;
-                ctx.request_edges(v, EdgeDir::Out);
+                ctx.request(v, Request::edges(EdgeDir::Out));
             }
         }
 

@@ -1,13 +1,16 @@
-//! Sharded execution: one engine per vertex-range shard, in lockstep.
+//! Sharded execution: one run body per vertex-range shard, in lockstep.
 //!
 //! A sharded image (see `fg_format::write_sharded_image`) splits the
-//! vertex range into N contiguous shards, each a complete image on
-//! its own array. [`ShardedEngine`] mounts run one [`crate::Engine`]
-//! per shard — each with its own mount, page cache, and I/O threads —
-//! so N arrays stream concurrently and the run sustains their
-//! *aggregate* device bandwidth.
+//! vertex range into k contiguous shards, each a complete image on
+//! its own array. An [`Engine`] over k mounts ([`Engine::new`];
+//! [`ShardedEngine`] names the same type) runs one shard per mount —
+//! each with its own page cache and I/O threads — so k arrays stream
+//! concurrently and the run sustains their *aggregate* device
+//! bandwidth. A single mount is the k = 1 case: [`Engine::run_detailed`]
+//! runs its only shard on the calling thread, with no bus, no group
+//! and no extra thread, and comes here only when there are peers.
 //!
-//! The engines cooperate through exactly two mechanisms:
+//! The shards of a k > 1 run cooperate through exactly two mechanisms:
 //!
 //! * the [`ShardBus`](crate::messages): messages/activations whose
 //!   destination vertex lives on a foreign shard buffer in per-worker
@@ -19,22 +22,16 @@
 //!   and once at the termination check, where the per-shard "quiet"
 //!   flags AND-reduce so every shard stops on the same iteration.
 //!
-//! Vertex *state* is never transferred: all shard engines run against
-//! one global [`SharedStates`], sound because each vertex's callbacks
-//! run only on its owning shard — the same exclusivity discipline the
-//! busy bitmap enforces inside one engine, extended across engines.
+//! Vertex *state* is never transferred: all shards run against one
+//! global [`SharedStates`], sound because each vertex's callbacks run
+//! only on its owning shard — the same exclusivity discipline the
+//! busy bitmap enforces inside one shard, extended across them.
 //! Foreign *edge lists* (TC-style neighbour reads) are served by a
 //! synchronous read of the owner's mount, routed by the
-//! [`ShardedIndex`].
+//! [`ShardedIndex`](fg_format::ShardedIndex).
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
-use fg_format::ShardedIndex;
-use fg_graph::DeltaView;
-use fg_safs::ShardSet;
-use fg_types::{CancelToken, FgError, Result, VertexId};
-
-use crate::config::EngineConfig;
 use crate::engine::{Engine, Init};
 use crate::messages::ShardBus;
 use crate::program::VertexProgram;
@@ -46,7 +43,7 @@ use crate::stats::RunStats;
 /// Vote rounds AND-reduce a per-shard flag (the termination check);
 /// plain rendezvous rounds are votes whose result nobody reads.
 ///
-/// A thread panic on any shard poisons the group (via the driver's
+/// A thread panic on any shard poisons the group (via [`run_shards`]'
 /// guard), and every waiter panics instead of deadlocking on a peer
 /// that will never arrive.
 ///
@@ -149,275 +146,73 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
-/// What a shard engine needs to reach its peers: the message bus and
-/// the rendezvous group. Handed into [`Engine::run_inner`] by the
-/// sharded driver; `None` for ordinary single-engine runs.
+/// What a shard needs to reach its peers: the message bus and the
+/// rendezvous group. Handed into [`Engine::run_shard`] by
+/// [`run_shards`]; `None` for runs without peers.
 pub(crate) struct ShardLink<'a, M> {
     pub bus: &'a ShardBus<M>,
     pub group: &'a ShardGroup,
 }
 
-/// N cooperating engines over a sharded image — the scale-out driver.
-///
-/// Mirrors the [`Engine`] surface (`run`, `run_with_states`, `config`,
-/// `reconfigured`) so applications run unchanged; results are
-/// bit-identical to a single engine over the unsharded image, and a
-/// 1-shard set reproduces it exactly.
-pub struct ShardedEngine<'g> {
-    set: &'g ShardSet,
-    index: Arc<ShardedIndex>,
-    cfg: EngineConfig,
-    /// One token shared by every shard engine of a run; each shard
-    /// votes its observation into the stop rendezvous (see
-    /// [`Engine::with_cancel`]), so all shards stop on one iteration.
-    cancel: Option<CancelToken>,
-    /// One pinned delta view shared by every shard engine (see
-    /// [`Engine::with_deltas`]); each shard overlays the subset of
-    /// ops touching subjects it reads.
-    deltas: Option<Arc<DeltaView>>,
-}
+/// An [`Engine`] over one mount per shard of a sharded image — the
+/// scale-out configuration, built with [`Engine::new`] /
+/// [`Engine::new_shared`]. Results are bit-identical to an engine over
+/// the unsharded image, and a 1-shard set reproduces it exactly.
+pub type ShardedEngine<'g> = Engine<'g>;
 
-impl std::fmt::Debug for ShardedEngine<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEngine")
-            .field("vertices", &self.index.num_vertices())
-            .field("shards", &self.index.num_shards())
-            .finish_non_exhaustive()
-    }
-}
+/// The k > 1 driver: one thread per shard of `engine`, each running
+/// [`Engine::run_shard`] against the shared `states` with a link to
+/// its peers; returns every shard's stats, in shard order. The caller
+/// has validated seeds and state-vector length — a shard that errored
+/// out before its first rendezvous would leave its peers waiting
+/// forever — and surfaces cancellation only after this returns, when
+/// every shard thread has joined.
+pub(crate) fn run_shards<P: VertexProgram>(
+    engine: &Engine<'_>,
+    program: &P,
+    init: &Init,
+    states: &SharedStates<P::State>,
+) -> Vec<RunStats> {
+    let shards = engine.num_shards();
+    let bus: ShardBus<P::Msg> = ShardBus::new(shards);
+    let group = ShardGroup::new(shards);
+    let per_shard: Mutex<Vec<Option<RunStats>>> = Mutex::new(vec![None; shards]);
 
-impl<'g> ShardedEngine<'g> {
-    /// A sharded engine over one mount per shard of `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the mount count differs from the shard count.
-    pub fn new(set: &'g ShardSet, index: ShardedIndex, cfg: EngineConfig) -> Self {
-        Self::new_shared(set, Arc::new(index), cfg)
-    }
-
-    /// Like [`ShardedEngine::new`] but sharing an already-`Arc`ed
-    /// index.
-    pub fn new_shared(set: &'g ShardSet, index: Arc<ShardedIndex>, cfg: EngineConfig) -> Self {
-        assert_eq!(
-            set.len(),
-            index.num_shards(),
-            "one mount per shard of the index"
-        );
-        ShardedEngine {
-            set,
-            index,
-            cfg,
-            cancel: None,
-            deltas: None,
+    std::thread::scope(|scope| {
+        for s in 0..shards {
+            let (bus, group, per_shard) = (&bus, &group, &per_shard);
+            scope.spawn(move || {
+                let _guard = PoisonGuard(group);
+                let link = ShardLink { bus, group };
+                let stats = engine.run_shard(program, init, states, s, Some(&link));
+                per_shard.lock().unwrap()[s] = Some(stats);
+            });
         }
-    }
+    });
 
-    /// Global number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.index.num_vertices()
-    }
-
-    /// Number of shards (= cooperating engines per run).
-    pub fn num_shards(&self) -> usize {
-        self.index.num_shards()
-    }
-
-    /// The engine configuration every shard runs under.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// A new driver over the same mounts with a different
-    /// configuration.
-    pub fn reconfigured(&self, cfg: EngineConfig) -> ShardedEngine<'g> {
-        ShardedEngine {
-            set: self.set,
-            index: Arc::clone(&self.index),
-            cfg,
-            cancel: self.cancel.clone(),
-            deltas: self.deltas.clone(),
-        }
-    }
-
-    /// Attaches a cancellation token shared by every shard of a run.
-    /// Cancellation travels through the stop rendezvous exactly like
-    /// termination, so every shard stops on the same iteration and no
-    /// shard blocks on a cancelled peer; the run then errors with
-    /// [`FgError::Cancelled`] / [`FgError::DeadlineExpired`].
-    #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches a pinned delta view, forwarded to every shard engine
-    /// of a run — see [`Engine::with_deltas`]. An empty view is
-    /// dropped so frozen-image runs keep their fast paths.
-    #[must_use]
-    pub fn with_deltas(mut self, view: Arc<DeltaView>) -> Self {
-        self.deltas = (!view.is_empty()).then_some(view);
-        self
-    }
-
-    /// Executes `program` to convergence across all shards, returning
-    /// the global state vector and the aggregate statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FgError::VertexOutOfRange`] for bad seeds.
-    pub fn run<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        let n = self.num_vertices();
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            states.push(program.init_state(VertexId::from_index(i)));
-        }
-        self.run_with_states(program, init, states)
-    }
-
-    /// Like [`ShardedEngine::run`] but resuming from caller-provided
-    /// states.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FgError::VertexOutOfRange`] for bad seeds and
-    /// [`FgError::InvalidRequest`] for a state vector of the wrong
-    /// length.
-    pub fn run_with_states<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-        states: Vec<P::State>,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        let (states, total, _) = self.run_detailed(program, init, states)?;
-        Ok((states, total))
-    }
-
-    /// The full-detail run: global states, the aggregate
-    /// [`RunStats`] roll-up, and each shard's own stats (whose
-    /// summed counters equal the aggregate's — the invariant
-    /// `RunStats::absorb` maintains).
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedEngine::run_with_states`].
-    pub fn run_detailed<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-        states: Vec<P::State>,
-    ) -> Result<(Vec<P::State>, RunStats, Vec<RunStats>)> {
-        let n = self.num_vertices();
-        let shards = self.num_shards();
-        // Every validation an engine performs must happen *before*
-        // the shard threads start: an engine that errors out before
-        // its first rendezvous would leave its peers waiting forever.
-        if states.len() != n {
-            return Err(FgError::InvalidRequest(format!(
-                "state vector has {} entries for {} vertices",
-                states.len(),
-                n
-            )));
-        }
-        if let Init::Seeds(seeds) = &init {
-            for s in seeds {
-                if s.index() >= n {
-                    return Err(FgError::VertexOutOfRange {
-                        vertex: s.0 as u64,
-                        num_vertices: n as u64,
-                    });
-                }
-            }
-        }
-
-        let shared = SharedStates::new(states);
-        let bus: ShardBus<P::Msg> = ShardBus::new(shards);
-        let group = ShardGroup::new(shards);
-        let per_shard: Mutex<Vec<Option<RunStats>>> = Mutex::new(vec![None; shards]);
-
-        std::thread::scope(|scope| {
-            for s in 0..shards {
-                let init = init.clone();
-                let (shared, bus, group, per_shard) = (&shared, &bus, &group, &per_shard);
-                scope.spawn(move || {
-                    let _guard = PoisonGuard(group);
-                    let mut engine =
-                        Engine::new_shard(self.set, Arc::clone(&self.index), s, self.cfg);
-                    if let Some(token) = &self.cancel {
-                        engine = engine.with_cancel(token.clone());
-                    }
-                    if let Some(view) = &self.deltas {
-                        engine = engine.with_deltas(Arc::clone(view));
-                    }
-                    let link = ShardLink { bus, group };
-                    let stats = engine
-                        .run_inner(program, init, shared, Some(&link))
-                        .expect("sharded runs are pre-validated");
-                    per_shard.lock().unwrap()[s] = Some(stats);
-                });
-            }
-        });
-
-        let per_shard: Vec<RunStats> = per_shard
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|s| s.expect("every shard reports"))
-            .collect();
-        let mut total = per_shard[0].clone();
-        for s in &per_shard[1..] {
-            total.absorb(s);
-        }
-        debug_assert_eq!(bus.pending(), 0, "bus drained at termination");
-        debug_assert_eq!(
-            total.shard_msg_bytes,
-            bus.bytes_sent(),
-            "per-engine byte accounting covers exactly the bus traffic"
-        );
-        // Cancellation surfaces here — *after* every shard thread has
-        // joined and the group is retired — never inside a shard
-        // thread, where an early `Err` would poison peers mid-round.
-        if let Some(cause) = total.cancelled {
-            return Err(cause.into());
-        }
-        Ok((shared.into_inner(), total, per_shard))
-    }
-}
-
-impl crate::engine::GraphEngine for ShardedEngine<'_> {
-    fn num_vertices(&self) -> usize {
-        ShardedEngine::num_vertices(self)
-    }
-
-    fn config(&self) -> &EngineConfig {
-        ShardedEngine::config(self)
-    }
-
-    fn reconfigured(&self, cfg: EngineConfig) -> Self {
-        ShardedEngine::reconfigured(self, cfg)
-    }
-
-    fn run<P: VertexProgram>(&self, program: &P, init: Init) -> Result<(Vec<P::State>, RunStats)> {
-        ShardedEngine::run(self, program, init)
-    }
-
-    fn run_with_states<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-        states: Vec<P::State>,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        ShardedEngine::run_with_states(self, program, init, states)
-    }
+    let per_shard: Vec<RunStats> = per_shard
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .map(|s| s.expect("every shard reports"))
+        .collect();
+    debug_assert_eq!(bus.pending(), 0, "bus drained at termination");
+    debug_assert_eq!(
+        per_shard.iter().map(|s| s.shard_msg_bytes).sum::<u64>(),
+        bus.bytes_sent(),
+        "per-shard byte accounting covers exactly the bus traffic"
+    );
+    per_shard
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
+    use fg_format::ShardedIndex;
+    use fg_safs::ShardSet;
+    use fg_types::VertexId;
+    use std::sync::Arc;
 
     #[test]
     fn group_rendezvous_releases_all() {

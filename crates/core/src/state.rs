@@ -6,12 +6,10 @@
 //!
 //! 1. during the compute phase every callback for a vertex runs
 //!    under that vertex's *busy bit* (`AtomicBitmap::set_sync` /
-//!    `clear_sync`, an AcqRel fetch-or/fetch-and pair). Under the
-//!    lock-step scheduler the bit is uncontended — a vertex is
-//!    claimed by exactly one worker via an atomic cursor and all its
-//!    callbacks run there. Under the pipelined scheduler a delivery
-//!    may execute on *any* worker (pulled from the shared ready
-//!    pool), so the bit is load-bearing twice over: it makes
+//!    `clear_sync`, an AcqRel fetch-or/fetch-and pair). A vertex is
+//!    claimed by exactly one worker via an atomic cursor, but a
+//!    delivery may execute on *any* worker (pulled from the shared
+//!    ready pool), so the bit is load-bearing twice over: it makes
 //!    callbacks for one vertex mutually exclusive, and its
 //!    release/acquire pair publishes each callback's state writes to
 //!    whichever worker runs the next one;

@@ -120,11 +120,10 @@ pub struct RunStats {
     /// Why the run stopped before converging, when it did: a
     /// [`fg_types::CancelToken`] fired at an iteration boundary.
     /// `None` for runs that converged (or hit their iteration cap).
-    /// The driver layers (`Engine::run`, `ShardedEngine::run`,
-    /// [`crate::GraphService`]) turn this into the matching
-    /// [`fg_types::FgError`]; it is visible here so sharded per-shard
-    /// stats can carry the verdict out of their threads without
-    /// poisoning the rendezvous group.
+    /// The driver layers (`Engine::run`, [`crate::GraphService`]) turn
+    /// this into the matching [`fg_types::FgError`]; it is visible
+    /// here so per-shard stats can carry the verdict out of their
+    /// threads without poisoning the rendezvous group.
     pub cancelled: Option<CancelCause>,
     /// Per-iteration trace.
     pub per_iteration: Vec<IterStats>,

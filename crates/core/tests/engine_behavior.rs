@@ -63,7 +63,7 @@ impl VertexProgram for Bfs {
         if !state.visited {
             state.visited = true;
             state.level = ctx.iteration();
-            ctx.request_edges(v, EdgeDir::Out);
+            ctx.request(v, Request::edges(EdgeDir::Out));
         }
     }
 
@@ -154,7 +154,7 @@ impl VertexProgram for SumIds {
     fn run(&self, v: VertexId, state: &mut SumState, ctx: &mut VertexContext<'_, u32>) {
         if !state.done {
             state.done = true;
-            ctx.request_edges(v, EdgeDir::Out);
+            ctx.request(v, Request::edges(EdgeDir::Out));
         }
     }
 
@@ -299,7 +299,7 @@ impl VertexProgram for NeighborDegrees {
     fn run(&self, v: VertexId, state: &mut NdState, ctx: &mut VertexContext<'_, ()>) {
         if !state.started {
             state.started = true;
-            ctx.request_edges(v, EdgeDir::Out);
+            ctx.request(v, Request::edges(EdgeDir::Out));
         }
     }
 
@@ -312,7 +312,7 @@ impl VertexProgram for NeighborDegrees {
     ) {
         if vertex.id() == v {
             for w in vertex.edges() {
-                ctx.request_edges(w, EdgeDir::Out);
+                ctx.request(w, Request::edges(EdgeDir::Out));
             }
         } else {
             state.total += vertex.degree() as u64;
@@ -352,7 +352,7 @@ impl VertexProgram for WeightSum {
     fn run(&self, v: VertexId, state: &mut WsState, ctx: &mut VertexContext<'_, ()>) {
         if !state.started {
             state.started = true;
-            ctx.request_edges_with_attrs(v, EdgeDir::Out);
+            ctx.request(v, Request::edges(EdgeDir::Out).with_attrs());
         }
     }
 
@@ -399,7 +399,7 @@ impl VertexProgram for InDegreeViaEdges {
     fn run(&self, v: VertexId, state: &mut IdState, ctx: &mut VertexContext<'_, ()>) {
         if !state.started {
             state.started = true;
-            ctx.request_edges(v, EdgeDir::Both);
+            ctx.request(v, Request::edges(EdgeDir::Both));
         }
     }
 
@@ -865,8 +865,9 @@ fn single_position_probes_expose_page_rounding_waste() {
 
 #[test]
 fn wrappers_and_first_class_requests_are_equivalent() {
-    // request_edges / request_edges_with_attrs are documented one-line
-    // wrappers over ctx.request: identical stats and results.
+    // A request with no range (what the removed `request_edges*`
+    // wrappers built) and one whose range covers the whole list are the
+    // same request: identical stats and results.
     struct Wrapped;
     #[derive(Default, Clone)]
     struct WState {
@@ -879,7 +880,7 @@ fn wrappers_and_first_class_requests_are_equivalent() {
         fn run(&self, v: VertexId, state: &mut WState, ctx: &mut VertexContext<'_, ()>) {
             if !state.started {
                 state.started = true;
-                ctx.request_edges(v, EdgeDir::Out);
+                ctx.request(v, Request::edges(EdgeDir::Out));
             }
         }
         fn run_on_vertex(
@@ -889,7 +890,7 @@ fn wrappers_and_first_class_requests_are_equivalent() {
             vertex: &PageVertex<'_>,
             _ctx: &mut VertexContext<'_, ()>,
         ) {
-            assert_eq!(vertex.offset(), 0, "wrappers request whole lists");
+            assert_eq!(vertex.offset(), 0, "an unranged request is the whole list");
             state.sum += vertex.edges().map(|e| e.0 as u64).sum::<u64>();
         }
     }
@@ -1195,10 +1196,10 @@ fn streamed_sweep_does_not_evict_or_pollute_the_cache() {
 fn per_iteration_io_sums_to_run_totals_under_stealing() {
     // An unbalanced graph (all edges on low ids) so stealing actually
     // moves I/O between workers mid-iteration; the quiesced boundary
-    // snapshots must still partition the run totals exactly. Checked
-    // under both schedulers: the pipelined loop has no intra-iteration
-    // barriers, so its only quiesced points are the completion-counted
-    // iteration boundaries — exactly where the snapshots are taken.
+    // snapshots must still partition the run totals exactly. The
+    // pipelined loop has no intra-iteration barriers, so its only
+    // quiesced points are the completion-counted iteration boundaries
+    // — exactly where the snapshots are taken.
     let mut b = fg_graph::GraphBuilder::directed();
     for i in 0..300u32 {
         for j in 0..8u32 {
@@ -1207,46 +1208,43 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
     }
     b.reserve_vertices(2048);
     let g = b.build();
-    for pipeline in [true, false] {
-        let cfg = EngineConfig {
-            num_threads: 4,
-            work_stealing: true,
-            vertical_parts: 2,
-            ..EngineConfig::small()
-        }
-        .with_pipeline(pipeline);
-        let (safs, index) = sem_fixture(&g, SafsConfig::default());
-        let engine = Engine::new_sem(&safs, index, cfg);
-        let (_, stats) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
-        let io = stats.io.as_ref().expect("sem mode");
-        let sums = stats
-            .per_iteration
-            .iter()
-            .fold((0u64, 0u64, 0u64, 0u64, 0u64), |a, it| {
-                (
-                    a.0 + it.read_requests,
-                    a.1 + it.bytes_read,
-                    a.2 + it.bytes_requested,
-                    a.3 + it.edges_delivered,
-                    a.4 + it.issued_requests,
-                )
-            });
-        assert_eq!(sums.0, io.read_requests, "read_requests must sum exactly");
-        assert_eq!(sums.1, io.bytes_read, "bytes_read must sum exactly");
-        assert_eq!(
-            sums.2, stats.bytes_requested,
-            "bytes_requested must sum exactly"
-        );
-        assert_eq!(
-            sums.3, stats.edges_delivered,
-            "edges_delivered must sum exactly"
-        );
-        assert_eq!(
-            sums.4, stats.issued_requests,
-            "issued_requests must sum exactly (pipeline={pipeline})"
-        );
-        assert!(stats.per_iteration.len() as u32 == stats.iterations);
-    }
+    let cfg = EngineConfig {
+        num_threads: 4,
+        work_stealing: true,
+        vertical_parts: 2,
+        ..EngineConfig::small()
+    };
+    let (safs, index) = sem_fixture(&g, SafsConfig::default());
+    let engine = Engine::new_sem(&safs, index, cfg);
+    let (_, stats) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+    let io = stats.io.as_ref().expect("sem mode");
+    let sums = stats
+        .per_iteration
+        .iter()
+        .fold((0u64, 0u64, 0u64, 0u64, 0u64), |a, it| {
+            (
+                a.0 + it.read_requests,
+                a.1 + it.bytes_read,
+                a.2 + it.bytes_requested,
+                a.3 + it.edges_delivered,
+                a.4 + it.issued_requests,
+            )
+        });
+    assert_eq!(sums.0, io.read_requests, "read_requests must sum exactly");
+    assert_eq!(sums.1, io.bytes_read, "bytes_read must sum exactly");
+    assert_eq!(
+        sums.2, stats.bytes_requested,
+        "bytes_requested must sum exactly"
+    );
+    assert_eq!(
+        sums.3, stats.edges_delivered,
+        "edges_delivered must sum exactly"
+    );
+    assert_eq!(
+        sums.4, stats.issued_requests,
+        "issued_requests must sum exactly"
+    );
+    assert!(stats.per_iteration.len() as u32 == stats.iterations);
 }
 
 #[test]

@@ -134,6 +134,11 @@ impl ShardedIndex {
             "{v} out of sharded image of {} vertices",
             self.num_vertices()
         );
+        // A single mount is the one-shard image, and its every request
+        // routes through here: nothing to search for.
+        if self.shards.len() == 1 {
+            return 0;
+        }
         // bounds is ascending with bounds[0] == 0: the owning shard is
         // the last bound <= v.
         self.bounds.partition_point(|&b| b <= v.0) - 1

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use fg_types::sync::Counter;
 use parking_lot::Mutex;
-use serde::Serialize;
 
 use crate::page::Page;
 
@@ -64,7 +63,7 @@ impl CacheStats {
 }
 
 /// A point-in-time copy of [`CacheStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
     /// Counted lookups (always `hits + misses`).
     pub lookups: u64,

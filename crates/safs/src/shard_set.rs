@@ -79,6 +79,11 @@ impl ShardSet {
         &self.mounts[s]
     }
 
+    /// The mounts in shard order.
+    pub fn as_slice(&self) -> &[Safs] {
+        &self.mounts
+    }
+
     /// Iterates the mounts in shard order.
     pub fn iter(&self) -> impl Iterator<Item = &Safs> {
         self.mounts.iter()
@@ -109,8 +114,18 @@ impl ShardSet {
 
     /// Aggregate page-cache statistics across all shard caches.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        let mut agg = self.mounts[0].cache_stats();
-        for m in &self.mounts[1..] {
+        Self::cache_stats_of(&self.mounts)
+    }
+
+    /// [`ShardSet::cache_stats`] over any mounts — a lone mount seen
+    /// as a slice of one aggregates like a set of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mounts` is empty.
+    pub fn cache_stats_of(mounts: &[Safs]) -> CacheStatsSnapshot {
+        let mut agg = mounts[0].cache_stats();
+        for m in &mounts[1..] {
             agg.absorb(&m.cache_stats());
         }
         agg

@@ -1,7 +1,6 @@
 //! Simulator configuration.
 
 use fg_types::{FgError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Performance model of one simulated SSD.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// drive) while large sequential reads approach 4 KB / 8 µs = 512 MB/s
 /// — a 2.5× random-vs-sequential gap, inside the 2–3× band the paper
 /// cites for commodity SSDs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SsdSpec {
     /// Fixed cost charged to every request (command overhead, FTL
     /// lookup, flash read latency not overlapped by striping).
@@ -63,7 +62,7 @@ impl Default for SsdSpec {
 }
 
 /// Configuration of a striped SSD array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayConfig {
     /// Number of drives. The paper's testbed has 15.
     pub num_ssds: usize,

@@ -1,7 +1,6 @@
 //! Atomic I/O accounting shared by all threads touching an array.
 
 use fg_types::sync::Counter;
-use serde::Serialize;
 
 /// Live counters for an [`crate::SsdArray`].
 ///
@@ -160,7 +159,7 @@ impl IoStats {
 }
 
 /// A point-in-time copy of [`IoStats`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoStatsSnapshot {
     /// Read requests issued to drives (after any merging upstream).
     pub read_requests: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which edge list of a directed vertex an operation touches.
 ///
 /// FlashGraph stores the in-edge and out-edge lists of a vertex
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(EdgeDir::Both.covers(EdgeDir::In));
 /// assert!(!EdgeDir::Out.covers(EdgeDir::In));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeDir {
     /// The in-edge list: sources of edges pointing at the vertex.
     In,

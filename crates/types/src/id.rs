@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A vertex identifier.
 ///
 /// FlashGraph uses dense 32-bit vertex ids: the vertices of a graph
@@ -26,9 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(VertexId::from_index(7), v);
 /// assert_eq!(format!("{v}"), "7");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);
 

@@ -350,8 +350,8 @@ fn apps_match_union_oracle_across_backends_and_formats() {
                     svc2.ingest(&to_batch(noise)).unwrap();
                 });
                 let at_w = || QueryOpts::new().at_watermark(w);
-                let (bfs, pr, wcc, tc) = if sharded {
-                    svc.query_sharded_opts(at_w(), |e| {
+                let (bfs, pr, wcc, tc) = svc
+                    .query_opts(at_w(), |e| {
                         (
                             fg_apps::bfs(e, VertexId(0)).unwrap().0,
                             fg_apps::pagerank(e, 0.85, 0.0, 30).unwrap().0,
@@ -359,18 +359,7 @@ fn apps_match_union_oracle_across_backends_and_formats() {
                             fg_apps::triangle_count(e, false).unwrap().0,
                         )
                     })
-                    .unwrap()
-                } else {
-                    svc.query_opts(at_w(), |e| {
-                        (
-                            fg_apps::bfs(e, VertexId(0)).unwrap().0,
-                            fg_apps::pagerank(e, 0.85, 0.0, 30).unwrap().0,
-                            fg_apps::wcc(e).unwrap().0,
-                            fg_apps::triangle_count(e, false).unwrap().0,
-                        )
-                    })
-                    .unwrap()
-                };
+                    .unwrap();
                 assert_eq!(bfs, want_bfs, "bfs diverged ({label})");
                 for v in union.vertices() {
                     assert!(
@@ -384,6 +373,90 @@ fn apps_match_union_oracle_across_backends_and_formats() {
                 assert_eq!(tc, want_tc, "triangle count diverged ({label})");
             });
         }
+    }
+}
+
+#[test]
+fn a_one_shard_set_canonicalizes_like_the_single_mount() {
+    // `ImageBase` has one arm: route the source to (shard, local id),
+    // read that mount. Over a 1-shard set it must canonicalize every
+    // op exactly as over a single mount — same effective ops in the
+    // log, same union served.
+    let g = gen::rmat(8, 6, gen::RmatSkew::default(), 0xC0DE);
+    let n = g.num_vertices() as u32;
+    // Removes of present and absent edges, adds of new and present
+    // ones, and a second batch that undoes part of the first.
+    let mut first = Vec::new();
+    for v in g.vertices().step_by(3) {
+        match g.out_neighbors(v).first() {
+            Some(&dst) => first.push((v.0, dst.0, 0)),
+            None => first.push((v.0, (v.0 + 1) % n, 0)),
+        }
+        first.push((v.0, (v.0 * 5 + 3) % n, 1));
+    }
+    let second: Vec<_> = first
+        .iter()
+        .step_by(2)
+        .map(|&(s, d, op)| (s, d, 1 - op))
+        .collect();
+    let batches = [first, second];
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        let single = single_service(&g, &opts);
+        let one = sharded_service(&g, &opts, 1);
+        let want = ingest_all(&g, &batches, &single);
+        ingest_all(&g, &batches, &one);
+        let label = format!("{:?}", opts.format);
+        assert_eq!(single.watermark(), one.watermark(), "{label}");
+        assert_eq!(single.pending_deltas(), one.pending_deltas(), "{label}");
+        check_against(&single, &want, ScanMode::Selective, &label).unwrap();
+        check_against(&one, &want, ScanMode::Selective, &label).unwrap();
+    }
+}
+
+#[test]
+fn a_one_shard_set_compacts_into_a_single_mount() {
+    // `compact_with` asks how many mounts serve the generation, not
+    // how they were handed over: a set of one rewrites like the single
+    // mount it is. Generation 1 is a lone mount — `safs()` answers,
+    // `shard_set()` no longer does — and ingest, queries and the next
+    // compaction carry on against it.
+    let g = gen::rmat(8, 6, gen::RmatSkew::default(), 0xC0DE);
+    let n = g.num_vertices() as u32;
+    let mut first = Vec::new();
+    for v in g.vertices().step_by(3) {
+        if let Some(&dst) = g.out_neighbors(v).first() {
+            first.push((v.0, dst.0, 0));
+        }
+        first.push((v.0, (v.0 * 5 + 3) % n, 1));
+    }
+    let undo: Vec<_> = first
+        .iter()
+        .step_by(2)
+        .map(|&(s, d, op)| (s, d, 1 - op))
+        .collect();
+    let provision = |need| SsdArray::new_mem(ArrayConfig::small_test(), need);
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        let label = format!("{:?}", opts.format);
+        let one = sharded_service(&g, &opts, 1);
+        let merged = ingest_all(&g, std::slice::from_ref(&first), &one);
+        assert!(one.shard_set().is_some(), "{label}");
+        assert_eq!(one.compact_with(provision).unwrap(), 1, "{label}");
+        assert_eq!(one.generation(), 1, "{label}");
+        assert_eq!(one.pending_deltas(), 0, "{label}");
+        assert!(one.shard_set().is_none(), "{label}");
+        let gen1 = one.safs();
+        for mode in [ScanMode::Selective, ScanMode::Stream] {
+            check_against(&one, &merged, mode, &label).unwrap();
+        }
+        assert!(
+            gen1.cache_stats().lookups > 0,
+            "{label}: queries read through the handle safs() returned"
+        );
+        // The new image is the canonicalization base from here on.
+        let undone = ingest_all(&merged, std::slice::from_ref(&undo), &one);
+        check_against(&one, &undone, ScanMode::Selective, &label).unwrap();
+        assert_eq!(one.compact_with(provision).unwrap(), 2, "{label}");
+        check_against(&one, &undone, ScanMode::Selective, &label).unwrap();
     }
 }
 

@@ -323,11 +323,12 @@ proptest! {
         // The pipelined scheduler relaxes *when* callbacks run (as
         // pages land, across vertical passes, possibly stolen by
         // another worker) but must never change *what* a program
-        // observes: against the lock-step barrier scheduler on the
-        // same image, every scan mode must produce bit-identical
-        // per-vertex states and deliver exactly the same edges. The
-        // CI stress job re-runs this with FG_IMAGE_FORMAT=compressed,
-        // covering both image formats.
+        // observes: against the in-memory engine on the same graph —
+        // the referee the lock-step barrier scheduler used to stand in
+        // for — every scan mode, worker count and vertical-pass count
+        // must produce bit-identical per-vertex states and deliver
+        // exactly the same edges. The CI stress job re-runs this with
+        // FG_IMAGE_FORMAT=compressed, covering both image formats.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
         let n = g.num_vertices() as u32;
         let mut seeds: Vec<VertexId> = raw_seeds.iter().map(|&s| VertexId(s % n)).collect();
@@ -335,7 +336,7 @@ proptest! {
         seeds.dedup();
 
         for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-            let base = EngineConfig {
+            let cfg = EngineConfig {
                 num_threads: nthreads,
                 work_stealing: true,
                 vertical_parts: vparts,
@@ -343,14 +344,12 @@ proptest! {
             }
             .with_scan_mode(mode);
 
-            let (safs, index) = sem_mount(&g);
-            let barrier = Engine::new_sem(&safs, index, base.with_pipeline(false));
-            let (want, want_stats) =
-                barrier.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
+            let mem = Engine::new_mem(&g, cfg);
+            let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
             let (safs, index) = sem_mount(&g);
-            let piped = Engine::new_sem(&safs, index, base.with_pipeline(true));
-            let (got, stats) = piped.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
+            let sem = Engine::new_sem(&safs, index, cfg);
+            let (got, stats) = sem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
             for v in g.vertices() {
                 prop_assert_eq!(&got[v.index()], &want[v.index()]);
