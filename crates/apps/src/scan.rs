@@ -75,22 +75,34 @@ impl ScanProgram {
             self.pruned_after_own.inc();
             return;
         }
-        state.pending_edges = own
+        // Neighbours with no out-edges (sinks of a directed image) are
+        // not asked for: nothing to count, and their empty deliveries
+        // would not move `pending_edges`.
+        let targets: Vec<(u32, u64)> = own
             .iter()
-            .map(|&u| ctx.degree(VertexId(u), EdgeDir::Out))
-            .sum();
+            .map(|&u| (u, ctx.degree(VertexId(u), EdgeDir::Out)))
+            .filter(|&(_, du)| du > 0)
+            .collect();
+        state.pending_edges = targets.iter().map(|&(_, du)| du).sum();
         state.edges_in_neighborhood = 0;
         state.own = Some(own.into_boxed_slice());
-        let targets: Vec<VertexId> = state
-            .own
-            .as_deref()
-            .unwrap()
-            .iter()
-            .map(|&u| VertexId(u))
-            .collect();
-        for u in targets {
-            ctx.request(u, Request::edges(EdgeDir::Out));
+        for &(u, _) in &targets {
+            ctx.request(VertexId(u), Request::edges(EdgeDir::Out));
         }
+        // Every neighbour a sink: nothing to wait for.
+        self.maybe_publish(state);
+    }
+
+    /// Publishes the statistic and releases the own list once no
+    /// neighbour slice is outstanding.
+    fn maybe_publish(&self, state: &mut ScanState) {
+        if state.pending_edges > 0 {
+            return;
+        }
+        let own = state.own.take().expect("own list held while pending");
+        let scan = own.len() as u64 + state.edges_in_neighborhood / 2;
+        state.scan = Some(scan);
+        self.raise(scan);
     }
 }
 
@@ -143,13 +155,7 @@ impl VertexProgram for ScanProgram {
                 }
             }
             state.pending_edges -= vertex.degree() as u64;
-            if state.pending_edges == 0 {
-                let own_len = own.len() as u64;
-                let scan = own_len + state.edges_in_neighborhood / 2;
-                state.scan = Some(scan);
-                state.own = None;
-                self.raise(scan);
-            }
+            self.maybe_publish(state);
         }
     }
 }

@@ -76,13 +76,19 @@ impl TcProgram {
         let lo = (part as u64 * span) as u32;
         let hi = ((part as u64 + 1) * span).min(n) as u32;
         let own = state.own.as_deref().expect("own assembled before fan-out");
-        let wanted: Vec<u32> = own.iter().copied().filter(|&w| w >= lo && w < hi).collect();
-        state.fanned += 1;
-        state.pending_edges += wanted
+        // A neighbour with no out-edges (a sink of a directed image)
+        // has nothing to intersect and is not asked for: its empty
+        // delivery would add nothing to `pending_edges`, so it could
+        // arrive after `own` was released.
+        let wanted: Vec<(u32, u64)> = own
             .iter()
-            .map(|&w| ctx.degree(VertexId(w), EdgeDir::Out))
-            .sum::<u64>();
-        for &w in &wanted {
+            .filter(|&&w| w >= lo && w < hi)
+            .map(|&w| (w, ctx.degree(VertexId(w), EdgeDir::Out)))
+            .filter(|&(_, d)| d > 0)
+            .collect();
+        state.fanned += 1;
+        state.pending_edges += wanted.iter().map(|&(_, d)| d).sum::<u64>();
+        for &(w, _) in &wanted {
             ctx.request(VertexId(w), Request::edges(EdgeDir::Out));
         }
         Self::maybe_release(state, ctx);

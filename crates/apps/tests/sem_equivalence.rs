@@ -13,13 +13,23 @@ use flashgraph::{Engine, EngineConfig};
 /// stress job re-runs this suite with `FG_IMAGE_FORMAT=compressed`
 /// (delta-varint edge blocks), which this fixture honours.
 fn sem_fixture(g: &Graph) -> (Safs, fg_format::GraphIndex) {
+    let (safs, index, _) = sem_fixture_with(g, |_| SafsConfig::default());
+    (safs, index)
+}
+
+/// [`sem_fixture`] with the SAFS config chosen from the image's size
+/// in bytes, which is returned too.
+fn sem_fixture_with(
+    g: &Graph,
+    cfg: impl FnOnce(u64) -> SafsConfig,
+) -> (Safs, fg_format::GraphIndex, u64) {
     let opts = WriteOptions::from_env();
-    let array =
-        SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(g, &opts)).unwrap();
+    let image = required_capacity_with(g, &opts);
+    let array = SsdArray::new_mem(ArrayConfig::small_test(), image).unwrap();
     write_image_with(g, &array, &opts).unwrap();
     let (_, index) = load_index(&array).unwrap();
-    let safs = Safs::new(SafsConfig::default(), array).unwrap();
-    (safs, index)
+    let safs = Safs::new(cfg(image), array).unwrap();
+    (safs, index, image)
 }
 
 fn directed_graph() -> Graph {
@@ -27,7 +37,10 @@ fn directed_graph() -> Graph {
 }
 
 fn undirected_graph() -> Graph {
-    let d = gen::rmat(8, 5, gen::RmatSkew::default(), 99);
+    symmetrized(&gen::rmat(8, 5, gen::RmatSkew::default(), 99))
+}
+
+fn symmetrized(d: &Graph) -> Graph {
     let mut b = GraphBuilder::undirected();
     for (s, t) in d.edges() {
         b.add_edge(s, t);
@@ -108,6 +121,35 @@ fn tc_equivalent_and_correct() {
 }
 
 #[test]
+fn tc_reads_pages_it_still_holds_from_memory_not_the_device() {
+    // The device ledger of "held pages stay hits": TC keeps thousands
+    // of neighbour-list requests in flight, whose spans pin nearly the
+    // whole image while a cache a thirteenth its size churns beside
+    // them. A page some span still holds must not be read again, so a
+    // pass costs a few images of device traffic (1–2.5 here on an idle
+    // host, 4 at worst with every core hogged: how long spans live is
+    // scheduling) — not the 30 it cost on this graph, 137 on the
+    // ledger's, when eviction made held pages invisible.
+    let g = symmetrized(&gen::rmat(12, 8, gen::RmatSkew::default(), 0x7C));
+    let (safs, index, image) = sem_fixture_with(&g, |image| {
+        SafsConfig::default().with_cache_bytes(image / 13)
+    });
+    safs.reset_stats();
+    let sem = Engine::new_sem(&safs, index, EngineConfig::default().with_threads(2));
+    let (got, _, stats) = fg_apps::triangle_count(&sem, false).unwrap();
+    assert_eq!(got, fg_baselines::direct::triangle_count(&g));
+    let read = stats.io.unwrap().bytes_read;
+    assert!(read > 0, "a cold pass reads the image from the device");
+    assert!(
+        read < 8 * image,
+        "{read} device bytes for an image of {image}"
+    );
+    let cache = safs.cache_stats();
+    assert!(cache.pinned_hits > 0, "evicted-and-held pages served hits");
+    assert_eq!(cache.lookups, cache.hits + cache.misses);
+}
+
+#[test]
 fn tc_with_vertical_partitioning_equivalent() {
     let g = undirected_graph();
     let want = fg_baselines::direct::triangle_count(&g);
@@ -126,6 +168,44 @@ fn scan_statistics_equivalent() {
     let sem = Engine::new_sem(&safs, index, EngineConfig::small());
     let (res, _) = fg_apps::scan_statistics(&sem).unwrap();
     assert_eq!(res.max_scan, want);
+}
+
+/// Vertices with in-edges and no out-edges: a neighbour whose list is
+/// empty.
+fn sinks(g: &Graph) -> usize {
+    g.vertices()
+        .filter(|&v| g.out_degree(v) == 0 && g.in_degree(v) > 0)
+        .count()
+}
+
+#[test]
+fn tc_completes_on_a_directed_image_with_sinks() {
+    // Regression: a sink neighbour's empty delivery arrived after the
+    // requester had released its own list ("own list held while
+    // pending"). Sinks are not requested at all now.
+    let g = directed_graph();
+    assert!(sinks(&g) > 0, "the fixture needs sinks");
+    // `direct` applies the same out-list rule to a directed graph.
+    let want = fg_baselines::direct::triangle_count(&g);
+    let mem = Engine::new_mem(&g, EngineConfig::small().with_threads(2));
+    let (in_mem, _, _) = fg_apps::triangle_count(&mem, false).unwrap();
+    assert_eq!(in_mem, want);
+    let (safs, index) = sem_fixture(&g);
+    let sem = Engine::new_sem(&safs, index, EngineConfig::small().with_threads(2));
+    let (got, _, _) = fg_apps::triangle_count(&sem, false).unwrap();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn scan_statistics_completes_on_a_directed_image_with_sinks() {
+    let g = directed_graph();
+    assert!(sinks(&g) > 0, "the fixture needs sinks");
+    let mem = Engine::new_mem(&g, EngineConfig::small().with_threads(2));
+    let (want, _) = fg_apps::scan_statistics(&mem).unwrap();
+    let (safs, index) = sem_fixture(&g);
+    let sem = Engine::new_sem(&safs, index, EngineConfig::small().with_threads(2));
+    let (got, _) = fg_apps::scan_statistics(&sem).unwrap();
+    assert_eq!(got.max_scan, want.max_scan);
 }
 
 #[test]

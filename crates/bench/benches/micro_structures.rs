@@ -39,6 +39,45 @@ fn bench_cache(c: &mut Criterion) {
             cache.insert(Arc::new(Page::new(no, vec![0u8; 64].into_boxed_slice())));
         })
     });
+    // The victim path: a 64-page cache beside 256 pages that stay
+    // held (each for 256 inserts), so every eviction pushes out a
+    // held page — one victim entry recorded, the set's dead entries
+    // swept — and three in four of the held pages are findable only
+    // through the victim tables.
+    let small = PageCache::new(64, 8);
+    let mut held: Vec<Arc<Page>> = (0..256u64)
+        .map(|no| {
+            small.insert(Arc::new(Page::new(no, vec![0u8; 64].into_boxed_slice())));
+            small.get(no).expect("just inserted")
+        })
+        .collect();
+    g.bench_function("insert_evict_held", |b| {
+        let mut no = 256u64;
+        b.iter(|| {
+            small.insert(Arc::new(Page::new(no, vec![0u8; 64].into_boxed_slice())));
+            held[(no % 256) as usize] = small.get(no).expect("just inserted");
+            no += 1;
+        })
+    });
+    g.bench_function("pinned_hit", |b| {
+        // The 128 oldest holders: long since out of their slots.
+        let old: Vec<u64> = {
+            let mut nos: Vec<u64> = held.iter().map(|p| p.pageno()).collect();
+            nos.sort_unstable();
+            nos.truncate(128);
+            nos
+        };
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % old.len();
+            std::hint::black_box(small.get(old[i]))
+        })
+    });
+    let s = small.stats().snapshot();
+    println!(
+        "victim path: {} of {} hits were pinned hits, {} evictions",
+        s.pinned_hits, s.hits, s.evictions
+    );
     g.finish();
 }
 

@@ -112,7 +112,7 @@ pub use serve::{
 };
 pub use shard::ShardedEngine;
 pub use stats::{IterStats, RunStats};
-pub use vertex::PageVertex;
+pub use vertex::{Edges, PageVertex};
 
 // Re-exported so service callers can build tokens without naming
 // `fg_types` directly.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use fg_format::codec::{read_varint, GapDecoder};
 use fg_format::VarintSlice;
 use fg_graph::{DeltaList, DeltaOp};
-use fg_safs::PageSpan;
+use fg_safs::{PageSpan, U32Iter};
 use fg_types::{EdgeDir, VertexId};
 
 /// Sequential-decode memo of a packed (delta-varint) span: where the
@@ -57,6 +57,53 @@ impl OverlayCursor {
             op_i: 0,
             last: 0,
             last_attr: AttrSrc::Base(0),
+        }
+    }
+}
+
+/// One decision of the overlay's two-pointer merge, from the heads of
+/// the base stream and the op stream — the one statement of the rule
+/// the indexed cursor and the [`Edges`] walker both apply. Both
+/// streams are sorted by destination.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Merge {
+    /// Both streams are exhausted.
+    End,
+    /// Emit the base head as it is; advance the base.
+    Base(u32),
+    /// The op sorts before the base head (or the base has run out):
+    /// advance the ops. An `Add` splices its destination in with this
+    /// weight; a stray `Remove` / `Update` matching no base entry is
+    /// consumed silently (it cannot occur for canonicalized logs).
+    Op(u32, Option<f32>),
+    /// The op names the base head: advance the base. `Remove`
+    /// swallows the entry (no weight), `Update` and `Add` emit it with
+    /// the op's weight; only an `Add` is consumed with it (the flag) —
+    /// the other two stay to meet a duplicate base entry and are
+    /// passed as strays once the base moves on.
+    Owned(u32, Option<f32>, bool),
+}
+
+impl Merge {
+    #[inline]
+    fn of(base: Option<u32>, op: Option<(u32, DeltaOp)>) -> Merge {
+        match (base, op) {
+            (None, None) => Merge::End,
+            (Some(bd), None) => Merge::Base(bd),
+            (Some(bd), Some((od, _))) if od > bd => Merge::Base(bd),
+            (b, Some((od, op))) if b.is_none_or(|bd| od < bd) => Merge::Op(
+                od,
+                match op {
+                    DeltaOp::Add(w) => Some(w.unwrap_or(1.0)),
+                    DeltaOp::Remove | DeltaOp::Update(_) => None,
+                },
+            ),
+            (None, Some(_)) => unreachable!("guarded arm covers every op with no base"),
+            (Some(bd), Some((_, op))) => match op {
+                DeltaOp::Remove => Merge::Owned(bd, None, false),
+                DeltaOp::Update(w) => Merge::Owned(bd, Some(w), false),
+                DeltaOp::Add(w) => Merge::Owned(bd, Some(w.unwrap_or(1.0)), true),
+            },
         }
     }
 }
@@ -280,64 +327,40 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// Advances the overlay merge by one element, returning it. The
-    /// base entry is skipped when its dst carries a `Remove`, emitted
-    /// with an overridden weight on `Update`, and `Add` ops splice in
-    /// at their sorted position; stray ops never matching a base
-    /// entry are consumed silently (they cannot occur for
-    /// canonicalized logs).
+    /// Advances the indexed overlay merge by one element (see
+    /// [`Merge`]), recording it — and where its attribute lives — in
+    /// the cursor. `false` once both streams are exhausted.
     fn overlay_step(base: &PageVertex<'_>, ops: &DeltaList, c: &mut OverlayCursor) -> bool {
         let bn = base.degree();
         loop {
             let b = (c.base_i < bn).then(|| base.edge(c.base_i).0);
             let o = ops.ops.get(c.op_i).copied();
-            match (b, o) {
-                (None, None) => return false,
-                (Some(bd), None) => {
-                    c.last = bd;
-                    c.last_attr = AttrSrc::Base(c.base_i);
+            let (dst, attr) = match Merge::of(b, o) {
+                Merge::End => return false,
+                Merge::Base(bd) => {
                     c.base_i += 1;
-                    c.pos += 1;
-                    return true;
+                    (bd, AttrSrc::Base(c.base_i - 1))
                 }
-                (Some(bd), Some((od, _))) if od > bd => {
-                    c.last = bd;
-                    c.last_attr = AttrSrc::Base(c.base_i);
-                    c.base_i += 1;
-                    c.pos += 1;
-                    return true;
-                }
-                (b, Some((od, op))) if b.is_none_or(|bd| od < bd) => {
+                Merge::Op(od, add) => {
                     c.op_i += 1;
-                    if let DeltaOp::Add(w) = op {
-                        c.last = od;
-                        c.last_attr = AttrSrc::Lit(w.unwrap_or(1.0));
-                        c.pos += 1;
-                        return true;
+                    match add {
+                        Some(w) => (od, AttrSrc::Lit(w)),
+                        None => continue,
                     }
                 }
-                (None, Some(_)) => unreachable!("guarded arm covers od >= bd with no base"),
-                (Some(bd), Some((_, op))) => {
-                    // od == bd: the op owns this base entry.
+                Merge::Owned(bd, weight, consume) => {
                     c.base_i += 1;
-                    match op {
-                        DeltaOp::Remove => {}
-                        DeltaOp::Update(w) => {
-                            c.last = bd;
-                            c.last_attr = AttrSrc::Lit(w);
-                            c.pos += 1;
-                            return true;
-                        }
-                        DeltaOp::Add(w) => {
-                            c.op_i += 1;
-                            c.last = bd;
-                            c.last_attr = AttrSrc::Lit(w.unwrap_or(1.0));
-                            c.pos += 1;
-                            return true;
-                        }
+                    c.op_i += consume as usize;
+                    match weight {
+                        Some(w) => (bd, AttrSrc::Lit(w)),
+                        None => continue,
                     }
                 }
-            }
+            };
+            c.last = dst;
+            c.last_attr = attr;
+            c.pos += 1;
+            return true;
         }
     }
 
@@ -434,9 +457,42 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// Iterates over the neighbours.
-    pub fn edges(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.degree()).map(move |i| self.edge(i))
+    /// Iterates over the neighbours, in order — the way to read a
+    /// delivery front to back (see [`Edges`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, here or from `next()`, on a corrupt varint block, with
+    /// the message [`PageVertex::edge`] panics with.
+    #[inline]
+    pub fn edges(&self) -> Edges<'_> {
+        match &self.data {
+            EdgeData::Overlay {
+                base, ops, window, ..
+            } => Edges(Walk::Overlay(OverlayEdges::new(
+                base.base_walk(),
+                &ops.ops,
+                window.0 as usize,
+                window.1,
+            ))),
+            _ => Edges(Walk::Base(self.base_walk())),
+        }
+    }
+
+    /// The walker of a non-overlay delivery.
+    #[inline]
+    fn base_walk(&self) -> BaseWalk<'_> {
+        match &self.data {
+            EdgeData::Span { edges, .. } => BaseWalk::Raw(edges.u32_iter()),
+            EdgeData::Packed {
+                span,
+                count,
+                params,
+                ..
+            } => BaseWalk::Packed(PackedEdges::new(span, *count, params)),
+            EdgeData::Slice { edges, .. } => BaseWalk::Slice(edges.iter()),
+            EdgeData::Overlay { .. } => unreachable!("overlays do not nest"),
+        }
     }
 
     /// Whether edge attributes were requested and delivered. Packed
@@ -521,6 +577,212 @@ impl<'a> PageVertex<'a> {
             }
         }
         false
+    }
+}
+
+/// The neighbours of one delivery, front to back
+/// ([`PageVertex::edges`]).
+///
+/// One exact-size iterator for every delivery shape: the in-memory
+/// CSR slice is walked by its own `slice::Iter`; a raw span one
+/// contiguous page chunk at a time; a delta-varint span is decoded as
+/// a stream, bytes taken from the current page chunk; an overlay
+/// merges its base's own walker with the delta ops, two-pointer. None
+/// of them goes back through the per-index lookup of
+/// [`PageVertex::edge`], so prefer `edges()` whenever a callback reads
+/// a list in order — scans, intersections, `collect()` (the length is
+/// exact, so the vector is allocated once) — and keep
+/// [`PageVertex::edge`] / [`PageVertex::attr`] for access by position
+/// (weights beside edges, sampling).
+#[derive(Debug, Clone)]
+pub struct Edges<'a>(Walk<'a>);
+
+#[derive(Debug, Clone)]
+enum Walk<'a> {
+    Base(BaseWalk<'a>),
+    Overlay(OverlayEdges<'a>),
+}
+
+/// The walkers of the three base shapes, yielding raw ids.
+#[derive(Debug, Clone)]
+enum BaseWalk<'a> {
+    Slice(std::slice::Iter<'a, VertexId>),
+    Raw(U32Iter<'a>),
+    Packed(PackedEdges<'a>),
+}
+
+impl Iterator for BaseWalk<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            BaseWalk::Slice(it) => it.next().map(|v| v.0),
+            BaseWalk::Raw(it) => it.next(),
+            BaseWalk::Packed(it) => it.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            BaseWalk::Slice(it) => it.size_hint(),
+            BaseWalk::Raw(it) => it.size_hint(),
+            BaseWalk::Packed(it) => (it.left, Some(it.left)),
+        }
+    }
+}
+
+impl Iterator for Edges<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        match &mut self.0 {
+            Walk::Base(it) => it.next(),
+            Walk::Overlay(it) => it.next(),
+        }
+        .map(VertexId)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Walk::Base(it) => it.size_hint(),
+            Walk::Overlay(it) => (it.left, Some(it.left)),
+        }
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+impl std::iter::FusedIterator for Edges<'_> {}
+
+/// Streaming decode of a packed (delta-varint) span: `left` more
+/// edges, their varints read from `chunk` — the undecoded rest of the
+/// current page chunk — and from the span at `next_at` after it.
+#[derive(Debug, Clone)]
+struct PackedEdges<'a> {
+    span: &'a PageSpan,
+    chunk: &'a [u8],
+    /// Span position of the byte after `chunk`.
+    next_at: usize,
+    gaps: GapDecoder,
+    left: usize,
+}
+
+impl<'a> PackedEdges<'a> {
+    /// Enters the stream after `params.header_bytes` of framing and
+    /// discards the `params.skip` values before the delivery.
+    fn new(span: &'a PageSpan, count: usize, params: &VarintSlice) -> Self {
+        let mut it = PackedEdges {
+            span,
+            chunk: &[],
+            next_at: params.header_bytes as usize,
+            gaps: GapDecoder::new(params.stream_pos, params.k),
+            left: count,
+        };
+        for _ in 0..params.skip {
+            it.step();
+        }
+        it
+    }
+
+    /// The next byte of the stream; `None` at the end of the span.
+    #[inline]
+    fn byte(&mut self) -> Option<u8> {
+        if self.chunk.is_empty() {
+            if self.next_at >= self.span.len() {
+                return None;
+            }
+            self.chunk = self.span.chunk_at(self.next_at);
+            self.next_at += self.chunk.len();
+        }
+        let (&b, rest) = self.chunk.split_first()?;
+        self.chunk = rest;
+        Some(b)
+    }
+
+    /// Decodes one stream value.
+    #[inline]
+    fn step(&mut self) -> u32 {
+        let raw = read_varint(&mut || self.byte()).expect("corrupt varint edge block");
+        self.gaps.step(raw).expect("corrupt varint edge block")
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.step())
+    }
+}
+
+/// Streaming overlay merge: the base's own walker against the op
+/// slice, `left` more merged elements to deliver.
+#[derive(Debug, Clone)]
+struct OverlayEdges<'a> {
+    /// Peeked lazily: a base element is decoded by the step that may
+    /// emit it, never ahead of it.
+    base: std::iter::Peekable<BaseWalk<'a>>,
+    /// Ops not yet consumed.
+    ops: &'a [(u32, DeltaOp)],
+    left: usize,
+}
+
+impl<'a> OverlayEdges<'a> {
+    /// Delivers merged positions `[start, start + len)`: the merge
+    /// only moves forward, so the window is applied by skipping.
+    fn new(base: BaseWalk<'a>, ops: &'a [(u32, DeltaOp)], start: usize, len: usize) -> Self {
+        let mut it = OverlayEdges {
+            base: base.peekable(),
+            ops,
+            left: len,
+        };
+        for _ in 0..start {
+            it.step();
+        }
+        it
+    }
+
+    /// Advances the merge by one emitted element.
+    #[inline]
+    fn step(&mut self) -> u32 {
+        loop {
+            match Merge::of(self.base.peek().copied(), self.ops.first().copied()) {
+                Merge::End => panic!("overlay window exceeds the merged list"),
+                Merge::Base(bd) => {
+                    self.base.next();
+                    return bd;
+                }
+                Merge::Op(od, add) => {
+                    self.ops = &self.ops[1..];
+                    if add.is_some() {
+                        return od;
+                    }
+                }
+                Merge::Owned(bd, weight, consume) => {
+                    self.base.next();
+                    if consume {
+                        self.ops = &self.ops[1..];
+                    }
+                    if weight.is_some() {
+                        return bd;
+                    }
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.step())
     }
 }
 
@@ -623,23 +885,11 @@ mod tests {
     /// across small pages, delivering positions [skip_from, +count).
     fn packed_pv(list: &[u32], k: u32, start: u64, count: usize) -> PageVertex<'static> {
         use fg_format::codec::{encode_list, skip_entries};
-        use fg_safs::Page;
-        use std::sync::Arc;
         let mut block = Vec::new();
         assert!(encode_list(list, k, &mut block), "test list must compress");
         // Whole-block delivery with decoder skip — the shape the
         // engine uses for compressed lists without a resident table.
-        let page_bytes = 16usize;
-        let pages: Vec<Arc<Page>> = block
-            .chunks(page_bytes)
-            .enumerate()
-            .map(|(no, c)| {
-                let mut data = vec![0u8; page_bytes];
-                data[..c.len()].copy_from_slice(c);
-                Arc::new(Page::new(no as u64, data.into_boxed_slice()))
-            })
-            .collect();
-        let span = PageSpan::new(pages, 0, block.len());
+        let span = span_over(&block, 0, 16);
         let params = VarintSlice {
             header_bytes: (skip_entries(list.len() as u64, k) * 4) as u32,
             stream_pos: 0,
@@ -837,5 +1087,355 @@ mod tests {
         assert_eq!(pv.degree(), 3);
         // Indexed access stays slice-local.
         assert_eq!(pv.edge(0), VertexId(10));
+    }
+
+    // ------------------------------------------------ the Edges walker
+
+    use proptest::prelude::*;
+
+    /// A span of `bytes` starting `head` bytes into pages of
+    /// `page_bytes` each (the bytes around it are junk).
+    fn span_over(bytes: &[u8], head: usize, page_bytes: usize) -> PageSpan {
+        use fg_safs::Page;
+        let mut all = vec![0xA5u8; head];
+        all.extend_from_slice(bytes);
+        let pages: Vec<Arc<Page>> = all
+            .chunks(page_bytes)
+            .enumerate()
+            .map(|(no, c)| {
+                let mut data = vec![0x5Au8; page_bytes];
+                data[..c.len()].copy_from_slice(c);
+                Arc::new(Page::new(no as u64, data.into_boxed_slice()))
+            })
+            .collect();
+        PageSpan::new(pages, head, bytes.len())
+    }
+
+    fn raw_pv(list: &[u32], head: usize, page_bytes: usize) -> PageVertex<'static> {
+        let bytes: Vec<u8> = list.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let span = span_over(&bytes, head, page_bytes);
+        PageVertex::from_span(VertexId(1), EdgeDir::Out, 0, span, None)
+    }
+
+    /// Positions `[start, start + count)` of `list` as a packed
+    /// delivery. `with_header`: the whole block with the decoder
+    /// skipping `start` values; otherwise the payload entered at the
+    /// last restart at or before `start`, the way a ranged hub request
+    /// resolves through the skip table.
+    fn packed_slice_pv(
+        list: &[u32],
+        k: u32,
+        (start, count): (usize, usize),
+        with_header: bool,
+        (head, page_bytes): (usize, usize),
+    ) -> PageVertex<'static> {
+        use fg_format::codec::{encode_list, skip_entries};
+        let mut block = Vec::new();
+        assert!(encode_list(list, k, &mut block), "test list must compress");
+        let table = skip_entries(list.len() as u64, k) as usize * 4;
+        let (bytes, params) = if with_header {
+            let params = VarintSlice {
+                header_bytes: table as u32,
+                stream_pos: 0,
+                skip: start as u64,
+                k,
+            };
+            (&block[..], params)
+        } else {
+            // `start == len` may sit on a restart the list never
+            // reaches; enter at the last one it has.
+            let m = (start / k as usize).min(table / 4);
+            let entry =
+                |e: usize| u32::from_le_bytes(block[e * 4..e * 4 + 4].try_into().unwrap()) as usize;
+            let from = if m == 0 { 0 } else { entry(m - 1) };
+            let params = VarintSlice {
+                header_bytes: 0,
+                stream_pos: (m * k as usize) as u64,
+                skip: (start - m * k as usize) as u64,
+                k,
+            };
+            (&block[table + from..], params)
+        };
+        let span = span_over(bytes, head, page_bytes);
+        PageVertex::from_span_packed(VertexId(1), EdgeDir::Out, start as u64, span, count, params)
+    }
+
+    /// `edges()` against the indexed accessors, element for element,
+    /// with an exact `len()` before every `next()`; `to_vec` and
+    /// `contains` ride on the same walker.
+    fn check_walk(pv: &PageVertex<'_>) -> Result<(), TestCaseError> {
+        let want: Vec<VertexId> = (0..pv.degree()).map(|i| pv.edge(i)).collect();
+        let mut it = pv.edges();
+        for (i, &w) in want.iter().enumerate() {
+            prop_assert_eq!(it.len(), want.len() - i);
+            prop_assert_eq!((i, it.next()), (i, Some(w)));
+        }
+        prop_assert_eq!(it.len(), 0);
+        prop_assert_eq!(it.next(), None);
+        prop_assert_eq!(it.next(), None);
+        prop_assert_eq!(pv.to_vec(), want);
+        Ok(())
+    }
+
+    /// Sorted, duplicate-bearing, small-gap ids: compressible at any k.
+    fn sorted_list(seed: u64, len: usize) -> Vec<u32> {
+        let mut rng = TestRng::deterministic("sorted_list", seed as u32);
+        let mut v = 0u32;
+        (0..len)
+            .map(|_| {
+                v += rng.below(120) as u32;
+                v
+            })
+            .collect()
+    }
+
+    /// One effective op per destination, as a canonicalized log holds
+    /// them: removes and updates name base entries, adds name
+    /// destinations the base lacks.
+    fn random_ops(seed: u64, base: &[u32], weighted: bool) -> Arc<DeltaList> {
+        let mut rng = TestRng::deterministic("random_ops", seed as u32);
+        let mut ops: std::collections::BTreeMap<u32, DeltaOp> = Default::default();
+        for &b in base {
+            match rng.below(6) {
+                0 => drop(ops.insert(b, DeltaOp::Remove)),
+                1 if weighted => drop(ops.insert(b, DeltaOp::Update(rng.below(9) as f32))),
+                _ => {}
+            }
+        }
+        let top = base.last().copied().unwrap_or(0) + 50;
+        for _ in 0..rng.below(base.len() as u64 / 3 + 3) {
+            let d = rng.below(top as u64) as u32;
+            if base.binary_search(&d).is_err() {
+                ops.insert(d, DeltaOp::Add(weighted.then(|| rng.below(9) as f32)));
+            }
+        }
+        list_of(&ops.into_iter().collect::<Vec<_>>())
+    }
+
+    /// The merged list by definition: base minus removes, plus adds.
+    fn merged_model(base: &[u32], ops: &DeltaList) -> Vec<u32> {
+        let removed = |d: u32| {
+            ops.ops
+                .iter()
+                .any(|&(od, op)| od == d && op == DeltaOp::Remove)
+        };
+        let mut out: Vec<u32> = base.iter().copied().filter(|&d| !removed(d)).collect();
+        out.extend(
+            ops.ops
+                .iter()
+                .filter(|(_, op)| matches!(op, DeltaOp::Add(_)))
+                .map(|&(d, _)| d),
+        );
+        out.sort_unstable();
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn edges_walks_slices_like_indexing(seed in any::<u64>(), len in 0usize..300) {
+            let ids: Vec<VertexId> = sorted_list(seed, len).into_iter().map(VertexId).collect();
+            check_walk(&slice_pv(&ids))?;
+        }
+
+        #[test]
+        fn edges_walks_raw_spans_like_indexing(
+            seed in any::<u64>(),
+            len in 0usize..600,
+            page_shift in 4u32..13,
+            head in 0usize..8192,
+        ) {
+            // Arbitrary head: words straddle page boundaries whenever
+            // it is not a multiple of four.
+            let page_bytes = 1usize << page_shift;
+            let mut rng = TestRng::deterministic("raw_words", seed as u32);
+            let list: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
+            let pv = raw_pv(&list, head % (2 * page_bytes), page_bytes);
+            prop_assert_eq!(pv.degree(), len);
+            check_walk(&pv)?;
+        }
+
+        #[test]
+        fn edges_walks_packed_spans_like_indexing(
+            seed in any::<u64>(),
+            len in 4usize..500,
+            k in 3u32..40,
+            with_header in any::<bool>(),
+            page_shift in 4u32..13,
+            head in 0usize..8192,
+        ) {
+            let list = sorted_list(seed, len);
+            let mut rng = TestRng::deterministic("packed_window", seed as u32);
+            let start = rng.below(len as u64 + 1) as usize;
+            let count = rng.below((len - start) as u64 + 1) as usize;
+            let page_bytes = 1usize << page_shift;
+            let paging = (head % (2 * page_bytes), page_bytes);
+            let pv = packed_slice_pv(&list, k, (start, count), with_header, paging);
+            prop_assert_eq!(pv.to_vec(), list[start..start + count].iter().map(|&v| VertexId(v)).collect::<Vec<_>>());
+            check_walk(&pv)?;
+        }
+
+        #[test]
+        fn edges_walks_overlays_like_indexing(
+            seed in any::<u64>(),
+            len in 0usize..200,
+            packed_base in any::<bool>(),
+            page_shift in 4u32..13,
+            head in 0usize..8192,
+        ) {
+            // Distinct ids, as `diff` assumes (one op, one entry);
+            // duplicates have their own test below.
+            let mut list = sorted_list(seed, len);
+            list.dedup();
+            let len = list.len();
+            let page_bytes = 1usize << page_shift;
+            let paging = (head % (2 * page_bytes), page_bytes);
+            let base = |list: &[u32]| {
+                if packed_base && list.len() >= 4 {
+                    packed_slice_pv(list, 8, (0, list.len()), true, paging)
+                } else {
+                    raw_pv(list, paging.0, paging.1)
+                }
+            };
+            let ops = random_ops(seed, &list, false);
+            let merged = merged_model(&list, &ops);
+            prop_assert_eq!(merged.len() as i64, len as i64 + ops.diff);
+            let mut rng = TestRng::deterministic("overlay_window", seed as u32);
+            let start = rng.below(merged.len() as u64 + 1) as usize;
+            let count = rng.below((merged.len() - start) as u64 + 1) as usize;
+            for (start, count) in [(0, merged.len()), (start, count)] {
+                let pv = PageVertex::with_overlay(base(&list), Arc::clone(&ops), start as u64, count);
+                let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
+                prop_assert_eq!(&got[..], &merged[start..start + count]);
+                check_walk(&pv)?;
+                for probe in [0, merged[start..start + count].first().copied().unwrap_or(3), 77] {
+                    prop_assert_eq!(
+                        pv.contains(VertexId(probe)),
+                        merged[start..start + count].contains(&probe)
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn overlay_weights_follow_the_same_merge(seed in any::<u64>(), len in 0usize..120) {
+            // The indexed cursor (edge + attr) and the walker apply
+            // one rule: same destinations, and every weight is the
+            // base's, the update's or the add's.
+            let mut list = sorted_list(seed, len);
+            list.dedup();
+            let ids: Vec<VertexId> = list.iter().map(|&v| VertexId(v)).collect();
+            let ws: Vec<f32> = list.iter().map(|&v| v as f32 + 0.5).collect();
+            let ops = random_ops(seed, &list, true);
+            let n = merged_model(&list, &ops).len();
+            let base = PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws));
+            let pv = PageVertex::with_overlay(base, Arc::clone(&ops), 0, n);
+            check_walk(&pv)?;
+            for (i, dst) in pv.edges().enumerate() {
+                let want = match ops.ops.iter().find(|(od, _)| *od == dst.0) {
+                    Some((_, DeltaOp::Update(w))) => *w,
+                    Some((_, DeltaOp::Add(w))) => w.unwrap_or(1.0),
+                    _ => dst.0 as f32 + 0.5,
+                };
+                prop_assert_eq!((dst, pv.attr(i)), (dst, Some(want)));
+            }
+        }
+    }
+
+    #[test]
+    fn overlay_duplicate_base_entries_share_their_op() {
+        // A Remove swallows every copy of its destination, an Update
+        // rewrites every copy: the op stays until the base moves on.
+        let ids: Vec<VertexId> = [2u32, 5, 5, 5, 9, 9].iter().map(|&v| VertexId(v)).collect();
+        let ws = [1.0f32; 6];
+        let base = PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws));
+        let ops = Arc::new(DeltaList {
+            ops: vec![(5, DeltaOp::Remove), (9, DeltaOp::Update(4.0))],
+            diff: -3,
+        });
+        let pv = PageVertex::with_overlay(base, ops, 0, 3);
+        assert_eq!(pv.edges().map(|e| e.0).collect::<Vec<_>>(), vec![2, 9, 9]);
+        let got: Vec<(u32, f32)> = (0..3)
+            .map(|i| (pv.edge(i).0, pv.attr(i).unwrap()))
+            .collect();
+        assert_eq!(got, vec![(2, 1.0), (9, 4.0), (9, 4.0)]);
+    }
+
+    /// A packed delivery over hand-written stream bytes.
+    fn packed_bytes_pv(bytes: &[u8], count: usize) -> PageVertex<'static> {
+        let params = VarintSlice {
+            header_bytes: 0,
+            stream_pos: 0,
+            skip: 0,
+            k: 32,
+        };
+        let span = span_over(bytes, 13, 16);
+        PageVertex::from_span_packed(VertexId(0), EdgeDir::Out, 0, span, count, params)
+    }
+
+    #[test]
+    fn corrupt_streams_fail_where_indexing_fails() {
+        // Three good values, then the block ends / runs over-long /
+        // overflows the id space: the walker yields the good prefix
+        // and panics on the same element `edge(i)` panics on.
+        let truncated: &[u8] = &[5, 1, 1, 0x80];
+        let over_long: &[u8] = &[5, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let overflow: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 1];
+        for (bytes, good) in [(truncated, 3usize), (over_long, 3), (overflow, 3)] {
+            let caught = |f: &dyn Fn()| {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                    .expect_err("corrupt block must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default();
+                assert!(msg.contains("corrupt varint edge block"), "{msg}");
+            };
+            let pv = packed_bytes_pv(bytes, good + 1);
+            let prefix: Vec<VertexId> = (0..good).map(|i| pv.edge(i)).collect();
+            caught(&|| {
+                std::hint::black_box(pv.edge(good));
+            });
+            let pv = packed_bytes_pv(bytes, good + 1);
+            let mut it = pv.edges();
+            assert_eq!(it.by_ref().take(good).collect::<Vec<_>>(), prefix);
+            caught(&|| {
+                std::hint::black_box(pv.edges().nth(good));
+            });
+            // An overlay's walker decodes a base element no earlier
+            // than the indexed cursor would.
+            let ops = list_of(&[(1, DeltaOp::Add(None))]);
+            let pv = PageVertex::with_overlay(packed_bytes_pv(bytes, good + 1), ops, 0, good + 2);
+            assert_eq!(pv.edges().take(good + 1).count(), good + 1);
+            caught(&|| {
+                std::hint::black_box(pv.edges().nth(good + 1));
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt varint edge block")]
+    fn truncated_block_panics_from_edges() {
+        let pv = packed_bytes_pv(&[5, 1, 1, 0x80], 4);
+        let _ = pv.edges().count();
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt varint edge block")]
+    fn over_long_varint_panics_from_edges() {
+        let pv = packed_bytes_pv(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 1);
+        let _ = pv.edges().count();
+    }
+
+    #[test]
+    #[should_panic(expected = "overlay window exceeds the merged list")]
+    fn overlay_window_past_the_merge_panics_from_edges() {
+        let ids = [VertexId(1), VertexId(2)];
+        let ops = Arc::new(DeltaList {
+            ops: vec![(1, DeltaOp::Remove)],
+            diff: 0, // lies: the merged list has one entry
+        });
+        let pv = PageVertex::with_overlay(slice_pv(&ids), ops, 0, 2);
+        let _ = pv.edges().count();
     }
 }

@@ -110,9 +110,11 @@ pub fn read_varint(next: &mut impl FnMut() -> Option<u8>) -> Option<u32> {
 /// only places a reader may enter the stream.
 #[derive(Debug, Clone, Copy)]
 pub struct GapDecoder {
-    pos: u64,
     prev: u32,
     k: u32,
+    /// Values left before the next absolute restart (0 = the next
+    /// value is one) — a countdown, so a step costs no division.
+    until_restart: u32,
 }
 
 impl GapDecoder {
@@ -126,9 +128,9 @@ impl GapDecoder {
             "stream entry must be a restart position"
         );
         GapDecoder {
-            pos: stream_pos,
             prev: 0,
             k,
+            until_restart: 0,
         }
     }
 
@@ -137,12 +139,13 @@ impl GapDecoder {
     /// space (corrupt data — ids are `u32`).
     #[inline]
     pub fn step(&mut self, raw: u32) -> Option<u32> {
-        let value = if self.pos.is_multiple_of(self.k as u64) {
+        let value = if self.until_restart == 0 {
+            self.until_restart = self.k;
             raw
         } else {
             self.prev.checked_add(raw)?
         };
-        self.pos += 1;
+        self.until_restart -= 1;
         self.prev = value;
         Some(value)
     }

@@ -6,8 +6,34 @@
 //! home set) for near-perfect lock scalability — the property the
 //! paper leans on: "this page cache reduces locking overhead and
 //! incurs little overhead when the cache hit rate is low".
+//!
+//! # Held pages stay hits
+//!
+//! The user-task interface runs a vertex's computation on the pages
+//! *in* the cache (§3.1), so a page a task still references is a page
+//! the cache must still find. gclock may push such a page out of its
+//! slot — the capacity is a budget for what the cache itself keeps
+//! alive — but the set then remembers it by a [`Weak`] handle, keyed
+//! by page number, and a later lookup upgrades that handle and books a
+//! hit (a `pinned_hit`) instead of sending the request to the device
+//! for bytes that are already in memory. The rule has two halves:
+//!
+//! * **a held page stays findable** — slotted, or evicted and still
+//!   referenced by a span, an in-flight completion or a waiter;
+//! * **the cache never extends a page's life** — a victim entry is
+//!   weak, so the last span dropped frees the buffer exactly as before,
+//!   `capacity_pages()` still bounds the memory the cache alone pins,
+//!   and an entry whose page died is dropped on the lookup that finds
+//!   it dead or at the set's next eviction, whichever comes first.
+//!
+//! Only pages evicted *while held* are recorded (an exact test under
+//! the set lock: a slotted page gains references only through a lookup
+//! under that same lock), so a workload that holds nothing pays one
+//! emptiness check per miss and per eviction. Stream-policy pages are
+//! never slotted and therefore never recorded.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Weak};
 
 use fg_types::sync::Counter;
 use parking_lot::Mutex;
@@ -24,6 +50,7 @@ use crate::page::Page;
 pub struct CacheStats {
     lookups: Counter,
     hits: Counter,
+    pinned_hits: Counter,
     misses: Counter,
     evictions: Counter,
     insertions: Counter,
@@ -35,6 +62,7 @@ impl CacheStats {
         CacheStatsSnapshot {
             lookups: self.lookups.get(),
             hits: self.hits.get(),
+            pinned_hits: self.pinned_hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
             insertions: self.insertions.get(),
@@ -56,6 +84,7 @@ impl CacheStats {
     pub fn reset(&self) {
         self.lookups.set(0);
         self.hits.set(0);
+        self.pinned_hits.set(0);
         self.misses.set(0);
         self.evictions.set(0);
         self.insertions.set(0);
@@ -69,6 +98,10 @@ pub struct CacheStatsSnapshot {
     pub lookups: u64,
     /// Lookups that found their page.
     pub hits: u64,
+    /// The part of `hits` served by a page gclock had already evicted
+    /// but a span, completion or waiter still held (see the module
+    /// docs). Booked by the cache itself, not by session scopes.
+    pub pinned_hits: u64,
     /// Lookups that did not.
     pub misses: u64,
     /// Pages pushed out by gclock.
@@ -83,6 +116,7 @@ impl CacheStatsSnapshot {
     pub fn absorb(&mut self, other: &CacheStatsSnapshot) {
         self.lookups += other.lookups;
         self.hits += other.hits;
+        self.pinned_hits += other.pinned_hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.insertions += other.insertions;
@@ -108,6 +142,7 @@ impl CacheStatsSnapshot {
         CacheStatsSnapshot {
             lookups: self.lookups.saturating_sub(earlier.lookups),
             hits: self.hits.saturating_sub(earlier.hits),
+            pinned_hits: self.pinned_hits.saturating_sub(earlier.pinned_hits),
             misses: self.misses.saturating_sub(earlier.misses),
             evictions: self.evictions.saturating_sub(earlier.evictions),
             insertions: self.insertions.saturating_sub(earlier.insertions),
@@ -125,17 +160,30 @@ struct Slot {
 struct CacheSet {
     slots: Vec<Slot>,
     hand: usize,
+    /// Pages evicted from `slots` while someone outside the cache
+    /// still held them, by page number. Weak, so the table keeps no
+    /// page alive; dead entries go at the next eviction.
+    victims: HashMap<u64, Weak<Page>>,
 }
 
 impl CacheSet {
-    fn lookup(&mut self, pageno: u64) -> Option<Arc<Page>> {
+    /// The page, and whether it was found among the victims (`true`)
+    /// rather than in a slot.
+    fn lookup(&mut self, pageno: u64) -> Option<(Arc<Page>, bool)> {
         for s in &mut self.slots {
             if s.pageno == pageno {
                 s.hits = s.hits.saturating_add(1);
-                return Some(Arc::clone(&s.page));
+                return Some((Arc::clone(&s.page), false));
             }
         }
-        None
+        if self.victims.is_empty() {
+            return None;
+        }
+        let alive = self.victims.get(&pageno)?.upgrade();
+        if alive.is_none() {
+            self.victims.remove(&pageno);
+        }
+        Some((alive?, true))
     }
 
     /// Inserts `page`, evicting via gclock when the set is full.
@@ -157,18 +205,44 @@ impl CacheSet {
         // gclock: sweep the hand, decrementing, until a cold slot.
         loop {
             let s = &mut self.slots[self.hand];
-            if s.hits == 0 {
-                *s = Slot {
-                    pageno,
-                    page,
-                    hits: 1,
-                };
-                self.hand = (self.hand + 1) % self.slots.len();
-                return true;
+            // A full set has `ways` slots; wrapping by comparison
+            // keeps a division off every step of the sweep.
+            self.hand = if self.hand + 1 == ways {
+                0
+            } else {
+                self.hand + 1
+            };
+            if s.hits > 0 {
+                s.hits -= 1;
+                continue;
             }
-            s.hits -= 1;
-            self.hand = (self.hand + 1) % self.slots.len();
+            // Exact under the set lock: the slot holds one reference
+            // and nobody can have cloned it out of the slot since we
+            // took the lock, so anything above one is a holder outside
+            // the cache.
+            let held = Arc::strong_count(&s.page) > 1;
+            if held || !self.victims.is_empty() {
+                note_eviction(&mut self.victims, s, held);
+            }
+            *s = Slot {
+                pageno,
+                page,
+                hits: 1,
+            };
+            return true;
         }
+    }
+}
+
+/// The victim table's share of an eviction, kept out of line: the
+/// common eviction (nothing held, nothing recorded) never gets here.
+/// Drops the entries whose pages have died and records `evicted` when
+/// it is `held` outside the cache.
+#[cold]
+fn note_eviction(victims: &mut HashMap<u64, Weak<Page>>, evicted: &Slot, held: bool) {
+    victims.retain(|_, page| page.strong_count() > 0);
+    if held {
+        victims.insert(evicted.pageno, Arc::downgrade(&evicted.page));
     }
 }
 
@@ -215,6 +289,7 @@ impl PageCache {
             Mutex::new(CacheSet {
                 slots: Vec::with_capacity(ways),
                 hand: 0,
+                victims: HashMap::new(),
             })
         });
         PageCache {
@@ -241,15 +316,17 @@ impl PageCache {
         ((pageno.wrapping_mul(0x9E3779B97F4A7C15)) >> 32) as usize % self.sets.len()
     }
 
-    /// Looks `pageno` up, bumping its gclock counter on a hit.
+    /// Looks `pageno` up, bumping its gclock counter on a hit. A page
+    /// evicted from its set while still held elsewhere is a hit too
+    /// (and a `pinned_hit`); it is returned as it is, not re-slotted.
     pub fn get(&self, pageno: u64) -> Option<Arc<Page>> {
-        if self.sets.is_empty() {
-            self.stats.record_lookup(false);
-            return None;
+        let found = self.find(pageno);
+        self.stats.record_lookup(found.is_some());
+        let (page, pinned) = found?;
+        if pinned {
+            self.stats.pinned_hits.inc();
         }
-        let got = self.sets[self.set_of(pageno)].lock().lookup(pageno);
-        self.stats.record_lookup(got.is_some());
-        got
+        Some(page)
     }
 
     /// Like [`PageCache::get`] but without touching the hit/miss
@@ -258,10 +335,21 @@ impl PageCache {
     /// (the "pending page" dedup of real SAFS). Counting these would
     /// double-book the application's miss.
     pub fn get_quiet(&self, pageno: u64) -> Option<Arc<Page>> {
+        Some(self.find(pageno)?.0)
+    }
+
+    fn find(&self, pageno: u64) -> Option<(Arc<Page>, bool)> {
         if self.sets.is_empty() {
             return None;
         }
         self.sets[self.set_of(pageno)].lock().lookup(pageno)
+    }
+
+    /// Evicted-and-recorded pages over all sets, dead entries
+    /// included until their set's next eviction.
+    #[cfg(test)]
+    pub(crate) fn victim_entries(&self) -> usize {
+        self.sets.iter().map(|s| s.lock().victims.len()).sum()
     }
 
     /// Inserts a freshly read page.
@@ -476,5 +564,238 @@ mod tests {
             seen.insert(c.set_of(no));
         }
         assert!(seen.len() >= 4, "only {} sets used", seen.len());
+    }
+
+    // ------------------------------------------- held pages stay hits
+
+    #[test]
+    fn page_evicted_while_held_stays_a_hit() {
+        // One slot: the second insert must push the first page out.
+        let c = PageCache::new(1, 1);
+        c.insert(mk_page(7));
+        let held = c.get(7).expect("resident");
+        c.insert(mk_page(8));
+        assert_eq!(c.stats().snapshot().evictions, 1);
+        assert_eq!(c.victim_entries(), 1);
+        let before = c.stats().snapshot();
+        let again = c.get(7).expect("a held page is still found");
+        assert!(Arc::ptr_eq(&held, &again), "the same page, not a copy");
+        assert_eq!(again.bytes(), held.bytes());
+        let d = c.stats().snapshot().delta_since(&before);
+        assert_eq!((d.lookups, d.hits, d.pinned_hits, d.misses), (1, 1, 1, 0));
+        // The quiet lookup finds it too and books nothing.
+        let quiet = c.get_quiet(7).expect("quiet lookup sees victims");
+        assert!(Arc::ptr_eq(&held, &quiet));
+        assert_eq!(c.stats().snapshot().delta_since(&before), d);
+        // The cache is not what keeps it alive: with the last outside
+        // reference gone the page is gone, and the lookup misses.
+        let weak = Arc::downgrade(&held);
+        drop((held, again, quiet));
+        assert!(weak.upgrade().is_none());
+        assert!(c.get(7).is_none());
+        assert!(c.get_quiet(7).is_none());
+        assert_eq!(c.victim_entries(), 0, "a dead entry goes when found");
+        let s = c.stats().snapshot();
+        assert_eq!(s.lookups, s.hits + s.misses);
+        assert_eq!(s.pinned_hits, 1);
+        // The slotted page was never disturbed.
+        assert!(c.get(8).is_some());
+    }
+
+    #[test]
+    fn eviction_without_a_holder_leaves_no_victim() {
+        let c = PageCache::new(1, 1);
+        c.insert(mk_page(1));
+        // A lookup whose result is dropped holds nothing.
+        drop(c.get(1));
+        c.insert(mk_page(2));
+        assert_eq!(c.stats().snapshot().evictions, 1);
+        assert_eq!(c.victim_entries(), 0);
+        assert!(c.get(1).is_none());
+    }
+
+    #[test]
+    fn victim_tables_drain() {
+        let c = PageCache::new(16, 4);
+        // Nothing held: ten capacities of churn record nothing.
+        for no in 0..10 * c.capacity_pages() as u64 {
+            c.insert(mk_page(no));
+        }
+        assert_eq!(c.victim_entries(), 0);
+        // Hold a capacity's worth, push all of it out, let go: every
+        // dead entry is gone by its set's next eviction.
+        let held: Vec<Arc<Page>> = (1000..1016)
+            .map(|no| {
+                c.insert(mk_page(no));
+                c.get(no).expect("just inserted")
+            })
+            .collect();
+        for no in 2000..2200 {
+            c.insert(mk_page(no));
+        }
+        assert_eq!(c.victim_entries(), held.len());
+        assert!(held.iter().all(|p| c.get_quiet(p.pageno()).is_some()));
+        drop(held);
+        for no in 3000..3200 {
+            c.insert(mk_page(no));
+        }
+        assert_eq!(c.victim_entries(), 0);
+    }
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Counted lookup, result dropped.
+            Get(u64),
+            /// Quiet lookup, result dropped.
+            GetQuiet(u64),
+            /// Counted lookup whose page is kept (a span taken).
+            Hold(u64),
+            /// The read path: look up, insert a fresh page on a miss.
+            Fill(u64),
+            /// Drop the n-th holder, if there is one.
+            Release(usize),
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u64..24).prop_map(Op::Get),
+                (0u64..24).prop_map(Op::GetQuiet),
+                (0u64..24).prop_map(Op::Hold),
+                (0u64..24).prop_map(Op::Fill),
+                (0u64..24).prop_map(Op::Fill),
+                (0usize..16).prop_map(Op::Release),
+            ]
+        }
+
+        /// What the test knows without modelling gclock: every page it
+        /// ever inserted (weakly) and every reference it holds.
+        struct World {
+            inserted: Vec<Weak<Page>>,
+            held: Vec<Arc<Page>>,
+            /// The counters the cache must show (`evictions` follows
+            /// from the others, see the property).
+            want: CacheStatsSnapshot,
+        }
+
+        impl World {
+            fn holders(&self, page: &Weak<Page>) -> usize {
+                self.held
+                    .iter()
+                    .filter(|h| std::ptr::eq(Arc::as_ptr(h), page.as_ptr()))
+                    .count()
+            }
+
+            /// The live page numbered `no`, and whether the cache
+            /// itself still holds a reference to it (it is slotted).
+            fn alive(&self, no: u64) -> Option<bool> {
+                let mut found = None;
+                for w in &self.inserted {
+                    let strong = w.strong_count();
+                    if strong > 0 && w.upgrade().is_some_and(|p| p.pageno() == no) {
+                        assert!(found.is_none(), "two live pages numbered {no}");
+                        found = Some(strong > self.holders(w));
+                    }
+                }
+                found
+            }
+
+            /// Books a counted lookup of `no` and returns whether it
+            /// must hit.
+            fn expect_lookup(&mut self, no: u64) -> bool {
+                let alive = self.alive(no);
+                self.want.lookups += 1;
+                match alive {
+                    Some(slotted) => {
+                        self.want.hits += 1;
+                        self.want.pinned_hits += !slotted as u64;
+                    }
+                    None => self.want.misses += 1,
+                }
+                alive.is_some()
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn found_iff_slotted_or_evicted_and_alive(
+                capacity in 1usize..9,
+                ways in 1usize..5,
+                ops in prop::collection::vec(op_strategy(), 1..200),
+            ) {
+                let c = PageCache::new(capacity, ways);
+                let mut w = World {
+                    inserted: Vec::new(),
+                    held: Vec::new(),
+                    want: c.stats().snapshot(),
+                };
+                for op in ops {
+                    match op {
+                        Op::Get(no) => {
+                            let hit = w.expect_lookup(no);
+                            prop_assert_eq!(c.get(no).is_some(), hit);
+                        }
+                        Op::GetQuiet(no) => {
+                            prop_assert_eq!(c.get_quiet(no).is_some(), w.alive(no).is_some());
+                        }
+                        Op::Hold(no) => {
+                            let hit = w.expect_lookup(no);
+                            let got = c.get(no);
+                            prop_assert_eq!(got.is_some(), hit);
+                            w.held.extend(got);
+                        }
+                        Op::Fill(no) => {
+                            if !w.expect_lookup(no) {
+                                prop_assert!(c.get(no).is_none());
+                                let page = mk_page(no);
+                                w.inserted.push(Arc::downgrade(&page));
+                                w.want.insertions += 1;
+                                c.insert(page);
+                            } else {
+                                prop_assert!(c.get(no).is_some());
+                            }
+                        }
+                        Op::Release(n) => {
+                            if n < w.held.len() {
+                                w.held.swap_remove(n);
+                            }
+                        }
+                    }
+                    // The cache alone never keeps more than its
+                    // capacity alive, every insert that found no free
+                    // slot evicted, and the counters are exact.
+                    let slotted = w
+                        .inserted
+                        .iter()
+                        .filter(|p| p.strong_count() > w.holders(p))
+                        .count();
+                    prop_assert!(slotted <= c.capacity_pages());
+                    w.want.evictions = w.want.insertions - slotted as u64;
+                    prop_assert_eq!(c.stats().snapshot(), w.want);
+                    let pinned = w
+                        .inserted
+                        .iter()
+                        .filter(|p| p.strong_count() > 0 && p.strong_count() == w.holders(p))
+                        .count();
+                    prop_assert!(c.victim_entries() >= pinned);
+                }
+                // With every holder gone no evicted page is reachable:
+                // what is alive is what is slotted, once each.
+                w.held.clear();
+                let alive: Vec<_> = w.inserted.iter().filter_map(Weak::upgrade).collect();
+                prop_assert!(alive.len() <= c.capacity_pages());
+                for p in &alive {
+                    // This upgrade and the slot.
+                    prop_assert_eq!(Arc::strong_count(p), 2);
+                }
+                for no in 0..24 {
+                    let slotted = alive.iter().any(|p| p.pageno() == no);
+                    prop_assert_eq!(c.get_quiet(no).is_some(), slotted);
+                }
+            }
+        }
     }
 }

@@ -65,6 +65,6 @@ mod shard_set;
 pub use cache::{CacheStats, CacheStatsSnapshot, PageCache};
 pub use config::SafsConfig;
 pub use handoff::Handoff;
-pub use page::{Page, PageSpan};
+pub use page::{Page, PageSpan, U32Iter};
 pub use safs::{Completion, IoSession, Safs};
 pub use shard_set::ShardSet;

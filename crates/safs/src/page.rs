@@ -1,4 +1,17 @@
 //! Cached pages and zero-copy spans over them.
+//!
+//! A span is how a user task *holds* pages: each page it covers is an
+//! `Arc` clone, so the bytes stay put for as long as the span lives,
+//! and — the other half of the rule in [`crate::cache`] — the cache
+//! keeps finding those pages for as long as the span lives, evicted
+//! from their slots or not. Dropping the last span over a page the
+//! cache has evicted frees it; the cache never extends a page's life.
+//!
+//! Reading a span means walking its pages, and there is one loop for
+//! that: [`PageSpan::chunk_at`] hands out the contiguous bytes of one
+//! page at a time, and the copy ([`PageSpan::read_bytes`],
+//! [`PageSpan::to_vec`]), the `u32` walk ([`PageSpan::u32_iter`]) and
+//! the engine's varint decoder are all written over it.
 
 use std::sync::Arc;
 
@@ -6,8 +19,9 @@ use std::sync::Arc;
 ///
 /// Pages are filled once by an I/O thread and shared read-only via
 /// `Arc` — by the cache, by in-flight completions, and by user tasks.
-/// Eviction merely drops the cache's reference; spans keep pages
-/// alive, so user tasks never observe reuse.
+/// Eviction drops the cache's *strong* reference only: spans keep
+/// pages alive, so user tasks never observe reuse, and while they do
+/// the cache still serves the page to anyone else who asks.
 #[derive(Debug)]
 pub struct Page {
     pageno: u64,
@@ -147,6 +161,30 @@ impl PageSpan {
         self.pages[abs >> self.page_shift].bytes()[abs & self.page_mask]
     }
 
+    /// The contiguous bytes from span position `pos` to the end of the
+    /// page holding it, or to the end of the span if that comes first
+    /// — the unit every reader of a span walks by. Empty exactly when
+    /// `pos == len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos > len()`.
+    #[inline]
+    pub fn chunk_at(&self, pos: usize) -> &[u8] {
+        if pos >= self.len {
+            assert!(
+                pos == self.len,
+                "span index {pos} out of {} bytes",
+                self.len
+            );
+            return &[];
+        }
+        let abs = self.head + pos;
+        let off = abs & self.page_mask;
+        let take = (self.page_mask + 1 - off).min(self.len - pos);
+        &self.pages[abs >> self.page_shift].bytes()[off..off + take]
+    }
+
     /// Copies `out.len()` bytes starting at span position `at`.
     ///
     /// # Panics
@@ -159,15 +197,12 @@ impl PageSpan {
             at + out.len(),
             self.len
         );
-        let mut abs = self.head + at;
         let mut done = 0;
         while done < out.len() {
-            let page = &self.pages[abs >> self.page_shift];
-            let off = abs & self.page_mask;
-            let take = (self.page_mask + 1 - off).min(out.len() - done);
-            out[done..done + take].copy_from_slice(&page.bytes()[off..off + take]);
+            let chunk = self.chunk_at(at + done);
+            let take = chunk.len().min(out.len() - done);
+            out[done..done + take].copy_from_slice(&chunk[..take]);
             done += take;
-            abs += take;
         }
     }
 
@@ -191,23 +226,29 @@ impl PageSpan {
         }
     }
 
-    /// Iterates the span as little-endian `u32`s — the engine's edge
-    /// list decode. The span length must be a multiple of 4.
-    pub fn u32_iter(&self) -> impl Iterator<Item = u32> + '_ {
+    /// Iterates the span as little-endian `u32`s — the engine's raw
+    /// edge-list decode — one page chunk at a time. The span length
+    /// must be a multiple of 4.
+    pub fn u32_iter(&self) -> U32Iter<'_> {
         debug_assert_eq!(
             self.len % 4,
             0,
             "u32 stream length {} not aligned",
             self.len
         );
-        (0..self.len / 4).map(move |i| self.read_u32_le(i * 4))
+        U32Iter {
+            span: self,
+            words: [].chunks_exact(4),
+            pos: 0,
+            end: self.len - self.len % 4,
+        }
     }
 
     /// Copies the whole span into a fresh vector.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = vec![0u8; self.len];
-        if self.len > 0 {
-            self.read_bytes(0, &mut v);
+        let mut v = Vec::with_capacity(self.len);
+        while v.len() < self.len {
+            v.extend_from_slice(self.chunk_at(v.len()));
         }
         v
     }
@@ -248,6 +289,63 @@ impl PageSpan {
         }
     }
 }
+
+/// The `u32`s of a [`PageSpan`], in order ([`PageSpan::u32_iter`]).
+///
+/// Words are taken from one page's contiguous bytes at a time; only a
+/// word that straddles two pages goes through
+/// [`PageSpan::read_u32_le`]'s assembling path.
+#[derive(Debug, Clone)]
+pub struct U32Iter<'a> {
+    span: &'a PageSpan,
+    /// The whole words left in the current page chunk.
+    words: std::slice::ChunksExact<'a, u8>,
+    /// Byte position of the first word not yet handed to `words`.
+    pos: usize,
+    /// Byte position one past the last whole word of the span.
+    end: usize,
+}
+
+impl U32Iter<'_> {
+    /// Moves to the next page chunk and yields its first word; `None`
+    /// once the span is exhausted.
+    fn refill(&mut self) -> Option<u32> {
+        if self.pos >= self.end {
+            return None;
+        }
+        let chunk = self.span.chunk_at(self.pos);
+        if chunk.len() < 4 {
+            // The word straddles a page boundary.
+            let word = self.span.read_u32_le(self.pos);
+            self.pos += 4;
+            return Some(word);
+        }
+        let whole = chunk.len() - chunk.len() % 4;
+        self.words = chunk[..whole].chunks_exact(4);
+        self.pos += whole;
+        self.next()
+    }
+}
+
+impl Iterator for U32Iter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self.words.next() {
+            Some(w) => Some(u32::from_le_bytes(w.try_into().expect("4-byte chunk"))),
+            None => self.refill(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.words.len() + (self.end - self.pos) / 4;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for U32Iter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -372,5 +470,88 @@ mod tests {
         assert!(weak.upgrade().is_some());
         drop(s);
         assert!(weak.upgrade().is_none());
+    }
+
+    #[test]
+    fn span_not_cache_keeps_evicted_pages_alive() {
+        use crate::PageCache;
+        // The span is what keeps an evicted page alive — and findable;
+        // the cache must not be.
+        let cache = PageCache::new(1, 1);
+        cache.insert(page(0, |_| 7, 8));
+        let s = PageSpan::new(vec![cache.get(0).expect("resident")], 0, 8);
+        let weak = Arc::downgrade(&s.pages[0]);
+        cache.insert(page(1, |_| 9, 8));
+        assert_eq!(cache.stats().snapshot().evictions, 1);
+        let hit = cache.get(0).expect("held by the span, so still a hit");
+        assert_eq!(hit.bytes(), &s.to_vec()[..]);
+        drop(hit);
+        assert!(weak.upgrade().is_some());
+        drop(s);
+        assert!(weak.upgrade().is_none(), "the cache extended its life");
+        assert!(cache.get(0).is_none());
+    }
+
+    #[test]
+    fn chunks_tile_the_span_page_by_page() {
+        let pages: Vec<_> = (0..3)
+            .map(|n| page(n, move |i| (n as usize * 16 + i) as u8, 16))
+            .collect();
+        let s = PageSpan::new(pages, 5, 30); // absolute bytes 5..35
+        assert_eq!(s.chunk_at(0), (5u8..16).collect::<Vec<_>>());
+        assert_eq!(s.chunk_at(3), (8u8..16).collect::<Vec<_>>());
+        assert_eq!(s.chunk_at(11), (16u8..32).collect::<Vec<_>>());
+        assert_eq!(
+            s.chunk_at(27),
+            (32u8..35).collect::<Vec<_>>(),
+            "clamped to the span"
+        );
+        assert!(s.chunk_at(30).is_empty());
+        assert!(PageSpan::empty().chunk_at(0).is_empty());
+        let mut pos = 0;
+        let mut all = Vec::new();
+        while pos < s.len() {
+            let c = s.chunk_at(pos);
+            all.extend_from_slice(c);
+            pos += c.len();
+        }
+        assert_eq!(all, s.to_vec());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn chunk_past_the_end_panics() {
+        let s = PageSpan::new(vec![page(0, |_| 0, 8)], 0, 4);
+        s.chunk_at(5);
+    }
+
+    #[test]
+    fn u32_iter_is_exact_at_every_alignment_and_page_size() {
+        for page_bytes in [1usize, 2, 4, 8, 16, 64] {
+            for head in 0..2 * page_bytes.max(4) {
+                for words in [0usize, 1, 2, 5, 33] {
+                    let total = head + words * 4;
+                    let npages = total.div_ceil(page_bytes).max(1);
+                    let pages: Vec<_> = (0..npages as u64)
+                        .map(|n| {
+                            page(
+                                n,
+                                move |i| (n as usize * page_bytes + i) as u8 ^ 0x3C,
+                                page_bytes,
+                            )
+                        })
+                        .collect();
+                    let s = PageSpan::new(pages, head, words * 4);
+                    let want: Vec<u32> = (0..words).map(|i| s.read_u32_le(i * 4)).collect();
+                    let mut it = s.u32_iter();
+                    for (i, &w) in want.iter().enumerate() {
+                        assert_eq!(it.len(), words - i);
+                        assert_eq!(it.next(), Some(w), "page {page_bytes} head {head} word {i}");
+                    }
+                    assert_eq!(it.len(), 0);
+                    assert_eq!(it.next(), None);
+                }
+            }
+        }
     }
 }

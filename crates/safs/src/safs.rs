@@ -875,14 +875,55 @@ mod tests {
             cache_before,
             "no lookup, insert or eviction"
         );
+        // Stream pages were never slotted, so holding `span` puts
+        // nothing in the victim tables either.
+        assert_eq!(safs.mount.cache.victim_entries(), 0);
         // The hot pages are still resident, the swept ones are not.
         let before = safs.array().stats().snapshot().pages_read;
         safs.read_sync(2 * 4096, 2 * 4096).unwrap();
         assert_eq!(safs.array().stats().snapshot().pages_read, before);
         safs.read_sync(0, 4096).unwrap();
         assert_eq!(safs.array().stats().snapshot().pages_read, before + 1);
+        assert_eq!(safs.mount.cache.victim_entries(), 0);
+        drop(span);
         assert!(safs.read_sync_stream(1 << 20, 1).is_err());
         assert!(safs.read_sync_stream(0, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn held_span_keeps_its_pages_hits_on_every_read_path() {
+        // A cache of 8 pages in front of a 256-page device.
+        let cfg = SafsConfig::default().with_cache_bytes(8 * 4096);
+        let safs = patterned_safs(cfg, 1 << 20);
+        let held = safs.read_sync(4096, 2 * 4096).unwrap(); // pages 1-2
+                                                            // Push them out of their slots: 64 other pages through 8.
+        safs.read_sync(16 * 4096, 64 * 4096).unwrap();
+        assert!(safs.cache_stats().evictions >= 2);
+        let io = safs.array().stats().snapshot();
+        let cache = safs.cache_stats();
+        // The synchronous path ...
+        let again = safs.read_sync(4096, 2 * 4096).unwrap();
+        assert_eq!(again.to_vec(), held.to_vec());
+        // ... the application-side lookup of a session (an all-hit
+        // submit completes inline) ...
+        let mut s = safs.session();
+        s.submit(4096 + 100, 4096, 9).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(s.poll(&mut out), 1);
+        // ... and the I/O thread's pre-read re-check all find them.
+        let got = read_pages(&safs.mount, 1, 2);
+        assert_eq!(got[0].bytes(), held.chunk_at(0));
+        assert_eq!(safs.array().stats().snapshot().pages_read, io.pages_read);
+        let d = safs.cache_stats().delta_since(&cache);
+        assert_eq!((d.hits, d.pinned_hits, d.misses), (4, 4, 0));
+        // Let go of everything: the pages are gone and a read is a
+        // device read again.
+        drop((held, again, out, got));
+        safs.read_sync(4096, 2 * 4096).unwrap();
+        assert_eq!(
+            safs.array().stats().snapshot().pages_read,
+            io.pages_read + 2
+        );
     }
 
     #[test]
