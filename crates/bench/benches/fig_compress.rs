@@ -11,9 +11,8 @@
 //!    quoted in the README come from this table).
 //! 2. **Format transparency with strictly fewer device bytes**: BFS,
 //!    PageRank, WCC, and TC produce oracle-identical results on the
-//!    compressed image under both *selective* and *streaming* (dense
-//!    iteration) execution, deliver exactly the same number of edges
-//!    as on the raw image, and read strictly fewer device bytes.
+//!    compressed image, deliver exactly the same number of edges as
+//!    on the raw image, and read strictly fewer device bytes.
 //! 3. **Ranged/chunked hub requests**: a chunk-sized position range
 //!    of a hub's compressed list (resolved through the block's skip
 //!    table) reads strictly fewer device bytes than fetching the
@@ -28,8 +27,7 @@ use fg_safs::SafsConfig;
 use fg_ssdsim::ArrayConfig;
 use fg_types::{EdgeDir, VertexId};
 use flashgraph::{
-    Engine, EngineConfig, Init, PageVertex, Request, RunStats, ScanMode, VertexContext,
-    VertexProgram,
+    Engine, EngineConfig, Init, PageVertex, Request, RunStats, VertexContext, VertexProgram,
 };
 
 const SEED: u64 = 0xC0ED;
@@ -54,14 +52,13 @@ fn mount(g: &Graph, opts: &WriteOptions) -> SemFixture {
     fx
 }
 
-fn cfg(mode: ScanMode) -> EngineConfig {
+fn cfg() -> EngineConfig {
     EngineConfig {
         num_threads: 2,
         range_shift: 11,
         max_pending: 512,
         ..EngineConfig::default()
     }
-    .with_scan_mode(mode)
 }
 
 /// Bytes of the out-edge section (its end is the next section start).
@@ -77,11 +74,10 @@ fn out_section_bytes(meta: &fg_format::ImageMeta) -> u64 {
 fn run_cell<R>(
     g: &Graph,
     opts: &WriteOptions,
-    mode: ScanMode,
     f: impl Fn(&Engine<'_>) -> (R, RunStats),
 ) -> (R, RunStats) {
     let fx = mount(g, opts);
-    let engine = Engine::new_sem(&fx.safs, fx.index.clone(), cfg(mode));
+    let engine = Engine::new_sem(&fx.safs, fx.index.clone(), cfg());
     fx.safs.reset_stats();
     f(&engine)
 }
@@ -168,25 +164,17 @@ fn main() {
     }
     sizes.print();
 
-    // ---- part 2: the app × mode × format matrix ----
+    // ---- part 2: the app × format matrix ----
     let root = traversal_root(&g);
     let bfs_oracle = fg_baselines::direct::bfs_levels(&g, root);
     let wcc_oracle = fg_baselines::direct::wcc_labels(&g);
     let tc_oracle = fg_baselines::direct::triangle_count(&u);
     let (pr_oracle, _) =
-        fg_apps::pagerank(&Engine::new_mem(&g, cfg(ScanMode::Selective)), 0.85, 0.0, 6)
-            .expect("mem pagerank");
+        fg_apps::pagerank(&Engine::new_mem(&g, cfg()), 0.85, 0.0, 6).expect("mem pagerank");
 
     let mut matrix = Table::new(
         "fig_compress — device bytes per run (results oracle-identical everywhere)",
-        &[
-            "app",
-            "mode",
-            "raw bytes",
-            "v2 bytes",
-            "v2/raw",
-            "edges delivered",
-        ],
+        &["app", "raw bytes", "v2 bytes", "v2/raw", "edges delivered"],
     );
     type AppRun<'a> = (
         &'a str,
@@ -234,42 +222,30 @@ fn main() {
         ),
     ];
     for (app, graph, run) in &apps {
-        for (mode_name, mode) in [
-            ("selective", ScanMode::Selective),
-            ("stream", ScanMode::Stream),
-        ] {
-            let mut cells = Vec::new();
-            for (_, opts) in formats() {
-                let ((), stats) = run_cell(graph, &opts, mode, |e| ((), run(e)));
-                if mode == ScanMode::Stream {
-                    assert!(
-                        stats.per_iteration.iter().any(|it| it.scan),
-                        "{app}/{mode_name}: no iteration actually streamed"
-                    );
-                }
-                cells.push(stats);
-            }
-            let raw_io = cells[0].io.as_ref().unwrap();
-            let v2_io = cells[1].io.as_ref().unwrap();
-            assert_eq!(
-                cells[0].edges_delivered, cells[1].edges_delivered,
-                "{app}/{mode_name}: formats delivered different edge counts"
-            );
-            assert!(
-                v2_io.bytes_read < raw_io.bytes_read,
-                "{app}/{mode_name}: compressed read {} bytes, raw {}",
-                v2_io.bytes_read,
-                raw_io.bytes_read
-            );
-            matrix.row(&[
-                app.to_string(),
-                mode_name.to_string(),
-                bytes(raw_io.bytes_read),
-                bytes(v2_io.bytes_read),
-                ratio(v2_io.bytes_read as f64 / raw_io.bytes_read as f64),
-                count(cells[0].edges_delivered),
-            ]);
+        let mut cells = Vec::new();
+        for (_, opts) in formats() {
+            let ((), stats) = run_cell(graph, &opts, |e| ((), run(e)));
+            cells.push(stats);
         }
+        let raw_io = cells[0].io.as_ref().unwrap();
+        let v2_io = cells[1].io.as_ref().unwrap();
+        assert_eq!(
+            cells[0].edges_delivered, cells[1].edges_delivered,
+            "{app}: formats delivered different edge counts"
+        );
+        assert!(
+            v2_io.bytes_read < raw_io.bytes_read,
+            "{app}: compressed read {} bytes, raw {}",
+            v2_io.bytes_read,
+            raw_io.bytes_read
+        );
+        matrix.row(&[
+            app.to_string(),
+            bytes(raw_io.bytes_read),
+            bytes(v2_io.bytes_read),
+            ratio(v2_io.bytes_read as f64 / raw_io.bytes_read as f64),
+            count(cells[0].edges_delivered),
+        ]);
     }
     matrix.print();
 
@@ -301,7 +277,7 @@ fn main() {
     }
     let run_probe = |range: Option<(u64, u64)>| -> (u64, u64) {
         let fx = mount(&h, &opts);
-        let engine = Engine::new_sem(&fx.safs, fx.index.clone(), cfg(ScanMode::Selective));
+        let engine = Engine::new_sem(&fx.safs, fx.index.clone(), cfg());
         fx.safs.reset_stats();
         let probe = HubProbe {
             subject: hub,

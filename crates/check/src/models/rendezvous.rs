@@ -1,8 +1,9 @@
-//! Shard-group generation rendezvous — the model of `ShardGroup`'s
-//! vote barrier (`crates/core/src/shard.rs`, `vote_and_wait` /
-//! `poison`): shards vote a boolean per iteration, the last arrival
-//! combines the votes and releases the generation, and a crashed
-//! shard poisons the group so the others error out instead of hanging.
+//! Generation rendezvous — the model of `Rendezvous`, the engine's
+//! one barrier (`crates/core/src/shard.rs`, `vote` / `poison`; the
+//! workers of a shard meet at one, worker 0 of every shard at
+//! another): parties vote a boolean per round, the last arrival
+//! combines the votes and releases the generation, and a party that
+//! panics poisons the barrier so the others fail instead of hanging.
 //!
 //! Protocol: each voter ANDs its ballot into the accumulator and
 //! increments `arrived`. The last arrival snapshots the combined
@@ -54,7 +55,7 @@ struct GroupState {
     poisoned: bool,
 }
 
-/// The model's `ShardGroup` double.
+/// The model's `Rendezvous` double.
 struct Group {
     state: CMutex<GroupState>,
     cv: CCondvar,
@@ -173,7 +174,7 @@ fn scenario_poison(mutation: Option<Mutation>, cfg: &Config) -> Report {
         let survivor = {
             let group = group.clone();
             cspawn(move || {
-                // Like the real `ShardGroup`, a vote whose round
+                // Like the real `Rendezvous`, a vote whose round
                 // completed concurrently with the poison may still
                 // report the poison — a dead peer invalidates the
                 // group wholesale. Both outcomes are legal; hanging

@@ -1,6 +1,7 @@
-//! `SemIo` flush gate — the model of the selective-buffering I/O
-//! front end (`crates/safs/src/semio.rs`, `selective_buffered` /
-//! `wait_for_completions`), and of the PR 6 livelock it once had.
+//! `SemIo` flush gate — the model of the engine's buffering I/O
+//! front end (`SemIo` in `crates/core/src/engine.rs`: `buffered` /
+//! `IoDriver::in_flight` and the stall-point flush of
+//! `compute_pipelined`), and of the PR 6 livelock it once had.
 //!
 //! Protocol: requests accumulate in a buffered queue and are issued to
 //! the device in batches of `ISSUE_BATCH`, at most `MAX_PENDING` in

@@ -29,47 +29,6 @@ pub enum SchedulerKind {
     DegreeDescending(EdgeDir),
 }
 
-/// How the semi-external engine turns a frontier into device I/O.
-///
-/// FlashGraph's *selective* access wins when frontiers are sparse,
-/// but a dense iteration — PageRank every iteration, WCC or BFS
-/// mid-run — touches nearly the whole edge-list file anyway, and
-/// per-vertex requests then only add sort/merge overhead and
-/// page-cache churn over what a sequential sweep would cost (the
-/// dense/sparse bimodality M-Flash builds its block model around).
-/// The streaming scan is that sweep: a worker whose partition is
-/// dense issues large fixed-stride sequential covers over its
-/// partition's edge-list byte extent and delivers only the active
-/// vertices' slices out of each arriving stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Always per-vertex selective requests (the paper's behaviour;
-    /// the default).
-    Selective,
-    /// Always stream: every partition with any active vertex sweeps
-    /// its extent with stride-sized covers. Best for algorithms that
-    /// are dense every iteration (PageRank until convergence).
-    Stream,
-    /// Decide per worker per iteration: stream when the fraction of
-    /// active vertices in the worker's partition exceeds
-    /// `threshold` percent, stay selective otherwise. BFS and WCC
-    /// runs flip mode across their sparse→dense→sparse life cycle.
-    Adaptive {
-        /// Density threshold in percent of the partition's vertices
-        /// (`50` streams above half-active). `0` streams whenever
-        /// anything is active; `100` never streams.
-        threshold: u32,
-    },
-}
-
-impl ScanMode {
-    /// The adaptive mode at the 50 % density crossover — a good
-    /// default for frontier algorithms whose density varies.
-    pub fn adaptive() -> Self {
-        ScanMode::Adaptive { threshold: 50 }
-    }
-}
-
 /// Tunables of an [`crate::Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -105,24 +64,6 @@ pub struct EngineConfig {
     pub max_request_edges: u64,
     /// Vertex ordering policy.
     pub scheduler: SchedulerKind,
-    /// Dense-iteration execution mode (semi-external only; the
-    /// in-memory backend has no device I/O to restructure and ignores
-    /// this). Only *own-list* requests of the streaming worker's
-    /// partition ride the sweep — cross-vertex requests (another
-    /// vertex's list, a stolen vertex) stay selective so hot hub
-    /// lists keep flowing through the page cache. Streaming covers
-    /// are sized by [`EngineConfig::stream_stride_bytes`], issued in
-    /// partition id-range order, and submitted with the cache-bypass
-    /// policy ([`fg_safs::IoSession::submit_stream`]): resident pages
-    /// are used but swept pages are not inserted, so a scan cannot
-    /// evict the hot working set. Results are identical across
-    /// modes — only the device access pattern changes. Every mode is
-    /// also image-format-transparent: covers and slices are byte
-    /// ranges from the `GraphIndex`, so raw and delta-varint
-    /// compressed images (`fg_format::ImageFormat`) behave
-    /// identically up to the (fewer) device bytes a compressed image
-    /// moves.
-    pub scan_mode: ScanMode,
     /// Vertical passes per iteration (§3.8): programs see
     /// `ctx.vertical_part()` and can restrict each pass to a slice of
     /// the neighbour space, improving cache reuse for hub-heavy
@@ -188,24 +129,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style: sets the dense-iteration scan mode.
-    pub fn with_scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan_mode = mode;
-        self
-    }
-
-    /// The stride of one streaming-scan cover in bytes: the merge cap
-    /// when one is configured (the cap exists so large reads stripe
-    /// across the SSD array, and stream covers should stripe the same
-    /// way), else 4 MiB.
-    pub fn stream_stride_bytes(&self) -> u64 {
-        if self.max_merge_bytes == 0 {
-            4 << 20
-        } else {
-            self.max_merge_bytes
-        }
-    }
-
     /// Builder-style: sets vertical passes.
     pub fn with_vertical_parts(mut self, v: u32) -> Self {
         self.vertical_parts = v.max(1);
@@ -256,7 +179,6 @@ impl Default for EngineConfig {
             max_merge_bytes: 4 << 20,
             max_request_edges: 0,
             scheduler: SchedulerKind::Alternating,
-            scan_mode: ScanMode::Selective,
             vertical_parts: 1,
             max_iterations: u32::MAX,
             work_stealing: true,
@@ -314,28 +236,6 @@ mod tests {
                 .max_request_edges,
             64
         );
-    }
-
-    #[test]
-    fn scan_mode_defaults_selective() {
-        assert_eq!(EngineConfig::default().scan_mode, ScanMode::Selective);
-        assert_eq!(
-            EngineConfig::default()
-                .with_scan_mode(ScanMode::adaptive())
-                .scan_mode,
-            ScanMode::Adaptive { threshold: 50 }
-        );
-    }
-
-    #[test]
-    fn stream_stride_follows_merge_cap() {
-        let c = EngineConfig::default();
-        assert_eq!(c.stream_stride_bytes(), 4 << 20);
-        assert_eq!(
-            c.with_max_merge_bytes(1 << 16).stream_stride_bytes(),
-            1 << 16
-        );
-        assert_eq!(c.with_max_merge_bytes(0).stream_stride_bytes(), 4 << 20);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! issue/poll loop, work stealing, and the completion-counted
 //! pipeline (§3.3, §3.6–§3.8).
 //!
-//! Each iteration has a build step (collect the partition's active
-//! vertices, decide the scan mode), a compute step, and a boundary
+//! Each iteration has a build step (collect and order the partition's
+//! active vertices), a compute step, and a boundary
 //! (message delivery, iteration-end callbacks, frontier flip, stats).
 //! The compute step is *pipelined* — it runs without any
 //! intra-iteration barrier: workers issue merged covers
@@ -29,7 +29,7 @@
 use fg_types::sync::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Counter, Ordering};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg_format::{GraphIndex, ListSlice, ShardedIndex, SliceDecode};
@@ -39,18 +39,17 @@ use fg_types::{
     AtomicBitmap, Bitmap, CancelCause, CancelToken, EdgeDir, FgError, Result, VertexId,
 };
 
-use crate::config::{EngineConfig, ScanMode, SchedulerKind};
+use crate::config::{EngineConfig, SchedulerKind};
 use crate::context::{
     DegreeSource, EdgeRequest, RunShared, ShardView, VertexContext, WorkerScratch,
 };
 use crate::merge::{
-    coalesce_stream_around, merge_requests, subtract_inflight, InflightPages, MergedReq, PageRange,
-    RangeReq,
+    merge_requests, subtract_inflight, InflightPages, MergedReq, PageRange, RangeReq,
 };
 use crate::messages::{Batch, MessageBoard, NotifyBoard, ShardPacket};
 use crate::partition::PartitionMap;
 use crate::program::VertexProgram;
-use crate::shard::ShardLink;
+use crate::shard::{join_all, worker_panicked, PoisonGuard, Rendezvous, ShardLink};
 use crate::state::SharedStates;
 use crate::stats::{IterStats, RunStats};
 use crate::vertex::PageVertex;
@@ -261,7 +260,8 @@ impl<'g> Engine<'g> {
     ///
     /// # Errors
     ///
-    /// Returns [`FgError::VertexOutOfRange`] for bad seeds; I/O errors
+    /// Returns [`FgError::VertexOutOfRange`] for bad seeds and
+    /// [`FgError::WorkerPanicked`] when a callback panics; I/O errors
     /// propagate from SAFS.
     pub fn run<P: VertexProgram>(
         &self,
@@ -281,9 +281,9 @@ impl<'g> Engine<'g> {
     ///
     /// # Errors
     ///
-    /// Returns [`FgError::VertexOutOfRange`] for bad seeds and
+    /// Returns [`FgError::VertexOutOfRange`] for bad seeds,
     /// [`FgError::InvalidRequest`] for a state vector of the wrong
-    /// length.
+    /// length, and [`FgError::WorkerPanicked`] when a callback panics.
     pub fn run_with_states<P: VertexProgram>(
         &self,
         program: &P,
@@ -334,10 +334,15 @@ impl<'g> Engine<'g> {
         // Peers or no peers is decided by the shard count: a group of
         // one would still pay two rendezvous per iteration and a
         // thread, so one shard runs right here with no link.
+        // A panic surfaces here for the same reason cancellation does
+        // below: every worker of every shard has joined by now.
         let per_shard = match self.num_shards() {
-            1 => vec![self.run_shard(program, &init, &states, 0, None)],
+            1 => self
+                .run_shard(program, &init, &states, 0, None)
+                .map(|s| vec![s]),
             _ => crate::shard::run_shards(self, program, &init, &states),
-        };
+        }
+        .map_err(worker_panicked)?;
         let mut total = per_shard[0].clone();
         for s in &per_shard[1..] {
             total.absorb(s);
@@ -367,7 +372,8 @@ impl<'g> Engine<'g> {
     /// (each only ever touches states of vertices it owns, so the
     /// exclusivity discipline extends across shards). `link` carries
     /// the shard bus and barrier group, present exactly when the run
-    /// has peers.
+    /// has peers. `Err` is the panic of a worker that died, returned
+    /// once every worker has joined.
     pub(crate) fn run_shard<P: VertexProgram>(
         &self,
         program: &P,
@@ -375,7 +381,7 @@ impl<'g> Engine<'g> {
         states: &SharedStates<P::State>,
         me: usize,
         link: Option<&ShardLink<'_, P::Msg>>,
-    ) -> RunStats {
+    ) -> std::thread::Result<RunStats> {
         let n = self.n;
         debug_assert_eq!(
             self.num_shards() > 1,
@@ -439,13 +445,7 @@ impl<'g> Engine<'g> {
         let board: MessageBoard<P::Msg> = MessageBoard::new(nthreads);
         let notify = NotifyBoard::new(nthreads);
         let active = ActiveSet::new(nthreads, vparts as usize);
-        // Per-partition streaming decisions of the current iteration:
-        // written by each owner in phase A (before the barrier), read
-        // by stealers in phase B. A streamed partition's bytes arrive
-        // via its owner's sweep, so stealing from it would duplicate
-        // device reads.
-        let stream_flags: Vec<AtomicBool> = (0..nthreads).map(|_| AtomicBool::new(false)).collect();
-        let barrier = Barrier::new(nthreads);
+        let barrier = Rendezvous::new(nthreads);
         let control = Control::default();
         let counters = Counters::default();
         let ready_pool = ReadyPool::new(nthreads);
@@ -471,7 +471,7 @@ impl<'g> Engine<'g> {
 
         if n > 0 {
             std::thread::scope(|scope| {
-                for w in 0..nthreads {
+                let spawn = |w| {
                     let worker = WorkerEnv {
                         w,
                         me,
@@ -483,7 +483,6 @@ impl<'g> Engine<'g> {
                         board: &board,
                         notify: &notify,
                         active: &active,
-                        stream_flags: &stream_flags,
                         barrier: &barrier,
                         control: &control,
                         counters: &counters,
@@ -493,9 +492,10 @@ impl<'g> Engine<'g> {
                         per_iteration: &per_iteration,
                         link,
                     };
-                    scope.spawn(move || worker.run_loop());
-                }
-            });
+                    scope.spawn(move || worker.run_loop())
+                };
+                join_all((0..nthreads).map(spawn).collect())
+            })?;
         }
 
         let elapsed = start.elapsed();
@@ -508,7 +508,7 @@ impl<'g> Engine<'g> {
                 )
             })
             .unzip();
-        RunStats {
+        Ok(RunStats {
             // ordering: read after every worker thread has joined.
             iterations: control.iteration.load(Ordering::Relaxed),
             elapsed,
@@ -533,7 +533,7 @@ impl<'g> Engine<'g> {
                 _ => None,
             },
             per_iteration: per_iteration.into_inner(),
-        }
+        })
     }
 }
 
@@ -795,10 +795,6 @@ struct Counters {
     edges_delivered: Counter,
     /// Serialized bytes of cross-shard packets this engine posted.
     shard_msg_bytes: Counter,
-    /// Worker-iterations executed as streaming scans.
-    stream_partitions: Counter,
-    /// Stride covers submitted by the streaming path.
-    stream_stripes: Counter,
 }
 
 /// Everything one worker thread needs, borrowed from the run.
@@ -814,8 +810,7 @@ struct WorkerEnv<'r, 'g, P: VertexProgram> {
     board: &'r MessageBoard<P::Msg>,
     notify: &'r NotifyBoard,
     active: &'r ActiveSet,
-    stream_flags: &'r [AtomicBool],
-    barrier: &'r Barrier,
+    barrier: &'r Rendezvous,
     control: &'r Control,
     counters: &'r Counters,
     ready: &'r ReadyPool,
@@ -840,12 +835,13 @@ struct IterSnapshot {
     bytes_requested: u64,
     issued_requests: u64,
     edges_delivered: u64,
-    stream_partitions: u64,
-    stream_stripes: u64,
 }
 
 impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     fn run_loop(&self) {
+        // A callback that panics on this worker fails its siblings'
+        // waits instead of leaving them parked (see [`Rendezvous`]).
+        let _guard = PoisonGuard(self.barrier);
         let shards = self
             .shared
             .shard
@@ -883,23 +879,11 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 0
             };
 
-            // Phase A: build this partition's ordered active list and
-            // decide this iteration's execution mode from its density.
+            // Phase A: build this partition's ordered active list.
             let mut list = self.collect_active();
-            let stream = self.decide_stream(list.len());
-            if !stream {
-                // A sweep overrides the scheduler: it reads the extent
-                // front to back, and processing in id order keeps
-                // buffered requests aligned with the covers.
-                self.apply_scheduler(iter, &mut list);
-            }
-            self.stream_flags[self.w].store(stream, Ordering::Release);
+            self.apply_scheduler(iter, &mut list);
             self.active.install(self.w, list);
-            self.barrier.wait();
-            // Counted behind the barrier: worker 0 snapshots the
-            // counters before it, with no ordering against the other
-            // workers' phase A.
-            self.counters.stream_partitions.add(stream as u64);
+            self.barrier.rendezvous();
 
             // Phase B, compute: every vertical pass in one
             // completion-counted sweep with no intra-iteration barrier
@@ -909,12 +893,12 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
-            self.compute_pipelined(iter, &mut scratch, &mut io, stream);
+            self.compute_pipelined(iter, &mut scratch, &mut io);
             self.flush_boards(&mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
             self.counters.compute_ns.add(busy.saturating_sub(waited));
-            self.barrier.wait();
+            self.barrier.rendezvous();
 
             // Cross-shard sync 1: every shard has finished compute, so
             // every foreign packet of this iteration is on the bus.
@@ -927,7 +911,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                     link.group.rendezvous();
                     self.drain_shard_bus(link);
                 }
-                self.barrier.wait();
+                self.barrier.rendezvous();
             }
 
             // Phase C: message delivery + iteration-end callbacks for
@@ -937,7 +921,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             self.apply_iteration_end(iter, &mut scratch, &mut io, &mut seen_notify);
             self.flush_boards(&mut scratch);
             self.counters.compute_ns.add(t.elapsed().as_nanos() as u64);
-            self.barrier.wait();
+            self.barrier.rendezvous();
 
             // Phase D: worker 0 decides continuation and swaps. The
             // phase-C barrier above quiesced every worker (all I/O
@@ -988,7 +972,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 self.control.stop.store(done, Ordering::Release);
                 self.control.iteration.store(iter + 1, Ordering::Release);
             }
-            self.barrier.wait();
+            self.barrier.rendezvous();
             if self.control.stop.load(Ordering::Acquire) {
                 break;
             }
@@ -1013,8 +997,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             bytes_requested: self.counters.bytes_requested.get(),
             issued_requests: self.counters.issued_requests.get(),
             edges_delivered: self.counters.edges_delivered.get(),
-            stream_partitions: self.counters.stream_partitions.get(),
-            stream_stripes: self.counters.stream_stripes.get(),
         })
     }
 
@@ -1036,9 +1018,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             }
             _ => (0, 0, 0),
         };
-        let stream_partitions = now
-            .stream_partitions
-            .saturating_sub(before.stream_partitions);
         self.per_iteration.lock().push(IterStats {
             frontier,
             wall_ns: iter_start.elapsed().as_nanos() as u64,
@@ -1048,28 +1027,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             issued_requests: now.issued_requests.saturating_sub(before.issued_requests),
             edges_delivered: now.edges_delivered.saturating_sub(before.edges_delivered),
             io_busy_ns,
-            scan: stream_partitions > 0,
-            stream_partitions,
-            stream_stripes: now.stream_stripes.saturating_sub(before.stream_stripes),
         });
         *boundary = Some(now);
-    }
-
-    /// Whether this worker executes the coming iteration as a
-    /// streaming scan: semi-external backend only, by
-    /// [`ScanMode`] against the partition's active density.
-    fn decide_stream(&self, active: usize) -> bool {
-        if matches!(self.engine.backend, Backend::Mem(_)) || active == 0 {
-            return false;
-        }
-        match self.engine.cfg.scan_mode {
-            ScanMode::Selective => false,
-            ScanMode::Stream => true,
-            ScanMode::Adaptive { threshold } => {
-                let plen = self.shared.pmap.partition_len(self.w);
-                plen > 0 && active as u64 * 100 > plen as u64 * threshold as u64
-            }
-        }
     }
 
     /// Collects the active vertices of this partition in id order.
@@ -1120,12 +1079,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
         for k in 1..nparts {
             let p = (self.w + k) % nparts;
-            // Never steal from a streaming partition: its owner's
-            // sweep already reads those vertices' bytes, so stolen
-            // selective requests would duplicate the device traffic.
-            if self.stream_flags[p].load(Ordering::Acquire) {
-                continue;
-            }
             if let Some(v) = self.active.claim(p, vp) {
                 return Some(v);
             }
@@ -1156,7 +1109,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
-        stream: bool,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
@@ -1167,15 +1119,14 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 // (a) Fill the device pipeline with fresh claims.
                 while io.outstanding() < max_pending {
                     match self.claim(vp as usize, nparts) {
-                        Some(v) => self.run_claimed(iter, vp, v, scratch, io, stream),
+                        Some(v) => self.run_claimed(iter, vp, v, scratch, io),
                         None if vp + 1 < self.shared.vparts => vp += 1,
                         None => {
                             claiming = false;
-                            // Release the final partial stride and any
-                            // half-filled selective batch, then
+                            // Release the half-filled batch, then
                             // announce: cursors only move forward, so
                             // exhaustion is permanent this iteration.
-                            io.flush_all(self);
+                            io.flush(self);
                             // ordering: AcqRel — the release half
                             // publishes this worker's final flush to
                             // whoever's `quiesced` load sees the full
@@ -1192,12 +1143,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // (b) Publish our freshly completed covers to the pool.
             self.harvest(io, false);
             // (c) Run ready deliveries — ours or stolen.
-            let executed = self.execute_deliveries(iter, scratch, io, stream);
+            let executed = self.execute_deliveries(iter, scratch, io);
             if executed == 0 {
+                // Nothing to run: what we wait for next may be a
+                // sibling's announcement or obligation, which a dead
+                // sibling never delivers.
+                self.barrier.check();
                 if !claiming {
                     // Deliveries may have buffered follow-on requests
                     // that no size trigger will fire for anymore.
-                    io.flush_all(self);
+                    io.flush(self);
                     if io.outstanding() == 0 && self.quiesced() {
                         break;
                     }
@@ -1211,7 +1166,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                     // only at genuine stall points, so merge batching
                     // is otherwise unaffected.
                     if io.in_flight() == 0 {
-                        io.flush_selective(self);
+                        io.flush(self);
                     }
                     // Nothing runnable until one of our covers lands:
                     // block briefly (bounded, so we resume stealing
@@ -1235,14 +1190,13 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         v: VertexId,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
-        stream: bool,
     ) {
         self.counters.vertices.inc();
         self.acquire_busy(v);
         self.with_ctx(iter, vp, scratch, v, |prog, state, ctx| {
             prog.run(v, state, ctx);
         });
-        self.absorb_requests(iter, vp, scratch, io, stream);
+        self.absorb_requests(iter, vp, scratch, io);
         self.busy.clear_sync(v);
         io.flush_if_full(self);
         self.maybe_flush_messages(scratch);
@@ -1281,7 +1235,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
-        stream: bool,
     ) -> usize {
         const DELIVERY_BUDGET: usize = 64;
         let mut executed = 0;
@@ -1301,7 +1254,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             let vpd = r.vpart;
             let pv = SemIo::decode_ready(r, self.shared.deltas.as_deref());
             self.deliver_vertex(iter, vpd, scratch, requester, &pv);
-            self.absorb_requests(iter, vpd, scratch, io, stream);
+            self.absorb_requests(iter, vpd, scratch, io);
             self.busy.clear_sync(requester);
             // ordering: AcqRel — release publishes the delivery's
             // state writes to the worker whose quiesce load sees
@@ -1338,9 +1291,11 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
 
     /// Spins until this worker owns `v`'s busy bit. Contention is
     /// rare and short-lived: the holder is another worker inside one
-    /// of `v`'s callbacks, which never blocks on someone else's bit.
+    /// of `v`'s callbacks, which never blocks on someone else's bit —
+    /// and never clears it if the callback panicked.
     fn acquire_busy(&self, v: VertexId) {
         while self.busy.set_sync(v) {
+            self.barrier.check();
             std::hint::spin_loop();
         }
     }
@@ -1381,7 +1336,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
-        stream: bool,
     ) {
         while !scratch.requests.is_empty() {
             // Callbacks run below queue follow-on requests: take the
@@ -1485,37 +1439,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                             continue;
                         }
                         // Owned subject, on this shard's own index and
-                        // mount. A streaming worker routes *own-list*
-                        // requests of its own partition into the
-                        // sweep — the access pattern of the dense
-                        // algorithms the mode exists for, arriving
-                        // in claim (id) order. Cross-vertex requests
-                        // (TC/Scan asking for neighbours' lists) stay
-                        // selective even when the subject happens to
-                        // be local: they arrive in arbitrary order
-                        // and hot hub lists must keep going through
-                        // the cache, not a bypassing sweep.
-                        let via_stream = stream
-                            && req.subject == req.requester
-                            && self.shared.pmap.partition_of(req.subject) == self.w;
-                        if via_stream {
-                            // Covers must stay inside one of the
-                            // partition's id-ranges: bridging across a
-                            // foreign range would sweep bytes another
-                            // worker's stream already reads. Claims
-                            // arrive in id order, so flushing at each
-                            // range transition seals the previous
-                            // range's covers.
-                            let region = self.shared.pmap.region_of(req.subject);
-                            if sem.stream_region != Some(region) {
-                                sem.flush_stream(
-                                    self.engine.safs_page_bytes(),
-                                    self.engine.cfg.stream_stride_bytes(),
-                                    self.counters,
-                                );
-                                sem.stream_region = Some(region);
-                            }
-                        }
+                        // mount.
                         // Every accepted request is an obligation
                         // until its delivery (and the absorption of
                         // its follow-ons) finishes; the quiesce
@@ -1528,14 +1452,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         // its NoOuterObligation mutation shows what breaks
                         // when a cascade runs without cover.
                         self.ready.obligations.fetch_add(1, Ordering::Relaxed);
-                        sem.enqueue(
-                            req,
-                            index.shard(self.me),
-                            self.counters,
-                            via_stream,
-                            vp,
-                            deltas,
-                        );
+                        sem.enqueue(req, index.shard(self.me), self.counters, vp, deltas);
                         // Zero-degree requests become ready
                         // completions without I/O. (The pool never
                         // holds these: `harvest` is the only producer
@@ -1576,8 +1493,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
 
     /// The barrier phase's synchronous drain: blocks for at least one
     /// completion, then runs `run_on_vertex` for every part that
-    /// landed, on the selective path and in pass 0 like every
-    /// barrier-phase request.
+    /// landed, in pass 0 like every barrier-phase request.
     fn drain_completions(
         &self,
         iter: u32,
@@ -1605,7 +1521,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             }
         }
         // Callbacks may have queued more requests.
-        self.absorb_requests(iter, 0, scratch, io, false);
+        self.absorb_requests(iter, 0, scratch, io);
         io.flush_if_full(self);
         self.maybe_flush_messages(scratch);
     }
@@ -1780,20 +1696,18 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     }
 
     /// Synchronously completes any edge requests queued during the
-    /// barrier phase (message / iteration-end handlers). Barrier-phase
-    /// requests always take the selective path: the iteration's sweep
-    /// is over by then.
+    /// barrier phase (message / iteration-end handlers).
     fn complete_phase_requests(
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut IoDriver<'_>,
     ) {
-        self.absorb_requests(iter, 0, scratch, io, false);
-        io.flush_all(self);
+        self.absorb_requests(iter, 0, scratch, io);
+        io.flush(self);
         while io.outstanding() > 0 {
             self.drain_completions(iter, scratch, io);
-            io.flush_all(self);
+            io.flush(self);
         }
     }
 }
@@ -1818,37 +1732,28 @@ impl IoDriver<'_> {
 
     /// Requests actually submitted to the device and not yet
     /// harvested — excludes logical requests still buffered in the
-    /// selective queue awaiting a batch-size trigger.
+    /// issue queue awaiting a batch-size trigger.
     fn in_flight(&self) -> usize {
         match self {
             IoDriver::Mem => 0,
-            IoDriver::Sem(s) => s.outstanding - s.selective_buffered,
+            IoDriver::Sem(s) => s.outstanding - s.buffered,
         }
     }
 
-    /// Flushes whichever queue has reached its trigger: the selective
-    /// queue at the issue-batch size, the stream queue once a full
-    /// stride of extent is buffered.
+    /// Flushes the issue queue once it has reached the issue-batch
+    /// size.
     fn flush_if_full<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
         if let IoDriver::Sem(s) = self {
             if s.issue_q.len() >= env.engine.cfg.issue_batch {
-                s.flush(
-                    env.engine.safs_page_bytes(),
-                    env.engine.cfg.merge_in_engine,
-                    env.engine.cfg.resolved_max_merge_bytes(),
-                    env.counters,
-                );
-            }
-            let stride = env.engine.cfg.stream_stride_bytes();
-            if s.stream_span() >= stride || s.stream_q.len() >= STREAM_FLUSH_REQUESTS {
-                s.flush_stream(env.engine.safs_page_bytes(), stride, env.counters);
+                self.flush(env);
             }
         }
     }
 
-    /// Flushes the selective issue queue only — the stream queue
-    /// keeps accumulating toward a full stride.
-    fn flush_selective<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
+    /// Flushes the issue queue however little is buffered — the
+    /// end-of-claims flush, the stall-point flush, and the synchronous
+    /// barrier-phase drain.
+    fn flush<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
         if let IoDriver::Sem(s) = self {
             s.flush(
                 env.engine.safs_page_bytes(),
@@ -1858,55 +1763,7 @@ impl IoDriver<'_> {
             );
         }
     }
-
-    /// Flushes both queues: the selective one, and the stream queue
-    /// regardless of how much is buffered — the end-of-claims flush
-    /// that submits the final partial stride, and the synchronous
-    /// barrier-phase drain.
-    fn flush_all<P: VertexProgram>(&mut self, env: &WorkerEnv<'_, '_, P>) {
-        self.flush_selective(env);
-        if let IoDriver::Sem(s) = self {
-            s.flush_stream(
-                env.engine.safs_page_bytes(),
-                env.engine.cfg.stream_stride_bytes(),
-                env.counters,
-            );
-        }
-    }
 }
-
-/// Byte span of one file section's buffered stream parts.
-struct SectionSpan {
-    lo: u64,
-    hi: u64,
-}
-
-impl Default for SectionSpan {
-    fn default() -> Self {
-        SectionSpan {
-            lo: u64::MAX,
-            hi: 0,
-        }
-    }
-}
-
-impl SectionSpan {
-    fn widen(&mut self, offset: u64, bytes: u64) {
-        self.lo = self.lo.min(offset);
-        self.hi = self.hi.max(offset + bytes);
-    }
-
-    fn span(&self) -> u64 {
-        self.hi.saturating_sub(self.lo)
-    }
-}
-
-/// Backstop on how many buffered stream requests may await a full
-/// stride: on graphs with tiny edge lists a stride's worth of extent
-/// can mean hundreds of thousands of request metadata entries, so the
-/// queue also flushes at this count (covers come out smaller but
-/// still far larger than selective batches).
-const STREAM_FLUSH_REQUESTS: usize = 16 * 1024;
 
 impl Engine<'_> {
     /// Page size shared by every mount.
@@ -1951,8 +1808,6 @@ struct PartMeta {
 struct MergedMeta {
     offset: u64,
     parts: Vec<(u64, u64, PartMeta)>,
-    /// Whether the cover went out as a stream sweep.
-    stream: bool,
     /// The page range the cover is recorded under in the session's
     /// in-flight set until it resolves; `None` for attach-only covers
     /// (their pages are subsets of ranges already recorded).
@@ -2037,61 +1892,36 @@ fn fetch_window(
     }
 }
 
-/// The semi-external per-worker I/O state: selective issue queue,
-/// streaming-scan queue, merged-request slab, attribute pairing, and
-/// the SAFS session.
+/// The semi-external per-worker I/O state: the issue queue, the
+/// merged-request slab, attribute pairing, and the SAFS session.
 ///
-/// The two queues differ in three ways. The selective queue flushes
-/// at the issue-batch size, merges only page-adjacent requests, and
-/// submits with the normal cache policy. The stream queue flushes
-/// once a full stride of partition extent is buffered, bridges the
-/// gaps of inactive vertices ([`coalesce_stream`]), and submits with
-/// the cache-bypass policy. Buffered stream requests do not count as
-/// `outstanding` until their covers are submitted (tracked in
-/// `stream_buffered`), so the pipeline-depth gate cannot force
-/// premature, undersized covers.
+/// The queue flushes at the issue-batch size (or at a stall point, see
+/// [`IoDriver::flush`]), merges only page-adjacent requests, and
+/// submits through the page cache — the paper's one request path:
+/// selective access plus conservative merging, which is also what
+/// makes a dense iteration's reads sequential.
 struct SemIo<'s> {
     session: IoSession<'s>,
     issue_q: Vec<RangeReq>,
     issue_meta: Vec<PartMeta>,
-    stream_q: Vec<RangeReq>,
-    stream_meta: Vec<PartMeta>,
-    /// Byte span of the buffered edge-section stream parts.
-    stream_edges: SectionSpan,
-    /// Byte span of the buffered attribute-section stream parts.
-    /// Tracked separately: edge lists and attribute runs live in
-    /// far-apart file sections, and folding both into one span would
-    /// make it look stride-sized after a single weighted request,
-    /// flushing the queue per vertex.
-    stream_attrs: SectionSpan,
-    /// Logical requests buffered in the stream queue, moved into
-    /// `outstanding` at flush time.
-    stream_buffered: usize,
-    /// Id-range (region) the buffered stream requests belong to;
-    /// the engine flushes on transition so covers never bridge into
-    /// a foreign partition's byte ranges.
-    stream_region: Option<u64>,
     slab: Vec<Option<MergedMeta>>,
     slab_free: Vec<usize>,
     pairs: Vec<Option<AttrPair>>,
     pairs_free: Vec<usize>,
     ready: Vec<ReadyVertex>,
-    /// Page ranges of selective covers submitted and not yet resolved
-    /// (each cover's slab entry remembers its own). Later flush
-    /// batches subtract these before building covers: a request fully
-    /// inside them is submitted alone and attaches to the in-flight
-    /// read via the mount table instead of joining a new device cover.
-    inflight_sel: InflightPages,
-    /// Same for in-flight stream covers; stream sweeps refuse to
-    /// bridge gaps across either set (see [`coalesce_stream_around`]).
-    inflight_stream: InflightPages,
+    /// Page ranges of covers submitted and not yet resolved (each
+    /// cover's slab entry remembers its own). Later flush batches
+    /// subtract these before building covers: a request fully inside
+    /// them is submitted alone and attaches to the in-flight read via
+    /// the mount table instead of joining a new device cover.
+    inflight: InflightPages,
     outstanding: usize,
-    /// How many of `outstanding` are still buffered in the selective
+    /// How many of `outstanding` are still buffered in the issue
     /// queue rather than submitted. Counted in logical requests, not
     /// queue entries (a weighted request pushes two parts), so
-    /// `outstanding - selective_buffered` is the number of requests
-    /// actually at the device.
-    selective_buffered: usize,
+    /// `outstanding - buffered` is the number of requests actually at
+    /// the device.
+    buffered: usize,
     /// First global vertex id of the index this session speaks — a
     /// shard's per-mount index is keyed by local ids, so subjects are
     /// rebased before locate calls. 0 for a whole-graph image.
@@ -2105,30 +1935,15 @@ impl<'s> SemIo<'s> {
             base,
             issue_q: Vec::new(),
             issue_meta: Vec::new(),
-            stream_q: Vec::new(),
-            stream_meta: Vec::new(),
-            stream_edges: SectionSpan::default(),
-            stream_attrs: SectionSpan::default(),
-            stream_buffered: 0,
-            stream_region: None,
             slab: Vec::new(),
             slab_free: Vec::new(),
             pairs: Vec::new(),
             pairs_free: Vec::new(),
             ready: Vec::new(),
-            inflight_sel: InflightPages::default(),
-            inflight_stream: InflightPages::default(),
+            inflight: InflightPages::default(),
             outstanding: 0,
-            selective_buffered: 0,
+            buffered: 0,
         }
-    }
-
-    /// Widest per-section byte span of the buffered stream queue (0
-    /// when empty) — the stride trigger compares against this, so a
-    /// weighted request's two far-apart sections don't fake a full
-    /// stride.
-    fn stream_span(&self) -> u64 {
-        self.stream_edges.span().max(self.stream_attrs.span())
     }
 
     fn alloc_pair(&mut self, pair: AttrPair) -> usize {
@@ -2142,15 +1957,12 @@ impl<'s> SemIo<'s> {
     }
 
     /// Resolves one chunk request into issue-queue ranges (or a ready
-    /// completion for empty fetches — see [`fetch_window`]). With
-    /// `stream` set the ranges buffer in the stream queue instead,
-    /// awaiting a stride-sized sweep cover.
+    /// completion for empty fetches — see [`fetch_window`]).
     fn enqueue(
         &mut self,
         req: EdgeRequest,
         index: &GraphIndex,
         counters: &Counters,
-        stream: bool,
         vp: u32,
         deltas: Option<&DeltaView>,
     ) {
@@ -2173,12 +1985,8 @@ impl<'s> SemIo<'s> {
             loc.degree, len,
             "ranges are clamped at request time against the same index"
         );
-        if stream {
-            self.stream_buffered += 1;
-        } else {
-            self.outstanding += 1;
-            self.selective_buffered += 1;
-        }
+        self.outstanding += 1;
+        self.buffered += 1;
         let meta = |decode, kind| PartMeta {
             requester: req.requester,
             subject: req.subject,
@@ -2210,43 +2018,23 @@ impl<'s> SemIo<'s> {
                 overlay,
             });
             let attrs = meta(SliceDecode::Raw, PartKind::Attrs { pair: slot });
-            self.push_part(stream, aloc.offset, aloc.bytes, attrs, counters);
+            self.push_part(aloc.offset, aloc.bytes, attrs, counters);
             Some(slot)
         } else {
             None
         };
         let edges = meta(decode, PartKind::Edges { pair });
-        self.push_part(stream, loc.offset, loc.bytes, edges, counters);
+        self.push_part(loc.offset, loc.bytes, edges, counters);
     }
 
-    /// Appends one byte range + its metadata to the selected queue.
-    fn push_part(
-        &mut self,
-        stream: bool,
-        offset: u64,
-        bytes: u64,
-        meta: PartMeta,
-        counters: &Counters,
-    ) {
-        let (q, metas) = if stream {
-            (&mut self.stream_q, &mut self.stream_meta)
-        } else {
-            (&mut self.issue_q, &mut self.issue_meta)
-        };
-        metas.push(meta);
-        q.push(RangeReq {
+    /// Appends one byte range + its metadata to the issue queue.
+    fn push_part(&mut self, offset: u64, bytes: u64, meta: PartMeta, counters: &Counters) {
+        self.issue_meta.push(meta);
+        self.issue_q.push(RangeReq {
             offset,
             bytes,
-            meta: (metas.len() - 1) as u32,
+            meta: (self.issue_meta.len() - 1) as u32,
         });
-        if stream {
-            let section = if matches!(meta.kind, PartKind::Attrs { .. }) {
-                &mut self.stream_attrs
-            } else {
-                &mut self.stream_edges
-            };
-            section.widen(offset, bytes);
-        }
         counters.bytes_requested.add(bytes);
     }
 
@@ -2259,7 +2047,6 @@ impl<'s> SemIo<'s> {
         &mut self,
         m: MergedReq,
         metas: &[PartMeta],
-        stream: bool,
         page_bytes: u64,
         record: bool,
         counters: &Counters,
@@ -2274,17 +2061,12 @@ impl<'s> SemIo<'s> {
                 m.offset / page_bytes,
                 (m.offset + m.bytes - 1) / page_bytes + 1,
             );
-            if stream {
-                self.inflight_stream.insert(range);
-            } else {
-                self.inflight_sel.insert(range);
-            }
+            self.inflight.insert(range);
             range
         });
         let meta = Some(MergedMeta {
             offset: m.offset,
             parts,
-            stream,
             recorded,
         });
         let tag = if let Some(i) = self.slab_free.pop() {
@@ -2295,30 +2077,26 @@ impl<'s> SemIo<'s> {
             self.slab.len() - 1
         };
         counters.issued_requests.inc();
-        let submitted = if stream {
-            counters.stream_stripes.inc();
-            self.session.submit_stream(m.offset, m.bytes, tag as u64)
-        } else {
-            self.session.submit(m.offset, m.bytes, tag as u64)
-        };
-        submitted.expect("edge-list request within image bounds");
+        self.session
+            .submit(m.offset, m.bytes, tag as u64)
+            .expect("edge-list request within image bounds");
     }
 
-    /// Sorts, merges, and submits the selective issue queue (§3.6).
+    /// Sorts, merges, and submits the issue queue (§3.6).
     fn flush(&mut self, page_bytes: u64, merge: bool, max_merge_bytes: u64, counters: &Counters) {
         if self.issue_q.is_empty() {
             return;
         }
         let reqs = std::mem::take(&mut self.issue_q);
         let metas = std::mem::take(&mut self.issue_meta);
-        self.selective_buffered = 0;
+        self.buffered = 0;
         // Subtract pages this session is already fetching: fully
         // covered requests skip cover-building and ride the existing
         // reads (each page attaches via the mount's in-flight table,
         // or hits the cache if the cover has landed by then).
-        let (fetch, attached) = subtract_inflight(reqs, page_bytes, &self.inflight_sel);
+        let (fetch, attached) = subtract_inflight(reqs, page_bytes, &self.inflight);
         for m in merge_requests(fetch, page_bytes, merge, max_merge_bytes) {
-            self.submit_cover(m, &metas, false, page_bytes, true, counters);
+            self.submit_cover(m, &metas, page_bytes, true, counters);
         }
         for r in attached {
             let single = MergedReq {
@@ -2326,39 +2104,10 @@ impl<'s> SemIo<'s> {
                 bytes: r.bytes,
                 parts: vec![r],
             };
-            self.submit_cover(single, &metas, false, page_bytes, false, counters);
+            self.submit_cover(single, &metas, page_bytes, false, counters);
         }
         // The whole batch crosses to the I/O threads as one message
         // per thread, so they sort and coalesce it as a whole too.
-        self.session.kick();
-    }
-
-    /// Coalesces the buffered stream queue into stride covers and
-    /// submits them with the cache-bypass policy; the buffered
-    /// logical requests become outstanding.
-    fn flush_stream(&mut self, page_bytes: u64, stride: u64, counters: &Counters) {
-        if self.stream_q.is_empty() {
-            return;
-        }
-        let reqs = std::mem::take(&mut self.stream_q);
-        let metas = std::mem::take(&mut self.stream_meta);
-        self.stream_edges = SectionSpan::default();
-        self.stream_attrs = SectionSpan::default();
-        self.outstanding += self.stream_buffered;
-        self.stream_buffered = 0;
-        // Sweeps bridge gaps but never across pages already being
-        // fetched (by earlier covers of either kind): stream reads
-        // bypass the cache and the dedup table, so a bridged
-        // in-flight page is the one genuine duplicate device read.
-        let covers = coalesce_stream_around(
-            reqs,
-            page_bytes,
-            stride,
-            &[&self.inflight_sel, &self.inflight_stream],
-        );
-        for m in covers {
-            self.submit_cover(m, &metas, true, page_bytes, true, counters);
-        }
         self.session.kick();
     }
 
@@ -2368,11 +2117,7 @@ impl<'s> SemIo<'s> {
         let meta = self.slab[tag].take().expect("completion for a live tag");
         self.slab_free.push(tag);
         if let Some(range) = meta.recorded {
-            if meta.stream {
-                self.inflight_stream.remove(range);
-            } else {
-                self.inflight_sel.remove(range);
-            }
+            self.inflight.remove(range);
         }
         for (abs_off, bytes, pm) in meta.parts {
             let span = c

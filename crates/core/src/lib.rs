@@ -20,10 +20,9 @@
 //! * **I/O path** (§3.6): requests from an issue batch are sorted by
 //!   SSD offset and merged when they touch the same or adjacent
 //!   pages, then submitted asynchronously; completions run the
-//!   user's code directly over the page cache. Dense iterations can
-//!   switch to a **streaming scan** ([`ScanMode`]): stride-sized
-//!   sequential covers over each partition's edge-list extent, with
-//!   cache-bypass so a sweep never evicts the hot working set.
+//!   user's code directly over the page cache. This is the one
+//!   request path for sparse and dense iterations alike: a dense
+//!   frontier in id order merges into large sequential reads.
 //! * **Scheduling** (§3.7): per-thread schedulers process vertices in
 //!   vertex-id order (matching edge-list order on SSDs), alternating
 //!   scan direction between iterations; custom orders are pluggable
@@ -103,7 +102,7 @@ mod state;
 mod stats;
 mod vertex;
 
-pub use config::{EngineConfig, ScanMode, SchedulerKind};
+pub use config::{EngineConfig, SchedulerKind};
 pub use context::{Request, VertexContext};
 pub use engine::{Engine, GraphEngine, Init};
 pub use program::VertexProgram;

@@ -214,16 +214,6 @@ impl InflightPages {
             }
         }
     }
-
-    /// True when any page of `[first_page, last_page]` is in flight.
-    pub fn touches(&self, first_page: u64, last_page: u64) -> bool {
-        let straddles_first = self
-            .segs
-            .range(..=first_page)
-            .next_back()
-            .is_some_and(|(_, &(end, _))| end > first_page);
-        straddles_first || self.segs.range(first_page..=last_page).next().is_some()
-    }
 }
 
 /// Splits an issue batch around pages already being fetched: requests
@@ -256,76 +246,6 @@ pub fn subtract_inflight(
         }
     }
     (fetch, attached)
-}
-
-/// Coalesces a *streaming-scan* batch into large sequential covers of
-/// roughly `stride` bytes each.
-///
-/// Unlike [`merge_requests`], which only joins requests on the same
-/// or adjacent pages, this bridges arbitrary gaps between requests —
-/// the byte ranges of inactive vertices sitting between two active
-/// ones — as long as the cover stays within `stride`. The gap bytes
-/// are fetched but never delivered (no part refers to them); that is
-/// the streaming trade: on a dense iteration a handful of
-/// stride-sized sequential reads beat thousands of per-list requests
-/// even though some swept bytes go unused. Split points are
-/// page-clean exactly like [`merge_requests`]: a request sharing a
-/// page with the current cover is absorbed past the stride rather
-/// than duplicating the page.
-pub fn coalesce_stream(reqs: Vec<RangeReq>, page_bytes: u64, stride: u64) -> Vec<MergedReq> {
-    coalesce_stream_around(reqs, page_bytes, stride, &[])
-}
-
-/// [`coalesce_stream`] that additionally refuses to *bridge across*
-/// in-flight pages: a gap between two requests is only swept when no
-/// page of it is already being fetched. Streaming covers bypass both
-/// the page cache and the mount's in-flight dedup table (their pages
-/// are used once and never claimed), so a sweep bridging an in-flight
-/// span is the one path that would genuinely read the same page from
-/// the device twice — the pipelined scheduler hits it when iteration
-/// `i+1`'s sweep starts while iteration `i`'s covers are still in
-/// flight. Splitting the cover at the in-flight span keeps each
-/// batch's covers page-disjoint from what is already on the device
-/// queue. Page-sharing still wins over splitting (a request *itself*
-/// overlapping the cover or an in-flight span must be fetched
-/// regardless; only gap bytes are optional). A page counts as in
-/// flight when any of the `inflight` sets holds it (the engine keeps
-/// its selective and its stream covers apart).
-pub fn coalesce_stream_around(
-    mut reqs: Vec<RangeReq>,
-    page_bytes: u64,
-    stride: u64,
-    inflight: &[&InflightPages],
-) -> Vec<MergedReq> {
-    let stride = stride.max(page_bytes);
-    reqs.sort_by_key(|r| (r.offset, r.bytes));
-    let mut out: Vec<MergedReq> = Vec::with_capacity(1 + reqs.len() / 8);
-    for r in reqs {
-        debug_assert!(r.bytes > 0, "zero-byte requests never reach coalescing");
-        if let Some(last) = out.last_mut() {
-            let last_end_page = (last.offset + last.bytes - 1) / page_bytes;
-            let r_start_page = r.offset / page_bytes;
-            let grown = (last.offset + last.bytes).max(r.offset + r.bytes) - last.offset;
-            // Gap pages the bridge would sweep without any part
-            // needing them; an in-flight page among them forces a
-            // split (sharing a page with the cover still absorbs).
-            let bridge_blocked = r_start_page > last_end_page + 1
-                && inflight
-                    .iter()
-                    .any(|set| set.touches(last_end_page + 1, r_start_page - 1));
-            if (grown <= stride && !bridge_blocked) || r_start_page <= last_end_page {
-                last.bytes = grown;
-                last.parts.push(r);
-                continue;
-            }
-        }
-        out.push(MergedReq {
-            offset: r.offset,
-            bytes: r.bytes,
-            parts: vec![r],
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -565,44 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_coalescing_bridges_gaps() {
-        // Active lists separated by inactive vertices' bytes: the
-        // selective merger keeps them apart (gap > a page), the
-        // stream coalescer sweeps them in one stride-sized cover.
-        let reqs = vec![req(0, 400, 0), req(3 * 4096, 400, 1), req(6 * 4096, 400, 2)];
-        let selective = merge_requests(reqs.clone(), 4096, true, UNLIMITED_MERGE_BYTES);
-        assert_eq!(selective.len(), 3);
-        let streamed = coalesce_stream(reqs, 4096, 32 * 4096);
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(streamed[0].offset, 0);
-        assert_eq!(streamed[0].bytes, 6 * 4096 + 400);
-        assert_eq!(streamed[0].parts.len(), 3);
-    }
-
-    #[test]
-    fn stream_coalescing_respects_stride() {
-        // 64 contiguous page-sized requests under an 8-page stride:
-        // eight covers of eight pages, page-disjoint, parts preserved.
-        let reqs: Vec<RangeReq> = (0..64).map(|i| req(i * 4096, 4096, i as u32)).collect();
-        let covers = coalesce_stream(reqs, 4096, 8 * 4096);
-        assert_eq!(covers.len(), 8);
-        for c in &covers {
-            assert_eq!(c.bytes, 8 * 4096);
-            assert_eq!(c.parts.len(), 8);
-        }
-        assert_page_disjoint(&covers, 4096);
-    }
-
-    #[test]
-    fn stream_coalescing_distant_sections_stay_apart() {
-        // An edge-section run and a far attribute-section run must not
-        // be bridged into one cover spanning the void between them.
-        let reqs = vec![req(0, 4096, 0), req(1 << 30, 4096, 1)];
-        let covers = coalesce_stream(reqs, 4096, 4 << 20);
-        assert_eq!(covers.len(), 2);
-    }
-
-    #[test]
     fn chunked_subranges_of_one_list_remerge() {
         // 6 chunks of one hub list (adjacent 1000-byte subranges) in
         // one batch collapse back into a single device read: chunking
@@ -656,40 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_covers_split_at_inflight_bridges() {
-        // Requests on pages 0 and 6; pages 2-3 already in flight. A
-        // plain stride-sweep bridges the whole gap; the avoiding sweep
-        // splits so the in-flight pages are not fetched twice.
-        let reqs = vec![req(0, 400, 0), req(6 * 4096, 400, 1)];
-        let plain = coalesce_stream(reqs.clone(), 4096, 32 * 4096);
-        assert_eq!(plain.len(), 1, "baseline: one bridged cover");
-        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[&inflight(&[(2, 4)])]);
-        assert_eq!(around.len(), 2, "bridge over in-flight pages refused");
-        assert_eq!(around[0].offset, 0);
-        assert_eq!(around[1].offset, 6 * 4096);
-        assert_page_disjoint(&around, 4096);
-    }
-
-    #[test]
-    fn stream_page_sharing_still_beats_inflight_split() {
-        // A request overlapping the cover's last page must be absorbed
-        // even when an in-flight span sits beyond it: sharing a page
-        // always wins (splitting would duplicate the shared page).
-        let reqs = vec![req(0, 4096 + 100, 0), req(4096 + 200, 300, 1)];
-        let around = coalesce_stream_around(reqs, 4096, 4096, &[&inflight(&[(3, 5)])]);
-        assert_eq!(around.len(), 1);
-        assert_eq!(around[0].parts.len(), 2);
-    }
-
-    #[test]
-    fn stream_bridge_allowed_when_inflight_elsewhere() {
-        // In-flight pages outside the gap do not block the bridge.
-        let reqs = vec![req(0, 400, 0), req(3 * 4096, 400, 1)];
-        let around = coalesce_stream_around(reqs, 4096, 32 * 4096, &[&inflight(&[(10, 12)])]);
-        assert_eq!(around.len(), 1);
-    }
-
-    #[test]
     fn inflight_pages_count_overlapping_covers() {
         let mut set = InflightPages::default();
         set.insert((2, 6));
@@ -697,10 +545,9 @@ mod tests {
         set.insert((9, 10)); // touches the second
         assert!(set.covered(2, 9), "touching segments read as one span");
         assert!(!set.covered(1, 3) && !set.covered(8, 10));
-        assert!(set.touches(0, 2) && set.touches(9, 20) && !set.touches(10, 20));
         // Retiring the first cover keeps the pages the second holds.
         set.remove((2, 6));
-        assert!(!set.touches(2, 3));
+        assert!(!set.covered(2, 3));
         assert!(set.covered(4, 9));
         set.remove((9, 10));
         set.remove((4, 9));
@@ -741,7 +588,6 @@ mod tests {
             let (lo, hi) = (a.min(b), a.max(b));
             let counts = &model[lo as usize..=hi as usize];
             assert_eq!(set.covered(lo, hi), counts.iter().all(|&c| c > 0));
-            assert_eq!(set.touches(lo, hi), counts.iter().any(|&c| c > 0));
         }
         for r in live {
             set.remove(r);

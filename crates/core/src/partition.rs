@@ -76,15 +76,6 @@ impl PartitionMap {
         ((v.index() - self.lo) >> self.range_shift) % self.num_partitions
     }
 
-    /// The window-relative range (region) index of `v` — what the
-    /// streaming scan keys its cover-sealing on, so covers never
-    /// bridge from one partition's id-range into the next.
-    #[inline]
-    pub fn region_of(&self, v: VertexId) -> u64 {
-        debug_assert!((self.lo..self.hi).contains(&v.index()));
-        ((v.index() - self.lo) >> self.range_shift) as u64
-    }
-
     /// Iterates over the half-open global vertex-index ranges of
     /// partition `p`, ascending.
     pub fn ranges_of(&self, p: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
@@ -98,17 +89,16 @@ impl PartitionMap {
             })
             .take_while(move |r| r.start < hi)
     }
-
-    /// Total vertices assigned to partition `p` — the denominator of
-    /// the adaptive scan mode's per-partition density decision.
-    pub fn partition_len(&self, p: usize) -> usize {
-        self.ranges_of(p).map(|r| r.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total vertices assigned to partition `p`.
+    fn partition_len(m: &PartitionMap, p: usize) -> usize {
+        m.ranges_of(p).map(|r| r.len()).sum()
+    }
 
     #[test]
     fn partition_function_matches_paper_formula() {
@@ -137,14 +127,14 @@ mod tests {
     #[test]
     fn partition_lens_sum_to_n() {
         let m = PartitionMap::new(12345, 7, 6);
-        let total: usize = (0..7).map(|p| m.partition_len(p)).sum();
+        let total: usize = (0..7).map(|p| partition_len(&m, p)).sum();
         assert_eq!(total, 12345);
     }
 
     #[test]
     fn partitions_are_balanced_within_one_range() {
         let m = PartitionMap::new(1 << 16, 4, 8);
-        let lens: Vec<usize> = (0..4).map(|p| m.partition_len(p)).collect();
+        let lens: Vec<usize> = (0..4).map(|p| partition_len(&m, p)).collect();
         let max = *lens.iter().max().unwrap();
         let min = *lens.iter().min().unwrap();
         assert!(max - min <= m.range_len());
@@ -153,7 +143,7 @@ mod tests {
     #[test]
     fn single_partition_owns_everything() {
         let m = PartitionMap::new(100, 1, 3);
-        assert_eq!(m.partition_len(0), 100);
+        assert_eq!(partition_len(&m, 0), 100);
         for v in 0..100u32 {
             assert_eq!(m.partition_of(VertexId(v)), 0);
         }
@@ -163,7 +153,7 @@ mod tests {
     fn empty_graph_has_empty_ranges() {
         let m = PartitionMap::new(0, 2, 4);
         assert_eq!(m.ranges_of(0).count(), 0);
-        assert_eq!(m.partition_len(1), 0);
+        assert_eq!(partition_len(&m, 1), 0);
     }
 
     #[test]
@@ -181,7 +171,7 @@ mod tests {
         }
         assert!(seen[..100].iter().all(|&c| c == 0));
         assert!(seen[100..].iter().all(|&c| c == 1));
-        let total: usize = (0..3).map(|p| m.partition_len(p)).sum();
+        let total: usize = (0..3).map(|p| partition_len(&m, p)).sum();
         assert_eq!(total, 257);
     }
 
@@ -196,10 +186,6 @@ mod tests {
             assert_eq!(
                 global.partition_of(VertexId(v)),
                 window.partition_of(VertexId(v + 1000))
-            );
-            assert_eq!(
-                global.region_of(VertexId(v)),
-                window.region_of(VertexId(v + 1000))
             );
         }
         for p in 0..4 {
@@ -216,6 +202,6 @@ mod tests {
     fn empty_window_has_no_ranges() {
         let m = PartitionMap::new_window(64, 64, 2, 3);
         assert_eq!(m.ranges_of(0).count(), 0);
-        assert_eq!(m.partition_len(1), 0);
+        assert_eq!(partition_len(&m, 1), 0);
     }
 }

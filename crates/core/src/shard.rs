@@ -16,11 +16,15 @@
 //!   destination vertex lives on a foreign shard buffer in per-worker
 //!   outboxes and travel as batched packets, drained by the owner at
 //!   the same iteration boundary a local send would reach;
-//! * a [`ShardGroup`]: a tiny rendezvous barrier worker 0 of every
-//!   shard meets at twice per iteration — once after compute (so all
-//!   of the iteration's packets are on the bus before anyone drains)
+//! * a [`Rendezvous`] of k: the barrier worker 0 of every shard
+//!   meets at twice per iteration — once after compute (so all of
+//!   the iteration's packets are on the bus before anyone drains)
 //!   and once at the termination check, where the per-shard "quiet"
 //!   flags AND-reduce so every shard stops on the same iteration.
+//!   The workers *inside* one shard meet at the same type (a
+//!   [`Rendezvous`] of `nthreads`, see `Engine::run_shard`), so one
+//!   poisoned state covers both levels: a panicking callback fails
+//!   every waiter of its run instead of leaving them parked.
 //!
 //! Vertex *state* is never transferred: all shards run against one
 //! global [`SharedStates`], sound because each vertex's callbacks run
@@ -30,7 +34,12 @@
 //! synchronous read of the owner's mount, routed by the
 //! [`ShardedIndex`](fg_format::ShardedIndex).
 
-use std::sync::{Condvar, Mutex};
+use std::any::Any;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::ScopedJoinHandle;
+
+use fg_types::sync::{AtomicBool, Ordering};
+use fg_types::FgError;
 
 use crate::engine::{Engine, Init};
 use crate::messages::ShardBus;
@@ -38,105 +47,139 @@ use crate::program::VertexProgram;
 use crate::state::SharedStates;
 use crate::stats::RunStats;
 
-/// The rendezvous barrier of a sharded run: worker 0 of every shard
-/// meets here at the two cross-shard sync points of an iteration.
-/// Vote rounds AND-reduce a per-shard flag (the termination check);
+/// The engine's one barrier: the workers of a shard meet here at every
+/// phase boundary of an iteration, and worker 0 of every shard of a
+/// k > 1 run meets its peers here at the two cross-shard sync points.
+/// Vote rounds AND-reduce a per-party flag (the termination check);
 /// plain rendezvous rounds are votes whose result nobody reads.
 ///
-/// A thread panic on any shard poisons the group (via [`run_shards`]'
-/// guard), and every waiter panics instead of deadlocking on a peer
-/// that will never arrive.
+/// A party that unwinds poisons the barrier (via its [`PoisonGuard`]),
+/// and every waiter — parked here, or polling [`Rendezvous::check`]
+/// where it waits on a sibling without being at the barrier — unwinds
+/// with [`PeerPanicked`] instead of waiting on a peer that will never
+/// arrive.
 ///
 /// Model-checked as `fg_check`'s `rendezvous` model: waiting on the
 /// *generation* (not the `arrived` counter, which the next round
 /// reuses) and notifying on poison are both load-bearing — the seeded
 /// `ArrivedPredicate` and `PoisonNoNotify` mutations each deadlock.
 /// See `crates/check` and `tests/check_models.rs`.
-pub(crate) struct ShardGroup {
-    shards: usize,
-    state: Mutex<GroupState>,
+pub(crate) struct Rendezvous {
+    parties: usize,
+    state: Mutex<RoundState>,
     cv: Condvar,
+    /// Set once, by [`Rendezvous::poison`], with `state` locked — so a
+    /// waiter that read it false under the lock is parked (and gets
+    /// the broadcast) before it can change.
+    poisoned: AtomicBool,
 }
 
-struct GroupState {
+struct RoundState {
     arrived: usize,
     generation: u64,
     /// AND-accumulator of the in-progress round.
     acc: bool,
     /// Result of the last completed round.
     result: bool,
-    poisoned: bool,
 }
 
-impl ShardGroup {
-    pub(crate) fn new(shards: usize) -> Self {
-        assert!(shards > 0);
-        ShardGroup {
-            shards,
-            state: Mutex::new(GroupState {
+/// What a waiter on a poisoned [`Rendezvous`] unwinds with: a marker,
+/// so the join can tell the panic that started it from the ones it
+/// caused. Raised with `resume_unwind` — no panic hook, no message.
+pub(crate) struct PeerPanicked;
+
+impl Rendezvous {
+    pub(crate) fn new(parties: usize) -> Self {
+        assert!(parties > 0);
+        Rendezvous {
+            parties,
+            state: Mutex::new(RoundState {
                 arrived: 0,
                 generation: 0,
                 acc: true,
                 result: true,
-                poisoned: false,
             }),
             cv: Condvar::new(),
+            poisoned: AtomicBool::new(false),
         }
     }
 
-    /// Blocks until every shard arrives. Rounds are totally ordered:
-    /// all shards execute the same sequence of sync points, so one
+    /// Lock poisoning is folded into the barrier's own flag: a peer
+    /// that panicked mid-round is exactly the "peer panicked" case,
+    /// and `poison` must still work during unwind.
+    fn lock(&self) -> MutexGuard<'_, RoundState> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn is_poisoned(&self) -> bool {
+        // ordering: Relaxed — the flag publishes no data, only "stop
+        // waiting"; waiters at the barrier read it under `state`'s
+        // lock, which `poison` holds while setting it, and the
+        // pollers of `check` only need to see it eventually.
+        self.poisoned.load(Ordering::Relaxed)
+    }
+
+    /// Unwinds with [`PeerPanicked`] if a party has panicked. For the
+    /// places a worker waits on a sibling away from the barrier (an
+    /// idle compute loop, a busy-bit spin): read only where the
+    /// worker already found nothing to do.
+    pub(crate) fn check(&self) {
+        if self.is_poisoned() {
+            std::panic::resume_unwind(Box::new(PeerPanicked));
+        }
+    }
+
+    /// Blocks until every party arrives. Rounds are totally ordered:
+    /// all parties execute the same sequence of sync points, so one
     /// generation counter serves rendezvous and vote rounds alike.
     pub(crate) fn rendezvous(&self) {
         self.vote(true);
     }
 
     /// Contributes `flag` to this round's AND-reduction and blocks
-    /// until every shard has; returns the reduction.
+    /// until every party has; returns the reduction.
     pub(crate) fn vote(&self, flag: bool) -> bool {
-        // Lock poisoning is folded into the group's own flag: a peer
-        // that panicked mid-round is exactly the "peer shard
-        // panicked" case, and `poison` must still work during unwind.
-        let mut g = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert!(!g.poisoned, "peer shard panicked");
-        g.acc &= flag;
-        g.arrived += 1;
-        if g.arrived == self.shards {
-            g.arrived = 0;
-            g.result = g.acc;
-            g.acc = true;
-            g.generation = g.generation.wrapping_add(1);
-            self.cv.notify_all();
-            g.result
-        } else {
+        let mut g = self.lock();
+        if !self.is_poisoned() {
+            g.acc &= flag;
+            g.arrived += 1;
+            if g.arrived == self.parties {
+                g.arrived = 0;
+                g.result = g.acc;
+                g.acc = true;
+                g.generation = g.generation.wrapping_add(1);
+                self.cv.notify_all();
+                return g.result;
+            }
             let gen = g.generation;
-            while g.generation == gen && !g.poisoned {
+            while g.generation == gen && !self.is_poisoned() {
                 g = self
                     .cv
                     .wait(g)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
-            assert!(!g.poisoned, "peer shard panicked");
-            g.result
         }
+        let result = g.result;
+        drop(g);
+        self.check();
+        result
     }
 
-    /// Marks the group dead and wakes every waiter (who then panic).
+    /// Marks the barrier dead and wakes every waiter (who then unwind).
     fn poison(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .poisoned = true;
+        let g = self.lock();
+        // ordering: Relaxed — see `is_poisoned`; stored under the lock.
+        self.poisoned.store(true, Ordering::Relaxed);
+        drop(g);
         self.cv.notify_all();
     }
 }
 
-/// Poisons the group if its shard's thread unwinds, so peers blocked
-/// in a rendezvous fail fast instead of waiting forever.
-struct PoisonGuard<'a>(&'a ShardGroup);
+/// Poisons the barrier if its thread unwinds, so peers blocked in a
+/// rendezvous fail fast instead of waiting forever.
+pub(crate) struct PoisonGuard<'a>(pub(crate) &'a Rendezvous);
 
 impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
@@ -146,12 +189,43 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
+/// Joins every thread of a scope explicitly — a scope left to join on
+/// its own re-panics — and returns their results in spawn order, or
+/// the panic that started the failure: the first payload that is not
+/// a [`PeerPanicked`] echo of it.
+pub(crate) fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> std::thread::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(handles.len());
+    let mut cause: Option<Box<dyn Any + Send>> = None;
+    for h in handles {
+        match h.join() {
+            Ok(v) => out.push(v),
+            Err(p) if cause.as_ref().is_none_or(|c| c.is::<PeerPanicked>()) => cause = Some(p),
+            Err(_) => {}
+        }
+    }
+    match cause {
+        None => Ok(out),
+        Some(p) => Err(p),
+    }
+}
+
+/// The error a run reports for a panic that [`join_all`] caught: the
+/// payload's message when it is the `&str` / `String` of a `panic!`.
+pub(crate) fn worker_panicked(p: Box<dyn Any + Send>) -> FgError {
+    let msg = p
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned());
+    FgError::WorkerPanicked(msg)
+}
+
 /// What a shard needs to reach its peers: the message bus and the
-/// rendezvous group. Handed into [`Engine::run_shard`] by
+/// cross-shard barrier. Handed into [`Engine::run_shard`] by
 /// [`run_shards`]; `None` for runs without peers.
 pub(crate) struct ShardLink<'a, M> {
     pub bus: &'a ShardBus<M>,
-    pub group: &'a ShardGroup,
+    pub group: &'a Rendezvous,
 }
 
 /// An [`Engine`] over one mount per shard of a sharded image — the
@@ -162,47 +236,47 @@ pub type ShardedEngine<'g> = Engine<'g>;
 
 /// The k > 1 driver: one thread per shard of `engine`, each running
 /// [`Engine::run_shard`] against the shared `states` with a link to
-/// its peers; returns every shard's stats, in shard order. The caller
-/// has validated seeds and state-vector length — a shard that errored
-/// out before its first rendezvous would leave its peers waiting
-/// forever — and surfaces cancellation only after this returns, when
-/// every shard thread has joined.
+/// its peers; returns every shard's stats, in shard order, or the
+/// panic that ended the run. The caller has validated seeds and
+/// state-vector length — a shard that errored out before its first
+/// rendezvous would leave its peers waiting forever — and surfaces
+/// cancellation and panics only after this returns, when every shard
+/// thread has joined.
 pub(crate) fn run_shards<P: VertexProgram>(
     engine: &Engine<'_>,
     program: &P,
     init: &Init,
     states: &SharedStates<P::State>,
-) -> Vec<RunStats> {
+) -> std::thread::Result<Vec<RunStats>> {
     let shards = engine.num_shards();
     let bus: ShardBus<P::Msg> = ShardBus::new(shards);
-    let group = ShardGroup::new(shards);
-    let per_shard: Mutex<Vec<Option<RunStats>>> = Mutex::new(vec![None; shards]);
+    let group = Rendezvous::new(shards);
 
-    std::thread::scope(|scope| {
-        for s in 0..shards {
-            let (bus, group, per_shard) = (&bus, &group, &per_shard);
-            scope.spawn(move || {
-                let _guard = PoisonGuard(group);
-                let link = ShardLink { bus, group };
-                let stats = engine.run_shard(program, init, states, s, Some(&link));
-                per_shard.lock().unwrap()[s] = Some(stats);
-            });
-        }
-    });
+    let per_shard = std::thread::scope(|scope| {
+        let handles = (0..shards)
+            .map(|s| {
+                let (bus, group) = (&bus, &group);
+                scope.spawn(move || {
+                    let _guard = PoisonGuard(group);
+                    let link = ShardLink { bus, group };
+                    // A shard whose workers died unwinds here too, so
+                    // the guard fails the peers waiting on it.
+                    engine
+                        .run_shard(program, init, states, s, Some(&link))
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p))
+                })
+            })
+            .collect();
+        join_all(handles)
+    })?;
 
-    let per_shard: Vec<RunStats> = per_shard
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|s| s.expect("every shard reports"))
-        .collect();
     debug_assert_eq!(bus.pending(), 0, "bus drained at termination");
     debug_assert_eq!(
         per_shard.iter().map(|s| s.shard_msg_bytes).sum::<u64>(),
         bus.bytes_sent(),
         "per-shard byte accounting covers exactly the bus traffic"
     );
-    per_shard
+    Ok(per_shard)
 }
 
 #[cfg(test)]
@@ -216,7 +290,7 @@ mod tests {
 
     #[test]
     fn group_rendezvous_releases_all() {
-        let g = Arc::new(ShardGroup::new(3));
+        let g = Arc::new(Rendezvous::new(3));
         let mut handles = Vec::new();
         for _ in 0..3 {
             let g = Arc::clone(&g);
@@ -233,7 +307,7 @@ mod tests {
 
     #[test]
     fn vote_is_an_and_reduction() {
-        let g = Arc::new(ShardGroup::new(2));
+        let g = Arc::new(Rendezvous::new(2));
         let g2 = Arc::clone(&g);
         let t = std::thread::spawn(move || {
             let r1 = g2.vote(true);
@@ -251,13 +325,29 @@ mod tests {
 
     #[test]
     fn poisoned_group_panics_waiters() {
-        let g = Arc::new(ShardGroup::new(2));
+        let g = Arc::new(Rendezvous::new(2));
         let g2 = Arc::clone(&g);
         let waiter = std::thread::spawn(move || g2.rendezvous());
         // Give the waiter time to block, then poison.
         std::thread::sleep(std::time::Duration::from_millis(20));
         g.poison();
         assert!(waiter.join().is_err(), "waiter must panic, not hang");
+    }
+
+    #[test]
+    fn join_all_reports_the_panic_that_started_it() {
+        // Echoes on either side of the cause, in join order.
+        let out = std::thread::scope(|scope| {
+            let echo = || std::panic::resume_unwind(Box::new(PeerPanicked));
+            join_all(vec![
+                scope.spawn(echo),
+                scope.spawn(|| panic!("the cause")),
+                scope.spawn(echo),
+                scope.spawn(|| {}),
+            ])
+        });
+        let err = worker_panicked(out.unwrap_err());
+        assert!(matches!(err, FgError::WorkerPanicked(m) if m == "the cause"));
     }
 
     fn sharded_fixture(g: &fg_graph::Graph, shards: usize) -> (ShardSet, ShardedIndex) {

@@ -33,25 +33,12 @@ pub struct IterStats {
     pub edges_delivered: u64,
     /// Increase of the busiest drive's virtual busy time.
     pub io_busy_ns: u64,
-    /// Whether any worker executed this iteration as a streaming
-    /// scan (see [`crate::ScanMode`]): dense partitions swept their
-    /// edge-list extents with stride-sized sequential covers instead
-    /// of per-vertex requests.
-    pub scan: bool,
-    /// Partitions that streamed this iteration (0 when `scan` is
-    /// false, up to the worker count when every partition was dense).
-    pub stream_partitions: u64,
-    /// Stride covers submitted by the streaming path this iteration —
-    /// the device-request count of the sweep. Compare with
-    /// `read_requests` to see how much of the iteration's traffic the
-    /// scan carried.
-    pub stream_stripes: u64,
 }
 
 impl IterStats {
     /// Folds another shard's trace of the *same* iteration into this
     /// one: counters sum, wall/busy times take the slowest shard
-    /// (shards run the iteration concurrently), `scan` ORs.
+    /// (shards run the iteration concurrently).
     pub fn absorb(&mut self, other: &IterStats) {
         self.frontier += other.frontier;
         self.wall_ns = self.wall_ns.max(other.wall_ns);
@@ -61,9 +48,6 @@ impl IterStats {
         self.issued_requests += other.issued_requests;
         self.edges_delivered += other.edges_delivered;
         self.io_busy_ns = self.io_busy_ns.max(other.io_busy_ns);
-        self.scan |= other.scan;
-        self.stream_partitions += other.stream_partitions;
-        self.stream_stripes += other.stream_stripes;
     }
 }
 
@@ -292,9 +276,6 @@ mod tests {
             issued_requests: 1,
             edges_delivered: 25,
             io_busy_ns: 9,
-            scan: false,
-            stream_partitions: 0,
-            stream_stripes: 0,
         });
         let mut b = base();
         b.iterations = 5;
@@ -327,9 +308,6 @@ mod tests {
             issued_requests: 2,
             edges_delivered: 10,
             io_busy_ns: 4,
-            scan: true,
-            stream_partitions: 1,
-            stream_stripes: 2,
         });
         a.absorb(&b);
         assert_eq!(a.iterations, 5);
@@ -355,8 +333,6 @@ mod tests {
         assert_eq!(row.read_requests, 4);
         assert_eq!(row.edges_delivered, 35);
         assert_eq!(row.io_busy_ns, 9);
-        assert!(row.scan);
-        assert_eq!(row.stream_stripes, 2);
     }
 
     #[test]
@@ -372,9 +348,6 @@ mod tests {
             issued_requests: 0,
             edges_delivered: 0,
             io_busy_ns: 0,
-            scan: false,
-            stream_partitions: 0,
-            stream_stripes: 0,
         });
         a.absorb(&b);
         assert_eq!(a.per_iteration.len(), 1);

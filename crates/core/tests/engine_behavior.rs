@@ -481,7 +481,7 @@ fn schedulers_do_not_change_bfs_results() {
 
 /// Regression: with `max_pending < issue_batch` the pipelined claim
 /// loop fills its whole depth budget with requests that are merely
-/// *buffered* in the selective queue — the batch-size flush trigger
+/// *buffered* in the issue queue — the batch-size flush trigger
 /// can then never fire, and without the stall-point flush the workers
 /// wait forever on completions that were never submitted
 /// (`scan_statistics` ships exactly this shape: `max_pending: 16`
@@ -1032,9 +1032,7 @@ fn work_stealing_matches_no_stealing() {
     }
 }
 
-// ------------------------------------------------ streaming scan mode
-
-use flashgraph::ScanMode;
+// ------------------------------------------- per-iteration statistics
 
 /// A fresh semi-external fixture with an explicit SAFS config and a
 /// handle on the mount (for cache/device assertions).
@@ -1045,160 +1043,6 @@ fn sem_fixture(g: &Graph, safs_cfg: SafsConfig) -> (Safs, fg_format::GraphIndex)
     let safs = Safs::new(safs_cfg, array).unwrap();
     safs.reset_stats();
     (safs, index)
-}
-
-/// The config the streaming tests share: two workers, large id-ranges
-/// (so each partition's extent is a few long runs — the layout the
-/// paper's r = 12..18 guidance produces at scale), small merge cap so
-/// both modes stripe the same way.
-fn scan_test_cfg(mode: ScanMode) -> EngineConfig {
-    EngineConfig {
-        num_threads: 2,
-        range_shift: 9,
-        issue_batch: 64,
-        max_merge_bytes: 64 * 1024,
-        ..EngineConfig::default()
-    }
-    .with_scan_mode(mode)
-}
-
-#[test]
-fn scan_modes_agree_with_each_other_and_memory() {
-    let g = gen::rmat(10, 8, gen::RmatSkew::default(), 0xD5);
-    let init = Init::Seeds(vec![VertexId(0), VertexId(17)]);
-    let (mem, mem_stats) = run_mode(
-        &g,
-        &Bfs,
-        init.clone(),
-        scan_test_cfg(ScanMode::Selective),
-        false,
-    );
-    for mode in [
-        ScanMode::Selective,
-        ScanMode::Stream,
-        ScanMode::Adaptive { threshold: 50 },
-    ] {
-        let (safs, index) = sem_fixture(&g, SafsConfig::default());
-        let engine = Engine::new_sem(&safs, index, scan_test_cfg(mode));
-        let (states, stats) = engine.run(&Bfs, init.clone()).unwrap();
-        for v in g.vertices() {
-            assert_eq!(
-                states[v.index()].visited,
-                mem[v.index()].visited,
-                "{mode:?}"
-            );
-            assert_eq!(states[v.index()].level, mem[v.index()].level, "{mode:?}");
-        }
-        assert_eq!(
-            stats.edges_delivered, mem_stats.edges_delivered,
-            "every mode delivers exactly the requested slices ({mode:?})"
-        );
-    }
-}
-
-#[test]
-fn stream_iterations_report_scan_and_stripes() {
-    let g = gen::rmat(10, 8, gen::RmatSkew::default(), 0xA7);
-    // Dense run: every vertex active in iteration 0.
-    let (safs, index) = sem_fixture(&g, SafsConfig::default());
-    let engine = Engine::new_sem(&safs, index, scan_test_cfg(ScanMode::Stream));
-    let (_, stats) = engine.run(&Bfs, Init::All).unwrap();
-    let first = &stats.per_iteration[0];
-    assert!(first.scan, "Stream mode must flag the dense iteration");
-    assert_eq!(first.stream_partitions, 2, "both workers streamed");
-    assert!(first.stream_stripes > 0);
-    assert!(first.read_requests > 0);
-
-    let (safs, index) = sem_fixture(&g, SafsConfig::default());
-    let engine = Engine::new_sem(&safs, index, scan_test_cfg(ScanMode::Selective));
-    let (_, stats) = engine.run(&Bfs, Init::All).unwrap();
-    assert!(
-        stats
-            .per_iteration
-            .iter()
-            .all(|it| !it.scan && it.stream_stripes == 0),
-        "Selective never streams"
-    );
-}
-
-#[test]
-fn dense_stream_issues_fewer_device_requests_than_selective() {
-    // The crossover the mode exists for: on a dense iteration the
-    // sweep's stride covers replace thousands of per-list requests.
-    // Counted where the schedule cannot move it — the requests the
-    // engine submits to SAFS (stride covers against per-batch merged
-    // covers). What the device then sees is timing: the I/O thread
-    // coalesces whatever a selective batch left adjacent, and this
-    // 16-page image comes back in five or six reads either way.
-    let g = gen::rmat(11, 8, gen::RmatSkew::default(), 0x5EED);
-    let run = |mode: ScanMode| {
-        let (safs, index) = sem_fixture(&g, SafsConfig::default().with_cache_bytes(0));
-        let engine = Engine::new_sem(&safs, index, scan_test_cfg(mode));
-        let (_, stats) = engine.run(&Bfs, Init::All).unwrap();
-        stats
-    };
-    let sel = run(ScanMode::Selective);
-    let stream = run(ScanMode::Stream);
-    let (s0, t0) = (&sel.per_iteration[0], &stream.per_iteration[0]);
-    assert!(s0.frontier as usize == g.num_vertices());
-    assert_eq!(
-        t0.issued_requests, t0.stream_stripes,
-        "a dense stream iteration submits its stride covers and nothing else"
-    );
-    assert!(
-        t0.issued_requests * 4 < s0.issued_requests,
-        "dense iteration: stream {} requests vs selective {}",
-        t0.issued_requests,
-        s0.issued_requests
-    );
-}
-
-#[test]
-fn adaptive_scan_follows_partition_density() {
-    // BFS from one seed: early iterations are sparse (selective),
-    // the middle of the run floods past 50 % density (scan), the tail
-    // drains back to selective.
-    let g = gen::rmat(10, 16, gen::RmatSkew::default(), 0xBF5);
-    let (safs, index) = sem_fixture(&g, SafsConfig::default());
-    let engine = Engine::new_sem(&safs, index, scan_test_cfg(ScanMode::adaptive()));
-    let (_, stats) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
-    let n = g.num_vertices() as u64;
-    let flags: Vec<bool> = stats.per_iteration.iter().map(|it| it.scan).collect();
-    // Iteration 0 is one vertex in one partition: never a scan.
-    assert!(!flags[0], "a single-seed iteration must stay selective");
-    // A globally dense iteration (> half of *all* vertices) implies at
-    // least one partition above threshold.
-    for it in &stats.per_iteration {
-        if it.frontier * 100 > n * 75 {
-            assert!(
-                it.scan,
-                "iteration with {}/{} active stayed selective",
-                it.frontier, n
-            );
-        }
-    }
-    assert!(
-        flags.iter().any(|&f| f) && flags.iter().any(|&f| !f),
-        "the run should mix modes across its density life cycle: {flags:?}"
-    );
-}
-
-#[test]
-fn streamed_sweep_does_not_evict_or_pollute_the_cache() {
-    let g = gen::rmat(10, 8, gen::RmatSkew::default(), 0x11);
-    let (safs, index) = sem_fixture(&g, SafsConfig::default());
-    // Warm the cache with a selective run, then note its insertions.
-    let engine = Engine::new_sem(&safs, index.clone(), scan_test_cfg(ScanMode::Selective));
-    engine.run(&Bfs, Init::All).unwrap();
-    let warm = safs.cache_stats();
-    // A pure stream run must not insert a single page (and its quiet
-    // lookups must not move the mount's hit/miss counters).
-    let engine = Engine::new_sem(&safs, index, scan_test_cfg(ScanMode::Stream));
-    let (_, stats) = engine.run(&Bfs, Init::All).unwrap();
-    assert!(stats.per_iteration[0].scan);
-    let delta = safs.cache_stats().delta_since(&warm);
-    assert_eq!(delta.insertions, 0, "streamed stripes bypass insertion");
-    assert_eq!(delta.evictions, 0, "the hot working set survives a sweep");
 }
 
 #[test]
@@ -1257,63 +1101,25 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
 }
 
 #[test]
-fn weighted_stream_sweep_is_not_degenerate() {
-    // Regression: a weighted request contributes parts in two
-    // far-apart file sections (edges + attribute run); the stream
-    // stride trigger must track the sections separately, or every
-    // single request looks stride-wide and the sweep degenerates to
-    // per-vertex cache-bypassed covers.
-    let d = gen::rmat(10, 8, gen::RmatSkew::default(), 0x77);
-    let mut b = fg_graph::GraphBuilder::directed();
-    for (s, t) in d.edges() {
-        b.add_weighted_edge(s, t, (s.0 % 7) as f32 + 0.5);
-    }
-    b.reserve_vertices(d.num_vertices());
-    let g = b.build();
-
-    let run = |mode: ScanMode| {
-        let (safs, index) = sem_fixture(&g, SafsConfig::default());
-        let engine = Engine::new_sem(&safs, index, scan_test_cfg(mode));
-        engine.run(&WeightSum, Init::All).unwrap()
-    };
-    let (sel, _) = run(ScanMode::Selective);
-    let (str_states, str_stats) = run(ScanMode::Stream);
-    for v in g.vertices() {
-        assert_eq!(str_states[v.index()].sum, sel[v.index()].sum, "vertex {v}");
-    }
-    let it0 = &str_stats.per_iteration[0];
-    assert!(it0.scan);
-    // A healthy sweep issues a few covers per id-range per section —
-    // nowhere near one (or two) per vertex.
-    assert!(
-        it0.stream_stripes < g.num_vertices() as u64 / 16,
-        "degenerate sweep: {} stripes for {} vertices",
-        it0.stream_stripes,
-        g.num_vertices()
-    );
-}
-
-#[test]
-fn tc_matches_oracle_under_all_scan_modes() {
-    // Neighbour-list requests (subject != requester) must stay
-    // selective inside a streaming iteration — and results must be
-    // identical either way.
+fn tc_per_vertex_counts_over_a_mount_match_direct() {
+    // Neighbour-list requests (subject != requester) over a mount
+    // count what the in-memory oracle counts, vertex by vertex.
     let d = gen::rmat(7, 6, gen::RmatSkew::default(), 31);
     let mut b = fg_graph::GraphBuilder::undirected();
     for (s, t) in d.edges() {
         b.add_edge(s, t);
     }
     let g = b.build();
-    let want = fg_baselines::direct::triangle_count(&g);
-    for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-        let (safs, index) = sem_fixture(&g, SafsConfig::default());
-        let engine = Engine::new_sem(&safs, index, scan_test_cfg(mode));
-        let (total, per, _) = fg_apps::triangle_count(&engine, true).unwrap();
-        assert_eq!(total, want, "{mode:?}");
-        assert_eq!(
-            per,
-            fg_baselines::direct::triangles_per_vertex(&g),
-            "{mode:?}"
-        );
-    }
+    let cfg = EngineConfig {
+        num_threads: 2,
+        range_shift: 9,
+        issue_batch: 64,
+        max_merge_bytes: 64 * 1024,
+        ..EngineConfig::default()
+    };
+    let (safs, index) = sem_fixture(&g, SafsConfig::default());
+    let engine = Engine::new_sem(&safs, index, cfg);
+    let (total, per, _) = fg_apps::triangle_count(&engine, true).unwrap();
+    assert_eq!(total, fg_baselines::direct::triangle_count(&g));
+    assert_eq!(per, fg_baselines::direct::triangles_per_vertex(&g));
 }

@@ -496,11 +496,10 @@ impl GraphIndex {
     }
 
     /// Locates the contiguous byte extent covering the edge lists of
-    /// the id-range `[first, first + count)` in `dir` — the partition
-    /// primitive behind the engine's dense-iteration streaming scan:
-    /// a worker whose partition is mostly active sweeps each of its
-    /// id-ranges' extents with large sequential reads instead of
-    /// issuing one request per vertex.
+    /// the id-range `[first, first + count)` in `dir` — what a sweep
+    /// of many lists at once reads: `read_graph_from` sizes a whole
+    /// section with it and walks it in large sequential chunks instead
+    /// of issuing one read per vertex.
     ///
     /// Edge lists are laid out in id order, so the extent runs from
     /// the first vertex's block to the end of the last vertex's block;

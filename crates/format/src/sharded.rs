@@ -282,8 +282,7 @@ mod tests {
     #[test]
     fn shard_extents_reassemble_the_global_extent() {
         // `locate_extent` over each shard's full local range must
-        // account for exactly the edges of its global vertex range —
-        // the shard-extent invariant the streaming scan relies on.
+        // account for exactly the edges of its global vertex range.
         let g = gen::rmat(8, 4, gen::RmatSkew::default(), 11);
         let opts = WriteOptions::compressed();
         let arrays = shard_arrays(&g, &opts, 3);

@@ -38,10 +38,6 @@ pub(crate) struct RunRequest {
     pub req_id: u64,
     /// Slot index of `first_page` within the owning request.
     pub first_slot: u32,
-    /// Whether freshly read pages should be inserted into the page
-    /// cache. Streaming scans pass `false` so a sequential sweep
-    /// cannot evict the hot working set (the pages are used once).
-    pub insert: bool,
     /// Mount-unique id of the issuing session (groups its replies).
     pub session: u64,
     /// Completion mailbox of the issuing session.
@@ -130,7 +126,7 @@ impl Replies {
             .push(done);
     }
 
-    /// Resolves the in-flight claims a finished selective read of
+    /// Resolves the in-flight claims a finished read of
     /// `pages` (consecutive from `first_page`) covers, queueing a
     /// one-page completion for every attached waiter. Claims are
     /// resolved here, on the I/O thread, so waiter fan-out cannot
@@ -162,11 +158,8 @@ fn serve(batch: &[RunRequest], ctx: &Mount) {
     let mut replies = Replies::default();
     if !ctx.cfg.safs_merge {
         for r in batch {
-            let pages = read_pages_hint(ctx, r.first_page, r.num_pages as u64, r.insert);
-            // Only selective runs carry open in-flight claims.
-            if r.insert {
-                replies.fan_out(&ctx.inflight, r.first_page, &pages);
-            }
+            let pages = read_pages(ctx, r.first_page, r.num_pages as u64);
+            replies.fan_out(&ctx.inflight, r.first_page, &pages);
             let done = RunDone {
                 req_id: r.req_id,
                 first_slot: r.first_slot,
@@ -188,17 +181,9 @@ fn serve(batch: &[RunRequest], ctx: &Mount) {
         if group.is_empty() {
             return;
         }
-        // A coalesced group inserts into the cache if *any* member
-        // wants insertion; a pure-stream group stays out of it.
-        let insert = group.iter().any(|&gi| batch[gi].insert);
-        let pages = read_pages_hint(ctx, lo, hi - lo, insert);
-        // Resolve claims covered by the group (claims only exist on
-        // selective runs, and an all-stream group cannot cover one:
-        // stream submits never claim, and a selective run holding the
-        // claim would have joined this group).
-        if insert {
-            replies.fan_out(&ctx.inflight, lo, &pages);
-        }
+        let pages = read_pages(ctx, lo, hi - lo);
+        // Resolve the claims the group covers.
+        replies.fan_out(&ctx.inflight, lo, &pages);
         for &gi in group.iter() {
             let r = &batch[gi];
             let off = (r.first_page - lo) as usize;
@@ -249,10 +234,11 @@ pub(crate) fn read_pages(ctx: &Mount, first_page: u64, num_pages: u64) -> Vec<Ar
 }
 
 /// [`read_pages`] with an explicit cache-insertion hint. With
-/// `insert` false (streaming scans) cached pages are still *used*
-/// when present — the hot set helps the sweep — but fresh pages are
-/// handed straight to the caller without touching the cache, so a
-/// whole-partition sweep cannot evict the selective working set.
+/// `insert` false (a once-only sweep: `Safs::read_sync_stream`)
+/// cached pages are still *used* when present — the hot set helps
+/// the sweep — but fresh pages are handed straight to the caller
+/// without touching the cache, so the sweep cannot evict the working
+/// set.
 pub(crate) fn read_pages_hint(
     ctx: &Mount,
     first_page: u64,
@@ -329,7 +315,6 @@ mod tests {
             num_pages,
             req_id,
             first_slot: 0,
-            insert: true,
             session: 0,
             reply: reply.clone(),
         }

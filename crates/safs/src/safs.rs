@@ -198,8 +198,7 @@ impl Safs {
         ))
     }
 
-    /// [`Safs::read_sync`] with the *streaming* cache policy — the
-    /// synchronous sibling of [`IoSession::submit_stream`], for a
+    /// [`Safs::read_sync`] with the *streaming* cache policy, for a
     /// caller that sweeps a large range once (a compaction reading
     /// the old image back): resident pages are used, without booking
     /// hits or misses, and freshly read pages are not inserted, so the
@@ -308,26 +307,6 @@ impl IoSession<'_> {
     /// Returns [`FgError::InvalidRequest`] when the range exceeds the
     /// device.
     pub fn submit(&mut self, offset: u64, len: u64, tag: u64) -> Result<()> {
-        self.submit_inner(offset, len, tag, false)
-    }
-
-    /// Like [`IoSession::submit`] but with the *streaming* cache
-    /// policy: pages already resident are used (via the quiet lookup
-    /// that skips hit/miss accounting), and freshly read pages bypass
-    /// cache insertion entirely. The engine's dense-iteration
-    /// streaming scan submits its stripe covers through this so a
-    /// whole-partition sweep neither evicts the hot working set nor
-    /// floods the hit-rate statistics with once-only pages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FgError::InvalidRequest`] when the range exceeds the
-    /// device.
-    pub fn submit_stream(&mut self, offset: u64, len: u64, tag: u64) -> Result<()> {
-        self.submit_inner(offset, len, tag, true)
-    }
-
-    fn submit_inner(&mut self, offset: u64, len: u64, tag: u64, stream: bool) -> Result<()> {
         if len == 0 {
             self.ready.push(Completion {
                 tag,
@@ -345,7 +324,7 @@ impl IoSession<'_> {
         // all-hit request allocates nothing else.
         let mut pages: Vec<Arc<Page>> = Vec::with_capacity(npages);
         for p in first..=last {
-            match self.lookup(p, stream) {
+            match self.lookup(p) {
                 Some(page) => pages.push(page),
                 None => break,
             }
@@ -360,25 +339,20 @@ impl IoSession<'_> {
         let first_miss = pages.len();
         let mut slots: Vec<Option<Arc<Page>>> = pages.into_iter().map(Some).collect();
         slots.push(None);
-        slots.extend((first + first_miss as u64 + 1..=last).map(|p| self.lookup(p, stream)));
+        slots.extend((first + first_miss as u64 + 1..=last).map(|p| self.lookup(p)));
 
         let req_id = self.next_req;
         self.next_req += 1;
         // One pass over the misses decides each page's fate and cuts
-        // the dispatch runs. Cross-session in-flight dedup (selective
-        // path only): a miss another session is already fetching
-        // attaches as a waiter to that read; every other miss is
-        // claimed, and each contiguous run of claimed misses goes to
-        // its drive's thread. Streaming sweeps stay out of the table
-        // on both sides — they neither claim (their pages bypass cache
-        // insertion, so a waiter could observe a resolve without a
-        // cached page) nor attach (a sweep is once-only traffic, not a
-        // hot-set collision).
+        // the dispatch runs. Cross-session in-flight dedup: a miss
+        // another session is already fetching attaches as a waiter to
+        // that read; every other miss is claimed, and each contiguous
+        // run of claimed misses goes to its drive's thread.
         let (mut missing, mut attached) = (0usize, 0u64);
         let mut run_start = None;
         for k in first_miss..=slots.len() {
             let miss = k < slots.len() && slots[k].is_none();
-            let rides = miss && !stream && self.attach(first + k as u64, req_id, k as u32);
+            let rides = miss && self.attach(first + k as u64, req_id, k as u32);
             missing += miss as usize;
             attached += rides as u64;
             match (miss && !rides, run_start) {
@@ -390,7 +364,6 @@ impl IoSession<'_> {
                         num_pages: (k - i) as u32,
                         req_id,
                         first_slot: i as u32,
-                        insert: !stream,
                         session: self.id,
                         reply: self.reply_tx.clone(),
                     });
@@ -486,13 +459,9 @@ impl IoSession<'_> {
         self.in_flight.len() + self.ready.len()
     }
 
-    /// Cache lookup. Selective lookups book their outcome mount-wide
-    /// and into the session's scope, when one is attached; streaming
-    /// ones stay quiet.
-    fn lookup(&self, pageno: u64, stream: bool) -> Option<Arc<Page>> {
-        if stream {
-            return self.safs.mount.cache.get_quiet(pageno);
-        }
+    /// Cache lookup, booked mount-wide and into the session's scope,
+    /// when one is attached.
+    fn lookup(&self, pageno: u64) -> Option<Arc<Page>> {
         let got = self.safs.mount.cache.get(pageno);
         if let Some(scope) = &self.scope {
             scope.record_lookup(got.is_some());
@@ -833,27 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_submit_bypasses_cache_insertion() {
-        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
-        let mut s = safs.session();
-        s.submit_stream(0, 8 * 4096, 1).unwrap();
-        let mut out = Vec::new();
-        while out.is_empty() {
-            s.wait(&mut out);
-        }
-        assert_eq!(out[0].span.len(), 8 * 4096);
-        assert_eq!(
-            safs.cache_stats().insertions,
-            0,
-            "streamed pages must not enter the cache"
-        );
-        // A re-read therefore hits the device again.
-        let before = safs.array().stats().snapshot().pages_read;
-        safs.read_sync(0, 4096).unwrap();
-        assert_eq!(safs.array().stats().snapshot().pages_read, before + 1);
-    }
-
-    #[test]
     fn sync_stream_read_leaves_the_cache_as_it_found_it() {
         // A cache of 8 pages in front of a 256-page device.
         let cfg = SafsConfig::default().with_cache_bytes(8 * 4096);
@@ -924,31 +872,6 @@ mod tests {
             safs.array().stats().snapshot().pages_read,
             io.pages_read + 2
         );
-    }
-
-    #[test]
-    fn stream_submit_uses_resident_pages_without_booking() {
-        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
-        // Warm pages 0..4 via the normal path.
-        safs.read_sync(0, 4 * 4096).unwrap();
-        let stats_before = safs.cache_stats();
-        let io_before = safs.array().stats().snapshot();
-        let scope = Arc::new(CacheStats::default());
-        let mut s = safs.session_scoped(Some(Arc::clone(&scope)));
-        s.submit_stream(0, 4 * 4096, 7).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(s.poll(&mut out), 1, "resident stripe completes inline");
-        // Served from the hot set: no device reads, and the quiet
-        // lookups left both the mount counters and the scope alone.
-        assert_eq!(
-            safs.array().stats().snapshot().read_requests,
-            io_before.read_requests
-        );
-        let delta = safs.cache_stats().delta_since(&stats_before);
-        assert_eq!((delta.hits, delta.misses), (0, 0));
-        assert_eq!(scope.snapshot().lookups, 0);
-        // Content still correct.
-        assert_eq!(out[0].span.read_u32_le(0), 0);
     }
 
     #[test]
@@ -1042,27 +965,6 @@ mod tests {
             assert_eq!(safs.array().stats().snapshot().read_requests, 1);
             assert_eq!(safs.mount.inflight.open_claims(), 0);
         }
-    }
-
-    #[test]
-    fn stream_submits_stay_out_of_the_inflight_table() {
-        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
-        // An open claim on page 0 must not capture a streaming sweep.
-        let mut holder = safs.session();
-        holder.submit(0, 4096, 0).unwrap();
-        let mut s = safs.session();
-        s.submit_stream(0, 2 * 4096, 5).unwrap();
-        let mut out = Vec::new();
-        while out.is_empty() {
-            s.wait(&mut out);
-        }
-        assert_eq!(out[0].span.len(), 2 * 4096);
-        assert_eq!(safs.array().stats().snapshot().dedup_hits, 0);
-        assert_eq!(
-            safs.mount.inflight.open_claims(),
-            1,
-            "sweep neither attached nor claimed"
-        );
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub enum FgError {
     /// The query's deadline passed — either while it waited for
     /// admission or between iterations of its run.
     DeadlineExpired,
+    /// A vertex-program callback (or the engine under it) panicked on
+    /// a worker thread; the run was abandoned after every thread
+    /// joined. Carries the panic message.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for FgError {
@@ -57,6 +61,7 @@ impl fmt::Display for FgError {
             FgError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             FgError::Cancelled => write!(f, "query cancelled before completion"),
             FgError::DeadlineExpired => write!(f, "query deadline expired"),
+            FgError::WorkerPanicked(msg) => write!(f, "worker thread panicked: {msg}"),
         }
     }
 }

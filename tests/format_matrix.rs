@@ -1,8 +1,7 @@
-//! Format × mode equivalence matrix.
+//! Format equivalence matrix.
 //!
-//! {Raw, Compressed} image formats × {Selective, Stream, Adaptive}
-//! scan modes × {BFS, PageRank, WCC, TC}: every cell must produce the
-//! same results as the in-memory oracles, deliver the same number of
+//! {Raw, Compressed} image formats × {BFS, PageRank, WCC, TC} × {one
+//! mount, three shards}: every cell must produce the same results as the in-memory oracles, deliver the same number of
 //! edges as the other format (the programming model is
 //! format-transparent), and — the point of the compressed format —
 //! request strictly fewer bytes of a compressed image than of a raw
@@ -17,13 +16,7 @@ use fg_format::{load_index, required_capacity_with, write_image_with, GraphIndex
 use fg_graph::{gen, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
-use flashgraph::{Engine, EngineConfig, RunStats, ScanMode};
-
-const MODES: [(&str, ScanMode); 3] = [
-    ("selective", ScanMode::Selective),
-    ("stream", ScanMode::Stream),
-    ("adaptive", ScanMode::Adaptive { threshold: 50 }),
-];
+use flashgraph::{Engine, EngineConfig, RunStats};
 
 fn formats() -> [(&'static str, WriteOptions); 2] {
     [
@@ -32,14 +25,13 @@ fn formats() -> [(&'static str, WriteOptions); 2] {
     ]
 }
 
-fn cfg(mode: ScanMode) -> EngineConfig {
+fn cfg() -> EngineConfig {
     EngineConfig {
         num_threads: 2,
         max_pending: 256,
         issue_batch: 64,
         ..EngineConfig::default()
     }
-    .with_scan_mode(mode)
 }
 
 /// Mounts a fresh image of `g` in the given format over a small page
@@ -54,42 +46,40 @@ fn mount(g: &Graph, opts: &WriteOptions) -> (Safs, GraphIndex) {
     (safs, index)
 }
 
-/// Runs `f` over a fresh semi-external mount per (format, mode) cell
-/// and over the in-memory engine, then checks the matrix invariants:
+/// Runs `f` over a fresh semi-external mount per format and over the
+/// in-memory engine, then checks the matrix invariants:
 /// oracle-identical results (by `check`), equal `edges_delivered`
-/// across formats within each mode, and strictly fewer bytes
-/// requested of the compressed image within each mode.
+/// across formats, and strictly fewer bytes requested of the
+/// compressed image.
 fn run_matrix<R>(
     app: &str,
     g: &Graph,
     f: impl Fn(&Engine<'_>) -> (R, RunStats),
     check: impl Fn(&R, &R, &str),
 ) {
-    let (mem_result, _) = f(&Engine::new_mem(g, cfg(ScanMode::Selective)));
-    for (mode_name, mode) in MODES {
-        let mut by_format = Vec::new();
-        for (fmt_name, opts) in formats() {
-            let cell = format!("{app}/{fmt_name}/{mode_name}");
-            let (safs, index) = mount(g, &opts);
-            let engine = Engine::new_sem(&safs, index, cfg(mode));
-            let (result, stats) = f(&engine);
-            check(&result, &mem_result, &cell);
-            let io = stats.io.as_ref().expect("sem run reports io");
-            assert!(io.read_requests > 0, "{cell}: never touched the device");
-            by_format.push((stats.edges_delivered, stats.bytes_requested));
-        }
-        let (raw_edges, raw_bytes) = by_format[0];
-        let (v2_edges, v2_bytes) = by_format[1];
-        assert_eq!(
-            raw_edges, v2_edges,
-            "{app}/{mode_name}: formats delivered different edge counts"
-        );
-        assert!(
-            v2_bytes < raw_bytes,
-            "{app}/{mode_name}: {v2_bytes} bytes requested of the compressed image, \
-             {raw_bytes} of the raw one"
-        );
+    let (mem_result, _) = f(&Engine::new_mem(g, cfg()));
+    let mut by_format = Vec::new();
+    for (fmt_name, opts) in formats() {
+        let cell = format!("{app}/{fmt_name}");
+        let (safs, index) = mount(g, &opts);
+        let engine = Engine::new_sem(&safs, index, cfg());
+        let (result, stats) = f(&engine);
+        check(&result, &mem_result, &cell);
+        let io = stats.io.as_ref().expect("sem run reports io");
+        assert!(io.read_requests > 0, "{cell}: never touched the device");
+        by_format.push((stats.edges_delivered, stats.bytes_requested));
     }
+    let (raw_edges, raw_bytes) = by_format[0];
+    let (v2_edges, v2_bytes) = by_format[1];
+    assert_eq!(
+        raw_edges, v2_edges,
+        "{app}: formats delivered different edge counts"
+    );
+    assert!(
+        v2_bytes < raw_bytes,
+        "{app}: {v2_bytes} bytes requested of the compressed image, \
+         {raw_bytes} of the raw one"
+    );
 }
 
 fn directed_graph() -> Graph {
@@ -178,41 +168,39 @@ fn tc_matrix() {
 
 #[test]
 fn sharded_matrix() {
-    // Every format × mode cell, re-run through the sharded driver on
-    // a 3-shard image: sharding must be app-transparent — the same
+    // Every format, re-run through the sharded driver on a 3-shard
+    // image: sharding must be app-transparent — the same
     // results as FG-mem out of the same application code.
     use flashgraph::ShardedEngine;
     let g = directed_graph();
     let root = fg_bench::traversal_root(&g);
-    let mem = Engine::new_mem(&g, cfg(ScanMode::Selective));
+    let mem = Engine::new_mem(&g, cfg());
     let (mem_bfs, _) = fg_apps::bfs(&mem, root).unwrap();
     let (mem_wcc, _) = fg_apps::wcc(&mem).unwrap();
     let (mem_pr, _) = fg_apps::pagerank(&mem, 0.85, 0.0, 8).unwrap();
     for (fmt_name, opts) in formats() {
-        for (mode_name, mode) in MODES {
-            let cell = format!("sharded/{fmt_name}/{mode_name}");
-            let fg_bench::ShardFixture { set, index, .. } = fg_bench::build_shard_fixture(
-                &g,
-                0.1,
-                SafsConfig::default(),
-                ArrayConfig::small_test(),
-                &opts,
-                3,
-            )
-            .unwrap();
-            let engine = ShardedEngine::new(&set, index, cfg(mode));
-            let (bfs, _) = fg_apps::bfs(&engine, root).unwrap();
-            assert_eq!(bfs, mem_bfs, "{cell}: bfs differs from FG-mem");
-            let (wcc, stats) = fg_apps::wcc(&engine).unwrap();
-            assert_eq!(wcc, mem_wcc, "{cell}: wcc differs from FG-mem");
-            assert!(
-                stats.shard_msg_bytes > 0,
-                "{cell}: cross-shard WCC never used the bus"
-            );
-            let (pr, _) = fg_apps::pagerank(&engine, 0.85, 0.0, 8).unwrap();
-            for (i, (a, b)) in pr.iter().zip(mem_pr.iter()).enumerate() {
-                assert!((a - b).abs() < 1e-3, "{cell}: vertex {i}: {a} vs {b}");
-            }
+        let cell = format!("sharded/{fmt_name}");
+        let fg_bench::ShardFixture { set, index, .. } = fg_bench::build_shard_fixture(
+            &g,
+            0.1,
+            SafsConfig::default(),
+            ArrayConfig::small_test(),
+            &opts,
+            3,
+        )
+        .unwrap();
+        let engine = ShardedEngine::new(&set, index, cfg());
+        let (bfs, _) = fg_apps::bfs(&engine, root).unwrap();
+        assert_eq!(bfs, mem_bfs, "{cell}: bfs differs from FG-mem");
+        let (wcc, stats) = fg_apps::wcc(&engine).unwrap();
+        assert_eq!(wcc, mem_wcc, "{cell}: wcc differs from FG-mem");
+        assert!(
+            stats.shard_msg_bytes > 0,
+            "{cell}: cross-shard WCC never used the bus"
+        );
+        let (pr, _) = fg_apps::pagerank(&engine, 0.85, 0.0, 8).unwrap();
+        for (i, (a, b)) in pr.iter().zip(mem_pr.iter()).enumerate() {
+            assert!((a - b).abs() < 1e-3, "{cell}: vertex {i}: {a} vs {b}");
         }
     }
 }
@@ -236,7 +224,7 @@ fn sharded_tc_reads_foreign_neighbour_lists() {
             3,
         )
         .unwrap();
-        let engine = ShardedEngine::new(&set, index, cfg(ScanMode::Selective));
+        let engine = ShardedEngine::new(&set, index, cfg());
         let (total, per, _) = fg_apps::triangle_count(&engine, true).unwrap();
         assert_eq!(total, want_total, "sharded/{fmt_name}: total");
         assert_eq!(per, want_per, "sharded/{fmt_name}: per-vertex");
@@ -253,10 +241,9 @@ fn chunked_hub_delivery_matches_across_formats() {
     let want = fg_baselines::direct::triangle_count(&g);
     for (fmt_name, opts) in formats() {
         let (safs, index) = mount(&g, &opts);
-        let engine = Engine::new_sem(&safs, index, cfg(ScanMode::Selective));
+        let engine = Engine::new_sem(&safs, index, cfg());
         for chunk in [7u64, 64] {
-            let chunked =
-                engine.reconfigured(cfg(ScanMode::Selective).with_max_request_edges(chunk));
+            let chunked = engine.reconfigured(cfg().with_max_request_edges(chunk));
             let (total, _, _) = fg_apps::triangle_count(&chunked, false).unwrap();
             assert_eq!(total, want, "{fmt_name}/chunk={chunk}");
         }

@@ -2,11 +2,11 @@
 //! live serving. For arbitrary random base graphs and arbitrary
 //! add/remove batches, every list the engine delivers from
 //! (image + pinned deltas) must equal the union-graph oracle —
-//! across both image formats, every scan mode, and both serving
-//! backends — and `edges_delivered` must be *exact* (the merged
-//! degree, counted once per delivered window). Snapshot isolation is
-//! checked by replaying a pinned watermark while ingest races: the
-//! replays must be bit-identical.
+//! across both image formats and both serving backends — and
+//! `edges_delivered` must be *exact* (the merged degree, counted once
+//! per delivered window). Snapshot isolation is checked by replaying a
+//! pinned watermark while ingest races: the replays must be
+//! bit-identical.
 //!
 //! The write path reads the image through the mount, and the second
 //! half of this file holds it to that: `fg_format`'s back-readers
@@ -31,8 +31,8 @@ use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, IoStatsSnapshot, SsdArray};
 use fg_types::{EdgeDir, FgError, VertexId};
 use flashgraph::{
-    EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, ScanMode, ServiceConfig,
-    VertexContext, VertexProgram,
+    EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, ServiceConfig, VertexContext,
+    VertexProgram,
 };
 use proptest::prelude::*;
 
@@ -154,13 +154,8 @@ impl VertexProgram for Collect {
 
 /// Asserts every delivered list equals the union oracle's and that
 /// `edges_delivered` is exactly the sum of merged degrees.
-fn check_against(
-    svc: &GraphService,
-    union: &Graph,
-    mode: ScanMode,
-    label: &str,
-) -> Result<(), TestCaseError> {
-    let cfg = EngineConfig::small().with_scan_mode(mode);
+fn check_against(svc: &GraphService, union: &Graph, label: &str) -> Result<(), TestCaseError> {
+    let cfg = EngineConfig::small();
     let (states, stats) = svc
         .run_opts(&Collect, Init::All, QueryOpts::new().with_engine(cfg))
         .unwrap();
@@ -170,19 +165,17 @@ fn check_against(
         want_delivered += want.len() as u64;
         prop_assert!(
             states[v.index()].got == want,
-            "vertex {} diverged ({}, {:?}): got {:?} want {:?}",
+            "vertex {} diverged ({}): got {:?} want {:?}",
             v,
             label,
-            mode,
             states[v.index()].got,
             want
         );
     }
     prop_assert!(
         stats.edges_delivered == want_delivered,
-        "edges_delivered must be the exact merged-degree sum ({}, {:?}): got {} want {}",
+        "edges_delivered must be the exact merged-degree sum ({}): got {} want {}",
         label,
-        mode,
         stats.edges_delivered,
         want_delivered
     );
@@ -202,9 +195,7 @@ proptest! {
             let svc = single_service(&base, &opts);
             let union = ingest_all(&base, &batches, &svc);
             let label = format!("single/{:?}", opts.format);
-            for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-                check_against(&svc, &union, mode, &label)?;
-            }
+            check_against(&svc, &union, &label)?;
         }
     }
 
@@ -219,9 +210,7 @@ proptest! {
             let svc = sharded_service(&base, &opts, shards);
             let union = ingest_all(&base, &batches, &svc);
             let label = format!("sharded({})/{:?}", shards, opts.format);
-            for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-                check_against(&svc, &union, mode, &label)?;
-            }
+            check_against(&svc, &union, &label)?;
         }
     }
 
@@ -291,7 +280,7 @@ proptest! {
             oracle_rest.apply(&base, &to_batch(entries)).unwrap();
         }
         let full_union = DeltaLog::union(&base, &oracle_rest.current_view());
-        check_against(&svc, &full_union, ScanMode::Selective, "single/after-race")?;
+        check_against(&svc, &full_union, "single/after-race")?;
     }
 }
 
@@ -408,8 +397,8 @@ fn a_one_shard_set_canonicalizes_like_the_single_mount() {
         let label = format!("{:?}", opts.format);
         assert_eq!(single.watermark(), one.watermark(), "{label}");
         assert_eq!(single.pending_deltas(), one.pending_deltas(), "{label}");
-        check_against(&single, &want, ScanMode::Selective, &label).unwrap();
-        check_against(&one, &want, ScanMode::Selective, &label).unwrap();
+        check_against(&single, &want, &label).unwrap();
+        check_against(&one, &want, &label).unwrap();
     }
 }
 
@@ -445,18 +434,16 @@ fn a_one_shard_set_compacts_into_a_single_mount() {
         assert_eq!(one.pending_deltas(), 0, "{label}");
         assert!(one.shard_set().is_none(), "{label}");
         let gen1 = one.safs();
-        for mode in [ScanMode::Selective, ScanMode::Stream] {
-            check_against(&one, &merged, mode, &label).unwrap();
-        }
+        check_against(&one, &merged, &label).unwrap();
         assert!(
             gen1.cache_stats().lookups > 0,
             "{label}: queries read through the handle safs() returned"
         );
         // The new image is the canonicalization base from here on.
         let undone = ingest_all(&merged, std::slice::from_ref(&undo), &one);
-        check_against(&one, &undone, ScanMode::Selective, &label).unwrap();
+        check_against(&one, &undone, &label).unwrap();
         assert_eq!(one.compact_with(provision).unwrap(), 2, "{label}");
-        check_against(&one, &undone, ScanMode::Selective, &label).unwrap();
+        check_against(&one, &undone, &label).unwrap();
     }
 }
 

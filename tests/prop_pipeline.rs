@@ -7,9 +7,7 @@ use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
 use fg_types::{EdgeDir, VertexId};
 use flashgraph::merge::{merge_requests, RangeReq};
-use flashgraph::{
-    Engine, EngineConfig, Init, PageVertex, Request, ScanMode, VertexContext, VertexProgram,
-};
+use flashgraph::{Engine, EngineConfig, Init, PageVertex, Request, VertexContext, VertexProgram};
 use proptest::prelude::*;
 
 fn graph_strategy() -> impl Strategy<Value = (Vec<(u32, u32)>, u32)> {
@@ -64,7 +62,7 @@ fn sem_mount(g: &Graph) -> (Safs, fg_format::GraphIndex) {
     sem_mount_with(g, &WriteOptions::from_env())
 }
 
-/// Frontier-style BFS used by the scheduler/scan-mode equivalence
+/// Frontier-style BFS used by the scheduler equivalence
 /// properties: every newly reached vertex records its level and
 /// requests its out list, so results depend on exact frontier
 /// evolution and delivered edges — a sharp equivalence probe.
@@ -280,38 +278,6 @@ proptest! {
     }
 
     #[test]
-    fn scan_modes_equivalent_on_random_frontiers(
-        scale in 5u32..9,
-        factor in 1u32..10,
-        seed in 0u64..1 << 20,
-        raw_seeds in prop::collection::vec(0u32..512, 1..12),
-    ) {
-        // Selective, stream, and adaptive execution must produce
-        // identical vertex results and identical `edges_delivered` on
-        // random R-MAT graphs from random seed frontiers — streaming
-        // changes the device access pattern, never what a program
-        // observes.
-        let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
-        let n = g.num_vertices() as u32;
-        let mut seeds: Vec<VertexId> = raw_seeds.iter().map(|&s| VertexId(s % n)).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-
-        let mem = Engine::new_mem(&g, EngineConfig::small());
-        let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
-        for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-            let (safs, index) = sem_mount(&g);
-            let cfg = EngineConfig::small().with_scan_mode(mode);
-            let engine = Engine::new_sem(&safs, index, cfg);
-            let (got, stats) = engine.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
-            for v in g.vertices() {
-                prop_assert_eq!(&got[v.index()], &want[v.index()]);
-            }
-            prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
-        }
-    }
-
-    #[test]
     fn pipeline_equivalent_to_barrier(
         scale in 5u32..9,
         factor in 1u32..10,
@@ -325,8 +291,8 @@ proptest! {
         // another worker) but must never change *what* a program
         // observes: against the in-memory engine on the same graph —
         // the referee the lock-step barrier scheduler used to stand in
-        // for — every scan mode, worker count and vertical-pass count
-        // must produce bit-identical per-vertex states and deliver
+        // for — every worker count and vertical-pass count must
+        // produce bit-identical per-vertex states and deliver
         // exactly the same edges. The CI stress job re-runs this with
         // FG_IMAGE_FORMAT=compressed, covering both image formats.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
@@ -335,27 +301,24 @@ proptest! {
         seeds.sort_unstable();
         seeds.dedup();
 
-        for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-            let cfg = EngineConfig {
-                num_threads: nthreads,
-                work_stealing: true,
-                vertical_parts: vparts,
-                ..EngineConfig::small()
-            }
-            .with_scan_mode(mode);
+        let cfg = EngineConfig {
+            num_threads: nthreads,
+            work_stealing: true,
+            vertical_parts: vparts,
+            ..EngineConfig::small()
+        };
 
-            let mem = Engine::new_mem(&g, cfg);
-            let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
+        let mem = Engine::new_mem(&g, cfg);
+        let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
-            let (safs, index) = sem_mount(&g);
-            let sem = Engine::new_sem(&safs, index, cfg);
-            let (got, stats) = sem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
+        let (safs, index) = sem_mount(&g);
+        let sem = Engine::new_sem(&safs, index, cfg);
+        let (got, stats) = sem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
-            for v in g.vertices() {
-                prop_assert_eq!(&got[v.index()], &want[v.index()]);
-            }
-            prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
+        for v in g.vertices() {
+            prop_assert_eq!(&got[v.index()], &want[v.index()]);
         }
+        prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
     }
 
     #[test]

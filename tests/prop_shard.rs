@@ -1,8 +1,7 @@
 //! Property tests for sharded execution: N cooperating engines over a
 //! partitioned image must be indistinguishable from one engine over
 //! the whole image — same per-vertex results, same delivered edges —
-//! for arbitrary random graphs, shard counts, image formats, and scan
-//! modes.
+//! for arbitrary random graphs, shard counts and image formats.
 //!
 //! `FG_SHARDS=k` pins the shard count (the CI stress job uses it to
 //! drive every property through a fixed multi-shard layout);
@@ -16,8 +15,7 @@ use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
 use fg_types::{EdgeDir, VertexId};
 use flashgraph::{
-    Engine, EngineConfig, Init, PageVertex, Request, ScanMode, ShardedEngine, VertexContext,
-    VertexProgram,
+    Engine, EngineConfig, Init, PageVertex, Request, ShardedEngine, VertexContext, VertexProgram,
 };
 use proptest::prelude::*;
 
@@ -194,8 +192,8 @@ proptest! {
 }
 
 proptest! {
-    // The full cross product below runs formats × modes × shard
-    // counts per case, so it gets fewer cases than the suites above.
+    // The cross product below runs formats × shard counts per case,
+    // so it gets fewer cases than the suites above.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -213,16 +211,12 @@ proptest! {
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
         for opts in [WriteOptions::default(), WriteOptions::compressed()] {
-            for mode in [ScanMode::Selective, ScanMode::Stream, ScanMode::adaptive()] {
-                for shards in shard_counts() {
-                    let (set, index) = sharded_fixture(&g, shards, &opts);
-                    let cfg = EngineConfig::small().with_scan_mode(mode);
-                    let engine = ShardedEngine::new(&set, index, cfg);
-                    let (got, stats) =
-                        engine.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
-                    prop_assert_eq!(&got, &want);
-                    prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
-                }
+            for shards in shard_counts() {
+                let (set, index) = sharded_fixture(&g, shards, &opts);
+                let engine = ShardedEngine::new(&set, index, EngineConfig::small());
+                let (got, stats) = engine.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
             }
         }
     }
