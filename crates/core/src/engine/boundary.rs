@@ -1,0 +1,293 @@
+use fg_types::sync::{AtomicBool, AtomicU32, Counter};
+use std::time::Instant;
+
+use fg_types::{Bitmap, VertexId};
+
+use super::sem_io::IoDriver;
+use super::worker::WorkerEnv;
+use crate::context::WorkerScratch;
+use crate::messages::{Batch, ShardPacket};
+use crate::program::VertexProgram;
+use crate::shard::ShardLink;
+use crate::stats::IterStats;
+
+/// Cross-worker run control, owned by worker 0 at barriers.
+#[derive(Default)]
+pub(super) struct Control {
+    pub(super) iteration: AtomicU32,
+    pub(super) stop: AtomicBool,
+    /// Why the run stopped early: 0 = it didn't, 1 = cancelled,
+    /// 2 = deadline expired. Written by worker 0 in phase D, read
+    /// after the join.
+    pub(super) cancel_kind: AtomicU32,
+}
+
+/// Per-run statistics, all relaxed [`Counter`]s: exact reads happen
+/// only at quiesced boundaries (worker-0 phase D) or after the join,
+/// where the barrier/join provides the happens-before edge.
+#[derive(Default)]
+pub(super) struct Counters {
+    pub(super) compute_ns: Counter,
+    pub(super) wait_ns: Counter,
+    pub(super) activations: Counter,
+    pub(super) vertices: Counter,
+    pub(super) engine_requests: Counter,
+    pub(super) issued_requests: Counter,
+    pub(super) bytes_requested: Counter,
+    pub(super) edges_delivered: Counter,
+    /// Serialized bytes of cross-shard packets this engine posted.
+    pub(super) shard_msg_bytes: Counter,
+}
+
+/// How far a worker may send messages before flushing buffers to the
+/// board (the paper's bundling threshold).
+const MSG_FLUSH_FANOUT: u64 = 16 * 1024;
+
+/// Worker 0's counter snapshot at an iteration boundary, for the
+/// per-iteration deltas of [`IterStats`]. Snapshots are only taken at
+/// quiesced points — after a barrier every worker has passed with its
+/// I/O pipeline drained — and chain delta-to-delta, so per-iteration
+/// stats sum exactly to the run totals even under work stealing.
+pub(super) struct IterSnapshot {
+    io: Option<fg_ssdsim::IoStatsSnapshot>,
+    bytes_requested: u64,
+    issued_requests: u64,
+    edges_delivered: u64,
+}
+
+impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
+    /// Worker 0's snapshot of the request-pipeline counters, taken
+    /// only at quiesced boundaries (before the first phase-A barrier
+    /// and in phase D, where the phase-C barrier has drained every
+    /// worker's pipeline). `None` on other workers.
+    pub(super) fn boundary_snapshot(&self) -> Option<IterSnapshot> {
+        if self.w != 0 {
+            return None;
+        }
+        Some(IterSnapshot {
+            io: self
+                .engine
+                .mount(self.me)
+                .map(|m| m.array().stats().snapshot()),
+            bytes_requested: self.counters.bytes_requested.get(),
+            issued_requests: self.counters.issued_requests.get(),
+            edges_delivered: self.counters.edges_delivered.get(),
+        })
+    }
+
+    /// Records the finished iteration's stats as the delta since the
+    /// previous boundary, then advances the boundary to now — so the
+    /// per-iteration rows partition the run totals exactly.
+    pub(super) fn record_iteration(
+        &self,
+        frontier: u64,
+        iter_start: Instant,
+        boundary: &mut Option<IterSnapshot>,
+    ) {
+        let now = self.boundary_snapshot().expect("only worker 0 records");
+        let before = boundary.take().expect("worker 0 always snapshots");
+        let (read_requests, bytes_read, io_busy_ns) = match (&now.io, &before.io) {
+            (Some(now_io), Some(io_before)) => {
+                let d = now_io.delta_since(io_before);
+                (d.read_requests, d.bytes_read, d.max_busy_ns)
+            }
+            _ => (0, 0, 0),
+        };
+        self.per_iteration.lock().push(IterStats {
+            frontier,
+            wall_ns: iter_start.elapsed().as_nanos() as u64,
+            read_requests,
+            bytes_read,
+            bytes_requested: now.bytes_requested.saturating_sub(before.bytes_requested),
+            issued_requests: now.issued_requests.saturating_sub(before.issued_requests),
+            edges_delivered: now.edges_delivered.saturating_sub(before.edges_delivered),
+            io_busy_ns,
+        });
+        *boundary = Some(now);
+    }
+
+    pub(super) fn maybe_flush_messages(&self, scratch: &mut WorkerScratch<P::Msg>) {
+        if scratch.buffered_fanout >= MSG_FLUSH_FANOUT {
+            self.flush_boards(scratch);
+        }
+    }
+
+    pub(super) fn flush_boards(&self, scratch: &mut WorkerScratch<P::Msg>) {
+        for (dest, buf) in scratch.out_unicasts.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.board.post(dest, Batch::Unicasts(std::mem::take(buf)));
+            }
+        }
+        for (dest, buf) in scratch.out_multicasts.iter_mut().enumerate() {
+            for batch in buf.drain(..) {
+                self.board.post(dest, batch);
+            }
+        }
+        for (dest, buf) in scratch.notifies.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.notify.post(dest, std::mem::take(buf));
+            }
+        }
+        if let Some(link) = self.link {
+            let post = |dest: usize, pkt: ShardPacket<P::Msg>| {
+                self.counters.shard_msg_bytes.add(pkt.wire_bytes());
+                link.bus.post(dest, pkt);
+            };
+            for (dest, buf) in scratch.shard_unicasts.iter_mut().enumerate() {
+                if !buf.is_empty() {
+                    post(dest, ShardPacket::Unicasts(std::mem::take(buf)));
+                }
+            }
+            for (dest, buf) in scratch.shard_multicasts.iter_mut().enumerate() {
+                for env in buf.drain(..) {
+                    match env {
+                        Batch::Unicasts(entries) => post(dest, ShardPacket::Unicasts(entries)),
+                        Batch::Multicast(vs, m) => post(dest, ShardPacket::Multicast(vs, m)),
+                    }
+                }
+            }
+            for (dest, buf) in scratch.shard_activates.iter_mut().enumerate() {
+                if !buf.is_empty() {
+                    post(dest, ShardPacket::Activate(std::mem::take(buf)));
+                }
+            }
+        }
+        scratch.buffered_fanout = 0;
+    }
+
+    /// Worker 0's half of a cross-shard sync point: takes everything
+    /// peers queued for this shard and converts it into the exact form
+    /// a local worker would have produced — message batches split by
+    /// destination partition onto the local board, activations OR'd
+    /// into the next frontier.
+    pub(super) fn drain_shard_bus(&self, link: &ShardLink<'_, P::Msg>) {
+        let parts = self.shared.pmap.num_partitions();
+        for pkt in link.bus.drain(self.me) {
+            match pkt {
+                ShardPacket::Unicasts(entries) => {
+                    let mut split: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); parts];
+                    for (v, m) in entries {
+                        split[self.shared.pmap.partition_of(v)].push((v, m));
+                    }
+                    for (dest, buf) in split.into_iter().enumerate() {
+                        if !buf.is_empty() {
+                            self.board.post(dest, Batch::Unicasts(buf));
+                        }
+                    }
+                }
+                ShardPacket::Multicast(vs, m) => {
+                    let mut split: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
+                    for v in vs {
+                        split[self.shared.pmap.partition_of(v)].push(v);
+                    }
+                    let mut dests: Vec<usize> =
+                        (0..parts).filter(|&p| !split[p].is_empty()).collect();
+                    // The payload moves into the last destination; the
+                    // rest clone, same as a local multicast split.
+                    let last = dests.pop();
+                    for dest in dests {
+                        self.board.post(
+                            dest,
+                            Batch::Multicast(std::mem::take(&mut split[dest]), m.clone()),
+                        );
+                    }
+                    if let Some(dest) = last {
+                        self.board
+                            .post(dest, Batch::Multicast(std::mem::take(&mut split[dest]), m));
+                    }
+                }
+                ShardPacket::Activate(vs) => {
+                    for v in vs {
+                        if !self.frontiers.next().set(v) {
+                            self.counters.activations.inc();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn deliver_messages(
+        &self,
+        iter: u32,
+        scratch: &mut WorkerScratch<P::Msg>,
+        io: &mut IoDriver<'_>,
+    ) {
+        let batches = self.board.drain(self.w);
+        for batch in batches {
+            match batch {
+                Batch::Unicasts(entries) => {
+                    for (v, m) in entries {
+                        self.apply_message(iter, scratch, io, v, &m);
+                    }
+                }
+                Batch::Multicast(vs, m) => {
+                    for v in vs {
+                        self.apply_message(iter, scratch, io, v, &m);
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply_message(
+        &self,
+        iter: u32,
+        scratch: &mut WorkerScratch<P::Msg>,
+        io: &mut IoDriver<'_>,
+        v: VertexId,
+        m: &P::Msg,
+    ) {
+        debug_assert_eq!(self.shared.pmap.partition_of(v), self.w);
+        self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
+            prog.run_on_message(v, state, m, ctx);
+        });
+        // Message handlers may request edges; those complete within
+        // the barrier phase, synchronously.
+        self.complete_phase_requests(iter, scratch, io);
+    }
+
+    pub(super) fn apply_iteration_end(
+        &self,
+        iter: u32,
+        scratch: &mut WorkerScratch<P::Msg>,
+        io: &mut IoDriver<'_>,
+        seen: &mut Bitmap,
+    ) {
+        // Registrations made by our own vertices during this barrier
+        // phase (from message handlers) are still local: flush first.
+        self.flush_boards(scratch);
+        let vids = self.notify.drain(self.w);
+        let mut dedup = Vec::with_capacity(vids.len());
+        for v in vids {
+            if !seen.set(v) {
+                dedup.push(v);
+            }
+        }
+        for v in &dedup {
+            seen.clear(*v);
+        }
+        for v in dedup {
+            self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
+                prog.run_on_iteration_end(v, state, ctx);
+            });
+            self.complete_phase_requests(iter, scratch, io);
+        }
+    }
+
+    /// Synchronously completes any edge requests queued during the
+    /// barrier phase (message / iteration-end handlers).
+    fn complete_phase_requests(
+        &self,
+        iter: u32,
+        scratch: &mut WorkerScratch<P::Msg>,
+        io: &mut IoDriver<'_>,
+    ) {
+        self.absorb_requests(iter, 0, scratch, io);
+        io.flush(self);
+        while io.outstanding() > 0 {
+            self.drain_completions(iter, scratch, io);
+            io.flush(self);
+        }
+    }
+}

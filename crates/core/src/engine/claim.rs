@@ -1,0 +1,146 @@
+use fg_types::sync::{AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
+
+use fg_types::{AtomicBitmap, VertexId};
+
+use super::worker::WorkerEnv;
+use crate::config::SchedulerKind;
+use crate::program::VertexProgram;
+
+/// Double-buffered frontier bitmaps, flipped at each barrier.
+pub(super) struct Frontiers {
+    maps: [AtomicBitmap; 2],
+    flip: AtomicUsize,
+}
+
+impl Frontiers {
+    pub(super) fn new(n: usize) -> Self {
+        Frontiers {
+            maps: [AtomicBitmap::new(n), AtomicBitmap::new(n)],
+            flip: AtomicUsize::new(0),
+        }
+    }
+
+    pub(super) fn cur(&self) -> &AtomicBitmap {
+        &self.maps[self.flip.load(Ordering::Acquire) & 1]
+    }
+
+    pub(super) fn next(&self) -> &AtomicBitmap {
+        &self.maps[(self.flip.load(Ordering::Acquire) + 1) & 1]
+    }
+
+    /// Makes `next` current and clears the old frontier. Called by
+    /// one thread between barriers.
+    pub(super) fn swap(&self) {
+        let old = self.flip.fetch_add(1, Ordering::AcqRel) & 1;
+        self.maps[old].clear_all();
+    }
+}
+
+/// Per-partition active lists plus per-pass steal cursors.
+///
+/// Lists are written by their owner during the build phase and read
+/// by every worker during the compute phase; the two phases are
+/// separated by a barrier (same discipline as `SharedStates`).
+pub(super) struct ActiveSet {
+    lists: Vec<UnsafeCell<Vec<VertexId>>>,
+    cursors: Vec<Vec<AtomicUsize>>,
+}
+
+// SAFETY: see the struct docs — phase discipline plus barriers.
+unsafe impl Sync for ActiveSet {}
+
+impl ActiveSet {
+    pub(super) fn new(parts: usize, vparts: usize) -> Self {
+        ActiveSet {
+            lists: (0..parts).map(|_| UnsafeCell::new(Vec::new())).collect(),
+            cursors: (0..parts)
+                .map(|_| (0..vparts).map(|_| AtomicUsize::new(0)).collect())
+                .collect(),
+        }
+    }
+
+    /// Owner installs its list and rewinds its cursors (build phase).
+    pub(super) fn install(&self, part: usize, list: Vec<VertexId>) {
+        // SAFETY: only the owner writes, before the phase barrier.
+        unsafe {
+            *self.lists[part].get() = list;
+        }
+        for c in &self.cursors[part] {
+            // ordering: the phase barrier publishes the reset.
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Claims the next vertex of `part` in pass `vp`, if any.
+    pub(super) fn claim(&self, part: usize, vp: usize) -> Option<VertexId> {
+        // SAFETY: compute phase — lists are read-only.
+        let list = unsafe { &*self.lists[part].get() };
+        // ordering: racy fast-path check; the RMW below is authoritative.
+        if self.cursors[part][vp].load(Ordering::Relaxed) >= list.len() {
+            return None;
+        }
+        // ordering: a claim needs only RMW atomicity — the list being
+        // claimed from was published by the phase barrier, not by the
+        // cursor.
+        let c = self.cursors[part][vp].fetch_add(1, Ordering::Relaxed);
+        list.get(c).copied()
+    }
+}
+
+impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
+    /// Collects the active vertices of this partition in id order.
+    pub(super) fn collect_active(&self) -> Vec<VertexId> {
+        let cur = self.frontiers.cur();
+        let mut list = Vec::new();
+        for range in self.shared.pmap.ranges_of(self.w) {
+            list.extend(cur.iter_ones_in_range(range));
+        }
+        list
+    }
+
+    /// Orders an active list by the configured scheduler (§3.7).
+    pub(super) fn apply_scheduler(&self, iter: u32, list: &mut [VertexId]) {
+        match self.engine.cfg.scheduler {
+            SchedulerKind::ById => {}
+            SchedulerKind::Alternating => {
+                if iter % 2 == 1 {
+                    list.reverse();
+                }
+            }
+            SchedulerKind::Random(seed) => {
+                let mut s = seed ^ (iter as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                let mut next = move || {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    s
+                };
+                // Fisher–Yates with the xorshift stream.
+                for i in (1..list.len()).rev() {
+                    let j = (next() % (i as u64 + 1)) as usize;
+                    list.swap(i, j);
+                }
+            }
+            SchedulerKind::DegreeDescending(dir) => {
+                list.sort_by_key(|&v| std::cmp::Reverse(self.shared.degrees.degree(v, dir)));
+            }
+        }
+    }
+
+    pub(super) fn claim(&self, vp: usize, nparts: usize) -> Option<VertexId> {
+        if let Some(v) = self.active.claim(self.w, vp) {
+            return Some(v);
+        }
+        if !self.engine.cfg.work_stealing {
+            return None;
+        }
+        for k in 1..nparts {
+            let p = (self.w + k) % nparts;
+            if let Some(v) = self.active.claim(p, vp) {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
