@@ -65,9 +65,11 @@ impl VertexProgram for SsspProgram {
         vertex: &PageVertex<'_>,
         ctx: &mut VertexContext<'_, f32>,
     ) {
-        for i in 0..vertex.degree() {
-            let w = vertex.attr(i).expect("sssp needs a weighted graph image");
-            ctx.send(vertex.edge(i), state.settled + w);
+        let edges = vertex
+            .weighted_edges()
+            .expect("sssp needs a weighted graph image");
+        for (dst, w) in edges {
+            ctx.send(dst, state.settled + w);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Busy-bit delivery exclusivity — the model of
 //! `fg_types::AtomicBitmap::set_sync` / `clear_sync` as used by
-//! `flashgraph`'s engine (`crates/core/src/engine.rs`,
+//! `flashgraph`'s engine (`crates/core/src/engine/worker.rs`,
 //! `acquire_busy` / `execute_deliveries`).
 //!
 //! Protocol: a vertex's busy bit is a per-bit try-lock. `set_sync`

@@ -1,6 +1,7 @@
 //! Completion-counted quiesce — the model of the pipelined engine's
-//! end-of-iteration condition (`crates/core/src/engine.rs`,
-//! `ReadyPool::obligations` / `claims_done` / `quiesced()`).
+//! end-of-iteration condition (`crates/core/src/engine/pool.rs`,
+//! `ReadyPool::{accept, release, announce_claims_done, quiesced}` over
+//! its private `obligations` / `claims_done` counters).
 //!
 //! Protocol: every accepted request increments `obligations` before it
 //! is queued and decrements it only after its delivery — including the

@@ -1,7 +1,8 @@
 //! Work-stealing delivery pool — the model of the pipelined engine's
-//! `ReadyPool` (`crates/core/src/engine.rs`): per-worker LIFO deques,
-//! a shared injector, FIFO stealing, and the busy-conflict requeue
-//! rule in `execute_deliveries`.
+//! `ReadyPool` (`crates/core/src/engine/pool.rs`: `push_local` /
+//! `push_injector` / `pop`): per-worker LIFO deques, a shared injector,
+//! FIFO stealing, and the busy-conflict requeue rule in
+//! `execute_deliveries` (`engine/worker.rs`).
 //!
 //! Protocol: a worker pops its own deque first (LIFO), then the
 //! injector, then steals the front of a victim's deque. A popped

@@ -1,7 +1,8 @@
 //! `SemIo` flush gate — the model of the engine's buffering I/O
-//! front end (`SemIo` in `crates/core/src/engine.rs`: `buffered` /
-//! `IoDriver::in_flight` and the stall-point flush of
-//! `compute_pipelined`), and of the PR 6 livelock it once had.
+//! front end (`SemIo` in `crates/core/src/engine/sem_io.rs`:
+//! `outstanding` / `buffered`, `flush_if_full`, and the stall-point
+//! flush a waiting `harvest` makes), and of the PR 6 livelock it once
+//! had.
 //!
 //! Protocol: requests accumulate in a buffered queue and are issued to
 //! the device in batches of `ISSUE_BATCH`, at most `MAX_PENDING` in

@@ -71,8 +71,6 @@ pub struct EngineConfig {
     pub vertical_parts: u32,
     /// Hard iteration cap (safety net; algorithms normally converge).
     pub max_iterations: u32,
-    /// Enable cursor-based work stealing between workers (§3.8.1).
-    pub work_stealing: bool,
 }
 
 impl EngineConfig {
@@ -101,13 +99,6 @@ impl EngineConfig {
     /// Builder-style: toggles engine-side merging.
     pub fn with_engine_merge(mut self, on: bool) -> Self {
         self.merge_in_engine = on;
-        self
-    }
-
-    /// Builder-style: sets the merged-request size cap (0 =
-    /// unlimited).
-    pub fn with_max_merge_bytes(mut self, bytes: u64) -> Self {
-        self.max_merge_bytes = bytes;
         self
     }
 
@@ -181,7 +172,6 @@ impl Default for EngineConfig {
             scheduler: SchedulerKind::Alternating,
             vertical_parts: 1,
             max_iterations: u32::MAX,
-            work_stealing: true,
         }
     }
 }
@@ -221,8 +211,12 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.max_merge_bytes, 4 << 20);
         assert_eq!(c.resolved_max_merge_bytes(), 4 << 20);
+        let unlimited = EngineConfig {
+            max_merge_bytes: 0,
+            ..c
+        };
         assert_eq!(
-            c.with_max_merge_bytes(0).resolved_max_merge_bytes(),
+            unlimited.resolved_max_merge_bytes(),
             crate::merge::UNLIMITED_MERGE_BYTES
         );
     }

@@ -165,7 +165,7 @@ impl Request {
     }
 
     /// Also fetches the parallel attribute run (sliced identically
-    /// when a range is set), so [`crate::PageVertex::attr`] works.
+    /// when a range is set), for [`crate::PageVertex::weighted_edges`].
     /// The graph image must carry attributes.
     #[inline]
     pub fn with_attrs(mut self) -> Self {

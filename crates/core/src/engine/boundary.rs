@@ -1,10 +1,23 @@
+//! The iteration boundary: run control, the run's counters and the
+//! per-iteration rows cut from them, the flushes that move buffered
+//! messages to the boards and the shard bus, and the barrier phase's
+//! own deliveries (messages, iteration-end callbacks, and the
+//! synchronous completion of any edge request those handlers make).
+//!
+//! Invariant owned here: counters are read exactly only at quiesced
+//! points (worker 0 in phase D, or after the join) and per-iteration
+//! rows are deltas between consecutive such points, so they sum to the
+//! run totals whatever stealing moved where. Barrier-phase deliveries
+//! are owner-only — a vertex's messages reach the worker that owns its
+//! partition — so no busy bit is involved.
+
 use fg_types::sync::{AtomicBool, AtomicU32, Counter};
 use std::time::Instant;
 
-use fg_types::{Bitmap, VertexId};
+use fg_types::{Bitmap, CancelCause, VertexId};
 
-use super::sem_io::IoDriver;
-use super::worker::WorkerEnv;
+use super::sem_io::Wait;
+use super::worker::{Source, WorkerEnv};
 use crate::context::WorkerScratch;
 use crate::messages::{Batch, ShardPacket};
 use crate::program::VertexProgram;
@@ -16,10 +29,9 @@ use crate::stats::IterStats;
 pub(super) struct Control {
     pub(super) iteration: AtomicU32,
     pub(super) stop: AtomicBool,
-    /// Why the run stopped early: 0 = it didn't, 1 = cancelled,
-    /// 2 = deadline expired. Written by worker 0 in phase D, read
-    /// after the join.
-    pub(super) cancel_kind: AtomicU32,
+    /// Why the run stopped early, if it did. Written by worker 0 in
+    /// phase D, read after the join.
+    pub(super) cancelled: parking_lot::Mutex<Option<CancelCause>>,
 }
 
 /// Per-run statistics, all relaxed [`Counter`]s: exact reads happen
@@ -211,7 +223,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
         let batches = self.board.drain(self.w);
         for batch in batches {
@@ -234,7 +246,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
         v: VertexId,
         m: &P::Msg,
     ) {
@@ -251,7 +263,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
         seen: &mut Bitmap,
     ) {
         // Registrations made by our own vertices during this barrier
@@ -276,18 +288,29 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     }
 
     /// Synchronously completes any edge requests queued during the
-    /// barrier phase (message / iteration-end handlers).
+    /// barrier phase (message / iteration-end handlers): blocks for at
+    /// least one completion at a time and runs every delivery that
+    /// landed. Owner-only — no busy bit, nothing through the pool.
     fn complete_phase_requests(
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
         self.absorb_requests(iter, 0, scratch, io);
-        io.flush(self);
-        while io.outstanding() > 0 {
-            self.drain_completions(iter, scratch, io);
-            io.flush(self);
+        io.flush();
+        while let Source::Sem(sem) = io {
+            if sem.outstanding() == 0 {
+                break;
+            }
+            let mut landed = std::mem::take(sem.harvest(Wait::Block));
+            for r in landed.drain(..) {
+                debug_assert_eq!(r.head.vpart, 0, "barrier-phase deliveries stay in pass 0");
+                self.complete(iter, r, scratch, io);
+            }
+            // Callbacks may have queued more requests.
+            io.flush();
+            self.maybe_flush_messages(scratch);
         }
     }
 }

@@ -1,3 +1,13 @@
+//! The claim layer (§3.7, §3.8.1): the build step collects and orders
+//! a partition's active vertices, the compute step claims them one
+//! cursor bump at a time — own partition first, then stolen.
+//!
+//! Invariant owned here: an active list is written by its owner before
+//! the phase barrier and only read after it, and a cursor only moves
+//! forward, so every active vertex of a pass is claimed exactly once
+//! and exhaustion is permanent within an iteration. Priced, with
+//! `pool.rs`, by the ledger's `engine.noop_ns_per_vertex`.
+
 use fg_types::sync::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
 
@@ -128,19 +138,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
+    /// The next vertex of pass `vp`: from this worker's own partition
+    /// while it lasts, then stolen from the others in turn (§3.8.1).
     pub(super) fn claim(&self, vp: usize, nparts: usize) -> Option<VertexId> {
-        if let Some(v) = self.active.claim(self.w, vp) {
-            return Some(v);
-        }
-        if !self.engine.cfg.work_stealing {
-            return None;
-        }
-        for k in 1..nparts {
-            let p = (self.w + k) % nparts;
-            if let Some(v) = self.active.claim(p, vp) {
-                return Some(v);
-            }
-        }
-        None
+        (0..nparts).find_map(|k| self.active.claim((self.w + k) % nparts, vp))
     }
 }

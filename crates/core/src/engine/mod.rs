@@ -1,30 +1,19 @@
-//! The iteration driver: partitions, schedulers, the asynchronous
-//! issue/poll loop, work stealing, and the completion-counted
-//! pipeline (§3.3, §3.6–§3.8).
+//! The iteration driver (§3.3, §3.6–§3.8), a file per layer of the
+//! road one request takes to its callback: `claim` (frontier →
+//! claimed vertex), `sem_io` (request → merged cover → resolved
+//! delivery), `pool` (ready deliveries and the quiesce that ends
+//! compute), `worker` (the loop that interleaves them and runs the
+//! callbacks) and `boundary` (what happens between computes). Each
+//! file's comment names the invariant it owns.
 //!
-//! Each iteration has a build step (collect and order the partition's
-//! active vertices), a compute step, and a boundary
-//! (message delivery, iteration-end callbacks, frontier flip, stats).
-//! The compute step is *pipelined* — it runs without any
-//! intra-iteration barrier: workers issue merged covers
-//! into [`SemIo`] without waiting for replies, resolve completions
-//! into per-worker ready deques, and execute `run_on_vertex`
-//! deliveries the moment pages land — their own, or stolen from the
-//! shared injector and other workers' deques when their device queue
-//! is ahead of their CPU. Two counters define the iteration's end
-//! instead of a barrier: every worker has exhausted claiming
-//! (`claims_done == workers`) and every accepted edge request has
-//! been delivered and its follow-on requests absorbed
-//! (`obligations == 0`). Only then do workers synchronize for the
-//! boundary phases. A per-vertex busy bitmap serializes callbacks:
-//! any worker may run a vertex's delivery, but never two at once, so
-//! `SharedStates`' exclusivity contract survives stealing.
-//!
-//! This is the only scheduler, and [`Engine`] the only engine: the
-//! in-memory mode differs from the semi-external one only in where an
-//! edge list comes from, and a semi-external run over one mount is the
-//! one-shard case of a run over k (see [`crate::shard`]). The referees
-//! are `Engine::new_mem` on the same graph and `fg_baselines::direct`.
+//! This file is the top of the road — [`Engine`], its constructors and
+//! the run body — and owns the rule that every validation happens
+//! before any thread starts. There is one scheduler and one engine:
+//! the in-memory mode differs from the semi-external one only in where
+//! an edge list comes from, and a run over one mount is the one-shard
+//! case of a run over k (see [`crate::shard`]). The referees are
+//! `Engine::new_mem` on the same graph and `fg_baselines::direct`; the
+//! ledger's `engine.run_floor_us` prices an empty run.
 
 use fg_types::sync::Ordering;
 use std::sync::Arc;
@@ -33,7 +22,7 @@ use std::time::Instant;
 use fg_format::{GraphIndex, ShardedIndex};
 use fg_graph::{DeltaView, Graph};
 use fg_safs::{CacheStats, Safs, ShardSet};
-use fg_types::{AtomicBitmap, CancelCause, CancelToken, FgError, Result, VertexId};
+use fg_types::{AtomicBitmap, CancelToken, FgError, Result, VertexId};
 
 use crate::config::EngineConfig;
 use crate::context::{DegreeSource, RunShared, ShardView};
@@ -70,6 +59,7 @@ pub enum Init {
 /// the index is what lets many engines — and through them, the
 /// concurrent queries of [`crate::GraphService`] — run against one
 /// set of mounts without duplicating per-vertex location tables.
+#[derive(Clone)]
 enum Backend<'g> {
     Mem(&'g Graph),
     /// One mount per shard of `index`, k ≥ 1. Shard `s` of a run owns
@@ -214,13 +204,7 @@ impl<'g> Engine<'g> {
     /// apps that need per-run iteration caps or schedulers).
     pub fn reconfigured(&self, cfg: EngineConfig) -> Engine<'g> {
         Engine {
-            backend: match &self.backend {
-                Backend::Mem(g) => Backend::Mem(g),
-                Backend::Sem { mounts, index } => Backend::Sem {
-                    mounts,
-                    index: Arc::clone(index),
-                },
-            },
+            backend: self.backend.clone(),
             cfg,
             n: self.n,
             cancel: self.cancel.clone(),
@@ -269,11 +253,8 @@ impl<'g> Engine<'g> {
         program: &P,
         init: Init,
     ) -> Result<(Vec<P::State>, RunStats)> {
-        let mut states_vec = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            states_vec.push(program.init_state(VertexId::from_index(i)));
-        }
-        self.run_with_states(program, init, states_vec)
+        let ids = (0..self.n).map(VertexId::from_index);
+        self.run_with_states(program, init, ids.map(|v| program.init_state(v)).collect())
     }
 
     /// Like [`Engine::run`] but resumes from caller-provided states —
@@ -390,16 +371,24 @@ impl<'g> Engine<'g> {
             "runs with peers carry a link, others do not"
         );
         let start = Instant::now();
-        // The id window this shard collects and computes: its owned
-        // contiguous range — the whole graph when it is the only one.
-        // Everything indexed by vertex id (states, frontiers, busy
-        // bits) stays global-length either way.
-        let (lo, hi) = match &self.backend {
+        // What the backend decides for a run. The id window this shard
+        // collects and computes: its owned contiguous range — the whole
+        // graph when it is the only one (everything indexed by vertex
+        // id — states, frontiers, busy bits — stays global-length
+        // either way). Where degrees come from. And, in a run with
+        // peers, the router to them.
+        let (lo, hi, degrees, shard) = match &self.backend {
+            Backend::Mem(g) => (0, n, DegreeSource::Graph(g), None),
             Backend::Sem { index, .. } => {
                 let r = index.shard_range(me);
-                (r.start as usize, r.end as usize)
+                let view = link.map(|_| ShardView {
+                    lo: r.start,
+                    hi: r.end,
+                    index: Arc::clone(index),
+                });
+                let degrees = DegreeSource::Sharded(Arc::clone(index));
+                (r.start as usize, r.end as usize, degrees, view)
             }
-            Backend::Mem(_) => (0, n),
         };
 
         let frontiers = Frontiers::new(n);
@@ -427,21 +416,11 @@ impl<'g> Engine<'g> {
         let shared = RunShared {
             n,
             vparts,
-            degrees: match &self.backend {
-                Backend::Mem(g) => DegreeSource::Graph(g),
-                Backend::Sem { index, .. } => DegreeSource::Sharded(Arc::clone(index)),
-            },
+            degrees,
             pmap: pmap.clone(),
             max_request_edges: self.cfg.max_request_edges,
             deltas: self.deltas.clone(),
-            shard: match (&self.backend, link) {
-                (Backend::Sem { index, .. }, Some(_)) => Some(ShardView {
-                    lo: lo as u32,
-                    hi: hi as u32,
-                    index: Arc::clone(index),
-                }),
-                _ => None,
-            },
+            shard,
         };
         let board: MessageBoard<P::Msg> = MessageBoard::new(nthreads);
         let notify = NotifyBoard::new(nthreads);
@@ -527,12 +506,7 @@ impl<'g> Engine<'g> {
             io,
             cache: cache_scope.as_ref().map(|s| s.snapshot()),
             cache_mount,
-            // ordering: read after every worker thread has joined.
-            cancelled: match control.cancel_kind.load(Ordering::Relaxed) {
-                1 => Some(CancelCause::Cancelled),
-                2 => Some(CancelCause::DeadlineExpired),
-                _ => None,
-            },
+            cancelled: control.cancelled.into_inner(),
             per_iteration: per_iteration.into_inner(),
         })
     }
@@ -603,12 +577,5 @@ impl GraphEngine for Engine<'_> {
         states: Vec<P::State>,
     ) -> Result<(Vec<P::State>, RunStats)> {
         Engine::run_with_states(self, program, init, states)
-    }
-}
-
-impl Engine<'_> {
-    /// Page size shared by every mount.
-    fn safs_page_bytes(&self) -> u64 {
-        self.mount(0).map_or(4096, Safs::page_bytes)
     }
 }

@@ -1,3 +1,12 @@
+//! The ready pool: where a resolved delivery waits for a CPU, and the
+//! one owner of the quiesce protocol that ends an iteration's compute
+//! without a barrier (see [`ReadyPool`]). The two counters are
+//! private; `accept` / `release` / `announce_claims_done` /
+//! `quiesced` / `begin_iteration` are the whole protocol, each
+//! ordering stated beside its access, with `fg_check`'s `quiesce` and
+//! `ready_pool` models as referees. Priced, with `claim.rs`, by the
+//! ledger's `engine.noop_ns_per_vertex`.
+
 use fg_types::sync::{AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
 
@@ -13,21 +22,16 @@ use super::sem_io::ReadyVertex;
 /// delivery whose requester is busy on another worker goes there
 /// instead of blocking the thief.
 ///
-/// Two counters replace the compute-phase barrier. `obligations`
-/// counts edge requests accepted into the I/O layer whose delivery —
-/// including absorbing the follow-on requests the callback queues —
-/// has not finished; it is incremented *before* a request is
-/// enqueued and decremented *after* its delivery returns, so it can
-/// only read zero when no work is hidden in flight. `claims_done`
-/// counts workers that have exhausted claiming for the current
-/// iteration (cursor exhaustion is permanent within an iteration, so
-/// the count is monotonic). The iteration's compute is over exactly
-/// when `claims_done == workers && obligations == 0`.
+/// Two counters replace the compute-phase barrier: `obligations`,
+/// the edge requests accepted into the I/O layer and not yet released,
+/// and `claims_done`, the workers that have exhausted claiming for the
+/// current iteration. The iteration's compute is over exactly when
+/// `claims_done == workers && obligations == 0`.
 pub(super) struct ReadyPool {
-    pub(super) injector: parking_lot::Mutex<VecDeque<ReadyVertex>>,
-    pub(super) deques: Vec<parking_lot::Mutex<VecDeque<ReadyVertex>>>,
-    pub(super) obligations: AtomicU64,
-    pub(super) claims_done: AtomicUsize,
+    injector: parking_lot::Mutex<VecDeque<ReadyVertex>>,
+    deques: Vec<parking_lot::Mutex<VecDeque<ReadyVertex>>>,
+    obligations: AtomicU64,
+    claims_done: AtomicUsize,
 }
 
 impl ReadyPool {
@@ -72,6 +76,63 @@ impl ReadyPool {
         None
     }
 
+    /// Opens an obligation, *before* its request enters the I/O layer:
+    /// the request stays counted until [`ReadyPool::release`].
+    pub(super) fn accept(&self) {
+        // ordering: Relaxed — publication of this increment to the
+        // quiesce check rides on the `claims_done` release chain
+        // (claim phase) or on the enclosing obligation's AcqRel
+        // decrement (cascades), never on the increment itself.
+        // fg_check's `quiesce` model is the referee; its
+        // NoOuterObligation mutation shows what breaks when a cascade
+        // runs without cover.
+        self.obligations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Closes an obligation, *after* its delivery has run and the
+    /// follow-on requests it queued have been absorbed (accepted in
+    /// their turn, under this obligation's cover).
+    pub(super) fn release(&self) {
+        // ordering: AcqRel — release publishes the delivery's state
+        // writes to the worker whose quiesce load sees the count reach
+        // zero; acquire folds earlier decrements into this RMW's
+        // release sequence. The RelaxedPublish mutation of fg_check's
+        // `quiesce` model demonstrates the lost publication if this is
+        // weakened.
+        let open = self.obligations.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(open > 0, "release without a matching accept");
+    }
+
+    /// A worker's claims are exhausted for this iteration (cursors
+    /// only move forward, so this is permanent until
+    /// [`ReadyPool::begin_iteration`]). Called after the worker's
+    /// final flush.
+    pub(super) fn announce_claims_done(&self) {
+        // ordering: AcqRel — the release half publishes this worker's
+        // final flush to whoever's `quiesced` load sees the full
+        // count; the acquire half joins earlier announcements' release
+        // sequence through the RMW chain. Referee: fg_check's
+        // `quiesce` model.
+        self.claims_done.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The pipelined iteration's end condition: all `workers` have
+    /// exhausted claiming and every accepted request's delivery has
+    /// finished. `claims_done` is monotonic within an iteration and
+    /// cascades keep an outer obligation alive while they spawn inner
+    /// ones, so a true result cannot hide in-flight work.
+    pub(super) fn quiesced(&self, workers: usize) -> bool {
+        // ordering: Acquire on both loads pairs with the AcqRel
+        // announcement/decrement RMWs, so a worker that observes the
+        // full claim count and a zero obligation count also observes
+        // every delivered vertex's state writes. These were SeqCst
+        // from PR 6 "to be safe"; fg_check's `quiesce` model passes
+        // exhaustively at Acquire/AcqRel and catches the seeded
+        // downgrades below it.
+        self.claims_done.load(Ordering::Acquire) == workers
+            && self.obligations.load(Ordering::Acquire) == 0
+    }
+
     /// Worker 0 rewinds the claim count between iterations (phase D,
     /// where every other worker is parked at the barrier).
     pub(super) fn begin_iteration(&self) {
@@ -83,5 +144,96 @@ impl ReadyPool {
         // ordering: Relaxed — same phase-D argument; the barrier
         // publishes the reset to the next iteration's claimants.
         self.claims_done.store(0, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::EdgeRequest;
+    use crate::engine::sem_io::fetch_window;
+    use fg_types::{EdgeDir, VertexId};
+
+    /// An empty delivery for requester `id`.
+    fn item(id: u32) -> ReadyVertex {
+        let req = EdgeRequest {
+            subject: VertexId(id),
+            requester: VertexId(id),
+            dir: EdgeDir::Out,
+            attrs: false,
+            start: 0,
+            len: 0,
+        };
+        ReadyVertex::empty(fetch_window(&req, 0, None, || 0), false)
+    }
+
+    fn requesters(pool: &ReadyPool, w: usize) -> Vec<u32> {
+        std::iter::from_fn(|| pool.pop(w))
+            .map(|r| r.head.requester.0)
+            .collect()
+    }
+
+    #[test]
+    fn an_open_obligation_holds_quiesce_off() {
+        let pool = ReadyPool::new(2);
+        pool.accept();
+        pool.announce_claims_done();
+        pool.announce_claims_done();
+        assert!(!pool.quiesced(2), "every claim announced, one delivery out");
+        pool.accept();
+        pool.release();
+        assert!(
+            !pool.quiesced(2),
+            "a cascade's inner release is not the outer's"
+        );
+        pool.release();
+        assert!(pool.quiesced(2));
+    }
+
+    #[test]
+    fn the_last_announcement_completes_quiesce() {
+        let pool = ReadyPool::new(3);
+        assert!(!pool.quiesced(3));
+        pool.announce_claims_done();
+        pool.announce_claims_done();
+        assert!(!pool.quiesced(3), "no obligation open, one worker claiming");
+        pool.announce_claims_done();
+        assert!(pool.quiesced(3));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "release without a matching accept")]
+    fn release_without_accept_is_caught() {
+        ReadyPool::new(1).release();
+    }
+
+    #[test]
+    fn pop_is_own_lifo_then_injector_fifo_then_victim_fifo() {
+        let pool = ReadyPool::new(3);
+        pool.push_local(0, &mut vec![item(1), item(2)]);
+        pool.push_local(1, &mut vec![item(11), item(12)]);
+        pool.push_local(2, &mut vec![item(21), item(22)]);
+        pool.push_injector(item(31));
+        pool.push_injector(item(32));
+        // Worker 0: its own newest first, the injector oldest first,
+        // then its neighbours' oldest, nearest victim first.
+        assert_eq!(requesters(&pool, 0), [2, 1, 31, 32, 11, 12, 21, 22]);
+        assert!(pool.pop(1).is_none());
+    }
+
+    #[test]
+    fn begin_iteration_rewinds_claims_only() {
+        let pool = ReadyPool::new(2);
+        pool.announce_claims_done();
+        pool.announce_claims_done();
+        assert!(pool.quiesced(2));
+        pool.push_local(1, &mut vec![item(7)]);
+        pool.begin_iteration();
+        assert!(!pool.quiesced(2), "claims start over");
+        assert_eq!(requesters(&pool, 0), [7], "deques are left as they were");
+        pool.announce_claims_done();
+        pool.announce_claims_done();
+        assert!(pool.quiesced(2), "obligations were not touched");
     }
 }

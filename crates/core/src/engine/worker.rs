@@ -1,16 +1,30 @@
+//! The worker: one thread's iteration loop — build, pipelined compute
+//! (`compute_pipelined`), boundary (`boundary.rs`) — and the road's
+//! last stretch: claimed vertex → `run` → absorbed requests →
+//! delivery → `run_on_vertex` → absorbed follow-ons → release.
+//!
+//! Invariants owned here: a vertex's callbacks never run on two
+//! workers at once — any worker may run a vertex's delivery, but only
+//! under its bit of the busy bitmap, so `SharedStates`' exclusivity
+//! contract survives stealing (`fg_check`'s `busy_bit` model is the
+//! referee) — and an accepted request is released only after its
+//! delivery *and* the absorption of the follow-ons that delivery
+//! queued (`complete`).
+
 use fg_types::sync::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use fg_graph::{DeltaView, Graph};
 use fg_safs::CacheStats;
-use fg_types::{AtomicBitmap, Bitmap, CancelCause, VertexId};
+use fg_types::{AtomicBitmap, Bitmap, VertexId};
 
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
 use super::pool::ReadyPool;
-use super::sem_io::{fetch_window, IoDriver, ReadyVertex, SemIo};
+use super::sem_io::{ReadyVertex, SemIo, Wait};
 use super::{Backend, Engine};
-use crate::context::{RunShared, VertexContext, WorkerScratch};
+use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
 use crate::messages::{MessageBoard, NotifyBoard};
 use crate::program::VertexProgram;
 use crate::shard::{PoisonGuard, Rendezvous, ShardLink};
@@ -56,16 +70,19 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let mut scratch: WorkerScratch<P::Msg> =
             WorkerScratch::new(self.shared.pmap.num_partitions(), shards);
         let mut io = match &self.engine.backend {
+            Backend::Mem(g) => Source::Mem(g),
             Backend::Sem { mounts, index } => {
-                // A shard's index speaks local ids; the session
-                // localizes owned subjects by the window base (0 for
-                // the only shard of a whole-graph image).
-                IoDriver::Sem(SemIo::with_base(
-                    mounts[self.me].session_scoped(self.cache_scope.clone()),
-                    index.shard_range(self.me).start,
+                let scope = self.cache_scope.clone();
+                let cfg = &self.engine.cfg;
+                Source::Sem(SemIo::new(
+                    mounts,
+                    index,
+                    self.me,
+                    scope,
+                    cfg,
+                    self.counters,
                 ))
             }
-            Backend::Mem(_) => IoDriver::Mem,
         };
         let mut seen_notify = Bitmap::new(self.shared.n);
         // Worker 0's counter snapshot at the last recorded boundary.
@@ -152,24 +169,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 // boundary or (when a deadline races the vote) all
                 // continue one more iteration and stop on the next —
                 // no shard ever blocks on a peer that walked away.
-                let cancel_hit = match self.engine.cancel.as_ref().and_then(|t| t.cause()) {
-                    None => 0u32,
-                    Some(CancelCause::Cancelled) => 1,
-                    Some(CancelCause::DeadlineExpired) => 2,
-                };
-                let stop_vote = quiet || cancel_hit != 0;
+                let cancel_hit = self.engine.cancel.as_ref().and_then(|t| t.cause());
+                let stop_vote = quiet || cancel_hit.is_some();
                 let done = match self.link {
                     Some(link) => link.group.vote(stop_vote),
                     None => stop_vote,
                 } || iter + 1 >= self.engine.cfg.max_iterations;
-                if done && cancel_hit != 0 && !quiet {
+                if done && !quiet {
                     // A run that was quiet anyway converged; only an
                     // actually-cut-short run reports cancellation.
-                    let kind = &self.control.cancel_kind;
-                    // ordering: Relaxed — written while every other
-                    // worker is parked at the barrier, read after the
-                    // thread-scope join; both edges synchronize.
-                    kind.store(cancel_hit, Ordering::Relaxed);
+                    *self.control.cancelled.lock() = cancel_hit;
                 }
                 self.record_iteration(frontier_count, iter_start, &mut boundary);
                 self.frontiers.swap();
@@ -208,7 +217,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
@@ -226,22 +235,15 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                             // Release the half-filled batch, then
                             // announce: cursors only move forward, so
                             // exhaustion is permanent this iteration.
-                            io.flush(self);
-                            // ordering: AcqRel — the release half
-                            // publishes this worker's final flush to
-                            // whoever's `quiesced` load sees the full
-                            // count; the acquire half joins earlier
-                            // announcements' release sequence through
-                            // the RMW chain. Referee: fg_check's
-                            // `quiesce` model.
-                            self.ready.claims_done.fetch_add(1, Ordering::AcqRel);
+                            io.flush();
+                            self.ready.announce_claims_done();
                             break;
                         }
                     }
                 }
             }
             // (b) Publish our freshly completed covers to the pool.
-            self.harvest(io, false);
+            self.harvest(io, Wait::Poll);
             // (c) Run ready deliveries — ours or stolen.
             let executed = self.execute_deliveries(iter, scratch, io);
             if executed == 0 {
@@ -252,26 +254,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 if !claiming {
                     // Deliveries may have buffered follow-on requests
                     // that no size trigger will fire for anymore.
-                    io.flush(self);
-                    if io.outstanding() == 0 && self.quiesced() {
+                    io.flush();
+                    if io.outstanding() == 0 && self.ready.quiesced(nparts) {
                         break;
                     }
                 }
                 if io.outstanding() > 0 {
-                    // When `max_pending < issue_batch` the depth gate
-                    // can fill entirely with *buffered* requests that
-                    // the size trigger will never release — nothing is
-                    // at the device and the wait below could never be
-                    // satisfied. Submit the partial batch; this fires
-                    // only at genuine stall points, so merge batching
-                    // is otherwise unaffected.
-                    if io.in_flight() == 0 {
-                        io.flush(self);
-                    }
                     // Nothing runnable until one of our covers lands:
                     // block briefly (bounded, so we resume stealing
                     // even if our own replies are slow).
-                    self.harvest(io, true);
+                    self.harvest(io, Wait::Brief);
                 } else if !claiming {
                     // Other workers still hold obligations; retry the
                     // pool politely.
@@ -289,7 +281,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         vp: u32,
         v: VertexId,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
         self.counters.vertices.inc();
         self.acquire_busy(v);
@@ -298,31 +290,15 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         });
         self.absorb_requests(iter, vp, scratch, io);
         self.busy.clear_sync(v);
-        io.flush_if_full(self);
         self.maybe_flush_messages(scratch);
     }
 
-    /// Polls (or briefly waits on) this worker's session and
-    /// publishes the resolved deliveries to the ready pool.
-    /// Completions only arrive on the session that issued them, so an
-    /// otherwise idle worker bounds its wait instead of blocking —
-    /// stolen work may appear in the pool at any moment.
-    fn harvest(&self, io: &mut IoDriver<'_>, wait: bool) {
-        let IoDriver::Sem(sem) = io else { return };
-        let mut done = Vec::new();
-        let t = Instant::now();
-        if wait {
-            sem.session
-                .wait_timeout(&mut done, Duration::from_micros(200));
-        } else {
-            sem.session.poll(&mut done);
-        }
-        self.counters.wait_ns.add(t.elapsed().as_nanos() as u64);
-        for c in done {
-            sem.resolve(c);
-        }
-        if !sem.ready.is_empty() {
-            self.ready.push_local(self.w, &mut sem.ready);
+    /// Publishes this worker's landed completions to the ready pool.
+    fn harvest(&self, io: &mut Source<'_>, wait: Wait) {
+        let Source::Sem(sem) = io else { return };
+        let landed = sem.harvest(wait);
+        if !landed.is_empty() {
+            self.ready.push_local(self.w, landed);
         }
     }
 
@@ -334,7 +310,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) -> usize {
         const DELIVERY_BUDGET: usize = 64;
         let mut executed = 0;
@@ -342,7 +318,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             let Some(r) = self.ready.pop(self.w) else {
                 break;
             };
-            if self.busy.set_sync(r.requester) {
+            let requester = r.head.requester;
+            if self.busy.set_sync(requester) {
                 // The requester's callback is running on another
                 // worker right now: hand the delivery to the injector
                 // rather than spin, and stop popping — the next pop
@@ -350,43 +327,12 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 self.ready.push_injector(r);
                 break;
             }
-            let requester = r.requester;
-            let vpd = r.vpart;
-            let pv = SemIo::decode_ready(r, self.shared.deltas.as_deref());
-            self.deliver_vertex(iter, vpd, scratch, requester, &pv);
-            self.absorb_requests(iter, vpd, scratch, io);
+            self.complete(iter, r, scratch, io);
             self.busy.clear_sync(requester);
-            // ordering: AcqRel — release publishes the delivery's
-            // state writes to the worker whose quiesce load sees
-            // the count reach zero; acquire folds earlier
-            // decrements into this RMW's release sequence. The
-            // RelaxedPublish mutation of fg_check's `quiesce`
-            // model demonstrates the lost publication if this is
-            // weakened.
-            self.ready.obligations.fetch_sub(1, Ordering::AcqRel);
             executed += 1;
-            io.flush_if_full(self);
             self.maybe_flush_messages(scratch);
         }
         executed
-    }
-
-    /// The pipelined iteration's end condition: every worker has
-    /// exhausted claiming and every accepted request's delivery has
-    /// finished. `claims_done` is monotonic within an iteration and
-    /// cascades keep an outer obligation alive while they spawn inner
-    /// ones, so a true result cannot hide in-flight work (see
-    /// [`ReadyPool`]).
-    pub(super) fn quiesced(&self) -> bool {
-        // ordering: Acquire on both loads pairs with the AcqRel
-        // announcement/decrement RMWs, so a worker that observes the
-        // full claim count and a zero obligation count also observes
-        // every delivered vertex's state writes. These were SeqCst
-        // from PR 6 "to be safe"; fg_check's `quiesce` model passes
-        // exhaustively at Acquire/AcqRel and catches the seeded
-        // downgrades below it.
-        self.ready.claims_done.load(Ordering::Acquire) == self.shared.pmap.num_partitions()
-            && self.ready.obligations.load(Ordering::Acquire) == 0
     }
 
     /// Spins until this worker owns `v`'s busy bit. Contention is
@@ -427,16 +373,20 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         f(self.program, state, &mut ctx);
     }
 
-    /// Moves the requests a callback queued in `scratch` into the I/O
-    /// driver, resolving locations; zero-degree requests complete
-    /// inline (possibly cascading).
+    /// Moves the requests a callback queued in `scratch` into the
+    /// worker's source, flushing its issue queue once that has filled.
+    /// What needs no asynchronous fetch — everything in memory, a
+    /// fetch of nothing, a foreign subject — is delivered inline,
+    /// under the busy bit the caller already holds (possibly
+    /// cascading: its follow-ons are absorbed by this same loop).
     pub(super) fn absorb_requests(
         &self,
         iter: u32,
         vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
+        let deltas = self.shared.deltas.as_deref();
         while !scratch.requests.is_empty() {
             // Callbacks run below queue follow-on requests: take the
             // pending ones out and leave the spare buffer in their
@@ -444,140 +394,42 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             let mut reqs = std::mem::take(&mut scratch.absorbing);
             std::mem::swap(&mut reqs, &mut scratch.requests);
             for req in reqs.drain(..) {
-                match (&self.engine.backend, &mut *io) {
-                    (Backend::Mem(g), IoDriver::Mem) => {
-                        let csr = g.csr(req.dir);
-                        let ops = self
-                            .shared
-                            .deltas
-                            .as_ref()
-                            .and_then(|d| d.list(req.subject, req.dir));
-                        let pv = if let Some(ops) = ops {
-                            // Overlaid subject: the range is in merged
-                            // coordinates, so wrap the full CSR list.
-                            let edges = csr.neighbors(req.subject);
-                            let attrs = req.attrs.then(|| {
-                                csr.weights_of(req.subject)
-                                    .expect("attrs requested on an unweighted graph")
-                            });
-                            let base =
-                                PageVertex::from_slice(req.subject, req.dir, 0, edges, attrs);
-                            PageVertex::with_overlay(
-                                base,
-                                Arc::clone(ops),
-                                req.start,
-                                req.len as usize,
-                            )
+                match io {
+                    Source::Mem(g) => {
+                        let pv = slice_vertex(g, &req, deltas);
+                        self.run_on_vertex(iter, vp, scratch, req.requester, &pv);
+                    }
+                    Source::Sem(sem) => {
+                        let head = sem.window(&req, vp, deltas);
+                        if head.count == 0 {
+                            self.deliver(iter, ReadyVertex::empty(head, req.attrs), scratch);
+                        } else if !sem.owns(req.subject) {
+                            self.deliver(iter, sem.read_foreign(head, req.attrs), scratch);
                         } else {
-                            // Ranges were clamped at request time; the
-                            // CSR slice is the oracle the sem path
-                            // must match.
-                            let lo = req.start as usize;
-                            let hi = lo + req.len as usize;
-                            let edges = &csr.neighbors(req.subject)[lo..hi];
-                            let attrs = if req.attrs {
-                                Some(
-                                    &csr.weights_of(req.subject)
-                                        .expect("attrs requested on an unweighted graph")
-                                        [lo..hi],
-                                )
-                            } else {
-                                None
-                            };
-                            PageVertex::from_slice(req.subject, req.dir, req.start, edges, attrs)
-                        };
-                        self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
-                    }
-                    (Backend::Sem { mounts, index }, IoDriver::Sem(sem)) => {
-                        let deltas = self.shared.deltas.as_deref();
-                        let foreign = self
-                            .shared
-                            .shard
-                            .as_ref()
-                            .is_some_and(|sv| req.len > 0 && !sv.owns(req.subject));
-                        if foreign {
-                            // Foreign-subject request (TC-style
-                            // neighbour-list reads): locate on the
-                            // owning shard's index and read its mount
-                            // synchronously — the cross-shard analogue
-                            // of the Mem arm's inline delivery, safe
-                            // because the requester holds the busy bit
-                            // and the subject's *state* is never
-                            // touched, only its on-disk edges.
-                            let (start, len, overlay) =
-                                fetch_window(&req, deltas, || index.degree(req.subject, req.dir));
-                            let mut ready = ReadyVertex::empty(&req, vp, start, overlay);
-                            if len > 0 {
-                                let (s, slice) =
-                                    index.locate_slice(req.subject, req.dir, start, len);
-                                let loc = slice.loc;
-                                debug_assert_eq!(loc.degree, len);
-                                self.counters.bytes_requested.add(loc.bytes);
-                                self.counters.issued_requests.inc();
-                                ready.count = len;
-                                ready.decode = slice.decode;
-                                ready.edges = mounts[s]
-                                    .read_sync(loc.offset, loc.bytes)
-                                    .expect("foreign shard edge read");
-                                if req.attrs {
-                                    let (sa, aloc) = index
-                                        .locate_attrs_range(req.subject, req.dir, start, len)
-                                        .expect(
-                                            "attrs requested but image has no attribute section",
-                                        );
-                                    self.counters.bytes_requested.add(aloc.bytes);
-                                    self.counters.issued_requests.inc();
-                                    ready.attrs = Some(
-                                        mounts[sa]
-                                            .read_sync(aloc.offset, aloc.bytes)
-                                            .expect("foreign shard attr read"),
-                                    );
-                                }
-                            }
-                            let pv = SemIo::decode_ready(ready, deltas);
-                            self.deliver_vertex(iter, vp, scratch, req.requester, &pv);
-                            continue;
-                        }
-                        // Owned subject, on this shard's own index and
-                        // mount.
-                        // Every accepted request is an obligation
-                        // until its delivery (and the absorption of
-                        // its follow-ons) finishes; the quiesce
-                        // condition counts these.
-                        // ordering: Relaxed — publication of this increment to
-                        // the quiesce check rides on the `claims_done` release
-                        // chain (claim phase) or on the enclosing obligation's
-                        // AcqRel decrement (cascades), never on the increment
-                        // itself. fg_check's `quiesce` model is the referee;
-                        // its NoOuterObligation mutation shows what breaks
-                        // when a cascade runs without cover.
-                        self.ready.obligations.fetch_add(1, Ordering::Relaxed);
-                        sem.enqueue(req, index.shard(self.me), self.counters, vp, deltas);
-                        // Zero-degree requests become ready
-                        // completions without I/O. (The pool never
-                        // holds these: `harvest` is the only producer
-                        // of resolved entries, and it drains
-                        // `sem.ready` before returning.)
-                        while let Some((requester, vpd, pv)) = sem.pop_ready(deltas) {
-                            self.deliver_vertex(iter, vpd, scratch, requester, &pv);
-                            // ordering: AcqRel — release publishes the delivery's
-                            // state writes to the worker whose quiesce load sees
-                            // the count reach zero; acquire folds earlier
-                            // decrements into this RMW's release sequence. The
-                            // RelaxedPublish mutation of fg_check's `quiesce`
-                            // model demonstrates the lost publication if this is
-                            // weakened.
-                            self.ready.obligations.fetch_sub(1, Ordering::AcqRel);
+                            // An obligation from before the request is
+                            // enqueued until `complete` is through.
+                            self.ready.accept();
+                            sem.enqueue(head, req.attrs);
                         }
                     }
-                    _ => unreachable!("backend and io driver always match"),
                 }
             }
             scratch.absorbing = reqs;
         }
+        if let Source::Sem(sem) = io {
+            sem.flush_if_full();
+        }
     }
 
-    fn deliver_vertex(
+    /// Where every semi-external completion ends: pooled, inline (a
+    /// fetch of nothing, a foreign read) or drained in a barrier phase.
+    fn deliver(&self, iter: u32, r: ReadyVertex, scratch: &mut WorkerScratch<P::Msg>) {
+        let (requester, vp) = (r.head.requester, r.head.vpart);
+        let pv = r.decode(self.shared.deltas.as_deref());
+        self.run_on_vertex(iter, vp, scratch, requester, &pv);
+    }
+
+    fn run_on_vertex(
         &self,
         iter: u32,
         vp: u32,
@@ -591,38 +443,75 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         });
     }
 
-    /// The barrier phase's synchronous drain: blocks for at least one
-    /// completion, then runs `run_on_vertex` for every part that
-    /// landed, in pass 0 like every barrier-phase request.
-    pub(super) fn drain_completions(
+    /// Completes an accepted request: its delivery, the absorption of
+    /// the follow-on requests the delivery queued (accepted in their
+    /// turn, under this obligation's cover), and only then the
+    /// release. The caller owns the requester — its busy bit in the
+    /// compute phase, its partition in the barrier phase.
+    pub(super) fn complete(
         &self,
         iter: u32,
+        r: ReadyVertex,
         scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut IoDriver<'_>,
+        io: &mut Source<'_>,
     ) {
-        let IoDriver::Sem(sem) = io else { return };
-        let mut done = Vec::new();
-        let t = Instant::now();
-        sem.session.wait(&mut done);
-        self.counters.wait_ns.add(t.elapsed().as_nanos() as u64);
-        for c in done {
-            sem.resolve(c);
-            while let Some((requester, vpd, pv)) = sem.pop_ready(self.shared.deltas.as_deref()) {
-                debug_assert_eq!(vpd, 0, "barrier-phase deliveries stay in pass 0");
-                self.deliver_vertex(iter, vpd, scratch, requester, &pv);
-                // ordering: AcqRel — release publishes the delivery's
-                // state writes to the worker whose quiesce load sees
-                // the count reach zero; acquire folds earlier
-                // decrements into this RMW's release sequence. The
-                // RelaxedPublish mutation of fg_check's `quiesce`
-                // model demonstrates the lost publication if this is
-                // weakened.
-                self.ready.obligations.fetch_sub(1, Ordering::AcqRel);
-            }
+        let vp = r.head.vpart;
+        self.deliver(iter, r, scratch);
+        self.absorb_requests(iter, vp, scratch, io);
+        self.ready.release();
+    }
+}
+
+/// Where a worker's edge lists come from — built from the engine's
+/// backend once per worker, and the one place below it where the
+/// in-memory and semi-external modes part.
+// One instance per worker thread, so the variant size gap is
+// irrelevant.
+#[allow(clippy::large_enum_variant)]
+pub(super) enum Source<'s> {
+    /// The CSR: every request is delivered inline, as slices.
+    Mem(&'s Graph),
+    Sem(SemIo<'s>),
+}
+
+impl Source<'_> {
+    pub(super) fn outstanding(&self) -> usize {
+        match self {
+            Source::Mem(_) => 0,
+            Source::Sem(s) => s.outstanding(),
         }
-        // Callbacks may have queued more requests.
-        self.absorb_requests(iter, 0, scratch, io);
-        io.flush_if_full(self);
-        self.maybe_flush_messages(scratch);
+    }
+
+    /// See [`SemIo::flush`].
+    pub(super) fn flush(&mut self) {
+        if let Source::Sem(s) = self {
+            s.flush();
+        }
+    }
+}
+
+/// The in-memory delivery of `req`: the CSR slice the semi-external
+/// path must match, or — for a subject with pinned delta ops — the
+/// overlay on its full CSR list.
+fn slice_vertex<'g>(g: &'g Graph, req: &EdgeRequest, deltas: Option<&DeltaView>) -> PageVertex<'g> {
+    let csr = g.csr(req.dir);
+    let weights = || {
+        csr.weights_of(req.subject)
+            .expect("attrs requested on an unweighted graph")
+    };
+    if let Some(ops) = deltas.and_then(|d| d.list(req.subject, req.dir)) {
+        // Overlaid subject: the range is in merged coordinates, so
+        // wrap the full CSR list.
+        let edges = csr.neighbors(req.subject);
+        let attrs = req.attrs.then(weights);
+        let base = PageVertex::from_slice(req.subject, req.dir, 0, edges, attrs);
+        PageVertex::with_overlay(base, Arc::clone(ops), req.start, req.len as usize)
+    } else {
+        // Ranges were clamped at request time.
+        let lo = req.start as usize;
+        let hi = lo + req.len as usize;
+        let edges = &csr.neighbors(req.subject)[lo..hi];
+        let attrs = req.attrs.then(|| &weights()[lo..hi]);
+        PageVertex::from_slice(req.subject, req.dir, req.start, edges, attrs)
     }
 }

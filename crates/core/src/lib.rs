@@ -111,7 +111,7 @@ pub use serve::{
 };
 pub use shard::ShardedEngine;
 pub use stats::{IterStats, RunStats};
-pub use vertex::{Edges, PageVertex};
+pub use vertex::{Edges, PageVertex, WeightedEdges};
 
 // Re-exported so service callers can build tokens without naming
 // `fg_types` directly.

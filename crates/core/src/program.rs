@@ -13,7 +13,7 @@
 //! | `run_on_iteration_end(graph)` | [`VertexProgram::run_on_iteration_end`] |
 //! | `request_vertices(ids)` | [`VertexContext::request`] with [`Request::edges`](crate::Request::edges) (any vertex's list, not just the caller's) |
 //! | *part of* a vertex (partial edge list) | [`Request::range`](crate::Request::range) — edge positions `[start, start + len)`; oversized lists also arrive chunked under `EngineConfig::max_request_edges` |
-//! | edge attributes (separate sections, §3.5.2) | [`Request::with_attrs`](crate::Request::with_attrs) / [`PageVertex::attr`] |
+//! | edge attributes (separate sections, §3.5.2) | [`Request::with_attrs`](crate::Request::with_attrs) / [`PageVertex::weighted_edges`] |
 //! | `send_msg(v, msg)` / multicast (§3.4.1) | [`VertexContext::send`] / [`VertexContext::multicast`] |
 //! | vertex activation | [`VertexContext::activate`] / [`VertexContext::activate_many`] |
 //! | end-of-iteration registration | [`VertexContext::notify_iteration_end`] |

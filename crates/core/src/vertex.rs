@@ -1,6 +1,18 @@
-//! Read-only views of edge lists delivered to vertex programs.
+//! Read-only views of edge lists delivered to vertex programs — the
+//! last layer a request crosses before its callback: the paper's
+//! `page_vertex`, decoded on the fly.
+//!
+//! A delivery has one reader, a forward walk: [`PageVertex::edges`]
+//! (ids), [`PageVertex::weighted_edges`] (ids beside their attributes)
+//! and, riding on them, [`PageVertex::contains`] and
+//! [`PageVertex::to_vec`]. Each delivery shape — CSR slice, raw page
+//! span, delta-varint span, delta overlay on any of those — has one
+//! decoder, and [`Merge::of`] is the one statement of the overlay's
+//! merge rule. The ledger prices the walk per shape:
+//! `vertex.touch_ns_per_edge` (raw span),
+//! `vertex.touch_varint_ns_per_edge` and
+//! `vertex.touch_overlay_ns_per_edge`.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use fg_format::codec::{read_varint, GapDecoder};
@@ -9,62 +21,9 @@ use fg_graph::{DeltaList, DeltaOp};
 use fg_safs::{PageSpan, U32Iter};
 use fg_types::{EdgeDir, VertexId};
 
-/// Sequential-decode memo of a packed (delta-varint) span: where the
-/// last access left off, so in-order scans — `edges()`, ascending
-/// `edge(i)` — decode each varint exactly once.
-#[derive(Debug, Clone, Copy)]
-struct PackedCursor {
-    /// Stream values decoded so far (counted from the span's first
-    /// varint, i.e. including the skipped prefix).
-    consumed: usize,
-    /// Byte position of the next varint within the span.
-    at: usize,
-    /// Value-reconstruction state at `consumed`.
-    gaps: GapDecoder,
-    /// The most recently decoded neighbour id.
-    last: u32,
-}
-
-/// Where the attribute of the overlay cursor's last-emitted edge
-/// lives: a position of the base delivery, or a literal weight
-/// carried by a delta op.
-#[derive(Debug, Clone, Copy)]
-enum AttrSrc {
-    Base(usize),
-    Lit(f32),
-}
-
-/// In-order merge memo of an overlay: the next merged position to
-/// emit and the base/op stream positions that produce it, plus the
-/// last emitted edge so `edge(i); attr(i)` costs one merge step.
-#[derive(Debug, Clone, Copy)]
-struct OverlayCursor {
-    /// Merged positions emitted so far (absolute, from position 0 of
-    /// the merged list — windows cannot be jumped into, the streams
-    /// only move forward).
-    pos: usize,
-    base_i: usize,
-    op_i: usize,
-    last: u32,
-    last_attr: AttrSrc,
-}
-
-impl OverlayCursor {
-    fn start() -> Self {
-        OverlayCursor {
-            pos: 0,
-            base_i: 0,
-            op_i: 0,
-            last: 0,
-            last_attr: AttrSrc::Base(0),
-        }
-    }
-}
-
 /// One decision of the overlay's two-pointer merge, from the heads of
 /// the base stream and the op stream — the one statement of the rule
-/// the indexed cursor and the [`Edges`] walker both apply. Both
-/// streams are sorted by destination.
+/// the walker applies. Both streams are sorted by destination.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Merge {
     /// Both streams are exhausted.
@@ -121,18 +80,16 @@ enum EdgeData<'a> {
         attrs: Option<PageSpan>,
     },
     /// A compressed-image block (or restart-aligned part of one).
-    /// Decoding is iterator-shaped and allocation-free: the cursor
-    /// lives in a `Cell`, and `span` is never read past its length
-    /// (a malformed stream panics like any other corrupt index math
-    /// would; the *fallible* decode surface is
-    /// `fg_format::read_list`).
+    /// Decoding is iterator-shaped and allocation-free, and `span` is
+    /// never read past its length (a malformed stream panics like any
+    /// other corrupt index math would; the *fallible* decode surface
+    /// is `fg_format::read_list`).
     Packed {
         span: PageSpan,
         /// Edges this delivery covers (cannot be derived from byte
         /// length — varints are variable width).
         count: usize,
         params: VarintSlice,
-        cursor: Cell<PackedCursor>,
     },
     Slice {
         edges: &'a [VertexId],
@@ -152,7 +109,6 @@ enum EdgeData<'a> {
         ops: Arc<DeltaList>,
         /// `(start, len)` of the delivery within the merged list.
         window: (u64, usize),
-        cursor: Cell<OverlayCursor>,
     },
 }
 
@@ -167,9 +123,9 @@ enum EdgeData<'a> {
 /// with [`PageVertex::offset`] 0. Range requests and chunked
 /// deliveries (see `EngineConfig::max_request_edges`) deliver slices:
 /// [`PageVertex::offset`]/[`PageVertex::range`] say which positions
-/// of the subject's full list arrived, and indexed accessors like
-/// [`PageVertex::edge`] are slice-local (index 0 is the edge at
-/// position `offset()` of the full list).
+/// of the subject's full list arrived, and the walkers yield exactly
+/// those (the first element is the edge at position `offset()` of the
+/// full list).
 #[derive(Debug)]
 pub struct PageVertex<'a> {
     id: VertexId,
@@ -214,12 +170,6 @@ impl<'a> PageVertex<'a> {
         count: usize,
         params: VarintSlice,
     ) -> Self {
-        let cursor = Cell::new(PackedCursor {
-            consumed: 0,
-            at: params.header_bytes as usize,
-            gaps: GapDecoder::new(params.stream_pos, params.k),
-            last: 0,
-        });
         PageVertex {
             id,
             dir,
@@ -228,7 +178,6 @@ impl<'a> PageVertex<'a> {
                 span,
                 count,
                 params,
-                cursor,
             },
         }
     }
@@ -279,7 +228,6 @@ impl<'a> PageVertex<'a> {
                 base: Box::new(base),
                 ops,
                 window: (window_start, window_len),
-                cursor: Cell::new(OverlayCursor::start()),
             },
         }
     }
@@ -327,159 +275,45 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// Advances the indexed overlay merge by one element (see
-    /// [`Merge`]), recording it — and where its attribute lives — in
-    /// the cursor. `false` once both streams are exhausted.
-    fn overlay_step(base: &PageVertex<'_>, ops: &DeltaList, c: &mut OverlayCursor) -> bool {
-        let bn = base.degree();
-        loop {
-            let b = (c.base_i < bn).then(|| base.edge(c.base_i).0);
-            let o = ops.ops.get(c.op_i).copied();
-            let (dst, attr) = match Merge::of(b, o) {
-                Merge::End => return false,
-                Merge::Base(bd) => {
-                    c.base_i += 1;
-                    (bd, AttrSrc::Base(c.base_i - 1))
-                }
-                Merge::Op(od, add) => {
-                    c.op_i += 1;
-                    match add {
-                        Some(w) => (od, AttrSrc::Lit(w)),
-                        None => continue,
-                    }
-                }
-                Merge::Owned(bd, weight, consume) => {
-                    c.base_i += 1;
-                    c.op_i += consume as usize;
-                    match weight {
-                        Some(w) => (bd, AttrSrc::Lit(w)),
-                        None => continue,
-                    }
-                }
-            };
-            c.last = dst;
-            c.last_attr = attr;
-            c.pos += 1;
-            return true;
-        }
-    }
-
-    /// Merges forward until absolute merged position `target` has
-    /// been emitted, rewinding first when the memo is past it (like
-    /// [`PageVertex::packed_value_at`]).
-    fn overlay_value_at(
-        &self,
-        base: &PageVertex<'_>,
-        ops: &DeltaList,
-        cursor: &Cell<OverlayCursor>,
-        target: usize,
-    ) -> (u32, AttrSrc) {
-        let mut c = cursor.get();
-        if c.pos > target {
-            c = OverlayCursor::start();
-        }
-        while c.pos <= target {
-            let stepped = Self::overlay_step(base, ops, &mut c);
-            assert!(stepped, "overlay window exceeds the merged list");
-        }
-        cursor.set(c);
-        (c.last, c.last_attr)
-    }
-
-    /// Decodes forward until `target` stream values have been
-    /// consumed, returning the last one. Resets to the span start
-    /// when the memoized cursor is already past `target`, so
-    /// ascending access is O(1) amortized and arbitrary access is
-    /// bounded by one pass over the slice.
-    fn packed_value_at(
-        &self,
-        span: &PageSpan,
-        params: &VarintSlice,
-        cursor: &Cell<PackedCursor>,
-        target: usize,
-    ) -> u32 {
-        let mut c = cursor.get();
-        if c.consumed > target {
-            c = PackedCursor {
-                consumed: 0,
-                at: params.header_bytes as usize,
-                gaps: GapDecoder::new(params.stream_pos, params.k),
-                last: 0,
-            };
-        }
-        while c.consumed < target {
-            let mut at = c.at;
-            let raw = read_varint(&mut || {
-                let b = (at < span.len()).then(|| span.byte(at));
-                at += 1;
-                b
-            })
-            .expect("corrupt varint edge block");
-            c.at = at;
-            c.last = c.gaps.step(raw).expect("corrupt varint edge block");
-            c.consumed += 1;
-        }
-        cursor.set(c);
-        c.last
-    }
-
-    /// The `i`-th neighbour (lists are sorted ascending by id).
+    /// Iterates over the neighbours, in order (lists are sorted
+    /// ascending by id) — see [`Edges`].
     ///
     /// # Panics
     ///
-    /// Panics if `i >= degree()`.
-    #[inline]
-    pub fn edge(&self, i: usize) -> VertexId {
-        match &self.data {
-            EdgeData::Span { edges, .. } => VertexId(edges.read_u32_le(i * 4)),
-            EdgeData::Packed {
-                span,
-                count,
-                params,
-                cursor,
-            } => {
-                assert!(i < *count, "edge index {i} out of {count}");
-                VertexId(self.packed_value_at(span, params, cursor, params.skip as usize + i + 1))
-            }
-            EdgeData::Slice { edges, .. } => edges[i],
-            EdgeData::Overlay {
-                base,
-                ops,
-                window,
-                cursor,
-            } => {
-                assert!(i < window.1, "edge index {i} out of {}", window.1);
-                VertexId(
-                    self.overlay_value_at(base, ops, cursor, window.0 as usize + i)
-                        .0,
-                )
-            }
-        }
-    }
-
-    /// Iterates over the neighbours, in order — the way to read a
-    /// delivery front to back (see [`Edges`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics, here or from `next()`, on a corrupt varint block, with
-    /// the message [`PageVertex::edge`] panics with.
+    /// Panics, here or from `next()`, on a corrupt varint block.
     #[inline]
     pub fn edges(&self) -> Edges<'_> {
-        match &self.data {
-            EdgeData::Overlay {
-                base, ops, window, ..
-            } => Edges(Walk::Overlay(OverlayEdges::new(
-                base.base_walk(),
-                &ops.ops,
-                window.0 as usize,
-                window.1,
-            ))),
-            _ => Edges(Walk::Base(self.base_walk())),
-        }
+        Edges(match &self.data {
+            EdgeData::Overlay { base, ops, window } => {
+                Walk::Overlay(OverlayEdges::new(base.base_walk(), &ops.ops, *window))
+            }
+            _ => Walk::Base(self.base_walk()),
+        })
     }
 
-    /// The walker of a non-overlay delivery.
+    /// Iterates over the neighbours beside their attributes (weights),
+    /// in order — the same walk as [`PageVertex::edges`], with each
+    /// edge's weight read from the parallel attribute run or, for an
+    /// overlaid edge, taken from the delta op that added or updated
+    /// it. `None` when attributes were not requested and delivered.
+    #[inline]
+    pub fn weighted_edges(&self) -> Option<WeightedEdges<'_>> {
+        Some(WeightedEdges(match &self.data {
+            EdgeData::Overlay { base, ops, window } => {
+                // The window is applied by skipping here, the base's
+                // attribute run in step with the base.
+                let mut attrs = base.attr_walk()?;
+                let mut ids = OverlayEdges::new(base.base_walk(), &ops.ops, (0, window.1));
+                for _ in 0..window.0 {
+                    ids.advance(Some(&mut attrs));
+                }
+                WeightedWalk::Overlay(ids, attrs)
+            }
+            _ => WeightedWalk::Zip(self.base_walk(), self.attr_walk()?),
+        }))
+    }
+
+    /// The id walker of a non-overlay delivery.
     #[inline]
     fn base_walk(&self) -> BaseWalk<'_> {
         match &self.data {
@@ -488,16 +322,25 @@ impl<'a> PageVertex<'a> {
                 span,
                 count,
                 params,
-                ..
             } => BaseWalk::Packed(PackedEdges::new(span, *count, params)),
             EdgeData::Slice { edges, .. } => BaseWalk::Slice(edges.iter()),
             EdgeData::Overlay { .. } => unreachable!("overlays do not nest"),
         }
     }
 
-    /// Whether edge attributes were requested and delivered. Packed
-    /// deliveries never carry attributes: weighted images keep every
-    /// block raw precisely so attribute runs stay aligned.
+    /// The attribute run beside a non-overlay delivery's ids, if it
+    /// carries one. Packed deliveries never do: weighted images keep
+    /// every block raw precisely so attribute runs stay aligned.
+    #[inline]
+    fn attr_walk(&self) -> Option<AttrWalk<'_>> {
+        match &self.data {
+            EdgeData::Span { attrs, .. } => attrs.as_ref().map(|a| AttrWalk::Raw(a.u32_iter())),
+            EdgeData::Slice { attrs, .. } => attrs.map(|a| AttrWalk::Slice(a.iter())),
+            EdgeData::Packed { .. } | EdgeData::Overlay { .. } => None,
+        }
+    }
+
+    /// Whether edge attributes were requested and delivered.
     #[inline]
     pub fn has_attrs(&self) -> bool {
         match &self.data {
@@ -508,75 +351,41 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// The `i`-th edge's attribute (weight), if attributes were
-    /// requested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= degree()`.
-    #[inline]
-    pub fn attr(&self, i: usize) -> Option<f32> {
-        match &self.data {
-            EdgeData::Span { attrs, .. } => {
-                attrs.as_ref().map(|a| f32::from_bits(a.read_u32_le(i * 4)))
-            }
-            EdgeData::Packed { .. } => None,
-            EdgeData::Slice { attrs, .. } => attrs.map(|a| a[i]),
-            EdgeData::Overlay {
-                base,
-                ops,
-                window,
-                cursor,
-            } => {
-                if !base.has_attrs() {
-                    return None;
-                }
-                assert!(i < window.1, "attr index {i} out of {}", window.1);
-                match self
-                    .overlay_value_at(base, ops, cursor, window.0 as usize + i)
-                    .1
-                {
-                    AttrSrc::Base(bi) => base.attr(bi),
-                    AttrSrc::Lit(w) => Some(w),
-                }
-            }
-        }
-    }
-
     /// Copies the neighbour ids into a vector (for programs that must
     /// hold a list across callbacks, like triangle counting).
     pub fn to_vec(&self) -> Vec<VertexId> {
         self.edges().collect()
     }
 
-    /// Searches the sorted list for `v`: binary search over
-    /// random-access data, an early-exit linear scan over packed
+    /// Searches the sorted list for `v`: binary search over the two
+    /// random-access shapes, an early-exit linear scan over packed
     /// spans and overlays (random probes into a varint stream or a
     /// merge would each cost a prefix decode; one forward pass is
     /// cheaper).
     pub fn contains(&self, v: VertexId) -> bool {
-        if matches!(
-            self.data,
-            EdgeData::Packed { .. } | EdgeData::Overlay { .. }
-        ) {
-            for e in self.edges() {
-                if e >= v {
-                    return e == v;
+        match &self.data {
+            EdgeData::Slice { edges, .. } => edges.binary_search(&v).is_ok(),
+            EdgeData::Span { edges, .. } => {
+                let (mut lo, mut hi) = (0usize, edges.len() / 4);
+                while lo < hi {
+                    let mid = (lo + hi) / 2;
+                    match edges.read_u32_le(mid * 4).cmp(&v.0) {
+                        std::cmp::Ordering::Less => lo = mid + 1,
+                        std::cmp::Ordering::Greater => hi = mid,
+                        std::cmp::Ordering::Equal => return true,
+                    }
                 }
+                false
             }
-            return false;
-        }
-        let mut lo = 0usize;
-        let mut hi = self.degree();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.edge(mid).cmp(&v) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return true,
+            EdgeData::Packed { .. } | EdgeData::Overlay { .. } => {
+                for e in self.edges() {
+                    if e >= v {
+                        return e == v;
+                    }
+                }
+                false
             }
         }
-        false
     }
 }
 
@@ -587,21 +396,84 @@ impl<'a> PageVertex<'a> {
 /// CSR slice is walked by its own `slice::Iter`; a raw span one
 /// contiguous page chunk at a time; a delta-varint span is decoded as
 /// a stream, bytes taken from the current page chunk; an overlay
-/// merges its base's own walker with the delta ops, two-pointer. None
-/// of them goes back through the per-index lookup of
-/// [`PageVertex::edge`], so prefer `edges()` whenever a callback reads
-/// a list in order — scans, intersections, `collect()` (the length is
-/// exact, so the vector is allocated once) — and keep
-/// [`PageVertex::edge`] / [`PageVertex::attr`] for access by position
-/// (weights beside edges, sampling).
+/// merges its base's own walker with the delta ops, two-pointer.
+/// Scans, intersections and `collect()` (the length is exact, so the
+/// vector is allocated once) all read a delivery this way.
 #[derive(Debug, Clone)]
 pub struct Edges<'a>(Walk<'a>);
 
+/// The neighbours of one delivery beside their weights, front to back
+/// ([`PageVertex::weighted_edges`]): the walkers of [`Edges`], each id
+/// paired with its weight.
+#[derive(Debug, Clone)]
+pub struct WeightedEdges<'a>(WeightedWalk<'a>);
+
+/// The id walk's dispatch. It is not folded into [`WeightedWalk`]: a
+/// third, zipped arm here cost the plain walk several per cent of an
+/// in-memory triangle count.
 #[derive(Debug, Clone)]
 enum Walk<'a> {
     Base(BaseWalk<'a>),
     Overlay(OverlayEdges<'a>),
 }
+
+#[derive(Debug, Clone)]
+enum WeightedWalk<'a> {
+    /// A base shape's ids zipped with their attribute run.
+    Zip(BaseWalk<'a>, AttrWalk<'a>),
+    /// The overlay merge over a base shape, with the base's run.
+    Overlay(OverlayEdges<'a>, AttrWalk<'a>),
+}
+
+impl Iterator for Edges<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        match &mut self.0 {
+            Walk::Base(it) => it.next(),
+            Walk::Overlay(it) => it.next(None).map(|(d, _)| d),
+        }
+        .map(VertexId)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Walk::Base(it) => it.size_hint(),
+            Walk::Overlay(it) => (it.left, Some(it.left)),
+        }
+    }
+}
+
+impl ExactSizeIterator for Edges<'_> {}
+
+impl std::iter::FusedIterator for Edges<'_> {}
+
+impl Iterator for WeightedEdges<'_> {
+    type Item = (VertexId, f32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, f32)> {
+        match &mut self.0 {
+            WeightedWalk::Zip(ids, attrs) => ids.next().map(|d| (d, attrs.weight())),
+            WeightedWalk::Overlay(it, attrs) => it.next(Some(attrs)),
+        }
+        .map(|(d, w)| (VertexId(d), w))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            WeightedWalk::Zip(ids, _) => ids.size_hint(),
+            WeightedWalk::Overlay(it, _) => (it.left, Some(it.left)),
+        }
+    }
+}
+
+impl ExactSizeIterator for WeightedEdges<'_> {}
+
+impl std::iter::FusedIterator for WeightedEdges<'_> {}
 
 /// The walkers of the three base shapes, yielding raw ids.
 #[derive(Debug, Clone)]
@@ -633,30 +505,25 @@ impl Iterator for BaseWalk<'_> {
     }
 }
 
-impl Iterator for Edges<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        match &mut self.0 {
-            Walk::Base(it) => it.next(),
-            Walk::Overlay(it) => it.next(),
-        }
-        .map(VertexId)
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            Walk::Base(it) => it.size_hint(),
-            Walk::Overlay(it) => (it.left, Some(it.left)),
-        }
-    }
+/// The attribute run parallel to a slice or a raw span, walked in
+/// step with its ids.
+#[derive(Debug, Clone)]
+enum AttrWalk<'a> {
+    Slice(std::slice::Iter<'a, f32>),
+    Raw(U32Iter<'a>),
 }
 
-impl ExactSizeIterator for Edges<'_> {}
-
-impl std::iter::FusedIterator for Edges<'_> {}
+impl AttrWalk<'_> {
+    /// The weight beside the id just taken.
+    #[inline]
+    fn weight(&mut self) -> f32 {
+        match self {
+            AttrWalk::Slice(it) => it.next().copied(),
+            AttrWalk::Raw(it) => it.next().map(f32::from_bits),
+        }
+        .expect("attribute run as long as its edge run")
+    }
+}
 
 /// Streaming decode of a packed (delta-varint) span: `left` more
 /// edges, their varints read from `chunk` — the undecoded rest of the
@@ -735,54 +602,64 @@ struct OverlayEdges<'a> {
 impl<'a> OverlayEdges<'a> {
     /// Delivers merged positions `[start, start + len)`: the merge
     /// only moves forward, so the window is applied by skipping.
-    fn new(base: BaseWalk<'a>, ops: &'a [(u32, DeltaOp)], start: usize, len: usize) -> Self {
+    fn new(base: BaseWalk<'a>, ops: &'a [(u32, DeltaOp)], (start, len): (u64, usize)) -> Self {
         let mut it = OverlayEdges {
             base: base.peekable(),
             ops,
             left: len,
         };
         for _ in 0..start {
-            it.step();
+            it.advance(None);
         }
         it
     }
 
-    /// Advances the merge by one emitted element.
-    #[inline]
-    fn step(&mut self) -> u32 {
+    /// Advances the merge by one emitted element, its weight read from
+    /// `attrs` — the base's attribute run, walked in step with the
+    /// base — or from the op that set it (a placeholder for a base
+    /// element when no run is walked). The id walk passes a literal
+    /// `None` and compiles without the attribute reads, and the run
+    /// lives in the weighted walker, not in this struct, which every
+    /// `Edges` carries: measured, either cost the plain walks about
+    /// half a nanosecond an edge and the overlaid ones more than one.
+    #[inline(always)]
+    fn advance(&mut self, mut attrs: Option<&mut AttrWalk<'a>>) -> (u32, f32) {
         loop {
             match Merge::of(self.base.peek().copied(), self.ops.first().copied()) {
                 Merge::End => panic!("overlay window exceeds the merged list"),
                 Merge::Base(bd) => {
                     self.base.next();
-                    return bd;
+                    return (bd, attrs.map_or(1.0, AttrWalk::weight));
                 }
                 Merge::Op(od, add) => {
                     self.ops = &self.ops[1..];
-                    if add.is_some() {
-                        return od;
+                    if let Some(w) = add {
+                        return (od, w);
                     }
                 }
                 Merge::Owned(bd, weight, consume) => {
                     self.base.next();
+                    if let Some(attrs) = attrs.as_deref_mut() {
+                        attrs.weight();
+                    }
                     if consume {
                         self.ops = &self.ops[1..];
                     }
-                    if weight.is_some() {
-                        return bd;
+                    if let Some(w) = weight {
+                        return (bd, w);
                     }
                 }
             }
         }
     }
 
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
+    #[inline(always)]
+    fn next(&mut self, attrs: Option<&mut AttrWalk<'a>>) -> Option<(u32, f32)> {
         if self.left == 0 {
             return None;
         }
         self.left -= 1;
-        Some(self.step())
+        Some(self.advance(attrs))
     }
 }
 
@@ -799,10 +676,9 @@ mod tests {
         let ids = [VertexId(1), VertexId(5), VertexId(9)];
         let pv = slice_pv(&ids);
         assert_eq!(pv.degree(), 3);
-        assert_eq!(pv.edge(1), VertexId(5));
         assert_eq!(pv.edges().collect::<Vec<_>>(), ids.to_vec());
         assert!(!pv.has_attrs());
-        assert_eq!(pv.attr(0), None);
+        assert!(pv.weighted_edges().is_none());
     }
 
     #[test]
@@ -811,7 +687,8 @@ mod tests {
         let ws = [0.5f32, 2.0];
         let pv = PageVertex::from_slice(VertexId(7), EdgeDir::In, 0, &ids, Some(&ws));
         assert!(pv.has_attrs());
-        assert_eq!(pv.attr(1), Some(2.0));
+        let got: Vec<_> = pv.weighted_edges().unwrap().collect();
+        assert_eq!(got, vec![(VertexId(1), 0.5), (VertexId(2), 2.0)]);
         assert_eq!(pv.dir(), EdgeDir::In);
         assert_eq!(pv.id(), VertexId(7));
     }
@@ -855,8 +732,8 @@ mod tests {
         let edges = mk(&[4, 9]);
         let attrs = mk(&[1.5f32.to_bits(), 3.25f32.to_bits()]);
         let pv = PageVertex::from_span(VertexId(0), EdgeDir::Out, 0, edges, Some(attrs));
-        assert_eq!(pv.attr(0), Some(1.5));
-        assert_eq!(pv.attr(1), Some(3.25));
+        let got: Vec<_> = pv.weighted_edges().unwrap().collect();
+        assert_eq!(got, vec![(VertexId(4), 1.5), (VertexId(9), 3.25)]);
     }
 
     #[test]
@@ -905,34 +782,20 @@ mod tests {
         let pv = packed_pv(&list, 8, 0, 100);
         assert_eq!(pv.degree(), 100);
         assert!(!pv.has_attrs());
-        assert_eq!(pv.attr(0), None);
+        assert!(pv.weighted_edges().is_none());
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         assert_eq!(got, list);
     }
 
     #[test]
-    fn packed_span_random_access_and_rewind() {
-        let list: Vec<u32> = (0..64u32).map(|i| i * i).collect();
-        let pv = packed_pv(&list, 4, 0, 64);
-        // Forward, backward, repeated — the memo cursor must rewind
-        // transparently.
-        assert_eq!(pv.edge(63).0, 63 * 63);
-        assert_eq!(pv.edge(0).0, 0);
-        assert_eq!(pv.edge(10).0, 100);
-        assert_eq!(pv.edge(10).0, 100);
-        assert_eq!(pv.edge(9).0, 81);
-    }
-
-    #[test]
     fn packed_span_skips_to_delivered_range() {
-        // Deliver positions [5, 12) of the full list: slice-local
-        // index 0 is position 5, and offset/range report it.
+        // Deliver positions [5, 12) of the full list: the walk starts
+        // at position 5, and offset/range report it.
         let list: Vec<u32> = (10..40u32).collect();
         let pv = packed_pv(&list, 8, 5, 7);
         assert_eq!(pv.degree(), 7);
         assert_eq!(pv.offset(), 5);
         assert_eq!(pv.range(), 5..12);
-        assert_eq!(pv.edge(0).0, 15);
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         assert_eq!(got, (15..22).collect::<Vec<u32>>());
     }
@@ -947,14 +810,6 @@ mod tests {
         for miss in [0u32, 2, 50, 200] {
             assert!(!pv.contains(VertexId(miss)));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn packed_span_edge_out_of_range_panics() {
-        let list: Vec<u32> = (0..10u32).collect();
-        let pv = packed_pv(&list, 4, 0, 10);
-        pv.edge(10);
     }
 
     fn list_of(ops: &[(u32, DeltaOp)]) -> Arc<DeltaList> {
@@ -988,10 +843,6 @@ mod tests {
         assert_eq!(pv.degree(), 5);
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         assert_eq!(got, vec![1, 2, 11, 14, 20]);
-        // Random access rewinds transparently.
-        assert_eq!(pv.edge(4).0, 20);
-        assert_eq!(pv.edge(0).0, 1);
-        assert_eq!(pv.edge(2).0, 11);
         // contains() over the merged view.
         assert!(pv.contains(VertexId(11)));
         assert!(!pv.contains(VertexId(5)));
@@ -1032,8 +883,10 @@ mod tests {
         // merged: 1(0.5), 2(7.5), 3(1.0 default), 4(9.0 updated)
         let pv = PageVertex::with_overlay(base, ops, 0, 4);
         assert!(pv.has_attrs());
-        let got: Vec<(u32, f32)> = (0..4)
-            .map(|i| (pv.edge(i).0, pv.attr(i).unwrap()))
+        let got: Vec<(u32, f32)> = pv
+            .weighted_edges()
+            .unwrap()
+            .map(|(d, w)| (d.0, w))
             .collect();
         assert_eq!(got, vec![(1, 0.5), (2, 7.5), (3, 1.0), (4, 9.0)]);
     }
@@ -1056,7 +909,7 @@ mod tests {
         want.push(118);
         assert_eq!(got, want);
         assert!(!pv.has_attrs());
-        assert_eq!(pv.attr(0), None);
+        assert!(pv.weighted_edges().is_none());
     }
 
     #[test]
@@ -1085,8 +938,8 @@ mod tests {
         assert_eq!(pv.offset(), 5);
         assert_eq!(pv.range(), 5..8);
         assert_eq!(pv.degree(), 3);
-        // Indexed access stays slice-local.
-        assert_eq!(pv.edge(0), VertexId(10));
+        // The walk starts at the slice's first edge.
+        assert_eq!(pv.edges().next(), Some(VertexId(10)));
     }
 
     // ------------------------------------------------ the Edges walker
@@ -1111,9 +964,13 @@ mod tests {
         PageSpan::new(pages, head, bytes.len())
     }
 
+    fn words_span(words: &[u32], head: usize, page_bytes: usize) -> PageSpan {
+        let bytes: Vec<u8> = words.iter().flat_map(|v| v.to_le_bytes()).collect();
+        span_over(&bytes, head, page_bytes)
+    }
+
     fn raw_pv(list: &[u32], head: usize, page_bytes: usize) -> PageVertex<'static> {
-        let bytes: Vec<u8> = list.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let span = span_over(&bytes, head, page_bytes);
+        let span = words_span(list, head, page_bytes);
         PageVertex::from_span(VertexId(1), EdgeDir::Out, 0, span, None)
     }
 
@@ -1160,11 +1017,12 @@ mod tests {
         PageVertex::from_span_packed(VertexId(1), EdgeDir::Out, start as u64, span, count, params)
     }
 
-    /// `edges()` against the indexed accessors, element for element,
-    /// with an exact `len()` before every `next()`; `to_vec` and
-    /// `contains` ride on the same walker.
-    fn check_walk(pv: &PageVertex<'_>) -> Result<(), TestCaseError> {
-        let want: Vec<VertexId> = (0..pv.degree()).map(|i| pv.edge(i)).collect();
+    /// `edges()` against the model list `want`, element for element,
+    /// with an exact `len()` before every `next()`; `to_vec` rides on
+    /// the same walker.
+    fn check_walk(pv: &PageVertex<'_>, want: &[u32]) -> Result<(), TestCaseError> {
+        let want: Vec<VertexId> = want.iter().map(|&v| VertexId(v)).collect();
+        prop_assert_eq!(pv.degree(), want.len());
         let mut it = pv.edges();
         for (i, &w) in want.iter().enumerate() {
             prop_assert_eq!(it.len(), want.len() - i);
@@ -1212,29 +1070,56 @@ mod tests {
         list_of(&ops.into_iter().collect::<Vec<_>>())
     }
 
-    /// The merged list by definition: base minus removes, plus adds.
-    fn merged_model(base: &[u32], ops: &DeltaList) -> Vec<u32> {
-        let removed = |d: u32| {
-            ops.ops
-                .iter()
-                .any(|&(od, op)| od == d && op == DeltaOp::Remove)
-        };
-        let mut out: Vec<u32> = base.iter().copied().filter(|&d| !removed(d)).collect();
-        out.extend(
-            ops.ops
-                .iter()
-                .filter(|(_, op)| matches!(op, DeltaOp::Add(_)))
-                .map(|&(d, _)| d),
-        );
-        out.sort_unstable();
+    /// `weighted_edges()` against the model, the way [`check_walk`]
+    /// checks `edges()`.
+    fn check_weighted_walk(pv: &PageVertex<'_>, want: &[(u32, f32)]) -> Result<(), TestCaseError> {
+        let mut it = pv.weighted_edges().expect("weighted delivery");
+        for (i, &(d, w)) in want.iter().enumerate() {
+            prop_assert_eq!(it.len(), want.len() - i);
+            prop_assert_eq!((i, it.next()), (i, Some((VertexId(d), w))));
+        }
+        prop_assert_eq!(it.len(), 0);
+        prop_assert_eq!(it.next(), None);
+        Ok(())
+    }
+
+    /// The merged list by definition, weights beside ids: base minus
+    /// removes (an update's weight replacing the base's), plus adds
+    /// (weight 1.0 unless they carry one).
+    fn merged_model(base: &[u32], weights: &[f32], ops: &DeltaList) -> Vec<(u32, f32)> {
+        let op_of = |d: u32| ops.ops.iter().find(|(od, _)| *od == d).map(|&(_, op)| op);
+        let mut out: Vec<(u32, f32)> = base
+            .iter()
+            .zip(weights)
+            .filter_map(|(&d, &w)| match op_of(d) {
+                Some(DeltaOp::Remove) => None,
+                Some(DeltaOp::Update(u)) => Some((d, u)),
+                _ => Some((d, w)),
+            })
+            .collect();
+        out.extend(ops.ops.iter().filter_map(|&(d, op)| match op {
+            DeltaOp::Add(w) => Some((d, w.unwrap_or(1.0))),
+            _ => None,
+        }));
+        out.sort_by_key(|&(d, _)| d);
         out
+    }
+
+    /// A window of a list of `len`: the whole of it, then a random
+    /// slice.
+    fn windows(seed: u64, len: usize) -> [(usize, usize); 2] {
+        let mut rng = TestRng::deterministic("window", seed as u32);
+        let start = rng.below(len as u64 + 1) as usize;
+        let count = rng.below((len - start) as u64 + 1) as usize;
+        [(0, len), (start, count)]
     }
 
     proptest! {
         #[test]
         fn edges_walks_slices_like_indexing(seed in any::<u64>(), len in 0usize..300) {
-            let ids: Vec<VertexId> = sorted_list(seed, len).into_iter().map(VertexId).collect();
-            check_walk(&slice_pv(&ids))?;
+            let list = sorted_list(seed, len);
+            let ids: Vec<VertexId> = list.iter().map(|&v| VertexId(v)).collect();
+            check_walk(&slice_pv(&ids), &list)?;
         }
 
         #[test]
@@ -1250,8 +1135,7 @@ mod tests {
             let mut rng = TestRng::deterministic("raw_words", seed as u32);
             let list: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
             let pv = raw_pv(&list, head % (2 * page_bytes), page_bytes);
-            prop_assert_eq!(pv.degree(), len);
-            check_walk(&pv)?;
+            check_walk(&pv, &list)?;
         }
 
         #[test]
@@ -1270,8 +1154,7 @@ mod tests {
             let page_bytes = 1usize << page_shift;
             let paging = (head % (2 * page_bytes), page_bytes);
             let pv = packed_slice_pv(&list, k, (start, count), with_header, paging);
-            prop_assert_eq!(pv.to_vec(), list[start..start + count].iter().map(|&v| VertexId(v)).collect::<Vec<_>>());
-            check_walk(&pv)?;
+            check_walk(&pv, &list[start..start + count])?;
         }
 
         #[test]
@@ -1297,46 +1180,58 @@ mod tests {
                 }
             };
             let ops = random_ops(seed, &list, false);
-            let merged = merged_model(&list, &ops);
+            let merged: Vec<u32> = merged_model(&list, &vec![1.0; len], &ops)
+                .into_iter()
+                .map(|(d, _)| d)
+                .collect();
             prop_assert_eq!(merged.len() as i64, len as i64 + ops.diff);
-            let mut rng = TestRng::deterministic("overlay_window", seed as u32);
-            let start = rng.below(merged.len() as u64 + 1) as usize;
-            let count = rng.below((merged.len() - start) as u64 + 1) as usize;
-            for (start, count) in [(0, merged.len()), (start, count)] {
+            for (start, count) in windows(seed, merged.len()) {
                 let pv = PageVertex::with_overlay(base(&list), Arc::clone(&ops), start as u64, count);
-                let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
-                prop_assert_eq!(&got[..], &merged[start..start + count]);
-                check_walk(&pv)?;
-                for probe in [0, merged[start..start + count].first().copied().unwrap_or(3), 77] {
-                    prop_assert_eq!(
-                        pv.contains(VertexId(probe)),
-                        merged[start..start + count].contains(&probe)
-                    );
+                let want = &merged[start..start + count];
+                check_walk(&pv, want)?;
+                for probe in [0, want.first().copied().unwrap_or(3), 77] {
+                    prop_assert_eq!(pv.contains(VertexId(probe)), want.contains(&probe));
                 }
             }
         }
 
         #[test]
-        fn overlay_weights_follow_the_same_merge(seed in any::<u64>(), len in 0usize..120) {
-            // The indexed cursor (edge + attr) and the walker apply
-            // one rule: same destinations, and every weight is the
-            // base's, the update's or the add's.
+        fn overlay_weights_follow_the_same_merge(
+            seed in any::<u64>(),
+            len in 0usize..120,
+            span_base in any::<bool>(),
+            page_shift in 4u32..13,
+            head in 0usize..8192,
+        ) {
+            // The weighted walk over a slice or a raw span (its weights
+            // a second span), then over an overlay on it: the id walk's
+            // destinations, each weight the base's, update's or add's.
             let mut list = sorted_list(seed, len);
             list.dedup();
             let ids: Vec<VertexId> = list.iter().map(|&v| VertexId(v)).collect();
             let ws: Vec<f32> = list.iter().map(|&v| v as f32 + 0.5).collect();
+            let page_bytes = 1usize << page_shift;
+            let head = head % (2 * page_bytes);
+            let bits: Vec<u32> = ws.iter().map(|w| w.to_bits()).collect();
+            let base = || {
+                if span_base {
+                    let edges = words_span(&list, head, page_bytes);
+                    let attrs = words_span(&bits, (head + 6) % page_bytes, page_bytes);
+                    PageVertex::from_span(VertexId(0), EdgeDir::Out, 0, edges, Some(attrs))
+                } else {
+                    PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws))
+                }
+            };
+            let plain: Vec<(u32, f32)> = list.iter().copied().zip(ws.iter().copied()).collect();
+            check_walk(&base(), &list)?;
+            check_weighted_walk(&base(), &plain)?;
             let ops = random_ops(seed, &list, true);
-            let n = merged_model(&list, &ops).len();
-            let base = PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws));
-            let pv = PageVertex::with_overlay(base, Arc::clone(&ops), 0, n);
-            check_walk(&pv)?;
-            for (i, dst) in pv.edges().enumerate() {
-                let want = match ops.ops.iter().find(|(od, _)| *od == dst.0) {
-                    Some((_, DeltaOp::Update(w))) => *w,
-                    Some((_, DeltaOp::Add(w))) => w.unwrap_or(1.0),
-                    _ => dst.0 as f32 + 0.5,
-                };
-                prop_assert_eq!((dst, pv.attr(i)), (dst, Some(want)));
+            let merged = merged_model(&list, &ws, &ops);
+            for (start, count) in windows(seed, merged.len()) {
+                let pv = PageVertex::with_overlay(base(), Arc::clone(&ops), start as u64, count);
+                let want = &merged[start..start + count];
+                check_walk(&pv, &want.iter().map(|&(d, _)| d).collect::<Vec<_>>())?;
+                check_weighted_walk(&pv, want)?;
             }
         }
     }
@@ -1354,8 +1249,10 @@ mod tests {
         });
         let pv = PageVertex::with_overlay(base, ops, 0, 3);
         assert_eq!(pv.edges().map(|e| e.0).collect::<Vec<_>>(), vec![2, 9, 9]);
-        let got: Vec<(u32, f32)> = (0..3)
-            .map(|i| (pv.edge(i).0, pv.attr(i).unwrap()))
+        let got: Vec<(u32, f32)> = pv
+            .weighted_edges()
+            .unwrap()
+            .map(|(d, w)| (d.0, w))
             .collect();
         assert_eq!(got, vec![(2, 1.0), (9, 4.0), (9, 4.0)]);
     }
@@ -1376,11 +1273,17 @@ mod tests {
     fn corrupt_streams_fail_where_indexing_fails() {
         // Three good values, then the block ends / runs over-long /
         // overflows the id space: the walker yields the good prefix
-        // and panics on the same element `edge(i)` panics on.
+        // and panics on the element after it.
         let truncated: &[u8] = &[5, 1, 1, 0x80];
         let over_long: &[u8] = &[5, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
         let overflow: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 1];
-        for (bytes, good) in [(truncated, 3usize), (over_long, 3), (overflow, 3)] {
+        let max = u32::MAX;
+        for (bytes, prefix) in [
+            (truncated, [5, 6, 7]),
+            (over_long, [5, 6, 7]),
+            (overflow, [max; 3]),
+        ] {
+            let (good, prefix) = (prefix.len(), prefix.map(VertexId));
             let caught = |f: &dyn Fn()| {
                 let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
                     .expect_err("corrupt block must panic");
@@ -1392,18 +1295,12 @@ mod tests {
                 assert!(msg.contains("corrupt varint edge block"), "{msg}");
             };
             let pv = packed_bytes_pv(bytes, good + 1);
-            let prefix: Vec<VertexId> = (0..good).map(|i| pv.edge(i)).collect();
-            caught(&|| {
-                std::hint::black_box(pv.edge(good));
-            });
-            let pv = packed_bytes_pv(bytes, good + 1);
-            let mut it = pv.edges();
-            assert_eq!(it.by_ref().take(good).collect::<Vec<_>>(), prefix);
+            assert_eq!(pv.edges().take(good).collect::<Vec<_>>(), prefix);
             caught(&|| {
                 std::hint::black_box(pv.edges().nth(good));
             });
             // An overlay's walker decodes a base element no earlier
-            // than the indexed cursor would.
+            // than the step that may emit it.
             let ops = list_of(&[(1, DeltaOp::Add(None))]);
             let pv = PageVertex::with_overlay(packed_bytes_pv(bytes, good + 1), ops, 0, good + 2);
             assert_eq!(pv.edges().take(good + 1).count(), good + 1);

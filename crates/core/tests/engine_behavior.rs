@@ -364,8 +364,8 @@ impl VertexProgram for WeightSum {
         _ctx: &mut VertexContext<'_, ()>,
     ) {
         assert!(vertex.has_attrs() || vertex.degree() == 0);
-        for i in 0..vertex.degree() {
-            state.sum += vertex.attr(i).unwrap();
+        for (_, w) in vertex.weighted_edges().into_iter().flatten() {
+            state.sum += w;
         }
     }
 }
@@ -454,6 +454,22 @@ fn single_thread_and_many_threads_agree() {
     for v in g.vertices() {
         assert_eq!(one[v.index()].visited, four[v.index()].visited);
         assert_eq!(one[v.index()].level, four[v.index()].level);
+    }
+
+    // A graph where all edges live in low vertex ids: partition 0 gets
+    // all the work, so four workers match one only by stealing it.
+    let mut b = fg_graph::GraphBuilder::directed();
+    for i in 0..50u32 {
+        for j in 0..20u32 {
+            b.add_edge(VertexId(i), VertexId((i + j + 1) % 50));
+        }
+    }
+    b.reserve_vertices(4096);
+    let g = b.build();
+    let one = run_mode(&g, &SumIds, Init::All, base.with_threads(1), false).0;
+    let four = run_mode(&g, &SumIds, Init::All, base.with_threads(4), false).0;
+    for v in g.vertices() {
+        assert_eq!(one[v.index()].sum, four[v.index()].sum);
     }
 }
 
@@ -864,10 +880,9 @@ fn single_position_probes_expose_page_rounding_waste() {
 }
 
 #[test]
-fn wrappers_and_first_class_requests_are_equivalent() {
-    // A request with no range (what the removed `request_edges*`
-    // wrappers built) and one whose range covers the whole list are the
-    // same request: identical stats and results.
+fn an_unranged_request_is_the_full_range_request() {
+    // A request with no range and one whose range covers the whole
+    // list are the same request: identical stats and results.
     struct Wrapped;
     #[derive(Default, Clone)]
     struct WState {
@@ -937,10 +952,8 @@ fn ranged_attr_requests_slice_weights_in_lockstep() {
             vertex: &PageVertex<'_>,
             _ctx: &mut VertexContext<'_, ()>,
         ) {
-            for i in 0..vertex.degree() {
-                state
-                    .pairs
-                    .push((vertex.edge(i).0, vertex.attr(i).unwrap()));
+            for (dst, w) in vertex.weighted_edges().unwrap() {
+                state.pairs.push((dst.0, w));
             }
         }
     }
@@ -1008,30 +1021,6 @@ fn range_requests_on_other_vertices_work() {
     }
 }
 
-#[test]
-fn work_stealing_matches_no_stealing() {
-    // A graph where all edges live in low vertex ids: partition 0 gets
-    // all the work, so stealing matters for progress equivalence.
-    let mut b = fg_graph::GraphBuilder::directed();
-    for i in 0..50u32 {
-        for j in 0..20u32 {
-            b.add_edge(VertexId(i), VertexId((i + j + 1) % 50));
-        }
-    }
-    b.reserve_vertices(4096);
-    let g = b.build();
-    let steal = EngineConfig::small().with_threads(4);
-    let no_steal = EngineConfig {
-        work_stealing: false,
-        ..steal
-    };
-    let a = run_mode(&g, &SumIds, Init::All, steal, false).0;
-    let c = run_mode(&g, &SumIds, Init::All, no_steal, false).0;
-    for v in g.vertices() {
-        assert_eq!(a[v.index()].sum, c[v.index()].sum);
-    }
-}
-
 // ------------------------------------------- per-iteration statistics
 
 /// A fresh semi-external fixture with an explicit SAFS config and a
@@ -1063,7 +1052,6 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
     let g = b.build();
     let cfg = EngineConfig {
         num_threads: 4,
-        work_stealing: true,
         vertical_parts: 2,
         ..EngineConfig::small()
     };

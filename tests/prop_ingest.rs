@@ -26,7 +26,7 @@ use fg_format::{
     load_index, read_graph, read_graph_from, read_list, read_list_from, required_capacity_with,
     write_image_with, GraphIndex, ImageMeta, SliceDecode, WriteOptions,
 };
-use fg_graph::{gen, DeltaBatch, DeltaLog, Graph, GraphBuilder};
+use fg_graph::{gen, DeltaBatch, DeltaLog, DeltaOp, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, IoStatsSnapshot, SsdArray};
 use fg_types::{EdgeDir, FgError, VertexId};
@@ -288,7 +288,8 @@ proptest! {
 /// (image + deltas) match the same apps run over a frozen image of
 /// the union graph — both formats, both backends, with an ingest
 /// thread racing the queries (each query pins its snapshot at
-/// admission, so the pinned watermark's oracle applies).
+/// admission, so the pinned watermark's oracle applies). SSSP reads
+/// weighted adds, weight updates and removes through the overlay too.
 #[test]
 fn apps_match_union_oracle_across_backends_and_formats() {
     let base = build_graph(&[
@@ -320,6 +321,33 @@ fn apps_match_union_oracle_across_backends_and_formats() {
     let want_pr = fg_baselines::direct::pagerank(&union, 0.85, 30);
     let want_wcc = fg_baselines::direct::wcc_labels(&union);
     let want_tc = fg_baselines::direct::triangle_count(&union);
+
+    // The same edges, weighted; the batch re-weights (0, 4), adds three
+    // edges (one at the default weight) and removes two, so shortest
+    // paths from 0 reach 6 and 7 through the overlay only.
+    let wbase = gen::with_random_weights(&base, 8.0, 5);
+    let mut wbatch = DeltaBatch::new();
+    wbatch
+        .add_weighted_edge(VertexId(0), VertexId(4), 0.25)
+        .add_weighted_edge(VertexId(9), VertexId(0), 2.0)
+        .add_weighted_edge(VertexId(4), VertexId(6), 0.5)
+        .add_edge(VertexId(2), VertexId(7))
+        .remove_edge(VertexId(1), VertexId(2))
+        .remove_edge(VertexId(3), VertexId(4));
+    let woracle = DeltaLog::for_graph(&wbase);
+    woracle.apply(&wbase, &wbatch).unwrap();
+    let wview = woracle.current_view();
+    let pending: Vec<DeltaOp> = wbase
+        .vertices()
+        .filter_map(|v| wview.list(v, EdgeDir::Out))
+        .flat_map(|l| l.ops.iter().map(|&(_, op)| op))
+        .collect();
+    use DeltaOp::{Add, Remove, Update};
+    for kind in [Update(0.25), Add(Some(0.5)), Add(None), Remove] {
+        assert!(pending.contains(&kind), "{kind:?} pending in {pending:?}");
+    }
+    let want_sssp = fg_baselines::direct::sssp(&DeltaLog::union(&wbase, &wview), VertexId(0));
+    assert!(want_sssp[7].is_finite() && want_sssp[8].is_infinite());
 
     for opts in [WriteOptions::default(), WriteOptions::compressed()] {
         for sharded in [false, true] {
@@ -361,6 +389,24 @@ fn apps_match_union_oracle_across_backends_and_formats() {
                 assert_eq!(wcc, want_wcc, "wcc diverged ({label})");
                 assert_eq!(tc, want_tc, "triangle count diverged ({label})");
             });
+
+            let wsvc = if sharded {
+                sharded_service(&wbase, &opts, 2)
+            } else {
+                single_service(&wbase, &opts)
+            };
+            wsvc.ingest(&wbatch).unwrap();
+            let dist = wsvc
+                .query_opts(QueryOpts::new(), |e| {
+                    fg_apps::sssp(e, VertexId(0)).unwrap().0
+                })
+                .unwrap();
+            for (v, (&got, &want)) in dist.iter().zip(&want_sssp).enumerate() {
+                assert!(
+                    got as f64 == want || (got as f64 - want).abs() < 1e-3,
+                    "sssp diverged at {v} ({label}): {got} vs {want}"
+                );
+            }
         }
     }
 }

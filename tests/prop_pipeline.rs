@@ -303,7 +303,6 @@ proptest! {
 
         let cfg = EngineConfig {
             num_threads: nthreads,
-            work_stealing: true,
             vertical_parts: vparts,
             ..EngineConfig::small()
         };
