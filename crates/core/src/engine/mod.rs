@@ -29,7 +29,8 @@ use crate::context::{DegreeSource, RunShared, ShardView};
 use crate::messages::{MessageBoard, NotifyBoard};
 use crate::partition::PartitionMap;
 use crate::program::VertexProgram;
-use crate::shard::{join_all, worker_panicked, Rendezvous, ShardLink};
+use crate::rendezvous::Rendezvous;
+use crate::shard::{join_all, worker_panicked, ShardLink};
 use crate::state::SharedStates;
 use crate::stats::{IterStats, RunStats};
 

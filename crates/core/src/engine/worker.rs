@@ -27,7 +27,8 @@ use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
 use crate::messages::{MessageBoard, NotifyBoard};
 use crate::program::VertexProgram;
-use crate::shard::{PoisonGuard, Rendezvous, ShardLink};
+use crate::rendezvous::{PoisonGuard, Rendezvous};
+use crate::shard::ShardLink;
 use crate::state::SharedStates;
 use crate::stats::IterStats;
 use crate::vertex::PageVertex;

@@ -96,6 +96,7 @@ pub mod merge;
 mod messages;
 mod partition;
 mod program;
+mod rendezvous;
 pub mod serve;
 mod shard;
 mod state;
