@@ -126,12 +126,6 @@ pub fn pagerank<E: GraphEngine>(
     Ok((states.into_iter().map(|s| s.estimate()).collect(), stats))
 }
 
-/// Default-parameter convenience used by benches: damping 0.85,
-/// threshold 1e-3, 30 iterations.
-pub fn pagerank_default<E: GraphEngine>(engine: &E) -> Result<(Vec<f32>, RunStats)> {
-    pagerank(engine, 0.85, 1e-3, 30)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! The workspace concurrency-hygiene lint (`fg_check --lint`).
 //!
-//! Three rules, all aimed at keeping the synchronization story
+//! Four rules, all aimed at keeping the synchronization story
 //! auditable:
 //!
 //! 1. **`raw-atomic`** — no `std::sync::atomic` (or `core::…`) paths
@@ -16,6 +16,13 @@
 //!    (`Acquire`/`Release`/`AcqRel` are the workspace default and need
 //!    no per-site note; `Relaxed` weakens and `SeqCst` hides the real
 //!    edge, so both must say why.)
+//! 4. **`checked-imports`** — a file `fg_check` explores *as shipped*
+//!    (the list is read from the mount, see [`mounted_files`]) reaches
+//!    no `std::sync::` / `core::sync::` / `parking_lot::` /
+//!    `crossbeam::` / `fg_types::sync` path: it would compile in both
+//!    crates and put a lock the checker cannot see into a "checked"
+//!    protocol. Every primitive is `super::sync::…`; `std::sync::Arc`,
+//!    which shares ownership and carries no protocol, is the exception.
 //!
 //! The scanner is line-based over a comment/string-stripped view of
 //! each file: rule patterns inside string literals or comments never
@@ -49,8 +56,8 @@ impl fmt::Display for Violation {
 /// A source line split into its code and comment parts, with string
 /// literal contents blanked out of the code part.
 #[derive(Default)]
-struct SplitLine {
-    code: String,
+pub(crate) struct SplitLine {
+    pub(crate) code: String,
     comment: String,
 }
 
@@ -69,7 +76,7 @@ enum Mode {
 /// block comments and doc comments land in `comment`; string and char
 /// literal contents are dropped from `code` so patterns inside them
 /// cannot fire.
-fn split_lines(src: &str) -> Vec<SplitLine> {
+pub(crate) fn split_lines(src: &str) -> Vec<SplitLine> {
     let mut out = Vec::new();
     let mut mode = Mode::Code;
     for raw in src.lines() {
@@ -254,11 +261,41 @@ fn has_word(code: &str, word: &str) -> bool {
     false
 }
 
+/// The files `fg_check` explores as shipped, workspace-relative: the
+/// targets of the `path` attributes in the source of [`crate::models`],
+/// the one place that declares them.
+pub fn mounted_files() -> Vec<String> {
+    let targets = include_str!("models/mod.rs").lines().filter_map(|l| {
+        let attr = l.trim().strip_prefix("#[")?.trim_start();
+        let target = attr.strip_prefix("path")?.split('"').nth(1)?;
+        // Relative to the declaring file's directory.
+        let mut parts = vec!["crates", "check", "src", "models"];
+        for seg in target.split('/') {
+            match seg {
+                ".." => drop(parts.pop()),
+                seg => parts.push(seg),
+            }
+        }
+        Some(parts.join("/"))
+    });
+    targets.collect()
+}
+
+/// The paths rule 4 keeps out of a mounted file.
+const UNCHECKED: [&str; 5] = [
+    "std::sync::",
+    "core::sync::",
+    "parking_lot::",
+    "crossbeam::",
+    "fg_types::sync",
+];
+
 /// Lints one file's source. `path_label` is the workspace-relative
-/// path, used both for reporting and for the `crates/types/` gateway
-/// exemption of the raw-atomic rule.
+/// path, used for reporting, for the `crates/types/` gateway exemption
+/// of the raw-atomic rule and to tell a mounted file (rule 4).
 pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
     let lines = split_lines(src);
+    let mounted = mounted_files().iter().any(|f| f == path_label);
     let in_types = path_label.replace('\\', "/").starts_with("crates/types/");
     let mut out = Vec::new();
     for (idx, l) in lines.iter().enumerate() {
@@ -283,6 +320,22 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
                 msg: "`unsafe` without an adjacent `// SAFETY:` comment (or `# Safety` \
                       doc section)"
                     .to_string(),
+            });
+        }
+        let unchecked = UNCHECKED.into_iter().find(|p| {
+            let mut after = l.code.match_indices(p).map(|(i, _)| &l.code[i + p.len()..]);
+            mounted && after.any(|rest| !rest.starts_with("Arc"))
+        });
+        if let Some(pat) = unchecked {
+            out.push(Violation {
+                file: path_label.to_string(),
+                line: lineno,
+                rule: "checked-imports",
+                msg: format!(
+                    "`{}` path in a file `fg_check` explores as shipped — name the \
+                     primitive as `super::sync::…` so the checker's doubles see it",
+                    pat
+                ),
             });
         }
         for pat in ["Ordering::Relaxed", "Ordering::SeqCst"] {

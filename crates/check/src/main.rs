@@ -3,15 +3,17 @@
 //! * `fg_check --lint [root]` runs the static lint over every `.rs`
 //!   file (default root: the enclosing workspace) and exits non-zero
 //!   on any violation. CI runs this as a fail-the-build step.
-//! * `fg_check --models` runs every protocol model, unmutated and with
-//!   each seeded mutation, and exits non-zero unless the unmutated
-//!   models pass and every mutation is caught. `FG_CHECK_DEPTH=n`
-//!   deepens the exploration (CI's release stress step raises it).
+//! * `fg_check --models` explores every protocol — four as shipped,
+//!   two as models — unmutated and with each seeded mutation, and
+//!   exits non-zero unless the unmutated ones pass and every mutation
+//!   is caught. `FG_CHECK_DEPTH=n` deepens the exploration (CI's
+//!   release stress step raises it); a value that is not a number
+//!   exits 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fg_check::{lint, models, Config};
+use fg_check::{lint, models, Config, FailureKind, Report};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,7 +23,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: fg_check --lint [root] | fg_check --models");
             eprintln!("  --lint    concurrency-hygiene lint over the workspace's .rs files");
-            eprintln!("  --models  explore every protocol model and its seeded mutations");
+            eprintln!("  --models  explore every protocol and its seeded mutations");
             eprintln!("            (FG_CHECK_DEPTH=n raises the preemption bound)");
             ExitCode::from(2)
         }
@@ -65,35 +67,31 @@ fn run_lint(root: Option<PathBuf>) -> ExitCode {
 }
 
 fn run_models() -> ExitCode {
-    let cfg = Config::from_env();
+    let cfg = match Config::from_env() {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("fg_check --models: {}", e);
+            return ExitCode::from(2);
+        }
+    };
     println!(
-        "fg_check --models: preemption bound {}, max {} executions per model",
+        "fg_check --models: preemption bound {}, max {} executions per exploration",
         cfg.preemption_bound, cfg.max_executions
     );
-    let mut bad = 0;
-    for (label, expect_fail, report) in models::run_all(&cfg) {
-        let ok = if expect_fail {
-            report.failure.is_some()
-        } else {
-            report.passed()
-        };
-        let verdict = match (expect_fail, ok) {
-            (false, true) => "pass (exhausted)",
-            (false, false) => "FAIL (unexpected counterexample or incomplete)",
-            (true, true) => "caught (as expected)",
-            (true, false) => "MISSED (mutation not detected)",
-        };
-        println!(
-            "  {:<28} {:>7} executions  {}",
-            label, report.executions, verdict
-        );
-        if !ok {
-            bad += 1;
-            if let Some(f) = &report.failure {
-                println!("{}", f);
-            }
-        }
+    // The table: each protocol, and whether it is explored as the
+    // shipped type or as a model of one.
+    macro_rules! protocol {
+        ($name:ident, $subject:literal) => {{
+            use models::$name::{check, MUTATIONS};
+            explore_protocol(stringify!($name), $subject, &MUTATIONS, check, &cfg)
+        }};
     }
+    let bad = protocol!(busy_bit, "shipped")
+        + protocol!(quiesce, "shipped")
+        + protocol!(ready_pool, "shipped")
+        + protocol!(sem_flush, "model")
+        + protocol!(rendezvous, "shipped")
+        + protocol!(inflight_waiter, "model");
     if bad == 0 {
         println!("fg_check --models: all protocols verified, all mutations caught");
         ExitCode::SUCCESS
@@ -101,4 +99,40 @@ fn run_models() -> ExitCode {
         println!("fg_check --models: {} unexpected outcome(s)", bad);
         ExitCode::FAILURE
     }
+}
+
+/// Explores one protocol unmutated, then with each seeded mutation,
+/// printing a row per exploration; returns how many ended unexpectedly
+/// (an unmutated one must exhaust its schedule space without a
+/// counterexample, a mutated one must produce one).
+fn explore_protocol<M: Copy + std::fmt::Debug>(
+    name: &str,
+    subject: &str,
+    mutations: &[M],
+    check: fn(Option<M>, &Config) -> Report,
+    cfg: &Config,
+) -> usize {
+    let mut bad = 0;
+    for mutation in std::iter::once(None).chain(mutations.iter().copied().map(Some)) {
+        let label = mutation.map_or(name.to_string(), |m| format!("{name}+{m:?}"));
+        let report = check(mutation, cfg);
+        // A fault that was never injected is no catch.
+        let caught = report.failure.as_ref().map(|f| &f.kind);
+        let caught = caught.filter(|k| !matches!(k, FailureKind::FaultNotReached(_)));
+        let (ok, verdict) = match (mutation, caught) {
+            (None, _) if report.passed() => (true, "pass (exhausted)".to_string()),
+            (None, _) => (false, "FAIL (counterexample or incomplete)".to_string()),
+            (Some(_), Some(kind)) => (true, format!("caught ({})", kind.name())),
+            (Some(_), None) => (false, "MISSED (mutation not detected)".to_string()),
+        };
+        println!(
+            "  {:<32} {:<8} {:>7} executions  {}",
+            label, subject, report.executions, verdict
+        );
+        if let (false, Some(f)) = (ok, &report.failure) {
+            println!("{}", f);
+        }
+        bad += usize::from(!ok);
+    }
+    bad
 }

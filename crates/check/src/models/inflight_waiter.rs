@@ -3,6 +3,10 @@
 //! `safs.rs` / `io_thread.rs`): one fetcher, N waiters, per-page
 //! locks, the buffered claim → dispatch gap, cancellation mid-wait.
 //!
+//! Still a *model*, kept in step by review: the protocol runs through
+//! an `IoSession`, crossbeam channels and an I/O thread, and the
+//! checker has no double for a channel yet (a later issue).
+//!
 //! Protocol: the first session to miss a page *claims* it (an entry
 //! in the mount-wide table, striped so each page has its own lock)
 //! and buffers a device run in its outbox; later sessions missing the
@@ -58,7 +62,7 @@
 //!   forgot to dispatch) — the claims are never served and the
 //!   attached waiter sleeps forever (deadlock).
 
-use crate::sync::{cspawn, cyield, CAtomicBool, CCell, CCondvar, CMutex, Ordering};
+use crate::sync::{cspawn, cyield, AtomicBool, CCell, Condvar, Mutex, Ordering};
 use crate::{check_assert, explore, Config, Report};
 use std::sync::Arc;
 
@@ -73,13 +77,11 @@ pub enum Mutation {
     DropWithoutKick,
 }
 
-impl Mutation {
-    pub const ALL: [Mutation; 3] = [
-        Mutation::DroppedNotify,
-        Mutation::RelaxedPublish,
-        Mutation::DropWithoutKick,
-    ];
-}
+pub const MUTATIONS: [Mutation; 3] = [
+    Mutation::DroppedNotify,
+    Mutation::RelaxedPublish,
+    Mutation::DropWithoutKick,
+];
 
 /// The bytes the device read lands in every page.
 const PAGE: u64 = 42;
@@ -100,19 +102,19 @@ struct Claim {
 }
 
 struct Model {
-    claims: [CMutex<Claim>; PAGES],
+    claims: [Mutex<Claim>; PAGES],
     /// The I/O thread's mailbox: the fetcher's batch has been kicked.
-    io_queue: CMutex<bool>,
-    io_cv: CCondvar,
+    io_queue: Mutex<bool>,
+    io_cv: Condvar,
     /// The page buffers the device read fills (one cell: the run is
     /// one device read; what is per page is the *locking*).
     pages: CCell<[u64; PAGES]>,
     /// The fetcher session's private reply mailbox (the model of its
     /// completion channel).
-    fetcher_mailbox: CAtomicBool,
+    fetcher_mailbox: AtomicBool,
     /// The surviving waiter's reply channel: pages delivered so far.
-    waiter_mailbox: CMutex<u64>,
-    waiter_cv: CCondvar,
+    waiter_mailbox: Mutex<u64>,
+    waiter_cv: Condvar,
     mutation: Option<Mutation>,
 }
 
@@ -216,23 +218,22 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         // `departed` waiters attached and were cancelled while the run
         // still sat in the outbox: their entries stay in the table,
         // nobody waits on them, resolution must proceed regardless.
-        let claim = |i: usize, departed: u64| {
-            let open = Claim {
+        let claim = |departed: u64| {
+            Mutex::new(Claim {
                 open: true,
                 attached: departed,
                 live: 0,
                 fanned: 0,
-            };
-            CMutex::new(&format!("inflight.stripe{i}"), open)
+            })
         };
         let m = Arc::new(Model {
-            claims: [claim(0, 0), claim(1, 1)],
-            io_queue: CMutex::new("io.queue", false),
-            io_cv: CCondvar::new("io.cv"),
+            claims: [claim(0), claim(1)],
+            io_queue: Mutex::new(false),
+            io_cv: Condvar::new(),
             pages: CCell::new("pages", [0u64; PAGES]),
-            fetcher_mailbox: CAtomicBool::new("fetcher.mailbox", false),
-            waiter_mailbox: CMutex::new("waiter.mailbox", 0),
-            waiter_cv: CCondvar::new("waiter.cv"),
+            fetcher_mailbox: AtomicBool::new(false),
+            waiter_mailbox: Mutex::new(0),
+            waiter_cv: Condvar::new(),
             mutation,
         });
 

@@ -1,19 +1,46 @@
-//! Faithful miniatures of the engine's six synchronization
-//! protocols, each with seeded mutations the checker must catch.
+//! The six synchronization protocols under the checker, each with the
+//! seeded mutations it must catch — and the *mount*: the three `path`
+//! attributes below compile shipped source files (the ones `fg_types`
+//! and `flashgraph` build, not copies) as children of this module,
+//! where the `super::sync::…` they name every primitive by is
+//! [`crate::sync`], the instrumented doubles. `shipped_pool::ReadyPool`,
+//! `shipped_rendezvous::Rendezvous` and `shipped_bitmap::AtomicBitmap`
+//! are the shipped statements and orderings, byte for byte, with every
+//! access a schedule point. (`fg_check --lint`'s `checked-imports` rule
+//! reads the mount list from these attributes.)
 //!
-//! Every model follows the same shape:
+//! `busy_bit`, `quiesce`, `ready_pool` and `rendezvous` are *harnesses*
+//! — threads, `CCell` payloads and invariants around those types, no
+//! protocol state of their own. `sem_flush` and `inflight_waiter` are
+//! still *models*: their protocols run through channels and an I/O
+//! thread, which have no doubles yet (their headers say so).
 //!
-//! * `Mutation` — an enum of deliberate protocol edits: the exact
-//!   ordering downgrades and structural changes the engine's
-//!   `// ordering:` comments and docs claim would be bugs.
-//! * `check(mutation, cfg)` — explores the (possibly mutated) model
-//!   under [`crate::explore`] and returns the [`crate::Report`].
+//! Each has a `Mutation` enum and `check(mutation, cfg)`. What a
+//! *caller* of a shipped type gets wrong is a switch in the harness;
+//! what the *protocol* gets wrong is a [`crate::Fault`] the doubles
+//! inject for that one exploration, so no shipped file carries a line
+//! of fault code. Unmutated, each must pass exhaustive bounded
+//! exploration; mutated, each must produce a counterexample — which
+//! shows the scenario reaches the interleaving that matters
+//! (`tests/check_models.rs` pins both directions).
 //!
-//! The unmutated models must pass exhaustive bounded exploration; the
-//! mutated ones must produce a counterexample. `tests/check_models.rs`
-//! at the workspace root pins both directions, and the engine's doc
-//! comments cite these models by name as the referee for their
-//! ordering choices.
+//! To put another protocol under the checker: write it against
+//! `super::sync` only, mount its file here, write a harness, name its
+//! faults.
+
+use crate::sync;
+use fg_types::VertexId;
+
+#[path = "../../../types/src/bitmap.rs"]
+pub mod shipped_bitmap;
+#[path = "../../../core/src/engine/pool.rs"]
+mod shipped_pool;
+// `PoisonGuard` is the one item no harness can use: a schedule point in
+// a `Drop` that runs during the scheduler's teardown unwind would
+// double-panic, so harnesses call `poison` themselves.
+#[allow(dead_code)]
+#[path = "../../../core/src/rendezvous.rs"]
+mod shipped_rendezvous;
 
 pub mod busy_bit;
 pub mod inflight_waiter;
@@ -21,65 +48,3 @@ pub mod quiesce;
 pub mod ready_pool;
 pub mod rendezvous;
 pub mod sem_flush;
-
-use crate::{Config, Report};
-
-/// Runs every protocol, unmutated and with each seeded mutation.
-/// Returns `(label, expected_failure, report)` triples — the `--models`
-/// smoke run of the `fg_check` binary prints them.
-pub fn run_all(cfg: &Config) -> Vec<(String, bool, Report)> {
-    let mut out = Vec::new();
-    let mut push = |label: &str, expect_fail: bool, r: Report| {
-        out.push((label.to_string(), expect_fail, r));
-    };
-
-    push("busy_bit", false, busy_bit::check(None, cfg));
-    for m in busy_bit::Mutation::ALL {
-        push(
-            &format!("busy_bit+{:?}", m),
-            true,
-            busy_bit::check(Some(m), cfg),
-        );
-    }
-    push("quiesce", false, quiesce::check(None, cfg));
-    for m in quiesce::Mutation::ALL {
-        push(
-            &format!("quiesce+{:?}", m),
-            true,
-            quiesce::check(Some(m), cfg),
-        );
-    }
-    push("ready_pool", false, ready_pool::check(None, cfg));
-    for m in ready_pool::Mutation::ALL {
-        push(
-            &format!("ready_pool+{:?}", m),
-            true,
-            ready_pool::check(Some(m), cfg),
-        );
-    }
-    push("sem_flush", false, sem_flush::check(None, cfg));
-    for m in sem_flush::Mutation::ALL {
-        push(
-            &format!("sem_flush+{:?}", m),
-            true,
-            sem_flush::check(Some(m), cfg),
-        );
-    }
-    push("rendezvous", false, rendezvous::check(None, cfg));
-    for m in rendezvous::Mutation::ALL {
-        push(
-            &format!("rendezvous+{:?}", m),
-            true,
-            rendezvous::check(Some(m), cfg),
-        );
-    }
-    push("inflight_waiter", false, inflight_waiter::check(None, cfg));
-    for m in inflight_waiter::Mutation::ALL {
-        push(
-            &format!("inflight_waiter+{:?}", m),
-            true,
-            inflight_waiter::check(Some(m), cfg),
-        );
-    }
-    out
-}

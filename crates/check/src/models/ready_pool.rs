@@ -1,172 +1,113 @@
-//! Work-stealing delivery pool — the model of the pipelined engine's
-//! `ReadyPool` (`crates/core/src/engine/pool.rs`: `push_local` /
-//! `push_injector` / `pop`): per-worker LIFO deques, a shared injector,
-//! FIFO stealing, and the busy-conflict requeue rule in
-//! `execute_deliveries` (`engine/worker.rs`).
+//! Work-stealing delivery pool — a harness around the shipped
+//! `ReadyPool::{push_local, push_injector, pop}`
+//! (`crates/core/src/engine/pool.rs`: per-worker LIFO deques, a shared
+//! injector, FIFO stealing) and the busy-conflict requeue rule of
+//! `execute_deliveries` (`engine/worker.rs`: not mountable, so the
+//! caller's side is transcribed here), over the shipped `AtomicBitmap`
+//! busy bit and ending on the shipped `quiesced`.
 //!
-//! Protocol: a worker pops its own deque first (LIFO), then the
-//! injector, then steals the front of a victim's deque. A popped
+//! `pool.rs` states the pop order; the caller's half is that a popped
 //! delivery whose requester vertex is busy (another worker is inside
 //! one of its callbacks) must be *requeued to the injector* and the
-//! worker must stop popping for a while (the engine breaks out of its
-//! delivery loop) — dropping the entry would lose the delivery, and
-//! retrying in place would spin behind a long callback.
-//!
-//! Invariants checked:
-//! * exactly-once — every enqueued delivery runs exactly once;
-//! * deque discipline — all deque access happens under the deque
-//!   lock (the engine's equivalent: `Mutex<VecDeque>` per worker).
-//!
-//! Seeded mutations:
-//! * [`Mutation::DropOnConflict`]: a busy-conflicted entry is dropped
-//!   instead of requeued — the lost delivery keeps `remaining` above
-//!   zero forever and the workers spin into the step bound (livelock).
-//! * [`Mutation::StealWithoutLock`]: the thief reads the victim's
-//!   deque without taking its lock — a data race against the owner's
-//!   own pops.
+//! worker must stop popping for a while — dropping the entry would
+//! lose the delivery, retrying in place would spin behind a callback.
+//! Invariants checked: exactly-once (every enqueued delivery runs
+//! exactly once, and the pool quiesces only after it has) and deque
+//! discipline (a thief and the owner never touch a deque unordered).
 
-use crate::sync::{cspawn, cyield, CAtomicU64, CBitmap, CCell, CMutex, Ordering};
-use crate::{check_assert, explore, Config, Report};
+use super::shipped_bitmap::AtomicBitmap;
+use super::shipped_pool::ReadyPool;
+use crate::sync::{cspawn_each, cyield, CCell};
+use crate::{check_assert, explore_with, Config, Fault, Report};
+use fg_types::VertexId;
 use std::sync::Arc;
 
 /// Seeded protocol edits the checker must catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Drop a busy-conflicted delivery instead of requeueing it.
+    /// Caller: a busy-conflicted entry is dropped instead of requeued
+    /// — its obligation is never released and the workers spin into
+    /// the step bound (livelock).
     DropOnConflict,
-    /// Steal from a victim's deque without holding its lock.
+    /// Fault: `pop`'s steal is granted the victim's lock without
+    /// acquiring it — a data race against the owner's own pops.
     StealWithoutLock,
 }
 
-impl Mutation {
-    pub const ALL: [Mutation; 2] = [Mutation::DropOnConflict, Mutation::StealWithoutLock];
-}
+pub const MUTATIONS: [Mutation; 2] = [Mutation::DropOnConflict, Mutation::StealWithoutLock];
+
+/// The steal in `pop`: the fifth `lock` of `pool.rs`, after
+/// `push_local`'s, `push_injector`'s, and `pop`'s own-deque and
+/// injector ones.
+const STEAL_WITHOUT_LOCK: Fault = Fault("pool.rs", "lock", 4);
 
 const WORKERS: usize = 2;
 /// Both deliveries target vertex 0, so one worker's callback can hold
 /// the busy bit while the other pops the second delivery — the
 /// conflict path under test.
 const ITEMS: usize = 2;
+const V: VertexId = VertexId(0);
 
-struct Deque {
-    lock: CMutex<()>,
-    slots: CCell<Vec<u64>>,
-}
-
-struct Model {
-    deques: Vec<Deque>,
-    injector: CMutex<Vec<u64>>,
-    busy: CBitmap,
+struct Harness {
+    pool: ReadyPool<usize>,
+    busy: AtomicBitmap,
     counts: Vec<CCell<u64>>,
-    remaining: CAtomicU64,
     mutation: Option<Mutation>,
 }
 
-impl Model {
-    /// Pop order: own LIFO → injector → steal victim FIFO.
-    fn pop(&self, me: usize) -> Option<u64> {
-        let own = {
-            let _g = self.deques[me].lock.lock();
-            self.deques[me].slots.write(|v| v.pop())
-        };
-        if own.is_some() {
-            return own;
-        }
-        let inj = self.injector.lock().pop();
-        if inj.is_some() {
-            return inj;
-        }
-        let victim = (me + 1) % WORKERS;
-        if self.mutation == Some(Mutation::StealWithoutLock) {
-            // Mutated: racy read-modify-write of the victim's deque.
-            self.deques[victim].slots.write(|v| {
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(v.remove(0))
-                }
-            })
-        } else {
-            let _g = self.deques[victim].lock.lock();
-            self.deques[victim].slots.write(|v| {
-                if v.is_empty() {
-                    None
-                } else {
-                    Some(v.remove(0))
-                }
-            })
-        }
-    }
-
+impl Harness {
     fn run_worker(&self, me: usize) {
-        // ordering: Acquire pairs with the AcqRel decrement after each
-        // delivery, publishing the delivered state to the exiting
-        // worker.
-        while self.remaining.load(Ordering::Acquire) > 0 {
-            let Some(item) = self.pop(me) else {
+        while !self.pool.quiesced(WORKERS) {
+            let Some(item) = self.pool.pop(me) else {
                 cyield();
                 continue;
             };
-            // Every delivery in this model targets vertex 0.
-            if self.busy.set_sync(0) {
+            if self.busy.set_sync(V) {
                 // Conflict: the requester is inside another worker's
-                // callback.
-                if self.mutation == Some(Mutation::DropOnConflict) {
-                    // Mutated: the delivery is silently lost.
-                    continue;
-                }
-                // Faithful: requeue to the injector and stop popping
+                // callback. Requeue to the injector and stop popping
                 // for now (the engine breaks out of its delivery loop
                 // here — the next pop could return the same entry).
-                self.injector.lock().push(item);
-                cyield();
+                // Mutated: the delivery is silently lost instead.
+                if self.mutation != Some(Mutation::DropOnConflict) {
+                    self.pool.push_injector(item);
+                    cyield();
+                }
                 continue;
             }
-            self.counts[item as usize].write(|c| *c += 1);
-            self.busy.clear_sync(0);
-            // ordering: AcqRel — release publishes the delivery,
-            // acquire chains earlier decrements for the final
-            // exactly-once read.
-            self.remaining.fetch_sub(1, Ordering::AcqRel);
+            self.counts[item].write(|c| *c += 1);
+            self.busy.clear_sync(V);
+            self.pool.release();
         }
     }
 }
 
-/// Explores the protocol; `mutation: None` is the faithful model.
+/// Explores the protocol; `mutation: None` is the shipped behaviour.
 pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
-    let cfg = cfg.clone();
-    explore(&cfg, move || {
-        let m = Arc::new(Model {
-            deques: (0..WORKERS)
-                .map(|w| Deque {
-                    lock: CMutex::new(&format!("deque{}.lock", w), ()),
-                    slots: CCell::new(&format!("deque{}.slots", w), vec![w as u64]),
-                })
-                .collect(),
-            injector: CMutex::new("injector", Vec::new()),
-            // ordering: the busy bit's real AcqRel contract — this
-            // model checks the pool, not the bit downgrade.
-            busy: CBitmap::new("busy", 1, Ordering::AcqRel),
-            counts: (0..ITEMS)
-                .map(|i| CCell::new(&format!("count{}", i), 0u64))
-                .collect(),
-            remaining: CAtomicU64::new("remaining", ITEMS as u64),
+    let faults: &[Fault] = match mutation {
+        Some(Mutation::StealWithoutLock) => &[STEAL_WITHOUT_LOCK],
+        _ => &[],
+    };
+    explore_with(cfg, faults, move || {
+        let count = |i| CCell::new(&format!("count{}", i), 0);
+        let h = Arc::new(Harness {
+            pool: ReadyPool::new(WORKERS),
+            busy: AtomicBitmap::new(1),
+            counts: (0..ITEMS).map(count).collect(),
             mutation,
         });
-
-        let mut handles = Vec::new();
+        // The claim phase is over before the scenario starts: one
+        // resolved delivery in each worker's deque, every claim
+        // announced (`quiesce` explores the announcements).
         for w in 0..WORKERS {
-            let m = m.clone();
-            handles.push(cspawn(move || m.run_worker(w)));
+            h.pool.accept();
+            h.pool.push_local(w, &mut vec![w]);
+            h.pool.announce_claims_done();
         }
-        for h in handles {
-            h.join();
-        }
+        let hw = h.clone();
+        cspawn_each(WORKERS, move |w| hw.run_worker(w));
         // Joins give the root the happens-before edge for these reads.
-        for c in &m.counts {
-            c.read(|v| {
-                check_assert(*v == 1, "every delivery runs exactly once");
-            });
+        for c in &h.counts {
+            c.read(|v| check_assert(*v == 1, "every delivery runs exactly once"));
         }
     })
 }

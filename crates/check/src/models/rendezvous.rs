@@ -1,231 +1,142 @@
-//! Generation rendezvous — the model of `Rendezvous`, the engine's
-//! one barrier (`crates/core/src/shard.rs`, `vote` / `poison`; the
-//! workers of a shard meet at one, worker 0 of every shard at
-//! another): parties vote a boolean per round, the last arrival
-//! combines the votes and releases the generation, and a party that
-//! panics poisons the barrier so the others fail instead of hanging.
+//! Generation rendezvous — a harness around the shipped `Rendezvous`
+//! (`crates/core/src/rendezvous.rs`: `vote` / `rendezvous` / `check` /
+//! `poison`), the engine's one barrier.
 //!
-//! Protocol: each voter ANDs its ballot into the accumulator and
-//! increments `arrived`. The last arrival snapshots the combined
-//! result, advances `generation`, resets `arrived`/accumulator for
-//! the next round, and notifies. Earlier arrivals wait on *the
-//! generation they arrived in* changing — not on the `arrived`
-//! counter, which the release path resets and the next round reuses.
-//! `poison` sets the flag and notifies so every waiter unblocks.
+//! Scenarios and the invariants they check:
+//! * votes — two parties, two rounds with different results: every
+//!   voter of round *r* returns the AND of round *r*'s ballots (no
+//!   cross-round bleed, no sleeping through one's own release);
+//! * poison — a party meets one round, then dies: its peer's next wait
+//!   unwinds with `PeerPanicked` rather than hanging (a lost wakeup
+//!   surfaces as a deadlock);
+//! * check — a party polling `Rendezvous::check` *away from the
+//!   barrier* (the engine's idle compute loop and `acquire_busy`)
+//!   while its peer poisons must unwind too, not spin into the step
+//!   bound. No transcription ever had this `Relaxed` reader.
 //!
-//! Invariants checked:
-//! * agreement — every voter of round *r* returns the AND of round
-//!   *r*'s ballots, across rounds (no cross-round bleed);
-//! * liveness — waiting on a poisoned group returns an error rather
-//!   than hanging (a lost wakeup surfaces as a deadlock).
-//!
-//! Seeded mutations:
-//! * [`Mutation::ArrivedPredicate`]: wait on `arrived != 0` instead of
-//!   the generation — a fast peer re-entering the next round pushes
-//!   `arrived` back above zero and the waiter sleeps through its own
-//!   round's release (deadlock).
-//! * [`Mutation::PoisonNoNotify`]: `poison` sets the flag but skips
-//!   `notify_all` — an already-parked waiter never rechecks
-//!   (deadlock).
+//! Both mutations are faults: an *edit* to `vote`'s shape (what the
+//! retired `ArrivedPredicate` mutation of the transcription stood for)
+//! now runs under these scenarios as it is made.
 
-use crate::sync::{cspawn, CCondvar, CMutex};
-use crate::{check_assert, explore, Config, Report};
+use super::shipped_rendezvous::{PeerPanicked, Rendezvous};
+use crate::sync::{cspawn, cspawn_each, cyield};
+use crate::{check_assert, explore_with, Config, Fault, Report};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Seeded protocol edits the checker must catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Wait on the `arrived` counter instead of the generation.
-    ArrivedPredicate,
-    /// `poison` without the wakeup broadcast.
+    /// The last arrival's broadcast in `vote` wakes nobody: the votes
+    /// scenario's earlier arrival sleeps through its own round's
+    /// release (deadlock).
+    ReleaseNoNotify,
+    /// `poison` sets the flag but its broadcast wakes nobody: an
+    /// already-parked waiter never rechecks (deadlock).
     PoisonNoNotify,
 }
 
-impl Mutation {
-    pub const ALL: [Mutation; 2] = [Mutation::ArrivedPredicate, Mutation::PoisonNoNotify];
-}
+pub const MUTATIONS: [Mutation; 2] = [Mutation::ReleaseNoNotify, Mutation::PoisonNoNotify];
 
-const SHARDS: usize = 2;
+/// `rendezvous.rs` calls `notify_all` twice: in `vote`, then in
+/// `poison`.
+const RELEASE_NO_NOTIFY: Fault = Fault("rendezvous.rs", "notify_all", 0);
+const POISON_NO_NOTIFY: Fault = Fault("rendezvous.rs", "notify_all", 1);
 
-struct GroupState {
-    arrived: usize,
-    generation: u64,
-    acc: bool,
-    result: bool,
-    poisoned: bool,
-}
+const PARTIES: usize = 2;
 
-/// The model's `Rendezvous` double.
-struct Group {
-    state: CMutex<GroupState>,
-    cv: CCondvar,
-    mutation: Option<Mutation>,
-}
-
-impl Group {
-    fn new(mutation: Option<Mutation>) -> Self {
-        Group {
-            state: CMutex::new(
-                "group.state",
-                GroupState {
-                    arrived: 0,
-                    generation: 0,
-                    acc: true,
-                    result: true,
-                    poisoned: false,
-                },
-            ),
-            cv: CCondvar::new("group.cv"),
-            mutation,
-        }
-    }
-
-    /// Votes `ballot` and waits for the round's combined result.
-    /// `Err(())` means the group was poisoned.
-    fn vote_and_wait(&self, ballot: bool) -> Result<bool, ()> {
-        let mut g = self.state.lock();
-        if g.poisoned {
-            return Err(());
-        }
-        g.acc &= ballot;
-        g.arrived += 1;
-        if g.arrived == SHARDS {
-            // Last arrival: release the generation and reset for the
-            // next round.
-            g.result = g.acc;
-            g.generation += 1;
-            g.arrived = 0;
-            g.acc = true;
-            let result = g.result;
-            drop(g);
-            self.cv.notify_all();
-            return Ok(result);
-        }
-        if self.mutation == Some(Mutation::ArrivedPredicate) {
-            // Mutated: `arrived` is reset by the release path and then
-            // reused by the *next* round — a fast peer re-arming it
-            // puts this waiter to sleep through its own release.
-            while g.arrived != 0 && !g.poisoned {
-                g = self.cv.wait(g);
-            }
-        } else {
-            // Faithful: wait for the generation I arrived in to close.
-            let gen = g.generation;
-            while g.generation == gen && !g.poisoned {
-                g = self.cv.wait(g);
-            }
-        }
-        if g.poisoned {
-            return Err(());
-        }
-        Ok(g.result)
-    }
-
-    /// Marks the group failed and wakes every waiter.
-    fn poison(&self) {
-        let mut g = self.state.lock();
-        g.poisoned = true;
-        drop(g);
-        if self.mutation != Some(Mutation::PoisonNoNotify) {
-            self.cv.notify_all();
-        }
-        // Mutated: flag set, waiters never woken.
-    }
-}
-
-/// Scenario A — two rounds of honest voting. Ballots are chosen so the
-/// rounds have different results (round 1: false, round 2: true);
-/// cross-round bleed or a sleep-through shows up as a wrong result or
-/// a deadlock.
-fn scenario_votes(mutation: Option<Mutation>, cfg: &Config) -> Report {
-    let cfg = cfg.clone();
-    explore(&cfg, move || {
-        let group = Arc::new(Group::new(mutation));
-        let ballots: [[bool; 2]; SHARDS] = [[true, true], [false, true]];
-        let expected = [false, true];
-
-        let mut handles = Vec::new();
-        for my_ballots in ballots {
-            let group = group.clone();
-            handles.push(cspawn(move || {
-                for (round, ballot) in my_ballots.into_iter().enumerate() {
-                    let got = group.vote_and_wait(ballot);
-                    check_assert(
-                        got == Ok(expected[round]),
-                        "each round returns the AND of that round's ballots",
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join();
+/// Runs `f`; `Err(())` if it unwound with the `PeerPanicked` of a
+/// poisoned wait. Every other payload is re-raised: the scheduler
+/// aborts a failed execution by unwinding its parked threads with a
+/// sentinel of its own.
+fn poisoned<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if !payload.is::<PeerPanicked>() {
+            resume_unwind(payload);
         }
     })
 }
 
-/// Scenario B — shard 1 votes round 1, then dies and poisons the
-/// group while shard 0 is (possibly already) waiting on round 2.
-/// Shard 0's second vote must return `Err`, never hang.
-fn scenario_poison(mutation: Option<Mutation>, cfg: &Config) -> Report {
-    let cfg = cfg.clone();
-    explore(&cfg, move || {
-        let group = Arc::new(Group::new(mutation));
+/// Two rounds of honest voting. Ballots are chosen so the rounds have
+/// different results (round 1: false, round 2: true); cross-round
+/// bleed or a sleep-through shows up as a wrong result or a deadlock.
+fn scenario_votes(faults: &[Fault], cfg: &Config) -> Report {
+    explore_with(cfg, faults, || {
+        let group = Rendezvous::new(PARTIES);
+        let ballots: [[bool; 2]; PARTIES] = [[true, true], [false, true]];
+        let expected = [false, true];
+        cspawn_each(PARTIES, move |party| {
+            for (ballot, expected) in ballots[party].into_iter().zip(expected) {
+                check_assert(
+                    group.vote(ballot) == expected,
+                    "each round returns the AND of that round's ballots",
+                );
+            }
+        });
+    })
+}
 
-        let survivor = {
-            let group = group.clone();
-            cspawn(move || {
-                // Like the real `Rendezvous`, a vote whose round
-                // completed concurrently with the poison may still
-                // report the poison — a dead peer invalidates the
-                // group wholesale. Both outcomes are legal; hanging
-                // is not.
-                let r1 = group.vote_and_wait(true);
+/// The crasher meets round 1, then dies and poisons the group while
+/// the survivor is (possibly already) waiting on round 2. The
+/// survivor's second wait must unwind, never hang.
+fn scenario_poison(faults: &[Fault], cfg: &Config) -> Report {
+    explore_with(cfg, faults, || {
+        let group = Arc::new(Rendezvous::new(PARTIES));
+        let g = group.clone();
+        let survivor = cspawn(move || {
+            // A wait whose round completed concurrently with the
+            // poison may still report the poison — a dead peer
+            // invalidates the group wholesale. Both outcomes are
+            // legal; hanging is not.
+            if poisoned(|| g.rendezvous()).is_ok() {
                 check_assert(
-                    r1 == Ok(true) || r1 == Err(()),
-                    "round 1 yields its result or the poison, never junk",
+                    poisoned(|| g.vote(true)).is_err(),
+                    "waiting on a poisoned group unwinds",
                 );
-                if r1.is_ok() {
-                    check_assert(
-                        group.vote_and_wait(true) == Err(()),
-                        "voting on a poisoned group errors out",
-                    );
-                }
-            })
-        };
-        let crasher = {
-            let group = group.clone();
-            cspawn(move || {
-                check_assert(
-                    group.vote_and_wait(true) == Ok(true),
-                    "round 1 completes before the crash",
-                );
-                group.poison();
-            })
-        };
+            }
+        });
+        let crasher = cspawn(move || {
+            group.rendezvous();
+            group.poison();
+        });
         survivor.join();
         crasher.join();
     })
 }
 
-/// Explores the protocol; `mutation: None` runs both scenarios and
-/// merges the reports (first failure wins).
+/// A party waiting on its sibling away from the barrier polls `check`
+/// between looks at its (here: empty) work; the sibling dies.
+pub fn check_reader(cfg: &Config) -> Report {
+    explore_with(cfg, &[], || {
+        let group = Arc::new(Rendezvous::new(PARTIES));
+        let g = group.clone();
+        let idler = cspawn(move || {
+            let polled = poisoned(|| loop {
+                g.check();
+                cyield();
+            });
+            check_assert(polled.is_err(), "the poll unwinds once a peer has died");
+        });
+        group.poison();
+        idler.join();
+    })
+}
+
+/// Explores the protocol; `mutation: None` runs every scenario and
+/// merges the reports (first failure wins). Each fault is reached by
+/// one scenario only.
 pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
     match mutation {
-        // Each mutation is detected by the scenario that exercises it;
-        // running only that one keeps the mutated runs cheap.
-        Some(Mutation::ArrivedPredicate) => scenario_votes(mutation, cfg),
-        Some(Mutation::PoisonNoNotify) => scenario_poison(mutation, cfg),
+        Some(Mutation::ReleaseNoNotify) => scenario_votes(&[RELEASE_NO_NOTIFY], cfg),
+        Some(Mutation::PoisonNoNotify) => scenario_poison(&[POISON_NO_NOTIFY], cfg),
         None => {
-            let a = scenario_votes(None, cfg);
-            if a.failure.is_some() {
-                return a;
+            let mut all = scenario_votes(&[], cfg);
+            for next in [scenario_poison(&[], cfg), check_reader(cfg)] {
+                all.failure = all.failure.or(next.failure);
+                all.executions += next.executions;
+                all.complete &= next.complete;
             }
-            let b = scenario_poison(None, cfg);
-            Report {
-                executions: a.executions + b.executions,
-                complete: a.complete && b.complete,
-                failure: b.failure,
-            }
+            all
         }
     }
 }

@@ -4,6 +4,10 @@
 //! flush a waiting `harvest` makes), and of the PR 6 livelock it once
 //! had.
 //!
+//! Still a *model*, kept in step by review: `SemIo`'s gate is driven
+//! by replies arriving over an `IoSession`'s channel from an I/O
+//! thread, and the checker has no channel double yet (a later issue).
+//!
 //! Protocol: requests accumulate in a buffered queue and are issued to
 //! the device in batches of `ISSUE_BATCH`, at most `MAX_PENDING` in
 //! flight. A waiter that needs completions must *also* flush a partial
@@ -25,7 +29,7 @@
 //!   reports a livelock, reproducing the PR 6 hang as a
 //!   counterexample trace.
 
-use crate::sync::{cspawn, cyield, CAtomicBool, CAtomicU64, CMutex, Ordering};
+use crate::sync::{cspawn, cyield, AtomicBool, AtomicU64, Mutex, Ordering};
 use crate::{check_assert, explore, Config, Report};
 use std::sync::Arc;
 
@@ -36,9 +40,7 @@ pub enum Mutation {
     SizeTriggerOnly,
 }
 
-impl Mutation {
-    pub const ALL: [Mutation; 1] = [Mutation::SizeTriggerOnly];
-}
+pub const MUTATIONS: [Mutation; 1] = [Mutation::SizeTriggerOnly];
 
 /// Requests submitted — deliberately smaller than [`ISSUE_BATCH`] so
 /// the size trigger alone never fires.
@@ -47,11 +49,11 @@ const ISSUE_BATCH: usize = 4;
 const MAX_PENDING: u64 = 2;
 
 struct Model {
-    buffered: CMutex<Vec<u64>>,
-    issued: CMutex<Vec<u64>>,
-    in_flight: CAtomicU64,
-    completed: CAtomicU64,
-    done: CAtomicBool,
+    buffered: Mutex<Vec<u64>>,
+    issued: Mutex<Vec<u64>>,
+    in_flight: AtomicU64,
+    completed: AtomicU64,
+    done: AtomicBool,
     mutation: Option<Mutation>,
 }
 
@@ -136,11 +138,11 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
     let cfg = cfg.clone();
     explore(&cfg, move || {
         let m = Arc::new(Model {
-            buffered: CMutex::new("buffered", Vec::new()),
-            issued: CMutex::new("issued", Vec::new()),
-            in_flight: CAtomicU64::new("in_flight", 0),
-            completed: CAtomicU64::new("completed", 0),
-            done: CAtomicBool::new("done", false),
+            buffered: Mutex::new(Vec::new()),
+            issued: Mutex::new(Vec::new()),
+            in_flight: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            done: AtomicBool::new(false),
             mutation,
         });
 

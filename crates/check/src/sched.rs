@@ -1,9 +1,11 @@
 //! The bounded model-checking scheduler.
 //!
-//! `fg_check` runs a *model* — a small closure that spawns threads and
-//! touches shared state exclusively through the doubles in
-//! [`crate::sync`] — many times, once per thread interleaving, and
-//! reports the first interleaving that breaks an invariant.
+//! `fg_check` runs a *scenario* — a small closure that spawns threads
+//! and touches shared state exclusively through the doubles in
+//! [`crate::sync`], directly (a model) or by driving a shipped type
+//! compiled against them (a harness) — many times, once per thread
+//! interleaving, and reports the first interleaving that breaks an
+//! invariant.
 //!
 //! # How an execution runs
 //!
@@ -69,8 +71,11 @@
 //! and those are the classes the engine's protocols actually depend
 //! on.
 
-use std::panic::{self, AssertUnwindSafe};
+use std::panic::{self, AssertUnwindSafe, Location};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+use fg_types::sync::Counter;
 
 /// Exploration limits. `Default` matches the tier-1 CI budget; the
 /// deep-exploration CI step raises it via `Config::from_env`.
@@ -103,15 +108,20 @@ impl Config {
     /// The default configuration, deepened by the `FG_CHECK_DEPTH`
     /// environment variable if set: `FG_CHECK_DEPTH=n` raises the
     /// preemption bound to `n` and scales the execution budget to
-    /// match. This is the knob the CI stress step turns.
-    pub fn from_env() -> Self {
+    /// match. This is the knob the CI stress step turns — so a value
+    /// that is not a number is an error, not the shallow default.
+    pub fn from_env() -> Result<Self, String> {
+        let var = std::env::var_os("FG_CHECK_DEPTH");
+        Config::from_depth(var.as_deref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// [`Config::from_env`] over the variable's value (`None`: unset).
+    pub fn from_depth(var: Option<&str>) -> Result<Self, String> {
         let cfg = Config::default();
-        match std::env::var("FG_CHECK_DEPTH") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(depth) => cfg.with_depth(depth),
-                Err(_) => cfg,
-            },
-            Err(_) => cfg,
+        match var.map(|v| (v, v.trim().parse::<usize>())) {
+            None => Ok(cfg),
+            Some((_, Ok(depth))) => Ok(cfg.with_depth(depth)),
+            Some((v, Err(e))) => Err(format!("FG_CHECK_DEPTH={v:?} is not a depth: {e}")),
         }
     }
 
@@ -124,9 +134,48 @@ impl Config {
     }
 }
 
+/// A protocol fault the doubles inject for one exploration:
+/// `Fault(file, op, nth)` is the `nth` call of method `op` in the
+/// mounted file `file`, counted in source order — a name that survives
+/// unrelated edits to the file. What goes wrong follows from the
+/// operation: an atomic access runs at `Relaxed` whatever the source
+/// asks for, a `lock` is granted without acquiring, a `notify_all`
+/// wakes nobody. A fault that names no call, or one the scenario never
+/// makes, fails the exploration ([`FailureKind::FaultNotReached`])
+/// instead of passing for a catch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fault(pub &'static str, pub &'static str, pub usize);
+
+/// A [`Fault`], the source line of its call, and how often that ran.
+type Armed = (Fault, u32, Counter);
+
+impl Fault {
+    /// Finds the call in the mounted file's source, as it is on disk.
+    fn arm(self) -> Result<Armed, String> {
+        let Fault(file, op, nth) = self;
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let src = crate::lint::mounted_files()
+            .iter()
+            .find(|f| Path::new(f).ends_with(file))
+            .and_then(|f| std::fs::read_to_string(root.join(f)).ok())
+            .ok_or_else(|| format!("{self:?}: not a mounted file"))?;
+        let (call, lines) = (format!(".{op}("), crate::lint::split_lines(&src));
+        let mut calls = (1u32..)
+            .zip(&lines)
+            .flat_map(|(n, l)| l.code.matches(&call).map(move |_| n));
+        match calls.nth(nth) {
+            Some(line) => Ok((self, line, Counter::new(0))),
+            None => Err(format!("{self:?}: the file has no such call")),
+        }
+    }
+}
+
 /// Why an interleaving failed.
 #[derive(Clone, Debug)]
 pub enum FailureKind {
+    /// A [`Fault`] named a call that does not exist or never ran: the
+    /// exploration says nothing about it.
+    FaultNotReached(String),
     /// Two unordered accesses to the same [`crate::sync::CCell`].
     DataRace(String),
     /// Threads blocked with no runnable thread left.
@@ -135,6 +184,19 @@ pub enum FailureKind {
     Livelock,
     /// A [`crate::check_assert`] failed or the model panicked.
     Assert(String),
+}
+
+impl FailureKind {
+    /// The kind without its details, as verdicts and tests name it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FailureKind::FaultNotReached(_) => "fault not reached",
+            FailureKind::DataRace(_) => "data race",
+            FailureKind::Deadlock(_) => "deadlock",
+            FailureKind::Livelock => "livelock",
+            FailureKind::Assert(_) => "assertion",
+        }
+    }
 }
 
 /// A failing interleaving: what broke, plus the full schedule that
@@ -148,12 +210,14 @@ pub struct Failure {
 
 impl std::fmt::Display for Failure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            FailureKind::DataRace(d) => writeln!(f, "data race: {}", d)?,
-            FailureKind::Deadlock(d) => writeln!(f, "deadlock: {}", d)?,
-            FailureKind::Livelock => writeln!(f, "livelock: step bound exceeded")?,
-            FailureKind::Assert(d) => writeln!(f, "assertion failed: {}", d)?,
-        }
+        let detail = match &self.kind {
+            FailureKind::Livelock => "step bound exceeded",
+            FailureKind::DataRace(d)
+            | FailureKind::Deadlock(d)
+            | FailureKind::Assert(d)
+            | FailureKind::FaultNotReached(d) => d,
+        };
+        writeln!(f, "{}: {}", self.kind.name(), detail)?;
         writeln!(
             f,
             "counterexample interleaving ({} steps):",
@@ -238,6 +302,8 @@ pub(crate) struct Scheduler {
     cv: Condvar,
     /// The cross-execution DFS stack, shared with [`explore`].
     stack: Arc<Mutex<Vec<Choice>>>,
+    /// The exploration's faults, shared across its executions.
+    faults: Arc<Vec<Armed>>,
 }
 
 thread_local! {
@@ -263,17 +329,27 @@ impl Scheduler {
         self.cv.wait(st).unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The scheduler of the current model thread. Panics outside a
-    /// model execution — the doubles only work under [`explore`].
-    pub(crate) fn current() -> (Arc<Scheduler>, usize) {
-        CTX.with(|c| {
-            c.borrow()
-                .clone()
-                .expect("fg_check doubles may only be used inside explore()")
-        })
+    /// The scheduler of the current model thread; `None` on any other
+    /// thread, where a double is a plain value.
+    pub(crate) fn try_current() -> Option<(Arc<Scheduler>, usize)> {
+        CTX.with(|c| c.borrow().clone())
     }
 
-    fn new(cfg: Config, stack: Arc<Mutex<Vec<Choice>>>) -> Arc<Scheduler> {
+    /// [`Scheduler::try_current`] for what only exists under
+    /// [`explore`] (model threads, `CCell`s, invariants).
+    pub(crate) fn current() -> (Arc<Scheduler>, usize) {
+        Scheduler::try_current().expect("only meaningful inside fg_check::explore()")
+    }
+
+    /// True if this exploration faults the `op` call at `at`.
+    pub(crate) fn faulted(&self, op: &str, at: &Location<'_>) -> bool {
+        let hit = self.faults.iter().find(|(Fault(file, fop, _), line, _)| {
+            *fop == op && *line == at.line() && Path::new(at.file()).ends_with(file)
+        });
+        hit.map(|(.., hits)| hits.inc()).is_some()
+    }
+
+    fn new(cfg: Config, stack: Arc<Mutex<Vec<Choice>>>, faults: Arc<Vec<Armed>>) -> Arc<Scheduler> {
         let nt = cfg.max_threads;
         Arc::new(Scheduler {
             cfg: cfg.clone(),
@@ -293,6 +369,7 @@ impl Scheduler {
             }),
             cv: Condvar::new(),
             stack,
+            faults,
         })
     }
 
@@ -412,32 +489,17 @@ impl Scheduler {
         }
     }
 
-    /// Blocks the caller until a mutex unlock wakes it (and it wins a
-    /// grant). Wrapper over [`Scheduler::block_on`] keeping `St`
-    /// private.
-    pub(crate) fn block_on_mutex_edge(&self, me: usize, id: u64, desc: &str) {
-        self.block_on(me, St::BlockedMutex(id), desc);
-    }
-
-    /// Blocks the caller until a condvar notify wakes it.
-    pub(crate) fn block_on_cond_edge(&self, me: usize, id: u64, desc: &str) {
-        self.block_on(me, St::BlockedCond(id), desc);
-    }
-
     /// The current model thread's id (doubles that already hold an
     /// `Arc<Scheduler>` only need the tid).
     pub(crate) fn current_tid() -> usize {
         Scheduler::current().1
     }
 
-    pub(crate) fn unblock_mutex(&self, id: u64) {
+    /// Wakes the threads blocked on `edge` (a mutex's unlock, a
+    /// condvar's notify).
+    pub(crate) fn unblock(&self, edge: St) {
         let mut st = self.lock_state();
-        self.unblock_where(&mut st, |s| s == St::BlockedMutex(id));
-    }
-
-    pub(crate) fn unblock_cond(&self, id: u64) {
-        let mut st = self.lock_state();
-        self.unblock_where(&mut st, |s| s == St::BlockedCond(id));
+        self.unblock_where(&mut st, |s| s == edge);
     }
 
     /// Registers a child thread: clock inherited from the parent
@@ -660,15 +722,38 @@ fn panic_message(r: Result<(), Box<dyn std::any::Any + Send>>) -> Option<String>
     }
 }
 
-/// Explores the model's bounded schedule space and reports the first
-/// failing interleaving, if any.
+/// Explores the scenario's bounded schedule space and reports the
+/// first failing interleaving, if any.
 ///
-/// The closure is the whole model: it runs once per interleaving on a
-/// fresh scheduler, constructs its shared state from scratch (via the
-/// [`crate::sync`] doubles), spawns threads with
-/// [`crate::sync::cspawn`], and asserts its invariants with
-/// [`crate::check_assert`].
+/// The closure is the whole scenario: it runs once per interleaving on
+/// a fresh scheduler, constructs its shared state from scratch (the
+/// [`crate::sync`] doubles, or a shipped type built from them), spawns
+/// threads with [`crate::sync::cspawn`], and asserts its invariants
+/// with [`crate::check_assert`].
 pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report {
+    explore_with(cfg, &[], body)
+}
+
+/// [`explore`] with `faults` injected by the doubles.
+pub fn explore_with(
+    cfg: &Config,
+    faults: &[Fault],
+    body: impl Fn() + Send + Sync + 'static,
+) -> Report {
+    let not_reached = |executions, why| Report {
+        executions,
+        complete: false,
+        failure: Some(Failure {
+            kind: FailureKind::FaultNotReached(why),
+            trace: Vec::new(),
+        }),
+    };
+    let armed: Result<Vec<Armed>, String> = faults.iter().map(|f| f.arm()).collect();
+    let faults = match armed {
+        Ok(armed) => Arc::new(armed),
+        Err(why) => return not_reached(0, why),
+    };
+
     // The `Aborted` teardown unwinds are deliberate; keep the default
     // hook from printing a backtrace for each one. Installed once,
     // chaining to the previous hook for every real panic.
@@ -685,15 +770,11 @@ pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report 
     let body = Arc::new(body);
     let stack: Arc<Mutex<Vec<Choice>>> = Arc::new(Mutex::new(Vec::new()));
     let mut executions = 0usize;
-    loop {
+    let (complete, failure) = 'explored: loop {
         if executions >= cfg.max_executions {
-            return Report {
-                executions,
-                complete: false,
-                failure: None,
-            };
+            break (false, None);
         }
-        let sched = Scheduler::new(cfg.clone(), stack.clone());
+        let sched = Scheduler::new(cfg.clone(), stack.clone(), faults.clone());
         let b = body.clone();
         let s2 = sched.clone();
         let root = std::thread::Builder::new()
@@ -719,12 +800,8 @@ pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report 
             }
             st.failure.clone()
         };
-        if let Some(f) = failure {
-            return Report {
-                executions,
-                complete: false,
-                failure: Some(f),
-            };
+        if failure.is_some() {
+            break (false, failure);
         }
 
         // Backtrack: advance the deepest decision with an unexplored
@@ -732,13 +809,7 @@ pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report 
         let mut sk = stack.lock().unwrap();
         loop {
             match sk.last_mut() {
-                None => {
-                    return Report {
-                        executions,
-                        complete: true,
-                        failure: None,
-                    };
-                }
+                None => break 'explored (true, None),
                 Some(c) => {
                     c.idx += 1;
                     if c.idx < c.candidates.len() {
@@ -748,6 +819,17 @@ pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report 
                 }
             }
         }
+    };
+    match faults.iter().find(|(.., hits)| hits.get() == 0) {
+        Some((fault, ..)) => not_reached(
+            executions,
+            format!("{fault:?}: no execution made this call"),
+        ),
+        None => Report {
+            executions,
+            complete,
+            failure,
+        },
     }
 }
 

@@ -1,50 +1,59 @@
-//! Schedule-instrumented doubles of the primitives the engine builds
-//! its protocols from.
+//! Schedule-instrumented doubles of `fg_types::sync` — the primitives
+//! the engine builds its protocols from, under the same names and with
+//! the same constructors, so a file written against `super::sync::…`
+//! compiles against either (see [`crate::models`]).
 //!
-//! Models use these instead of `std`/`fg_types` types; every access is
-//! a schedule point (see [`crate::sched`]), and the doubles maintain
-//! the vector-clock bookkeeping that makes `Relaxed`-vs-`Acquire`/
-//! `Release` visibility observable:
+//! Inside [`crate::explore`] every access is a schedule point (see
+//! [`crate::sched`]), and the doubles maintain the vector-clock
+//! bookkeeping that makes `Relaxed`-vs-`Acquire`/`Release` visibility
+//! observable:
 //!
-//! * **Atomics** ([`CAtomicU64`], [`CAtomicUsize`], [`CAtomicBool`])
-//!   have sequentially-consistent *value* semantics but ordering-
-//!   faithful *clock* semantics. A `Release` store publishes the
-//!   writer's clock on the atomic; an `Acquire` load joins it; an
-//!   `AcqRel` RMW does both and accumulates (modelling release
-//!   sequences through RMW chains); `Relaxed` operations move values
-//!   only — a `Relaxed` store severs the release chain, and a
-//!   `Relaxed` RMW continues it without contributing its own clock.
-//! * **[`CCell`]** is non-atomic shared data. Every access is checked
+//! * **Atomics** ([`AtomicU64`], [`AtomicUsize`], [`AtomicBool`]) have
+//!   sequentially-consistent *value* semantics but ordering-faithful
+//!   *clock* semantics. A `Release` store publishes the writer's clock
+//!   on the atomic; an `Acquire` load joins it; an `AcqRel` RMW does
+//!   both and accumulates (modelling release sequences through RMW
+//!   chains); `Relaxed` operations move values only — a `Relaxed`
+//!   store severs the release chain, and a `Relaxed` RMW continues it
+//!   without contributing its own clock.
+//! * **[`CCell`]** is non-atomic shared data, the payload a scenario
+//!   protects with the protocol under test. Every access is checked
 //!   against the clocks: an access not ordered after the previous
 //!   conflicting access is reported as a data race. This is how a
 //!   "lost publication" from an ordering downgrade actually surfaces.
-//! * **[`CMutex`] / [`CCondvar`]** transfer clocks through lock
+//! * **[`Mutex`] / [`Condvar`]** transfer clocks through lock
 //!   hand-off, block threads scheduler-side, and make lost wakeups
 //!   visible as deadlocks.
-//! * **[`CBitmap`]** mirrors `fg_types::AtomicBitmap`'s `set_sync` /
-//!   `clear_sync` (per-bit try-lock) with a configurable ordering so
-//!   the busy-bit model can seed its downgrade mutation.
 //!
-//! Everything here deliberately avoids real atomics: exactly one model
-//! thread runs at a time, so plain mutex-guarded state is race-free in
-//! the Rust sense while the *model's* races are tracked by clocks.
+//! The atomics, `Mutex` and `Condvar` are also where a [`crate::Fault`]
+//! lands: each operation knows its call site (`#[track_caller]`) and
+//! asks the scheduler whether this exploration breaks it. A double's
+//! trace name is its creation site and ordinal (`pool.rs:41#3`).
+//!
+//! A double created on a thread that is not a model thread is a *plain
+//! value*: the same state behind the same real lock, no scheduler, no
+//! clocks — a slow but correct atomic, mutex or condvar, which is what
+//! lets a mounted file's own `#[cfg(test)]` module run, real threads
+//! and all, in this crate's test build. Nothing here is a real atomic:
+//! under the scheduler exactly one model thread runs at a time.
 
-use std::sync::Mutex;
+use std::fmt;
+use std::panic::Location;
+use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdGuard};
 
 pub use crate::sched::CJoinHandle;
-use crate::sched::{FailureKind, Scheduler};
-use std::sync::Arc;
+use crate::sched::{FailureKind, Scheduler, St};
 
-/// Memory orderings, re-exported so models read like engine code.
+/// Memory orderings, re-exported like `fg_types::sync` does.
 pub use fg_types::sync::Ordering;
 
 fn acquire_half(ord: Ordering) -> bool {
-    // ordering: classification of a model's ordering, not an access.
+    // ordering: classification of a scenario's ordering, not an access.
     matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 fn release_half(ord: Ordering) -> bool {
-    // ordering: classification of a model's ordering, not an access.
+    // ordering: classification of a scenario's ordering, not an access.
     matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
@@ -54,11 +63,31 @@ fn join_into(dst: &mut [u32], src: &[u32]) {
     }
 }
 
-/// Spawns a model thread. The handle must be joined before the model
-/// body returns (join is also the happens-before edge the final
+/// Locks a double's own bookkeeping. Poison there only means an
+/// execution was torn down mid-access; the state is still the state.
+fn relock<T>(m: &StdMutex<T>) -> StdGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Spawns a model thread. The handle must be joined before the
+/// scenario returns (join is also the happens-before edge the final
 /// asserts rely on).
 pub fn cspawn(f: impl FnOnce() + Send + 'static) -> CJoinHandle {
     crate::sched::spawn_model_thread(f)
+}
+
+/// Spawns `n` model threads running `f(0)` … `f(n - 1)` and joins
+/// them all, in that order.
+pub fn cspawn_each(n: usize, f: impl Fn(usize) + Send + Sync + 'static) {
+    let f = Arc::new(f);
+    let spawn = |i| {
+        cspawn({
+            let f = f.clone();
+            move || f(i)
+        })
+    };
+    let handles: Vec<CJoinHandle> = (0..n).map(spawn).collect();
+    handles.into_iter().for_each(CJoinHandle::join);
 }
 
 /// A spin-loop hint: parks the thread at a schedule point and tells
@@ -69,6 +98,31 @@ pub fn cyield() {
     sched.yield_point(me);
 }
 
+/// What a double created inside [`crate::explore`] carries; a plain
+/// value has none.
+struct Tracked {
+    sched: Arc<Scheduler>,
+    id: u64,
+    name: String,
+}
+
+impl Tracked {
+    #[track_caller]
+    fn new() -> Option<Tracked> {
+        let (sched, _) = Scheduler::try_current()?;
+        let at = Location::caller();
+        let id = sched.fresh_obj_id();
+        let file = at.file().rsplit('/').next().unwrap_or_default();
+        let name = format!("{}:{}#{}", file, at.line(), id);
+        Some(Tracked { sched, id, name })
+    }
+
+    /// A zeroed clock of this exploration's width.
+    fn clock(&self) -> Vec<u32> {
+        vec![0; self.sched.with_clocks(|c| c[0].len())]
+    }
+}
+
 struct AtomicMeta {
     value: u64,
     /// The clock a synchronizing reader acquires; all-zero when the
@@ -77,144 +131,169 @@ struct AtomicMeta {
 }
 
 /// An instrumented 64-bit atomic.
-pub struct CAtomicU64 {
-    sched: Arc<Scheduler>,
-    name: String,
-    meta: Mutex<AtomicMeta>,
+pub struct AtomicU64 {
+    model: Option<Tracked>,
+    meta: StdMutex<AtomicMeta>,
 }
 
-impl CAtomicU64 {
-    pub fn new(name: &str, v: u64) -> Self {
-        let (sched, _) = Scheduler::current();
-        let width = sched.with_clocks(|c| c[0].len());
-        CAtomicU64 {
-            sched,
-            name: name.to_string(),
-            meta: Mutex::new(AtomicMeta {
-                value: v,
-                release: vec![0; width],
-            }),
+impl fmt::Debug for AtomicU64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "AtomicU64({})", relock(&self.meta).value)
+    }
+}
+
+impl AtomicU64 {
+    #[track_caller]
+    pub fn new(v: u64) -> Self {
+        let model = Tracked::new();
+        let release = model.as_ref().map_or(Vec::new(), Tracked::clock);
+        AtomicU64 {
+            model,
+            meta: StdMutex::new(AtomicMeta { value: v, release }),
         }
     }
 
-    fn op(&self, me: usize, ord: Ordering, f: impl FnOnce(u64) -> u64) -> u64 {
-        let mut m = self.meta.lock().unwrap();
+    /// The schedule point of one access. Returns the model thread and
+    /// the ordering to apply — `Relaxed` if this exploration faults
+    /// the call at `at` — or `None` for a plain value.
+    fn enter(
+        &self,
+        at: &Location<'_>,
+        op: &str,
+        arg: Option<u64>,
+        ord: Ordering,
+    ) -> Option<(&Tracked, usize, Ordering)> {
+        let t = self.model.as_ref()?;
+        let me = Scheduler::current_tid();
+        let arg = arg.map_or(String::new(), |a| format!("{:#x}, ", a));
+        t.sched
+            .point(me, &format!("{}.{}({}{:?})", t.name, op, arg, ord));
+        if t.sched.faulted(op, at) {
+            // ordering: the injected downgrade (see `crate::Fault`).
+            return Some((t, me, Ordering::Relaxed));
+        }
+        Some((t, me, ord))
+    }
+
+    fn rmw(
+        &self,
+        at: &Location<'_>,
+        op: &str,
+        arg: u64,
+        ord: Ordering,
+        f: impl FnOnce(u64) -> u64,
+    ) -> u64 {
+        let site = self.enter(at, op, Some(arg), ord);
+        let mut m = relock(&self.meta);
         let old = m.value;
         m.value = f(old);
-        self.sched.with_clocks(|clocks| {
-            if acquire_half(ord) {
-                let rel = m.release.clone();
-                join_into(&mut clocks[me], &rel);
-            }
-            if release_half(ord) {
-                let snap = clocks[me].clone();
-                join_into(&mut m.release, &snap);
-            }
-            // A Relaxed RMW continues the release sequence without
-            // adding its own clock: `m.release` is left as-is.
-        });
+        if let Some((t, me, ord)) = site {
+            t.sched.with_clocks(|clocks| {
+                if acquire_half(ord) {
+                    join_into(&mut clocks[me], &m.release);
+                }
+                if release_half(ord) {
+                    join_into(&mut m.release, &clocks[me]);
+                }
+                // A Relaxed RMW continues the release sequence without
+                // adding its own clock: `m.release` is left as-is.
+            });
+        }
         old
     }
 
+    #[track_caller]
     pub fn load(&self, ord: Ordering) -> u64 {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.load({:?})", self.name, ord));
-        self.op(me, strip_release(ord), |v| v)
+        let site = self.enter(Location::caller(), "load", None, ord);
+        let m = relock(&self.meta);
+        if let Some((t, me, ord)) = site {
+            // Loads never release; only the acquire half applies.
+            if acquire_half(ord) {
+                t.sched
+                    .with_clocks(|clocks| join_into(&mut clocks[me], &m.release));
+            }
+        }
+        m.value
     }
 
+    #[track_caller]
     pub fn store(&self, v: u64, ord: Ordering) {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.store({}, {:?})", self.name, v, ord));
-        let mut m = self.meta.lock().unwrap();
+        let site = self.enter(Location::caller(), "store", Some(v), ord);
+        let mut m = relock(&self.meta);
         m.value = v;
-        if release_half(ord) {
-            let snap = self.sched.with_clocks(|clocks| clocks[me].clone());
-            // A plain store *replaces* the release clock: it starts a
-            // fresh release sequence (unlike an RMW, which continues
-            // the old one).
-            m.release = snap;
-        } else {
-            // A Relaxed store severs the chain entirely.
-            for c in m.release.iter_mut() {
-                *c = 0;
+        if let Some((t, me, ord)) = site {
+            if release_half(ord) {
+                // A plain store *replaces* the release clock: it starts
+                // a fresh release sequence (unlike an RMW, which
+                // continues the old one).
+                m.release = t.sched.with_clocks(|clocks| clocks[me].clone());
+            } else {
+                // A Relaxed store severs the chain entirely.
+                m.release.fill(0);
             }
         }
     }
 
+    #[track_caller]
     pub fn fetch_add(&self, n: u64, ord: Ordering) -> u64 {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.fetch_add({}, {:?})", self.name, n, ord));
-        self.op(me, ord, |v| v.wrapping_add(n))
+        self.rmw(Location::caller(), "fetch_add", n, ord, |v| {
+            v.wrapping_add(n)
+        })
     }
 
+    #[track_caller]
     pub fn fetch_sub(&self, n: u64, ord: Ordering) -> u64 {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.fetch_sub({}, {:?})", self.name, n, ord));
-        self.op(me, ord, |v| v.wrapping_sub(n))
+        self.rmw(Location::caller(), "fetch_sub", n, ord, |v| {
+            v.wrapping_sub(n)
+        })
     }
 
+    #[track_caller]
     pub fn fetch_or(&self, n: u64, ord: Ordering) -> u64 {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.fetch_or({:#x}, {:?})", self.name, n, ord));
-        self.op(me, ord, |v| v | n)
+        self.rmw(Location::caller(), "fetch_or", n, ord, |v| v | n)
     }
 
+    #[track_caller]
     pub fn fetch_and(&self, n: u64, ord: Ordering) -> u64 {
-        let me = Scheduler::current_tid();
-        self.sched
-            .point(me, &format!("{}.fetch_and({:#x}, {:?})", self.name, n, ord));
-        self.op(me, ord, |v| v & n)
-    }
-}
-
-/// Loads never release; keep the acquire half only, so `op` does not
-/// misinterpret a `SeqCst` load as publishing.
-fn strip_release(ord: Ordering) -> Ordering {
-    if acquire_half(ord) {
-        Ordering::Acquire
-    } else {
-        // ordering: classification of a model's ordering, not an
-        // access.
-        Ordering::Relaxed
+        self.rmw(Location::caller(), "fetch_and", n, ord, |v| v & n)
     }
 }
 
 /// An instrumented `usize` atomic (stored as u64).
-pub struct CAtomicUsize(CAtomicU64);
+pub struct AtomicUsize(AtomicU64);
 
-impl CAtomicUsize {
-    pub fn new(name: &str, v: usize) -> Self {
-        CAtomicUsize(CAtomicU64::new(name, v as u64))
+impl AtomicUsize {
+    #[track_caller]
+    pub fn new(v: usize) -> Self {
+        AtomicUsize(AtomicU64::new(v as u64))
     }
+    #[track_caller]
     pub fn load(&self, ord: Ordering) -> usize {
         self.0.load(ord) as usize
     }
+    #[track_caller]
     pub fn store(&self, v: usize, ord: Ordering) {
         self.0.store(v as u64, ord)
     }
+    #[track_caller]
     pub fn fetch_add(&self, n: usize, ord: Ordering) -> usize {
         self.0.fetch_add(n as u64, ord) as usize
-    }
-    pub fn fetch_sub(&self, n: usize, ord: Ordering) -> usize {
-        self.0.fetch_sub(n as u64, ord) as usize
     }
 }
 
 /// An instrumented boolean atomic.
-pub struct CAtomicBool(CAtomicU64);
+pub struct AtomicBool(AtomicU64);
 
-impl CAtomicBool {
-    pub fn new(name: &str, v: bool) -> Self {
-        CAtomicBool(CAtomicU64::new(name, v as u64))
+impl AtomicBool {
+    #[track_caller]
+    pub fn new(v: bool) -> Self {
+        AtomicBool(AtomicU64::new(v as u64))
     }
+    #[track_caller]
     pub fn load(&self, ord: Ordering) -> bool {
         self.0.load(ord) != 0
     }
+    #[track_caller]
     pub fn store(&self, v: bool, ord: Ordering) {
         self.0.store(v as u64, ord)
     }
@@ -233,10 +312,11 @@ struct CellMeta<T> {
 /// Stands in for the engine's `UnsafeCell` state (vertex states, the
 /// `ActiveSet` lists): every read/write checks that it is ordered
 /// after all conflicting accesses, and reports a data race otherwise.
+/// Only exists under [`crate::explore`].
 pub struct CCell<T> {
     sched: Arc<Scheduler>,
     name: String,
-    meta: Mutex<CellMeta<T>>,
+    meta: StdMutex<CellMeta<T>>,
 }
 
 impl<T> CCell<T> {
@@ -246,7 +326,7 @@ impl<T> CCell<T> {
         CCell {
             sched,
             name: name.to_string(),
-            meta: Mutex::new(CellMeta {
+            meta: StdMutex::new(CellMeta {
                 data: v,
                 last_write: None,
                 reads: vec![0; width],
@@ -259,7 +339,7 @@ impl<T> CCell<T> {
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         let me = Scheduler::current_tid();
         self.sched.point(me, &format!("{}.read", self.name));
-        let mut m = self.meta.lock().unwrap();
+        let mut m = relock(&self.meta);
         let (hb, my_epoch) = self.sched.with_clocks(|clocks| {
             let hb = match m.last_write {
                 None => true,
@@ -285,7 +365,7 @@ impl<T> CCell<T> {
     pub fn write<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let me = Scheduler::current_tid();
         self.sched.point(me, &format!("{}.write", self.name));
-        let mut m = self.meta.lock().unwrap();
+        let mut m = relock(&self.meta);
         let (conflict, my_epoch) = self.sched.with_clocks(|clocks| {
             let mut conflict = None;
             if let Some((w, e)) = m.last_write {
@@ -309,202 +389,204 @@ impl<T> CCell<T> {
             self.sched.fail(FailureKind::DataRace(msg));
         }
         m.last_write = Some((me, my_epoch));
-        for r in m.reads.iter_mut() {
-            *r = 0;
-        }
+        m.reads.fill(0);
         f(&mut m.data)
     }
 }
 
+#[derive(Default)]
 struct MutexMeta {
     held_by: Option<usize>,
     clock: Vec<u32>,
+    /// The last unlocker and its epoch then — what a faulted `lock`,
+    /// which acquires nothing, must already be ordered after.
+    last: Option<(usize, u32)>,
 }
 
 /// An instrumented mutex: blocks scheduler-side, transfers clocks on
 /// hand-off.
-pub struct CMutex<T> {
-    sched: Arc<Scheduler>,
-    id: u64,
-    name: String,
-    meta: Mutex<MutexMeta>,
-    data: Mutex<T>,
+pub struct Mutex<T> {
+    model: Option<Tracked>,
+    meta: StdMutex<MutexMeta>,
+    data: StdMutex<T>,
 }
 
-/// RAII guard for [`CMutex`]; unlocking is itself a schedule point.
-pub struct CMutexGuard<'a, T> {
-    mutex: &'a CMutex<T>,
-    /// Taken in `Drop`; `None` after a hand-off to `CCondvar::wait`.
-    data: Option<std::sync::MutexGuard<'a, T>>,
+/// RAII guard for [`Mutex`]; unlocking is itself a schedule point.
+pub struct MutexGuard<'a, T> {
+    mutex: &'a Mutex<T>,
+    /// `None` once handed to [`Condvar::wait`] or released.
+    data: Option<StdGuard<'a, T>>,
 }
 
-impl<T> CMutex<T> {
-    pub fn new(name: &str, v: T) -> Self {
-        let (sched, _) = Scheduler::current();
-        let width = sched.with_clocks(|c| c[0].len());
-        let id = sched.fresh_obj_id();
-        CMutex {
-            sched,
-            id,
-            name: name.to_string(),
-            meta: Mutex::new(MutexMeta {
-                held_by: None,
-                clock: vec![0; width],
+impl<T> Mutex<T> {
+    #[track_caller]
+    pub fn new(v: T) -> Self {
+        let model = Tracked::new();
+        let clock = model.as_ref().map_or(Vec::new(), Tracked::clock);
+        Mutex {
+            model,
+            meta: StdMutex::new(MutexMeta {
+                clock,
+                ..MutexMeta::default()
             }),
-            data: Mutex::new(v),
+            data: StdMutex::new(v),
         }
     }
 
-    pub fn lock(&self) -> CMutexGuard<'_, T> {
-        let me = Scheduler::current_tid();
-        self.sched.point(me, &format!("{}.lock", self.name));
-        self.lock_granted(me)
+    #[track_caller]
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        if let Some(t) = &self.model {
+            let me = Scheduler::current_tid();
+            t.sched.point(me, &format!("{}.lock", t.name));
+            self.acquire(t, me, t.sched.faulted("lock", Location::caller()));
+        }
+        // Uncontended under the scheduler (`held_by` is the model's
+        // lock); the real, blocking lock of a plain value.
+        MutexGuard {
+            mutex: self,
+            data: Some(relock(&self.data)),
+        }
     }
 
-    /// Acquires while already holding a fresh token grant (lock retry
-    /// and post-`wait` re-acquisition paths).
-    fn lock_granted(&self, me: usize) -> CMutexGuard<'_, T> {
+    /// Takes the model's lock for `me`, who holds a fresh token grant
+    /// (`lock` and the re-acquisition after a `wait`). A `faulted`
+    /// acquisition neither waits for the holder nor joins its clock:
+    /// unless `me` is ordered after the last holder anyway, two
+    /// threads are in the critical section unordered — a data race.
+    fn acquire(&self, t: &Tracked, me: usize, faulted: bool) {
         loop {
-            {
-                let mut m = self.meta.lock().unwrap();
-                if m.held_by.is_none() {
-                    m.held_by = Some(me);
-                    let clock = m.clock.clone();
-                    self.sched
-                        .with_clocks(|clocks| join_into(&mut clocks[me], &clock));
+            let mut m = relock(&self.meta);
+            if faulted {
+                let unordered = m.held_by.or_else(|| {
+                    let (w, e) = m.last?;
+                    t.sched.with_clocks(|clocks| clocks[me][w] < e).then_some(w)
+                });
+                if let Some(other) = unordered {
                     drop(m);
-                    return CMutexGuard {
-                        mutex: self,
-                        data: Some(self.data.lock().unwrap()),
-                    };
+                    t.sched.fail(FailureKind::DataRace(format!(
+                        "`{}`: t{} entered without the lock, unordered with holder t{}",
+                        t.name, me, other
+                    )));
                 }
+                m.held_by = Some(me);
+                return;
             }
-            self.sched
-                .block_on_mutex_edge(me, self.id, &format!("{}.lock (blocked)", self.name));
+            if m.held_by.is_none() {
+                m.held_by = Some(me);
+                t.sched
+                    .with_clocks(|clocks| join_into(&mut clocks[me], &m.clock));
+                return;
+            }
+            drop(m);
+            let desc = format!("{}.lock (blocked)", t.name);
+            t.sched.block_on(me, St::BlockedMutex(t.id), &desc);
         }
     }
 
-    /// Releases the lock state and wakes blocked lockers; shared by
-    /// guard drop and `CCondvar::wait`.
-    fn unlock_meta(&self, me: usize) {
-        let mut m = self.meta.lock().unwrap();
+    /// Releases the model's lock and wakes blocked lockers; shared by
+    /// guard drop and [`Condvar::wait`].
+    fn release(&self, t: &Tracked, me: usize) {
+        let mut m = relock(&self.meta);
         debug_assert_eq!(m.held_by, Some(me), "unlock by non-owner");
         m.held_by = None;
-        self.sched.with_clocks(|clocks| {
-            let snap = clocks[me].clone();
-            join_into(&mut m.clock, &snap);
+        t.sched.with_clocks(|clocks| {
+            join_into(&mut m.clock, &clocks[me]);
+            m.last = Some((me, clocks[me][me]));
         });
         drop(m);
-        self.sched.unblock_mutex(self.id);
+        t.sched.unblock(St::BlockedMutex(t.id));
     }
 }
 
-impl<T> std::ops::Deref for CMutexGuard<'_, T> {
+impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         self.data.as_ref().expect("guard still holds data")
     }
 }
 
-impl<T> std::ops::DerefMut for CMutexGuard<'_, T> {
+impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.data.as_mut().expect("guard still holds data")
     }
 }
 
-impl<T> Drop for CMutexGuard<'_, T> {
+impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.data.is_none() {
-            return; // handed off to CCondvar::wait
-        }
+        let (Some(t), true) = (&self.mutex.model, self.data.is_some()) else {
+            return; // a plain value (the field drop unlocks), or handed to `wait`
+        };
         if std::thread::panicking() {
             // Execution is being torn down; release silently so other
             // unwinding threads are not blocked on the real mutex.
             self.data = None;
-            let mut m = self.mutex.meta.lock().unwrap();
-            m.held_by = None;
+            relock(&self.mutex.meta).held_by = None;
             return;
         }
         let me = Scheduler::current_tid();
-        self.mutex
-            .sched
-            .point(me, &format!("{}.unlock", self.mutex.name));
+        t.sched.point(me, &format!("{}.unlock", t.name));
         self.data = None;
-        self.mutex.unlock_meta(me);
+        self.mutex.release(t, me);
     }
 }
 
 /// An instrumented condition variable. No spurious wakeups — which
 /// only *under*-approximates real behaviour, so anything it flags is
 /// reachable with a real condvar too. `notify` without a waiter is
-/// lost, exactly like the real thing: a missing-notify mutation shows
-/// up as a deadlock.
-pub struct CCondvar {
-    sched: Arc<Scheduler>,
-    id: u64,
-    name: String,
+/// lost, exactly like the real thing: a missing notify shows up as a
+/// deadlock.
+pub struct Condvar {
+    model: Option<Tracked>,
+    real: StdCondvar,
 }
 
-impl CCondvar {
-    pub fn new(name: &str) -> Self {
-        let (sched, _) = Scheduler::current();
-        let id = sched.fresh_obj_id();
-        CCondvar {
-            sched,
-            id,
-            name: name.to_string(),
+impl Default for Condvar {
+    #[track_caller]
+    fn default() -> Self {
+        Condvar::new()
+    }
+}
+
+impl Condvar {
+    #[track_caller]
+    pub fn new() -> Self {
+        Condvar {
+            model: Tracked::new(),
+            real: StdCondvar::new(),
         }
     }
 
     /// Atomically releases the guard's mutex and blocks until
     /// notified, then re-acquires. Returns the re-acquired guard.
-    pub fn wait<'a, T>(&self, mut guard: CMutexGuard<'a, T>) -> CMutexGuard<'a, T> {
-        let me = Scheduler::current_tid();
-        self.sched.point(me, &format!("{}.wait", self.name));
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        let held = guard.data.take().expect("guard still holds data");
         let mutex = guard.mutex;
+        let (Some(t), Some(mt)) = (&self.model, &mutex.model) else {
+            guard.data = Some(self.real.wait(held).unwrap_or_else(|e| e.into_inner()));
+            return guard;
+        };
+        let me = Scheduler::current_tid();
+        t.sched.point(me, &format!("{}.wait", t.name));
         // Release without a second schedule point: the unlock is part
         // of the wait operation.
-        guard.data = None;
-        mutex.unlock_meta(me);
-        drop(guard);
-        self.sched
-            .block_on_cond_edge(me, self.id, &format!("{}.wake", self.name));
-        mutex.lock_granted(me)
+        drop(held);
+        mutex.release(mt, me);
+        let desc = format!("{}.wake", t.name);
+        t.sched.block_on(me, St::BlockedCond(t.id), &desc);
+        mutex.acquire(mt, me, false);
+        guard.data = Some(relock(&mutex.data));
+        guard
     }
 
+    #[track_caller]
     pub fn notify_all(&self) {
+        let Some(t) = &self.model else {
+            return self.real.notify_all();
+        };
         let me = Scheduler::current_tid();
-        self.sched.point(me, &format!("{}.notify_all", self.name));
-        self.sched.unblock_cond(self.id);
-    }
-}
-
-/// An instrumented double of `fg_types::AtomicBitmap`'s synchronizing
-/// ops: `set_sync` is a per-bit try-lock (`fetch_or`), `clear_sync`
-/// the unlock (`fetch_and`). The ordering is a parameter so the
-/// busy-bit model can seed its `AcqRel → Relaxed` mutation.
-pub struct CBitmap {
-    words: Vec<CAtomicU64>,
-    ord: Ordering,
-}
-
-impl CBitmap {
-    pub fn new(name: &str, bits: usize, ord: Ordering) -> Self {
-        let words = (0..bits.div_ceil(64))
-            .map(|w| CAtomicU64::new(&format!("{}[{}]", name, w), 0))
-            .collect();
-        CBitmap { words, ord }
-    }
-
-    /// Sets bit `i`; returns the previous bit — `true` means the
-    /// try-lock failed (someone else holds it).
-    pub fn set_sync(&self, i: usize) -> bool {
-        let old = self.words[i / 64].fetch_or(1 << (i % 64), self.ord);
-        old & (1 << (i % 64)) != 0
-    }
-
-    /// Clears bit `i` (the unlock / publication edge).
-    pub fn clear_sync(&self, i: usize) {
-        self.words[i / 64].fetch_and(!(1 << (i % 64)), self.ord);
+        t.sched.point(me, &format!("{}.notify_all", t.name));
+        if !t.sched.faulted("notify_all", Location::caller()) {
+            t.sched.unblock(St::BlockedCond(t.id));
+        }
     }
 }

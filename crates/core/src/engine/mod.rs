@@ -15,7 +15,9 @@
 //! `Engine::new_mem` on the same graph and `fg_baselines::direct`; the
 //! ledger's `engine.run_floor_us` prices an empty run.
 
-use fg_types::sync::Ordering;
+// `pool.rs` names its primitives `super::sync::…` — here the real ones,
+// in `fg_check`'s mount of the same file the instrumented doubles.
+use fg_types::sync::{self, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -3,20 +3,21 @@
 //! without a barrier (see [`ReadyPool`]). The two counters are
 //! private; `accept` / `release` / `announce_claims_done` /
 //! `quiesced` / `begin_iteration` are the whole protocol, each
-//! ordering stated beside its access, with `fg_check`'s `quiesce` and
-//! `ready_pool` models as referees. Priced, with `claim.rs`, by the
+//! ordering stated beside its access. The referee reads this file, not
+//! a copy of it: `fg_check` compiles it against its instrumented
+//! `sync` (which is why every primitive below is `super::sync::…` and
+//! nothing else) and its `quiesce` and `ready_pool` harnesses explore
+//! these functions as shipped. Priced, with `claim.rs`, by the
 //! ledger's `engine.noop_ns_per_vertex`.
 
-use fg_types::sync::{AtomicU64, AtomicUsize, Ordering};
+use super::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
-
-use super::sem_io::ReadyVertex;
 
 /// The pipelined scheduler's cross-worker delivery pool and its
 /// completion counters.
 ///
-/// Resolved [`ReadyVertex`] deliveries land in the resolving worker's
-/// deque, where the owner pops them LIFO (the spans are cache-warm)
+/// Resolved deliveries (the engine's `T` is `ReadyVertex`) land in the
+/// resolving worker's deque, where the owner pops them LIFO (the spans are cache-warm)
 /// and other workers steal them FIFO when their own device queue is
 /// ahead of their CPU. The shared injector takes hand-offs: a stolen
 /// delivery whose requester is busy on another worker goes there
@@ -27,40 +28,38 @@ use super::sem_io::ReadyVertex;
 /// and `claims_done`, the workers that have exhausted claiming for the
 /// current iteration. The iteration's compute is over exactly when
 /// `claims_done == workers && obligations == 0`.
-pub(super) struct ReadyPool {
-    injector: parking_lot::Mutex<VecDeque<ReadyVertex>>,
-    deques: Vec<parking_lot::Mutex<VecDeque<ReadyVertex>>>,
+pub(super) struct ReadyPool<T> {
+    injector: Mutex<VecDeque<T>>,
+    deques: Vec<Mutex<VecDeque<T>>>,
     obligations: AtomicU64,
     claims_done: AtomicUsize,
 }
 
-impl ReadyPool {
+impl<T> ReadyPool<T> {
     pub(super) fn new(workers: usize) -> Self {
         ReadyPool {
-            injector: parking_lot::Mutex::new(VecDeque::new()),
-            deques: (0..workers)
-                .map(|_| parking_lot::Mutex::new(VecDeque::new()))
-                .collect(),
+            injector: Mutex::new(VecDeque::new()),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             obligations: AtomicU64::new(0),
             claims_done: AtomicUsize::new(0),
         }
     }
 
     /// Moves freshly resolved deliveries into worker `w`'s deque.
-    pub(super) fn push_local(&self, w: usize, items: &mut Vec<ReadyVertex>) {
+    pub(super) fn push_local(&self, w: usize, items: &mut Vec<T>) {
         self.deques[w].lock().extend(items.drain(..));
     }
 
     /// Hands a delivery whose requester is busy elsewhere to the
     /// injector, where any worker (including the busy one) picks it
     /// up once the conflict clears.
-    pub(super) fn push_injector(&self, r: ReadyVertex) {
+    pub(super) fn push_injector(&self, r: T) {
         self.injector.lock().push_back(r);
     }
 
     /// Next delivery for worker `w`: own deque (LIFO), then the
     /// injector, then stealing from the other workers (FIFO).
-    pub(super) fn pop(&self, w: usize) -> Option<ReadyVertex> {
+    pub(super) fn pop(&self, w: usize) -> Option<T> {
         if let Some(r) = self.deques[w].lock().pop_back() {
             return Some(r);
         }
@@ -83,8 +82,8 @@ impl ReadyPool {
         // quiesce check rides on the `claims_done` release chain
         // (claim phase) or on the enclosing obligation's AcqRel
         // decrement (cascades), never on the increment itself.
-        // fg_check's `quiesce` model is the referee; its
-        // NoOuterObligation mutation shows what breaks when a cascade
+        // fg_check's `quiesce` harness is the referee; its
+        // NoOuterObligation switch shows what breaks when a cascade
         // runs without cover.
         self.obligations.fetch_add(1, Ordering::Relaxed);
     }
@@ -96,9 +95,9 @@ impl ReadyPool {
         // ordering: AcqRel — release publishes the delivery's state
         // writes to the worker whose quiesce load sees the count reach
         // zero; acquire folds earlier decrements into this RMW's
-        // release sequence. The RelaxedPublish mutation of fg_check's
-        // `quiesce` model demonstrates the lost publication if this is
-        // weakened.
+        // release sequence. The RelaxedPublish fault of fg_check's
+        // `quiesce` harness downgrades this very RMW and demonstrates
+        // the lost publication.
         let open = self.obligations.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(open > 0, "release without a matching accept");
     }
@@ -112,7 +111,7 @@ impl ReadyPool {
         // final flush to whoever's `quiesced` load sees the full
         // count; the acquire half joins earlier announcements' release
         // sequence through the RMW chain. Referee: fg_check's
-        // `quiesce` model.
+        // `quiesce` harness.
         self.claims_done.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -126,9 +125,9 @@ impl ReadyPool {
         // announcement/decrement RMWs, so a worker that observes the
         // full claim count and a zero obligation count also observes
         // every delivered vertex's state writes. These were SeqCst
-        // from PR 6 "to be safe"; fg_check's `quiesce` model passes
+        // from PR 6 "to be safe"; fg_check's `quiesce` harness passes
         // exhaustively at Acquire/AcqRel and catches the seeded
-        // downgrades below it.
+        // downgrade below it.
         self.claims_done.load(Ordering::Acquire) == workers
             && self.obligations.load(Ordering::Acquire) == 0
     }
@@ -150,32 +149,14 @@ impl ReadyPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::EdgeRequest;
-    use crate::engine::sem_io::fetch_window;
-    use fg_types::{EdgeDir, VertexId};
 
-    /// An empty delivery for requester `id`.
-    fn item(id: u32) -> ReadyVertex {
-        let req = EdgeRequest {
-            subject: VertexId(id),
-            requester: VertexId(id),
-            dir: EdgeDir::Out,
-            attrs: false,
-            start: 0,
-            len: 0,
-        };
-        ReadyVertex::empty(fetch_window(&req, 0, None, || 0), false)
-    }
-
-    fn requesters(pool: &ReadyPool, w: usize) -> Vec<u32> {
-        std::iter::from_fn(|| pool.pop(w))
-            .map(|r| r.head.requester.0)
-            .collect()
+    fn drain(pool: &ReadyPool<u32>, w: usize) -> Vec<u32> {
+        std::iter::from_fn(|| pool.pop(w)).collect()
     }
 
     #[test]
     fn an_open_obligation_holds_quiesce_off() {
-        let pool = ReadyPool::new(2);
+        let pool = ReadyPool::<u32>::new(2);
         pool.accept();
         pool.announce_claims_done();
         pool.announce_claims_done();
@@ -192,7 +173,7 @@ mod tests {
 
     #[test]
     fn the_last_announcement_completes_quiesce() {
-        let pool = ReadyPool::new(3);
+        let pool = ReadyPool::<u32>::new(3);
         assert!(!pool.quiesced(3));
         pool.announce_claims_done();
         pool.announce_claims_done();
@@ -205,20 +186,20 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "release without a matching accept")]
     fn release_without_accept_is_caught() {
-        ReadyPool::new(1).release();
+        ReadyPool::<u32>::new(1).release();
     }
 
     #[test]
     fn pop_is_own_lifo_then_injector_fifo_then_victim_fifo() {
         let pool = ReadyPool::new(3);
-        pool.push_local(0, &mut vec![item(1), item(2)]);
-        pool.push_local(1, &mut vec![item(11), item(12)]);
-        pool.push_local(2, &mut vec![item(21), item(22)]);
-        pool.push_injector(item(31));
-        pool.push_injector(item(32));
+        pool.push_local(0, &mut vec![1, 2]);
+        pool.push_local(1, &mut vec![11, 12]);
+        pool.push_local(2, &mut vec![21, 22]);
+        pool.push_injector(31);
+        pool.push_injector(32);
         // Worker 0: its own newest first, the injector oldest first,
         // then its neighbours' oldest, nearest victim first.
-        assert_eq!(requesters(&pool, 0), [2, 1, 31, 32, 11, 12, 21, 22]);
+        assert_eq!(drain(&pool, 0), [2, 1, 31, 32, 11, 12, 21, 22]);
         assert!(pool.pop(1).is_none());
     }
 
@@ -228,10 +209,10 @@ mod tests {
         pool.announce_claims_done();
         pool.announce_claims_done();
         assert!(pool.quiesced(2));
-        pool.push_local(1, &mut vec![item(7)]);
+        pool.push_local(1, &mut vec![7]);
         pool.begin_iteration();
         assert!(!pool.quiesced(2), "claims start over");
-        assert_eq!(requesters(&pool, 0), [7], "deques are left as they were");
+        assert_eq!(drain(&pool, 0), [7], "deques are left as they were");
         pool.announce_claims_done();
         pool.announce_claims_done();
         assert!(pool.quiesced(2), "obligations were not touched");

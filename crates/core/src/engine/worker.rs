@@ -6,8 +6,10 @@
 //! Invariants owned here: a vertex's callbacks never run on two
 //! workers at once — any worker may run a vertex's delivery, but only
 //! under its bit of the busy bitmap, so `SharedStates`' exclusivity
-//! contract survives stealing (`fg_check`'s `busy_bit` model is the
-//! referee) — and an accepted request is released only after its
+//! contract survives stealing (`fg_check`'s `busy_bit` and
+//! `ready_pool` harnesses transcribe this file's side of it around the
+//! shipped bitmap and pool: `DroppedClear`, `DropOnConflict`) — and
+//! an accepted request is released only after its
 //! delivery *and* the absorption of the follow-ons that delivery
 //! queued (`complete`).
 
@@ -49,7 +51,7 @@ pub(super) struct WorkerEnv<'r, 'g, P: VertexProgram> {
     pub(super) barrier: &'r Rendezvous,
     pub(super) control: &'r Control,
     pub(super) counters: &'r Counters,
-    pub(super) ready: &'r ReadyPool,
+    pub(super) ready: &'r ReadyPool<ReadyVertex>,
     pub(super) busy: &'r AtomicBitmap,
     pub(super) cache_scope: &'r Option<Arc<CacheStats>>,
     pub(super) per_iteration: &'r parking_lot::Mutex<Vec<IterStats>>,

@@ -89,6 +89,10 @@
 //! assert_eq!(stats.iterations, 5);
 //! ```
 
+// `rendezvous.rs` names its primitives `super::sync::…` — here the real
+// ones, in `fg_check`'s mount of the same file the instrumented doubles.
+use fg_types::sync;
+
 mod config;
 mod context;
 mod engine;

@@ -1,6 +1,11 @@
-use std::sync::{Condvar, Mutex, MutexGuard};
+//! The engine's one barrier, [`Rendezvous`], and what a dead party
+//! does to it ([`PoisonGuard`], [`PeerPanicked`]). Every primitive is
+//! `super::sync::…` and nothing else: `fg_check` compiles this file
+//! against its instrumented `sync` and explores `vote` / `check` /
+//! `poison` as shipped (its `rendezvous` harness), so an edit here is
+//! checked by the next `cargo test --test check_models`.
 
-use fg_types::sync::{AtomicBool, Ordering};
+use super::sync::{AtomicBool, Condvar, Mutex, Ordering};
 
 /// The engine's one barrier: the workers of a shard meet here at every
 /// phase boundary of an iteration, and worker 0 of every shard of a
@@ -14,13 +19,18 @@ use fg_types::sync::{AtomicBool, Ordering};
 /// with [`PeerPanicked`] instead of waiting on a peer that will never
 /// arrive.
 ///
-/// Model-checked as `fg_check`'s `rendezvous` model: waiting on the
-/// *generation* (not the `arrived` counter, which the next round
-/// reuses) and notifying on poison are both load-bearing — the seeded
-/// `ArrivedPredicate` and `PoisonNoNotify` mutations each deadlock.
-/// See `crates/check` and `tests/check_models.rs`.
+/// Explored as shipped by `fg_check`'s `rendezvous` harness: two vote
+/// rounds with different results (a waiter waits on the *generation*,
+/// not the `arrived` counter the next round reuses), a peer that dies,
+/// and a party polling [`Rendezvous::check`] while one does. Both
+/// broadcasts are load-bearing — its `ReleaseNoNotify` and
+/// `PoisonNoNotify` faults drop one each and deadlock. See
+/// `crates/check` and `tests/check_models.rs`.
 pub(crate) struct Rendezvous {
     parties: usize,
+    /// Never lock-poisoned (`sync::Mutex` is not): a peer that
+    /// panicked mid-round is exactly the "peer panicked" case the flag
+    /// below carries, and `poison` must still work during unwind.
     state: Mutex<RoundState>,
     cv: Condvar,
     /// Set once, by [`Rendezvous::poison`], with `state` locked — so a
@@ -59,15 +69,6 @@ impl Rendezvous {
         }
     }
 
-    /// Lock poisoning is folded into the barrier's own flag: a peer
-    /// that panicked mid-round is exactly the "peer panicked" case,
-    /// and `poison` must still work during unwind.
-    fn lock(&self) -> MutexGuard<'_, RoundState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn is_poisoned(&self) -> bool {
         // ordering: Relaxed — the flag publishes no data, only "stop
         // waiting"; waiters at the barrier read it under `state`'s
@@ -96,7 +97,7 @@ impl Rendezvous {
     /// Contributes `flag` to this round's AND-reduction and blocks
     /// until every party has; returns the reduction.
     pub(crate) fn vote(&self, flag: bool) -> bool {
-        let mut g = self.lock();
+        let mut g = self.state.lock();
         if !self.is_poisoned() {
             g.acc &= flag;
             g.arrived += 1;
@@ -110,10 +111,7 @@ impl Rendezvous {
             }
             let gen = g.generation;
             while g.generation == gen && !self.is_poisoned() {
-                g = self
-                    .cv
-                    .wait(g)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                g = self.cv.wait(g);
             }
         }
         let result = g.result;
@@ -123,8 +121,8 @@ impl Rendezvous {
     }
 
     /// Marks the barrier dead and wakes every waiter (who then unwind).
-    fn poison(&self) {
-        let g = self.lock();
+    pub(super) fn poison(&self) {
+        let g = self.state.lock();
         // ordering: Relaxed — see `is_poisoned`; stored under the lock.
         self.poisoned.store(true, Ordering::Relaxed);
         drop(g);

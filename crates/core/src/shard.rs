@@ -16,8 +16,8 @@
 //!   destination vertex lives on a foreign shard buffer in per-worker
 //!   outboxes and travel as batched packets, drained by the owner at
 //!   the same iteration boundary a local send would reach;
-//! * a [`Rendezvous`] of k: the barrier worker 0 of every shard
-//!   meets at twice per iteration — once after compute (so all of
+//! * a [`Rendezvous`] of k (`rendezvous.rs`): the barrier worker 0 of
+//!   every shard meets at twice per iteration — once after compute (so all of
 //!   the iteration's packets are on the bus before anyone drains)
 //!   and once at the termination check, where the per-shard "quiet"
 //!   flags AND-reduce so every shard stops on the same iteration.

@@ -22,11 +22,11 @@
 //! of sprinkling `unsafe` through the engine.
 //!
 //! The busy-bit half of the contract is model-checked: `fg_check`'s
-//! `busy_bit` model explores the set_sync/clear_sync claim protocol
-//! over all bounded interleavings, and its seeded `RelaxedSync`
-//! mutation shows the AcqRel pair is load-bearing — downgrading it
-//! keeps mutual exclusion but loses publication (a data race on the
-//! protected state). See `crates/check` and `tests/check_models.rs`.
+//! `busy_bit` harness explores the shipped set_sync/clear_sync over
+//! all bounded interleavings, and its `RelaxedSync` fault shows the
+//! AcqRel pair is load-bearing — downgrading it keeps mutual
+//! exclusion but loses publication (a data race on the protected
+//! state). See `crates/check` and `tests/check_models.rs`.
 //!
 //! The contract is strictly *per run*: every run — including each of
 //! the many concurrent queries a [`crate::GraphService`] multiplexes

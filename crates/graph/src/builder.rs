@@ -108,11 +108,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw (pre-dedup) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the graph, consuming nothing (the builder can be reused
     /// after `clone`). Adjacency lists come out sorted by neighbour id
     /// with parallel edges deduplicated.

@@ -198,11 +198,6 @@ impl DeltaView {
         self.out.is_empty() && self.in_.is_empty()
     }
 
-    /// Number of vertices with pending out-direction ops.
-    pub fn touched_vertices(&self) -> usize {
-        self.out.len()
-    }
-
     /// The folded ops of `v` in `dir`, if any. Undirected views
     /// resolve every direction to the single stored one, like
     /// [`Graph::csr`].

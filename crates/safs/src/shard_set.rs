@@ -45,22 +45,6 @@ impl ShardSet {
         Ok(ShardSet { mounts })
     }
 
-    /// Wraps already-mounted filesystems, in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mounts` is empty or the mounts disagree on page
-    /// size (one image layout must address all of them).
-    pub fn from_mounts(mounts: Vec<Safs>) -> Self {
-        assert!(!mounts.is_empty(), "a shard set needs at least one mount");
-        let pb = mounts[0].page_bytes();
-        assert!(
-            mounts.iter().all(|m| m.page_bytes() == pb),
-            "shard mounts disagree on page size"
-        );
-        ShardSet { mounts }
-    }
-
     /// Number of shards.
     #[inline]
     pub fn len(&self) -> usize {

@@ -7,8 +7,8 @@
 //! neighbours in parallel) and a single-threaded version ([`Bitmap`],
 //! used for visited sets inside algorithms).
 
-use crate::sync::{AtomicU64, Ordering};
-use crate::VertexId;
+use super::sync::{AtomicU64, Ordering};
+use super::VertexId;
 
 const BITS: usize = 64;
 
@@ -239,10 +239,11 @@ impl AtomicBitmap {
     /// (relaxed `set`/`clear` only order the bit, not the data the
     /// bit protects).
     ///
-    /// The exclusivity-plus-publication contract is model-checked:
-    /// `fg_check`'s `busy_bit` protocol model proves it under
-    /// exhaustive small-bound interleaving, and its seeded
-    /// AcqRel→Relaxed mutation shows the downgrade losing the
+    /// The exclusivity-plus-publication contract is model-checked, as
+    /// shipped: `fg_check` compiles this file against its instrumented
+    /// atomics, its `busy_bit` harness explores these two functions
+    /// under exhaustive small-bound interleaving, and its `RelaxedSync`
+    /// fault (AcqRel→Relaxed on both) shows the downgrade losing the
     /// publication (`cargo test --test check_models`).
     ///
     /// # Panics

@@ -8,6 +8,14 @@
 //! `Ordering::Relaxed`/`Ordering::SeqCst` site needs an
 //! `// ordering:` justification) and `unsafe` hygiene.
 //!
+//! [`Mutex`] and [`Condvar`] are here for the same reason: a protocol
+//! written against nothing but this module (`super::sync::…`) is one
+//! `fg_check` can compile, unchanged, against its instrumented
+//! doubles and explore as shipped — `AtomicBitmap`, the engine's
+//! `ReadyPool` and its `Rendezvous` are. Neither poisons: a holder
+//! that panicked leaves the state as it was, and what a dead peer
+//! means is the protocol's business (`Rendezvous` has a flag for it).
+//!
 //! [`Counter`] exists because by far the most common atomic in this
 //! workspace is a monotonic statistic (I/O counters, cache counters,
 //! per-run engine counters) whose contract is always the same:
@@ -22,6 +30,54 @@
 // of the workspace (see module docs); everything below justifies its
 // own orderings.
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+
+/// A mutex whose `lock` returns the guard, poisoned or not.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
+
+/// RAII guard of a [`Mutex`].
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+
+impl<T> Mutex<T> {
+    /// Creates a mutex protecting `value`.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    /// Acquires the lock, blocking until available.
+    #[inline]
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+/// A condition variable over [`Mutex`] guards.
+#[derive(Debug, Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    /// Creates a condition variable with no waiters.
+    pub const fn new() -> Self {
+        Condvar(std::sync::Condvar::new())
+    }
+
+    /// Releases `guard`'s mutex, blocks until notified (or woken
+    /// spuriously) and returns the re-acquired guard.
+    #[inline]
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.0
+            .wait(guard)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Wakes every thread blocked in [`Condvar::wait`].
+    #[inline]
+    pub fn notify_all(&self) {
+        self.0.notify_all();
+    }
+}
 
 /// A relaxed statistics counter.
 ///
@@ -141,6 +197,39 @@ mod tests {
         c.set(0);
         assert_eq!(c.dec_saturating(), 0, "returns previous, clamped");
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn a_panicking_holder_does_not_poison_the_mutex() {
+        let m = Mutex::new(7);
+        let died = std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                *m.lock() = 8;
+                let _held = m.lock();
+                panic!("holder dies with the lock");
+            });
+            holder.join()
+        });
+        assert!(died.is_err());
+        assert_eq!(*m.lock(), 8, "the next lock() returns the inner state");
+    }
+
+    #[test]
+    fn condvar_wait_returns_its_guard_and_wakes_on_notify_all() {
+        let (m, cv) = (Mutex::new(0u32), Condvar::new());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut g = m.lock();
+                while *g == 0 {
+                    g = cv.wait(g);
+                }
+                *g += 1; // the guard handed back still guards `m`
+            });
+            *m.lock() = 41;
+            cv.notify_all();
+            waiter.join().unwrap();
+        });
+        assert_eq!(*m.lock(), 42);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Tier-1 gate for `fg_check`: every protocol model passes exhaustive
-//! bounded exploration, every seeded mutation is detected with a
+//! Tier-1 gate for `fg_check`: every protocol — four explored as the
+//! shipped types, two as models — passes exhaustive bounded
+//! exploration, every seeded mutation is detected with a
 //! counterexample trace, and the workspace lint runs clean on this
 //! repository.
 //!
@@ -7,10 +8,12 @@
 //! execution budget) for deeper sweeps — CI's release stress step uses
 //! it; the default bound keeps this suite fast enough for tier-1.
 
-use fg_check::{lint, models, Config};
+use fg_check::models::shipped_bitmap::AtomicBitmap;
+use fg_check::{explore_with, lint, models, Config, FailureKind, Fault};
+use fg_types::VertexId;
 
 fn cfg() -> Config {
-    Config::from_env()
+    Config::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Asserts an unmutated protocol explores to completion with no
@@ -27,23 +30,40 @@ fn assert_verified(name: &str, r: &fg_check::Report) {
     );
 }
 
-/// Asserts a mutated protocol produces a counterexample with a
-/// non-empty interleaving trace, and prints it (visible under
-/// `cargo test -- --nocapture`, and in the failure output otherwise).
-fn assert_caught(name: &str, r: &fg_check::Report) {
-    let f = r
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("{}: seeded mutation was NOT detected", name));
-    assert!(
-        !f.trace.is_empty(),
-        "{}: counterexample carries no interleaving trace",
-        name
-    );
-    println!(
-        "--- {} (detected after {} executions) ---\n{}",
-        name, r.executions, f
-    );
+/// Asserts each mutation of a protocol produces a counterexample of
+/// the expected kind ([`FailureKind::name`]; a fault that was never
+/// injected is none of them) with a non-empty interleaving trace, and
+/// prints it (visible under `cargo test -- --nocapture`, and in the
+/// failure output otherwise).
+fn assert_caught<M: Copy + std::fmt::Debug>(
+    protocol: &str,
+    check: fn(Option<M>, &Config) -> fg_check::Report,
+    expected: &[(M, &str)],
+) {
+    for &(mutation, kind) in expected {
+        let name = format!("{protocol}+{mutation:?}");
+        let r = check(Some(mutation), &cfg());
+        let f = r
+            .failure
+            .as_ref()
+            .unwrap_or_else(|| panic!("{}: seeded mutation was NOT detected", name));
+        assert_eq!(
+            f.kind.name(),
+            kind,
+            "{}: wrong kind of failure\n{}",
+            name,
+            f
+        );
+        assert!(
+            !f.trace.is_empty(),
+            "{}: counterexample carries no interleaving trace",
+            name
+        );
+        println!(
+            "--- {} (detected after {} executions) ---\n{}",
+            name, r.executions, f
+        );
+    }
 }
 
 #[test]
@@ -53,28 +73,15 @@ fn busy_bit_protocol_verified() {
 
 #[test]
 fn busy_bit_mutations_caught() {
-    use fg_check::FailureKind;
     use models::busy_bit::{check, Mutation};
-    let relaxed = check(Some(Mutation::RelaxedSync), &cfg());
-    assert_caught("busy_bit+RelaxedSync", &relaxed);
     // The AcqRel → Relaxed downgrade keeps mutual exclusion (RMW
-    // atomicity) but loses publication: specifically a data race.
-    assert!(
-        matches!(
-            relaxed.failure.as_ref().unwrap().kind,
-            FailureKind::DataRace(_)
-        ),
-        "RelaxedSync must surface as a lost publication (data race)"
-    );
-    let dropped = check(Some(Mutation::DroppedClear), &cfg());
-    assert_caught("busy_bit+DroppedClear", &dropped);
-    assert!(
-        matches!(
-            dropped.failure.as_ref().unwrap().kind,
-            FailureKind::Livelock
-        ),
-        "DroppedClear must surface as the other claimant spinning"
-    );
+    // atomicity) but loses publication: specifically a data race. An
+    // owner that never clears leaves the other claimant spinning.
+    let expected = [
+        (Mutation::RelaxedSync, "data race"),
+        (Mutation::DroppedClear, "livelock"),
+    ];
+    assert_caught("busy_bit", check, &expected);
 }
 
 #[test]
@@ -86,16 +93,14 @@ fn quiesce_protocol_verified() {
 fn quiesce_mutations_caught() {
     use models::quiesce::{check, Mutation};
     // The transient-zero window: quiesce observed with work queued.
-    assert_caught(
-        "quiesce+NoOuterObligation",
-        &check(Some(Mutation::NoOuterObligation), &cfg()),
-    );
-    // The decrement downgrade the engine's `// ordering:` comments
-    // cite this model as the referee for.
-    assert_caught(
-        "quiesce+RelaxedPublish",
-        &check(Some(Mutation::RelaxedPublish), &cfg()),
-    );
+    // And the decrement downgrade `pool.rs`' `// ordering:` comments
+    // cite this harness as the referee for, injected into `release`
+    // itself: delivered state read without a happens-before edge.
+    let expected = [
+        (Mutation::NoOuterObligation, "assertion"),
+        (Mutation::RelaxedPublish, "data race"),
+    ];
+    assert_caught("quiesce", check, &expected);
 }
 
 #[test]
@@ -106,14 +111,13 @@ fn ready_pool_protocol_verified() {
 #[test]
 fn ready_pool_mutations_caught() {
     use models::ready_pool::{check, Mutation};
-    assert_caught(
-        "ready_pool+DropOnConflict",
-        &check(Some(Mutation::DropOnConflict), &cfg()),
-    );
-    assert_caught(
-        "ready_pool+StealWithoutLock",
-        &check(Some(Mutation::StealWithoutLock), &cfg()),
-    );
+    // A lost delivery is a pool that never quiesces; a lock granted
+    // without acquiring, at `pop`'s steal, races the deque's owner.
+    let expected = [
+        (Mutation::DropOnConflict, "livelock"),
+        (Mutation::StealWithoutLock, "data race"),
+    ];
+    assert_caught("ready_pool", check, &expected);
 }
 
 #[test]
@@ -123,15 +127,13 @@ fn sem_flush_protocol_verified() {
 
 #[test]
 fn sem_flush_livelock_mutation_caught() {
-    use fg_check::FailureKind;
     use models::sem_flush::{check, Mutation};
     // The PR 6 bug: flushing only on the batch-size trigger leaves a
     // sub-batch tail stranded and the waiter spinning.
-    let r = check(Some(Mutation::SizeTriggerOnly), &cfg());
-    assert_caught("sem_flush+SizeTriggerOnly", &r);
-    assert!(
-        matches!(r.failure.as_ref().unwrap().kind, FailureKind::Livelock),
-        "the stranded tail must surface as a livelock"
+    assert_caught(
+        "sem_flush",
+        check,
+        &[(Mutation::SizeTriggerOnly, "livelock")],
     );
 }
 
@@ -143,14 +145,74 @@ fn rendezvous_protocol_verified() {
 #[test]
 fn rendezvous_mutations_caught() {
     use models::rendezvous::{check, Mutation};
-    assert_caught(
-        "rendezvous+ArrivedPredicate",
-        &check(Some(Mutation::ArrivedPredicate), &cfg()),
+    // A dropped `notify_all`, at each of `rendezvous.rs`' two
+    // broadcasts: the waiter it was for never wakes.
+    let expected = [
+        (Mutation::ReleaseNoNotify, "deadlock"),
+        (Mutation::PoisonNoNotify, "deadlock"),
+    ];
+    assert_caught("rendezvous", check, &expected);
+}
+
+#[test]
+fn rendezvous_check_reader_unwinds_on_poison() {
+    // The `Relaxed` reader no transcription had: a party polling
+    // `Rendezvous::check` away from the barrier while a peer poisons
+    // unwinds in every interleaving — it never spins into the step
+    // bound.
+    assert_verified(
+        "rendezvous check reader",
+        &models::rendezvous::check_reader(&cfg()),
     );
-    assert_caught(
-        "rendezvous+PoisonNoNotify",
-        &check(Some(Mutation::PoisonNoNotify), &cfg()),
-    );
+}
+
+#[test]
+fn a_fault_that_is_never_injected_is_reported() {
+    // A scenario that claims the bit and never clears it.
+    let claim_only = |fault| {
+        explore_with(&cfg(), &[fault], || {
+            AtomicBitmap::new(1).set_sync(VertexId(0));
+        })
+    };
+    for (fault, why) in [
+        (Fault("bitmap.rs", "fetch_and", 1), "clear_sync never runs"),
+        (Fault("bitmap.rs", "fetch_or", 9), "no tenth fetch_or"),
+        (Fault("worker.rs", "fetch_or", 0), "not a mounted file"),
+    ] {
+        let kind = claim_only(fault).failure.map(|f| f.kind);
+        assert!(
+            matches!(kind, Some(FailureKind::FaultNotReached(_))),
+            "{fault:?} ({why}) must fail the exploration, got {kind:?}"
+        );
+    }
+    // With a fault it does reach, the same scenario passes: one
+    // thread, nobody to lose a publication to.
+    assert_verified("claim only", &claim_only(Fault("bitmap.rs", "fetch_or", 1)));
+}
+
+#[test]
+fn a_double_outside_explore_is_a_plain_value() {
+    // What lets a mounted file's own unit tests run in `fg_check`'s
+    // test build: real threads, real blocking, no scheduler.
+    use fg_check::sync::{AtomicU64, Condvar, Mutex, Ordering};
+    let shared = std::sync::Arc::new((Mutex::new(0u32), Condvar::new(), AtomicU64::new(0)));
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let (m, cv, hits) = &*shared;
+                let mut g = m.lock();
+                while *g == 0 {
+                    g = cv.wait(g);
+                }
+                *g += 1;
+                hits.fetch_add(1, Ordering::AcqRel);
+            });
+        }
+        *shared.0.lock() = 1;
+        shared.1.notify_all();
+    });
+    assert_eq!(*shared.0.lock(), 5);
+    assert_eq!(shared.2.load(Ordering::Acquire), 4);
 }
 
 #[test]
@@ -163,40 +225,18 @@ fn inflight_waiter_protocol_verified() {
 
 #[test]
 fn inflight_waiter_mutations_caught() {
-    use fg_check::FailureKind;
     use models::inflight_waiter::{check, Mutation};
-    // Resolve without notify: the attached waiter sleeps forever.
-    let dropped = check(Some(Mutation::DroppedNotify), &cfg());
-    assert_caught("inflight_waiter+DroppedNotify", &dropped);
-    assert!(
-        matches!(
-            dropped.failure.as_ref().unwrap().kind,
-            FailureKind::Deadlock(_)
-        ),
-        "a dropped waiter notify must surface as a deadlock"
-    );
-    // A Relaxed mailbox publish no longer carries the page bytes to
-    // the fetcher: a data race on the page buffer.
-    let relaxed = check(Some(Mutation::RelaxedPublish), &cfg());
-    assert_caught("inflight_waiter+RelaxedPublish", &relaxed);
-    assert!(
-        matches!(
-            relaxed.failure.as_ref().unwrap().kind,
-            FailureKind::DataRace(_)
-        ),
-        "a Relaxed completion publish must surface as a data race"
-    );
-    // A claiming session that exits with its run still buffered: the
-    // claims are never served and the attached waiter never wakes.
-    let unkicked = check(Some(Mutation::DropWithoutKick), &cfg());
-    assert_caught("inflight_waiter+DropWithoutKick", &unkicked);
-    assert!(
-        matches!(
-            unkicked.failure.as_ref().unwrap().kind,
-            FailureKind::Deadlock(_)
-        ),
-        "an undispatched claim must surface as a deadlock"
-    );
+    // Resolve without notify: the attached waiter sleeps forever. A
+    // Relaxed mailbox publish no longer carries the page bytes to the
+    // fetcher: a data race on the page buffer. A claiming session that
+    // exits with its run still buffered: the claims are never served
+    // and the attached waiter never wakes.
+    let expected = [
+        (Mutation::DroppedNotify, "deadlock"),
+        (Mutation::RelaxedPublish, "data race"),
+        (Mutation::DropWithoutKick, "deadlock"),
+    ];
+    assert_caught("inflight_waiter", check, &expected);
 }
 
 #[test]
@@ -240,6 +280,35 @@ fn f(x: &AtomicU64) {
         "missing ordering-justify: {:?}",
         rules
     );
+
+    // The fourth rule holds for the files `fg_check` mounts — the list
+    // read from the mount's own attributes — and only for them.
+    let mounted = lint::mounted_files();
+    assert_eq!(
+        mounted,
+        [
+            "crates/types/src/bitmap.rs",
+            "crates/core/src/engine/pool.rs",
+            "crates/core/src/rendezvous.rs"
+        ]
+    );
+    let unseen = "use std::sync::Mutex;\nuse std::sync::Arc; // shares, no protocol\n";
+    let rules = |v: Vec<lint::Violation>| v.iter().map(|v| (v.line, v.rule)).collect::<Vec<_>>();
+    assert_eq!(
+        rules(lint::lint_source(&mounted[1], unseen)),
+        [(1, "checked-imports")]
+    );
+    assert_eq!(
+        rules(lint::lint_source("crates/core/src/shard.rs", unseen)),
+        []
+    );
+    for path in ["parking_lot::Mutex::new(0)", "fg_types::sync::AtomicU64"] {
+        let src = format!("fn f() {{ let _ = {path}; }}\n");
+        assert_eq!(
+            rules(lint::lint_source(&mounted[0], &src)),
+            [(1, "checked-imports")]
+        );
+    }
 }
 
 #[test]
@@ -251,4 +320,16 @@ fn depth_knob_scales_the_bounds() {
     let deep = base.clone().with_depth(4);
     assert!(deep.preemption_bound > base.preemption_bound);
     assert!(deep.max_executions > base.max_executions);
+    // What `from_env` does with the variable's value: unset is the
+    // default, a number deepens, anything else is an error — a typo in
+    // CI's depth-3 step must not run the shallow sweep and report green.
+    let unset = Config::from_depth(None).unwrap();
+    assert_eq!(unset.preemption_bound, base.preemption_bound);
+    let three = Config::from_depth(Some(" 3 ")).unwrap();
+    assert_eq!(three.preemption_bound, 3);
+    assert_eq!(three.max_executions, 3 * base.max_executions);
+    for typo in ["three", "3x", "", "-1"] {
+        let err = Config::from_depth(Some(typo)).unwrap_err();
+        assert!(err.contains(&format!("{typo:?}")), "{err}");
+    }
 }
