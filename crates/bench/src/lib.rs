@@ -23,23 +23,32 @@ use fg_types::Result;
 /// Re-exported so harnesses only import this crate.
 pub use fg_graph::gen::Dataset;
 
+/// Reads the numeric pin `name` from the environment: `None` when it
+/// is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set to
+/// anything but an integer of at least `min` — a typo in a CI matrix
+/// fails loudly instead of silently testing the default.
+pub fn env_pin(name: &str, min: u32) -> Option<u32> {
+    let value = std::env::var_os(name)?;
+    match value.to_str().and_then(|s| s.trim().parse().ok()) {
+        Some(n) if n >= min => Some(n),
+        _ => panic!("{name}={value:?}: expected an integer >= {min}"),
+    }
+}
+
 /// Reads the `FG_SCALE` environment variable (default 0).
 pub fn scale_bump() -> u32 {
-    std::env::var("FG_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    env_pin("FG_SCALE", 0).unwrap_or(0)
 }
 
 /// Reads the `FG_WORKERS` environment variable: per-engine worker
 /// thread count for the figure harnesses, falling back to each
-/// harness's own `default` when unset or unparsable.
+/// harness's own `default` when unset.
 pub fn worker_threads(default: usize) -> usize {
-    std::env::var("FG_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or(default)
+    env_pin("FG_WORKERS", 1).map_or(default, |w| w as usize)
 }
 
 /// The cache fraction equivalent to the paper's "1 GB cache for the
@@ -306,10 +315,15 @@ mod tests {
     fn worker_threads_defaults_and_rejects_zero() {
         std::env::remove_var("FG_WORKERS");
         assert_eq!(worker_threads(3), 3);
-        std::env::set_var("FG_WORKERS", "0");
-        assert_eq!(worker_threads(3), 3);
         std::env::set_var("FG_WORKERS", "5");
         assert_eq!(worker_threads(3), 5);
+        // A pin that cannot be honoured is an error, not the default.
+        for bad in ["0", "two", "1,2", ""] {
+            std::env::set_var("FG_WORKERS", bad);
+            let panic = std::panic::catch_unwind(|| worker_threads(3)).unwrap_err();
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("FG_WORKERS") && msg.contains(&format!("{bad:?}")));
+        }
         std::env::remove_var("FG_WORKERS");
     }
 

@@ -23,9 +23,7 @@ use fg_types::{EdgeDir, VertexId};
 use super::boundary::Counters;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
-use crate::merge::{
-    merge_requests, subtract_inflight, InflightPages, MergedReq, PageRange, RangeReq,
-};
+use crate::merge::{merge_requests, MergedReq, RangeReq};
 use crate::vertex::PageVertex;
 
 /// The header of one delivery: who asked, for which slice of whose
@@ -155,10 +153,6 @@ struct PartMeta {
 struct MergedMeta {
     offset: u64,
     parts: Vec<(u64, u64, PartMeta)>,
-    /// The page range the cover is recorded under in the session's
-    /// in-flight set until it resolves; `None` for attach-only covers
-    /// (their pages are subsets of ranges already recorded).
-    recorded: Option<PageRange>,
 }
 
 /// What a slab slot tracks while its I/O is out.
@@ -235,12 +229,6 @@ pub(super) struct SemIo<'s> {
     issue_meta: Vec<PartMeta>,
     slab: Slab,
     ready: Vec<ReadyVertex>,
-    /// Page ranges of covers submitted and not yet resolved (each
-    /// cover's slab entry remembers its own). Later flush batches
-    /// subtract these before building covers: a request fully inside
-    /// them is submitted alone and attaches to the in-flight read via
-    /// the mount table instead of joining a new device cover.
-    inflight: InflightPages,
     outstanding: usize,
     /// How many of `outstanding` are still buffered in the issue
     /// queue rather than submitted. Counted in logical requests, not
@@ -275,7 +263,6 @@ impl<'s> SemIo<'s> {
             issue_meta: Vec::new(),
             slab: Slab::default(),
             ready: Vec::new(),
-            inflight: InflightPages::default(),
             outstanding: 0,
             buffered: 0,
         }
@@ -374,28 +361,19 @@ impl<'s> SemIo<'s> {
     }
 
     /// Installs one merged cover in the slab and submits it (the
-    /// caller kicks the session once its batch is through). With
-    /// `record` set the cover's page range is remembered as in-flight
-    /// until its completion resolves (attach-only covers pass false:
-    /// their pages are subsets of ranges already recorded).
-    fn submit_cover(&mut self, m: MergedReq, metas: &[PartMeta], record: bool) {
+    /// caller kicks the session once its batch is through). What
+    /// becomes of each of its pages — cache hit, a ride on a read
+    /// already on its way (this session's earlier covers included),
+    /// or a device run — is `IoSession::submit`'s decision alone.
+    fn submit_cover(&mut self, m: MergedReq, metas: &[PartMeta]) {
         let parts: Vec<(u64, u64, PartMeta)> = m
             .parts
             .iter()
             .map(|p| (p.offset, p.bytes, metas[p.meta as usize]))
             .collect();
-        let recorded = record.then(|| {
-            let range = (
-                m.offset / self.page_bytes,
-                (m.offset + m.bytes - 1) / self.page_bytes + 1,
-            );
-            self.inflight.insert(range);
-            range
-        });
         let tag = self.slab.insert(Slot::Cover(MergedMeta {
             offset: m.offset,
             parts,
-            recorded,
         }));
         self.counters.issued_requests.inc();
         self.session
@@ -421,25 +399,12 @@ impl<'s> SemIo<'s> {
         let reqs = std::mem::take(&mut self.issue_q);
         let metas = std::mem::take(&mut self.issue_meta);
         self.buffered = 0;
-        // Subtract pages this session is already fetching: fully
-        // covered requests skip cover-building and ride the existing
-        // reads (each page attaches via the mount's in-flight table,
-        // or hits the cache if the cover has landed by then).
-        let (fetch, attached) = subtract_inflight(reqs, self.page_bytes, &self.inflight);
         let (merge, cap) = (
             self.cfg.merge_in_engine,
             self.cfg.resolved_max_merge_bytes(),
         );
-        for m in merge_requests(fetch, self.page_bytes, merge, cap) {
-            self.submit_cover(m, &metas, true);
-        }
-        for r in attached {
-            let single = MergedReq {
-                offset: r.offset,
-                bytes: r.bytes,
-                parts: vec![r],
-            };
-            self.submit_cover(single, &metas, false);
+        for m in merge_requests(reqs, self.page_bytes, merge, cap) {
+            self.submit_cover(m, &metas);
         }
         // The whole batch crosses to the I/O threads as one message
         // per thread, so they sort and coalesce it as a whole too.
@@ -480,9 +445,6 @@ impl<'s> SemIo<'s> {
         let Slot::Cover(meta) = self.slab.take(c.tag as usize) else {
             panic!("completion for a cover's tag");
         };
-        if let Some(range) = meta.recorded {
-            self.inflight.remove(range);
-        }
         for (abs_off, bytes, pm) in meta.parts {
             let span = c
                 .span

@@ -25,8 +25,6 @@
 //! would fragment batches and re-read pages that a full batch's
 //! page-disjoint covers fetch once.
 
-use std::collections::BTreeMap;
-
 /// One logical edge-list (or attribute-run) request before merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeReq {
@@ -118,147 +116,9 @@ pub fn merge_requests(
     out
 }
 
-/// A half-open page range `[first, end)` currently being fetched from
-/// the device (an in-flight cover of this session or, via the mount's
-/// in-flight table, another tenant's read).
-pub type PageRange = (u64, u64);
-
-/// The pages a session's unresolved covers are fetching: a multiset of
-/// [`PageRange`]s kept as an ordered map of disjoint, reference-counted
-/// segments, so recording a cover, retiring it and asking whether a
-/// request's footprint is in flight each cost O(log n) in the number
-/// of covers outstanding (up to `max_pending`) instead of a scan or a
-/// re-sort of all of them per batch.
-///
-/// Ranges from different batches may overlap (a page can be
-/// re-requested while its first cover is still in flight), hence the
-/// counts; touching segments read as one span.
-#[derive(Debug, Default)]
-pub struct InflightPages {
-    /// `start -> (end, covers holding it)`; segments never overlap.
-    segs: BTreeMap<u64, (u64, u32)>,
-}
-
-impl InflightPages {
-    /// True when no range is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Cuts the segment straddling page `at`, if any, so that `at` is
-    /// a segment boundary.
-    fn split(&mut self, at: u64) {
-        if let Some((&start, &(end, refs))) = self.segs.range(..at).next_back() {
-            if end > at {
-                self.segs.insert(start, (at, refs));
-                self.segs.insert(at, (end, refs));
-            }
-        }
-    }
-
-    /// Records one cover's range.
-    pub fn insert(&mut self, (first, end): PageRange) {
-        debug_assert!(first < end, "covers span at least one page");
-        self.split(first);
-        self.split(end);
-        // `[first, end)` is now tiled by whole segments and gaps:
-        // count the cover on the former, fill the latter.
-        let mut cur = first;
-        while cur < end {
-            let next = self.segs.range(cur..end).next().map(|(&s, &(e, _))| (s, e));
-            cur = match next {
-                Some((s, e)) if s == cur => {
-                    self.segs.get_mut(&s).expect("segment just seen").1 += 1;
-                    e
-                }
-                Some((s, _)) => {
-                    self.segs.insert(cur, (s, 1));
-                    s
-                }
-                None => {
-                    self.segs.insert(cur, (end, 1));
-                    end
-                }
-            };
-        }
-    }
-
-    /// Retires a range recorded by [`InflightPages::insert`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the range is not currently recorded.
-    pub fn remove(&mut self, (first, end): PageRange) {
-        // Later inserts may have cut the range into more segments but
-        // never merge any, so it is still tiled from `first`.
-        let mut cur = first;
-        while cur < end {
-            let seg = self.segs.get_mut(&cur).expect("retiring a recorded range");
-            seg.1 -= 1;
-            let (seg_end, refs) = *seg;
-            if refs == 0 {
-                self.segs.remove(&cur);
-            }
-            cur = seg_end;
-        }
-    }
-
-    /// True when every page of `[first_page, last_page]` is in flight.
-    pub fn covered(&self, first_page: u64, last_page: u64) -> bool {
-        let mut cur = first_page;
-        loop {
-            match self.segs.range(..=cur).next_back() {
-                Some((_, &(end, _))) if end > last_page => return true,
-                Some((_, &(end, _))) if end > cur => cur = end,
-                _ => return false,
-            }
-        }
-    }
-}
-
-/// Splits an issue batch around pages already being fetched: requests
-/// whose *entire* page footprint is in flight come back in the second
-/// vector — the caller submits those individually, and every page
-/// attaches to the existing read through the mount's in-flight table,
-/// so no device run is dispatched for them and the covers built from
-/// the remaining (first) vector stay page-disjoint from the in-flight
-/// spans. Partially covered requests stay in the fetch set whole: the
-/// submit layer attaches their in-flight pages and dispatches only
-/// the truly missing runs, so splitting the request here would only
-/// fragment the cover without saving a device read.
-pub fn subtract_inflight(
-    reqs: Vec<RangeReq>,
-    page_bytes: u64,
-    inflight: &InflightPages,
-) -> (Vec<RangeReq>, Vec<RangeReq>) {
-    if inflight.is_empty() {
-        return (reqs, Vec::new());
-    }
-    let mut fetch = Vec::with_capacity(reqs.len());
-    let mut attached = Vec::new();
-    for r in reqs {
-        let first = r.offset / page_bytes;
-        let last = (r.offset + r.bytes - 1) / page_bytes;
-        if inflight.covered(first, last) {
-            attached.push(r);
-        } else {
-            fetch.push(r);
-        }
-    }
-    (fetch, attached)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn inflight(ranges: &[PageRange]) -> InflightPages {
-        let mut set = InflightPages::default();
-        for &r in ranges {
-            set.insert(r);
-        }
-        set
-    }
 
     fn req(offset: u64, bytes: u64, meta: u32) -> RangeReq {
         RangeReq {
@@ -507,92 +367,6 @@ mod tests {
         let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].parts.len(), 2);
-    }
-
-    #[test]
-    fn subtract_inflight_classifies_by_page_footprint() {
-        let inflight = inflight(&[(2, 5), (9, 10)]); // pages 2-4 and 9
-        let reqs = vec![
-            req(2 * 4096 + 100, 200, 0), // inside pages 2-4: attach
-            req(4 * 4096, 2 * 4096, 1),  // pages 4-5: straddles, fetch
-            req(9 * 4096, 64, 2),        // page 9: attach
-            req(0, 64, 3),               // page 0: fetch
-            req(2 * 4096, 3 * 4096, 4),  // exactly pages 2-4: attach
-        ];
-        let (fetch, attached) = subtract_inflight(reqs, 4096, &inflight);
-        let metas = |v: &[RangeReq]| v.iter().map(|r| r.meta).collect::<Vec<_>>();
-        assert_eq!(metas(&attached), vec![0, 2, 4]);
-        assert_eq!(metas(&fetch), vec![1, 3]);
-        // Covers built from the fetch set stay page-disjoint among
-        // themselves, as always.
-        let merged = merge_requests(fetch, 4096, true, UNLIMITED_MERGE_BYTES);
-        assert_page_disjoint(&merged, 4096);
-    }
-
-    #[test]
-    fn subtract_inflight_empty_set_is_identity() {
-        let reqs = vec![req(0, 64, 0), req(8192, 64, 1)];
-        let (fetch, attached) = subtract_inflight(reqs.clone(), 4096, &InflightPages::default());
-        assert_eq!(fetch, reqs);
-        assert!(attached.is_empty());
-    }
-
-    #[test]
-    fn inflight_pages_count_overlapping_covers() {
-        let mut set = InflightPages::default();
-        set.insert((2, 6));
-        set.insert((4, 9)); // overlaps the first on pages 4-5
-        set.insert((9, 10)); // touches the second
-        assert!(set.covered(2, 9), "touching segments read as one span");
-        assert!(!set.covered(1, 3) && !set.covered(8, 10));
-        // Retiring the first cover keeps the pages the second holds.
-        set.remove((2, 6));
-        assert!(!set.covered(2, 3));
-        assert!(set.covered(4, 9));
-        set.remove((9, 10));
-        set.remove((4, 9));
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn inflight_pages_match_a_per_page_count() {
-        // Random inserts and retirements against the obvious model: a
-        // count per page.
-        let mut set = InflightPages::default();
-        let mut model = [0u32; 64];
-        let mut live: Vec<PageRange> = Vec::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |n: u64| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % n
-        };
-        for _ in 0..2000 {
-            if live.is_empty() || next(3) > 0 {
-                let first = next(60);
-                let r = (first, first + 1 + next(64 - first - 1).min(7));
-                set.insert(r);
-                live.push(r);
-                model[r.0 as usize..r.1 as usize]
-                    .iter_mut()
-                    .for_each(|c| *c += 1);
-            } else {
-                let r = live.swap_remove(next(live.len() as u64) as usize);
-                set.remove(r);
-                model[r.0 as usize..r.1 as usize]
-                    .iter_mut()
-                    .for_each(|c| *c -= 1);
-            }
-            let (a, b) = (next(64), next(64));
-            let (lo, hi) = (a.min(b), a.max(b));
-            let counts = &model[lo as usize..=hi as usize];
-            assert_eq!(set.covered(lo, hi), counts.iter().all(|&c| c > 0));
-        }
-        for r in live {
-            set.remove(r);
-        }
-        assert!(set.is_empty());
     }
 
     #[test]

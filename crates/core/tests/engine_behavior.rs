@@ -550,6 +550,39 @@ fn engine_merging_reduces_issued_requests() {
     );
 }
 
+/// Short lists, hundreds to a page: every batch after a page's first
+/// lies wholly on a page that is already on its way. The batch must
+/// still merge into a cover — whose pages the mount then attaches or
+/// serves from cache — not go out one request at a time.
+#[test]
+fn batches_on_an_in_flight_page_still_merge() {
+    let n = 8192u32;
+    let mut b = fg_graph::GraphBuilder::directed();
+    for v in 0..n {
+        for k in 1..=4 {
+            b.add_edge(VertexId(v), VertexId((v + k) % n));
+        }
+    }
+    let g = b.build();
+    let cfg = EngineConfig {
+        num_threads: 1,
+        issue_batch: 64,
+        scheduler: SchedulerKind::ById,
+        ..EngineConfig::default()
+    };
+    let [(mem, _), (sem, stats)] = both_modes(&g, &SumIds, Init::All, cfg);
+    assert_eq!(stats.engine_requests, n as u64);
+    assert!(
+        stats.issued_requests * 16 <= stats.engine_requests,
+        "{} requests went out as {} submits",
+        stats.engine_requests,
+        stats.issued_requests
+    );
+    for v in g.vertices() {
+        assert_eq!(mem[v.index()].sum, sem[v.index()].sum, "vertex {v}");
+    }
+}
+
 #[test]
 fn vertical_passes_run_per_part() {
     struct PassCounter;

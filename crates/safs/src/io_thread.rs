@@ -223,31 +223,47 @@ fn serve(batch: &[RunRequest], ctx: &Mount) {
 /// contiguous run of pages *not already cached* in one device request
 /// and inserting fresh pages into the cache.
 ///
-/// The pre-read cache check is SAFS's in-flight dedup: when sorted
-/// vertex scheduling makes consecutive requests touch the same page,
-/// the first request fills the cache before the I/O thread serves the
-/// second, which then costs no device read. Without this, sequential
-/// scheduling would paradoxically read *more* than random (duplicate
-/// in-flight pages).
+/// Sessions claim a page in the mount's in-flight table before they
+/// dispatch it, so two *sessions* never fetch one page at once. The
+/// pre-read cache check stays for the reader that inserts without
+/// claiming: `Safs::read_sync` (foreign-shard reads, ingest
+/// canonicalisation) may have filled a page between a session's
+/// submit-time miss and this pass, which then costs no device read.
 pub(crate) fn read_pages(ctx: &Mount, first_page: u64, num_pages: u64) -> Vec<Arc<Page>> {
-    read_pages_hint(ctx, first_page, num_pages, true)
+    read_pages_hint(ctx, first_page, num_pages, CacheUse::Recheck)
 }
 
-/// [`read_pages`] with an explicit cache-insertion hint. With
-/// `insert` false (a once-only sweep: `Safs::read_sync_stream`)
-/// cached pages are still *used* when present — the hot set helps
-/// the sweep — but fresh pages are handed straight to the caller
-/// without touching the cache, so the sweep cannot evict the working
-/// set.
+/// What a caller of [`read_pages_hint`] does to the page cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheUse {
+    /// The I/O thread's re-check behind a session's booked miss:
+    /// lookups are not counted again, fresh pages are inserted.
+    Recheck,
+    /// The caller's first look (`Safs::read_sync`): lookups are booked
+    /// as hits and misses, fresh pages are inserted.
+    Booked,
+    /// A once-only sweep (`Safs::read_sync_stream`): cached pages are
+    /// still *used* when present — the hot set helps the sweep — but
+    /// nothing is booked and fresh pages are handed straight to the
+    /// caller without touching the cache, so the sweep cannot evict
+    /// the working set.
+    Stream,
+}
+
+/// [`read_pages`] under an explicit cache policy: the one statement of
+/// which pages of a range still go to the device.
 pub(crate) fn read_pages_hint(
     ctx: &Mount,
     first_page: u64,
     num_pages: u64,
-    insert: bool,
+    cache: CacheUse,
 ) -> Vec<Arc<Page>> {
     let pb = ctx.cfg.page_bytes;
     let mut pages: Vec<Option<Arc<Page>>> = (first_page..first_page + num_pages)
-        .map(|p| ctx.cache.get_quiet(p))
+        .map(|p| match cache {
+            CacheUse::Booked => ctx.cache.get(p),
+            CacheUse::Recheck | CacheUse::Stream => ctx.cache.get_quiet(p),
+        })
         .collect();
     let mut i = 0usize;
     while i < pages.len() {
@@ -273,7 +289,7 @@ pub(crate) fn read_pages_hint(
             .expect("io thread read within device bounds");
         for (k, buf) in bufs.into_iter().enumerate() {
             let page = Arc::new(Page::new(run_first + k as u64, buf));
-            if insert {
+            if cache != CacheUse::Stream {
                 ctx.cache.insert(Arc::clone(&page));
             }
             pages[i + k] = Some(page);

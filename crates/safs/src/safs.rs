@@ -14,7 +14,7 @@ use crate::cache::{CacheStats, CacheStatsSnapshot};
 use crate::config::SafsConfig;
 use crate::inflight::PageWaiter;
 use crate::io_thread::{
-    io_thread_loop, read_pages, read_pages_hint, IoMsg, Mount, RunDone, RunRequest,
+    io_thread_loop, read_pages_hint, CacheUse, IoMsg, Mount, RunDone, RunRequest,
 };
 use crate::page::{Page, PageSpan};
 
@@ -156,46 +156,19 @@ impl Safs {
     }
 
     /// Synchronous read: blocks the calling thread, still goes through
-    /// the page cache with per-run device reads. Used by loaders and
-    /// the streaming baselines; the engine uses sessions.
+    /// the page cache (lookups booked, fresh pages inserted) with one
+    /// device read per contiguous run of misses. Used where the
+    /// caller has nothing to overlap the read with: the engine's
+    /// foreign-shard reads (`SemIo::read_foreign`) and the serving
+    /// layer's ingest canonicalisation (`mount_bytes`); a worker's own
+    /// shard goes through sessions.
     ///
     /// # Errors
     ///
     /// Returns [`FgError::InvalidRequest`] when the range exceeds the
     /// device.
     pub fn read_sync(&self, offset: u64, len: u64) -> Result<PageSpan> {
-        if len == 0 {
-            return Ok(PageSpan::empty());
-        }
-        let end = self.check_range(offset, len)?;
-        let pb = self.page_bytes();
-        let first = offset / pb;
-        let last = (end - 1) / pb;
-        let mut pages: Vec<Option<Arc<Page>>> =
-            (first..=last).map(|p| self.mount.cache.get(p)).collect();
-        // Read each contiguous miss run in one device request.
-        let mut i = 0usize;
-        while i < pages.len() {
-            if pages[i].is_some() {
-                i += 1;
-                continue;
-            }
-            let mut j = i;
-            while j < pages.len() && pages[j].is_none() {
-                j += 1;
-            }
-            let got = read_pages(&self.mount, first + i as u64, (j - i) as u64);
-            for (k, page) in got.into_iter().enumerate() {
-                pages[i + k] = Some(page);
-            }
-            i = j;
-        }
-        let pages: Vec<Arc<Page>> = pages.into_iter().map(|p| p.unwrap()).collect();
-        Ok(PageSpan::new(
-            pages,
-            (offset - first * pb) as usize,
-            len as usize,
-        ))
+        self.read_through(offset, len, CacheUse::Booked)
     }
 
     /// [`Safs::read_sync`] with the *streaming* cache policy, for a
@@ -211,6 +184,12 @@ impl Safs {
     /// Returns [`FgError::InvalidRequest`] when the range exceeds the
     /// device.
     pub fn read_sync_stream(&self, offset: u64, len: u64) -> Result<PageSpan> {
+        self.read_through(offset, len, CacheUse::Stream)
+    }
+
+    /// The synchronous reads' common body: the pages of the range,
+    /// fetched on the calling thread under `cache`'s policy.
+    fn read_through(&self, offset: u64, len: u64, cache: CacheUse) -> Result<PageSpan> {
         if len == 0 {
             return Ok(PageSpan::empty());
         }
@@ -218,7 +197,7 @@ impl Safs {
         let pb = self.page_bytes();
         let first = offset / pb;
         let last = (end - 1) / pb;
-        let pages = read_pages_hint(&self.mount, first, last - first + 1, false);
+        let pages = read_pages_hint(&self.mount, first, last - first + 1, cache);
         Ok(PageSpan::new(
             pages,
             (offset - first * pb) as usize,
@@ -723,25 +702,39 @@ mod tests {
 
     #[test]
     fn partial_hit_reads_only_missing_pages() {
-        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
-        // Prime page 1 only.
-        safs.read_sync(4096, 1).unwrap();
-        safs.array().stats().reset();
-        let mut s = safs.session();
-        // Request pages 0..=2: page 1 cached, pages 0 and 2 missing.
-        s.submit(0, 3 * 4096, 7).unwrap();
-        let mut out = Vec::new();
-        while out.is_empty() {
-            s.wait(&mut out);
+        // Pages 0..=2 with page 1 resident, through a session (runs cut
+        // at submit, read by the I/O threads) and through `read_sync`
+        // (cut and read on the caller's thread): the same two runs.
+        for sync in [false, true] {
+            let safs = patterned_safs(SafsConfig::default(), 1 << 20);
+            safs.read_sync(4096, 1).unwrap();
+            safs.array().stats().reset();
+            let cache = safs.cache_stats();
+            let span = if sync {
+                safs.read_sync(0, 3 * 4096).unwrap()
+            } else {
+                let mut s = safs.session();
+                s.submit(0, 3 * 4096, 7).unwrap();
+                let mut out = Vec::new();
+                while out.is_empty() {
+                    s.wait(&mut out);
+                }
+                out.pop().unwrap().span
+            };
+            let snap = safs.array().stats().snapshot();
+            assert_eq!(snap.read_requests, 2, "sync={sync}: one read per miss run");
+            assert_eq!(
+                snap.pages_read, 2,
+                "sync={sync}: only the two missing pages hit the device"
+            );
+            let d = safs.cache_stats().delta_since(&cache);
+            assert_eq!((d.hits, d.misses, d.lookups), (1, 2, 3), "sync={sync}");
+            assert_eq!(span.len(), 3 * 4096);
+            // Content correct across the stitched span.
+            for at in [0, 4096, 2 * 4096, 3 * 4096 - 4] {
+                assert_eq!(span.read_u32_le(at), (at as u32 / 4) % 251, "sync={sync}");
+            }
         }
-        let snap = safs.array().stats().snapshot();
-        assert_eq!(
-            snap.pages_read, 2,
-            "only the two missing pages hit the device"
-        );
-        assert_eq!(out[0].span.len(), 3 * 4096);
-        // Content correct across the stitched span.
-        assert_eq!(out[0].span.read_u32_le(4096), (4096 / 4) % 251);
     }
 
     #[test]
@@ -859,7 +852,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(s.poll(&mut out), 1);
         // ... and the I/O thread's pre-read re-check all find them.
-        let got = read_pages(&safs.mount, 1, 2);
+        let got = crate::io_thread::read_pages(&safs.mount, 1, 2);
         assert_eq!(got[0].bytes(), held.chunk_at(0));
         assert_eq!(safs.array().stats().snapshot().pages_read, io.pages_read);
         let d = safs.cache_stats().delta_since(&cache);

@@ -8,7 +8,7 @@
 //! `FG_IMAGE_FORMAT=compressed` flows through
 //! [`WriteOptions::from_env`] exactly as in `prop_pipeline`.
 
-use fg_bench::build_shard_fixture;
+use fg_bench::{build_shard_fixture, env_pin};
 use fg_format::WriteOptions;
 use fg_graph::{gen, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
@@ -34,12 +34,13 @@ fn build_graph(edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
-/// The shard counts every property sweeps: `FG_SHARDS=k` pins one,
-/// otherwise 1 (the degenerate reproduction case) through 4.
+/// The shard counts every property sweeps: `FG_SHARDS=k` pins one
+/// (anything but a positive integer panics, see [`env_pin`]), unset
+/// means 1 (the degenerate reproduction case) through 4.
 fn shard_counts() -> Vec<usize> {
-    match std::env::var("FG_SHARDS").ok().and_then(|s| s.parse().ok()) {
-        Some(k) if k >= 1 => vec![k],
-        _ => vec![1, 2, 3, 4],
+    match env_pin("FG_SHARDS", 1) {
+        Some(k) => vec![k as usize],
+        None => vec![1, 2, 3, 4],
     }
 }
 
