@@ -1,19 +1,21 @@
 //! Work-stealing delivery pool — a harness around the shipped
-//! `ReadyPool::{push_local, push_injector, pop}`
+//! `ReadyPool::{push_local, push_injector, take}`
 //! (`crates/core/src/engine/pool.rs`: per-worker LIFO deques, a shared
-//! injector, FIFO stealing) and the busy-conflict requeue rule of
-//! `execute_deliveries` (`engine/worker.rs`: not mountable, so the
-//! caller's side is transcribed here), over the shipped `AtomicBitmap`
-//! busy bit and ending on the shipped `quiesced`.
+//! injector, FIFO stealing of half a deque, a batch per lock) and the
+//! busy-conflict requeue rule of `execute_deliveries`
+//! (`engine/worker.rs`: not mountable, so the caller's side is
+//! transcribed here), over the shipped `AtomicBitmap` busy bit and
+//! ending on the shipped `quiesced`.
 //!
-//! `pool.rs` states the pop order; the caller's half is that a popped
+//! `pool.rs` states the take order; the caller's half is that a taken
 //! delivery whose requester vertex is busy (another worker is inside
-//! one of its callbacks) must be *requeued to the injector* and the
-//! worker must stop popping for a while — dropping the entry would
-//! lose the delivery, retrying in place would spin behind a callback.
-//! Invariants checked: exactly-once (every enqueued delivery runs
-//! exactly once, and the pool quiesces only after it has) and deque
-//! discipline (a thief and the owner never touch a deque unordered).
+//! one of its callbacks) must be *requeued to the injector* while the
+//! rest of the batch goes on, its obligation left open — dropping the
+//! entry would lose the delivery, retrying in place would spin behind
+//! a callback. Invariants checked: exactly-once (every enqueued
+//! delivery runs exactly once, and the pool quiesces only after it
+//! has) and deque discipline (a thief and the owner never touch a
+//! deque unordered).
 
 use super::shipped_bitmap::AtomicBitmap;
 use super::shipped_pool::ReadyPool;
@@ -29,15 +31,15 @@ pub enum Mutation {
     /// — its obligation is never released and the workers spin into
     /// the step bound (livelock).
     DropOnConflict,
-    /// Fault: `pop`'s steal is granted the victim's lock without
-    /// acquiring it — a data race against the owner's own pops.
+    /// Fault: `take`'s steal is granted the victim's lock without
+    /// acquiring it — a data race against the owner's own takes.
     StealWithoutLock,
 }
 
 pub const MUTATIONS: [Mutation; 2] = [Mutation::DropOnConflict, Mutation::StealWithoutLock];
 
-/// The steal in `pop`: the fifth `lock` of `pool.rs`, after
-/// `push_local`'s, `push_injector`'s, and `pop`'s own-deque and
+/// The steal in `take`: the fifth `lock` of `pool.rs`, after
+/// `push_local`'s, `push_injector`'s, and `take`'s own-deque and
 /// injector ones.
 const STEAL_WITHOUT_LOCK: Fault = Fault("pool.rs", "lock", 4);
 
@@ -47,6 +49,7 @@ const WORKERS: usize = 2;
 /// conflict path under test.
 const ITEMS: usize = 2;
 const V: VertexId = VertexId(0);
+const BUDGET: usize = 2;
 
 struct Harness {
     pool: ReadyPool<usize>,
@@ -57,26 +60,35 @@ struct Harness {
 
 impl Harness {
     fn run_worker(&self, me: usize) {
+        let (mut batch, mut conflicted) = (Vec::new(), Vec::new());
         while !self.pool.quiesced(WORKERS) {
-            let Some(item) = self.pool.pop(me) else {
-                cyield();
-                continue;
-            };
-            if self.busy.set_sync(V) {
-                // Conflict: the requester is inside another worker's
-                // callback. Requeue to the injector and stop popping
-                // for now (the engine breaks out of its delivery loop
-                // here — the next pop could return the same entry).
-                // Mutated: the delivery is silently lost instead.
-                if self.mutation != Some(Mutation::DropOnConflict) {
-                    self.pool.push_injector(item);
-                    cyield();
+            self.pool.take(me, BUDGET, &mut batch);
+            let mut executed = 0;
+            for item in batch.drain(..) {
+                if self.busy.set_sync(V) {
+                    // Conflict: the requester is inside another
+                    // worker's callback. Set the entry aside for the
+                    // injector and carry on with the batch.
+                    // Mutated: the delivery is silently lost instead.
+                    if self.mutation != Some(Mutation::DropOnConflict) {
+                        conflicted.push(item);
+                    }
+                    continue;
                 }
-                continue;
+                self.counts[item].write(|c| *c += 1);
+                self.busy.clear_sync(V);
+                executed += 1;
             }
-            self.counts[item].write(|c| *c += 1);
-            self.busy.clear_sync(V);
-            self.pool.release();
+            if !conflicted.is_empty() {
+                self.pool.push_injector(&mut conflicted);
+            }
+            if executed > 0 {
+                self.pool.release(executed);
+            } else {
+                // Nothing ran (an empty pool, or every entry
+                // conflicted): the engine waits or yields here.
+                cyield();
+            }
         }
     }
 }
@@ -99,7 +111,7 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         // resolved delivery in each worker's deque, every claim
         // announced (`quiesce` explores the announcements).
         for w in 0..WORKERS {
-            h.pool.accept();
+            h.pool.accept(1);
             h.pool.push_local(w, &mut vec![w]);
             h.pool.announce_claims_done();
         }

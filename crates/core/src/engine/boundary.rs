@@ -303,11 +303,13 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             if sem.outstanding() == 0 {
                 break;
             }
-            let mut landed = std::mem::take(sem.harvest(Wait::Block));
-            for r in landed.drain(..) {
+            let landed = std::mem::take(sem.harvest(Wait::Block));
+            let batch = landed.len() as u64;
+            for r in landed {
                 debug_assert_eq!(r.head.vpart, 0, "barrier-phase deliveries stay in pass 0");
                 self.complete(iter, r, scratch, io);
             }
+            self.ready.release(batch);
             // Callbacks may have queued more requests.
             io.flush();
             self.maybe_flush_messages(scratch);

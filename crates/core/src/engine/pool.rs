@@ -9,6 +9,19 @@
 //! nothing else) and its `quiesce` and `ready_pool` harnesses explore
 //! these functions as shipped. Priced, with `claim.rs`, by the
 //! ledger's `engine.noop_ns_per_vertex`.
+//!
+//! Everything here moves batches, so a delivery pays a share of a lock
+//! or an RMW, not one of its own. [`ReadyPool::take`] fills the
+//! caller's buffer from the *first* non-empty of: its own deque,
+//! newest first, up to the budget; the injector, oldest first, up to
+//! the budget; one victim's deque, oldest first, at most half of it —
+//! one lock each, and it never mixes sources. `accept(n)` opens the
+//! obligations of one absorb in one RMW, before any of the `n`
+//! requests can be flushed; `release(n)` closes a batch's in one RMW,
+//! after the *last* of its deliveries has run and had its follow-ons
+//! absorbed. Releasing late is always safe (quiesce is only delayed);
+//! releasing before the batch is through is the `EarlyBatchRelease`
+//! mutation of the `quiesce` harness.
 
 use super::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
@@ -17,11 +30,11 @@ use std::collections::VecDeque;
 /// completion counters.
 ///
 /// Resolved deliveries (the engine's `T` is `ReadyVertex`) land in the
-/// resolving worker's deque, where the owner pops them LIFO (the spans are cache-warm)
-/// and other workers steal them FIFO when their own device queue is
-/// ahead of their CPU. The shared injector takes hand-offs: a stolen
-/// delivery whose requester is busy on another worker goes there
-/// instead of blocking the thief.
+/// resolving worker's deque, where the owner takes them LIFO (the
+/// spans are cache-warm) and other workers steal them FIFO when their
+/// own device queue is ahead of their CPU. The shared injector takes
+/// hand-offs: a taken delivery whose requester is busy on another
+/// worker goes there instead of blocking the taker.
 ///
 /// Two counters replace the compute-phase barrier: `obligations`,
 /// the edge requests accepted into the I/O layer and not yet released,
@@ -50,34 +63,48 @@ impl<T> ReadyPool<T> {
         self.deques[w].lock().extend(items.drain(..));
     }
 
-    /// Hands a delivery whose requester is busy elsewhere to the
-    /// injector, where any worker (including the busy one) picks it
+    /// Hands deliveries whose requesters are busy elsewhere to the
+    /// injector, where any worker (including the busy one) picks them
     /// up once the conflict clears.
-    pub(super) fn push_injector(&self, r: T) {
-        self.injector.lock().push_back(r);
+    pub(super) fn push_injector(&self, items: &mut Vec<T>) {
+        self.injector.lock().extend(items.drain(..));
     }
 
-    /// Next delivery for worker `w`: own deque (LIFO), then the
-    /// injector, then stealing from the other workers (FIFO).
-    pub(super) fn pop(&self, w: usize) -> Option<T> {
-        if let Some(r) = self.deques[w].lock().pop_back() {
-            return Some(r);
+    /// Appends worker `w`'s next batch of at most `budget` deliveries
+    /// to `out`: its own deque (LIFO), else the injector (FIFO), else
+    /// the older half of the first non-empty victim's deque (FIFO; all
+    /// of a deque of one) — the shape of crossbeam's
+    /// `steal_batch_and_pop`. Nothing is appended when all are empty.
+    pub(super) fn take(&self, w: usize, budget: usize, out: &mut Vec<T>) {
+        let before = out.len();
+        {
+            let mut own = self.deques[w].lock();
+            let keep = own.len().saturating_sub(budget);
+            out.extend(own.drain(keep..).rev());
         }
-        if let Some(r) = self.injector.lock().pop_front() {
-            return Some(r);
+        if out.len() > before {
+            return;
+        }
+        {
+            let mut injector = self.injector.lock();
+            let n = injector.len().min(budget);
+            out.extend(injector.drain(..n));
         }
         let n = self.deques.len();
         for k in 1..n {
-            if let Some(r) = self.deques[(w + k) % n].lock().pop_front() {
-                return Some(r);
+            if out.len() > before {
+                return;
             }
+            let mut victim = self.deques[(w + k) % n].lock();
+            let half = victim.len().div_ceil(2).min(budget);
+            out.extend(victim.drain(..half));
         }
-        None
     }
 
-    /// Opens an obligation, *before* its request enters the I/O layer:
-    /// the request stays counted until [`ReadyPool::release`].
-    pub(super) fn accept(&self) {
+    /// Opens `n` obligations, *before* any of their requests can be
+    /// flushed to the I/O layer: each request stays counted until the
+    /// [`ReadyPool::release`] of the batch its delivery runs in.
+    pub(super) fn accept(&self, n: u64) {
         // ordering: Relaxed — publication of this increment to the
         // quiesce check rides on the `claims_done` release chain
         // (claim phase) or on the enclosing obligation's AcqRel
@@ -85,21 +112,22 @@ impl<T> ReadyPool<T> {
         // fg_check's `quiesce` harness is the referee; its
         // NoOuterObligation switch shows what breaks when a cascade
         // runs without cover.
-        self.obligations.fetch_add(1, Ordering::Relaxed);
+        self.obligations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Closes an obligation, *after* its delivery has run and the
-    /// follow-on requests it queued have been absorbed (accepted in
-    /// their turn, under this obligation's cover).
-    pub(super) fn release(&self) {
-        // ordering: AcqRel — release publishes the delivery's state
+    /// Closes the `n` obligations of a batch, *after* the last of its
+    /// deliveries has run and the follow-on requests they queued have
+    /// been absorbed (accepted in their turn, under these obligations'
+    /// cover).
+    pub(super) fn release(&self, n: u64) {
+        // ordering: AcqRel — release publishes the deliveries' state
         // writes to the worker whose quiesce load sees the count reach
         // zero; acquire folds earlier decrements into this RMW's
         // release sequence. The RelaxedPublish fault of fg_check's
         // `quiesce` harness downgrades this very RMW and demonstrates
         // the lost publication.
-        let open = self.obligations.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(open > 0, "release without a matching accept");
+        let open = self.obligations.fetch_sub(n, Ordering::AcqRel);
+        debug_assert!(open >= n, "release without a matching accept");
     }
 
     /// A worker's claims are exhausted for this iteration (cursors
@@ -150,24 +178,28 @@ impl<T> ReadyPool<T> {
 mod tests {
     use super::*;
 
-    fn drain(pool: &ReadyPool<u32>, w: usize) -> Vec<u32> {
-        std::iter::from_fn(|| pool.pop(w)).collect()
+    fn take(pool: &ReadyPool<u32>, w: usize, budget: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        pool.take(w, budget, &mut out);
+        out
     }
 
     #[test]
     fn an_open_obligation_holds_quiesce_off() {
         let pool = ReadyPool::<u32>::new(2);
-        pool.accept();
+        pool.accept(3);
         pool.announce_claims_done();
         pool.announce_claims_done();
-        assert!(!pool.quiesced(2), "every claim announced, one delivery out");
-        pool.accept();
-        pool.release();
+        assert!(!pool.quiesced(2), "every claim announced, a batch out");
+        pool.accept(1);
+        pool.release(1);
         assert!(
             !pool.quiesced(2),
             "a cascade's inner release is not the outer's"
         );
-        pool.release();
+        pool.release(2);
+        assert!(!pool.quiesced(2), "one of the batch still out");
+        pool.release(1);
         assert!(pool.quiesced(2));
     }
 
@@ -186,21 +218,33 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "release without a matching accept")]
     fn release_without_accept_is_caught() {
-        ReadyPool::<u32>::new(1).release();
+        ReadyPool::<u32>::new(1).release(1);
     }
 
     #[test]
     fn pop_is_own_lifo_then_injector_fifo_then_victim_fifo() {
         let pool = ReadyPool::new(3);
-        pool.push_local(0, &mut vec![1, 2]);
-        pool.push_local(1, &mut vec![11, 12]);
-        pool.push_local(2, &mut vec![21, 22]);
-        pool.push_injector(31);
-        pool.push_injector(32);
-        // Worker 0: its own newest first, the injector oldest first,
-        // then its neighbours' oldest, nearest victim first.
-        assert_eq!(drain(&pool, 0), [2, 1, 31, 32, 11, 12, 21, 22]);
-        assert!(pool.pop(1).is_none());
+        pool.push_local(0, &mut vec![1, 2, 3]);
+        pool.push_local(1, &mut vec![11, 12, 13]);
+        pool.push_local(2, &mut vec![21]);
+        pool.push_injector(&mut vec![31, 32, 33]);
+        // Worker 0: its own newest first, within the budget, and
+        // nothing else while it has any ...
+        assert_eq!(take(&pool, 0, 2), [3, 2]);
+        assert_eq!(take(&pool, 0, 2), [1]);
+        // ... then the injector oldest first ...
+        assert_eq!(take(&pool, 0, 2), [31, 32]);
+        assert_eq!(take(&pool, 0, 2), [33]);
+        // ... then the older half of the nearest non-empty victim.
+        assert_eq!(take(&pool, 0, 64), [11, 12]);
+        assert_eq!(take(&pool, 0, 64), [13], "half of one rounds up");
+        assert_eq!(take(&pool, 0, 64), [21]);
+        assert!(take(&pool, 1, 64).is_empty());
+        // A steal respects the budget too, and `take` appends.
+        pool.push_local(1, &mut (0..10).collect());
+        let mut out = vec![99];
+        pool.take(2, 3, &mut out);
+        assert_eq!(out, [99, 0, 1, 2]);
     }
 
     #[test]
@@ -212,7 +256,7 @@ mod tests {
         pool.push_local(1, &mut vec![7]);
         pool.begin_iteration();
         assert!(!pool.quiesced(2), "claims start over");
-        assert_eq!(drain(&pool, 0), [7], "deques are left as they were");
+        assert_eq!(take(&pool, 0, 64), [7], "deques are left as they were");
         pool.announce_claims_done();
         pool.announce_claims_done();
         assert!(pool.quiesced(2), "obligations were not touched");

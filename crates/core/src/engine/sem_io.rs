@@ -10,6 +10,18 @@
 //! policy, so nothing outside this file submits, kicks or polls
 //! (`fg_check`'s `sem_flush` model referees the flush gate). Priced by
 //! the ledger's `engine.fetch_ns_per_req` and `merge.*` rows.
+//!
+//! What a request costs here it costs per batch. A cover's parts are
+//! windows over the cover's one shared page vector (`PageSpan::slice`
+//! is a reference-count bump), so resolving allocates nothing per
+//! part. And the layer's two tallies, `bytes_requested` and
+//! `issued_requests`, are plain fields of the worker's own `SemIo`,
+//! folded into the run's shared [`Counters`] by [`SemIo::flush`] —
+//! which every path to a boundary ends with: the compute loop's exit
+//! test and the barrier phase's drain both flush after their last
+//! delivery, before the barrier worker 0 snapshots behind. So a
+//! boundary snapshot still sees every byte of the iteration that
+//! requested it, and the per-iteration rows still sum to the totals.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -229,6 +241,13 @@ pub(super) struct SemIo<'s> {
     issue_meta: Vec<PartMeta>,
     slab: Slab,
     ready: Vec<ReadyVertex>,
+    /// The session's completions on their way through `harvest`, kept
+    /// for its capacity.
+    landed: Vec<Completion>,
+    /// Bytes and device-bound requests (covers, foreign reads) since
+    /// the last fold into `counters` (see [`SemIo::flush`]).
+    bytes_requested: u64,
+    issued_requests: u64,
     outstanding: usize,
     /// How many of `outstanding` are still buffered in the issue
     /// queue rather than submitted. Counted in logical requests, not
@@ -263,6 +282,9 @@ impl<'s> SemIo<'s> {
             issue_meta: Vec::new(),
             slab: Slab::default(),
             ready: Vec::new(),
+            landed: Vec::new(),
+            bytes_requested: 0,
+            issued_requests: 0,
             outstanding: 0,
             buffered: 0,
         }
@@ -290,15 +312,15 @@ impl<'s> SemIo<'s> {
     /// the in-memory source's inline delivery, safe because the
     /// requester holds its busy bit and the subject's *state* is never
     /// touched, only its on-disk edges.
-    pub(super) fn read_foreign(&self, mut head: Header, attrs: bool) -> ReadyVertex {
+    pub(super) fn read_foreign(&mut self, mut head: Header, attrs: bool) -> ReadyVertex {
         let (subject, dir) = (head.subject, head.dir);
         let (start, count) = (head.start, head.count);
         let (s, slice) = self.index.locate_slice(subject, dir, start, count);
         let loc = slice.loc;
         debug_assert_eq!(loc.degree, count);
         head.decode = slice.decode;
-        self.counters.bytes_requested.add(loc.bytes);
-        self.counters.issued_requests.inc();
+        self.bytes_requested += loc.bytes;
+        self.issued_requests += 1;
         let edges = self.mounts[s]
             .read_sync(loc.offset, loc.bytes)
             .expect("foreign shard edge read");
@@ -307,8 +329,8 @@ impl<'s> SemIo<'s> {
                 .index
                 .locate_attrs_range(subject, dir, start, count)
                 .expect("attrs requested but image has no attribute section");
-            self.counters.bytes_requested.add(aloc.bytes);
-            self.counters.issued_requests.inc();
+            self.bytes_requested += aloc.bytes;
+            self.issued_requests += 1;
             self.mounts[sa]
                 .read_sync(aloc.offset, aloc.bytes)
                 .expect("foreign shard attr read")
@@ -357,7 +379,7 @@ impl<'s> SemIo<'s> {
             bytes,
             meta: (self.issue_meta.len() - 1) as u32,
         });
-        self.counters.bytes_requested.add(bytes);
+        self.bytes_requested += bytes;
     }
 
     /// Installs one merged cover in the slab and submits it (the
@@ -375,7 +397,7 @@ impl<'s> SemIo<'s> {
             offset: m.offset,
             parts,
         }));
-        self.counters.issued_requests.inc();
+        self.issued_requests += 1;
         self.session
             .submit(m.offset, m.bytes, tag as u64)
             .expect("edge-list request within image bounds");
@@ -391,24 +413,32 @@ impl<'s> SemIo<'s> {
 
     /// Sorts, merges, and submits the issue queue (§3.6), however
     /// little is buffered — the end-of-claims flush, the stall-point
-    /// flush, and the synchronous barrier-phase drain.
+    /// flush, and the synchronous barrier-phase drain — and folds this
+    /// worker's tallies into the run's counters (see the module docs).
     pub(super) fn flush(&mut self) {
-        if self.issue_q.is_empty() {
-            return;
+        if !self.issue_q.is_empty() {
+            let reqs = std::mem::take(&mut self.issue_q);
+            let metas = std::mem::take(&mut self.issue_meta);
+            self.buffered = 0;
+            let (merge, cap) = (
+                self.cfg.merge_in_engine,
+                self.cfg.resolved_max_merge_bytes(),
+            );
+            for m in merge_requests(reqs, self.page_bytes, merge, cap) {
+                self.submit_cover(m, &metas);
+            }
+            // The whole batch crosses to the I/O threads as one message
+            // per thread, so they sort and coalesce it as a whole too.
+            self.session.kick();
         }
-        let reqs = std::mem::take(&mut self.issue_q);
-        let metas = std::mem::take(&mut self.issue_meta);
-        self.buffered = 0;
-        let (merge, cap) = (
-            self.cfg.merge_in_engine,
-            self.cfg.resolved_max_merge_bytes(),
-        );
-        for m in merge_requests(reqs, self.page_bytes, merge, cap) {
-            self.submit_cover(m, &metas);
+        // A stall point flushes again and again with nothing new:
+        // leave the shared line alone then.
+        if self.issued_requests > 0 {
+            let bytes = std::mem::take(&mut self.bytes_requested);
+            self.counters.bytes_requested.add(bytes);
+            let issued = std::mem::take(&mut self.issued_requests);
+            self.counters.issued_requests.add(issued);
         }
-        // The whole batch crosses to the I/O threads as one message
-        // per thread, so they sort and coalesce it as a whole too.
-        self.session.kick();
     }
 
     /// Takes the session's completions, waiting for the first as
@@ -424,19 +454,20 @@ impl<'s> SemIo<'s> {
         if !matches!(wait, Wait::Poll) && self.outstanding == self.buffered {
             self.flush();
         }
-        let mut done = Vec::new();
+        let mut landed = std::mem::take(&mut self.landed);
         let t = Instant::now();
         match wait {
-            Wait::Poll => self.session.poll(&mut done),
+            Wait::Poll => self.session.poll(&mut landed),
             Wait::Brief => self
                 .session
-                .wait_timeout(&mut done, Duration::from_micros(200)),
-            Wait::Block => self.session.wait(&mut done),
+                .wait_timeout(&mut landed, Duration::from_micros(200)),
+            Wait::Block => self.session.wait(&mut landed),
         };
         self.counters.wait_ns.add(t.elapsed().as_nanos() as u64);
-        for c in done {
+        for c in landed.drain(..) {
             self.resolve(c);
         }
+        self.landed = landed;
         &mut self.ready
     }
 

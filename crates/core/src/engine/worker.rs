@@ -9,9 +9,20 @@
 //! contract survives stealing (`fg_check`'s `busy_bit` and
 //! `ready_pool` harnesses transcribe this file's side of it around the
 //! shipped bitmap and pool: `DroppedClear`, `DropOnConflict`) — and
-//! an accepted request is released only after its
-//! delivery *and* the absorption of the follow-ons that delivery
-//! queued (`complete`).
+//! an accepted request is released only after its delivery *and* the
+//! absorption of the follow-ons that delivery queued (`complete`).
+//!
+//! Both ends of that obligation are paid per batch. `absorb_requests`
+//! opens the obligations of everything it enqueued with one
+//! `accept(n)`, after the last enqueue and before the only thing that
+//! could let one complete — this worker's own flush; until then the
+//! caller's cover (its unannounced claims, or the obligation of the
+//! delivery being absorbed) holds quiesce off. `execute_deliveries`
+//! takes a batch from the pool under one lock, runs it, hands only the
+//! busy-bit-conflicted entries to the injector — their obligations
+//! stay open — and closes the rest with one `release(n)` after the
+//! batch's last follow-on is absorbed (`fg_check`'s `quiesce` harness:
+//! `EarlyBatchRelease`).
 
 use fg_types::sync::Ordering;
 use std::sync::Arc;
@@ -87,6 +98,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 ))
             }
         };
+        let mut batch = DeliveryBatch::default();
         let mut seen_notify = Bitmap::new(self.shared.n);
         // Worker 0's counter snapshot at the last recorded boundary.
         // Taken here — before any worker can pass the first phase-A
@@ -118,7 +130,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
-            self.compute_pipelined(iter, &mut scratch, &mut io);
+            self.compute_pipelined(iter, &mut scratch, &mut io, &mut batch);
             self.flush_boards(&mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
@@ -221,6 +233,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
+        batch: &mut DeliveryBatch,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
@@ -248,7 +261,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // (b) Publish our freshly completed covers to the pool.
             self.harvest(io, Wait::Poll);
             // (c) Run ready deliveries — ours or stolen.
-            let executed = self.execute_deliveries(iter, scratch, io);
+            let executed = self.execute_deliveries(iter, scratch, io, batch);
             if executed == 0 {
                 // Nothing to run: what we wait for next may be a
                 // sibling's announcement or obligation, which a dead
@@ -305,35 +318,39 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// Executes up to a small budget of ready deliveries from the
-    /// pool (bounded so the device pipeline is re-filled regularly),
-    /// serializing on each requester's busy bit. Returns the number
-    /// of deliveries run.
+    /// Takes one batch of ready deliveries from the pool (a small
+    /// budget, so the device pipeline is re-filled regularly) and runs
+    /// it, serializing on each requester's busy bit. Returns the
+    /// number of deliveries run.
     fn execute_deliveries(
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
+        batch: &mut DeliveryBatch,
     ) -> usize {
         const DELIVERY_BUDGET: usize = 64;
+        self.ready.take(self.w, DELIVERY_BUDGET, &mut batch.taken);
         let mut executed = 0;
-        while executed < DELIVERY_BUDGET {
-            let Some(r) = self.ready.pop(self.w) else {
-                break;
-            };
+        for r in batch.taken.drain(..) {
             let requester = r.head.requester;
             if self.busy.set_sync(requester) {
                 // The requester's callback is running on another
-                // worker right now: hand the delivery to the injector
-                // rather than spin, and stop popping — the next pop
-                // could return the same entry.
-                self.ready.push_injector(r);
-                break;
+                // worker right now: the delivery goes to the injector
+                // rather than spin, and the rest of the batch goes on.
+                batch.conflicted.push(r);
+                continue;
             }
             self.complete(iter, r, scratch, io);
             self.busy.clear_sync(requester);
             executed += 1;
             self.maybe_flush_messages(scratch);
+        }
+        if !batch.conflicted.is_empty() {
+            self.ready.push_injector(&mut batch.conflicted);
+        }
+        if executed > 0 {
+            self.ready.release(executed as u64);
         }
         executed
     }
@@ -390,6 +407,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         io: &mut Source<'_>,
     ) {
         let deltas = self.shared.deltas.as_deref();
+        let mut enqueued = 0;
         while !scratch.requests.is_empty() {
             // Callbacks run below queue follow-on requests: take the
             // pending ones out and leave the spare buffer in their
@@ -409,10 +427,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         } else if !sem.owns(req.subject) {
                             self.deliver(iter, sem.read_foreign(head, req.attrs), scratch);
                         } else {
-                            // An obligation from before the request is
-                            // enqueued until `complete` is through.
-                            self.ready.accept();
                             sem.enqueue(head, req.attrs);
+                            enqueued += 1;
                         }
                     }
                 }
@@ -420,6 +436,11 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             scratch.absorbing = reqs;
         }
         if let Source::Sem(sem) = io {
+            if enqueued > 0 {
+                // Obligations from before the requests can be flushed
+                // until the batches that deliver them are through.
+                self.ready.accept(enqueued);
+            }
             sem.flush_if_full();
         }
     }
@@ -446,11 +467,12 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         });
     }
 
-    /// Completes an accepted request: its delivery, the absorption of
-    /// the follow-on requests the delivery queued (accepted in their
-    /// turn, under this obligation's cover), and only then the
-    /// release. The caller owns the requester — its busy bit in the
-    /// compute phase, its partition in the barrier phase.
+    /// Completes an accepted request: its delivery and the absorption
+    /// of the follow-on requests the delivery queued (accepted in
+    /// their turn, under this obligation's cover). The release is the
+    /// caller's, once for its whole batch. The caller owns the
+    /// requester — its busy bit in the compute phase, its partition in
+    /// the barrier phase.
     pub(super) fn complete(
         &self,
         iter: u32,
@@ -461,8 +483,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let vp = r.head.vpart;
         self.deliver(iter, r, scratch);
         self.absorb_requests(iter, vp, scratch, io);
-        self.ready.release();
     }
+}
+
+/// A worker's delivery buffers, kept across calls for their capacity.
+#[derive(Default)]
+pub(super) struct DeliveryBatch {
+    /// What the last `ReadyPool::take` handed this worker.
+    taken: Vec<ReadyVertex>,
+    /// The part of it whose requesters were busy elsewhere.
+    conflicted: Vec<ReadyVertex>,
 }
 
 /// Where a worker's edge lists come from — built from the engine's

@@ -335,6 +335,95 @@ fn cascading_neighbor_requests_both_modes() {
     }
 }
 
+/// [`NeighborDegrees`] with the delivery discipline checked from the
+/// inside: a plain flag up for the length of every callback (two
+/// callbacks of one vertex overlapping would find it up), and enough
+/// bookkeeping to tell a lost or repeated delivery from a correct one.
+struct GuardedNeighborDegrees;
+
+#[derive(Default, Clone, Debug, PartialEq)]
+struct GuardedState {
+    inside: bool,
+    deliveries: u64,
+    subject_sum: u64,
+    total: u64,
+}
+
+impl VertexProgram for GuardedNeighborDegrees {
+    type State = GuardedState;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _: &mut GuardedState, ctx: &mut VertexContext<'_, ()>) {
+        ctx.request(v, Request::edges(EdgeDir::Out));
+    }
+
+    fn run_on_vertex(
+        &self,
+        v: VertexId,
+        state: &mut GuardedState,
+        vertex: &PageVertex<'_>,
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        assert!(!state.inside, "two callbacks of {v} at once");
+        state.inside = true;
+        if vertex.id() == v {
+            for w in vertex.edges() {
+                ctx.request(w, Request::edges(EdgeDir::Out));
+            }
+        } else {
+            state.deliveries += 1;
+            state.subject_sum += vertex.id().0 as u64;
+            state.total += vertex.edges().map(|w| w.0 as u64).sum::<u64>();
+            // Give a second worker holding one of this vertex's
+            // deliveries time to try.
+            std::thread::yield_now();
+        }
+        state.inside = false;
+    }
+}
+
+#[test]
+fn hub_deliveries_run_exactly_once_and_never_two_at_a_time() {
+    // One requester with 1,500 neighbour deliveries at W = 4: they all
+    // resolve on the worker that ran the hub, the others steal half a
+    // deque at a time, and entries for the one requester sit in
+    // several workers' batches at once — the busy-bit conflict path
+    // (set aside for the injector, the rest of the batch goes on).
+    const HUB: VertexId = VertexId(0);
+    let n = 2048u32;
+    let mut b = fg_graph::GraphBuilder::directed();
+    for w in 1..=1500u32 {
+        b.add_edge(HUB, VertexId(w));
+    }
+    for v in 1..n {
+        for j in 1..=3u32 {
+            b.add_edge(VertexId(v), VertexId((v * 5 + j * 97) % n));
+        }
+    }
+    let g = b.build();
+    let cfg = EngineConfig {
+        num_threads: 4,
+        ..EngineConfig::small()
+    };
+    let [(mem, _), (sem, stats)] = both_modes(&g, &GuardedNeighborDegrees, Init::All, cfg);
+    let hub = &sem[HUB.index()];
+    assert_eq!(hub.deliveries, 1500);
+    assert_eq!(hub.subject_sum, (1..=1500u64).sum::<u64>());
+    assert_eq!(
+        sem, mem,
+        "every delivery once, with the in-memory engine's edges"
+    );
+    assert_eq!(stats.edges_delivered, {
+        let own: u64 = g.vertices().map(|v| g.out_degree(v) as u64).sum();
+        let neighbours: u64 = g
+            .vertices()
+            .flat_map(|v| g.out_neighbors(v))
+            .map(|&w| g.out_degree(w) as u64)
+            .sum();
+        own + neighbours
+    });
+}
+
 // ------------------------------------------------------- edge weights
 
 struct WeightSum;
@@ -1090,7 +1179,22 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
     };
     let (safs, index) = sem_fixture(&g, SafsConfig::default());
     let engine = Engine::new_sem(&safs, index, cfg);
-    let (_, stats) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+    let seeds = Init::Seeds(vec![VertexId(0)]);
+    let (_, stats) = engine.run(&Bfs, seeds.clone()).unwrap();
+    // The workers tally bytes and requests privately and fold them in
+    // at their flushes: every row must still hold what *its*
+    // iteration requested — a sum cannot tell a fold that slipped past
+    // a boundary, one worker's rows can.
+    let one = EngineConfig {
+        num_threads: 1,
+        ..cfg
+    };
+    let (_, alone) = engine.reconfigured(one).run(&Bfs, seeds).unwrap();
+    let rows = |s: &RunStats| -> Vec<(u64, u64)> {
+        let row = |it: &flashgraph::IterStats| (it.bytes_requested, it.edges_delivered);
+        s.per_iteration.iter().map(row).collect()
+    };
+    assert_eq!(rows(&stats), rows(&alone));
     let io = stats.io.as_ref().expect("sem mode");
     let sums = stats
         .per_iteration

@@ -1,11 +1,24 @@
 //! Cached pages and zero-copy spans over them.
 //!
-//! A span is how a user task *holds* pages: each page it covers is an
-//! `Arc` clone, so the bytes stay put for as long as the span lives,
-//! and — the other half of the rule in [`crate::cache`] — the cache
-//! keeps finding those pages for as long as the span lives, evicted
-//! from their slots or not. Dropping the last span over a page the
-//! cache has evicted frees it; the cache never extends a page's life.
+//! A span is how a user task *holds* pages: the bytes stay put for as
+//! long as the span lives, and — the other half of the rule in
+//! [`crate::cache`] — the cache keeps finding those pages for as long
+//! as the span lives, evicted from their slots or not. The cache never
+//! extends a page's life.
+//!
+//! A span is a window (`head`, `len`) over the page vector of the
+//! *cover* it was cut from — the read [`PageSpan::new`] assembled —
+//! and that vector is held once, behind one `Arc`, by the cover and
+//! every [`PageSpan::slice`] of it. Cutting a sub-span is therefore
+//! one reference-count bump: no allocation and no per-page traffic,
+//! however many pages the part covers. The price is the unit of
+//! release: a cover's pages are freed together, when its *last*
+//! sub-span is dropped, not page by page as parts go. The bound:
+//! pages pinned ≤ the pages of covers with an undelivered part. The
+//! engine cuts a cover into parts that are delivered within one
+//! scheduling round of each other, and its merging only joins
+//! page-adjacent requests, so a cover holds no page that none of its
+//! parts asked for.
 //!
 //! Reading a span means walking its pages, and there is one loop for
 //! that: [`PageSpan::chunk_at`] hands out the contiguous bytes of one
@@ -70,28 +83,35 @@ impl Page {
 /// empty buffers awaiting fill).
 #[derive(Debug, Clone)]
 pub struct PageSpan {
-    pages: Vec<Arc<Page>>,
+    /// The cover's pages, shared with every other span cut from it;
+    /// `None` only for the empty span, which holds nothing.
+    pages: Option<Arc<[Arc<Page>]>>,
     /// log2 of the page size: the page of absolute position `abs` is
     /// `abs >> page_shift`, its offset inside it `abs & page_mask`
     /// (page sizes are powers of two, see `SafsConfig::validate`).
     page_shift: u32,
     /// Page size minus one.
     page_mask: usize,
-    /// Offset of the span's first byte inside `pages[0]`.
+    /// Offset of the span's first byte from the start of the cover's
+    /// first page (beyond one page for a slice further in).
     head: usize,
     len: usize,
 }
 
 impl PageSpan {
     /// Builds a span of `len` bytes starting `head` bytes into the
-    /// first of `pages`.
+    /// first of `pages` — a *cover*, whose page vector every slice of
+    /// it shares. An iterator of known length (a `Vec`, a drain, a map
+    /// over either) is collected straight into that shared vector: one
+    /// allocation per cover.
     ///
     /// # Panics
     ///
     /// Panics when the pages do not cover `head + len` bytes, when
     /// pages differ in size or their size is not a power of two, or
     /// when their page numbers are not consecutive.
-    pub fn new(pages: Vec<Arc<Page>>, head: usize, len: usize) -> Self {
+    pub fn new(pages: impl IntoIterator<Item = Arc<Page>>, head: usize, len: usize) -> Self {
+        let pages: Arc<[Arc<Page>]> = pages.into_iter().collect();
         let Some(first) = pages.first() else {
             assert!(len == 0, "empty span needs no pages");
             return PageSpan::empty();
@@ -118,23 +138,31 @@ impl PageSpan {
             );
         }
         PageSpan {
-            pages,
             page_shift: page_bytes.trailing_zeros(),
             page_mask: page_bytes - 1,
+            pages: Some(pages),
             head,
             len,
         }
     }
 
-    /// An empty span.
+    /// An empty span. Allocates nothing and holds no page.
     pub fn empty() -> Self {
         PageSpan {
-            pages: Vec::new(),
+            pages: None,
             page_shift: 0,
             page_mask: 0,
             head: 0,
             len: 0,
         }
+    }
+
+    /// The page holding absolute position `abs` (counted from the
+    /// start of the cover's first page). Callers have checked `abs`
+    /// against the span's bounds; the empty span has no page to index.
+    #[inline]
+    fn page_at(&self, abs: usize) -> &Page {
+        &self.pages.as_deref().unwrap_or_default()[abs >> self.page_shift]
     }
 
     /// Length in bytes.
@@ -158,7 +186,7 @@ impl PageSpan {
     pub fn byte(&self, i: usize) -> u8 {
         assert!(i < self.len, "span index {i} out of {} bytes", self.len);
         let abs = self.head + i;
-        self.pages[abs >> self.page_shift].bytes()[abs & self.page_mask]
+        self.page_at(abs).bytes()[abs & self.page_mask]
     }
 
     /// The contiguous bytes from span position `pos` to the end of the
@@ -182,7 +210,7 @@ impl PageSpan {
         let abs = self.head + pos;
         let off = abs & self.page_mask;
         let take = (self.page_mask + 1 - off).min(self.len - pos);
-        &self.pages[abs >> self.page_shift].bytes()[off..off + take]
+        &self.page_at(abs).bytes()[off..off + take]
     }
 
     /// Copies `out.len()` bytes starting at span position `at`.
@@ -217,7 +245,7 @@ impl PageSpan {
         let off = abs & self.page_mask;
         if off + 4 <= self.page_mask + 1 {
             assert!(at + 4 <= self.len, "u32 at {at} exceeds span");
-            let b = &self.pages[abs >> self.page_shift].bytes()[off..off + 4];
+            let b = &self.page_at(abs).bytes()[off..off + 4];
             u32::from_le_bytes(b.try_into().unwrap())
         } else {
             let mut b = [0u8; 4];
@@ -253,13 +281,20 @@ impl PageSpan {
         v
     }
 
-    /// Number of pages backing the span.
+    /// Number of pages the span's bytes lie on (for a slice, the
+    /// sub-range's — not the cover's it keeps alive).
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        if self.len == 0 {
+            return 0;
+        }
+        let last = (self.head + self.len - 1) >> self.page_shift;
+        last - (self.head >> self.page_shift) + 1
     }
 
     /// A zero-copy sub-span of `len` bytes starting at span position
-    /// `at`. Only the pages covering the sub-range keep a reference.
+    /// `at`: one reference-count bump on the cover's shared page
+    /// vector, whatever the sub-range's size (see the module docs for
+    /// what that pins).
     ///
     /// This is how the engine splits one *merged* I/O request back
     /// into per-vertex edge-list views (§3.6).
@@ -277,14 +312,11 @@ impl PageSpan {
         if len == 0 {
             return PageSpan::empty();
         }
-        let abs = self.head + at;
-        let first = abs >> self.page_shift;
-        let last = (abs + len - 1) >> self.page_shift;
         PageSpan {
-            pages: self.pages[first..=last].to_vec(),
+            pages: self.pages.clone(),
             page_shift: self.page_shift,
             page_mask: self.page_mask,
-            head: abs & self.page_mask,
+            head: self.head + at,
             len,
         }
     }
@@ -399,6 +431,7 @@ mod tests {
     fn empty_span() {
         let s = PageSpan::empty();
         assert!(s.is_empty());
+        assert_eq!(s.page_count(), 0);
         assert_eq!(s.to_vec(), Vec::<u8>::new());
         assert_eq!(s.u32_iter().count(), 0);
     }
@@ -441,9 +474,10 @@ mod tests {
         let s = PageSpan::new(vec![p0, p1, p2], 4, 40); // bytes 4..44
         let sub = s.slice(10, 8); // absolute bytes 14..22
         assert_eq!(sub.to_vec(), (14u8..22).collect::<Vec<_>>());
-        // Sub-span drops pages it does not cover.
+        // A sub-span counts the pages its own bytes lie on.
         let tail = s.slice(30, 8); // absolute 34..42: page 2 only
         assert_eq!(tail.page_count(), 1);
+        assert_eq!(s.page_count(), 3);
         assert_eq!(tail.to_vec(), (34u8..42).collect::<Vec<_>>());
     }
 
@@ -480,9 +514,9 @@ mod tests {
         let cache = PageCache::new(1, 1);
         cache.insert(page(0, |_| 7, 8));
         let s = PageSpan::new(vec![cache.get(0).expect("resident")], 0, 8);
-        let weak = Arc::downgrade(&s.pages[0]);
+        let weak = Arc::downgrade(&s.pages.as_ref().expect("one page")[0]);
         cache.insert(page(1, |_| 9, 8));
-        assert_eq!(cache.stats().snapshot().evictions, 1);
+        assert_eq!(cache.stats().evictions, 1);
         let hit = cache.get(0).expect("held by the span, so still a hit");
         assert_eq!(hit.bytes(), &s.to_vec()[..]);
         drop(hit);
@@ -551,6 +585,80 @@ mod tests {
                     assert_eq!(it.len(), 0);
                     assert_eq!(it.next(), None);
                 }
+            }
+        }
+    }
+    mod windows {
+        use super::*;
+        use crate::PageCache;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn a_slice_of_a_slice_reads_its_cover_and_pins_it_to_the_last(
+                shift in 2u32..7,
+                npages in 2usize..6,
+                cuts in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+            ) {
+                let pb = 1usize << shift;
+                // A one-page cache the cover's pages pass through, so
+                // every page but the last is evicted while held: the
+                // cover is all that keeps those alive, and findable.
+                let cache = PageCache::new(1, 1);
+                let pages: Vec<Arc<Page>> = (0..npages as u64)
+                    .map(|n| {
+                        cache.insert(page(n, move |i| (n as usize * pb + i) as u8 ^ 0xA5, pb));
+                        cache.get(n).expect("just inserted")
+                    })
+                    .collect();
+                let weak = Arc::downgrade(&pages[0]);
+                let total = npages * pb;
+                let head = cuts.0 % pb;
+                let len = 1 + cuts.1 % (total - head);
+                let cover = PageSpan::new(pages, head, len);
+                let whole = cover.to_vec();
+                let a = cuts.2 % len;
+                let outer = cover.slice(a, 1 + cuts.3 % (len - a));
+                let b = cuts.4 % outer.len();
+                let inner = outer.slice(b, outer.len() - b);
+
+                for (s, lo) in [(&outer, a), (&inner, a + b)] {
+                    let want = &whole[lo..lo + s.len()];
+                    prop_assert_eq!(s.to_vec(), want);
+                    let mut pos = 0;
+                    while pos < s.len() {
+                        let c = s.chunk_at(pos);
+                        prop_assert!(!c.is_empty());
+                        prop_assert_eq!(c, &want[pos..pos + c.len()]);
+                        pos += c.len();
+                    }
+                    for at in 0..s.len().saturating_sub(3) {
+                        let w = u32::from_le_bytes(want[at..at + 4].try_into().unwrap());
+                        prop_assert_eq!(s.read_u32_le(at), w);
+                    }
+                    let words = s.slice(0, s.len() - s.len() % 4);
+                    let want_words: Vec<u32> = want
+                        .chunks_exact(4)
+                        .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+                        .collect();
+                    prop_assert_eq!(words.u32_iter().collect::<Vec<_>>(), want_words);
+                    let abs = head + lo;
+                    prop_assert_eq!(s.page_count(), (abs + s.len() - 1) / pb - abs / pb + 1);
+                }
+
+                // Page 0 was evicted from the cache's one slot; it
+                // lives, and is a cache hit, for as long as any
+                // sub-span of its cover does — whether that sub-span's
+                // bytes touch it or not — and dies with the last one.
+                prop_assert_eq!(cache.stats().evictions, npages as u64 - 1);
+                drop(cover);
+                prop_assert!(weak.upgrade().is_some());
+                drop(outer);
+                prop_assert!(weak.upgrade().is_some(), "not the last sub-span");
+                prop_assert!(cache.get(0).is_some());
+                drop(inner);
+                prop_assert!(weak.upgrade().is_none(), "the last sub-span");
+                prop_assert!(cache.get(0).is_none());
             }
         }
     }

@@ -97,12 +97,12 @@ impl Safs {
 
     /// Page-cache statistics snapshot.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        self.mount.cache.stats().snapshot()
+        self.mount.cache.stats()
     }
 
     /// Resets cache and device statistics (between experiment phases).
     pub fn reset_stats(&self) {
-        self.mount.cache.stats().reset();
+        self.mount.cache.reset_stats();
         self.mount.array.stats().reset();
     }
 
@@ -124,12 +124,19 @@ impl Safs {
     /// hit/miss deltas while the mount-wide [`Safs::cache_stats`]
     /// keeps the aggregate. A scope only sees application-side lookups
     /// (hits, misses, lookups); insertions and evictions happen on the
-    /// shared I/O threads and stay mount-wide.
+    /// shared I/O threads and stay mount-wide. The session counts its
+    /// lookups privately and folds them into `scope` whenever it
+    /// dispatches — every kick, poll and wait, and its drop — so a
+    /// scope read after its sessions are gone, or after their last
+    /// harvest, is exact.
     pub fn session_scoped(&self, scope: Option<Arc<CacheStats>>) -> IoSession<'_> {
         let (tx, rx) = unbounded();
         IoSession {
             safs: self,
             scope,
+            scope_hits: 0,
+            scope_misses: 0,
+            looked_up: Vec::new(),
             id: self.sessions.inc(),
             next_req: 0,
             in_flight: HashMap::new(),
@@ -245,6 +252,13 @@ impl Drop for Safs {
 pub struct IoSession<'fs> {
     safs: &'fs Safs,
     scope: Option<Arc<CacheStats>>,
+    /// Lookups made since the last fold into `scope` (see
+    /// [`IoSession::dispatch`]).
+    scope_hits: u64,
+    scope_misses: u64,
+    /// The pages of the submit in progress, kept for its capacity: an
+    /// all-hit submit's only allocation is the span's shared vector.
+    looked_up: Vec<Arc<Page>>,
     /// Mount-unique id; tags runs and waiters so an I/O thread can
     /// answer this session once per pass.
     id: u64,
@@ -299,24 +313,22 @@ impl IoSession<'_> {
         let last = (end - 1) / pb;
         let npages = (last - first + 1) as usize;
         let head = (offset - first * pb) as usize;
-        // Look pages up straight into the span's own vector: an
-        // all-hit request allocates nothing else.
-        let mut pages: Vec<Arc<Page>> = Vec::with_capacity(npages);
-        for p in first..=last {
-            match self.lookup(p) {
-                Some(page) => pages.push(page),
-                None => break,
-            }
-        }
+        // Hits up to the first miss, if any. An all-hit request hands
+        // them to the span's shared vector in one allocation.
+        let mut pages = std::mem::take(&mut self.looked_up);
+        pages.extend((first..=last).map_while(|p| self.lookup(p)));
         if pages.len() == npages {
             self.ready.push(Completion {
                 tag,
-                span: PageSpan::new(pages, head, len as usize),
+                span: PageSpan::new(pages.drain(..), head, len as usize),
             });
+            self.looked_up = pages;
             return Ok(());
         }
         let first_miss = pages.len();
-        let mut slots: Vec<Option<Arc<Page>>> = pages.into_iter().map(Some).collect();
+        let mut slots: Vec<Option<Arc<Page>>> = Vec::with_capacity(npages);
+        slots.extend(pages.drain(..).map(Some));
+        self.looked_up = pages;
         slots.push(None);
         slots.extend((first + first_miss as u64 + 1..=last).map(|p| self.lookup(p)));
 
@@ -409,8 +421,15 @@ impl IoSession<'_> {
     }
 
     /// [`IoSession::kick`] that reports a dead I/O thread instead of
-    /// panicking (`Drop` must not).
+    /// panicking (`Drop` must not). Also where the session's lookup
+    /// counts reach its scope: once per batch, not once per page.
     fn dispatch(&mut self) -> bool {
+        if let Some(scope) = &self.scope {
+            if self.scope_hits + self.scope_misses > 0 {
+                scope.record_lookups(self.scope_hits, self.scope_misses);
+                (self.scope_hits, self.scope_misses) = (0, 0);
+            }
+        }
         let mut alive = true;
         for (runs, tx) in self.outbox.iter_mut().zip(&self.safs.senders) {
             if runs.is_empty() {
@@ -438,12 +457,13 @@ impl IoSession<'_> {
         self.in_flight.len() + self.ready.len()
     }
 
-    /// Cache lookup, booked mount-wide and into the session's scope,
-    /// when one is attached.
-    fn lookup(&self, pageno: u64) -> Option<Arc<Page>> {
+    /// Cache lookup, booked mount-wide by the cache and counted for
+    /// the session's scope.
+    fn lookup(&mut self, pageno: u64) -> Option<Arc<Page>> {
         let got = self.safs.mount.cache.get(pageno);
-        if let Some(scope) = &self.scope {
-            scope.record_lookup(got.is_some());
+        match got {
+            Some(_) => self.scope_hits += 1,
+            None => self.scope_misses += 1,
         }
         got
     }
@@ -469,7 +489,7 @@ impl IoSession<'_> {
         };
         if finished {
             let p = self.in_flight.remove(&done.req_id).unwrap();
-            let pages = p.slots.into_iter().map(|s| s.unwrap()).collect();
+            let pages = p.slots.into_iter().map(|s| s.expect("no page missing"));
             self.ready.push(Completion {
                 tag: p.tag,
                 span: PageSpan::new(pages, p.head, p.len),
@@ -792,6 +812,28 @@ mod tests {
         let mut out2 = Vec::new();
         plain.poll(&mut out2);
         assert_eq!(scope.snapshot(), scoped);
+
+        // Lookups are counted in the session and folded in when it
+        // dispatches; a session that submits and goes away without a
+        // kick (a cancelled query) still books every one of them.
+        let mut dying = safs.session_scoped(Some(Arc::clone(&scope)));
+        dying.submit(4096, 3 * 4096, 4).unwrap(); // 3 hits
+        dying.submit(65 * 4096, 2 * 4096, 5).unwrap(); // 2 misses
+        assert_eq!(scope.snapshot(), scoped, "not folded per lookup");
+        drop(dying);
+        let after = scope.snapshot();
+        assert_eq!(
+            (after.hits, after.misses),
+            (scoped.hits + 3, scoped.misses + 2)
+        );
+        assert_eq!(after.lookups, after.hits + after.misses);
+        let mount = safs.cache_stats().delta_since(&mount_before);
+        assert_eq!(mount.lookups, mount.hits + mount.misses);
+        assert_eq!(
+            mount.lookups,
+            after.lookups + 1,
+            "the scope's and `plain`'s"
+        );
     }
 
     #[test]

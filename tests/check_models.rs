@@ -96,9 +96,12 @@ fn quiesce_mutations_caught() {
     // And the decrement downgrade `pool.rs`' `// ordering:` comments
     // cite this harness as the referee for, injected into `release`
     // itself: delivered state read without a happens-before edge.
+    // And the batch form of the first: one `release(n)` that does not
+    // wait for the batch's last delivery.
     let expected = [
         (Mutation::NoOuterObligation, "assertion"),
         (Mutation::RelaxedPublish, "data race"),
+        (Mutation::EarlyBatchRelease, "assertion"),
     ];
     assert_caught("quiesce", check, &expected);
 }

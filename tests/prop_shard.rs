@@ -107,6 +107,61 @@ impl VertexProgram for LevelBfs {
     }
 }
 
+/// Every vertex asks for one list, always another shard's: the vertex
+/// `split` for the shard below it, vertex 0 for the shard above.
+struct ForeignOnly {
+    split: u32,
+}
+
+impl VertexProgram for ForeignOnly {
+    type State = u64;
+    type Msg = ();
+    fn run(&self, v: VertexId, _: &mut u64, ctx: &mut VertexContext<'_, ()>) {
+        let other = if v.0 < self.split { self.split } else { 0 };
+        ctx.request(VertexId(other), Request::edges(EdgeDir::Out));
+    }
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        seen: &mut u64,
+        vertex: &PageVertex<'_>,
+        _ctx: &mut VertexContext<'_, ()>,
+    ) {
+        *seen += vertex.degree() as u64;
+    }
+}
+
+#[test]
+fn a_run_of_nothing_but_foreign_reads_books_every_byte() {
+    // Foreign reads are tallied by the worker that makes them and
+    // folded into the run's counters at its flushes. Here no worker
+    // ever has anything *to* flush — no request is its own shard's —
+    // so the fold must not hide behind a non-empty issue queue.
+    let g = gen::rmat(8, 6, gen::RmatSkew::default(), 5);
+    let (set, index) = sharded_fixture(&g, 2, &WriteOptions::default());
+    let split = index.shard_range(1).start;
+    let deg = |v: u32| g.out_degree(VertexId(v)) as u64;
+    assert!(deg(0) > 0 && deg(split) > 0, "both lists worth a read");
+    let n = g.num_vertices() as u64;
+    let edges = split as u64 * deg(split) + (n - split as u64) * deg(0);
+    let engine = ShardedEngine::new(&set, index, EngineConfig::small());
+    let (seen, stats) = engine.run(&ForeignOnly { split }, Init::All).unwrap();
+    assert_eq!(seen.iter().sum::<u64>(), edges);
+    assert_eq!(stats.edges_delivered, edges);
+    assert_eq!(
+        stats.bytes_requested,
+        4 * edges,
+        "raw lists, four bytes an edge"
+    );
+    assert_eq!(stats.issued_requests, n, "one synchronous read each");
+    let rows: u64 = stats
+        .per_iteration
+        .iter()
+        .map(|it| it.bytes_requested)
+        .sum();
+    assert_eq!(rows, stats.bytes_requested);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
