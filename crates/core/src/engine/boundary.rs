@@ -304,12 +304,19 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 break;
             }
             let landed = std::mem::take(sem.harvest(Wait::Block));
-            let batch = landed.len() as u64;
-            for r in landed {
-                debug_assert_eq!(r.head.vpart, 0, "barrier-phase deliveries stay in pass 0");
-                self.complete(iter, r, scratch, io);
+            let mut run = 0;
+            for e in landed {
+                for i in e.parts() {
+                    debug_assert_eq!(
+                        e.head(i).vpart,
+                        0,
+                        "barrier-phase deliveries stay in pass 0"
+                    );
+                    self.complete(iter, &e, i, scratch, io);
+                    run += 1;
+                }
             }
-            self.ready.release(batch);
+            self.ready.release(run);
             // Callbacks may have queued more requests.
             io.flush();
             self.maybe_flush_messages(scratch);

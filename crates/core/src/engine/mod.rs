@@ -1,8 +1,8 @@
 //! The iteration driver (§3.3, §3.6–§3.8), a file per layer of the
 //! road one request takes to its callback: `claim` (frontier →
-//! claimed vertex), `sem_io` (request → merged cover → resolved
-//! delivery), `pool` (ready deliveries and the quiesce that ends
-//! compute), `worker` (the loop that interleaves them and runs the
+//! claimed vertex), `sem_io` (request → sorted batch → cover →
+//! entries, runs of a cover's deliveries), `pool` (ready entries and
+//! the quiesce that ends compute), `worker` (the loop that interleaves them and runs the
 //! callbacks) and `boundary` (what happens between computes). Each
 //! file's comment names the invariant it owns.
 //!

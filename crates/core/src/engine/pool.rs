@@ -1,4 +1,5 @@
-//! The ready pool: where a resolved delivery waits for a CPU, and the
+//! The ready pool: where a resolved entry — a run of one cover's
+//! deliveries, the engine's `sem_io::Entry` — waits for a CPU, and the
 //! one owner of the quiesce protocol that ends an iteration's compute
 //! without a barrier (see [`ReadyPool`]). The two counters are
 //! private; `accept` / `release` / `announce_claims_done` /
@@ -10,12 +11,14 @@
 //! these functions as shipped. Priced, with `claim.rs`, by the
 //! ledger's `engine.noop_ns_per_vertex`.
 //!
-//! Everything here moves batches, so a delivery pays a share of a lock
-//! or an RMW, not one of its own. [`ReadyPool::take`] fills the
-//! caller's buffer from the *first* non-empty of: its own deque,
-//! newest first, up to the budget; the injector, oldest first, up to
-//! the budget; one victim's deque, oldest first, at most half of it —
-//! one lock each, and it never mixes sources. `accept(n)` opens the
+//! Everything here moves batches of entries, so a delivery pays a
+//! share of a share of a lock or an RMW, not one of its own. The
+//! deques and the injector hold entries; the obligation counter counts
+//! *deliveries*, however many an entry carries. [`ReadyPool::take`]
+//! fills the caller's buffer from the *first* non-empty of: its own
+//! deque, newest first, up to the budget; the injector, oldest first,
+//! up to the budget; one victim's deque, oldest first, at most half of
+//! it — one lock each, and it never mixes sources. `accept(n)` opens the
 //! obligations of one absorb in one RMW, before any of the `n`
 //! requests can be flushed; `release(n)` closes a batch's in one RMW,
 //! after the *last* of its deliveries has run and had its follow-ons
@@ -29,12 +32,13 @@ use std::collections::VecDeque;
 /// The pipelined scheduler's cross-worker delivery pool and its
 /// completion counters.
 ///
-/// Resolved deliveries (the engine's `T` is `ReadyVertex`) land in the
+/// Resolved entries (the engine's `T` is `sem_io::Entry`) land in the
 /// resolving worker's deque, where the owner takes them LIFO (the
 /// spans are cache-warm) and other workers steal them FIFO when their
 /// own device queue is ahead of their CPU. The shared injector takes
 /// hand-offs: a taken delivery whose requester is busy on another
-/// worker goes there instead of blocking the taker.
+/// worker goes there, as an entry of one, instead of blocking the
+/// taker.
 ///
 /// Two counters replace the compute-phase barrier: `obligations`,
 /// the edge requests accepted into the I/O layer and not yet released,
@@ -58,19 +62,19 @@ impl<T> ReadyPool<T> {
         }
     }
 
-    /// Moves freshly resolved deliveries into worker `w`'s deque.
+    /// Moves freshly resolved entries into worker `w`'s deque.
     pub(super) fn push_local(&self, w: usize, items: &mut Vec<T>) {
         self.deques[w].lock().extend(items.drain(..));
     }
 
-    /// Hands deliveries whose requesters are busy elsewhere to the
+    /// Hands entries whose requesters are busy elsewhere to the
     /// injector, where any worker (including the busy one) picks them
     /// up once the conflict clears.
     pub(super) fn push_injector(&self, items: &mut Vec<T>) {
         self.injector.lock().extend(items.drain(..));
     }
 
-    /// Appends worker `w`'s next batch of at most `budget` deliveries
+    /// Appends worker `w`'s next batch of at most `budget` entries
     /// to `out`: its own deque (LIFO), else the injector (FIFO), else
     /// the older half of the first non-empty victim's deque (FIFO; all
     /// of a deque of one) — the shape of crossbeam's

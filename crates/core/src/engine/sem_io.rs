@@ -1,27 +1,43 @@
 //! The semi-external I/O layer of one worker (§3.6): a request
 //! becomes a delivery header, the header a byte range in the issue
-//! queue, the queue sorted-and-merged covers on the worker's own SAFS
-//! session, and a completion `ReadyVertex` entries again.
+//! queue, the queue a sorted [`Batch`] whose covers go out on the
+//! worker's own SAFS session, and a completion [`Entry`]s — runs of
+//! its cover's requests — for the ready pool.
+//!
+//! A request is written once, where it is enqueued, and read in place
+//! from then on. [`SemIo::flush`] swaps the filled queue into a batch,
+//! sorts it once, and cuts covers as *index ranges* of it
+//! (`merge::covers`); a slab slot and a pool entry are such a range
+//! plus a reference to the batch, and a delivery's header and byte
+//! range are read out of the batch when its callback runs.
 //!
 //! Invariant owned here: every request counted in `outstanding` is
-//! either `buffered` in the issue queue or under exactly one live slab
-//! tag, and resolves into exactly one `ReadyVertex` carrying the
-//! header it was enqueued with. `SemIo` owns its session and its flush
-//! policy, so nothing outside this file submits, kicks or polls
-//! (`fg_check`'s `sem_flush` model referees the flush gate). Priced by
-//! the ledger's `engine.fetch_ns_per_req` and `merge.*` rows.
+//! either `buffered` in the issue queue or named by exactly one live
+//! slab range or pool entry of its batch (a weighted request's second
+//! half by its join slot as well), and is delivered exactly once, with
+//! the header it was enqueued with. And the bound that makes batches
+//! recyclable: besides the worker's own list of them, a batch is
+//! referenced only by those ranges and entries, so batches in use ≤
+//! covers with an undelivered part, and `flush` makes a batch only
+//! when every one on the list is in use — the list holds no more than
+//! were once needed together, and in the steady state neither the
+//! queue nor a batch is allocated or regrown. `SemIo` owns its session
+//! and its flush policy, so nothing outside this file submits, kicks
+//! or polls (`fg_check`'s `sem_flush` model referees the flush gate).
+//! Priced by the ledger's `engine.fetch_ns_per_req` and `merge.*`
+//! rows; `tests/alloc_request_path.rs` holds the allocation floor.
 //!
-//! What a request costs here it costs per batch. A cover's parts are
-//! windows over the cover's one shared page vector (`PageSpan::slice`
-//! is a reference-count bump), so resolving allocates nothing per
-//! part. And the layer's two tallies, `bytes_requested` and
-//! `issued_requests`, are plain fields of the worker's own `SemIo`,
-//! folded into the run's shared [`Counters`] by [`SemIo::flush`] —
-//! which every path to a boundary ends with: the compute loop's exit
-//! test and the barrier phase's drain both flush after their last
-//! delivery, before the barrier worker 0 snapshots behind. So a
-//! boundary snapshot still sees every byte of the iteration that
-//! requested it, and the per-iteration rows still sum to the totals.
+//! What a request costs here it costs per batch. A delivery's span is
+//! a window over its cover's one shared page vector
+//! (`PageSpan::slice` is a reference-count bump). And the layer's two
+//! tallies, `bytes_requested` and `issued_requests`, are plain fields
+//! of the worker's own `SemIo`, folded into the run's shared
+//! [`Counters`] by [`SemIo::flush`] — which every path to a boundary
+//! ends with: the compute loop's exit test and the barrier phase's
+//! drain both flush after their last delivery, before the barrier
+//! worker 0 snapshots behind. So a boundary snapshot still sees every
+//! byte of the iteration that requested it, and the per-iteration rows
+//! still sum to the totals.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -35,13 +51,13 @@ use fg_types::{EdgeDir, VertexId};
 use super::boundary::Counters;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
-use crate::merge::{merge_requests, MergedReq, RangeReq};
+use crate::merge::{covers, sort_requests, RangeReq};
 use crate::vertex::PageVertex;
 
 /// The header of one delivery: who asked, for which slice of whose
 /// list, and how the fetched bytes decode. Written once, where a
-/// request becomes a fetch ([`fetch_window`]), and copied whole
-/// through the issue queue, the cover slab and the ready pool.
+/// request becomes a fetch ([`fetch_window`]), stored once in its
+/// issue batch, and read there by whoever runs the delivery.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Header {
     pub(super) requester: VertexId,
@@ -100,49 +116,37 @@ pub(super) fn fetch_window(
     }
 }
 
-/// A ready-to-deliver edge-list slice. Owns its page spans, so it can
-/// cross worker threads: the pipelined scheduler moves these through
-/// per-worker deques and a shared injector, and whichever worker pops
-/// one runs the delivery.
-pub(super) struct ReadyVertex {
-    pub(super) head: Header,
+/// Decodes one delivery's bytes into a deliverable [`PageVertex`]:
+/// an entry's part, or an inline delivery's (a fetch of nothing, a
+/// foreign read). An overlaid delivery wraps the decoded (full) base
+/// list with the subject's pinned delta ops, windowed to the request's
+/// merged-coordinate slice.
+pub(super) fn decode(
+    head: &Header,
     edges: PageSpan,
     attrs: Option<PageSpan>,
-}
-
-impl ReadyVertex {
-    /// The delivery of a fetch of nothing (see [`fetch_window`]): no
-    /// I/O, empty spans, the overlay window — if any — still applied.
-    pub(super) fn empty(head: Header, attrs: bool) -> Self {
-        ReadyVertex {
-            head,
-            edges: PageSpan::empty(),
-            attrs: attrs.then(PageSpan::empty),
+    deltas: Option<&DeltaView>,
+) -> PageVertex<'static> {
+    let Header {
+        subject,
+        dir,
+        start,
+        ..
+    } = *head;
+    let base = match head.decode {
+        SliceDecode::Raw => PageVertex::from_span(subject, dir, start, edges, attrs),
+        SliceDecode::Varint(p) => {
+            debug_assert!(attrs.is_none(), "packed deliveries never carry attrs");
+            PageVertex::from_span_packed(subject, dir, start, edges, head.count as usize, p)
         }
-    }
-
-    /// Decodes the entry into a deliverable [`PageVertex`]. Overlaid
-    /// entries wrap the decoded (full) base list with the subject's
-    /// pinned delta ops, windowed to the request's merged-coordinate
-    /// slice.
-    pub(super) fn decode(self, deltas: Option<&DeltaView>) -> PageVertex<'static> {
-        let Header { subject, dir, .. } = self.head;
-        let (start, count) = (self.head.start, self.head.count as usize);
-        let base = match self.head.decode {
-            SliceDecode::Raw => PageVertex::from_span(subject, dir, start, self.edges, self.attrs),
-            SliceDecode::Varint(p) => {
-                debug_assert!(self.attrs.is_none(), "packed deliveries never carry attrs");
-                PageVertex::from_span_packed(subject, dir, start, self.edges, count, p)
-            }
-        };
-        match self.head.overlay {
-            None => base,
-            Some((ws, wl)) => {
-                let ops = deltas
-                    .and_then(|d| d.list(subject, dir))
-                    .expect("overlay deliveries run with the view that created them");
-                PageVertex::with_overlay(base, Arc::clone(ops), ws, wl as usize)
-            }
+    };
+    match head.overlay {
+        None => base,
+        Some((ws, wl)) => {
+            let ops = deltas
+                .and_then(|d| d.list(subject, dir))
+                .expect("overlay deliveries run with the view that created them");
+            PageVertex::with_overlay(base, Arc::clone(ops), ws, wl as usize)
         }
     }
 }
@@ -162,15 +166,98 @@ struct PartMeta {
     kind: PartKind,
 }
 
-struct MergedMeta {
+/// One flushed issue batch, immutable from the flush on and shared by
+/// everything that names a range of it.
+struct Batch {
+    /// The batch's byte ranges in `merge::sort_requests` order; `meta`
+    /// indexes `metas`.
+    reqs: Vec<RangeReq>,
+    /// What each range is for, in enqueue order.
+    metas: Vec<PartMeta>,
+}
+
+impl Batch {
+    fn part(&self, i: u32) -> (&RangeReq, &PartMeta) {
+        let r = &self.reqs[i as usize];
+        (r, &self.metas[r.meta as usize])
+    }
+}
+
+/// The most deliveries one [`Entry`] holds. An entry is what the pool
+/// moves and what a thief steals, so this is the granularity work
+/// spreads at: long enough that a cover's run pays one deque slot, one
+/// span and one batch reference between them, short enough that one
+/// worker's hub-sized cover still feeds its siblings. Measured with
+/// the round budget beside `execute_deliveries`, which see.
+const ENTRY_DELIVERIES: u32 = 64;
+
+/// What crosses the ready pool: a run of one landed cover's requests,
+/// at most [`ENTRY_DELIVERIES`] of them, as a range of their batch.
+/// Owns a reference to the cover's pages and to the batch, so it can
+/// cross worker threads; whichever worker takes it walks it in place.
+pub(super) struct Entry {
+    /// The cover's bytes, and where on the image they start.
+    span: PageSpan,
     offset: u64,
-    parts: Vec<(u64, u64, PartMeta)>,
+    batch: Arc<Batch>,
+    parts: Range<u32>,
+    /// The half that landed first, for the one-delivery entry of a
+    /// weighted request (whose part here is the half that landed
+    /// second).
+    other: Option<PageSpan>,
+}
+
+impl Entry {
+    /// The batch indexes of the entry's deliveries, for
+    /// [`Entry::delivery`] and [`Entry::only`].
+    pub(super) fn parts(&self) -> Range<u32> {
+        self.parts.clone()
+    }
+
+    /// The header of delivery `i`, read in place.
+    pub(super) fn head(&self, i: u32) -> &Header {
+        debug_assert!(self.parts.contains(&i));
+        &self.batch.part(i).1.head
+    }
+
+    /// Delivery `i`: its header, read in place, and its edge and
+    /// attribute bytes as windows over the cover.
+    pub(super) fn delivery(&self, i: u32) -> (&Header, PageSpan, Option<PageSpan>) {
+        debug_assert!(self.parts.contains(&i));
+        let (r, pm) = self.batch.part(i);
+        let span = self
+            .span
+            .slice((r.offset - self.offset) as usize, r.bytes as usize);
+        match (pm.kind, &self.other) {
+            (PartKind::Edges { .. }, attrs) => (&pm.head, span, attrs.clone()),
+            (PartKind::Attrs { .. }, Some(edges)) => (&pm.head, edges.clone(), Some(span)),
+            (PartKind::Attrs { .. }, None) => panic!("an attribute run is delivered joined"),
+        }
+    }
+
+    /// Delivery `i` as an entry of its own — what goes to the injector
+    /// when `i`'s requester is busy elsewhere.
+    pub(super) fn only(&self, i: u32) -> Entry {
+        debug_assert!(self.parts.contains(&i));
+        Entry {
+            span: self.span.clone(),
+            offset: self.offset,
+            batch: Arc::clone(&self.batch),
+            parts: i..i + 1,
+            other: self.other.clone(),
+        }
+    }
 }
 
 /// What a slab slot tracks while its I/O is out.
 enum Slot {
-    /// A submitted cover, under the tag SAFS echoes back.
-    Cover(MergedMeta),
+    /// A submitted cover, under the tag SAFS echoes back: where it
+    /// starts and which range of `batch` it serves.
+    Cover {
+        offset: u64,
+        batch: Arc<Batch>,
+        parts: Range<u32>,
+    },
     /// The join of a weighted request's edges and attributes, which
     /// may land in different covers: the half that landed first.
     Join(Option<PageSpan>),
@@ -213,7 +300,8 @@ pub(super) enum Wait {
 }
 
 /// The semi-external per-worker I/O state: the SAFS session, the issue
-/// queue and the slab of covers in flight.
+/// queue, the batches it was flushed into and the slab of covers in
+/// flight.
 ///
 /// The queue flushes at the issue-batch size (or at a stall point, see
 /// [`SemIo::flush`]), merges only page-adjacent requests, and submits
@@ -237,10 +325,15 @@ pub(super) struct SemIo<'s> {
     /// merge cap, fixed for the run.
     cfg: EngineConfig,
     page_bytes: u64,
+    /// The batch being filled: byte ranges, and what each is for.
     issue_q: Vec<RangeReq>,
     issue_meta: Vec<PartMeta>,
+    /// Every batch this worker has made: the flushed ones a slab
+    /// range or a pool entry may still name, and the spares (see
+    /// [`SemIo::spare_batch`]).
+    batches: Vec<Arc<Batch>>,
     slab: Slab,
-    ready: Vec<ReadyVertex>,
+    ready: Vec<Entry>,
     /// The session's completions on their way through `harvest`, kept
     /// for its capacity.
     landed: Vec<Completion>,
@@ -280,6 +373,7 @@ impl<'s> SemIo<'s> {
             page_bytes: mounts[me].page_bytes(),
             issue_q: Vec::new(),
             issue_meta: Vec::new(),
+            batches: Vec::new(),
             slab: Slab::default(),
             ready: Vec::new(),
             landed: Vec::new(),
@@ -312,7 +406,11 @@ impl<'s> SemIo<'s> {
     /// the in-memory source's inline delivery, safe because the
     /// requester holds its busy bit and the subject's *state* is never
     /// touched, only its on-disk edges.
-    pub(super) fn read_foreign(&mut self, mut head: Header, attrs: bool) -> ReadyVertex {
+    pub(super) fn read_foreign(
+        &mut self,
+        mut head: Header,
+        attrs: bool,
+    ) -> (Header, PageSpan, Option<PageSpan>) {
         let (subject, dir) = (head.subject, head.dir);
         let (start, count) = (head.start, head.count);
         let (s, slice) = self.index.locate_slice(subject, dir, start, count);
@@ -335,7 +433,7 @@ impl<'s> SemIo<'s> {
                 .read_sync(aloc.offset, aloc.bytes)
                 .expect("foreign shard attr read")
         });
-        ReadyVertex { head, edges, attrs }
+        (head, edges, attrs)
     }
 
     /// Resolves a non-empty fetch of an owned subject into issue-queue
@@ -382,27 +480,6 @@ impl<'s> SemIo<'s> {
         self.bytes_requested += bytes;
     }
 
-    /// Installs one merged cover in the slab and submits it (the
-    /// caller kicks the session once its batch is through). What
-    /// becomes of each of its pages — cache hit, a ride on a read
-    /// already on its way (this session's earlier covers included),
-    /// or a device run — is `IoSession::submit`'s decision alone.
-    fn submit_cover(&mut self, m: MergedReq, metas: &[PartMeta]) {
-        let parts: Vec<(u64, u64, PartMeta)> = m
-            .parts
-            .iter()
-            .map(|p| (p.offset, p.bytes, metas[p.meta as usize]))
-            .collect();
-        let tag = self.slab.insert(Slot::Cover(MergedMeta {
-            offset: m.offset,
-            parts,
-        }));
-        self.issued_requests += 1;
-        self.session
-            .submit(m.offset, m.bytes, tag as u64)
-            .expect("edge-list request within image bounds");
-    }
-
     /// Flushes the issue queue once it has reached the issue-batch
     /// size.
     pub(super) fn flush_if_full(&mut self) {
@@ -411,22 +488,62 @@ impl<'s> SemIo<'s> {
         }
     }
 
+    /// Takes a batch nothing names any more off the list, for this
+    /// flush to fill: its vectors keep the capacity the queue's will
+    /// take over. With every listed batch still in use, a new one is
+    /// sized to the queue it is about to trade places with — the only
+    /// time the list grows.
+    fn spare_batch(&mut self) -> Arc<Batch> {
+        // `get_mut` is the acquire that orders a thief's last read of
+        // the batch before this worker's writes to it.
+        let mut listed = self.batches.iter_mut();
+        let spare = listed.position(|b| Arc::get_mut(b).is_some());
+        match spare {
+            Some(i) => self.batches.swap_remove(i),
+            None => Arc::new(Batch {
+                reqs: Vec::with_capacity(self.issue_q.capacity()),
+                metas: Vec::with_capacity(self.issue_meta.capacity()),
+            }),
+        }
+    }
+
     /// Sorts, merges, and submits the issue queue (§3.6), however
     /// little is buffered — the end-of-claims flush, the stall-point
     /// flush, and the synchronous barrier-phase drain — and folds this
     /// worker's tallies into the run's counters (see the module docs).
+    ///
+    /// The queue trades places with a spare batch's emptied vectors,
+    /// is sorted where it lies, and each cover goes into the slab as a
+    /// range of it. What becomes of a cover's pages — cache hit, a
+    /// ride on a read already on its way (this session's earlier
+    /// covers included), or a device run — is `IoSession::submit`'s
+    /// decision alone.
     pub(super) fn flush(&mut self) {
         if !self.issue_q.is_empty() {
-            let reqs = std::mem::take(&mut self.issue_q);
-            let metas = std::mem::take(&mut self.issue_meta);
+            let mut batch = self.spare_batch();
+            let b = Arc::get_mut(&mut batch).expect("a spare batch is unshared");
+            b.reqs.clear();
+            b.metas.clear();
+            std::mem::swap(&mut b.reqs, &mut self.issue_q);
+            std::mem::swap(&mut b.metas, &mut self.issue_meta);
+            sort_requests(&mut b.reqs);
             self.buffered = 0;
             let (merge, cap) = (
                 self.cfg.merge_in_engine,
                 self.cfg.resolved_max_merge_bytes(),
             );
-            for m in merge_requests(reqs, self.page_bytes, merge, cap) {
-                self.submit_cover(m, &metas);
+            for c in covers(&batch.reqs, self.page_bytes, merge, cap) {
+                let tag = self.slab.insert(Slot::Cover {
+                    offset: c.offset,
+                    batch: Arc::clone(&batch),
+                    parts: c.parts,
+                });
+                self.issued_requests += 1;
+                self.session
+                    .submit(c.offset, c.bytes, tag as u64)
+                    .expect("edge-list request within image bounds");
             }
+            self.batches.push(batch);
             // The whole batch crosses to the I/O threads as one message
             // per thread, so they sort and coalesce it as a whole too.
             self.session.kick();
@@ -443,8 +560,8 @@ impl<'s> SemIo<'s> {
 
     /// Takes the session's completions, waiting for the first as
     /// `wait` says (booked to `wait_ns`), and resolves them. Returns
-    /// the deliveries ready to run, for the caller to drain.
-    pub(super) fn harvest(&mut self, wait: Wait) -> &mut Vec<ReadyVertex> {
+    /// the entries ready to run, for the caller to drain.
+    pub(super) fn harvest(&mut self, wait: Wait) -> &mut Vec<Entry> {
         // When `max_pending < issue_batch` the depth gate can fill
         // entirely with *buffered* requests that the size trigger will
         // never release — nothing is at the device and a wait could
@@ -471,38 +588,175 @@ impl<'s> SemIo<'s> {
         &mut self.ready
     }
 
-    /// Turns a SAFS completion back into per-vertex ready entries.
+    /// Turns a SAFS completion into ready entries: each run of the
+    /// cover's plain requests, cut at [`ENTRY_DELIVERIES`], is one; a
+    /// weighted request's half waits in its join slot for the other
+    /// (which may be in another cover) and the pair is an entry of its
+    /// own.
     fn resolve(&mut self, c: Completion) {
-        let Slot::Cover(meta) = self.slab.take(c.tag as usize) else {
+        let Slot::Cover {
+            offset,
+            batch,
+            parts,
+        } = self.slab.take(c.tag as usize)
+        else {
             panic!("completion for a cover's tag");
         };
-        for (abs_off, bytes, pm) in meta.parts {
-            let span = c
-                .span
-                .slice((abs_off - meta.offset) as usize, bytes as usize);
-            let (edges, attrs) = match pm.kind {
-                PartKind::Edges { pair: None } => (span, None),
-                PartKind::Edges { pair: Some(pair) } | PartKind::Attrs { pair } => {
-                    let Some(Slot::Join(first)) = &mut self.slab.slots[pair] else {
-                        panic!("a live join slot");
-                    };
-                    let Some(other) = first.take() else {
-                        *first = Some(span);
-                        continue;
-                    };
-                    self.slab.take(pair);
-                    match pm.kind {
-                        PartKind::Edges { .. } => (span, Some(other)),
-                        PartKind::Attrs { .. } => (other, Some(span)),
+        let entry = |parts: Range<u32>, other| Entry {
+            span: c.span.clone(),
+            offset,
+            batch: Arc::clone(&batch),
+            parts,
+            other,
+        };
+        // Halves parked in a join slot: the only parts that are not a
+        // delivery yet.
+        let mut parked = 0;
+        let mut run = parts.start;
+        for i in parts.clone() {
+            let (r, pm) = batch.part(i);
+            let pair = match pm.kind {
+                PartKind::Edges { pair: None } => {
+                    if i + 1 - run == ENTRY_DELIVERIES {
+                        self.ready.push(entry(run..i + 1, None));
+                        run = i + 1;
                     }
+                    continue;
                 }
+                PartKind::Edges { pair: Some(pair) } | PartKind::Attrs { pair } => pair,
             };
-            self.outstanding -= 1;
-            self.ready.push(ReadyVertex {
-                head: pm.head,
-                edges,
-                attrs,
-            });
+            if run < i {
+                self.ready.push(entry(run..i, None));
+            }
+            run = i + 1;
+            let Some(Slot::Join(first)) = &mut self.slab.slots[pair] else {
+                panic!("a live join slot");
+            };
+            match first.take() {
+                None => {
+                    *first = Some(c.span.slice((r.offset - offset) as usize, r.bytes as usize));
+                    parked += 1;
+                }
+                Some(other) => {
+                    self.slab.take(pair);
+                    self.ready.push(entry(i..i + 1, Some(other)));
+                }
+            }
         }
+        if run < parts.end {
+            self.ready.push(entry(run..parts.end, None));
+        }
+        self.outstanding -= parts.len() - parked;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fg_format::{load_index, required_capacity, write_image};
+    use fg_graph::gen;
+    use fg_safs::SafsConfig;
+    use fg_ssdsim::{ArrayConfig, SsdArray};
+
+    /// Enqueues own-list requests, vertex after vertex from `next`,
+    /// until the queue holds a full batch.
+    fn fill(io: &mut SemIo<'_>, next: &mut u32, n: u32) {
+        while io.issue_q.len() < io.cfg.issue_batch {
+            let v = VertexId(*next % n);
+            *next += 1;
+            let req = EdgeRequest {
+                subject: v,
+                requester: v,
+                dir: EdgeDir::Out,
+                attrs: false,
+                start: 0,
+                len: io.index.degree(v, EdgeDir::Out),
+            };
+            let head = io.window(&req, 0, None);
+            if head.count > 0 {
+                io.enqueue(head, false);
+            }
+        }
+    }
+
+    /// Harvests until nothing is outstanding; returns the deliveries
+    /// that came back, dropping their entries.
+    fn drain(io: &mut SemIo<'_>) -> usize {
+        let mut delivered = 0;
+        while io.outstanding() > 0 {
+            let landed = io.harvest(Wait::Block);
+            delivered += landed.iter().map(|e| e.parts().len()).sum::<usize>();
+            landed.clear();
+        }
+        delivered
+    }
+
+    fn covers_in_flight(io: &SemIo<'_>) -> usize {
+        let cover = |s: &&Option<Slot>| matches!(s, Some(Slot::Cover { .. }));
+        io.slab.slots.iter().filter(cover).count()
+    }
+
+    #[test]
+    fn full_batches_reuse_the_queue_and_one_batch() {
+        let g = gen::rmat(9, 8, gen::RmatSkew::default(), 3);
+        let n = g.num_vertices() as u32;
+        let array = SsdArray::new_mem(ArrayConfig::small_test(), required_capacity(&g)).unwrap();
+        write_image(&g, &array).unwrap();
+        let (_, index) = load_index(&array).unwrap();
+        let mounts = [Safs::new(SafsConfig::default(), array).unwrap()];
+        let index = ShardedIndex::new(vec![Arc::new(index)]);
+        let counters = Counters::default();
+        let cfg = EngineConfig {
+            issue_batch: 32,
+            ..EngineConfig::small()
+        };
+        let mut io = SemIo::new(&mounts, &index, 0, None, &cfg, &counters);
+        let mut next = 0;
+
+        // Ten full batches, each delivered before the next is flushed:
+        // the queue and the one batch trade vectors back and forth.
+        let mut capacity = None;
+        for _ in 0..10 {
+            fill(&mut io, &mut next, n);
+            io.flush();
+            let first = *capacity.get_or_insert(io.issue_q.capacity());
+            assert_eq!(io.issue_q.capacity(), first);
+            assert!(io.issue_meta.capacity() >= cfg.issue_batch);
+            assert_eq!(io.batches.len(), 1);
+            assert_eq!(drain(&mut io), cfg.issue_batch);
+        }
+
+        // Three flushed with none harvested: a batch each, and no more
+        // than the covers still out plus the one that was spare.
+        for flushed in 1..=3 {
+            fill(&mut io, &mut next, n);
+            io.flush();
+            assert_eq!(io.batches.len(), flushed);
+            assert!(io.batches.len() <= covers_in_flight(&io) + 1);
+        }
+        // An entry held back keeps its batch, and only its batch, from
+        // being reused: with two spares beside it, nothing is made.
+        let held = {
+            let landed = io.harvest(Wait::Block);
+            let held = landed.pop().expect("a blocking harvest lands a cover");
+            landed.clear();
+            held
+        };
+        drain(&mut io);
+        let in_use = |io: &mut SemIo<'_>| {
+            let used = |b: &mut Arc<Batch>| Arc::get_mut(b).is_none();
+            io.batches.iter_mut().map(used).filter(|&u| u).count()
+        };
+        for _ in 0..4 {
+            fill(&mut io, &mut next, n);
+            io.flush();
+            assert_eq!(io.batches.len(), 3);
+            assert_eq!(drain(&mut io), cfg.issue_batch);
+            assert_eq!(in_use(&mut io), 1);
+        }
+        drop(held);
+        assert_eq!(in_use(&mut io), 0);
+        assert_eq!(io.issue_q.capacity(), capacity.unwrap());
+        assert_eq!(io.outstanding(), 0);
     }
 }

@@ -24,6 +24,16 @@
 //! computation differs. Flushing eagerly on every scheduler round
 //! would fragment batches and re-read pages that a full batch's
 //! page-disjoint covers fetch once.
+//!
+//! The rule is stated once, in `joins`, and walked once, by
+//! `covers`, which cuts a *sorted* batch into covers that are index
+//! ranges of it. It has two callers: the engine (`SemIo::flush` sorts
+//! its issue batch in place and keeps each cover as a range of that
+//! batch — nothing is copied per cover), and [`merge_requests`], the
+//! owning form the ledger's `merge.ns_per_req` probe and the property
+//! tests call.
+
+use std::ops::Range;
 
 /// One logical edge-list (or attribute-run) request before merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +60,77 @@ pub struct MergedReq {
 
 /// No cap on merged-request size (see [`merge_requests`]).
 pub const UNLIMITED_MERGE_BYTES: u64 = u64::MAX;
+
+/// One cover of a sorted batch: the merged read and the index range of
+/// the requests it serves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Cover {
+    pub(crate) offset: u64,
+    pub(crate) bytes: u64,
+    pub(crate) parts: Range<u32>,
+}
+
+/// The order [`covers`] expects. The tie-break on `meta` (unique within
+/// a batch) makes the unstable sort deterministic, and an unstable sort
+/// needs no scratch buffer.
+pub(crate) fn sort_requests(reqs: &mut [RangeReq]) {
+    reqs.sort_unstable_by_key(|r| (r.offset, r.bytes, r.meta));
+}
+
+/// The merge rule: the length the cover `[offset, offset + bytes)`
+/// grows to by taking in `r` — the next request in sorted order — or
+/// `None` when `r` starts a cover of its own. `r` joins when it starts
+/// on the cover's last page or the one after it (same page, adjacent
+/// page, or overlapping bytes) and either the grown cover stays within
+/// `max_merge_bytes` or `r` *shares a page* with the cover (overlap,
+/// containment, or a mid-page boundary) — splitting there would read
+/// the shared page twice from the device within one batch, so the cap
+/// yields.
+fn joins(
+    offset: u64,
+    bytes: u64,
+    r: &RangeReq,
+    page_bytes: u64,
+    max_merge_bytes: u64,
+) -> Option<u64> {
+    let last_page = (offset + bytes - 1) / page_bytes;
+    let r_page = r.offset / page_bytes;
+    let grown = (offset + bytes).max(r.offset + r.bytes) - offset;
+    (r_page <= last_page + 1 && (grown <= max_merge_bytes || r_page <= last_page)).then_some(grown)
+}
+
+/// Cuts `sorted` (see [`sort_requests`]) into its covers, in ascending
+/// offset order; `merge` and `max_merge_bytes` as for
+/// [`merge_requests`]. Allocates nothing.
+pub(crate) fn covers(
+    sorted: &[RangeReq],
+    page_bytes: u64,
+    merge: bool,
+    max_merge_bytes: u64,
+) -> impl Iterator<Item = Cover> + '_ {
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let first = sorted.get(next)?;
+        debug_assert!(first.bytes > 0, "zero-byte requests never reach merging");
+        let lo = next as u32;
+        let mut bytes = first.bytes;
+        next += 1;
+        // With `merge` off, every request is a cover of its own.
+        while let Some(r) = sorted.get(next).filter(|_| merge) {
+            debug_assert!(r.bytes > 0, "zero-byte requests never reach merging");
+            let Some(grown) = joins(first.offset, bytes, r, page_bytes, max_merge_bytes) else {
+                break;
+            };
+            bytes = grown;
+            next += 1;
+        }
+        Some(Cover {
+            offset: first.offset,
+            bytes,
+            parts: lo..next as u32,
+        })
+    })
+}
 
 /// Sorts `reqs` by offset and merges runs that share a page or sit on
 /// adjacent pages (`page_bytes` granularity). With `merge` false the
@@ -83,37 +164,14 @@ pub fn merge_requests(
     merge: bool,
     max_merge_bytes: u64,
 ) -> Vec<MergedReq> {
-    reqs.sort_by_key(|r| (r.offset, r.bytes));
-    let mut out: Vec<MergedReq> = Vec::with_capacity(reqs.len());
-    for r in reqs {
-        debug_assert!(r.bytes > 0, "zero-byte requests never reach merging");
-        if merge {
-            if let Some(last) = out.last_mut() {
-                let last_end_page = (last.offset + last.bytes - 1) / page_bytes;
-                let r_start_page = r.offset / page_bytes;
-                let grown = (last.offset + last.bytes).max(r.offset + r.bytes) - last.offset;
-                // Same page, adjacent page, or overlapping bytes —
-                // and either the grown cover stays within the size
-                // cap, or the request shares a page with the cover
-                // (overlap, containment, or a mid-page boundary), in
-                // which case splitting would duplicate that page's
-                // device read and the cap yields to correctness.
-                if r_start_page <= last_end_page + 1
-                    && (grown <= max_merge_bytes || r_start_page <= last_end_page)
-                {
-                    last.bytes = grown;
-                    last.parts.push(r);
-                    continue;
-                }
-            }
-        }
-        out.push(MergedReq {
-            offset: r.offset,
-            bytes: r.bytes,
-            parts: vec![r],
-        });
-    }
-    out
+    sort_requests(&mut reqs);
+    covers(&reqs, page_bytes, merge, max_merge_bytes)
+        .map(|c| MergedReq {
+            offset: c.offset,
+            bytes: c.bytes,
+            parts: reqs[c.parts.start as usize..c.parts.end as usize].to_vec(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -384,15 +384,19 @@ impl VertexProgram for GuardedNeighborDegrees {
 
 #[test]
 fn hub_deliveries_run_exactly_once_and_never_two_at_a_time() {
-    // One requester with 1,500 neighbour deliveries at W = 4: they all
-    // resolve on the worker that ran the hub, the others steal half a
-    // deque at a time, and entries for the one requester sit in
-    // several workers' batches at once — the busy-bit conflict path
-    // (set aside for the injector, the rest of the batch goes on).
+    // One requester with 12,000 neighbour deliveries at W = 4. They
+    // all resolve on the worker that ran the hub, as entries of 64;
+    // it takes a round of them, the others steal half of what is left
+    // in its deque, and deliveries for the one requester sit in
+    // several workers' rounds at once — the busy-bit conflict path. A
+    // conflict must send that one delivery to the injector and leave
+    // the rest of its entry to this round: re-injecting the entry
+    // would run its other deliveries twice, dropping it never.
     const HUB: VertexId = VertexId(0);
-    let n = 2048u32;
+    const FANOUT: u32 = 12_000;
+    let n = 16_384u32;
     let mut b = fg_graph::GraphBuilder::directed();
-    for w in 1..=1500u32 {
+    for w in 1..=FANOUT {
         b.add_edge(HUB, VertexId(w));
     }
     for v in 1..n {
@@ -401,27 +405,36 @@ fn hub_deliveries_run_exactly_once_and_never_two_at_a_time() {
         }
     }
     let g = b.build();
-    let cfg = EngineConfig {
-        num_threads: 4,
-        ..EngineConfig::small()
-    };
-    let [(mem, _), (sem, stats)] = both_modes(&g, &GuardedNeighborDegrees, Init::All, cfg);
-    let hub = &sem[HUB.index()];
-    assert_eq!(hub.deliveries, 1500);
-    assert_eq!(hub.subject_sum, (1..=1500u64).sum::<u64>());
-    assert_eq!(
-        sem, mem,
-        "every delivery once, with the in-memory engine's edges"
-    );
-    assert_eq!(stats.edges_delivered, {
-        let own: u64 = g.vertices().map(|v| g.out_degree(v) as u64).sum();
-        let neighbours: u64 = g
-            .vertices()
-            .flat_map(|v| g.out_neighbors(v))
-            .map(|&w| g.out_degree(w) as u64)
-            .sum();
-        own + neighbours
-    });
+    let small = EngineConfig::small();
+    let default = EngineConfig::default();
+    for (issue_batch, max_pending) in [
+        (small.issue_batch, small.max_pending),
+        (default.issue_batch, default.max_pending),
+    ] {
+        let cfg = EngineConfig {
+            num_threads: 4,
+            issue_batch,
+            max_pending,
+            ..small
+        };
+        let [(mem, _), (sem, stats)] = both_modes(&g, &GuardedNeighborDegrees, Init::All, cfg);
+        let hub = &sem[HUB.index()];
+        assert_eq!(hub.deliveries, FANOUT as u64);
+        assert_eq!(hub.subject_sum, (1..=FANOUT as u64).sum::<u64>());
+        assert_eq!(
+            sem, mem,
+            "every delivery once, with the in-memory engine's edges"
+        );
+        assert_eq!(stats.edges_delivered, {
+            let own: u64 = g.vertices().map(|v| g.out_degree(v) as u64).sum();
+            let neighbours: u64 = g
+                .vertices()
+                .flat_map(|v| g.out_neighbors(v))
+                .map(|&w| g.out_degree(w) as u64)
+                .sum();
+            own + neighbours
+        });
+    }
 }
 
 // ------------------------------------------------------- edge weights
@@ -468,6 +481,72 @@ fn weighted_requests_deliver_attrs_both_modes() {
         assert_eq!(states[2].sum, 1.0);
         assert_eq!(states[3].sum, 0.0);
     }
+}
+
+/// Requests its own weighted list once and folds what arrives into
+/// something order- and pairing-sensitive.
+struct WeightedProbe;
+
+#[derive(Default, Clone, Debug, PartialEq)]
+struct WpState {
+    deliveries: u32,
+    edges: u64,
+    folded: f64,
+}
+
+impl VertexProgram for WeightedProbe {
+    type State = WpState;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _: &mut WpState, ctx: &mut VertexContext<'_, ()>) {
+        ctx.request(v, Request::edges(EdgeDir::Out).with_attrs());
+    }
+
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        state: &mut WpState,
+        vertex: &PageVertex<'_>,
+        _ctx: &mut VertexContext<'_, ()>,
+    ) {
+        state.deliveries += 1;
+        for (i, (dst, w)) in vertex.weighted_edges().into_iter().flatten().enumerate() {
+            state.edges += 1;
+            state.folded += (i + 1) as f64 * dst.0 as f64 * w as f64;
+        }
+    }
+}
+
+#[test]
+fn weighted_halves_in_different_covers_join_into_one_delivery() {
+    // A weighted request is two byte ranges, one in the edge section
+    // and one in the attribute section, far enough apart that no cover
+    // holds both; at `issue_batch` 4 its halves land in different
+    // covers — often of different batches — in either order, beside
+    // halves of other requests. Each pair must come back as one
+    // delivery carrying both, whichever half landed first.
+    let g = gen::with_random_weights(&gen::rmat(8, 6, gen::RmatSkew::default(), 23), 9.0, 5);
+    let cfg = EngineConfig {
+        num_threads: 2,
+        issue_batch: 4,
+        ..EngineConfig::small()
+    };
+    let [(mem, _), (sem, stats)] = both_modes(&g, &WeightedProbe, Init::All, cfg);
+    assert_eq!(sem, mem);
+    for v in g.vertices() {
+        let s = &sem[v.index()];
+        assert_eq!(s.deliveries, 1, "one delivery for {v}'s one request");
+        assert_eq!(s.edges, g.out_degree(v) as u64);
+    }
+    let weighted: u64 = g.vertices().map(|v| g.out_degree(v) as u64).sum();
+    assert_eq!(stats.edges_delivered, weighted);
+    assert_eq!(stats.bytes_requested, weighted * 8, "edges and attributes");
+
+    let source = VertexId(0);
+    let (safs, index) = sem_fixture(&g, SafsConfig::default());
+    let (over_mount, _) = fg_apps::sssp(&Engine::new_sem(&safs, index, cfg), source).unwrap();
+    let (in_memory, _) = fg_apps::sssp(&Engine::new_mem(&g, cfg), source).unwrap();
+    assert_eq!(over_mount, in_memory);
 }
 
 // ------------------------------------------------ in-edges + directions
@@ -1172,12 +1251,22 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
     }
     b.reserve_vertices(2048);
     let g = b.build();
+    // Batches of 4 make entries of a delivery or two; batches of 64,
+    // runs a thief takes many deliveries of at once.
+    for issue_batch in [4, 64] {
+        per_iteration_rows_sum_at(&g, issue_batch);
+    }
+}
+
+fn per_iteration_rows_sum_at(g: &Graph, issue_batch: usize) {
     let cfg = EngineConfig {
         num_threads: 4,
         vertical_parts: 2,
+        issue_batch,
+        max_pending: 4 * issue_batch,
         ..EngineConfig::small()
     };
-    let (safs, index) = sem_fixture(&g, SafsConfig::default());
+    let (safs, index) = sem_fixture(g, SafsConfig::default());
     let engine = Engine::new_sem(&safs, index, cfg);
     let seeds = Init::Seeds(vec![VertexId(0)]);
     let (_, stats) = engine.run(&Bfs, seeds.clone()).unwrap();

@@ -90,8 +90,10 @@ struct PackedDir {
 struct DirIndex {
     /// One byte per vertex; `u8::MAX` redirects to `large`.
     small_degrees: Vec<u8>,
-    /// Degrees of vertices with degree >= [`LARGE_DEGREE`].
-    large: HashMap<u32, u64>,
+    /// `(id, degree)` of the vertices with degree >= [`LARGE_DEGREE`],
+    /// in id order — `degree` binary-searches it for every hub a
+    /// locate walks past.
+    large: Vec<(u32, u64)>,
     /// Absolute byte offset of the edge list of vertex
     /// `i * CHECKPOINT_INTERVAL`.
     checkpoints: Vec<u64>,
@@ -136,7 +138,7 @@ impl DirIndex {
         block_len: impl Fn(usize, u64) -> u64,
     ) -> Self {
         let mut small_degrees = Vec::with_capacity(degrees.len());
-        let mut large = HashMap::new();
+        let mut large = Vec::new();
         let mut checkpoints =
             Vec::with_capacity(degrees.len().div_ceil(CHECKPOINT_INTERVAL).max(1));
         let mut offset = edge_base;
@@ -146,7 +148,7 @@ impl DirIndex {
             }
             if d >= LARGE_DEGREE {
                 small_degrees.push(u8::MAX);
-                large.insert(i as u32, d);
+                large.push((i as u32, d));
             } else {
                 small_degrees.push(d as u8);
             }
@@ -169,7 +171,11 @@ impl DirIndex {
     fn degree(&self, v: VertexId) -> u64 {
         let b = self.small_degrees[v.index()];
         if b == u8::MAX {
-            self.large[&v.0]
+            let at = self
+                .large
+                .binary_search_by_key(&v.0, |&(id, _)| id)
+                .expect("a vertex marked large has its degree recorded");
+            self.large[at].1
         } else {
             b as u64
         }
@@ -666,7 +672,7 @@ mod tests {
     }
 
     #[test]
-    fn large_degrees_overflow_to_hash_table() {
+    fn large_degrees_overflow_to_the_side_table() {
         let mut degrees = vec![1u64; 40];
         degrees[7] = 300; // >= 255
         degrees[20] = 255; // boundary: exactly 255 must overflow
@@ -678,6 +684,30 @@ mod tests {
         let loc = idx.locate(VertexId(39), EdgeDir::Out);
         let expect: u64 = 1000 + degrees[..39].iter().sum::<u64>() * 4;
         assert_eq!(loc.offset, expect);
+    }
+
+    #[test]
+    fn hubs_at_checkpoint_edges_are_found() {
+        // Hubs at the first id, on both sides of a checkpoint, and at
+        // the last id: every position of the sorted table's search.
+        let n = 3 * CHECKPOINT_INTERVAL + 5;
+        let hubs = [0, CHECKPOINT_INTERVAL - 1, CHECKPOINT_INTERVAL, n - 1];
+        let mut degrees = vec![3u64; n];
+        for (k, &h) in hubs.iter().enumerate() {
+            degrees[h] = 255 + 1000 * k as u64;
+        }
+        let idx = seq_base_index(&degrees);
+        let mut offset = 1000;
+        for (i, &d) in degrees.iter().enumerate() {
+            let v = VertexId(i as u32);
+            assert_eq!(idx.degree(v, EdgeDir::Out), d, "degree of {i}");
+            let loc = idx.locate(v, EdgeDir::Out);
+            assert_eq!((loc.offset, loc.degree), (offset, d), "locate of {i}");
+            offset += d * 4;
+        }
+        // 12 bytes a hub, as before the table was sorted.
+        let flat = n + 4 * 8;
+        assert_eq!(idx.heap_bytes(), flat + hubs.len() * 12);
     }
 
     #[test]

@@ -1,0 +1,155 @@
+//! Tier-1 allocation floor for the semi-external request path: what a
+//! request allocates, it allocates per *cover* — and next to nothing
+//! per request.
+//!
+//! This binary installs a counting global allocator (it is its own
+//! process, so no shipped crate changes) and holds one test only: the
+//! count is process-wide, I/O threads included, and a second test
+//! running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+
+use fg_format::{load_index, required_capacity, write_image};
+use fg_graph::gen;
+use fg_safs::{Safs, SafsConfig};
+use fg_ssdsim::{ArrayConfig, SsdArray};
+use fg_types::sync::Counter;
+use fg_types::{EdgeDir, VertexId};
+use flashgraph::{
+    Engine, EngineConfig, Init, PageVertex, Request, RunStats, VertexContext, VertexProgram,
+};
+
+/// Calls into the allocator that can return new memory: `alloc`,
+/// `alloc_zeroed` (through `alloc`) and `realloc` — a vector that
+/// regrows is what the request path used to do every batch.
+static ALLOCATIONS: Counter = Counter::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller already upholds; the counter is
+// an atomic and allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's obligations are `GlobalAlloc::alloc`'s.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.inc();
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller's obligations are `GlobalAlloc::dealloc`'s.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with
+        // this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the caller's obligations are `GlobalAlloc::realloc`'s.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.inc();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Every vertex requests its own list and sums the ids on it.
+struct SumOwnList;
+
+impl VertexProgram for SumOwnList {
+    type State = u64;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _: &mut u64, ctx: &mut VertexContext<'_, ()>) {
+        ctx.request(v, Request::edges(EdgeDir::Out));
+    }
+
+    fn run_on_vertex(
+        &self,
+        _: VertexId,
+        sum: &mut u64,
+        vertex: &PageVertex<'_>,
+        _: &mut VertexContext<'_, ()>,
+    ) {
+        *sum += vertex.edges().map(|w| w.0 as u64).sum::<u64>();
+    }
+}
+
+/// Allocations of one run of `engine` from `init`, with its stats.
+fn allocations_of(engine: &Engine<'_>, init: Init) -> (u64, RunStats) {
+    let before = ALLOCATIONS.get();
+    let (sums, stats) = engine.run(&SumOwnList, init).unwrap();
+    let during = ALLOCATIONS.get() - before;
+    drop(sums);
+    (during, stats)
+}
+
+#[test]
+fn a_request_allocates_per_cover_not_per_request() {
+    let g = gen::rmat(13, 8, gen::RmatSkew::default(), 17);
+    let expected: u64 = g
+        .vertices()
+        .flat_map(|v| g.out_neighbors(v))
+        .map(|w| w.0 as u64)
+        .sum();
+    let array = SsdArray::new_mem(ArrayConfig::small_test(), required_capacity(&g)).unwrap();
+    write_image(&g, &array).unwrap();
+    let (_, index) = load_index(&array).unwrap();
+    // A cache that holds the image: a warm run never reaches the
+    // device, so what is counted is the request path and nothing of
+    // the I/O threads'.
+    let cache = 4 * required_capacity(&g);
+    let safs = Safs::new(SafsConfig::default().with_cache_bytes(cache), array).unwrap();
+    let default = EngineConfig::default();
+    let engine = Engine::new_sem(&safs, index, default.with_threads(1));
+
+    let measure = |issue_batch: usize| {
+        // The shipped depth of the pipeline, in batches: a worker makes
+        // as many batches as it ever has out together, and a run this
+        // short must not be all ramp-up.
+        let cfg = EngineConfig {
+            issue_batch,
+            max_pending: issue_batch * default.max_pending.div_ceil(default.issue_batch),
+            ..default.with_threads(1)
+        };
+        let engine = engine.reconfigured(cfg);
+        // Warm the cache (and anything lazily set up), then take the
+        // run's allocations less those of a run that requests nothing:
+        // states, threads and boards cost the same in both.
+        let (sums, _) = engine.run(&SumOwnList, Init::All).unwrap();
+        assert_eq!(sums.iter().sum::<u64>(), expected);
+        let (floor, idle) = allocations_of(&engine, Init::Seeds(Vec::new()));
+        assert_eq!(idle.engine_requests, 0);
+        let (warm, stats) = allocations_of(&engine, Init::All);
+        assert_eq!(stats.io.as_ref().expect("sem mode").bytes_read, 0, "warm");
+        println!(
+            "issue_batch {issue_batch}: {warm} allocations warm, {floor} idle, \
+             {} covers, {} requests",
+            stats.issued_requests, stats.engine_requests
+        );
+        (warm.saturating_sub(floor), stats)
+    };
+
+    // Covers of at most 4 parts, and of 64: a cover's parts are a range
+    // of its batch, so neither costs more than the cover's page vector
+    // and a share of amortised growth.
+    for issue_batch in [4, 64] {
+        let (allocations, stats) = measure(issue_batch);
+        let covers = stats.issued_requests;
+        assert!(covers > 0 && stats.engine_requests >= covers);
+        assert!(
+            allocations <= 3 * covers,
+            "{allocations} allocations for {covers} covers at issue_batch {issue_batch}"
+        );
+    }
+    // And at the shipped batch size, a twentieth of an allocation a
+    // request.
+    let (allocations, stats) = measure(default.issue_batch);
+    assert!(
+        allocations * 20 <= stats.engine_requests,
+        "{allocations} allocations for {} requests",
+        stats.engine_requests
+    );
+}

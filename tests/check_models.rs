@@ -96,12 +96,17 @@ fn quiesce_mutations_caught() {
     // And the decrement downgrade `pool.rs`' `// ordering:` comments
     // cite this harness as the referee for, injected into `release`
     // itself: delivered state read without a happens-before edge.
-    // And the batch form of the first: one `release(n)` that does not
-    // wait for the batch's last delivery.
+    // And the round form of the first: one `release(n)` that does not
+    // wait for the round's last delivery, whose state is then written
+    // behind the release that should have published it. And a release that counts
+    // entries where the accepts counted deliveries: an obligation
+    // left open for good, the workers polling a quiesce that never
+    // comes.
     let expected = [
         (Mutation::NoOuterObligation, "assertion"),
         (Mutation::RelaxedPublish, "data race"),
-        (Mutation::EarlyBatchRelease, "assertion"),
+        (Mutation::EarlyBatchRelease, "data race"),
+        (Mutation::ReleasePerEntry, "livelock"),
     ];
     assert_caught("quiesce", check, &expected);
 }
