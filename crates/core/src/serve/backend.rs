@@ -1,0 +1,200 @@
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+use fg_format::{read_meta_from, ImageMeta, ShardedIndex};
+use fg_graph::DeltaView;
+use fg_safs::{Safs, ShardSet};
+use fg_types::{CancelCause, Result};
+
+use super::{GraphService, QueryOpts};
+use crate::engine::{Engine, Init};
+use crate::program::VertexProgram;
+use crate::stats::RunStats;
+
+/// One generation of what the service serves from: k ≥ 1 mounts and
+/// the index that routes over them (a single mount is one shard that
+/// owns every vertex). `metas` holds the image header of each mount,
+/// in shard order: set by the compaction that wrote the image, else
+/// read through the mount by the first ingest or compaction that needs
+/// it — once per generation either way.
+pub(super) struct ServeBackend {
+    pub(super) mounts: Mounts,
+    pub(super) index: Arc<ShardedIndex>,
+    pub(super) metas: OnceLock<Vec<ImageMeta>>,
+}
+
+/// The mount handles a generation was built from; everything but
+/// [`ServeBackend::mounts`] sees them as a slice.
+pub(super) enum Mounts {
+    Single(Arc<Safs>),
+    Sharded(Arc<ShardSet>),
+}
+
+/// `safs` as the byte source of `fg_format`'s back-readers: the write
+/// path reaches the device the way queries do, page cache first. Point
+/// reads (a header, one list) take the insert policy of
+/// [`Safs::read_sync`]; a sweep (`stream`) takes the streaming policy
+/// of [`Safs::read_sync_stream`].
+pub(super) fn mount_bytes(safs: &Safs, stream: bool) -> impl Fn(u64, &mut [u8]) -> Result<()> + '_ {
+    move |offset, buf| {
+        let len = buf.len() as u64;
+        let span = if stream {
+            safs.read_sync_stream(offset, len)?
+        } else {
+            safs.read_sync(offset, len)?
+        };
+        span.read_bytes(0, buf);
+        Ok(())
+    }
+}
+
+impl ServeBackend {
+    /// The mounts, in shard order.
+    pub(super) fn mounts(&self) -> &[Safs] {
+        match &self.mounts {
+            Mounts::Single(safs) => std::slice::from_ref(safs),
+            Mounts::Sharded(set) => set.as_slice(),
+        }
+    }
+
+    /// This generation's image headers, one per mount.
+    pub(super) fn metas(&self) -> Result<&[ImageMeta]> {
+        if let Some(metas) = self.metas.get() {
+            return Ok(metas);
+        }
+        let read = |safs: &Safs| read_meta_from(&mount_bytes(safs, false), safs.array().capacity());
+        let fresh = self.mounts().iter().map(read).collect::<Result<_>>()?;
+        Ok(self.metas.get_or_init(|| fresh))
+    }
+}
+
+impl GraphService {
+    /// The (pinned backend, pinned delta view) pair of one admitted
+    /// query — the snapshot it runs against.
+    fn pin_view(&self, opts: &QueryOpts) -> (Arc<ServeBackend>, Arc<DeltaView>) {
+        match opts.as_of {
+            // Time travel: an explicit watermark replays a fixed view.
+            Some(w) => (self.live.pin().1, self.delta.view(w)),
+            // Freshest snapshot: the pin runs under the log lock so a
+            // concurrent compaction's fold+flip cannot interleave.
+            None => {
+                let ((_, backend), view) = self.delta.snapshot_with(|| self.live.pin());
+                (backend, view)
+            }
+        }
+    }
+
+    /// Runs one query with the service's base engine configuration.
+    ///
+    /// Blocks while the admission gate is full; the wait is reported
+    /// in the returned [`RunStats::queue_wait_ns`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine errors (bad seeds, I/O failures).
+    pub fn run<P: VertexProgram>(
+        &self,
+        program: &P,
+        init: Init,
+    ) -> Result<(Vec<P::State>, RunStats)> {
+        self.run_opts(program, init, QueryOpts::new())
+    }
+
+    /// The full-control run: tenant attribution, priority,
+    /// cancellation/deadline, engine override — see [`QueryOpts`].
+    ///
+    /// # Errors
+    ///
+    /// [`fg_types::FgError::Cancelled`] /
+    /// [`fg_types::FgError::DeadlineExpired`] when the query's token
+    /// fires while it waits for admission or between iterations of
+    /// its run (the slot is released and all shared state is left at
+    /// a consistent iteration boundary); engine errors otherwise.
+    pub fn run_opts<P: VertexProgram>(
+        &self,
+        program: &P,
+        init: Init,
+        opts: QueryOpts,
+    ) -> Result<(Vec<P::State>, RunStats)> {
+        self.serve(opts, |engine, waited| {
+            let (states, mut stats) = engine.run(program, init)?;
+            stats.queue_wait_ns = waited.as_nanos() as u64;
+            Ok((states, stats))
+        })?
+        .inspect_err(|e| {
+            if let Some(cause) = cancel_cause_of(e) {
+                self.book_abort(cause);
+            }
+        })
+    }
+
+    /// Admits one query and hands the closure a borrowed [`Engine`]
+    /// over the shared backend — the escape hatch for app wrappers
+    /// (`fg_apps`-style functions generic over [`crate::GraphEngine`])
+    /// and multi-phase runs that need several `run_with_states` calls
+    /// under a single admission.
+    ///
+    /// Because the closure's return type is opaque, any [`RunStats`]
+    /// it produces keeps `queue_wait_ns == 0`; the admission wait is
+    /// still accounted in the service-wide
+    /// [`ServiceStatsSnapshot::queue_wait_ns`]. Use
+    /// [`GraphService::run`] when the per-query wait matters.
+    pub fn query<R>(&self, f: impl FnOnce(&Engine<'_>) -> R) -> R {
+        self.query_opts(QueryOpts::new(), f)
+            .expect("admission without a token cannot fail")
+    }
+
+    /// [`GraphService::query`] with full per-query options — the entry
+    /// point of every kind of service: over k mounts the engine runs
+    /// one shard per mount. The engine handed to the closure carries
+    /// the query's token, so `engine.run(...)` calls inside it error
+    /// with [`fg_types::FgError::Cancelled`] at the next iteration
+    /// boundary once the token fires.
+    ///
+    /// # Errors
+    ///
+    /// [`fg_types::FgError::Cancelled`] /
+    /// [`fg_types::FgError::DeadlineExpired`] when the token fires
+    /// before admission (the closure then never runs).
+    pub fn query_opts<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>) -> R) -> Result<R> {
+        self.serve(opts, |engine, _waited| f(engine))
+    }
+
+    /// [`GraphService::query_opts`] under the name it had while
+    /// sharded services needed an entry point of their own.
+    #[doc(hidden)]
+    pub fn query_sharded_opts<R>(
+        &self,
+        opts: QueryOpts,
+        f: impl FnOnce(&Engine<'_>) -> R,
+    ) -> Result<R> {
+        self.query_opts(opts, f)
+    }
+
+    /// The one way in: admit, pin the view, build the engine, call,
+    /// release. The closure gets the engine and the admission wait.
+    fn serve<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>, Duration) -> R) -> Result<R> {
+        let token = opts.cancel.clone().unwrap_or_default();
+        let (permit, waited) = self.admit(&opts, &token)?;
+        // Snapshot isolation: pin (image generation, delta watermark)
+        // at admission — the run sees exactly this view no matter how
+        // much is ingested or compacted while it executes.
+        let (backend, view) = self.pin_view(&opts);
+        let cfg = opts.engine.unwrap_or(self.cfg.engine);
+        let engine = Engine::over_mounts(backend.mounts(), Arc::clone(&backend.index), cfg)
+            .with_deltas(view)
+            .with_cancel(token);
+        let out = f(&engine, waited);
+        drop(permit);
+        Ok(out)
+    }
+}
+
+/// The cancellation verdict inside an error, if that is what it is.
+fn cancel_cause_of(e: &fg_types::FgError) -> Option<CancelCause> {
+    match e {
+        fg_types::FgError::Cancelled => Some(CancelCause::Cancelled),
+        fg_types::FgError::DeadlineExpired => Some(CancelCause::DeadlineExpired),
+        _ => None,
+    }
+}

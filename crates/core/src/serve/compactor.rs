@@ -1,0 +1,222 @@
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Duration;
+
+use fg_format::{load_index, read_graph_from, ImagePlan, ShardedIndex, WriteOptions};
+use fg_graph::DeltaLog;
+use fg_safs::Safs;
+use fg_ssdsim::SsdArray;
+use fg_types::{FgError, Result};
+
+use super::backend::{mount_bytes, Mounts, ServeBackend};
+use super::GraphService;
+
+impl GraphService {
+    /// Folds every pending delta into a fresh on-SSD image and
+    /// atomically flips serving to it, returning the new generation.
+    /// `provision` supplies a device of at least the requested
+    /// capacity for the rewrite. The fold of the log and the flip of
+    /// the generation happen in one critical section, so concurrent
+    /// admissions pin either (old image, deltas) or (new image, no
+    /// deltas) — never a mix. In-flight queries finish on their
+    /// pinned generation; its mount dies with its last pin.
+    ///
+    /// Returns the current generation without rewriting anything when
+    /// the log is empty.
+    ///
+    /// # Errors
+    ///
+    /// [`FgError::InvalidConfig`] on a service over more than one
+    /// mount (per-shard compaction is future work), read-back/write
+    /// errors from the image pass, and whatever `provision` returns.
+    pub fn compact_with(&self, provision: impl FnOnce(u64) -> Result<SsdArray>) -> Result<u64> {
+        let _guard = self.compacting.lock().unwrap_or_else(|e| e.into_inner());
+        // Pin generation and view at one coherent point; everything
+        // ingested after this snapshot stays in the log for the next
+        // compaction.
+        let ((gen, backend), view) = self.delta.snapshot_with(|| self.live.pin());
+        let [safs] = backend.mounts() else {
+            return Err(FgError::InvalidConfig(
+                "compaction rewrites a single-mount image; shard-wise compaction is not supported"
+                    .into(),
+            ));
+        };
+        if view.is_empty() {
+            return Ok(gen);
+        }
+        let meta = &backend.metas()?[0];
+        // The read-back is a sweep of the whole image: it takes the
+        // streaming policy, so it uses what the cache holds and leaves
+        // the cache alone — queries pinned to this generation keep
+        // their hot set however small the cache is next to the image.
+        let base = read_graph_from(&mount_bytes(safs, true), meta, backend.index.shard(0))?;
+        let merged = DeltaLog::union(&base, &view);
+        let mut opts = WriteOptions {
+            format: meta.format,
+            generation: (gen + 1) as u32,
+            ..WriteOptions::default()
+        };
+        if meta.skip_interval != 0 {
+            opts.skip_interval = meta.skip_interval;
+        }
+        // One plan sizes the device and writes to it: planning a
+        // compressed image encodes every list.
+        let plan = ImagePlan::new(&merged, &opts);
+        let array = provision(plan.required_capacity())?;
+        plan.write(&array)?;
+        let (new_meta, new_index) = load_index(&array)?;
+        let new_safs = Safs::new(*safs.config(), array)?;
+        let next = ServeBackend {
+            mounts: Mounts::Single(Arc::new(new_safs)),
+            index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),
+            metas: OnceLock::from(vec![new_meta]),
+        };
+        // Atomic cutover: drop the folded runs and install the new
+        // image inside one log critical section (see the module docs).
+        self.delta.fold(view.watermark(), || {
+            self.live.flip(next);
+        });
+        Ok(gen + 1)
+    }
+}
+
+/// A background compaction thread: polls the service's pending-delta
+/// count and rewrites the image into the next generation whenever it
+/// crosses the threshold. The flip is atomic; in-flight queries keep
+/// serving from their pinned generation. Dropping (or
+/// [`Compactor::stop`]ping) the handle signals the thread and joins
+/// it.
+pub struct Compactor {
+    state: Arc<(Mutex<CompactorState>, Condvar)>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What the compactor thread and its handle share, under one lock.
+#[derive(Default)]
+struct CompactorState {
+    stop: bool,
+    /// Generations installed so far. Bumped (and waiters notified)
+    /// after the flip, so whoever reads a count here also sees the
+    /// generation it stands for.
+    compactions: u64,
+    /// Rewrites that returned an error (each is retried at the next
+    /// poll), and the text of the latest one.
+    failures: u64,
+    last_error: Option<String>,
+}
+
+impl Compactor {
+    /// Spawns a compactor over `svc` that rewrites whenever
+    /// [`GraphService::pending_deltas`] reaches `threshold`, checking
+    /// every `poll`. `provision` supplies a fresh device of at least
+    /// the requested capacity for each rewrite (see
+    /// [`GraphService::compact_with`]); a failed rewrite is counted
+    /// ([`Compactor::failures`], [`Compactor::last_error`]) and
+    /// retried at the next poll.
+    pub fn spawn(
+        svc: Arc<GraphService>,
+        threshold: u64,
+        poll: Duration,
+        provision: impl Fn(u64) -> Result<SsdArray> + Send + 'static,
+    ) -> Self {
+        let state = Arc::new((Mutex::new(CompactorState::default()), Condvar::new()));
+        let handle = {
+            let state = Arc::clone(&state);
+            std::thread::spawn(move || loop {
+                let (lock, cv) = &*state;
+                {
+                    let st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    if st.stop {
+                        break;
+                    }
+                    // A wake-up is a stop request or a waiter being
+                    // notified of a compaction; either way the flag
+                    // says which.
+                    let (st, _) = cv.wait_timeout(st, poll).unwrap_or_else(|e| e.into_inner());
+                    if st.stop {
+                        break;
+                    }
+                }
+                if svc.pending_deltas() >= threshold.max(1) {
+                    let before = svc.generation();
+                    let outcome = svc.compact_with(&provision);
+                    let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    match outcome {
+                        Ok(g) if g > before => st.compactions += 1,
+                        Ok(_) => continue,
+                        Err(e) => {
+                            st.failures += 1;
+                            st.last_error = Some(e.to_string());
+                        }
+                    }
+                    drop(st);
+                    cv.notify_all();
+                }
+            })
+        };
+        Compactor {
+            state,
+            handle: Some(handle),
+        }
+    }
+
+    /// Generations this compactor has installed so far.
+    pub fn compactions(&self) -> u64 {
+        let (lock, _) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions
+    }
+
+    /// Rewrites that failed so far. A failed rewrite leaves the log
+    /// and the serving generation as they were and is retried at the
+    /// next poll, so a count that keeps growing beside a
+    /// [`GraphService::pending_deltas`] that never falls is a
+    /// compactor that cannot make progress.
+    pub fn failures(&self) -> u64 {
+        let (lock, _) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).failures
+    }
+
+    /// The error of the latest failed rewrite, kept across later
+    /// successes; `None` while none has failed.
+    pub fn last_error(&self) -> Option<String> {
+        let (lock, _) = &*self.state;
+        lock.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .last_error
+            .clone()
+    }
+
+    /// Blocks until this compactor has installed at least `n`
+    /// generations or `timeout` passes, and returns the count. The
+    /// count is published after the flip, under the lock this waits
+    /// on: once it reads `n`, [`GraphService::generation`] has moved
+    /// at least that far.
+    pub fn wait_for_compactions(&self, n: u64, timeout: Duration) -> u64 {
+        let (lock, cv) = &*self.state;
+        let st = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let (st, _) = cv
+            .wait_timeout_while(st, timeout, |st| st.compactions < n)
+            .unwrap_or_else(|e| e.into_inner());
+        st.compactions
+    }
+
+    /// Signals the thread and joins it (also done on drop).
+    pub fn stop(mut self) {
+        self.shutdown();
+    }
+
+    fn shutdown(&mut self) {
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        let (lock, cv) = &*self.state;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+        cv.notify_all();
+        let _ = handle.join();
+    }
+}
+
+impl Drop for Compactor {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}

@@ -104,23 +104,25 @@
 //! to the old generation keep it alive via `Arc` until they drain.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use fg_format::{
-    load_index, read_graph_from, read_list_from, read_meta_from, GraphIndex, ImageMeta, ImagePlan,
-    ShardedIndex, WriteOptions,
-};
-use fg_graph::{BaseLists, DeltaBatch, DeltaLog, DeltaView};
+use fg_format::{GraphIndex, ShardedIndex};
+use fg_graph::DeltaLog;
 use fg_safs::{CacheStatsSnapshot, Handoff, Safs, ShardSet};
-use fg_ssdsim::SsdArray;
 use fg_types::sync::Counter;
-use fg_types::{CancelCause, CancelToken, EdgeDir, FgError, Result, VertexId};
+use fg_types::{CancelCause, CancelToken};
 
 use crate::config::EngineConfig;
-use crate::engine::{Engine, Init};
-use crate::program::VertexProgram;
-use crate::stats::RunStats;
+
+mod backend;
+mod compactor;
+mod gate;
+mod ingest;
+
+use backend::{Mounts, ServeBackend};
+pub use compactor::Compactor;
+use gate::{Gate, GateState};
 
 /// Admission priority class of a query. Classes are strict: the gate
 /// never admits a waiter while a higher class has one queued.
@@ -400,95 +402,6 @@ impl WaitHistogram {
     }
 }
 
-/// Virtual-pass step of a weight-1 tenant; a weight-`w` tenant steps
-/// by `STRIDE / w`, so larger weights advance slower and are picked
-/// more often.
-const STRIDE: u64 = 1 << 20;
-
-/// The two-level admission gate (see the module docs).
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-struct GateState {
-    /// Queries currently holding a slot.
-    running: usize,
-    /// Arrival stamp handed to the next waiter (FIFO within tenant).
-    next_seq: u64,
-    /// Waiters, in arrival order (the pick scans; queues are short —
-    /// bounded by the caller's thread count).
-    waiters: Vec<Waiter>,
-    /// Per-tenant stride-scheduling passes. Entries persist across
-    /// the service's lifetime so a tenant's share is long-run fair.
-    passes: HashMap<String, u64>,
-}
-
-struct Waiter {
-    seq: u64,
-    class: u8,
-    tenant: String,
-}
-
-impl GateState {
-    /// The waiter the gate would admit next: lowest class, then
-    /// smallest tenant pass, then arrival order.
-    fn pick(&self) -> Option<u64> {
-        self.waiters
-            .iter()
-            .min_by_key(|w| {
-                (
-                    w.class,
-                    self.passes.get(&w.tenant).copied().unwrap_or(0),
-                    w.seq,
-                )
-            })
-            .map(|w| w.seq)
-    }
-
-    fn remove(&mut self, seq: u64) {
-        if let Some(i) = self.waiters.iter().position(|w| w.seq == seq) {
-            self.waiters.swap_remove(i);
-        }
-    }
-
-    /// Drops an undeclared tenant's stride pass once its last waiter
-    /// leaves the queue. Declared tenants keep their pass so their
-    /// share stays long-run fair, but a service whose tenant names
-    /// come from request metadata (one per user, session, ...) must
-    /// not grow the pass map without bound; the admission-time floor
-    /// lift re-seats a returning ad-hoc tenant fairly anyway.
-    fn drain_pass(&mut self, tenant: &str, declared: bool) {
-        if !declared && !self.waiters.iter().any(|w| w.tenant == tenant) {
-            self.passes.remove(tenant);
-        }
-    }
-}
-
-impl Gate {
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        // A tenant that panicked inside `Engine::run` must not wedge
-        // the whole service; the gate state is a few counters that
-        // stay consistent regardless.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Releases one admission slot when a query ends, even by panic.
-struct Permit<'s> {
-    service: &'s GraphService,
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let mut st = self.service.gate.lock();
-        st.running -= 1;
-        self.service.completed.inc();
-        drop(st);
-        self.service.gate.cv.notify_all();
-    }
-}
-
 /// A shared-mount concurrent query service: one [`Safs`] mount and
 /// one [`GraphIndex`], many vertex-program queries in flight at once.
 ///
@@ -532,86 +445,6 @@ pub struct GraphService {
     peak_inflight: Counter,
     queue_wait_ns: Counter,
     wait_histo: WaitHistogram,
-}
-
-/// One generation of what the service serves from: k ≥ 1 mounts and
-/// the index that routes over them (a single mount is one shard that
-/// owns every vertex). `metas` holds the image header of each mount,
-/// in shard order: set by the compaction that wrote the image, else
-/// read through the mount by the first ingest or compaction that needs
-/// it — once per generation either way.
-struct ServeBackend {
-    mounts: Mounts,
-    index: Arc<ShardedIndex>,
-    metas: OnceLock<Vec<ImageMeta>>,
-}
-
-/// The mount handles a generation was built from; everything but
-/// [`ServeBackend::mounts`] sees them as a slice.
-enum Mounts {
-    Single(Arc<Safs>),
-    Sharded(Arc<ShardSet>),
-}
-
-/// `safs` as the byte source of `fg_format`'s back-readers: the write
-/// path reaches the device the way queries do, page cache first. Point
-/// reads (a header, one list) take the insert policy of
-/// [`Safs::read_sync`]; a sweep (`stream`) takes the streaming policy
-/// of [`Safs::read_sync_stream`].
-fn mount_bytes(safs: &Safs, stream: bool) -> impl Fn(u64, &mut [u8]) -> Result<()> + '_ {
-    move |offset, buf| {
-        let len = buf.len() as u64;
-        let span = if stream {
-            safs.read_sync_stream(offset, len)?
-        } else {
-            safs.read_sync(offset, len)?
-        };
-        span.read_bytes(0, buf);
-        Ok(())
-    }
-}
-
-impl ServeBackend {
-    /// The mounts, in shard order.
-    fn mounts(&self) -> &[Safs] {
-        match &self.mounts {
-            Mounts::Single(safs) => std::slice::from_ref(safs),
-            Mounts::Sharded(set) => set.as_slice(),
-        }
-    }
-
-    /// This generation's image headers, one per mount.
-    fn metas(&self) -> Result<&[ImageMeta]> {
-        if let Some(metas) = self.metas.get() {
-            return Ok(metas);
-        }
-        let read = |safs: &Safs| read_meta_from(&mount_bytes(safs, false), safs.array().capacity());
-        let fresh = self.mounts().iter().map(read).collect::<Result<_>>()?;
-        Ok(self.metas.get_or_init(|| fresh))
-    }
-}
-
-/// [`BaseLists`] over one pinned image generation: ingest-time
-/// canonicalization reads base adjacency through the generation's
-/// mounts, one point read per touched source. The reads take the
-/// normal insert policy, so the page cache absorbs them like any
-/// query's: a source whose pages are resident costs no device read,
-/// and the lists a batch fetches warm the cache for the queries that
-/// go on to read the vertices it changed.
-struct ImageBase(Arc<ServeBackend>);
-
-impl BaseLists for ImageBase {
-    fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
-        let backend = &*self.0;
-        let (s, local) = backend.index.local(v);
-        read_list_from(
-            &mount_bytes(&backend.mounts()[s], false),
-            &backend.metas()?[s],
-            backend.index.shard(s),
-            local,
-            EdgeDir::Out,
-        )
-    }
 }
 
 impl std::fmt::Debug for GraphService {
@@ -762,118 +595,6 @@ impl GraphService {
         self.delta.pending_ops()
     }
 
-    /// Ingests one batch of edge mutations under live serving and
-    /// returns the new watermark. The batch becomes one atomic run:
-    /// queries admitted before this call never see any of it, queries
-    /// admitted after see all of it. Works over any mount count; the
-    /// base adjacency needed to canonicalize the batch is read through the
-    /// serving generation's mounts — page cache first, so a batch whose
-    /// sources are resident reads nothing from the device.
-    ///
-    /// # Errors
-    ///
-    /// [`FgError::VertexOutOfRange`] when an endpoint lies outside
-    /// the image's fixed vertex set (the image cannot grow — ingest
-    /// mutates edges, not the vertex space), and I/O errors from the
-    /// base reads.
-    pub fn ingest(&self, batch: &DeltaBatch) -> Result<u64> {
-        self.delta.apply_with(|| self.pin_base(), batch)
-    }
-
-    /// The serving generation as a canonicalization base. Ingest calls
-    /// this under the log lock: a compaction folds the log and flips
-    /// the generation inside that lock, so a base pinned outside it
-    /// could be the generation *before* a flip, read after the runs
-    /// that flip absorbed have left the log — and an edge one of them
-    /// added would look absent and be added twice.
-    fn pin_base(&self) -> Result<ImageBase> {
-        let backend = self.live.pin().1;
-        backend.metas()?;
-        Ok(ImageBase(backend))
-    }
-
-    /// Folds every pending delta into a fresh on-SSD image and
-    /// atomically flips serving to it, returning the new generation.
-    /// `provision` supplies a device of at least the requested
-    /// capacity for the rewrite. The fold of the log and the flip of
-    /// the generation happen in one critical section, so concurrent
-    /// admissions pin either (old image, deltas) or (new image, no
-    /// deltas) — never a mix. In-flight queries finish on their
-    /// pinned generation; its mount dies with its last pin.
-    ///
-    /// Returns the current generation without rewriting anything when
-    /// the log is empty.
-    ///
-    /// # Errors
-    ///
-    /// [`FgError::InvalidConfig`] on a service over more than one
-    /// mount (per-shard compaction is future work), read-back/write
-    /// errors from the image pass, and whatever `provision` returns.
-    pub fn compact_with(&self, provision: impl FnOnce(u64) -> Result<SsdArray>) -> Result<u64> {
-        let _guard = self.compacting.lock().unwrap_or_else(|e| e.into_inner());
-        // Pin generation and view at one coherent point; everything
-        // ingested after this snapshot stays in the log for the next
-        // compaction.
-        let ((gen, backend), view) = self.delta.snapshot_with(|| self.live.pin());
-        let [safs] = backend.mounts() else {
-            return Err(FgError::InvalidConfig(
-                "compaction rewrites a single-mount image; shard-wise compaction is not supported"
-                    .into(),
-            ));
-        };
-        if view.is_empty() {
-            return Ok(gen);
-        }
-        let meta = &backend.metas()?[0];
-        // The read-back is a sweep of the whole image: it takes the
-        // streaming policy, so it uses what the cache holds and leaves
-        // the cache alone — queries pinned to this generation keep
-        // their hot set however small the cache is next to the image.
-        let base = read_graph_from(&mount_bytes(safs, true), meta, backend.index.shard(0))?;
-        let merged = DeltaLog::union(&base, &view);
-        let mut opts = WriteOptions {
-            format: meta.format,
-            generation: (gen + 1) as u32,
-            ..WriteOptions::default()
-        };
-        if meta.skip_interval != 0 {
-            opts.skip_interval = meta.skip_interval;
-        }
-        // One plan sizes the device and writes to it: planning a
-        // compressed image encodes every list.
-        let plan = ImagePlan::new(&merged, &opts);
-        let array = provision(plan.required_capacity())?;
-        plan.write(&array)?;
-        let (new_meta, new_index) = load_index(&array)?;
-        let new_safs = Safs::new(*safs.config(), array)?;
-        let next = ServeBackend {
-            mounts: Mounts::Single(Arc::new(new_safs)),
-            index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),
-            metas: OnceLock::from(vec![new_meta]),
-        };
-        // Atomic cutover: drop the folded runs and install the new
-        // image inside one log critical section (see the module docs).
-        self.delta.fold(view.watermark(), || {
-            self.live.flip(next);
-        });
-        Ok(gen + 1)
-    }
-
-    /// The (pinned backend, pinned delta view) pair of one admitted
-    /// query — the snapshot it runs against.
-    fn pin_view(&self, opts: &QueryOpts) -> (Arc<ServeBackend>, Arc<DeltaView>) {
-        match opts.as_of {
-            // Time travel: an explicit watermark replays a fixed view.
-            Some(w) => (self.live.pin().1, self.delta.view(w)),
-            // Freshest snapshot: the pin runs under the log lock so a
-            // concurrent compaction's fold+flip cannot interleave.
-            None => {
-                let ((_, backend), view) = self.delta.snapshot_with(|| self.live.pin());
-                (backend, view)
-            }
-        }
-    }
-
     /// Queries currently past admission.
     pub fn inflight(&self) -> usize {
         self.gate.lock().running
@@ -899,111 +620,6 @@ impl GraphService {
         }
     }
 
-    /// Runs one query with the service's base engine configuration.
-    ///
-    /// Blocks while the admission gate is full; the wait is reported
-    /// in the returned [`RunStats::queue_wait_ns`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (bad seeds, I/O failures).
-    pub fn run<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        self.run_opts(program, init, QueryOpts::new())
-    }
-
-    /// The full-control run: tenant attribution, priority,
-    /// cancellation/deadline, engine override — see [`QueryOpts`].
-    ///
-    /// # Errors
-    ///
-    /// [`fg_types::FgError::Cancelled`] /
-    /// [`fg_types::FgError::DeadlineExpired`] when the query's token
-    /// fires while it waits for admission or between iterations of
-    /// its run (the slot is released and all shared state is left at
-    /// a consistent iteration boundary); engine errors otherwise.
-    pub fn run_opts<P: VertexProgram>(
-        &self,
-        program: &P,
-        init: Init,
-        opts: QueryOpts,
-    ) -> Result<(Vec<P::State>, RunStats)> {
-        self.serve(opts, |engine, waited| {
-            let (states, mut stats) = engine.run(program, init)?;
-            stats.queue_wait_ns = waited.as_nanos() as u64;
-            Ok((states, stats))
-        })?
-        .inspect_err(|e| {
-            if let Some(cause) = cancel_cause_of(e) {
-                self.book_abort(cause);
-            }
-        })
-    }
-
-    /// Admits one query and hands the closure a borrowed [`Engine`]
-    /// over the shared backend — the escape hatch for app wrappers
-    /// (`fg_apps`-style functions generic over [`crate::GraphEngine`])
-    /// and multi-phase runs that need several `run_with_states` calls
-    /// under a single admission.
-    ///
-    /// Because the closure's return type is opaque, any [`RunStats`]
-    /// it produces keeps `queue_wait_ns == 0`; the admission wait is
-    /// still accounted in the service-wide
-    /// [`ServiceStatsSnapshot::queue_wait_ns`]. Use
-    /// [`GraphService::run`] when the per-query wait matters.
-    pub fn query<R>(&self, f: impl FnOnce(&Engine<'_>) -> R) -> R {
-        self.query_opts(QueryOpts::new(), f)
-            .expect("admission without a token cannot fail")
-    }
-
-    /// [`GraphService::query`] with full per-query options — the entry
-    /// point of every kind of service: over k mounts the engine runs
-    /// one shard per mount. The engine handed to the closure carries
-    /// the query's token, so `engine.run(...)` calls inside it error
-    /// with [`fg_types::FgError::Cancelled`] at the next iteration
-    /// boundary once the token fires.
-    ///
-    /// # Errors
-    ///
-    /// [`fg_types::FgError::Cancelled`] /
-    /// [`fg_types::FgError::DeadlineExpired`] when the token fires
-    /// before admission (the closure then never runs).
-    pub fn query_opts<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>) -> R) -> Result<R> {
-        self.serve(opts, |engine, _waited| f(engine))
-    }
-
-    /// [`GraphService::query_opts`] under the name it had while
-    /// sharded services needed an entry point of their own.
-    #[doc(hidden)]
-    pub fn query_sharded_opts<R>(
-        &self,
-        opts: QueryOpts,
-        f: impl FnOnce(&Engine<'_>) -> R,
-    ) -> Result<R> {
-        self.query_opts(opts, f)
-    }
-
-    /// The one way in: admit, pin the view, build the engine, call,
-    /// release. The closure gets the engine and the admission wait.
-    fn serve<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>, Duration) -> R) -> Result<R> {
-        let token = opts.cancel.clone().unwrap_or_default();
-        let (permit, waited) = self.admit(&opts, &token)?;
-        // Snapshot isolation: pin (image generation, delta watermark)
-        // at admission — the run sees exactly this view no matter how
-        // much is ingested or compacted while it executes.
-        let (backend, view) = self.pin_view(&opts);
-        let cfg = opts.engine.unwrap_or(self.cfg.engine);
-        let engine = Engine::over_mounts(backend.mounts(), Arc::clone(&backend.index), cfg)
-            .with_deltas(view)
-            .with_cancel(token);
-        let out = f(&engine, waited);
-        drop(permit);
-        Ok(out)
-    }
-
     /// The tenant identity, fair-share weight, and effective priority
     /// of a query.
     fn resolve(&self, opts: &QueryOpts) -> (String, u32, Priority) {
@@ -1027,284 +643,20 @@ impl GraphService {
         self.queue_wait_ns.add(ns);
         self.wait_histo.record(ns);
     }
-
-    /// Blocks until this caller holds an admission slot (or its token
-    /// fires): priority classes first, then weighted fair share among
-    /// tenants, FIFO within one tenant.
-    ///
-    /// # Errors
-    ///
-    /// The token's verdict, with the wait booked and the waiter
-    /// removed — an abandoned wait never consumes a slot.
-    fn admit(&self, opts: &QueryOpts, token: &CancelToken) -> Result<(Permit<'_>, Duration)> {
-        let t0 = Instant::now();
-        // A token that has already fired never enters the queue.
-        if let Some(cause) = token.cause() {
-            self.book_abort(cause);
-            self.book_wait(t0.elapsed());
-            return Err(cause.into());
-        }
-        if self.cfg.max_inflight == 0 {
-            // Unlimited: no queueing, but the books still balance.
-            let mut st = self.gate.lock();
-            st.running += 1;
-            let running = st.running;
-            drop(st);
-            let waited = t0.elapsed();
-            self.admitted.inc();
-            self.peak_inflight.max(running as u64);
-            self.book_wait(waited);
-            return Ok((Permit { service: self }, waited));
-        }
-        let (tenant, weight, priority) = self.resolve(opts);
-        let declared = self.cfg.tenant(&tenant).is_some();
-        let mut st = self.gate.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.waiters.push(Waiter {
-            seq,
-            class: priority.class(),
-            tenant: tenant.clone(),
-        });
-        loop {
-            if st.running < self.cfg.max_inflight && st.pick() == Some(seq) {
-                // The grant can arrive long after the token fired —
-                // a slot freeing is what wakes us. Re-check before
-                // taking the slot, so an already-dead query neither
-                // occupies it nor spawns an engine it would
-                // immediately unwind.
-                if let Some(cause) = token.cause() {
-                    st.remove(seq);
-                    st.drain_pass(&tenant, declared);
-                    drop(st);
-                    self.gate.cv.notify_all();
-                    self.book_abort(cause);
-                    self.book_wait(t0.elapsed());
-                    return Err(cause.into());
-                }
-                st.remove(seq);
-                st.running += 1;
-                // Advance the tenant's pass; lift it to the floor of
-                // its waiting peers first so a long-idle (or brand
-                // new) tenant gets its share promptly without
-                // replaying the whole backlog it never queued for.
-                let floor = st
-                    .waiters
-                    .iter()
-                    .map(|w| st.passes.get(&w.tenant).copied().unwrap_or(0))
-                    .min()
-                    .unwrap_or(0);
-                let pass = st.passes.entry(tenant.clone()).or_insert(0);
-                *pass = (*pass).max(floor) + STRIDE / u64::from(weight);
-                st.drain_pass(&tenant, declared);
-                let running = st.running;
-                drop(st);
-                // The next pick may also fit (capacity > 1), and our
-                // admission changed the pass landscape.
-                self.gate.cv.notify_all();
-                let waited = t0.elapsed();
-                self.admitted.inc();
-                self.peak_inflight.max(running as u64);
-                self.book_wait(waited);
-                return Ok((Permit { service: self }, waited));
-            }
-            if let Some(cause) = token.cause() {
-                st.remove(seq);
-                st.drain_pass(&tenant, declared);
-                drop(st);
-                // Our departure may change the pick for a waiter that
-                // is parked; wake everyone to re-evaluate.
-                self.gate.cv.notify_all();
-                self.book_abort(cause);
-                self.book_wait(t0.elapsed());
-                return Err(cause.into());
-            }
-            // Bounded waits double as the deadline/cancel poll: a
-            // token fired by a thread that never touches the gate is
-            // still noticed within one poll interval.
-            let poll = if opts.cancel.is_none() {
-                // No token at all: only gate events can unblock us.
-                Duration::from_secs(3600)
-            } else {
-                match token.time_left() {
-                    Some(left) => left.clamp(Duration::from_micros(100), QUEUE_POLL),
-                    None => QUEUE_POLL,
-                }
-            };
-            let (g, _) = self
-                .gate
-                .cv
-                .wait_timeout(st, poll)
-                .unwrap_or_else(|e| e.into_inner());
-            st = g;
-        }
-    }
-}
-
-/// A background compaction thread: polls the service's pending-delta
-/// count and rewrites the image into the next generation whenever it
-/// crosses the threshold. The flip is atomic; in-flight queries keep
-/// serving from their pinned generation. Dropping (or
-/// [`Compactor::stop`]ping) the handle signals the thread and joins
-/// it.
-pub struct Compactor {
-    state: Arc<(Mutex<CompactorState>, Condvar)>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// What the compactor thread and its handle share, under one lock.
-#[derive(Default)]
-struct CompactorState {
-    stop: bool,
-    /// Generations installed so far. Bumped (and waiters notified)
-    /// after the flip, so whoever reads a count here also sees the
-    /// generation it stands for.
-    compactions: u64,
-    /// Rewrites that returned an error (each is retried at the next
-    /// poll), and the text of the latest one.
-    failures: u64,
-    last_error: Option<String>,
-}
-
-impl Compactor {
-    /// Spawns a compactor over `svc` that rewrites whenever
-    /// [`GraphService::pending_deltas`] reaches `threshold`, checking
-    /// every `poll`. `provision` supplies a fresh device of at least
-    /// the requested capacity for each rewrite (see
-    /// [`GraphService::compact_with`]); a failed rewrite is counted
-    /// ([`Compactor::failures`], [`Compactor::last_error`]) and
-    /// retried at the next poll.
-    pub fn spawn(
-        svc: Arc<GraphService>,
-        threshold: u64,
-        poll: Duration,
-        provision: impl Fn(u64) -> Result<SsdArray> + Send + 'static,
-    ) -> Self {
-        let state = Arc::new((Mutex::new(CompactorState::default()), Condvar::new()));
-        let handle = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || loop {
-                let (lock, cv) = &*state;
-                {
-                    let st = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    if st.stop {
-                        break;
-                    }
-                    // A wake-up is a stop request or a waiter being
-                    // notified of a compaction; either way the flag
-                    // says which.
-                    let (st, _) = cv.wait_timeout(st, poll).unwrap_or_else(|e| e.into_inner());
-                    if st.stop {
-                        break;
-                    }
-                }
-                if svc.pending_deltas() >= threshold.max(1) {
-                    let before = svc.generation();
-                    let outcome = svc.compact_with(&provision);
-                    let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
-                    match outcome {
-                        Ok(g) if g > before => st.compactions += 1,
-                        Ok(_) => continue,
-                        Err(e) => {
-                            st.failures += 1;
-                            st.last_error = Some(e.to_string());
-                        }
-                    }
-                    drop(st);
-                    cv.notify_all();
-                }
-            })
-        };
-        Compactor {
-            state,
-            handle: Some(handle),
-        }
-    }
-
-    /// Generations this compactor has installed so far.
-    pub fn compactions(&self) -> u64 {
-        let (lock, _) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions
-    }
-
-    /// Rewrites that failed so far. A failed rewrite leaves the log
-    /// and the serving generation as they were and is retried at the
-    /// next poll, so a count that keeps growing beside a
-    /// [`GraphService::pending_deltas`] that never falls is a
-    /// compactor that cannot make progress.
-    pub fn failures(&self) -> u64 {
-        let (lock, _) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).failures
-    }
-
-    /// The error of the latest failed rewrite, kept across later
-    /// successes; `None` while none has failed.
-    pub fn last_error(&self) -> Option<String> {
-        let (lock, _) = &*self.state;
-        lock.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .last_error
-            .clone()
-    }
-
-    /// Blocks until this compactor has installed at least `n`
-    /// generations or `timeout` passes, and returns the count. The
-    /// count is published after the flip, under the lock this waits
-    /// on: once it reads `n`, [`GraphService::generation`] has moved
-    /// at least that far.
-    pub fn wait_for_compactions(&self, n: u64, timeout: Duration) -> u64 {
-        let (lock, cv) = &*self.state;
-        let st = lock.lock().unwrap_or_else(|e| e.into_inner());
-        let (st, _) = cv
-            .wait_timeout_while(st, timeout, |st| st.compactions < n)
-            .unwrap_or_else(|e| e.into_inner());
-        st.compactions
-    }
-
-    /// Signals the thread and joins it (also done on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        let Some(handle) = self.handle.take() else {
-            return;
-        };
-        let (lock, cv) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
-        cv.notify_all();
-        let _ = handle.join();
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// How often a queued waiter re-checks its cancellation token when no
-/// gate event wakes it.
-const QUEUE_POLL: Duration = Duration::from_millis(5);
-
-/// The cancellation verdict inside an error, if that is what it is.
-fn cancel_cause_of(e: &fg_types::FgError) -> Option<CancelCause> {
-    match e {
-        fg_types::FgError::Cancelled => Some(CancelCause::Cancelled),
-        fg_types::FgError::DeadlineExpired => Some(CancelCause::DeadlineExpired),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{Request, VertexContext};
+    use crate::engine::Init;
+    use crate::program::VertexProgram;
     use crate::vertex::PageVertex;
     use fg_format::{
         load_index, required_capacity, required_capacity_with, write_image, write_image_with,
+        WriteOptions,
     };
-    use fg_graph::{fixtures, Graph};
+    use fg_graph::{fixtures, DeltaBatch, Graph};
     use fg_safs::SafsConfig;
     use fg_ssdsim::{ArrayConfig, SsdArray};
     use fg_types::{EdgeDir, FgError, VertexId};
