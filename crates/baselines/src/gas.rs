@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use fg_graph::Graph;
-use fg_types::sync::Counter;
+use fg_types::sync::{Counter, Mutex};
 use fg_types::{AtomicBitmap, VertexId};
 
 /// A GAS vertex program.
@@ -64,7 +64,7 @@ pub struct GasStats {
 }
 
 /// Per-thread queue of apply results: `(vertex, new data, changed)`.
-type UpdateQueues<V> = Vec<parking_lot::Mutex<Vec<(u32, V, bool)>>>;
+type UpdateQueues<V> = Vec<Mutex<Vec<(u32, V, bool)>>>;
 
 /// Runs `program` until no vertex is active, synchronously.
 pub fn run_gas<P: GasProgram>(
@@ -101,9 +101,7 @@ pub fn run_gas<P: GasProgram>(
         // Materialized apply results: (vertex, new data, changed) —
         // the double-buffering PowerGraph pays for synchronous
         // execution.
-        let updates: UpdateQueues<P::V> = (0..threads)
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
-            .collect();
+        let updates: UpdateQueues<P::V> = (0..threads).map(|_| Mutex::new(Vec::new())).collect();
         let active_list: Vec<VertexId> = active.iter_ones().collect();
         let chunk = active_list.len().div_ceil(threads).max(1);
         std::thread::scope(|scope| {
@@ -249,8 +247,8 @@ pub fn gas_pagerank(g: &Graph, damping: f32, iters: u32, threads: usize) -> (Vec
         let chunk = n.div_ceil(threads.max(1)).max(1);
         let snapshot = data.clone(); // double buffer
         let indices: Vec<usize> = (0..n).collect();
-        let next: Vec<parking_lot::Mutex<Vec<(u32, f32)>>> = (0..threads.max(1))
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
+        let next: Vec<Mutex<Vec<(u32, f32)>>> = (0..threads.max(1))
+            .map(|_| Mutex::new(Vec::new()))
             .collect();
         std::thread::scope(|scope| {
             for (t, range) in indices.chunks(chunk).enumerate() {
@@ -409,8 +407,8 @@ pub fn gas_bc(g: &Graph, source: VertexId, threads: usize) -> (Vec<f64>, GasStat
         // All of level l+1's deltas are final; pull them in parallel.
         let level_list = &by_level[l as usize];
         let chunk = level_list.len().div_ceil(threads.max(1)).max(1);
-        let results: Vec<parking_lot::Mutex<Vec<(u32, f64)>>> = (0..threads.max(1))
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
+        let results: Vec<Mutex<Vec<(u32, f64)>>> = (0..threads.max(1))
+            .map(|_| Mutex::new(Vec::new()))
             .collect();
         std::thread::scope(|scope| {
             for (t, slice) in level_list.chunks(chunk).enumerate() {

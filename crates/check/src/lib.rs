@@ -4,13 +4,14 @@
 //! The workspace's engine rests on a handful of hand-rolled
 //! synchronization protocols (busy-bit delivery exclusivity, the
 //! obligation-counted quiesce condition, work-stealing pop order, the
-//! shard rendezvous, the `SemIo` flush gate, in-flight read dedup).
-//! Ordinary tests exercise one interleaving per run; this crate
-//! exercises *all of them* up to a preemption bound — and for the
-//! first four it explores the code that ships, not a transcription:
-//! [`models`] compiles `bitmap.rs`, `pool.rs` and `rendezvous.rs`
-//! themselves against instrumented primitives. The last two run
-//! through channels and an I/O thread and are still ~150-line models.
+//! shard rendezvous, the admission gate, the `SemIo` flush gate,
+//! in-flight read dedup). Ordinary tests exercise one interleaving per
+//! run; this crate exercises *all of them* up to a preemption bound —
+//! and for the first five it explores the code that ships, not a
+//! transcription: [`models`] compiles `bitmap.rs`, `pool.rs`,
+//! `rendezvous.rs` and `serve/gate.rs` themselves against instrumented
+//! primitives. The last two run through channels and an I/O thread and
+//! are still ~150-line models.
 //!
 //! Two halves:
 //!

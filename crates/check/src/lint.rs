@@ -3,10 +3,15 @@
 //! Four rules, all aimed at keeping the synchronization story
 //! auditable:
 //!
-//! 1. **`raw-atomic`** — no `std::sync::atomic` (or `core::…`) paths
-//!    outside `crates/types/`. `fg_types::sync` is the one sanctioned
-//!    gateway; a single import surface is what makes the other two
-//!    rules sufficient.
+//! 1. **`raw-sync`** — no `std::sync::atomic` (or `core::…`) paths
+//!    outside `crates/types/`, and no raw lock or channel path
+//!    (`std::sync::{Mutex, RwLock, Condvar, mpsc}`, written `::Name` or
+//!    inside a `{…}` import) in the shipped library crates — their
+//!    in-file test modules included; `tests/`, `benches/`, this crate
+//!    and the ledger keep `std` scaffolding. `fg_types::sync` is the
+//!    one sanctioned gateway: a single import surface is what makes the
+//!    other rules sufficient, and a single non-poisoning lock is what
+//!    keeps a panicking holder from wedging whoever locks next.
 //! 2. **`unsafe-safety`** — every line containing the `unsafe` keyword
 //!    carries a justification: a `SAFETY:` comment (or a `# Safety`
 //!    doc section for `unsafe fn` declarations) on the same line or in
@@ -18,11 +23,11 @@
 //!    edge, so both must say why.)
 //! 4. **`checked-imports`** — a file `fg_check` explores *as shipped*
 //!    (the list is read from the mount, see [`mounted_files`]) reaches
-//!    no `std::sync::` / `core::sync::` / `parking_lot::` /
-//!    `crossbeam::` / `fg_types::sync` path: it would compile in both
-//!    crates and put a lock the checker cannot see into a "checked"
-//!    protocol. Every primitive is `super::sync::…`; `std::sync::Arc`,
-//!    which shares ownership and carries no protocol, is the exception.
+//!    no `std::sync::` / `core::sync::` / `fg_types::sync` path: it
+//!    would compile in both crates and put a lock the checker cannot
+//!    see into a "checked" protocol. Every primitive is
+//!    `super::sync::…`; `std::sync::Arc`, which shares ownership and
+//!    carries no protocol, is the exception.
 //!
 //! The scanner is line-based over a comment/string-stripped view of
 //! each file: rule patterns inside string literals or comments never
@@ -282,13 +287,40 @@ pub fn mounted_files() -> Vec<String> {
 }
 
 /// The paths rule 4 keeps out of a mounted file.
-const UNCHECKED: [&str; 5] = [
-    "std::sync::",
-    "core::sync::",
-    "parking_lot::",
-    "crossbeam::",
-    "fg_types::sync",
+const UNCHECKED: [&str; 3] = ["std::sync::", "core::sync::", "fg_types::sync"];
+
+/// The crates rule 1 keeps raw locks and channels out of: the shipped
+/// libraries, whose locks a panicking tenant or base read can unwind
+/// through.
+const SHIPPED: [&str; 8] = [
+    "crates/graph/src/",
+    "crates/format/src/",
+    "crates/ssdsim/src/",
+    "crates/safs/src/",
+    "crates/core/src/",
+    "crates/apps/src/",
+    "crates/baselines/src/",
+    "src/",
 ];
+
+/// The `std::sync` names `fg_types::sync` stands in for (guards share
+/// their lock's prefix).
+const RAW_LOCKS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "mpsc"];
+
+/// The raw lock or channel `code` reaches through a `std::sync::` path,
+/// in either form: `std::sync::Mutex`, `std::sync::{Arc, Mutex}`.
+fn raw_lock(code: &str) -> Option<&'static str> {
+    code.match_indices("std::sync::").find_map(|(at, path)| {
+        let rest = &code[at + path.len()..];
+        // One name follows the path, or a group of them.
+        let (names, count) = match rest.strip_prefix('{') {
+            Some(group) => (group.split('}').next().unwrap_or(group), usize::MAX),
+            None => (rest, 1),
+        };
+        let mut names = names.split(',').take(count).map(str::trim_start);
+        names.find_map(|n| RAW_LOCKS.into_iter().find(|raw| n.starts_with(raw)))
+    })
+}
 
 /// Lints one file's source. `path_label` is the workspace-relative
 /// path, used for reporting, for the `crates/types/` gateway exemption
@@ -297,6 +329,7 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
     let lines = split_lines(src);
     let mounted = mounted_files().iter().any(|f| f == path_label);
     let in_types = path_label.replace('\\', "/").starts_with("crates/types/");
+    let shipped = SHIPPED.iter().any(|dir| path_label.starts_with(dir));
     let mut out = Vec::new();
     for (idx, l) in lines.iter().enumerate() {
         let lineno = idx + 1;
@@ -306,10 +339,21 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
             out.push(Violation {
                 file: path_label.to_string(),
                 line: lineno,
-                rule: "raw-atomic",
+                rule: "raw-sync",
                 msg: "raw `std::sync::atomic` path outside `fg_types` — go through \
                       `fg_types::sync` (the single audited gateway)"
                     .to_string(),
+            });
+        }
+        if let Some(raw) = raw_lock(&l.code).filter(|_| shipped) {
+            out.push(Violation {
+                file: path_label.to_string(),
+                line: lineno,
+                rule: "raw-sync",
+                msg: format!(
+                    "raw `std::sync::{raw}` in a shipped crate — use `fg_types::sync`, \
+                     whose locks do not poison and whose names `fg_check` can double"
+                ),
             });
         }
         if has_word(&l.code, "unsafe") && !justified(&lines, idx, &["SAFETY:", "# Safety"]) {
@@ -401,12 +445,38 @@ mod tests {
 
     #[test]
     fn raw_atomic_flagged_outside_types() {
-        assert_eq!(rules("use std::sync::atomic::AtomicU64;\n"), ["raw-atomic"]);
+        assert_eq!(rules("use std::sync::atomic::AtomicU64;\n"), ["raw-sync"]);
         assert!(lint_source(
             "crates/types/src/sync.rs",
             "use std::sync::atomic::AtomicU64;\n"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn raw_locks_and_channels_flagged_in_shipped_crates() {
+        let shipped = |src: &str| lint_source("crates/safs/src/handoff.rs", src).len();
+        for src in [
+            "use std::sync::Mutex;\n",
+            "use std::sync::{Arc, RwLock};\n",
+            "use std::sync::{Condvar, MutexGuard};\n",
+            "let (tx, rx) = std::sync::mpsc::channel();\n",
+            "#[cfg(test)]\nmod tests {\n    use std::sync::{mpsc, Arc};\n}\n",
+        ] {
+            assert_eq!(shipped(src), 1, "{src}");
+            // Scaffolding outside the shipped crates keeps `std`.
+            for label in ["tests/prop_serve.rs", "crates/check/src/sched.rs"] {
+                assert!(lint_source(label, src).is_empty(), "{label}: {src}");
+            }
+        }
+        // What carries no protocol, and the gateway itself, pass.
+        assert_eq!(
+            shipped("use std::sync::{Arc, Barrier, OnceLock, Weak};\n"),
+            0
+        );
+        assert_eq!(shipped("use fg_types::sync::{Condvar, Mutex};\n"), 0);
+        assert_eq!(shipped("// was: use std::sync::Mutex;\n"), 0);
+        assert_eq!(shipped("f(std::sync::Arc::new(1), Mutex::new(2));\n"), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! * `fg_check --lint [root]` runs the static lint over every `.rs`
 //!   file (default root: the enclosing workspace) and exits non-zero
 //!   on any violation. CI runs this as a fail-the-build step.
-//! * `fg_check --models` explores every protocol — four as shipped,
+//! * `fg_check --models` explores every protocol — five as shipped,
 //!   two as models — unmutated and with each seeded mutation, and
 //!   exits non-zero unless the unmutated ones pass and every mutation
 //!   is caught. `FG_CHECK_DEPTH=n` deepens the exploration (CI's
@@ -91,6 +91,7 @@ fn run_models() -> ExitCode {
         + protocol!(ready_pool, "shipped")
         + protocol!(sem_flush, "model")
         + protocol!(rendezvous, "shipped")
+        + protocol!(gate, "shipped")
         + protocol!(inflight_waiter, "model");
     if bad == 0 {
         println!("fg_check --models: all protocols verified, all mutations caught");

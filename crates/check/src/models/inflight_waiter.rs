@@ -4,7 +4,7 @@
 //! locks, the buffered claim → dispatch gap, cancellation mid-wait.
 //!
 //! Still a *model*, kept in step by review: the protocol runs through
-//! an `IoSession`, crossbeam channels and an I/O thread, and the
+//! an `IoSession`, `fg_types::sync::channel`s and an I/O thread, and the
 //! checker has no double for a channel yet (a later issue).
 //!
 //! Protocol: the first session to miss a page *claims* it (an entry

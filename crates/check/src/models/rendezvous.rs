@@ -129,14 +129,8 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
     match mutation {
         Some(Mutation::ReleaseNoNotify) => scenario_votes(&[RELEASE_NO_NOTIFY], cfg),
         Some(Mutation::PoisonNoNotify) => scenario_poison(&[POISON_NO_NOTIFY], cfg),
-        None => {
-            let mut all = scenario_votes(&[], cfg);
-            for next in [scenario_poison(&[], cfg), check_reader(cfg)] {
-                all.failure = all.failure.or(next.failure);
-                all.executions += next.executions;
-                all.complete &= next.complete;
-            }
-            all
-        }
+        None => scenario_votes(&[], cfg)
+            .and(scenario_poison(&[], cfg))
+            .and(check_reader(cfg)),
     }
 }

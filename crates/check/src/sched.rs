@@ -57,7 +57,10 @@
 //!   but never clocks — so downgrading a publishing `AcqRel` to
 //!   `Relaxed` shows up as a lost publication, exactly like the
 //!   seeded busy-bit mutation.
-//! * **Deadlocks.** No runnable threads, some still blocked.
+//! * **Deadlocks.** No runnable threads, some still blocked — and none
+//!   of them in a timed wait: a timeout fires when nothing else can
+//!   run, never earlier, so a protocol that works only because someone
+//!   polls still deadlocks its untimed waiters.
 //! * **Livelocks.** The step bound, as above.
 //! * **Assertion failures.** Models state invariants with
 //!   [`crate::check_assert`]; an ordinary panic inside a model is
@@ -252,6 +255,16 @@ impl Report {
     pub fn passed(&self) -> bool {
         self.complete && self.failure.is_none()
     }
+
+    /// This report and `next`'s as one, for a protocol explored through
+    /// several scenarios: the first failure wins.
+    pub fn and(self, next: Report) -> Report {
+        Report {
+            executions: self.executions + next.executions,
+            complete: self.complete && next.complete,
+            failure: self.failure.or(next.failure),
+        }
+    }
 }
 
 /// Sentinel panic payload used to unwind model threads when an
@@ -267,6 +280,9 @@ pub(crate) enum St {
     Parked,
     BlockedMutex(u64),
     BlockedCond(u64),
+    /// In a condvar wait with a timeout: woken by a notify like
+    /// `BlockedCond`, or by the clock once nothing else can run.
+    BlockedTimed(u64),
     BlockedJoin(usize),
     Finished,
 }
@@ -574,6 +590,11 @@ impl Scheduler {
             return st;
         }
 
+        if !st.status.contains(&St::Parked) {
+            // The clock is slower than every thread: timeouts fire only
+            // now, when nothing else can run, and all at once.
+            self.unblock_where(&mut st, |s| matches!(s, St::BlockedTimed(_)));
+        }
         let parked: Vec<usize> = (0..st.nthreads)
             .filter(|&t| st.status[t] == St::Parked)
             .collect();

@@ -23,7 +23,9 @@
 //!   "lost publication" from an ordering downgrade actually surfaces.
 //! * **[`Mutex`] / [`Condvar`]** transfer clocks through lock
 //!   hand-off, block threads scheduler-side, and make lost wakeups
-//!   visible as deadlocks.
+//!   visible as deadlocks. [`Condvar::wait_timeout`] times out only
+//!   once no thread can run (see [`crate::sched`]): the poll it stands
+//!   for never rescues a waiter the protocol forgot to wake.
 //!
 //! The atomics, `Mutex` and `Condvar` are also where a [`crate::Fault`]
 //! lands: each operation knows its call site (`#[track_caller]`) and
@@ -34,12 +36,17 @@
 //! value*: the same state behind the same real lock, no scheduler, no
 //! clocks — a slow but correct atomic, mutex or condvar, which is what
 //! lets a mounted file's own `#[cfg(test)]` module run, real threads
-//! and all, in this crate's test build. Nothing here is a real atomic:
-//! under the scheduler exactly one model thread runs at a time.
+//! and all, in this crate's test build. So is any double while its
+//! thread unwinds: what runs then is a `Drop` of the code under test
+//! (an admission permit giving its slot back) as an aborted execution
+//! is torn down, and a schedule point there would panic inside a
+//! panic. Nothing here is a real atomic: under the scheduler exactly
+//! one model thread runs at a time.
 
 use std::fmt;
 use std::panic::Location;
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdGuard};
+use std::time::Duration;
 
 pub use crate::sched::CJoinHandle;
 use crate::sched::{FailureKind, Scheduler, St};
@@ -106,6 +113,12 @@ struct Tracked {
     name: String,
 }
 
+/// The model side of a double for an operation made now: `None` for a
+/// plain value, and while the calling thread unwinds (module docs).
+fn live(model: &Option<Tracked>) -> Option<&Tracked> {
+    model.as_ref().filter(|_| !std::thread::panicking())
+}
+
 impl Tracked {
     #[track_caller]
     fn new() -> Option<Tracked> {
@@ -163,7 +176,7 @@ impl AtomicU64 {
         arg: Option<u64>,
         ord: Ordering,
     ) -> Option<(&Tracked, usize, Ordering)> {
-        let t = self.model.as_ref()?;
+        let t = live(&self.model)?;
         let me = Scheduler::current_tid();
         let arg = arg.map_or(String::new(), |a| format!("{:#x}, ", a));
         t.sched
@@ -435,7 +448,7 @@ impl<T> Mutex<T> {
 
     #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if let Some(t) = &self.model {
+        if let Some(t) = live(&self.model) {
             let me = Scheduler::current_tid();
             t.sched.point(me, &format!("{}.lock", t.name));
             self.acquire(t, me, t.sched.faulted("lock", Location::caller()));
@@ -558,21 +571,50 @@ impl Condvar {
 
     /// Atomically releases the guard's mutex and blocks until
     /// notified, then re-acquires. Returns the re-acquired guard.
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.park(guard, None)
+    }
+
+    /// [`Condvar::wait`] that a timeout ends too — under the scheduler,
+    /// once no thread can run (however long `timeout` is).
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, T> {
+        self.park(guard, Some(timeout))
+    }
+
+    fn park<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, T> {
         let held = guard.data.take().expect("guard still holds data");
         let mutex = guard.mutex;
         let (Some(t), Some(mt)) = (&self.model, &mutex.model) else {
-            guard.data = Some(self.real.wait(held).unwrap_or_else(|e| e.into_inner()));
+            let woken = match timeout {
+                None => self.real.wait(held).unwrap_or_else(|e| e.into_inner()),
+                Some(t) => {
+                    let timed = self.real.wait_timeout(held, t);
+                    timed.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
+            guard.data = Some(woken);
             return guard;
         };
         let me = Scheduler::current_tid();
-        t.sched.point(me, &format!("{}.wait", t.name));
+        let (op, edge) = match timeout {
+            None => ("wait", St::BlockedCond(t.id)),
+            Some(_) => ("wait_timeout", St::BlockedTimed(t.id)),
+        };
+        t.sched.point(me, &format!("{}.{}", t.name, op));
         // Release without a second schedule point: the unlock is part
         // of the wait operation.
         drop(held);
         mutex.release(mt, me);
         let desc = format!("{}.wake", t.name);
-        t.sched.block_on(me, St::BlockedCond(t.id), &desc);
+        t.sched.block_on(me, edge, &desc);
         mutex.acquire(mt, me, false);
         guard.data = Some(relock(&mutex.data));
         guard
@@ -580,13 +622,14 @@ impl Condvar {
 
     #[track_caller]
     pub fn notify_all(&self) {
-        let Some(t) = &self.model else {
+        let Some(t) = live(&self.model) else {
             return self.real.notify_all();
         };
         let me = Scheduler::current_tid();
         t.sched.point(me, &format!("{}.notify_all", t.name));
         if !t.sched.faulted("notify_all", Location::caller()) {
             t.sched.unblock(St::BlockedCond(t.id));
+            t.sched.unblock(St::BlockedTimed(t.id));
         }
     }
 }

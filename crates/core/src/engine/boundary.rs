@@ -11,7 +11,7 @@
 //! are owner-only — a vertex's messages reach the worker that owns its
 //! partition — so no busy bit is involved.
 
-use fg_types::sync::{AtomicBool, AtomicU32, Counter};
+use fg_types::sync::{AtomicBool, AtomicU32, Counter, Mutex};
 use std::time::Instant;
 
 use fg_types::{Bitmap, CancelCause, VertexId};
@@ -31,7 +31,7 @@ pub(super) struct Control {
     pub(super) stop: AtomicBool,
     /// Why the run stopped early, if it did. Written by worker 0 in
     /// phase D, read after the join.
-    pub(super) cancelled: parking_lot::Mutex<Option<CancelCause>>,
+    pub(super) cancelled: Mutex<Option<CancelCause>>,
 }
 
 /// Per-run statistics, all relaxed [`Counter`]s: exact reads happen

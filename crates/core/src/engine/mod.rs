@@ -450,7 +450,7 @@ impl<'g> Engine<'g> {
         // subject owner's array); summed across shards the deltas are
         // exact regardless, since each array has one owner.
         let before = mount.map(|m| (m.array().stats().snapshot(), m.cache_stats()));
-        let per_iteration: parking_lot::Mutex<Vec<IterStats>> = parking_lot::Mutex::new(Vec::new());
+        let per_iteration: sync::Mutex<Vec<IterStats>> = sync::Mutex::new(Vec::new());
 
         if n > 0 {
             std::thread::scope(|scope| {

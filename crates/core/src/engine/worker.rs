@@ -31,7 +31,7 @@
 //! (`fg_check`'s `quiesce` harness: `EarlyBatchRelease`,
 //! `ReleasePerEntry`).
 
-use fg_types::sync::Ordering;
+use fg_types::sync::{Mutex, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,7 +72,7 @@ pub(super) struct WorkerEnv<'r, 'g, P: VertexProgram> {
     pub(super) ready: &'r ReadyPool<Entry>,
     pub(super) busy: &'r AtomicBitmap,
     pub(super) cache_scope: &'r Option<Arc<CacheStats>>,
-    pub(super) per_iteration: &'r parking_lot::Mutex<Vec<IterStats>>,
+    pub(super) per_iteration: &'r Mutex<Vec<IterStats>>,
     /// The shard bus + cross-shard barrier group, in runs with peers.
     pub(super) link: Option<&'r ShardLink<'r, P::Msg>>,
 }

@@ -22,9 +22,8 @@
 //! iteration, every message they posted is in its inbox before the
 //! drain starts.
 
-use fg_types::sync::Counter;
+use fg_types::sync::{Counter, Mutex};
 use fg_types::VertexId;
-use parking_lot::Mutex;
 
 /// A bundle of buffered messages bound for one partition.
 #[derive(Debug)]

@@ -1,3 +1,17 @@
+//! What a query runs against, and the one way it runs. A
+//! [`ServeBackend`] is one image generation — its mounts, its index,
+//! its headers — immutable once built and alive as long as anything
+//! pins it. This file owns **snapshot isolation**: `serve` pins the
+//! pair (generation, delta view) once, right after admission and under
+//! the log lock, and hands the engine nothing else — so whatever is
+//! ingested or compacted while the run executes, it reads one image
+//! and one view, and a generation's mounts die with its last pin.
+//! Every public entry point (`run`, `run_opts`, `query`, `query_opts`)
+//! is a shorthand for `serve`; the permit it holds is the gate's and
+//! drops on unwind. The ledger prices the per-query engine this builds
+//! as `engine.run_floor_us`, and the whole path as `serve_closed`'s
+//! `queries_per_s` / `query_p50_ms` / `query_p95_ms`.
+
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -137,7 +151,7 @@ impl GraphService {
     /// Because the closure's return type is opaque, any [`RunStats`]
     /// it produces keeps `queue_wait_ns == 0`; the admission wait is
     /// still accounted in the service-wide
-    /// [`ServiceStatsSnapshot::queue_wait_ns`]. Use
+    /// [`super::ServiceStatsSnapshot::queue_wait_ns`]. Use
     /// [`GraphService::run`] when the per-query wait matters.
     pub fn query<R>(&self, f: impl FnOnce(&Engine<'_>) -> R) -> R {
         self.query_opts(QueryOpts::new(), f)
@@ -174,8 +188,7 @@ impl GraphService {
     /// The one way in: admit, pin the view, build the engine, call,
     /// release. The closure gets the engine and the admission wait.
     fn serve<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>, Duration) -> R) -> Result<R> {
-        let token = opts.cancel.clone().unwrap_or_default();
-        let (permit, waited) = self.admit(&opts, &token)?;
+        let (permit, waited) = self.admit(&opts)?;
         // Snapshot isolation: pin (image generation, delta watermark)
         // at admission — the run sees exactly this view no matter how
         // much is ingested or compacted while it executes.
@@ -183,7 +196,7 @@ impl GraphService {
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
         let engine = Engine::over_mounts(backend.mounts(), Arc::clone(&backend.index), cfg)
             .with_deltas(view)
-            .with_cancel(token);
+            .with_cancel(opts.cancel.unwrap_or_default());
         let out = f(&engine, waited);
         drop(permit);
         Ok(out)

@@ -1,10 +1,25 @@
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+//! Compaction: base + pending deltas rewritten into the next image
+//! generation, by hand ([`GraphService::compact_with`]) or by the
+//! background [`Compactor`]. This file owns **the cutover is one
+//! critical section**: the fold of the log and the flip of the
+//! [`Handoff`](fg_safs::Handoff) happen together under the log lock —
+//! the lock every query's pin is taken under — so a pin sees (old
+//! image, its deltas) or (new image, none), never a mix; and **a failed
+//! rewrite changes nothing**: everything before the fold works on
+//! pinned copies, so an error leaves log and generation as they were,
+//! is counted ([`Compactor::failures`]) and retried at the next poll.
+//! The ledger counts the flips as `delta.compactions` /
+//! `delta.generation`, what queued up between them as
+//! `delta.pending_ops_peak`, and times one rewrite as `compact_s`.
+
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use fg_format::{load_index, read_graph_from, ImagePlan, ShardedIndex, WriteOptions};
 use fg_graph::DeltaLog;
 use fg_safs::Safs;
 use fg_ssdsim::SsdArray;
+use fg_types::sync::{Condvar, Mutex};
 use fg_types::{FgError, Result};
 
 use super::backend::{mount_bytes, Mounts, ServeBackend};
@@ -29,7 +44,7 @@ impl GraphService {
     /// mount (per-shard compaction is future work), read-back/write
     /// errors from the image pass, and whatever `provision` returns.
     pub fn compact_with(&self, provision: impl FnOnce(u64) -> Result<SsdArray>) -> Result<u64> {
-        let _guard = self.compacting.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = self.compacting.lock();
         // Pin generation and view at one coherent point; everything
         // ingested after this snapshot stays in the log for the next
         // compaction.
@@ -124,14 +139,14 @@ impl Compactor {
             std::thread::spawn(move || loop {
                 let (lock, cv) = &*state;
                 {
-                    let st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    let st = lock.lock();
                     if st.stop {
                         break;
                     }
                     // A wake-up is a stop request or a waiter being
                     // notified of a compaction; either way the flag
                     // says which.
-                    let (st, _) = cv.wait_timeout(st, poll).unwrap_or_else(|e| e.into_inner());
+                    let st = cv.wait_timeout(st, poll);
                     if st.stop {
                         break;
                     }
@@ -139,7 +154,7 @@ impl Compactor {
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
                     let outcome = svc.compact_with(&provision);
-                    let mut st = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut st = lock.lock();
                     match outcome {
                         Ok(g) if g > before => st.compactions += 1,
                         Ok(_) => continue,
@@ -162,7 +177,7 @@ impl Compactor {
     /// Generations this compactor has installed so far.
     pub fn compactions(&self) -> u64 {
         let (lock, _) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).compactions
+        lock.lock().compactions
     }
 
     /// Rewrites that failed so far. A failed rewrite leaves the log
@@ -172,17 +187,14 @@ impl Compactor {
     /// compactor that cannot make progress.
     pub fn failures(&self) -> u64 {
         let (lock, _) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).failures
+        lock.lock().failures
     }
 
     /// The error of the latest failed rewrite, kept across later
     /// successes; `None` while none has failed.
     pub fn last_error(&self) -> Option<String> {
         let (lock, _) = &*self.state;
-        lock.lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .last_error
-            .clone()
+        lock.lock().last_error.clone()
     }
 
     /// Blocks until this compactor has installed at least `n`
@@ -192,10 +204,15 @@ impl Compactor {
     /// at least that far.
     pub fn wait_for_compactions(&self, n: u64, timeout: Duration) -> u64 {
         let (lock, cv) = &*self.state;
-        let st = lock.lock().unwrap_or_else(|e| e.into_inner());
-        let (st, _) = cv
-            .wait_timeout_while(st, timeout, |st| st.compactions < n)
-            .unwrap_or_else(|e| e.into_inner());
+        let deadline = Instant::now() + timeout;
+        let mut st = lock.lock();
+        while st.compactions < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            st = cv.wait_timeout(st, left);
+        }
         st.compactions
     }
 
@@ -209,7 +226,7 @@ impl Compactor {
             return;
         };
         let (lock, cv) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).stop = true;
+        lock.lock().stop = true;
         cv.notify_all();
         let _ = handle.join();
     }

@@ -1,3 +1,14 @@
+//! The write path's read side: the base an ingested batch is
+//! canonicalized against. This file owns **the base is the one the log
+//! sits on**: `DeltaLog::apply_with` calls `pin_base` under the log
+//! lock, where no compaction's fold + flip can land between the pin and
+//! the canonicalization — a base pinned outside it could lack runs the
+//! log no longer holds either. A base read that fails, or panics,
+//! leaves the log as it was (it is written after the last read) and
+//! the lock usable: the service serves on. The ledger prices a batch as
+//! `delta.apply_ns_per_op` and `ingest_live`'s `ingest_ops_per_s`; the
+//! reads go through the mount, so they show in `device_bytes` too.
+
 use std::sync::Arc;
 
 use fg_format::read_list_from;
@@ -41,7 +52,7 @@ impl GraphService {
     ///
     /// # Errors
     ///
-    /// [`FgError::VertexOutOfRange`] when an endpoint lies outside
+    /// [`fg_types::FgError::VertexOutOfRange`] when an endpoint lies outside
     /// the image's fixed vertex set (the image cannot grow — ingest
     /// mutates edges, not the vertex space), and I/O errors from the
     /// base reads.

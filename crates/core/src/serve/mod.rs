@@ -102,16 +102,34 @@
 //! section, so no query can observe the new image *and* the deltas it
 //! already absorbed (or the old image *without* them). Queries pinned
 //! to the old generation keep it alive via `Arc` until they drain.
+//!
+//! # Where each protocol lives
+//!
+//! This file holds what a caller configures and reads back (tenants,
+//! [`QueryOpts`], the counters) and the service itself; one file per
+//! protocol underneath, each opening with the invariant it owns and
+//! the ledger rows that price it: `gate` (admission), `backend` (a
+//! generation's mounts and the one way a query runs), `ingest` (the
+//! canonicalization base), `compactor` (the rewrite, the fold + flip
+//! and the background thread).
+//!
+//! [`Init`]: crate::Init
+//! [`RunStats`]: crate::RunStats
+//! [`RunStats::queue_wait_ns`]: crate::RunStats::queue_wait_ns
+//! [`Engine::with_cancel`]: crate::Engine::with_cancel
+//! [`DeltaBatch`]: fg_graph::DeltaBatch
+//! [`DeltaView`]: fg_graph::DeltaView
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use fg_format::{GraphIndex, ShardedIndex};
 use fg_graph::DeltaLog;
 use fg_safs::{CacheStatsSnapshot, Handoff, Safs, ShardSet};
-use fg_types::sync::Counter;
-use fg_types::{CancelCause, CancelToken};
+// `gate.rs` names its primitives `super::sync::…` — here the real ones,
+// in `fg_check`'s mount of the same file the instrumented doubles.
+use fg_types::sync::{self, Counter, Mutex};
+use fg_types::{CancelCause, CancelToken, Result};
 
 use crate::config::EngineConfig;
 
@@ -122,7 +140,7 @@ mod ingest;
 
 use backend::{Mounts, ServeBackend};
 pub use compactor::Compactor;
-use gate::{Gate, GateState};
+use gate::{Gate, Permit, Ticket};
 
 /// Admission priority class of a query. Classes are strict: the gate
 /// never admits a waiter while a higher class has one queued.
@@ -438,11 +456,8 @@ pub struct GraphService {
     compacting: Mutex<()>,
     cfg: ServiceConfig,
     gate: Gate,
-    admitted: Counter,
-    completed: Counter,
     cancelled: Counter,
     deadline_expired: Counter,
-    peak_inflight: Counter,
     queue_wait_ns: Counter,
     wait_histo: WaitHistogram,
 }
@@ -454,7 +469,7 @@ impl std::fmt::Debug for GraphService {
             .field("generation", &self.live.generation())
             .field("pending_deltas", &self.delta.pending_ops())
             .field("max_inflight", &self.cfg.max_inflight)
-            .field("running", &self.gate.lock().running)
+            .field("gate", &self.gate.snapshot())
             .finish_non_exhaustive()
     }
 }
@@ -513,21 +528,10 @@ impl GraphService {
             live: Handoff::new(backend),
             delta,
             compacting: Mutex::new(()),
+            gate: Gate::new(cfg.max_inflight),
             cfg,
-            gate: Gate {
-                state: Mutex::new(GateState {
-                    running: 0,
-                    next_seq: 0,
-                    waiters: Vec::new(),
-                    passes: HashMap::new(),
-                }),
-                cv: Condvar::new(),
-            },
-            admitted: Counter::default(),
-            completed: Counter::default(),
             cancelled: Counter::default(),
             deadline_expired: Counter::default(),
-            peak_inflight: Counter::default(),
             queue_wait_ns: Counter::default(),
             wait_histo: WaitHistogram::default(),
         }
@@ -597,22 +601,23 @@ impl GraphService {
 
     /// Queries currently past admission.
     pub fn inflight(&self) -> usize {
-        self.gate.lock().running
+        self.gate.snapshot().running
     }
 
     /// Queries currently waiting in the admission queue.
     pub fn queued(&self) -> usize {
-        self.gate.lock().waiters.len()
+        self.gate.snapshot().queued
     }
 
     /// Service counters so far.
     pub fn stats(&self) -> ServiceStatsSnapshot {
+        let gate = self.gate.snapshot();
         ServiceStatsSnapshot {
-            admitted: self.admitted.get(),
-            completed: self.completed.get(),
+            admitted: gate.admitted,
+            completed: gate.completed,
             cancelled: self.cancelled.get(),
             deadline_expired: self.deadline_expired.get(),
-            peak_inflight: self.peak_inflight.get() as usize,
+            peak_inflight: gate.peak,
             queue_wait_ns: self.queue_wait_ns.get(),
             queue_wait_p50_ns: self.wait_histo.percentile(0.50),
             queue_wait_p95_ns: self.wait_histo.percentile(0.95),
@@ -620,13 +625,36 @@ impl GraphService {
         }
     }
 
-    /// The tenant identity, fair-share weight, and effective priority
-    /// of a query.
-    fn resolve(&self, opts: &QueryOpts) -> (String, u32, Priority) {
-        let name = opts.tenant.clone().unwrap_or_default();
-        let tc = self.cfg.tenant(&name).copied().unwrap_or_default();
-        let priority = opts.priority.unwrap_or(tc.priority);
-        (name, tc.weight.max(1), priority)
+    /// Takes `opts`' tenant and class to the gate and books what came of
+    /// it: the wait (admitted or abandoned, into the total and the
+    /// histogram) and, for a token that fired first, the abort.
+    ///
+    /// # Errors
+    ///
+    /// The token's verdict — an abandoned wait never consumes a slot.
+    fn admit(&self, opts: &QueryOpts) -> Result<(Permit<'_>, Duration)> {
+        let t0 = Instant::now();
+        let tenant = opts.tenant.as_deref().unwrap_or_default();
+        let declared = self.cfg.tenant(tenant);
+        let tc = declared.copied().unwrap_or_default();
+        let who = Ticket {
+            class: opts.priority.unwrap_or(tc.priority).class(),
+            tenant,
+            weight: tc.weight.max(1),
+            declared: declared.is_some(),
+        };
+        let verdict = self.gate.admit(who, opts.cancel.as_ref());
+        let waited = t0.elapsed();
+        let ns = waited.as_nanos() as u64;
+        self.queue_wait_ns.add(ns);
+        self.wait_histo.record(ns);
+        match verdict {
+            Ok(permit) => Ok((permit, waited)),
+            Err(cause) => {
+                self.book_abort(cause);
+                Err(cause.into())
+            }
+        }
     }
 
     /// Books a query that ended on its token (queued or mid-run).
@@ -635,13 +663,6 @@ impl GraphService {
             CancelCause::Cancelled => self.cancelled.inc(),
             CancelCause::DeadlineExpired => self.deadline_expired.inc(),
         };
-    }
-
-    /// Books an admission wait into the total and the histogram.
-    fn book_wait(&self, waited: Duration) {
-        let ns = waited.as_nanos() as u64;
-        self.queue_wait_ns.add(ns);
-        self.wait_histo.record(ns);
     }
 }
 
@@ -659,6 +680,7 @@ mod tests {
     use fg_graph::{fixtures, DeltaBatch, Graph};
     use fg_safs::SafsConfig;
     use fg_ssdsim::{ArrayConfig, SsdArray};
+    use fg_types::sync::channel::{unbounded, Sender};
     use fg_types::{EdgeDir, FgError, VertexId};
 
     struct Bfs;
@@ -747,6 +769,35 @@ mod tests {
         GraphService::new(safs, index, cfg)
     }
 
+    /// A query parked inside the service, holding one slot.
+    struct Holder {
+        release: Sender<()>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    /// Occupies one slot of `svc`; returns once it is held.
+    fn hold_slot(svc: &Arc<GraphService>) -> Holder {
+        let (entered_tx, entered_rx) = unbounded();
+        let (release, release_rx) = unbounded::<()>();
+        let svc = Arc::clone(svc);
+        let thread = std::thread::spawn(move || {
+            svc.query(|_| {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+        });
+        entered_rx.recv().unwrap();
+        Holder { release, thread }
+    }
+
+    impl Holder {
+        /// Frees the slot and joins the query that held it.
+        fn release(self) {
+            self.release.send(()).unwrap();
+            self.thread.join().unwrap();
+        }
+    }
+
     /// Records every delivered out-list, in delivery order.
     struct Collect;
 
@@ -808,35 +859,43 @@ mod tests {
 
     #[test]
     fn admission_cap_bounds_concurrency() {
-        let svc = Arc::new(service(1));
-        // Formerly SeqCst atomics "to be safe": the peak-overrun
-        // assertion relies only on RMW atomicity, which is
-        // ordering-independent, and the exact final read happens
-        // after the scope joins every worker — a relaxed Counter's
-        // contract exactly.
-        let live = Arc::new(Counter::default());
-        let peak = Arc::new(Counter::default());
-        std::thread::scope(|s| {
-            for _ in 0..6 {
-                let svc = Arc::clone(&svc);
-                let live = Arc::clone(&live);
-                let peak = Arc::clone(&peak);
-                s.spawn(move || {
-                    svc.query(|engine| {
-                        let now = live.inc();
-                        peak.max(now);
-                        let out = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
-                        live.sub(1);
-                        out
+        // A cap of 1 serializes six queries; no cap at all (0) admits
+        // all six at once — the barrier inside the closure only opens
+        // if it does — through the same gate loop, books balanced.
+        const QUERIES: usize = 6;
+        for (cap, want_peak) in [(1, 1), (0, QUERIES)] {
+            let svc = service(cap);
+            // Formerly SeqCst atomics "to be safe": the peak-overrun
+            // assertion relies only on RMW atomicity, which is
+            // ordering-independent, and the exact final read happens
+            // after the scope joins every worker — a relaxed Counter's
+            // contract exactly.
+            let (live, peak) = (Counter::default(), Counter::default());
+            let all_in = std::sync::Barrier::new(QUERIES);
+            std::thread::scope(|s| {
+                for _ in 0..QUERIES {
+                    s.spawn(|| {
+                        svc.query(|engine| {
+                            let now = live.inc();
+                            peak.max(now);
+                            if cap == 0 {
+                                all_in.wait();
+                                assert_eq!(svc.queued(), 0, "nobody waits at an open gate");
+                            }
+                            let out = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+                            live.sub(1);
+                            out
+                        });
                     });
-                });
-            }
-        });
-        assert_eq!(peak.get(), 1, "cap of 1 was overrun");
-        let snapshot = svc.stats();
-        assert_eq!(snapshot.admitted, 6);
-        assert_eq!(snapshot.completed, 6);
-        assert_eq!(snapshot.peak_inflight, 1);
+                }
+            });
+            assert_eq!(peak.get(), want_peak as u64, "cap {cap}");
+            let snapshot = svc.stats();
+            assert_eq!(snapshot.admitted, QUERIES as u64);
+            assert_eq!(snapshot.completed, QUERIES as u64);
+            assert_eq!(snapshot.peak_inflight, want_peak, "cap {cap}");
+            assert_eq!((svc.inflight(), svc.queued()), (0, 0));
+        }
     }
 
     #[test]
@@ -880,18 +939,7 @@ mod tests {
         // so a tenant that panics mid-run cannot lose its wait from
         // the service-wide accounting (and its slot is released).
         let svc = Arc::new(service(1));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         let baseline = svc.stats().queue_wait_ns;
         let crasher = {
             let svc = Arc::clone(&svc);
@@ -905,9 +953,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(5));
-        release_tx.send(()).unwrap();
+        holder.release();
         assert!(crasher.join().is_err(), "tenant must have panicked");
-        holder.join().unwrap();
         let snap = svc.stats();
         assert_eq!(snap.admitted, 2);
         assert!(
@@ -938,18 +985,7 @@ mod tests {
     #[test]
     fn cancelled_in_queue_frees_no_slot_and_books_wait() {
         let svc = Arc::new(service(1));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         let baseline = svc.stats().queue_wait_ns;
         let token = CancelToken::new();
         let waiter = {
@@ -978,8 +1014,7 @@ mod tests {
         );
         assert_eq!(svc.queued(), 0, "the waiter left the queue");
         // The holder still runs; releasing it leaves a clean gate.
-        release_tx.send(()).unwrap();
-        holder.join().unwrap();
+        holder.release();
         assert_eq!(svc.inflight(), 0);
         let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
         assert!(states[15].visited);
@@ -988,18 +1023,7 @@ mod tests {
     #[test]
     fn deadline_expires_in_queue() {
         let svc = Arc::new(service(1));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         let out = svc.run_opts(
             &Bfs,
             Init::Seeds(vec![VertexId(0)]),
@@ -1008,8 +1032,7 @@ mod tests {
         assert!(matches!(out, Err(FgError::DeadlineExpired)));
         assert_eq!(svc.stats().deadline_expired, 1);
         assert_eq!(svc.queued(), 0);
-        release_tx.send(()).unwrap();
-        holder.join().unwrap();
+        holder.release();
         assert_eq!(svc.inflight(), 0);
     }
 
@@ -1095,19 +1118,8 @@ mod tests {
     #[test]
     fn high_priority_overtakes_low_in_the_queue() {
         let svc = Arc::new(service(1));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         std::thread::scope(|s| {
             // Low-priority waiters arrive first...
             for _ in 0..2 {
@@ -1115,7 +1127,7 @@ mod tests {
                 let order = Arc::clone(&order);
                 s.spawn(move || {
                     svc.query_opts(QueryOpts::new().with_priority(Priority::Low), |_| {
-                        order.lock().unwrap().push("low");
+                        order.lock().push("low");
                     })
                     .unwrap();
                 });
@@ -1129,7 +1141,7 @@ mod tests {
                 let order = Arc::clone(&order);
                 s.spawn(move || {
                     svc.query_opts(QueryOpts::new().with_priority(Priority::High), |_| {
-                        order.lock().unwrap().push("high");
+                        order.lock().push("high");
                     })
                     .unwrap();
                 });
@@ -1137,10 +1149,9 @@ mod tests {
             while svc.queued() < 3 {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            release_tx.send(()).unwrap();
+            holder.release();
         });
-        holder.join().unwrap();
-        let order = order.lock().unwrap();
+        let order = order.lock();
         assert_eq!(
             order[0], "high",
             "the late high-priority waiter is admitted first: {order:?}"
@@ -1156,19 +1167,8 @@ mod tests {
                 .with_tenant("bulk", TenantConfig::default().with_weight(1))
                 .with_tenant("interactive", TenantConfig::default().with_weight(4)),
         ));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         std::thread::scope(|s| {
             let mut arrived = 0;
             for (tenant, n) in [("bulk", 4), ("interactive", 4)] {
@@ -1177,7 +1177,7 @@ mod tests {
                     let order = Arc::clone(&order);
                     s.spawn(move || {
                         svc2.query_opts(QueryOpts::new().with_tenant(tenant), |_| {
-                            order.lock().unwrap().push(tenant);
+                            order.lock().push(tenant);
                         })
                         .unwrap();
                     });
@@ -1189,10 +1189,9 @@ mod tests {
                     }
                 }
             }
-            release_tx.send(()).unwrap();
+            holder.release();
         });
-        holder.join().unwrap();
-        let order = order.lock().unwrap();
+        let order = order.lock();
         // Weight 4 vs 1: of the first five admissions, at least three
         // go to the heavy tenant (stride: B,I,I,I,I,B,... modulo the
         // first pick's FIFO tiebreak).
@@ -1238,7 +1237,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            svc.gate.lock().passes.len(),
+            svc.gate.snapshot().tenant_passes,
             0,
             "undeclared tenants must not leak stride passes"
         );
@@ -1255,7 +1254,7 @@ mod tests {
             QueryOpts::new().with_tenant("regular"),
         )
         .unwrap();
-        assert_eq!(svc.gate.lock().passes.len(), 1);
+        assert_eq!(svc.gate.snapshot().tenant_passes, 1);
     }
 
     #[test]
@@ -1265,18 +1264,7 @@ mod tests {
         // slot, and spawn an engine that immediately unwound. The
         // grant branch now re-checks the token.
         let svc = Arc::new(service(1));
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        let holder = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                svc.query(|_| {
-                    entered_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-            })
-        };
-        entered_rx.recv().unwrap();
+        let holder = hold_slot(&svc);
         let token = CancelToken::new();
         let waiter = {
             let svc = Arc::clone(&svc);
@@ -1296,10 +1284,9 @@ mod tests {
         // slot's notify is (usually) what wakes the waiter, with its
         // grant condition true and its token already dead.
         token.cancel();
-        release_tx.send(()).unwrap();
+        holder.release();
         let out = waiter.join().unwrap();
         assert!(matches!(out, Err(FgError::Cancelled)));
-        holder.join().unwrap();
         let snap = svc.stats();
         assert_eq!(
             snap.admitted, 1,
@@ -1336,6 +1323,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(states[15].level, 15, "watermark 0 is the frozen image");
+    }
+
+    /// A base whose reads die: what a bug under `BaseLists` looks like
+    /// from the log's side of the call.
+    struct PanickingBase;
+
+    impl fg_graph::BaseLists for PanickingBase {
+        fn base_out_list(&self, _v: VertexId) -> fg_types::Result<Vec<u32>> {
+            panic!("base read died")
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_log_lock_does_not_wedge_the_service() {
+        // There is no fault seam under `ingest` yet, so the test
+        // reaches the log directly with a base that panics mid-apply —
+        // under the lock every query's `pin_view` takes.
+        let svc = service(2);
+        let base = fixtures::path(16);
+        let mut batch = DeltaBatch::new();
+        batch.add_edge(VertexId(0), VertexId(15));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.delta.apply(&PanickingBase, &batch)
+        }));
+        assert!(died.is_err(), "the base read must have panicked");
+        assert_eq!(svc.watermark(), 0, "a batch that died applied nothing");
+        assert_serves(&svc, &base, "query after the panic");
+        // And the log still takes a healthy batch.
+        assert_eq!(svc.ingest(&batch).unwrap(), 1);
+        let mirror = DeltaLog::for_graph(&base);
+        mirror.apply(&base, &batch).unwrap();
+        let want = DeltaLog::union(&base, &mirror.current_view());
+        assert_serves(&svc, &want, "query after the healthy ingest");
     }
 
     #[test]
@@ -1455,8 +1475,8 @@ mod tests {
             let want = DeltaLog::union(&g, &mirror.current_view());
 
             svc.ingest(&first).unwrap();
-            let (at_pin_tx, at_pin_rx) = std::sync::mpsc::channel();
-            let (flipped_tx, flipped_rx) = std::sync::mpsc::channel::<()>();
+            let (at_pin_tx, at_pin_rx) = unbounded();
+            let (flipped_tx, flipped_rx) = unbounded::<()>();
             std::thread::scope(|s| {
                 let (svc, second) = (&svc, &second);
                 let ingest = s.spawn(move || {
@@ -1523,8 +1543,8 @@ mod tests {
         // A query admitted (and pinned) before an ingest completes
         // must not see it, even if the ingest lands mid-run.
         let svc = Arc::new(service(2));
-        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (pinned_tx, pinned_rx) = unbounded();
+        let (go_tx, go_rx) = unbounded::<()>();
         let pinned = {
             let svc = Arc::clone(&svc);
             std::thread::spawn(move || {

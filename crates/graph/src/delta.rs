@@ -41,8 +41,9 @@
 //! matching [`crate::GraphBuilder`]'s default.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use fg_types::sync::Mutex;
 use fg_types::{EdgeDir, FgError, Result, VertexId};
 
 use crate::{Csr, Graph};
@@ -334,7 +335,7 @@ pub struct DeltaLog {
 
 impl std::fmt::Debug for DeltaLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock().unwrap();
+        let g = self.inner.lock();
         f.debug_struct("DeltaLog")
             .field("vertices", &self.n)
             .field("directed", &self.directed)
@@ -377,13 +378,13 @@ impl DeltaLog {
 
     /// Sequence number of the latest applied run (0 = none).
     pub fn watermark(&self) -> u64 {
-        self.inner.lock().unwrap().next_seq - 1
+        self.inner.lock().next_seq - 1
     }
 
     /// Number of effective ops not yet folded into a base image —
     /// the compactor's trigger metric.
     pub fn pending_ops(&self) -> u64 {
-        let g = self.inner.lock().unwrap();
+        let g = self.inner.lock();
         g.runs
             .iter()
             .map(|r| r.out.values().map(|v| v.len() as u64).sum::<u64>())
@@ -430,7 +431,11 @@ impl DeltaLog {
         pin: impl FnOnce() -> Result<B>,
         batch: &DeltaBatch,
     ) -> Result<u64> {
-        let mut g = self.inner.lock().unwrap();
+        // The lock does not poison, and need not: `pin` and every base
+        // read below can fail or panic, but the log itself is written
+        // only by the last four statements, after the last of them —
+        // a batch that dies mid-canonicalization leaves no trace.
+        let mut g = self.inner.lock();
         let base = pin()?;
         let mut sources = Vec::new();
         for &(s, d, _) in &batch.entries {
@@ -541,7 +546,7 @@ impl DeltaLog {
     /// A materialized snapshot folding runs `(folded, watermark]`.
     /// The full-watermark view is cached until the next mutation.
     pub fn view(&self, watermark: u64) -> Arc<DeltaView> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let full = watermark >= g.next_seq - 1;
         if full {
             if let Some(v) = &g.cached {
@@ -565,7 +570,7 @@ impl DeltaLog {
     /// are folded into the new base. Views built before this call
     /// keep their runs alive via `Arc`.
     pub fn fold(&self, up_to: u64, commit: impl FnOnce()) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         commit();
         g.runs.retain(|r| r.seq > up_to);
         g.folded = g.folded.max(up_to);
@@ -577,7 +582,7 @@ impl DeltaLog {
     /// matches the view's fold floor exactly even under concurrent
     /// [`DeltaLog::fold`].
     pub fn snapshot_with<T>(&self, pin: impl FnOnce() -> T) -> (T, Arc<DeltaView>) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.inner.lock();
         let pinned = pin();
         let v = match &g.cached {
             Some(v) => Arc::clone(v),
@@ -947,7 +952,7 @@ mod tests {
         let w = log
             .apply_with(
                 || {
-                    assert!(log.inner.try_lock().is_err(), "pin runs under the lock");
+                    assert!(log.inner.try_lock().is_none(), "pin runs under the lock");
                     Ok(&g)
                 },
                 &b,
@@ -961,6 +966,36 @@ mod tests {
         );
         assert!(failed.is_err());
         assert_eq!(log.watermark(), 1);
+    }
+
+    /// A base whose reads die mid-canonicalization.
+    struct PanickingBase;
+
+    impl BaseLists for PanickingBase {
+        fn base_out_list(&self, _v: VertexId) -> Result<Vec<u32>> {
+            panic!("base read died")
+        }
+    }
+
+    #[test]
+    fn a_panicking_base_read_does_not_wedge_the_log() {
+        let g = fixtures::path(4);
+        let log = DeltaLog::for_graph(&g);
+        let mut b = DeltaBatch::new();
+        b.add_edge(VertexId(0), VertexId(2));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            log.apply(&PanickingBase, &b)
+        }));
+        assert!(died.is_err(), "the base read must have panicked");
+        // The panic unwound through the log lock. Every reader still
+        // gets in, and finds the log as the dead batch found it.
+        assert_eq!(log.watermark(), 0, "a batch that died applied nothing");
+        assert!(log.current_view().is_empty());
+        let (pinned, view) = log.snapshot_with(|| 7u32);
+        assert_eq!((pinned, view.is_empty()), (7, true));
+        // So does the next writer.
+        assert_eq!(log.apply(&g, &b).unwrap(), 1);
+        assert_eq!(merged(&g, &log, 0, EdgeDir::Out), ids(&[1, 2]));
     }
 
     #[test]

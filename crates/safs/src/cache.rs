@@ -48,8 +48,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use fg_types::sync::Counter;
-use parking_lot::Mutex;
+use fg_types::sync::{Counter, Mutex};
 
 use crate::page::Page;
 

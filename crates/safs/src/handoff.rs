@@ -9,9 +9,15 @@
 //! compactor *flips* to the next generation under the write lock. Old
 //! generations die when their last pin drops — classic RCU shape, with
 //! the `RwLock` standing in for the grace period (readers hold it only
-//! for the clone, never across I/O).
+//! for the clone, never across I/O). A flip that must be atomic with
+//! some other state change is called from inside that state's critical
+//! section: the serving layer flips inside `DeltaLog::fold`'s closure,
+//! under the log lock its pins are taken under, so no pin observes the
+//! new image *and* the deltas it already absorbed.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
+
+use fg_types::sync::RwLock;
 
 /// An atomically swappable, generation-numbered `Arc<T>`.
 ///
@@ -41,13 +47,13 @@ impl<T> Handoff<T> {
 
     /// The current generation number.
     pub fn generation(&self) -> u64 {
-        self.slot.read().unwrap().0
+        self.slot.read().0
     }
 
     /// Pins the current `(generation, value)` — the caller's clone
     /// stays valid across any number of flips.
     pub fn pin(&self) -> (u64, Arc<T>) {
-        let g = self.slot.read().unwrap();
+        let g = self.slot.read();
         (g.0, Arc::clone(&g.1))
     }
 
@@ -56,22 +62,9 @@ impl<T> Handoff<T> {
     /// old value; pins taken after see only the new one — there is no
     /// in-between state.
     pub fn flip(&self, value: T) -> u64 {
-        let mut g = self.slot.write().unwrap();
+        let mut g = self.slot.write();
         g.0 += 1;
         g.1 = Arc::new(value);
-        g.0
-    }
-
-    /// Like [`Handoff::flip`] but runs `commit` inside the write
-    /// lock's critical section, after the new value is installed —
-    /// the hook the serving layer uses to fold the delta log at the
-    /// exact point the flip becomes visible, so no pin can observe
-    /// the new image *and* the deltas it already absorbed.
-    pub fn flip_with(&self, value: T, commit: impl FnOnce(u64)) -> u64 {
-        let mut g = self.slot.write().unwrap();
-        g.0 += 1;
-        g.1 = Arc::new(value);
-        commit(g.0);
         g.0
     }
 }
@@ -90,14 +83,6 @@ mod tests {
         assert_eq!((g1, v1.as_slice()), (1, &[4][..]));
         assert_eq!(v0.as_slice(), &[1, 2, 3]);
         assert_eq!(h.generation(), 1);
-    }
-
-    #[test]
-    fn flip_with_runs_commit_at_the_new_generation() {
-        let h = Handoff::new(0u32);
-        let mut seen = None;
-        h.flip_with(1, |g| seen = Some(g));
-        assert_eq!(seen, Some(1));
     }
 
     #[test]

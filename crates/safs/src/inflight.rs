@@ -36,8 +36,8 @@
 
 use std::collections::HashMap;
 
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
+use fg_types::sync::channel::Sender;
+use fg_types::sync::Mutex;
 
 use crate::io_thread::RunDone;
 
@@ -128,7 +128,7 @@ impl InflightTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use fg_types::sync::channel::unbounded;
     use std::sync::{Arc, Barrier};
 
     fn waiter(req_id: u64, slot: u32, reply: &Sender<Vec<RunDone>>) -> PageWaiter {

@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
 use fg_ssdsim::SsdArray;
+use fg_types::sync::channel::{Receiver, Sender};
 
 use crate::cache::PageCache;
 use crate::config::SafsConfig;
@@ -305,8 +305,8 @@ pub(crate) fn read_pages_hint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use fg_ssdsim::ArrayConfig;
+    use fg_types::sync::channel::unbounded;
 
     fn setup(capacity: u64, merge: bool) -> Arc<Mount> {
         let array = SsdArray::new_mem(ArrayConfig::small_test(), capacity).unwrap();

@@ -4,11 +4,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use fg_ssdsim::SsdArray;
-use fg_types::sync::Counter;
+use fg_types::sync::channel::{unbounded, Receiver, Sender};
+use fg_types::sync::{Counter, Mutex};
 use fg_types::{FgError, Result};
-use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, CacheStatsSnapshot};
 use crate::config::SafsConfig;

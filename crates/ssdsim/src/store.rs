@@ -3,8 +3,8 @@
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 
+use fg_types::sync::RwLock;
 use fg_types::{FgError, Result};
-use parking_lot::RwLock;
 
 /// Where a simulated drive's bytes actually live.
 ///

@@ -1,20 +1,37 @@
-//! The workspace's single gateway to `std::sync::atomic`.
+//! The workspace's single gateway to `std::sync`: atomics, locks and
+//! channels.
 //!
-//! Every crate in the workspace that needs an atomic imports it from
-//! here instead of from `std` — `fg_check --lint` rejects raw
-//! `std::sync::atomic` paths outside `fg_types`. Funnelling the
-//! imports through one module keeps the audit surface in one place:
-//! the lint then only has to police *orderings* (every
-//! `Ordering::Relaxed`/`Ordering::SeqCst` site needs an
-//! `// ordering:` justification) and `unsafe` hygiene.
+//! Every crate in the workspace that needs an atomic, a mutex, a
+//! reader-writer lock, a condition variable or a channel imports it
+//! from here instead of from `std` — `fg_check --lint` rejects raw
+//! `std::sync::atomic` paths outside `fg_types`, and raw
+//! `std::sync::{Mutex, RwLock, Condvar, mpsc}` paths in the shipped
+//! library crates. Funnelling the imports through one module keeps
+//! the audit surface in one place: the lint then only has to police
+//! *orderings* (every `Ordering::Relaxed`/`Ordering::SeqCst` site
+//! needs an `// ordering:` justification) and `unsafe` hygiene, and
+//! there is one answer to "what happens to this lock when its holder
+//! panics".
 //!
-//! [`Mutex`] and [`Condvar`] are here for the same reason: a protocol
-//! written against nothing but this module (`super::sync::…`) is one
-//! `fg_check` can compile, unchanged, against its instrumented
-//! doubles and explore as shipped — `AtomicBitmap`, the engine's
-//! `ReadyPool` and its `Rendezvous` are. Neither poisons: a holder
-//! that panicked leaves the state as it was, and what a dead peer
-//! means is the protocol's business (`Rendezvous` has a flag for it).
+//! That answer: [`Mutex`], [`RwLock`] and [`Condvar`] **never
+//! poison**. A holder that panicked leaves the state as its last
+//! completed statement left it, the next `lock()` returns it, and
+//! what a dead peer means is the protocol's business (`Rendezvous`
+//! has a flag for it; the admission gate's `Permit` releases its slot
+//! on unwind). A critical section must therefore keep its data valid
+//! at every statement that can panic — each lock site whose section
+//! calls out to foreign code says how it does.
+//!
+//! They are also what lets the checker read the code that ships: a
+//! protocol written against nothing but this module
+//! (`super::sync::…`) is one `fg_check` can compile, unchanged,
+//! against its instrumented doubles and explore as shipped —
+//! `AtomicBitmap`, the engine's `ReadyPool`, its `Rendezvous` and the
+//! serving layer's admission `Gate` are.
+//!
+//! [`channel`] is `std::sync::mpsc` under the three names SAFS uses;
+//! it has no double yet, which is why the two protocols that cross a
+//! channel (`inflight_waiter`, `sem_flush`) are still models.
 //!
 //! [`Counter`] exists because by far the most common atomic in this
 //! workspace is a monotonic statistic (I/O counters, cache counters,
@@ -30,6 +47,12 @@
 // of the workspace (see module docs); everything below justifies its
 // own orderings.
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+
+/// The one poison policy: take what the lock holds, whoever died
+/// holding it (module docs).
+fn unpoisoned<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// A mutex whose `lock` returns the guard, poisoned or not.
 #[derive(Debug, Default)]
@@ -47,9 +70,50 @@ impl<T> Mutex<T> {
     /// Acquires the lock, blocking until available.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.0.lock())
+    }
+
+    /// Acquires the lock if nobody holds it; `None` means held.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(g),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Consumes the mutex, returning the protected value.
+    pub fn into_inner(self) -> T {
+        unpoisoned(self.0.into_inner())
+    }
+}
+
+/// A reader-writer lock whose `read` / `write` return the guard,
+/// poisoned or not.
+#[derive(Debug, Default)]
+pub struct RwLock<T>(std::sync::RwLock<T>);
+
+/// RAII read guard of a [`RwLock`].
+pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+/// RAII write guard of a [`RwLock`].
+pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+
+impl<T> RwLock<T> {
+    /// Creates a lock protecting `value`.
+    pub const fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+
+    /// Acquires a shared read lock.
+    #[inline]
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        unpoisoned(self.0.read())
+    }
+
+    /// Acquires the exclusive write lock.
+    #[inline]
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        unpoisoned(self.0.write())
     }
 }
 
@@ -67,15 +131,40 @@ impl Condvar {
     /// spuriously) and returns the re-acquired guard.
     #[inline]
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.0
-            .wait(guard)
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.0.wait(guard))
     }
 
-    /// Wakes every thread blocked in [`Condvar::wait`].
+    /// [`Condvar::wait`] that also returns once `timeout` has passed.
+    /// Which of the two happened is not reported: like any condvar
+    /// wait this one can wake spuriously, so the caller re-checks its
+    /// predicate — and its clock — either way.
+    #[inline]
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: std::time::Duration,
+    ) -> MutexGuard<'a, T> {
+        unpoisoned(self.0.wait_timeout(guard, timeout)).0
+    }
+
+    /// Wakes every thread blocked in [`Condvar::wait`] or
+    /// [`Condvar::wait_timeout`].
     #[inline]
     pub fn notify_all(&self) {
         self.0.notify_all();
+    }
+}
+
+/// Unbounded multi-producer, single-consumer channels: SAFS's
+/// one-receiver-per-I/O-thread and one-receiver-per-session topology.
+/// A peer that is gone is a protocol state here too — `send` and
+/// `recv` return `Err`, they never panic or poison.
+pub mod channel {
+    pub use std::sync::mpsc::{Receiver, Sender};
+
+    /// Creates an unbounded channel.
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        std::sync::mpsc::channel()
     }
 }
 
@@ -212,6 +301,64 @@ mod tests {
         });
         assert!(died.is_err());
         assert_eq!(*m.lock(), 8, "the next lock() returns the inner state");
+    }
+
+    #[test]
+    fn mutex_round_trip() {
+        let m = Mutex::new(1);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "held");
+        drop(held);
+        assert!(m.try_lock().is_some());
+        assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn rwlock_readers_and_writer() {
+        let l = RwLock::new(vec![1, 2]);
+        assert_eq!(l.read().len(), 2);
+        l.write().push(3);
+        assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn lock_survives_holder_panic() {
+        let (m, l) = (Mutex::new(7), RwLock::new(7));
+        let died = std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let (_m, mut w) = (m.lock(), l.write());
+                *w = 8;
+                panic!("poison both");
+            });
+            holder.join()
+        });
+        assert!(died.is_err());
+        assert_eq!(*m.lock(), 7);
+        assert_eq!(*l.read(), 8, "readers see the dead writer's last store");
+        *l.write() += 1;
+        assert_eq!((*l.read(), m.into_inner()), (9, 7));
+    }
+
+    #[test]
+    fn send_recv_try_recv() {
+        let (tx, rx) = channel::unbounded();
+        tx.send(5).unwrap();
+        assert_eq!(rx.recv().unwrap(), 5);
+        assert!(rx.try_recv().is_err());
+        let tx2 = tx.clone();
+        tx2.send(6).unwrap();
+        drop((tx, tx2));
+        assert_eq!(rx.try_recv().unwrap(), 6);
+        assert!(rx.recv().is_err(), "closed after all senders dropped");
+    }
+
+    #[test]
+    fn wait_timeout_returns_without_a_notify() {
+        let (m, cv) = (Mutex::new(0u32), Condvar::new());
+        let g = cv.wait_timeout(m.lock(), std::time::Duration::from_millis(1));
+        assert_eq!(*g, 0, "the guard handed back still guards `m`");
     }
 
     #[test]
