@@ -1,7 +1,7 @@
 //! The workspace concurrency-hygiene lint (`fg_check --lint`).
 //!
-//! Four rules, all aimed at keeping the synchronization story
-//! auditable:
+//! Four rules aimed at keeping the synchronization story auditable,
+//! and a fifth that keeps CI running the tests it says it runs:
 //!
 //! 1. **`raw-sync`** — no `std::sync::atomic` (or `core::…`) paths
 //!    outside `crates/types/`, and no raw lock or channel path
@@ -28,6 +28,15 @@
 //!    see into a "checked" protocol. Every primitive is
 //!    `super::sync::…`; `std::sync::Arc`, which shares ownership and
 //!    carries no protocol, is the exception.
+//! 5. **`ci-filters`** — every positional test filter of every
+//!    `cargo test` line in `.github/workflows/ci.yml` selects at least
+//!    one test. libtest keeps the tests whose path contains the filter
+//!    and passes when none does, so a test renamed in the source and
+//!    not in the workflow silently stops running there. A test's path
+//!    is taken to be its file's module path, `tests` for an in-file
+//!    test module, and the `fn` name (or a nested `mod`'s, which
+//!    selects what is inside it); a file under a `tests/` directory is
+//!    its own binary and contributes bare names.
 //!
 //! The scanner is line-based over a comment/string-stripped view of
 //! each file: rule patterns inside string literals or comments never
@@ -399,17 +408,124 @@ pub fn lint_source(path_label: &str, src: &str) -> Vec<Violation> {
     out
 }
 
+/// The workflow rule 5 reads, workspace-relative.
+const CI_WORKFLOW: &str = ".github/workflows/ci.yml";
+
+/// Flags of `cargo test` (before `--`) and of libtest (after it) that
+/// take the next word as their value — a word that is no filter.
+const VALUE_FLAGS: [&str; 12] = [
+    "-p",
+    "--package",
+    "--test",
+    "--bench",
+    "--example",
+    "--bin",
+    "--features",
+    "--manifest-path",
+    "--exclude",
+    "-j",
+    "--skip",
+    "--test-threads",
+];
+
+/// The positional test filters of every `cargo test` command in a
+/// workflow, each with the line its command starts on. A command runs
+/// to the end of its line (continued over a trailing `\`) or to the
+/// first shell operator; words holding a `$` are the shell's to expand
+/// and are left alone.
+fn ci_test_filters(ci: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    let mut lines = ci.lines().enumerate();
+    while let Some((idx, line)) = lines.next() {
+        if line.trim_start().starts_with('#') {
+            continue;
+        }
+        let mut cmd = line.to_string();
+        while let Some(head) = cmd.strip_suffix('\\') {
+            cmd = format!("{head} {}", lines.next().map_or("", |(_, l)| l));
+        }
+        for (_, tail) in cmd
+            .match_indices("cargo test")
+            .map(|(at, m)| cmd.split_at(at + m.len()))
+        {
+            let mut words = tail
+                .split_whitespace()
+                .map(|w| w.trim_matches(['"', '\'']))
+                .take_while(|w| ![";", "&&", "||", "|", ">", "done"].contains(w));
+            while let Some(word) = words.next() {
+                if VALUE_FLAGS.contains(&word) {
+                    words.next();
+                } else if !word.starts_with('-') && !word.contains('$') {
+                    out.push((idx + 1, word.to_string()));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Appends the test paths `label`'s functions and modules can have
+/// (see rule 5).
+fn test_paths(label: &str, src: &str, out: &mut Vec<String>) {
+    let parts: Vec<&str> = label.trim_end_matches(".rs").split('/').collect();
+    let Some(root) = parts.iter().rposition(|p| ["src", "tests"].contains(p)) else {
+        return;
+    };
+    let mut module = parts[root + 1..].to_vec();
+    if parts[root] == "tests" {
+        module.remove(0); // the binary's name is not part of the path
+    } else if ["lib", "main", "mod"].contains(module.last().unwrap_or(&"")) {
+        module.pop();
+    }
+    // A nested module's name stands in for the tests inside it.
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    for line in split_lines(src) {
+        let words = line.code.split(|c| !ident(c)).filter(|w| !w.is_empty());
+        for pair in words.collect::<Vec<_>>().windows(2) {
+            if ["fn", "mod"].contains(&pair[0]) {
+                for test_mod in [&[][..], &["tests"]] {
+                    let path = [&module[..], test_mod, &pair[1..]].concat();
+                    out.push(path.join("::"));
+                }
+            }
+        }
+    }
+}
+
+/// Rule 5 over a workflow's text and the workspace's test paths.
+pub fn lint_ci_filters(ci: &str, paths: &[String]) -> Vec<Violation> {
+    let dangling = |(_, f): &(usize, String)| !paths.iter().any(|p| p.contains(f.as_str()));
+    let violation = |(line, filter)| Violation {
+        file: CI_WORKFLOW.to_string(),
+        line,
+        rule: "ci-filters",
+        msg: format!(
+            "test filter `{filter}` selects no test — no `fn` under a `src/` or `tests/` \
+             tree has a path containing it, and a filter that matches nothing passes"
+        ),
+    };
+    let filters = ci_test_filters(ci).into_iter();
+    filters.filter(dangling).map(violation).collect()
+}
+
 /// Walks `root` for `.rs` files (skipping `target/`, `shims/`,
-/// `.git/`) and lints each. Violations are sorted by path and line.
+/// `.git/`) and lints each, then holds the CI workflow, if there is
+/// one, to the tests they define. Violations are sorted by path and
+/// line.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_rs(root, root, &mut files)?;
     files.sort();
     let mut out = Vec::new();
+    let mut paths = Vec::new();
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel))?;
         let label = rel.to_string_lossy().replace('\\', "/");
         out.extend(lint_source(&label, &src));
+        test_paths(&label, &src, &mut paths);
+    }
+    if let Ok(ci) = std::fs::read_to_string(root.join(CI_WORKFLOW)) {
+        out.splice(0..0, lint_ci_filters(&ci, &paths));
     }
     Ok(out)
 }
@@ -455,7 +571,7 @@ mod tests {
 
     #[test]
     fn raw_locks_and_channels_flagged_in_shipped_crates() {
-        let shipped = |src: &str| lint_source("crates/safs/src/handoff.rs", src).len();
+        let shipped = |src: &str| lint_source("crates/safs/src/inflight.rs", src).len();
         for src in [
             "use std::sync::Mutex;\n",
             "use std::sync::{Arc, RwLock};\n",
@@ -477,6 +593,55 @@ mod tests {
         assert_eq!(shipped("use fg_types::sync::{Condvar, Mutex};\n"), 0);
         assert_eq!(shipped("// was: use std::sync::Mutex;\n"), 0);
         assert_eq!(shipped("f(std::sync::Arc::new(1), Mutex::new(2));\n"), 0);
+    }
+
+    #[test]
+    fn ci_filters_must_select_a_test() {
+        let mut paths = Vec::new();
+        let delta = "fn helper() {}\nmod tests {\n    #[test]\n    fn apply_fetches_once() {}\n}\n";
+        test_paths("crates/graph/src/delta/mod.rs", delta, &mut paths);
+        test_paths(
+            "crates/core/src/engine/pool.rs",
+            "fn take() {}\n",
+            &mut paths,
+        );
+        test_paths(
+            "tests/prop_ingest.rs",
+            "fn racing_ingest() {}\n",
+            &mut paths,
+        );
+        test_paths("README.rs", "fn not_in_a_tree() {}\n", &mut paths);
+        assert!(paths.contains(&"delta::tests::apply_fetches_once".to_string()));
+        assert!(paths.contains(&"engine::pool::tests::take".to_string()));
+        assert!(paths.contains(&"racing_ingest".to_string()));
+        let ci = "\
+      # cargo test --release -- a_comment_names_no_filter
+      - name: Ingest stress
+        env:
+          PROPTEST_CASES: \"256\"
+        run: |
+          cargo test --release --test prop_ingest
+          cargo test --release -p flashgraph --lib -- engine::pool --test-threads 2
+          cargo test --release -p fg_graph --lib -- delta::tests::apply_ delta::tests::gone_with_its_api_
+          for i in $(seq 20); do
+            FG_WORKERS=$workers cargo test -q -p flashgraph --lib \\
+              pool::tests::gone \"$name\"
+          done
+          cargo test -q racing > log || cat log
+";
+        let found: Vec<_> = lint_ci_filters(ci, &paths)
+            .into_iter()
+            .map(|v| (v.line, v.rule, v.msg.split('`').nth(1).unwrap().to_string()))
+            .collect();
+        let want = [
+            (
+                8,
+                "ci-filters",
+                "delta::tests::gone_with_its_api_".to_string(),
+            ),
+            (10, "ci-filters", "pool::tests::gone".to_string()),
+        ];
+        assert_eq!(found, want);
     }
 
     #[test]

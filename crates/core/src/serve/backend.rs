@@ -1,11 +1,19 @@
 //! What a query runs against, and the one way it runs. A
 //! [`ServeBackend`] is one image generation — its mounts, its index,
 //! its headers — immutable once built and alive as long as anything
-//! pins it. This file owns **snapshot isolation**: `serve` pins the
-//! pair (generation, delta view) once, right after admission and under
-//! the log lock, and hands the engine nothing else — so whatever is
-//! ingested or compacted while the run executes, it reads one image
-//! and one view, and a generation's mounts die with its last pin.
+//! pins it. [`Live`] is everything that changes under a running
+//! service: the generation number, the backend serving it, and the log
+//! of runs applied on top of it, in one struct behind one mutex. This
+//! file owns the invariant the write path rests on, **every operation
+//! on `Live` is one critical section**: a pin ([`Live::pin`]), an
+//! ingest (`ingest.rs`) and a cutover (`compactor.rs`) each lock it
+//! once, take no other lock while they hold it, and leave it coherent
+//! — the log's runs are exactly those the backend's image lacks — so
+//! there is no order of two locks to get wrong. **Snapshot isolation**
+//! follows: `serve` pins (backend, delta view) once, right after
+//! admission, and hands the engine nothing else — whatever is ingested
+//! or compacted while the run executes, it reads one image and one
+//! view, and a generation's mounts die with its last pin.
 //! Every public entry point (`run`, `run_opts`, `query`, `query_opts`)
 //! is a shorthand for `serve`; the permit it holds is the gate's and
 //! drops on unwind. The ledger prices the per-query engine this builds
@@ -16,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fg_format::{read_meta_from, ImageMeta, ShardedIndex};
-use fg_graph::DeltaView;
+use fg_graph::{DeltaView, RunLog};
 use fg_safs::{Safs, ShardSet};
 use fg_types::{CancelCause, Result};
 
@@ -35,6 +43,31 @@ pub(super) struct ServeBackend {
     pub(super) mounts: Mounts,
     pub(super) index: Arc<ShardedIndex>,
     pub(super) metas: OnceLock<Vec<ImageMeta>>,
+}
+
+/// What the service serves right now. Ingest appends to `log`; a
+/// compaction's cutover folds `log`, swaps `backend` and bumps
+/// `generation` in one go; in between, `log` holds exactly the runs
+/// `backend`'s image does not.
+pub(super) struct Live {
+    /// Image generations installed so far (0 until a compaction).
+    pub(super) generation: u64,
+    pub(super) backend: Arc<ServeBackend>,
+    /// Edge mutations not yet folded into an on-SSD image, relative to
+    /// `backend`'s.
+    pub(super) log: RunLog,
+}
+
+impl Live {
+    /// The snapshot a query (or a compaction's rewrite) works from:
+    /// the serving image and the view over it — the freshest, or with
+    /// `as_of` the runs up to that watermark (time travel within the
+    /// unfolded window). One call under the lock, so the view's floor
+    /// is this generation's fold point whatever cutover comes next.
+    pub(super) fn pin(&mut self, as_of: Option<u64>) -> (u64, Arc<ServeBackend>, Arc<DeltaView>) {
+        let view = self.log.view(as_of.unwrap_or(u64::MAX));
+        (self.generation, Arc::clone(&self.backend), view)
+    }
 }
 
 /// The mount handles a generation was built from; everything but
@@ -83,21 +116,6 @@ impl ServeBackend {
 }
 
 impl GraphService {
-    /// The (pinned backend, pinned delta view) pair of one admitted
-    /// query — the snapshot it runs against.
-    fn pin_view(&self, opts: &QueryOpts) -> (Arc<ServeBackend>, Arc<DeltaView>) {
-        match opts.as_of {
-            // Time travel: an explicit watermark replays a fixed view.
-            Some(w) => (self.live.pin().1, self.delta.view(w)),
-            // Freshest snapshot: the pin runs under the log lock so a
-            // concurrent compaction's fold+flip cannot interleave.
-            None => {
-                let ((_, backend), view) = self.delta.snapshot_with(|| self.live.pin());
-                (backend, view)
-            }
-        }
-    }
-
     /// Runs one query with the service's base engine configuration.
     ///
     /// Blocks while the admission gate is full; the wait is reported
@@ -189,10 +207,10 @@ impl GraphService {
     /// release. The closure gets the engine and the admission wait.
     fn serve<R>(&self, opts: QueryOpts, f: impl FnOnce(&Engine<'_>, Duration) -> R) -> Result<R> {
         let (permit, waited) = self.admit(&opts)?;
-        // Snapshot isolation: pin (image generation, delta watermark)
-        // at admission — the run sees exactly this view no matter how
+        // Snapshot isolation: pin (image generation, delta view) at
+        // admission — the run sees exactly this pair no matter how
         // much is ingested or compacted while it executes.
-        let (backend, view) = self.pin_view(&opts);
+        let (_, backend, view) = self.live.lock().pin(opts.as_of);
         let cfg = opts.engine.unwrap_or(self.cfg.engine);
         let engine = Engine::over_mounts(backend.mounts(), Arc::clone(&backend.index), cfg)
             .with_deltas(view)

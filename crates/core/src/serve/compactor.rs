@@ -1,13 +1,15 @@
 //! Compaction: base + pending deltas rewritten into the next image
 //! generation, by hand ([`GraphService::compact_with`]) or by the
 //! background [`Compactor`]. This file owns **the cutover is one
-//! critical section**: the fold of the log and the flip of the
-//! [`Handoff`](fg_safs::Handoff) happen together under the log lock —
-//! the lock every query's pin is taken under — so a pin sees (old
-//! image, its deltas) or (new image, none), never a mix; and **a failed
-//! rewrite changes nothing**: everything before the fold works on
-//! pinned copies, so an error leaves log and generation as they were,
-//! is counted ([`Compactor::failures`]) and retried at the next poll.
+//! critical section**: fold the log, swap the backend, bump the
+//! generation — three assignments under `Live`'s lock, the lock every
+//! pin and every ingest takes — so a pin sees (old image, its deltas)
+//! or (new image, the rest), never a mix; and **a failed rewrite
+//! changes nothing**: everything before the cutover works on a pin
+//! like any query's, outside that lock (`compacting` alone serializes
+//! the long rewrite, and is only ever taken before `Live`'s, never
+//! inside it), so an error leaves log and generation as they were, is
+//! counted ([`Compactor::failures`]) and retried at the next poll.
 //! The ledger counts the flips as `delta.compactions` /
 //! `delta.generation`, what queued up between them as
 //! `delta.pending_ops_peak`, and times one rewrite as `compact_s`.
@@ -29,11 +31,11 @@ impl GraphService {
     /// Folds every pending delta into a fresh on-SSD image and
     /// atomically flips serving to it, returning the new generation.
     /// `provision` supplies a device of at least the requested
-    /// capacity for the rewrite. The fold of the log and the flip of
-    /// the generation happen in one critical section, so concurrent
-    /// admissions pin either (old image, deltas) or (new image, no
-    /// deltas) — never a mix. In-flight queries finish on their
-    /// pinned generation; its mount dies with its last pin.
+    /// capacity for the rewrite. The fold of the log and the swap of
+    /// the image happen in one critical section, so concurrent
+    /// admissions pin either (old image, its deltas) or (new image,
+    /// what was ingested since) — never a mix. In-flight queries finish
+    /// on their pinned generation; its mount dies with its last pin.
     ///
     /// Returns the current generation without rewriting anything when
     /// the log is empty.
@@ -45,10 +47,9 @@ impl GraphService {
     /// errors from the image pass, and whatever `provision` returns.
     pub fn compact_with(&self, provision: impl FnOnce(u64) -> Result<SsdArray>) -> Result<u64> {
         let _guard = self.compacting.lock();
-        // Pin generation and view at one coherent point; everything
-        // ingested after this snapshot stays in the log for the next
-        // compaction.
-        let ((gen, backend), view) = self.delta.snapshot_with(|| self.live.pin());
+        // Pin like a query does; everything ingested after this
+        // snapshot stays in the log for the next compaction.
+        let (gen, backend, view) = self.live.lock().pin(None);
         let [safs] = backend.mounts() else {
             return Err(FgError::InvalidConfig(
                 "compaction rewrites a single-mount image; shard-wise compaction is not supported"
@@ -80,17 +81,18 @@ impl GraphService {
         plan.write(&array)?;
         let (new_meta, new_index) = load_index(&array)?;
         let new_safs = Safs::new(*safs.config(), array)?;
-        let next = ServeBackend {
+        let next = Arc::new(ServeBackend {
             mounts: Mounts::Single(Arc::new(new_safs)),
             index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),
             metas: OnceLock::from(vec![new_meta]),
-        };
-        // Atomic cutover: drop the folded runs and install the new
-        // image inside one log critical section (see the module docs).
-        self.delta.fold(view.watermark(), || {
-            self.live.flip(next);
         });
-        Ok(gen + 1)
+        // The cutover (see the module docs). The old backend is not
+        // dropped in here: `backend` above still pins it.
+        let mut live = self.live.lock();
+        live.log.fold(view.watermark());
+        live.backend = next;
+        live.generation += 1;
+        Ok(live.generation)
     }
 }
 

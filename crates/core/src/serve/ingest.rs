@@ -1,35 +1,48 @@
 //! The write path's read side: the base an ingested batch is
 //! canonicalized against. This file owns **the base is the one the log
-//! sits on**: `DeltaLog::apply_with` calls `pin_base` under the log
-//! lock, where no compaction's fold + flip can land between the pin and
-//! the canonicalization — a base pinned outside it could lack runs the
-//! log no longer holds either. A base read that fails, or panics,
-//! leaves the log as it was (it is written after the last read) and
-//! the lock usable: the service serves on. The ledger prices a batch as
+//! sits on**: `ingest` is one critical section of `Live` — it takes the
+//! lock, canonicalizes against `live.backend` and appends to `live.log`
+//! — and the only thing that replaces either is a cutover, which is
+//! another critical section of the same lock. A base taken outside it
+//! could lack runs the log no longer holds either. A base read that
+//! fails, or panics, leaves the log as it was (it is written after the
+//! last read) and the lock usable: the service serves on. The lock is
+//! held across the base reads on purpose; taking them out of it is a
+//! performance change with its own claim. The ledger prices a batch as
 //! `delta.apply_ns_per_op` and `ingest_live`'s `ingest_ops_per_s`; the
 //! reads go through the mount, so they show in `device_bytes` too.
-
-use std::sync::Arc;
 
 use fg_format::read_list_from;
 use fg_graph::{BaseLists, DeltaBatch};
 use fg_types::{EdgeDir, Result, VertexId};
 
-use super::backend::{mount_bytes, ServeBackend};
+use super::backend::{mount_bytes, Live, ServeBackend};
 use super::GraphService;
 
-/// [`BaseLists`] over one pinned image generation: ingest-time
+/// [`BaseLists`] over one image generation: ingest-time
 /// canonicalization reads base adjacency through the generation's
 /// mounts, one point read per touched source. The reads take the
 /// normal insert policy, so the page cache absorbs them like any
 /// query's: a source whose pages are resident costs no device read,
 /// and the lists a batch fetches warm the cache for the queries that
 /// go on to read the vertices it changed.
-pub(super) struct ImageBase(Arc<ServeBackend>);
+struct ImageBase<'a>(&'a ServeBackend);
 
-impl BaseLists for ImageBase {
+#[cfg(test)]
+thread_local! {
+    /// Test seam: what this thread's next base read runs first — a
+    /// place to stand between an ingest taking its base and reading it.
+    pub(super) static BEFORE_BASE_READ: std::cell::Cell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+impl BaseLists for ImageBase<'_> {
     fn base_out_list(&self, v: VertexId) -> Result<Vec<u32>> {
-        let backend = &*self.0;
+        #[cfg(test)]
+        if let Some(hook) = BEFORE_BASE_READ.take() {
+            hook();
+        }
+        let backend = self.0;
         let (s, local) = backend.index.local(v);
         read_list_from(
             &mount_bytes(&backend.mounts()[s], false),
@@ -57,18 +70,8 @@ impl GraphService {
     /// mutates edges, not the vertex space), and I/O errors from the
     /// base reads.
     pub fn ingest(&self, batch: &DeltaBatch) -> Result<u64> {
-        self.delta.apply_with(|| self.pin_base(), batch)
-    }
-
-    /// The serving generation as a canonicalization base. Ingest calls
-    /// this under the log lock: a compaction folds the log and flips
-    /// the generation inside that lock, so a base pinned outside it
-    /// could be the generation *before* a flip, read after the runs
-    /// that flip absorbed have left the log — and an edge one of them
-    /// added would look absent and be added twice.
-    pub(super) fn pin_base(&self) -> Result<ImageBase> {
-        let backend = self.live.pin().1;
-        backend.metas()?;
-        Ok(ImageBase(backend))
+        let mut live = self.live.lock();
+        let Live { backend, log, .. } = &mut *live;
+        log.apply(&ImageBase(backend), batch)
     }
 }

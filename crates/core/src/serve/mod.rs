@@ -78,15 +78,21 @@
 //!
 //! The on-SSD image is immutable (FlashGraph writes it once, §3), but
 //! the *service* accepts edge mutations: [`GraphService::ingest`]
-//! appends a [`DeltaBatch`] to an in-memory [`DeltaLog`] whose runs
-//! are canonicalized against the base image at ingest time. Queries
-//! get **snapshot isolation** for free: at admission each query pins
-//! the pair (image generation, delta watermark) under the log lock,
-//! and the engine merges the pinned [`DeltaView`] with the on-SSD
-//! lists at delivery time (see `EdgeData::Overlay` in the vertex
-//! layer) — concurrent ingests and compactions never change what a
-//! running query sees. [`QueryOpts::at_watermark`] replays an older
-//! watermark explicitly (time travel within the unfolded window).
+//! appends a [`DeltaBatch`] to an in-memory log of runs
+//! ([`fg_graph::RunLog`]), each canonicalized against the base image at
+//! ingest time. Everything that changes while the service runs — the
+//! generation number, the image serving it, that log — is one struct
+//! behind one mutex (`Live`, in `backend`), and the one invariant of
+//! the write path is that **every operation on it is one critical
+//! section**: a query's pin, an ingest, a compaction's cutover each
+//! lock it once and take no other lock inside. Queries get **snapshot
+//! isolation** from that: at admission each pins the pair (image
+//! generation, delta view), and the engine merges the pinned
+//! [`DeltaView`] with the on-SSD lists at delivery time (see
+//! `EdgeData::Overlay` in the vertex layer) — concurrent ingests and
+//! compactions never change what a running query sees.
+//! [`QueryOpts::at_watermark`] pins an older watermark's view the same
+//! way (time travel within the unfolded window).
 //!
 //! Both halves of the write path read the image through the mount,
 //! page cache first, like every query: ingest canonicalizes against
@@ -97,11 +103,12 @@
 //! When [`GraphService::pending_deltas`] grows large,
 //! [`GraphService::compact_with`] (or a background [`Compactor`])
 //! rewrites base + deltas into a fresh image stamped with the next
-//! generation and flips the serving handle atomically: the fold of
-//! the log and the flip of the [`Handoff`] happen in one critical
-//! section, so no query can observe the new image *and* the deltas it
-//! already absorbed (or the old image *without* them). Queries pinned
-//! to the old generation keep it alive via `Arc` until they drain.
+//! generation — outside the lock, from a pin like any query's — and
+//! cuts over in one critical section: fold the log, swap the image,
+//! bump the generation. No query can observe the new image *and* the
+//! deltas it already absorbed (or the old image *without* them).
+//! Queries pinned to the old generation keep it alive via `Arc` until
+//! they drain.
 //!
 //! # Where each protocol lives
 //!
@@ -109,8 +116,8 @@
 //! [`QueryOpts`], the counters) and the service itself; one file per
 //! protocol underneath, each opening with the invariant it owns and
 //! the ledger rows that price it: `gate` (admission), `backend` (a
-//! generation's mounts and the one way a query runs), `ingest` (the
-//! canonicalization base), `compactor` (the rewrite, the fold + flip
+//! generation's mounts, `Live` and the one way a query runs), `ingest`
+//! (the canonicalization base), `compactor` (the rewrite, the cutover
 //! and the background thread).
 //!
 //! [`Init`]: crate::Init
@@ -124,8 +131,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use fg_format::{GraphIndex, ShardedIndex};
-use fg_graph::DeltaLog;
-use fg_safs::{CacheStatsSnapshot, Handoff, Safs, ShardSet};
+use fg_graph::RunLog;
+use fg_safs::{CacheStatsSnapshot, Safs, ShardSet};
 // `gate.rs` names its primitives `super::sync::…` — here the real ones,
 // in `fg_check`'s mount of the same file the instrumented doubles.
 use fg_types::sync::{self, Counter, Mutex};
@@ -138,7 +145,7 @@ mod compactor;
 mod gate;
 mod ingest;
 
-use backend::{Mounts, ServeBackend};
+use backend::{Live, Mounts, ServeBackend};
 pub use compactor::Compactor;
 use gate::{Gate, Permit, Ticket};
 
@@ -445,14 +452,12 @@ impl WaitHistogram {
 /// # }
 /// ```
 pub struct GraphService {
-    /// The serving generation: compaction installs a rewritten image
-    /// by flipping this handoff; every query pins it at admission and
-    /// keeps its pinned generation alive until it drains.
-    live: Handoff<ServeBackend>,
-    /// Edge mutations not yet folded into an on-SSD image.
-    delta: DeltaLog,
-    /// Serializes compactions — the flip is atomic, but the rewrite
-    /// is long and must not run twice concurrently.
+    /// Generation, serving image and pending deltas: every pin,
+    /// ingest and cutover is one critical section of this lock.
+    live: Mutex<Live>,
+    /// Serializes compactions — the cutover is short, but the rewrite
+    /// is long and must not run twice concurrently. Taken before
+    /// `live`, never while holding it.
     compacting: Mutex<()>,
     cfg: ServiceConfig,
     gate: Gate,
@@ -464,10 +469,15 @@ pub struct GraphService {
 
 impl std::fmt::Debug for GraphService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (vertices, generation, pending) = {
+            let live = self.live.lock();
+            let log = &live.log;
+            (log.num_vertices(), live.generation, log.pending_ops())
+        };
         f.debug_struct("GraphService")
-            .field("vertices", &self.num_vertices())
-            .field("generation", &self.live.generation())
-            .field("pending_deltas", &self.delta.pending_ops())
+            .field("vertices", &vertices)
+            .field("generation", &generation)
+            .field("pending_deltas", &pending)
             .field("max_inflight", &self.cfg.max_inflight)
             .field("gate", &self.gate.snapshot())
             .finish_non_exhaustive()
@@ -513,7 +523,7 @@ impl GraphService {
     }
 
     fn with_backend(mounts: Mounts, index: Arc<ShardedIndex>, cfg: ServiceConfig) -> Self {
-        let delta = DeltaLog::new(index.num_vertices(), index.is_directed());
+        let log = RunLog::new(index.num_vertices(), index.is_directed());
         let backend = ServeBackend {
             mounts,
             index,
@@ -525,8 +535,11 @@ impl GraphService {
             "one mount per shard of the index"
         );
         GraphService {
-            live: Handoff::new(backend),
-            delta,
+            live: Mutex::new(Live {
+                generation: 0,
+                backend: Arc::new(backend),
+                log,
+            }),
             compacting: Mutex::new(()),
             gate: Gate::new(cfg.max_inflight),
             cfg,
@@ -539,7 +552,7 @@ impl GraphService {
 
     /// Number of vertices in the served graph.
     pub fn num_vertices(&self) -> usize {
-        self.delta.num_vertices()
+        self.live.lock().log.num_vertices()
     }
 
     /// The service configuration.
@@ -557,7 +570,7 @@ impl GraphService {
     /// Panics on a service built over a [`ShardSet`] (it has no
     /// single mount handle); use [`GraphService::shard_set`].
     pub fn safs(&self) -> Arc<Safs> {
-        match &self.live.pin().1.mounts {
+        match &self.live.lock().backend.mounts {
             Mounts::Single(safs) => Arc::clone(safs),
             Mounts::Sharded(_) => {
                 panic!("sharded service has no single mount; use shard_set()")
@@ -569,7 +582,7 @@ impl GraphService {
     /// otherwise (also once a compaction has rewritten a 1-shard set
     /// into a single mount).
     pub fn shard_set(&self) -> Option<Arc<ShardSet>> {
-        match &self.live.pin().1.mounts {
+        match &self.live.lock().backend.mounts {
             Mounts::Sharded(set) => Some(Arc::clone(set)),
             Mounts::Single(_) => None,
         }
@@ -579,24 +592,25 @@ impl GraphService {
     /// tenant and every mount's cache, where cross-query hits show up.
     /// Counters reset when compaction installs a fresh mount.
     pub fn cache_stats(&self) -> CacheStatsSnapshot {
-        ShardSet::cache_stats_of(self.live.pin().1.mounts())
+        let backend = Arc::clone(&self.live.lock().backend);
+        ShardSet::cache_stats_of(backend.mounts())
     }
 
     /// The current image generation (0 until the first compaction).
     pub fn generation(&self) -> u64 {
-        self.live.generation()
+        self.live.lock().generation
     }
 
     /// Sequence number of the latest ingested run (0 = none yet) —
     /// the value [`QueryOpts::at_watermark`] pins against.
     pub fn watermark(&self) -> u64 {
-        self.delta.watermark()
+        self.live.lock().log.watermark()
     }
 
     /// Effective delta ops awaiting compaction — the trigger metric
     /// for [`GraphService::compact_with`] / [`Compactor`].
     pub fn pending_deltas(&self) -> u64 {
-        self.delta.pending_ops()
+        self.live.lock().log.pending_ops()
     }
 
     /// Queries currently past admission.
@@ -677,7 +691,7 @@ mod tests {
         load_index, required_capacity, required_capacity_with, write_image, write_image_with,
         WriteOptions,
     };
-    use fg_graph::{fixtures, DeltaBatch, Graph};
+    use fg_graph::{fixtures, DeltaBatch, DeltaLog, Graph};
     use fg_safs::SafsConfig;
     use fg_ssdsim::{ArrayConfig, SsdArray};
     use fg_types::sync::channel::{unbounded, Sender};
@@ -1325,28 +1339,17 @@ mod tests {
         assert_eq!(states[15].level, 15, "watermark 0 is the frozen image");
     }
 
-    /// A base whose reads die: what a bug under `BaseLists` looks like
-    /// from the log's side of the call.
-    struct PanickingBase;
-
-    impl fg_graph::BaseLists for PanickingBase {
-        fn base_out_list(&self, _v: VertexId) -> fg_types::Result<Vec<u32>> {
-            panic!("base read died")
-        }
-    }
-
     #[test]
     fn a_panic_under_the_log_lock_does_not_wedge_the_service() {
-        // There is no fault seam under `ingest` yet, so the test
-        // reaches the log directly with a base that panics mid-apply —
-        // under the lock every query's `pin_view` takes.
+        // A base read that dies mid-apply — what a bug under
+        // `BaseLists` looks like — unwinds through `ingest`'s lock, the
+        // one every query's pin takes.
         let svc = service(2);
         let base = fixtures::path(16);
         let mut batch = DeltaBatch::new();
         batch.add_edge(VertexId(0), VertexId(15));
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.delta.apply(&PanickingBase, &batch)
-        }));
+        ingest::BEFORE_BASE_READ.set(Some(Box::new(|| panic!("base read died"))));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.ingest(&batch)));
         assert!(died.is_err(), "the base read must have panicked");
         assert_eq!(svc.watermark(), 0, "a batch that died applied nothing");
         assert_serves(&svc, &base, "query after the panic");
@@ -1381,10 +1384,27 @@ mod tests {
         svc.ingest(&batch).unwrap();
         let (before, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
         let old_mount = svc.safs();
-        let gen = svc
-            .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
-            .unwrap();
-        assert_eq!(gen, 1);
+        let old_backend = Arc::downgrade(&svc.live.lock().backend);
+        // A query pinned before the cutover keeps what it pinned across
+        // it: generation 0's image and the deltas on top of it.
+        svc.query(|engine| {
+            let gen = svc
+                .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+                .unwrap();
+            assert_eq!(gen, 1);
+            let reads = old_mount.cache_stats().lookups;
+            let (pinned, _) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+            assert_eq!(pinned[15].level, before[15].level);
+            assert!(!pinned[8].visited, "the pinned view still removes 7 -> 8");
+            assert!(
+                old_mount.cache_stats().lookups > reads,
+                "read off the old mount"
+            );
+        });
+        // The old generation dies with that last pin: nothing but this
+        // test's own handle holds its mount any more.
+        assert!(old_backend.upgrade().is_none());
+        assert_eq!(Arc::strong_count(&old_mount), 1);
         assert_eq!(svc.generation(), 1);
         assert_eq!(svc.pending_deltas(), 0, "compaction folded every run");
         // Same answers off the rewritten image, now with no overlay.
@@ -1395,8 +1415,7 @@ mod tests {
                 assert_eq!(before[v].level, after[v].level, "vertex {v}");
             }
         }
-        // The old generation's mount is still a valid handle (pins
-        // keep generations alive), just no longer the serving one.
+        // The handle is still valid, just no longer the serving one.
         assert!(!Arc::ptr_eq(&old_mount, &svc.safs()));
         // Ingest keeps working on top of the new generation.
         let mut batch = DeltaBatch::new();
@@ -1438,17 +1457,17 @@ mod tests {
 
     #[test]
     fn ingest_pins_its_base_where_no_compaction_can_flip_it_away() {
-        // The schedule that used to corrupt the log: an ingest pins
-        // generation 0, a compaction folds run 1 into generation 1 and
-        // flips, and the ingest then canonicalizes against the base
-        // it pinned — which lacks run 1's edges, while the log no
-        // longer holds run 1 either. Re-adding an edge of run 1 then
-        // records an effective `Add` on top of an image that already
-        // has it (delivered twice), and removing one is dropped as
-        // absent. The ingest below stops at its pin and gives a
-        // compaction every chance to land there; pinned under the log
-        // lock it cannot, so the wait runs out and the compaction
-        // follows the batch.
+        // The schedule that used to corrupt the log: an ingest takes
+        // generation 0 as its base, a compaction folds run 1 into
+        // generation 1 and cuts over, and the ingest then canonicalizes
+        // against the base it took — which lacks run 1's edges, while
+        // the log no longer holds run 1 either. Re-adding an edge of
+        // run 1 then records an effective `Add` on top of an image that
+        // already has it (delivered twice), and removing one is dropped
+        // as absent. The ingest below stops between taking its base and
+        // reading it and gives a compaction every chance to land
+        // there; base and log being one critical section it cannot, so
+        // the wait runs out and the compaction follows the batch.
         for opts in [WriteOptions::default(), WriteOptions::compressed()] {
             let g = fixtures::path(16);
             let array =
@@ -1475,22 +1494,18 @@ mod tests {
             let want = DeltaLog::union(&g, &mirror.current_view());
 
             svc.ingest(&first).unwrap();
-            let (at_pin_tx, at_pin_rx) = unbounded();
+            let (at_base_tx, at_base_rx) = unbounded();
             let (flipped_tx, flipped_rx) = unbounded::<()>();
             std::thread::scope(|s| {
                 let (svc, second) = (&svc, &second);
                 let ingest = s.spawn(move || {
-                    // `GraphService::ingest`, paused at its pin.
-                    svc.delta.apply_with(
-                        || {
-                            at_pin_tx.send(()).unwrap();
-                            let _ = flipped_rx.recv_timeout(Duration::from_millis(200));
-                            svc.pin_base()
-                        },
-                        second,
-                    )
+                    ingest::BEFORE_BASE_READ.set(Some(Box::new(move || {
+                        at_base_tx.send(()).unwrap();
+                        let _ = flipped_rx.recv_timeout(Duration::from_millis(200));
+                    })));
+                    svc.ingest(second)
                 });
-                at_pin_rx.recv().unwrap();
+                at_base_rx.recv().unwrap();
                 let gen = svc
                     .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
                     .unwrap();
@@ -1506,6 +1521,56 @@ mod tests {
             assert_eq!(svc.pending_deltas(), 0, "{what}");
             assert_serves(&svc, &want, &what);
         }
+    }
+
+    #[test]
+    fn pins_racing_cutovers_see_a_coherent_generation() {
+        // One writer: PER_GEN one-edge batches, then a compaction,
+        // over and over — generation g's fold point is g * PER_GEN.
+        // Readers pin as `serve` does, freshest and as-of by turns,
+        // all the way through; the writer does not move on from a
+        // generation before every reader has pinned in it.
+        const READERS: usize = 3;
+        const GENS: u64 = 6;
+        const PER_GEN: u64 = 3;
+        let svc = service(2);
+        let seen: [Counter; READERS] = Default::default();
+        std::thread::scope(|s| {
+            for seen in &seen {
+                let svc = &svc;
+                s.spawn(move || {
+                    for turn in 0.. {
+                        let as_of = (turn % 2 == 1).then(|| svc.watermark());
+                        let (gen, backend, view) = svc.live.lock().pin(as_of);
+                        // Generation number, image and view belong
+                        // together: the image is the one stamped `gen`,
+                        // and the view starts where that image ends.
+                        assert_eq!(backend.metas().unwrap()[0].generation as u64, gen);
+                        assert_eq!(view.floor(), gen * PER_GEN, "generation {gen}");
+                        assert!(view.is_empty() || view.watermark() > view.floor());
+                        seen.max(gen + 1);
+                        if gen == GENS {
+                            break;
+                        }
+                    }
+                });
+            }
+            for gen in 0..GENS {
+                for k in 0..PER_GEN {
+                    let i = (gen * PER_GEN + k) as u32;
+                    let mut batch = DeltaBatch::new();
+                    batch.add_edge(VertexId(i % 16), VertexId((i % 16 + 2 + i / 16) % 16));
+                    svc.ingest(&batch).unwrap();
+                }
+                while seen.iter().any(|s| s.get() <= gen) {
+                    std::thread::yield_now();
+                }
+                let installed = svc
+                    .compact_with(|need| SsdArray::new_mem(ArrayConfig::small_test(), need))
+                    .unwrap();
+                assert_eq!(installed, gen + 1);
+            }
+        });
     }
 
     #[test]

@@ -1,9 +1,18 @@
+//! The plain log: an ordered sequence of canonicalized runs over a
+//! fixed vertex set, and nothing else — no lock, no callback. Every
+//! method takes `&mut self`, so whoever owns a [`RunLog`] decides what
+//! one step is: [`DeltaLog`](super::DeltaLog) puts it behind a mutex of
+//! its own, the serving layer keeps it in the same mutex as the image
+//! generation its runs are relative to, where "apply against the base
+//! the log sits on" and "fold and swap the base" are plain sequences of
+//! statements.
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use fg_types::{FgError, Result, VertexId};
 
-use super::{BaseLists, BatchOp, DeltaBatch, DeltaList, DeltaLog, DeltaOp, DeltaView};
+use super::{BaseLists, BatchOp, DeltaBatch, DeltaList, DeltaOp, DeltaView};
 
 /// One applied batch, canonicalized: per-direction effective ops,
 /// sorted by `(src, dst)` with a per-source directory.
@@ -14,6 +23,13 @@ pub(super) struct DeltaRun {
     pub(super) out: HashMap<u32, Vec<(u32, DeltaOp)>>,
     /// In-direction mirror (directed logs only).
     in_: HashMap<u32, Vec<(u32, DeltaOp)>>,
+}
+
+impl DeltaRun {
+    /// Effective ops of this run, counted in the out direction.
+    fn num_ops(&self) -> u64 {
+        self.out.values().map(|v| v.len() as u64).sum()
+    }
 }
 
 /// Composes a folded op with the next run's effective op on the same
@@ -38,42 +54,93 @@ fn compose(prev: Option<DeltaOp>, next: DeltaOp) -> Option<DeltaOp> {
     }
 }
 
-pub(super) struct LogInner {
+/// An ordered sequence of canonicalized runs over a fixed vertex set —
+/// the log with no lock in it (this file's header says why). Runs hold
+/// effective ops only, views compose them relative to the base, and a
+/// view once built is immune to what the log does next.
+pub struct RunLog {
+    n: usize,
+    directed: bool,
     pub(super) runs: Vec<Arc<DeltaRun>>,
     /// Sequence the next applied batch gets (`watermark + 1`).
-    pub(super) next_seq: u64,
+    next_seq: u64,
     /// Runs with `seq <= folded` have been compacted into a new base
     /// image and dropped; views fold only `(folded, watermark]`.
-    pub(super) folded: u64,
+    folded: u64,
+    /// Effective ops of the retained runs: added to by `apply`,
+    /// recounted by `fold`, so the compactor's poll reads a number.
+    pending: u64,
     /// Lazily rebuilt full-watermark view (the common pin target);
     /// invalidated by `apply` and `fold`.
-    pub(super) cached: Option<Arc<DeltaView>>,
+    cached: Option<Arc<DeltaView>>,
 }
 
-impl DeltaLog {
-    /// [`DeltaLog::apply`] against the base `pin` returns, with `pin`
-    /// run under the log lock like [`DeltaLog::snapshot_with`]'s: the
-    /// base it captures (an image generation) is the one the log's
-    /// runs are relative to, whatever [`DeltaLog::fold`]s race the
-    /// call. Pinning before the call instead lets a fold land in
-    /// between, and the batch is then canonicalized against a base
+impl std::fmt::Debug for RunLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunLog")
+            .field("vertices", &self.n)
+            .field("directed", &self.directed)
+            .field("runs", &self.runs.len())
+            .field("watermark", &self.watermark())
+            .finish()
+    }
+}
+
+impl RunLog {
+    /// An empty log over `n` vertices.
+    pub fn new(n: usize, directed: bool) -> Self {
+        RunLog {
+            n,
+            directed,
+            runs: Vec::new(),
+            next_seq: 1,
+            folded: 0,
+            pending: 0,
+            cached: None,
+        }
+    }
+
+    /// Vertex count of the underlying graph.
+    pub fn num_vertices(&self) -> usize {
+        self.n
+    }
+
+    /// Whether ops mirror into in-lists (directed) or into both
+    /// endpoints' single lists (undirected).
+    pub fn is_directed(&self) -> bool {
+        self.directed
+    }
+
+    /// Sequence number of the latest applied run (0 = none).
+    pub fn watermark(&self) -> u64 {
+        self.next_seq - 1
+    }
+
+    /// Number of effective ops not yet folded into a base image —
+    /// the compactor's trigger metric.
+    pub fn pending_ops(&self) -> u64 {
+        self.pending
+    }
+
+    /// Canonicalizes `batch` against the current logical graph (the
+    /// `base` oracle plus every earlier run) and appends it as one
+    /// run. Returns the new watermark. Batches that canonicalize to
+    /// nothing still advance the watermark (the run is recorded
+    /// empty), so callers can rely on `watermark()` ordering ingests.
+    ///
+    /// `base` must be the base this log's runs are relative to: the
+    /// graph as of the last [`RunLog::fold`]. An owner that replaces its
+    /// base when it folds keeps the two in one place and calls this
+    /// with that place held, or a fold lands between picking the base
+    /// and reading it and the batch is canonicalized against a base
     /// that lacks the runs the fold absorbed.
     ///
     /// # Errors
     ///
-    /// See [`DeltaLog::apply`]; propagates `pin`'s error before
-    /// anything is applied.
-    pub fn apply_with<B: BaseLists>(
-        &self,
-        pin: impl FnOnce() -> Result<B>,
-        batch: &DeltaBatch,
-    ) -> Result<u64> {
-        // The lock does not poison, and need not: `pin` and every base
-        // read below can fail or panic, but the log itself is written
-        // only by the last four statements, after the last of them —
-        // a batch that dies mid-canonicalization leaves no trace.
-        let mut g = self.inner.lock();
-        let base = pin()?;
+    /// Returns [`FgError::VertexOutOfRange`] when an endpoint is
+    /// outside the fixed vertex set, and propagates `base` read
+    /// errors. Either way nothing is applied.
+    pub fn apply(&mut self, base: &dyn BaseLists, batch: &DeltaBatch) -> Result<u64> {
         let mut sources = Vec::new();
         for &(s, d, _) in &batch.entries {
             for v in [s, d] {
@@ -126,7 +193,7 @@ impl DeltaLog {
                     // Fold the edge's history from earlier runs so
                     // this batch sees the current logical state.
                     let mut folded = None;
-                    for run in &g.runs {
+                    for run in &self.runs {
                         if let Some(v) = run.out.get(&src) {
                             if let Ok(i) = v.binary_search_by_key(&dst, |e| e.0) {
                                 folded = compose(folded, v[i].1);
@@ -173,65 +240,53 @@ impl DeltaLog {
         for v in out.values_mut().chain(in_.values_mut()) {
             v.sort_unstable_by_key(|e| e.0);
         }
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        g.runs.push(Arc::new(DeltaRun { seq, out, in_ }));
-        g.cached = None;
-        Ok(seq)
+        // The only writes to the log, after the last base read: a base
+        // read can fail or panic (the locks this log sits behind do not
+        // poison), and a batch that dies mid-canonicalization must
+        // leave no trace.
+        let run = DeltaRun {
+            seq: self.next_seq,
+            out,
+            in_,
+        };
+        self.next_seq += 1;
+        self.pending += run.num_ops();
+        self.runs.push(Arc::new(run));
+        self.cached = None;
+        Ok(self.watermark())
     }
 
     /// A materialized snapshot folding runs `(folded, watermark]`.
     /// The full-watermark view is cached until the next mutation.
-    pub fn view(&self, watermark: u64) -> Arc<DeltaView> {
-        let mut g = self.inner.lock();
-        let full = watermark >= g.next_seq - 1;
+    pub fn view(&mut self, watermark: u64) -> Arc<DeltaView> {
+        let full = watermark >= self.watermark();
         if full {
-            if let Some(v) = &g.cached {
+            if let Some(v) = &self.cached {
                 return Arc::clone(v);
             }
         }
-        let v = Arc::new(Self::build_view(&g.runs, watermark, self.directed));
+        let v = Arc::new(self.build_view(watermark));
         if full {
-            g.cached = Some(Arc::clone(&v));
+            self.cached = Some(Arc::clone(&v));
         }
         v
     }
 
-    /// Atomically: run `commit` (e.g. flip the serving layer's image
-    /// generation), then drop every run with `seq <= up_to` — they
-    /// are folded into the new base. Views built before this call
-    /// keep their runs alive via `Arc`.
-    pub fn fold(&self, up_to: u64, commit: impl FnOnce()) {
-        let mut g = self.inner.lock();
-        commit();
-        g.runs.retain(|r| r.seq > up_to);
-        g.folded = g.folded.max(up_to);
-        g.cached = None;
+    /// Drops every run with `seq <= up_to` — they are folded into a
+    /// new base, which [`RunLog::apply`] must be handed from now on.
+    /// Views built before this call keep their ops.
+    pub fn fold(&mut self, up_to: u64) {
+        self.runs.retain(|r| r.seq > up_to);
+        self.folded = self.folded.max(up_to);
+        self.pending = self.runs.iter().map(|r| r.num_ops()).sum();
+        self.cached = None;
     }
 
-    /// Snapshot coherent with the log's fold point: `pin` runs under
-    /// the log lock, so the base it captures (an image generation)
-    /// matches the view's fold floor exactly even under concurrent
-    /// [`DeltaLog::fold`].
-    pub fn snapshot_with<T>(&self, pin: impl FnOnce() -> T) -> (T, Arc<DeltaView>) {
-        let mut g = self.inner.lock();
-        let pinned = pin();
-        let v = match &g.cached {
-            Some(v) => Arc::clone(v),
-            None => {
-                let v = Arc::new(Self::build_view(&g.runs, u64::MAX, self.directed));
-                g.cached = Some(Arc::clone(&v));
-                v
-            }
-        };
-        (pinned, v)
-    }
-
-    fn build_view(runs: &[Arc<DeltaRun>], watermark: u64, directed: bool) -> DeltaView {
+    fn build_view(&self, watermark: u64) -> DeltaView {
         let mut wm = 0;
         let mut out: HashMap<u32, Vec<(u32, Option<DeltaOp>)>> = HashMap::new();
         let mut in_: HashMap<u32, Vec<(u32, Option<DeltaOp>)>> = HashMap::new();
-        for run in runs.iter().filter(|r| r.seq <= watermark) {
+        for run in self.runs.iter().filter(|r| r.seq <= watermark) {
             wm = wm.max(run.seq);
             for (maps, folded) in [(&run.out, &mut out), (&run.in_, &mut in_)] {
                 for (&src, ops) in maps {
@@ -261,8 +316,9 @@ impl DeltaLog {
                 .collect()
         };
         DeltaView {
+            floor: self.folded,
             watermark: wm,
-            directed,
+            directed: self.directed,
             out: finish(out),
             in_: finish(in_),
         }

@@ -1,7 +1,8 @@
 //! The in-memory edge-delta layer of mutable graphs (the ROADMAP's
 //! LSM-style ingest item).
 //!
-//! A [`DeltaLog`] accumulates edge additions and removals against a
+//! A [`RunLog`] — or a [`DeltaLog`], the same log behind a lock of
+//! its own — accumulates edge additions and removals against a
 //! *frozen* base graph (the on-SSD image) as a sequence of sorted
 //! runs — one run per applied [`DeltaBatch`], its entries sorted by
 //! `(src, dst)` with a per-source directory, so a query can splice a
@@ -14,7 +15,7 @@
 //! Three invariants make delivery-time merging O(1) amortized and
 //! the bookkeeping exact:
 //!
-//! 1. **Ops are effective.** [`DeltaLog::apply`] canonicalizes each
+//! 1. **Ops are effective.** [`RunLog::apply`] canonicalizes each
 //!    batch against the current logical graph (base image + earlier
 //!    runs, via a [`BaseLists`] oracle): adding a present edge
 //!    becomes a weight [`DeltaOp::Update`] (or a no-op), removing an
@@ -22,7 +23,7 @@
 //!    exactly one edge and every `Remove` removes exactly one, so a
 //!    vertex's merged degree is `base_degree + Σ(adds - removes)` —
 //!    no membership probe at query time.
-//! 2. **Views are composed, not replayed.** [`DeltaLog::view`] folds
+//! 2. **Views are composed, not replayed.** [`RunLog::view`] folds
 //!    the runs at or below a watermark into one sorted op list per
 //!    vertex, composing op chains (`Remove` then `Add` ⇒ `Update`,
 //!    `Add` then `Remove` ⇒ nothing) so each folded op is *relative
@@ -50,7 +51,7 @@ use crate::{Csr, Graph};
 
 mod log;
 
-use log::LogInner;
+pub use log::RunLog;
 
 /// One effective, folded edge operation, relative to the base image
 /// (see the module docs for why each kind implies base membership).
@@ -133,7 +134,7 @@ impl DeltaBatch {
 }
 
 /// The base graph's frozen adjacency, consulted by
-/// [`DeltaLog::apply`] to canonicalize batches. Implemented by
+/// [`RunLog::apply`] to canonicalize batches. Implemented by
 /// [`Graph`] (in-memory tests) and by the serving layer (reading the
 /// current image generation back through its index).
 pub trait BaseLists {
@@ -174,6 +175,7 @@ pub struct DeltaList {
 /// hash probe.
 #[derive(Debug, Default)]
 pub struct DeltaView {
+    floor: u64,
     watermark: u64,
     directed: bool,
     out: HashMap<u32, Arc<DeltaList>>,
@@ -181,6 +183,12 @@ pub struct DeltaView {
 }
 
 impl DeltaView {
+    /// The log's fold point when this view was built: runs at or
+    /// below it are not in the view but in the base it applies to.
+    pub fn floor(&self) -> u64 {
+        self.floor
+    }
+
     /// The run sequence number this view folds up to.
     pub fn watermark(&self) -> u64 {
         self.watermark
@@ -284,22 +292,18 @@ impl DeltaView {
     }
 }
 
-/// The log: an ordered sequence of canonicalized runs over a fixed
-/// vertex set. See the module docs for the invariants.
+/// A [`RunLog`] behind a lock of its own: the log for callers with
+/// nothing else to keep in step with it (mirrors, oracles, tests).
+/// Each method is one critical section around the [`RunLog`] method of
+/// the same name.
 pub struct DeltaLog {
-    n: usize,
-    directed: bool,
-    inner: Mutex<LogInner>,
+    inner: Mutex<RunLog>,
 }
 
 impl std::fmt::Debug for DeltaLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let g = self.inner.lock();
-        f.debug_struct("DeltaLog")
-            .field("vertices", &self.n)
-            .field("directed", &self.directed)
-            .field("runs", &g.runs.len())
-            .field("watermark", &(g.next_seq - 1))
+        f.debug_tuple("DeltaLog")
+            .field(&*self.inner.lock())
             .finish()
     }
 }
@@ -308,14 +312,7 @@ impl DeltaLog {
     /// An empty log over `n` vertices.
     pub fn new(n: usize, directed: bool) -> Self {
         DeltaLog {
-            n,
-            directed,
-            inner: Mutex::new(LogInner {
-                runs: Vec::new(),
-                next_seq: 1,
-                folded: 0,
-                cached: None,
-            }),
+            inner: Mutex::new(RunLog::new(n, directed)),
         }
     }
 
@@ -326,56 +323,50 @@ impl DeltaLog {
 
     /// Vertex count of the underlying graph.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.inner.lock().num_vertices()
     }
 
     /// Whether ops mirror into in-lists (directed) or into both
     /// endpoints' single lists (undirected).
     pub fn is_directed(&self) -> bool {
-        self.directed
+        self.inner.lock().is_directed()
     }
 
     /// Sequence number of the latest applied run (0 = none).
     pub fn watermark(&self) -> u64 {
-        self.inner.lock().next_seq - 1
+        self.inner.lock().watermark()
     }
 
-    /// Number of effective ops not yet folded into a base image —
-    /// the compactor's trigger metric.
+    /// Number of effective ops not yet folded into a base image.
     pub fn pending_ops(&self) -> u64 {
-        let g = self.inner.lock();
-        g.runs
-            .iter()
-            .map(|r| r.out.values().map(|v| v.len() as u64).sum::<u64>())
-            .sum()
+        self.inner.lock().pending_ops()
     }
 
-    /// Canonicalizes `batch` against the current logical graph (the
-    /// `base` oracle plus every earlier run) and appends it as one
-    /// run. Returns the new watermark. Batches that canonicalize to
-    /// nothing still advance the watermark (the run is recorded
-    /// empty), so callers can rely on `watermark()` ordering ingests.
-    ///
-    /// Ingest is serialized on the log's lock; `base` is consulted
-    /// inside the critical section so canonicalization and the fold
-    /// point (see [`DeltaLog::fold`]) stay coherent under concurrent
-    /// compaction — as long as `base` is the base the log currently
-    /// sits on. A caller whose base can be replaced by a concurrent
-    /// [`DeltaLog::fold`] must pick it under the lock too: see
-    /// [`DeltaLog::apply_with`].
+    /// [`RunLog::apply`] under the lock: ingest is serialized, and
+    /// `base` is read inside the critical section. `base` must be the
+    /// base the log sits on; a caller that swaps bases when it folds
+    /// owns a [`RunLog`] next to its base instead (see there).
     ///
     /// # Errors
     ///
-    /// Returns [`FgError::VertexOutOfRange`] when an endpoint is
-    /// outside the fixed vertex set, and propagates `base` read
-    /// errors.
+    /// See [`RunLog::apply`].
     pub fn apply(&self, base: &dyn BaseLists, batch: &DeltaBatch) -> Result<u64> {
-        self.apply_with(|| Ok(base), batch)
+        self.inner.lock().apply(base, batch)
+    }
+
+    /// A materialized snapshot folding runs `(folded, watermark]`.
+    pub fn view(&self, watermark: u64) -> Arc<DeltaView> {
+        self.inner.lock().view(watermark)
     }
 
     /// The current-watermark snapshot.
     pub fn current_view(&self) -> Arc<DeltaView> {
         self.view(u64::MAX)
+    }
+
+    /// Drops every run with `seq <= up_to`: see [`RunLog::fold`].
+    pub fn fold(&self, up_to: u64) {
+        self.inner.lock().fold(up_to);
     }
 
     /// The union graph (base + this view) — the oracle the acceptance
@@ -551,15 +542,38 @@ mod tests {
     fn fold_drops_runs_but_views_survive() {
         let g = fixtures::path(5);
         let log = DeltaLog::for_graph(&g);
+        // The count the compactor polls is kept, not walked: after
+        // every apply and fold it is what walking the runs gives.
+        let walked = |log: &DeltaLog| -> u64 {
+            let log = log.inner.lock();
+            let lists = log.runs.iter().flat_map(|r| r.out.values());
+            lists.map(|ops| ops.len() as u64).sum()
+        };
         let mut b = DeltaBatch::new();
         b.add_edge(VertexId(0), VertexId(4));
         let w = log.apply(&g, &b).unwrap();
+        assert_eq!((log.pending_ops(), walked(&log)), (1, 1));
         let pinned = log.current_view();
-        log.fold(w, || {});
+        // A second run, a no-op and a self-loop among its entries.
+        let mut b = DeltaBatch::new();
+        b.add_edge(VertexId(1), VertexId(3))
+            .remove_edge(VertexId(2), VertexId(3))
+            .add_edge(VertexId(0), VertexId(1))
+            .add_edge(VertexId(2), VertexId(2));
+        let w2 = log.apply(&g, &b).unwrap();
+        assert_eq!((log.pending_ops(), walked(&log)), (3, 3));
+        log.fold(w);
+        assert_eq!((log.pending_ops(), walked(&log)), (2, 2));
+        let rest = log.current_view();
+        assert_eq!((rest.floor(), rest.watermark()), (w, w2));
+        assert!(rest.list(VertexId(0), EdgeDir::Out).is_none());
+        log.fold(w2);
+        assert_eq!((log.pending_ops(), walked(&log)), (0, 0));
         assert!(log.current_view().is_empty(), "folded runs drop out");
         // The pinned snapshot still sees the op.
         assert_eq!(pinned.degree_diff(VertexId(0), EdgeDir::Out), 1);
-        assert_eq!(log.watermark(), w, "watermark is monotone across folds");
+        assert_eq!(pinned.floor(), 0);
+        assert_eq!(log.watermark(), w2, "watermark is monotone across folds");
     }
 
     #[test]
@@ -629,33 +643,6 @@ mod tests {
         assert!(base.1.borrow().is_empty());
     }
 
-    #[test]
-    fn apply_with_pins_its_base_under_the_log_lock() {
-        let g = fixtures::path(4);
-        let log = DeltaLog::for_graph(&g);
-        let mut b = DeltaBatch::new();
-        b.add_edge(VertexId(0), VertexId(2));
-        // The pin runs while the log is locked: a fold cannot land
-        // between it and the canonicalization that follows.
-        let w = log
-            .apply_with(
-                || {
-                    assert!(log.inner.try_lock().is_none(), "pin runs under the lock");
-                    Ok(&g)
-                },
-                &b,
-            )
-            .unwrap();
-        assert_eq!(w, 1);
-        // A failing pin applies nothing.
-        let failed = log.apply_with(
-            || Err::<&Graph, _>(FgError::InvalidRequest("no base".into())),
-            &b,
-        );
-        assert!(failed.is_err());
-        assert_eq!(log.watermark(), 1);
-    }
-
     /// A base whose reads die mid-canonicalization.
     struct PanickingBase;
 
@@ -679,25 +666,9 @@ mod tests {
         // gets in, and finds the log as the dead batch found it.
         assert_eq!(log.watermark(), 0, "a batch that died applied nothing");
         assert!(log.current_view().is_empty());
-        let (pinned, view) = log.snapshot_with(|| 7u32);
-        assert_eq!((pinned, view.is_empty()), (7, true));
+        assert!(log.view(0).is_empty());
         // So does the next writer.
         assert_eq!(log.apply(&g, &b).unwrap(), 1);
         assert_eq!(merged(&g, &log, 0, EdgeDir::Out), ids(&[1, 2]));
-    }
-
-    #[test]
-    fn snapshot_with_is_coherent_under_fold() {
-        let g = fixtures::path(4);
-        let log = DeltaLog::for_graph(&g);
-        let mut b = DeltaBatch::new();
-        b.add_edge(VertexId(0), VertexId(2));
-        let w = log.apply(&g, &b).unwrap();
-        let (gen, view) = log.snapshot_with(|| 7u32);
-        assert_eq!(gen, 7);
-        assert_eq!(view.degree_diff(VertexId(0), EdgeDir::Out), 1);
-        log.fold(w, || {});
-        let (_, view2) = log.snapshot_with(|| 8u32);
-        assert!(view2.is_empty());
     }
 }

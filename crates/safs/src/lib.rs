@@ -55,7 +55,6 @@
 
 mod cache;
 mod config;
-mod handoff;
 mod inflight;
 mod io_thread;
 mod page;
@@ -64,7 +63,6 @@ mod shard_set;
 
 pub use cache::{CacheStats, CacheStatsSnapshot, PageCache};
 pub use config::SafsConfig;
-pub use handoff::Handoff;
 pub use page::{Page, PageSpan, U32Iter};
 pub use safs::{Completion, IoSession, Safs};
 pub use shard_set::ShardSet;

@@ -6,7 +6,8 @@
 //! `edges_delivered` must be *exact* (the merged degree, counted once
 //! per delivered window). Snapshot isolation is checked by replaying a
 //! pinned watermark while ingest races: the replays must be
-//! bit-identical.
+//! bit-identical — and, while a compactor races, must never lose an
+//! edge the watermark had.
 //!
 //! The write path reads the image through the mount, and the second
 //! half of this file holds it to that: `fg_format`'s back-readers
@@ -281,6 +282,67 @@ proptest! {
         }
         let full_union = DeltaLog::union(&base, &oracle_rest.current_view());
         check_against(&svc, &full_union, "single/after-race")?;
+    }
+
+    /// Time travel against a racing compactor. Every batch only adds,
+    /// so the graph's states are ordered by inclusion: whatever
+    /// generation a replay of `w` lands on — the one `w`'s run is
+    /// still a delta of, or a later one that has it in its image — its
+    /// lists contain the oracle's at `w`. A pin that pairs one
+    /// generation's image with a view cut at another's fold point
+    /// drops the runs in between.
+    #[test]
+    fn pinned_watermark_keeps_its_edges_under_racing_compaction(
+        edges in base_strategy(),
+        batches in batches_strategy(),
+    ) {
+        let adds = |entries: &[(u32, u32, u32)]| {
+            let entries: Vec<_> = entries.iter().map(|&(s, d, _)| (s, d, 1)).collect();
+            to_batch(&entries)
+        };
+        let base = build_graph(&edges);
+        let svc = single_service(&base, &WriteOptions::default());
+        let oracle = DeltaLog::for_graph(&base);
+        oracle.apply(&base, &adds(&batches[0])).unwrap();
+        let at_w = DeltaLog::union(&base, &oracle.current_view());
+        let w = svc.ingest(&adds(&batches[0])).unwrap();
+        // The churn: fold `w`'s own run away, then one cutover per
+        // eight further adds.
+        let rest: Vec<_> = batches[1..].concat();
+        let provision = |need| SsdArray::new_mem(ArrayConfig::small_test(), need);
+        let replays: Vec<Vec<CState>> = std::thread::scope(|s| {
+            let churn = s.spawn(|| {
+                svc.compact_with(provision).unwrap();
+                for entries in rest.chunks(8) {
+                    svc.ingest(&adds(entries)).unwrap();
+                    svc.compact_with(provision).unwrap();
+                }
+            });
+            let mut out = Vec::new();
+            while out.len() < 3 || !churn.is_finished() {
+                let opts = QueryOpts::new().at_watermark(w);
+                out.push(svc.run_opts(&Collect, Init::All, opts).unwrap().0);
+            }
+            churn.join().unwrap();
+            out
+        });
+        for states in &replays {
+            for v in at_w.vertices() {
+                let got = &states[v.index()].got;
+                let lost = at_w.out_neighbors(v).iter().find(|e| !got.contains(&e.0));
+                prop_assert!(
+                    lost.is_none(),
+                    "replay of watermark {} lost {} -> {:?}: got {:?}",
+                    w,
+                    v,
+                    lost,
+                    got
+                );
+            }
+        }
+        oracle.apply(&base, &adds(&rest)).unwrap();
+        let full_union = DeltaLog::union(&base, &oracle.current_view());
+        check_against(&svc, &full_union, "single/after-churn")?;
     }
 }
 
