@@ -444,10 +444,7 @@ fn ci_test_filters(ci: &str) -> Vec<(usize, String)> {
         while let Some(head) = cmd.strip_suffix('\\') {
             cmd = format!("{head} {}", lines.next().map_or("", |(_, l)| l));
         }
-        for (_, tail) in cmd
-            .match_indices("cargo test")
-            .map(|(at, m)| cmd.split_at(at + m.len()))
-        {
+        for tail in cmd.split("cargo test").skip(1) {
             let mut words = tail
                 .split_whitespace()
                 .map(|w| w.trim_matches(['"', '\'']))

@@ -1536,7 +1536,7 @@ mod tests {
         let svc = service(2);
         let seen: [Counter; READERS] = Default::default();
         std::thread::scope(|s| {
-            for seen in &seen {
+            let readers = seen.each_ref().map(|seen| {
                 let svc = &svc;
                 s.spawn(move || {
                     for turn in 0.. {
@@ -1553,8 +1553,8 @@ mod tests {
                             break;
                         }
                     }
-                });
-            }
+                })
+            });
             for gen in 0..GENS {
                 for k in 0..PER_GEN {
                     let i = (gen * PER_GEN + k) as u32;
@@ -1563,6 +1563,8 @@ mod tests {
                     svc.ingest(&batch).unwrap();
                 }
                 while seen.iter().any(|s| s.get() <= gen) {
+                    // A reader ends early only on a failed assertion.
+                    assert!(!readers.iter().any(|r| r.is_finished()));
                     std::thread::yield_now();
                 }
                 let installed = svc

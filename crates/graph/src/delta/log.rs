@@ -130,10 +130,10 @@ impl RunLog {
     ///
     /// `base` must be the base this log's runs are relative to: the
     /// graph as of the last [`RunLog::fold`]. An owner that replaces its
-    /// base when it folds keeps the two in one place and calls this
-    /// with that place held, or a fold lands between picking the base
-    /// and reading it and the batch is canonicalized against a base
-    /// that lacks the runs the fold absorbed.
+    /// base when it folds keeps base and log behind one lock and picks
+    /// the base with it held; otherwise a fold can land between the
+    /// pick and the reads, and the batch is canonicalized against a
+    /// base that lacks the runs the fold absorbed.
     ///
     /// # Errors
     ///
