@@ -296,16 +296,9 @@ impl DeltaView {
 /// nothing else to keep in step with it (mirrors, oracles, tests).
 /// Each method is one critical section around the [`RunLog`] method of
 /// the same name.
+#[derive(Debug)]
 pub struct DeltaLog {
     inner: Mutex<RunLog>,
-}
-
-impl std::fmt::Debug for DeltaLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("DeltaLog")
-            .field(&*self.inner.lock())
-            .finish()
-    }
 }
 
 impl DeltaLog {
