@@ -122,7 +122,7 @@ impl VertexProgram for LccProgram {
         ctx: &mut VertexContext<'_, ()>,
     ) {
         if vertex.id() == v && state.own_pending > 0 {
-            // A sampled position (or the full list / a chunk of it).
+            // A sampled position (or the full list).
             state.collecting.extend(vertex.edges().map(|e| e.0));
             state.own_pending -= vertex.degree() as u64;
             if state.own_pending > 0 {

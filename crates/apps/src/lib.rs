@@ -21,8 +21,6 @@
 //! Every app runs unchanged in both engine modes; tests validate each
 //! against the hand-written oracles in `fg_baselines::direct`.
 
-mod assembly;
-
 pub mod bc;
 pub mod bfs;
 pub mod diameter;

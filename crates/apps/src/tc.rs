@@ -17,8 +17,6 @@ use flashgraph::{
     VertexProgram,
 };
 
-use crate::assembly::OwnListAssembly;
-
 /// The triangle-counting vertex program (undirected graphs).
 #[derive(Debug, Clone, Copy)]
 pub struct TcProgram {
@@ -33,18 +31,15 @@ pub struct TcProgram {
 /// `own` holds the vertex's adjacency only while its intersections
 /// are in flight — and only the entries that can still close a
 /// triangle (ids above `v`), so the transient copy shrinks with the
-/// filter instead of mirroring the hub's whole list. Neighbour lists
-/// arrive as bounded slices under chunked delivery
-/// (`EngineConfig::max_request_edges`), so the per-callback working
-/// set is bounded by the chunk size, not the neighbour's degree.
+/// filter instead of mirroring the hub's whole list.
 ///
 /// The state is *pass-order independent*: under the pipelined
 /// scheduler a vertex's vertical passes may interleave with the
 /// deliveries of earlier passes (only per-callback atomicity is
-/// guaranteed), so the own list is requested and assembled exactly
-/// once, passes that run before it lands park themselves in
-/// `deferred`, and `pending_edges` accumulates across passes instead
-/// of being re-armed per pass.
+/// guaranteed), so the own list is requested exactly once, passes
+/// that run before it lands park themselves in `deferred`, and
+/// `pending_edges` accumulates across passes instead of being
+/// re-armed per pass.
 #[derive(Debug, Default)]
 pub struct TcState {
     /// Triangles counted at or reported to this vertex.
@@ -52,8 +47,6 @@ pub struct TcState {
     /// Transient filtered adjacency (entries `> v`), held until every
     /// pass has fanned out and all intersections finished.
     own: Option<Box<[u32]>>,
-    /// Reassembly of the own list across chunked deliveries.
-    own_assembly: OwnListAssembly,
     /// Neighbour-list edges still to arrive, over all passes in
     /// flight.
     pending_edges: u64,
@@ -64,8 +57,8 @@ pub struct TcState {
 }
 
 impl TcProgram {
-    /// Fans out pass `part`'s neighbour requests against the
-    /// assembled own list. The intersection filter keeps ids above v
+    /// Fans out pass `part`'s neighbour requests against the held
+    /// own list. The intersection filter keeps ids above v
     /// only: a triangle u < w < x is counted at u, so entries ≤ v
     /// can never match; pass `part` additionally restricts the
     /// requests to the `part`-th slice of the id space (§3.8).
@@ -75,7 +68,7 @@ impl TcProgram {
         let span = n.div_ceil(parts as u64).max(1);
         let lo = (part as u64 * span) as u32;
         let hi = ((part as u64 + 1) * span).min(n) as u32;
-        let own = state.own.as_deref().expect("own assembled before fan-out");
+        let own = state.own.as_deref().expect("own list held before fan-out");
         // A neighbour with no out-edges (a sink of a directed image)
         // has nothing to intersect and is not asked for: its empty
         // delivery would add nothing to `pending_edges`, so it could
@@ -123,9 +116,8 @@ impl VertexProgram for TcProgram {
             // First pass to run requests the own list, once; every
             // pass that runs before it lands (later passes always do
             // under the pipelined scheduler) defers its fan-out to
-            // the assembly-completion callback.
-            if !state.own_assembly.expecting() {
-                state.own_assembly.begin(d);
+            // the own-list callback.
+            if state.deferred.is_empty() {
                 ctx.request(v, Request::edges(EdgeDir::Out));
             }
             state.deferred.push(part);
@@ -139,21 +131,22 @@ impl VertexProgram for TcProgram {
         vertex: &PageVertex<'_>,
         ctx: &mut VertexContext<'_, u32>,
     ) {
-        if vertex.id() == v && state.own_assembly.expecting() {
-            // A slice of the own list (whole in the common case,
-            // chunked by offset for hubs). On completion, run the
+        if vertex.id() == v && state.own.is_none() {
+            // The own list, in one delivery: keep its sorted tail
+            // above v (one allocation, sized exactly), then run the
             // fan-out of every pass that executed while it was in
             // flight.
-            if let Some(own) = state.own_assembly.absorb(vertex) {
-                let above: Vec<u32> = own.into_iter().filter(|&w| w > v.0).collect();
-                state.own = Some(above.into_boxed_slice());
-                for part in std::mem::take(&mut state.deferred) {
-                    self.fan_out(state, part, ctx);
-                }
+            let mut edges = vertex.edges().peekable();
+            while edges.next_if(|w| w.0 <= v.0).is_some() {}
+            let mut above = Vec::with_capacity(edges.len());
+            above.extend(edges.map(|w| w.0));
+            state.own = Some(above.into_boxed_slice());
+            for part in std::mem::take(&mut state.deferred) {
+                self.fan_out(state, part, ctx);
             }
         } else {
-            // A slice of a neighbour's list: count common neighbours
-            // above w against the filtered own copy.
+            // A neighbour's list: count common neighbours above w
+            // against the filtered own copy.
             let w = vertex.id();
             let own = state.own.as_deref().expect("own list held while pending");
             let mut i = 0usize;
@@ -267,36 +260,6 @@ mod tests {
             let (total, _, _) = triangle_count(&engine, false).unwrap();
             assert_eq!(total, 120, "parts={parts}"); // C(10,3)
         }
-    }
-
-    #[test]
-    fn chunked_delivery_same_answer() {
-        // Chunk bounds below, at, and above typical degrees: the
-        // engine splits hub lists into chunked deliveries and TC
-        // reassembles/intersects per chunk.
-        let g = fixtures::complete(10);
-        for chunk in [1u64, 3, 8, 64] {
-            let cfg = EngineConfig::small().with_max_request_edges(chunk);
-            let engine = Engine::new_mem(&g, cfg);
-            let (total, per, _) = triangle_count(&engine, true).unwrap();
-            assert_eq!(total, 120, "chunk={chunk}");
-            assert!(per.iter().all(|&c| c == 36), "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn chunked_matches_direct_on_rmat_both_modes() {
-        let d = gen::rmat(7, 6, gen::RmatSkew::default(), 31);
-        let mut b = fg_graph::GraphBuilder::undirected();
-        for (s, t) in d.edges() {
-            b.add_edge(s, t);
-        }
-        let g = b.build();
-        let want = fg_baselines::direct::triangle_count(&g);
-        let cfg = EngineConfig::small().with_max_request_edges(5);
-        let engine = Engine::new_mem(&g, cfg);
-        let (total, _, _) = triangle_count(&engine, false).unwrap();
-        assert_eq!(total, want);
     }
 
     #[test]

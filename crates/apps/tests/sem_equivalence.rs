@@ -280,22 +280,6 @@ fn lcc_equivalent_exact_and_sampled() {
 }
 
 #[test]
-fn tc_equivalent_under_chunked_delivery() {
-    // The chunked request pipeline (hub lists split into bounded
-    // slices) must not change results in either mode.
-    let g = undirected_graph();
-    let cfg = EngineConfig::small().with_max_request_edges(4);
-    let mem = Engine::new_mem(&g, cfg);
-    let (want_total, want_per, _) = fg_apps::triangle_count(&mem, true).unwrap();
-    assert_eq!(want_total, fg_baselines::direct::triangle_count(&g));
-    let (safs, index) = sem_fixture(&g);
-    let sem = Engine::new_sem(&safs, index, cfg);
-    let (got_total, got_per, _) = fg_apps::triangle_count(&sem, true).unwrap();
-    assert_eq!(got_total, want_total);
-    assert_eq!(got_per, want_per);
-}
-
-#[test]
 fn analysis_never_writes_to_ssds() {
     // The paper's wearout principle: after the image is loaded, no
     // application writes a single byte.

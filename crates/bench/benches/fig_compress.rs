@@ -13,7 +13,7 @@
 //!    PageRank, WCC, and TC produce oracle-identical results on the
 //!    compressed image, deliver exactly the same number of edges as
 //!    on the raw image, and read strictly fewer device bytes.
-//! 3. **Ranged/chunked hub requests**: a chunk-sized position range
+//! 3. **Ranged hub requests**: a short position range
 //!    of a hub's compressed list (resolved through the block's skip
 //!    table) reads strictly fewer device bytes than fetching the
 //!    hub's full compressed list.
@@ -249,7 +249,7 @@ fn main() {
     }
     matrix.print();
 
-    // ---- part 3: ranged/chunked hub requests on compressed lists ----
+    // ---- part 3: ranged hub requests on compressed lists ----
     // A social-skew graph so the top hub's *compressed* block spans
     // several pages — a one-page block would make ranged and full
     // fetches indistinguishable at device granularity.

@@ -54,14 +54,6 @@ pub struct EngineConfig {
     /// splits such covers so they stripe. A single request larger than
     /// the cap still issues whole. Zero means unlimited.
     pub max_merge_bytes: u64,
-    /// Upper bound in *edges* on one delivered edge-list slice. A
-    /// request longer than this (a hub's full list, or an oversized
-    /// range) is transparently split into chunked deliveries — one
-    /// `run_on_vertex` callback per chunk, each reporting its slice
-    /// via `PageVertex::offset`/`range` — so a program's per-callback
-    /// working set is bounded by the chunk size instead of the hub's
-    /// degree. Zero means deliver whole lists (the paper's behaviour).
-    pub max_request_edges: u64,
     /// Vertex ordering policy.
     pub scheduler: SchedulerKind,
     /// Vertical passes per iteration (§3.8): programs see
@@ -113,13 +105,6 @@ impl EngineConfig {
         }
     }
 
-    /// Builder-style: sets the chunked-delivery bound in edges (0 =
-    /// whole lists).
-    pub fn with_max_request_edges(mut self, edges: u64) -> Self {
-        self.max_request_edges = edges;
-        self
-    }
-
     /// Builder-style: sets vertical passes.
     pub fn with_vertical_parts(mut self, v: u32) -> Self {
         self.vertical_parts = v.max(1);
@@ -140,10 +125,13 @@ impl EngineConfig {
     /// Resolved range shift for a graph of `n` vertices: the paper's
     /// guidance adapted to small graphs — enough ranges per partition
     /// (≥ 8) for stealing granularity, ranges at least 256 vertices
-    /// when the graph affords it.
+    /// when the graph affords it. An explicit shift wins, clamped to
+    /// the smallest `r` with `2^r ≥ n`: any larger shift means the same
+    /// thing — one range holds every vertex — and would overflow the
+    /// range arithmetic.
     pub fn resolve_range_shift(&self, n: usize) -> u32 {
         if self.range_shift != 0 {
-            return self.range_shift;
+            return self.range_shift.min(n.next_power_of_two().trailing_zeros());
         }
         let threads = self.threads().max(1);
         let target_ranges = threads * 8;
@@ -168,7 +156,6 @@ impl Default for EngineConfig {
             // monopolize a drive (a couple of stripes on the paper's
             // array geometry).
             max_merge_bytes: 4 << 20,
-            max_request_edges: 0,
             scheduler: SchedulerKind::Alternating,
             vertical_parts: 1,
             max_iterations: u32::MAX,
@@ -193,6 +180,16 @@ mod tests {
             ..EngineConfig::default()
         };
         assert_eq!(c.resolve_range_shift(1 << 20), 14);
+        // Past one range for the whole graph, clamped to that range.
+        for r in [40, 62, 63, 64, u32::MAX] {
+            let c = EngineConfig {
+                range_shift: r,
+                ..EngineConfig::default()
+            };
+            assert_eq!(c.resolve_range_shift(1000), 10, "r={r}");
+            assert_eq!(c.resolve_range_shift(1 << 20), 20, "r={r}");
+            assert_eq!(c.resolve_range_shift(1), 0, "r={r}");
+        }
     }
 
     #[test]
@@ -218,17 +215,6 @@ mod tests {
         assert_eq!(
             unlimited.resolved_max_merge_bytes(),
             crate::merge::UNLIMITED_MERGE_BYTES
-        );
-    }
-
-    #[test]
-    fn chunk_bound_defaults_off() {
-        assert_eq!(EngineConfig::default().max_request_edges, 0);
-        assert_eq!(
-            EngineConfig::default()
-                .with_max_request_edges(64)
-                .max_request_edges,
-            64
         );
     }
 

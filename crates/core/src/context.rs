@@ -91,9 +91,6 @@ pub(crate) struct RunShared<'g> {
     pub vparts: u32,
     pub degrees: DegreeSource<'g>,
     pub pmap: PartitionMap,
-    /// Chunked-delivery bound: a request longer than this many edges
-    /// is split into multiple chunk requests (0 = unlimited).
-    pub max_request_edges: u64,
     /// Present when this run executes one shard of several.
     pub shard: Option<ShardView>,
     /// Pinned delta overlay: ingested edges not yet compacted into
@@ -192,10 +189,9 @@ impl Request {
     }
 }
 
-/// One resolved chunk request (the unit that produces exactly one
-/// `run_on_vertex` callback). Ranges are already clamped to the
-/// subject's list and split to the chunk bound by the time one of
-/// these exists.
+/// One resolved single-direction request (the unit that produces
+/// exactly one `run_on_vertex` callback). Its range is already clamped
+/// to the subject's list by the time one of these exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EdgeRequest {
     /// The vertex whose list is wanted.
@@ -350,20 +346,16 @@ impl<M> VertexContext<'_, M> {
     }
 
     /// Issues a vertex I/O [`Request`] for `v`'s edge data. Each
-    /// single direction of the request produces `run_on_vertex`
-    /// callbacks *on the current vertex*:
+    /// single direction of the request produces exactly one
+    /// `run_on_vertex` callback *on the current vertex*, whose
+    /// [`crate::PageVertex`] holds the whole list or the clamped range
+    /// (reported by [`crate::PageVertex::offset`] /
+    /// [`crate::PageVertex::range`]). A program that wants a long list
+    /// in bounded slices asks for each slice as its own range.
     ///
-    /// * a full-list or in-range request of at most
-    ///   [`crate::EngineConfig::max_request_edges`] edges (or any size
-    ///   when the knob is 0) produces exactly one callback;
-    /// * a longer request is transparently split into chunks of at
-    ///   most that many edges — one callback per chunk, each
-    ///   [`crate::PageVertex`] reporting its slice via
-    ///   [`crate::PageVertex::offset`] / [`crate::PageVertex::range`].
-    ///   Chunks of one list may arrive in any order;
-    /// * a range that clamps to nothing (zero `len`, or `start` at or
-    ///   past the list's end) and a zero-degree list both complete
-    ///   without any I/O, delivering one empty callback.
+    /// A range that clamps to nothing (zero `len`, or `start` at or
+    /// past the list's end) and a zero-degree list both complete
+    /// without any I/O, delivering one empty callback.
     ///
     /// # Panics
     ///
@@ -390,26 +382,14 @@ impl<M> VertexContext<'_, M> {
                     (s, l.min(degree - s))
                 }
             };
-            let chunk = match self.shared.max_request_edges {
-                0 => len.max(1),
-                m => m,
-            };
-            let mut pos = start;
-            loop {
-                let take = chunk.min(start + len - pos);
-                self.scratch.requests.push(EdgeRequest {
-                    subject: v,
-                    requester,
-                    dir: d,
-                    attrs: req.attrs,
-                    start: pos,
-                    len: take,
-                });
-                pos += take;
-                if pos >= start + len {
-                    break;
-                }
-            }
+            self.scratch.requests.push(EdgeRequest {
+                subject: v,
+                requester,
+                dir: d,
+                attrs: req.attrs,
+                start,
+                len,
+            });
         }
     }
 

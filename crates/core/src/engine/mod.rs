@@ -421,7 +421,6 @@ impl<'g> Engine<'g> {
             vparts,
             degrees,
             pmap: pmap.clone(),
-            max_request_edges: self.cfg.max_request_edges,
             deltas: self.deltas.clone(),
             shard,
         };

@@ -82,13 +82,14 @@ pub(super) struct Header {
     overlay: Option<(u64, u64)>,
 }
 
-/// What one chunk request fetches from the subject's on-SSD list: the
+/// What one request fetches from the subject's on-SSD list: the
 /// requested slice as is, or — when the subject carries pinned delta
 /// ops — the *full* base list, with the request's window (already
 /// expressed in *merged* coordinates by the context's clamp) riding
 /// aside in `overlay`. The delivery-time merge needs every on-SSD
-/// edge to map merged positions; chunked hubs re-fetch the same
-/// pages, which the page cache and in-flight dedup table absorb. A
+/// edge to map merged positions; several ranges of one overlaid list
+/// re-fetch the same pages, which the page cache and in-flight dedup
+/// table absorb. A
 /// `count` of zero — an empty slice, or an overlaid subject with
 /// nothing on SSD, whose merged list is pure adds — completes without
 /// I/O. `base_degree` is consulted for overlaid subjects only.

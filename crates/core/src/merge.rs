@@ -11,12 +11,11 @@
 //! extra locking.
 //!
 //! Merging is oblivious to what a byte range *is*: full edge lists,
-//! partial-range slices of one hub's list, chunked deliveries, and
-//! attribute runs all flow through as [`RangeReq`]s. Adjacent chunks
-//! of one oversized list therefore coalesce back into large device
-//! reads whenever they land in the same issue batch — chunked
-//! delivery bounds the *callback* granularity without shrinking the
-//! *I/O* granularity.
+//! partial-range slices of one hub's list, and attribute runs all
+//! flow through as [`RangeReq`]s. Adjacent ranges of one long list
+//! therefore coalesce back into large device reads whenever they land
+//! in the same issue batch — asking for a list in ranges bounds the
+//! *callback* granularity without shrinking the *I/O* granularity.
 //!
 //! The pipelined scheduler deliberately batches the way a lock-step
 //! loop would: requests buffer until a full batch (or claim
@@ -403,10 +402,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_subranges_of_one_list_remerge() {
-        // 6 chunks of one hub list (adjacent 1000-byte subranges) in
-        // one batch collapse back into a single device read: chunking
-        // changes delivery granularity, not I/O granularity.
+    fn adjacent_subranges_of_one_list_remerge() {
+        // 6 ranges of one hub list (adjacent 1000-byte subranges) in
+        // one batch collapse back into a single device read: ranged
+        // requests change delivery granularity, not I/O granularity.
         let reqs: Vec<RangeReq> = (0..6)
             .map(|i| req(10_000 + i * 1000, 1000, i as u32))
             .collect();

@@ -12,7 +12,7 @@
 //! | `run_on_message(graph, msg)` | [`VertexProgram::run_on_message`] |
 //! | `run_on_iteration_end(graph)` | [`VertexProgram::run_on_iteration_end`] |
 //! | `request_vertices(ids)` | [`VertexContext::request`] with [`Request::edges`](crate::Request::edges) (any vertex's list, not just the caller's) |
-//! | *part of* a vertex (partial edge list) | [`Request::range`](crate::Request::range) — edge positions `[start, start + len)`; oversized lists also arrive chunked under `EngineConfig::max_request_edges` |
+//! | *part of* a vertex (partial edge list) | [`Request::range`](crate::Request::range) — edge positions `[start, start + len)`, one callback per range; a program bounds a callback's working set by asking for a long list in ranges |
 //! | edge attributes (separate sections, §3.5.2) | [`Request::with_attrs`](crate::Request::with_attrs) / [`PageVertex::weighted_edges`] |
 //! | `send_msg(v, msg)` / multicast (§3.4.1) | [`VertexContext::send`] / [`VertexContext::multicast`] |
 //! | vertex activation | [`VertexContext::activate`] / [`VertexContext::activate_many`] |
@@ -68,9 +68,9 @@ use crate::vertex::PageVertex;
 ///   requested edge-list slice (the *user task* executing against the
 ///   page cache). `vertex.id()` may differ from the receiving vertex
 ///   `v`: programs like triangle counting request neighbours' lists.
-///   One callback arrives per delivered slice — the whole list for
-///   plain requests, or each range/chunk of a partial or chunked
-///   request, identified by [`PageVertex::offset`]/[`PageVertex::range`].
+///   One callback arrives per request and direction — the whole list
+///   for a plain request, the clamped range for a partial one,
+///   identified by [`PageVertex::offset`]/[`PageVertex::range`].
 /// * [`run_on_message`](VertexProgram::run_on_message) — delivery of
 ///   a message, at the iteration barrier, even if the vertex was not
 ///   active this iteration.

@@ -102,8 +102,8 @@ enum EdgeData<'a> {
     /// streams, so in-order iteration stays O(1) amortized: `Add`
     /// ops splice in between base edges, `Remove` ops swallow their
     /// base edge, `Update` ops rewrite its weight in place. `window`
-    /// selects the delivered slice in *merged* coordinates (chunked
-    /// hub deliveries tile the merged list exactly).
+    /// selects the delivered slice in *merged* coordinates (ranged
+    /// requests tile the merged list exactly).
     Overlay {
         base: Box<PageVertex<'a>>,
         ops: Arc<DeltaList>,
@@ -120,8 +120,7 @@ enum EdgeData<'a> {
 /// with no per-request buffer allocation.
 ///
 /// A full-list request delivers the whole list in one `PageVertex`
-/// with [`PageVertex::offset`] 0. Range requests and chunked
-/// deliveries (see `EngineConfig::max_request_edges`) deliver slices:
+/// with [`PageVertex::offset`] 0. A range request delivers a slice:
 /// [`PageVertex::offset`]/[`PageVertex::range`] say which positions
 /// of the subject's full list arrived, and the walkers yield exactly
 /// those (the first element is the edge at position `offset()` of the
@@ -240,8 +239,8 @@ impl<'a> PageVertex<'a> {
     }
 
     /// Position of this slice's first edge within the subject's full
-    /// list — 0 for full-list deliveries, the range/chunk start for
-    /// partial ones.
+    /// list — 0 for full-list deliveries, the range start for partial
+    /// ones.
     #[inline]
     pub fn offset(&self) -> u64 {
         self.offset
@@ -932,7 +931,7 @@ mod tests {
 
     #[test]
     fn offset_and_range_report_the_slice() {
-        // A chunk covering positions [5, 8) of some vertex's list.
+        // A range covering positions [5, 8) of some vertex's list.
         let ids = [VertexId(10), VertexId(11), VertexId(12)];
         let pv = PageVertex::from_slice(VertexId(3), EdgeDir::Out, 5, &ids, None);
         assert_eq!(pv.offset(), 5);

@@ -12,6 +12,10 @@ use flashgraph::{
     VertexProgram,
 };
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::{expected_pieces, SplitProbe};
+
 /// Runs `program` on `g` in the given mode and returns states+stats.
 fn run_mode<P: VertexProgram>(
     g: &Graph,
@@ -642,6 +646,27 @@ fn single_thread_and_many_threads_agree() {
 }
 
 #[test]
+fn huge_range_shift_runs_bfs_both_modes() {
+    // A range shift past the graph's size puts every vertex in one
+    // range, and the range arithmetic must not overflow getting there.
+    let g = gen::rmat(8, 5, gen::RmatSkew::default(), 17);
+    let want = fg_baselines::direct::bfs_levels(&g, VertexId(0));
+    for r in [40, 62, 63, 64, u32::MAX] {
+        let cfg = EngineConfig {
+            range_shift: r,
+            ..EngineConfig::small().with_threads(4)
+        };
+        for (states, _) in both_modes(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg) {
+            let got: Vec<_> = states
+                .iter()
+                .map(|s| s.visited.then_some(s.level))
+                .collect();
+            assert_eq!(got, want, "range_shift {r}");
+        }
+    }
+}
+
+#[test]
 fn schedulers_do_not_change_bfs_results() {
     let g = gen::rmat(8, 4, gen::RmatSkew::default(), 8);
     let mut reference: Option<Vec<bool>> = None;
@@ -954,70 +979,42 @@ fn clamped_tail_range_reads_only_the_overlap() {
 
 #[test]
 fn chunked_delivery_reassembles_with_one_callback_per_chunk() {
-    let g = gen::rmat(7, 6, gen::RmatSkew::default(), 44);
-    for chunk in [1u64, 3, 7] {
-        let probe = RangeProbe {
-            start: 0,
-            len: u64::MAX,
-        };
-        let cfg = EngineConfig::small().with_max_request_edges(chunk);
-        for (states, _) in both_modes(&g, &probe, Init::All, cfg) {
+    // A list asked for as ranges of `chunk` edges comes back one
+    // callback per range, at the range's offset, and reassembles to
+    // the whole list. Ranges bound callback granularity, not I/O:
+    // adjacent ranges of one list re-merge in the issue batch, so the
+    // device reads exactly what the whole-list run reads.
+    let g = gen::rmat(8, 8, gen::RmatSkew::default(), 2);
+    let whole = RangeProbe {
+        start: 0,
+        len: u64::MAX,
+    };
+    let (_, whole) = run_mode(&g, &whole, Init::All, EngineConfig::small(), true);
+    let a = whole.io.as_ref().expect("sem mode");
+    for chunk in [1u64, 3, 7, 16] {
+        let probe = SplitProbe { chunk };
+        let [mem, sem] = both_modes(&g, &probe, Init::All, EngineConfig::small());
+        for (states, _) in [&mem, &sem] {
             for v in g.vertices() {
                 let want: Vec<u32> = g.out_neighbors(v).iter().map(|e| e.0).collect();
-                let st = &states[v.index()];
-                let expected_chunks = (want.len() as u64).div_ceil(chunk).max(1);
+                let got = states[v.index()].sorted();
                 assert_eq!(
-                    st.got.len() as u64,
-                    expected_chunks,
-                    "vertex {v}: exactly one callback per chunk (chunk={chunk})"
+                    got,
+                    expected_pieces(&want, chunk),
+                    "vertex {v} chunk={chunk}"
                 );
-                assert_eq!(reassemble(&st.got), want, "vertex {v} chunk={chunk}");
-                // Chunks partition the list: offsets are multiples of
-                // the chunk size and lengths fill to the next one.
-                let mut sorted = st.got.clone();
-                sorted.sort_by_key(|(off, _)| *off);
-                for (k, (off, edges)) in sorted.iter().enumerate() {
-                    assert_eq!(*off, k as u64 * chunk);
-                    if (k as u64) < expected_chunks - 1 {
-                        assert_eq!(edges.len() as u64, chunk);
-                    }
-                }
             }
         }
-    }
-}
-
-#[test]
-fn chunking_does_not_change_device_traffic() {
-    // Chunked delivery bounds callback granularity, not I/O: adjacent
-    // chunks of one list re-merge in the issue batch, so device bytes
-    // and pages stay the same as whole-list execution.
-    let g = gen::rmat(8, 8, gen::RmatSkew::default(), 2);
-    let run = |chunk: u64| {
-        run_mode(
-            &g,
-            &RangeProbe {
-                start: 0,
-                len: u64::MAX,
-            },
-            Init::All,
-            EngineConfig::small().with_max_request_edges(chunk),
-            true,
-        )
-    };
-    let (whole_states, whole) = run(0);
-    let (chunk_states, chunked) = run(16);
-    for v in g.vertices() {
+        let split = &sem.1;
+        let b = split.io.as_ref().expect("sem mode");
         assert_eq!(
-            reassemble(&whole_states[v.index()].got),
-            reassemble(&chunk_states[v.index()].got)
+            a.bytes_read, b.bytes_read,
+            "no duplicate page reads (chunk={chunk})"
         );
+        assert_eq!(a.pages_read, b.pages_read);
+        assert_eq!(whole.bytes_requested, split.bytes_requested);
+        assert_eq!(whole.edges_delivered, split.edges_delivered);
     }
-    let (a, b) = (whole.io.unwrap(), chunked.io.unwrap());
-    assert_eq!(a.bytes_read, b.bytes_read, "no duplicate page reads");
-    assert_eq!(a.pages_read, b.pages_read);
-    assert_eq!(whole.bytes_requested, chunked.bytes_requested);
-    assert_eq!(whole.edges_delivered, chunked.edges_delivered);
 }
 
 // ------------------------------------------- byte-accounted pipeline

@@ -26,8 +26,7 @@
 //! restart at position `m·k`, so a reader can begin decoding at any
 //! restart without touching the preceding bytes — that is what lets
 //! [`crate::GraphIndex::locate_slice`] resolve a *byte subrange* for
-//! a ranged or chunked hub request instead of fetching the whole
-//! list.
+//! a ranged hub request instead of fetching the whole list.
 //!
 //! A *raw block* is the v1 layout unchanged: `d` little-endian
 //! `u32`s. The encoder falls back to raw for tiny lists (varint

@@ -388,8 +388,7 @@ impl GraphIndex {
     /// zero-byte location (callers complete such requests without
     /// I/O), and `len` is truncated at the list's last edge. This is
     /// the location primitive behind partial edge-list requests (the
-    /// engine's `Request::edges(dir).range(start, len)`) and chunked
-    /// hub delivery.
+    /// engine's `Request::edges(dir).range(start, len)`).
     ///
     /// On raw images (and raw-flagged blocks of compressed images) the
     /// byte range is exact: `4 * len` bytes at `4 * start` into the

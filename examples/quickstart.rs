@@ -13,8 +13,10 @@ use fg_ssdsim::{ArrayConfig, SsdArray};
 use fg_types::{EdgeDir, VertexId};
 use flashgraph::{Engine, EngineConfig, Init, PageVertex, Request, VertexContext, VertexProgram};
 
-/// Reads only the first [start, start+len) slice of one vertex's out
-/// list — the first-class request API at its smallest.
+/// Reads only the [start, start+len) slice of one vertex's out list —
+/// the first-class request API at its smallest. A request is one
+/// callback, so this is also how a program bounds a callback's
+/// working set: it asks for a hub's list one range at a time.
 struct HubPreview {
     hub: VertexId,
     start: u64,

@@ -1,8 +1,9 @@
 //! Property tests for mutable graphs: LSM-style delta ingest under
 //! live serving. For arbitrary random base graphs and arbitrary
 //! add/remove batches, every list the engine delivers from
-//! (image + pinned deltas) must equal the union-graph oracle —
-//! across both image formats and both serving backends — and
+//! (image + pinned deltas) must equal the union-graph oracle — whole
+//! or asked for in ranges, across both image formats and both serving
+//! backends — and
 //! `edges_delivered` must be *exact* (the merged degree, counted once
 //! per delivered window). Snapshot isolation is checked by replaying a
 //! pinned watermark while ingest races: the replays must be
@@ -32,10 +33,13 @@ use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, IoStatsSnapshot, SsdArray};
 use fg_types::{EdgeDir, FgError, VertexId};
 use flashgraph::{
-    EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, ServiceConfig, VertexContext,
-    VertexProgram,
+    Engine, EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, RunStats,
+    ServiceConfig, VertexContext, VertexProgram,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::{expected_pieces, SplitProbe, SplitState};
 
 const N: u32 = 60;
 
@@ -121,8 +125,7 @@ fn ingest_all(base: &Graph, batches: &[Vec<(u32, u32, u32)>], svc: &GraphService
 }
 
 /// Requests every vertex's full out-list once and records the
-/// delivered edges in delivery order (chunked hubs append in offset
-/// order — the engine delivers chunks of one vertex in order).
+/// delivered edges — one delivery per vertex, so in list order.
 struct Collect;
 
 #[derive(Default, Clone)]
@@ -183,8 +186,78 @@ fn check_against(svc: &GraphService, union: &Graph, label: &str) -> Result<(), T
     Ok(())
 }
 
+/// Asserts every vertex's out-list came back from [`SplitProbe`] as
+/// the union oracle's list in pieces — each at its range's start — and
+/// that `edges_delivered` is exactly the sum of merged degrees.
+fn check_pieces(
+    (states, stats): (Vec<SplitState>, RunStats),
+    union: &Graph,
+    chunk: u64,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let mut want_delivered = 0u64;
+    for v in union.vertices() {
+        let want: Vec<u32> = union.out_neighbors(v).iter().map(|e| e.0).collect();
+        want_delivered += want.len() as u64;
+        let got = states[v.index()].sorted();
+        prop_assert!(
+            got == expected_pieces(&want, chunk),
+            "vertex {} diverged ({}, chunk {}): got {:?} want {:?}",
+            v,
+            label,
+            chunk,
+            got,
+            want
+        );
+    }
+    prop_assert!(
+        stats.edges_delivered == want_delivered,
+        "edges_delivered must be the exact merged-degree sum ({}): got {} want {}",
+        label,
+        stats.edges_delivered,
+        want_delivered
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Ranged requests on overlaid vertices: a window that starts past
+    /// 0 is cut from the merged list — the base list fetched whole,
+    /// the window in merged coordinates — through the engine over
+    /// in-memory deltas and through the service over one mount and
+    /// two, in both image formats.
+    #[test]
+    fn ranged_pieces_of_overlaid_lists_match_union_oracle(
+        edges in base_strategy(),
+        batches in batches_strategy(),
+        chunk in 1u64..6,
+    ) {
+        let base = build_graph(&edges);
+        let oracle = DeltaLog::for_graph(&base);
+        for entries in &batches {
+            oracle.apply(&base, &to_batch(entries)).unwrap();
+        }
+        let view = oracle.current_view();
+        let union = DeltaLog::union(&base, &view);
+        let probe = SplitProbe { chunk };
+        let mem = Engine::new_mem(&base, EngineConfig::small()).with_deltas(view);
+        check_pieces(mem.run(&probe, Init::All).unwrap(), &union, chunk, "mem")?;
+        for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+            for mounts in [1, 2] {
+                let svc = match mounts {
+                    1 => single_service(&base, &opts),
+                    _ => sharded_service(&base, &opts, mounts),
+                };
+                ingest_all(&base, &batches, &svc);
+                let cfg = QueryOpts::new().with_engine(EngineConfig::small());
+                let run = svc.run_opts(&probe, Init::All, cfg).unwrap();
+                let label = format!("{} mount(s)/{:?}", mounts, opts.format);
+                check_pieces(run, &union, chunk, &label)?;
+            }
+        }
+    }
 
     #[test]
     fn single_mount_delivery_matches_union_oracle(

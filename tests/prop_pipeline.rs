@@ -10,6 +10,9 @@ use flashgraph::merge::{merge_requests, RangeReq};
 use flashgraph::{Engine, EngineConfig, Init, PageVertex, Request, VertexContext, VertexProgram};
 use proptest::prelude::*;
 
+mod common;
+use common::{expected_pieces, SplitProbe};
+
 fn graph_strategy() -> impl Strategy<Value = (Vec<(u32, u32)>, u32)> {
     (
         prop::collection::vec((0u32..150, 0u32..150), 1..500),
@@ -237,44 +240,37 @@ proptest! {
         seed in 0u64..1 << 20,
         chunk in 1u64..24,
     ) {
-        // Chunked delivery of oversized lists must (a) deliver exactly
-        // one callback per chunk, (b) reassemble to the full list, and
-        // (c) not re-read pages the whole-list execution reads once.
-        // Pinned to the raw format: the byte-for-byte accounting
-        // equalities below (`bytes_requested`) are a property of
-        // positional 4-byte lists — compressed chunk requests fetch
-        // restart-aligned (or whole-block) ranges whose *device*
-        // traffic still dedups but whose requested bytes legitimately
-        // overlap. Chunked-vs-whole result equivalence on compressed
-        // images is covered by `tests/format_matrix.rs`.
+        // A list asked for as ranges of `chunk` edges must (a) come
+        // back one callback per range, at the range's offset, (b)
+        // reassemble to the full list, and (c) not re-read pages the
+        // whole-list execution reads once. Pinned to the raw format:
+        // the byte-for-byte accounting equalities below
+        // (`bytes_requested`) are a property of positional 4-byte
+        // lists — compressed range requests fetch restart-aligned (or
+        // whole-block) ranges whose *device* traffic still dedups but
+        // whose requested bytes legitimately overlap. Ranged reads of
+        // compressed lists are covered by `tests/format_matrix.rs`.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
-        let probe = RangeProbe { start: 0, len: u64::MAX };
 
         let (safs, index) = sem_mount_with(&g, &WriteOptions::default());
         let whole = Engine::new_sem(&safs, index, EngineConfig::small());
+        let probe = RangeProbe { start: 0, len: u64::MAX };
         let (_, whole_stats) = whole.run(&probe, Init::All).unwrap();
 
         let (safs, index) = sem_mount_with(&g, &WriteOptions::default());
-        let cfg = EngineConfig::small().with_max_request_edges(chunk);
-        let chunked = Engine::new_sem(&safs, index, cfg);
-        let (states, chunked_stats) = chunked.run(&probe, Init::All).unwrap();
+        let split = Engine::new_sem(&safs, index, EngineConfig::small());
+        let (states, split_stats) = split.run(&SplitProbe { chunk }, Init::All).unwrap();
 
         for v in g.vertices() {
             let want: Vec<u32> = g.out_neighbors(v).iter().map(|e| e.0).collect();
-            let st = &states[v.index()];
-            let expected_chunks = (want.len() as u64).div_ceil(chunk).max(1);
-            prop_assert_eq!(st.got.len() as u64, expected_chunks);
-            let mut chunks = st.got.clone();
-            chunks.sort_by_key(|(off, _)| *off);
-            let rebuilt: Vec<u32> = chunks.into_iter().flat_map(|(_, e)| e).collect();
-            prop_assert_eq!(rebuilt, want);
+            prop_assert_eq!(states[v.index()].sorted(), expected_pieces(&want, chunk));
         }
-        let (a, b) = (whole_stats.io.unwrap(), chunked_stats.io.unwrap());
-        // No duplicate page reads under chunking:
+        let (a, b) = (whole_stats.io.unwrap(), split_stats.io.unwrap());
+        // No duplicate page reads when a list is asked for in ranges:
         prop_assert_eq!(a.pages_read, b.pages_read);
         prop_assert_eq!(a.bytes_read, b.bytes_read);
-        prop_assert_eq!(whole_stats.bytes_requested, chunked_stats.bytes_requested);
-        prop_assert_eq!(whole_stats.edges_delivered, chunked_stats.edges_delivered);
+        prop_assert_eq!(whole_stats.bytes_requested, split_stats.bytes_requested);
+        prop_assert_eq!(whole_stats.edges_delivered, split_stats.edges_delivered);
     }
 
     #[test]
