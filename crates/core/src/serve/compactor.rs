@@ -8,12 +8,20 @@
 //! changes nothing**: everything before the cutover works on a pin
 //! like any query's, outside that lock (`compacting` alone serializes
 //! the long rewrite, and is only ever taken before `Live`'s, never
-//! inside it), so an error leaves log and generation as they were, is
-//! counted ([`Compactor::failures`]) and retried at the next poll.
-//! The ledger counts the flips as `delta.compactions` /
-//! `delta.generation`, what queued up between them as
-//! `delta.pending_ops_peak`, and times one rewrite as `compact_s`.
+//! inside it), so an error — or a panic, which the background thread
+//! catches — leaves log and generation as they were, is counted
+//! ([`Compactor::failures`]) and retried at the next poll. The rewrite
+//! writes the next image through the next generation's own mount
+//! (`Safs::write`) before anything can read it, so the generation a
+//! cutover publishes starts with its image resident: the pages the
+//! compactor just wrote are not read back from the device by the
+//! queries and ingest batches that follow. The ledger counts the flips
+//! as `delta.compactions` / `delta.generation`, what queued up between
+//! them as `delta.pending_ops_peak`, times one rewrite as `compact_s`;
+//! what a new mount still has to read shows in `ingest_live`'s
+//! `device_bytes`.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -26,16 +34,20 @@ use fg_types::{FgError, Result};
 
 use super::backend::{mount_bytes, Mounts, ServeBackend};
 use super::GraphService;
+use crate::shard::worker_panicked;
 
 impl GraphService {
     /// Folds every pending delta into a fresh on-SSD image and
     /// atomically flips serving to it, returning the new generation.
     /// `provision` supplies a device of at least the requested
-    /// capacity for the rewrite. The fold of the log and the swap of
-    /// the image happen in one critical section, so concurrent
-    /// admissions pin either (old image, its deltas) or (new image,
-    /// what was ingested since) — never a mix. In-flight queries finish
-    /// on their pinned generation; its mount dies with its last pin.
+    /// capacity for the rewrite; the image is written through the new
+    /// generation's mount, so that generation serves its first reads
+    /// from the page cache as far as the cache holds the image. The
+    /// fold of the log and the swap of the image happen in one
+    /// critical section, so concurrent admissions pin either (old
+    /// image, its deltas) or (new image, what was ingested since) —
+    /// never a mix. In-flight queries finish on their pinned
+    /// generation; its mount dies with its last pin.
     ///
     /// Returns the current generation without rewriting anything when
     /// the log is empty.
@@ -74,13 +86,15 @@ impl GraphService {
         if meta.skip_interval != 0 {
             opts.skip_interval = meta.skip_interval;
         }
-        // One plan sizes the device and writes to it: planning a
-        // compressed image encodes every list.
+        // One plan sizes the device and writes to it (planning a
+        // compressed image encodes every list) — through the new mount,
+        // which nothing reads yet (see the module docs).
         let plan = ImagePlan::new(&merged, &opts);
         let array = provision(plan.required_capacity())?;
-        plan.write(&array)?;
-        let (new_meta, new_index) = load_index(&array)?;
-        let new_safs = Safs::new(*safs.config(), array)?;
+        let capacity = array.capacity();
+        let mut new_safs = Safs::new(*safs.config(), array)?;
+        plan.write_to(&mut |offset, data| new_safs.write(offset, data), capacity)?;
+        let (new_meta, new_index) = load_index(new_safs.array())?;
         let next = Arc::new(ServeBackend {
             mounts: Mounts::Single(Arc::new(new_safs)),
             index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),
@@ -115,8 +129,8 @@ struct CompactorState {
     /// after the flip, so whoever reads a count here also sees the
     /// generation it stands for.
     compactions: u64,
-    /// Rewrites that returned an error (each is retried at the next
-    /// poll), and the text of the latest one.
+    /// Rewrites that returned an error or panicked (each is retried at
+    /// the next poll), and the text of the latest one.
     failures: u64,
     last_error: Option<String>,
 }
@@ -126,9 +140,9 @@ impl Compactor {
     /// [`GraphService::pending_deltas`] reaches `threshold`, checking
     /// every `poll`. `provision` supplies a fresh device of at least
     /// the requested capacity for each rewrite (see
-    /// [`GraphService::compact_with`]); a failed rewrite is counted
-    /// ([`Compactor::failures`], [`Compactor::last_error`]) and
-    /// retried at the next poll.
+    /// [`GraphService::compact_with`]); a rewrite that fails or panics
+    /// is counted ([`Compactor::failures`], [`Compactor::last_error`])
+    /// and retried at the next poll.
     pub fn spawn(
         svc: Arc<GraphService>,
         threshold: u64,
@@ -155,7 +169,12 @@ impl Compactor {
                 }
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
-                    let outcome = svc.compact_with(&provision);
+                    // A rewrite that panics (in `provision`, the plan, the
+                    // union) is a failed rewrite like any other: nothing
+                    // before the cutover has changed and `compacting`
+                    // does not poison, so the next poll can retry.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| svc.compact_with(&provision)))
+                        .unwrap_or_else(|panic| Err(worker_panicked(panic)));
                     let mut st = lock.lock();
                     match outcome {
                         Ok(g) if g > before => st.compactions += 1,
@@ -182,7 +201,8 @@ impl Compactor {
         lock.lock().compactions
     }
 
-    /// Rewrites that failed so far. A failed rewrite leaves the log
+    /// Rewrites that failed (returned an error or panicked) so far. A
+    /// failed rewrite leaves the log
     /// and the serving generation as they were and is retried at the
     /// next poll, so a count that keeps growing beside a
     /// [`GraphService::pending_deltas`] that never falls is a

@@ -25,7 +25,9 @@ use super::GraphService;
 /// normal insert policy, so the page cache absorbs them like any
 /// query's: a source whose pages are resident costs no device read,
 /// and the lists a batch fetches warm the cache for the queries that
-/// go on to read the vertices it changed.
+/// go on to read the vertices it changed. After a compaction the new
+/// generation's mount already holds the image it was written with, so
+/// a batch reads the device only for pages the cache could not keep.
 struct ImageBase<'a>(&'a ServeBackend);
 
 #[cfg(test)]

@@ -684,7 +684,7 @@ impl GraphService {
 mod tests {
     use super::*;
     use crate::context::{Request, VertexContext};
-    use crate::engine::Init;
+    use crate::engine::{Engine, Init};
     use crate::program::VertexProgram;
     use crate::vertex::PageVertex;
     use fg_format::{
@@ -1603,6 +1603,74 @@ mod tests {
         compactor.stop();
         let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
         assert_eq!(states[15].level, 1);
+    }
+
+    #[test]
+    fn compactor_counts_a_panicking_rewrite_and_retries() {
+        let svc = Arc::new(service(2));
+        let mut batch = DeltaBatch::new();
+        batch.add_edge(VertexId(0), VertexId(15));
+        svc.ingest(&batch).unwrap();
+        // The first rewrite panics where a rewrite can: in `provision`.
+        let calls = Counter::default();
+        let compactor =
+            Compactor::spawn(Arc::clone(&svc), 1, Duration::from_millis(2), move |need| {
+                if calls.inc() == 1 {
+                    panic!("device pool blew up");
+                }
+                SsdArray::new_mem(ArrayConfig::small_test(), need)
+            });
+        let done = compactor.wait_for_compactions(1, Duration::from_secs(10));
+        assert_eq!(done, 1, "the thread outlives the panic and retries");
+        assert_eq!(compactor.failures(), 1);
+        let error = compactor.last_error().expect("the panic's text is kept");
+        assert!(error.contains("device pool blew up"), "{error}");
+        compactor.stop();
+        assert_eq!((svc.generation(), svc.pending_deltas()), (1, 0));
+        let (states, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+        assert_eq!(states[15].level, 1);
+    }
+
+    #[test]
+    fn compaction_leaves_the_next_generation_resident() {
+        // path(16) is a four-page image; the cache holds eight.
+        let svc = service(2);
+        let provision = |need| SsdArray::new_mem(ArrayConfig::small_test(), need);
+        let shortcut = |from: u32| {
+            let mut batch = DeltaBatch::new();
+            batch.add_edge(VertexId(from), VertexId(15));
+            svc.ingest(&batch).unwrap();
+        };
+        let bfs = |engine: &Engine<'_>| {
+            let (states, _) = engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+            states[15].level
+        };
+        shortcut(0);
+        let old_mount = svc.safs();
+        svc.query(|engine| {
+            assert_eq!(svc.compact_with(provision).unwrap(), 1);
+            // A query pinned to generation 0 across the flip reads
+            // generation 0's mount, and nothing of the new one.
+            let new_mount = svc.safs();
+            let (old, new) = (old_mount.cache_stats(), new_mount.cache_stats());
+            assert_eq!(bfs(engine), 1);
+            assert!(old_mount.cache_stats().lookups > old.lookups);
+            assert_eq!(new_mount.cache_stats(), new);
+        });
+        // Generation 1 serves from the pages its compaction wrote.
+        let mount = svc.safs();
+        let (io, cache) = (mount.array().stats().snapshot(), mount.cache_stats());
+        assert_eq!(svc.query(bfs), 1);
+        let looked = mount.cache_stats().delta_since(&cache);
+        assert!(looked.lookups > 0);
+        assert_eq!(looked.misses, 0, "no page of generation 1 is missing");
+        assert_eq!(mount.array().stats().snapshot().bytes_read, io.bytes_read);
+        // So does the next compaction's read-back of it.
+        shortcut(1);
+        let io = mount.array().stats().snapshot();
+        assert_eq!(svc.compact_with(provision).unwrap(), 2);
+        assert_eq!(mount.array().stats().snapshot().bytes_read, io.bytes_read);
+        assert_eq!(svc.query(bfs), 1);
     }
 
     #[test]

@@ -407,37 +407,56 @@ pub fn required_capacity_with(g: &Graph, opts: &WriteOptions) -> u64 {
     plan(g, opts).required_capacity()
 }
 
-/// Streams one section to the array in [`WRITE_CHUNK`]-sized writes.
-fn write_stream<F>(array: &SsdArray, offset: u64, total: u64, mut fill: F) -> Result<()>
+/// Streams one section of `total` bytes, starting at the
+/// [`SECTION_ALIGN`]-aligned `offset`, to `dst` in page-aligned writes
+/// of about [`WRITE_CHUNK`] bytes: each chunk is cut at a
+/// `SECTION_ALIGN` multiple and the bytes past the cut carry into the
+/// next one, and the last chunk is zero-padded to `align_up` of the
+/// section's end — bytes the layout reserves anyway, since the next
+/// section (or the image's end) starts there. An empty section writes
+/// nothing.
+fn write_stream<F>(dst: WriteAt<'_>, offset: u64, total: u64, mut fill: F) -> Result<()>
 where
     F: FnMut(&mut Vec<u8>),
 {
+    if total == 0 {
+        return Ok(());
+    }
+    let align = SECTION_ALIGN as usize;
     let mut written = 0u64;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(total as usize));
-    while written < total {
-        buf.clear();
+    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(align_up(total) as usize));
+    loop {
+        let before = buf.len();
         fill(&mut buf);
-        if buf.is_empty() {
+        let end = written + buf.len() as u64;
+        if end > total {
+            return Err(FgError::CorruptImage(format!(
+                "section wrote {end} bytes, expected {total}"
+            )));
+        }
+        if end == total {
+            buf.resize((align_up(total) - written) as usize, 0);
+            return dst(offset + written, &buf);
+        }
+        if buf.len() == before {
             return Err(FgError::CorruptImage("section producer ended early".into()));
         }
-        array.write(offset + written, &buf)?;
-        written += buf.len() as u64;
+        let whole = buf.len() / align * align;
+        if whole > 0 {
+            dst(offset + written, &buf[..whole])?;
+            buf.drain(..whole);
+            written += whole as u64;
+        }
     }
-    if written != total {
-        return Err(FgError::CorruptImage(format!(
-            "section wrote {written} bytes, expected {total}"
-        )));
-    }
-    Ok(())
 }
 
 /// Chunked writer over per-vertex u32 runs.
-fn write_u32_section<'a, I>(array: &SsdArray, offset: u64, total: u64, iter: I) -> Result<()>
+fn write_u32_section<'a, I>(dst: WriteAt<'_>, offset: u64, total: u64, iter: I) -> Result<()>
 where
     I: IntoIterator<Item = u32> + 'a,
 {
     let mut it = iter.into_iter();
-    write_stream(array, offset, total, |buf| {
+    write_stream(dst, offset, total, |buf| {
         for v in it.by_ref() {
             buf.extend_from_slice(&v.to_le_bytes());
             if buf.len() >= WRITE_CHUNK {
@@ -452,7 +471,7 @@ where
 /// block, exactly as sized by `blocks`.
 #[allow(clippy::too_many_arguments)] // internal writer plumbing, all call sites in this file
 fn write_block_section(
-    array: &SsdArray,
+    dst: WriteAt<'_>,
     offset: u64,
     total: u64,
     g: &Graph,
@@ -464,7 +483,7 @@ fn write_block_section(
     let csr = g.csr(dir);
     let mut lists = (0..blocks.len()).map(|i| (i, csr.neighbors(VertexId::from_index(lo + i))));
     let mut ids = Vec::new();
-    write_stream(array, offset, total, |buf| {
+    write_stream(dst, offset, total, |buf| {
         for (i, list) in lists.by_ref() {
             let before = buf.len();
             if blocks[i] & RAW_LIST_FLAG != 0 {
@@ -565,11 +584,35 @@ impl<'g> ImagePlan<'g> {
     ///
     /// See [`write_image_with`].
     pub fn write(&self, array: &SsdArray) -> Result<ImageMeta> {
-        write_planned(self, array)
+        self.write_to(
+            &mut |offset, data| array.write(offset, data),
+            array.capacity(),
+        )
+    }
+
+    /// Writes the planned image at offset 0 of `dst`, a sink holding
+    /// `capacity` bytes. Every write starts and ends on a
+    /// [`SECTION_ALIGN`] boundary — the header page, then each section
+    /// in aligned chunks with its last one zero-padded to where the
+    /// next section starts — so the sink is handed the whole image
+    /// `[0, total_bytes)` in whole 4 KiB pages, each byte once. Writing
+    /// through a mount (`fg_safs::Safs::write`) therefore leaves every
+    /// page of the image resident when the mount's pages are 4 KiB.
+    ///
+    /// # Errors
+    ///
+    /// [`FgError::InvalidRequest`] when `capacity` is below the image
+    /// size; the sink's errors are returned as they are.
+    ///
+    /// # Panics
+    ///
+    /// See [`write_image_with`].
+    pub fn write_to(&self, dst: WriteAt<'_>, capacity: u64) -> Result<ImageMeta> {
+        write_planned(self, dst, capacity)
     }
 }
 
-fn write_planned(plan: &ImagePlan<'_>, array: &SsdArray) -> Result<ImageMeta> {
+fn write_planned(plan: &ImagePlan<'_>, dst: WriteAt<'_>, capacity: u64) -> Result<ImageMeta> {
     let &ImagePlan {
         g,
         lo,
@@ -580,10 +623,9 @@ fn write_planned(plan: &ImagePlan<'_>, array: &SsdArray) -> Result<ImageMeta> {
         out_bytes,
         in_bytes,
     } = plan;
-    if array.capacity() < meta.total_bytes {
+    if capacity < meta.total_bytes {
         return Err(FgError::InvalidRequest(format!(
-            "array capacity {} below image size {}",
-            array.capacity(),
+            "array capacity {capacity} below image size {}",
             meta.total_bytes
         )));
     }
@@ -619,35 +661,33 @@ fn write_planned(plan: &ImagePlan<'_>, array: &SsdArray) -> Result<ImageMeta> {
         let at = 16 + i * 8;
         header[at..at + 8].copy_from_slice(&f.to_le_bytes());
     }
-    array.write(0, &header)?;
+    dst(0, &header)?;
 
     let out_csr = g.csr(EdgeDir::Out);
 
     // Degree section.
     let dirs: u64 = if meta.directed { 2 } else { 1 };
     let deg_total = meta.num_vertices * 4 * dirs;
-    if deg_total > 0 {
-        let out_degs = (lo..hi).map(|i| out_csr.degree(VertexId::from_index(i)) as u32);
-        if meta.directed {
-            let in_csr = g.csr(EdgeDir::In);
-            let in_degs = (lo..hi).map(|i| in_csr.degree(VertexId::from_index(i)) as u32);
-            write_u32_section(array, meta.deg_offset, deg_total, out_degs.chain(in_degs))?;
-        } else {
-            write_u32_section(array, meta.deg_offset, deg_total, out_degs)?;
-        }
+    let out_degs = (lo..hi).map(|i| out_csr.degree(VertexId::from_index(i)) as u32);
+    if meta.directed {
+        let in_csr = g.csr(EdgeDir::In);
+        let in_degs = (lo..hi).map(|i| in_csr.degree(VertexId::from_index(i)) as u32);
+        write_u32_section(dst, meta.deg_offset, deg_total, out_degs.chain(in_degs))?;
+    } else {
+        write_u32_section(dst, meta.deg_offset, deg_total, out_degs)?;
     }
 
     // Length section (v2): flagged block lengths, out then in.
-    if v2 && deg_total > 0 {
+    if v2 {
         let out_it = out_blocks.as_deref().unwrap().iter().copied();
         match in_blocks.as_deref() {
             Some(in_b) => write_u32_section(
-                array,
+                dst,
                 meta.len_offset,
                 deg_total,
                 out_it.chain(in_b.iter().copied()),
             )?,
-            None => write_u32_section(array, meta.len_offset, deg_total, out_it)?,
+            None => write_u32_section(dst, meta.len_offset, deg_total, out_it)?,
         }
     }
 
@@ -658,88 +698,33 @@ fn write_planned(plan: &ImagePlan<'_>, array: &SsdArray) -> Result<ImageMeta> {
         let off = csr.offsets();
         &csr.neighbor_array()[off[lo] as usize..off[hi] as usize]
     };
-    let out_total = out_bytes;
-    if out_total > 0 {
-        match out_blocks {
-            Some(b) => write_block_section(
-                array,
-                meta.out_edges_offset,
-                out_total,
-                g,
-                EdgeDir::Out,
-                b,
-                meta.skip_interval,
-                lo,
-            )?,
-            None => write_u32_section(
-                array,
-                meta.out_edges_offset,
-                out_total,
-                window_entries(EdgeDir::Out).iter().map(|v| v.0),
-            )?,
-        }
-    }
+    let mut edges = |dir, offset, total, blocks: &Option<Vec<u32>>| match blocks {
+        Some(b) => write_block_section(dst, offset, total, g, dir, b, meta.skip_interval, lo),
+        None => write_u32_section(dst, offset, total, window_entries(dir).iter().map(|v| v.0)),
+    };
+    edges(EdgeDir::Out, meta.out_edges_offset, out_bytes, out_blocks)?;
     if meta.directed {
-        let in_total = in_bytes;
-        if in_total > 0 {
-            match in_blocks {
-                Some(b) => write_block_section(
-                    array,
-                    meta.in_edges_offset,
-                    in_total,
-                    g,
-                    EdgeDir::In,
-                    b,
-                    meta.skip_interval,
-                    lo,
-                )?,
-                None => write_u32_section(
-                    array,
-                    meta.in_edges_offset,
-                    in_total,
-                    window_entries(EdgeDir::In).iter().map(|v| v.0),
-                )?,
-            }
-        }
+        edges(EdgeDir::In, meta.in_edges_offset, in_bytes, in_blocks)?;
     }
 
     // Attribute sections (f32 bit patterns as u32). Weighted images
     // keep every edge block raw, so the runs stay positionally
     // aligned in both formats.
     if meta.weighted {
-        let weights = |dir: EdgeDir| {
+        let mut attrs = |dir: EdgeDir, offset: u64| {
             let csr = g.csr(dir);
-            (lo..hi).flat_map(move |i| {
+            let off = csr.offsets();
+            let weights = (lo..hi).flat_map(move |i| {
                 csr.weights_of(VertexId::from_index(i))
                     .expect("weighted graph has weights")
                     .iter()
                     .map(|w| w.to_bits())
-                    .collect::<Vec<_>>()
-            })
+            });
+            write_u32_section(dst, offset, (off[hi] - off[lo]) * 4, weights)
         };
-        let attr_bytes = |dir: EdgeDir| {
-            let off = g.csr(dir).offsets();
-            (off[hi] - off[lo]) * 4
-        };
-        let out_attr_bytes = attr_bytes(EdgeDir::Out);
-        if out_attr_bytes > 0 {
-            write_u32_section(
-                array,
-                meta.out_attrs_offset,
-                out_attr_bytes,
-                weights(EdgeDir::Out),
-            )?;
-        }
+        attrs(EdgeDir::Out, meta.out_attrs_offset)?;
         if meta.directed {
-            let in_attr_bytes = attr_bytes(EdgeDir::In);
-            if in_attr_bytes > 0 {
-                write_u32_section(
-                    array,
-                    meta.in_attrs_offset,
-                    in_attr_bytes,
-                    weights(EdgeDir::In),
-                )?;
-            }
+            attrs(EdgeDir::In, meta.in_attrs_offset)?;
         }
     }
 
@@ -1085,6 +1070,12 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
 /// meet the page cache first.
 pub type ReadAt<'a> = &'a dyn Fn(u64, &mut [u8]) -> Result<()>;
 
+/// Where [`ImagePlan::write_to`] puts image bytes, the mirror of
+/// [`ReadAt`]: a function that stores `data` at `offset`.
+/// [`ImagePlan::write`] passes the raw device; a compaction passes the
+/// next generation's mount, so the image it writes stays resident.
+pub type WriteAt<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<()>;
+
 /// Bytes one sequential read of [`read_graph_from`]'s section sweep
 /// asks its source for — the engine's default stream stride.
 const READ_CHUNK: usize = WRITE_CHUNK;
@@ -1336,6 +1327,7 @@ fn read_graph_chunked(
 mod tests {
     use super::*;
     use fg_graph::{fixtures, gen};
+    use fg_safs::{Safs, SafsConfig};
     use fg_ssdsim::ArrayConfig;
 
     fn image_of_with(g: &Graph, opts: &WriteOptions) -> (SsdArray, ImageMeta, GraphIndex) {
@@ -1528,6 +1520,105 @@ mod tests {
             assert_eq!(meta.generation, 3);
             assert_same_graph(&read_graph(&array, &meta, &index).unwrap(), &g, "planned");
         }
+    }
+
+    /// Every image shape `write_to` must handle — raw and compressed,
+    /// weighted, a hub list, the whole graph and one shard's window —
+    /// as a plan and the bytes `ImagePlan::write` puts on an array.
+    fn each_planned_image(mut check: impl FnMut(&str, &ImagePlan<'_>, &[u8])) {
+        for g in [
+            gen::rmat(8, 6, gen::RmatSkew::default(), 21),
+            fixtures::weighted_square(),
+            fixtures::star(400),
+        ] {
+            let n = g.num_vertices();
+            for opts in both_formats() {
+                for (lo, hi) in [(0, n), (n / 4, 3 * n / 4)] {
+                    let what = format!("{:?} [{lo}, {hi}) of {n}", opts.format);
+                    let plan = plan_window(&g, &opts, lo, hi);
+                    let cap = plan.required_capacity();
+                    let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+                    plan.write(&array).unwrap();
+                    let mut image = vec![0u8; cap as usize];
+                    array.read(0, &mut image).unwrap();
+                    check(&what, &plan, &image);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn write_to_a_mount_writes_the_array_image_in_whole_pages_and_keeps_it() {
+        each_planned_image(|what, plan, image| {
+            let cap = plan.required_capacity();
+            let direct = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+            let meta = plan.write(&direct).unwrap();
+            let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+            let mut safs = Safs::new(SafsConfig::default(), array).unwrap();
+            let mut writes = Vec::new();
+            let mut sink = |offset: u64, data: &[u8]| {
+                writes.push((offset, data.len() as u64));
+                safs.write(offset, data)
+            };
+            assert_eq!(plan.write_to(&mut sink, cap).unwrap(), meta, "{what}");
+            // The sink saw the image in aligned pieces, each byte once.
+            let mut at = 0;
+            for &(offset, len) in &writes {
+                assert_eq!(offset, at, "{what}");
+                assert_eq!(len % SECTION_ALIGN, 0, "{what}: write at {offset}");
+                at += len;
+            }
+            assert_eq!(at, cap, "{what}");
+            assert_eq!(
+                safs.array().stats().snapshot(),
+                direct.stats().snapshot(),
+                "{what}: the write ledger"
+            );
+            // With 4 KiB pages every page is resident.
+            let span = safs.read_sync(0, cap).unwrap();
+            assert_eq!(safs.array().stats().snapshot().read_requests, 0, "{what}");
+            assert_eq!(safs.cache_stats().misses, 0, "{what}");
+            assert_eq!(span.to_vec(), image, "{what}");
+            let mut device = vec![0u8; cap as usize];
+            safs.array().read(0, &mut device).unwrap();
+            assert_eq!(device, image, "{what}: the device holds the array image");
+        });
+    }
+
+    #[test]
+    fn larger_pages_leave_section_seams_cold() {
+        // 8 KiB pages: a section that starts half-way into a page
+        // shares it with the section before, and neither write covers
+        // it whole — so it is read, not installed half-written.
+        let pb = 2 * SECTION_ALIGN;
+        each_planned_image(|what, plan, image| {
+            let meta = &plan.meta;
+            let cap = plan.required_capacity();
+            let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+            let cfg = SafsConfig::default().with_page_bytes(pb);
+            let mut safs = Safs::new(cfg, array).unwrap();
+            plan.write_to(&mut |offset, data| safs.write(offset, data), cap)
+                .unwrap();
+            let seams: std::collections::BTreeSet<u64> = [
+                meta.deg_offset,
+                meta.len_offset,
+                meta.out_edges_offset,
+                meta.in_edges_offset,
+                meta.out_attrs_offset,
+                meta.in_attrs_offset,
+            ]
+            .into_iter()
+            .filter(|&start| start % pb == SECTION_ALIGN && start < cap)
+            .map(|start| start / pb)
+            .collect();
+            assert!(
+                seams.contains(&0),
+                "{what}: header and degrees share page 0"
+            );
+            let span = safs.read_sync(0, cap).unwrap();
+            assert_eq!(safs.cache_stats().misses, seams.len() as u64, "{what}");
+            assert_eq!(span.to_vec(), image, "{what}");
+        });
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //!   computation runs directly against the page cache, which is the
 //!   paper's "user task executes inside the filesystem".
 //!
-//! Reads only: FlashGraph never writes to SSDs during analysis
-//! (wearout, §3); the graph image is written once through
-//! `fg_ssdsim::SsdArray` directly.
+//! Reads only, once a mount serves: FlashGraph never writes to SSDs
+//! during analysis (wearout, §3). A graph image is written once —
+//! through `fg_ssdsim::SsdArray` directly, or, for the next generation
+//! a compaction writes, through [`Safs::write`] into a mount nobody
+//! reads yet, which leaves the pages it wrote resident.
 //!
 //! # Example
 //!

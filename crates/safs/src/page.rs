@@ -30,8 +30,9 @@ use std::sync::Arc;
 
 /// One immutable cached page.
 ///
-/// Pages are filled once by an I/O thread and shared read-only via
-/// `Arc` — by the cache, by in-flight completions, and by user tasks.
+/// Pages are filled once — by an I/O thread, or by the thread writing
+/// through a mount (`Safs::write`) — and shared read-only via `Arc`:
+/// by the cache, by in-flight completions, and by user tasks.
 /// Eviction drops the cache's *strong* reference only: spans keep
 /// pages alive, so user tasks never observe reuse, and while they do
 /// the cache still serves the page to anyone else who asks.

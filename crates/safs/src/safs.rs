@@ -193,6 +193,52 @@ impl Safs {
         self.read_through(offset, len, CacheUse::Stream)
     }
 
+    /// Writes `data` at `offset` through to the device, booked exactly
+    /// as [`SsdArray::write`] books it, and leaves what it wrote
+    /// resident: every page the write covers completely is installed
+    /// (bytes past the end of the device count as covered: a read
+    /// zero-fills them), and a resident page it covers only in part
+    /// is replaced by a patched copy. Any other page is left for its
+    /// first read.
+    ///
+    /// Write-through fills a mount *before it is published* — a
+    /// compaction writing the next generation — and is not a
+    /// coherence protocol for a live mount. Once a session has been
+    /// opened, an I/O thread may still be finishing a dropped
+    /// session's run and would insert a page's pre-write bytes after
+    /// the write, so the write is refused; `&mut self` keeps the
+    /// synchronous readers out.
+    ///
+    /// # Errors
+    ///
+    /// [`FgError::InvalidRequest`] once the mount has opened a session,
+    /// and for an empty or out-of-range write, which installs nothing.
+    pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<()> {
+        if self.sessions.get() > 0 {
+            return Err(FgError::InvalidRequest(
+                "write-through to a mount that has opened a session".into(),
+            ));
+        }
+        self.mount.array.write(offset, data)?;
+        let (pb, capacity) = (self.page_bytes(), self.mount.capacity);
+        let end = offset + data.len() as u64;
+        for pageno in offset / pb..=(end - 1) / pb {
+            let start = pageno * pb;
+            let (lo, hi) = (offset.max(start), end.min(start + pb));
+            let mut bytes: Box<[u8]> = if lo == start && hi >= capacity.min(start + pb) {
+                vec![0u8; pb as usize].into()
+            } else if let Some(old) = self.mount.cache.get_quiet(pageno) {
+                old.bytes().into()
+            } else {
+                continue;
+            };
+            bytes[(lo - start) as usize..(hi - start) as usize]
+                .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
+            self.mount.cache.insert(Arc::new(Page::new(pageno, bytes)));
+        }
+        Ok(())
+    }
+
     /// The synchronous reads' common body: the pages of the range,
     /// fetched on the calling thread under `cache`'s policy.
     fn read_through(&self, offset: u64, len: u64, cache: CacheUse) -> Result<PageSpan> {
@@ -1065,6 +1111,96 @@ mod tests {
             big_bytes >= 16 * small_bytes,
             "64K pages should read >=16x the bytes of 4K pages ({big_bytes} vs {small_bytes})"
         );
+    }
+
+    /// Device pages read and cache misses booked so far.
+    fn reads_and_misses(safs: &Safs) -> (u64, u64) {
+        let pages = safs.array().stats().snapshot().pages_read;
+        (pages, safs.cache_stats().misses)
+    }
+
+    #[test]
+    fn write_through_installs_covered_pages_and_patches_resident_ones() {
+        let pb = 4096u64;
+        let mut safs = patterned_safs(SafsConfig::default(), 1 << 16);
+        safs.read_sync(5 * pb, 1).unwrap();
+        // Page 3 in part (not resident), page 4 whole, page 5 in part
+        // (resident).
+        let (offset, end) = (3 * pb + 1000, 5 * pb + 2000);
+        safs.write(offset, &vec![0xFF; (end - offset) as usize])
+            .unwrap();
+        let mut device = vec![0u8; 3 * pb as usize];
+        safs.array().read(3 * pb, &mut device).unwrap();
+        assert!(device[1000..][..(end - offset) as usize]
+            .iter()
+            .all(|&b| b == 0xFF));
+
+        // The whole page and the patched one: no device read, no miss,
+        // the new bytes and none of the old ones.
+        let before = reads_and_misses(&safs);
+        let span = safs.read_sync(4 * pb, 2 * pb).unwrap();
+        assert_eq!(reads_and_misses(&safs), before);
+        assert_eq!(span.to_vec(), device[pb as usize..]);
+        // The part-covered page nobody held is left for its first
+        // read, which returns the device's bytes.
+        let span = safs.read_sync(3 * pb, pb).unwrap();
+        assert_eq!(reads_and_misses(&safs), (before.0 + 1, before.1 + 1));
+        assert_eq!(span.to_vec(), device[..pb as usize]);
+
+        // A tail page the device ends inside: the write reaches the
+        // device's end, so it covers the page.
+        let mut safs = patterned_safs(SafsConfig::default(), 6000);
+        let tail: Vec<u8> = (0..6000 - pb).map(|i| i as u8).collect();
+        safs.write(pb, &tail).unwrap();
+        let before = reads_and_misses(&safs);
+        assert_eq!(safs.read_sync(pb, 6000 - pb).unwrap().to_vec(), tail);
+        assert_eq!(reads_and_misses(&safs), before);
+    }
+
+    #[test]
+    fn write_through_books_what_the_array_books() {
+        // Aligned and unaligned, inside one stripe and across several.
+        let writes: [(u64, usize); 4] = [(0, 4096), (4096 + 7, 30_000), (65_536, 8192), (100, 1)];
+        let array = SsdArray::new_mem(ArrayConfig::small_test(), 1 << 17).unwrap();
+        let mut safs = Safs::new(
+            SafsConfig::default(),
+            SsdArray::new_mem(ArrayConfig::small_test(), 1 << 17).unwrap(),
+        )
+        .unwrap();
+        for (offset, len) in writes {
+            let data: Vec<u8> = (0..len).map(|i| (i % 13) as u8).collect();
+            array.write(offset, &data).unwrap();
+            safs.write(offset, &data).unwrap();
+        }
+        let (want, got) = (array.stats().snapshot(), safs.array().stats().snapshot());
+        assert!(want.write_requests > 0 && want.total_busy_ns > 0);
+        assert_eq!(got, want, "requests, pages, bytes and busy time alike");
+    }
+
+    #[test]
+    fn write_through_refuses_bad_ranges_and_opened_mounts() {
+        let pb = 4096u64;
+        let mut safs = patterned_safs(SafsConfig::default(), 1 << 16);
+        for (offset, len) in [((1 << 16) - pb, pb as usize + 1), (1 << 16, 1), (0, 0)] {
+            assert!(matches!(
+                safs.write(offset, &vec![0xFF; len]),
+                Err(FgError::InvalidRequest(_))
+            ));
+        }
+        // Nothing was installed: the last page is still a device read.
+        let before = reads_and_misses(&safs);
+        safs.read_sync((1 << 16) - pb, pb).unwrap();
+        assert_eq!(reads_and_misses(&safs), (before.0 + 1, before.1 + 1));
+
+        // Once a session has been opened, an I/O thread may still be
+        // about to insert a page's old bytes: no more write-through.
+        drop(safs.session());
+        let written = safs.array().stats().snapshot().bytes_written;
+        assert!(matches!(
+            safs.write(0, &[0xFF; 4096]),
+            Err(FgError::InvalidRequest(_))
+        ));
+        assert_eq!(safs.array().stats().snapshot().bytes_written, written);
     }
 
     /// One step of a two-session interleaving.
