@@ -256,7 +256,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         });
         // Message handlers may request edges; those complete within
         // the barrier phase, synchronously.
-        self.complete_phase_requests(iter, scratch, io);
+        if !scratch.requests.is_empty() {
+            self.complete_phase_requests(iter, scratch, io);
+        }
     }
 
     pub(super) fn apply_iteration_end(
@@ -283,14 +285,22 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
                 prog.run_on_iteration_end(v, state, ctx);
             });
-            self.complete_phase_requests(iter, scratch, io);
+            if !scratch.requests.is_empty() {
+                self.complete_phase_requests(iter, scratch, io);
+            }
         }
     }
 
-    /// Synchronously completes any edge requests queued during the
-    /// barrier phase (message / iteration-end handlers): blocks for at
-    /// least one completion at a time and runs every delivery that
-    /// landed. Owner-only — no busy bit, nothing through the pool.
+    /// Synchronously completes the edge requests a barrier-phase
+    /// handler (message / iteration-end) queued: blocks for at least
+    /// one completion at a time and runs every delivery that landed.
+    /// Owner-only — no busy bit, nothing through the pool.
+    ///
+    /// Called only after a handler that queued a request: with none
+    /// queued there is nothing to absorb, nothing outstanding (phase C
+    /// starts quiesced and each call drains what it started), and
+    /// nothing to fold (the compute loop's exit flush folded the
+    /// tallies), so a call would be a no-op at a per-message price.
     fn complete_phase_requests(
         &self,
         iter: u32,

@@ -120,14 +120,14 @@ pub(super) fn fetch_window(
 /// Decodes one delivery's bytes into a deliverable [`PageVertex`]:
 /// an entry's part, or an inline delivery's (a fetch of nothing, a
 /// foreign read). An overlaid delivery wraps the decoded (full) base
-/// list with the subject's pinned delta ops, windowed to the request's
-/// merged-coordinate slice.
-pub(super) fn decode(
+/// list with the subject's pinned delta ops, borrowed from the view and
+/// windowed to the request's merged-coordinate slice.
+pub(super) fn decode<'d>(
     head: &Header,
     edges: PageSpan,
     attrs: Option<PageSpan>,
-    deltas: Option<&DeltaView>,
-) -> PageVertex<'static> {
+    deltas: Option<&'d DeltaView>,
+) -> PageVertex<'d> {
     let Header {
         subject,
         dir,
@@ -147,7 +147,7 @@ pub(super) fn decode(
             let ops = deltas
                 .and_then(|d| d.list(subject, dir))
                 .expect("overlay deliveries run with the view that created them");
-            PageVertex::with_overlay(base, Arc::clone(ops), ws, wl as usize)
+            PageVertex::with_overlay(base, ops, ws, wl as usize)
         }
     }
 }

@@ -560,8 +560,12 @@ impl Source<'_> {
 
 /// The in-memory delivery of `req`: the CSR slice the semi-external
 /// path must match, or — for a subject with pinned delta ops — the
-/// overlay on its full CSR list.
-fn slice_vertex<'g>(g: &'g Graph, req: &EdgeRequest, deltas: Option<&DeltaView>) -> PageVertex<'g> {
+/// overlay on its full CSR list, borrowing both.
+fn slice_vertex<'a>(
+    g: &'a Graph,
+    req: &EdgeRequest,
+    deltas: Option<&'a DeltaView>,
+) -> PageVertex<'a> {
     let csr = g.csr(req.dir);
     let weights = || {
         csr.weights_of(req.subject)
@@ -573,7 +577,7 @@ fn slice_vertex<'g>(g: &'g Graph, req: &EdgeRequest, deltas: Option<&DeltaView>)
         let edges = csr.neighbors(req.subject);
         let attrs = req.attrs.then(weights);
         let base = PageVertex::from_slice(req.subject, req.dir, 0, edges, attrs);
-        PageVertex::with_overlay(base, Arc::clone(ops), req.start, req.len as usize)
+        PageVertex::with_overlay(base, ops, req.start, req.len as usize)
     } else {
         // Ranges were clamped at request time.
         let lo = req.start as usize;

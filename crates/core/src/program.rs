@@ -21,7 +21,7 @@
 //! | *(extension)* pipelined callback scheduling (§3.4's async user tasks, taken to its conclusion) | always on — `run_on_vertex` fires the moment its pages land, possibly on another worker, while later covers are already queued on the device; per-vertex callbacks stay serialized (never concurrent for one vertex), but *order across vertices and vertical passes is not global* — programs must not assume one pass's deliveries finish before the next pass's `run` |
 //! | *(extension)* sharded execution (scale-out of §3: one engine per image shard) | [`Engine::new`](crate::Engine::new) over a `fg_safs::ShardSet` — programs are unaffected: a vertex's handlers still run exclusively on its owning shard against the shared state vector; sends/multicasts/activations to foreign vertices travel as batched packets over the shard bus and are delivered at the same iteration barrier local ones are, and foreign edge-list requests are served from the owning shard's mount |
 //! | *(extension)* cooperative cancellation (serving-layer QoS) | `Engine::with_cancel` / `GraphService::run_opts` with a `fg_types::CancelToken` — programs are unaffected and need no cancellation hooks |
-//! | *(extension)* mutable graphs (LSM-style delta ingest) | `GraphService::ingest` + `Engine::with_deltas` — an overlaid vertex's [`PageVertex`] is backed by a third edge source (`EdgeData::Overlay`: the on-SSD list merged with the query's pinned delta run); programs are unaffected: same callbacks, same slices, `edges()`/`attr()`/`contains()` see the merged list and `edges_delivered` counts merged degrees exactly |
+//! | *(extension)* mutable graphs (LSM-style delta ingest) | `GraphService::ingest` + `Engine::with_deltas` — an overlaid vertex's [`PageVertex`] keeps its on-SSD (or CSR) list and beside it an overlay, the vertex's op list borrowed from the query's pinned `DeltaView` (found by a bit test and a popcount), merged on the fly; programs are unaffected: same callbacks, same slices, `edges()`/`weighted_edges()`/`contains()` see the merged list and `edges_delivered` counts merged degrees exactly |
 //!
 //! # Cancellation semantics
 //!

@@ -5,15 +5,16 @@
 //! A delivery has one reader, a forward walk: [`PageVertex::edges`]
 //! (ids), [`PageVertex::weighted_edges`] (ids beside their attributes)
 //! and, riding on them, [`PageVertex::contains`] and
-//! [`PageVertex::to_vec`]. Each delivery shape — CSR slice, raw page
-//! span, delta-varint span, delta overlay on any of those — has one
-//! decoder, and [`Merge::of`] is the one statement of the overlay's
-//! merge rule. The ledger prices the walk per shape:
+//! [`PageVertex::to_vec`]. Each base shape — CSR slice, raw page span,
+//! delta-varint span — has one decoder. A delivery on a mutable graph
+//! may also carry an overlay: the subject's folded delta ops, borrowed
+//! from the query's pinned `DeltaView`, merged with any of the three
+//! on the fly, and [`Merge::of`] is the one statement of that merge's
+//! rule. Overlaying a delivery allocates nothing and touches no
+//! reference count. The ledger prices the walk per shape:
 //! `vertex.touch_ns_per_edge` (raw span),
 //! `vertex.touch_varint_ns_per_edge` and
 //! `vertex.touch_overlay_ns_per_edge`.
-
-use std::sync::Arc;
 
 use fg_format::codec::{read_varint, GapDecoder};
 use fg_format::VarintSlice;
@@ -69,10 +70,9 @@ impl Merge {
 
 /// Edge data backing a [`PageVertex`]: a zero-copy span over the SAFS
 /// page cache (semi-external memory) — raw `u32`s or a delta-varint
-/// block of the compressed image format — borrowed slices of an
-/// in-memory CSR (FG-mem mode), or an [`EdgeData::Overlay`] composing
-/// either of those with a vertex's pending delta ops (mutable
-/// graphs).
+/// block of the compressed image format — or borrowed slices of an
+/// in-memory CSR (FG-mem mode). On an overlaid delivery it is the
+/// subject's full base list (see [`PageVertex::with_overlay`]).
 #[derive(Debug)]
 enum EdgeData<'a> {
     Span {
@@ -95,21 +95,6 @@ enum EdgeData<'a> {
         edges: &'a [VertexId],
         attrs: Option<&'a [f32]>,
     },
-    /// A base delivery (always the subject's *full* base list, any of
-    /// the variants above) merged on the fly with the vertex's folded
-    /// delta ops — the delivery-time splice of the mutable-graph
-    /// write path. The merge is a two-pointer walk over two sorted
-    /// streams, so in-order iteration stays O(1) amortized: `Add`
-    /// ops splice in between base edges, `Remove` ops swallow their
-    /// base edge, `Update` ops rewrite its weight in place. `window`
-    /// selects the delivered slice in *merged* coordinates (ranged
-    /// requests tile the merged list exactly).
-    Overlay {
-        base: Box<PageVertex<'a>>,
-        ops: Arc<DeltaList>,
-        /// `(start, len)` of the delivery within the merged list.
-        window: (u64, usize),
-    },
 }
 
 /// One slice of a vertex's edge list in one direction, as delivered
@@ -131,6 +116,9 @@ pub struct PageVertex<'a> {
     dir: EdgeDir,
     offset: u64,
     data: EdgeData<'a>,
+    /// Present on an overlaid delivery: the subject's folded delta ops
+    /// and the `(start, len)` of the delivery within the merged list.
+    overlay: Option<(&'a DeltaList, (u64, usize))>,
 }
 
 impl<'a> PageVertex<'a> {
@@ -153,6 +141,7 @@ impl<'a> PageVertex<'a> {
             dir,
             offset,
             data: EdgeData::Span { edges, attrs },
+            overlay: None,
         }
     }
 
@@ -178,6 +167,7 @@ impl<'a> PageVertex<'a> {
                 count,
                 params,
             },
+            overlay: None,
         }
     }
 
@@ -194,24 +184,29 @@ impl<'a> PageVertex<'a> {
             dir,
             offset,
             data: EdgeData::Slice { edges, attrs },
+            overlay: None,
         }
     }
 
     /// Composes a full-base-list delivery with the subject's folded
-    /// delta ops (see `fg_graph::DeltaLog`), delivering merged
-    /// positions `[window_start, window_start + window_len)`. The
-    /// caller clamps the window against the merged degree
-    /// (`base degree + ops.diff`), exactly like plain requests are
-    /// clamped against the index.
+    /// delta ops, borrowed from the pinned view (see
+    /// `fg_graph::DeltaView`), delivering merged positions
+    /// `[window_start, window_start + window_len)`. The caller clamps
+    /// the window against the merged degree (`base degree + ops.diff`),
+    /// exactly like plain requests are clamped against the index.
+    ///
+    /// The merge is a two-pointer walk over two sorted streams, so
+    /// in-order iteration stays O(1) amortized: `Add` ops splice in
+    /// between base edges, `Remove` ops swallow their base edge,
+    /// `Update` ops rewrite its weight in place.
     pub(crate) fn with_overlay(
         base: PageVertex<'a>,
-        ops: Arc<DeltaList>,
+        ops: &'a DeltaList,
         window_start: u64,
         window_len: usize,
     ) -> Self {
-        debug_assert_eq!(
-            base.offset(),
-            0,
+        debug_assert!(
+            base.offset == 0 && base.overlay.is_none(),
             "overlays merge against the full base list"
         );
         debug_assert!(
@@ -220,14 +215,9 @@ impl<'a> PageVertex<'a> {
             (base.degree() as i64 + ops.diff).max(0)
         );
         PageVertex {
-            id: base.id,
-            dir: base.dir,
             offset: window_start,
-            data: EdgeData::Overlay {
-                base: Box::new(base),
-                ops,
-                window: (window_start, window_len),
-            },
+            overlay: Some((ops, (window_start, window_len))),
+            ..base
         }
     }
 
@@ -266,11 +256,13 @@ impl<'a> PageVertex<'a> {
     /// edge count under varint encoding.
     #[inline]
     pub fn degree(&self) -> usize {
+        if let Some((_, (_, len))) = self.overlay {
+            return len;
+        }
         match &self.data {
             EdgeData::Span { edges, .. } => edges.len() / 4,
             EdgeData::Packed { count, .. } => *count,
             EdgeData::Slice { edges, .. } => edges.len(),
-            EdgeData::Overlay { window, .. } => window.1,
         }
     }
 
@@ -282,11 +274,11 @@ impl<'a> PageVertex<'a> {
     /// Panics, here or from `next()`, on a corrupt varint block.
     #[inline]
     pub fn edges(&self) -> Edges<'_> {
-        Edges(match &self.data {
-            EdgeData::Overlay { base, ops, window } => {
-                Walk::Overlay(OverlayEdges::new(base.base_walk(), &ops.ops, *window))
+        Edges(match self.overlay {
+            Some((ops, window)) => {
+                Walk::Overlay(OverlayEdges::new(self.base_walk(), &ops.ops, window))
             }
-            _ => Walk::Base(self.base_walk()),
+            None => Walk::Base(self.base_walk()),
         })
     }
 
@@ -297,22 +289,22 @@ impl<'a> PageVertex<'a> {
     /// it. `None` when attributes were not requested and delivered.
     #[inline]
     pub fn weighted_edges(&self) -> Option<WeightedEdges<'_>> {
-        Some(WeightedEdges(match &self.data {
-            EdgeData::Overlay { base, ops, window } => {
+        let mut attrs = self.attr_walk()?;
+        Some(WeightedEdges(match self.overlay {
+            Some((ops, (start, len))) => {
                 // The window is applied by skipping here, the base's
                 // attribute run in step with the base.
-                let mut attrs = base.attr_walk()?;
-                let mut ids = OverlayEdges::new(base.base_walk(), &ops.ops, (0, window.1));
-                for _ in 0..window.0 {
+                let mut ids = OverlayEdges::new(self.base_walk(), &ops.ops, (0, len));
+                for _ in 0..start {
                     ids.advance(Some(&mut attrs));
                 }
                 WeightedWalk::Overlay(ids, attrs)
             }
-            _ => WeightedWalk::Zip(self.base_walk(), self.attr_walk()?),
+            None => WeightedWalk::Zip(self.base_walk(), attrs),
         }))
     }
 
-    /// The id walker of a non-overlay delivery.
+    /// The id walker of the base list.
     #[inline]
     fn base_walk(&self) -> BaseWalk<'_> {
         match &self.data {
@@ -323,19 +315,18 @@ impl<'a> PageVertex<'a> {
                 params,
             } => BaseWalk::Packed(PackedEdges::new(span, *count, params)),
             EdgeData::Slice { edges, .. } => BaseWalk::Slice(edges.iter()),
-            EdgeData::Overlay { .. } => unreachable!("overlays do not nest"),
         }
     }
 
-    /// The attribute run beside a non-overlay delivery's ids, if it
-    /// carries one. Packed deliveries never do: weighted images keep
+    /// The attribute run beside the base list's ids, if it carries
+    /// one. Packed deliveries never do: weighted images keep
     /// every block raw precisely so attribute runs stay aligned.
     #[inline]
     fn attr_walk(&self) -> Option<AttrWalk<'_>> {
         match &self.data {
             EdgeData::Span { attrs, .. } => attrs.as_ref().map(|a| AttrWalk::Raw(a.u32_iter())),
             EdgeData::Slice { attrs, .. } => attrs.map(|a| AttrWalk::Slice(a.iter())),
-            EdgeData::Packed { .. } | EdgeData::Overlay { .. } => None,
+            EdgeData::Packed { .. } => None,
         }
     }
 
@@ -346,7 +337,6 @@ impl<'a> PageVertex<'a> {
             EdgeData::Span { attrs, .. } => attrs.is_some(),
             EdgeData::Packed { .. } => false,
             EdgeData::Slice { attrs, .. } => attrs.is_some(),
-            EdgeData::Overlay { base, .. } => base.has_attrs(),
         }
     }
 
@@ -363,8 +353,10 @@ impl<'a> PageVertex<'a> {
     /// cheaper).
     pub fn contains(&self, v: VertexId) -> bool {
         match &self.data {
-            EdgeData::Slice { edges, .. } => edges.binary_search(&v).is_ok(),
-            EdgeData::Span { edges, .. } => {
+            EdgeData::Slice { edges, .. } if self.overlay.is_none() => {
+                edges.binary_search(&v).is_ok()
+            }
+            EdgeData::Span { edges, .. } if self.overlay.is_none() => {
                 let (mut lo, mut hi) = (0usize, edges.len() / 4);
                 while lo < hi {
                     let mid = (lo + hi) / 2;
@@ -376,7 +368,7 @@ impl<'a> PageVertex<'a> {
                 }
                 false
             }
-            EdgeData::Packed { .. } | EdgeData::Overlay { .. } => {
+            _ => {
                 for e in self.edges() {
                     if e >= v {
                         return e == v;
@@ -665,6 +657,7 @@ impl<'a> OverlayEdges<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn slice_pv(ids: &[VertexId]) -> PageVertex<'_> {
         PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, ids, None)
@@ -695,7 +688,6 @@ mod tests {
     #[test]
     fn span_view_decodes_u32s() {
         use fg_safs::Page;
-        use std::sync::Arc;
         let ids = [3u32, 8, 1000];
         let bytes: Vec<u8> = ids.iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut page = vec![0u8; 4096];
@@ -716,7 +708,6 @@ mod tests {
     #[test]
     fn span_view_with_attr_span() {
         use fg_safs::Page;
-        use std::sync::Arc;
         let mk = |words: &[u32]| {
             let mut page = vec![0u8; 4096];
             for (i, w) in words.iter().enumerate() {
@@ -811,7 +802,7 @@ mod tests {
         }
     }
 
-    fn list_of(ops: &[(u32, DeltaOp)]) -> Arc<DeltaList> {
+    fn list_of(ops: &[(u32, DeltaOp)]) -> DeltaList {
         let diff = ops
             .iter()
             .map(|(_, op)| match op {
@@ -820,10 +811,10 @@ mod tests {
                 DeltaOp::Remove => -1,
             })
             .sum();
-        Arc::new(DeltaList {
+        DeltaList {
             ops: ops.to_vec(),
             diff,
-        })
+        }
     }
 
     #[test]
@@ -838,7 +829,7 @@ mod tests {
             (20, DeltaOp::Add(None)),
         ]);
         // merged: [1, 2, 11, 14, 20]
-        let pv = PageVertex::with_overlay(base, ops, 0, 5);
+        let pv = PageVertex::with_overlay(base, &ops, 0, 5);
         assert_eq!(pv.degree(), 5);
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         assert_eq!(got, vec![1, 2, 11, 14, 20]);
@@ -861,7 +852,7 @@ mod tests {
         let merged: Vec<u32> = vec![0, 2, 3, 6, 8, 10, 12, 14, 16, 18, 19];
         let mut tiled = Vec::new();
         for (start, len) in [(0u64, 4usize), (4, 4), (8, 3)] {
-            let pv = PageVertex::with_overlay(slice_pv(&ids), Arc::clone(&ops), start, len);
+            let pv = PageVertex::with_overlay(slice_pv(&ids), &ops, start, len);
             assert_eq!(pv.offset(), start);
             assert_eq!(pv.degree(), len);
             tiled.extend(pv.edges().map(|e| e.0));
@@ -880,7 +871,7 @@ mod tests {
             (4, DeltaOp::Update(9.0)),
         ]);
         // merged: 1(0.5), 2(7.5), 3(1.0 default), 4(9.0 updated)
-        let pv = PageVertex::with_overlay(base, ops, 0, 4);
+        let pv = PageVertex::with_overlay(base, &ops, 0, 4);
         assert!(pv.has_attrs());
         let got: Vec<(u32, f32)> = pv
             .weighted_edges()
@@ -901,7 +892,7 @@ mod tests {
             (3, DeltaOp::Remove),
             (118, DeltaOp::Add(None)),
         ]);
-        let pv = PageVertex::with_overlay(base, ops, 0, 41);
+        let pv = PageVertex::with_overlay(base, &ops, 0, 41);
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         let mut want: Vec<u32> = list.iter().copied().filter(|&v| v != 3).collect();
         want.insert(1, 1);
@@ -915,7 +906,7 @@ mod tests {
     fn overlay_over_empty_base() {
         let base = slice_pv(&[]);
         let ops = list_of(&[(3, DeltaOp::Add(None)), (8, DeltaOp::Add(None))]);
-        let pv = PageVertex::with_overlay(base, ops, 0, 2);
+        let pv = PageVertex::with_overlay(base, &ops, 0, 2);
         assert_eq!(pv.degree(), 2);
         assert_eq!(pv.edges().map(|e| e.0).collect::<Vec<_>>(), vec![3, 8]);
     }
@@ -924,7 +915,7 @@ mod tests {
     fn overlay_removing_everything_delivers_empty() {
         let ids = [VertexId(1), VertexId(2)];
         let ops = list_of(&[(1, DeltaOp::Remove), (2, DeltaOp::Remove)]);
-        let pv = PageVertex::with_overlay(slice_pv(&ids), ops, 0, 0);
+        let pv = PageVertex::with_overlay(slice_pv(&ids), &ops, 0, 0);
         assert_eq!(pv.degree(), 0);
         assert_eq!(pv.edges().count(), 0);
     }
@@ -1049,7 +1040,7 @@ mod tests {
     /// One effective op per destination, as a canonicalized log holds
     /// them: removes and updates name base entries, adds name
     /// destinations the base lacks.
-    fn random_ops(seed: u64, base: &[u32], weighted: bool) -> Arc<DeltaList> {
+    fn random_ops(seed: u64, base: &[u32], weighted: bool) -> DeltaList {
         let mut rng = TestRng::deterministic("random_ops", seed as u32);
         let mut ops: std::collections::BTreeMap<u32, DeltaOp> = Default::default();
         for &b in base {
@@ -1185,7 +1176,7 @@ mod tests {
                 .collect();
             prop_assert_eq!(merged.len() as i64, len as i64 + ops.diff);
             for (start, count) in windows(seed, merged.len()) {
-                let pv = PageVertex::with_overlay(base(&list), Arc::clone(&ops), start as u64, count);
+                let pv = PageVertex::with_overlay(base(&list), &ops, start as u64, count);
                 let want = &merged[start..start + count];
                 check_walk(&pv, want)?;
                 for probe in [0, want.first().copied().unwrap_or(3), 77] {
@@ -1227,7 +1218,7 @@ mod tests {
             let ops = random_ops(seed, &list, true);
             let merged = merged_model(&list, &ws, &ops);
             for (start, count) in windows(seed, merged.len()) {
-                let pv = PageVertex::with_overlay(base(), Arc::clone(&ops), start as u64, count);
+                let pv = PageVertex::with_overlay(base(), &ops, start as u64, count);
                 let want = &merged[start..start + count];
                 check_walk(&pv, &want.iter().map(|&(d, _)| d).collect::<Vec<_>>())?;
                 check_weighted_walk(&pv, want)?;
@@ -1242,11 +1233,11 @@ mod tests {
         let ids: Vec<VertexId> = [2u32, 5, 5, 5, 9, 9].iter().map(|&v| VertexId(v)).collect();
         let ws = [1.0f32; 6];
         let base = PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws));
-        let ops = Arc::new(DeltaList {
+        let ops = DeltaList {
             ops: vec![(5, DeltaOp::Remove), (9, DeltaOp::Update(4.0))],
             diff: -3,
-        });
-        let pv = PageVertex::with_overlay(base, ops, 0, 3);
+        };
+        let pv = PageVertex::with_overlay(base, &ops, 0, 3);
         assert_eq!(pv.edges().map(|e| e.0).collect::<Vec<_>>(), vec![2, 9, 9]);
         let got: Vec<(u32, f32)> = pv
             .weighted_edges()
@@ -1301,7 +1292,7 @@ mod tests {
             // An overlay's walker decodes a base element no earlier
             // than the step that may emit it.
             let ops = list_of(&[(1, DeltaOp::Add(None))]);
-            let pv = PageVertex::with_overlay(packed_bytes_pv(bytes, good + 1), ops, 0, good + 2);
+            let pv = PageVertex::with_overlay(packed_bytes_pv(bytes, good + 1), &ops, 0, good + 2);
             assert_eq!(pv.edges().take(good + 1).count(), good + 1);
             caught(&|| {
                 std::hint::black_box(pv.edges().nth(good + 1));
@@ -1327,11 +1318,11 @@ mod tests {
     #[should_panic(expected = "overlay window exceeds the merged list")]
     fn overlay_window_past_the_merge_panics_from_edges() {
         let ids = [VertexId(1), VertexId(2)];
-        let ops = Arc::new(DeltaList {
+        let ops = DeltaList {
             ops: vec![(1, DeltaOp::Remove)],
             diff: 0, // lies: the merged list has one entry
-        });
-        let pv = PageVertex::with_overlay(slice_pv(&ids), ops, 0, 2);
+        };
+        let pv = PageVertex::with_overlay(slice_pv(&ids), &ops, 0, 2);
         let _ = pv.edges().count();
     }
 }

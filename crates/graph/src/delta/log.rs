@@ -12,17 +12,21 @@ use std::sync::Arc;
 
 use fg_types::{FgError, Result, VertexId};
 
-use super::{BaseLists, BatchOp, DeltaBatch, DeltaList, DeltaOp, DeltaView};
+use super::{BaseLists, BatchOp, DeltaBatch, DeltaOp, DeltaTable, DeltaView};
+
+/// One direction of a run: each source's effective ops, sorted by
+/// destination.
+type RunOps = HashMap<u32, Vec<(u32, DeltaOp)>>;
 
 /// One applied batch, canonicalized: per-direction effective ops,
 /// sorted by `(src, dst)` with a per-source directory.
 #[derive(Debug)]
 pub(super) struct DeltaRun {
-    seq: u64,
+    pub(super) seq: u64,
     /// Out-direction ops (the only direction for undirected logs).
-    pub(super) out: HashMap<u32, Vec<(u32, DeltaOp)>>,
+    pub(super) out: RunOps,
     /// In-direction mirror (directed logs only).
-    in_: HashMap<u32, Vec<(u32, DeltaOp)>>,
+    pub(super) in_: RunOps,
 }
 
 impl DeltaRun {
@@ -34,7 +38,7 @@ impl DeltaRun {
 
 /// Composes a folded op with the next run's effective op on the same
 /// edge. `prev == None` means "no net change relative to base yet".
-fn compose(prev: Option<DeltaOp>, next: DeltaOp) -> Option<DeltaOp> {
+pub(super) fn compose(prev: Option<DeltaOp>, next: DeltaOp) -> Option<DeltaOp> {
     match (prev, next) {
         (None, op) => Some(op),
         // Edge added by an earlier run...
@@ -223,8 +227,8 @@ impl RunLog {
         }
         // Extract this batch's *net* effect: the difference between
         // the folded state before the batch and after.
-        let mut out: HashMap<u32, Vec<(u32, DeltaOp)>> = HashMap::new();
-        let mut in_: HashMap<u32, Vec<(u32, DeltaOp)>> = HashMap::new();
+        let mut out = RunOps::new();
+        let mut in_ = RunOps::new();
         for (src, ops) in pending {
             let list = &bases[&src];
             for (dst, (before, after)) in ops {
@@ -282,45 +286,28 @@ impl RunLog {
         self.cached = None;
     }
 
+    /// Builds each direction's table in vertex order: every op of the
+    /// runs in `(folded, watermark]`, in run order, stably sorted by
+    /// `(src, dst)` so that one edge's ops lie together in the order
+    /// they compose in.
     fn build_view(&self, watermark: u64) -> DeltaView {
-        let mut wm = 0;
-        let mut out: HashMap<u32, Vec<(u32, Option<DeltaOp>)>> = HashMap::new();
-        let mut in_: HashMap<u32, Vec<(u32, Option<DeltaOp>)>> = HashMap::new();
-        for run in self.runs.iter().filter(|r| r.seq <= watermark) {
-            wm = wm.max(run.seq);
-            for (maps, folded) in [(&run.out, &mut out), (&run.in_, &mut in_)] {
-                for (&src, ops) in maps {
-                    let acc = folded.entry(src).or_default();
-                    for &(dst, op) in ops {
-                        match acc.binary_search_by_key(&dst, |e| e.0) {
-                            Ok(i) => acc[i].1 = compose(acc[i].1, op),
-                            Err(i) => acc.insert(i, (dst, Some(op))),
-                        }
-                    }
+        let runs = || self.runs.iter().filter(|r| r.seq <= watermark);
+        let table = |dir: fn(&DeltaRun) -> &RunOps| {
+            let mut entries: Vec<(u32, u32, DeltaOp)> = Vec::new();
+            for run in runs() {
+                for (&src, ops) in dir(run) {
+                    entries.extend(ops.iter().map(|&(dst, op)| (src, dst, op)));
                 }
             }
-        }
-        let finish = |m: HashMap<u32, Vec<(u32, Option<DeltaOp>)>>| {
-            m.into_iter()
-                .filter_map(|(src, acc)| {
-                    let ops: Vec<(u32, DeltaOp)> = acc
-                        .into_iter()
-                        .filter_map(|(d, op)| op.map(|op| (d, op)))
-                        .collect();
-                    if ops.is_empty() {
-                        return None;
-                    }
-                    let diff = ops.iter().map(|(_, op)| op.degree_diff()).sum();
-                    Some((src, Arc::new(DeltaList { ops, diff })))
-                })
-                .collect()
+            entries.sort_by_key(|&(src, dst, _)| (src, dst));
+            DeltaTable::from_sorted(self.n, &entries)
         };
         DeltaView {
             floor: self.folded,
-            watermark: wm,
+            watermark: runs().map(|r| r.seq).max().unwrap_or(0),
             directed: self.directed,
-            out: finish(out),
-            in_: finish(in_),
+            out: table(|r| &r.out),
+            in_: table(|r| &r.in_),
         }
     }
 }

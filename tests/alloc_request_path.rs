@@ -1,6 +1,7 @@
 //! Tier-1 allocation floor for the semi-external request path: what a
 //! request allocates, it allocates per *cover* — and next to nothing
-//! per request.
+//! per request, on a frozen image and with a pinned delta view alike
+//! (an overlaid delivery borrows its ops from the view).
 //!
 //! This binary installs a counting global allocator (it is its own
 //! process, so no shipped crate changes) and holds one test only: the
@@ -8,9 +9,10 @@
 //! running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::Arc;
 
 use fg_format::{load_index, required_capacity, write_image};
-use fg_graph::gen;
+use fg_graph::{gen, DeltaBatch, DeltaLog, DeltaView, Graph};
 use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
 use fg_types::sync::Counter;
@@ -86,14 +88,18 @@ fn allocations_of(engine: &Engine<'_>, init: Init) -> (u64, RunStats) {
     (during, stats)
 }
 
+/// What [`SumOwnList`] sums over every vertex of `g`.
+fn sum_of(g: &Graph) -> u64 {
+    g.vertices()
+        .flat_map(|v| g.out_neighbors(v))
+        .map(|w| w.0 as u64)
+        .sum()
+}
+
 #[test]
 fn a_request_allocates_per_cover_not_per_request() {
     let g = gen::rmat(13, 8, gen::RmatSkew::default(), 17);
-    let expected: u64 = g
-        .vertices()
-        .flat_map(|v| g.out_neighbors(v))
-        .map(|w| w.0 as u64)
-        .sum();
+    let expected = sum_of(&g);
     let array = SsdArray::new_mem(ArrayConfig::small_test(), required_capacity(&g)).unwrap();
     write_image(&g, &array).unwrap();
     let (_, index) = load_index(&array).unwrap();
@@ -105,7 +111,25 @@ fn a_request_allocates_per_cover_not_per_request() {
     let default = EngineConfig::default();
     let engine = Engine::new_sem(&safs, index, default.with_threads(1));
 
-    let measure = |issue_batch: usize| {
+    // A view with ops on every other vertex: each of those adds an edge
+    // to the first id its list lacks.
+    let log = DeltaLog::for_graph(&g);
+    let mut batch = DeltaBatch::new();
+    for v in g.vertices().step_by(2) {
+        let lacks = (0..)
+            .map(VertexId)
+            .find(|&w| w != v && !g.out_neighbors(v).contains(&w));
+        batch.add_edge(v, lacks.expect("a vertex without every edge"));
+    }
+    log.apply(&g, &batch).unwrap();
+    let view = log.current_view();
+    let overlaid = g
+        .vertices()
+        .filter(|&v| view.list(v, EdgeDir::Out).is_some());
+    assert!(2 * overlaid.count() >= g.num_vertices());
+    let expected_overlaid = sum_of(&DeltaLog::union(&g, &view));
+
+    let measure = |issue_batch: usize, deltas: Option<&Arc<DeltaView>>| {
         // The shipped depth of the pipeline, in batches: a worker makes
         // as many batches as it ever has out together, and a run this
         // short must not be all ramp-up.
@@ -114,7 +138,13 @@ fn a_request_allocates_per_cover_not_per_request() {
             max_pending: issue_batch * default.max_pending.div_ceil(default.issue_batch),
             ..default.with_threads(1)
         };
-        let engine = engine.reconfigured(cfg);
+        let (engine, expected) = match deltas {
+            None => (engine.reconfigured(cfg), expected),
+            Some(view) => {
+                let engine = engine.reconfigured(cfg).with_deltas(Arc::clone(view));
+                (engine, expected_overlaid)
+            }
+        };
         // Warm the cache (and anything lazily set up), then take the
         // run's allocations less those of a run that requests nothing:
         // states, threads and boards cost the same in both.
@@ -125,9 +155,11 @@ fn a_request_allocates_per_cover_not_per_request() {
         let (warm, stats) = allocations_of(&engine, Init::All);
         assert_eq!(stats.io.as_ref().expect("sem mode").bytes_read, 0, "warm");
         println!(
-            "issue_batch {issue_batch}: {warm} allocations warm, {floor} idle, \
+            "issue_batch {issue_batch}, deltas {}: {warm} allocations warm, {floor} idle, \
              {} covers, {} requests",
-            stats.issued_requests, stats.engine_requests
+            deltas.is_some(),
+            stats.issued_requests,
+            stats.engine_requests
         );
         (warm.saturating_sub(floor), stats)
     };
@@ -136,7 +168,7 @@ fn a_request_allocates_per_cover_not_per_request() {
     // of its batch, so neither costs more than the cover's page vector
     // and a share of amortised growth.
     for issue_batch in [4, 64] {
-        let (allocations, stats) = measure(issue_batch);
+        let (allocations, stats) = measure(issue_batch, None);
         let covers = stats.issued_requests;
         assert!(covers > 0 && stats.engine_requests >= covers);
         assert!(
@@ -145,11 +177,14 @@ fn a_request_allocates_per_cover_not_per_request() {
         );
     }
     // And at the shipped batch size, a twentieth of an allocation a
-    // request.
-    let (allocations, stats) = measure(default.issue_batch);
-    assert!(
-        allocations * 20 <= stats.engine_requests,
-        "{allocations} allocations for {} requests",
-        stats.engine_requests
-    );
+    // request — overlaid deliveries included.
+    for deltas in [None, Some(&view)] {
+        let (allocations, stats) = measure(default.issue_batch, deltas);
+        assert!(
+            allocations * 20 <= stats.engine_requests,
+            "{allocations} allocations for {} requests (deltas: {})",
+            stats.engine_requests,
+            deltas.is_some()
+        );
+    }
 }
