@@ -4,14 +4,13 @@
 //! The workspace's engine rests on a handful of hand-rolled
 //! synchronization protocols (busy-bit delivery exclusivity, the
 //! obligation-counted quiesce condition, work-stealing pop order, the
-//! shard rendezvous, the admission gate, the `SemIo` flush gate,
-//! in-flight read dedup). Ordinary tests exercise one interleaving per
-//! run; this crate exercises *all of them* up to a preemption bound —
-//! and for the first five it explores the code that ships, not a
-//! transcription: [`models`] compiles `bitmap.rs`, `pool.rs`,
-//! `rendezvous.rs` and `serve/gate.rs` themselves against instrumented
-//! primitives. The last two run through channels and an I/O thread and
-//! are still ~150-line models.
+//! shard rendezvous, the admission gate, in-flight read dedup).
+//! Ordinary tests exercise one interleaving per run; this crate
+//! exercises *all of them* up to a preemption bound — and it explores
+//! the code that ships, not a transcription: [`models`] compiles
+//! `bitmap.rs`, `pool.rs`, `rendezvous.rs`, `serve/gate.rs` and SAFS's
+//! `inflight.rs` themselves against instrumented primitives, channels
+//! included.
 //!
 //! Two halves:
 //!
@@ -39,4 +38,4 @@ pub mod models;
 pub mod sched;
 pub mod sync;
 
-pub use sched::{check_assert, explore, explore_with, Config, Failure, FailureKind, Fault, Report};
+pub use sched::{check_assert, explore, Config, Failure, FailureKind, Fault, Report};

@@ -568,7 +568,7 @@ mod tests {
 
     #[test]
     fn raw_locks_and_channels_flagged_in_shipped_crates() {
-        let shipped = |src: &str| lint_source("crates/safs/src/inflight.rs", src).len();
+        let shipped = |src: &str| lint_source("crates/safs/src/cache.rs", src).len();
         for src in [
             "use std::sync::Mutex;\n",
             "use std::sync::{Arc, RwLock};\n",

@@ -3,10 +3,9 @@
 //! * `fg_check --lint [root]` runs the static lint over every `.rs`
 //!   file (default root: the enclosing workspace) and exits non-zero
 //!   on any violation. CI runs this as a fail-the-build step.
-//! * `fg_check --models` explores every protocol — five as shipped,
-//!   two as models — unmutated and with each seeded mutation, and
-//!   exits non-zero unless the unmutated ones pass and every mutation
-//!   is caught. `FG_CHECK_DEPTH=n` deepens the exploration (CI's
+//! * `fg_check --models` explores every protocol, all as shipped,
+//!   unmutated and with each seeded mutation, and exits non-zero unless
+//!   the unmutated ones pass and every mutation is caught. `FG_CHECK_DEPTH=n` deepens the exploration (CI's
 //!   release stress step raises it); a value that is not a number
 //!   exits 2.
 
@@ -78,21 +77,19 @@ fn run_models() -> ExitCode {
         "fg_check --models: preemption bound {}, max {} executions per exploration",
         cfg.preemption_bound, cfg.max_executions
     );
-    // The table: each protocol, and whether it is explored as the
-    // shipped type or as a model of one.
+    // The table: each protocol, every one explored as the shipped code.
     macro_rules! protocol {
-        ($name:ident, $subject:literal) => {{
+        ($name:ident) => {{
             use models::$name::{check, MUTATIONS};
-            explore_protocol(stringify!($name), $subject, &MUTATIONS, check, &cfg)
+            explore_protocol(stringify!($name), &MUTATIONS, check, &cfg)
         }};
     }
-    let bad = protocol!(busy_bit, "shipped")
-        + protocol!(quiesce, "shipped")
-        + protocol!(ready_pool, "shipped")
-        + protocol!(sem_flush, "model")
-        + protocol!(rendezvous, "shipped")
-        + protocol!(gate, "shipped")
-        + protocol!(inflight_waiter, "model");
+    let bad = protocol!(busy_bit)
+        + protocol!(quiesce)
+        + protocol!(ready_pool)
+        + protocol!(rendezvous)
+        + protocol!(gate)
+        + protocol!(inflight_waiter);
     if bad == 0 {
         println!("fg_check --models: all protocols verified, all mutations caught");
         ExitCode::SUCCESS
@@ -108,7 +105,6 @@ fn run_models() -> ExitCode {
 /// counterexample, a mutated one must produce one).
 fn explore_protocol<M: Copy + std::fmt::Debug>(
     name: &str,
-    subject: &str,
     mutations: &[M],
     check: fn(Option<M>, &Config) -> Report,
     cfg: &Config,
@@ -127,8 +123,8 @@ fn explore_protocol<M: Copy + std::fmt::Debug>(
             (Some(_), None) => (false, "MISSED (mutation not detected)".to_string()),
         };
         println!(
-            "  {:<32} {:<8} {:>7} executions  {}",
-            label, subject, report.executions, verdict
+            "  {:<36} shipped  {:>7} executions  {}",
+            label, report.executions, verdict
         );
         if let (false, Some(f)) = (ok, &report.failure) {
             println!("{}", f);

@@ -12,7 +12,7 @@
 
 use super::shipped_bitmap::AtomicBitmap;
 use crate::sync::{cspawn_each, cyield, CCell};
-use crate::{check_assert, explore_with, Config, Fault, Report};
+use crate::{check_assert, explore, Config, Fault, Report};
 use fg_types::VertexId;
 
 /// Seeded protocol edits the checker must catch.
@@ -47,7 +47,7 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         Some(Mutation::RelaxedSync) => &RELAXED_SYNC,
         _ => &[],
     };
-    explore_with(cfg, faults, move || {
+    explore(cfg, faults, move || {
         let shared = std::sync::Arc::new((AtomicBitmap::new(1), CCell::new("vertex_state", 0u64)));
         let s = shared.clone();
         cspawn_each(WORKERS, move |w| {

@@ -24,7 +24,7 @@
 
 use super::shipped_gate::{Gate, Ticket};
 use crate::sync::{cspawn, cyield, CCell};
-use crate::{check_assert, explore_with, Config, Fault, Report};
+use crate::{check_assert, explore, Config, Fault, Report};
 use fg_types::{CancelCause, CancelToken};
 use std::sync::Arc;
 
@@ -81,7 +81,7 @@ fn assert_drained(gate: &Gate, admitted: u64) {
 
 /// Low and high both wait for the root's slot; high goes first.
 fn scenario_priority(faults: &[Fault], cfg: &Config) -> Report {
-    explore_with(cfg, faults, || {
+    explore(cfg, faults, || {
         let gate = Arc::new(Gate::new(1));
         let order = Arc::new(CCell::new("admission order", Vec::new()));
         let held = gate.admit(ticket(NORMAL, "root"), None).ok();
@@ -110,7 +110,7 @@ fn scenario_priority(faults: &[Fault], cfg: &Config) -> Report {
 
 /// The first in line dies just before its grant; the next gets in.
 fn scenario_cancel_after_grant(faults: &[Fault], cfg: &Config) -> Report {
-    explore_with(cfg, faults, || {
+    explore(cfg, faults, || {
         let gate = Arc::new(Gate::new(1));
         let token = CancelToken::new();
         let held = gate.admit(ticket(NORMAL, "root"), None).ok();
@@ -142,7 +142,7 @@ fn scenario_cancel_after_grant(faults: &[Fault], cfg: &Config) -> Report {
 /// A token fires while the slot stays taken: no gate event, only the
 /// waiter's own poll can notice.
 fn scenario_deadline(cfg: &Config) -> Report {
-    explore_with(cfg, &[], || {
+    explore(cfg, &[], || {
         let gate = Arc::new(Gate::new(1));
         let token = CancelToken::new();
         let held = gate.admit(ticket(NORMAL, "root"), None).ok();

@@ -23,7 +23,7 @@
 
 use super::shipped_pool::ReadyPool;
 use crate::sync::{cspawn_each, cyield, CCell};
-use crate::{check_assert, explore_with, Config, Fault, Report};
+use crate::{check_assert, explore, Config, Fault, Report};
 use fg_types::sync::Counter;
 use std::ops::Range;
 use std::sync::Arc;
@@ -154,7 +154,7 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         Some(Mutation::RelaxedPublish) => &[RELAXED_PUBLISH],
         _ => &[],
     };
-    explore_with(cfg, faults, move || {
+    explore(cfg, faults, move || {
         let cell = |v| CCell::new(&format!("cell{}", v), 0);
         let h = Arc::new(Harness {
             pool: ReadyPool::new(WORKERS),

@@ -21,7 +21,7 @@
 use super::shipped_bitmap::AtomicBitmap;
 use super::shipped_pool::ReadyPool;
 use crate::sync::{cspawn_each, cyield, CCell};
-use crate::{check_assert, explore_with, Config, Fault, Report};
+use crate::{check_assert, explore, Config, Fault, Report};
 use fg_types::VertexId;
 use std::ops::Range;
 use std::sync::Arc;
@@ -107,7 +107,7 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         Some(Mutation::StealWithoutLock) => &[STEAL_WITHOUT_LOCK],
         _ => &[],
     };
-    explore_with(cfg, faults, move || {
+    explore(cfg, faults, move || {
         let count = |i| CCell::new(&format!("count{}", i), 0);
         let h = Arc::new(Harness {
             pool: ReadyPool::new(WORKERS),

@@ -20,7 +20,7 @@
 
 use super::shipped_rendezvous::{PeerPanicked, Rendezvous};
 use crate::sync::{cspawn, cspawn_each, cyield};
-use crate::{check_assert, explore_with, Config, Fault, Report};
+use crate::{check_assert, explore, Config, Fault, Report};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ fn poisoned<R>(f: impl FnOnce() -> R) -> Result<R, ()> {
 /// different results (round 1: false, round 2: true); cross-round
 /// bleed or a sleep-through shows up as a wrong result or a deadlock.
 fn scenario_votes(faults: &[Fault], cfg: &Config) -> Report {
-    explore_with(cfg, faults, || {
+    explore(cfg, faults, || {
         let group = Rendezvous::new(PARTIES);
         let ballots: [[bool; 2]; PARTIES] = [[true, true], [false, true]];
         let expected = [false, true];
@@ -80,7 +80,7 @@ fn scenario_votes(faults: &[Fault], cfg: &Config) -> Report {
 /// the survivor is (possibly already) waiting on round 2. The
 /// survivor's second wait must unwind, never hang.
 fn scenario_poison(faults: &[Fault], cfg: &Config) -> Report {
-    explore_with(cfg, faults, || {
+    explore(cfg, faults, || {
         let group = Arc::new(Rendezvous::new(PARTIES));
         let g = group.clone();
         let survivor = cspawn(move || {
@@ -107,7 +107,7 @@ fn scenario_poison(faults: &[Fault], cfg: &Config) -> Report {
 /// A party waiting on its sibling away from the barrier polls `check`
 /// between looks at its (here: empty) work; the sibling dies.
 pub fn check_reader(cfg: &Config) -> Report {
-    explore_with(cfg, &[], || {
+    explore(cfg, &[], || {
         let group = Arc::new(Rendezvous::new(PARTIES));
         let g = group.clone();
         let idler = cspawn(move || {

@@ -33,8 +33,8 @@
 //!   what makes this bound useful.
 //! * a **step bound** (`Config::max_steps`): an execution that runs
 //!   more operations than this is reported as a livelock — the net
-//!   that catches "nothing flushes, everyone spins" bugs like the
-//!   pre-PR 6 flush trigger.
+//!   that catches "nobody releases, everyone spins" bugs like a busy
+//!   bit its owner never clears.
 //!
 //! Spin loops cooperate through [`crate::sync::cyield`]: at the yield
 //! point the yielder is excluded from its own successor candidates (a
@@ -51,12 +51,12 @@
 //!
 //! * **Data races.** Every thread carries a vector clock;
 //!   happens-before edges flow through the doubles (release/acquire
-//!   atomics, mutex hand-off, spawn/join). A [`crate::sync::CCell`]
-//!   access that is not ordered after the previous conflicting access
-//!   is a race. Crucially, `Relaxed` atomic operations move *values*
-//!   but never clocks — so downgrading a publishing `AcqRel` to
-//!   `Relaxed` shows up as a lost publication, exactly like the
-//!   seeded busy-bit mutation.
+//!   atomics, mutex hand-off, a message from send to receive,
+//!   spawn/join). A [`crate::sync::CCell`] access that is not ordered
+//!   after the previous conflicting access is a race. Crucially,
+//!   `Relaxed` atomic operations move *values* but never clocks — so
+//!   downgrading a publishing `AcqRel` to `Relaxed` shows up as a lost
+//!   publication, exactly like the seeded busy-bit mutation.
 //! * **Deadlocks.** No runnable threads, some still blocked — and none
 //!   of them in a timed wait: a timeout fires when nothing else can
 //!   run, never earlier, so a protocol that works only because someone
@@ -279,9 +279,10 @@ pub(crate) enum St {
     /// Parked at a schedule point, eligible to be granted the token.
     Parked,
     BlockedMutex(u64),
+    /// In a condvar wait or a channel receive.
     BlockedCond(u64),
-    /// In a condvar wait with a timeout: woken by a notify like
-    /// `BlockedCond`, or by the clock once nothing else can run.
+    /// `BlockedCond` with a timeout, which also ends it once nothing
+    /// else can run.
     BlockedTimed(u64),
     BlockedJoin(usize),
     Finished,
@@ -482,8 +483,8 @@ impl Scheduler {
         let _st = self.gate(st, me);
     }
 
-    /// Blocks the calling thread on `target` (a mutex, condvar, or
-    /// join edge), cedes the token, and returns once the thread has
+    /// Blocks the calling thread on `target` (a mutex, condvar, channel
+    /// or join edge), cedes the token, and returns once the thread has
     /// been unblocked *and* granted the token again.
     pub(crate) fn block_on(&self, me: usize, target: St, desc: &str) {
         let mut st = self.lock_state();
@@ -512,7 +513,7 @@ impl Scheduler {
     }
 
     /// Wakes the threads blocked on `edge` (a mutex's unlock, a
-    /// condvar's notify).
+    /// condvar's notify, a channel's send).
     pub(crate) fn unblock(&self, edge: St) {
         let mut st = self.lock_state();
         self.unblock_where(&mut st, |s| s == edge);
@@ -750,17 +751,8 @@ fn panic_message(r: Result<(), Box<dyn std::any::Any + Send>>) -> Option<String>
 /// a fresh scheduler, constructs its shared state from scratch (the
 /// [`crate::sync`] doubles, or a shipped type built from them), spawns
 /// threads with [`crate::sync::cspawn`], and asserts its invariants
-/// with [`crate::check_assert`].
-pub fn explore(cfg: &Config, body: impl Fn() + Send + Sync + 'static) -> Report {
-    explore_with(cfg, &[], body)
-}
-
-/// [`explore`] with `faults` injected by the doubles.
-pub fn explore_with(
-    cfg: &Config,
-    faults: &[Fault],
-    body: impl Fn() + Send + Sync + 'static,
-) -> Report {
+/// with [`crate::check_assert`]; the doubles inject `faults` into it.
+pub fn explore(cfg: &Config, faults: &[Fault], body: impl Fn() + Send + Sync + 'static) -> Report {
     let not_reached = |executions, why| Report {
         executions,
         complete: false,

@@ -26,6 +26,10 @@
 //!   visible as deadlocks. [`Condvar::wait_timeout`] times out only
 //!   once no thread can run (see [`crate::sched`]): the poll it stands
 //!   for never rescues a waiter the protocol forgot to wake.
+//! * **[`channel`]** carries the sender's clock with each message to
+//!   the receive that takes it, like a release and an acquire, blocks
+//!   an empty receive scheduler-side, and disconnects when the last
+//!   sender or the receiver goes — a reply nobody sends is a deadlock.
 //!
 //! The atomics, `Mutex` and `Condvar` are also where a [`crate::Fault`]
 //! lands: each operation knows its call site (`#[track_caller]`) and
@@ -34,14 +38,14 @@
 //!
 //! A double created on a thread that is not a model thread is a *plain
 //! value*: the same state behind the same real lock, no scheduler, no
-//! clocks — a slow but correct atomic, mutex or condvar, which is what
-//! lets a mounted file's own `#[cfg(test)]` module run, real threads
-//! and all, in this crate's test build. So is any double while its
-//! thread unwinds: what runs then is a `Drop` of the code under test
-//! (an admission permit giving its slot back) as an aborted execution
-//! is torn down, and a schedule point there would panic inside a
-//! panic. Nothing here is a real atomic: under the scheduler exactly
-//! one model thread runs at a time.
+//! clocks — a slow but correct atomic, mutex, condvar or channel,
+//! which is what lets a mounted file's own `#[cfg(test)]` module run,
+//! real threads and all, in this crate's test build. So is any double
+//! while its thread unwinds: what runs then is a `Drop` of the code
+//! under test (an admission permit giving its slot back) as an aborted
+//! execution is torn down, and a schedule point there would panic
+//! inside a panic. Nothing here is a real atomic: under the scheduler
+//! exactly one model thread runs at a time.
 
 use std::fmt;
 use std::panic::Location;
@@ -133,6 +137,12 @@ impl Tracked {
     /// A zeroed clock of this exploration's width.
     fn clock(&self) -> Vec<u32> {
         vec![0; self.sched.with_clocks(|c| c[0].len())]
+    }
+
+    /// Wakes every thread blocked on this double, timed or not.
+    fn wake_all(&self) {
+        self.sched.unblock(St::BlockedCond(self.id));
+        self.sched.unblock(St::BlockedTimed(self.id));
     }
 }
 
@@ -424,6 +434,19 @@ pub struct Mutex<T> {
     data: StdMutex<T>,
 }
 
+impl<T> fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Mutex { .. }")
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    #[track_caller]
+    fn default() -> Self {
+        Mutex::new(T::default())
+    }
+}
+
 /// RAII guard for [`Mutex`]; unlocking is itself a schedule point.
 pub struct MutexGuard<'a, T> {
     mutex: &'a Mutex<T>,
@@ -628,8 +651,211 @@ impl Condvar {
         let me = Scheduler::current_tid();
         t.sched.point(me, &format!("{}.notify_all", t.name));
         if !t.sched.faulted("notify_all", Location::caller()) {
-            t.sched.unblock(St::BlockedCond(t.id));
-            t.sched.unblock(St::BlockedTimed(t.id));
+            t.wake_all();
+        }
+    }
+}
+
+/// Unbounded channels under `fg_types::sync::channel`'s names, with
+/// `std::sync::mpsc`'s errors. `send`, every receive and a disconnecting
+/// drop are schedule points; a disconnect carries no clock, and
+/// `recv_timeout` expires only once no thread can run, as
+/// [`Condvar::wait_timeout`] does.
+pub mod channel {
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
+    use std::time::Duration;
+
+    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+
+    use super::{join_into, live, relock, Tracked};
+    use crate::sched::{Scheduler, St};
+
+    struct State<T> {
+        /// Each message with the clock its send carried (empty: none).
+        queue: VecDeque<(T, Vec<u32>)>,
+        senders: usize,
+        receiver: bool,
+    }
+
+    struct Chan<T> {
+        model: Option<Tracked>,
+        state: StdMutex<State<T>>,
+        /// Wakes a plain value's blocked receiver.
+        ready: StdCondvar,
+    }
+
+    impl<T> Chan<T> {
+        /// The model thread making an operation, past the schedule point
+        /// `op` if any; `None` for a plain value.
+        fn site(&self, op: Option<&str>) -> Option<(&Tracked, usize)> {
+            let t = live(&self.model)?;
+            let me = Scheduler::current_tid();
+            if let Some(op) = op {
+                t.sched.point(me, &format!("{}.{}", t.name, op));
+            }
+            Some((t, me))
+        }
+
+        fn wake(&self, site: Option<(&Tracked, usize)>) {
+            match site {
+                Some((t, _)) => t.wake_all(),
+                None => self.ready.notify_all(),
+            }
+        }
+    }
+
+    /// The sending half; clones share the channel.
+    pub struct Sender<T>(Arc<Chan<T>>);
+
+    /// The receiving half.
+    pub struct Receiver<T>(Arc<Chan<T>>);
+
+    #[track_caller]
+    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+        let chan = Arc::new(Chan {
+            model: Tracked::new(),
+            state: StdMutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receiver: true,
+            }),
+            ready: StdCondvar::new(),
+        });
+        (Sender(Arc::clone(&chan)), Receiver(chan))
+    }
+
+    impl<T> Sender<T> {
+        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+            self.post(value, true)
+        }
+
+        /// [`Sender::send`], whose message carries the sender's clock
+        /// only on `release` — without, it is a reply path with no
+        /// release semantics, which a harness seeds as its caller's
+        /// mistake. Nothing shipped can name it.
+        pub(crate) fn post(&self, value: T, release: bool) -> Result<(), SendError<T>> {
+            let site = self.0.site(Some("send"));
+            let mut s = relock(&self.0.state);
+            if !s.receiver {
+                return Err(SendError(value));
+            }
+            let clock = match site {
+                Some((t, me)) if release => t.sched.with_clocks(|c| c[me].clone()),
+                _ => Vec::new(),
+            };
+            s.queue.push_back((value, clock));
+            drop(s);
+            self.0.wake(site);
+            Ok(())
+        }
+    }
+
+    impl<T> Clone for Sender<T> {
+        fn clone(&self) -> Self {
+            relock(&self.0.state).senders += 1;
+            Sender(Arc::clone(&self.0))
+        }
+    }
+
+    impl<T> Drop for Sender<T> {
+        fn drop(&mut self) {
+            // Only the last sender's drop is seen by another thread, and
+            // nobody else holds a sender to make it not the last.
+            let last = relock(&self.0.state).senders == 1;
+            let site = self.0.site(last.then_some("drop(Sender)"));
+            relock(&self.0.state).senders -= 1;
+            if last {
+                self.0.wake(site);
+            }
+        }
+    }
+
+    impl<T> std::fmt::Debug for Sender<T> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("Sender { .. }")
+        }
+    }
+
+    impl<T> Receiver<T> {
+        pub fn recv(&self) -> Result<T, RecvError> {
+            self.take("recv", true, None).map_err(|_| RecvError)
+        }
+
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            self.take("try_recv", false, None).map_err(|e| match e {
+                RecvTimeoutError::Timeout => TryRecvError::Empty,
+                RecvTimeoutError::Disconnected => TryRecvError::Disconnected,
+            })
+        }
+
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.take("recv_timeout", true, Some(timeout))
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+            std::iter::from_fn(|| self.recv().ok())
+        }
+
+        /// Every receive: a poll unless it may `block`; a timed one
+        /// blocks once (for a plain value, a wake-up may be spurious).
+        fn take(
+            &self,
+            op: &str,
+            block: bool,
+            timeout: Option<Duration>,
+        ) -> Result<T, RecvTimeoutError> {
+            let c = &*self.0;
+            let site = c.site(Some(op));
+            let mut s = relock(&c.state);
+            let mut woken = false;
+            loop {
+                if let Some((value, clock)) = s.queue.pop_front() {
+                    if let Some((t, me)) = site {
+                        t.sched.with_clocks(|c| join_into(&mut c[me], &clock));
+                    }
+                    return Ok(value);
+                }
+                if s.senders == 0 {
+                    return Err(RecvTimeoutError::Disconnected);
+                }
+                if !block || (woken && timeout.is_some()) {
+                    return Err(RecvTimeoutError::Timeout);
+                }
+                woken = true;
+                s = match (site, timeout) {
+                    (Some((t, me)), _) => {
+                        drop(s);
+                        let edge = match timeout {
+                            Some(_) => St::BlockedTimed(t.id),
+                            None => St::BlockedCond(t.id),
+                        };
+                        t.sched
+                            .block_on(me, edge, &format!("{}.{op} (blocked)", t.name));
+                        relock(&c.state)
+                    }
+                    (None, Some(d)) => {
+                        c.ready
+                            .wait_timeout(s, d)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                    (None, None) => c.ready.wait(s).unwrap_or_else(PoisonError::into_inner),
+                };
+            }
+        }
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            self.0.site(Some("drop(Receiver)"));
+            // Unread messages go with the receiver, as with `mpsc`, once
+            // the lock is released: one may own another channel's sender.
+            let _unread = {
+                let mut s = relock(&self.0.state);
+                s.receiver = false;
+                std::mem::take(&mut s.queue)
+            };
         }
     }
 }

@@ -23,7 +23,11 @@
 //! were once needed together, and in the steady state neither the
 //! queue nor a batch is allocated or regrown. `SemIo` owns its session
 //! and its flush policy, so nothing outside this file submits, kicks
-//! or polls (`fg_check`'s `sem_flush` model referees the flush gate).
+//! or polls. The flush gate — `harvest`'s stall-point flush over
+//! `outstanding` and `buffered`, plain fields of one worker — has no
+//! interleaving to explore; `engine_behavior`'s
+//! `pipeline_survives_max_pending_below_issue_batch` holds it, under a
+//! watchdog.
 //! Priced by the ledger's `engine.fetch_ns_per_req` and `merge.*`
 //! rows; `tests/alloc_request_path.rs` holds the allocation floor.
 //!

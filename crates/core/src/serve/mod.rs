@@ -89,8 +89,9 @@
 //! isolation** from that: at admission each pins the pair (image
 //! generation, delta view), and the engine merges the pinned
 //! [`DeltaView`] with the on-SSD lists at delivery time (see
-//! `EdgeData::Overlay` in the vertex layer) — concurrent ingests and
-//! compactions never change what a running query sees.
+//! `PageVertex::with_overlay` and its `overlay` field in the vertex
+//! layer) — concurrent ingests and compactions never change what a
+//! running query sees.
 //! [`QueryOpts::at_watermark`] pins an older watermark's view the same
 //! way (time travel within the unfolded window).
 //!

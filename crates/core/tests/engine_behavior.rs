@@ -2,6 +2,9 @@
 //! (in-memory and semi-external over the SSD simulator) so the two
 //! paths are provably interchangeable.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
 use fg_format::{load_index, required_capacity, write_image};
 use fg_graph::{fixtures, gen, Graph};
 use fg_safs::{Safs, SafsConfig};
@@ -695,19 +698,38 @@ fn schedulers_do_not_change_bfs_results() {
 /// wait forever on completions that were never submitted
 /// (`scan_statistics` ships exactly this shape: `max_pending: 16`
 /// over the default `issue_batch: 256`).
+///
+/// This is the test of `SemIo::harvest`'s stall-point flush, so it runs
+/// under a watchdog (the `tests/panic_poison.rs` pattern): a flush that
+/// never fires fails it after `WATCHDOG` instead of hanging the suite.
 #[test]
 fn pipeline_survives_max_pending_below_issue_batch() {
-    let g = gen::rmat(8, 6, gen::RmatSkew::default(), 5);
-    let cfg = EngineConfig {
-        max_pending: 2,
-        issue_batch: 64,
-        ..EngineConfig::small()
-    };
-    let (mem, _) = run_mode(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg, false);
-    let (sem, _) = run_mode(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg, true);
-    for v in g.vertices() {
-        assert_eq!(mem[v.index()].visited, sem[v.index()].visited);
-        assert_eq!(mem[v.index()].level, sem[v.index()].level);
+    const WATCHDOG: Duration = Duration::from_secs(20);
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let g = gen::rmat(8, 6, gen::RmatSkew::default(), 5);
+        let cfg = EngineConfig {
+            max_pending: 2,
+            issue_batch: 64,
+            ..EngineConfig::small()
+        };
+        let (mem, _) = run_mode(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg, false);
+        let (sem, _) = run_mode(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg, true);
+        for v in g.vertices() {
+            assert_eq!(mem[v.index()].visited, sem[v.index()].visited);
+            assert_eq!(mem[v.index()].level, sem[v.index()].level);
+        }
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(()) => runner.join().unwrap(),
+        // The run panicked: surface its assertion.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("still running after {WATCHDOG:?}: a stall point that never flushes")
+        }
     }
 }
 

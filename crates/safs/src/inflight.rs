@@ -30,16 +30,20 @@
 //! under the stripe lock and hands them to the caller, which sends
 //! after the lock is dropped.
 //!
-//! The protocol (one fetcher, N waiters, the buffered claim → dispatch
-//! gap, cancellation mid-wait) is model-checked in
-//! `fg_check::models::inflight_waiter`.
+//! Every primitive is `super::sync::…` and nothing else: `fg_check`
+//! compiles this file against its instrumented `sync` and explores
+//! `claim_or_attach` / `resolve` as shipped — its `inflight_waiter`
+//! harness drives them with a fetcher cancelled inside the buffered
+//! claim → dispatch gap, a waiter and a departed waiter, transcribing
+//! the session's submit / kick / drop and the I/O thread's fan-out
+//! around them — so an edit here is checked by the next
+//! `cargo test --test check_models`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use fg_types::sync::channel::Sender;
-use fg_types::sync::Mutex;
-
-use crate::io_thread::RunDone;
+use super::sync::{channel::Sender, Mutex};
+use super::Page;
 
 /// Number of independently locked stripes; a power of two so the
 /// stripe of a page is a mask of its number (consecutive pages of one
@@ -58,6 +62,18 @@ pub(crate) struct PageWaiter {
     pub session: u64,
     /// The waiter session's completion mailbox.
     pub reply: Sender<Vec<RunDone>>,
+}
+
+/// Pages delivered back to a session: its own run, or — what a
+/// [`PageWaiter`] is sent — one page of another session's run.
+#[derive(Debug)]
+pub(crate) struct RunDone {
+    /// Id of the owning logical request.
+    pub req_id: u64,
+    /// Slot index where `pages[0]` belongs.
+    pub first_slot: u32,
+    /// The filled pages, consecutive from `first_slot`.
+    pub pages: Vec<Arc<Page>>,
 }
 
 /// The mount-wide table of pages currently being fetched from the
@@ -127,9 +143,8 @@ impl InflightTable {
 
 #[cfg(test)]
 mod tests {
+    use super::super::sync::channel::unbounded;
     use super::*;
-    use fg_types::sync::channel::unbounded;
-    use std::sync::{Arc, Barrier};
 
     fn waiter(req_id: u64, slot: u32, reply: &Sender<Vec<RunDone>>) -> PageWaiter {
         PageWaiter {
@@ -198,22 +213,23 @@ mod tests {
         // Eight threads hammer overlapping page sets: whoever claims a
         // page resolves it (as the I/O thread serving its run would)
         // and completes the detached waiters; whoever attaches counts
-        // on exactly one completion. Rounds are barrier-separated so
-        // every round re-races claim against attach against resolve.
+        // on exactly one completion. A round starts when every thread
+        // is sent its number and ends when all have answered, so every
+        // round re-races claim against attach against resolve.
         const THREADS: u64 = 8;
         const PAGES: u64 = 96; // > STRIPES: some pages share a stripe
         const ROUNDS: u64 = 50;
         let table = Arc::new(InflightTable::new());
-        let barrier = Arc::new(Barrier::new(THREADS as usize));
-        let handles: Vec<_> = (0..THREADS)
+        let (done_tx, done_rx) = unbounded();
+        let (starts, handles): (Vec<_>, Vec<_>) = (0..THREADS)
             .map(|t| {
                 let table = Arc::clone(&table);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
+                let done_tx = done_tx.clone();
+                let (start_tx, start_rx) = unbounded::<u64>();
+                let handle = std::thread::spawn(move || {
                     let (tx, rx) = unbounded::<Vec<RunDone>>();
                     let mut expected = Vec::new();
-                    for round in 0..ROUNDS {
-                        barrier.wait();
+                    for round in start_rx.iter() {
                         // Overlapping windows: thread t covers pages
                         // [8t, 8t + 40) mod PAGES.
                         for k in 0..40 {
@@ -233,16 +249,28 @@ mod tests {
                                 }
                             }
                         }
+                        done_tx.send(()).unwrap();
                     }
-                    barrier.wait();
+                    // Every claim was resolved by its claimer within its
+                    // round, so every clone of `tx` has been sent on.
                     drop(tx);
                     let mut got: Vec<u64> = rx.iter().flatten().map(|d| d.req_id).collect();
                     got.sort_unstable();
                     expected.sort_unstable();
                     assert_eq!(got, expected, "one delivery per attached waiter");
-                })
+                });
+                (start_tx, handle)
             })
-            .collect();
+            .unzip();
+        for round in 0..ROUNDS {
+            for start in &starts {
+                start.send(round).unwrap();
+            }
+            for _ in 0..THREADS {
+                done_rx.recv().unwrap();
+            }
+        }
+        drop(starts);
         for h in handles {
             h.join().unwrap();
         }

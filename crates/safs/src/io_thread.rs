@@ -19,7 +19,7 @@ use fg_types::sync::channel::{Receiver, Sender};
 
 use crate::cache::PageCache;
 use crate::config::SafsConfig;
-use crate::inflight::InflightTable;
+use crate::inflight::{InflightTable, RunDone};
 use crate::page::Page;
 
 /// Upper bound on how many queued runs one pass drains (checked
@@ -42,17 +42,6 @@ pub(crate) struct RunRequest {
     pub session: u64,
     /// Completion mailbox of the issuing session.
     pub reply: Sender<Vec<RunDone>>,
-}
-
-/// Pages delivered back to a session.
-#[derive(Debug)]
-pub(crate) struct RunDone {
-    /// Id of the owning logical request.
-    pub req_id: u64,
-    /// Slot index where `pages[0]` belongs.
-    pub first_slot: u32,
-    /// The filled pages, consecutive from `first_slot`.
-    pub pages: Vec<Arc<Page>>,
 }
 
 /// Mailbox protocol of an I/O thread.

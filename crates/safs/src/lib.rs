@@ -55,6 +55,10 @@
 //! # Ok::<(), fg_types::FgError>(())
 //! ```
 
+// `inflight.rs` names its primitives `super::sync::…` — here the real
+// ones, in `fg_check`'s mount of the same file the instrumented doubles.
+use fg_types::sync;
+
 mod cache;
 mod config;
 mod inflight;

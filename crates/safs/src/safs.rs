@@ -11,10 +11,8 @@ use fg_types::{FgError, Result};
 
 use crate::cache::{CacheStats, CacheStatsSnapshot};
 use crate::config::SafsConfig;
-use crate::inflight::PageWaiter;
-use crate::io_thread::{
-    io_thread_loop, read_pages_hint, CacheUse, IoMsg, Mount, RunDone, RunRequest,
-};
+use crate::inflight::{PageWaiter, RunDone};
+use crate::io_thread::{io_thread_loop, read_pages_hint, CacheUse, IoMsg, Mount, RunRequest};
 use crate::page::{Page, PageSpan};
 
 /// A completed logical read: the caller's tag plus a zero-copy span

@@ -26,12 +26,14 @@
 //! protocol written against nothing but this module
 //! (`super::sync::…`) is one `fg_check` can compile, unchanged,
 //! against its instrumented doubles and explore as shipped —
-//! `AtomicBitmap`, the engine's `ReadyPool`, its `Rendezvous` and the
-//! serving layer's admission `Gate` are.
+//! `AtomicBitmap`, the engine's `ReadyPool`, its `Rendezvous`, the
+//! serving layer's admission `Gate` and SAFS's in-flight read table
+//! are.
 //!
 //! [`channel`] is `std::sync::mpsc` under the three names SAFS uses;
-//! it has no double yet, which is why the two protocols that cross a
-//! channel (`inflight_waiter`, `sem_flush`) are still models.
+//! `fg_check`'s double of it carries a message's clock from its send
+//! to its receive, which is what lets the read-dedup table's fan-out
+//! be explored over the shipped table.
 //!
 //! [`Counter`] exists because by far the most common atomic in this
 //! workspace is a monotonic statistic (I/O counters, cache counters,

@@ -1,5 +1,5 @@
-//! Tier-1 gate for `fg_check`: every protocol — five explored as the
-//! shipped types, two as models — passes exhaustive bounded
+//! Tier-1 gate for `fg_check`: every protocol — all six explored as
+//! the shipped types — passes exhaustive bounded
 //! exploration, every seeded mutation is detected with a
 //! counterexample trace, and the workspace lint runs clean on this
 //! repository.
@@ -9,7 +9,7 @@
 //! it; the default bound keeps this suite fast enough for tier-1.
 
 use fg_check::models::shipped_bitmap::AtomicBitmap;
-use fg_check::{explore_with, lint, models, Config, FailureKind, Fault};
+use fg_check::{explore, lint, models, Config, FailureKind, Fault};
 use fg_types::VertexId;
 
 fn cfg() -> Config {
@@ -129,23 +129,6 @@ fn ready_pool_mutations_caught() {
 }
 
 #[test]
-fn sem_flush_protocol_verified() {
-    assert_verified("sem_flush", &models::sem_flush::check(None, &cfg()));
-}
-
-#[test]
-fn sem_flush_livelock_mutation_caught() {
-    use models::sem_flush::{check, Mutation};
-    // The PR 6 bug: flushing only on the batch-size trigger leaves a
-    // sub-batch tail stranded and the waiter spinning.
-    assert_caught(
-        "sem_flush",
-        check,
-        &[(Mutation::SizeTriggerOnly, "livelock")],
-    );
-}
-
-#[test]
 fn rendezvous_protocol_verified() {
     assert_verified("rendezvous", &models::rendezvous::check(None, &cfg()));
 }
@@ -197,7 +180,7 @@ fn gate_mutations_caught() {
 fn a_fault_that_is_never_injected_is_reported() {
     // A scenario that claims the bit and never clears it.
     let claim_only = |fault| {
-        explore_with(&cfg(), &[fault], || {
+        explore(&cfg(), &[fault], || {
             AtomicBitmap::new(1).set_sync(VertexId(0));
         })
     };
@@ -244,6 +227,24 @@ fn a_double_outside_explore_is_a_plain_value() {
     });
     assert_eq!(*shared.0.lock(), 5);
     assert_eq!(shared.2.load(Ordering::Acquire), 4);
+
+    // A channel is a real blocking queue: a receive waits for a send on
+    // another thread, or for its last sender to go there.
+    use fg_check::sync::channel::{unbounded, RecvTimeoutError, TryRecvError};
+    let ms = std::time::Duration::from_millis;
+    let (tx, rx) = unbounded();
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+    assert_eq!(rx.recv_timeout(ms(1)), Err(RecvTimeoutError::Timeout));
+    std::thread::scope(|s| {
+        s.spawn(move || (0..3).for_each(|i| tx.clone().send(i).unwrap()));
+        assert_eq!(rx.recv(), Ok(0));
+        assert_eq!(rx.recv_timeout(ms(10_000)), Ok(1));
+        assert_eq!(rx.iter().collect::<Vec<_>>(), [2], "then the disconnect");
+    });
+    assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    // And from the other end: a send to a dropped receiver fails.
+    let (tx, _) = unbounded();
+    assert_eq!(tx.send(7).map_err(|e| e.0), Err(7));
 }
 
 #[test]
@@ -257,15 +258,14 @@ fn inflight_waiter_protocol_verified() {
 #[test]
 fn inflight_waiter_mutations_caught() {
     use models::inflight_waiter::{check, Mutation};
-    // Resolve without notify: the attached waiter sleeps forever. A
-    // Relaxed mailbox publish no longer carries the page bytes to the
-    // fetcher: a data race on the page buffer. A claiming session that
-    // exits with its run still buffered: the claims are never served
-    // and the attached waiter never wakes.
+    // No fan-out, or a claimer dropped without dispatching: the attached
+    // waiter never wakes. A reply without the I/O thread's clock, or a
+    // claim without its stripe lock: a data race.
     let expected = [
-        (Mutation::DroppedNotify, "deadlock"),
-        (Mutation::RelaxedPublish, "data race"),
+        (Mutation::ResolveWithoutFanOut, "deadlock"),
+        (Mutation::UnorderedReply, "data race"),
         (Mutation::DropWithoutKick, "deadlock"),
+        (Mutation::UnlockedClaim, "data race"),
     ];
     assert_caught("inflight_waiter", check, &expected);
 }
@@ -316,6 +316,7 @@ fn f(x: &AtomicU64) {
         [
             "crates/types/src/bitmap.rs",
             "crates/core/src/serve/gate.rs",
+            "crates/safs/src/inflight.rs",
             "crates/core/src/engine/pool.rs",
             "crates/core/src/rendezvous.rs"
         ]
@@ -334,7 +335,14 @@ fn f(x: &AtomicU64) {
         [(1, "raw-sync")]
     );
     assert_eq!(rules(lint::lint_source("tests/prop_serve.rs", unseen)), []);
-    for path in ["std::sync::Mutex::new(0)", "fg_types::sync::AtomicU64"] {
+    // A channel the checker cannot see is one too: its messages would
+    // carry no clock.
+    for path in [
+        "std::sync::Mutex::new(0)",
+        "fg_types::sync::AtomicU64",
+        "fg_types::sync::channel::unbounded::<u32>()",
+        "std::sync::mpsc::channel::<u32>()",
+    ] {
         let src = format!("fn f() {{ let _ = {path}; }}\n");
         assert_eq!(
             rules(lint::lint_source(&mounted[0], &src)),
