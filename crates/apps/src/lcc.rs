@@ -23,8 +23,8 @@
 //! restricted to a sub-sample of positions. Crucially, no list is
 //! ever read past its sampled positions, so a hub's multi-page
 //! interior is touched only where probes land — the selective-I/O
-//! win `fig_partial` in `fg_bench` measures against full-list
-//! execution with `IoStats`.
+//! win `sem_equivalence::lcc_equivalent_exact_and_sampled` asserts
+//! against full-list execution with `IoStats`.
 
 use std::collections::HashSet;
 

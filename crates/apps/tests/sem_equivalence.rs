@@ -277,6 +277,24 @@ fn lcc_equivalent_exact_and_sampled() {
             "vertex {v}"
         );
     }
+    // Per query, sampling is partial I/O: the hubs' sampled estimates
+    // request fewer bytes and read fewer from the device than their
+    // exact answers, each run on a fresh (cold) mount.
+    let g = symmetrized(&gen::rmat(12, 8, gen::RmatSkew::default(), 0xB1A5));
+    let mut hubs: Vec<VertexId> = g.vertices().collect();
+    hubs.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
+    hubs.truncate(4);
+    let io = |k: u32| {
+        let (safs, index) = sem_fixture(&g);
+        let sem = Engine::new_sem(&safs, index, EngineConfig::small());
+        let (_, stats) = fg_apps::lcc_of(&sem, &hubs, k, 42).unwrap();
+        (stats.bytes_requested, stats.io.unwrap().bytes_read)
+    };
+    let (exact, sampled) = (io(u32::MAX), io(2));
+    assert!(
+        sampled.0 < exact.0 && sampled.1 < exact.1,
+        "(bytes requested, device bytes) sampled {sampled:?}, exact {exact:?}"
+    );
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Direct in-memory algorithms (the Galois stand-in).
 //!
 //! Hand-written, single-purpose implementations with no framework
-//! between the algorithm and the CSR. Two jobs: the "Galois" column
-//! of Figure 10, and correctness oracles for every FlashGraph app.
+//! between the algorithm and the CSR. Two jobs: the ledger's
+//! `baselines.direct_s` row, and correctness oracles for every
+//! FlashGraph app.
 
 use std::collections::{BinaryHeap, VecDeque};
 

@@ -1,21 +1,12 @@
-//! Baseline engines the paper compares FlashGraph against (§5.2–§5.3).
+//! The in-memory reference the paper compares FlashGraph against
+//! (§5.2), and the correctness oracle of every app test.
 //!
 //! | Paper baseline | This module | Architecture reproduced |
 //! |---|---|---|
 //! | Galois (in-memory, low-level API) | [`direct`] | Hand-tuned single-purpose in-memory algorithms with no framework overhead. Also serve as correctness oracles for the FlashGraph apps. |
-//! | PowerGraph (distributed GAS) | [`gas`] | Synchronous Gather-Apply-Scatter with materialized per-vertex accumulators and double-buffered vertex data — the framework overheads the paper observes. |
-//! | GraphChi (external, magnetic-disk) | [`graphchi_like`] | Full sequential scan of the edge stream every iteration; vertex values in memory. |
-//! | X-Stream (external, edge-centric) | [`xstream_like`] | Edge-centric scatter-gather: every iteration streams all edges *and* writes/reads an update stream. |
 //!
-//! The external baselines do honest I/O through the same
-//! [`fg_ssdsim::SsdArray`] as FlashGraph, so the simulated-I/O
-//! comparison in Figure 11 is apples-to-apples: FlashGraph issues
-//! selective random 4 KB-class requests, these engines issue full
-//! sequential scans — and the scans lose exactly when the paper says
-//! they do (traversal algorithms touching small frontiers).
+//! The paper's other comparators (PowerGraph, GraphChi, X-Stream)
+//! are not reproduced: Figures 10 and 11 compare against the real
+//! systems, which an in-process stand-in does not measure.
 
 pub mod direct;
-pub mod gas;
-pub mod graphchi_like;
-pub mod stream;
-pub mod xstream_like;

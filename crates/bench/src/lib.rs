@@ -1,9 +1,11 @@
-//! Shared infrastructure for the evaluation harnesses.
+//! Shared infrastructure for the paper's sweeps and the test suites.
 //!
-//! Every table and figure of the paper has a `harness = false` bench
-//! target in `benches/`; this library holds what they share: dataset
-//! preparation (generate → write image → mount SAFS), the roofline
-//! runtime accounting, and plain-text table rendering.
+//! The ledger (`src/bin/ledger/`) is the evaluation; `benches/` keeps
+//! the three parameter sweeps of Figures 12–14 as `harness = false`
+//! targets. This library holds what they and the workspace tests
+//! share: dataset preparation (generate → write image → mount SAFS,
+//! single or sharded), the app runner, and plain-text table
+//! rendering.
 //!
 //! Scale: graphs are generated at laptop scale by default; set
 //! `FG_SCALE=k` to raise every dataset by `k` R-MAT scale steps
@@ -12,8 +14,8 @@
 pub mod report;
 
 use fg_format::{
-    load_index, required_capacity_with, required_shard_capacities, write_image_with,
-    write_sharded_image, GraphIndex, ImageMeta, ShardedIndex, WriteOptions,
+    load_index, required_capacity, required_shard_capacities, write_image, write_sharded_image,
+    GraphIndex, ImageMeta, ShardedIndex, WriteOptions,
 };
 use fg_graph::{Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig, ShardSet};
@@ -44,13 +46,6 @@ pub fn scale_bump() -> u32 {
     env_pin("FG_SCALE", 0).unwrap_or(0)
 }
 
-/// Reads the `FG_WORKERS` environment variable: per-engine worker
-/// thread count for the figure harnesses, falling back to each
-/// harness's own `default` when unset.
-pub fn worker_threads(default: usize) -> usize {
-    env_pin("FG_WORKERS", 1).map_or(default, |w| w as usize)
-}
-
 /// The cache fraction equivalent to the paper's "1 GB cache for the
 /// 13 GB Twitter graph" configuration.
 pub const PAPER_CACHE_FRACTION: f64 = 1.0 / 13.0;
@@ -61,14 +56,8 @@ pub struct SemFixture {
     pub safs: Safs,
     /// The compact in-memory index.
     pub index: GraphIndex,
-    /// The written image's header (format, section offsets).
-    pub meta: ImageMeta,
     /// Bytes of the on-SSD image.
     pub image_bytes: u64,
-    /// Seconds spent writing the image (graph load).
-    pub load_secs: f64,
-    /// Seconds spent loading the index ("init time" in Table 2).
-    pub init_secs: f64,
 }
 
 /// Builds a semi-external fixture for `g` with `cache_fraction` of
@@ -105,42 +94,17 @@ pub fn build_sem_on(
     cfg: SafsConfig,
     array_cfg: ArrayConfig,
 ) -> Result<SemFixture> {
-    build_sem_image(g, cache_fraction, cfg, array_cfg, &WriteOptions::default())
-}
-
-/// [`build_sem_on`] with an explicit image format — how the
-/// compression harness (`fig_compress`) mounts the same graph raw
-/// and delta-varint compressed side by side.
-///
-/// # Errors
-///
-/// Propagates image/SAFS errors.
-pub fn build_sem_image(
-    g: &Graph,
-    cache_fraction: f64,
-    cfg: SafsConfig,
-    array_cfg: ArrayConfig,
-    opts: &WriteOptions,
-) -> Result<SemFixture> {
-    let capacity = required_capacity_with(g, opts).max(4096);
+    let capacity = required_capacity(g).max(4096);
     let array = SsdArray::new_mem(array_cfg, capacity)?;
-    let t0 = std::time::Instant::now();
-    let meta = write_image_with(g, &array, opts)?;
-    let load_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
+    let image_bytes = write_image(g, &array)?.total_bytes;
     let (_, index) = load_index(&array)?;
-    let init_secs = t1.elapsed().as_secs_f64();
-    let image_bytes = meta.total_bytes;
     let cache_bytes = (image_bytes as f64 * cache_fraction) as u64;
     let safs = Safs::new(cfg.with_cache_bytes(cache_bytes), array)?;
     safs.reset_stats();
     Ok(SemFixture {
         safs,
         index,
-        meta,
         image_bytes,
-        load_secs,
-        init_secs,
     })
 }
 
@@ -160,8 +124,8 @@ pub struct ShardFixture {
 /// Builds a sharded fixture for `g`: `shards` equal vertex ranges,
 /// each written to its own array and mounted with `cache_fraction`
 /// of *its shard's* image bytes as page cache — so the aggregate
-/// cache budget matches a single-mount [`build_sem_image`] fixture
-/// of the same fraction.
+/// cache budget matches a single-mount [`build_sem_on`] fixture of
+/// the same fraction.
 ///
 /// # Errors
 ///
@@ -203,16 +167,6 @@ pub fn symmetrize(g: &Graph) -> Graph {
     b.build()
 }
 
-/// Estimated resident memory of a semi-external run: index + vertex
-/// state + page cache (the quantities Table 2 sums).
-pub fn sem_memory_bytes(
-    index: &GraphIndex,
-    state_bytes_per_vertex: usize,
-    cache_bytes: u64,
-) -> u64 {
-    index.heap_bytes() as u64 + (index.num_vertices() * state_bytes_per_vertex) as u64 + cache_bytes
-}
-
 /// The six applications of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum App {
@@ -244,11 +198,6 @@ impl App {
             App::Tc => "TC",
             App::Ss => "SS",
         }
-    }
-
-    /// Whether the app runs on the symmetrized (undirected) view.
-    pub fn undirected(self) -> bool {
-        matches!(self, App::Tc | App::Ss)
     }
 }
 
@@ -309,22 +258,6 @@ mod tests {
     fn scale_bump_defaults_to_zero() {
         std::env::remove_var("FG_SCALE");
         assert_eq!(scale_bump(), 0);
-    }
-
-    #[test]
-    fn worker_threads_defaults_and_rejects_zero() {
-        std::env::remove_var("FG_WORKERS");
-        assert_eq!(worker_threads(3), 3);
-        std::env::set_var("FG_WORKERS", "5");
-        assert_eq!(worker_threads(3), 5);
-        // A pin that cannot be honoured is an error, not the default.
-        for bad in ["0", "two", "1,2", ""] {
-            std::env::set_var("FG_WORKERS", bad);
-            let panic = std::panic::catch_unwind(|| worker_threads(3)).unwrap_err();
-            let msg = panic.downcast_ref::<String>().expect("a formatted message");
-            assert!(msg.contains("FG_WORKERS") && msg.contains(&format!("{bad:?}")));
-        }
-        std::env::remove_var("FG_WORKERS");
     }
 
     #[test]

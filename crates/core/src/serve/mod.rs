@@ -1677,8 +1677,13 @@ mod tests {
     #[test]
     fn queries_pinned_before_ingest_are_isolated_from_it() {
         // A query admitted (and pinned) before an ingest completes
-        // must not see it, even if the ingest lands mid-run.
+        // must not see it, even if the ingest lands mid-run — and pays
+        // nothing for it: it requests exactly the bytes of a run on
+        // the frozen image.
         let svc = Arc::new(service(2));
+        let bfs = |engine: &Engine<'_>| engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
+        let (_, frozen) = svc.query(bfs);
+        let w0 = svc.watermark();
         let (pinned_tx, pinned_rx) = unbounded();
         let (go_tx, go_rx) = unbounded::<()>();
         let pinned = {
@@ -1689,20 +1694,30 @@ mod tests {
                     // while we hold the engine.
                     pinned_tx.send(()).unwrap();
                     go_rx.recv().unwrap();
-                    engine.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap().0
+                    bfs(engine)
                 })
             })
         };
         pinned_rx.recv().unwrap();
+        // The removal cuts 8..=14 off the root, so a run that saw the
+        // batch would request fewer lists than the frozen one.
         let mut batch = DeltaBatch::new();
         batch.add_edge(VertexId(0), VertexId(15));
+        batch.remove_edge(VertexId(7), VertexId(8));
         svc.ingest(&batch).unwrap();
         go_tx.send(()).unwrap();
-        let states = pinned.join().unwrap();
+        let (states, stats) = pinned.join().unwrap();
+        assert_eq!(stats.bytes_requested, frozen.bytes_requested);
         assert_eq!(
             states[15].level, 15,
             "the pinned query must see the pre-ingest snapshot"
         );
+        // A replay pinned at the pre-ingest watermark, admitted after it.
+        let (replay, stats) = svc
+            .query_opts(QueryOpts::new().at_watermark(w0), bfs)
+            .unwrap();
+        assert_eq!(stats.bytes_requested, frozen.bytes_requested);
+        assert_eq!(replay[15].level, 15);
         let (fresh, _) = svc.run(&Bfs, Init::Seeds(vec![VertexId(0)])).unwrap();
         assert_eq!(fresh[15].level, 1, "new queries see the ingest");
     }

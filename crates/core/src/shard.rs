@@ -142,6 +142,7 @@ mod tests {
     use crate::config::EngineConfig;
     use fg_format::ShardedIndex;
     use fg_safs::ShardSet;
+    use fg_ssdsim::ArrayConfig;
     use fg_types::VertexId;
 
     #[test]
@@ -160,15 +161,16 @@ mod tests {
         assert!(matches!(err, FgError::WorkerPanicked(m) if m == "the cause"));
     }
 
-    fn sharded_fixture(g: &fg_graph::Graph, shards: usize) -> (ShardSet, ShardedIndex) {
+    fn sharded_fixture(
+        g: &fg_graph::Graph,
+        shards: usize,
+        array: ArrayConfig,
+    ) -> (ShardSet, ShardedIndex) {
         use fg_format::{required_shard_capacities, write_sharded_image, WriteOptions};
         let opts = WriteOptions::default();
         let arrays: Vec<fg_ssdsim::SsdArray> = required_shard_capacities(g, &opts, shards)
             .into_iter()
-            .map(|cap| {
-                fg_ssdsim::SsdArray::new_mem(fg_ssdsim::ArrayConfig::small_test(), cap.max(4096))
-                    .unwrap()
-            })
+            .map(|cap| fg_ssdsim::SsdArray::new_mem(array, cap.max(4096)).unwrap())
             .collect();
         write_sharded_image(g, &arrays, &opts).unwrap();
         let (_, index) = ShardedIndex::load(&arrays).unwrap();
@@ -253,7 +255,7 @@ mod tests {
         let (mem_states, mem_stats) = mem.run(&MinLabel, Init::All).unwrap();
         let mem_labels: Vec<u32> = mem_states.iter().map(|s| s.label).collect();
         for shards in [1usize, 2, 3] {
-            let (set, index) = sharded_fixture(&g, shards);
+            let (set, index) = sharded_fixture(&g, shards, ArrayConfig::small_test());
             let engine = ShardedEngine::new(&set, index, cfg);
             let (states, stats) = engine.run(&MinLabel, Init::All).unwrap();
             let labels: Vec<u32> = states.iter().map(|s| s.label).collect();
@@ -278,38 +280,53 @@ mod tests {
         }
     }
 
-    /// Touches every active vertex's out-list once, then stops.
-    struct TouchAll;
-
-    impl VertexProgram for TouchAll {
-        type State = ();
-        type Msg = ();
-
-        fn run(
-            &self,
-            v: VertexId,
-            _state: &mut (),
-            ctx: &mut crate::context::VertexContext<'_, ()>,
-        ) {
-            ctx.request(v, crate::context::Request::edges(fg_types::EdgeDir::Out));
-        }
-    }
-
     #[test]
     fn per_shard_stats_sum_to_total() {
         let g = fg_graph::gen::rmat(6, 5, fg_graph::gen::RmatSkew::default(), 3);
-        let (set, index) = sharded_fixture(&g, 3);
+        let (set, index) = sharded_fixture(&g, 3, ArrayConfig::small_test());
         let engine = ShardedEngine::new(&set, index, EngineConfig::small());
-        let n = engine.num_vertices();
-        let states = vec![(); n];
-        let (_, total, per_shard) = engine.run_detailed(&TouchAll, Init::All, states).unwrap();
+        let states = g.vertices().map(|v| MinLabel.init_state(v)).collect();
+        let (_, total, per_shard) = engine.run_detailed(&MinLabel, Init::All, states).unwrap();
         assert_eq!(per_shard.len(), 3);
-        let mut sum = per_shard[0].clone();
-        for s in &per_shard[1..] {
-            sum.absorb(s);
+        // Summed field by field here, not by `RunStats::absorb`, which
+        // is what built `total`.
+        type Field = fn(&RunStats) -> u64;
+        let fields: [(&str, Field); 5] = [
+            ("vertices", |s| s.vertices_processed),
+            ("edges", |s| s.edges_delivered),
+            ("requested bytes", |s| s.bytes_requested),
+            ("messages", |s| s.messages_sent),
+            ("bus bytes", |s| s.shard_msg_bytes),
+        ];
+        for (name, field) in fields {
+            let sum: u64 = per_shard.iter().map(field).sum();
+            assert_eq!(sum, field(&total), "{name}: per-shard sum != total");
         }
-        assert_eq!(sum.vertices_processed, total.vertices_processed);
-        assert_eq!(sum.edges_delivered, total.edges_delivered);
-        assert_eq!(sum.bytes_requested, total.bytes_requested);
+        assert!(total.messages_sent > 0 && total.shard_msg_bytes > 0);
+    }
+
+    #[test]
+    fn four_one_drive_shards_outread_one() {
+        // Each shard brings its own drive, so the run sustains their
+        // aggregate read bandwidth: bytes read over the busiest
+        // drive's busy time, both booked in the simulator's virtual
+        // time — no wall clock involved.
+        let g = fg_graph::gen::rmat(10, 8, fg_graph::gen::RmatSkew::default(), 0x5A4D);
+        let one_drive = ArrayConfig {
+            num_ssds: 1,
+            ..ArrayConfig::paper_array()
+        };
+        let bandwidth = |shards| {
+            let (set, index) = sharded_fixture(&g, shards, one_drive);
+            let engine = ShardedEngine::new(&set, index, EngineConfig::small());
+            engine.run(&MinLabel, Init::All).unwrap();
+            let io = set.io_stats();
+            io.bytes_read as f64 / io.max_busy_ns as f64
+        };
+        let (one, four) = (bandwidth(1), bandwidth(4));
+        assert!(
+            four > one,
+            "4 shards read {four:.3} B/ns aggregate, 1 shard {one:.3} B/ns"
+        );
     }
 }

@@ -173,29 +173,23 @@ pub fn with_random_weights(g: &Graph, max_w: f32, seed: u64) -> Graph {
     b.build()
 }
 
-/// The three evaluation datasets of Table 1, scaled down.
+/// The evaluation dataset the paper's sweeps (Figures 12–14) run on,
+/// scaled down.
 ///
-/// `scale_bump` raises every graph by that many R-MAT scale steps
+/// `scale_bump` raises the graph by that many R-MAT scale steps
 /// (a bump of 1 doubles vertices) so the same harness can run
 /// laptop-size or larger via the `FG_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dataset {
-    /// Stand-in for the Twitter follower graph (42 M v / 1.5 B e).
-    TwitterSim,
-    /// Stand-in for the subdomain web graph (89 M v / 2 B e).
+    /// Stand-in for the subdomain web graph of Table 1 (89 M v / 2 B e).
     SubdomainSim,
-    /// Stand-in for the page-level web graph (3.4 B v / 129 B e) —
-    /// the "billion-node" graph of Table 2, kept ~8× the others.
-    PageSim,
 }
 
 impl Dataset {
     /// Human-readable dataset name used in experiment tables.
     pub fn name(self) -> &'static str {
         match self {
-            Dataset::TwitterSim => "twitter-sim",
             Dataset::SubdomainSim => "subdomain-sim",
-            Dataset::PageSim => "page-sim",
         }
     }
 
@@ -203,14 +197,9 @@ impl Dataset {
     /// `scale_bump`.
     pub fn generate(self, scale_bump: u32) -> Graph {
         match self {
-            // Twitter: dense, hub-heavy, low diameter. Edge factor 32
-            // approximates the real graph's mean degree (1.5B/42M≈35).
-            Dataset::TwitterSim => rmat(14 + scale_bump, 32, RmatSkew::social(), 0xF1A5),
-            // Subdomain: larger vertex set, milder skew, longer
+            // Subdomain: milder skew than a social graph, longer
             // diameter; mean degree ≈ 2B/89M ≈ 22.
             Dataset::SubdomainSim => rmat(15 + scale_bump, 22, RmatSkew::web(), 0x5EED),
-            // Page: the scaling target — ~8x subdomain edges.
-            Dataset::PageSim => rmat(18 + scale_bump, 12, RmatSkew::web(), 0x9A6E),
         }
     }
 }
@@ -290,11 +279,10 @@ mod tests {
 
     #[test]
     fn datasets_keep_relative_sizes() {
-        let t = Dataset::TwitterSim.generate(0);
-        let s = Dataset::SubdomainSim.generate(0);
-        let p = Dataset::PageSim.generate(0);
-        assert!(s.num_vertices() > t.num_vertices());
-        assert!(p.num_vertices() > 4 * s.num_vertices());
-        assert!(p.num_edges() > 4 * s.num_edges());
+        // A scale bump doubles the vertex set and keeps the mean degree.
+        let base = Dataset::SubdomainSim.generate(0);
+        let bumped = Dataset::SubdomainSim.generate(1);
+        assert_eq!(bumped.num_vertices(), 2 * base.num_vertices());
+        assert!(bumped.num_edges() > 3 * base.num_edges() / 2);
     }
 }

@@ -10,7 +10,7 @@
 //!   image + compact index,
 //! * [`fg_safs`] / [`fg_ssdsim`] — the user-space filesystem and the
 //!   simulated SSD array it mounts,
-//! * [`fg_baselines`] — comparator engines for the evaluation,
+//! * [`fg_baselines`] — the direct in-memory oracles,
 //! * [`fg_types`] — shared primitives.
 //!
 //! See `README.md` for the architecture tour and the crate map.

@@ -98,60 +98,3 @@ fn tiny_cache_and_huge_cache_agree() {
         );
     }
 }
-
-#[test]
-fn engine_and_baselines_agree_across_the_board() {
-    // One graph, five independent implementations of WCC/BFS-class
-    // answers: FlashGraph-sem, FlashGraph-mem, GAS, GraphChi-like,
-    // X-Stream-like, all against union-find/BFS oracles.
-    let g = gen::rmat(9, 6, gen::RmatSkew::web(), 4242);
-    let root = VertexId(0);
-    let oracle_bfs = fg_baselines::direct::bfs_levels(&g, root);
-
-    // FlashGraph both modes.
-    let mem = Engine::new_mem(&g, EngineConfig::default());
-    let (mem_levels, _) = fg_apps::bfs(&mem, root).unwrap();
-    let to_opt = |ls: &[Option<u32>]| ls.to_vec();
-    assert_eq!(to_opt(&mem_levels), oracle_bfs);
-
-    // GAS.
-    let (gas_levels, _) = fg_baselines::gas::run_gas(
-        &g,
-        &fg_baselines::gas::GasBfs { source: root },
-        Some(&[root]),
-        4,
-        u32::MAX,
-    );
-    for v in g.vertices() {
-        let got = (gas_levels[v.index()] != u32::MAX).then_some(gas_levels[v.index()]);
-        assert_eq!(got, oracle_bfs[v.index()], "gas {v}");
-    }
-
-    // Scan engines over a stream image.
-    let array = SsdArray::new_mem(
-        ArrayConfig::paper_array(),
-        fg_baselines::stream::stream_capacity(&g),
-    )
-    .unwrap();
-    let meta = fg_baselines::stream::write_edge_stream(&g, &array).unwrap();
-    let (gc_levels, _) = fg_baselines::graphchi_like::run_scan(
-        &array,
-        &meta,
-        &fg_baselines::graphchi_like::ScanBfs { source: root },
-        100_000,
-    )
-    .unwrap();
-    let (xs_levels, _) = fg_baselines::xstream_like::run_edge_centric(
-        &array,
-        &meta,
-        &fg_baselines::xstream_like::XsBfs { source: root },
-        100_000,
-    )
-    .unwrap();
-    for v in g.vertices() {
-        let gc = (gc_levels[v.index()] != u32::MAX).then_some(gc_levels[v.index()]);
-        let xs = (xs_levels[v.index()] != u32::MAX).then_some(xs_levels[v.index()]);
-        assert_eq!(gc, oracle_bfs[v.index()], "graphchi {v}");
-        assert_eq!(xs, oracle_bfs[v.index()], "xstream {v}");
-    }
-}

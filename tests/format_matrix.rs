@@ -10,13 +10,16 @@
 //! were asked for, while the device bytes those requests turn into
 //! move with the schedule (stealing, cache interleaving and merge
 //! batching shift page boundaries; at 16–140 KiB of traffic that ties
-//! or inverts a cell under load). Device bytes are the ledger's.
+//! or inverts a cell under load). Device bytes are the ledger's, but
+//! for one: a single ranged request of a hub on a cold mount, which
+//! no schedule moves.
 
 use fg_format::{load_index, required_capacity_with, write_image_with, GraphIndex, WriteOptions};
-use fg_graph::{gen, Graph, GraphBuilder};
+use fg_graph::{fixtures, gen, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
-use flashgraph::{Engine, EngineConfig, Init, RunStats};
+use fg_types::{EdgeDir, VertexId};
+use flashgraph::{Engine, EngineConfig, Init, Request, RunStats, VertexContext, VertexProgram};
 
 mod common;
 use common::{expected_pieces, SplitProbe};
@@ -239,22 +242,60 @@ fn chunked_hub_delivery_matches_across_formats() {
     // Hub lists asked for in ranges of `chunk` edges: under the
     // compressed format a range that starts mid-block resolves through
     // the block's skip table, and every piece must still be its CSR
-    // slice.
-    let g = undirected_graph();
-    for (fmt_name, opts) in formats() {
-        let (safs, index) = mount(&g, &opts);
-        let engine = Engine::new_sem(&safs, index, cfg());
-        for chunk in [7u64, 64] {
-            let (states, _) = engine.run(&SplitProbe { chunk }, Init::All).unwrap();
-            for v in g.vertices() {
-                let want: Vec<u32> = g.out_neighbors(v).iter().map(|e| e.0).collect();
-                let got = states[v.index()].sorted();
-                assert_eq!(
-                    got,
-                    expected_pieces(&want, chunk),
-                    "{fmt_name}/{chunk} at {v}"
+    // slice. The star's hub list spans several pages even compressed,
+    // so one range of it must read fewer device bytes than the whole.
+    let star = (fixtures::star(12_000), Some(VertexId(0)));
+    for (g, ranged_hub) in [(undirected_graph(), None), star] {
+        for (fmt_name, opts) in formats() {
+            let (safs, index) = mount(&g, &opts);
+            let engine = Engine::new_sem(&safs, index, cfg());
+            for chunk in [7u64, 64] {
+                let (states, _) = engine.run(&SplitProbe { chunk }, Init::All).unwrap();
+                for v in g.vertices() {
+                    let want: Vec<u32> = g.out_neighbors(v).iter().map(|e| e.0).collect();
+                    let got = states[v.index()].sorted();
+                    assert_eq!(
+                        got,
+                        expected_pieces(&want, chunk),
+                        "{fmt_name}/{chunk} at {v}"
+                    );
+                }
+            }
+            let Some(hub) = ranged_hub else { continue };
+            // A fresh (cold) mount per fetch, so each reads the device.
+            let device_bytes = |start, len| {
+                let (safs, index) = mount(&g, &opts);
+                let block = index.locate(hub, EdgeDir::Out).bytes;
+                assert!(block > 4096, "{fmt_name}: a {block}-byte hub list");
+                let engine = Engine::new_sem(&safs, index, cfg());
+                let probe = OneRange { start, len };
+                let (_, stats) = engine.run(&probe, Init::Seeds(vec![hub])).unwrap();
+                stats.io.expect("sem run reports io").bytes_read
+            };
+            let degree = g.out_degree(hub) as u64;
+            let whole = device_bytes(0, degree);
+            for start in [0, degree / 2, degree - 64] {
+                let ranged = device_bytes(start, 64);
+                assert!(
+                    ranged < whole,
+                    "{fmt_name}: [{start}, +64) of the hub read {ranged} bytes, the list {whole}"
                 );
             }
         }
+    }
+}
+
+/// Asks for one range of its own out-list.
+struct OneRange {
+    start: u64,
+    len: u64,
+}
+
+impl VertexProgram for OneRange {
+    type State = ();
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _state: &mut (), ctx: &mut VertexContext<'_, ()>) {
+        ctx.request(v, Request::edges(EdgeDir::Out).range(self.start, self.len));
     }
 }
