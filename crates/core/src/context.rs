@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use fg_format::ShardedIndex;
-use fg_graph::{DeltaView, Graph};
+use fg_graph::{DeltaSlot, DeltaView, Graph};
 use fg_types::{AtomicBitmap, EdgeDir, VertexId};
 
 use crate::messages::Batch as Envelope;
@@ -109,6 +109,24 @@ impl RunShared<'_> {
         let diff = self.deltas.as_ref().map_or(0, |d| d.degree_diff(v, dir));
         (base + diff).max(0) as u64
     }
+
+    /// The one lookup a request of `v`'s list in the single direction
+    /// `dir` makes: its base degree, where its pinned delta ops sit in
+    /// the view if it has any, and the merged degree it clamps
+    /// against. The request carries the first two on, so nothing after
+    /// it reads the degree or the view again.
+    #[inline]
+    fn lookup(&self, v: VertexId, dir: EdgeDir) -> (u64, Option<DeltaSlot>, u64) {
+        let base = self.degrees.degree(v, dir);
+        let found = (self.deltas.as_deref()).and_then(|view| Some((view, view.find(v, dir)?)));
+        match found {
+            Some((view, ops)) => {
+                let merged = (base as i64 + view.at(ops).diff).max(0) as u64;
+                (base, Some(ops), merged)
+            }
+            None => (base, None, base),
+        }
+    }
 }
 
 /// A first-class vertex I/O request: which list, which slice of it,
@@ -206,6 +224,13 @@ pub(crate) struct EdgeRequest {
     pub start: u64,
     /// Number of edges in the slice (0 = empty delivery, no I/O).
     pub len: u64,
+    /// The subject's degree in the base image (or CSR), before its
+    /// pinned delta ops.
+    pub base: u64,
+    /// Where the subject's pinned delta ops sit in the run's view, if
+    /// it has any: the request's `start` and `len` are then positions
+    /// of the merged list.
+    pub ops: Option<DeltaSlot>,
 }
 
 /// Per-worker mutable scratch the context writes into.
@@ -374,7 +399,7 @@ impl<M> VertexContext<'_, M> {
         };
         for d in dirs.singles() {
             self.scratch.engine_requests += 1;
-            let degree = self.shared.merged_degree(v, d);
+            let (base, ops, degree) = self.shared.lookup(v, d);
             let (start, len) = match req.range {
                 None => (0, degree),
                 Some((s, l)) => {
@@ -389,6 +414,8 @@ impl<M> VertexContext<'_, M> {
                 attrs: req.attrs,
                 start,
                 len,
+                base,
+                ops,
             });
         }
     }

@@ -31,11 +31,14 @@
 //! Priced by the ledger's `engine.fetch_ns_per_req` and `merge.*`
 //! rows; `tests/alloc_request_path.rs` holds the allocation floor.
 //!
-//! What a request costs here it costs per batch. A delivery's span is
-//! a window over its cover's one shared page vector
-//! (`PageSpan::slice` is a reference-count bump). And the layer's two
-//! tallies, `bytes_requested` and `issued_requests`, are plain fields
-//! of the worker's own `SemIo`, folded into the run's shared
+//! What a request costs here it costs per batch. A delivery's bytes
+//! are a window borrowed from its entry's span of the cover
+//! (`SpanWindow::slice` touches no reference count), and its header
+//! carries what the request's one degree and one view lookup found, so
+//! nothing here reads the view, and the index only to locate bytes.
+//! And the layer's two tallies, `bytes_requested` and
+//! `issued_requests`, are plain fields of the worker's own `SemIo`,
+//! folded into the run's shared
 //! [`Counters`] by [`SemIo::flush`] — which every path to a boundary
 //! ends with: the compute loop's exit test and the barrier phase's
 //! drain both flush after their last delivery, before the barrier
@@ -48,8 +51,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fg_format::{GraphIndex, ListSlice, ShardedIndex, SliceDecode};
-use fg_graph::DeltaView;
-use fg_safs::{CacheStats, Completion, IoSession, PageSpan, Safs};
+use fg_graph::{DeltaSlot, DeltaView};
+use fg_safs::{CacheStats, Completion, IoSession, PageSpan, Safs, SpanWindow};
 use fg_types::{EdgeDir, VertexId};
 
 use super::boundary::Counters;
@@ -80,10 +83,11 @@ pub(super) struct Header {
     /// How the fetched bytes decode (raw `u32`s or a varint block of
     /// the compressed image format), known once the slice is located.
     decode: SliceDecode,
-    /// Present when the subject carries pinned delta ops: the
-    /// `(start, len)` window in *merged* coordinates the delivery
-    /// must tile (the fetch itself covers the full base list).
-    overlay: Option<(u64, u64)>,
+    /// Present when the subject carries pinned delta ops: where they
+    /// sit in the run's view, and the `(start, len)` window in
+    /// *merged* coordinates the delivery must tile (the fetch itself
+    /// covers the full base list).
+    overlay: Option<(DeltaSlot, u64, u64)>,
 }
 
 /// What one request fetches from the subject's on-SSD list: the
@@ -96,18 +100,13 @@ pub(super) struct Header {
 /// table absorb. A
 /// `count` of zero — an empty slice, or an overlaid subject with
 /// nothing on SSD, whose merged list is pure adds — completes without
-/// I/O. `base_degree` is consulted for overlaid subjects only.
-pub(super) fn fetch_window(
-    req: &EdgeRequest,
-    vp: u32,
-    deltas: Option<&DeltaView>,
-    base_degree: impl FnOnce() -> u64,
-) -> Header {
-    let overlaid = req.len > 0 && deltas.is_some_and(|d| d.list(req.subject, req.dir).is_some());
-    let (start, count, overlay) = if overlaid {
-        (0, base_degree(), Some((req.start, req.len)))
-    } else {
-        (req.start, req.len, None)
+/// I/O. Everything it needs — the base degree, the ops' slot — the
+/// request carries from the lookup that clamped it, so it reads
+/// neither the index nor the view.
+pub(super) fn fetch_window(req: &EdgeRequest, vp: u32) -> Header {
+    let (start, count, overlay) = match req.ops {
+        Some(ops) if req.len > 0 => (0, req.base, Some((ops, req.start, req.len))),
+        _ => (req.start, req.len, None),
     };
     Header {
         requester: req.requester,
@@ -123,13 +122,14 @@ pub(super) fn fetch_window(
 
 /// Decodes one delivery's bytes into a deliverable [`PageVertex`]:
 /// an entry's part, or an inline delivery's (a fetch of nothing, a
-/// foreign read). An overlaid delivery wraps the decoded (full) base
+/// foreign read), its bytes windows borrowed from the cover or read
+/// that holds them. An overlaid delivery wraps the decoded (full) base
 /// list with the subject's pinned delta ops, borrowed from the view and
 /// windowed to the request's merged-coordinate slice.
 pub(super) fn decode<'d>(
     head: &Header,
-    edges: PageSpan,
-    attrs: Option<PageSpan>,
+    edges: SpanWindow<'d>,
+    attrs: Option<SpanWindow<'d>>,
     deltas: Option<&'d DeltaView>,
 ) -> PageVertex<'d> {
     let Header {
@@ -147,11 +147,9 @@ pub(super) fn decode<'d>(
     };
     match head.overlay {
         None => base,
-        Some((ws, wl)) => {
-            let ops = deltas
-                .and_then(|d| d.list(subject, dir))
-                .expect("overlay deliveries run with the view that created them");
-            PageVertex::with_overlay(base, ops, ws, wl as usize)
+        Some((ops, ws, wl)) => {
+            let view = deltas.expect("overlay deliveries run with the view that created them");
+            PageVertex::with_overlay(base, view.at(ops), ws, wl as usize)
         }
     }
 }
@@ -199,7 +197,8 @@ const ENTRY_DELIVERIES: u32 = 64;
 /// What crosses the ready pool: a run of one landed cover's requests,
 /// at most [`ENTRY_DELIVERIES`] of them, as a range of their batch.
 /// Owns a reference to the cover's pages and to the batch, so it can
-/// cross worker threads; whichever worker takes it walks it in place.
+/// cross worker threads; whichever worker takes it walks it in place,
+/// each delivery a window borrowed from the entry's span.
 pub(super) struct Entry {
     /// The cover's bytes, and where on the image they start.
     span: PageSpan,
@@ -226,16 +225,20 @@ impl Entry {
     }
 
     /// Delivery `i`: its header, read in place, and its edge and
-    /// attribute bytes as windows over the cover.
-    pub(super) fn delivery(&self, i: u32) -> (&Header, PageSpan, Option<PageSpan>) {
+    /// attribute bytes as windows borrowed from the cover — no
+    /// reference count is touched, so workers running deliveries of
+    /// one cover write no line they share.
+    pub(super) fn delivery(&self, i: u32) -> (&Header, SpanWindow<'_>, Option<SpanWindow<'_>>) {
         debug_assert!(self.parts.contains(&i));
         let (r, pm) = self.batch.part(i);
         let span = self
             .span
+            .window()
             .slice((r.offset - self.offset) as usize, r.bytes as usize);
-        match (pm.kind, &self.other) {
-            (PartKind::Edges { .. }, attrs) => (&pm.head, span, attrs.clone()),
-            (PartKind::Attrs { .. }, Some(edges)) => (&pm.head, edges.clone(), Some(span)),
+        let other = self.other.as_ref().map(PageSpan::window);
+        match (pm.kind, other) {
+            (PartKind::Edges { .. }, attrs) => (&pm.head, span, attrs),
+            (PartKind::Attrs { .. }, Some(edges)) => (&pm.head, edges, Some(span)),
             (PartKind::Attrs { .. }, None) => panic!("an attribute run is delivered joined"),
         }
     }
@@ -398,11 +401,6 @@ impl<'s> SemIo<'s> {
     /// than read from a peer's mount. Always, over a single mount.
     pub(super) fn owns(&self, v: VertexId) -> bool {
         self.owned.contains(&v.0)
-    }
-
-    /// The header of `req`'s fetch (see [`fetch_window`]).
-    pub(super) fn window(&self, req: &EdgeRequest, vp: u32, deltas: Option<&DeltaView>) -> Header {
-        fetch_window(req, vp, deltas, || self.index.degree(req.subject, req.dir))
     }
 
     /// Reads a non-empty slice of a foreign subject (TC-style
@@ -669,15 +667,18 @@ mod tests {
         while io.issue_q.len() < io.cfg.issue_batch {
             let v = VertexId(*next % n);
             *next += 1;
+            let degree = io.index.degree(v, EdgeDir::Out);
             let req = EdgeRequest {
                 subject: v,
                 requester: v,
                 dir: EdgeDir::Out,
                 attrs: false,
                 start: 0,
-                len: io.index.degree(v, EdgeDir::Out),
+                len: degree,
+                base: degree,
+                ops: None,
             };
-            let head = io.window(&req, 0, None);
+            let head = fetch_window(&req, 0);
             if head.count > 0 {
                 io.enqueue(head, false);
             }

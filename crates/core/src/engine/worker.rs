@@ -36,13 +36,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fg_graph::{DeltaView, Graph};
-use fg_safs::{CacheStats, PageSpan};
+use fg_safs::{CacheStats, PageSpan, SpanWindow};
 use fg_types::{AtomicBitmap, Bitmap, VertexId};
 
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
 use super::pool::ReadyPool;
-use super::sem_io::{decode, Entry, Header, SemIo, Wait};
+use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Wait};
 use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
 use crate::messages::{MessageBoard, NotifyBoard};
@@ -441,16 +441,18 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         self.run_on_vertex(iter, vp, scratch, req.requester, &pv);
                     }
                     Source::Sem(sem) => {
-                        let head = sem.window(&req, vp, deltas);
+                        let head = fetch_window(&req, vp);
                         if head.count == 0 {
                             // A fetch of nothing: no I/O, empty spans,
                             // the overlay window — if any — still
                             // applied.
-                            let attrs = req.attrs.then(PageSpan::empty);
-                            self.deliver(iter, &head, PageSpan::empty(), attrs, scratch);
+                            let empty = SpanWindow::EMPTY;
+                            let attrs = req.attrs.then_some(empty);
+                            self.deliver(iter, &head, empty, attrs, scratch);
                         } else if !sem.owns(req.subject) {
                             let (head, edges, attrs) = sem.read_foreign(head, req.attrs);
-                            self.deliver(iter, &head, edges, attrs, scratch);
+                            let attrs = attrs.as_ref().map(PageSpan::window);
+                            self.deliver(iter, &head, edges.window(), attrs, scratch);
                         } else {
                             sem.enqueue(head, req.attrs);
                             enqueued += 1;
@@ -477,8 +479,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         &self,
         iter: u32,
         head: &Header,
-        edges: PageSpan,
-        attrs: Option<PageSpan>,
+        edges: SpanWindow<'_>,
+        attrs: Option<SpanWindow<'_>>,
         scratch: &mut WorkerScratch<P::Msg>,
     ) {
         let pv = decode(head, edges, attrs, self.shared.deltas.as_deref());
@@ -571,7 +573,8 @@ fn slice_vertex<'a>(
         csr.weights_of(req.subject)
             .expect("attrs requested on an unweighted graph")
     };
-    if let Some(ops) = deltas.and_then(|d| d.list(req.subject, req.dir)) {
+    let overlay = req.ops.zip(deltas).map(|(ops, view)| view.at(ops));
+    if let Some(ops) = overlay {
         // Overlaid subject: the range is in merged coordinates, so
         // wrap the full CSR list.
         let edges = csr.neighbors(req.subject);

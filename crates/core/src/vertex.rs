@@ -19,7 +19,7 @@
 use fg_format::codec::{read_varint, GapDecoder};
 use fg_format::VarintSlice;
 use fg_graph::{DeltaList, DeltaOp};
-use fg_safs::{PageSpan, U32Iter};
+use fg_safs::{SpanWindow, U32Iter};
 use fg_types::{EdgeDir, VertexId};
 
 /// One decision of the overlay's two-pointer merge, from the heads of
@@ -76,8 +76,8 @@ impl Merge {
 #[derive(Debug)]
 enum EdgeData<'a> {
     Span {
-        edges: PageSpan,
-        attrs: Option<PageSpan>,
+        edges: SpanWindow<'a>,
+        attrs: Option<SpanWindow<'a>>,
     },
     /// A compressed-image block (or restart-aligned part of one).
     /// Decoding is iterator-shaped and allocation-free, and `span` is
@@ -85,7 +85,7 @@ enum EdgeData<'a> {
     /// other corrupt index math would; the *fallible* decode surface
     /// is `fg_format::read_list`).
     Packed {
-        span: PageSpan,
+        span: SpanWindow<'a>,
         /// Edges this delivery covers (cannot be derived from byte
         /// length — varints are variable width).
         count: usize,
@@ -129,8 +129,8 @@ impl<'a> PageVertex<'a> {
         id: VertexId,
         dir: EdgeDir,
         offset: u64,
-        edges: PageSpan,
-        attrs: Option<PageSpan>,
+        edges: SpanWindow<'a>,
+        attrs: Option<SpanWindow<'a>>,
     ) -> Self {
         debug_assert_eq!(edges.len() % 4, 0);
         if let Some(a) = &attrs {
@@ -154,7 +154,7 @@ impl<'a> PageVertex<'a> {
         id: VertexId,
         dir: EdgeDir,
         offset: u64,
-        span: PageSpan,
+        span: SpanWindow<'a>,
         count: usize,
         params: VarintSlice,
     ) -> Self {
@@ -521,7 +521,7 @@ impl AttrWalk<'_> {
 /// current page chunk — and from the span at `next_at` after it.
 #[derive(Debug, Clone)]
 struct PackedEdges<'a> {
-    span: &'a PageSpan,
+    span: &'a SpanWindow<'a>,
     chunk: &'a [u8],
     /// Span position of the byte after `chunk`.
     next_at: usize,
@@ -532,7 +532,7 @@ struct PackedEdges<'a> {
 impl<'a> PackedEdges<'a> {
     /// Enters the stream after `params.header_bytes` of framing and
     /// discards the `params.skip` values before the delivery.
-    fn new(span: &'a PageSpan, count: usize, params: &VarintSlice) -> Self {
+    fn new(span: &'a SpanWindow<'a>, count: usize, params: &VarintSlice) -> Self {
         let mut it = PackedEdges {
             span,
             chunk: &[],
@@ -561,10 +561,25 @@ impl<'a> PackedEdges<'a> {
         Some(b)
     }
 
-    /// Decodes one stream value.
+    /// Decodes one stream value. A varint of one or two bytes that
+    /// lies wholly inside the current chunk is read in place: it can
+    /// be neither over-long nor past a `u32`, so the checked decode
+    /// would accept it too. Everything else — a longer varint, one
+    /// that straddles a chunk, the end of the span — takes the checked
+    /// decode.
     #[inline]
     fn step(&mut self) -> u32 {
-        let raw = read_varint(&mut || self.byte()).expect("corrupt varint edge block");
+        let raw = match *self.chunk {
+            [b0, ref rest @ ..] if b0 < 0x80 => {
+                self.chunk = rest;
+                u32::from(b0)
+            }
+            [b0, b1, ref rest @ ..] if b1 < 0x80 => {
+                self.chunk = rest;
+                u32::from(b0 & 0x7F) | u32::from(b1) << 7
+            }
+            _ => read_varint(&mut || self.byte()).expect("corrupt varint edge block"),
+        };
         self.gaps.step(raw).expect("corrupt varint edge block")
     }
 
@@ -657,6 +672,7 @@ impl<'a> OverlayEdges<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fg_safs::PageSpan;
     use std::sync::Arc;
 
     fn slice_pv(ids: &[VertexId]) -> PageVertex<'_> {
@@ -697,7 +713,7 @@ mod tests {
             100,
             12,
         );
-        let pv = PageVertex::from_span(VertexId(2), EdgeDir::Out, 0, span, None);
+        let pv = PageVertex::from_span(VertexId(2), EdgeDir::Out, 0, span.window(), None);
         assert_eq!(pv.degree(), 3);
         assert_eq!(
             pv.edges().map(|v| v.0).collect::<Vec<_>>(),
@@ -721,7 +737,13 @@ mod tests {
         };
         let edges = mk(&[4, 9]);
         let attrs = mk(&[1.5f32.to_bits(), 3.25f32.to_bits()]);
-        let pv = PageVertex::from_span(VertexId(0), EdgeDir::Out, 0, edges, Some(attrs));
+        let pv = PageVertex::from_span(
+            VertexId(0),
+            EdgeDir::Out,
+            0,
+            edges.window(),
+            Some(attrs.window()),
+        );
         let got: Vec<_> = pv.weighted_edges().unwrap().collect();
         assert_eq!(got, vec![(VertexId(4), 1.5), (VertexId(9), 3.25)]);
     }
@@ -756,7 +778,7 @@ mod tests {
         assert!(encode_list(list, k, &mut block), "test list must compress");
         // Whole-block delivery with decoder skip — the shape the
         // engine uses for compressed lists without a resident table.
-        let span = span_over(&block, 0, 16);
+        let span = leaked(span_over(&block, 0, 16));
         let params = VarintSlice {
             header_bytes: (skip_entries(list.len() as u64, k) * 4) as u32,
             stream_pos: 0,
@@ -954,13 +976,19 @@ mod tests {
         PageSpan::new(pages, head, bytes.len())
     }
 
+    /// A span that lives as long as the test process, as the window a
+    /// `'static` delivery holds.
+    fn leaked(span: PageSpan) -> SpanWindow<'static> {
+        Box::leak(Box::new(span)).window()
+    }
+
     fn words_span(words: &[u32], head: usize, page_bytes: usize) -> PageSpan {
         let bytes: Vec<u8> = words.iter().flat_map(|v| v.to_le_bytes()).collect();
         span_over(&bytes, head, page_bytes)
     }
 
     fn raw_pv(list: &[u32], head: usize, page_bytes: usize) -> PageVertex<'static> {
-        let span = words_span(list, head, page_bytes);
+        let span = leaked(words_span(list, head, page_bytes));
         PageVertex::from_span(VertexId(1), EdgeDir::Out, 0, span, None)
     }
 
@@ -1003,7 +1031,7 @@ mod tests {
             };
             (&block[table + from..], params)
         };
-        let span = span_over(bytes, head, page_bytes);
+        let span = leaked(span_over(bytes, head, page_bytes));
         PageVertex::from_span_packed(VertexId(1), EdgeDir::Out, start as u64, span, count, params)
     }
 
@@ -1205,8 +1233,8 @@ mod tests {
             let bits: Vec<u32> = ws.iter().map(|w| w.to_bits()).collect();
             let base = || {
                 if span_base {
-                    let edges = words_span(&list, head, page_bytes);
-                    let attrs = words_span(&bits, (head + 6) % page_bytes, page_bytes);
+                    let edges = leaked(words_span(&list, head, page_bytes));
+                    let attrs = leaked(words_span(&bits, (head + 6) % page_bytes, page_bytes));
                     PageVertex::from_span(VertexId(0), EdgeDir::Out, 0, edges, Some(attrs))
                 } else {
                     PageVertex::from_slice(VertexId(0), EdgeDir::Out, 0, &ids, Some(&ws))
@@ -1247,15 +1275,17 @@ mod tests {
         assert_eq!(got, vec![(2, 1.0), (9, 4.0), (9, 4.0)]);
     }
 
-    /// A packed delivery over hand-written stream bytes.
-    fn packed_bytes_pv(bytes: &[u8], count: usize) -> PageVertex<'static> {
+    /// A packed delivery over hand-written stream bytes, starting
+    /// `head` bytes into 16-byte pages: its first chunk is
+    /// `16 - head` bytes long.
+    fn packed_bytes_pv(bytes: &[u8], head: usize, count: usize) -> PageVertex<'static> {
         let params = VarintSlice {
             header_bytes: 0,
             stream_pos: 0,
             skip: 0,
             k: 32,
         };
-        let span = span_over(bytes, 13, 16);
+        let span = leaked(span_over(bytes, head, 16));
         PageVertex::from_span_packed(VertexId(0), EdgeDir::Out, 0, span, count, params)
     }
 
@@ -1263,15 +1293,22 @@ mod tests {
     fn corrupt_streams_fail_where_indexing_fails() {
         // Three good values, then the block ends / runs over-long /
         // overflows the id space: the walker yields the good prefix
-        // and panics on the element after it.
+        // and panics on the element after it. At head 13 the first
+        // chunk is 3 bytes, so the third value of `straddling` is a
+        // two-byte varint split across two chunks; at head 8 it is 8
+        // bytes, and the over-long varint of `over_long_at_seam` ends
+        // it.
         let truncated: &[u8] = &[5, 1, 1, 0x80];
         let over_long: &[u8] = &[5, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
         let overflow: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 1];
+        let straddling: &[u8] = &[5, 1, 0x81, 0x01, 0x80];
         let max = u32::MAX;
-        for (bytes, prefix) in [
-            (truncated, [5, 6, 7]),
-            (over_long, [5, 6, 7]),
-            (overflow, [max; 3]),
+        for (bytes, head, prefix) in [
+            (truncated, 13, [5, 6, 7]),
+            (over_long, 13, [5, 6, 7]),
+            (overflow, 13, [max; 3]),
+            (straddling, 13, [5, 6, 135]),
+            (over_long, 8, [5, 6, 7]),
         ] {
             let (good, prefix) = (prefix.len(), prefix.map(VertexId));
             let caught = |f: &dyn Fn()| {
@@ -1284,7 +1321,7 @@ mod tests {
                     .unwrap_or_default();
                 assert!(msg.contains("corrupt varint edge block"), "{msg}");
             };
-            let pv = packed_bytes_pv(bytes, good + 1);
+            let pv = packed_bytes_pv(bytes, head, good + 1);
             assert_eq!(pv.edges().take(good).collect::<Vec<_>>(), prefix);
             caught(&|| {
                 std::hint::black_box(pv.edges().nth(good));
@@ -1292,7 +1329,8 @@ mod tests {
             // An overlay's walker decodes a base element no earlier
             // than the step that may emit it.
             let ops = list_of(&[(1, DeltaOp::Add(None))]);
-            let pv = PageVertex::with_overlay(packed_bytes_pv(bytes, good + 1), &ops, 0, good + 2);
+            let base = packed_bytes_pv(bytes, head, good + 1);
+            let pv = PageVertex::with_overlay(base, &ops, 0, good + 2);
             assert_eq!(pv.edges().take(good + 1).count(), good + 1);
             caught(&|| {
                 std::hint::black_box(pv.edges().nth(good + 1));
@@ -1303,14 +1341,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "corrupt varint edge block")]
     fn truncated_block_panics_from_edges() {
-        let pv = packed_bytes_pv(&[5, 1, 1, 0x80], 4);
+        let pv = packed_bytes_pv(&[5, 1, 1, 0x80], 13, 4);
         let _ = pv.edges().count();
     }
 
     #[test]
     #[should_panic(expected = "corrupt varint edge block")]
     fn over_long_varint_panics_from_edges() {
-        let pv = packed_bytes_pv(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 1);
+        let pv = packed_bytes_pv(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 13, 1);
         let _ = pv.edges().count();
     }
 

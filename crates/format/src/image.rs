@@ -915,6 +915,7 @@ fn load_packed_dir(
 ) -> Result<PackedDirTables> {
     let k = meta.skip_interval;
     let mut offset = edge_base;
+    let mut interval_start = edge_base;
     let mut skips = HashMap::new();
     for (i, (&d, &b)) in degrees.iter().zip(&blocks).enumerate() {
         let len = (b & !RAW_LIST_FLAG) as u64;
@@ -951,10 +952,20 @@ fn load_packed_dir(
                 skips.insert(i as u32, entries.into_boxed_slice());
             }
         }
+        if i % crate::index::CHECKPOINT_INTERVAL == 0 {
+            interval_start = offset;
+        }
         offset += len;
         if offset > section_end {
             return Err(FgError::CorruptImage(format!(
                 "{which} blocks overrun their section ({offset} past {section_end})"
+            )));
+        }
+        // The index keeps block ends relative to their checkpoint in 31
+        // bits.
+        if offset - interval_start >= RAW_LIST_FLAG as u64 {
+            return Err(FgError::CorruptImage(format!(
+                "{which} vertex {i}: the blocks of its checkpoint interval span 2 GiB or more"
             )));
         }
     }

@@ -218,9 +218,10 @@ impl DeltaTable {
         table
     }
 
-    /// `v`'s list: a bit test, and a popcount to find it.
+    /// Where `v`'s list sits in `lists`: a bit test, and a popcount to
+    /// find it.
     #[inline]
-    fn get(&self, v: u32) -> Option<&DeltaList> {
+    fn find(&self, v: u32) -> Option<u32> {
         let w = (v / 64) as usize;
         let word = *self.bits.get(w)?;
         let bit = 1u64 << (v % 64);
@@ -228,8 +229,20 @@ impl DeltaTable {
             return None;
         }
         let below = (word & (bit - 1)).count_ones();
-        Some(&self.lists[(self.rank[w] + below) as usize])
+        Some(self.rank[w] + below)
     }
+}
+
+/// Where one vertex's folded ops sit in a [`DeltaView`]
+/// ([`DeltaView::find`]): a handle a request carries from the lookup
+/// that clamps it to the delivery that merges with the list, so the
+/// view's bitmap is read once a request. Meaningful only for the view
+/// that returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeltaSlot {
+    /// Whether the list is in the in-table of a directed view.
+    in_: bool,
+    at: u32,
 }
 
 /// A materialized, immutable fold of the log's runs in
@@ -273,22 +286,35 @@ impl DeltaView {
     /// [`Graph::csr`].
     #[inline]
     pub fn list(&self, v: VertexId, dir: EdgeDir) -> Option<&DeltaList> {
-        let table = if self.directed && dir == EdgeDir::In {
-            &self.in_
-        } else {
-            &self.out
-        };
-        table.get(v.0)
+        self.find(v, dir).map(|slot| self.at(slot))
+    }
+
+    /// Where the folded ops of `v` in `dir` sit, if it has any: the
+    /// lookup behind [`DeltaView::list`], as a handle for
+    /// [`DeltaView::at`].
+    #[inline]
+    pub fn find(&self, v: VertexId, dir: EdgeDir) -> Option<DeltaSlot> {
+        let in_ = self.directed && dir == EdgeDir::In;
+        let table = if in_ { &self.in_ } else { &self.out };
+        table.find(v.0).map(|at| DeltaSlot { in_, at })
+    }
+
+    /// The list at `slot`, which this view's [`DeltaView::find`]
+    /// returned.
+    #[inline]
+    pub fn at(&self, slot: DeltaSlot) -> &DeltaList {
+        let table = if slot.in_ { &self.in_ } else { &self.out };
+        &table.lists[slot.at as usize]
     }
 
     /// Net degree change of `v` in `dir` (`Both` sums like
     /// `GraphIndex::degree`).
     #[inline]
     pub fn degree_diff(&self, v: VertexId, dir: EdgeDir) -> i64 {
-        let diff = |t: &DeltaTable| t.get(v.0).map_or(0, |l| l.diff);
+        let diff = |d| self.list(v, d).map_or(0, |l| l.diff);
         match dir {
-            EdgeDir::Both if self.directed => diff(&self.out) + diff(&self.in_),
-            d => self.list(v, d).map_or(0, |l| l.diff),
+            EdgeDir::Both if self.directed => diff(EdgeDir::Out) + diff(EdgeDir::In),
+            d => diff(d),
         }
     }
 

@@ -40,6 +40,8 @@ mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, Graph};
-pub use delta::{BaseLists, DeltaBatch, DeltaList, DeltaLog, DeltaOp, DeltaView, RunLog};
+pub use delta::{
+    BaseLists, DeltaBatch, DeltaList, DeltaLog, DeltaOp, DeltaSlot, DeltaView, RunLog,
+};
 pub use io::{read_edge_list, write_edge_list};
 pub use stats::{degree_histogram, estimate_diameter, DegreeStats};

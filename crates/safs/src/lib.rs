@@ -69,6 +69,6 @@ mod shard_set;
 
 pub use cache::{CacheStats, CacheStatsSnapshot, PageCache};
 pub use config::SafsConfig;
-pub use page::{Page, PageSpan, U32Iter};
+pub use page::{Page, PageSpan, SpanWindow, U32Iter};
 pub use safs::{Completion, IoSession, Safs};
 pub use shard_set::ShardSet;

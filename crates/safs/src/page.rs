@@ -21,10 +21,15 @@
 //! parts asked for.
 //!
 //! Reading a span means walking its pages, and there is one loop for
-//! that: [`PageSpan::chunk_at`] hands out the contiguous bytes of one
-//! page at a time, and the copy ([`PageSpan::read_bytes`],
-//! [`PageSpan::to_vec`]), the `u32` walk ([`PageSpan::u32_iter`]) and
-//! the engine's varint decoder are all written over it.
+//! that: [`SpanWindow::chunk_at`] hands out the contiguous bytes of
+//! one page at a time, and the copy ([`SpanWindow::read_bytes`],
+//! [`SpanWindow::to_vec`]), the `u32` walk ([`SpanWindow::u32_iter`])
+//! and the engine's varint decoder are all written over it. A
+//! [`SpanWindow`] is a span's borrowed form: the same window over the
+//! same pages, without the reference that keeps them alive. A reader
+//! that lives no longer than some span of the cover — the engine's
+//! per-request deliveries — holds a window cut from it, and pays no
+//! reference count to cut or drop one.
 
 use std::sync::Arc;
 
@@ -158,12 +163,17 @@ impl PageSpan {
         }
     }
 
-    /// The page holding absolute position `abs` (counted from the
-    /// start of the cover's first page). Callers have checked `abs`
-    /// against the span's bounds; the empty span has no page to index.
+    /// The span as a borrowed [`SpanWindow`], which every read of it
+    /// goes through.
     #[inline]
-    fn page_at(&self, abs: usize) -> &Page {
-        &self.pages.as_deref().unwrap_or_default()[abs >> self.page_shift]
+    pub fn window(&self) -> SpanWindow<'_> {
+        SpanWindow {
+            pages: self.pages.as_deref().unwrap_or_default(),
+            page_shift: self.page_shift,
+            page_mask: self.page_mask,
+            head: self.head,
+            len: self.len,
+        }
     }
 
     /// Length in bytes.
@@ -178,118 +188,38 @@ impl PageSpan {
         self.len == 0
     }
 
-    /// Byte at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
+    /// Byte at position `i` ([`SpanWindow::byte`]).
     #[inline]
     pub fn byte(&self, i: usize) -> u8 {
-        assert!(i < self.len, "span index {i} out of {} bytes", self.len);
-        let abs = self.head + i;
-        self.page_at(abs).bytes()[abs & self.page_mask]
+        self.window().byte(i)
     }
 
-    /// The contiguous bytes from span position `pos` to the end of the
-    /// page holding it, or to the end of the span if that comes first
-    /// — the unit every reader of a span walks by. Empty exactly when
-    /// `pos == len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos > len()`.
+    /// [`SpanWindow::chunk_at`].
     #[inline]
     pub fn chunk_at(&self, pos: usize) -> &[u8] {
-        if pos >= self.len {
-            assert!(
-                pos == self.len,
-                "span index {pos} out of {} bytes",
-                self.len
-            );
-            return &[];
-        }
-        let abs = self.head + pos;
-        let off = abs & self.page_mask;
-        let take = (self.page_mask + 1 - off).min(self.len - pos);
-        &self.page_at(abs).bytes()[off..off + take]
+        self.window().chunk_at(pos)
     }
 
-    /// Copies `out.len()` bytes starting at span position `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the span.
+    /// [`SpanWindow::read_bytes`].
     pub fn read_bytes(&self, at: usize, out: &mut [u8]) {
-        assert!(
-            at + out.len() <= self.len,
-            "range [{at}, {}) exceeds span of {} bytes",
-            at + out.len(),
-            self.len
-        );
-        let mut done = 0;
-        while done < out.len() {
-            let chunk = self.chunk_at(at + done);
-            let take = chunk.len().min(out.len() - done);
-            out[done..done + take].copy_from_slice(&chunk[..take]);
-            done += take;
-        }
+        self.window().read_bytes(at, out)
     }
 
-    /// Little-endian `u32` at byte position `at` (may straddle pages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the 4-byte range exceeds the span.
+    /// [`SpanWindow::read_u32_le`].
     #[inline]
     pub fn read_u32_le(&self, at: usize) -> u32 {
-        let abs = self.head + at;
-        let off = abs & self.page_mask;
-        if off + 4 <= self.page_mask + 1 {
-            assert!(at + 4 <= self.len, "u32 at {at} exceeds span");
-            let b = &self.page_at(abs).bytes()[off..off + 4];
-            u32::from_le_bytes(b.try_into().unwrap())
-        } else {
-            let mut b = [0u8; 4];
-            self.read_bytes(at, &mut b);
-            u32::from_le_bytes(b)
-        }
-    }
-
-    /// Iterates the span as little-endian `u32`s — the engine's raw
-    /// edge-list decode — one page chunk at a time. The span length
-    /// must be a multiple of 4.
-    pub fn u32_iter(&self) -> U32Iter<'_> {
-        debug_assert_eq!(
-            self.len % 4,
-            0,
-            "u32 stream length {} not aligned",
-            self.len
-        );
-        U32Iter {
-            span: self,
-            words: [].chunks_exact(4),
-            pos: 0,
-            end: self.len - self.len % 4,
-        }
+        self.window().read_u32_le(at)
     }
 
     /// Copies the whole span into a fresh vector.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.len);
-        while v.len() < self.len {
-            v.extend_from_slice(self.chunk_at(v.len()));
-        }
-        v
+        self.window().to_vec()
     }
 
     /// Number of pages the span's bytes lie on (for a slice, the
     /// sub-range's — not the cover's it keeps alive).
     pub fn page_count(&self) -> usize {
-        if self.len == 0 {
-            return 0;
-        }
-        let last = (self.head + self.len - 1) >> self.page_shift;
-        last - (self.head >> self.page_shift) + 1
+        self.window().page_count()
     }
 
     /// A zero-copy sub-span of `len` bytes starting at span position
@@ -323,14 +253,192 @@ impl PageSpan {
     }
 }
 
-/// The `u32`s of a [`PageSpan`], in order ([`PageSpan::u32_iter`]).
+/// A borrowed window over a cover's pages: what a [`PageSpan`] reads
+/// through, and what a reader that does not outlive the span holds
+/// instead of a slice of it — cutting and dropping one touches no
+/// reference count, so deliveries of one cover that many workers read
+/// at once share no written cache line.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanWindow<'a> {
+    pages: &'a [Arc<Page>],
+    page_shift: u32,
+    page_mask: usize,
+    head: usize,
+    len: usize,
+}
+
+impl<'a> SpanWindow<'a> {
+    /// A window of no bytes over no pages.
+    pub const EMPTY: SpanWindow<'static> = SpanWindow {
+        pages: &[],
+        page_shift: 0,
+        page_mask: 0,
+        head: 0,
+        len: 0,
+    };
+
+    /// The page holding absolute position `abs` (counted from the
+    /// start of the cover's first page). Callers have checked `abs`
+    /// against the window's bounds; the empty window has no page.
+    #[inline]
+    fn page_at(&self, abs: usize) -> &'a Page {
+        &self.pages[abs >> self.page_shift]
+    }
+
+    /// Length in bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the window covers zero bytes.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Byte at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn byte(&self, i: usize) -> u8 {
+        assert!(i < self.len, "span index {i} out of {} bytes", self.len);
+        let abs = self.head + i;
+        self.page_at(abs).bytes()[abs & self.page_mask]
+    }
+
+    /// The contiguous bytes from window position `pos` to the end of
+    /// the page holding it, or to the end of the window if that comes
+    /// first — the unit every reader of a span walks by. Empty exactly
+    /// when `pos == len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos > len()`.
+    #[inline]
+    pub fn chunk_at(&self, pos: usize) -> &'a [u8] {
+        if pos >= self.len {
+            assert!(
+                pos == self.len,
+                "span index {pos} out of {} bytes",
+                self.len
+            );
+            return &[];
+        }
+        let abs = self.head + pos;
+        let off = abs & self.page_mask;
+        let take = (self.page_mask + 1 - off).min(self.len - pos);
+        &self.page_at(abs).bytes()[off..off + take]
+    }
+
+    /// Copies `out.len()` bytes starting at window position `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the window.
+    pub fn read_bytes(&self, at: usize, out: &mut [u8]) {
+        assert!(
+            at + out.len() <= self.len,
+            "range [{at}, {}) exceeds span of {} bytes",
+            at + out.len(),
+            self.len
+        );
+        let mut done = 0;
+        while done < out.len() {
+            let chunk = self.chunk_at(at + done);
+            let take = chunk.len().min(out.len() - done);
+            out[done..done + take].copy_from_slice(&chunk[..take]);
+            done += take;
+        }
+    }
+
+    /// Little-endian `u32` at byte position `at` (may straddle pages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the 4-byte range exceeds the window.
+    #[inline]
+    pub fn read_u32_le(&self, at: usize) -> u32 {
+        let abs = self.head + at;
+        let off = abs & self.page_mask;
+        if off + 4 <= self.page_mask + 1 {
+            assert!(at + 4 <= self.len, "u32 at {at} exceeds span");
+            let b = &self.page_at(abs).bytes()[off..off + 4];
+            u32::from_le_bytes(b.try_into().unwrap())
+        } else {
+            let mut b = [0u8; 4];
+            self.read_bytes(at, &mut b);
+            u32::from_le_bytes(b)
+        }
+    }
+
+    /// Iterates the window as little-endian `u32`s — the engine's raw
+    /// edge-list decode — one page chunk at a time. The length must be
+    /// a multiple of 4.
+    pub fn u32_iter(&self) -> U32Iter<'_> {
+        debug_assert_eq!(
+            self.len % 4,
+            0,
+            "u32 stream length {} not aligned",
+            self.len
+        );
+        U32Iter {
+            span: self,
+            words: [].chunks_exact(4),
+            pos: 0,
+            end: self.len - self.len % 4,
+        }
+    }
+
+    /// Copies the whole window into a fresh vector.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut v = Vec::with_capacity(self.len);
+        while v.len() < self.len {
+            v.extend_from_slice(self.chunk_at(v.len()));
+        }
+        v
+    }
+
+    /// Number of pages the window's bytes lie on.
+    pub fn page_count(&self) -> usize {
+        if self.len == 0 {
+            return 0;
+        }
+        let last = (self.head + self.len - 1) >> self.page_shift;
+        last - (self.head >> self.page_shift) + 1
+    }
+
+    /// The sub-window of `len` bytes at window position `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + len` exceeds the window.
+    #[inline]
+    pub fn slice(&self, at: usize, len: usize) -> SpanWindow<'a> {
+        assert!(
+            at + len <= self.len,
+            "slice [{at}, {}) exceeds span of {} bytes",
+            at + len,
+            self.len
+        );
+        SpanWindow {
+            head: self.head + at,
+            len,
+            ..*self
+        }
+    }
+}
+
+/// The `u32`s of a [`SpanWindow`], in order ([`SpanWindow::u32_iter`]).
 ///
 /// Words are taken from one page's contiguous bytes at a time; only a
 /// word that straddles two pages goes through
-/// [`PageSpan::read_u32_le`]'s assembling path.
+/// [`SpanWindow::read_u32_le`]'s assembling path.
 #[derive(Debug, Clone)]
 pub struct U32Iter<'a> {
-    span: &'a PageSpan,
+    span: &'a SpanWindow<'a>,
     /// The whole words left in the current page chunk.
     words: std::slice::ChunksExact<'a, u8>,
     /// Byte position of the first word not yet handed to `words`.
@@ -415,7 +523,7 @@ mod tests {
         let s = PageSpan::new(vec![p0, p1], 14, 8);
         // First u32 = bytes 14,15,16,17.
         assert_eq!(s.read_u32_le(0), u32::from_le_bytes([14, 15, 16, 17]));
-        let all: Vec<u32> = s.u32_iter().collect();
+        let all: Vec<u32> = s.window().u32_iter().collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1], u32::from_le_bytes([18, 19, 20, 21]));
     }
@@ -434,7 +542,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.page_count(), 0);
         assert_eq!(s.to_vec(), Vec::<u8>::new());
-        assert_eq!(s.u32_iter().count(), 0);
+        assert_eq!(s.window().u32_iter().count(), 0);
     }
 
     #[test]
@@ -578,7 +686,8 @@ mod tests {
                         .collect();
                     let s = PageSpan::new(pages, head, words * 4);
                     let want: Vec<u32> = (0..words).map(|i| s.read_u32_le(i * 4)).collect();
-                    let mut it = s.u32_iter();
+                    let w = s.window();
+                    let mut it = w.u32_iter();
                     for (i, &w) in want.iter().enumerate() {
                         assert_eq!(it.len(), words - i);
                         assert_eq!(it.next(), Some(w), "page {page_bytes} head {head} word {i}");
@@ -642,9 +751,16 @@ mod tests {
                         .chunks_exact(4)
                         .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
                         .collect();
-                    prop_assert_eq!(words.u32_iter().collect::<Vec<_>>(), want_words);
+                    prop_assert_eq!(words.window().u32_iter().collect::<Vec<_>>(), want_words);
                     let abs = head + lo;
                     prop_assert_eq!(s.page_count(), (abs + s.len() - 1) / pb - abs / pb + 1);
+                    // The borrowed window cut at the same place reads
+                    // the same bytes, and holds nothing.
+                    let strong = Arc::strong_count(&cover.pages.clone().unwrap()) - 1;
+                    let w = cover.window().slice(lo, s.len());
+                    prop_assert_eq!(w.to_vec(), want);
+                    prop_assert_eq!(w.page_count(), s.page_count());
+                    prop_assert_eq!(Arc::strong_count(cover.pages.as_ref().unwrap()), strong);
                 }
 
                 // Page 0 was evicted from the cache's one slot; it

@@ -622,7 +622,7 @@ mod tests {
     fn read_sync_round_trip() {
         let safs = patterned_safs(SafsConfig::default(), 1 << 16);
         let span = safs.read_sync(4096, 8).unwrap();
-        let words: Vec<u32> = span.u32_iter().collect();
+        let words: Vec<u32> = span.window().u32_iter().collect();
         assert_eq!(words, vec![(4096 / 4) % 251, (4096 / 4 + 1) % 251]);
     }
 
@@ -656,7 +656,7 @@ mod tests {
         }
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tag, 42);
-        let words: Vec<u32> = out[0].span.u32_iter().collect();
+        let words: Vec<u32> = out[0].span.window().u32_iter().collect();
         let w0 = (8192 / 4) % 251;
         assert_eq!(words, vec![w0, w0 + 1, w0 + 2, w0 + 3]);
     }

@@ -1,7 +1,9 @@
 //! Tier-1 allocation floor for the semi-external request path: what a
 //! request allocates, it allocates per *cover* — and next to nothing
 //! per request, on a frozen image and with a pinned delta view alike
-//! (an overlaid delivery borrows its ops from the view).
+//! (an overlaid delivery borrows its ops from the view), on a raw image
+//! and on a compressed one (a packed delivery decodes in place, out of
+//! a window borrowed from its cover).
 //!
 //! This binary installs a counting global allocator (it is its own
 //! process, so no shipped crate changes) and holds one test only: the
@@ -11,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
-use fg_format::{load_index, required_capacity, write_image};
+use fg_format::{load_index, required_capacity_with, write_image_with, WriteOptions};
 use fg_graph::{gen, DeltaBatch, DeltaLog, DeltaView, Graph};
 use fg_safs::{Safs, SafsConfig};
 use fg_ssdsim::{ArrayConfig, SsdArray};
@@ -99,18 +101,6 @@ fn sum_of(g: &Graph) -> u64 {
 #[test]
 fn a_request_allocates_per_cover_not_per_request() {
     let g = gen::rmat(13, 8, gen::RmatSkew::default(), 17);
-    let expected = sum_of(&g);
-    let array = SsdArray::new_mem(ArrayConfig::small_test(), required_capacity(&g)).unwrap();
-    write_image(&g, &array).unwrap();
-    let (_, index) = load_index(&array).unwrap();
-    // A cache that holds the image: a warm run never reaches the
-    // device, so what is counted is the request path and nothing of
-    // the I/O threads'.
-    let cache = 4 * required_capacity(&g);
-    let safs = Safs::new(SafsConfig::default().with_cache_bytes(cache), array).unwrap();
-    let default = EngineConfig::default();
-    let engine = Engine::new_sem(&safs, index, default.with_threads(1));
-
     // A view with ops on every other vertex: each of those adds an edge
     // to the first id its list lacks.
     let log = DeltaLog::for_graph(&g);
@@ -128,6 +118,27 @@ fn a_request_allocates_per_cover_not_per_request() {
         .filter(|&v| view.list(v, EdgeDir::Out).is_some());
     assert!(2 * overlaid.count() >= g.num_vertices());
     let expected_overlaid = sum_of(&DeltaLog::union(&g, &view));
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        floor_holds(&g, &opts, &view, expected_overlaid);
+    }
+}
+
+/// The floor on one image of `g` written with `opts`, without and with
+/// `view` pinned (`expected_overlaid` is what the view's run sums).
+fn floor_holds(g: &Graph, opts: &WriteOptions, view: &Arc<DeltaView>, expected_overlaid: u64) {
+    let expected = sum_of(g);
+    let capacity = required_capacity_with(g, opts);
+    let array = SsdArray::new_mem(ArrayConfig::small_test(), capacity).unwrap();
+    let meta = write_image_with(g, &array, opts).unwrap();
+    assert_eq!(meta.format, opts.format);
+    let (_, index) = load_index(&array).unwrap();
+    // A cache that holds the image: a warm run never reaches the
+    // device, so what is counted is the request path and nothing of
+    // the I/O threads'.
+    let cache = 4 * capacity;
+    let safs = Safs::new(SafsConfig::default().with_cache_bytes(cache), array).unwrap();
+    let default = EngineConfig::default();
+    let engine = Engine::new_sem(&safs, index, default.with_threads(1));
 
     let measure = |issue_batch: usize, deltas: Option<&Arc<DeltaView>>| {
         // The shipped depth of the pipeline, in batches: a worker makes
@@ -155,8 +166,9 @@ fn a_request_allocates_per_cover_not_per_request() {
         let (warm, stats) = allocations_of(&engine, Init::All);
         assert_eq!(stats.io.as_ref().expect("sem mode").bytes_read, 0, "warm");
         println!(
-            "issue_batch {issue_batch}, deltas {}: {warm} allocations warm, {floor} idle, \
-             {} covers, {} requests",
+            "{:?} image, issue_batch {issue_batch}, deltas {}: {warm} allocations warm, \
+             {floor} idle, {} covers, {} requests",
+            opts.format,
             deltas.is_some(),
             stats.issued_requests,
             stats.engine_requests
@@ -173,18 +185,21 @@ fn a_request_allocates_per_cover_not_per_request() {
         assert!(covers > 0 && stats.engine_requests >= covers);
         assert!(
             allocations <= 3 * covers,
-            "{allocations} allocations for {covers} covers at issue_batch {issue_batch}"
+            "{allocations} allocations for {covers} covers at issue_batch {issue_batch} \
+             ({:?} image)",
+            opts.format
         );
     }
     // And at the shipped batch size, a twentieth of an allocation a
     // request — overlaid deliveries included.
-    for deltas in [None, Some(&view)] {
+    for deltas in [None, Some(view)] {
         let (allocations, stats) = measure(default.issue_batch, deltas);
         assert!(
             allocations * 20 <= stats.engine_requests,
-            "{allocations} allocations for {} requests (deltas: {})",
+            "{allocations} allocations for {} requests (deltas: {}, {:?} image)",
             stats.engine_requests,
-            deltas.is_some()
+            deltas.is_some(),
+            opts.format
         );
     }
 }
