@@ -9,8 +9,8 @@
 //! exercises *all of them* up to a preemption bound — and it explores
 //! the code that ships, not a transcription: [`models`] compiles
 //! `bitmap.rs`, `pool.rs`, `rendezvous.rs`, `serve/gate.rs` and SAFS's
-//! `inflight.rs` themselves against instrumented primitives, channels
-//! included.
+//! `inflight.rs`, `session.rs` and `io_thread.rs` themselves against
+//! instrumented primitives, channels included.
 //!
 //! Two halves:
 //!

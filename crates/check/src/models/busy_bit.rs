@@ -1,19 +1,20 @@
 //! Busy-bit delivery exclusivity — a harness around the shipped
 //! `AtomicBitmap::set_sync` / `clear_sync`, used the way the engine
-//! uses them (`crates/core/src/engine/worker.rs`, `acquire_busy` /
-//! `execute_deliveries`: that caller is not mountable, so its side of
-//! the protocol is transcribed here).
+//! uses them: as the `set_sync` / `clear_sync` closures `worker.rs`
+//! hands the shipped delivery round (`ReadyPool::deliver_round`), here
+//! with every delivery for one vertex.
 //!
 //! The two functions' docs state the protocol (a per-bit try-lock
-//! whose release publishes). Invariants checked: mutual exclusion (concurrent claimants never
-//! both win), publication (the next owner observes the previous
-//! owner's writes — a data race otherwise), liveness (every delivery
-//! eventually runs).
+//! whose release publishes). Invariants checked: mutual exclusion
+//! (concurrent claimants never both win), publication (the next owner
+//! observes the previous owner's writes — a data race otherwise),
+//! liveness (every delivery eventually runs).
 
 use super::shipped_bitmap::AtomicBitmap;
-use crate::sync::{cspawn_each, cyield, CCell};
+use super::{busy_rounds, resolved, Entry, Shape};
+use crate::sync::{cspawn_each, CCell};
 use crate::{check_assert, explore, Config, Fault, Report};
-use fg_types::VertexId;
+use std::sync::Arc;
 
 /// Seeded protocol edits the checker must catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,8 +23,8 @@ pub enum Mutation {
     /// exclusion *survives* (RMW atomicity is ordering-independent)
     /// but publication is lost — a data race on the protected state.
     RelaxedSync,
-    /// Caller: the second delivery of worker 0 forgets `clear_sync`;
-    /// the other claimant spins into the step bound (livelock).
+    /// Caller: the `clear_sync` closure forgets delivery 0's bit; the
+    /// other delivery is requeued round after round (livelock).
     DroppedClear,
 }
 
@@ -37,9 +38,8 @@ const RELAXED_SYNC: [Fault; 2] = [
     Fault("bitmap.rs", "fetch_and", 1),
 ];
 
+/// One delivery in each worker's deque, both for vertex 0.
 const WORKERS: usize = 2;
-const DELIVERIES_PER_WORKER: u64 = 2;
-const V: VertexId = VertexId(0);
 
 /// Explores the protocol; `mutation: None` is the shipped behaviour.
 pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
@@ -47,30 +47,22 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         Some(Mutation::RelaxedSync) => &RELAXED_SYNC,
         _ => &[],
     };
+    let dropped_clear = mutation == Some(Mutation::DroppedClear);
     explore(cfg, faults, move || {
-        let shared = std::sync::Arc::new((AtomicBitmap::new(1), CCell::new("vertex_state", 0u64)));
+        let items = (0..WORKERS as u32).map(|w| Entry(w..w + 1, Shape::Shipped));
+        let pool = resolved(items.collect());
+        let shared = Arc::new((pool, AtomicBitmap::new(1), CCell::new("vertex_state", 0u64)));
         let s = shared.clone();
         cspawn_each(WORKERS, move |w| {
-            let (busy, state) = &*s;
-            for d in 0..DELIVERIES_PER_WORKER {
-                // Claim the vertex (spin on the per-bit try-lock).
-                while busy.set_sync(V) {
-                    cyield();
-                }
-                // Deliver: mutate the protected vertex state.
-                state.write(|s| *s += 1);
-                let skip_clear = mutation == Some(Mutation::DroppedClear) && w == 0 && d == 1;
-                if !skip_clear {
-                    busy.clear_sync(V);
-                }
-            }
+            let (pool, busy, state) = &*s;
+            let clear = |i| !(dropped_clear && i == 0);
+            // Deliver: mutate the protected vertex state.
+            let deliver = |_| state.write(|s| *s += 1);
+            busy_rounds((pool, busy), (w, WORKERS, 1), clear, deliver);
         });
         // Joins give the root the happens-before edge for this read.
-        shared.1.read(|s| {
-            check_assert(
-                *s == WORKERS as u64 * DELIVERIES_PER_WORKER,
-                "every delivery applied exactly once",
-            )
-        });
+        shared
+            .2
+            .read(|s| check_assert(*s == WORKERS as u64, "every delivery applied exactly once"));
     })
 }

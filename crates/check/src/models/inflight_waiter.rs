@@ -1,10 +1,9 @@
-//! In-flight read dedup — a harness around the shipped
-//! `InflightTable::{claim_or_attach, resolve}` (`safs/src/inflight.rs`)
-//! over the channel double. The session's side (`IoSession::submit`,
-//! `kick`, the dispatch in `Drop`) and the I/O thread's (the device
-//! read, `fan_out`, one reply per session) are not mountable, so they
-//! are transcribed here, a run per claimed page and the page cache
-//! reduced to the I/O thread's recheck: a page is read once.
+//! In-flight read dedup and the protocol around it — a harness running
+//! the shipped SAFS sessions (`safs/src/session.rs`), I/O-thread loop
+//! and pass (`io_thread.rs`) and `InflightTable` (`inflight.rs`) over
+//! the channel double, on a mount reduced to what the protocol leaves
+//! to it: a cache that always misses, one drive, and a device that
+//! reads each page once.
 //!
 //! Before anyone else runs, a fetcher claims both pages, and a second
 //! session attaches to both and departs (cancelled mid-wait). Then an
@@ -15,205 +14,163 @@
 //! ordered after its one device write (a `CCell` per page); no claim
 //! outlives its read; nobody waits forever.
 
-use super::shipped_inflight::{InflightTable, PageWaiter, RunDone};
+use super::inflight::InflightTable;
+use super::io_thread::{io_thread_loop, IoMsg};
+use super::shipped_session::{Host, IoSession};
 use super::Page;
-use crate::sync::channel::{unbounded, Receiver, Sender};
+use crate::sync::channel::{unbounded, Sender};
 use crate::sync::{cspawn, CCell};
 use crate::{check_assert, explore, Config, Fault, Report};
-use std::collections::BTreeMap;
+use fg_ssdsim::IoStats;
 use std::sync::Arc;
 
 /// Seeded protocol edits the checker must catch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Caller: the I/O thread resolves each claim and drops the waiters
-    /// it detached — the attached waiter sleeps forever (deadlock).
-    ResolveWithoutFanOut,
-    /// Caller: the replies carry no clock, so nothing orders the device
-    /// write before a session's read of the page (data race).
+    /// Fault: the pass's one `send` to each session is lost — the
+    /// waiter riding the fetcher's read sleeps forever (deadlock).
+    LostReply,
+    /// Fault: a session's blocking `recv` takes its reply without the
+    /// I/O thread's clock, so nothing orders the device write before
+    /// the session's read of the page (data race).
     UnorderedReply,
-    /// Caller: the fetcher's `Drop` forgets to dispatch — the attached
-    /// waiter sleeps forever (deadlock).
-    DropWithoutKick,
+    /// Fault: a session's dispatch loses its batch — the cancelled
+    /// fetcher's `Drop` reaches no I/O thread, and the waiter riding
+    /// its claims sleeps forever (deadlock).
+    LostDispatch,
     /// Fault: `claim_or_attach` enters its stripe without the lock,
     /// unordered with `resolve` there (data race).
     UnlockedClaim,
 }
 
 pub const MUTATIONS: [Mutation; 4] = [
-    Mutation::ResolveWithoutFanOut,
+    Mutation::LostReply,
     Mutation::UnorderedReply,
-    Mutation::DropWithoutKick,
+    Mutation::LostDispatch,
     Mutation::UnlockedClaim,
 ];
 
+/// The pass's send to a session: the first `send` of `io_thread.rs`.
+const LOST_REPLY: Fault = Fault("io_thread.rs", "send", 0);
+/// `wait`'s receive: the one `recv` of `session.rs`.
+const UNORDERED_REPLY: Fault = Fault("session.rs", "recv", 0);
+/// `dispatch`'s send: the one `send` of `session.rs`.
+const LOST_DISPATCH: Fault = Fault("session.rs", "send", 0);
 /// `claim_or_attach`'s lock: the first `lock` of `inflight.rs`.
 const UNLOCKED_CLAIM: Fault = Fault("inflight.rs", "lock", 0);
 
-/// Every session requests these pages, one request from page 0, so a
-/// page's number is its slot. Each is on its own stripe.
+/// Every session reads these pages, one byte each, in one request, so
+/// a page's number is its offset and its slot. Each is on its own
+/// stripe.
 const PAGES: u64 = 2;
 
-/// What a kick sends: the session, its mailbox and the pages it claimed.
-type Kick = (u64, Sender<Vec<RunDone>>, Vec<u64>);
-
-struct Mount {
-    table: InflightTable,
+/// The mount, as far as a session and an I/O thread reach it.
+struct Rig {
+    inflight: InflightTable,
+    io: [Sender<IoMsg>; 1],
+    books: IoStats,
     /// Whether the device read has written each page.
     landed: Vec<CCell<bool>>,
 }
 
-impl Mount {
-    /// The I/O thread: a pass per kick, until every session and the
-    /// mount have let go of the channel.
-    fn serve(&self, io: Receiver<Kick>, mutation: Option<Mutation>) {
-        let mut cache: Vec<Option<Arc<Page>>> = vec![None; PAGES as usize];
-        for (session, to, claimed) in io.iter() {
-            // What the pass answers, one message per session.
-            let mut replies = BTreeMap::new();
-            let mut reply = |session, to: &Sender<_>, req_id, first_slot, page: &Arc<Page>| {
-                let pages = vec![Arc::clone(page)];
-                let (_, batch) = replies
-                    .entry(session)
-                    .or_insert_with(|| (to.clone(), vec![]));
-                batch.push(RunDone {
-                    req_id,
-                    first_slot,
-                    pages,
-                });
-            };
-            for p in claimed {
-                let page = cache[p as usize].get_or_insert_with(|| {
+impl Host for Rig {
+    fn books(&self) -> &IoStats {
+        &self.books
+    }
+
+    fn geometry(&self) -> (u64, u64) {
+        (1, PAGES)
+    }
+
+    fn lookup(&self, _: u64) -> Option<Arc<Page>> {
+        None
+    }
+
+    fn route(&self, _: u64) -> usize {
+        0
+    }
+}
+
+impl Rig {
+    /// A session of this mount.
+    fn session(&self, id: u64) -> IoSession<'_> {
+        IoSession::new(self, &self.inflight, &self.io, id, None)
+    }
+
+    /// The read behind the I/O thread's passes: the device writes each
+    /// page once, and a page read again comes from the pages already
+    /// read, as the shipped re-check finds it in the page cache.
+    fn device(&self) -> impl FnMut(u64, u64) -> Vec<Arc<Page>> + '_ {
+        let mut read: Vec<Option<Arc<Page>>> = vec![None; PAGES as usize];
+        move |first, n| {
+            let page = |p: u64| {
+                let page = read[p as usize].get_or_insert_with(|| {
                     self.landed[p as usize].write(|b| *b = true);
-                    Arc::new(Page::new(p, Box::new([])))
+                    Arc::new(Page::new(p, Box::new([0])))
                 });
-                let detached = self.table.resolve(p);
-                if mutation != Some(Mutation::ResolveWithoutFanOut) {
-                    for w in detached {
-                        reply(w.session, &w.reply, w.req_id, w.slot, page);
-                    }
-                }
-                reply(session, &to, 0, p as u32, page);
-            }
-            let ordered = mutation != Some(Mutation::UnorderedReply);
-            for (to, batch) in replies.into_values() {
-                // A departed session's mailbox is gone: a no-op.
-                let _ = to.post(batch, ordered);
-            }
-        }
-    }
-}
-
-/// `IoSession`, for one request of every page.
-struct Session {
-    id: u64,
-    mount: Arc<Mount>,
-    io: Sender<Kick>,
-    reply_tx: Sender<Vec<RunDone>>,
-    reply_rx: Receiver<Vec<RunDone>>,
-    /// Pages claimed and not yet dispatched.
-    outbox: Vec<u64>,
-}
-
-impl Session {
-    /// Each page rides the read already on its way, or is claimed.
-    fn submit(&mut self) {
-        for p in 0..PAGES {
-            let (session, reply, slot) = (self.id, self.reply_tx.clone(), p as u32);
-            let waiter = || PageWaiter {
-                req_id: 0,
-                slot,
-                session,
-                reply,
+                Arc::clone(page)
             };
-            if !self.mount.table.claim_or_attach(p, waiter) {
-                self.outbox.push(p);
-            }
-        }
-    }
-
-    fn kick(&mut self) {
-        if !self.outbox.is_empty() {
-            let claimed = std::mem::take(&mut self.outbox);
-            let _ = self.io.send((self.id, self.reply_tx.clone(), claimed));
-        }
-    }
-
-    /// Kicks, then reads every page as it is delivered.
-    fn wait(&mut self) {
-        self.kick();
-        let mut delivered = 0;
-        while delivered < PAGES {
-            for done in self.reply_rx.recv().expect("the session holds a sender") {
-                check_assert(done.req_id == 0, "a delivery names its request");
-                for (slot, page) in (done.first_slot..).zip(&done.pages) {
-                    check_assert(page.pageno() == u64::from(slot), "a page lands in its slot");
-                    let landed = self.mount.landed[slot as usize].read(|b| *b);
-                    check_assert(landed, "a delivered page has landed");
-                    delivered += 1;
-                }
-            }
+            (first..first + n).map(page).collect()
         }
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        // Claims this session opened must still be fetched: others may
-        // be attached to them.
-        self.kick();
+/// A session's read of every page, through to its completion, each
+/// page read after it landed.
+fn read_all(rig: &Rig) {
+    let mut session = rig.session(3);
+    session.submit(0, PAGES, 7).expect("in range");
+    let mut done = Vec::new();
+    while session.pending() > 0 {
+        session.wait(&mut done);
+    }
+    check_assert(done.len() == 1 && done[0].tag == 7, "one completion");
+    check_assert(done[0].span.page_count() == PAGES as usize, "every page");
+    for landed in &rig.landed {
+        check_assert(landed.read(|b| *b), "a delivered page has landed");
     }
 }
 
 /// Explores the protocol; `mutation: None` is the shipped behaviour.
 pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
     let faults: &[Fault] = match mutation {
+        None => &[],
+        Some(Mutation::LostReply) => &[LOST_REPLY],
+        Some(Mutation::UnorderedReply) => &[UNORDERED_REPLY],
+        Some(Mutation::LostDispatch) => &[LOST_DISPATCH],
         Some(Mutation::UnlockedClaim) => &[UNLOCKED_CLAIM],
-        _ => &[],
     };
     explore(cfg, faults, move || {
-        let landed = (0..PAGES)
-            .map(|p| CCell::new(&format!("page {p}"), false))
-            .collect();
-        let table = InflightTable::new();
-        let mount = Arc::new(Mount { table, landed });
         let (io_tx, io_rx) = unbounded();
-        let session = |id| {
-            let (reply_tx, reply_rx) = unbounded();
-            let (mount, io, outbox) = (mount.clone(), io_tx.clone(), Vec::new());
-            Session {
-                id,
-                mount,
-                io,
-                reply_tx,
-                reply_rx,
-                outbox,
-            }
-        };
-        let mut fetcher = session(1);
-        fetcher.submit();
-        session(2).submit(); // and departs
-        let mut waiter = session(3);
-        let waiter = cspawn(move || {
-            waiter.submit();
-            waiter.wait();
+        let rig = Arc::new(Rig {
+            inflight: InflightTable::new(),
+            io: [io_tx],
+            books: IoStats::new(1),
+            landed: (0..PAGES)
+                .map(|p| CCell::new(&format!("page {p}"), false))
+                .collect(),
+        });
+        let mut fetcher = rig.session(1);
+        fetcher.submit(0, PAGES, 0).expect("in range");
+        // Attaches to both claims, and departs.
+        rig.session(2).submit(0, PAGES, 0).expect("in range");
+        let waiter = cspawn({
+            let rig = Arc::clone(&rig);
+            move || read_all(&rig)
         });
         let io = cspawn({
-            let mount = mount.clone();
-            move || mount.serve(io_rx, mutation)
+            let rig = Arc::clone(&rig);
+            move || io_thread_loop(io_rx, &rig.inflight, true, rig.device())
         });
-        if mutation == Some(Mutation::DropWithoutKick) {
-            fetcher.outbox.clear();
-        }
         // Cancelled with its runs still buffered.
         drop(fetcher);
-        // The mount shuts its I/O thread down once the sessions are gone.
-        drop(io_tx);
         waiter.join();
+        // The mount shuts its I/O thread down once its sessions are gone.
+        let _ = rig.io[0].send(IoMsg::Shutdown);
         io.join();
         // Joins give the root the happens-before edge for these claims.
         for p in 0..PAGES {
-            let open = mount.table.claim_or_attach(p, || unreachable!());
+            let open = rig.inflight.claim_or_attach(p, || unreachable!());
             check_assert(!open, "no claim outlives the read that resolves it");
         }
     })

@@ -646,13 +646,16 @@ impl Scheduler {
         if d < stack.len() {
             let c = &stack[d];
             let chosen = c.candidates[c.idx];
-            debug_assert!(
-                candidates.contains(&chosen),
-                "replay divergence at depth {}: {:?} not in {:?}",
-                d,
-                chosen,
-                candidates
-            );
+            if !candidates.contains(&chosen) {
+                // Granting a thread that cannot run would hang.
+                let why = format!(
+                    "replay divergence at depth {d}: t{chosen} not in {candidates:?} \
+                     — the scenario is not deterministic"
+                );
+                drop(stack);
+                self.fail_locked(st, FailureKind::Assert(why));
+                return candidates[0];
+            }
             chosen
         } else {
             let chosen = candidates[0];

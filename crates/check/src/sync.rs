@@ -31,10 +31,11 @@
 //!   an empty receive scheduler-side, and disconnects when the last
 //!   sender or the receiver goes — a reply nobody sends is a deadlock.
 //!
-//! The atomics, `Mutex` and `Condvar` are also where a [`crate::Fault`]
-//! lands: each operation knows its call site (`#[track_caller]`) and
-//! asks the scheduler whether this exploration breaks it. A double's
-//! trace name is its creation site and ordinal (`pool.rs:41#3`).
+//! The atomics, `Mutex`, `Condvar` and channels are also where a
+//! [`crate::Fault`] lands: each operation knows its call site
+//! (`#[track_caller]`) and asks the scheduler whether this exploration
+//! breaks it. A double's trace name is its creation site and ordinal
+//! (`pool.rs:41#3`).
 //!
 //! A double created on a thread that is not a model thread is a *plain
 //! value*: the same state behind the same real lock, no scheduler, no
@@ -660,9 +661,11 @@ impl Condvar {
 /// `std::sync::mpsc`'s errors. `send`, every receive and a disconnecting
 /// drop are schedule points; a disconnect carries no clock, and
 /// `recv_timeout` expires only once no thread can run, as
-/// [`Condvar::wait_timeout`] does.
+/// [`Condvar::wait_timeout`] does. A faulted `send` is lost; a faulted
+/// receive takes its message without the sender's clock.
 pub mod channel {
     use std::collections::VecDeque;
+    use std::panic::Location;
     use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
     use std::time::Duration;
 
@@ -726,23 +729,19 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
+        #[track_caller]
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.post(value, true)
-        }
-
-        /// [`Sender::send`], whose message carries the sender's clock
-        /// only on `release` — without, it is a reply path with no
-        /// release semantics, which a harness seeds as its caller's
-        /// mistake. Nothing shipped can name it.
-        pub(crate) fn post(&self, value: T, release: bool) -> Result<(), SendError<T>> {
-            let site = self.0.site(Some("send"));
+            let (site, at) = (self.0.site(Some("send")), Location::caller());
+            if site.is_some_and(|(t, _)| t.sched.faulted("send", at)) {
+                return Ok(()); // lost on the way: nobody is woken
+            }
             let mut s = relock(&self.0.state);
             if !s.receiver {
                 return Err(SendError(value));
             }
             let clock = match site {
-                Some((t, me)) if release => t.sched.with_clocks(|c| c[me].clone()),
-                _ => Vec::new(),
+                Some((t, me)) => t.sched.with_clocks(|c| c[me].clone()),
+                None => Vec::new(),
             };
             s.queue.push_back((value, clock));
             drop(s);
@@ -778,10 +777,12 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
+        #[track_caller]
         pub fn recv(&self) -> Result<T, RecvError> {
             self.take("recv", true, None).map_err(|_| RecvError)
         }
 
+        #[track_caller]
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             self.take("try_recv", false, None).map_err(|e| match e {
                 RecvTimeoutError::Timeout => TryRecvError::Empty,
@@ -789,6 +790,7 @@ pub mod channel {
             })
         }
 
+        #[track_caller]
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             self.take("recv_timeout", true, Some(timeout))
         }
@@ -799,6 +801,7 @@ pub mod channel {
 
         /// Every receive: a poll unless it may `block`; a timed one
         /// blocks once (for a plain value, a wake-up may be spurious).
+        #[track_caller]
         fn take(
             &self,
             op: &str,
@@ -806,12 +809,13 @@ pub mod channel {
             timeout: Option<Duration>,
         ) -> Result<T, RecvTimeoutError> {
             let c = &*self.0;
-            let site = c.site(Some(op));
+            let (site, at) = (c.site(Some(op)), Location::caller());
+            let acquire = !site.is_some_and(|(t, _)| t.sched.faulted(op, at));
             let mut s = relock(&c.state);
             let mut woken = false;
             loop {
                 if let Some((value, clock)) = s.queue.pop_front() {
-                    if let Some((t, me)) = site {
+                    if let (Some((t, me)), true) = (site, acquire) {
                         t.sched.with_clocks(|c| join_into(&mut c[me], &clock));
                     }
                     return Ok(value);

@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use fg_types::{Bitmap, CancelCause, VertexId};
 
+use super::pool::Run;
 use super::sem_io::Wait;
 use super::worker::{Source, WorkerEnv};
 use crate::context::WorkerScratch;

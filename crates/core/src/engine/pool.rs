@@ -3,13 +3,14 @@
 //! one owner of the quiesce protocol that ends an iteration's compute
 //! without a barrier (see [`ReadyPool`]). The two counters are
 //! private; `accept` / `release` / `announce_claims_done` /
-//! `quiesced` / `begin_iteration` are the whole protocol, each
-//! ordering stated beside its access. The referee reads this file, not
-//! a copy of it: `fg_check` compiles it against its instrumented
-//! `sync` (which is why every primitive below is `super::sync::…` and
-//! nothing else) and its `quiesce` and `ready_pool` harnesses explore
-//! these functions as shipped. Priced, with `claim.rs`, by the
-//! ledger's `engine.noop_ns_per_vertex`.
+//! `quiesced` / `begin_iteration` are the whole protocol, each ordering
+//! stated beside its access, and [`ReadyPool::deliver_round`] is a
+//! worker's side of it. The referee reads this file, not a copy:
+//! `fg_check` compiles it against its instrumented `sync` (so every
+//! primitive is `super::sync::…`, and the busy bit and the delivery are
+//! the caller's closures) and its `busy_bit`, `quiesce` and
+//! `ready_pool` harnesses explore it as shipped. Priced, with
+//! `claim.rs`, by the ledger's `engine.noop_ns_per_vertex`.
 //!
 //! Everything here moves batches of entries, so a delivery pays a
 //! share of a share of a lock or an RMW, not one of its own. The
@@ -20,14 +21,15 @@
 //! up to the budget; one victim's deque, oldest first, at most half of
 //! it — one lock each, and it never mixes sources. `accept(n)` opens the
 //! obligations of one absorb in one RMW, before any of the `n`
-//! requests can be flushed; `release(n)` closes a batch's in one RMW,
+//! requests can be flushed; `release(n)` closes a round's in one RMW,
 //! after the *last* of its deliveries has run and had its follow-ons
 //! absorbed. Releasing late is always safe (quiesce is only delayed);
-//! releasing before the batch is through is the `EarlyBatchRelease`
+//! a delivery run after its round's release is the `EarlyBatchRelease`
 //! mutation of the `quiesce` harness.
 
 use super::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// The pipelined scheduler's cross-worker delivery pool and its
 /// completion counters.
@@ -51,6 +53,18 @@ pub(super) struct ReadyPool<T> {
     obligations: AtomicU64,
     claims_done: AtomicUsize,
 }
+
+/// What the pool moves: a run of deliveries its taker walks in place.
+pub(super) trait Run: Sized {
+    /// The run's deliveries, by index.
+    fn parts(&self) -> Range<u32>;
+    /// Delivery `i` alone, as a run of one.
+    fn only(&self, i: u32) -> Self;
+}
+
+/// A worker's round buffers, kept for their capacity: what `take`
+/// handed it, and the deliveries it set aside, one to a run.
+pub(super) type Round<T> = (Vec<T>, Vec<T>);
 
 impl<T> ReadyPool<T> {
     pub(super) fn new(workers: usize) -> Self {
@@ -103,6 +117,49 @@ impl<T> ReadyPool<T> {
             let half = victim.len().div_ceil(2).min(budget);
             out.extend(victim.drain(..half));
         }
+    }
+
+    /// One delivery round of worker `w`: up to `budget` runs, walked in
+    /// place. A delivery runs once `set_sync` wins its requester's busy
+    /// bit, and `clear_sync` gives it back; one whose requester is busy
+    /// in a callback elsewhere goes to the injector as a run of one,
+    /// its obligation open, and the rest of its run goes on. One
+    /// `release` closes the round after its last delivery and the
+    /// follow-ons `deliver` absorbed, counting the deliveries run, as
+    /// the accepts did. Returns that count.
+    pub(super) fn deliver_round<R>(
+        &self,
+        w: usize,
+        budget: usize,
+        round: &mut Round<T>,
+        set_sync: impl Fn(&T, u32) -> bool,
+        clear_sync: impl Fn(&T, u32) -> R,
+        mut deliver: impl FnMut(&T, u32),
+    ) -> u64
+    where
+        T: Run,
+    {
+        let (taken, conflicted) = round;
+        self.take(w, budget, taken);
+        let mut run = 0;
+        for e in taken.drain(..) {
+            for i in e.parts() {
+                if set_sync(&e, i) {
+                    conflicted.push(e.only(i));
+                    continue;
+                }
+                deliver(&e, i);
+                clear_sync(&e, i);
+                run += 1;
+            }
+        }
+        if !conflicted.is_empty() {
+            self.push_injector(conflicted);
+        }
+        if run > 0 {
+            self.release(run);
+        }
+        run
     }
 
     /// Opens `n` obligations, *before* any of their requests can be
@@ -181,6 +238,7 @@ impl<T> ReadyPool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn take(pool: &ReadyPool<u32>, w: usize, budget: usize) -> Vec<u32> {
         let mut out = Vec::new();
@@ -264,5 +322,38 @@ mod tests {
         pool.announce_claims_done();
         pool.announce_claims_done();
         assert!(pool.quiesced(2), "obligations were not touched");
+    }
+
+    /// A run of deliveries by index.
+    impl Run for Range<u32> {
+        fn parts(&self) -> Range<u32> {
+            self.clone()
+        }
+
+        fn only(&self, i: u32) -> Self {
+            i..i + 1
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // a run of three deliveries
+    fn a_round_requeues_a_busy_delivery_alone_and_releases_once() {
+        let pool = ReadyPool::<Range<u32>>::new(1);
+        pool.accept(3);
+        pool.push_local(0, &mut vec![0..3]);
+        pool.announce_claims_done();
+        let (mut round, mut ran, cleared) = (Round::default(), vec![], Cell::new(0));
+        let busy = |_: &Range<u32>, i| i == 1;
+        let clear = |_: &Range<u32>, _| cleared.set(cleared.get() + 1);
+        let n = pool.deliver_round(0, 8, &mut round, busy, clear, |_, i| ran.push(i));
+        assert_eq!((n, ran, cleared.get()), (2, vec![0, 2], 2));
+        assert!(!pool.quiesced(1), "the busy delivery's obligation is open");
+        let mut requeued = Vec::new();
+        pool.take(0, 8, &mut requeued);
+        assert_eq!(requeued, [1..2], "alone, through the injector");
+        pool.push_injector(&mut requeued);
+        let n = pool.deliver_round(0, 8, &mut round, |_, _| false, clear, |_, _| {});
+        assert_eq!(n, 1);
+        assert!(pool.quiesced(1));
     }
 }

@@ -56,6 +56,7 @@ use fg_safs::{CacheStats, Completion, IoSession, PageSpan, Safs, SpanWindow};
 use fg_types::{EdgeDir, VertexId};
 
 use super::boundary::Counters;
+use super::pool::Run;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
 use crate::merge::{covers, sort_requests, RangeReq};
@@ -191,7 +192,7 @@ impl Batch {
 /// spreads at: long enough that a cover's run pays one deque slot, one
 /// span and one batch reference between them, short enough that one
 /// worker's hub-sized cover still feeds its siblings. Measured with
-/// the round budget beside `execute_deliveries`, which see.
+/// the round budget beside `worker.rs`'s `ROUND_ENTRIES`, which see.
 const ENTRY_DELIVERIES: u32 = 64;
 
 /// What crosses the ready pool: a run of one landed cover's requests,
@@ -211,13 +212,28 @@ pub(super) struct Entry {
     other: Option<PageSpan>,
 }
 
-impl Entry {
+impl Run for Entry {
     /// The batch indexes of the entry's deliveries, for
     /// [`Entry::delivery`] and [`Entry::only`].
-    pub(super) fn parts(&self) -> Range<u32> {
+    fn parts(&self) -> Range<u32> {
         self.parts.clone()
     }
 
+    /// Delivery `i` as an entry of its own — what goes to the injector
+    /// when `i`'s requester is busy elsewhere.
+    fn only(&self, i: u32) -> Entry {
+        debug_assert!(self.parts.contains(&i));
+        Entry {
+            span: self.span.clone(),
+            offset: self.offset,
+            batch: Arc::clone(&self.batch),
+            parts: i..i + 1,
+            other: self.other.clone(),
+        }
+    }
+}
+
+impl Entry {
     /// The header of delivery `i`, read in place.
     pub(super) fn head(&self, i: u32) -> &Header {
         debug_assert!(self.parts.contains(&i));
@@ -240,19 +256,6 @@ impl Entry {
             (PartKind::Edges { .. }, attrs) => (&pm.head, span, attrs),
             (PartKind::Attrs { .. }, Some(edges)) => (&pm.head, edges, Some(span)),
             (PartKind::Attrs { .. }, None) => panic!("an attribute run is delivered joined"),
-        }
-    }
-
-    /// Delivery `i` as an entry of its own — what goes to the injector
-    /// when `i`'s requester is busy elsewhere.
-    pub(super) fn only(&self, i: u32) -> Entry {
-        debug_assert!(self.parts.contains(&i));
-        Entry {
-            span: self.span.clone(),
-            offset: self.offset,
-            batch: Arc::clone(&self.batch),
-            parts: i..i + 1,
-            other: self.other.clone(),
         }
     }
 }

@@ -6,11 +6,9 @@
 //! Invariants owned here: a vertex's callbacks never run on two
 //! workers at once — any worker may run a vertex's delivery, but only
 //! under its bit of the busy bitmap, so `SharedStates`' exclusivity
-//! contract survives stealing (`fg_check`'s `busy_bit` and
-//! `ready_pool` harnesses transcribe this file's side of it around the
-//! shipped bitmap and pool: `DroppedClear`, `DropOnConflict`) — and
-//! an accepted request is released only after its delivery *and* the
-//! absorption of the follow-ons that delivery queued (`complete`).
+//! contract survives stealing — and an accepted request is released
+//! only after its delivery *and* the absorption of the follow-ons
+//! that delivery queued (`complete`).
 //!
 //! Both ends of that obligation are paid per batch. `absorb_requests`
 //! opens the obligations of everything it enqueued with one
@@ -20,16 +18,11 @@
 //! delivery being absorbed) holds quiesce off. What comes back through
 //! the pool is an *entry*: a run of up to 64 of one cover's requests,
 //! named as a range of their issue batch (`sem_io::Entry`), never a
-//! value per request. `execute_deliveries` takes a round of entries
-//! under one lock and walks each in place — header read from the
-//! batch, bytes a window over the cover, busy bit, callback,
-//! follow-ons absorbed. Only a delivery whose requester is busy on
-//! another worker goes to the injector, as an entry of one, its
-//! obligation still open; the rest of its entry runs in this round.
-//! The one `release(n)` sits after the round's last follow-on is
-//! absorbed and counts the deliveries run, as the accepts did
-//! (`fg_check`'s `quiesce` harness: `EarlyBatchRelease`,
-//! `ReleasePerEntry`).
+//! value per request. The compute loop runs `ReadyPool::deliver_round`
+//! (walk, busy bit, conflict requeue, one `release(n)`; `fg_check`
+//! explores it as shipped), handing it the requester's busy bit as
+//! closures and `complete` as the delivery: header read from the
+//! batch, bytes a window over the cover, callback, follow-ons absorbed.
 
 use fg_types::sync::{Mutex, Ordering};
 use std::sync::Arc;
@@ -41,7 +34,7 @@ use fg_types::{AtomicBitmap, Bitmap, VertexId};
 
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
-use super::pool::ReadyPool;
+use super::pool::{ReadyPool, Round};
 use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Wait};
 use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
@@ -52,6 +45,18 @@ use crate::shard::ShardLink;
 use crate::state::SharedStates;
 use crate::stats::IterStats;
 use crate::vertex::PageVertex;
+
+/// Entries per delivery round, of at most `ENTRY_DELIVERIES` each. Not
+/// a number to shrink for the sake of refilling the device queue
+/// sooner: an entry waiting in a deque pins its cover's pages, and the
+/// pinned-hit path serves re-requests of them without a device read,
+/// so a worker that takes its whole backlog and works through it
+/// re-reads less than one that returns to claiming after each entry.
+/// On the ledger's `tc_neighbor` (no locality, the cache a fraction of
+/// the traffic) 64 entries of 64 read 1.7 MB a pass where rounds of 64
+/// per-request deliveries read 2.4; a round of one entry of 64 read 2.6
+/// and 4 entries of 16 read 2.5 (medians of five).
+const ROUND_ENTRIES: usize = 64;
 
 /// Everything one worker thread needs, borrowed from the run.
 pub(super) struct WorkerEnv<'r, 'g, P: VertexProgram> {
@@ -105,7 +110,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 ))
             }
         };
-        let mut batch = DeliveryBatch::default();
+        let mut round = Round::default();
         let mut seen_notify = Bitmap::new(self.shared.n);
         // Worker 0's counter snapshot at the last recorded boundary.
         // Taken here — before any worker can pass the first phase-A
@@ -137,7 +142,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
-            self.compute_pipelined(iter, &mut scratch, &mut io, &mut batch);
+            self.compute_pipelined(iter, &mut scratch, &mut io, &mut round);
             self.flush_boards(&mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
@@ -240,7 +245,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
-        batch: &mut DeliveryBatch,
+        round: &mut Round<Entry>,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
@@ -267,8 +272,20 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             }
             // (b) Publish our freshly completed covers to the pool.
             self.harvest(io, Wait::Poll);
-            // (c) Run ready deliveries — ours or stolen.
-            let executed = self.execute_deliveries(iter, scratch, io, batch);
+            // (c) Run one round of ready deliveries — ours or stolen —
+            // each under its requester's busy bit.
+            let requester = |e: &Entry, i| e.head(i).requester;
+            let executed = self.ready.deliver_round(
+                self.w,
+                ROUND_ENTRIES,
+                round,
+                |e, i| self.busy.set_sync(requester(e, i)),
+                |e, i| self.busy.clear_sync(requester(e, i)),
+                |e, i| {
+                    self.complete(iter, e, i, scratch, io);
+                    self.maybe_flush_messages(scratch);
+                },
+            );
             if executed == 0 {
                 // Nothing to run: what we wait for next may be a
                 // sibling's announcement or obligation, which a dead
@@ -323,56 +340,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         if !landed.is_empty() {
             self.ready.push_local(self.w, landed);
         }
-    }
-
-    /// Takes one round of ready entries from the pool and walks each
-    /// in place, delivery by delivery, serializing on each requester's
-    /// busy bit. Returns the number of deliveries run.
-    fn execute_deliveries(
-        &self,
-        iter: u32,
-        scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut Source<'_>,
-        batch: &mut DeliveryBatch,
-    ) -> usize {
-        // Entries per round, of at most `ENTRY_DELIVERIES` each. Not a
-        // number to shrink for the sake of refilling the device queue
-        // sooner: an entry waiting in a deque pins its cover's pages,
-        // and the pinned-hit path serves re-requests of them without a
-        // device read, so a worker that takes its whole backlog and
-        // works through it re-reads less than one that returns to
-        // claiming after each entry. On the ledger's `tc_neighbor`
-        // (no locality, the cache a fraction of the traffic) 64
-        // entries of 64 read 1.7 MB a pass where rounds of 64
-        // per-request deliveries read 2.4; a round of one entry of 64
-        // read 2.6 and 4 entries of 16 read 2.5 (medians of five).
-        const ROUND_ENTRIES: usize = 64;
-        self.ready.take(self.w, ROUND_ENTRIES, &mut batch.taken);
-        let mut executed = 0;
-        for e in batch.taken.drain(..) {
-            for i in e.parts() {
-                let requester = e.head(i).requester;
-                if self.busy.set_sync(requester) {
-                    // The requester's callback is running on another
-                    // worker right now: this one delivery goes to the
-                    // injector rather than spin, its obligation still
-                    // open, and the rest of the entry goes on.
-                    batch.conflicted.push(e.only(i));
-                    continue;
-                }
-                self.complete(iter, &e, i, scratch, io);
-                self.busy.clear_sync(requester);
-                executed += 1;
-                self.maybe_flush_messages(scratch);
-            }
-        }
-        if !batch.conflicted.is_empty() {
-            self.ready.push_injector(&mut batch.conflicted);
-        }
-        if executed > 0 {
-            self.ready.release(executed as u64);
-        }
-        executed
     }
 
     /// Spins until this worker owns `v`'s busy bit. Contention is
@@ -520,16 +487,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         self.deliver(iter, head, edges, attrs, scratch);
         self.absorb_requests(iter, vp, scratch, io);
     }
-}
-
-/// A worker's delivery buffers, kept across calls for their capacity.
-#[derive(Default)]
-pub(super) struct DeliveryBatch {
-    /// What the last `ReadyPool::take` handed this worker.
-    taken: Vec<Entry>,
-    /// The deliveries of it whose requesters were busy elsewhere, one
-    /// to an entry.
-    conflicted: Vec<Entry>,
 }
 
 /// Where a worker's edge lists come from — built from the engine's

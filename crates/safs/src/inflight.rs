@@ -30,14 +30,10 @@
 //! under the stripe lock and hands them to the caller, which sends
 //! after the lock is dropped.
 //!
-//! Every primitive is `super::sync::…` and nothing else: `fg_check`
-//! compiles this file against its instrumented `sync` and explores
-//! `claim_or_attach` / `resolve` as shipped — its `inflight_waiter`
-//! harness drives them with a fetcher cancelled inside the buffered
-//! claim → dispatch gap, a waiter and a departed waiter, transcribing
-//! the session's submit / kick / drop and the I/O thread's fan-out
-//! around them — so an edit here is checked by the next
-//! `cargo test --test check_models`.
+//! Every primitive is `super::sync::…`: `fg_check` compiles this file,
+//! with the sessions and the I/O thread that drive it, against its
+//! doubles (the `inflight_waiter` harness), so an edit here is checked
+//! by the next `cargo test --test check_models`.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -55,8 +55,8 @@
 //! # Ok::<(), fg_types::FgError>(())
 //! ```
 
-// `inflight.rs` names its primitives `super::sync::…` — here the real
-// ones, in `fg_check`'s mount of the same file the instrumented doubles.
+// The protocol files name their primitives `super::sync::…` — here the
+// real ones, in `fg_check`'s mount of them the instrumented doubles.
 use fg_types::sync;
 
 mod cache;
@@ -65,10 +65,12 @@ mod inflight;
 mod io_thread;
 mod page;
 mod safs;
+mod session;
 mod shard_set;
 
 pub use cache::{CacheStats, CacheStatsSnapshot, PageCache};
 pub use config::SafsConfig;
 pub use page::{Page, PageSpan, SpanWindow, U32Iter};
-pub use safs::{Completion, IoSession, Safs};
+pub use safs::Safs;
+pub use session::{Completion, IoSession};
 pub use shard_set::ShardSet;

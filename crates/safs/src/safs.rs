@@ -1,28 +1,32 @@
-//! The SAFS facade and per-thread I/O sessions.
+//! The SAFS facade: a mount's page cache, in-flight table and array,
+//! the I/O threads that serve it, and the device read behind them.
+//! Sessions (`session.rs`) and the I/O threads' pass (`io_thread.rs`)
+//! reach the mount only through the closures and the [`Host`] hooks
+//! wired up here.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fg_ssdsim::SsdArray;
-use fg_types::sync::channel::{unbounded, Receiver, Sender};
-use fg_types::sync::{Counter, Mutex};
+use fg_ssdsim::{check_range, IoStats, SsdArray};
+use fg_types::sync::channel::{unbounded, Sender};
+use fg_types::sync::Counter;
 use fg_types::{FgError, Result};
 
-use crate::cache::{CacheStats, CacheStatsSnapshot};
+use crate::cache::{CacheStats, CacheStatsSnapshot, PageCache};
 use crate::config::SafsConfig;
-use crate::inflight::{PageWaiter, RunDone};
-use crate::io_thread::{io_thread_loop, read_pages_hint, CacheUse, IoMsg, Mount, RunRequest};
+use crate::inflight::InflightTable;
+use crate::io_thread::{io_thread_loop, IoMsg};
 use crate::page::{Page, PageSpan};
+use crate::session::{Host, IoSession};
 
-/// A completed logical read: the caller's tag plus a zero-copy span
-/// over the page cache.
-#[derive(Debug)]
-pub struct Completion {
-    /// The tag passed to [`IoSession::submit`].
-    pub tag: u64,
-    /// The requested bytes.
-    pub span: PageSpan,
+/// The state one mount's sessions and I/O threads share.
+struct Mount {
+    cfg: SafsConfig,
+    array: SsdArray,
+    cache: PageCache,
+    inflight: InflightTable,
+    /// Device capacity in bytes (fixed at mount time).
+    capacity: u64,
 }
 
 /// The user-space filesystem: page cache + I/O threads over an
@@ -32,7 +36,7 @@ pub struct Completion {
 pub struct Safs {
     mount: Arc<Mount>,
     senders: Vec<Sender<IoMsg>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    handles: Vec<JoinHandle<()>>,
     /// Source of session ids (the I/O threads group replies by them).
     sessions: Counter,
 }
@@ -65,19 +69,28 @@ impl Safs {
             }
             n => n,
         };
-        let mount = Arc::new(Mount::new(cfg, array));
+        let mount = Arc::new(Mount {
+            cfg,
+            cache: PageCache::new(cfg.cache_pages(), cfg.cache_ways),
+            inflight: InflightTable::new(),
+            capacity: array.capacity(),
+            array,
+        });
         let mut senders = Vec::with_capacity(nthreads);
         let mut handles = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
             let (tx, rx) = unbounded();
             let m = Arc::clone(&mount);
-            handles.push(std::thread::spawn(move || io_thread_loop(rx, m)));
+            handles.push(std::thread::spawn(move || {
+                let read = |first, n| read_pages(&m, first, n, CacheUse::Recheck);
+                io_thread_loop(rx, &m.inflight, m.cfg.safs_merge, read)
+            }));
             senders.push(tx);
         }
         Ok(Safs {
             mount,
             senders,
-            handles: Mutex::new(handles),
+            handles,
             sessions: Counter::new(0),
         })
     }
@@ -127,36 +140,8 @@ impl Safs {
     /// scope read after its sessions are gone, or after their last
     /// harvest, is exact.
     pub fn session_scoped(&self, scope: Option<Arc<CacheStats>>) -> IoSession<'_> {
-        let (tx, rx) = unbounded();
-        IoSession {
-            safs: self,
-            scope,
-            scope_hits: 0,
-            scope_misses: 0,
-            looked_up: Vec::new(),
-            id: self.sessions.inc(),
-            next_req: 0,
-            in_flight: HashMap::new(),
-            ready: Vec::new(),
-            outbox: self.senders.iter().map(|_| Vec::new()).collect(),
-            reply_tx: tx,
-            reply_rx: rx,
-        }
-    }
-
-    /// Validates `[offset, offset + len)` against the device and
-    /// returns its end.
-    fn check_range(&self, offset: u64, len: u64) -> Result<u64> {
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
-        if end > self.mount.capacity {
-            return Err(FgError::InvalidRequest(format!(
-                "read [{offset}, {end}) exceeds device of {} bytes",
-                self.mount.capacity
-            )));
-        }
-        Ok(end)
+        let (inflight, id) = (&self.mount.inflight, self.sessions.inc());
+        IoSession::new(self, inflight, &self.senders, id, scope)
     }
 
     /// Synchronous read: blocks the calling thread, still goes through
@@ -243,26 +228,16 @@ impl Safs {
         if len == 0 {
             return Ok(PageSpan::empty());
         }
-        let end = self.check_range(offset, len)?;
+        let end = check_range(self.mount.capacity, offset, len)?;
         let pb = self.page_bytes();
         let first = offset / pb;
         let last = (end - 1) / pb;
-        let pages = read_pages_hint(&self.mount, first, last - first + 1, cache);
+        let pages = read_pages(&self.mount, first, last - first + 1, cache);
         Ok(PageSpan::new(
             pages,
             (offset - first * pb) as usize,
             len as usize,
         ))
-    }
-
-    /// Routes a page run to an I/O thread (its index): by owning
-    /// drive, so one thread's queue serves one drive's neighbourhood
-    /// (the per-SSD I/O thread design).
-    fn route(&self, first_page: u64) -> usize {
-        let array = self.mount.array.config();
-        let stripe = first_page * self.page_bytes() / array.stripe_bytes();
-        let ssd = (stripe as usize) % array.num_ssds;
-        ssd % self.senders.len()
     }
 }
 
@@ -271,339 +246,110 @@ impl Drop for Safs {
         for tx in &self.senders {
             let _ = tx.send(IoMsg::Shutdown);
         }
-        for h in self.handles.lock().drain(..) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// A per-thread handle issuing asynchronous reads.
-///
-/// The session checks the page cache *at submit time* on the caller's
-/// thread (the lightweight-cache design: application threads touch the
-/// cache directly); only missing page runs travel to I/O threads, and
-/// they travel in batches: `submit` buffers a run in the session's
-/// outbox for its I/O thread, [`IoSession::kick`] sends each non-empty
-/// outbox as one message. Completions are polled, each carrying a
-/// [`PageSpan`] — the user-task interface of §3.1.
-///
-/// A buffered run is never left behind: [`IoSession::poll`],
-/// [`IoSession::wait`], [`IoSession::wait_timeout`] and `Drop` all
-/// kick first, so submit-then-wait completes without an explicit kick
-/// and a session that dies (cancelled query, panicking program) still
-/// gets the pages it claimed fetched for the sessions waiting on them.
-pub struct IoSession<'fs> {
-    safs: &'fs Safs,
-    scope: Option<Arc<CacheStats>>,
-    /// Lookups made since the last fold into `scope` (see
-    /// [`IoSession::dispatch`]).
-    scope_hits: u64,
-    scope_misses: u64,
-    /// The pages of the submit in progress, kept for its capacity: an
-    /// all-hit submit's only allocation is the span's shared vector.
-    looked_up: Vec<Arc<Page>>,
-    /// Mount-unique id; tags runs and waiters so an I/O thread can
-    /// answer this session once per pass.
-    id: u64,
-    next_req: u64,
-    in_flight: HashMap<u64, Pending>,
-    ready: Vec<Completion>,
-    /// Runs submitted but not yet sent, one outbox per I/O thread.
-    outbox: Vec<Vec<RunRequest>>,
-    reply_tx: Sender<Vec<RunDone>>,
-    reply_rx: Receiver<Vec<RunDone>>,
-}
+impl Host for Safs {
+    fn books(&self) -> &IoStats {
+        self.mount.array.stats()
+    }
 
-struct Pending {
-    tag: u64,
-    head: usize,
-    len: usize,
-    slots: Vec<Option<Arc<Page>>>,
-    missing: usize,
-}
+    fn geometry(&self) -> (u64, u64) {
+        (self.page_bytes(), self.mount.capacity)
+    }
 
-impl std::fmt::Debug for IoSession<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IoSession")
-            .field("pending", &self.in_flight.len())
-            .field("ready", &self.ready.len())
-            .field("unkicked", &self.outbox.iter().map(Vec::len).sum::<usize>())
-            .finish_non_exhaustive()
+    fn lookup(&self, pageno: u64) -> Option<Arc<Page>> {
+        self.mount.cache.get(pageno)
+    }
+
+    /// By owning drive, so one thread's queue serves one drive's
+    /// neighbourhood (the per-SSD I/O thread design).
+    fn route(&self, first_page: u64) -> usize {
+        let array = self.mount.array.config();
+        let stripe = first_page * self.page_bytes() / array.stripe_bytes();
+        let ssd = (stripe as usize) % array.num_ssds;
+        ssd % self.senders.len()
     }
 }
 
-impl IoSession<'_> {
-    /// Submits a logical read of `[offset, offset + len)` tagged
-    /// `tag`. Cache-resident requests complete immediately (pick them
-    /// up with [`IoSession::poll`]); misses are buffered for the I/O
-    /// threads until the next [`IoSession::kick`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FgError::InvalidRequest`] when the range exceeds the
-    /// device.
-    pub fn submit(&mut self, offset: u64, len: u64, tag: u64) -> Result<()> {
-        if len == 0 {
-            self.ready.push(Completion {
-                tag,
-                span: PageSpan::empty(),
-            });
-            return Ok(());
-        }
-        let end = self.safs.check_range(offset, len)?;
-        let pb = self.safs.page_bytes();
-        let first = offset / pb;
-        let last = (end - 1) / pb;
-        let npages = (last - first + 1) as usize;
-        let head = (offset - first * pb) as usize;
-        // Hits up to the first miss, if any. An all-hit request hands
-        // them to the span's shared vector in one allocation.
-        let mut pages = std::mem::take(&mut self.looked_up);
-        pages.extend((first..=last).map_while(|p| self.lookup(p)));
-        if pages.len() == npages {
-            self.ready.push(Completion {
-                tag,
-                span: PageSpan::new(pages.drain(..), head, len as usize),
-            });
-            self.looked_up = pages;
-            return Ok(());
-        }
-        let first_miss = pages.len();
-        let mut slots: Vec<Option<Arc<Page>>> = Vec::with_capacity(npages);
-        slots.extend(pages.drain(..).map(Some));
-        self.looked_up = pages;
-        slots.push(None);
-        slots.extend((first + first_miss as u64 + 1..=last).map(|p| self.lookup(p)));
-
-        let req_id = self.next_req;
-        self.next_req += 1;
-        // One pass over the misses decides each page's fate and cuts
-        // the dispatch runs. Cross-session in-flight dedup: a miss
-        // another session is already fetching attaches as a waiter to
-        // that read; every other miss is claimed, and each contiguous
-        // run of claimed misses goes to its drive's thread.
-        let (mut missing, mut attached) = (0usize, 0u64);
-        let mut run_start = None;
-        for k in first_miss..=slots.len() {
-            let miss = k < slots.len() && slots[k].is_none();
-            let rides = miss && self.attach(first + k as u64, req_id, k as u32);
-            missing += miss as usize;
-            attached += rides as u64;
-            match (miss && !rides, run_start) {
-                (true, None) => run_start = Some(k),
-                (false, Some(i)) => {
-                    let thread = self.safs.route(first + i as u64);
-                    self.outbox[thread].push(RunRequest {
-                        first_page: first + i as u64,
-                        num_pages: (k - i) as u32,
-                        req_id,
-                        first_slot: i as u32,
-                        session: self.id,
-                        reply: self.reply_tx.clone(),
-                    });
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        if attached > 0 {
-            self.safs
-                .array()
-                .stats()
-                .record_dedup(attached, attached * pb);
-        }
-        self.in_flight.insert(
-            req_id,
-            Pending {
-                tag,
-                head,
-                len: len as usize,
-                slots,
-                missing,
-            },
-        );
-        Ok(())
-    }
-
-    /// Tries to ride another session's in-flight read of `pageno`;
-    /// `false` means the page is now claimed by this session, which
-    /// must fetch it.
-    fn attach(&self, pageno: u64, req_id: u64, slot: u32) -> bool {
-        let attached = self
-            .safs
-            .mount
-            .inflight
-            .claim_or_attach(pageno, || PageWaiter {
-                req_id,
-                slot,
-                session: self.id,
-                reply: self.reply_tx.clone(),
-            });
-        if attached {
-            // Each attachment is one queued-but-unharvested delivery:
-            // enter the depth gauge now, exit in `apply` when its
-            // one-page RunDone is harvested, exactly like a
-            // dispatched run.
-            self.safs.array().stats().queue_enter();
-        }
-        attached
-    }
-
-    /// Sends every buffered run to its I/O thread, one message per
-    /// thread. Cheap when nothing is buffered. Call it after a burst
-    /// of submits; `poll` / `wait` / `wait_timeout` and `Drop` call it
-    /// too, so a claimed page is dispatched no later than the
-    /// claimer's next harvest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an I/O thread has died (it never exits while the
-    /// mount is alive, so that is a bug in the thread).
-    pub fn kick(&mut self) {
-        assert!(self.dispatch(), "io thread alive while session exists");
-    }
-
-    /// [`IoSession::kick`] that reports a dead I/O thread instead of
-    /// panicking (`Drop` must not). Also where the session's lookup
-    /// counts reach its scope: once per batch, not once per page.
-    fn dispatch(&mut self) -> bool {
-        if let Some(scope) = &self.scope {
-            if self.scope_hits + self.scope_misses > 0 {
-                scope.record_lookups(self.scope_hits, self.scope_misses);
-                (self.scope_hits, self.scope_misses) = (0, 0);
-            }
-        }
-        let mut alive = true;
-        for (runs, tx) in self.outbox.iter_mut().zip(&self.safs.senders) {
-            if runs.is_empty() {
-                continue;
-            }
-            // The runs are now queued on the device: sample the queue
-            // depth so schedulers can be compared on how well they
-            // keep the array fed. The exit is booked when *this
-            // session harvests the reply* (see [`IoSession::apply`]),
-            // not when the I/O thread posts it — the gauge measures
-            // dispatched-but-unharvested runs, which is exactly the
-            // compute/I/O overlap a scheduler controls: a lock-step
-            // scheduler drains it to zero at every phase boundary,
-            // a pipelined one keeps it open across them.
-            for _ in 0..runs.len() {
-                self.safs.array().stats().queue_enter();
-            }
-            alive &= tx.send(IoMsg::Batch(std::mem::take(runs))).is_ok();
-        }
-        alive
-    }
-
-    /// Number of submitted-but-uncompleted logical requests.
-    pub fn pending(&self) -> usize {
-        self.in_flight.len() + self.ready.len()
-    }
-
-    /// Cache lookup, booked mount-wide by the cache and counted for
-    /// the session's scope.
-    fn lookup(&mut self, pageno: u64) -> Option<Arc<Page>> {
-        let got = self.safs.mount.cache.get(pageno);
-        match got {
-            Some(_) => self.scope_hits += 1,
-            None => self.scope_misses += 1,
-        }
-        got
-    }
-
-    fn apply(&mut self, done: RunDone) {
-        // One dispatched run (or attachment) harvested: book the
-        // queue-depth exit (the matching `queue_enter` is in
-        // `dispatch` / `attach`).
-        self.safs.array().stats().queue_exit();
-        let finished = {
-            let p = self
-                .in_flight
-                .get_mut(&done.req_id)
-                .expect("completion for unknown request");
-            for (k, page) in done.pages.into_iter().enumerate() {
-                let slot = done.first_slot as usize + k;
-                if p.slots[slot].is_none() {
-                    p.slots[slot] = Some(page);
-                    p.missing -= 1;
-                }
-            }
-            p.missing == 0
-        };
-        if finished {
-            let p = self.in_flight.remove(&done.req_id).unwrap();
-            let pages = p.slots.into_iter().map(|s| s.expect("no page missing"));
-            self.ready.push(Completion {
-                tag: p.tag,
-                span: PageSpan::new(pages, p.head, p.len),
-            });
-        }
-    }
-
-    fn apply_all(&mut self, batch: Vec<RunDone>) {
-        for done in batch {
-            self.apply(done);
-        }
-    }
-
-    /// Drains every available completion into `out` without blocking.
-    /// Returns how many were delivered.
-    pub fn poll(&mut self, out: &mut Vec<Completion>) -> usize {
-        self.kick();
-        while let Ok(batch) = self.reply_rx.try_recv() {
-            self.apply_all(batch);
-        }
-        let n = self.ready.len();
-        out.append(&mut self.ready);
-        n
-    }
-
-    /// Like [`IoSession::poll`] but blocks until at least one
-    /// completion is available (returns 0 only when nothing is
-    /// pending).
-    pub fn wait(&mut self, out: &mut Vec<Completion>) -> usize {
-        self.kick();
-        if self.ready.is_empty() && !self.in_flight.is_empty() {
-            match self.reply_rx.recv() {
-                Ok(batch) => self.apply_all(batch),
-                Err(_) => return 0,
-            }
-        }
-        self.poll(out)
-    }
-
-    /// Like [`IoSession::wait`] but gives up after `timeout`: the
-    /// completion-notification primitive of the pipelined engine. A
-    /// worker parked on an indefinite `recv` can serve nothing but
-    /// its own replies; a bounded wait lets it wake, steal ready
-    /// deliveries other workers' I/O produced, and come back — no
-    /// completion is lost either way, replies stay queued.
-    pub fn wait_timeout(
-        &mut self,
-        out: &mut Vec<Completion>,
-        timeout: std::time::Duration,
-    ) -> usize {
-        self.kick();
-        if self.ready.is_empty() && !self.in_flight.is_empty() {
-            if let Ok(batch) = self.reply_rx.recv_timeout(timeout) {
-                self.apply_all(batch);
-            }
-        }
-        self.poll(out)
-    }
+/// What a caller of [`read_pages`] does to the page cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CacheUse {
+    /// An I/O thread's re-check behind a session's booked miss:
+    /// lookups are not counted again, fresh pages are inserted.
+    /// Sessions claim a page in the mount's in-flight table before they
+    /// dispatch it, so two *sessions* never fetch one page at once; the
+    /// re-check is for the reader that inserts without claiming:
+    /// `Safs::read_sync` may have filled a page between a session's
+    /// submit-time miss and the pass, which then costs no device read.
+    Recheck,
+    /// The caller's first look (`Safs::read_sync`): lookups are booked
+    /// as hits and misses, fresh pages are inserted.
+    Booked,
+    /// A once-only sweep (`Safs::read_sync_stream`): cached pages are
+    /// still *used* when present — the hot set helps the sweep — but
+    /// nothing is booked and fresh pages are handed straight to the
+    /// caller without touching the cache, so the sweep cannot evict
+    /// the working set.
+    Stream,
 }
 
-impl Drop for IoSession<'_> {
-    fn drop(&mut self) {
-        // Claims opened by this session must still be fetched: other
-        // sessions may be attached to them.
-        let _ = self.dispatch();
+/// Returns `num_pages` pages starting at `first_page`, reading each
+/// contiguous run of pages the cache does not hold in one device
+/// request, under `cache`'s policy: the one statement of which pages of
+/// a range still go to the device.
+fn read_pages(ctx: &Mount, first_page: u64, num_pages: u64, cache: CacheUse) -> Vec<Arc<Page>> {
+    let pb = ctx.cfg.page_bytes;
+    let mut pages: Vec<Option<Arc<Page>>> = (first_page..first_page + num_pages)
+        .map(|p| match cache {
+            CacheUse::Booked => ctx.cache.get(p),
+            CacheUse::Recheck | CacheUse::Stream => ctx.cache.get_quiet(p),
+        })
+        .collect();
+    let mut i = 0usize;
+    while i < pages.len() {
+        if pages[i].is_some() {
+            i += 1;
+            continue;
+        }
+        let mut j = i;
+        while j < pages.len() && pages[j].is_none() {
+            j += 1;
+        }
+        let run_first = first_page + i as u64;
+        // The device fills the run's page buffers directly. Clamp the
+        // tail: the image may end mid-page, the rest stays zero.
+        let mut bufs: Vec<Box<[u8]>> = (i..j)
+            .map(|_| vec![0u8; pb as usize].into_boxed_slice())
+            .collect();
+        let offset = run_first * pb;
+        let avail = ctx.capacity.saturating_sub(offset);
+        let len = ((j - i) as u64 * pb).min(avail);
+        ctx.array
+            .read_scatter(offset, len, bufs.iter_mut().map(|b| &mut b[..]))
+            .expect("io thread read within device bounds");
+        for (k, buf) in bufs.into_iter().enumerate() {
+            let page = Arc::new(Page::new(run_first + k as u64, buf));
+            if cache != CacheUse::Stream {
+                ctx.cache.insert(Arc::clone(&page));
+            }
+            pages[i + k] = Some(page);
+        }
+        i = j;
     }
+    pages
+        .into_iter()
+        .map(|p| p.expect("every gap was filled above"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Completion;
     use fg_ssdsim::ArrayConfig;
     use proptest::prelude::*;
 
@@ -743,6 +489,37 @@ mod tests {
         assert!(snap.depth_samples >= 2, "enter + exit sampled");
         assert!(snap.depth_max >= 1);
         assert!(snap.depth_zero_dips >= 1, "queue drained after the run");
+    }
+
+    #[test]
+    fn a_dropped_session_leaves_the_queue_gauge_where_it_found_it() {
+        // A session that goes away with its kicked runs and an
+        // attachment unharvested — a worker unwinding from a panicking
+        // callback — while the mount serves on.
+        let safs = patterned_safs(SafsConfig::default(), 1 << 20);
+        let mut fetcher = safs.session();
+        let mut dying = safs.session();
+        fetcher.submit(0, 4096, 0).unwrap();
+        for i in 0..4 {
+            dying.submit((i * 3 + 1) * 4096, 4096, i).unwrap();
+        }
+        dying.submit(0, 4096, 9).unwrap(); // rides the fetcher's claim
+        dying.kick();
+        drop(dying);
+        let mut out = Vec::new();
+        while fetcher.pending() > 0 {
+            fetcher.wait(&mut out);
+        }
+        // A fresh session's one cold page is then the whole queue.
+        safs.array().stats().reset();
+        let mut s = safs.session();
+        s.submit(40 * 4096, 4096, 1).unwrap();
+        while s.pending() > 0 {
+            s.wait(&mut out);
+        }
+        let snap = safs.array().stats().snapshot();
+        assert_eq!(snap.depth_max, 1);
+        assert_eq!(snap.depth_zero_dips, 1);
     }
 
     #[test]
@@ -937,7 +714,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(s.poll(&mut out), 1);
         // ... and the I/O thread's pre-read re-check all find them.
-        let got = crate::io_thread::read_pages(&safs.mount, 1, 2);
+        let got = read_pages(&safs.mount, 1, 2, CacheUse::Recheck);
         assert_eq!(got[0].bytes(), held.chunk_at(0));
         assert_eq!(safs.array().stats().snapshot().pages_read, io.pages_read);
         let d = safs.cache_stats().delta_since(&cache);
@@ -1109,6 +886,32 @@ mod tests {
             big_bytes >= 16 * small_bytes,
             "64K pages should read >=16x the bytes of 4K pages ({big_bytes} vs {small_bytes})"
         );
+    }
+
+    #[test]
+    fn read_pages_fills_cache_and_content() {
+        let safs = patterned_safs(SafsConfig::default(), 1 << 16);
+        let pages = read_pages(&safs.mount, 2, 2, CacheUse::Recheck);
+        assert_eq!(pages.len(), 2);
+        assert_eq!(pages[0].pageno(), 2);
+        assert_eq!(
+            pages[1].bytes()[4..8],
+            (((3 * 4096 / 4 + 1) % 251) as u32).to_le_bytes()
+        );
+        assert!(safs.mount.cache.get(2).is_some());
+        assert!(safs.mount.cache.get(3).is_some());
+        assert_eq!(safs.array().stats().snapshot().read_requests, 1);
+    }
+
+    #[test]
+    fn tail_page_beyond_capacity_is_zero_padded() {
+        // Capacity 6000 bytes: page 1 is only half-backed by device.
+        let array = SsdArray::new_mem(ArrayConfig::small_test(), 6000).unwrap();
+        array.write(0, &vec![9u8; 6000]).unwrap();
+        let safs = Safs::new(SafsConfig::default(), array).unwrap();
+        let pages = read_pages(&safs.mount, 1, 1, CacheUse::Recheck);
+        assert_eq!(pages[0].bytes()[0], 9);
+        assert_eq!(pages[0].bytes()[4095], 0, "unbacked tail must be zeroed");
     }
 
     /// Device pages read and cache misses booked so far.

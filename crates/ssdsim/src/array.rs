@@ -6,7 +6,7 @@ use fg_types::{FgError, Result};
 
 use crate::config::ArrayConfig;
 use crate::stats::IoStats;
-use crate::store::{MemStore, PageStore};
+use crate::store::{check_range, MemStore, PageStore};
 
 /// A RAID-0-style array of simulated SSDs.
 ///
@@ -181,15 +181,7 @@ impl SsdArray {
 
     /// Splits a logical range into per-drive extents.
     fn extents(&self, offset: u64, len: u64) -> Result<Vec<Extent>> {
-        let end = offset
-            .checked_add(len)
-            .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
-        if end > self.capacity() {
-            return Err(FgError::InvalidRequest(format!(
-                "range [{offset}, {end}) exceeds array capacity {}",
-                self.capacity()
-            )));
-        }
+        let end = check_range(self.capacity(), offset, len)?;
         let sb = self.inner.cfg.stripe_bytes();
         let n = self.inner.cfg.num_ssds as u64;
         let mut out = Vec::new();

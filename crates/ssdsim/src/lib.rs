@@ -41,4 +41,4 @@ mod store;
 pub use array::SsdArray;
 pub use config::{ArrayConfig, SsdSpec};
 pub use stats::{IoStats, IoStatsSnapshot};
-pub use store::{FileStore, MemStore, PageStore};
+pub use store::{check_range, FileStore, MemStore, PageStore};

@@ -32,16 +32,23 @@ pub trait PageStore: Send + Sync {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()>;
 }
 
-fn check_range(capacity: u64, offset: u64, len: usize) -> Result<()> {
+/// Validates `[offset, offset + len)` against a device of `capacity`
+/// bytes and returns its end.
+///
+/// # Errors
+///
+/// Returns [`FgError::InvalidRequest`] when the range overflows or
+/// exceeds the capacity.
+pub fn check_range(capacity: u64, offset: u64, len: u64) -> Result<u64> {
     let end = offset
-        .checked_add(len as u64)
+        .checked_add(len)
         .ok_or_else(|| FgError::InvalidRequest("offset + len overflows".into()))?;
     if end > capacity {
         return Err(FgError::InvalidRequest(format!(
             "range [{offset}, {end}) exceeds capacity {capacity}"
         )));
     }
-    Ok(())
+    Ok(end)
 }
 
 /// An in-RAM store. The default for experiments: the simulator's
@@ -68,7 +75,7 @@ impl PageStore for MemStore {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         let bytes = self.bytes.read();
-        check_range(bytes.len() as u64, offset, buf.len())?;
+        check_range(bytes.len() as u64, offset, buf.len() as u64)?;
         let start = offset as usize;
         buf.copy_from_slice(&bytes[start..start + buf.len()]);
         Ok(())
@@ -76,7 +83,7 @@ impl PageStore for MemStore {
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let mut bytes = self.bytes.write();
-        check_range(bytes.len() as u64, offset, data.len())?;
+        check_range(bytes.len() as u64, offset, data.len() as u64)?;
         let start = offset as usize;
         bytes[start..start + data.len()].copy_from_slice(data);
         Ok(())
@@ -129,7 +136,7 @@ impl PageStore for FileStore {
     #[cfg(unix)]
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        check_range(self.capacity, offset, buf.len())?;
+        check_range(self.capacity, offset, buf.len() as u64)?;
         self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
@@ -137,7 +144,7 @@ impl PageStore for FileStore {
     #[cfg(unix)]
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        check_range(self.capacity, offset, data.len())?;
+        check_range(self.capacity, offset, data.len() as u64)?;
         self.file.write_all_at(data, offset)?;
         Ok(())
     }

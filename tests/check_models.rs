@@ -1,5 +1,5 @@
 //! Tier-1 gate for `fg_check`: every protocol — all six explored as
-//! the shipped types — passes exhaustive bounded
+//! the shipped code — passes exhaustive bounded
 //! exploration, every seeded mutation is detected with a
 //! counterexample trace, and the workspace lint runs clean on this
 //! repository.
@@ -258,13 +258,14 @@ fn inflight_waiter_protocol_verified() {
 #[test]
 fn inflight_waiter_mutations_caught() {
     use models::inflight_waiter::{check, Mutation};
-    // No fan-out, or a claimer dropped without dispatching: the attached
-    // waiter never wakes. A reply without the I/O thread's clock, or a
-    // claim without its stripe lock: a data race.
+    // A pass's reply lost on its way, or a cancelled claimer's dispatch
+    // lost on its way: the attached waiter never wakes. A reply taken
+    // without the I/O thread's clock, or a claim without its stripe
+    // lock: a data race.
     let expected = [
-        (Mutation::ResolveWithoutFanOut, "deadlock"),
+        (Mutation::LostReply, "deadlock"),
         (Mutation::UnorderedReply, "data race"),
-        (Mutation::DropWithoutKick, "deadlock"),
+        (Mutation::LostDispatch, "deadlock"),
         (Mutation::UnlockedClaim, "data race"),
     ];
     assert_caught("inflight_waiter", check, &expected);
@@ -317,8 +318,10 @@ fn f(x: &AtomicU64) {
             "crates/types/src/bitmap.rs",
             "crates/core/src/serve/gate.rs",
             "crates/safs/src/inflight.rs",
+            "crates/safs/src/io_thread.rs",
             "crates/core/src/engine/pool.rs",
-            "crates/core/src/rendezvous.rs"
+            "crates/core/src/rendezvous.rs",
+            "crates/safs/src/session.rs"
         ]
     );
     let unseen = "use std::sync::Mutex;\nuse std::sync::Arc; // shares, no protocol\n";
