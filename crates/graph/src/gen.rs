@@ -4,8 +4,9 @@
 //! subdomain crawl, a 3.4 B-vertex page crawl — Table 1). Those
 //! datasets are not redistributable, so the reproduction uses R-MAT
 //! generated power-law graphs with the same *relative* structure: see
-//! `DESIGN.md` for the substitution argument. Everything here is
-//! deterministic given a seed so experiments are repeatable.
+//! the README's "Running the evaluation" section for the stand-ins.
+//! Everything here is deterministic given a seed so experiments are
+//! repeatable.
 
 use fg_types::VertexId;
 use rand::rngs::SmallRng;
@@ -80,38 +81,41 @@ pub fn rmat(scale: u32, edge_factor: u32, skew: RmatSkew, seed: u64) -> Graph {
         scale < 31,
         "rmat scale {scale} too large for u32 vertex ids"
     );
+    assert!(
+        skew.b >= 0.0 && skew.c >= 0.0,
+        "rmat quadrant probabilities must be non-negative: {skew:?}"
+    );
     let n: u64 = 1 << scale;
     let m = n * edge_factor as u64;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::directed();
     b.reserve_vertices(n as usize);
-    for _ in 0..m {
+    b.extend_edges((0..m).map(|_| {
         let (src, dst) = rmat_edge(scale, skew, &mut rng);
-        b.add_edge(VertexId(src), VertexId(dst));
-    }
+        (VertexId(src), VertexId(dst))
+    }));
     b.build()
 }
 
-/// One recursive R-MAT edge sample.
+/// One recursive R-MAT edge sample: one uniform draw per level picks
+/// the quadrant, `[0, a)` top-left, `[a, a + b)` top-right (dst bit),
+/// `[a + b, a + b + c)` bottom-left (src bit), the rest bottom-right
+/// (both bits).
+///
+/// Each bit is a comparison, not a branch: a three-way `if` on a
+/// uniform draw mispredicts about half the time, which costs several
+/// times the draw itself. The thresholds are the same `f64` sums the
+/// branches compared against and each level still takes exactly one
+/// draw, so the RNG stream, and every graph, is unchanged. The two
+/// forms agree because `a <= a + b <= a + b + c` (`b`, `c` >= 0).
 fn rmat_edge(scale: u32, skew: RmatSkew, rng: &mut SmallRng) -> (u32, u32) {
+    let (a, ab, abc) = (skew.a, skew.a + skew.b, skew.a + skew.b + skew.c);
     let mut src = 0u32;
     let mut dst = 0u32;
-    // Small per-level noise keeps the quadrant boundaries from
-    // producing exactly self-similar artifacts (standard practice).
     for _ in 0..scale {
-        src <<= 1;
-        dst <<= 1;
         let r: f64 = rng.gen();
-        if r < skew.a {
-            // top-left: neither bit set
-        } else if r < skew.a + skew.b {
-            dst |= 1;
-        } else if r < skew.a + skew.b + skew.c {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        src = (src << 1) | (r >= ab) as u32;
+        dst = (dst << 1) | (((r >= a) & (r < ab)) | (r >= abc)) as u32;
     }
     (src, dst)
 }
@@ -275,6 +279,59 @@ mod tests {
                 assert!(wt > 0.0 && wt <= 10.0);
             }
         }
+    }
+
+    /// FNV-1a over every array of both CSRs (offsets, neighbours,
+    /// weight bits), so two graphs share a checksum only if they are
+    /// the same bytes.
+    fn checksum(g: &Graph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for dir in [fg_types::EdgeDir::Out, fg_types::EdgeDir::In] {
+            let c = g.csr(dir);
+            c.offsets().iter().for_each(|&o| eat(o));
+            c.neighbor_array().iter().for_each(|v| eat(v.0 as u64));
+            for v in g.vertices() {
+                c.weights_of(v)
+                    .into_iter()
+                    .flatten()
+                    .for_each(|w| eat(w.to_bits() as u64));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn rmat_graphs_are_pinned() {
+        // Computed with the three-way-branch sampler and the
+        // comparison-sort builder this crate shipped before both were
+        // made branch-free / counting-sort based. Every benchmark graph
+        // is an R-MAT draw, so a change to sampling or construction that
+        // re-draws or re-lays-out any graph fails here first.
+        let draws = [
+            (RmatSkew::social(), 12),
+            (RmatSkew::social(), 34),
+            (RmatSkew::web(), 12),
+            (RmatSkew::web(), 34),
+        ];
+        let got: Vec<u64> = draws
+            .iter()
+            .map(|&(skew, seed)| checksum(&rmat(12, 16, skew, seed)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xae78_c14b_d73e_6cdf,
+                0x6640_9d81_a5be_6b7d,
+                0x5f3a_750e_6f7f_09f5,
+                0x0c46_b598_fc76_3a41,
+            ],
+            "an R-MAT draw changed: {got:#018x?}"
+        );
     }
 
     #[test]

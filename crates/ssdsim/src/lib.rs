@@ -3,8 +3,8 @@
 //! The FlashGraph paper evaluates on 15 OCZ Vertex 4 SSDs behind three
 //! host bus adapters — roughly 60 K random-4 KB reads/s per drive and
 //! ~900 K IOPS aggregate. This crate substitutes that testbed with a
-//! deterministic simulator (see `DESIGN.md` for the substitution
-//! argument):
+//! deterministic simulator (the README's "Running the evaluation"
+//! section lists the stand-ins and what each reproduces):
 //!
 //! * Bytes live in a [`PageStore`] — RAM ([`MemStore`]) or a real file
 //!   ([`FileStore`]) — striped across simulated drives like RAID-0.
