@@ -621,7 +621,7 @@ mod tests {
           cargo test --release -p flashgraph --lib -- engine::pool --test-threads 2
           cargo test --release -p fg_graph --lib -- delta::tests::apply_ delta::tests::gone_with_its_api_
           for i in $(seq 20); do
-            FG_SHARDS=$shards cargo test -q -p flashgraph --lib \\
+            FG_SCALE=$scale cargo test -q -p flashgraph --lib \\
               pool::tests::gone \"$name\"
           done
           cargo test -q racing > log || cat log

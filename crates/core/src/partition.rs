@@ -31,16 +31,10 @@ pub struct PartitionMap {
 }
 
 impl PartitionMap {
-    /// Builds a map for `num_vertices` over `num_partitions` with
-    /// range size `2^range_shift`.
-    #[allow(dead_code)] // the unwindowed form; engine runs always window
-    pub fn new(num_vertices: usize, num_partitions: usize, range_shift: u32) -> Self {
-        Self::new_window(0, num_vertices, num_partitions, range_shift)
-    }
-
-    /// Builds a map over the global id window `[lo, hi)` — the form a
-    /// shard's engine uses so its workers only ever own (and collect)
-    /// the shard's vertices.
+    /// Builds a map over the global id window `[lo, hi)` with range
+    /// size `2^range_shift` — a shard's engine windows its own ids so
+    /// its workers only ever own (and collect) the shard's vertices;
+    /// an unsharded engine's window is `[0, n)`.
     pub fn new_window(lo: usize, hi: usize, num_partitions: usize, range_shift: u32) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
         assert!(lo <= hi, "window bounds out of order");
@@ -102,7 +96,7 @@ mod tests {
 
     #[test]
     fn partition_function_matches_paper_formula() {
-        let m = PartitionMap::new(1000, 4, 5);
+        let m = PartitionMap::new_window(0, 1000, 4, 5);
         for vid in [0u32, 31, 32, 63, 64, 999] {
             let expect = ((vid >> 5) % 4) as usize;
             assert_eq!(m.partition_of(VertexId(vid)), expect);
@@ -111,7 +105,7 @@ mod tests {
 
     #[test]
     fn ranges_cover_every_vertex_exactly_once() {
-        let m = PartitionMap::new(1003, 3, 4);
+        let m = PartitionMap::new_window(0, 1003, 3, 4);
         let mut seen = vec![0u32; 1003];
         for p in 0..3 {
             for r in m.ranges_of(p) {
@@ -126,14 +120,14 @@ mod tests {
 
     #[test]
     fn partition_lens_sum_to_n() {
-        let m = PartitionMap::new(12345, 7, 6);
+        let m = PartitionMap::new_window(0, 12345, 7, 6);
         let total: usize = (0..7).map(|p| partition_len(&m, p)).sum();
         assert_eq!(total, 12345);
     }
 
     #[test]
     fn partitions_are_balanced_within_one_range() {
-        let m = PartitionMap::new(1 << 16, 4, 8);
+        let m = PartitionMap::new_window(0, 1 << 16, 4, 8);
         let lens: Vec<usize> = (0..4).map(|p| partition_len(&m, p)).collect();
         let max = *lens.iter().max().unwrap();
         let min = *lens.iter().min().unwrap();
@@ -142,7 +136,7 @@ mod tests {
 
     #[test]
     fn single_partition_owns_everything() {
-        let m = PartitionMap::new(100, 1, 3);
+        let m = PartitionMap::new_window(0, 100, 1, 3);
         assert_eq!(partition_len(&m, 0), 100);
         for v in 0..100u32 {
             assert_eq!(m.partition_of(VertexId(v)), 0);
@@ -151,7 +145,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_empty_ranges() {
-        let m = PartitionMap::new(0, 2, 4);
+        let m = PartitionMap::new_window(0, 0, 2, 4);
         assert_eq!(m.ranges_of(0).count(), 0);
         assert_eq!(partition_len(&m, 1), 0);
     }
@@ -180,7 +174,7 @@ mod tests {
         // A `[lo, hi)` window behaves exactly like a `[0, hi - lo)`
         // map on shifted ids — the invariant that makes a 1-shard run
         // reproduce the unsharded partitioning bit for bit.
-        let global = PartitionMap::new(500, 4, 5);
+        let global = PartitionMap::new_window(0, 500, 4, 5);
         let window = PartitionMap::new_window(1000, 1500, 4, 5);
         for v in 0..500u32 {
             assert_eq!(

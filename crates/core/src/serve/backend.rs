@@ -19,11 +19,17 @@
 //! drops on unwind. The ledger prices the per-query engine this builds
 //! as `engine.run_floor_us`, and the whole path as `serve_closed`'s
 //! `queries_per_s` / `query_p50_ms` / `query_p95_ms`.
+//!
+//! The write path reaches image bytes the way queries do, page cache
+//! first: `fg_format`'s readers take any `fg_ssdsim::ByteSource`, and a
+//! mount is one. A header or a base list is a point read through the
+//! mount itself (lookups booked, misses inserted); a compaction's
+//! sweeps go through its streaming view, [`Safs::streaming`].
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use fg_format::{read_meta_from, ImageMeta, ShardedIndex};
+use fg_format::{read_meta, ImageMeta, ShardedIndex};
 use fg_graph::{DeltaView, RunLog};
 use fg_safs::{Safs, ShardSet};
 use fg_types::{CancelCause, Result};
@@ -77,24 +83,6 @@ pub(super) enum Mounts {
     Sharded(Arc<ShardSet>),
 }
 
-/// `safs` as the byte source of `fg_format`'s back-readers: the write
-/// path reaches the device the way queries do, page cache first. Point
-/// reads (a header, one list) take the insert policy of
-/// [`Safs::read_sync`]; a sweep (`stream`) takes the streaming policy
-/// of [`Safs::read_sync_stream`].
-pub(super) fn mount_bytes(safs: &Safs, stream: bool) -> impl Fn(u64, &mut [u8]) -> Result<()> + '_ {
-    move |offset, buf| {
-        let len = buf.len() as u64;
-        let span = if stream {
-            safs.read_sync_stream(offset, len)?
-        } else {
-            safs.read_sync(offset, len)?
-        };
-        span.read_bytes(0, buf);
-        Ok(())
-    }
-}
-
 impl ServeBackend {
     /// The mounts, in shard order.
     pub(super) fn mounts(&self) -> &[Safs] {
@@ -109,8 +97,7 @@ impl ServeBackend {
         if let Some(metas) = self.metas.get() {
             return Ok(metas);
         }
-        let read = |safs: &Safs| read_meta_from(&mount_bytes(safs, false), safs.array().capacity());
-        let fresh = self.mounts().iter().map(read).collect::<Result<_>>()?;
+        let fresh = self.mounts().iter().map(read_meta).collect::<Result<_>>()?;
         Ok(self.metas.get_or_init(|| fresh))
     }
 }

@@ -15,24 +15,27 @@
 //! (`Safs::write`) before anything can read it, so the generation a
 //! cutover publishes starts with its image resident: the pages the
 //! compactor just wrote are not read back from the device by the
-//! queries and ingest batches that follow. The ledger counts the flips
-//! as `delta.compactions` / `delta.generation`, what queued up between
-//! them as `delta.pending_ops_peak`, times one rewrite as `compact_s`;
-//! what a new mount still has to read shows in `ingest_live`'s
+//! index load, which reads them through the new mount's streaming
+//! view, nor by the queries and ingest batches that follow. (The old
+//! image is read back through the old mount's streaming view.) The
+//! ledger counts the flips as `delta.compactions` /
+//! `delta.generation`, what queued up between them as
+//! `delta.pending_ops_peak`, times one rewrite as `compact_s`; what a
+//! new mount still has to read shows in `ingest_live`'s
 //! `device_bytes`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use fg_format::{load_index, read_graph_from, ImagePlan, ShardedIndex, WriteOptions};
+use fg_format::{load_index, read_graph, ImagePlan, ShardedIndex, WriteOptions};
 use fg_graph::DeltaLog;
 use fg_safs::Safs;
 use fg_ssdsim::SsdArray;
 use fg_types::sync::{Condvar, Mutex};
 use fg_types::{FgError, Result};
 
-use super::backend::{mount_bytes, Mounts, ServeBackend};
+use super::backend::{Mounts, ServeBackend};
 use super::GraphService;
 use crate::shard::worker_panicked;
 
@@ -41,8 +44,9 @@ impl GraphService {
     /// atomically flips serving to it, returning the new generation.
     /// `provision` supplies a device of at least the requested
     /// capacity for the rewrite; the image is written through the new
-    /// generation's mount, so that generation serves its first reads
-    /// from the page cache as far as the cache holds the image. The
+    /// generation's mount, and its index loaded back through it, so
+    /// neither the load nor that generation's first reads go to the
+    /// device as far as the cache holds the image. The
     /// fold of the log and the swap of the image happen in one
     /// critical section, so concurrent admissions pin either (old
     /// image, its deltas) or (new image, what was ingested since) —
@@ -76,7 +80,7 @@ impl GraphService {
         // streaming policy, so it uses what the cache holds and leaves
         // the cache alone — queries pinned to this generation keep
         // their hot set however small the cache is next to the image.
-        let base = read_graph_from(&mount_bytes(safs, true), meta, backend.index.shard(0))?;
+        let base = read_graph(&safs.streaming(), meta, backend.index.shard(0))?;
         let merged = DeltaLog::union(&base, &view);
         let mut opts = WriteOptions {
             format: meta.format,
@@ -94,7 +98,10 @@ impl GraphService {
         let capacity = array.capacity();
         let mut new_safs = Safs::new(*safs.config(), array)?;
         plan.write_to(&mut |offset, data| new_safs.write(offset, data), capacity)?;
-        let (new_meta, new_index) = load_index(new_safs.array())?;
+        // The index loads from the pages just written, under the same
+        // streaming policy: a resident page is used, a cold one read
+        // without being inserted.
+        let (new_meta, new_index) = load_index(&new_safs.streaming())?;
         let next = Arc::new(ServeBackend {
             mounts: Mounts::Single(Arc::new(new_safs)),
             index: Arc::new(ShardedIndex::new(vec![Arc::new(new_index)])),

@@ -12,22 +12,23 @@
 //! `delta.apply_ns_per_op` and `ingest_live`'s `ingest_ops_per_s`; the
 //! reads go through the mount, so they show in `device_bytes` too.
 
-use fg_format::read_list_from;
+use fg_format::read_list;
 use fg_graph::{BaseLists, DeltaBatch};
 use fg_types::{EdgeDir, Result, VertexId};
 
-use super::backend::{mount_bytes, Live, ServeBackend};
+use super::backend::{Live, ServeBackend};
 use super::GraphService;
 
 /// [`BaseLists`] over one image generation: ingest-time
 /// canonicalization reads base adjacency through the generation's
-/// mounts, one point read per touched source. The reads take the
-/// normal insert policy, so the page cache absorbs them like any
-/// query's: a source whose pages are resident costs no device read,
-/// and the lists a batch fetches warm the cache for the queries that
-/// go on to read the vertices it changed. After a compaction the new
-/// generation's mount already holds the image it was written with, so
-/// a batch reads the device only for pages the cache could not keep.
+/// mounts, one point read per touched source. The mount itself is the
+/// byte source, so the reads take its insert policy and the page
+/// cache absorbs them like any query's: a source whose pages are
+/// resident costs no device read, and the lists a batch fetches warm
+/// the cache for the queries that go on to read the vertices it
+/// changed. After a compaction the new generation's mount already
+/// holds the image it was written with, so a batch reads the device
+/// only for pages the cache could not keep.
 struct ImageBase<'a>(&'a ServeBackend);
 
 #[cfg(test)]
@@ -46,8 +47,8 @@ impl BaseLists for ImageBase<'_> {
         }
         let backend = self.0;
         let (s, local) = backend.index.local(v);
-        read_list_from(
-            &mount_bytes(&backend.mounts()[s], false),
+        read_list(
+            &backend.mounts()[s],
             &backend.metas()?[s],
             backend.index.shard(s),
             local,

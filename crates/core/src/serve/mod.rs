@@ -1650,9 +1650,13 @@ mod tests {
         let old_mount = svc.safs();
         svc.query(|engine| {
             assert_eq!(svc.compact_with(provision).unwrap(), 1);
+            // The compaction wrote the image through the new mount and
+            // loaded its index from those pages: the device it
+            // provisioned has been written, never read.
+            let new_mount = svc.safs();
+            assert_eq!(new_mount.array().stats().snapshot().bytes_read, 0);
             // A query pinned to generation 0 across the flip reads
             // generation 0's mount, and nothing of the new one.
-            let new_mount = svc.safs();
             let (old, new) = (old_mount.cache_stats(), new_mount.cache_stats());
             assert_eq!(bfs(engine), 1);
             assert!(old_mount.cache_stats().lookups > old.lookups);
@@ -1671,6 +1675,7 @@ mod tests {
         let io = mount.array().stats().snapshot();
         assert_eq!(svc.compact_with(provision).unwrap(), 2);
         assert_eq!(mount.array().stats().snapshot().bytes_read, io.bytes_read);
+        assert_eq!(svc.safs().array().stats().snapshot().bytes_read, 0);
         assert_eq!(svc.query(bfs), 1);
     }
 

@@ -57,13 +57,6 @@ impl<S> SharedStates<S> {
         }
     }
 
-    /// Number of states.
-    #[allow(dead_code)]
-    pub(crate) fn len(&self) -> usize {
-        // SAFETY: the Vec's length never changes after construction.
-        unsafe { (*self.cells.get()).len() }
-    }
-
     /// Mutable access to vertex `idx`'s state.
     ///
     /// # Safety
@@ -111,7 +104,6 @@ mod tests {
     #[test]
     fn len_and_into_inner() {
         let s = SharedStates::new(vec![1i32, 2, 3]);
-        assert_eq!(s.len(), 3);
         assert_eq!(s.into_inner(), vec![1, 2, 3]);
     }
 }

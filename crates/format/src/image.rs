@@ -31,11 +31,16 @@
 //! The degree (and v2 length) sections exist only to rebuild the
 //! index at load time ("init time" in the paper's Table 2); edge
 //! traversal never touches them.
+//!
+//! Every reader here — [`read_meta`], [`load_index`], [`read_list`],
+//! [`read_graph`] — takes its bytes from one [`ByteSource`]: the
+//! [`SsdArray`] itself, or a SAFS mount over it (`fg_safs::Safs`, or
+//! its streaming view), whose reads meet the page cache first.
 
 use std::collections::HashMap;
 
 use fg_graph::Graph;
-use fg_ssdsim::SsdArray;
+use fg_ssdsim::{ByteSource, SsdArray};
 use fg_types::{EdgeDir, FgError, Result, VertexId};
 
 use crate::codec::{self, skip_entries, DEFAULT_SKIP_INTERVAL, RAW_LIST_FLAG, TINY_RAW_DEGREE};
@@ -63,27 +68,6 @@ pub enum ImageFormat {
     Raw,
     /// v2: per-vertex delta-varint blocks with raw fallback.
     Compressed,
-}
-
-impl ImageFormat {
-    /// Reads `FG_IMAGE_FORMAT` (`raw` | `compressed`, default `raw`) —
-    /// how the CI stress jobs run the whole test pyramid under both
-    /// formats without per-test plumbing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value, so a typo in a CI matrix
-    /// fails loudly instead of silently testing the default.
-    pub fn from_env() -> Self {
-        match std::env::var("FG_IMAGE_FORMAT") {
-            Err(_) => ImageFormat::Raw,
-            Ok(s) => match s.to_ascii_lowercase().as_str() {
-                "" | "raw" | "v1" => ImageFormat::Raw,
-                "compressed" | "v2" => ImageFormat::Compressed,
-                other => panic!("FG_IMAGE_FORMAT={other:?}: expected \"raw\" or \"compressed\""),
-            },
-        }
-    }
 }
 
 /// Knobs of one image write.
@@ -118,15 +102,6 @@ impl WriteOptions {
     pub fn compressed() -> Self {
         WriteOptions {
             format: ImageFormat::Compressed,
-            ..Self::default()
-        }
-    }
-
-    /// Options honouring `FG_IMAGE_FORMAT` (see
-    /// [`ImageFormat::from_env`]).
-    pub fn from_env() -> Self {
-        WriteOptions {
-            format: ImageFormat::from_env(),
             ..Self::default()
         }
     }
@@ -194,7 +169,7 @@ fn align_up(x: u64) -> u64 {
 /// Planning a compressed image encodes every list once to size its
 /// block, so a caller that must size a device *and* write to it — the
 /// compactor — builds one plan and asks it for both:
-/// [`ImagePlan::required_capacity`], then [`ImagePlan::write`].
+/// [`ImagePlan::required_capacity`], then [`ImagePlan::write_to`].
 pub struct ImagePlan<'g> {
     g: &'g Graph,
     /// The image holds vertices `[lo, hi)` of `g`.
@@ -536,25 +511,10 @@ pub fn write_image(g: &Graph, array: &SsdArray) -> Result<ImageMeta> {
 /// lists are not sorted (the [`fg_graph::GraphBuilder`] invariant;
 /// see [`fg_graph::Csr::lists_sorted`]).
 pub fn write_image_with(g: &Graph, array: &SsdArray, opts: &WriteOptions) -> Result<ImageMeta> {
-    write_image_window(g, array, opts, 0, g.num_vertices())
-}
-
-/// Writes the image of vertices `[lo, hi)` of `g` — one shard of a
-/// sharded image. Local id `i` in the shard is global vertex
-/// `lo + i`; edge values stay global ids. `write_image_with` is the
-/// `[0, n)` case.
-///
-/// # Errors
-///
-/// See [`write_image_with`].
-pub fn write_image_window(
-    g: &Graph,
-    array: &SsdArray,
-    opts: &WriteOptions,
-    lo: usize,
-    hi: usize,
-) -> Result<ImageMeta> {
-    plan_window(g, opts, lo, hi).write(array)
+    plan(g, opts).write_to(
+        &mut |offset, data| array.write(offset, data),
+        array.capacity(),
+    )
 }
 
 impl<'g> ImagePlan<'g> {
@@ -572,22 +532,6 @@ impl<'g> ImagePlan<'g> {
     /// Bytes of array capacity the planned image needs.
     pub fn required_capacity(&self) -> u64 {
         self.meta.total_bytes
-    }
-
-    /// Writes the planned image at logical offset 0 of `array`.
-    ///
-    /// # Errors
-    ///
-    /// See [`write_image_with`].
-    ///
-    /// # Panics
-    ///
-    /// See [`write_image_with`].
-    pub fn write(&self, array: &SsdArray) -> Result<ImageMeta> {
-        self.write_to(
-            &mut |offset, data| array.write(offset, data),
-            array.capacity(),
-        )
     }
 
     /// Writes the planned image at offset 0 of `dst`, a sink holding
@@ -788,7 +732,12 @@ pub fn write_sharded_image(
     arrays
         .iter()
         .enumerate()
-        .map(|(s, array)| write_image_window(g, array, opts, bounds[s], bounds[s + 1]))
+        .map(|(s, array)| {
+            plan_window(g, opts, bounds[s], bounds[s + 1]).write_to(
+                &mut |offset, data| array.write(offset, data),
+                array.capacity(),
+            )
+        })
         .collect()
 }
 
@@ -797,19 +746,12 @@ pub fn write_sharded_image(
 /// # Errors
 ///
 /// Returns [`FgError::CorruptImage`] on a bad magic, impossible
-/// section table, or counts that do not fit the array.
-pub fn read_meta(array: &SsdArray) -> Result<ImageMeta> {
-    read_meta_from(&|offset, buf| array.read(offset, buf), array.capacity())
-}
-
-/// [`read_meta`] over any byte source holding `capacity` bytes.
-///
-/// # Errors
-///
-/// See [`read_meta`]; propagates the source's read failures.
-pub fn read_meta_from(src: ReadAt<'_>, capacity: u64) -> Result<ImageMeta> {
+/// section table, or counts that do not fit the source; propagates the
+/// source's read failures.
+pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
+    let capacity = src.capacity();
     let mut header = vec![0u8; SECTION_ALIGN as usize];
-    src(0, &mut header)?;
+    src.read_at(0, &mut header)?;
     let format = match &header[..8] {
         m if m == MAGIC_V1 => ImageFormat::Raw,
         m if m == MAGIC_V2 => ImageFormat::Compressed,
@@ -881,14 +823,14 @@ pub fn read_meta_from(src: ReadAt<'_>, capacity: u64) -> Result<ImageMeta> {
 }
 
 /// Reads `count` little-endian `u32`s starting at `offset`.
-fn read_u32s(array: &SsdArray, offset: u64, count: usize) -> Result<Vec<u32>> {
+fn read_u32s<S: ByteSource + ?Sized>(src: &S, offset: u64, count: usize) -> Result<Vec<u32>> {
     let mut vals = Vec::with_capacity(count);
     let total = count * 4;
     let mut done = 0usize;
     let mut buf = vec![0u8; WRITE_CHUNK.min(total.max(1))];
     while done < total {
         let chunk = (total - done).min(buf.len());
-        array.read(offset + done as u64, &mut buf[..chunk])?;
+        src.read_at(offset + done as u64, &mut buf[..chunk])?;
         for quad in buf[..chunk].chunks_exact(4) {
             vals.push(u32::from_le_bytes(quad.try_into().unwrap()));
         }
@@ -904,8 +846,8 @@ type PackedDirTables = (Vec<u32>, HashMap<u32, Box<[u32]>>);
 /// Validates one direction's v2 block table against its degrees and
 /// section bounds, and loads the skip tables of its large compressed
 /// lists. Returns the inputs [`GraphIndex::build_packed`] needs.
-fn load_packed_dir(
-    array: &SsdArray,
+fn load_packed_dir<S: ByteSource + ?Sized>(
+    src: &S,
     meta: &ImageMeta,
     which: &str,
     degrees: &[u64],
@@ -938,7 +880,7 @@ fn load_packed_dir(
                 )));
             }
             if d >= crate::index::LARGE_DEGREE && table > 0 {
-                let entries = read_u32s(array, offset, (table / 4) as usize)?;
+                let entries = read_u32s(src, offset, (table / 4) as usize)?;
                 let payload = len - table;
                 let mut prev = 0u64;
                 for (e, &off) in entries.iter().enumerate() {
@@ -982,11 +924,11 @@ fn load_packed_dir(
 /// Propagates [`read_meta`] failures and section reads, and returns
 /// [`FgError::CorruptImage`] when a v2 length table contradicts the
 /// degrees or overruns its section.
-pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
-    let meta = read_meta(array)?;
+pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIndex)> {
+    let meta = read_meta(src)?;
     let n = meta.num_vertices as usize;
     let read_degrees = |offset: u64| -> Result<Vec<u64>> {
-        Ok(read_u32s(array, offset, n)?
+        Ok(read_u32s(src, offset, n)?
             .into_iter()
             .map(|d| d as u64)
             .collect())
@@ -1007,7 +949,6 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
         let index = GraphIndex::build(
             &out_degrees,
             in_degrees.as_deref(),
-            4,
             meta.out_edges_offset,
             meta.in_edges_offset,
             meta.weighted.then_some(meta.out_attrs_offset),
@@ -1017,7 +958,7 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
     }
 
     // v2: block lengths, then per-direction validation + hub tables.
-    let out_blocks = read_u32s(array, meta.len_offset, n)?;
+    let out_blocks = read_u32s(src, meta.len_offset, n)?;
     let out_end = if meta.directed {
         meta.in_edges_offset
     } else if meta.weighted {
@@ -1026,7 +967,7 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
         meta.total_bytes
     };
     let (out_blocks, out_skips) = load_packed_dir(
-        array,
+        src,
         &meta,
         "out",
         &out_degrees,
@@ -1036,14 +977,14 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
     )?;
     let in_input = match &in_degrees {
         Some(in_degrees) => {
-            let in_blocks = read_u32s(array, meta.len_offset + n as u64 * 4, n)?;
+            let in_blocks = read_u32s(src, meta.len_offset + n as u64 * 4, n)?;
             let in_end = if meta.weighted {
                 meta.out_attrs_offset
             } else {
                 meta.total_bytes
             };
             Some(load_packed_dir(
-                array,
+                src,
                 &meta,
                 "in",
                 in_degrees,
@@ -1074,21 +1015,14 @@ pub fn load_index(array: &SsdArray) -> Result<(ImageMeta, GraphIndex)> {
     Ok((meta, index))
 }
 
-/// Where the back-readers ([`read_meta_from`], [`read_list_from`],
-/// [`read_graph_from`]) get image bytes: a function that fills `buf`
-/// with the `buf.len()` bytes at `offset`. The [`SsdArray`] forms pass
-/// the raw device; the serving layer passes its mount, so its reads
-/// meet the page cache first.
-pub type ReadAt<'a> = &'a dyn Fn(u64, &mut [u8]) -> Result<()>;
-
-/// Where [`ImagePlan::write_to`] puts image bytes, the mirror of
-/// [`ReadAt`]: a function that stores `data` at `offset`.
-/// [`ImagePlan::write`] passes the raw device; a compaction passes the
-/// next generation's mount, so the image it writes stays resident.
+/// Where [`ImagePlan::write_to`] puts image bytes: a function that
+/// stores `data` at `offset`. [`write_image_with`] passes the raw
+/// device; a compaction passes the next generation's mount, so the
+/// image it writes stays resident.
 pub type WriteAt<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<()>;
 
-/// Bytes one sequential read of [`read_graph_from`]'s section sweep
-/// asks its source for — the engine's default stream stride.
+/// Bytes one sequential read of [`read_graph`]'s section sweep asks
+/// its source for — the engine's default stream stride.
 const READ_CHUNK: usize = WRITE_CHUNK;
 
 /// Locates the whole list of `v` in `dir` and checks it lies inside
@@ -1137,11 +1071,12 @@ fn decode_block(block: &[u8], slice: &ListSlice, v: VertexId, out: &mut Vec<u32>
 /// image — the fallible decode surface the corrupt-image robustness
 /// tests drive. The engine's hot path instead decodes incrementally
 /// out of the page cache (`flashgraph::PageVertex`); this helper is
-/// for tools, tests, and verification passes.
+/// for tools, tests, verification passes and ingest-time
+/// canonicalization: one read of exactly the list's bytes.
 ///
 /// # Errors
 ///
-/// Propagates store read failures and returns
+/// Propagates the source's read failures and returns
 /// [`FgError::CorruptImage`] when the block does not decode to
 /// exactly `degree` sorted edges (truncated or bit-flipped sections,
 /// over-long varints, inconsistent skip tables).
@@ -1150,28 +1085,8 @@ fn decode_block(block: &[u8], slice: &ListSlice, v: VertexId, out: &mut Vec<u32>
 ///
 /// Panics if `v` is out of range (same contract as
 /// [`GraphIndex::locate`]).
-pub fn read_list(
-    array: &SsdArray,
-    meta: &ImageMeta,
-    index: &GraphIndex,
-    v: VertexId,
-    dir: EdgeDir,
-) -> Result<Vec<u32>> {
-    read_list_from(&|offset, buf| array.read(offset, buf), meta, index, v, dir)
-}
-
-/// [`read_list`] over any byte source: one read of exactly the list's
-/// bytes — the point read of ingest-time canonicalization.
-///
-/// # Errors
-///
-/// See [`read_list`].
-///
-/// # Panics
-///
-/// See [`read_list`].
-pub fn read_list_from(
-    src: ReadAt<'_>,
+pub fn read_list<S: ByteSource + ?Sized>(
+    src: &S,
     meta: &ImageMeta,
     index: &GraphIndex,
     v: VertexId,
@@ -1181,7 +1096,7 @@ pub fn read_list_from(
     let mut list = Vec::with_capacity(slice.loc.degree as usize);
     if slice.loc.bytes > 0 {
         let mut block = vec![0u8; slice.loc.bytes as usize];
-        src(slice.loc.offset, &mut block)?;
+        src.read_at(slice.loc.offset, &mut block)?;
         decode_block(&block, &slice, v, &mut list)?;
     }
     Ok(list)
@@ -1191,8 +1106,8 @@ pub fn read_list_from(
 /// ascending offsets from a buffer it extends with back-to-back reads
 /// of `chunk` bytes (one longer read for a range longer than that),
 /// so the source is asked for every byte of the section at most once.
-struct Sweep<'a> {
-    src: ReadAt<'a>,
+struct Sweep<'a, S: ?Sized> {
+    src: &'a S,
     chunk: u64,
     /// End of the section; no read goes past it.
     end: u64,
@@ -1201,8 +1116,8 @@ struct Sweep<'a> {
     buf: Vec<u8>,
 }
 
-impl<'a> Sweep<'a> {
-    fn new(src: ReadAt<'a>, chunk: usize, section: EdgeListLoc) -> Self {
+impl<'a, S: ByteSource + ?Sized> Sweep<'a, S> {
+    fn new(src: &'a S, chunk: usize, section: EdgeListLoc) -> Self {
         Sweep {
             src,
             chunk: chunk as u64,
@@ -1235,7 +1150,7 @@ impl<'a> Sweep<'a> {
                 .min(self.end - read_to);
             let have = self.buf.len();
             self.buf.resize(have + want as usize, 0);
-            (self.src)(read_to, &mut self.buf[have..])?;
+            self.src.read_at(read_to, &mut self.buf[have..])?;
         }
         let start = (offset - self.at) as usize;
         Ok(&self.buf[start..start + len as usize])
@@ -1252,23 +1167,18 @@ impl<'a> Sweep<'a> {
 ///
 /// # Errors
 ///
-/// Propagates store read failures and [`FgError::CorruptImage`] from
-/// block validation.
-pub fn read_graph(array: &SsdArray, meta: &ImageMeta, index: &GraphIndex) -> Result<Graph> {
-    read_graph_from(&|offset, buf| array.read(offset, buf), meta, index)
-}
-
-/// [`read_graph`] over any byte source.
-///
-/// # Errors
-///
-/// See [`read_graph`].
-pub fn read_graph_from(src: ReadAt<'_>, meta: &ImageMeta, index: &GraphIndex) -> Result<Graph> {
+/// Propagates the source's read failures and
+/// [`FgError::CorruptImage`] from block validation.
+pub fn read_graph<S: ByteSource + ?Sized>(
+    src: &S,
+    meta: &ImageMeta,
+    index: &GraphIndex,
+) -> Result<Graph> {
     read_graph_chunked(src, meta, index, READ_CHUNK)
 }
 
-fn read_graph_chunked(
-    src: ReadAt<'_>,
+fn read_graph_chunked<S: ByteSource + ?Sized>(
+    src: &S,
     meta: &ImageMeta,
     index: &GraphIndex,
     chunk: usize,
@@ -1369,6 +1279,45 @@ mod tests {
         [WriteOptions::default(), WriteOptions::compressed()]
     }
 
+    /// Writes `plan` at offset 0 of `array`.
+    fn write_on(plan: &ImagePlan<'_>, array: &SsdArray) -> ImageMeta {
+        plan.write_to(
+            &mut |offset, data| array.write(offset, data),
+            array.capacity(),
+        )
+        .unwrap()
+    }
+
+    /// `array` as a source that logs each read it is asked for.
+    struct Logged<'a> {
+        array: &'a SsdArray,
+        reads: std::cell::RefCell<Vec<(u64, u64)>>,
+    }
+
+    impl ByteSource for Logged<'_> {
+        fn capacity(&self) -> u64 {
+            self.array.capacity()
+        }
+
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.reads.borrow_mut().push((offset, buf.len() as u64));
+            self.array.read(offset, buf)
+        }
+    }
+
+    /// A source whose every read fails.
+    struct Broken;
+
+    impl ByteSource for Broken {
+        fn capacity(&self) -> u64 {
+            u64::MAX
+        }
+
+        fn read_at(&self, _: u64, _: &mut [u8]) -> Result<()> {
+            Err(FgError::InvalidRequest("gone".into()))
+        }
+    }
+
     #[test]
     fn generation_round_trips_and_defaults_to_zero() {
         let g = fixtures::diamond();
@@ -1449,14 +1398,13 @@ mod tests {
                     .collect();
                 for chunk in [1usize, 7, 64, 4096, 5000, READ_CHUNK] {
                     let what = format!("{:?} chunk {chunk}", opts.format);
-                    let reads = std::cell::RefCell::new(Vec::new());
-                    let src = |offset: u64, buf: &mut [u8]| {
-                        reads.borrow_mut().push((offset, buf.len() as u64));
-                        array.read(offset, buf)
+                    let src = Logged {
+                        array: &array,
+                        reads: Default::default(),
                     };
                     let back = read_graph_chunked(&src, &meta, &index, chunk).unwrap();
                     assert_same_graph(&back, &g, &what);
-                    let mut reads = reads.into_inner();
+                    let mut reads = src.reads.into_inner();
                     let want: u64 = section_bytes.iter().sum();
                     assert_eq!(reads.iter().map(|r| r.1).sum::<u64>(), want, "{what}");
                     let most: u64 = section_bytes.iter().map(|b| b.div_ceil(chunk as u64)).sum();
@@ -1475,40 +1423,62 @@ mod tests {
     fn back_readers_agree_across_sources_and_keep_their_checks() {
         let g = gen::rmat(7, 6, gen::RmatSkew::default(), 11);
         for opts in both_formats() {
+            let what = format!("{:?}", opts.format);
             let (array, meta, index) = image_of_with(&g, &opts);
-            let src = |offset: u64, buf: &mut [u8]| array.read(offset, buf);
-            assert_eq!(read_meta_from(&src, array.capacity()).unwrap(), meta);
-            for v in g.vertices() {
-                for dir in [EdgeDir::Out, EdgeDir::In] {
-                    assert_eq!(
-                        read_list_from(&src, &meta, &index, v, dir).unwrap(),
-                        read_list(&array, &meta, &index, v, dir).unwrap()
-                    );
-                }
-            }
-            // A source that holds less than the header claims.
-            assert!(matches!(
-                read_meta_from(&src, meta.total_bytes - 1),
-                Err(FgError::CorruptImage(_))
-            ));
+            let safs = Safs::new(SafsConfig::default(), array.clone()).unwrap();
+            let streaming = safs.streaming();
+            let busy = g.vertices().find(|&v| g.out_degree(v) > 0).unwrap();
             // A list the header says lies past the image.
             let short = ImageMeta {
                 total_bytes: meta.out_edges_offset,
                 ..meta.clone()
             };
-            let busy = g.vertices().find(|&v| g.out_degree(v) > 0).unwrap();
-            assert!(matches!(
-                read_list_from(&src, &short, &index, busy, EdgeDir::Out),
-                Err(FgError::CorruptImage(_))
-            ));
-            assert!(matches!(
-                read_graph_from(&src, &short, &index),
-                Err(FgError::CorruptImage(_))
-            ));
+            // The device, a mount over it and the mount's streaming
+            // view read the same image.
+            let sources: [&dyn ByteSource; 3] = [&array, &safs, &streaming];
+            for src in sources {
+                assert_eq!(read_meta(src).unwrap(), meta, "{what}");
+                assert_eq!(load_index(src).unwrap().0, meta, "{what}");
+                for v in g.vertices() {
+                    for dir in [EdgeDir::Out, EdgeDir::In] {
+                        let want: Vec<u32> = g.csr(dir).neighbors(v).iter().map(|n| n.0).collect();
+                        assert_eq!(read_list(src, &meta, &index, v, dir).unwrap(), want);
+                    }
+                }
+                assert_same_graph(&read_graph(src, &meta, &index).unwrap(), &g, &what);
+                assert!(matches!(
+                    read_list(src, &short, &index, busy, EdgeDir::Out),
+                    Err(FgError::CorruptImage(_))
+                ));
+                assert!(matches!(
+                    read_graph(src, &short, &index),
+                    Err(FgError::CorruptImage(_))
+                ));
+            }
+            // A source that holds less than the header claims.
+            let cut =
+                SsdArray::new_mem(ArrayConfig::small_test(), meta.total_bytes - SECTION_ALIGN)
+                    .unwrap();
+            let mut header = vec![0u8; SECTION_ALIGN as usize];
+            array.read(0, &mut header).unwrap();
+            cut.write(0, &header).unwrap();
+            let cut_safs = Safs::new(SafsConfig::default(), cut.clone()).unwrap();
+            let cut_streaming = cut_safs.streaming();
+            let sources: [&dyn ByteSource; 3] = [&cut, &cut_safs, &cut_streaming];
+            for src in sources {
+                assert!(matches!(read_meta(src), Err(FgError::CorruptImage(_))));
+            }
             // A source that fails: the error comes back as it is.
-            let broken = |_: u64, _: &mut [u8]| Err(FgError::InvalidRequest("gone".into()));
             assert!(matches!(
-                read_graph_from(&broken, &meta, &index),
+                read_meta(&Broken),
+                Err(FgError::InvalidRequest(_))
+            ));
+            assert!(matches!(
+                read_list(&Broken, &meta, &index, busy, EdgeDir::Out),
+                Err(FgError::InvalidRequest(_))
+            ));
+            assert!(matches!(
+                read_graph(&Broken, &meta, &index),
                 Err(FgError::InvalidRequest(_))
             ));
         }
@@ -1525,7 +1495,7 @@ mod tests {
             );
             let array =
                 SsdArray::new_mem(ArrayConfig::small_test(), plan.required_capacity()).unwrap();
-            let meta = plan.write(&array).unwrap();
+            let meta = write_on(&plan, &array);
             let (loaded, index) = load_index(&array).unwrap();
             assert_eq!(meta, loaded);
             assert_eq!(meta.generation, 3);
@@ -1535,7 +1505,7 @@ mod tests {
 
     /// Every image shape `write_to` must handle — raw and compressed,
     /// weighted, a hub list, the whole graph and one shard's window —
-    /// as a plan and the bytes `ImagePlan::write` puts on an array.
+    /// as a plan and the bytes `ImagePlan::write_to` puts on an array.
     fn each_planned_image(mut check: impl FnMut(&str, &ImagePlan<'_>, &[u8])) {
         for g in [
             gen::rmat(8, 6, gen::RmatSkew::default(), 21),
@@ -1549,7 +1519,7 @@ mod tests {
                     let plan = plan_window(&g, &opts, lo, hi);
                     let cap = plan.required_capacity();
                     let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
-                    plan.write(&array).unwrap();
+                    write_on(&plan, &array);
                     let mut image = vec![0u8; cap as usize];
                     array.read(0, &mut image).unwrap();
                     check(&what, &plan, &image);
@@ -1563,7 +1533,7 @@ mod tests {
         each_planned_image(|what, plan, image| {
             let cap = plan.required_capacity();
             let direct = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
-            let meta = plan.write(&direct).unwrap();
+            let meta = write_on(plan, &direct);
             let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
             let mut safs = Safs::new(SafsConfig::default(), array).unwrap();
             let mut writes = Vec::new();
@@ -1876,14 +1846,6 @@ mod tests {
                 read_edges(&array, &meta, &index, v, EdgeDir::Out);
             }
             assert_eq!(array.stats().snapshot().bytes_written, wear_after_load);
-        }
-    }
-
-    #[test]
-    fn format_from_env_parses() {
-        // Not set in the test environment by default.
-        if std::env::var("FG_IMAGE_FORMAT").is_err() {
-            assert_eq!(ImageFormat::from_env(), ImageFormat::Raw);
         }
     }
 

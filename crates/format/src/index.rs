@@ -16,6 +16,9 @@ pub const LARGE_DEGREE: u64 = 255;
 /// unnoticeable while the amortized memory overhead is small".
 pub const CHECKPOINT_INTERVAL: usize = 32;
 
+/// Bytes per edge in a raw list: one `u32` neighbour id.
+const EDGE_WIDTH: u64 = 4;
+
 /// Location of one vertex's edge list inside the on-SSD image.
 ///
 /// For raw (v1) images `bytes` is always `4 * degree`. For compressed
@@ -113,13 +116,13 @@ struct DirIndex {
     /// Start of this direction's edge section (for attr offset math).
     edge_base: u64,
     /// Compressed-image extension; `None` for raw images, where block
-    /// length is always `degree * edge_width`.
+    /// length is always `degree * EDGE_WIDTH`.
     packed: Option<PackedDir>,
 }
 
 impl DirIndex {
-    fn build(degrees: &[u64], edge_base: u64, attr_base: Option<u64>, edge_width: u64) -> Self {
-        Self::build_inner(degrees, edge_base, attr_base, |_, d| d * edge_width)
+    fn build(degrees: &[u64], edge_base: u64, attr_base: Option<u64>) -> Self {
+        Self::build_inner(degrees, edge_base, attr_base, |_, d| d * EDGE_WIDTH)
     }
 
     fn build_packed(
@@ -281,7 +284,7 @@ impl DirIndex {
     /// compressed image; on a raw one the interval's degree bytes
     /// before `v`, the hubs among them counted at their running sums'
     /// difference.
-    fn locate(&self, v: VertexId, edge_width: u64) -> EdgeListLoc {
+    fn locate(&self, v: VertexId) -> EdgeListLoc {
         let i = v.index();
         let cp = i / CHECKPOINT_INTERVAL;
         if let Some(p) = &self.packed {
@@ -304,8 +307,8 @@ impl DirIndex {
             b => u64::from(b),
         };
         EdgeListLoc {
-            offset: self.checkpoints[cp] + edges * edge_width,
-            bytes: degree * edge_width,
+            offset: self.checkpoints[cp] + edges * EDGE_WIDTH,
+            bytes: degree * EDGE_WIDTH,
             degree,
         }
     }
@@ -369,7 +372,6 @@ pub struct PackedDirInput<'a> {
 #[derive(Debug, Clone)]
 pub struct GraphIndex {
     num_vertices: usize,
-    edge_width: u64,
     /// Restart interval of the image's compressed blocks; 0 on raw
     /// images.
     skip_k: u32,
@@ -379,16 +381,14 @@ pub struct GraphIndex {
 
 impl GraphIndex {
     /// Builds an index from per-direction degree arrays (raw images:
-    /// every list is `degree * edge_width` bytes).
+    /// every list is `degree * 4` bytes, one `u32` per edge).
     ///
     /// `out_base`/`in_base` are the absolute byte offsets of the edge
     /// sections in the image; `attr` bases likewise for weighted
     /// graphs. `in_degrees` is `None` for undirected graphs.
-    #[allow(clippy::too_many_arguments)]
     pub fn build(
         out_degrees: &[u64],
         in_degrees: Option<&[u64]>,
-        edge_width: u64,
         out_base: u64,
         in_base: u64,
         out_attr_base: Option<u64>,
@@ -396,10 +396,9 @@ impl GraphIndex {
     ) -> Self {
         GraphIndex {
             num_vertices: out_degrees.len(),
-            edge_width,
             skip_k: 0,
-            out: DirIndex::build(out_degrees, out_base, out_attr_base, edge_width),
-            in_: in_degrees.map(|d| DirIndex::build(d, in_base, in_attr_base, edge_width)),
+            out: DirIndex::build(out_degrees, out_base, out_attr_base),
+            in_: in_degrees.map(|d| DirIndex::build(d, in_base, in_attr_base)),
         }
     }
 
@@ -410,7 +409,6 @@ impl GraphIndex {
         assert!(k > 0, "compressed images need a positive skip interval");
         GraphIndex {
             num_vertices: out.degrees.len(),
-            edge_width: 4,
             skip_k: k,
             out: DirIndex::build_packed(
                 out.degrees,
@@ -435,12 +433,6 @@ impl GraphIndex {
     #[inline]
     pub fn is_directed(&self) -> bool {
         self.in_.is_some()
-    }
-
-    /// Bytes per edge entry in *raw* lists (4: a `u32` neighbour id).
-    #[inline]
-    pub fn edge_width(&self) -> u64 {
-        self.edge_width
     }
 
     /// The image's restart/skip interval in edges; 0 for raw images
@@ -479,7 +471,7 @@ impl GraphIndex {
     /// Panics if `v` is out of range or `dir` is [`EdgeDir::Both`].
     pub fn locate(&self, v: VertexId, dir: EdgeDir) -> EdgeListLoc {
         assert!(v.index() < self.num_vertices, "vertex {v} out of range");
-        self.dir(dir).locate(v, self.edge_width)
+        self.dir(dir).locate(v)
     }
 
     /// Locates a *sub-range* of `v`'s edge list in `dir` — the device
@@ -513,8 +505,8 @@ impl GraphIndex {
             // Raw blocks are positional whether the image is v1 or v2.
             return ListSlice {
                 loc: EdgeListLoc {
-                    offset: block.offset + start * self.edge_width,
-                    bytes: len * self.edge_width,
+                    offset: block.offset + start * EDGE_WIDTH,
+                    bytes: len * EDGE_WIDTH,
                     degree: len,
                 },
                 decode: SliceDecode::Raw,
@@ -604,7 +596,7 @@ impl GraphIndex {
 
     /// Locates the contiguous byte extent covering the edge lists of
     /// the id-range `[first, first + count)` in `dir` — what a sweep
-    /// of many lists at once reads: `read_graph_from` sizes a whole
+    /// of many lists at once reads: `read_graph` sizes a whole
     /// section with it and walks it in large sequential chunks instead
     /// of issuing one read per vertex.
     ///
@@ -632,7 +624,7 @@ impl GraphIndex {
         let end = self.locate(VertexId::from_index(hi - 1), dir);
         let bytes = end.offset + end.bytes - start.offset;
         let degree = if self.skip_k == 0 {
-            bytes / self.edge_width
+            bytes / EDGE_WIDTH
         } else {
             // Variable-length blocks: bytes no longer imply an edge
             // count, so sum the degrees of the range.
@@ -705,7 +697,7 @@ mod tests {
     use super::*;
 
     fn seq_base_index(degrees: &[u64]) -> GraphIndex {
-        GraphIndex::build(degrees, None, 4, 1000, 0, None, None)
+        GraphIndex::build(degrees, None, 1000, 0, None, None)
     }
 
     /// A packed index whose blocks/skip tables come straight from the
@@ -828,7 +820,7 @@ mod tests {
     fn directed_index_separates_directions() {
         let out = vec![2u64, 0];
         let in_ = vec![0u64, 2];
-        let idx = GraphIndex::build(&out, Some(&in_), 4, 100, 500, None, None);
+        let idx = GraphIndex::build(&out, Some(&in_), 100, 500, None, None);
         assert!(idx.is_directed());
         assert_eq!(idx.degree(VertexId(0), EdgeDir::Out), 2);
         assert_eq!(idx.degree(VertexId(0), EdgeDir::In), 0);
@@ -848,7 +840,7 @@ mod tests {
     #[test]
     fn attr_location_parallels_edges() {
         let degrees = vec![3u64, 2];
-        let idx = GraphIndex::build(&degrees, None, 4, 100, 0, Some(10_000), None);
+        let idx = GraphIndex::build(&degrees, None, 100, 0, Some(10_000), None);
         let e = idx.locate(VertexId(1), EdgeDir::Out);
         let a = idx.locate_attrs(VertexId(1), EdgeDir::Out).unwrap();
         assert_eq!(a.offset - 10_000, e.offset - 100);
@@ -876,13 +868,13 @@ mod tests {
             .collect();
         // The paper's ~1.25 B/vertex (2.5 directed), plus 0.125 per
         // direction for the hub cursors that spare a locate any search.
-        let undirected = GraphIndex::build(&degrees, None, 4, 0, 0, None, None);
+        let undirected = GraphIndex::build(&degrees, None, 0, 0, None, None);
         let per_vertex = undirected.heap_bytes() as f64 / n as f64;
         assert!(
             per_vertex < 1.39,
             "undirected index uses {per_vertex} B/vertex; budget ~1.375"
         );
-        let directed = GraphIndex::build(&degrees, Some(&degrees), 4, 0, 0, None, None);
+        let directed = GraphIndex::build(&degrees, Some(&degrees), 0, 0, None, None);
         let per_vertex = directed.heap_bytes() as f64 / n as f64;
         assert!(
             per_vertex < 2.78,
@@ -928,7 +920,7 @@ mod tests {
     #[test]
     fn attr_range_parallels_edge_range() {
         let degrees = vec![3u64, 8];
-        let idx = GraphIndex::build(&degrees, None, 4, 100, 0, Some(10_000), None);
+        let idx = GraphIndex::build(&degrees, None, 100, 0, Some(10_000), None);
         let e = idx.locate_range(VertexId(1), EdgeDir::Out, 2, 4);
         let a = idx
             .locate_attrs_range(VertexId(1), EdgeDir::Out, 2, 4)
@@ -1255,7 +1247,7 @@ mod tests {
                     Some(in_.packed_input(&in_degrees, k)),
                 )
             } else {
-                GraphIndex::build(&out_degrees, Some(&in_degrees), 4, 4096, in_base, None, None)
+                GraphIndex::build(&out_degrees, Some(&in_degrees), 4096, in_base, None, None)
             };
             let mut budget = 0;
             for (dir, r) in [(EdgeDir::Out, &out), (EdgeDir::In, &in_)] {

@@ -45,10 +45,9 @@ mod index;
 mod sharded;
 
 pub use image::{
-    load_index, read_graph, read_graph_from, read_list, read_list_from, read_meta, read_meta_from,
-    required_capacity, required_capacity_with, required_shard_capacities, shard_bounds,
-    write_image, write_image_window, write_image_with, write_sharded_image, ImageFormat, ImageMeta,
-    ImagePlan, ReadAt, WriteAt, WriteOptions, SECTION_ALIGN,
+    load_index, read_graph, read_list, read_meta, required_capacity, required_capacity_with,
+    required_shard_capacities, shard_bounds, write_image, write_image_with, write_sharded_image,
+    ImageFormat, ImageMeta, ImagePlan, WriteAt, WriteOptions, SECTION_ALIGN,
 };
 pub use index::{
     EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDecode, VarintSlice,

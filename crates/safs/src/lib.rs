@@ -71,6 +71,6 @@ mod shard_set;
 pub use cache::{CacheStats, CacheStatsSnapshot, PageCache};
 pub use config::SafsConfig;
 pub use page::{Page, PageSpan, SpanWindow, U32Iter};
-pub use safs::Safs;
+pub use safs::{Safs, Streaming};
 pub use session::{Completion, IoSession};
 pub use shard_set::ShardSet;

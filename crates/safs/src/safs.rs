@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fg_ssdsim::{check_range, IoStats, SsdArray};
+use fg_ssdsim::{check_range, ByteSource, IoStats, SsdArray};
 use fg_types::sync::channel::{unbounded, Sender};
 use fg_types::sync::Counter;
 use fg_types::{FgError, Result};
@@ -149,8 +149,8 @@ impl Safs {
     /// device read per contiguous run of misses. Used where the
     /// caller has nothing to overlap the read with: the engine's
     /// foreign-shard reads (`SemIo::read_foreign`) and the serving
-    /// layer's ingest canonicalisation (`mount_bytes`); a worker's own
-    /// shard goes through sessions.
+    /// layer's image headers and ingest canonicalisation (the mount as
+    /// a [`ByteSource`]); a worker's own shard goes through sessions.
     ///
     /// # Errors
     ///
@@ -174,6 +174,13 @@ impl Safs {
     /// device.
     pub fn read_sync_stream(&self, offset: u64, len: u64) -> Result<PageSpan> {
         self.read_through(offset, len, CacheUse::Stream)
+    }
+
+    /// This mount as a [`ByteSource`] under the streaming policy of
+    /// [`Safs::read_sync_stream`], for a reader that sweeps the image.
+    /// The mount itself is the source under [`Safs::read_sync`]'s.
+    pub fn streaming(&self) -> Streaming<'_> {
+        Streaming(self)
     }
 
     /// Writes `data` at `offset` through to the device, booked exactly
@@ -238,6 +245,38 @@ impl Safs {
             (offset - first * pb) as usize,
             len as usize,
         ))
+    }
+}
+
+/// A mount read under the streaming policy of
+/// [`Safs::read_sync_stream`]: resident pages are used, and nothing is
+/// booked or inserted. Made by [`Safs::streaming`].
+#[derive(Debug, Clone, Copy)]
+pub struct Streaming<'a>(&'a Safs);
+
+/// A mount as a byte source: point reads through [`Safs::read_sync`],
+/// so lookups are booked and misses inserted.
+impl ByteSource for Safs {
+    fn capacity(&self) -> u64 {
+        self.mount.capacity
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_sync(offset, buf.len() as u64)?.read_bytes(0, buf);
+        Ok(())
+    }
+}
+
+impl ByteSource for Streaming<'_> {
+    fn capacity(&self) -> u64 {
+        self.0.mount.capacity
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.0
+            .read_sync_stream(offset, buf.len() as u64)?
+            .read_bytes(0, buf);
+        Ok(())
     }
 }
 

@@ -213,6 +213,34 @@ impl SsdArray {
     }
 }
 
+/// A read-only, booked byte source: where a reader of an on-SSD image
+/// gets its bytes. The [`SsdArray`] is one, reading the device with
+/// every request charged to its ledger; a mount over it (`fg_safs`) is
+/// another, reading through its page cache first. Unlike a
+/// [`PageStore`], which sits *under* the ledger, every read of a
+/// source is accounted somewhere.
+pub trait ByteSource {
+    /// Bytes the source holds.
+    fn capacity(&self) -> u64;
+
+    /// Fills `buf` with the `buf.len()` bytes at `offset`.
+    ///
+    /// # Errors
+    ///
+    /// The source's own: out-of-range or empty reads, device failures.
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()>;
+}
+
+impl ByteSource for SsdArray {
+    fn capacity(&self) -> u64 {
+        SsdArray::capacity(self)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.read(offset, buf)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@ mod config;
 mod stats;
 mod store;
 
-pub use array::SsdArray;
+pub use array::{ByteSource, SsdArray};
 pub use config::{ArrayConfig, SsdSpec};
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use store::{check_range, FileStore, MemStore, PageStore};

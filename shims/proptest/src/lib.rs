@@ -224,6 +224,7 @@ tuple_strategy!(A.0, B.1, C.2);
 tuple_strategy!(A.0, B.1, C.2, D.3);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4);
 tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
+tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6);
 
 /// Types with a canonical "any value" strategy.
 pub trait Arbitrary: Sized {

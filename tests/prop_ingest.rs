@@ -13,7 +13,7 @@
 //! The write path reads the image through the mount, and the second
 //! half of this file holds it to that: `fg_format`'s back-readers
 //! return the same lists (and the same `CorruptImage` errors) over the
-//! raw array and over a `Safs` source, and the device ledger — counts
+//! raw array, a `Safs` mount and its streaming view, and the device ledger — counts
 //! from `IoStats`, never wall-clock — shows canonicalization reads
 //! served by the cache and a compaction reading the old image back as
 //! one sweep that leaves the cache alone.
@@ -25,12 +25,12 @@ use std::sync::Arc;
 
 use fg_bench::build_shard_fixture;
 use fg_format::{
-    load_index, read_graph, read_graph_from, read_list, read_list_from, required_capacity_with,
-    write_image_with, GraphIndex, ImageMeta, SliceDecode, WriteOptions,
+    load_index, read_graph, read_list, required_capacity_with, write_image_with, GraphIndex,
+    ImageMeta, SliceDecode, WriteOptions,
 };
 use fg_graph::{gen, DeltaBatch, DeltaLog, DeltaOp, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
-use fg_ssdsim::{ArrayConfig, IoStatsSnapshot, SsdArray};
+use fg_ssdsim::{ArrayConfig, ByteSource, IoStatsSnapshot, SsdArray};
 use fg_types::{EdgeDir, FgError, VertexId};
 use flashgraph::{
     Engine, EngineConfig, GraphService, Init, PageVertex, QueryOpts, Request, RunStats,
@@ -647,23 +647,6 @@ fn mounted(
     (Safs::new(cfg, array).unwrap(), meta, index)
 }
 
-/// The two byte sources the serving layer hands `fg_format`: point
-/// reads with the insert policy, sweeps with the streaming one.
-fn cached(safs: &Safs) -> impl Fn(u64, &mut [u8]) -> fg_types::Result<()> + '_ {
-    |offset, buf| {
-        safs.read_sync(offset, buf.len() as u64)?.read_bytes(0, buf);
-        Ok(())
-    }
-}
-
-fn streamed(safs: &Safs) -> impl Fn(u64, &mut [u8]) -> fg_types::Result<()> + '_ {
-    |offset, buf| {
-        safs.read_sync_stream(offset, buf.len() as u64)?
-            .read_bytes(0, buf);
-        Ok(())
-    }
-}
-
 /// `Ok` payloads compared whole, errors by kind.
 fn same_outcome<T: PartialEq + std::fmt::Debug>(
     a: &fg_types::Result<T>,
@@ -734,7 +717,7 @@ proptest! {
                 for v in g.vertices() {
                     for dir in [EdgeDir::Out, EdgeDir::In] {
                         let direct = read_list(array, &meta, &index, v, dir);
-                        let through = read_list_from(&cached(&safs), &meta, &index, v, dir);
+                        let through = read_list(&safs, &meta, &index, v, dir);
                         prop_assert!(
                             same_outcome(&direct, &through),
                             "{:?} {dir:?} list of {v}: {direct:?} vs {through:?}",
@@ -748,8 +731,9 @@ proptest! {
                     }
                 }
                 let direct = read_graph(array, &meta, &index).map(|g| lists_of(&g));
-                for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
-                    let through = read_graph_from(source, &meta, &index).map(|g| lists_of(&g));
+                let sources: [&dyn ByteSource; 2] = [&safs, &safs.streaming()];
+                for source in sources {
+                    let through = read_graph(source, &meta, &index).map(|g| lists_of(&g));
                     prop_assert!(same_outcome(&direct, &through), "{:?}", opts.format);
                 }
                 if !corrupt {
@@ -786,13 +770,14 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
         victim = Some(v);
     });
     let victim = victim.unwrap();
-    for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
+    let sources: [&dyn ByteSource; 2] = [&safs, &safs.streaming()];
+    for source in sources {
         assert!(matches!(
-            read_list_from(source, &meta, &index, victim, EdgeDir::Out),
+            read_list(source, &meta, &index, victim, EdgeDir::Out),
             Err(FgError::CorruptImage(_))
         ));
         assert!(matches!(
-            read_graph_from(source, &meta, &index),
+            read_graph(source, &meta, &index),
             Err(FgError::CorruptImage(_))
         ));
     }
@@ -804,13 +789,14 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
         ..meta
     };
     let last = g.vertices().filter(|&v| g.in_degree(v) > 0).last().unwrap();
-    for source in [&cached(&safs) as fg_format::ReadAt<'_>, &streamed(&safs)] {
+    let sources: [&dyn ByteSource; 2] = [&safs, &safs.streaming()];
+    for source in sources {
         assert!(matches!(
-            read_list_from(source, &cut, &index, last, EdgeDir::In),
+            read_list(source, &cut, &index, last, EdgeDir::In),
             Err(FgError::CorruptImage(_))
         ));
         assert!(matches!(
-            read_graph_from(source, &cut, &index),
+            read_graph(source, &cut, &index),
             Err(FgError::CorruptImage(_))
         ));
     }

@@ -57,12 +57,13 @@ impl VertexProgram for RangeProbe {
     }
 }
 
-/// Mounts `g` in the format `FG_IMAGE_FORMAT` selects (raw by
-/// default) — the CI stress job re-runs this whole suite with
-/// `FG_IMAGE_FORMAT=compressed`, so every equivalence property here
-/// holds on both image formats.
-fn sem_mount(g: &Graph) -> (Safs, fg_format::GraphIndex) {
-    sem_mount_with(g, &WriteOptions::from_env())
+/// Either image format, drawn like any other input: every
+/// equivalence property here holds on both.
+fn image_format() -> impl Strategy<Value = WriteOptions> {
+    prop_oneof![
+        Just(WriteOptions::default()),
+        Just(WriteOptions::compressed())
+    ]
 }
 
 /// Frontier-style BFS used by the scheduler equivalence
@@ -98,7 +99,7 @@ impl VertexProgram for LevelBfs {
     }
 }
 
-fn sem_mount_with(g: &Graph, opts: &WriteOptions) -> (Safs, fg_format::GraphIndex) {
+fn sem_mount(g: &Graph, opts: &WriteOptions) -> (Safs, fg_format::GraphIndex) {
     let array =
         SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(g, opts)).unwrap();
     write_image_with(g, &array, opts).unwrap();
@@ -112,7 +113,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn sem_bfs_matches_oracle((edges, seed) in graph_strategy()) {
+    fn sem_bfs_matches_oracle((edges, seed) in graph_strategy(), opts in image_format()) {
         let mut b = GraphBuilder::directed();
         for &(s, d) in &edges {
             b.add_edge(VertexId(s), VertexId(d));
@@ -120,20 +121,20 @@ proptest! {
         let g = b.build();
         let root = VertexId(seed % g.num_vertices().max(1) as u32);
         // Tiny cache + tiny batches: stress partial hits and merging.
-        let (safs, index) = sem_mount(&g);
+        let (safs, index) = sem_mount(&g, &opts);
         let engine = Engine::new_sem(&safs, index, EngineConfig::small());
         let (levels, _) = fg_apps::bfs(&engine, root).unwrap();
         prop_assert_eq!(levels, fg_baselines::direct::bfs_levels(&g, root));
     }
 
     #[test]
-    fn sem_wcc_matches_union_find((edges, _) in graph_strategy()) {
+    fn sem_wcc_matches_union_find((edges, _) in graph_strategy(), opts in image_format()) {
         let mut b = GraphBuilder::directed();
         for &(s, d) in &edges {
             b.add_edge(VertexId(s), VertexId(d));
         }
         let g = b.build();
-        let (safs, index) = sem_mount(&g);
+        let (safs, index) = sem_mount(&g, &opts);
         let engine = Engine::new_sem(&safs, index, EngineConfig::small());
         let (labels, _) = fg_apps::wcc(&engine).unwrap();
         prop_assert_eq!(labels, fg_baselines::direct::wcc_labels(&g));
@@ -212,13 +213,14 @@ proptest! {
         seed in 0u64..1 << 20,
         start in 0u64..64,
         len in 0u64..64,
+        opts in image_format(),
     ) {
         // For an arbitrary position range over an R-MAT graph, the
         // semi-external engine must deliver exactly the oracle's CSR
         // slice (clamped to the list) for every vertex, offsets
         // included.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
-        let (safs, index) = sem_mount(&g);
+        let (safs, index) = sem_mount(&g, &opts);
         let engine = Engine::new_sem(&safs, index, EngineConfig::small());
         let (states, _) = engine.run(&RangeProbe { start, len }, Init::All).unwrap();
         for v in g.vertices() {
@@ -252,12 +254,12 @@ proptest! {
         // compressed lists are covered by `tests/format_matrix.rs`.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
 
-        let (safs, index) = sem_mount_with(&g, &WriteOptions::default());
+        let (safs, index) = sem_mount(&g, &WriteOptions::default());
         let whole = Engine::new_sem(&safs, index, EngineConfig::small());
         let probe = RangeProbe { start: 0, len: u64::MAX };
         let (_, whole_stats) = whole.run(&probe, Init::All).unwrap();
 
-        let (safs, index) = sem_mount_with(&g, &WriteOptions::default());
+        let (safs, index) = sem_mount(&g, &WriteOptions::default());
         let split = Engine::new_sem(&safs, index, EngineConfig::small());
         let (states, split_stats) = split.run(&SplitProbe { chunk }, Init::All).unwrap();
 
@@ -281,6 +283,7 @@ proptest! {
         raw_seeds in prop::collection::vec(0u32..512, 1..12),
         nthreads in 1usize..5,
         vparts in 1u32..4,
+        opts in image_format(),
     ) {
         // The pipelined scheduler relaxes *when* callbacks run (as
         // pages land, across vertical passes, possibly stolen by
@@ -289,8 +292,7 @@ proptest! {
         // the referee the lock-step barrier scheduler used to stand in
         // for — every worker count and vertical-pass count must
         // produce bit-identical per-vertex states and deliver
-        // exactly the same edges. The CI stress job re-runs this with
-        // FG_IMAGE_FORMAT=compressed, covering both image formats.
+        // exactly the same edges, on either image format.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
         let n = g.num_vertices() as u32;
         let mut seeds: Vec<VertexId> = raw_seeds.iter().map(|&s| VertexId(s % n)).collect();
@@ -306,7 +308,7 @@ proptest! {
         let mem = Engine::new_mem(&g, cfg);
         let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
-        let (safs, index) = sem_mount(&g);
+        let (safs, index) = sem_mount(&g, &opts);
         let sem = Engine::new_sem(&safs, index, cfg);
         let (got, stats) = sem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
 
@@ -317,14 +319,14 @@ proptest! {
     }
 
     #[test]
-    fn sem_kcore_matches_peeling((edges, k) in graph_strategy()) {
+    fn sem_kcore_matches_peeling((edges, k) in graph_strategy(), opts in image_format()) {
         let mut b = GraphBuilder::directed();
         for &(s, d) in &edges {
             b.add_edge(VertexId(s), VertexId(d));
         }
         let g = b.build();
         let k = k % 6 + 1;
-        let (safs, index) = sem_mount(&g);
+        let (safs, index) = sem_mount(&g, &opts);
         let engine = Engine::new_sem(&safs, index, EngineConfig::small());
         let (core, _) = fg_apps::k_core(&engine, k).unwrap();
         prop_assert_eq!(core, fg_baselines::direct::k_core(&g, k));

@@ -40,12 +40,20 @@ fn build_graph(edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
-/// A fresh single-mount service over `g` — cold cache, cold counters.
-fn fresh_service(g: &Graph, max_inflight: usize) -> GraphService {
-    let opts = WriteOptions::from_env();
+/// Either image format, drawn like any other input.
+fn image_format() -> impl Strategy<Value = WriteOptions> {
+    prop_oneof![
+        Just(WriteOptions::default()),
+        Just(WriteOptions::compressed())
+    ]
+}
+
+/// A fresh single-mount service over the image of `g` `opts` selects —
+/// cold cache, cold counters.
+fn fresh_service(g: &Graph, opts: &WriteOptions, max_inflight: usize) -> GraphService {
     let array =
-        SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(g, &opts)).unwrap();
-    write_image_with(g, &array, &opts).unwrap();
+        SsdArray::new_mem(ArrayConfig::small_test(), required_capacity_with(g, opts)).unwrap();
+    write_image_with(g, &array, opts).unwrap();
     let (_, index) = load_index(&array).unwrap();
     let safs = Safs::new(SafsConfig::default().with_cache_bytes(16 * 4096), array).unwrap();
     safs.reset_stats();
@@ -56,13 +64,18 @@ fn fresh_service(g: &Graph, max_inflight: usize) -> GraphService {
 }
 
 /// A fresh sharded service: one mount per shard, shared bus.
-fn fresh_sharded_service(g: &Graph, shards: usize, max_inflight: usize) -> GraphService {
+fn fresh_sharded_service(
+    g: &Graph,
+    opts: &WriteOptions,
+    shards: usize,
+    max_inflight: usize,
+) -> GraphService {
     let fx = build_shard_fixture(
         g,
         0.25,
         SafsConfig::default(),
         ArrayConfig::small_test(),
-        &WriteOptions::from_env(),
+        opts,
         shards,
     )
     .unwrap();
@@ -227,6 +240,7 @@ proptest! {
         (edges, seed) in graph_strategy(),
         cancel_at in 0u32..3,
         victims in 1usize..3,
+        opts in image_format(),
     ) {
         let g = build_graph(&edges);
         let root = VertexId(seed % g.num_vertices().max(1) as u32);
@@ -234,7 +248,7 @@ proptest! {
         let (want, _) = mem.run(&LevelBfs, Init::Seeds(vec![root])).unwrap();
 
         let survivors = 2usize;
-        let svc = Arc::new(fresh_service(&g, victims + survivors));
+        let svc = Arc::new(fresh_service(&g, &opts, victims + survivors));
         let cancelled =
             mixed_cancellation_run(&svc, root, &want, victims, survivors, cancel_at)?;
         // The cancelled counter must match the observed errors.
@@ -250,13 +264,14 @@ proptest! {
         (edges, seed) in graph_strategy(),
         cancel_at in 0u32..3,
         shards in 2usize..4,
+        opts in image_format(),
     ) {
         let g = build_graph(&edges);
         let root = VertexId(seed % g.num_vertices().max(1) as u32);
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (want, _) = mem.run(&LevelBfs, Init::Seeds(vec![root])).unwrap();
 
-        let svc = Arc::new(fresh_sharded_service(&g, shards, 3));
+        let svc = Arc::new(fresh_sharded_service(&g, &opts, shards, 3));
         let cancelled = mixed_cancellation_run(&svc, root, &want, 1, 2, cancel_at)?;
         prop_assert_eq!(svc.stats().cancelled, cancelled);
         audit_quiesced(&svc)?;
@@ -270,13 +285,14 @@ proptest! {
     fn expired_deadlines_refuse_fresh_ones_run(
         (edges, seed) in graph_strategy(),
         expired in 1usize..3,
+        opts in image_format(),
     ) {
         let g = build_graph(&edges);
         let root = VertexId(seed % g.num_vertices().max(1) as u32);
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (want, _) = mem.run(&LevelBfs, Init::Seeds(vec![root])).unwrap();
 
-        let svc = fresh_service(&g, 4);
+        let svc = fresh_service(&g, &opts, 4);
         for _ in 0..expired {
             let r = svc.run_opts(
                 &LevelBfs,

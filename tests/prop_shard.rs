@@ -1,14 +1,11 @@
 //! Property tests for sharded execution: N cooperating engines over a
 //! partitioned image must be indistinguishable from one engine over
 //! the whole image — same per-vertex results, same delivered edges —
-//! for arbitrary random graphs, shard counts and image formats.
-//!
-//! `FG_SHARDS=k` pins the shard count (the CI stress job uses it to
-//! drive every property through a fixed multi-shard layout);
-//! `FG_IMAGE_FORMAT=compressed` flows through
-//! [`WriteOptions::from_env`] exactly as in `prop_pipeline`.
+//! for arbitrary random graphs, shard counts and image formats. Every
+//! property sweeps 1 (the degenerate reproduction case) through
+//! [`MAX_SHARDS`] shards, and draws the image format as one more input.
 
-use fg_bench::{build_shard_fixture, env_pin};
+use fg_bench::build_shard_fixture;
 use fg_format::WriteOptions;
 use fg_graph::{gen, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
@@ -34,17 +31,18 @@ fn build_graph(edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
-/// The shard counts every property sweeps: `FG_SHARDS=k` pins one
-/// (anything but a positive integer panics, see [`env_pin`]), unset
-/// means 1 (the degenerate reproduction case) through 4.
-fn shard_counts() -> Vec<usize> {
-    match env_pin("FG_SHARDS", 1) {
-        Some(k) => vec![k as usize],
-        None => vec![1, 2, 3, 4],
-    }
+/// The most shards a property sweeps.
+const MAX_SHARDS: usize = 4;
+
+/// Either image format, drawn like any other input.
+fn image_format() -> impl Strategy<Value = WriteOptions> {
+    prop_oneof![
+        Just(WriteOptions::default()),
+        Just(WriteOptions::compressed())
+    ]
 }
 
-/// One mount per shard over the format `FG_IMAGE_FORMAT` selects.
+/// One mount per shard over the image format `opts` selects.
 fn sharded_fixture(
     g: &Graph,
     shards: usize,
@@ -166,7 +164,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn sharded_bfs_and_wcc_match_oracles((edges, seed) in graph_strategy()) {
+    fn sharded_bfs_and_wcc_match_oracles((edges, seed) in graph_strategy(), opts in image_format()) {
         let g = build_graph(&edges);
         let root = VertexId(seed % g.num_vertices().max(1) as u32);
         let bfs_oracle = fg_baselines::direct::bfs_levels(&g, root);
@@ -174,8 +172,7 @@ proptest! {
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (_, mem_bfs_stats) = fg_apps::bfs(&mem, root).unwrap();
         let (_, mem_wcc_stats) = fg_apps::wcc(&mem).unwrap();
-        let opts = WriteOptions::from_env();
-        for shards in shard_counts() {
+        for shards in 1..=MAX_SHARDS {
             let (set, index) = sharded_fixture(&g, shards, &opts);
             let engine = ShardedEngine::new(&set, index, EngineConfig::small());
             let (levels, bfs_stats) = fg_apps::bfs(&engine, root).unwrap();
@@ -195,7 +192,7 @@ proptest! {
     }
 
     #[test]
-    fn sharded_pagerank_matches_single_engine((edges, _) in graph_strategy()) {
+    fn sharded_pagerank_matches_single_engine((edges, _) in graph_strategy(), opts in image_format()) {
         // Threshold 0 keeps the active set structural, so
         // `edges_delivered` is deterministic; ranks are float sums
         // whose order varies with message arrival, hence the same
@@ -203,8 +200,7 @@ proptest! {
         let g = build_graph(&edges);
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (want, mem_stats) = fg_apps::pagerank(&mem, 0.85, 0.0, 8).unwrap();
-        let opts = WriteOptions::from_env();
-        for shards in shard_counts() {
+        for shards in 1..=MAX_SHARDS {
             let (set, index) = sharded_fixture(&g, shards, &opts);
             let engine = ShardedEngine::new(&set, index, EngineConfig::small());
             let (ranks, stats) = fg_apps::pagerank(&engine, 0.85, 0.0, 8).unwrap();
@@ -222,13 +218,13 @@ proptest! {
         scale in 5u32..8,
         factor in 1u32..6,
         seed in 0u64..1 << 20,
+        opts in image_format(),
     ) {
         // A 1-shard sharded run is the same image, the same index,
         // and one engine whose window is the whole graph — every
         // counter must reproduce the unsharded run exactly.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
         let root = fg_bench::traversal_root(&g);
-        let opts = WriteOptions::from_env();
         let (safs, index) = sem_mount(&g, &opts);
         let single = Engine::new_sem(&safs, index, EngineConfig::small());
         let (want, want_stats) = single
@@ -267,7 +263,7 @@ proptest! {
         let mem = Engine::new_mem(&g, EngineConfig::small());
         let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
         for opts in [WriteOptions::default(), WriteOptions::compressed()] {
-            for shards in shard_counts() {
+            for shards in 1..=MAX_SHARDS {
                 let (set, index) = sharded_fixture(&g, shards, &opts);
                 let engine = ShardedEngine::new(&set, index, EngineConfig::small());
                 let (got, stats) = engine.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
