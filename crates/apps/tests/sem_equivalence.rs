@@ -10,7 +10,7 @@ use fg_types::VertexId;
 use flashgraph::{Engine, EngineConfig};
 
 /// Every equivalence below must hold for both image formats, so each
-/// test runs once per format: raw, then delta-varint edge blocks.
+/// test runs once per format: raw, then group-varint edge blocks.
 fn formats() -> [WriteOptions; 2] {
     [WriteOptions::default(), WriteOptions::compressed()]
 }

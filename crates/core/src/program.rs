@@ -17,7 +17,7 @@
 //! | `send_msg(v, msg)` / multicast (§3.4.1) | [`VertexContext::send`] / [`VertexContext::multicast`] |
 //! | vertex activation | [`VertexContext::activate`] / [`VertexContext::activate_many`] |
 //! | end-of-iteration registration | [`VertexContext::notify_iteration_end`] |
-//! | *(extension)* compact external-memory layout (§3.5's motivation, pushed further) | `fg_format::ImageFormat::Compressed` — delta-varint edge blocks decoded inside [`PageVertex`]; programs are unaffected: same callbacks, same slices, strictly fewer device bytes per iteration |
+//! | *(extension)* compact external-memory layout (§3.5's motivation, pushed further) | `fg_format::ImageFormat::Compressed` — group-varint edge blocks decoded inside [`PageVertex`]; programs are unaffected: same callbacks, same slices, strictly fewer device bytes per iteration |
 //! | *(extension)* pipelined callback scheduling (§3.4's async user tasks, taken to its conclusion) | always on — `run_on_vertex` fires the moment its pages land, possibly on another worker, while later covers are already queued on the device; per-vertex callbacks stay serialized (never concurrent for one vertex), but *order across vertices and vertical passes is not global* — programs must not assume one pass's deliveries finish before the next pass's `run` |
 //! | *(extension)* sharded execution (scale-out of §3: one engine per image shard) | [`Engine::new`](crate::Engine::new) over a `fg_safs::ShardSet` — programs are unaffected: a vertex's handlers still run exclusively on its owning shard against the shared state vector; sends/multicasts/activations to foreign vertices travel as batched packets over the shard bus and are delivered at the same iteration barrier local ones are, and foreign edge-list requests are served from the owning shard's mount |
 //! | *(extension)* cooperative cancellation (serving-layer QoS) | `Engine::with_cancel` / `GraphService::run_opts` with a `fg_types::CancelToken` — programs are unaffected and need no cancellation hooks |

@@ -6,17 +6,19 @@
 //! (ids), [`PageVertex::weighted_edges`] (ids beside their attributes)
 //! and, riding on them, [`PageVertex::contains`] and
 //! [`PageVertex::to_vec`]. Each base shape — CSR slice, raw page span,
-//! delta-varint span — has one decoder. A delivery on a mutable graph
-//! may also carry an overlay: the subject's folded delta ops, borrowed
-//! from the query's pinned `DeltaView`, merged with any of the three
-//! on the fly, and [`Merge::of`] is the one statement of that merge's
-//! rule. Overlaying a delivery allocates nothing and touches no
-//! reference count. The ledger prices the walk per shape:
+//! group-varint span (`fg_format::codec`, image magic `FGIMG21`) — has
+//! one decoder; a group-varint span is decoded four ids at a time. A
+//! delivery on a mutable graph may also carry an overlay: the
+//! subject's folded delta ops, borrowed from the query's pinned
+//! `DeltaView`, merged with any of the three on the fly, and
+//! [`Merge::of`] is the one statement of that merge's rule. Overlaying
+//! a delivery allocates nothing and touches no reference count. The
+//! ledger prices the walk per shape:
 //! `vertex.touch_ns_per_edge` (raw span),
 //! `vertex.touch_varint_ns_per_edge` and
 //! `vertex.touch_overlay_ns_per_edge`.
 
-use fg_format::codec::{read_varint, GapDecoder};
+use fg_format::codec::{self, GROUP, GROUP_WINDOW};
 use fg_format::VarintSlice;
 use fg_graph::{DeltaList, DeltaOp};
 use fg_safs::{SpanWindow, U32Iter};
@@ -69,7 +71,7 @@ impl Merge {
 }
 
 /// Edge data backing a [`PageVertex`]: a zero-copy span over the SAFS
-/// page cache (semi-external memory) — raw `u32`s or a delta-varint
+/// page cache (semi-external memory) — raw `u32`s or a group-varint
 /// block of the compressed image format — or borrowed slices of an
 /// in-memory CSR (FG-mem mode). On an overlaid delivery it is the
 /// subject's full base list (see [`PageVertex::with_overlay`]).
@@ -80,10 +82,11 @@ enum EdgeData<'a> {
         attrs: Option<SpanWindow<'a>>,
     },
     /// A compressed-image block (or restart-aligned part of one).
-    /// Decoding is iterator-shaped and allocation-free, and `span` is
-    /// never read past its length (a malformed stream panics like any
-    /// other corrupt index math would; the *fallible* decode surface
-    /// is `fg_format::read_list`).
+    /// Decoding is iterator-shaped and allocation-free, and no id is
+    /// decoded from past `span`'s length — the bytes after it in its
+    /// last page are loaded only to be masked away (a malformed stream
+    /// panics like any other corrupt index math would; the *fallible*
+    /// decode surface is `fg_format::read_list`).
     Packed {
         span: SpanWindow<'a>,
         /// Edges this delivery covers (cannot be derived from byte
@@ -145,7 +148,7 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// Wraps a packed (delta-varint) span of the compressed image
+    /// Wraps a packed (group-varint) span of the compressed image
     /// format: `count` edges delivered, decoded per `params` —
     /// `header_bytes` of skip-table framing to jump, then a gap
     /// stream entered at restart position `stream_pos` with `skip`
@@ -385,9 +388,10 @@ impl<'a> PageVertex<'a> {
 ///
 /// One exact-size iterator for every delivery shape: the in-memory
 /// CSR slice is walked by its own `slice::Iter`; a raw span one
-/// contiguous page chunk at a time; a delta-varint span is decoded as
-/// a stream, bytes taken from the current page chunk; an overlay
-/// merges its base's own walker with the delta ops, two-pointer.
+/// contiguous page chunk at a time; a group-varint span is decoded a
+/// group of four ids at a time, read in place from the current page
+/// or gathered across a seam; an overlay merges its base's own walker
+/// with the delta ops, two-pointer.
 /// Scans, intersections and `collect()` (the length is exact, so the
 /// vector is allocated once) all read a delivery this way.
 #[derive(Debug, Clone)]
@@ -516,16 +520,24 @@ impl AttrWalk<'_> {
     }
 }
 
-/// Streaming decode of a packed (delta-varint) span: `left` more
-/// edges, their varints read from `chunk` — the undecoded rest of the
-/// current page chunk — and from the span at `next_at` after it.
+/// Streaming decode of a packed (group-varint) span: `left` more
+/// edges, yielded from `group`, the current group's ids, and decoded a
+/// group at a time from `page` — the rest of the current page from
+/// span position `pos` on.
 #[derive(Debug, Clone)]
 struct PackedEdges<'a> {
     span: &'a SpanWindow<'a>,
-    chunk: &'a [u8],
-    /// Span position of the byte after `chunk`.
-    next_at: usize,
-    gaps: GapDecoder,
+    /// [`SpanWindow::page_tail_at`] `pos`: it may run past the span,
+    /// so a group read from it is checked against the span's length.
+    page: &'a [u8],
+    pos: usize,
+    group: [u32; GROUP],
+    /// Lane of `group` to yield next; [`GROUP`] when it is used up.
+    lane: usize,
+    /// Groups before the next restart (0 = the next group is one) — a
+    /// countdown, so a group costs no division.
+    until_restart: u32,
+    groups_per_restart: u32,
     left: usize,
 }
 
@@ -533,11 +545,16 @@ impl<'a> PackedEdges<'a> {
     /// Enters the stream after `params.header_bytes` of framing and
     /// discards the `params.skip` values before the delivery.
     fn new(span: &'a SpanWindow<'a>, count: usize, params: &VarintSlice) -> Self {
+        debug_assert_eq!(params.k as usize % GROUP, 0, "restarts open groups");
+        let pos = params.header_bytes as usize;
         let mut it = PackedEdges {
             span,
-            chunk: &[],
-            next_at: params.header_bytes as usize,
-            gaps: GapDecoder::new(params.stream_pos, params.k),
+            page: span.page_tail_at(pos),
+            pos,
+            group: [0; GROUP],
+            lane: GROUP,
+            until_restart: 0,
+            groups_per_restart: params.k / GROUP as u32,
             left: count,
         };
         for _ in 0..params.skip {
@@ -546,41 +563,47 @@ impl<'a> PackedEdges<'a> {
         it
     }
 
-    /// The next byte of the stream; `None` at the end of the span.
+    /// Decodes the next group into `group`: read in place while
+    /// [`GROUP_WINDOW`] bytes remain in the page — a group that
+    /// outruns the span is caught by the length check — and gathered
+    /// across the page seam otherwise.
     #[inline]
-    fn byte(&mut self) -> Option<u8> {
-        if self.chunk.is_empty() {
-            if self.next_at >= self.span.len() {
-                return None;
+    fn refill(&mut self) {
+        let restart = self.until_restart == 0;
+        let base = if restart { 0 } else { self.group[GROUP - 1] };
+        self.until_restart = if restart {
+            self.groups_per_restart
+        } else {
+            self.until_restart
+        } - 1;
+        let gaps = match self.page.first_chunk::<GROUP_WINDOW>() {
+            Some(window) => {
+                let (gaps, len) = codec::read_group(window);
+                self.pos += len;
+                self.page = &self.page[len..];
+                gaps
             }
-            self.chunk = self.span.chunk_at(self.next_at);
-            self.next_at += self.chunk.len();
-        }
-        let (&b, rest) = self.chunk.split_first()?;
-        self.chunk = rest;
-        Some(b)
+            None => {
+                let (gaps, len) = gather(self.span, self.pos);
+                self.pos += len;
+                self.page = self.span.page_tail_at(self.pos);
+                gaps
+            }
+        };
+        assert!(self.pos <= self.span.len(), "corrupt varint edge block");
+        self.group = codec::sum_group(base, gaps).expect("corrupt varint edge block");
+        self.lane = 0;
     }
 
-    /// Decodes one stream value. A varint of one or two bytes that
-    /// lies wholly inside the current chunk is read in place: it can
-    /// be neither over-long nor past a `u32`, so the checked decode
-    /// would accept it too. Everything else — a longer varint, one
-    /// that straddles a chunk, the end of the span — takes the checked
-    /// decode.
+    /// The next id of the stream.
     #[inline]
     fn step(&mut self) -> u32 {
-        let raw = match *self.chunk {
-            [b0, ref rest @ ..] if b0 < 0x80 => {
-                self.chunk = rest;
-                u32::from(b0)
-            }
-            [b0, b1, ref rest @ ..] if b1 < 0x80 => {
-                self.chunk = rest;
-                u32::from(b0 & 0x7F) | u32::from(b1) << 7
-            }
-            _ => read_varint(&mut || self.byte()).expect("corrupt varint edge block"),
-        };
-        self.gaps.step(raw).expect("corrupt varint edge block")
+        if self.lane == GROUP {
+            self.refill();
+        }
+        let v = self.group[self.lane & (GROUP - 1)];
+        self.lane += 1;
+        v
     }
 
     #[inline]
@@ -591,6 +614,21 @@ impl<'a> PackedEdges<'a> {
         self.left -= 1;
         Some(self.step())
     }
+}
+
+/// The checked slow path of [`PackedEdges::refill`]: the stored values
+/// and length of the group at span position `pos`, copied into a
+/// zeroed window across the page seam. A group that runs past the span
+/// is corrupt.
+#[cold]
+#[inline(never)]
+fn gather(span: &SpanWindow<'_>, pos: usize) -> ([u32; GROUP], usize) {
+    assert!(pos < span.len(), "corrupt varint edge block");
+    let len = codec::group_len(span.byte(pos));
+    assert!(pos + len <= span.len(), "corrupt varint edge block");
+    let mut window = [0u8; GROUP_WINDOW];
+    span.read_bytes(pos, &mut window[..len]);
+    (codec::read_group(&window).0, len)
 }
 
 /// Streaming overlay merge: the base's own walker against the op
@@ -1160,7 +1198,7 @@ mod tests {
         fn edges_walks_packed_spans_like_indexing(
             seed in any::<u64>(),
             len in 4usize..500,
-            k in 3u32..40,
+            k in (1u32..10).prop_map(|groups| 4 * groups),
             with_header in any::<bool>(),
             page_shift in 4u32..13,
             head in 0usize..8192,
@@ -1275,9 +1313,9 @@ mod tests {
         assert_eq!(got, vec![(2, 1.0), (9, 4.0), (9, 4.0)]);
     }
 
-    /// A packed delivery over hand-written stream bytes, starting
-    /// `head` bytes into 16-byte pages: its first chunk is
-    /// `16 - head` bytes long.
+    /// A packed delivery over hand-written stream bytes (restarts every
+    /// 32), starting `head` bytes into 32-byte pages: its first chunk
+    /// is `32 - head` bytes long.
     fn packed_bytes_pv(bytes: &[u8], head: usize, count: usize) -> PageVertex<'static> {
         let params = VarintSlice {
             header_bytes: 0,
@@ -1285,70 +1323,77 @@ mod tests {
             skip: 0,
             k: 32,
         };
-        let span = leaked(span_over(bytes, head, 16));
+        let span = leaked(span_over(bytes, head, 32));
         PageVertex::from_span_packed(VertexId(0), EdgeDir::Out, 0, span, count, params)
     }
 
     #[test]
     fn corrupt_streams_fail_where_indexing_fails() {
-        // Three good values, then the block ends / runs over-long /
-        // overflows the id space: the walker yields the good prefix
-        // and panics on the element after it. At head 13 the first
-        // chunk is 3 bytes, so the third value of `straddling` is a
-        // two-byte varint split across two chunks; at head 8 it is 8
-        // bytes, and the over-long varint of `over_long_at_seam` ends
-        // it.
-        let truncated: &[u8] = &[5, 1, 1, 0x80];
-        let over_long: &[u8] = &[5, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
-        let overflow: &[u8] = &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 1];
-        let straddling: &[u8] = &[5, 1, 0x81, 0x01, 0x80];
-        let max = u32::MAX;
-        for (bytes, head, prefix) in [
-            (truncated, 13, [5, 6, 7]),
-            (over_long, 13, [5, 6, 7]),
-            (overflow, 13, [max; 3]),
-            (straddling, 13, [5, 6, 135]),
-            (over_long, 8, [5, 6, 7]),
-        ] {
-            let (good, prefix) = (prefix.len(), prefix.map(VertexId));
-            let caught = |f: &dyn Fn()| {
-                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                    .expect_err("corrupt block must panic");
-                let msg = err
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                assert!(msg.contains("corrupt varint edge block"), "{msg}");
-            };
-            let pv = packed_bytes_pv(bytes, head, good + 1);
-            assert_eq!(pv.edges().take(good).collect::<Vec<_>>(), prefix);
-            caught(&|| {
-                std::hint::black_box(pv.edges().nth(good));
-            });
-            // An overlay's walker decodes a base element no earlier
-            // than the step that may emit it.
-            let ops = list_of(&[(1, DeltaOp::Add(None))]);
-            let base = packed_bytes_pv(bytes, head, good + 1);
-            let pv = PageVertex::with_overlay(base, &ops, 0, good + 2);
-            assert_eq!(pv.edges().take(good + 1).count(), good + 1);
-            caught(&|| {
-                std::hint::black_box(pv.edges().nth(good + 1));
-            });
+        // Six good groups of mixed widths, then a faulty one: it ends
+        // with the block, its control byte promises bytes past the
+        // block, or its first gap overflows the id space. The walker
+        // yields the 24 good ids and panics on the first id of the
+        // faulty group. Across heads 0..32 the page seams cut every
+        // group at every byte, so each is read in place or gathered
+        // across a seam.
+        use fg_format::codec::encode_list;
+        let mut v = 4u32;
+        let good: Vec<u32> = (0..24usize)
+            .map(|i| {
+                v += [1, 300, 70_000, 0, 20_000_000][i % 5];
+                v
+            })
+            .collect();
+        let mut prefix = Vec::new();
+        assert!(encode_list(&good, 32, &mut prefix));
+        let truncated: &[u8] = &[0x00, 1, 1];
+        let past_block: &[u8] = &[0xFF, 1, 1, 1, 1, 1, 1, 1, 1];
+        let overflow: &[u8] = &[0x03, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0];
+        let want: Vec<VertexId> = good.iter().map(|&d| VertexId(d)).collect();
+        let n = good.len();
+        for fault in [truncated, past_block, overflow] {
+            let bytes = [&prefix[..], fault].concat();
+            for head in 0..32 {
+                let caught = |f: &dyn Fn()| {
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                        .expect_err("corrupt block must panic");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    assert!(msg.contains("corrupt varint edge block"), "{msg}");
+                };
+                let pv = packed_bytes_pv(&bytes, head, n + 4);
+                assert_eq!(pv.edges().take(n).collect::<Vec<_>>(), want, "head {head}");
+                caught(&|| {
+                    std::hint::black_box(pv.edges().nth(n));
+                });
+                // An overlay's walker decodes a base group no earlier
+                // than the step that may emit its first id.
+                let ops = list_of(&[(1, DeltaOp::Add(None))]);
+                let base = packed_bytes_pv(&bytes, head, n + 4);
+                let pv = PageVertex::with_overlay(base, &ops, 0, n + 5);
+                assert_eq!(pv.edges().take(n + 1).count(), n + 1);
+                caught(&|| {
+                    std::hint::black_box(pv.edges().nth(n + 1));
+                });
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "corrupt varint edge block")]
     fn truncated_block_panics_from_edges() {
-        let pv = packed_bytes_pv(&[5, 1, 1, 0x80], 13, 4);
+        let pv = packed_bytes_pv(&[0x00, 5, 1, 1], 13, 4);
         let _ = pv.edges().count();
     }
 
     #[test]
     #[should_panic(expected = "corrupt varint edge block")]
-    fn over_long_varint_panics_from_edges() {
-        let pv = packed_bytes_pv(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 13, 1);
+    fn group_past_the_block_panics_from_edges() {
+        // The control byte promises 17 bytes; the block holds 6.
+        let pv = packed_bytes_pv(&[0xFF, 0, 0, 0, 0, 0], 13, 1);
         let _ = pv.edges().count();
     }
 

@@ -18,10 +18,13 @@
 //! recomputes byte offsets from degrees alone — no per-vertex location
 //! table exists on disk or in RAM.
 //!
-//! **v2 (`Compressed`)** stores each vertex's list as a *block*:
-//! either raw (identical bytes to v1) or delta-varint compressed with
-//! a restart skip table (see [`crate::codec`]). Block lengths are
-//! variable, so the image adds a length section — one `u32` per
+//! **v2 (`Compressed`, magic `FGIMG21`)** stores each vertex's list
+//! as a *block*: either raw (identical bytes to v1) or group-varint
+//! compressed gaps with restarts, behind a skip table on hub lists
+//! (see [`crate::codec`]). Images of the earlier v2 payload (LEB128
+//! gaps, magic `FGIMG20`) are refused as a bad magic: every run writes
+//! its own images. Block lengths are variable, so the image adds a
+//! length section — one `u32` per
 //! vertex per direction, top bit ([`crate::codec::RAW_LIST_FLAG`])
 //! recording which encoding the block got — from which the index
 //! rebuilds offsets at load time and learns, without guessing, how
@@ -51,7 +54,9 @@ use crate::index::{EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDeco
 pub const SECTION_ALIGN: u64 = 4096;
 
 const MAGIC_V1: &[u8; 8] = b"FGIMG10\0";
-const MAGIC_V2: &[u8; 8] = b"FGIMG20\0";
+/// v2 with group-varint blocks; the LEB128 blocks of `FGIMG20` have
+/// no reader.
+const MAGIC_V2: &[u8; 8] = b"FGIMG21\0";
 const FLAG_DIRECTED: u32 = 1;
 const FLAG_WEIGHTED: u32 = 2;
 /// Chunk size for streaming sections to the array during the write.
@@ -66,7 +71,7 @@ pub enum ImageFormat {
     /// v1: 4 bytes per edge, offsets recomputed from degrees.
     #[default]
     Raw,
-    /// v2: per-vertex delta-varint blocks with raw fallback.
+    /// v2: per-vertex group-varint blocks with raw fallback.
     Compressed,
 }
 
@@ -110,9 +115,14 @@ impl WriteOptions {
     ///
     /// # Panics
     ///
-    /// Panics if `k` is zero.
+    /// Panics unless `k` is a positive multiple of [`codec::GROUP`]:
+    /// every restart opens a group.
     pub fn with_skip_interval(mut self, k: u32) -> Self {
-        assert!(k > 0, "skip interval must be positive");
+        assert!(
+            k > 0 && k as usize % codec::GROUP == 0,
+            "skip interval must be a positive multiple of {}, not {k}",
+            codec::GROUP
+        );
         self.skip_interval = k;
         self
     }
@@ -190,7 +200,7 @@ pub struct ImagePlan<'g> {
 ///
 /// Weighted graphs force raw blocks (attribute runs must stay
 /// positionally aligned); otherwise each list ≥ [`TINY_RAW_DEGREE`]
-/// edges is delta-varint encoded unless that would not shrink it.
+/// edges is group-varint encoded unless that would not shrink it.
 ///
 /// # Panics
 ///
@@ -809,10 +819,10 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
         return Err(FgError::CorruptImage("section table out of order".into()));
     }
     if meta.format == ImageFormat::Compressed {
-        if fields[9] == 0 || fields[9] > MAX_SKIP_INTERVAL as u64 {
+        let k = fields[9];
+        if k == 0 || k > MAX_SKIP_INTERVAL as u64 || k % codec::GROUP as u64 != 0 {
             return Err(FgError::CorruptImage(format!(
-                "skip interval {} out of range",
-                fields[9]
+                "skip interval {k} out of range or off the group grid"
             )));
         }
         if meta.len_offset < meta.deg_offset || meta.len_offset > meta.out_edges_offset {
@@ -879,7 +889,8 @@ fn load_packed_dir<S: ByteSource + ?Sized>(
                     "{which} vertex {i}: compressed block of {len} bytes for degree {d}"
                 )));
             }
-            if d >= crate::index::LARGE_DEGREE && table > 0 {
+            if table > 0 {
+                // A hub's table (see `codec::skip_entries`).
                 let entries = read_u32s(src, offset, (table / 4) as usize)?;
                 let payload = len - table;
                 let mut prev = 0u64;
@@ -1079,7 +1090,7 @@ fn decode_block(block: &[u8], slice: &ListSlice, v: VertexId, out: &mut Vec<u32>
 /// Propagates the source's read failures and returns
 /// [`FgError::CorruptImage`] when the block does not decode to
 /// exactly `degree` sorted edges (truncated or bit-flipped sections,
-/// over-long varints, inconsistent skip tables).
+/// groups running past their block, inconsistent skip tables).
 ///
 /// # Panics
 ///
@@ -1803,13 +1814,27 @@ mod tests {
     fn corrupt_skip_interval_rejected() {
         let g = gen::rmat(7, 4, gen::RmatSkew::default(), 9);
         let (array, _, _) = image_of_with(&g, &WriteOptions::compressed());
-        // Field 9 (skip interval) at header offset 16 + 9*8 = 88.
-        array.write(88, &0u64.to_le_bytes()).unwrap();
-        assert!(read_meta(&array).is_err());
-        array
-            .write(88, &((MAX_SKIP_INTERVAL as u64 + 1).to_le_bytes()))
-            .unwrap();
-        assert!(read_meta(&array).is_err());
+        // Field 9 (skip interval) at header offset 16 + 9*8 = 88: zero,
+        // too large, or off the group grid.
+        let with_k = |k: u64| {
+            array.write(88, &k.to_le_bytes()).unwrap();
+            read_meta(&array)
+        };
+        for k in [0, MAX_SKIP_INTERVAL as u64 + 4, 1, 2, 3, 5, 6, 7, 30, 33] {
+            assert!(matches!(with_k(k), Err(FgError::CorruptImage(_))), "k {k}");
+        }
+        for k in [4, 8, 28, DEFAULT_SKIP_INTERVAL as u64] {
+            assert_eq!(with_k(k).unwrap().skip_interval as u64, k);
+        }
+        // The LEB128 payload's magic has no reader.
+        array.write(0, b"FGIMG20\0").unwrap();
+        assert!(matches!(read_meta(&array), Err(FgError::CorruptImage(_))));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive multiple of 4")]
+    fn skip_interval_off_the_group_grid_panics_at_options() {
+        let _ = WriteOptions::compressed().with_skip_interval(6);
     }
 
     #[test]
@@ -1866,18 +1891,9 @@ mod tests {
         let SliceDecode::Varint(p) = slice.decode else {
             panic!("hub block must be compressed");
         };
-        let mut at = p.header_bytes as usize;
-        let mut gaps = codec::GapDecoder::new(p.stream_pos, p.k);
-        let mut got = Vec::new();
-        while got.len() < (p.skip + 50) as usize {
-            let raw = codec::read_varint(&mut || {
-                let b = buf.get(at).copied();
-                at += 1;
-                b
-            })
-            .unwrap();
-            got.push(gaps.step(raw).unwrap());
-        }
+        let got =
+            codec::decode_stream(&buf[p.header_bytes as usize..], p.k, (p.skip + 50) as usize)
+                .unwrap();
         let want: Vec<u32> = g.out_neighbors(hub)[100..150].iter().map(|n| n.0).collect();
         assert_eq!(&got[p.skip as usize..], want);
         let _ = meta;

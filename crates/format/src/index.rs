@@ -42,7 +42,7 @@ pub struct EdgeListLoc {
 pub enum SliceDecode {
     /// Little-endian `u32` per edge; byte `4 * i` starts edge `i`.
     Raw,
-    /// A delta-varint stream (see [`crate::codec`]); decoding starts
+    /// A group-varint gap stream (see [`crate::codec`]); decoding starts
     /// at a restart point and skips forward to the requested range.
     Varint(VarintSlice),
 }
@@ -53,7 +53,7 @@ pub struct VarintSlice {
     /// Bytes of skip-table framing at the start of the fetched range
     /// (non-zero only for whole-block fetches).
     pub header_bytes: u32,
-    /// Full-list position of the first varint after the header —
+    /// Full-list position of the first value after the header —
     /// always a restart position, so decoding may begin there.
     pub stream_pos: u64,
     /// Edges to decode and discard before the delivered range starts.
@@ -364,7 +364,7 @@ pub struct PackedDirInput<'a> {
 ///
 /// Over a *compressed* (v2) image the index additionally holds where
 /// each vertex's on-disk block ends relative to its checkpoint (blocks
-/// are variable-length under delta-varint encoding, so offsets can no
+/// are variable-length under group-varint encoding, so offsets can no
 /// longer be recomputed from degrees), so a locate there reads two
 /// ends and sums nothing, and the skip tables of hub lists; the extra
 /// cost is 4 bytes/vertex/direction — far below what the compressed
@@ -1101,7 +1101,7 @@ mod tests {
 
     // ---- against a prefix-sum reference ----
 
-    use crate::codec::{encode_list, read_varint, GapDecoder};
+    use crate::codec::{decode_stream, encode_list};
     use proptest::prelude::*;
 
     /// One direction of a random image: each vertex's list, its block
@@ -1169,7 +1169,7 @@ mod tests {
                 let d = self.lists[i].len() as u64;
                 blocks.push(block.len() as u32 | if raw { RAW_LIST_FLAG } else { 0 });
                 let entries = skip_entries(d, k) as usize;
-                if !raw && d >= LARGE_DEGREE && entries > 0 {
+                if !raw && entries > 0 {
                     let table = (0..entries)
                         .map(|e| u32::from_le_bytes(block[e * 4..e * 4 + 4].try_into().unwrap()))
                         .collect();
@@ -1203,13 +1203,9 @@ mod tests {
                     .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
                     .collect(),
                 SliceDecode::Varint(p) => {
-                    let mut stream = bytes[p.header_bytes as usize..].iter().copied();
-                    let mut gaps = GapDecoder::new(p.stream_pos, p.k);
-                    let mut next = || gaps.step(read_varint(&mut || stream.next()).unwrap());
-                    for _ in 0..p.skip {
-                        next();
-                    }
-                    (0..s.loc.degree).map(|_| next().unwrap()).collect()
+                    let count = (p.skip + s.loc.degree) as usize;
+                    let stream = decode_stream(&bytes[p.header_bytes as usize..], p.k, count);
+                    stream.unwrap().split_off(p.skip as usize)
                 }
             }
         }

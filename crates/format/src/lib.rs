@@ -10,7 +10,7 @@
 //!   The image is written once — FlashGraph minimizes SSD wearout by
 //!   using one representation for all algorithms. Two encodings of
 //!   the edge sections exist ([`ImageFormat`]): the raw v1 layout (4
-//!   bytes per edge) and the delta-varint compressed v2 layout
+//!   bytes per edge) and the group-varint compressed v2 layout
 //!   ([`codec`]), which shrinks typical sorted lists to roughly 40 %
 //!   of raw so every semi-external iteration moves fewer device
 //!   bytes.

@@ -1,10 +1,10 @@
 //! Property tests: any graph round-trips through the on-SSD image
-//! (raw *and* delta-varint compressed), the compact index locates
+//! (raw *and* group-varint compressed), the compact index locates
 //! every edge list exactly, the codec round-trips arbitrary sorted
 //! lists with seekable skip tables, and the decoder survives
 //! arbitrary corruption without panicking or reading out of bounds.
 
-use fg_format::codec::{self, decode_list, encode_list, skip_entries, GapDecoder};
+use fg_format::codec::{decode_list, decode_stream, encode_list, skip_entries};
 use fg_format::{
     load_index, read_list, required_capacity, required_capacity_with, write_image,
     write_image_with, ImageFormat, WriteOptions,
@@ -37,6 +37,12 @@ fn arb_sorted_list() -> impl Strategy<Value = Vec<u32>> {
             v.sort_unstable();
             v
         })
+}
+
+/// Skip intervals on the group grid: multiples of 4 up to 76, so a
+/// list's length takes every residue mod 4 against its groups.
+fn arb_skip_interval() -> impl Strategy<Value = u32> {
+    (1u32..20).prop_map(|groups| 4 * groups)
 }
 
 proptest! {
@@ -112,7 +118,7 @@ proptest! {
     #[test]
     fn compressed_image_round_trips_any_graph(
         (directed, edges) in arb_graph(),
-        k in 1u32..80,
+        k in arb_skip_interval(),
     ) {
         // Same property as the raw round trip, but through the v2
         // writer at an arbitrary skip interval and the validating
@@ -155,7 +161,7 @@ proptest! {
     #[test]
     fn codec_round_trips_arbitrary_sorted_lists(
         list in arb_sorted_list(),
-        k in 1u32..80,
+        k in arb_skip_interval(),
     ) {
         let mut block = Vec::new();
         if encode_list(&list, k, &mut block) {
@@ -173,7 +179,7 @@ proptest! {
     #[test]
     fn skip_entries_seek_within_k_of_any_position(
         list in arb_sorted_list(),
-        k in 1u32..80,
+        k in arb_skip_interval(),
         pos_seed in 0u64..1 << 30,
     ) {
         let mut block = Vec::new();
@@ -183,11 +189,12 @@ proptest! {
         let d = list.len() as u64;
         let n_skips = skip_entries(d, k);
         let pos = pos_seed % d;
-        // The restart at or before `pos` is at most k - 1 edges back,
-        // and decoding from its skip-table offset reaches `pos`
-        // reproducing the original values.
-        let m0 = pos / k as u64;
-        prop_assert!((pos - m0 * k as u64) < (k as u64));
+        // On a hub the restart at or before `pos` is at most k - 1
+        // edges back, and decoding from its skip-table offset reaches
+        // `pos` reproducing the original values; a shorter list has no
+        // table and decodes from its head.
+        let m0 = if n_skips > 0 { pos / k as u64 } else { 0 };
+        prop_assert!(n_skips == 0 || (pos - m0 * k as u64) < (k as u64));
         let payload = &block[(n_skips * 4) as usize..];
         let entry_off = if m0 == 0 {
             0
@@ -195,25 +202,15 @@ proptest! {
             let e = (m0 - 1) as usize * 4;
             u32::from_le_bytes(block[e..e + 4].try_into().unwrap()) as usize
         };
-        let mut at = entry_off;
-        let mut gaps = GapDecoder::new(m0 * k as u64, k);
-        let mut last = 0u32;
-        for _ in 0..=(pos - m0 * k as u64) {
-            let raw = codec::read_varint(&mut || {
-                let b = payload.get(at).copied();
-                at += 1;
-                b
-            })
-            .unwrap();
-            last = gaps.step(raw).unwrap();
-        }
+        let run = decode_stream(&payload[entry_off..], k, (pos - m0 * k as u64) as usize + 1);
+        let last = *run.unwrap().last().unwrap();
         prop_assert_eq!(last, list[pos as usize]);
     }
 
     #[test]
     fn decoder_survives_arbitrary_corruption(
         list in arb_sorted_list(),
-        k in 1u32..80,
+        k in arb_skip_interval(),
         flip_seed in 0u64..1 << 30,
         cut_seed in 0u64..1 << 30,
     ) {
@@ -238,14 +235,14 @@ proptest! {
             Err(_) => {}
             Ok(other) => prop_assert_ne!(other, list),
         }
-        // Over-long varints are rejected: a payload of continuation
-        // bytes can never decode.
+        // A first group of 4-byte values whose first id is u32::MAX
+        // cannot decode: its second gap, at least 0xFF, overflows.
         let n_skips = (skip_entries(d, k) * 4) as usize;
-        let mut overlong = block.clone();
-        for b in overlong[n_skips..].iter_mut().take(6) {
-            *b = 0x80;
+        let mut overflow = block.clone();
+        for b in overflow[n_skips..].iter_mut().take(6) {
+            *b = 0xFF;
         }
-        prop_assert!(decode_list(&overlong, d, k).is_err());
+        prop_assert!(decode_list(&overflow, d, k).is_err());
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl Csr {
 
     /// Whether every adjacency list is sorted ascending — the
     /// invariant [`crate::GraphBuilder::build`] establishes and the
-    /// image's delta-varint encoding depends on (gaps must be
+    /// image's gap encoding depends on (gaps must be
     /// non-negative). Construction paths that bypass the builder can
     /// use this to validate before writing a compressed image.
     pub fn lists_sorted(&self) -> bool {

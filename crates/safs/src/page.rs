@@ -333,6 +333,30 @@ impl<'a> SpanWindow<'a> {
         &self.page_at(abs).bytes()[off..off + take]
     }
 
+    /// The bytes from window position `pos` to the end of the page
+    /// holding it — *past the window's end* when the window ends inside
+    /// that page. For a reader that loads a few bytes beyond the ones
+    /// it uses (the group-varint decoder's masked loads) and checks
+    /// what it consumes against [`SpanWindow::len`] itself. Empty
+    /// exactly when `pos == len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos > len()`.
+    #[inline]
+    pub fn page_tail_at(&self, pos: usize) -> &'a [u8] {
+        if pos >= self.len {
+            assert!(
+                pos == self.len,
+                "span index {pos} out of {} bytes",
+                self.len
+            );
+            return &[];
+        }
+        let abs = self.head + pos;
+        &self.page_at(abs).bytes()[abs & self.page_mask..]
+    }
+
     /// Copies `out.len()` bytes starting at window position `at`.
     ///
     /// # Panics

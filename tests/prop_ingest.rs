@@ -744,8 +744,10 @@ proptest! {
     }
 }
 
-/// A block whose payload is all continuation bytes cannot decode, and
-/// a header that ends the image early cannot hold its lists: both
+/// A block whose first group holds four 4-byte values, the first an id
+/// of `u32::MAX`, cannot decode (the next gap overflows, or the group
+/// runs past the block), and a header that ends the image early cannot
+/// hold its lists: both
 /// must come back as `CorruptImage` through a `Safs` source exactly
 /// as they do off the raw array.
 #[test]
@@ -754,8 +756,9 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
     let opts = WriteOptions::compressed();
     let mut victim = None;
     let (safs, meta, index) = mounted(&g, &opts, 4, |array, _, index| {
-        // The first varint-encoded out-list: overwrite the head of its
-        // payload, behind the skip table.
+        // The first compressed out-list: overwrite the head of its
+        // payload, behind the skip table, with a control byte of four
+        // 4-byte values and the first five of their bytes.
         let (v, slice, table) = g
             .vertices()
             .find_map(|v| {
@@ -766,7 +769,7 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
                 }
             })
             .expect("an R-MAT image has compressed blocks");
-        array.write(slice.loc.offset + table, &[0x80; 6]).unwrap();
+        array.write(slice.loc.offset + table, &[0xFF; 6]).unwrap();
         victim = Some(v);
     });
     let victim = victim.unwrap();
