@@ -1351,19 +1351,19 @@ mod tests {
         let overflow: &[u8] = &[0x03, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0];
         let want: Vec<VertexId> = good.iter().map(|&d| VertexId(d)).collect();
         let n = good.len();
+        let caught = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("corrupt block must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(msg.contains("corrupt varint edge block"), "{msg}");
+        };
         for fault in [truncated, past_block, overflow] {
             let bytes = [&prefix[..], fault].concat();
             for head in 0..32 {
-                let caught = |f: &dyn Fn()| {
-                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                        .expect_err("corrupt block must panic");
-                    let msg = err
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_default();
-                    assert!(msg.contains("corrupt varint edge block"), "{msg}");
-                };
                 let pv = packed_bytes_pv(&bytes, head, n + 4);
                 assert_eq!(pv.edges().take(n).collect::<Vec<_>>(), want, "head {head}");
                 caught(&|| {
