@@ -11,24 +11,27 @@
 //! inside it), so an error — or a panic, which the background thread
 //! catches — leaves log and generation as they were, is counted
 //! ([`Compactor::failures`]) and retried at the next poll. The rewrite
-//! writes the next image through the next generation's own mount
-//! (`Safs::write`) before anything can read it, so the generation a
-//! cutover publishes starts with its image resident: the pages the
-//! compactor just wrote are not read back from the device by the
-//! index load, which reads them through the new mount's streaming
-//! view, nor by the queries and ingest batches that follow. (The old
-//! image is read back through the old mount's streaming view.) The
-//! ledger counts the flips as `delta.compactions` /
-//! `delta.generation`, what queued up between them as
-//! `delta.pending_ops_peak`, times one rewrite as `compact_s`; what a
-//! new mount still has to read shows in `ingest_live`'s
-//! `device_bytes`.
+//! writes the next image in one pass (`fg_format::write_image_to`,
+//! each list encoded once) and hands it, in layout order, to the next
+//! generation's own mount (`Safs::write`) before anything can read
+//! it, so the generation a cutover publishes starts with its image
+//! resident: the pages the compactor just wrote are not read back from
+//! the device by the index load, which reads them through the new
+//! mount's streaming view, nor by the queries and ingest batches that
+//! follow. (The old image is read back through the old mount's
+//! streaming view.) The ledger counts the flips as
+//! `delta.compactions` / `delta.generation`, what queued up between
+//! them as `delta.pending_ops_peak`, times one rewrite as
+//! `compact_s`; what a new mount still has to read shows in
+//! `ingest_live`'s `device_bytes`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use fg_format::{load_index, read_graph, ImagePlan, ShardedIndex, WriteOptions};
+use fg_format::{
+    load_index, read_graph, required_capacity_with, write_image_to, ShardedIndex, WriteOptions,
+};
 use fg_graph::DeltaLog;
 use fg_safs::Safs;
 use fg_ssdsim::SsdArray;
@@ -43,10 +46,12 @@ impl GraphService {
     /// Folds every pending delta into a fresh on-SSD image and
     /// atomically flips serving to it, returning the new generation.
     /// `provision` supplies a device of at least the requested
-    /// capacity for the rewrite; the image is written through the new
-    /// generation's mount, and its index loaded back through it, so
-    /// neither the load nor that generation's first reads go to the
-    /// device as far as the cache holds the image. The
+    /// capacity for the rewrite — the merged graph's image with every
+    /// block raw ([`fg_format::required_capacity_with`]), so a
+    /// compressed image leaves some of it unused; the image is written
+    /// through the new generation's mount, and its index loaded back
+    /// through it, so neither the load nor that generation's first
+    /// reads go to the device as far as the cache holds the image. The
     /// fold of the log and the swap of the image happen in one
     /// critical section, so concurrent admissions pin either (old
     /// image, its deltas) or (new image, what was ingested since) —
@@ -90,14 +95,28 @@ impl GraphService {
         if meta.skip_interval != 0 {
             opts.skip_interval = meta.skip_interval;
         }
-        // One plan sizes the device and writes to it (planning a
-        // compressed image encodes every list) — through the new mount,
-        // which nothing reads yet (see the module docs).
-        let plan = ImagePlan::new(&merged, &opts);
-        let array = provision(plan.required_capacity())?;
+        // The device is sized from the merged graph's offsets (every
+        // block raw, enough for any image of it), and one pass writes
+        // the image, each list encoded once. Its pieces go through the
+        // new mount, which nothing reads yet (see the module docs), in
+        // layout order rather than the writer's (edges first, header
+        // last): where the image overfills a cache set, the pages
+        // written last stay, and those should be the edge pages every
+        // query after the flip reads, not the degree and length pages
+        // the index load below reads once.
+        let array = provision(required_capacity_with(&merged, &opts))?;
         let capacity = array.capacity();
+        let mut pieces = Vec::new();
+        let mut collect = |offset, data: &[u8]| {
+            pieces.push((offset, data.to_vec()));
+            Ok(())
+        };
+        write_image_to(&merged, &opts, &mut collect, capacity)?;
+        pieces.sort_unstable_by_key(|&(offset, _)| offset);
         let mut new_safs = Safs::new(*safs.config(), array)?;
-        plan.write_to(&mut |offset, data| new_safs.write(offset, data), capacity)?;
+        for (offset, data) in pieces {
+            new_safs.write(offset, &data)?;
+        }
         // The index loads from the pages just written, under the same
         // streaming policy: a resident page is used, a cold one read
         // without being inserted.
@@ -176,8 +195,8 @@ impl Compactor {
                 }
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
-                    // A rewrite that panics (in `provision`, the plan, the
-                    // union) is a failed rewrite like any other: nothing
+                    // A rewrite that panics (in `provision`, the union, the
+                    // write) is a failed rewrite like any other: nothing
                     // before the cutover has changed and `compacting`
                     // does not poison, so the next poll can retry.
                     let outcome = catch_unwind(AssertUnwindSafe(|| svc.compact_with(&provision)))

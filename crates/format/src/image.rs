@@ -35,12 +35,25 @@
 //! index at load time ("init time" in the paper's Table 2); edge
 //! traversal never touches them.
 //!
+//! One pass writes an image ([`write_image_to`]), in the order its
+//! bytes become known rather than layout order: the edge sections
+//! first, each list encoded once straight into the write buffer while
+//! its degree and flagged block length are recorded; then the
+//! attribute, length and degree sections; the header page last. The
+//! header is the commit record — until it lands, a fresh device holds
+//! nothing [`read_meta`] accepts. Every write is whole
+//! [`SECTION_ALIGN`] pages, each byte of `[0, total_bytes)` once.
+//! [`required_capacity_with`] sizes a device from CSR offsets without
+//! encoding: the image with every block raw, exact for raw and
+//! weighted images, an upper bound for compressed ones.
+//!
 //! Every reader here — [`read_meta`], [`load_index`], [`read_list`],
 //! [`read_graph`] — takes its bytes from one [`ByteSource`]: the
 //! [`SsdArray`] itself, or a SAFS mount over it (`fg_safs::Safs`, or
 //! its streaming view), whose reads meet the page cache first.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fg_graph::Graph;
 use fg_ssdsim::{ByteSource, SsdArray};
@@ -174,417 +187,99 @@ fn align_up(x: u64) -> u64 {
     x.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
-/// One image write, fully planned: the header fields plus, for v2,
-/// the per-direction flagged block lengths the encode pass produced.
-/// Planning a compressed image encodes every list once to size its
-/// block, so a caller that must size a device *and* write to it — the
-/// compactor — builds one plan and asks it for both:
-/// [`ImagePlan::required_capacity`], then [`ImagePlan::write_to`].
-pub struct ImagePlan<'g> {
-    g: &'g Graph,
-    /// The image holds vertices `[lo, hi)` of `g`.
-    lo: usize,
-    hi: usize,
-    meta: ImageMeta,
-    out_blocks: Option<Vec<u32>>,
-    in_blocks: Option<Vec<u32>>,
-    /// Unpadded byte size of the out-edge section (sum of masked
-    /// block lengths for v2, `edges * 4` for v1) — computed once here
-    /// so the writer streams exactly what the layout promised.
-    out_bytes: u64,
-    /// Likewise for the in-edge section (0 when undirected).
-    in_bytes: u64,
-}
-
-/// Computes the flagged block lengths of one direction's lists.
-///
-/// Weighted graphs force raw blocks (attribute runs must stay
-/// positionally aligned); otherwise each list ≥ [`TINY_RAW_DEGREE`]
-/// edges is group-varint encoded unless that would not shrink it.
-///
-/// # Panics
-///
-/// Panics with a clear message when a list's raw encoding reaches
-/// [`RAW_LIST_FLAG`] bytes (degree ≥ 2²⁹): v2 block lengths
-/// are `u31` + flag bit, so such a vertex cannot be represented —
-/// write a raw (v1) image instead. Without this guard the degree
-/// would silently collide with the flag bit and corrupt the length
-/// table.
-fn plan_blocks(g: &Graph, dir: EdgeDir, k: u32, force_raw: bool, lo: usize, hi: usize) -> Vec<u32> {
-    let csr = g.csr(dir);
-    let mut blocks = Vec::with_capacity(hi - lo);
-    let mut ids = Vec::new();
-    let mut scratch = Vec::new();
-    for i in lo..hi {
-        let list = csr.neighbors(VertexId::from_index(i));
-        assert!(
-            (list.len() as u64 * 4) < u64::from(RAW_LIST_FLAG),
-            "vertex {i}: degree {} exceeds the v2 per-block length limit \
-             ({} bytes raw ≥ 2^31); use ImageFormat::Raw for this graph",
-            list.len(),
-            list.len() as u64 * 4,
-        );
-        let raw_bytes = list.len() as u32 * 4;
-        if force_raw {
-            blocks.push(raw_bytes | RAW_LIST_FLAG);
-            continue;
-        }
-        ids.clear();
-        ids.extend(list.iter().map(|v| v.0));
-        scratch.clear();
-        if codec::encode_list(&ids, k, &mut scratch) {
-            debug_assert!((scratch.len() as u64) < u64::from(RAW_LIST_FLAG));
-            blocks.push(scratch.len() as u32);
-        } else {
-            blocks.push(raw_bytes | RAW_LIST_FLAG);
-        }
-    }
-    blocks
-}
-
-/// Computes the section layout (and, for v2, block lengths) for `g`
-/// without writing anything.
-fn plan<'g>(g: &'g Graph, opts: &WriteOptions) -> ImagePlan<'g> {
-    plan_window(g, opts, 0, g.num_vertices())
-}
-
-/// Windowed [`plan`]: the layout of an image holding only vertices
-/// `[lo, hi)` of `g` — the per-shard building block of
-/// [`write_sharded_image`]. Vertex `lo + i` becomes local id `i` in
-/// the shard image (section positions are local); edge *values* stay
-/// global vertex ids, so shard lists splice back losslessly.
-fn plan_window<'g>(g: &'g Graph, opts: &WriteOptions, lo: usize, hi: usize) -> ImagePlan<'g> {
-    assert!(opts.skip_interval > 0, "skip interval must be positive");
-    assert!(
-        lo <= hi && hi <= g.num_vertices(),
-        "window [{lo}, {hi}) outside graph of {} vertices",
-        g.num_vertices()
-    );
-    let whole = lo == 0 && hi == g.num_vertices();
-    let n = (hi - lo) as u64;
-    let directed = g.is_directed();
-    let weighted = g.has_weights();
-    let compressed = opts.format == ImageFormat::Compressed;
-    if compressed {
-        assert!(
-            g.csr(EdgeDir::Out).lists_sorted()
-                && (!g.is_directed() || g.csr(EdgeDir::In).lists_sorted()),
-            "delta encoding requires sorted adjacency lists"
-        );
-    }
-
-    let (out_blocks, in_blocks) = if compressed {
-        let k = opts.skip_interval;
-        (
-            Some(plan_blocks(g, EdgeDir::Out, k, weighted, lo, hi)),
-            directed.then(|| plan_blocks(g, EdgeDir::In, k, weighted, lo, hi)),
-        )
-    } else {
-        (None, None)
-    };
-    // Edge-list entries the window covers in one direction (a byte
-    // extent of the CSR, like `GraphIndex::locate_extent` over the
-    // on-SSD image).
-    let entries = |dir: EdgeDir| -> u64 {
-        let off = g.csr(dir).offsets();
-        off[hi] - off[lo]
-    };
-    let section_bytes = |blocks: &Option<Vec<u32>>, dir: EdgeDir| -> u64 {
-        match blocks {
-            Some(b) => b.iter().map(|&l| (l & !RAW_LIST_FLAG) as u64).sum(),
-            None => entries(dir) * 4,
-        }
-    };
-    let out_bytes = section_bytes(&out_blocks, EdgeDir::Out);
-    let in_bytes = if directed {
-        section_bytes(&in_blocks, EdgeDir::In)
-    } else {
-        0
-    };
-    let out_attr_bytes = entries(EdgeDir::Out) * 4;
-    let in_attr_bytes = if directed {
-        entries(EdgeDir::In) * 4
-    } else {
-        0
-    };
-
-    let dirs: u64 = if directed { 2 } else { 1 };
-    let deg_offset = SECTION_ALIGN; // header occupies page 0
-    let deg_bytes = n * 4 * dirs;
-    let (len_offset, after_fixed) = if compressed {
-        let len_offset = align_up(deg_offset + deg_bytes);
-        (len_offset, len_offset + n * 4 * dirs)
-    } else {
-        (0, deg_offset + deg_bytes)
-    };
-    let out_edges_offset = align_up(after_fixed);
-    let in_edges_offset = if directed {
-        align_up(out_edges_offset + out_bytes)
-    } else {
-        0
-    };
-    let after_edges = if directed {
-        in_edges_offset + in_bytes
-    } else {
-        out_edges_offset + out_bytes
-    };
-    let out_attrs_offset = if weighted { align_up(after_edges) } else { 0 };
-    let in_attrs_offset = if weighted && directed {
-        align_up(out_attrs_offset + out_attr_bytes)
-    } else {
-        0
-    };
-    let total_bytes = if weighted {
-        if directed {
-            align_up(in_attrs_offset + in_attr_bytes)
-        } else {
-            align_up(out_attrs_offset + out_attr_bytes)
-        }
-    } else {
-        align_up(after_edges)
-    };
-    ImagePlan {
-        g,
-        lo,
-        hi,
-        meta: ImageMeta {
-            num_vertices: n,
-            // Shard windows report the edge-list entries they store
-            // (out direction); only the whole image knows the graph's
-            // undirected edge count.
-            num_edges: if whole {
-                g.num_edges()
-            } else {
-                entries(EdgeDir::Out)
-            },
-            directed,
-            weighted,
-            format: opts.format,
-            deg_offset,
-            len_offset,
-            out_edges_offset,
-            in_edges_offset,
-            out_attrs_offset,
-            in_attrs_offset,
-            total_bytes,
-            skip_interval: if compressed { opts.skip_interval } else { 0 },
-            generation: opts.generation,
-        },
-        out_blocks,
-        in_blocks,
-        out_bytes,
-        in_bytes,
-    }
-}
-
 /// Bytes of array capacity needed to hold the raw (v1) image of `g`.
 pub fn required_capacity(g: &Graph) -> u64 {
     required_capacity_with(g, &WriteOptions::default())
 }
 
-/// Bytes of array capacity needed for the image of `g` under `opts`.
-/// For compressed images this runs the encode pass to size the
-/// variable-length blocks, and [`write_image_with`] plans again (the
-/// whole-graph write is a once-per-graph event — §5.4); a caller that
-/// rewrites images as a matter of course sizes and writes from one
-/// [`ImagePlan`].
+/// Bytes of array capacity that hold the image of `g` under `opts`:
+/// the size the image would have with every block raw. That is the
+/// size of a raw or weighted image, and an upper bound on a compressed
+/// one, since a list is only compressed when its block comes out
+/// smaller. It is read off the CSR offsets; nothing is encoded.
 pub fn required_capacity_with(g: &Graph, opts: &WriteOptions) -> u64 {
-    plan(g, opts).required_capacity()
+    window_capacity(g, opts, 0, g.num_vertices())
 }
 
-/// Streams one section of `total` bytes, starting at the
-/// [`SECTION_ALIGN`]-aligned `offset`, to `dst` in page-aligned writes
-/// of about [`WRITE_CHUNK`] bytes: each chunk is cut at a
-/// `SECTION_ALIGN` multiple and the bytes past the cut carry into the
-/// next one, and the last chunk is zero-padded to `align_up` of the
-/// section's end — bytes the layout reserves anyway, since the next
-/// section (or the image's end) starts there. An empty section writes
-/// nothing.
-fn write_stream<F>(dst: WriteAt<'_>, offset: u64, total: u64, mut fill: F) -> Result<()>
-where
-    F: FnMut(&mut Vec<u8>),
-{
-    if total == 0 {
-        return Ok(());
-    }
+/// [`required_capacity_with`] for the image of vertices `[lo, hi)`:
+/// each present section — degrees, block lengths (v2), out- and
+/// in-edges, out- and in-attributes — starts at the first
+/// [`SECTION_ALIGN`] boundary after the one before, the first after
+/// the header page.
+fn window_capacity(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> u64 {
+    let directed = g.is_directed();
+    let weighted = g.has_weights();
+    let fixed = (hi - lo) as u64 * 4 * if directed { 2 } else { 1 };
+    let raw = |dir: EdgeDir| {
+        let off = g.csr(dir).offsets();
+        (off[hi] - off[lo]) * 4
+    };
+    let out = raw(EdgeDir::Out);
+    let in_ = directed.then(|| raw(EdgeDir::In));
+    [
+        Some(fixed),
+        (opts.format == ImageFormat::Compressed).then_some(fixed),
+        Some(out),
+        in_,
+        weighted.then_some(out),
+        in_.filter(|_| weighted),
+    ]
+    .into_iter()
+    .flatten()
+    .fold(SECTION_ALIGN, |at, bytes| align_up(at + bytes))
+}
+
+/// Items (vertices, or values of a `u32` section) a section's producer
+/// appends per call.
+const PUT_BATCH: usize = 1024;
+
+/// Streams one section, starting at the [`SECTION_ALIGN`]-aligned
+/// `offset`, to `dst`: `put(range, buf)` appends the bytes of the
+/// items in `range`, for consecutive ranges of at most [`PUT_BATCH`]
+/// items covering `items`, and the buffer goes out in page-aligned
+/// writes of about [`WRITE_CHUNK`] bytes, each cut at a
+/// `SECTION_ALIGN` multiple with the bytes past the cut carried into
+/// the next. The last write is zero-padded to the next boundary —
+/// bytes the layout reserves anyway, since the next section (or the
+/// image's end) starts there. Returns the section's unpadded length;
+/// an empty section writes nothing.
+fn write_section(
+    dst: WriteAt<'_>,
+    offset: u64,
+    items: Range<usize>,
+    mut put: impl FnMut(Range<usize>, &mut Vec<u8>),
+) -> Result<u64> {
     let align = SECTION_ALIGN as usize;
+    let mut buf = Vec::new();
     let mut written = 0u64;
-    let mut buf = Vec::with_capacity(WRITE_CHUNK.min(align_up(total) as usize));
-    loop {
-        let before = buf.len();
-        fill(&mut buf);
-        let end = written + buf.len() as u64;
-        if end > total {
-            return Err(FgError::CorruptImage(format!(
-                "section wrote {end} bytes, expected {total}"
-            )));
-        }
-        if end == total {
-            buf.resize((align_up(total) - written) as usize, 0);
-            return dst(offset + written, &buf);
-        }
-        if buf.len() == before {
-            return Err(FgError::CorruptImage("section producer ended early".into()));
-        }
-        let whole = buf.len() / align * align;
-        if whole > 0 {
+    for lo in items.clone().step_by(PUT_BATCH) {
+        put(lo..(lo + PUT_BATCH).min(items.end), &mut buf);
+        if buf.len() >= WRITE_CHUNK {
+            let whole = buf.len() / align * align;
             dst(offset + written, &buf[..whole])?;
             buf.drain(..whole);
             written += whole as u64;
         }
     }
-}
-
-/// Chunked writer over per-vertex u32 runs.
-fn write_u32_section<'a, I>(dst: WriteAt<'_>, offset: u64, total: u64, iter: I) -> Result<()>
-where
-    I: IntoIterator<Item = u32> + 'a,
-{
-    let mut it = iter.into_iter();
-    write_stream(dst, offset, total, |buf| {
-        for v in it.by_ref() {
-            buf.extend_from_slice(&v.to_le_bytes());
-            if buf.len() >= WRITE_CHUNK {
-                break;
-            }
-        }
-    })
-}
-
-/// Streams one direction's v2 blocks: per vertex of the window
-/// starting at `lo`, either the raw `u32` run or the compressed
-/// block, exactly as sized by `blocks`.
-#[allow(clippy::too_many_arguments)] // internal writer plumbing, all call sites in this file
-fn write_block_section(
-    dst: WriteAt<'_>,
-    offset: u64,
-    total: u64,
-    g: &Graph,
-    dir: EdgeDir,
-    blocks: &[u32],
-    k: u32,
-    lo: usize,
-) -> Result<()> {
-    let csr = g.csr(dir);
-    let mut lists = (0..blocks.len()).map(|i| (i, csr.neighbors(VertexId::from_index(lo + i))));
-    let mut ids = Vec::new();
-    write_stream(dst, offset, total, |buf| {
-        for (i, list) in lists.by_ref() {
-            let before = buf.len();
-            if blocks[i] & RAW_LIST_FLAG != 0 {
-                for v in list {
-                    buf.extend_from_slice(&v.0.to_le_bytes());
-                }
-            } else {
-                ids.clear();
-                ids.extend(list.iter().map(|v| v.0));
-                let compressed = codec::encode_list(&ids, k, buf);
-                debug_assert!(compressed, "encode decision is deterministic");
-            }
-            debug_assert_eq!(
-                (buf.len() - before) as u32,
-                blocks[i] & !RAW_LIST_FLAG,
-                "block {i} sized differently than planned"
-            );
-            if buf.len() >= WRITE_CHUNK {
-                break;
-            }
-        }
-    })
-}
-
-/// Writes the raw (v1) image of `g` at logical offset 0 of `array` —
-/// shorthand for [`write_image_with`] and the default options.
-///
-/// # Errors
-///
-/// See [`write_image_with`].
-pub fn write_image(g: &Graph, array: &SsdArray) -> Result<ImageMeta> {
-    write_image_with(g, array, &WriteOptions::default())
-}
-
-/// Writes the image of `g` at logical offset 0 of `array` in the
-/// format `opts` selects.
-///
-/// This is the single write pass of a graph's life ("the only write
-/// required by FlashGraph is to load a new graph to SSDs", §5.4); all
-/// analysis afterwards is read-only.
-///
-/// # Errors
-///
-/// Returns [`FgError::InvalidRequest`] when the array is too small
-/// (check [`required_capacity_with`]) and propagates store errors.
-///
-/// # Panics
-///
-/// Panics if a compressed write is asked for a graph whose adjacency
-/// lists are not sorted (the [`fg_graph::GraphBuilder`] invariant;
-/// see [`fg_graph::Csr::lists_sorted`]).
-pub fn write_image_with(g: &Graph, array: &SsdArray, opts: &WriteOptions) -> Result<ImageMeta> {
-    plan(g, opts).write_to(
-        &mut |offset, data| array.write(offset, data),
-        array.capacity(),
-    )
-}
-
-impl<'g> ImagePlan<'g> {
-    /// Plans the image of the whole of `g` under `opts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `opts.skip_interval` is zero, and for a compressed
-    /// plan when the adjacency lists of `g` are not sorted or one is
-    /// too long for a v2 block (degree ≥ 2²⁹).
-    pub fn new(g: &'g Graph, opts: &WriteOptions) -> Self {
-        plan(g, opts)
+    let len = written + buf.len() as u64;
+    if !buf.is_empty() {
+        buf.resize(buf.len().next_multiple_of(align), 0);
+        dst(offset + written, &buf)?;
     }
+    Ok(len)
+}
 
-    /// Bytes of array capacity the planned image needs.
-    pub fn required_capacity(&self) -> u64 {
-        self.meta.total_bytes
-    }
-
-    /// Writes the planned image at offset 0 of `dst`, a sink holding
-    /// `capacity` bytes. Every write starts and ends on a
-    /// [`SECTION_ALIGN`] boundary — the header page, then each section
-    /// in aligned chunks with its last one zero-padded to where the
-    /// next section starts — so the sink is handed the whole image
-    /// `[0, total_bytes)` in whole 4 KiB pages, each byte once. Writing
-    /// through a mount (`fg_safs::Safs::write`) therefore leaves every
-    /// page of the image resident when the mount's pages are 4 KiB.
-    ///
-    /// # Errors
-    ///
-    /// [`FgError::InvalidRequest`] when `capacity` is below the image
-    /// size; the sink's errors are returned as they are.
-    ///
-    /// # Panics
-    ///
-    /// See [`write_image_with`].
-    pub fn write_to(&self, dst: WriteAt<'_>, capacity: u64) -> Result<ImageMeta> {
-        write_planned(self, dst, capacity)
+/// Appends `vals` to `buf` as little-endian `u32`s.
+fn put_u32s(buf: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u32>) {
+    let start = buf.len();
+    buf.resize(start + vals.len() * 4, 0);
+    for (at, v) in buf[start..].chunks_exact_mut(4).zip(vals) {
+        at.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-fn write_planned(plan: &ImagePlan<'_>, dst: WriteAt<'_>, capacity: u64) -> Result<ImageMeta> {
-    let &ImagePlan {
-        g,
-        lo,
-        hi,
-        ref meta,
-        ref out_blocks,
-        ref in_blocks,
-        out_bytes,
-        in_bytes,
-    } = plan;
-    if capacity < meta.total_bytes {
-        return Err(FgError::InvalidRequest(format!(
-            "array capacity {capacity} below image size {}",
-            meta.total_bytes
-        )));
-    }
-
-    // Header page.
+/// The header page of the image `meta` describes.
+fn header_page(meta: &ImageMeta) -> Vec<u8> {
     let mut header = vec![0u8; SECTION_ALIGN as usize];
     let v2 = meta.format == ImageFormat::Compressed;
     header[..8].copy_from_slice(if v2 { MAGIC_V2 } else { MAGIC_V1 });
@@ -615,74 +310,243 @@ fn write_planned(plan: &ImagePlan<'_>, dst: WriteAt<'_>, capacity: u64) -> Resul
         let at = 16 + i * 8;
         header[at..at + 8].copy_from_slice(&f.to_le_bytes());
     }
-    dst(0, &header)?;
+    header
+}
 
-    let out_csr = g.csr(EdgeDir::Out);
-
-    // Degree section.
-    let dirs: u64 = if meta.directed { 2 } else { 1 };
-    let deg_total = meta.num_vertices * 4 * dirs;
-    let out_degs = (lo..hi).map(|i| out_csr.degree(VertexId::from_index(i)) as u32);
-    if meta.directed {
-        let in_csr = g.csr(EdgeDir::In);
-        let in_degs = (lo..hi).map(|i| in_csr.degree(VertexId::from_index(i)) as u32);
-        write_u32_section(dst, meta.deg_offset, deg_total, out_degs.chain(in_degs))?;
+/// Writes the image of vertices `[lo, hi)` of `g` at offset 0 of
+/// `sink`, which holds `capacity` bytes — the one writer behind
+/// [`write_image_to`], [`write_image_with`] and
+/// [`write_sharded_image`]. Vertex `lo + i` becomes local id `i` in the
+/// image (section positions are local); edge *values* stay global
+/// vertex ids, so shard lists splice back losslessly.
+///
+/// One pass, in the order the bytes become known: the edge sections
+/// first, each list encoded once straight into the write buffer while
+/// its degree and flagged block length are recorded; then the
+/// attribute, length and degree sections; the header page last.
+///
+/// # Panics
+///
+/// Panics when a compressed write meets a list too long for a v2
+/// block: its raw encoding would reach [`RAW_LIST_FLAG`] bytes (degree
+/// ≥ 2²⁹), and v2 block lengths are `u31` plus the flag bit, so the
+/// degree would silently collide with the flag and corrupt the length
+/// table — write a raw (v1) image instead.
+fn write_window(
+    g: &Graph,
+    opts: &WriteOptions,
+    lo: usize,
+    hi: usize,
+    sink: WriteAt<'_>,
+    capacity: u64,
+) -> Result<ImageMeta> {
+    assert!(opts.skip_interval > 0, "skip interval must be positive");
+    assert!(
+        lo <= hi && hi <= g.num_vertices(),
+        "window [{lo}, {hi}) outside graph of {} vertices",
+        g.num_vertices()
+    );
+    let directed = g.is_directed();
+    let weighted = g.has_weights();
+    let compressed = opts.format == ImageFormat::Compressed;
+    let dirs: &[EdgeDir] = if directed {
+        &[EdgeDir::Out, EdgeDir::In]
     } else {
-        write_u32_section(dst, meta.deg_offset, deg_total, out_degs)?;
+        &[EdgeDir::Out]
+    };
+    if compressed {
+        assert!(
+            dirs.iter().all(|&d| g.csr(d).lists_sorted()),
+            "delta encoding requires sorted adjacency lists"
+        );
     }
-
-    // Length section (v2): flagged block lengths, out then in.
-    if v2 {
-        let out_it = out_blocks.as_deref().unwrap().iter().copied();
-        match in_blocks.as_deref() {
-            Some(in_b) => write_u32_section(
-                dst,
-                meta.len_offset,
-                deg_total,
-                out_it.chain(in_b.iter().copied()),
-            )?,
-            None => write_u32_section(dst, meta.len_offset, deg_total, out_it)?,
+    let mut dst = |offset: u64, data: &[u8]| -> Result<()> {
+        let end = offset + data.len() as u64;
+        if end > capacity {
+            return Err(FgError::InvalidRequest(format!(
+                "array capacity {capacity} below image size: a write ends at {end}"
+            )));
         }
-    }
+        sink(offset, data)
+    };
 
-    // Edge sections — sized by the plan, so the writer streams
-    // exactly the bytes the header's section table promised.
-    let window_entries = |dir: EdgeDir| {
+    // The fixed-size sections lead the layout, so the edge sections
+    // know where to start before anything is written.
+    let n = (hi - lo) as u64;
+    let fixed = n * 4 * dirs.len() as u64;
+    let deg_offset = SECTION_ALIGN;
+    let len_offset = if compressed {
+        align_up(deg_offset + fixed)
+    } else {
+        0
+    };
+    let mut at = align_up(deg_offset.max(len_offset) + fixed);
+
+    // Edge sections; degrees and (v2) flagged block lengths, out then
+    // in, as the lists go by.
+    let mut degrees = Vec::with_capacity(fixed as usize / 4);
+    let mut lens = Vec::with_capacity(if compressed { degrees.capacity() } else { 0 });
+    let mut ids = Vec::new();
+    let mut edges_offset = [0u64; 2];
+    for (slot, &dir) in dirs.iter().enumerate() {
         let csr = g.csr(dir);
-        let off = csr.offsets();
-        &csr.neighbor_array()[off[lo] as usize..off[hi] as usize]
-    };
-    let mut edges = |dir, offset, total, blocks: &Option<Vec<u32>>| match blocks {
-        Some(b) => write_block_section(dst, offset, total, g, dir, b, meta.skip_interval, lo),
-        None => write_u32_section(dst, offset, total, window_entries(dir).iter().map(|v| v.0)),
-    };
-    edges(EdgeDir::Out, meta.out_edges_offset, out_bytes, out_blocks)?;
-    if meta.directed {
-        edges(EdgeDir::In, meta.in_edges_offset, in_bytes, in_blocks)?;
+        edges_offset[slot] = at;
+        let bytes = write_section(&mut dst, at, lo..hi, |vs, buf| {
+            let off = &csr.offsets()[vs.start..=vs.end];
+            degrees.extend(off.windows(2).map(|w| (w[1] - w[0]) as u32));
+            if !compressed {
+                // A raw section is the window's CSR entries as they are.
+                let entries = &csr.neighbor_array()[off[0] as usize..off[vs.len()] as usize];
+                return put_u32s(buf, entries.iter().map(|u| u.0));
+            }
+            for v in vs {
+                let list = csr.neighbors(VertexId::from_index(v));
+                assert!(
+                    (list.len() as u64 * 4) < u64::from(RAW_LIST_FLAG),
+                    "vertex {v}: degree {} exceeds the v2 per-block length limit \
+                     ({} bytes raw ≥ 2^31); use ImageFormat::Raw for this graph",
+                    list.len(),
+                    list.len() as u64 * 4,
+                );
+                let before = buf.len();
+                let packed = !weighted && {
+                    ids.clear();
+                    ids.extend(list.iter().map(|u| u.0));
+                    codec::encode_list(&ids, opts.skip_interval, buf)
+                };
+                if !packed {
+                    put_u32s(buf, list.iter().map(|u| u.0));
+                }
+                let len = (buf.len() - before) as u32;
+                lens.push(if packed { len } else { len | RAW_LIST_FLAG });
+            }
+        })?;
+        at = align_up(at + bytes);
     }
 
-    // Attribute sections (f32 bit patterns as u32). Weighted images
-    // keep every edge block raw, so the runs stay positionally
-    // aligned in both formats.
-    if meta.weighted {
-        let mut attrs = |dir: EdgeDir, offset: u64| {
+    // Attribute sections (f32 bit patterns). Weighted images keep every
+    // block raw, so the runs stay positionally aligned with the edges.
+    let mut attrs_offset = [0u64; 2];
+    if weighted {
+        for (slot, &dir) in dirs.iter().enumerate() {
             let csr = g.csr(dir);
-            let off = csr.offsets();
-            let weights = (lo..hi).flat_map(move |i| {
-                csr.weights_of(VertexId::from_index(i))
-                    .expect("weighted graph has weights")
-                    .iter()
-                    .map(|w| w.to_bits())
-            });
-            write_u32_section(dst, offset, (off[hi] - off[lo]) * 4, weights)
-        };
-        attrs(EdgeDir::Out, meta.out_attrs_offset)?;
-        if meta.directed {
-            attrs(EdgeDir::In, meta.in_attrs_offset)?;
+            attrs_offset[slot] = at;
+            let bytes = write_section(&mut dst, at, lo..hi, |vs, buf| {
+                for v in vs {
+                    let weights = csr
+                        .weights_of(VertexId::from_index(v))
+                        .expect("weighted graph has weights");
+                    put_u32s(buf, weights.iter().map(|w| w.to_bits()));
+                }
+            })?;
+            at = align_up(at + bytes);
         }
     }
 
-    Ok(meta.clone())
+    let mut u32s = |offset: u64, vals: &[u32]| {
+        write_section(&mut dst, offset, 0..vals.len(), |is, buf| {
+            put_u32s(buf, vals[is].iter().copied())
+        })
+    };
+    if compressed {
+        u32s(len_offset, &lens)?;
+    }
+    u32s(deg_offset, &degrees)?;
+
+    let off = g.csr(EdgeDir::Out).offsets();
+    let meta = ImageMeta {
+        num_vertices: n,
+        // Shard windows report the edge-list entries they store (out
+        // direction); only the whole image knows the graph's
+        // undirected edge count.
+        num_edges: if lo == 0 && hi == g.num_vertices() {
+            g.num_edges()
+        } else {
+            off[hi] - off[lo]
+        },
+        directed,
+        weighted,
+        format: opts.format,
+        deg_offset,
+        len_offset,
+        out_edges_offset: edges_offset[0],
+        in_edges_offset: edges_offset[1],
+        out_attrs_offset: attrs_offset[0],
+        in_attrs_offset: attrs_offset[1],
+        total_bytes: at,
+        skip_interval: if compressed { opts.skip_interval } else { 0 },
+        generation: opts.generation,
+    };
+    // The header is the commit record: until it is written, a fresh
+    // array holds no image `read_meta` accepts.
+    dst(0, &header_page(&meta))?;
+    Ok(meta)
+}
+
+/// Writes the raw (v1) image of `g` at logical offset 0 of `array` —
+/// shorthand for [`write_image_with`] and the default options.
+///
+/// # Errors
+///
+/// See [`write_image_with`].
+pub fn write_image(g: &Graph, array: &SsdArray) -> Result<ImageMeta> {
+    write_image_with(g, array, &WriteOptions::default())
+}
+
+/// Writes the image of `g` at logical offset 0 of `array` in the
+/// format `opts` selects.
+///
+/// This is the single write pass of a graph's life ("the only write
+/// required by FlashGraph is to load a new graph to SSDs", §5.4); all
+/// analysis afterwards is read-only.
+///
+/// # Errors
+///
+/// See [`write_image_to`].
+///
+/// # Panics
+///
+/// See [`write_image_to`].
+pub fn write_image_with(g: &Graph, array: &SsdArray, opts: &WriteOptions) -> Result<ImageMeta> {
+    write_image_to(
+        g,
+        opts,
+        &mut |offset, data| array.write(offset, data),
+        array.capacity(),
+    )
+}
+
+/// Writes the image of `g` under `opts` at offset 0 of `dst`, a sink
+/// holding `capacity` bytes ([`required_capacity_with`] is enough).
+/// Every write starts and ends on a [`SECTION_ALIGN`] boundary — each
+/// section in aligned chunks, its last one zero-padded to where the
+/// next section starts — so the sink is handed the whole image
+/// `[0, total_bytes)` in whole 4 KiB pages, each byte once: the edge
+/// sections first, then the attribute, length and degree sections, the
+/// header page last. Writing through a mount (`fg_safs::Safs::write`)
+/// therefore leaves every page of the image resident when the mount's
+/// pages are 4 KiB, and a write that fails part-way leaves a fresh
+/// device with no header [`read_meta`] accepts.
+///
+/// # Errors
+///
+/// [`FgError::InvalidRequest`] when the image does not fit in
+/// `capacity` bytes; the sink's errors are returned as they are.
+///
+/// # Panics
+///
+/// Panics if `opts.skip_interval` is zero, and for a compressed image
+/// when the adjacency lists of `g` are not sorted (the
+/// [`fg_graph::GraphBuilder`] invariant; see
+/// [`fg_graph::Csr::lists_sorted`]) or one is too long for a v2 block
+/// (degree ≥ 2²⁹).
+pub fn write_image_to(
+    g: &Graph,
+    opts: &WriteOptions,
+    dst: WriteAt<'_>,
+    capacity: u64,
+) -> Result<ImageMeta> {
+    write_window(g, opts, 0, g.num_vertices(), dst, capacity)
 }
 
 /// Even contiguous vertex-range split of `n` vertices into `shards`
@@ -707,17 +571,14 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
     bounds
 }
 
-/// Bytes of array capacity each of `shards` arrays needs for the
-/// sharded image of `g` under `opts` (same split as
-/// [`write_sharded_image`]).
+/// Bytes of array capacity that hold each of the `shards` images of
+/// the sharded image of `g` under `opts` (same split as
+/// [`write_sharded_image`]; exact and upper bound as for
+/// [`required_capacity_with`]).
 pub fn required_shard_capacities(g: &Graph, opts: &WriteOptions, shards: usize) -> Vec<u64> {
     let bounds = shard_bounds(g.num_vertices(), shards);
     (0..shards)
-        .map(|s| {
-            plan_window(g, opts, bounds[s], bounds[s + 1])
-                .meta
-                .total_bytes
-        })
+        .map(|s| window_capacity(g, opts, bounds[s], bounds[s + 1]))
         .collect()
 }
 
@@ -732,7 +593,7 @@ pub fn required_shard_capacities(g: &Graph, opts: &WriteOptions, shards: usize) 
 ///
 /// # Errors
 ///
-/// See [`write_image_with`] — per shard, against its own array.
+/// See [`write_image_to`] — per shard, against its own array.
 pub fn write_sharded_image(
     g: &Graph,
     arrays: &[SsdArray],
@@ -743,7 +604,11 @@ pub fn write_sharded_image(
         .iter()
         .enumerate()
         .map(|(s, array)| {
-            plan_window(g, opts, bounds[s], bounds[s + 1]).write_to(
+            write_window(
+                g,
+                opts,
+                bounds[s],
+                bounds[s + 1],
                 &mut |offset, data| array.write(offset, data),
                 array.capacity(),
             )
@@ -815,9 +680,6 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
             meta.num_vertices
         )));
     }
-    if meta.deg_offset != SECTION_ALIGN || meta.out_edges_offset < meta.deg_offset {
-        return Err(FgError::CorruptImage("section table out of order".into()));
-    }
     if meta.format == ImageFormat::Compressed {
         let k = fields[9];
         if k == 0 || k > MAX_SKIP_INTERVAL as u64 || k % codec::GROUP as u64 != 0 {
@@ -825,11 +687,77 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
                 "skip interval {k} out of range or off the group grid"
             )));
         }
-        if meta.len_offset < meta.deg_offset || meta.len_offset > meta.out_edges_offset {
-            return Err(FgError::CorruptImage("length section out of order".into()));
+    }
+    // Each present section starts on a boundary, in layout order, past
+    // the fixed-size (degree and length) sections before it and at or
+    // before the image's end. The edge and attribute sections' sizes
+    // come from the degrees, so `load_index` checks their ends.
+    if meta.deg_offset != SECTION_ALIGN {
+        return Err(FgError::CorruptImage("degree section not on page 1".into()));
+    }
+    let fixed = meta.num_vertices * 4 * if meta.directed { 2 } else { 1 };
+    let mut end = SECTION_ALIGN;
+    for (i, (name, offset, present)) in section_table(&meta).into_iter().enumerate() {
+        let in_place = if present {
+            offset % SECTION_ALIGN == 0 && offset >= end && offset <= meta.total_bytes
+        } else {
+            offset == 0
+        };
+        if !in_place {
+            return Err(FgError::CorruptImage(format!(
+                "{name} section at {offset} out of place (after {end}, up to {})",
+                meta.total_bytes
+            )));
+        }
+        if present {
+            end = offset.saturating_add(if i < 2 { fixed } else { 0 });
         }
     }
     Ok(meta)
+}
+
+/// The sections of the image `meta` describes, in layout order: name,
+/// offset, and whether the image has it.
+fn section_table(meta: &ImageMeta) -> [(&'static str, u64, bool); 6] {
+    let v2 = meta.format == ImageFormat::Compressed;
+    [
+        ("degree", meta.deg_offset, true),
+        ("length", meta.len_offset, v2),
+        ("out-edge", meta.out_edges_offset, true),
+        ("in-edge", meta.in_edges_offset, meta.directed),
+        ("out-attribute", meta.out_attrs_offset, meta.weighted),
+        (
+            "in-attribute",
+            meta.in_attrs_offset,
+            meta.weighted && meta.directed,
+        ),
+    ]
+}
+
+/// Where section `i` of [`section_table`] ends at the latest: at the
+/// next present section, or the image's end.
+fn section_end(meta: &ImageMeta, i: usize) -> u64 {
+    section_table(meta)[i + 1..]
+        .iter()
+        .find(|s| s.2)
+        .map_or(meta.total_bytes, |s| s.1)
+}
+
+/// Checks that section `i` of [`section_table`], holding the raw
+/// 4-byte entries of lists of `degrees`, ends by [`section_end`].
+fn check_raw_section(meta: &ImageMeta, i: usize, degrees: &[u64]) -> Result<()> {
+    let (name, offset, _) = section_table(meta)[i];
+    let bytes = degrees
+        .iter()
+        .fold(0u64, |s, &d| s.saturating_add(d))
+        .saturating_mul(4);
+    let limit = section_end(meta, i);
+    if offset.saturating_add(bytes) > limit {
+        return Err(FgError::CorruptImage(format!(
+            "{name} section of {bytes} bytes at {offset} runs past {limit}"
+        )));
+    }
+    Ok(())
 }
 
 /// Reads `count` little-endian `u32`s starting at `offset`.
@@ -934,7 +862,7 @@ fn load_packed_dir<S: ByteSource + ?Sized>(
 ///
 /// Propagates [`read_meta`] failures and section reads, and returns
 /// [`FgError::CorruptImage`] when a v2 length table contradicts the
-/// degrees or overruns its section.
+/// degrees, or a section's lists overrun it.
 pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIndex)> {
     let meta = read_meta(src)?;
     let n = meta.num_vertices as usize;
@@ -956,6 +884,18 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
     } else {
         None
     };
+    // Raw runs of the degrees' lengths: the attribute sections, and
+    // the edge sections of a v1 image (v2 blocks are checked as they
+    // are loaded).
+    let dirs = std::iter::once(&out_degrees).chain(&in_degrees).enumerate();
+    for (d, degrees) in dirs {
+        if meta.format == ImageFormat::Raw {
+            check_raw_section(&meta, 2 + d, degrees)?;
+        }
+        if meta.weighted {
+            check_raw_section(&meta, 4 + d, degrees)?;
+        }
+    }
     if meta.format == ImageFormat::Raw {
         let index = GraphIndex::build(
             &out_degrees,
@@ -970,13 +910,6 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
 
     // v2: block lengths, then per-direction validation + hub tables.
     let out_blocks = read_u32s(src, meta.len_offset, n)?;
-    let out_end = if meta.directed {
-        meta.in_edges_offset
-    } else if meta.weighted {
-        meta.out_attrs_offset
-    } else {
-        meta.total_bytes
-    };
     let (out_blocks, out_skips) = load_packed_dir(
         src,
         &meta,
@@ -984,16 +917,11 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
         &out_degrees,
         out_blocks,
         meta.out_edges_offset,
-        out_end,
+        section_end(&meta, 2),
     )?;
     let in_input = match &in_degrees {
         Some(in_degrees) => {
             let in_blocks = read_u32s(src, meta.len_offset + n as u64 * 4, n)?;
-            let in_end = if meta.weighted {
-                meta.out_attrs_offset
-            } else {
-                meta.total_bytes
-            };
             Some(load_packed_dir(
                 src,
                 &meta,
@@ -1001,7 +929,7 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
                 in_degrees,
                 in_blocks,
                 meta.in_edges_offset,
-                in_end,
+                section_end(&meta, 3),
             )?)
         }
         None => None,
@@ -1026,10 +954,11 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
     Ok((meta, index))
 }
 
-/// Where [`ImagePlan::write_to`] puts image bytes: a function that
-/// stores `data` at `offset`. [`write_image_with`] passes the raw
-/// device; a compaction passes the next generation's mount, so the
-/// image it writes stays resident.
+/// Where [`write_image_to`] puts image bytes: a function that stores
+/// `data` at `offset`. [`write_image_with`] passes the raw device; a
+/// compaction collects the pieces and hands them to the next
+/// generation's mount in layout order, so the image it writes stays
+/// resident.
 pub type WriteAt<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<()>;
 
 /// Bytes one sequential read of [`read_graph`]'s section sweep asks
@@ -1290,15 +1219,6 @@ mod tests {
         [WriteOptions::default(), WriteOptions::compressed()]
     }
 
-    /// Writes `plan` at offset 0 of `array`.
-    fn write_on(plan: &ImagePlan<'_>, array: &SsdArray) -> ImageMeta {
-        plan.write_to(
-            &mut |offset, data| array.write(offset, data),
-            array.capacity(),
-        )
-        .unwrap()
-    }
-
     /// `array` as a source that logs each read it is asked for.
     struct Logged<'a> {
         array: &'a SsdArray,
@@ -1496,28 +1416,67 @@ mod tests {
     }
 
     #[test]
-    fn one_plan_sizes_and_writes_like_the_two_calls() {
-        let g = gen::rmat(8, 6, gen::RmatSkew::default(), 21);
-        for opts in both_formats() {
-            let plan = ImagePlan::new(&g, &opts.with_generation(3));
+    fn required_capacity_bounds_every_image_and_is_exact_when_blocks_stay_raw() {
+        each_image(|s| {
+            let what = &s.what;
+            if s.opts.format == ImageFormat::Raw || s.g.has_weights() {
+                assert_eq!(s.cap, s.meta.total_bytes, "{what}");
+            } else {
+                assert!(s.cap >= s.meta.total_bytes, "{what}");
+            }
+            if (s.lo, s.hi) != (0, s.g.num_vertices()) {
+                return;
+            }
+            // The whole graph: `required_capacity_with` sizes it, and
+            // the sink form writes what `write_image_with` writes.
+            let opts = s.opts.with_generation(3);
+            assert_eq!(required_capacity_with(s.g, &opts), s.cap, "{what}");
+            let array = SsdArray::new_mem(ArrayConfig::small_test(), s.cap).unwrap();
+            let meta = write_image_to(
+                s.g,
+                &opts,
+                &mut |offset, data| array.write(offset, data),
+                s.cap,
+            )
+            .unwrap();
+            assert_eq!(meta.generation, 3, "{what}");
             assert_eq!(
-                plan.required_capacity(),
-                required_capacity_with(&g, &opts.with_generation(3))
+                meta,
+                write_image_with(s.g, &array, &opts).unwrap(),
+                "{what}"
             );
-            let array =
-                SsdArray::new_mem(ArrayConfig::small_test(), plan.required_capacity()).unwrap();
-            let meta = write_on(&plan, &array);
             let (loaded, index) = load_index(&array).unwrap();
-            assert_eq!(meta, loaded);
-            assert_eq!(meta.generation, 3);
-            assert_same_graph(&read_graph(&array, &meta, &index).unwrap(), &g, "planned");
+            assert_eq!(meta, loaded, "{what}");
+            assert_same_graph(&read_graph(&array, &meta, &index).unwrap(), s.g, what);
+        });
+    }
+
+    /// One image shape the writer must handle, written to an array.
+    struct Shape<'g> {
+        what: String,
+        g: &'g Graph,
+        opts: WriteOptions,
+        /// The image holds vertices `[lo, hi)` of `g`.
+        lo: usize,
+        hi: usize,
+        /// The capacity [`required_shard_capacities`] gives the window
+        /// (and [`required_capacity_with`] the whole graph).
+        cap: u64,
+        meta: ImageMeta,
+        /// `[0, total_bytes)` of the array the image went to.
+        image: Vec<u8>,
+    }
+
+    impl Shape<'_> {
+        /// Writes the image again, to `dst` holding `capacity` bytes.
+        fn write(&self, dst: WriteAt<'_>, capacity: u64) -> Result<ImageMeta> {
+            write_window(self.g, &self.opts, self.lo, self.hi, dst, capacity)
         }
     }
 
-    /// Every image shape `write_to` must handle — raw and compressed,
-    /// weighted, a hub list, the whole graph and one shard's window —
-    /// as a plan and the bytes `ImagePlan::write_to` puts on an array.
-    fn each_planned_image(mut check: impl FnMut(&str, &ImagePlan<'_>, &[u8])) {
+    /// Every image shape the writer must handle — raw and compressed,
+    /// weighted, a hub list, the whole graph and one shard's window.
+    fn each_image(mut check: impl FnMut(&Shape<'_>)) {
         for g in [
             gen::rmat(8, 6, gen::RmatSkew::default(), 21),
             fixtures::weighted_square(),
@@ -1526,54 +1485,134 @@ mod tests {
             let n = g.num_vertices();
             for opts in both_formats() {
                 for (lo, hi) in [(0, n), (n / 4, 3 * n / 4)] {
-                    let what = format!("{:?} [{lo}, {hi}) of {n}", opts.format);
-                    let plan = plan_window(&g, &opts, lo, hi);
-                    let cap = plan.required_capacity();
+                    let cap = window_capacity(&g, &opts, lo, hi);
                     let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
-                    write_on(&plan, &array);
-                    let mut image = vec![0u8; cap as usize];
+                    let sink = &mut |offset, data: &[u8]| array.write(offset, data);
+                    let meta = write_window(&g, &opts, lo, hi, sink, cap).unwrap();
+                    let mut image = vec![0u8; meta.total_bytes as usize];
                     array.read(0, &mut image).unwrap();
-                    check(&what, &plan, &image);
+                    check(&Shape {
+                        what: format!("{:?} [{lo}, {hi}) of {n}", opts.format),
+                        g: &g,
+                        opts,
+                        lo,
+                        hi,
+                        cap,
+                        meta,
+                        image,
+                    });
                 }
             }
         }
     }
 
+    /// FNV-1a, 64-bit: a hash of image bytes that no toolchain changes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
-    fn write_to_a_mount_writes_the_array_image_in_whole_pages_and_keeps_it() {
-        each_planned_image(|what, plan, image| {
-            let cap = plan.required_capacity();
-            let direct = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
-            let meta = write_on(plan, &direct);
-            let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+    fn images_keep_their_bytes() {
+        // `[0, total_bytes)` of every shape, hashed: a writer change
+        // that moves, drops or adds a byte of any section fails here.
+        let pinned = [
+            ("Raw [0, 256) of 256", 0x2b1d_d530_95ff_5ad2),
+            ("Raw [64, 192) of 256", 0x0690_ba35_9a84_12d2),
+            ("Compressed [0, 256) of 256", 0x3203_9692_88de_92b7),
+            ("Compressed [64, 192) of 256", 0xce3c_1860_c7dd_bb21),
+            ("Raw [0, 4) of 4", 0x7a7f_01b4_075f_0342),
+            ("Raw [1, 3) of 4", 0x8223_13a7_df1b_a230),
+            ("Compressed [0, 4) of 4", 0x88d2_eee2_5f3b_b10a),
+            ("Compressed [1, 3) of 4", 0x9a37_502b_2da1_5574),
+            ("Raw [0, 401) of 401", 0x2e91_a1d5_3d59_1e51),
+            ("Raw [100, 300) of 401", 0x31b3_165b_2544_c030),
+            ("Compressed [0, 401) of 401", 0x2fde_b9a2_0d2b_6d7f),
+            ("Compressed [100, 300) of 401", 0x650d_15f4_9628_2d08),
+        ];
+        let mut got = Vec::new();
+        each_image(|s| got.push((s.what.clone(), fnv1a(&s.image))));
+        assert_eq!(got.len(), pinned.len());
+        for ((what, hash), (want_what, want)) in got.iter().zip(pinned) {
+            assert_eq!(what, want_what);
+            assert_eq!(*hash, want, "{what}: {hash:#018x}");
+        }
+    }
+
+    #[test]
+    fn the_header_is_the_commit_record() {
+        // A sink that dies on its k-th write, for every k the image
+        // takes, leaves a fresh array with no image in it.
+        each_image(|s| {
+            let total = s.meta.total_bytes;
+            let mut writes = 0;
+            let mut count = |_, _: &[u8]| {
+                writes += 1;
+                Ok(())
+            };
+            s.write(&mut count, total).unwrap();
+            for k in 1..=writes {
+                let what = format!("{}: dies at write {k} of {writes}", s.what);
+                let array = SsdArray::new_mem(ArrayConfig::small_test(), total).unwrap();
+                let mut seen = 0;
+                let mut dies = |offset, data: &[u8]| {
+                    seen += 1;
+                    if seen == k {
+                        return Err(FgError::InvalidRequest("the sink died".into()));
+                    }
+                    array.write(offset, data)
+                };
+                let err = s.write(&mut dies, total).unwrap_err();
+                assert!(matches!(err, FgError::InvalidRequest(_)), "{what}");
+                assert!(
+                    matches!(read_meta(&array), Err(FgError::CorruptImage(_))),
+                    "{what}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn write_image_to_a_mount_writes_the_array_image_in_whole_pages_and_keeps_it() {
+        each_image(|s| {
+            let what = &s.what;
+            let total = s.meta.total_bytes;
+            let direct = SsdArray::new_mem(ArrayConfig::small_test(), total).unwrap();
+            s.write(&mut |offset, data| direct.write(offset, data), total)
+                .unwrap();
+            let array = SsdArray::new_mem(ArrayConfig::small_test(), total).unwrap();
             let mut safs = Safs::new(SafsConfig::default(), array).unwrap();
             let mut writes = Vec::new();
             let mut sink = |offset: u64, data: &[u8]| {
                 writes.push((offset, data.len() as u64));
                 safs.write(offset, data)
             };
-            assert_eq!(plan.write_to(&mut sink, cap).unwrap(), meta, "{what}");
-            // The sink saw the image in aligned pieces, each byte once.
+            assert_eq!(s.write(&mut sink, total).unwrap(), s.meta, "{what}");
+            // The sink saw the image in aligned pieces, each byte once,
+            // the header page last.
+            assert_eq!(writes.last(), Some(&(0, SECTION_ALIGN)), "{what}");
+            writes.sort_unstable();
             let mut at = 0;
             for &(offset, len) in &writes {
                 assert_eq!(offset, at, "{what}");
                 assert_eq!(len % SECTION_ALIGN, 0, "{what}: write at {offset}");
                 at += len;
             }
-            assert_eq!(at, cap, "{what}");
+            assert_eq!(at, total, "{what}");
             assert_eq!(
                 safs.array().stats().snapshot(),
                 direct.stats().snapshot(),
                 "{what}: the write ledger"
             );
             // With 4 KiB pages every page is resident.
-            let span = safs.read_sync(0, cap).unwrap();
+            let span = safs.read_sync(0, total).unwrap();
             assert_eq!(safs.array().stats().snapshot().read_requests, 0, "{what}");
             assert_eq!(safs.cache_stats().misses, 0, "{what}");
-            assert_eq!(span.to_vec(), image, "{what}");
-            let mut device = vec![0u8; cap as usize];
+            assert_eq!(span.to_vec(), s.image, "{what}");
+            let mut device = vec![0u8; total as usize];
             safs.array().read(0, &mut device).unwrap();
-            assert_eq!(device, image, "{what}: the device holds the array image");
+            assert_eq!(device, s.image, "{what}: the device holds the array image");
         });
     }
 
@@ -1583,13 +1622,13 @@ mod tests {
         // shares it with the section before, and neither write covers
         // it whole — so it is read, not installed half-written.
         let pb = 2 * SECTION_ALIGN;
-        each_planned_image(|what, plan, image| {
-            let meta = &plan.meta;
-            let cap = plan.required_capacity();
-            let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+        each_image(|s| {
+            let (what, meta) = (&s.what, &s.meta);
+            let total = meta.total_bytes;
+            let array = SsdArray::new_mem(ArrayConfig::small_test(), total).unwrap();
             let cfg = SafsConfig::default().with_page_bytes(pb);
             let mut safs = Safs::new(cfg, array).unwrap();
-            plan.write_to(&mut |offset, data| safs.write(offset, data), cap)
+            s.write(&mut |offset, data| safs.write(offset, data), total)
                 .unwrap();
             let seams: std::collections::BTreeSet<u64> = [
                 meta.deg_offset,
@@ -1600,16 +1639,16 @@ mod tests {
                 meta.in_attrs_offset,
             ]
             .into_iter()
-            .filter(|&start| start % pb == SECTION_ALIGN && start < cap)
+            .filter(|&start| start % pb == SECTION_ALIGN && start < total)
             .map(|start| start / pb)
             .collect();
             assert!(
                 seams.contains(&0),
                 "{what}: header and degrees share page 0"
             );
-            let span = safs.read_sync(0, cap).unwrap();
+            let span = safs.read_sync(0, total).unwrap();
             assert_eq!(safs.cache_stats().misses, seams.len() as u64, "{what}");
-            assert_eq!(span.to_vec(), image, "{what}");
+            assert_eq!(span.to_vec(), s.image, "{what}");
         });
     }
 
@@ -1707,8 +1746,8 @@ mod tests {
     #[test]
     fn compressed_image_shrinks_edge_sections() {
         let g = gen::rmat(10, 8, gen::RmatSkew::default(), 5);
-        let raw = plan(&g, &WriteOptions::default()).meta;
-        let v2 = plan(&g, &WriteOptions::compressed()).meta;
+        let raw = image_of(&g).1;
+        let v2 = image_of_with(&g, &WriteOptions::compressed()).1;
         let raw_out = raw.in_edges_offset - raw.out_edges_offset;
         let v2_out = v2.in_edges_offset - v2.out_edges_offset;
         assert!(
@@ -1761,7 +1800,7 @@ mod tests {
     fn sections_are_aligned_and_ordered() {
         for opts in both_formats() {
             let g = gen::rmat(8, 4, gen::RmatSkew::default(), 5);
-            let meta = plan(&g, &opts).meta;
+            let meta = image_of_with(&g, &opts).1;
             for off in [meta.deg_offset, meta.out_edges_offset, meta.in_edges_offset] {
                 assert_eq!(off % SECTION_ALIGN, 0);
             }
@@ -1781,6 +1820,55 @@ mod tests {
         let array = SsdArray::new_mem(ArrayConfig::small_test(), 1 << 16).unwrap();
         array.write(0, &[0xFFu8; 4096]).unwrap();
         assert!(matches!(read_meta(&array), Err(FgError::CorruptImage(_))));
+    }
+
+    #[test]
+    fn section_table_out_of_place_rejected() {
+        // Header fields 2..=6 at 16 + 8·i: degree, out-edge, in-edge,
+        // out-attribute, in-attribute offsets; field 8 (v2) the length
+        // section's.
+        let at = |field: u64| 16 + field * 8;
+        let g = gen::rmat(8, 6, gen::RmatSkew::default(), 7);
+        for opts in both_formats() {
+            let (array, meta, _) = image_of_with(&g, &opts);
+            let total = meta.total_bytes;
+            let mut cases = vec![
+                // The in-edge section laid over the out-edge section:
+                // only the degrees tell it apart, so the load does.
+                (at(4), meta.out_edges_offset, false),
+                (at(4), meta.in_edges_offset + 1, true),
+                (at(4), meta.out_edges_offset - SECTION_ALIGN, true),
+                (at(4), total + SECTION_ALIGN, true),
+                (at(4), 0, true),
+                (at(3), SECTION_ALIGN, true),
+                (at(2), 2 * SECTION_ALIGN, true),
+                // Attributes in an unweighted image.
+                (at(5), total, true),
+                (at(6), total, true),
+            ];
+            if opts.format == ImageFormat::Compressed {
+                // The length section inside the degree section.
+                cases.push((at(8), meta.deg_offset, true));
+            }
+            for (field_at, value, read_meta_sees_it) in cases {
+                let what = format!("{:?}: {value} at byte {field_at}", opts.format);
+                let mut was = [0u8; 8];
+                array.read(field_at, &mut was).unwrap();
+                array.write(field_at, &value.to_le_bytes()).unwrap();
+                if read_meta_sees_it {
+                    assert!(
+                        matches!(read_meta(&array), Err(FgError::CorruptImage(_))),
+                        "{what}"
+                    );
+                }
+                assert!(
+                    matches!(load_index(&array), Err(FgError::CorruptImage(_))),
+                    "{what}"
+                );
+                array.write(field_at, &was).unwrap();
+                assert_eq!(load_index(&array).unwrap().0, meta, "{what}: restored");
+            }
+        }
     }
 
     #[test]

@@ -46,8 +46,8 @@ mod sharded;
 
 pub use image::{
     load_index, read_graph, read_list, read_meta, required_capacity, required_capacity_with,
-    required_shard_capacities, shard_bounds, write_image, write_image_with, write_sharded_image,
-    ImageFormat, ImageMeta, ImagePlan, WriteAt, WriteOptions, SECTION_ALIGN,
+    required_shard_capacities, shard_bounds, write_image, write_image_to, write_image_with,
+    write_sharded_image, ImageFormat, ImageMeta, WriteAt, WriteOptions, SECTION_ALIGN,
 };
 pub use index::{
     EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDecode, VarintSlice,
