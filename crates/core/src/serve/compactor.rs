@@ -11,15 +11,15 @@
 //! inside it), so an error — or a panic, which the background thread
 //! catches — leaves log and generation as they were, is counted
 //! ([`Compactor::failures`]) and retried at the next poll. The rewrite
-//! writes the next image in one pass (`fg_format::write_image_to`,
-//! each list encoded once) and hands it, in layout order, to the next
-//! generation's own mount (`Safs::write`) before anything can read
-//! it, so the generation a cutover publishes starts with its image
-//! resident: the pages the compactor just wrote are not read back from
-//! the device by the index load, which reads them through the new
-//! mount's streaming view, nor by the queries and ingest batches that
-//! follow. (The old image is read back through the old mount's
-//! streaming view.) The ledger counts the flips as
+//! builds no graph: the writer (`fg_format::write_image_to`, one pass)
+//! reads the old image through the old mount's streaming view, each
+//! list merged with the pinned deltas as it goes
+//! (`fg_format::ImageLists`), and the new image goes, in layout order,
+//! to the next generation's own mount (`Safs::write`) before anything
+//! can read it. So a cutover publishes a generation with its image
+//! resident: neither the index load, which reads through the new
+//! mount's streaming view, nor the queries and ingest batches that
+//! follow read those pages from the device. The ledger counts the flips as
 //! `delta.compactions` / `delta.generation`, what queued up between
 //! them as `delta.pending_ops_peak`, times one rewrite as
 //! `compact_s`; what a new mount still has to read shows in
@@ -30,9 +30,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use fg_format::{
-    load_index, read_graph, required_capacity_with, write_image_to, ShardedIndex, WriteOptions,
+    load_index, required_capacity_with, write_image_to, ImageLists, ShardedIndex, WriteOptions,
 };
-use fg_graph::DeltaLog;
 use fg_safs::Safs;
 use fg_ssdsim::SsdArray;
 use fg_types::sync::{Condvar, Mutex};
@@ -45,14 +44,13 @@ use crate::shard::worker_panicked;
 impl GraphService {
     /// Folds every pending delta into a fresh on-SSD image and
     /// atomically flips serving to it, returning the new generation.
-    /// `provision` supplies a device of at least the requested
-    /// capacity for the rewrite — the merged graph's image with every
-    /// block raw ([`fg_format::required_capacity_with`]), so a
-    /// compressed image leaves some of it unused; the image is written
-    /// through the new generation's mount, and its index loaded back
-    /// through it, so neither the load nor that generation's first
-    /// reads go to the device as far as the cache holds the image. The
-    /// fold of the log and the swap of the image happen in one
+    /// No `Graph` is built: the old image is streamed and merged list by
+    /// list ([`fg_format::ImageLists`]). `provision` supplies a device of
+    /// at least the requested capacity — the merged image with every
+    /// block raw ([`fg_format::required_capacity_with`]); the image is
+    /// written, and its index loaded back, through the new generation's
+    /// mount, so neither goes to the device as far as the cache holds
+    /// the image. The fold of the log and the swap of the image happen in one
     /// critical section, so concurrent admissions pin either (old
     /// image, its deltas) or (new image, what was ingested since) —
     /// never a mix. In-flight queries finish on their pinned
@@ -72,46 +70,36 @@ impl GraphService {
         // snapshot stays in the log for the next compaction.
         let (gen, backend, view) = self.live.lock().pin(None);
         let [safs] = backend.mounts() else {
-            return Err(FgError::InvalidConfig(
-                "compaction rewrites a single-mount image; shard-wise compaction is not supported"
-                    .into(),
-            ));
+            let why =
+                "compaction rewrites a single-mount image; shard-wise compaction is not supported";
+            return Err(FgError::InvalidConfig(why.into()));
         };
         if view.is_empty() {
             return Ok(gen);
         }
         let meta = &backend.metas()?[0];
-        // The read-back is a sweep of the whole image: it takes the
-        // streaming policy, so it uses what the cache holds and leaves
-        // the cache alone — queries pinned to this generation keep
-        // their hot set however small the cache is next to the image.
-        let base = read_graph(&safs.streaming(), meta, backend.index.shard(0))?;
-        let merged = DeltaLog::union(&base, &view);
-        let mut opts = WriteOptions {
-            format: meta.format,
-            generation: (gen + 1) as u32,
-            ..WriteOptions::default()
-        };
+        // Each pass sweeps a section of the old image under the streaming
+        // policy: it uses what the cache holds and leaves the cache alone,
+        // so queries pinned to this generation keep their hot set.
+        let old = safs.streaming();
+        let merged = ImageLists::new(&old, meta, backend.index.shard(0), Some(&view));
+        let mut opts = WriteOptions::default().with_generation((gen + 1) as u32);
+        opts.format = meta.format;
         if meta.skip_interval != 0 {
             opts.skip_interval = meta.skip_interval;
         }
-        // The device is sized from the merged graph's offsets (every
-        // block raw, enough for any image of it), and one pass writes
-        // the image, each list encoded once. Its pieces go through the
-        // new mount, which nothing reads yet (see the module docs), in
-        // layout order rather than the writer's (edges first, header
-        // last): where the image overfills a cache set, the pages
-        // written last stay, and those should be the edge pages every
-        // query after the flip reads, not the degree and length pages
-        // the index load below reads once.
+        // The pieces go through the new mount in layout order rather than
+        // the writer's (edges first, header last): where the image
+        // overfills a cache set, the pages written last stay, and those
+        // should be the edge pages the queries after the flip read, not
+        // the index pages the load below reads once.
         let array = provision(required_capacity_with(&merged, &opts))?;
-        let capacity = array.capacity();
         let mut pieces = Vec::new();
         let mut collect = |offset, data: &[u8]| {
             pieces.push((offset, data.to_vec()));
             Ok(())
         };
-        write_image_to(&merged, &opts, &mut collect, capacity)?;
+        write_image_to(&merged, &opts, &mut collect, array.capacity())?;
         pieces.sort_unstable_by_key(|&(offset, _)| offset);
         let mut new_safs = Safs::new(*safs.config(), array)?;
         for (offset, data) in pieces {
@@ -195,7 +183,7 @@ impl Compactor {
                 }
                 if svc.pending_deltas() >= threshold.max(1) {
                     let before = svc.generation();
-                    // A rewrite that panics (in `provision`, the union, the
+                    // A rewrite that panics (in `provision`, the merge, the
                     // write) is a failed rewrite like any other: nothing
                     // before the cutover has changed and `compacting`
                     // does not poison, so the next poll can retry.

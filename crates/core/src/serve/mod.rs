@@ -689,10 +689,10 @@ mod tests {
     use crate::program::VertexProgram;
     use crate::vertex::PageVertex;
     use fg_format::{
-        load_index, required_capacity, required_capacity_with, write_image, write_image_with,
-        WriteOptions,
+        load_index, required_capacity, required_capacity_with, write_image, write_image_to,
+        write_image_with, WriteOptions,
     };
-    use fg_graph::{fixtures, DeltaBatch, DeltaLog, Graph};
+    use fg_graph::{fixtures, gen, DeltaBatch, DeltaLog, Graph, GraphBuilder};
     use fg_safs::SafsConfig;
     use fg_ssdsim::{ArrayConfig, SsdArray};
     use fg_types::sync::channel::{unbounded, Sender};
@@ -1677,6 +1677,124 @@ mod tests {
         assert_eq!(mount.array().stats().snapshot().bytes_read, io.bytes_read);
         assert_eq!(svc.safs().array().stats().snapshot().bytes_read, 0);
         assert_eq!(svc.query(bfs), 1);
+    }
+
+    /// 512 vertices: an R-MAT blob on ids 2..256, a hub (vertex 0, to
+    /// 2..302, past the skip-table threshold), a two-edge list
+    /// (vertex 1's) and empty lists from 302 on.
+    fn oracle_base(directed: bool, weighted: bool) -> Graph {
+        let mut b = if directed {
+            GraphBuilder::directed()
+        } else {
+            GraphBuilder::undirected()
+        };
+        b.reserve_vertices(512);
+        let blob = gen::rmat(8, 4, gen::RmatSkew::default(), 5);
+        b.extend_edges(blob.edges().filter(|(s, d)| s.0 > 1 && d.0 > 1));
+        for d in 2..302 {
+            b.add_edge(VertexId(0), VertexId(d));
+        }
+        b.add_edge(VertexId(1), VertexId(2))
+            .add_edge(VertexId(1), VertexId(3));
+        let g = b.build();
+        if weighted {
+            gen::with_random_weights(&g, 9.0, 7)
+        } else {
+            g
+        }
+    }
+
+    /// Two batches: the first empties vertex 1's list, fills vertex
+    /// 511's and moves hub edges; the second adds to the list the first
+    /// emptied and edits the hub again (re-adding, reweighting and
+    /// removing edges, and cancelling an add of the first).
+    fn oracle_batches() -> [DeltaBatch; 2] {
+        let v = VertexId;
+        let mut first = DeltaBatch::new();
+        first.remove_edge(v(1), v(2)).remove_edge(v(1), v(3));
+        first.add_weighted_edge(v(511), v(450), 2.5);
+        for d in 10..20 {
+            first.remove_edge(v(0), v(d));
+        }
+        for d in 400..420 {
+            first.add_weighted_edge(v(0), v(d), d as f32 / 100.0);
+        }
+        let mut second = DeltaBatch::new();
+        second.add_edge(v(1), v(500));
+        second
+            .add_weighted_edge(v(0), v(10), 0.5)
+            .add_weighted_edge(v(0), v(50), 7.5)
+            .remove_edge(v(0), v(400));
+        for d in 100..110 {
+            second.remove_edge(v(0), v(d));
+        }
+        [first, second]
+    }
+
+    #[test]
+    fn compaction_writes_the_image_of_the_union_byte_for_byte() {
+        let batches = oracle_batches();
+        for (directed, weighted) in [(true, false), (true, true), (false, false), (false, true)] {
+            let g = oracle_base(directed, weighted);
+            for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+                for applied in 1..=2 {
+                    let what = format!(
+                        "directed {directed}, weighted {weighted}, {:?}, {applied} batches",
+                        opts.format
+                    );
+                    let capacity = required_capacity_with(&g, &opts);
+                    let array = SsdArray::new_mem(ArrayConfig::small_test(), capacity).unwrap();
+                    write_image_with(&g, &array, &opts).unwrap();
+                    let (_, index) = load_index(&array).unwrap();
+                    let safs = Safs::new(SafsConfig::default(), array).unwrap();
+                    let cfg = ServiceConfig::default().with_engine(EngineConfig::small());
+                    let svc = GraphService::new(safs, index, cfg);
+                    let mirror = DeltaLog::for_graph(&g);
+                    for batch in &batches[..applied] {
+                        svc.ingest(batch).unwrap();
+                        mirror.apply(&g, batch).unwrap();
+                    }
+                    let union = DeltaLog::union(&g, &mirror.current_view());
+                    assert!(union.out_degree(VertexId(0)) >= 255, "{what}: a hub");
+                    let ones = [vec![], vec![VertexId(500)]];
+                    assert_eq!(
+                        union.out_neighbors(VertexId(1)),
+                        ones[applied - 1],
+                        "{what}"
+                    );
+                    assert_eq!(
+                        union.out_neighbors(VertexId(511)),
+                        [VertexId(450)],
+                        "{what}"
+                    );
+
+                    let mut provisioned = None;
+                    let gen = svc
+                        .compact_with(|need| {
+                            let array = SsdArray::new_mem(ArrayConfig::small_test(), need)?;
+                            provisioned = Some((need, array.clone()));
+                            Ok(array)
+                        })
+                        .unwrap();
+                    assert_eq!(gen, 1, "{what}");
+                    let (need, written) = provisioned.unwrap();
+                    let opts = opts.with_generation(1);
+                    assert_eq!(need, required_capacity_with(&union, &opts), "{what}");
+                    let mut want = vec![0u8; need as usize];
+                    let mut copy = |offset: u64, data: &[u8]| {
+                        want[offset as usize..][..data.len()].copy_from_slice(data);
+                        Ok(())
+                    };
+                    let total = write_image_to(&union, &opts, &mut copy, need)
+                        .unwrap()
+                        .total_bytes as usize;
+                    let mut got = vec![0u8; total];
+                    written.read(0, &mut got).unwrap();
+                    let differs = (got.iter().zip(&want[..total])).position(|(a, b)| a != b);
+                    assert_eq!(differs, None, "{what}: the first byte that differs");
+                }
+            }
+        }
     }
 
     #[test]

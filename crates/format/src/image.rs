@@ -35,32 +35,34 @@
 //! index at load time ("init time" in the paper's Table 2); edge
 //! traversal never touches them.
 //!
-//! One pass writes an image ([`write_image_to`]), in the order its
-//! bytes become known rather than layout order: the edge sections
-//! first, each list encoded once straight into the write buffer while
-//! its degree and flagged block length are recorded; then the
-//! attribute, length and degree sections; the header page last. The
-//! header is the commit record — until it lands, a fresh device holds
-//! nothing [`read_meta`] accepts. Every write is whole
-//! [`SECTION_ALIGN`] pages, each byte of `[0, total_bytes)` once.
-//! [`required_capacity_with`] sizes a device from CSR offsets without
-//! encoding: the image with every block raw, exact for raw and
-//! weighted images, an upper bound for compressed ones.
+//! One pass ([`write_image_to`]) writes an image from any [`ListSource`]
+//! — a [`fg_graph::Graph`], or an old image merged with a delta view
+//! ([`ImageLists`]) — in the order its bytes become known: the edge
+//! sections first, each list encoded once straight into the write
+//! buffer while its degree and flagged block length are recorded; then
+//! the attribute, length and degree sections; the header page last, the
+//! commit record — until it lands, a fresh device holds nothing
+//! [`read_meta`] accepts. Every write is whole [`SECTION_ALIGN`] pages,
+//! each byte of `[0, total_bytes)` once. [`required_capacity_with`]
+//! sizes a device from the source's entry counts: the image with every
+//! block raw, exact for raw and weighted images, an upper bound for
+//! compressed ones.
 //!
 //! Every reader here — [`read_meta`], [`load_index`], [`read_list`],
-//! [`read_graph`] — takes its bytes from one [`ByteSource`]: the
+//! [`ImageLists`] — takes its bytes from one [`ByteSource`]: the
 //! [`SsdArray`] itself, or a SAFS mount over it (`fg_safs::Safs`, or
 //! its streaming view), whose reads meet the page cache first.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use fg_graph::Graph;
+use fg_graph::DeltaView;
 use fg_ssdsim::{ByteSource, SsdArray};
 use fg_types::{EdgeDir, FgError, Result, VertexId};
 
 use crate::codec::{self, skip_entries, DEFAULT_SKIP_INTERVAL, RAW_LIST_FLAG, TINY_RAW_DEGREE};
 use crate::index::{EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDecode};
+use crate::source::{ListRun, ListSource, RunSink, RUN_LISTS};
 
 /// Alignment of every section start, independent of the SAFS page
 /// size an engine later chooses.
@@ -188,16 +190,16 @@ fn align_up(x: u64) -> u64 {
 }
 
 /// Bytes of array capacity needed to hold the raw (v1) image of `g`.
-pub fn required_capacity(g: &Graph) -> u64 {
+pub fn required_capacity(g: &impl ListSource) -> u64 {
     required_capacity_with(g, &WriteOptions::default())
 }
 
 /// Bytes of array capacity that hold the image of `g` under `opts`:
-/// the size the image would have with every block raw. That is the
-/// size of a raw or weighted image, and an upper bound on a compressed
-/// one, since a list is only compressed when its block comes out
-/// smaller. It is read off the CSR offsets; nothing is encoded.
-pub fn required_capacity_with(g: &Graph, opts: &WriteOptions) -> u64 {
+/// the size the image would have with every block raw — that of a raw
+/// or weighted image, and an upper bound on a compressed one, since a
+/// list is only compressed when its block comes out smaller — read off
+/// the source's entry counts, encoding nothing.
+pub fn required_capacity_with(g: &impl ListSource, opts: &WriteOptions) -> u64 {
     window_capacity(g, opts, 0, g.num_vertices())
 }
 
@@ -206,16 +208,12 @@ pub fn required_capacity_with(g: &Graph, opts: &WriteOptions) -> u64 {
 /// in-edges, out- and in-attributes — starts at the first
 /// [`SECTION_ALIGN`] boundary after the one before, the first after
 /// the header page.
-fn window_capacity(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> u64 {
+fn window_capacity(g: &dyn ListSource, opts: &WriteOptions, lo: usize, hi: usize) -> u64 {
     let directed = g.is_directed();
     let weighted = g.has_weights();
     let fixed = (hi - lo) as u64 * 4 * if directed { 2 } else { 1 };
-    let raw = |dir: EdgeDir| {
-        let off = g.csr(dir).offsets();
-        (off[hi] - off[lo]) * 4
-    };
-    let out = raw(EdgeDir::Out);
-    let in_ = directed.then(|| raw(EdgeDir::In));
+    let out = g.entries(EdgeDir::Out, lo..hi) * 4;
+    let in_ = directed.then(|| g.entries(EdgeDir::In, lo..hi) * 4);
     [
         Some(fixed),
         (opts.format == ImageFormat::Compressed).then_some(fixed),
@@ -229,44 +227,41 @@ fn window_capacity(g: &Graph, opts: &WriteOptions, lo: usize, hi: usize) -> u64 
     .fold(SECTION_ALIGN, |at, bytes| align_up(at + bytes))
 }
 
-/// Items (vertices, or values of a `u32` section) a section's producer
-/// appends per call.
-const PUT_BATCH: usize = 1024;
+/// A section on its way to the sink: `buf` goes out in whole pages once
+/// it holds [`WRITE_CHUNK`] bytes, the bytes past the last page kept.
+struct Section<'s> {
+    dst: WriteAt<'s>,
+    /// Where `buf[0]` goes.
+    at: u64,
+    buf: Vec<u8>,
+}
 
-/// Streams one section, starting at the [`SECTION_ALIGN`]-aligned
-/// `offset`, to `dst`: `put(range, buf)` appends the bytes of the
-/// items in `range`, for consecutive ranges of at most [`PUT_BATCH`]
-/// items covering `items`, and the buffer goes out in page-aligned
-/// writes of about [`WRITE_CHUNK`] bytes, each cut at a
-/// `SECTION_ALIGN` multiple with the bytes past the cut carried into
-/// the next. The last write is zero-padded to the next boundary —
-/// bytes the layout reserves anyway, since the next section (or the
-/// image's end) starts there. Returns the section's unpadded length;
-/// an empty section writes nothing.
-fn write_section(
-    dst: WriteAt<'_>,
-    offset: u64,
-    items: Range<usize>,
-    mut put: impl FnMut(Range<usize>, &mut Vec<u8>),
-) -> Result<u64> {
-    let align = SECTION_ALIGN as usize;
-    let mut buf = Vec::new();
-    let mut written = 0u64;
-    for lo in items.clone().step_by(PUT_BATCH) {
-        put(lo..(lo + PUT_BATCH).min(items.end), &mut buf);
-        if buf.len() >= WRITE_CHUNK {
-            let whole = buf.len() / align * align;
-            dst(offset + written, &buf[..whole])?;
-            buf.drain(..whole);
-            written += whole as u64;
+impl<'s> Section<'s> {
+    fn new(dst: WriteAt<'s>, at: u64) -> Self {
+        let buf = Vec::new();
+        Section { dst, at, buf }
+    }
+
+    fn spill(&mut self) -> Result<()> {
+        if self.buf.len() >= WRITE_CHUNK {
+            let whole = self.buf.len() / SECTION_ALIGN as usize * SECTION_ALIGN as usize;
+            (self.dst)(self.at, &self.buf[..whole])?;
+            self.buf.drain(..whole);
+            self.at += whole as u64;
         }
+        Ok(())
     }
-    let len = written + buf.len() as u64;
-    if !buf.is_empty() {
-        buf.resize(buf.len().next_multiple_of(align), 0);
-        dst(offset + written, &buf)?;
+
+    /// Writes the rest zero-padded to the next boundary, where the next
+    /// section (or the image's end) starts, and returns that boundary.
+    fn finish(mut self) -> Result<u64> {
+        let end = align_up(self.at + self.buf.len() as u64);
+        if !self.buf.is_empty() {
+            self.buf.resize((end - self.at) as usize, 0);
+            (self.dst)(self.at, &self.buf)?;
+        }
+        Ok(end)
     }
-    Ok(len)
 }
 
 /// Appends `vals` to `buf` as little-endian `u32`s.
@@ -283,13 +278,8 @@ fn header_page(meta: &ImageMeta) -> Vec<u8> {
     let mut header = vec![0u8; SECTION_ALIGN as usize];
     let v2 = meta.format == ImageFormat::Compressed;
     header[..8].copy_from_slice(if v2 { MAGIC_V2 } else { MAGIC_V1 });
-    let mut flags = 0u32;
-    if meta.directed {
-        flags |= FLAG_DIRECTED;
-    }
-    if meta.weighted {
-        flags |= FLAG_WEIGHTED;
-    }
+    let flag = |on: bool, bit: u32| if on { bit } else { 0 };
+    let flags = flag(meta.directed, FLAG_DIRECTED) | flag(meta.weighted, FLAG_WEIGHTED);
     header[8..12].copy_from_slice(&flags.to_le_bytes());
     header[12..16].copy_from_slice(&meta.generation.to_le_bytes());
     let mut fields = vec![
@@ -323,17 +313,19 @@ fn header_page(meta: &ImageMeta) -> Vec<u8> {
 /// One pass, in the order the bytes become known: the edge sections
 /// first, each list encoded once straight into the write buffer while
 /// its degree and flagged block length are recorded; then the
-/// attribute, length and degree sections; the header page last.
+/// attribute sections (a second pass over the lists, for their
+/// weights), the length and degree sections; the header page last.
 ///
 /// # Panics
 ///
-/// Panics when a compressed write meets a list too long for a v2
-/// block: its raw encoding would reach [`RAW_LIST_FLAG`] bytes (degree
-/// ≥ 2²⁹), and v2 block lengths are `u31` plus the flag bit, so the
-/// degree would silently collide with the flag and corrupt the length
-/// table — write a raw (v1) image instead.
+/// Panics when a compressed write meets a list out of ascending order
+/// (its gaps would wrap), or one too long for a v2 block: its raw
+/// encoding would reach [`RAW_LIST_FLAG`] bytes (degree ≥ 2²⁹), and v2
+/// block lengths are `u31` plus the flag bit, so the degree would
+/// silently collide with the flag and corrupt the length table — write
+/// a raw (v1) image instead.
 fn write_window(
-    g: &Graph,
+    g: &dyn ListSource,
     opts: &WriteOptions,
     lo: usize,
     hi: usize,
@@ -349,17 +341,7 @@ fn write_window(
     let directed = g.is_directed();
     let weighted = g.has_weights();
     let compressed = opts.format == ImageFormat::Compressed;
-    let dirs: &[EdgeDir] = if directed {
-        &[EdgeDir::Out, EdgeDir::In]
-    } else {
-        &[EdgeDir::Out]
-    };
-    if compressed {
-        assert!(
-            dirs.iter().all(|&d| g.csr(d).lists_sorted()),
-            "delta encoding requires sorted adjacency lists"
-        );
-    }
+    let dirs = &[EdgeDir::Out, EdgeDir::In][..1 + usize::from(directed)];
     let mut dst = |offset: u64, data: &[u8]| -> Result<()> {
         let end = offset + data.len() as u64;
         if end > capacity {
@@ -389,18 +371,19 @@ fn write_window(
     let mut ids = Vec::new();
     let mut edges_offset = [0u64; 2];
     for (slot, &dir) in dirs.iter().enumerate() {
-        let csr = g.csr(dir);
         edges_offset[slot] = at;
-        let bytes = write_section(&mut dst, at, lo..hi, |vs, buf| {
-            let off = &csr.offsets()[vs.start..=vs.end];
-            degrees.extend(off.windows(2).map(|w| (w[1] - w[0]) as u32));
+        let mut section = Section::new(&mut dst, at);
+        let mut v = lo;
+        g.runs(dir, lo..hi, &mut |run| {
+            degrees.extend(run.offsets.windows(2).map(|w| (w[1] - w[0]) as u32));
+            let buf = &mut section.buf;
             if !compressed {
-                // A raw section is the window's CSR entries as they are.
-                let entries = &csr.neighbor_array()[off[0] as usize..off[vs.len()] as usize];
-                return put_u32s(buf, entries.iter().map(|u| u.0));
+                // A raw section is the run's entries as they are.
+                put_u32s(buf, run.ids.iter().map(|u| u.0));
+                return section.spill();
             }
-            for v in vs {
-                let list = csr.neighbors(VertexId::from_index(v));
+            for span in run.spans() {
+                let list = &run.ids[span];
                 assert!(
                     (list.len() as u64 * 4) < u64::from(RAW_LIST_FLAG),
                     "vertex {v}: degree {} exceeds the v2 per-block length limit \
@@ -408,6 +391,7 @@ fn write_window(
                     list.len(),
                     list.len() as u64 * 4,
                 );
+                assert!(list.is_sorted(), "vertex {v}: {dir:?} list out of order");
                 let before = buf.len();
                 let packed = !weighted && {
                     ids.clear();
@@ -419,9 +403,11 @@ fn write_window(
                 }
                 let len = (buf.len() - before) as u32;
                 lens.push(if packed { len } else { len | RAW_LIST_FLAG });
+                v += 1;
             }
+            section.spill()
         })?;
-        at = align_up(at + bytes);
+        at = section.finish()?;
     }
 
     // Attribute sections (f32 bit patterns). Weighted images keep every
@@ -429,41 +415,38 @@ fn write_window(
     let mut attrs_offset = [0u64; 2];
     if weighted {
         for (slot, &dir) in dirs.iter().enumerate() {
-            let csr = g.csr(dir);
             attrs_offset[slot] = at;
-            let bytes = write_section(&mut dst, at, lo..hi, |vs, buf| {
-                for v in vs {
-                    let weights = csr
-                        .weights_of(VertexId::from_index(v))
-                        .expect("weighted graph has weights");
-                    put_u32s(buf, weights.iter().map(|w| w.to_bits()));
-                }
+            let mut section = Section::new(&mut dst, at);
+            g.runs(dir, lo..hi, &mut |run| {
+                let weights = run.weights.expect("a weighted source hands out weights");
+                put_u32s(&mut section.buf, weights.iter().map(|w| w.to_bits()));
+                section.spill()
             })?;
-            at = align_up(at + bytes);
+            at = section.finish()?;
         }
     }
 
     let mut u32s = |offset: u64, vals: &[u32]| {
-        write_section(&mut dst, offset, 0..vals.len(), |is, buf| {
-            put_u32s(buf, vals[is].iter().copied())
-        })
+        let mut section = Section::new(&mut dst, offset);
+        for batch in vals.chunks(RUN_LISTS) {
+            put_u32s(&mut section.buf, batch.iter().copied());
+            section.spill()?;
+        }
+        section.finish()
     };
     if compressed {
         u32s(len_offset, &lens)?;
     }
     u32s(deg_offset, &degrees)?;
 
-    let off = g.csr(EdgeDir::Out).offsets();
+    // Shard windows report the edge-list entries they store (out
+    // direction); only the whole image knows the graph's undirected
+    // edge count.
+    let out_entries: u64 = degrees[..n as usize].iter().map(|&d| u64::from(d)).sum();
+    let whole = lo == 0 && hi == g.num_vertices();
     let meta = ImageMeta {
         num_vertices: n,
-        // Shard windows report the edge-list entries they store (out
-        // direction); only the whole image knows the graph's
-        // undirected edge count.
-        num_edges: if lo == 0 && hi == g.num_vertices() {
-            g.num_edges()
-        } else {
-            off[hi] - off[lo]
-        },
+        num_edges: out_entries / if whole && !directed { 2 } else { 1 },
         directed,
         weighted,
         format: opts.format,
@@ -489,7 +472,7 @@ fn write_window(
 /// # Errors
 ///
 /// See [`write_image_with`].
-pub fn write_image(g: &Graph, array: &SsdArray) -> Result<ImageMeta> {
+pub fn write_image(g: &impl ListSource, array: &SsdArray) -> Result<ImageMeta> {
     write_image_with(g, array, &WriteOptions::default())
 }
 
@@ -507,7 +490,11 @@ pub fn write_image(g: &Graph, array: &SsdArray) -> Result<ImageMeta> {
 /// # Panics
 ///
 /// See [`write_image_to`].
-pub fn write_image_with(g: &Graph, array: &SsdArray, opts: &WriteOptions) -> Result<ImageMeta> {
+pub fn write_image_with(
+    g: &impl ListSource,
+    array: &SsdArray,
+    opts: &WriteOptions,
+) -> Result<ImageMeta> {
     write_image_to(
         g,
         opts,
@@ -531,17 +518,17 @@ pub fn write_image_with(g: &Graph, array: &SsdArray, opts: &WriteOptions) -> Res
 /// # Errors
 ///
 /// [`FgError::InvalidRequest`] when the image does not fit in
-/// `capacity` bytes; the sink's errors are returned as they are.
+/// `capacity` bytes; the source's and the sink's errors are returned as
+/// they are.
 ///
 /// # Panics
 ///
 /// Panics if `opts.skip_interval` is zero, and for a compressed image
-/// when the adjacency lists of `g` are not sorted (the
-/// [`fg_graph::GraphBuilder`] invariant; see
-/// [`fg_graph::Csr::lists_sorted`]) or one is too long for a v2 block
+/// when a list of `g` is not sorted ascending (the
+/// [`fg_graph::GraphBuilder`] invariant) or is too long for a v2 block
 /// (degree ≥ 2²⁹).
 pub fn write_image_to(
-    g: &Graph,
+    g: &impl ListSource,
     opts: &WriteOptions,
     dst: WriteAt<'_>,
     capacity: u64,
@@ -575,7 +562,11 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
 /// the sharded image of `g` under `opts` (same split as
 /// [`write_sharded_image`]; exact and upper bound as for
 /// [`required_capacity_with`]).
-pub fn required_shard_capacities(g: &Graph, opts: &WriteOptions, shards: usize) -> Vec<u64> {
+pub fn required_shard_capacities(
+    g: &impl ListSource,
+    opts: &WriteOptions,
+    shards: usize,
+) -> Vec<u64> {
     let bounds = shard_bounds(g.num_vertices(), shards);
     (0..shards)
         .map(|s| window_capacity(g, opts, bounds[s], bounds[s + 1]))
@@ -595,7 +586,7 @@ pub fn required_shard_capacities(g: &Graph, opts: &WriteOptions, shards: usize) 
 ///
 /// See [`write_image_to`] — per shard, against its own array.
 pub fn write_sharded_image(
-    g: &Graph,
+    g: &impl ListSource,
     arrays: &[SsdArray],
     opts: &WriteOptions,
 ) -> Result<Vec<ImageMeta>> {
@@ -634,12 +625,8 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
     };
     let flags = u32::from_le_bytes(header[8..12].try_into().unwrap());
     let generation = u32::from_le_bytes(header[12..16].try_into().unwrap());
-    let nfields = if format == ImageFormat::Compressed {
-        10
-    } else {
-        8
-    };
-    let mut fields = vec![0u64; nfields];
+    let v2 = format == ImageFormat::Compressed;
+    let mut fields = vec![0u64; if v2 { 10 } else { 8 }];
     for (i, f) in fields.iter_mut().enumerate() {
         let at = 16 + i * 8;
         *f = u64::from_le_bytes(header[at..at + 8].try_into().unwrap());
@@ -651,21 +638,13 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
         weighted: flags & FLAG_WEIGHTED != 0,
         format,
         deg_offset: fields[2],
-        len_offset: if format == ImageFormat::Compressed {
-            fields[8]
-        } else {
-            0
-        },
+        len_offset: fields.get(8).copied().unwrap_or(0),
         out_edges_offset: fields[3],
         in_edges_offset: fields[4],
         out_attrs_offset: fields[5],
         in_attrs_offset: fields[6],
         total_bytes: fields[7],
-        skip_interval: if format == ImageFormat::Compressed {
-            fields[9] as u32
-        } else {
-            0
-        },
+        skip_interval: fields.get(9).map_or(0, |&k| k as u32),
         generation,
     };
     if meta.total_bytes > capacity {
@@ -680,7 +659,7 @@ pub fn read_meta<S: ByteSource + ?Sized>(src: &S) -> Result<ImageMeta> {
             meta.num_vertices
         )));
     }
-    if meta.format == ImageFormat::Compressed {
+    if v2 {
         let k = fields[9];
         if k == 0 || k > MAX_SKIP_INTERVAL as u64 || k % codec::GROUP as u64 != 0 {
             return Err(FgError::CorruptImage(format!(
@@ -781,18 +760,21 @@ fn read_u32s<S: ByteSource + ?Sized>(src: &S, offset: u64, count: usize) -> Resu
 /// of its large compressed lists, keyed by vertex id.
 type PackedDirTables = (Vec<u32>, HashMap<u32, Box<[u32]>>);
 
-/// Validates one direction's v2 block table against its degrees and
-/// section bounds, and loads the skip tables of its large compressed
-/// lists. Returns the inputs [`GraphIndex::build_packed`] needs.
+/// Reads direction `d`'s (0 out, 1 in) v2 block table, validates it
+/// against its degrees and section bounds, and loads the skip tables of
+/// its large compressed lists: the inputs [`GraphIndex::build_packed`]
+/// needs.
 fn load_packed_dir<S: ByteSource + ?Sized>(
     src: &S,
     meta: &ImageMeta,
-    which: &str,
+    d: usize,
     degrees: &[u64],
-    blocks: Vec<u32>,
-    edge_base: u64,
-    section_end: u64,
 ) -> Result<PackedDirTables> {
+    let n = degrees.len();
+    let blocks = read_u32s(src, meta.len_offset + (d * n * 4) as u64, n)?;
+    let edge_base = [meta.out_edges_offset, meta.in_edges_offset][d];
+    let which = ["out", "in"][d];
+    let section_end = section_end(meta, 2 + d);
     let k = meta.skip_interval;
     let mut offset = edge_base;
     let mut interval_start = edge_base;
@@ -866,91 +848,52 @@ fn load_packed_dir<S: ByteSource + ?Sized>(
 pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIndex)> {
     let meta = read_meta(src)?;
     let n = meta.num_vertices as usize;
-    let read_degrees = |offset: u64| -> Result<Vec<u64>> {
-        Ok(read_u32s(src, offset, n)?
+    let v2 = meta.format == ImageFormat::Compressed;
+    let edge_base = [meta.out_edges_offset, meta.in_edges_offset];
+    let attr_base =
+        [meta.out_attrs_offset, meta.in_attrs_offset].map(|at| meta.weighted.then_some(at));
+    let (mut degrees, mut tables) = (Vec::new(), Vec::new());
+    for d in 0..1 + usize::from(meta.directed) {
+        let at = (d * n * 4) as u64;
+        let dir_degrees: Vec<u64> = read_u32s(src, meta.deg_offset + at, n)?
             .into_iter()
-            .map(|d| d as u64)
-            .collect())
-    };
-    let out_degrees = if n > 0 {
-        read_degrees(meta.deg_offset)?
-    } else {
-        Vec::new()
-    };
-    let in_degrees = if meta.directed && n > 0 {
-        Some(read_degrees(meta.deg_offset + n as u64 * 4)?)
-    } else if meta.directed {
-        Some(Vec::new())
-    } else {
-        None
-    };
-    // Raw runs of the degrees' lengths: the attribute sections, and
-    // the edge sections of a v1 image (v2 blocks are checked as they
-    // are loaded).
-    let dirs = std::iter::once(&out_degrees).chain(&in_degrees).enumerate();
-    for (d, degrees) in dirs {
-        if meta.format == ImageFormat::Raw {
-            check_raw_section(&meta, 2 + d, degrees)?;
+            .map(u64::from)
+            .collect();
+        // The edge sections of a v1 image and the attribute sections
+        // are raw runs of the degrees' lengths; v2 blocks are checked as
+        // their lengths are loaded, with the hub tables.
+        if v2 {
+            tables.push(load_packed_dir(src, &meta, d, &dir_degrees)?);
+        } else {
+            check_raw_section(&meta, 2 + d, &dir_degrees)?;
         }
         if meta.weighted {
-            check_raw_section(&meta, 4 + d, degrees)?;
+            check_raw_section(&meta, 4 + d, &dir_degrees)?;
         }
+        degrees.push(dir_degrees);
     }
-    if meta.format == ImageFormat::Raw {
-        let index = GraphIndex::build(
-            &out_degrees,
-            in_degrees.as_deref(),
-            meta.out_edges_offset,
-            meta.in_edges_offset,
-            meta.weighted.then_some(meta.out_attrs_offset),
-            (meta.weighted && meta.directed).then_some(meta.in_attrs_offset),
+    let index = if v2 {
+        let mut dirs = (tables.into_iter().zip(&degrees).enumerate()).map(
+            |(d, ((blocks, skips), degrees))| PackedDirInput {
+                degrees,
+                blocks,
+                skips,
+                edge_base: edge_base[d],
+                attr_base: attr_base[d],
+            },
         );
-        return Ok((meta, index));
-    }
-
-    // v2: block lengths, then per-direction validation + hub tables.
-    let out_blocks = read_u32s(src, meta.len_offset, n)?;
-    let (out_blocks, out_skips) = load_packed_dir(
-        src,
-        &meta,
-        "out",
-        &out_degrees,
-        out_blocks,
-        meta.out_edges_offset,
-        section_end(&meta, 2),
-    )?;
-    let in_input = match &in_degrees {
-        Some(in_degrees) => {
-            let in_blocks = read_u32s(src, meta.len_offset + n as u64 * 4, n)?;
-            Some(load_packed_dir(
-                src,
-                &meta,
-                "in",
-                in_degrees,
-                in_blocks,
-                meta.in_edges_offset,
-                section_end(&meta, 3),
-            )?)
-        }
-        None => None,
+        GraphIndex::build_packed(meta.skip_interval, dirs.next().unwrap(), dirs.next())
+    } else {
+        let in_degrees = degrees.get(1).map(Vec::as_slice);
+        GraphIndex::build(
+            &degrees[0],
+            in_degrees,
+            edge_base[0],
+            edge_base[1],
+            attr_base[0],
+            attr_base[1],
+        )
     };
-    let index = GraphIndex::build_packed(
-        meta.skip_interval,
-        PackedDirInput {
-            degrees: &out_degrees,
-            blocks: out_blocks,
-            skips: out_skips,
-            edge_base: meta.out_edges_offset,
-            attr_base: meta.weighted.then_some(meta.out_attrs_offset),
-        },
-        in_input.map(|(blocks, skips)| PackedDirInput {
-            degrees: in_degrees.as_deref().unwrap(),
-            blocks,
-            skips,
-            edge_base: meta.in_edges_offset,
-            attr_base: (meta.weighted && meta.directed).then_some(meta.in_attrs_offset),
-        }),
-    );
     Ok((meta, index))
 }
 
@@ -961,8 +904,8 @@ pub fn load_index<S: ByteSource + ?Sized>(src: &S) -> Result<(ImageMeta, GraphIn
 /// resident.
 pub type WriteAt<'a> = &'a mut dyn FnMut(u64, &[u8]) -> Result<()>;
 
-/// Bytes one sequential read of [`read_graph`]'s section sweep asks
-/// its source for — the engine's default stream stride.
+/// Bytes one sequential read of an [`ImageLists`] sweep asks its
+/// source for — the engine's default stream stride.
 const READ_CHUNK: usize = WRITE_CHUNK;
 
 /// Locates the whole list of `v` in `dir` and checks it lies inside
@@ -1097,97 +1040,115 @@ impl<'a, S: ByteSource + ?Sized> Sweep<'a, S> {
     }
 }
 
-/// Reads the whole graph back out of an image — every edge list plus,
-/// for weighted images, the parallel attribute runs. This is the
-/// compactor's input path: it unions the read-back base with a delta
-/// view and writes the result as the next image generation. It is the
-/// sweep of the back-readers: one sequential pass per section in
-/// 4 MiB reads, the lists cut out of each chunk by the index's
-/// offsets and fully validated like [`read_list`]'s.
-///
-/// # Errors
-///
-/// Propagates the source's read failures and
-/// [`FgError::CorruptImage`] from block validation.
-pub fn read_graph<S: ByteSource + ?Sized>(
-    src: &S,
-    meta: &ImageMeta,
-    index: &GraphIndex,
-) -> Result<Graph> {
-    read_graph_chunked(src, meta, index, READ_CHUNK)
+/// An image read back as a [`ListSource`], each list merged with
+/// `view`'s ops ([`DeltaView::merged_list`]): what a compaction writes
+/// from, building no graph. A pass over a direction sweeps its section
+/// (and a weighted image's attribute section) once in 4 MiB reads,
+/// validating each block like [`read_list`]; entry counts are the
+/// index's degrees plus [`DeltaView::degree_diff`].
+pub struct ImageLists<'a, S: ?Sized> {
+    src: &'a S,
+    meta: &'a ImageMeta,
+    index: &'a GraphIndex,
+    view: Option<&'a DeltaView>,
+    /// Bytes one read of a sweep asks for.
+    chunk: usize,
 }
 
-fn read_graph_chunked<S: ByteSource + ?Sized>(
-    src: &S,
-    meta: &ImageMeta,
-    index: &GraphIndex,
-    chunk: usize,
-) -> Result<Graph> {
-    let n = meta.num_vertices as usize;
-    let read_dir = |dir: EdgeDir| -> Result<fg_graph::Csr> {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let section = index.locate_extent(VertexId(0), n as u64, dir);
-        let mut ids: Vec<u32> = Vec::with_capacity(section.degree as usize);
-        let mut edges = Sweep::new(src, chunk, section);
-        // Weighted images keep every block raw, so the attribute run
-        // has the edge section's shape, moved to the attribute base.
-        let mut weights = meta
-            .weighted
-            .then(|| Vec::with_capacity(section.degree as usize));
-        let mut attrs = None;
-        if meta.weighted && n > 0 {
-            let first = index
-                .locate_attrs(VertexId(0), dir)
-                .ok_or_else(|| FgError::CorruptImage("weighted image has no attributes".into()))?;
-            let run = EdgeListLoc {
-                offset: first.offset,
-                ..section
-            };
-            attrs = Some(Sweep::new(src, chunk, run));
+impl<'a, S: ByteSource + ?Sized> ImageLists<'a, S> {
+    /// The lists of the image `meta` and `index` describe, off `src`.
+    pub fn new(
+        src: &'a S,
+        meta: &'a ImageMeta,
+        index: &'a GraphIndex,
+        view: Option<&'a DeltaView>,
+    ) -> Self {
+        ImageLists {
+            src,
+            meta,
+            index,
+            view,
+            chunk: READ_CHUNK,
         }
-        for i in 0..n {
+    }
+}
+
+impl<S: ByteSource + ?Sized> ListSource for ImageLists<'_, S> {
+    fn num_vertices(&self) -> usize {
+        self.meta.num_vertices as usize
+    }
+    fn is_directed(&self) -> bool {
+        self.meta.directed
+    }
+    fn has_weights(&self) -> bool {
+        self.meta.weighted
+    }
+    fn entries(&self, dir: EdgeDir, vs: Range<usize>) -> u64 {
+        let first = VertexId::from_index(vs.start);
+        let base = self.index.locate_extent(first, vs.len() as u64, dir).degree;
+        let Some(view) = self.view else { return base };
+        let diff: i64 = vs.map(|i| view.degree_diff(VertexId(i as u32), dir)).sum();
+        base.saturating_add_signed(diff)
+    }
+    fn runs(&self, dir: EdgeDir, vs: Range<usize>, each: RunSink<'_>) -> Result<()> {
+        let (meta, index) = (self.meta, self.index);
+        let first = VertexId::from_index(vs.start);
+        let section = index.locate_extent(first, vs.len() as u64, dir);
+        let mut edges = Sweep::new(self.src, self.chunk, section);
+        // Weighted images keep every block raw, so the attribute run
+        // has the edge section's shape, `shift` bytes further on.
+        let mut attrs = None;
+        if meta.weighted && !vs.is_empty() {
+            let mut run = section;
+            run.offset = (index.locate_attrs(first, dir))
+                .ok_or_else(|| FgError::CorruptImage("weighted image has no attributes".into()))?
+                .offset;
+            attrs = Some((
+                Sweep::new(self.src, self.chunk, run),
+                run.offset - section.offset,
+            ));
+        }
+        let (mut base, mut base_ws) = (Vec::new(), Vec::new());
+        let (mut offsets, mut ids, mut ws) = (vec![0u64], Vec::new(), Vec::new());
+        for i in vs.clone() {
             let v = VertexId::from_index(i);
             let slice = locate_list(meta, index, v, dir)?;
-            if slice.loc.bytes > 0 {
-                let block = edges.bytes(slice.loc.offset, slice.loc.bytes)?;
-                decode_block(block, &slice, v, &mut ids)?;
+            let (at, bytes) = (slice.loc.offset, slice.loc.bytes);
+            base.clear();
+            decode_block(edges.bytes(at, bytes)?, &slice, v, &mut base)?;
+            base_ws.clear();
+            if let Some((attrs, shift)) = &mut attrs {
+                let run = attrs.bytes(at + *shift, bytes)?.chunks_exact(4);
+                base_ws.extend(run.map(|q| f32::from_le_bytes(q.try_into().unwrap())));
             }
-            if let (Some(ws), Some(attrs)) = (&mut weights, &mut attrs) {
-                if slice.loc.degree > 0 {
-                    let loc = index
-                        .locate_attrs_range(v, dir, 0, slice.loc.degree)
-                        .ok_or_else(|| {
-                            FgError::CorruptImage(format!(
-                                "weighted image has no attribute run for {v}"
-                            ))
-                        })?;
-                    ws.extend(
-                        attrs
-                            .bytes(loc.offset, loc.bytes)?
-                            .chunks_exact(4)
-                            .map(|q| f32::from_le_bytes(q.try_into().unwrap())),
-                    );
-                }
+            if let Some(view) = self.view.filter(|view| view.find(v, dir).is_some()) {
+                let weights = meta.weighted.then_some(&base_ws[..]);
+                let (merged, merged_ws) = view.merged_list(v, dir, &base, weights);
+                (base, base_ws) = (merged, merged_ws.unwrap_or_default());
             }
+            ids.extend(base.iter().map(|&u| VertexId(u)));
+            ws.extend_from_slice(&base_ws);
             offsets.push(ids.len() as u64);
+            if offsets.len() > RUN_LISTS || i + 1 == vs.end {
+                let weights = meta.weighted.then_some(&ws[..]);
+                each(ListRun {
+                    offsets: &offsets,
+                    ids: &ids,
+                    weights,
+                })?;
+                offsets.truncate(1);
+                ids.clear();
+                ws.clear();
+            }
         }
-        let neighbors = ids.into_iter().map(VertexId).collect();
-        fg_graph::Csr::from_parts(offsets, neighbors, weights)
-    };
-    let out = read_dir(EdgeDir::Out)?;
-    let in_ = if meta.directed {
-        Some(read_dir(EdgeDir::In)?)
-    } else {
-        None
-    };
-    Graph::from_csr(meta.directed, out, in_)
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_graph::{fixtures, gen};
+    use fg_graph::{fixtures, gen, Graph};
     use fg_safs::{Safs, SafsConfig};
     use fg_ssdsim::ArrayConfig;
 
@@ -1262,49 +1223,67 @@ mod tests {
         }
     }
 
+    type Lists = Vec<(Vec<VertexId>, Option<Vec<f32>>)>;
+
+    /// Every list of `src`, out then (directed) in, with its weights.
+    fn lists_of<S: ListSource + ?Sized>(src: &S) -> Result<Lists> {
+        let dirs: &[EdgeDir] = if src.is_directed() {
+            &[EdgeDir::Out, EdgeDir::In]
+        } else {
+            &[EdgeDir::Out]
+        };
+        let mut lists = Vec::new();
+        for &dir in dirs {
+            src.runs(dir, 0..src.num_vertices(), &mut |run| {
+                for span in run.spans() {
+                    let ws = run.weights.map(|w| w[span.clone()].to_vec());
+                    lists.push((run.ids[span].to_vec(), ws));
+                }
+                Ok(())
+            })?;
+        }
+        Ok(lists)
+    }
+
+    /// The lists an image hands back, read off `src` with no view.
+    fn image_lists<S: ByteSource + ?Sized>(
+        src: &S,
+        meta: &ImageMeta,
+        index: &GraphIndex,
+    ) -> Result<Lists> {
+        lists_of(&ImageLists::new(src, meta, index, None))
+    }
+
     #[test]
-    fn read_graph_round_trips_both_formats() {
+    fn image_lists_round_trip_both_formats() {
         for opts in both_formats() {
             for g in [
                 fixtures::diamond(),
                 fixtures::complete(9),
+                fixtures::weighted_square(),
                 gen::rmat(7, 6, gen::RmatSkew::default(), 11),
             ] {
                 let (array, meta, index) = image_of_with(&g, &opts);
-                let back = read_graph(&array, &meta, &index).unwrap();
-                assert_eq!(back.num_vertices(), g.num_vertices());
-                assert_eq!(back.is_directed(), g.is_directed());
-                for v in g.vertices() {
-                    assert_eq!(back.out_neighbors(v), g.out_neighbors(v), "{v}");
-                    if g.is_directed() {
-                        assert_eq!(back.in_neighbors(v), g.in_neighbors(v), "{v}");
+                let source = ImageLists::new(&array, &meta, &index, None);
+                assert_eq!(source.num_vertices(), g.num_vertices());
+                assert_eq!(source.is_directed(), g.is_directed());
+                assert_eq!(source.has_weights(), g.has_weights());
+                let n = g.num_vertices();
+                for dir in [EdgeDir::Out, EdgeDir::In] {
+                    for vs in [0..n, 1..n / 2, n / 2..n / 2] {
+                        let want = ListSource::entries(&g, dir, vs.clone());
+                        assert_eq!(source.entries(dir, vs), want);
                     }
                 }
-            }
-        }
-    }
-
-    fn assert_same_graph(back: &Graph, g: &Graph, what: &str) {
-        assert_eq!(back.num_vertices(), g.num_vertices(), "{what}");
-        assert_eq!(back.is_directed(), g.is_directed(), "{what}");
-        for v in g.vertices() {
-            for dir in [EdgeDir::Out, EdgeDir::In] {
-                assert_eq!(
-                    back.csr(dir).neighbors(v),
-                    g.csr(dir).neighbors(v),
-                    "{what}: {dir:?} list of {v}"
-                );
-                assert_eq!(
-                    back.csr(dir).weights_of(v),
-                    g.csr(dir).weights_of(v),
-                    "{what}: {dir:?} weights of {v}"
-                );
+                // Weights included: a weighted image hands its
+                // attribute runs back beside the lists.
+                assert_eq!(lists_of(&source).unwrap(), lists_of(&g).unwrap());
             }
         }
     }
 
     #[test]
-    fn read_graph_sweeps_each_section_once_at_any_chunk_size() {
+    fn image_lists_sweep_each_section_once_at_any_chunk_size() {
         // Chunks shorter than a list, chunks that cut lists in two,
         // and the real one (every test image fits in it).
         for opts in both_formats() {
@@ -1333,8 +1312,11 @@ mod tests {
                         array: &array,
                         reads: Default::default(),
                     };
-                    let back = read_graph_chunked(&src, &meta, &index, chunk).unwrap();
-                    assert_same_graph(&back, &g, &what);
+                    let lists = ImageLists {
+                        chunk,
+                        ..ImageLists::new(&src, &meta, &index, None)
+                    };
+                    assert_eq!(lists_of(&lists).unwrap(), lists_of(&g).unwrap(), "{what}");
                     let mut reads = src.reads.into_inner();
                     let want: u64 = section_bytes.iter().sum();
                     assert_eq!(reads.iter().map(|r| r.1).sum::<u64>(), want, "{what}");
@@ -1376,13 +1358,17 @@ mod tests {
                         assert_eq!(read_list(src, &meta, &index, v, dir).unwrap(), want);
                     }
                 }
-                assert_same_graph(&read_graph(src, &meta, &index).unwrap(), &g, &what);
+                assert_eq!(
+                    image_lists(src, &meta, &index).unwrap(),
+                    lists_of(&g).unwrap(),
+                    "{what}"
+                );
                 assert!(matches!(
                     read_list(src, &short, &index, busy, EdgeDir::Out),
                     Err(FgError::CorruptImage(_))
                 ));
                 assert!(matches!(
-                    read_graph(src, &short, &index),
+                    image_lists(src, &short, &index),
                     Err(FgError::CorruptImage(_))
                 ));
             }
@@ -1409,7 +1395,7 @@ mod tests {
                 Err(FgError::InvalidRequest(_))
             ));
             assert!(matches!(
-                read_graph(&Broken, &meta, &index),
+                image_lists(&Broken, &meta, &index),
                 Err(FgError::InvalidRequest(_))
             ));
         }
@@ -1447,7 +1433,11 @@ mod tests {
             );
             let (loaded, index) = load_index(&array).unwrap();
             assert_eq!(meta, loaded, "{what}");
-            assert_same_graph(&read_graph(&array, &meta, &index).unwrap(), s.g, what);
+            assert_eq!(
+                image_lists(&array, &meta, &index).unwrap(),
+                lists_of(s.g).unwrap(),
+                "{what}"
+            );
         });
     }
 
@@ -1650,22 +1640,6 @@ mod tests {
             assert_eq!(safs.cache_stats().misses, seams.len() as u64, "{what}");
             assert_eq!(span.to_vec(), s.image, "{what}");
         });
-    }
-
-    #[test]
-    fn read_graph_preserves_weights() {
-        let g = fixtures::weighted_square();
-        let (array, meta, index) = image_of(&g);
-        assert!(meta.weighted);
-        let back = read_graph(&array, &meta, &index).unwrap();
-        for v in g.vertices() {
-            assert_eq!(back.out_neighbors(v), g.out_neighbors(v));
-            assert_eq!(
-                back.csr(EdgeDir::Out).weights_of(v),
-                g.csr(EdgeDir::Out).weights_of(v),
-                "{v}"
-            );
-        }
     }
 
     #[test]
@@ -1923,6 +1897,23 @@ mod tests {
     #[should_panic(expected = "positive multiple of 4")]
     fn skip_interval_off_the_group_grid_panics_at_options() {
         let _ = WriteOptions::compressed().with_skip_interval(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "list out of order")]
+    fn a_compressed_write_panics_on_an_unsorted_list() {
+        // One descending pair, in a list long enough to be gap-encoded:
+        // unchecked, a release build would wrap its gap into a corrupt
+        // block.
+        let mut list: Vec<VertexId> = (1..=40).map(VertexId).collect();
+        list.swap(19, 20);
+        let mut offsets = vec![40u64; 42];
+        offsets[0] = 0;
+        let out = fg_graph::Csr::from_parts(offsets, list, None).unwrap();
+        let g = Graph::from_csr(false, out, None).unwrap();
+        let opts = WriteOptions::compressed();
+        let capacity = required_capacity_with(&g, &opts);
+        let _ = write_image_to(&g, &opts, &mut |_, _| Ok(()), capacity);
     }
 
     #[test]

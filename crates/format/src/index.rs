@@ -596,7 +596,7 @@ impl GraphIndex {
 
     /// Locates the contiguous byte extent covering the edge lists of
     /// the id-range `[first, first + count)` in `dir` — what a sweep
-    /// of many lists at once reads: `read_graph` sizes a whole
+    /// of many lists at once reads: `ImageLists` sizes a whole
     /// section with it and walks it in large sequential chunks instead
     /// of issuing one read per vertex.
     ///

@@ -43,14 +43,16 @@ pub mod codec;
 mod image;
 mod index;
 mod sharded;
+mod source;
 
 pub use image::{
-    load_index, read_graph, read_list, read_meta, required_capacity, required_capacity_with,
+    load_index, read_list, read_meta, required_capacity, required_capacity_with,
     required_shard_capacities, shard_bounds, write_image, write_image_to, write_image_with,
-    write_sharded_image, ImageFormat, ImageMeta, WriteAt, WriteOptions, SECTION_ALIGN,
+    write_sharded_image, ImageFormat, ImageLists, ImageMeta, WriteAt, WriteOptions, SECTION_ALIGN,
 };
 pub use index::{
     EdgeListLoc, GraphIndex, ListSlice, PackedDirInput, SliceDecode, VarintSlice,
     CHECKPOINT_INTERVAL, LARGE_DEGREE,
 };
 pub use sharded::ShardedIndex;
+pub use source::{ListRun, ListSource, RunSink};

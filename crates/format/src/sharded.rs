@@ -71,17 +71,10 @@ impl ShardedIndex {
             metas.push(meta);
             shards.push(Arc::new(index));
         }
-        if let Some(first) = metas.first() {
-            for m in &metas[1..] {
-                if m.directed != first.directed
-                    || m.weighted != first.weighted
-                    || m.format != first.format
-                {
-                    return Err(FgError::CorruptImage(
-                        "shards disagree on image flags/format".into(),
-                    ));
-                }
-            }
+        let flags = |m: &ImageMeta| (m.directed, m.weighted, m.format);
+        if metas.windows(2).any(|w| flags(&w[0]) != flags(&w[1])) {
+            let why = "shards disagree on image flags/format";
+            return Err(FgError::CorruptImage(why.into()));
         }
         Ok((metas, ShardedIndex::new(shards)))
     }

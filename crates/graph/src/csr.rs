@@ -123,41 +123,25 @@ impl Csr {
         &self.offsets
     }
 
-    /// Iterates the per-vertex neighbour slices in id order — the
-    /// shape the on-SSD image writer consumes (one block per vertex,
-    /// so delta encoders see each sorted list whole instead of the
-    /// flat [`Csr::neighbor_array`]).
-    pub fn lists(&self) -> impl Iterator<Item = &[VertexId]> + '_ {
-        self.offsets
-            .windows(2)
-            .map(|w| &self.neighbors[w[0] as usize..w[1] as usize])
-    }
-
-    /// Whether every adjacency list is sorted ascending — the
-    /// invariant [`crate::GraphBuilder::build`] establishes and the
-    /// image's gap encoding depends on (gaps must be
-    /// non-negative). Construction paths that bypass the builder can
-    /// use this to validate before writing a compressed image.
-    pub fn lists_sorted(&self) -> bool {
-        self.lists().all(|l| l.windows(2).all(|w| w[0].0 <= w[1].0))
-    }
-
     /// The raw neighbour array.
     #[inline]
     pub fn neighbor_array(&self) -> &[VertexId] {
         &self.neighbors
     }
 
+    /// The raw weight array parallel to [`Csr::neighbor_array`], if any.
+    #[inline]
+    pub fn weight_array(&self) -> Option<&[f32]> {
+        self.weights.as_deref()
+    }
+
     /// Heap bytes held by this CSR (used for memory-footprint rows in
     /// the evaluation tables).
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
-            + self
-                .weights
-                .as_ref()
-                .map(|w| w.len() * std::mem::size_of::<f32>())
-                .unwrap_or(0)
+        use std::mem::size_of_val;
+        size_of_val(&self.offsets[..])
+            + size_of_val(&self.neighbors[..])
+            + self.weights.as_deref().map_or(0, size_of_val)
     }
 }
 
@@ -361,12 +345,10 @@ mod tests {
             None,
         )
         .unwrap();
-        let lists: Vec<Vec<u32>> = c.lists().map(|l| l.iter().map(|v| v.0).collect()).collect();
+        let lists: Vec<Vec<u32>> = (0..3)
+            .map(|v| c.neighbors(VertexId(v)).iter().map(|v| v.0).collect())
+            .collect();
         assert_eq!(lists, vec![vec![1, 2], vec![], vec![0]]);
-        assert!(c.lists_sorted());
-        // An unsorted list is detected (image compression depends on it).
-        let bad = Csr::from_parts(vec![0, 2], vec![VertexId(5), VertexId(3)], None).unwrap();
-        assert!(!bad.lists_sorted());
     }
 
     #[test]

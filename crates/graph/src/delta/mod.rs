@@ -456,24 +456,18 @@ impl DeltaLog {
     }
 
     /// The union graph (base + this view) — the oracle the acceptance
-    /// tests compare engine deliveries against, and the graph the
-    /// compactor writes as the next image generation.
+    /// tests compare engine deliveries and compacted images against.
     ///
     /// # Panics
     ///
     /// Panics when `base`'s shape (vertex count, directedness) does
     /// not match the log the view came from.
     pub fn union(base: &Graph, view: &DeltaView) -> Graph {
-        let n = base.num_vertices();
-        let weighted = base.has_weights();
         let build = |dir: EdgeDir| -> Csr {
             let csr = base.csr(dir);
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut neighbors: Vec<VertexId> = Vec::new();
-            let mut weights: Option<Vec<f32>> = weighted.then(Vec::new);
-            offsets.push(0u64);
-            for i in 0..n {
-                let v = VertexId::from_index(i);
+            let (mut offsets, mut neighbors) = (vec![0u64], Vec::new());
+            let mut weights: Option<Vec<f32>> = base.has_weights().then(Vec::new);
+            for v in base.vertices() {
                 let ids: Vec<u32> = csr.neighbors(v).iter().map(|u| u.0).collect();
                 let (merged, ws) = view.merged_list(v, dir, &ids, csr.weights_of(v));
                 neighbors.extend(merged.into_iter().map(VertexId));
@@ -484,12 +478,9 @@ impl DeltaLog {
             }
             Csr::from_parts(offsets, neighbors, weights).expect("merged CSR is well-formed")
         };
-        if base.is_directed() {
-            Graph::from_csr(true, build(EdgeDir::Out), Some(build(EdgeDir::In)))
-                .expect("merged graph is well-formed")
-        } else {
-            Graph::from_csr(false, build(EdgeDir::Out), None).expect("merged graph is well-formed")
-        }
+        let in_ = base.is_directed().then(|| build(EdgeDir::In));
+        Graph::from_csr(base.is_directed(), build(EdgeDir::Out), in_)
+            .expect("merged graph is well-formed")
     }
 }
 

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use fg_bench::build_shard_fixture;
 use fg_format::{
-    load_index, read_graph, read_list, required_capacity_with, write_image_with, GraphIndex,
-    ImageMeta, SliceDecode, WriteOptions,
+    load_index, read_list, required_capacity_with, write_image_with, GraphIndex, ImageLists,
+    ImageMeta, ListSource, SliceDecode, WriteOptions,
 };
 use fg_graph::{gen, DeltaBatch, DeltaLog, DeltaOp, Graph, GraphBuilder};
 use fg_safs::{Safs, SafsConfig};
@@ -659,19 +659,30 @@ fn same_outcome<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-fn lists_of(g: &Graph) -> Vec<(Vec<VertexId>, Option<Vec<f32>>)> {
-    [EdgeDir::Out, EdgeDir::In]
-        .into_iter()
-        .flat_map(|dir| {
-            g.vertices().map(move |v| {
-                let csr = g.csr(dir);
-                (
-                    csr.neighbors(v).to_vec(),
-                    csr.weights_of(v).map(<[f32]>::to_vec),
-                )
-            })
-        })
-        .collect()
+type Lists = Vec<(Vec<VertexId>, Option<Vec<f32>>)>;
+
+/// Every out- then in-list of `src`, with its weights.
+fn lists_of<S: ListSource + ?Sized>(src: &S) -> fg_types::Result<Lists> {
+    let mut lists = Vec::new();
+    for dir in [EdgeDir::Out, EdgeDir::In] {
+        src.runs(dir, 0..src.num_vertices(), &mut |run| {
+            for span in run.spans() {
+                let ws = run.weights.map(|w| w[span.clone()].to_vec());
+                lists.push((run.ids[span].to_vec(), ws));
+            }
+            Ok(())
+        })?;
+    }
+    Ok(lists)
+}
+
+/// The lists the image `meta` and `index` describe, swept off `src`.
+fn read_back<S: ByteSource + ?Sized>(
+    src: &S,
+    meta: &ImageMeta,
+    index: &GraphIndex,
+) -> fg_types::Result<Lists> {
+    lists_of(&ImageLists::new(src, meta, index, None))
 }
 
 proptest! {
@@ -730,14 +741,14 @@ proptest! {
                         }
                     }
                 }
-                let direct = read_graph(array, &meta, &index).map(|g| lists_of(&g));
+                let direct = read_back(array, &meta, &index);
                 let sources: [&dyn ByteSource; 2] = [&safs, &safs.streaming()];
                 for source in sources {
-                    let through = read_graph(source, &meta, &index).map(|g| lists_of(&g));
+                    let through = read_back(source, &meta, &index);
                     prop_assert!(same_outcome(&direct, &through), "{:?}", opts.format);
                 }
                 if !corrupt {
-                    prop_assert_eq!(direct.unwrap(), lists_of(&g));
+                    prop_assert_eq!(direct.unwrap(), lists_of(&g).unwrap());
                 }
             }
         }
@@ -780,7 +791,7 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
             Err(FgError::CorruptImage(_))
         ));
         assert!(matches!(
-            read_graph(source, &meta, &index),
+            read_back(source, &meta, &index),
             Err(FgError::CorruptImage(_))
         ));
     }
@@ -799,7 +810,7 @@ fn corrupt_blocks_read_through_the_mount_are_still_corrupt_images() {
             Err(FgError::CorruptImage(_))
         ));
         assert!(matches!(
-            read_graph(source, &cut, &index),
+            read_back(source, &cut, &index),
             Err(FgError::CorruptImage(_))
         ));
     }
