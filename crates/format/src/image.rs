@@ -1260,14 +1260,13 @@ mod tests {
             for g in [
                 fixtures::diamond(),
                 fixtures::complete(9),
-                fixtures::weighted_square(),
                 gen::rmat(7, 6, gen::RmatSkew::default(), 11),
             ] {
                 let (array, meta, index) = image_of_with(&g, &opts);
                 let source = ImageLists::new(&array, &meta, &index, None);
                 assert_eq!(source.num_vertices(), g.num_vertices());
                 assert_eq!(source.is_directed(), g.is_directed());
-                assert_eq!(source.has_weights(), g.has_weights());
+                assert!(!source.has_weights());
                 let n = g.num_vertices();
                 for dir in [EdgeDir::Out, EdgeDir::In] {
                     for vs in [0..n, 1..n / 2, n / 2..n / 2] {
@@ -1275,10 +1274,24 @@ mod tests {
                         assert_eq!(source.entries(dir, vs), want);
                     }
                 }
-                // Weights included: a weighted image hands its
-                // attribute runs back beside the lists.
                 assert_eq!(lists_of(&source).unwrap(), lists_of(&g).unwrap());
             }
+        }
+    }
+
+    #[test]
+    fn image_lists_preserve_weights() {
+        // A weighted image hands its attribute runs back beside the
+        // lists, in both formats (compressed keeps weighted blocks raw).
+        for opts in both_formats() {
+            let g = fixtures::weighted_square();
+            let (array, meta, index) = image_of_with(&g, &opts);
+            assert!(meta.weighted);
+            let source = ImageLists::new(&array, &meta, &index, None);
+            assert!(source.has_weights());
+            let lists = lists_of(&source).unwrap();
+            assert!(lists.iter().all(|(_, ws)| ws.is_some()));
+            assert_eq!(lists, lists_of(&g).unwrap());
         }
     }
 
