@@ -3,8 +3,9 @@
 //!
 //! SAFS is designed as a *shared* substrate (§3.1): application
 //! threads mail I/O requests to common per-drive I/O threads, and the
-//! set-associative page cache — per-set locks, gclock eviction —
-//! absorbs overlapping working sets with near-zero locking overhead.
+//! set-associative page cache — per-set locks, GClock eviction, pages
+//! read on a miss entering on probation — absorbs overlapping working
+//! sets with near-zero locking overhead.
 //! The paper leans on exactly this property ("this page cache reduces
 //! locking overhead and incurs little overhead when the cache hit
 //! rate is low", §3.1; Figures 12–14 quantify the cache and I/O

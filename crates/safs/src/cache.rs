@@ -1,17 +1,54 @@
 //! The set-associative page cache (§3.1; Zheng et al., HotStorage'12).
 //!
 //! Pages hash to one of many small *sets*; each set holds a handful of
-//! pages (the associativity), its own lock, and a gclock hand. The
+//! pages (the associativity), its own lock, and a GClock hand. The
 //! scheme trades a little hit-rate (a hot page can only live in its
 //! home set) for near-perfect lock scalability — the property the
 //! paper leans on: "this page cache reduces locking overhead and
 //! incurs little overhead when the cache hit rate is low".
 //!
+//! # Insertion
+//!
+//! Each slot carries a reference count: a counted lookup that finds
+//! the page adds one, and the hand, sweeping for a victim, takes one
+//! off each slot it passes and evicts the first slot at zero. How a
+//! page *enters* decides what a working set larger than the cache
+//! keeps:
+//!
+//! * **A page read on a miss enters on probation.** In a full set it
+//!   takes the evicted slot with count 0 and the hand stays on it, so
+//!   the set's next miss replaces it — unless a lookup hit it first,
+//!   which makes it count 1, and from then on the hand ages it like
+//!   any resident. A page read once and never again therefore costs a
+//!   set one slot, not its residents, and a loop over more pages than
+//!   the cache holds keeps a resident share. Entering warm (count 1,
+//!   hand moved past) would make a set whose pages are not hit again
+//!   replace its slots in FIFO order, evicting every page of such a
+//!   loop before the loop comes back to it. This is LIP (Qureshi et
+//!   al., "Adaptive Insertion Policies for High Performance Caching",
+//!   ISCA 2007) on a GClock set.
+//! * **One evicting miss in [`WARM_EVERY`] enters warm**, per set (the
+//!   BIP half of the same paper). Without it, residents nobody hits
+//!   would never age out: the hand would never leave the probation
+//!   slot. Each warm entry moves the hand on by one, so a set that
+//!   sees only new pages is fully replaced after `WARM_EVERY × ways`
+//!   evicting misses, and a working set that moved is adopted.
+//! * **Pages [`crate::Safs::write`] installs enter warm**
+//!   ([`PageCache::install`]): a compaction writes the next generation
+//!   through its cache so that the generation's first queries find it
+//!   resident, and those pages must not be the first to go.
+//! * A page entering a set that still has a free slot takes it with
+//!   count 1; nothing is evicted.
+//!
+//! A streaming sweep's lookup ([`PageCache::peek`]) uses a resident
+//! page without counting it as a reference, so a once-only read-back
+//! does not promote the probationary pages it passes.
+//!
 //! # Held pages stay hits
 //!
 //! The user-task interface runs a vertex's computation on the pages
 //! *in* the cache (§3.1), so a page a task still references is a page
-//! the cache must still find. gclock may push such a page out of its
+//! the cache must still find. The hand may push such a page out of its
 //! slot — the capacity is a budget for what the cache itself keeps
 //! alive — but the set then remembers it by a [`Weak`] handle, keyed
 //! by page number, and a later lookup upgrades that handle and books a
@@ -93,13 +130,14 @@ pub struct CacheStatsSnapshot {
     pub lookups: u64,
     /// Lookups that found their page.
     pub hits: u64,
-    /// The part of `hits` served by a page gclock had already evicted
-    /// but a span, completion or waiter still held (see the module
-    /// docs). Booked by the cache itself, not by session scopes.
+    /// The part of `hits` served by a page its set had already
+    /// evicted but a span, completion or waiter still held (see the
+    /// module docs). Booked by the cache itself, not by session
+    /// scopes.
     pub pinned_hits: u64,
     /// Lookups that did not.
     pub misses: u64,
-    /// Pages pushed out by gclock.
+    /// Pages pushed out of their slots to make room for another.
     pub evictions: u64,
     /// Pages inserted.
     pub insertions: u64,
@@ -145,16 +183,26 @@ impl CacheStatsSnapshot {
     }
 }
 
+/// One evicting miss insertion in this many, per set, enters warm
+/// instead of on probation (see the module docs): rare enough that a
+/// loop larger than the cache keeps its resident share, frequent
+/// enough that residents nobody hits any more are replaced within
+/// `WARM_EVERY × ways` misses of their set.
+const WARM_EVERY: u8 = 128;
+
 struct Slot {
     pageno: u64,
     page: Arc<Page>,
-    /// gclock reference counter; hits increment, the hand decrements.
+    /// Reference count: counted hits increment it, the hand decrements
+    /// it, and a page entering on probation starts at 0.
     hits: u8,
 }
 
 struct CacheSet {
     slots: Vec<Slot>,
     hand: usize,
+    /// Evicting miss insertions since this set's last warm one.
+    since_warm: u8,
     /// Pages evicted from `slots` while someone outside the cache
     /// still held them, by page number. Weak, so the table keeps no
     /// page alive; dead entries go at the next eviction.
@@ -165,11 +213,12 @@ struct CacheSet {
 
 impl CacheSet {
     /// The page, and whether it was found among the victims (`true`)
-    /// rather than in a slot.
-    fn find(&mut self, pageno: u64) -> Option<(Arc<Page>, bool)> {
+    /// rather than in a slot. A slotted page's reference count goes up
+    /// by one if `touch`.
+    fn find(&mut self, pageno: u64, touch: bool) -> Option<(Arc<Page>, bool)> {
         for s in &mut self.slots {
             if s.pageno == pageno {
-                s.hits = s.hits.saturating_add(1);
+                s.hits = s.hits.saturating_add(touch as u8);
                 return Some((Arc::clone(&s.page), false));
             }
         }
@@ -185,7 +234,7 @@ impl CacheSet {
 
     /// [`CacheSet::find`], booked in the set's tally.
     fn lookup(&mut self, pageno: u64) -> Option<Arc<Page>> {
-        let found = self.find(pageno);
+        let found = self.find(pageno, true);
         self.tally.lookups += 1;
         match &found {
             Some((_, pinned)) => {
@@ -197,9 +246,11 @@ impl CacheSet {
         Some(found?.0)
     }
 
-    /// Inserts `page`, evicting via gclock when the set is full, and
-    /// books the insertion (and the eviction, if one happened).
-    fn insert(&mut self, pageno: u64, page: Arc<Page>, ways: usize) {
+    /// Inserts `page`, evicting when the set is full, and books the
+    /// insertion (and the eviction, if one happened). An `install`
+    /// enters warm; a miss enters on probation unless it is the set's
+    /// [`WARM_EVERY`]th evicting one (see the module docs).
+    fn insert(&mut self, pageno: u64, page: Arc<Page>, ways: usize, install: bool) {
         self.tally.insertions += 1;
         if let Some(s) = self.slots.iter_mut().find(|s| s.pageno == pageno) {
             // Another thread raced the same page in; refresh it.
@@ -214,18 +265,23 @@ impl CacheSet {
             });
             return;
         }
-        // gclock: sweep the hand, decrementing, until a cold slot.
+        let warm = install || {
+            self.since_warm += 1;
+            let due = self.since_warm == WARM_EVERY;
+            if due {
+                self.since_warm = 0;
+            }
+            due
+        };
+        // Sweep the hand, decrementing, until a slot at zero. A full
+        // set has `ways` slots; wrapping by comparison keeps a division
+        // off every step of the sweep.
+        let next = |hand: usize| if hand + 1 == ways { 0 } else { hand + 1 };
         loop {
             let s = &mut self.slots[self.hand];
-            // A full set has `ways` slots; wrapping by comparison
-            // keeps a division off every step of the sweep.
-            self.hand = if self.hand + 1 == ways {
-                0
-            } else {
-                self.hand + 1
-            };
             if s.hits > 0 {
                 s.hits -= 1;
+                self.hand = next(self.hand);
                 continue;
             }
             // Exact under the set lock: the slot holds one reference
@@ -239,8 +295,13 @@ impl CacheSet {
             *s = Slot {
                 pageno,
                 page,
-                hits: 1,
+                hits: warm as u8,
             };
+            // On probation the hand stays on the newcomer, the set's
+            // next victim unless a hit comes first.
+            if warm {
+                self.hand = next(self.hand);
+            }
             self.tally.evictions += 1;
             return;
         }
@@ -297,6 +358,7 @@ impl PageCache {
             Mutex::new(CacheSet {
                 slots: Vec::with_capacity(ways),
                 hand: 0,
+                since_warm: 0,
                 victims: HashMap::new(),
                 tally: CacheStatsSnapshot::default(),
             })
@@ -333,9 +395,10 @@ impl PageCache {
         ((pageno.wrapping_mul(0x9E3779B97F4A7C15)) >> 32) as usize % self.sets.len()
     }
 
-    /// Looks `pageno` up, bumping its gclock counter on a hit. A page
-    /// evicted from its set while still held elsewhere is a hit too
-    /// (and a `pinned_hit`); it is returned as it is, not re-slotted.
+    /// Looks `pageno` up, adding a reference to its slot on a hit. A
+    /// page evicted from its set while still held elsewhere is a hit
+    /// too (and a `pinned_hit`); it is returned as it is, not
+    /// re-slotted.
     pub fn get(&self, pageno: u64) -> Option<Arc<Page>> {
         self.sets[self.set_of(pageno)].lock().lookup(pageno)
     }
@@ -344,9 +407,18 @@ impl PageCache {
     /// counters — used by I/O threads re-checking for pages that
     /// raced into the cache after the application-side lookup missed
     /// (the "pending page" dedup of real SAFS). Counting these would
-    /// double-book the application's miss.
+    /// double-book the application's miss. The slot's reference is
+    /// still added: the re-check serves a session's real request.
     pub fn get_quiet(&self, pageno: u64) -> Option<Arc<Page>> {
-        Some(self.sets[self.set_of(pageno)].lock().find(pageno)?.0)
+        Some(self.sets[self.set_of(pageno)].lock().find(pageno, true)?.0)
+    }
+
+    /// Like [`PageCache::get_quiet`] but the slot's reference count is
+    /// left as it is: a streaming sweep uses a resident page without
+    /// promoting it, so a once-only read-back does not reshape the
+    /// working set.
+    pub(crate) fn peek(&self, pageno: u64) -> Option<Arc<Page>> {
+        Some(self.sets[self.set_of(pageno)].lock().find(pageno, false)?.0)
     }
 
     /// Evicted-and-recorded pages over all sets, dead entries
@@ -356,15 +428,26 @@ impl PageCache {
         self.sets.iter().map(|s| s.lock().victims.len()).sum()
     }
 
-    /// Inserts a freshly read page (a no-op in the no-cache mode).
+    /// Inserts a page read on a miss, on probation (see the module
+    /// docs; a no-op in the no-cache mode).
     pub fn insert(&self, page: Arc<Page>) {
+        self.enter(page, false);
+    }
+
+    /// Inserts a page written through the cache, warm (see the module
+    /// docs; a no-op in the no-cache mode).
+    pub(crate) fn install(&self, page: Arc<Page>) {
+        self.enter(page, true);
+    }
+
+    fn enter(&self, page: Arc<Page>, install: bool) {
         if self.ways == 0 {
             return;
         }
         let pageno = page.pageno();
         self.sets[self.set_of(pageno)]
             .lock()
-            .insert(pageno, page, self.ways);
+            .insert(pageno, page, self.ways, install);
     }
 }
 
@@ -490,17 +573,27 @@ mod tests {
         for _ in 0..10 {
             c.get(0);
         }
-        // Stream a burst of cold pages through: the hand must evict
-        // the cold originals before it wears the hot page down.
+        // A once-read burst enters on probation: its pages replace one
+        // another in the slot the first of them took, so the cold
+        // originals outlive it, all but the one that slot held.
         for no in 100..106 {
             c.insert(mk_page(no));
+        }
+        assert!(c.get(0).is_some(), "hot page evicted by a once-read burst");
+        let cold_survivors = (1..4).filter(|&no| c.peek(no).is_some()).count();
+        assert_eq!(cold_survivors, 2, "cold pages did not outlive the burst");
+        // A burst whose pages are hit ages every slot: the hand must
+        // evict the cold originals before it wears the hot page down.
+        for no in 200..206 {
+            c.insert(mk_page(no));
+            c.get(no);
         }
         assert!(
             c.get(0).is_some(),
             "hot page evicted before colder residents"
         );
-        let cold_survivors = (1..4).filter(|&no| c.get(no).is_some()).count();
-        assert_eq!(cold_survivors, 0, "cold pages outlived the streaming burst");
+        let cold_survivors = (1..4).filter(|&no| c.peek(no).is_some()).count();
+        assert_eq!(cold_survivors, 0, "cold pages outlived the hit burst");
     }
 
     #[test]
@@ -649,8 +742,11 @@ mod tests {
                 c.get(no).expect("just inserted")
             })
             .collect();
+        // The burst's pages are hit, so the hand ages every slot
+        // instead of replacing probationary newcomers in one.
         for no in 2000..2200 {
             c.insert(mk_page(no));
+            c.get(no);
         }
         assert_eq!(c.victim_entries(), held.len());
         assert!(held.iter().all(|p| c.get_quiet(p.pageno()).is_some()));
@@ -659,6 +755,104 @@ mod tests {
             c.insert(mk_page(no));
         }
         assert_eq!(c.victim_entries(), 0);
+    }
+
+    // ------------------------------------------------------ insertion
+
+    /// Fills every set of `c` with pages nobody looks up again and
+    /// returns them by set, in insertion order.
+    fn fill(c: &PageCache) -> Vec<Vec<u64>> {
+        let mut by_set = vec![Vec::new(); c.sets.len()];
+        for no in 0.. {
+            let set = &mut by_set[c.set_of(no)];
+            if set.len() < c.ways {
+                set.push(no);
+                c.insert(mk_page(no));
+            }
+            if by_set.iter().all(|s| s.len() == c.ways) {
+                return by_set;
+            }
+        }
+        unreachable!()
+    }
+
+    /// A read miss: the counted lookup, then the insertion.
+    fn miss(c: &PageCache, no: u64) {
+        assert!(c.get(no).is_none(), "page {no} was resident");
+        c.insert(mk_page(no));
+    }
+
+    #[test]
+    fn a_once_read_scan_costs_each_set_one_slot() {
+        let c = PageCache::new(64, 8);
+        let originals = fill(&c);
+        // Ten capacities read once each, from a range no original is in.
+        let scan = (1u64 << 20)..(1 << 20) + 10 * c.capacity_pages() as u64;
+        let mut per_set = vec![0usize; c.sets.len()];
+        for no in scan {
+            per_set[c.set_of(no)] += 1;
+            miss(&c, no);
+        }
+        // Fewer evicting misses per set than the warm entry's period,
+        // so every newcomer entered on probation.
+        assert!(per_set.iter().all(|&n| n < WARM_EVERY as usize));
+        // The first miss in each set aged every resident to zero and
+        // took the hand's slot; every later one replaced its
+        // predecessor there.
+        for set in &originals {
+            assert!(c.peek(set[0]).is_none(), "the first sweep's victim stayed");
+            for &no in &set[1..] {
+                assert!(
+                    c.peek(no).is_some(),
+                    "original {no} lost to a once-read scan"
+                );
+            }
+        }
+        let s = c.stats();
+        assert_eq!(s.evictions, 10 * c.capacity_pages() as u64);
+    }
+
+    #[test]
+    fn a_newcomer_hit_before_the_next_miss_survives_it() {
+        // One set of four ways.
+        let c = PageCache::new(4, 4);
+        for no in 0..4 {
+            c.insert(mk_page(no));
+        }
+        miss(&c, 10); // takes page 0's slot on probation
+        assert!(c.peek(0).is_none());
+        assert!(c.get(10).is_some(), "the hit that promotes it");
+        miss(&c, 11);
+        assert!(c.peek(10).is_some(), "a hit newcomer lost its slot");
+        assert!(c.peek(11).is_some());
+        // A resident went in its place: page 1, the next at zero.
+        assert!(c.peek(1).is_none());
+        assert!(c.peek(2).is_some() && c.peek(3).is_some());
+        assert_eq!(c.stats().evictions, 2);
+    }
+
+    #[test]
+    fn warm_entries_age_out_residents_nobody_hits() {
+        let c = PageCache::new(16, 4);
+        let originals = fill(&c);
+        // Misses only, until every set has seen WARM_EVERY × ways
+        // evicting ones: each warm entry moves the hand past one
+        // resident, and the next probation entry replaces that one.
+        let want = WARM_EVERY as usize * c.ways;
+        let mut per_set = vec![0usize; c.sets.len()];
+        let mut no = 1u64 << 20;
+        while per_set.iter().any(|&n| n < want) {
+            per_set[c.set_of(no)] += 1;
+            miss(&c, no);
+            no += 1;
+        }
+        let left: Vec<u64> = originals
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&no| c.peek(no).is_some())
+            .collect();
+        assert!(left.is_empty(), "originals {left:?} froze in the cache");
     }
 
     mod model {

@@ -12,10 +12,14 @@
 //!   session per served pass — so the hop's cost is amortised.
 //! * **A set-associative, lightweight page cache** ([`PageCache`]):
 //!   pages hash to small independent sets, each with its own lock and
-//!   a gclock eviction hand. Locking is per-set so the cache scales
+//!   a GClock eviction hand. Locking is per-set so the cache scales
 //!   with cores, and a lookup costs a hash plus a short scan — cheap
 //!   enough that low hit rates add little overhead, while hit-rate
-//!   gains translate linearly into performance (§3.1).
+//!   gains translate linearly into performance (§3.1). A page read on
+//!   a miss enters its set on probation, the set's next victim unless
+//!   a lookup hits it first (one evicting miss in 128 enters warm), so
+//!   a working set larger than the cache keeps a resident share; pages
+//!   [`Safs::write`] installs enter warm.
 //! * **The asynchronous user-task I/O interface**: completions hand
 //!   back zero-copy [`PageSpan`]s over cached pages instead of
 //!   copying into caller buffers, so a million outstanding requests

@@ -163,10 +163,11 @@ impl Safs {
     /// [`Safs::read_sync`] with the *streaming* cache policy, for a
     /// caller that sweeps a large range once (a compaction reading
     /// the old image back): resident pages are used, without booking
-    /// hits or misses, and freshly read pages are not inserted, so the
-    /// sweep cannot evict the hot working set however small the cache
-    /// is next to it. Each contiguous run of absent pages is one
-    /// device request.
+    /// hits or misses or counting as a reference to their slots, and
+    /// freshly read pages are not inserted, so the sweep can neither
+    /// evict the hot working set however small the cache is next to
+    /// it, nor promote pages that entered on probation. Each
+    /// contiguous run of absent pages is one device request.
     ///
     /// # Errors
     ///
@@ -189,7 +190,9 @@ impl Safs {
     /// (bytes past the end of the device count as covered: a read
     /// zero-fills them), and a resident page it covers only in part
     /// is replaced by a patched copy. Any other page is left for its
-    /// first read.
+    /// first read. Installed pages enter the cache warm, not on the
+    /// probation a read miss gets, so the generation's first queries
+    /// find them resident.
     ///
     /// Write-through fills a mount *before it is published* — a
     /// compaction writing the next generation — and is not a
@@ -224,7 +227,7 @@ impl Safs {
             };
             bytes[(lo - start) as usize..(hi - start) as usize]
                 .copy_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            self.mount.cache.insert(Arc::new(Page::new(pageno, bytes)));
+            self.mount.cache.install(Arc::new(Page::new(pageno, bytes)));
         }
         Ok(())
     }
@@ -330,9 +333,10 @@ enum CacheUse {
     Booked,
     /// A once-only sweep (`Safs::read_sync_stream`): cached pages are
     /// still *used* when present — the hot set helps the sweep — but
-    /// nothing is booked and fresh pages are handed straight to the
-    /// caller without touching the cache, so the sweep cannot evict
-    /// the working set.
+    /// nothing is booked, a resident page's slot is not referenced,
+    /// and fresh pages are handed straight to the caller without
+    /// touching the cache, so the sweep neither evicts the working set
+    /// nor promotes pages on probation.
     Stream,
 }
 
@@ -345,7 +349,8 @@ fn read_pages(ctx: &Mount, first_page: u64, num_pages: u64, cache: CacheUse) -> 
     let mut pages: Vec<Option<Arc<Page>>> = (first_page..first_page + num_pages)
         .map(|p| match cache {
             CacheUse::Booked => ctx.cache.get(p),
-            CacheUse::Recheck | CacheUse::Stream => ctx.cache.get_quiet(p),
+            CacheUse::Recheck => ctx.cache.get_quiet(p),
+            CacheUse::Stream => ctx.cache.peek(p),
         })
         .collect();
     let mut i = 0usize;
@@ -733,13 +738,70 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_read_does_not_promote_a_page_on_probation() {
+        // One set of 8 ways in front of a 256-page device, full.
+        let cfg = SafsConfig::default().with_cache_bytes(8 * 4096);
+        let safs = patterned_safs(cfg, 1 << 20);
+        safs.read_sync(0, 8 * 4096).unwrap();
+        let resident = |p: u64| safs.mount.cache.peek(p).is_some();
+        // Page 100 enters on probation in page 0's slot.
+        safs.read_sync(100 * 4096, 1).unwrap();
+        assert!(resident(100) && !resident(0));
+        // A stream read uses it without a device read ...
+        let io = safs.array().stats().snapshot().pages_read;
+        let span = safs.read_sync_stream(100 * 4096, 4096).unwrap();
+        assert_eq!(safs.array().stats().snapshot().pages_read, io);
+        drop(span);
+        // ... and leaves it the victim of the set's next miss.
+        safs.read_sync(101 * 4096, 1).unwrap();
+        assert!(!resident(100), "the stream read promoted its page");
+        assert!((1..8).all(resident));
+        // The I/O thread's re-check serves a session's request, so it
+        // does count: page 101 survives the next miss, page 1 goes.
+        read_pages(&safs.mount, 101, 1, CacheUse::Recheck);
+        safs.read_sync(102 * 4096, 1).unwrap();
+        assert!(resident(101) && resident(102) && !resident(1));
+    }
+
+    #[test]
+    fn written_pages_outlive_a_once_read_scan() {
+        // One set of 8 ways in front of a 256-page device, full of
+        // pages read once.
+        let pb = 4096u64;
+        let cfg = SafsConfig::default().with_cache_bytes(8 * pb);
+        let mut safs = patterned_safs(cfg, 1 << 20);
+        safs.read_sync(200 * pb, 8 * pb).unwrap();
+        // The next generation written through the cache: 8 whole
+        // pages, each of which evicts a page read once.
+        let data: Vec<u8> = (0..8 * pb).map(|i| (i % 253) as u8).collect();
+        safs.write(0, &data).unwrap();
+        // A once-read scan the size of the cache.
+        for p in 100..108 {
+            safs.read_sync(p * pb, 1).unwrap();
+        }
+        // The first miss took page 0's slot; the scan's later pages
+        // replaced one another there, and pages 1-7 stay resident.
+        let bytes = safs.array().stats().snapshot().bytes_read;
+        let again = safs.read_sync(pb, 7 * pb).unwrap();
+        assert_eq!(again.to_vec(), data[pb as usize..]);
+        assert_eq!(safs.array().stats().snapshot().bytes_read, bytes);
+        assert_eq!(safs.read_sync(0, pb).unwrap().to_vec(), data[..pb as usize]);
+        assert_eq!(safs.array().stats().snapshot().bytes_read, bytes + pb);
+    }
+
+    #[test]
     fn held_span_keeps_its_pages_hits_on_every_read_path() {
         // A cache of 8 pages in front of a 256-page device.
         let cfg = SafsConfig::default().with_cache_bytes(8 * 4096);
         let safs = patterned_safs(cfg, 1 << 20);
         let held = safs.read_sync(4096, 2 * 4096).unwrap(); // pages 1-2
-                                                            // Push them out of their slots: 64 other pages through 8.
-        safs.read_sync(16 * 4096, 64 * 4096).unwrap();
+
+        // Push them out of their slots: 64 other pages through 8, each
+        // hit once after its miss so that the hand ages every slot.
+        for p in 16..80 {
+            safs.read_sync(p * 4096, 1).unwrap();
+            safs.read_sync(p * 4096, 1).unwrap();
+        }
         assert!(safs.cache_stats().evictions >= 2);
         let io = safs.array().stats().snapshot();
         let cache = safs.cache_stats();
