@@ -1,4 +1,9 @@
 //! Engine configuration.
+//!
+//! What the paper fixes is derived, not configured: the range shift `r`
+//! of §3.8's partition function follows from the window size and the
+//! worker count ([`EngineConfig::partition_shift`]), and the cap on one
+//! merged read is a constant ([`crate::merge::MAX_MERGE_BYTES`]).
 
 use fg_types::EdgeDir;
 
@@ -32,13 +37,11 @@ pub enum SchedulerKind {
 /// Tunables of an [`crate::Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads. Zero means use available parallelism.
+    /// Worker threads. Zero means use available parallelism. The
+    /// range shift `r` of the horizontal partition function
+    /// `(vid >> r) % num_threads` (§3.8) follows from this and the
+    /// graph size ([`EngineConfig::partition_shift`]).
     pub num_threads: usize,
-    /// Range shift `r` of the horizontal partition function
-    /// `(vid >> r) % num_threads` (§3.8). Zero means pick
-    /// automatically from the graph size. The paper found 12–18 works
-    /// well for 100 M-vertex graphs.
-    pub range_shift: u32,
     /// Maximum outstanding edge-list requests per worker. The paper
     /// saw no benefit past 4000 running vertices per thread.
     pub max_pending: usize,
@@ -48,12 +51,6 @@ pub struct EngineConfig {
     /// (§3.6). Turning this off reproduces the "merge in SAFS" and
     /// "no merging" rows of Figure 12.
     pub merge_in_engine: bool,
-    /// Upper bound in bytes on one merged I/O request. Without a cap a
-    /// well-sorted issue batch coalesces into a single giant device
-    /// read that lands on one drive and serializes the array; the cap
-    /// splits such covers so they stripe. A single request larger than
-    /// the cap still issues whole. Zero means unlimited.
-    pub max_merge_bytes: u64,
     /// Vertex ordering policy.
     pub scheduler: SchedulerKind,
     /// Vertical passes per iteration (§3.8): programs see
@@ -95,14 +92,10 @@ impl EngineConfig {
     }
 
     /// The merged-request cap as [`crate::merge::merge_requests`]
-    /// expects it: the configured bytes, or effectively-infinite when
-    /// the knob is 0.
+    /// expects it: [`crate::merge::MAX_MERGE_BYTES`], whatever the
+    /// configuration.
     pub fn resolved_max_merge_bytes(&self) -> u64 {
-        if self.max_merge_bytes == 0 {
-            crate::merge::UNLIMITED_MERGE_BYTES
-        } else {
-            self.max_merge_bytes
-        }
+        crate::merge::MAX_MERGE_BYTES
     }
 
     /// Builder-style: sets vertical passes.
@@ -122,17 +115,13 @@ impl EngineConfig {
         }
     }
 
-    /// Resolved range shift for a graph of `n` vertices: the paper's
-    /// guidance adapted to small graphs — enough ranges per partition
-    /// (≥ 8) for stealing granularity, ranges at least 256 vertices
-    /// when the graph affords it. An explicit shift wins, clamped to
-    /// the smallest `r` with `2^r ≥ n`: any larger shift means the same
-    /// thing — one range holds every vertex — and would overflow the
-    /// range arithmetic.
-    pub fn resolve_range_shift(&self, n: usize) -> u32 {
-        if self.range_shift != 0 {
-            return self.range_shift.min(n.next_power_of_two().trailing_zeros());
-        }
+    /// The range shift `r` for a window of `n` vertices: the paper's
+    /// guidance (it found 12–18 works well for 100 M-vertex graphs)
+    /// adapted to small graphs — the largest `r ≤ 18` that still leaves
+    /// at least 8 ranges per worker for stealing granularity. So one
+    /// range never holds the whole window unless `n` is below
+    /// `16 × threads`, where `r` is 0.
+    pub fn partition_shift(&self, n: usize) -> u32 {
         let threads = self.threads().max(1);
         let target_ranges = threads * 8;
         let mut r = 0u32;
@@ -147,15 +136,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             num_threads: 0,
-            range_shift: 0,
             max_pending: 4000,
             issue_batch: 256,
             merge_in_engine: true,
-            // A few MB: large enough that merging still amortizes
-            // request overhead, small enough that one cover cannot
-            // monopolize a drive (a couple of stripes on the paper's
-            // array geometry).
-            max_merge_bytes: 4 << 20,
             scheduler: SchedulerKind::Alternating,
             vertical_parts: 1,
             max_iterations: u32::MAX,
@@ -174,48 +157,15 @@ mod tests {
     }
 
     #[test]
-    fn explicit_range_shift_wins() {
-        let c = EngineConfig {
-            range_shift: 14,
-            ..EngineConfig::default()
-        };
-        assert_eq!(c.resolve_range_shift(1 << 20), 14);
-        // Past one range for the whole graph, clamped to that range.
-        for r in [40, 62, 63, 64, u32::MAX] {
-            let c = EngineConfig {
-                range_shift: r,
-                ..EngineConfig::default()
-            };
-            assert_eq!(c.resolve_range_shift(1000), 10, "r={r}");
-            assert_eq!(c.resolve_range_shift(1 << 20), 20, "r={r}");
-            assert_eq!(c.resolve_range_shift(1), 0, "r={r}");
-        }
-    }
-
-    #[test]
     fn auto_range_shift_scales_with_graph() {
         let c = EngineConfig::default().with_threads(4);
-        let small = c.resolve_range_shift(1 << 10);
-        let large = c.resolve_range_shift(1 << 24);
+        let small = c.partition_shift(1 << 10);
+        let large = c.partition_shift(1 << 24);
         assert!(large > small);
         assert!(large <= 18, "paper's upper guidance");
+        assert_eq!(c.partition_shift(usize::MAX), 18);
         // Enough ranges for stealing even on tiny graphs.
         assert!((1usize << 10) >> small >= 4 * 4);
-    }
-
-    #[test]
-    fn merge_cap_defaults_and_resolves() {
-        let c = EngineConfig::default();
-        assert_eq!(c.max_merge_bytes, 4 << 20);
-        assert_eq!(c.resolved_max_merge_bytes(), 4 << 20);
-        let unlimited = EngineConfig {
-            max_merge_bytes: 0,
-            ..c
-        };
-        assert_eq!(
-            unlimited.resolved_max_merge_bytes(),
-            crate::merge::UNLIMITED_MERGE_BYTES
-        );
     }
 
     #[test]

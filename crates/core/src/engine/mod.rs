@@ -413,7 +413,7 @@ impl<'g> Engine<'g> {
         }
 
         let nthreads = self.cfg.threads().max(1);
-        let r = self.cfg.resolve_range_shift(hi - lo);
+        let r = self.cfg.partition_shift(hi - lo);
         let pmap = PartitionMap::new_window(lo, hi, nthreads, r);
         let vparts = self.cfg.vertical_parts.max(1);
         let shared = RunShared {

@@ -332,8 +332,8 @@ pub(super) struct SemIo<'s> {
     /// The global ids this shard owns and fetches asynchronously.
     owned: Range<u32>,
     counters: &'s Counters,
-    /// The flush policy: `issue_batch`, `merge_in_engine` and the
-    /// merge cap, fixed for the run.
+    /// The flush policy: `issue_batch` and `merge_in_engine`, fixed
+    /// for the run (the merge cap is a constant).
     cfg: EngineConfig,
     page_bytes: u64,
     /// The batch being filled: byte ranges, and what each is for.

@@ -24,6 +24,10 @@
 //! would fragment batches and re-read pages that a full batch's
 //! page-disjoint covers fetch once.
 //!
+//! One cover grows to at most [`MAX_MERGE_BYTES`], a constant, so
+//! that it stripes across the array rather than landing on one drive;
+//! only a request that shares a page with the cover may carry it past.
+//!
 //! The rule is stated once, in `joins`, and walked once, by
 //! `covers`, which cuts a *sorted* batch into covers that are index
 //! ranges of it. It has two callers: the engine (`SemIo::flush` sorts
@@ -57,8 +61,14 @@ pub struct MergedReq {
     pub parts: Vec<RangeReq>,
 }
 
-/// No cap on merged-request size (see [`merge_requests`]).
-pub const UNLIMITED_MERGE_BYTES: u64 = u64::MAX;
+/// The engine's cap on one merged read, in bytes (see
+/// [`merge_requests`]). Without a cap a well-sorted issue batch
+/// coalesces into a single giant device read that lands on one drive
+/// and serializes the array. A few MB is large enough that merging
+/// still amortizes request overhead, and small enough that one cover
+/// cannot monopolize a drive (a couple of stripes on the paper's array
+/// geometry).
+pub const MAX_MERGE_BYTES: u64 = 4 << 20;
 
 /// One cover of a sorted batch: the merged read and the index range of
 /// the requests it serves.
@@ -81,31 +91,25 @@ pub(crate) fn sort_requests(reqs: &mut [RangeReq]) {
 /// `None` when `r` starts a cover of its own. `r` joins when it starts
 /// on the cover's last page or the one after it (same page, adjacent
 /// page, or overlapping bytes) and either the grown cover stays within
-/// `max_merge_bytes` or `r` *shares a page* with the cover (overlap,
+/// `cap` bytes or `r` *shares a page* with the cover (overlap,
 /// containment, or a mid-page boundary) — splitting there would read
 /// the shared page twice from the device within one batch, so the cap
 /// yields.
-fn joins(
-    offset: u64,
-    bytes: u64,
-    r: &RangeReq,
-    page_bytes: u64,
-    max_merge_bytes: u64,
-) -> Option<u64> {
+fn joins(offset: u64, bytes: u64, r: &RangeReq, page_bytes: u64, cap: u64) -> Option<u64> {
     let last_page = (offset + bytes - 1) / page_bytes;
     let r_page = r.offset / page_bytes;
     let grown = (offset + bytes).max(r.offset + r.bytes) - offset;
-    (r_page <= last_page + 1 && (grown <= max_merge_bytes || r_page <= last_page)).then_some(grown)
+    (r_page <= last_page + 1 && (grown <= cap || r_page <= last_page)).then_some(grown)
 }
 
 /// Cuts `sorted` (see [`sort_requests`]) into its covers, in ascending
-/// offset order; `merge` and `max_merge_bytes` as for
+/// offset order; `merge` and `cap` as for
 /// [`merge_requests`]. Allocates nothing.
 pub(crate) fn covers(
     sorted: &[RangeReq],
     page_bytes: u64,
     merge: bool,
-    max_merge_bytes: u64,
+    cap: u64,
 ) -> impl Iterator<Item = Cover> + '_ {
     let mut next = 0;
     std::iter::from_fn(move || {
@@ -117,7 +121,7 @@ pub(crate) fn covers(
         // With `merge` off, every request is a cover of its own.
         while let Some(r) = sorted.get(next).filter(|_| merge) {
             debug_assert!(r.bytes > 0, "zero-byte requests never reach merging");
-            let Some(grown) = joins(first.offset, bytes, r, page_bytes, max_merge_bytes) else {
+            let Some(grown) = joins(first.offset, bytes, r, page_bytes, cap) else {
                 break;
             };
             bytes = grown;
@@ -138,7 +142,8 @@ pub(crate) fn covers(
 /// which is the "merge in SAFS" configuration where coalescing is
 /// left to the I/O threads.
 ///
-/// `max_merge_bytes` bounds how large one merged cover may grow:
+/// `cap` bounds how large one merged cover may grow (the engine passes
+/// [`MAX_MERGE_BYTES`]):
 /// without a cap, a well-sorted batch (the common case under the
 /// default id-order scheduler) collapses into one giant device read,
 /// serializing onto a single drive and defeating parallelism across
@@ -161,10 +166,10 @@ pub fn merge_requests(
     mut reqs: Vec<RangeReq>,
     page_bytes: u64,
     merge: bool,
-    max_merge_bytes: u64,
+    cap: u64,
 ) -> Vec<MergedReq> {
     sort_requests(&mut reqs);
-    covers(&reqs, page_bytes, merge, max_merge_bytes)
+    covers(&reqs, page_bytes, merge, cap)
         .map(|c| MergedReq {
             offset: c.offset,
             bytes: c.bytes,
@@ -176,6 +181,9 @@ pub fn merge_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cap no cover reaches.
+    const UNCAPPED: u64 = u64::MAX;
 
     fn req(offset: u64, bytes: u64, meta: u32) -> RangeReq {
         RangeReq {
@@ -195,7 +203,7 @@ mod tests {
             req(9000, 100, 6), // page 2
             req(13000, 80, 8), // page 3 (adjacent to page 2)
         ];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].parts.len(), 2);
         assert_eq!(merged[1].parts.len(), 2);
@@ -208,14 +216,14 @@ mod tests {
     #[test]
     fn distant_requests_do_not_merge() {
         let reqs = vec![req(0, 10, 0), req(3 * 4096, 10, 1)];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 2);
     }
 
     #[test]
     fn unsorted_input_is_sorted_first() {
         let reqs = vec![req(8192, 10, 1), req(0, 10, 0), req(4096, 10, 2)];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         // Pages 0,1,2 are all adjacent once sorted: one request.
         assert_eq!(merged.len(), 1);
         let metas: Vec<u32> = merged[0].parts.iter().map(|p| p.meta).collect();
@@ -225,7 +233,7 @@ mod tests {
     #[test]
     fn merge_disabled_only_sorts() {
         let reqs = vec![req(4096, 10, 1), req(0, 10, 0)];
-        let merged = merge_requests(reqs, 4096, false, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, false, UNCAPPED);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].offset, 0);
         assert_eq!(merged[1].offset, 4096);
@@ -234,7 +242,7 @@ mod tests {
     #[test]
     fn overlapping_requests_cover_union() {
         let reqs = vec![req(100, 500, 0), req(300, 1000, 1)];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].offset, 100);
         assert_eq!(merged[0].bytes, 1200);
@@ -243,14 +251,14 @@ mod tests {
     #[test]
     fn contained_request_does_not_shrink_cover() {
         let reqs = vec![req(0, 4096, 0), req(100, 10, 1)];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].bytes, 4096);
     }
 
     #[test]
     fn empty_input_empty_output() {
-        assert!(merge_requests(Vec::new(), 4096, true, UNLIMITED_MERGE_BYTES).is_empty());
+        assert!(merge_requests(Vec::new(), 4096, true, UNCAPPED).is_empty());
     }
 
     #[test]
@@ -409,7 +417,7 @@ mod tests {
         let reqs: Vec<RangeReq> = (0..6)
             .map(|i| req(10_000 + i * 1000, 1000, i as u32))
             .collect();
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].offset, 10_000);
         assert_eq!(merged[0].bytes, 6000);
@@ -421,7 +429,7 @@ mod tests {
         // Two samplers probing nearby positions of the same hub list:
         // the covers share the page, so one read serves both.
         let reqs = vec![req(8192 + 40, 4, 0), req(8192 + 400, 4, 1)];
-        let merged = merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES);
+        let merged = merge_requests(reqs, 4096, true, UNCAPPED);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].parts.len(), 2);
     }
@@ -432,7 +440,7 @@ mod tests {
         let reqs: Vec<RangeReq> = (0..100)
             .map(|i| req((i * 37 % 50) * 1000, 500 + i % 300, i as u32))
             .collect();
-        for merged in merge_requests(reqs, 4096, true, UNLIMITED_MERGE_BYTES) {
+        for merged in merge_requests(reqs, 4096, true, UNCAPPED) {
             for p in &merged.parts {
                 assert!(p.offset >= merged.offset);
                 assert!(p.offset + p.bytes <= merged.offset + merged.bytes);

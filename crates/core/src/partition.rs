@@ -27,22 +27,23 @@ pub struct PartitionMap {
     /// One past the last global vertex id of the window.
     hi: usize,
     num_partitions: usize,
-    range_shift: u32,
+    /// The range shift `r`: ranges are `2^r` vertices.
+    shift: u32,
 }
 
 impl PartitionMap {
     /// Builds a map over the global id window `[lo, hi)` with range
-    /// size `2^range_shift` — a shard's engine windows its own ids so
+    /// size `2^shift` — a shard's engine windows its own ids so
     /// its workers only ever own (and collect) the shard's vertices;
     /// an unsharded engine's window is `[0, n)`.
-    pub fn new_window(lo: usize, hi: usize, num_partitions: usize, range_shift: u32) -> Self {
+    pub fn new_window(lo: usize, hi: usize, num_partitions: usize, shift: u32) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
         assert!(lo <= hi, "window bounds out of order");
         PartitionMap {
             lo,
             hi,
             num_partitions,
-            range_shift,
+            shift,
         }
     }
 
@@ -55,7 +56,7 @@ impl PartitionMap {
     /// Range size in vertices.
     #[inline]
     pub fn range_len(&self) -> usize {
-        1usize << self.range_shift
+        1usize << self.shift
     }
 
     /// The partition owning `v` (which must lie inside the window).
@@ -67,7 +68,7 @@ impl PartitionMap {
             self.lo,
             self.hi
         );
-        ((v.index() - self.lo) >> self.range_shift) % self.num_partitions
+        ((v.index() - self.lo) >> self.shift) % self.num_partitions
     }
 
     /// Iterates over the half-open global vertex-index ranges of

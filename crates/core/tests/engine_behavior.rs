@@ -649,27 +649,6 @@ fn single_thread_and_many_threads_agree() {
 }
 
 #[test]
-fn huge_range_shift_runs_bfs_both_modes() {
-    // A range shift past the graph's size puts every vertex in one
-    // range, and the range arithmetic must not overflow getting there.
-    let g = gen::rmat(8, 5, gen::RmatSkew::default(), 17);
-    let want = fg_baselines::direct::bfs_levels(&g, VertexId(0));
-    for r in [40, 62, 63, 64, u32::MAX] {
-        let cfg = EngineConfig {
-            range_shift: r,
-            ..EngineConfig::small().with_threads(4)
-        };
-        for (states, _) in both_modes(&g, &Bfs, Init::Seeds(vec![VertexId(0)]), cfg) {
-            let got: Vec<_> = states
-                .iter()
-                .map(|s| s.visited.then_some(s.level))
-                .collect();
-            assert_eq!(got, want, "range_shift {r}");
-        }
-    }
-}
-
-#[test]
 fn schedulers_do_not_change_bfs_results() {
     let g = gen::rmat(8, 4, gen::RmatSkew::default(), 8);
     let mut reference: Option<Vec<bool>> = None;
@@ -1360,9 +1339,7 @@ fn tc_per_vertex_counts_over_a_mount_match_direct() {
     let g = b.build();
     let cfg = EngineConfig {
         num_threads: 2,
-        range_shift: 9,
         issue_batch: 64,
-        max_merge_bytes: 64 * 1024,
         ..EngineConfig::default()
     };
     let (safs, index) = sem_fixture(&g, SafsConfig::default());

@@ -37,16 +37,17 @@
 //!
 //! One pass ([`write_image_to`]) writes an image from any [`ListSource`]
 //! — a [`fg_graph::Graph`], or an old image merged with a delta view
-//! ([`ImageLists`]) — in the order its bytes become known: the edge
-//! sections first, each list encoded once straight into the write
-//! buffer while its degree and flagged block length are recorded; then
-//! the attribute, length and degree sections; the header page last, the
-//! commit record — until it lands, a fresh device holds nothing
-//! [`read_meta`] accepts. Every write is whole [`SECTION_ALIGN`] pages,
-//! each byte of `[0, total_bytes)` once. [`required_capacity_with`]
-//! sizes a device from the source's entry counts: the image with every
-//! block raw, exact for raw and weighted images, an upper bound for
-//! compressed ones.
+//! ([`ImageLists`]) — reading each direction's lists once, in the order
+//! the bytes become known: the edge sections first, each list encoded
+//! once straight into the write buffer while its degree and flagged
+//! block length are recorded, a weighted image's attribute sections
+//! beside them; then the length and degree sections; the header page
+//! last, the commit record — until it lands, a fresh device holds
+//! nothing [`read_meta`] accepts. Every write is whole
+//! [`SECTION_ALIGN`] pages, each byte of `[0, total_bytes)` once.
+//! [`required_capacity_with`] sizes a device from the source's entry
+//! counts: the image with every block raw, exact for raw and weighted
+//! images, an upper bound for compressed ones.
 //!
 //! Every reader here — [`read_meta`], [`load_index`], [`read_list`],
 //! [`ImageLists`] — takes its bytes from one [`ByteSource`]: the
@@ -229,23 +230,22 @@ fn window_capacity(g: &dyn ListSource, opts: &WriteOptions, lo: usize, hi: usize
 
 /// A section on its way to the sink: `buf` goes out in whole pages once
 /// it holds [`WRITE_CHUNK`] bytes, the bytes past the last page kept.
-struct Section<'s> {
-    dst: WriteAt<'s>,
+struct Section {
     /// Where `buf[0]` goes.
     at: u64,
     buf: Vec<u8>,
 }
 
-impl<'s> Section<'s> {
-    fn new(dst: WriteAt<'s>, at: u64) -> Self {
+impl Section {
+    fn new(at: u64) -> Self {
         let buf = Vec::new();
-        Section { dst, at, buf }
+        Section { at, buf }
     }
 
-    fn spill(&mut self) -> Result<()> {
+    fn spill(&mut self, dst: WriteAt<'_>) -> Result<()> {
         if self.buf.len() >= WRITE_CHUNK {
             let whole = self.buf.len() / SECTION_ALIGN as usize * SECTION_ALIGN as usize;
-            (self.dst)(self.at, &self.buf[..whole])?;
+            dst(self.at, &self.buf[..whole])?;
             self.buf.drain(..whole);
             self.at += whole as u64;
         }
@@ -254,11 +254,11 @@ impl<'s> Section<'s> {
 
     /// Writes the rest zero-padded to the next boundary, where the next
     /// section (or the image's end) starts, and returns that boundary.
-    fn finish(mut self) -> Result<u64> {
+    fn finish(mut self, dst: WriteAt<'_>) -> Result<u64> {
         let end = align_up(self.at + self.buf.len() as u64);
         if !self.buf.is_empty() {
             self.buf.resize((end - self.at) as usize, 0);
-            (self.dst)(self.at, &self.buf)?;
+            dst(self.at, &self.buf)?;
         }
         Ok(end)
     }
@@ -310,11 +310,13 @@ fn header_page(meta: &ImageMeta) -> Vec<u8> {
 /// image (section positions are local); edge *values* stay global
 /// vertex ids, so shard lists splice back losslessly.
 ///
-/// One pass, in the order the bytes become known: the edge sections
-/// first, each list encoded once straight into the write buffer while
-/// its degree and flagged block length are recorded; then the
-/// attribute sections (a second pass over the lists, for their
-/// weights), the length and degree sections; the header page last.
+/// One pass over the lists, in the order the bytes become known: each
+/// direction's edge section, each list encoded once straight into the
+/// write buffer while its degree and flagged block length are recorded,
+/// and beside it that direction's attribute section (weighted images,
+/// whose blocks are all raw, so [`ListSource::entries`] places every
+/// attribute section up front); then the length and degree sections;
+/// the header page last.
 ///
 /// # Panics
 ///
@@ -364,23 +366,42 @@ fn write_window(
     };
     let mut at = align_up(deg_offset.max(len_offset) + fixed);
 
-    // Edge sections; degrees and (v2) flagged block lengths, out then
-    // in, as the lists go by.
+    // Edge sections, out then in, recording degrees and (v2) flagged
+    // block lengths as the lists go by. A weighted image writes each
+    // direction's attribute section (f32 bit patterns) in the same pass:
+    // its blocks are all raw, so the entry counts place every attribute
+    // section, positionally aligned with its edges, before a list is
+    // read.
+    let mut attrs = [0..0, 0..0];
+    if weighted {
+        let bytes: Vec<u64> = dirs.iter().map(|&dir| g.entries(dir, lo..hi) * 4).collect();
+        let mut end = bytes.iter().fold(at, |at, b| align_up(at + b));
+        for (slot, b) in bytes.iter().enumerate() {
+            attrs[slot] = end..align_up(end + b);
+            end = attrs[slot].end;
+        }
+    }
     let mut degrees = Vec::with_capacity(fixed as usize / 4);
     let mut lens = Vec::with_capacity(if compressed { degrees.capacity() } else { 0 });
     let mut ids = Vec::new();
     let mut edges_offset = [0u64; 2];
     for (slot, &dir) in dirs.iter().enumerate() {
         edges_offset[slot] = at;
-        let mut section = Section::new(&mut dst, at);
+        let mut section = Section::new(at);
+        let mut attr_section = weighted.then(|| Section::new(attrs[slot].start));
         let mut v = lo;
         g.runs(dir, lo..hi, &mut |run| {
             degrees.extend(run.offsets.windows(2).map(|w| (w[1] - w[0]) as u32));
+            if let Some(attr_section) = &mut attr_section {
+                let weights = run.weights.expect("a weighted source hands out weights");
+                put_u32s(&mut attr_section.buf, weights.iter().map(|w| w.to_bits()));
+                attr_section.spill(&mut dst)?;
+            }
             let buf = &mut section.buf;
             if !compressed {
                 // A raw section is the run's entries as they are.
                 put_u32s(buf, run.ids.iter().map(|u| u.0));
-                return section.spill();
+                return section.spill(&mut dst);
             }
             for span in run.spans() {
                 let list = &run.ids[span];
@@ -405,34 +426,29 @@ fn write_window(
                 lens.push(if packed { len } else { len | RAW_LIST_FLAG });
                 v += 1;
             }
-            section.spill()
+            section.spill(&mut dst)
         })?;
-        at = section.finish()?;
-    }
-
-    // Attribute sections (f32 bit patterns). Weighted images keep every
-    // block raw, so the runs stay positionally aligned with the edges.
-    let mut attrs_offset = [0u64; 2];
-    if weighted {
-        for (slot, &dir) in dirs.iter().enumerate() {
-            attrs_offset[slot] = at;
-            let mut section = Section::new(&mut dst, at);
-            g.runs(dir, lo..hi, &mut |run| {
-                let weights = run.weights.expect("a weighted source hands out weights");
-                put_u32s(&mut section.buf, weights.iter().map(|w| w.to_bits()));
-                section.spill()
-            })?;
-            at = section.finish()?;
+        at = section.finish(&mut dst)?;
+        if let Some(attr_section) = attr_section {
+            if attr_section.finish(&mut dst)? != attrs[slot].end {
+                return Err(entries_disagree());
+            }
         }
+    }
+    if weighted {
+        if at != attrs[0].start {
+            return Err(entries_disagree());
+        }
+        at = attrs[dirs.len() - 1].end;
     }
 
     let mut u32s = |offset: u64, vals: &[u32]| {
-        let mut section = Section::new(&mut dst, offset);
+        let mut section = Section::new(offset);
         for batch in vals.chunks(RUN_LISTS) {
             put_u32s(&mut section.buf, batch.iter().copied());
-            section.spill()?;
+            section.spill(&mut dst)?;
         }
-        section.finish()
+        section.finish(&mut dst)
     };
     if compressed {
         u32s(len_offset, &lens)?;
@@ -454,8 +470,8 @@ fn write_window(
         len_offset,
         out_edges_offset: edges_offset[0],
         in_edges_offset: edges_offset[1],
-        out_attrs_offset: attrs_offset[0],
-        in_attrs_offset: attrs_offset[1],
+        out_attrs_offset: attrs[0].start,
+        in_attrs_offset: attrs[1].start,
         total_bytes: at,
         skip_interval: if compressed { opts.skip_interval } else { 0 },
         generation: opts.generation,
@@ -464,6 +480,12 @@ fn write_window(
     // array holds no image `read_meta` accepts.
     dst(0, &header_page(&meta))?;
     Ok(meta)
+}
+
+/// A source whose lists do not add up to its entry counts: the
+/// attribute sections were placed from the counts.
+fn entries_disagree() -> FgError {
+    FgError::InvalidRequest("the source's entry counts disagree with its lists".into())
 }
 
 /// Writes the raw (v1) image of `g` at logical offset 0 of `array` —
@@ -509,17 +531,19 @@ pub fn write_image_with(
 /// section in aligned chunks, its last one zero-padded to where the
 /// next section starts — so the sink is handed the whole image
 /// `[0, total_bytes)` in whole 4 KiB pages, each byte once: the edge
-/// sections first, then the attribute, length and degree sections, the
-/// header page last. Writing through a mount (`fg_safs::Safs::write`)
-/// therefore leaves every page of the image resident when the mount's
-/// pages are 4 KiB, and a write that fails part-way leaves a fresh
-/// device with no header [`read_meta`] accepts.
+/// sections first (with a weighted image's attribute sections), then
+/// the length and degree sections, the header page last. Writing
+/// through a mount (`fg_safs::Safs::write`) therefore leaves every page
+/// of the image resident when the mount's pages are 4 KiB, and a write
+/// that fails part-way leaves a fresh device with no header
+/// [`read_meta`] accepts.
 ///
 /// # Errors
 ///
 /// [`FgError::InvalidRequest`] when the image does not fit in
-/// `capacity` bytes; the source's and the sink's errors are returned as
-/// they are.
+/// `capacity` bytes, or when a weighted source's lists do not fill the
+/// sections its entry counts placed; the source's and the sink's errors
+/// are returned as they are.
 ///
 /// # Panics
 ///
@@ -1298,12 +1322,17 @@ mod tests {
     #[test]
     fn image_lists_sweep_each_section_once_at_any_chunk_size() {
         // Chunks shorter than a list, chunks that cut lists in two,
-        // and the real one (every test image fits in it).
+        // and the real one (every test image fits in it). Reading the
+        // lists back and writing an image from them (a compaction with
+        // nothing pending) both sweep each edge and attribute section
+        // once, and the rewrite is the image byte for byte.
+        let rmat = gen::rmat(8, 6, gen::RmatSkew::default(), 3);
         for opts in both_formats() {
             for g in [
                 fixtures::weighted_square(),
                 fixtures::star(400),
-                gen::rmat(8, 6, gen::RmatSkew::default(), 3),
+                gen::with_random_weights(&rmat, 10.0, 5),
+                rmat.clone(),
             ] {
                 let (array, meta, index) = image_of_with(&g, &opts);
                 let n = meta.num_vertices;
@@ -1319,8 +1348,11 @@ mod tests {
                 let section_bytes: Vec<u64> = sections
                     .flat_map(|s| std::iter::repeat_n(s.bytes, 1 + meta.weighted as usize))
                     .collect();
+                let mut image = vec![0u8; meta.total_bytes as usize];
+                array.read(0, &mut image).unwrap();
                 for chunk in [1usize, 7, 64, 4096, 5000, READ_CHUNK] {
-                    let what = format!("{:?} chunk {chunk}", opts.format);
+                    let what =
+                        format!("{:?} weighted {} chunk {chunk}", opts.format, meta.weighted);
                     let src = Logged {
                         array: &array,
                         reads: Default::default(),
@@ -1329,20 +1361,118 @@ mod tests {
                         chunk,
                         ..ImageLists::new(&src, &meta, &index, None)
                     };
+                    let swept_once = |mut reads: Vec<(u64, u64)>, what: &str| {
+                        let want: u64 = section_bytes.iter().sum();
+                        assert_eq!(reads.iter().map(|r| r.1).sum::<u64>(), want, "{what}");
+                        let most: u64 =
+                            section_bytes.iter().map(|b| b.div_ceil(chunk as u64)).sum();
+                        assert!(reads.len() as u64 <= most, "{what}: {} reads", reads.len());
+                        reads.sort_unstable();
+                        assert!(
+                            reads.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+                            "{what}: a byte was read twice"
+                        );
+                    };
                     assert_eq!(lists_of(&lists).unwrap(), lists_of(&g).unwrap(), "{what}");
-                    let mut reads = src.reads.into_inner();
-                    let want: u64 = section_bytes.iter().sum();
-                    assert_eq!(reads.iter().map(|r| r.1).sum::<u64>(), want, "{what}");
-                    let most: u64 = section_bytes.iter().map(|b| b.div_ceil(chunk as u64)).sum();
-                    assert!(reads.len() as u64 <= most, "{what}: {} reads", reads.len());
-                    reads.sort_unstable();
-                    assert!(
-                        reads.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
-                        "{what}: a byte was read twice"
+                    swept_once(src.reads.take(), &what);
+
+                    let copy =
+                        SsdArray::new_mem(ArrayConfig::small_test(), array.capacity()).unwrap();
+                    assert_eq!(
+                        write_image_with(&lists, &copy, &opts).unwrap(),
+                        meta,
+                        "{what}"
                     );
+                    swept_once(src.reads.take(), &format!("{what}, rewrite"));
+                    let mut rewritten = vec![0u8; image.len()];
+                    copy.read(0, &mut rewritten).unwrap();
+                    assert!(rewritten == image, "{what}: the rewrite differs");
                 }
             }
         }
+    }
+
+    /// `g` as a [`ListSource`] that counts the passes asked of it and
+    /// reports its entry counts divided by `shrink`.
+    struct Counted<'a> {
+        g: &'a Graph,
+        shrink: u64,
+        runs: std::cell::Cell<usize>,
+    }
+
+    impl ListSource for Counted<'_> {
+        fn num_vertices(&self) -> usize {
+            self.g.num_vertices()
+        }
+        fn is_directed(&self) -> bool {
+            self.g.is_directed()
+        }
+        fn has_weights(&self) -> bool {
+            self.g.has_weights()
+        }
+        fn entries(&self, dir: EdgeDir, vs: Range<usize>) -> u64 {
+            ListSource::entries(self.g, dir, vs) / self.shrink
+        }
+        fn runs(&self, dir: EdgeDir, vs: Range<usize>, each: RunSink<'_>) -> Result<()> {
+            self.runs.set(self.runs.get() + 1);
+            self.g.runs(dir, vs, each)
+        }
+    }
+
+    #[test]
+    fn a_write_asks_one_pass_per_direction_weighted_or_not() {
+        let rmat = gen::rmat(7, 6, gen::RmatSkew::default(), 9);
+        let mut b = fg_graph::GraphBuilder::undirected();
+        for (s, d) in rmat.edges() {
+            b.add_weighted_edge(s, d, 1.0 + (s.0 % 7) as f32);
+        }
+        for g in [
+            gen::with_random_weights(&rmat, 10.0, 2),
+            b.build(),
+            fixtures::weighted_square(),
+            rmat,
+        ] {
+            for opts in both_formats() {
+                let what = format!(
+                    "{:?} directed {} weighted {}",
+                    opts.format,
+                    g.is_directed(),
+                    g.has_weights()
+                );
+                let (array, meta, _) = image_of_with(&g, &opts);
+                let src = Counted {
+                    g: &g,
+                    shrink: 1,
+                    runs: Default::default(),
+                };
+                let copy = SsdArray::new_mem(ArrayConfig::small_test(), array.capacity()).unwrap();
+                assert_eq!(
+                    write_image_with(&src, &copy, &opts).unwrap(),
+                    meta,
+                    "{what}"
+                );
+                let dirs = 1 + usize::from(g.is_directed());
+                assert_eq!(src.runs.get(), dirs, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_whose_counts_miss_its_lists_writes_no_image() {
+        // The attribute sections are placed from the entry counts, so a
+        // source that under-counts by more than the padding to a page
+        // boundary must fail the write, not overlap them.
+        let g = gen::with_random_weights(&gen::rmat(9, 8, gen::RmatSkew::default(), 4), 5.0, 1);
+        let cap = required_capacity(&g);
+        let array = SsdArray::new_mem(ArrayConfig::small_test(), cap).unwrap();
+        let short = Counted {
+            g: &g,
+            shrink: 2,
+            runs: Default::default(),
+        };
+        let err = write_image(&short, &array).unwrap_err();
+        assert!(matches!(err, FgError::InvalidRequest(_)), "{err}");
+        assert!(read_meta(&array).is_err(), "no header was committed");
     }
 
     #[test]
@@ -1677,15 +1807,27 @@ mod tests {
 
     #[test]
     fn round_trip_undirected() {
+        // A 6-cycle with a self-loop added at every vertex: the loops
+        // never reach a list, so the header's count (out-entries / 2)
+        // is the cycle's 6 edges, as the graph's own count is.
+        let mut b = fg_graph::GraphBuilder::undirected();
+        for v in 0..6u32 {
+            b.add_edge(VertexId(v), VertexId(v));
+            b.add_edge(VertexId(v), VertexId((v + 1) % 6));
+        }
+        let looped = b.build();
+        assert_eq!(looped.num_edges(), 6);
         for opts in both_formats() {
-            let g = fixtures::complete(9);
-            let (array, meta, index) = image_of_with(&g, &opts);
-            assert!(!meta.directed);
-            for v in g.vertices() {
-                let want: Vec<u32> = g.out_neighbors(v).iter().map(|n| n.0).collect();
-                assert_eq!(read_edges(&array, &meta, &index, v, EdgeDir::Out), want);
-                // In == out for undirected images.
-                assert_eq!(read_edges(&array, &meta, &index, v, EdgeDir::In), want);
+            for g in [fixtures::complete(9), looped.clone()] {
+                let (array, meta, index) = image_of_with(&g, &opts);
+                assert!(!meta.directed);
+                assert_eq!(meta.num_edges, g.num_edges());
+                for v in g.vertices() {
+                    let want: Vec<u32> = g.out_neighbors(v).iter().map(|n| n.0).collect();
+                    assert_eq!(read_edges(&array, &meta, &index, v, EdgeDir::Out), want);
+                    // In == out for undirected images.
+                    assert_eq!(read_edges(&array, &meta, &index, v, EdgeDir::In), want);
+                }
             }
         }
     }

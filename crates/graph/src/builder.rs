@@ -8,10 +8,12 @@ use crate::csr::{Csr, Graph};
 ///
 /// The builder tolerates edges in any order, duplicate edges, and
 /// self-loops; [`GraphBuilder::build`] sorts adjacency lists,
-/// deduplicates parallel edges, and drops self-loops unless
-/// [`GraphBuilder::keep_self_loops`] was called. Real-world crawl
+/// deduplicates parallel edges, and drops self-loops, as
+/// [`crate::DeltaLog`] drops them from ingest. Real-world crawl
 /// datasets contain all three artifacts, so ingestion must not choke
-/// on them.
+/// on them. With no self-loop in a list, an undirected graph stores
+/// each edge exactly twice, once per endpoint, which is what its edge
+/// count (and an image header's) halves.
 ///
 /// A duplicate edge keeps the weight it was first added with. An
 /// undirected edge is added as both orientations, so naming it again
@@ -40,7 +42,6 @@ use crate::csr::{Csr, Graph};
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     directed: bool,
-    keep_self_loops: bool,
     weighted: bool,
     edges: Vec<(VertexId, VertexId, f32)>,
     max_vertex: Option<u32>,
@@ -60,17 +61,10 @@ impl GraphBuilder {
     fn new(directed: bool) -> Self {
         GraphBuilder {
             directed,
-            keep_self_loops: false,
             weighted: false,
             edges: Vec::new(),
             max_vertex: None,
         }
-    }
-
-    /// Keeps self-loops instead of dropping them at build time.
-    pub fn keep_self_loops(&mut self) -> &mut Self {
-        self.keep_self_loops = true;
-        self
     }
 
     /// Forces the vertex count to at least `n`, so isolated trailing
@@ -130,13 +124,13 @@ impl GraphBuilder {
         let n = self.max_vertex.map_or(0, |m| m as usize + 1);
         let mut fwd: Vec<Edge> = Vec::with_capacity(self.edges.len());
         for &(s, d, w) in &self.edges {
-            if s == d && !self.keep_self_loops {
+            if s == d {
                 continue;
             }
             fwd.push((s, d, w));
-            if !self.directed && s != d {
+            if !self.directed {
                 fwd.push((d, s, w));
-            } // self-loop kept: single symmetric entry
+            }
         }
         // Stable passes (see the type's doc): by destination, then by
         // source, so each run of duplicates is in insertion order and
@@ -231,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_kept_on_request() {
-        let mut b = GraphBuilder::directed();
-        b.keep_self_loops();
-        b.add_edge(VertexId(1), VertexId(1));
-        let g = b.build();
-        assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.out_neighbors(VertexId(1)), &[VertexId(1)]);
-        assert_eq!(g.in_neighbors(VertexId(1)), &[VertexId(1)]);
-    }
-
-    #[test]
     fn undirected_symmetric() {
         let mut b = GraphBuilder::undirected();
         b.add_edge(VertexId(0), VertexId(3));
@@ -307,15 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn undirected_self_loop_kept_single_entry() {
-        let mut b = GraphBuilder::undirected();
-        b.keep_self_loops();
-        b.add_edge(VertexId(2), VertexId(2));
-        let g = b.build();
-        assert_eq!(g.out_neighbors(VertexId(2)), &[VertexId(2)]);
-    }
-
-    #[test]
     fn a_duplicate_weighted_edge_keeps_the_first_weight() {
         // A path whose every edge is added twice: first with weight 1.0,
         // then with 2.0 (reversed when undirected, so the second add
@@ -364,17 +338,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// What `build` promises, by definition: each ordered pair that
-    /// survives the self-loop rule, once, with the first weight added
-    /// for it (an undirected edge is added as both orientations).
-    fn model(
-        edges: &[(u32, u32, Option<f32>)],
-        directed: bool,
-        keep_self_loops: bool,
-    ) -> BTreeMap<(u32, u32), f32> {
+    /// What `build` promises, by definition: each ordered pair that is
+    /// not a self-loop, once, with the first weight added for it (an
+    /// undirected edge is added as both orientations).
+    fn model(edges: &[(u32, u32, Option<f32>)], directed: bool) -> BTreeMap<(u32, u32), f32> {
         let mut m = BTreeMap::new();
         for &(s, d, w) in edges {
-            if s == d && !keep_self_loops {
+            if s == d {
                 continue;
             }
             let w = w.unwrap_or(1.0);
@@ -404,13 +374,14 @@ mod tests {
 
         /// Random edge lists with duplicates in both orientations,
         /// self-loops and mixed weighted / unweighted adds come out
-        /// sorted, deduplicated and first-weight, and a directed graph's
-        /// in-CSR is exactly the transpose of its out-CSR.
+        /// sorted, deduplicated, first-weight and free of self-loops; a
+        /// directed graph's in-CSR is exactly the transpose of its
+        /// out-CSR, and an undirected graph stores each of its edges
+        /// twice.
         #[test]
         fn build_matches_a_first_weight_model(
             seed in any::<u64>(),
             directed in any::<bool>(),
-            keep_self_loops in any::<bool>(),
             weighted in any::<bool>(),
             reserve in 0usize..48,
         ) {
@@ -434,9 +405,6 @@ mod tests {
             } else {
                 GraphBuilder::undirected()
             };
-            if keep_self_loops {
-                b.keep_self_loops();
-            }
             for &(s, d, w) in &edges {
                 match w {
                     Some(w) => b.add_weighted_edge(VertexId(s), VertexId(d), w),
@@ -449,13 +417,17 @@ mod tests {
             let top = edges.iter().map(|&(s, d, _)| s.max(d) + 1).max().unwrap_or(0);
             prop_assert_eq!(g.num_vertices(), reserve.max(top as usize));
             prop_assert_eq!(g.has_weights(), edges.iter().any(|e| e.2.is_some()));
-            let want: Vec<(u32, u32, f32)> = model(&edges, directed, keep_self_loops)
+            let want: Vec<(u32, u32, f32)> = model(&edges, directed)
                 .into_iter()
                 .map(|((s, d), w)| (s, d, w))
                 .collect();
             let out = g.csr(EdgeDir::Out);
             prop_assert_eq!(triples(out), want);
             prop_assert!(g.vertices().all(|v| out.neighbors(v).is_sorted()));
+            prop_assert!(g.vertices().all(|v| !out.neighbors(v).contains(&v)));
+            if !directed {
+                prop_assert_eq!(2 * g.num_edges(), out.neighbor_array().len() as u64);
+            }
             if directed {
                 let mut transpose: Vec<(u32, u32, f32)> =
                     triples(out).into_iter().map(|(s, d, w)| (d, s, w)).collect();

@@ -39,7 +39,8 @@
 //! Directionality follows [`Graph`]: a directed log mirrors each op
 //! into the destination's in-list; an undirected log mirrors it into
 //! both endpoints' (single-direction) lists. Self-loops are dropped,
-//! matching [`crate::GraphBuilder`]'s default.
+//! as [`crate::GraphBuilder`] drops them, so no base list holds one
+//! and no op ever names one.
 
 use std::sync::Arc;
 

@@ -120,21 +120,6 @@ fn rmat_edge(scale: u32, skew: RmatSkew, rng: &mut SmallRng) -> (u32, u32) {
     (src, dst)
 }
 
-/// Generates a directed Erdős–Rényi `G(n, m)` graph: `m` edges sampled
-/// uniformly (duplicates dropped at build).
-pub fn erdos_renyi(n: usize, m: u64, seed: u64) -> Graph {
-    assert!(n >= 2, "erdos_renyi needs at least two vertices");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::directed();
-    b.reserve_vertices(n);
-    for _ in 0..m {
-        let s = rng.gen_range(0..n as u32);
-        let d = rng.gen_range(0..n as u32);
-        b.add_edge(VertexId(s), VertexId(d));
-    }
-    b.build()
-}
-
 /// Generates an undirected Watts–Strogatz ring: `n` vertices each
 /// joined to `k` nearest neighbours per side, with rewiring
 /// probability `p`. Long diameter at `p = 0`, small-world as `p`
@@ -246,15 +231,6 @@ mod tests {
             (max as f64) > 8.0 * mean,
             "max degree {max} should be much larger than mean {mean}"
         );
-    }
-
-    #[test]
-    fn erdos_renyi_roughly_uniform() {
-        let g = erdos_renyi(1 << 10, 8 << 10, 17);
-        let max = g.vertices().map(|v| g.out_degree(v)).max().unwrap();
-        // Uniform sampling: max degree stays within a small multiple
-        // of the mean (8), unlike R-MAT.
-        assert!(max < 40, "unexpected hub in uniform graph: {max}");
     }
 
     #[test]

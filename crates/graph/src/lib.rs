@@ -7,7 +7,7 @@
 //! wrapped in [`Graph`] — plus a [`GraphBuilder`] and the synthetic
 //! workload generators used by the evaluation (R-MAT power-law
 //! graphs standing in for the paper's Twitter/web crawls, plus
-//! Erdős–Rényi and small fixture graphs for tests).
+//! small-world rings and small fixture graphs for tests).
 //!
 //! # Example
 //!
@@ -44,4 +44,4 @@ pub use delta::{
     BaseLists, DeltaBatch, DeltaList, DeltaLog, DeltaOp, DeltaSlot, DeltaView, RunLog,
 };
 pub use io::{read_edge_list, write_edge_list};
-pub use stats::{degree_histogram, estimate_diameter, DegreeStats};
+pub use stats::estimate_diameter;

@@ -1,72 +1,11 @@
-//! Degree statistics and diameter estimation for experiment tables.
+//! Diameter estimation: the in-memory reference for the engine's
+//! diameter app.
 
 use std::collections::VecDeque;
 
-use fg_types::{EdgeDir, VertexId};
+use fg_types::VertexId;
 
 use crate::csr::Graph;
-
-/// Summary degree statistics of one direction of a graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Smallest degree.
-    pub min: usize,
-    /// Largest degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-    /// Number of vertices with degree zero.
-    pub zeros: usize,
-    /// Histogram over power-of-two buckets: `buckets[i]` counts
-    /// vertices with degree in `[2^i, 2^(i+1))`; bucket 0 counts
-    /// degree 1 (zeros are reported separately).
-    pub log2_buckets: Vec<usize>,
-}
-
-/// Computes [`DegreeStats`] for `dir` of `g`.
-///
-/// # Example
-///
-/// ```
-/// use fg_graph::{fixtures, degree_histogram};
-/// use fg_types::EdgeDir;
-///
-/// let g = fixtures::star(8);
-/// let s = degree_histogram(&g, EdgeDir::Out);
-/// assert_eq!(s.max, 8);
-/// assert_eq!(s.zeros, 0);
-/// ```
-pub fn degree_histogram(g: &Graph, dir: EdgeDir) -> DegreeStats {
-    let csr = g.csr(dir);
-    let n = g.num_vertices();
-    let mut min = usize::MAX;
-    let mut max = 0usize;
-    let mut total = 0u64;
-    let mut zeros = 0usize;
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in g.vertices() {
-        let d = csr.degree(v);
-        min = min.min(d);
-        max = max.max(d);
-        total += d as u64;
-        if d == 0 {
-            zeros += 1;
-            continue;
-        }
-        let b = usize::BITS as usize - 1 - d.leading_zeros() as usize;
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    DegreeStats {
-        min: if n == 0 { 0 } else { min },
-        max,
-        mean: if n == 0 { 0.0 } else { total as f64 / n as f64 },
-        zeros,
-        log2_buckets: buckets,
-    }
-}
 
 /// Estimates the diameter of `g` ignoring edge direction, the way
 /// Table 1 of the paper reports diameters.
@@ -138,26 +77,6 @@ mod tests {
     use crate::fixtures;
 
     #[test]
-    fn histogram_of_star() {
-        let g = fixtures::star(8);
-        let s = degree_histogram(&g, EdgeDir::Out);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 8);
-        assert_eq!(s.zeros, 0);
-        // 8 leaves of degree 1 in bucket 0; center (degree 8) in bucket 3.
-        assert_eq!(s.log2_buckets[0], 8);
-        assert_eq!(s.log2_buckets[3], 1);
-    }
-
-    #[test]
-    fn histogram_counts_zeros() {
-        let g = fixtures::path(4); // vertex 3 has out-degree 0
-        let s = degree_histogram(&g, EdgeDir::Out);
-        assert_eq!(s.zeros, 1);
-        assert_eq!(s.mean, 3.0 / 4.0);
-    }
-
-    #[test]
     fn diameter_of_path_is_exact() {
         let g = fixtures::path(10);
         assert_eq!(estimate_diameter(&g, 2, 42), 9);
@@ -180,13 +99,5 @@ mod tests {
     fn diameter_empty_graph_is_zero() {
         let g = crate::builder::GraphBuilder::directed().build();
         assert_eq!(estimate_diameter(&g, 3, 1), 0);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = crate::gen::rmat(8, 4, crate::gen::RmatSkew::default(), 9);
-        let s = degree_histogram(&g, EdgeDir::Out);
-        let bucketed: usize = s.log2_buckets.iter().sum();
-        assert_eq!(bucketed + s.zeros, g.num_vertices());
     }
 }

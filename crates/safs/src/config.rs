@@ -7,7 +7,9 @@ use fg_types::{FgError, Result};
 /// The two knobs the paper sweeps in its evaluation are here:
 /// `page_bytes` (Figure 13: 4 KB wins; megabyte pages waste bandwidth)
 /// and `cache_bytes` (Figure 14: graceful degradation down to small
-/// caches).
+/// caches). The I/O-thread count is not configured: a mount runs one
+/// thread per simulated SSD, capped at the host's available parallelism
+/// (`min(num_ssds, cores)`, §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafsConfig {
     /// SAFS page size in bytes — the smallest unit FlashGraph reads
@@ -17,11 +19,6 @@ pub struct SafsConfig {
     pub cache_bytes: u64,
     /// Associativity of each cache set. The SA-cache paper uses 8.
     pub cache_ways: usize,
-    /// Number of I/O threads. Zero means one per simulated SSD, capped
-    /// at the host's available parallelism: `min(num_ssds, cores)`.
-    /// Drives map onto threads by `ssd % io_threads`, so every drive
-    /// is served whatever the count.
-    pub io_threads: usize,
     /// Whether I/O threads sort-and-merge the requests waiting in
     /// their queue before hitting the device (the "merge in SAFS"
     /// configuration of Figure 12). Engine-level merging is separate
@@ -30,17 +27,6 @@ pub struct SafsConfig {
 }
 
 impl SafsConfig {
-    /// 4 KB pages, 64 MB cache, SAFS merging on.
-    pub fn default_test() -> Self {
-        SafsConfig {
-            page_bytes: 4096,
-            cache_bytes: 64 << 20,
-            cache_ways: 8,
-            io_threads: 0,
-            safs_merge: true,
-        }
-    }
-
     /// Builder-style: sets the page size.
     pub fn with_page_bytes(mut self, bytes: u64) -> Self {
         self.page_bytes = bytes;
@@ -84,9 +70,15 @@ impl SafsConfig {
     }
 }
 
+/// 4 KB pages, a 64 MB cache of 8-way sets, SAFS merging on.
 impl Default for SafsConfig {
     fn default() -> Self {
-        SafsConfig::default_test()
+        SafsConfig {
+            page_bytes: 4096,
+            cache_bytes: 64 << 20,
+            cache_ways: 8,
+            safs_merge: true,
+        }
     }
 }
 

@@ -3,8 +3,10 @@
 //! The set-associative file system is the substrate FlashGraph runs
 //! on. This reproduction implements its three load-bearing ideas:
 //!
-//! * **Dedicated per-drive I/O threads** fed by message passing.
-//!   Application threads never block on the device; they submit
+//! * **Dedicated per-drive I/O threads** fed by message passing, one
+//!   per drive up to the host's cores (`min(num_ssds, cores)`; the
+//!   count is derived, not configured). Application threads never
+//!   block on the device; they submit
 //!   requests to an [`IoSession`] and poll completions. This is the
 //!   "refactors I/Os from applications and sends them to I/O threads
 //!   with message passing" design. Messages carry batches in both

@@ -45,7 +45,7 @@ impl std::fmt::Debug for Safs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Safs")
             .field("cfg", &self.mount.cfg)
-            .field("io_threads", &self.senders.len())
+            .field("threads", &self.senders.len())
             .finish_non_exhaustive()
     }
 }
@@ -58,17 +58,12 @@ impl Safs {
     /// Returns [`FgError::InvalidConfig`] when `cfg` is invalid.
     pub fn new(cfg: SafsConfig, array: SsdArray) -> Result<Self> {
         cfg.validate()?;
-        let nthreads = match cfg.io_threads {
-            // One per drive, but no more than can run at once: the
-            // device is a virtual-time ledger that does not care which
-            // thread books a read, and threads beyond the cores only
-            // add wake-ups.
-            0 => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                array.config().num_ssds.min(cores)
-            }
-            n => n,
-        };
+        // One I/O thread per drive, but no more than can run at once:
+        // the device is a virtual-time ledger that does not care which
+        // thread books a read, and threads beyond the cores only add
+        // wake-ups.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let nthreads = array.config().num_ssds.min(cores);
         let mount = Arc::new(Mount {
             cfg,
             cache: PageCache::new(cfg.cache_pages(), cfg.cache_ways),
@@ -944,27 +939,20 @@ mod tests {
 
     #[test]
     fn default_io_threads_fit_the_cores_and_serve_every_drive() {
-        let cfg = ArrayConfig::paper_array();
-        let array = SsdArray::new_mem(cfg, 1 << 22).unwrap();
-        let safs = Safs::new(SafsConfig::default(), array).unwrap();
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = safs.senders.len();
-        assert!((1..=cores.min(cfg.num_ssds)).contains(&threads));
-        // One stripe per drive: every drive has a thread, and every
-        // thread has at least one drive.
-        let stripe_pages = cfg.stripe_bytes() / safs.page_bytes();
-        let routed: std::collections::BTreeSet<usize> = (0..cfg.num_ssds as u64)
-            .map(|drive| safs.route(drive * stripe_pages))
-            .collect();
-        assert_eq!(routed, (0..threads).collect());
-
-        // An explicit count is taken as given.
-        let array = SsdArray::new_mem(cfg, 1 << 22).unwrap();
-        let three = SafsConfig {
-            io_threads: 3,
-            ..SafsConfig::default()
-        };
-        assert_eq!(Safs::new(three, array).unwrap().senders.len(), 3);
+        for cfg in [ArrayConfig::paper_array(), ArrayConfig::small_test()] {
+            let array = SsdArray::new_mem(cfg, 1 << 22).unwrap();
+            let safs = Safs::new(SafsConfig::default(), array).unwrap();
+            let threads = safs.senders.len();
+            assert_eq!(threads, cfg.num_ssds.min(cores), "{} drives", cfg.num_ssds);
+            // One stripe per drive: every drive maps to a live thread,
+            // and every thread has at least one drive.
+            let stripe_pages = cfg.stripe_bytes() / safs.page_bytes();
+            let routed: std::collections::BTreeSet<usize> = (0..cfg.num_ssds as u64)
+                .map(|drive| safs.route(drive * stripe_pages))
+                .collect();
+            assert_eq!(routed, (0..threads).collect(), "{} drives", cfg.num_ssds);
+        }
     }
 
     #[test]

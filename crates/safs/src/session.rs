@@ -61,7 +61,7 @@ pub struct IoSession<'fs> {
     /// The mount's table of pages being fetched.
     inflight: &'fs InflightTable,
     /// One mailbox per I/O thread.
-    io_threads: &'fs [Sender<IoMsg>],
+    mailboxes: &'fs [Sender<IoMsg>],
     scope: Option<Arc<CacheStats>>,
     /// Lookups made since the last fold into `scope` (see
     /// [`IoSession::dispatch`]).
@@ -105,12 +105,12 @@ impl std::fmt::Debug for IoSession<'_> {
 
 impl<'fs> IoSession<'fs> {
     /// A session of `mount`, whose claims go to `inflight` and runs to
-    /// `io_threads`, under the mount-unique `id`; its lookups are also
+    /// `mailboxes`, under the mount-unique `id`; its lookups are also
     /// booked into `scope`.
     pub(crate) fn new(
         mount: &'fs dyn Host,
         inflight: &'fs InflightTable,
-        io_threads: &'fs [Sender<IoMsg>],
+        mailboxes: &'fs [Sender<IoMsg>],
         id: u64,
         scope: Option<Arc<CacheStats>>,
     ) -> Self {
@@ -118,7 +118,7 @@ impl<'fs> IoSession<'fs> {
         IoSession {
             mount,
             inflight,
-            io_threads,
+            mailboxes,
             scope,
             scope_hits: 0,
             scope_misses: 0,
@@ -127,7 +127,7 @@ impl<'fs> IoSession<'fs> {
             next_req: 0,
             in_flight: HashMap::new(),
             ready: Vec::new(),
-            outbox: io_threads.iter().map(|_| Vec::new()).collect(),
+            outbox: mailboxes.iter().map(|_| Vec::new()).collect(),
             queued: 0,
             reply_tx,
             reply_rx,
@@ -269,7 +269,7 @@ impl<'fs> IoSession<'fs> {
             }
         }
         let mut alive = true;
-        for (runs, tx) in self.outbox.iter_mut().zip(self.io_threads) {
+        for (runs, tx) in self.outbox.iter_mut().zip(self.mailboxes) {
             if runs.is_empty() {
                 continue;
             }

@@ -125,7 +125,7 @@ mod tests {
         let arrays = (0..n)
             .map(|_| SsdArray::new_mem(ArrayConfig::small_test(), 1 << 16).unwrap())
             .collect();
-        ShardSet::new(SafsConfig::default_test(), arrays).unwrap()
+        ShardSet::new(SafsConfig::default(), arrays).unwrap()
     }
 
     #[test]
@@ -166,6 +166,6 @@ mod tests {
 
     #[test]
     fn empty_set_rejected() {
-        assert!(ShardSet::new(SafsConfig::default_test(), Vec::new()).is_err());
+        assert!(ShardSet::new(SafsConfig::default(), Vec::new()).is_err());
     }
 }

@@ -43,16 +43,6 @@ impl SsdSpec {
     pub fn write_service_ns(&self, pages: u64) -> u64 {
         self.read_service_ns(pages) * self.write_penalty_pct / 100
     }
-
-    /// Random 4 KB read throughput of one drive, in IOPS.
-    pub fn random_iops(&self) -> f64 {
-        1e9 / self.read_service_ns(1) as f64
-    }
-
-    /// Asymptotic sequential read bandwidth of one drive, bytes/s.
-    pub fn seq_bandwidth(&self, page_bytes: u64) -> f64 {
-        page_bytes as f64 / (self.page_transfer_ns as f64 / 1e9)
-    }
 }
 
 impl Default for SsdSpec {
@@ -130,11 +120,6 @@ impl ArrayConfig {
     pub fn stripe_bytes(&self) -> u64 {
         self.page_bytes * self.stripe_pages
     }
-
-    /// Aggregate random-4 KB IOPS of the array.
-    pub fn aggregate_iops(&self) -> f64 {
-        self.spec.random_iops() * self.num_ssds as f64
-    }
 }
 
 impl Default for ArrayConfig {
@@ -147,12 +132,18 @@ impl Default for ArrayConfig {
 mod tests {
     use super::*;
 
+    /// Random 4 KB reads per second of one drive of `s`.
+    fn iops_4k(s: &SsdSpec) -> f64 {
+        1e9 / s.read_service_ns(1) as f64
+    }
+
     #[test]
     fn commodity_spec_matches_paper_band() {
         let s = SsdSpec::commodity_sata();
-        let iops = s.random_iops();
+        let iops = iops_4k(&s);
         assert!((40_000.0..80_000.0).contains(&iops), "iops {iops}");
-        let seq = s.seq_bandwidth(4096);
+        // Asymptotic sequential bandwidth: one page per transfer time.
+        let seq = 4096.0 * 1e9 / s.page_transfer_ns as f64;
         let rand_bw = iops * 4096.0;
         let ratio = seq / rand_bw;
         assert!(
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn paper_array_near_900k_iops() {
         let a = ArrayConfig::paper_array();
-        let iops = a.aggregate_iops();
+        let iops = iops_4k(&a.spec) * a.num_ssds as f64;
         assert!((600_000.0..1_000_000.0).contains(&iops), "iops {iops}");
     }
 
