@@ -1,8 +1,34 @@
 //! Incremental construction of [`Graph`]s from edge streams.
+//!
+//! [`GraphBuilder::build`] lays out both CSRs on every core. Its three
+//! stable counting passes (by destination, by source, and for a
+//! directed graph's in-CSR by destination again) each run as one
+//! parallel stable counting sort (`sort.rs`):
+//!
+//! 1. a coarse key histogram cuts the keys into contiguous ranges
+//!    holding about equal numbers of edges;
+//! 2. each thread stably partitions its chunk of the input by range;
+//! 3. each thread counts its ranges into their own disjoint slices of
+//!    the output and of the offsets, carved with `split_at_mut`.
+//!
+//! The bytes cannot depend on the thread count. Each pass is stable:
+//! chunks are taken and ranges laid out in input order, and each
+//! range is counted walking backwards into bucket ends. So every pass
+//! writes what one serial stable counting pass writes, and the passes
+//! are the same ones the serial builder ran. Deduplication keeps the
+//! first of each `(src, dst)` run inside one range, since a run never
+//! spans two ranges of sources. Unweighted edges sort as 8-byte
+//! `(src, dst)` pairs and weighted ones as 12-byte triples. Extra
+//! memory is two edge buffers and the offsets, as in the serial
+//! builder, whatever the thread count.
 
 use fg_types::VertexId;
 
 use crate::csr::{Csr, Graph};
+use crate::sort::{self, Edge};
+
+/// An unweighted edge as the builder holds it.
+pub(crate) type Pair = (u32, u32);
 
 /// Accumulates edges and produces a [`Graph`].
 ///
@@ -23,9 +49,11 @@ use crate::csr::{Csr, Graph};
 /// Construction is O(V + E) per pass, with no comparison sort. Two
 /// stable counting passes, by destination and then by source, sort the
 /// edge list by `(src, dst)` and leave duplicates in insertion order.
-/// Keeping the first of each run gives the out-CSR. One more stable
-/// counting pass of that list by destination gives a directed graph's
-/// in-CSR, already sorted by `(dst, src)`: the exact transpose.
+/// The first drops self-loops and adds each undirected edge's reverse
+/// as it reads. Keeping the first of each run gives the out-CSR. One
+/// more stable counting pass of that list by destination gives a
+/// directed graph's in-CSR, already sorted by `(dst, src)`: the exact
+/// transpose.
 ///
 /// # Example
 ///
@@ -42,9 +70,16 @@ use crate::csr::{Csr, Graph};
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     directed: bool,
-    weighted: bool,
-    edges: Vec<(VertexId, VertexId, f32)>,
+    edges: Edges,
     max_vertex: Option<u32>,
+}
+
+/// The edges added so far: pairs until the first weighted edge, then
+/// triples, the earlier edges weighing `1.0`.
+#[derive(Debug, Clone)]
+enum Edges {
+    Pairs(Vec<Pair>),
+    Triples(Vec<(u32, u32, f32)>),
 }
 
 impl GraphBuilder {
@@ -61,18 +96,35 @@ impl GraphBuilder {
     fn new(directed: bool) -> Self {
         GraphBuilder {
             directed,
-            weighted: false,
-            edges: Vec::new(),
+            edges: Edges::Pairs(Vec::new()),
             max_vertex: None,
         }
     }
 
+    /// A directed builder over `n` vertices holding `edges`, whose ids
+    /// are all below `n`: the R-MAT sampler's output, taken without a
+    /// copy.
+    pub(crate) fn from_pairs(n: usize, edges: Vec<Pair>) -> Self {
+        let mut b = GraphBuilder {
+            edges: Edges::Pairs(edges),
+            ..Self::directed()
+        };
+        b.reserve_vertices(n);
+        b
+    }
+
     /// Forces the vertex count to at least `n`, so isolated trailing
     /// vertices survive.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` exceeds 2^32, the number of `u32` vertex ids.
     pub fn reserve_vertices(&mut self, n: usize) -> &mut Self {
         if n > 0 {
-            let hi = (n - 1) as u32;
-            self.max_vertex = Some(self.max_vertex.map_or(hi, |m| m.max(hi)));
+            let hi = u32::try_from(n - 1).unwrap_or_else(|_| {
+                panic!("cannot reserve {n} vertices: ids are u32, so at most 2^32")
+            });
+            self.cover(hi);
         }
         self
     }
@@ -81,7 +133,11 @@ impl GraphBuilder {
     /// attribute sections in its on-SSD image) unless some edge is
     /// added through [`GraphBuilder::add_weighted_edge`].
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) -> &mut Self {
-        self.push(src, dst, 1.0);
+        match &mut self.edges {
+            Edges::Pairs(e) => e.push((src.0, dst.0)),
+            Edges::Triples(e) => e.push((src.0, dst.0, 1.0)),
+        }
+        self.cover(src.0.max(dst.0));
         self
     }
 
@@ -89,14 +145,19 @@ impl GraphBuilder {
     /// arrives via this method (unweighted-added edges then default to
     /// weight `1.0`).
     pub fn add_weighted_edge(&mut self, src: VertexId, dst: VertexId, w: f32) -> &mut Self {
-        self.weighted = true;
-        self.push(src, dst, w);
+        if let Edges::Pairs(e) = &self.edges {
+            let triples = e.iter().map(|&(s, d)| (s, d, 1.0)).collect();
+            self.edges = Edges::Triples(triples);
+        }
+        if let Edges::Triples(e) = &mut self.edges {
+            e.push((src.0, dst.0, w));
+        }
+        self.cover(src.0.max(dst.0));
         self
     }
 
-    fn push(&mut self, src: VertexId, dst: VertexId, w: f32) {
-        self.edges.push((src, dst, w));
-        let hi = src.0.max(dst.0);
+    /// Grows the vertex count to take in id `hi`.
+    fn cover(&mut self, hi: u32) {
         self.max_vertex = Some(self.max_vertex.map_or(hi, |m| m.max(hi)));
     }
 
@@ -109,9 +170,12 @@ impl GraphBuilder {
         I: IntoIterator<Item = (VertexId, VertexId)>,
     {
         let iter = iter.into_iter();
-        self.edges.reserve(iter.size_hint().0);
+        match &mut self.edges {
+            Edges::Pairs(e) => e.reserve(iter.size_hint().0),
+            Edges::Triples(e) => e.reserve(iter.size_hint().0),
+        }
         for (s, d) in iter {
-            self.push(s, d, 1.0);
+            self.add_edge(s, d);
         }
         self
     }
@@ -121,79 +185,83 @@ impl GraphBuilder {
     /// with parallel edges deduplicated, each keeping the weight it was
     /// first added with.
     pub fn build(&self) -> Graph {
+        let len = match &self.edges {
+            Edges::Pairs(e) => e.len(),
+            Edges::Triples(e) => e.len(),
+        };
+        self.build_on(sort::threads_for(len))
+    }
+
+    /// [`GraphBuilder::build`] on `threads` threads; the graph is the
+    /// same at any count.
+    pub(crate) fn build_on(&self, threads: usize) -> Graph {
         let n = self.max_vertex.map_or(0, |m| m as usize + 1);
-        let mut fwd: Vec<Edge> = Vec::with_capacity(self.edges.len());
-        for &(s, d, w) in &self.edges {
-            if s == d {
-                continue;
-            }
-            fwd.push((s, d, w));
-            if !self.directed {
-                fwd.push((d, s, w));
-            }
-        }
-        // Stable passes (see the type's doc): by destination, then by
-        // source, so each run of duplicates is in insertion order and
-        // `dedup` keeps the first weight.
-        let mut by = Vec::with_capacity(fwd.len());
-        counting_pass(n, &fwd, &mut by, |e| e.1);
-        counting_pass(n, &by, &mut fwd, |e| e.0);
-        fwd.dedup_by_key(|&mut (s, d, _)| (s, d));
-        let out = pack(offsets_by(n, &fwd, |e| e.0), &fwd, self.weighted, |e| e.1);
-        let in_ = self.directed.then(|| {
-            let offsets = counting_pass(n, &fwd, &mut by, |e| e.1);
-            pack(offsets, &by, self.weighted, |e| e.0)
-        });
+        let (out, in_) = match &self.edges {
+            Edges::Pairs(e) => csrs(n, self.directed, false, e, threads),
+            Edges::Triples(e) => csrs(n, self.directed, true, e, threads),
+        };
         Graph::from_csr(self.directed, out, in_).expect("builder output consistent")
     }
 }
 
-/// One edge as the builder holds it: `(src, dst, weight)`.
-type Edge = (VertexId, VertexId, f32);
-
-/// Where each key's edges start if `edges` are grouped by `key`, a
-/// vertex id below `n`: `n + 1` offsets, the CSR row index.
-fn offsets_by(n: usize, edges: &[Edge], key: impl Fn(&Edge) -> VertexId) -> Vec<u64> {
-    let mut offsets = vec![0u64; n + 1];
-    for e in edges {
-        offsets[key(e).index() + 1] += 1;
-    }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    offsets
-}
-
-/// Stably sorts `from` into `to` by `key`, a vertex id below `n`, in
-/// one counting pass, and returns [`offsets_by`]: key `k`'s edges are
-/// `to[offsets[k]..offsets[k + 1]]`, in their order in `from`.
-fn counting_pass(
+/// The out-CSR, and a directed graph's in-CSR, of `edges` over `n`
+/// vertices (see [`GraphBuilder`] for the passes).
+fn csrs<E: Edge>(
     n: usize,
-    from: &[Edge],
-    to: &mut Vec<Edge>,
-    key: impl Fn(&Edge) -> VertexId,
-) -> Vec<u64> {
-    let mut offsets = offsets_by(n, from, &key);
-    to.clear();
-    to.resize(from.len(), (VertexId(0), VertexId(0), 0.0));
-    // `offsets[k]` is bucket k's write cursor; after the scatter it
-    // holds bucket k's end, which is where bucket k + 1 starts.
-    for &e in from {
-        let at = &mut offsets[key(&e).index()];
-        to[*at as usize] = e;
-        *at += 1;
-    }
-    offsets.copy_within(..n, 1);
-    offsets[0] = 0;
-    offsets
+    directed: bool,
+    weighted: bool,
+    edges: &[E],
+    threads: usize,
+) -> (Csr, Option<Csr>) {
+    let (mut sorted, mut staged) = (Vec::new(), Vec::new());
+    let expand = |e: E| {
+        let k = if e.src() == e.dst() {
+            0
+        } else if directed {
+            1
+        } else {
+            2
+        };
+        ([e, e.reversed()], k)
+    };
+    let plan = sort::stage(n, &sort::split(edges, threads), expand, E::dst, &mut staged);
+    let plan = {
+        // Only the order is kept: its offsets go before the next pass.
+        let by_dst = sort::count(n, plan, &staged, &mut sorted, E::dst, sort::keep_all);
+        sort::stage(n, &by_dst.chunks(&sorted), one, E::src, &mut staged)
+    };
+    let by_src = sort::count(n, plan, &staged, &mut sorted, E::src, dedup);
+    let transpose =
+        directed.then(|| sort::stage(n, &by_src.chunks(&sorted), one, E::dst, &mut staged));
+    let out = by_src.pack(&sorted, weighted, E::dst);
+    let in_ = transpose.map(|plan| {
+        let by_dst = sort::count(n, plan, &staged, &mut sorted, E::dst, sort::keep_all);
+        by_dst.pack(&sorted, weighted, E::src)
+    });
+    (out, in_)
 }
 
-/// Packs a CSR from `offsets` and the edges they index, taking each
-/// edge's neighbour by `neighbor`.
-fn pack(offsets: Vec<u64>, edges: &[Edge], weighted: bool, neighbor: fn(&Edge) -> VertexId) -> Csr {
-    let neighbors = edges.iter().map(neighbor).collect();
-    let weights = weighted.then(|| edges.iter().map(|&(_, _, w)| w).collect());
-    Csr::from_parts(offsets, neighbors, weights).expect("constructed offsets are consistent")
+/// `emit` for a pass that sorts each edge as it is.
+fn one<E: Edge>(e: E) -> ([E; 2], usize) {
+    ([e, e], 1)
+}
+
+/// Keeps the first edge of each run of equal `(src, dst)` in `edges`,
+/// a range sorted by them whose sources start at `starts`, and moves
+/// each start to match. Returns how many edges it kept.
+fn dedup<E: Edge>(edges: &mut [E], starts: &mut [u64]) -> usize {
+    let mut kept = 0;
+    for k in 0..starts.len() {
+        let end = starts.get(k + 1).map_or(edges.len(), |&s| s as usize);
+        let begin = std::mem::replace(&mut starts[k], kept as u64) as usize;
+        for i in begin..end {
+            if kept == starts[k] as usize || edges[i].dst() != edges[kept - 1].dst() {
+                edges[kept] = edges[i];
+                kept += 1;
+            }
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -338,10 +406,13 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
+    /// An edge as a test adds it: `None` for an unweighted add.
+    type Added = (u32, u32, Option<f32>);
+
     /// What `build` promises, by definition: each ordered pair that is
     /// not a self-loop, once, with the first weight added for it (an
     /// undirected edge is added as both orientations).
-    fn model(edges: &[(u32, u32, Option<f32>)], directed: bool) -> BTreeMap<(u32, u32), f32> {
+    fn model(edges: &[Added], directed: bool) -> BTreeMap<(u32, u32), f32> {
         let mut m = BTreeMap::new();
         for &(s, d, w) in edges {
             if s == d {
@@ -369,25 +440,83 @@ mod tests {
             .collect()
     }
 
+    /// Builds `edges` on `threads` threads and checks the graph against
+    /// [`model`]: sorted, deduplicated, first-weight and free of
+    /// self-loops, a directed graph's in-CSR exactly the transpose of
+    /// its out-CSR, and an undirected graph storing each edge twice.
+    /// Also checks it equals the one-thread build byte for byte.
+    fn check_build(
+        edges: &[Added],
+        directed: bool,
+        reserve: usize,
+        threads: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut b = if directed {
+            GraphBuilder::directed()
+        } else {
+            GraphBuilder::undirected()
+        };
+        for &(s, d, w) in edges {
+            match w {
+                Some(w) => b.add_weighted_edge(VertexId(s), VertexId(d), w),
+                None => b.add_edge(VertexId(s), VertexId(d)),
+            };
+        }
+        b.reserve_vertices(reserve);
+        let g = b.build_on(threads);
+
+        let top = edges
+            .iter()
+            .map(|&(s, d, _)| s.max(d) + 1)
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(g.num_vertices(), reserve.max(top as usize));
+        prop_assert_eq!(g.has_weights(), edges.iter().any(|e| e.2.is_some()));
+        let want: Vec<(u32, u32, f32)> = model(edges, directed)
+            .into_iter()
+            .map(|((s, d), w)| (s, d, w))
+            .collect();
+        let out = g.csr(EdgeDir::Out);
+        prop_assert_eq!(triples(out), want);
+        prop_assert!(g.vertices().all(|v| out.neighbors(v).is_sorted()));
+        prop_assert!(g.vertices().all(|v| !out.neighbors(v).contains(&v)));
+        if !directed {
+            prop_assert_eq!(2 * g.num_edges(), out.neighbor_array().len() as u64);
+        }
+        if directed {
+            let mut transpose: Vec<(u32, u32, f32)> = triples(out)
+                .into_iter()
+                .map(|(s, d, w)| (d, s, w))
+                .collect();
+            transpose.sort_by_key(|&(d, s, _)| (d, s));
+            prop_assert_eq!(triples(g.csr(EdgeDir::In)), transpose);
+            prop_assert_eq!(g.csr(EdgeDir::In).has_weights(), g.has_weights());
+        }
+        prop_assert!(g == b.build_on(1), "{threads} threads built another graph");
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random edge lists with duplicates in both orientations,
-        /// self-loops and mixed weighted / unweighted adds come out
-        /// sorted, deduplicated, first-weight and free of self-loops; a
-        /// directed graph's in-CSR is exactly the transpose of its
-        /// out-CSR, and an undirected graph stores each of its edges
-        /// twice.
+        /// self-loops and mixed weighted / unweighted adds, built on
+        /// 1–8 threads, pass [`check_build`]. A quarter of the lists
+        /// spread over up to 10,000 vertices, so a pass cuts its keys
+        /// into several ranges per thread and coarse buckets of
+        /// several keys.
         #[test]
         fn build_matches_a_first_weight_model(
             seed in any::<u64>(),
             directed in any::<bool>(),
             weighted in any::<bool>(),
             reserve in 0usize..48,
+            threads in 1usize..9,
         ) {
             let mut rng = TestRng::deterministic("build_model", seed as u32);
-            let span = 1 + rng.below(40) as u32;
-            let mut edges: Vec<(u32, u32, Option<f32>)> = Vec::new();
+            let top = if rng.below(4) == 0 { 10_000 } else { 40 };
+            let span = 1 + rng.below(top) as u32;
+            let mut edges: Vec<Added> = Vec::new();
             for _ in 0..rng.below(200) {
                 let (s, d) = match (edges.len(), rng.below(3)) {
                     // Name an earlier edge again, either way round.
@@ -400,41 +529,57 @@ mod tests {
                 let w = (weighted && rng.below(4) != 0).then(|| 1.0 + rng.below(9) as f32);
                 edges.push((s, d, w));
             }
-            let mut b = if directed {
-                GraphBuilder::directed()
-            } else {
-                GraphBuilder::undirected()
-            };
-            for &(s, d, w) in &edges {
-                match w {
-                    Some(w) => b.add_weighted_edge(VertexId(s), VertexId(d), w),
-                    None => b.add_edge(VertexId(s), VertexId(d)),
-                };
-            }
-            b.reserve_vertices(reserve);
-            let g = b.build();
+            check_build(&edges, directed, reserve, threads)?;
+        }
+    }
 
-            let top = edges.iter().map(|&(s, d, _)| s.max(d) + 1).max().unwrap_or(0);
-            prop_assert_eq!(g.num_vertices(), reserve.max(top as usize));
-            prop_assert_eq!(g.has_weights(), edges.iter().any(|e| e.2.is_some()));
-            let want: Vec<(u32, u32, f32)> = model(&edges, directed)
-                .into_iter()
-                .map(|((s, d), w)| (s, d, w))
-                .collect();
-            let out = g.csr(EdgeDir::Out);
-            prop_assert_eq!(triples(out), want);
-            prop_assert!(g.vertices().all(|v| out.neighbors(v).is_sorted()));
-            prop_assert!(g.vertices().all(|v| !out.neighbors(v).contains(&v)));
-            if !directed {
-                prop_assert_eq!(2 * g.num_edges(), out.neighbor_array().len() as u64);
-            }
-            if directed {
-                let mut transpose: Vec<(u32, u32, f32)> =
-                    triples(out).into_iter().map(|(s, d, w)| (d, s, w)).collect();
-                transpose.sort_by_key(|&(d, s, _)| (d, s));
-                prop_assert_eq!(triples(g.csr(EdgeDir::In)), transpose);
-                prop_assert_eq!(g.csr(EdgeDir::In).has_weights(), g.has_weights());
+    /// The shapes a random list rarely is, on every thread count from 1
+    /// to 8: no edge at all, only self-loops, fewer edges than threads,
+    /// and weighted duplicates whose later weights must lose.
+    #[test]
+    fn thread_count_never_changes_a_graph() {
+        let w = |s, d, w| (s, d, Some(w));
+        let shapes: [(&str, Vec<Added>, usize); 5] = [
+            ("empty", vec![], 0),
+            ("empty, 5 reserved", vec![], 5),
+            (
+                "self-loops",
+                vec![(0, 0, None), (3, 3, None), (3, 3, None)],
+                0,
+            ),
+            ("3 edges", vec![(2, 0, None), (0, 1, None), (1, 2, None)], 0),
+            (
+                "weighted duplicates",
+                vec![
+                    w(0, 1, 1.0),
+                    w(1, 0, 2.0),
+                    w(0, 1, 3.0),
+                    (0, 1, None),
+                    w(2, 1, 4.0),
+                    w(2, 1, 5.0),
+                ],
+                0,
+            ),
+        ];
+        for (name, edges, reserve) in &shapes {
+            for directed in [true, false] {
+                for threads in 1..=8 {
+                    check_build(edges, directed, *reserve, threads).unwrap_or_else(|e| {
+                        panic!("{name}, directed {directed}, {threads} threads: {e}")
+                    });
+                }
             }
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "cannot reserve 4294967297 vertices")]
+    fn reserving_past_the_u32_id_space_panics() {
+        // 2^32 vertices use every u32 id; one more cannot be named. The
+        // builder only records the largest id, so neither call allocates.
+        let mut b = GraphBuilder::directed();
+        b.reserve_vertices(1 << 32);
+        b.reserve_vertices((1 << 32) + 1);
     }
 }

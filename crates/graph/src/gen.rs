@@ -7,13 +7,26 @@
 //! the README's "Running the evaluation" section for the stand-ins.
 //! Everything here is deterministic given a seed so experiments are
 //! repeatable.
+//!
+//! [`rmat`] draws on every core without changing a draw. Edge `i`
+//! takes draws `scale * i` to `scale * i + scale - 1` of one xoshiro
+//! stream seeded by `seed`, exactly as a serial loop takes them. The
+//! edge list is cut into chunks of 16 K edges, dealt round-robin to
+//! the threads. Each thread walks the whole stream from the seed: it
+//! steps past the draws of other threads' chunks, which costs a
+//! fraction of sampling them, and samples its own chunks in place.
+//! Every thread count therefore writes the same edge list, and
+//! [`GraphBuilder`]'s passes lay any list out the same way at any
+//! thread count, so a graph depends on its seed alone. The pins in
+//! this module's tests hold that.
 
 use fg_types::VertexId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, Pair};
 use crate::csr::Graph;
+use crate::sort::{self, CHUNK};
 
 /// Quadrant probabilities for the R-MAT recursive generator.
 ///
@@ -85,39 +98,84 @@ pub fn rmat(scale: u32, edge_factor: u32, skew: RmatSkew, seed: u64) -> Graph {
         skew.b >= 0.0 && skew.c >= 0.0,
         "rmat quadrant probabilities must be non-negative: {skew:?}"
     );
-    let n: u64 = 1 << scale;
-    let m = n * edge_factor as u64;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::directed();
-    b.reserve_vertices(n as usize);
-    b.extend_edges((0..m).map(|_| {
-        let (src, dst) = rmat_edge(scale, skew, &mut rng);
-        (VertexId(src), VertexId(dst))
+    let n = 1usize << scale;
+    let m = n * edge_factor as usize;
+    let edges = sample(scale, skew, seed, m, sort::threads_for(m));
+    GraphBuilder::from_pairs(n, edges).build()
+}
+
+/// The first `m` R-MAT edges of `seed`'s stream, drawn on `threads`
+/// threads (no more than there are chunks).
+///
+/// Edge `i` takes draws `scale * i` to `scale * i + scale - 1` of the
+/// one stream, as a serial loop takes them. Chunk `c` of [`CHUNK`]
+/// edges belongs to thread `c % threads`. Each thread walks the whole
+/// stream from the seed: it steps past the draws of other threads'
+/// chunks and samples its own into place. So the edge list is the
+/// serial one at any thread count.
+fn sample(scale: u32, skew: RmatSkew, seed: u64, m: usize, threads: usize) -> Vec<Pair> {
+    let threads = threads.min(m.div_ceil(CHUNK)).max(1);
+    let cuts = cuts(skew);
+    let mut edges = vec![(0, 0); m];
+    let mut mine: Vec<Vec<(usize, &mut [Pair])>> = (0..threads).map(|_| Vec::new()).collect();
+    for (c, chunk) in edges.chunks_mut(CHUNK).enumerate() {
+        mine[c % threads].push((c, chunk));
+    }
+    sort::run(mine.into_iter().map(|chunks| {
+        move || {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut at = 0; // the chunk whose draws come next
+            for (c, chunk) in chunks {
+                for _ in 0..(c - at) * CHUNK * scale as usize {
+                    rng.next_u64();
+                }
+                for e in chunk.iter_mut() {
+                    *e = rmat_edge(scale, cuts, &mut rng);
+                }
+                at = c + 1;
+            }
+        }
     }));
-    b.build()
+    edges
 }
 
 /// One recursive R-MAT edge sample: one uniform draw per level picks
 /// the quadrant, `[0, a)` top-left, `[a, a + b)` top-right (dst bit),
 /// `[a + b, a + b + c)` bottom-left (src bit), the rest bottom-right
-/// (both bits).
+/// (both bits). `cuts` are the three bounds as [`cuts`] gives them.
 ///
 /// Each bit is a comparison, not a branch: a three-way `if` on a
 /// uniform draw mispredicts about half the time, which costs several
-/// times the draw itself. The thresholds are the same `f64` sums the
-/// branches compared against and each level still takes exactly one
-/// draw, so the RNG stream, and every graph, is unchanged. The two
-/// forms agree because `a <= a + b <= a + b + c` (`b`, `c` >= 0).
-fn rmat_edge(scale: u32, skew: RmatSkew, rng: &mut SmallRng) -> (u32, u32) {
-    let (a, ab, abc) = (skew.a, skew.a + skew.b, skew.a + skew.b + skew.c);
+/// times the draw itself. Each level still takes exactly one draw, so
+/// the RNG stream, and every graph, is unchanged. Because
+/// `a <= a + b <= a + b + c` (`b`, `c` >= 0), the draw passes the
+/// bounds in order: the src bit is "past `a + b`", and the dst bit,
+/// set in `[a, a + b)` and past `a + b + c`, is "past an odd number of
+/// the three".
+fn rmat_edge(scale: u32, cuts: [u64; 3], rng: &mut SmallRng) -> (u32, u32) {
+    let [a, ab, abc] = cuts;
     let mut src = 0u32;
     let mut dst = 0u32;
     for _ in 0..scale {
-        let r: f64 = rng.gen();
-        src = (src << 1) | (r >= ab) as u32;
-        dst = (dst << 1) | (((r >= a) & (r < ab)) | (r >= abc)) as u32;
+        let k = rng.next_u64() >> 11;
+        src = (src << 1) | (k >= ab) as u32;
+        dst = (dst << 1) | ((k >= a) ^ (k >= ab) ^ (k >= abc)) as u32;
     }
     (src, dst)
+}
+
+/// The quadrant bounds `a`, `a + b` and `a + b + c` as integers the
+/// sampler compares a draw's top 53 bits `k` against.
+///
+/// The shim's uniform `f64` is `k * 2^-53`. Scaling by a power of two
+/// is exact, so `k * 2^-53 >= t` holds exactly when `k >= t * 2^53`,
+/// that is when `k >= ceil(t * 2^53)`, for any `t` that is not NaN.
+/// The integer test picks the same quadrants as the `f64` one without
+/// converting each draw.
+fn cuts(skew: RmatSkew) -> [u64; 3] {
+    let cut = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+    let (a, b, c) = (skew.a, skew.b, skew.c);
+    [cut(a), cut(a + b), cut(a + b + c)]
 }
 
 /// Generates an undirected Watts–Strogatz ring: `n` vertices each
@@ -308,6 +366,100 @@ mod tests {
             ],
             "an R-MAT draw changed: {got:#018x?}"
         );
+    }
+
+    #[test]
+    fn every_parallel_pass_keeps_the_pinned_bytes() {
+        // Computed with the serial sampler and builder. Drawn large
+        // enough that every chunked and threaded pass splits them: 2^19
+        // edges are 32 sampling chunks, and each counting pass sorts
+        // well over one chunk per thread. One directed draw, the same
+        // graph symmetrised through the undirected builder, and a
+        // weighted copy of that, so pairs and triples both sort.
+        let g = rmat(15, 16, RmatSkew::social(), 43);
+        let mut b = GraphBuilder::undirected();
+        b.reserve_vertices(g.num_vertices());
+        b.extend_edges(g.edges());
+        let sym = b.build();
+        let weighted = with_random_weights(&sym, 10.0, 43);
+        let got = [checksum(&g), checksum(&sym), checksum(&weighted)];
+        assert_eq!(
+            got,
+            [
+                0xc4c6_4bbb_c88f_320c,
+                0xbc3d_98ba_5735_1961,
+                0xfbd3_d87a_b5e9_94a1,
+            ],
+            "a parallel pass changed a graph: {got:#018x?}"
+        );
+    }
+
+    /// The R-MAT draw as a plain serial loop: one `f64` per level and a
+    /// three-way branch on it.
+    fn serial_rmat(scale: u32, skew: RmatSkew, seed: u64, m: usize) -> Vec<Pair> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (a, ab, abc) = (skew.a, skew.a + skew.b, skew.a + skew.b + skew.c);
+        (0..m)
+            .map(|_| {
+                let (mut src, mut dst) = (0, 0);
+                for _ in 0..scale {
+                    let r: f64 = rng.gen();
+                    let (s, d) = if r < a {
+                        (0, 0)
+                    } else if r < ab {
+                        (0, 1)
+                    } else if r < abc {
+                        (1, 0)
+                    } else {
+                        (1, 1)
+                    };
+                    src = src << 1 | s;
+                    dst = dst << 1 | d;
+                }
+                (src, dst)
+            })
+            .collect()
+    }
+
+    /// Both shipped skews, and one whose bounds are exact binary
+    /// fractions, so a draw can land on a bound exactly.
+    fn skews() -> [RmatSkew; 3] {
+        let exact = RmatSkew {
+            a: 0.5,
+            b: 0.25,
+            c: 0.125,
+        };
+        [RmatSkew::social(), RmatSkew::web(), exact]
+    }
+
+    #[test]
+    fn the_chunked_sampler_draws_the_serial_stream() {
+        // Below one chunk, exactly one, and a ragged tail past three.
+        for (i, skew) in skews().into_iter().enumerate() {
+            for m in [0, 1, 100, CHUNK, 3 * CHUNK + 5] {
+                let want = serial_rmat(7, skew, i as u64, m);
+                for threads in 1..=4 {
+                    assert!(
+                        sample(7, skew, i as u64, m, threads) == want,
+                        "{skew:?}, {m} edges on {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_cuts_split_draws_where_the_f64_bounds_do() {
+        // At and beside each cut, where a rounding slip would show.
+        let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        for skew in skews() {
+            let bounds = [skew.a, skew.a + skew.b, skew.a + skew.b + skew.c];
+            for (cut, t) in cuts(skew).into_iter().zip(bounds) {
+                for k in [cut - 1, cut, cut + 1] {
+                    assert_eq!(k >= cut, unit(k) >= t, "{skew:?}: draw {k} against {t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@ mod delta;
 pub mod fixtures;
 pub mod gen;
 mod io;
+mod sort;
 mod stats;
 
 pub use builder::GraphBuilder;
