@@ -93,7 +93,10 @@ impl EngineConfig {
 
     /// The merged-request cap as [`crate::merge::merge_requests`]
     /// expects it: [`crate::merge::MAX_MERGE_BYTES`], whatever the
-    /// configuration.
+    /// configuration. The engine reads the constant itself; this
+    /// method stays only because the ledger's merge probe
+    /// (`crates/bench/src/bin/ledger/adapter.rs`) calls it, and goes
+    /// once that probe reads the constant too.
     pub fn resolved_max_merge_bytes(&self) -> u64 {
         crate::merge::MAX_MERGE_BYTES
     }

@@ -6,7 +6,7 @@ use fg_format::ShardedIndex;
 use fg_graph::{DeltaSlot, DeltaView, Graph};
 use fg_types::{AtomicBitmap, EdgeDir, VertexId};
 
-use crate::messages::Batch as Envelope;
+use crate::messages::Batch;
 use crate::partition::PartitionMap;
 
 /// Where per-vertex degrees come from: the CSR in in-memory mode, the
@@ -194,12 +194,6 @@ impl Request {
         self.dir
     }
 
-    /// Whether attributes ride along.
-    #[inline]
-    pub fn wants_attrs(&self) -> bool {
-        self.attrs
-    }
-
     /// The `(start, len)` position range, if one was set.
     #[inline]
     pub fn positions(&self) -> Option<(u64, u64)> {
@@ -243,18 +237,16 @@ pub(crate) struct WorkerScratch<M> {
     /// Packed outgoing unicasts per destination partition.
     pub out_unicasts: Vec<Vec<(VertexId, M)>>,
     /// Outgoing multicast batches per destination partition.
-    pub out_multicasts: Vec<Vec<Envelope<M>>>,
+    pub out_multicasts: Vec<Vec<Batch<M>>>,
     /// Buffered per-vertex deliveries (for the flush threshold).
     pub buffered_fanout: u64,
-    /// End-of-iteration registrations per destination partition.
-    pub notifies: Vec<Vec<VertexId>>,
     /// Foreign outboxes, one triple per *shard* (empty vectors for
     /// unsharded runs and for this engine's own shard): unicasts,
     /// multicasts, and activations destined for vertices another
     /// shard's engine owns. Flushed to the shard bus as batched
     /// packets alongside the local board flush.
     pub shard_unicasts: Vec<Vec<(VertexId, M)>>,
-    pub shard_multicasts: Vec<Vec<Envelope<M>>>,
+    pub shard_multicasts: Vec<Vec<Batch<M>>>,
     pub shard_activates: Vec<Vec<VertexId>>,
     /// New activations performed by this worker (bits actually set).
     pub activations: u64,
@@ -270,7 +262,6 @@ impl<M> WorkerScratch<M> {
             out_unicasts: (0..partitions).map(|_| Vec::new()).collect(),
             out_multicasts: (0..partitions).map(|_| Vec::new()).collect(),
             buffered_fanout: 0,
-            notifies: (0..partitions).map(|_| Vec::new()).collect(),
             shard_unicasts: (0..shards).map(|_| Vec::new()).collect(),
             shard_multicasts: (0..shards).map(|_| Vec::new()).collect(),
             shard_activates: (0..shards).map(|_| Vec::new()).collect(),
@@ -293,6 +284,8 @@ pub struct VertexContext<'w, M> {
     pub(crate) vpart: u32,
     pub(crate) shared: &'w RunShared<'w>,
     pub(crate) next_frontier: &'w AtomicBitmap,
+    /// The vertices registered for this iteration's end.
+    pub(crate) iteration_end: &'w AtomicBitmap,
     pub(crate) scratch: &'w mut WorkerScratch<M>,
 }
 
@@ -301,12 +294,6 @@ impl<M> VertexContext<'_, M> {
     #[inline]
     pub fn iteration(&self) -> u32 {
         self.iteration
-    }
-
-    /// The vertex this callback belongs to.
-    #[inline]
-    pub fn current_vertex(&self) -> VertexId {
-        self.current
     }
 
     /// Number of vertices in the graph.
@@ -463,7 +450,7 @@ impl<M> VertexContext<'_, M> {
                 for (s, vs) in per_shard.into_iter().enumerate() {
                     if !vs.is_empty() {
                         self.scratch.buffered_fanout += vs.len() as u64;
-                        self.scratch.shard_multicasts[s].push(Envelope::Multicast(vs, msg.clone()));
+                        self.scratch.shard_multicasts[s].push(Batch::Multicast(vs, msg.clone()));
                     }
                 }
                 if !local.is_empty() {
@@ -484,7 +471,7 @@ impl<M> VertexContext<'_, M> {
         let parts = self.shared.pmap.num_partitions();
         if parts == 1 {
             self.scratch.buffered_fanout += to.len() as u64;
-            self.scratch.out_multicasts[0].push(Envelope::Multicast(to.to_vec(), msg));
+            self.scratch.out_multicasts[0].push(Batch::Multicast(to.to_vec(), msg));
             return;
         }
         let mut per_part: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
@@ -494,15 +481,17 @@ impl<M> VertexContext<'_, M> {
         for (p, vs) in per_part.into_iter().enumerate() {
             if !vs.is_empty() {
                 self.scratch.buffered_fanout += vs.len() as u64;
-                self.scratch.out_multicasts[p].push(Envelope::Multicast(vs, msg.clone()));
+                self.scratch.out_multicasts[p].push(Batch::Multicast(vs, msg.clone()));
             }
         }
     }
 
     /// Registers the current vertex for `run_on_iteration_end` at the
-    /// end of this iteration.
+    /// end of this iteration: one bit, so registering again in the
+    /// same iteration changes nothing. Called from inside
+    /// `run_on_iteration_end`, it registers for the next iteration's
+    /// end.
     pub fn notify_iteration_end(&mut self) {
-        let dest = self.shared.pmap.partition_of(self.current);
-        self.scratch.notifies[dest].push(self.current);
+        self.iteration_end.set(self.current);
     }
 }

@@ -14,7 +14,7 @@
 use fg_types::sync::{AtomicBool, AtomicU32, Counter, Mutex};
 use std::time::Instant;
 
-use fg_types::{Bitmap, CancelCause, VertexId};
+use fg_types::{CancelCause, VertexId};
 
 use super::pool::Run;
 use super::sem_io::Wait;
@@ -136,27 +136,19 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 self.board.post(dest, batch);
             }
         }
-        for (dest, buf) in scratch.notifies.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.notify.post(dest, std::mem::take(buf));
-            }
-        }
         if let Some(link) = self.link {
             let post = |dest: usize, pkt: ShardPacket<P::Msg>| {
-                self.counters.shard_msg_bytes.add(pkt.wire_bytes());
-                link.bus.post(dest, pkt);
+                self.counters.shard_msg_bytes.add(link.bus.post(dest, pkt));
             };
             for (dest, buf) in scratch.shard_unicasts.iter_mut().enumerate() {
                 if !buf.is_empty() {
-                    post(dest, ShardPacket::Unicasts(std::mem::take(buf)));
+                    let batch = Batch::Unicasts(std::mem::take(buf));
+                    post(dest, ShardPacket::Messages(batch));
                 }
             }
             for (dest, buf) in scratch.shard_multicasts.iter_mut().enumerate() {
-                for env in buf.drain(..) {
-                    match env {
-                        Batch::Unicasts(entries) => post(dest, ShardPacket::Unicasts(entries)),
-                        Batch::Multicast(vs, m) => post(dest, ShardPacket::Multicast(vs, m)),
-                    }
+                for batch in buf.drain(..) {
+                    post(dest, ShardPacket::Messages(batch));
                 }
             }
             for (dest, buf) in scratch.shard_activates.iter_mut().enumerate() {
@@ -177,7 +169,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let parts = self.shared.pmap.num_partitions();
         for pkt in link.bus.drain(self.me) {
             match pkt {
-                ShardPacket::Unicasts(entries) => {
+                ShardPacket::Messages(Batch::Unicasts(entries)) => {
                     let mut split: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); parts];
                     for (v, m) in entries {
                         split[self.shared.pmap.partition_of(v)].push((v, m));
@@ -188,7 +180,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                         }
                     }
                 }
-                ShardPacket::Multicast(vs, m) => {
+                ShardPacket::Messages(Batch::Multicast(vs, m)) => {
                     let mut split: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
                     for v in vs {
                         split[self.shared.pmap.partition_of(v)].push(v);
@@ -262,27 +254,23 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
+    /// Runs `run_on_iteration_end` for this partition's registered
+    /// vertices, in ascending id order. Only this worker sets their
+    /// bits in phase C (its message handlers, which ran before this
+    /// walk), so what the walk takes is complete. The bits are cleared
+    /// before the first callback, so a registration made inside one
+    /// stays for the next iteration's end.
     pub(super) fn apply_iteration_end(
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
-        seen: &mut Bitmap,
     ) {
-        // Registrations made by our own vertices during this barrier
-        // phase (from message handlers) are still local: flush first.
-        self.flush_boards(scratch);
-        let vids = self.notify.drain(self.w);
-        let mut dedup = Vec::with_capacity(vids.len());
-        for v in vids {
-            if !seen.set(v) {
-                dedup.push(v);
-            }
+        let registered = self.partition_ones(self.iteration_end);
+        for &v in &registered {
+            self.iteration_end.clear(v);
         }
-        for v in &dedup {
-            seen.clear(*v);
-        }
-        for v in dedup {
+        for v in registered {
             self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
                 prog.run_on_iteration_end(v, state, ctx);
             });

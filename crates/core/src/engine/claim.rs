@@ -101,10 +101,14 @@ impl ActiveSet {
 impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// Collects the active vertices of this partition in id order.
     pub(super) fn collect_active(&self) -> Vec<VertexId> {
-        let cur = self.frontiers.cur();
+        self.partition_ones(self.frontiers.cur())
+    }
+
+    /// The set bits of `map` in this worker's partition, ascending.
+    pub(super) fn partition_ones(&self, map: &AtomicBitmap) -> Vec<VertexId> {
         let mut list = Vec::new();
         for range in self.shared.pmap.ranges_of(self.w) {
-            list.extend(cur.iter_ones_in_range(range));
+            list.extend(map.iter_ones_in_range(range));
         }
         list
     }

@@ -28,7 +28,7 @@ use fg_types::{AtomicBitmap, CancelToken, FgError, Result, VertexId};
 
 use crate::config::EngineConfig;
 use crate::context::{DegreeSource, RunShared, ShardView};
-use crate::messages::{MessageBoard, NotifyBoard};
+use crate::messages::{Batch, Lanes};
 use crate::partition::PartitionMap;
 use crate::program::VertexProgram;
 use crate::rendezvous::Rendezvous;
@@ -424,8 +424,8 @@ impl<'g> Engine<'g> {
             deltas: self.deltas.clone(),
             shard,
         };
-        let board: MessageBoard<P::Msg> = MessageBoard::new(nthreads);
-        let notify = NotifyBoard::new(nthreads);
+        let board: Lanes<Batch<P::Msg>> = Lanes::new(nthreads);
+        let iteration_end = AtomicBitmap::new(n);
         let active = ActiveSet::new(nthreads, vparts as usize);
         let barrier = Rendezvous::new(nthreads);
         let control = Control::default();
@@ -463,7 +463,7 @@ impl<'g> Engine<'g> {
                         shared: &shared,
                         frontiers: &frontiers,
                         board: &board,
-                        notify: &notify,
+                        iteration_end: &iteration_end,
                         active: &active,
                         barrier: &barrier,
                         control: &control,
@@ -497,7 +497,7 @@ impl<'g> Engine<'g> {
             compute_ns: counters.compute_ns.get(),
             wait_ns: counters.wait_ns.get(),
             activations: counters.activations.get(),
-            messages_sent: board.total_sent(),
+            messages_sent: board.total(),
             vertices_processed: counters.vertices.get(),
             engine_requests: counters.engine_requests.get(),
             issued_requests: counters.issued_requests.get(),

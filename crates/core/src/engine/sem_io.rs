@@ -59,7 +59,7 @@ use super::boundary::Counters;
 use super::pool::Run;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
-use crate::merge::{covers, sort_requests, RangeReq};
+use crate::merge::{covers, sort_requests, RangeReq, MAX_MERGE_BYTES};
 use crate::vertex::PageVertex;
 
 /// The header of one delivery: who asked, for which slice of whose
@@ -534,11 +534,8 @@ impl<'s> SemIo<'s> {
             std::mem::swap(&mut b.metas, &mut self.issue_meta);
             sort_requests(&mut b.reqs);
             self.buffered = 0;
-            let (merge, cap) = (
-                self.cfg.merge_in_engine,
-                self.cfg.resolved_max_merge_bytes(),
-            );
-            for c in covers(&batch.reqs, self.page_bytes, merge, cap) {
+            let merge = self.cfg.merge_in_engine;
+            for c in covers(&batch.reqs, self.page_bytes, merge, MAX_MERGE_BYTES) {
                 let tag = self.slab.insert(Slot::Cover {
                     offset: c.offset,
                     batch: Arc::clone(&batch),

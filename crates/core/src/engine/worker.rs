@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use fg_graph::{DeltaView, Graph};
 use fg_safs::{CacheStats, PageSpan, SpanWindow};
-use fg_types::{AtomicBitmap, Bitmap, VertexId};
+use fg_types::{AtomicBitmap, VertexId};
 
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
@@ -38,7 +38,7 @@ use super::pool::{ReadyPool, Round};
 use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Wait};
 use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
-use crate::messages::{MessageBoard, NotifyBoard};
+use crate::messages::{Batch, Lanes};
 use crate::program::VertexProgram;
 use crate::rendezvous::{PoisonGuard, Rendezvous};
 use crate::shard::ShardLink;
@@ -68,8 +68,9 @@ pub(super) struct WorkerEnv<'r, 'g, P: VertexProgram> {
     pub(super) states: &'r SharedStates<P::State>,
     pub(super) shared: &'r RunShared<'r>,
     pub(super) frontiers: &'r Frontiers,
-    pub(super) board: &'r MessageBoard<P::Msg>,
-    pub(super) notify: &'r NotifyBoard,
+    pub(super) board: &'r Lanes<Batch<P::Msg>>,
+    /// Vertices registered for `run_on_iteration_end`.
+    pub(super) iteration_end: &'r AtomicBitmap,
     pub(super) active: &'r ActiveSet,
     pub(super) barrier: &'r Rendezvous,
     pub(super) control: &'r Control,
@@ -111,7 +112,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             }
         };
         let mut round = Round::default();
-        let mut seen_notify = Bitmap::new(self.shared.n);
         // Worker 0's counter snapshot at the last recorded boundary.
         // Taken here — before any worker can pass the first phase-A
         // barrier, and nothing before that barrier touches a counter
@@ -167,7 +167,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // this partition.
             let t = Instant::now();
             self.deliver_messages(iter, &mut scratch, &mut io);
-            self.apply_iteration_end(iter, &mut scratch, &mut io, &mut seen_notify);
+            self.apply_iteration_end(iter, &mut scratch, &mut io);
             self.flush_boards(&mut scratch);
             self.counters.compute_ns.add(t.elapsed().as_nanos() as u64);
             self.barrier.rendezvous();
@@ -372,6 +372,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             vpart: vp,
             shared: self.shared,
             next_frontier: self.frontiers.next(),
+            iteration_end: self.iteration_end,
             scratch,
         };
         // SAFETY: `v` was claimed exclusively (cursor/owner/claimer

@@ -21,11 +21,16 @@
 //! callbacks interleaved (or migrated across workers) during the
 //! iteration, every message they posted is in its inbox before the
 //! drain starts.
+//!
+//! The inboxes and the shard bus of a run with peers are one type,
+//! [`Lanes`]: a locked vector of parcels per destination, drained by
+//! its owner.
 
 use fg_types::sync::{Counter, Mutex};
 use fg_types::VertexId;
 
-/// A bundle of buffered messages bound for one partition.
+/// A bundle of buffered messages bound for one partition — or, inside
+/// a [`ShardPacket`], for one shard.
 #[derive(Debug)]
 pub(crate) enum Batch<M> {
     /// Point-to-point messages, packed.
@@ -34,9 +39,33 @@ pub(crate) enum Batch<M> {
     Multicast(Vec<VertexId>, M),
 }
 
-impl<M> Batch<M> {
-    /// Number of per-vertex deliveries this batch produces.
-    pub(crate) fn fanout(&self) -> u64 {
+/// One batched cross-shard transfer: what a worker's foreign outbox
+/// serializes into when its destination vertex lives on another
+/// shard's engine — a [`Batch`], or activations (which local
+/// execution performs as a direct bitmap OR but a foreign shard must
+/// be *told* about).
+#[derive(Debug)]
+pub(crate) enum ShardPacket<M> {
+    /// Messages, bundled exactly as for a local inbox.
+    Messages(Batch<M>),
+    /// Activations for the destination shard's next frontier.
+    Activate(Vec<VertexId>),
+}
+
+/// What a [`Lanes`] carries: a bundle that knows its fan-out and the
+/// size the lane's running total books for it.
+pub(crate) trait Parcel {
+    /// Per-vertex deliveries or activations; 0 means empty.
+    fn fanout(&self) -> u64;
+
+    /// What the lane's total counts for this parcel.
+    fn size(&self) -> u64 {
+        self.fanout()
+    }
+}
+
+impl<M> Parcel for Batch<M> {
+    fn fanout(&self) -> u64 {
         match self {
             Batch::Unicasts(v) => v.len() as u64,
             Batch::Multicast(v, _) => v.len() as u64,
@@ -44,179 +73,92 @@ impl<M> Batch<M> {
     }
 }
 
-/// Per-partition inboxes shared by all workers.
-#[derive(Debug)]
-pub(crate) struct MessageBoard<M> {
-    inboxes: Vec<Mutex<Vec<Batch<M>>>>,
-    /// Batches currently stored. Read by the termination check at
-    /// the iteration boundary, where the quiesce barrier has already
-    /// synchronized all posts — a relaxed [`Counter`] by contract.
-    pending: Counter,
-    /// Total per-vertex deliveries ever posted (statistics).
-    total_sent: Counter,
-}
-
-impl<M: Send> MessageBoard<M> {
-    pub(crate) fn new(partitions: usize) -> Self {
-        let mut inboxes = Vec::with_capacity(partitions);
-        inboxes.resize_with(partitions, || Mutex::new(Vec::new()));
-        MessageBoard {
-            inboxes,
-            pending: Counter::default(),
-            total_sent: Counter::default(),
+impl<M> Parcel for ShardPacket<M> {
+    fn fanout(&self) -> u64 {
+        match self {
+            ShardPacket::Messages(b) => b.fanout(),
+            ShardPacket::Activate(v) => v.len() as u64,
         }
     }
 
-    /// Posts one batch to partition `dest`.
-    pub(crate) fn post(&self, dest: usize, batch: Batch<M>) {
-        let fanout = batch.fanout();
-        if fanout == 0 {
-            return;
-        }
-        self.pending.inc();
-        self.total_sent.add(fanout);
-        self.inboxes[dest].lock().push(batch);
-    }
-
-    /// Takes everything queued for partition `dest`.
-    pub(crate) fn drain(&self, dest: usize) -> Vec<Batch<M>> {
-        let mut inbox = self.inboxes[dest].lock();
-        let got = std::mem::take(&mut *inbox);
-        self.pending.sub(got.len() as u64);
-        got
-    }
-
-    /// Batches currently queued anywhere.
-    pub(crate) fn pending(&self) -> u64 {
-        self.pending.get()
-    }
-
-    /// Total per-vertex deliveries posted since construction.
-    pub(crate) fn total_sent(&self) -> u64 {
-        self.total_sent.get()
-    }
-}
-
-/// One batched cross-shard transfer: what a worker's foreign outbox
-/// serializes into when its destination vertex lives on another
-/// shard's engine. Mirrors [`Batch`] plus activation (which local
-/// execution performs as a direct bitmap OR but a foreign shard must
-/// be *told* about).
-#[derive(Debug)]
-pub(crate) enum ShardPacket<M> {
-    /// Point-to-point messages, packed.
-    Unicasts(Vec<(VertexId, M)>),
-    /// One payload for many vertices of the destination shard.
-    Multicast(Vec<VertexId>, M),
-    /// Activations for the destination shard's next frontier.
-    Activate(Vec<VertexId>),
-}
-
-impl<M> ShardPacket<M> {
     /// Serialized size of the packet on the (in-process) wire — the
     /// cross-shard traffic `RunStats::shard_msg_bytes` accounts.
-    pub(crate) fn wire_bytes(&self) -> u64 {
+    fn size(&self) -> u64 {
         let id = std::mem::size_of::<VertexId>() as u64;
         match self {
-            ShardPacket::Unicasts(v) => {
+            ShardPacket::Messages(Batch::Unicasts(v)) => {
                 v.len() as u64 * std::mem::size_of::<(VertexId, M)>() as u64
             }
-            ShardPacket::Multicast(v, _) => v.len() as u64 * id + std::mem::size_of::<M>() as u64,
+            ShardPacket::Messages(Batch::Multicast(v, _)) => {
+                v.len() as u64 * id + std::mem::size_of::<M>() as u64
+            }
             ShardPacket::Activate(v) => v.len() as u64 * id,
         }
     }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            ShardPacket::Unicasts(v) => v.is_empty(),
-            ShardPacket::Multicast(v, _) => v.is_empty(),
-            ShardPacket::Activate(v) => v.is_empty(),
-        }
-    }
 }
 
-/// The in-process bus connecting a sharded run's engines: one lane of
-/// batched [`ShardPacket`]s per destination shard.
+/// One lane of parcels per destination, shared by all posters: the
+/// per-partition inboxes of one engine (`Lanes<Batch<M>>`, whose
+/// total counts deliveries) and the shard bus of a run with peers
+/// (`Lanes<ShardPacket<M>>`, one lane per shard, whose total counts
+/// wire bytes).
 ///
-/// Workers post packets whenever their foreign outboxes flush (same
-/// bundling threshold as local boards); each shard drains its own
-/// lane at the two cross-shard synchronization points of an iteration
-/// — after compute (so foreign messages are delivered at the same
-/// barrier a local send would reach) and at the termination check (so
-/// barrier-phase sends stay pending into the next iteration, exactly
-/// like a local board).
+/// Workers post whenever their outboxes flush; a lane's owner drains
+/// it at the iteration barrier. The bus is drained at the two
+/// cross-shard synchronization points of an iteration — after compute
+/// (so foreign messages are delivered at the same barrier a local
+/// send would reach) and at the termination check (so barrier-phase
+/// sends stay pending into the next iteration, exactly like a local
+/// inbox).
 #[derive(Debug)]
-pub(crate) struct ShardBus<M> {
-    lanes: Vec<Mutex<Vec<ShardPacket<M>>>>,
-    /// Packets currently queued anywhere (termination diagnostics;
-    /// exact reads happen at the shard rendezvous).
+pub(crate) struct Lanes<T> {
+    lanes: Vec<Mutex<Vec<T>>>,
+    /// Parcels currently stored. Read by the termination check at the
+    /// iteration boundary, where the quiesce barrier has already
+    /// synchronized all posts — a relaxed [`Counter`] by contract.
     pending: Counter,
-    /// Serialized bytes ever posted (statistics).
-    bytes: Counter,
+    /// [`Parcel::size`] of everything ever posted (statistics).
+    total: Counter,
 }
 
-impl<M: Send> ShardBus<M> {
-    pub(crate) fn new(shards: usize) -> Self {
-        let mut lanes = Vec::with_capacity(shards);
-        lanes.resize_with(shards, || Mutex::new(Vec::new()));
-        ShardBus {
-            lanes,
+impl<T: Parcel> Lanes<T> {
+    pub(crate) fn new(lanes: usize) -> Self {
+        Lanes {
+            lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
             pending: Counter::default(),
-            bytes: Counter::default(),
+            total: Counter::default(),
         }
     }
 
-    /// Posts one packet to shard `dest`'s lane.
-    pub(crate) fn post(&self, dest: usize, packet: ShardPacket<M>) {
-        if packet.is_empty() {
-            return;
+    /// Posts one parcel to lane `dest` and returns the size booked for
+    /// it; an empty parcel is dropped and books 0.
+    pub(crate) fn post(&self, dest: usize, parcel: T) -> u64 {
+        if parcel.fanout() == 0 {
+            return 0;
         }
+        let size = parcel.size();
         self.pending.inc();
-        self.bytes.add(packet.wire_bytes());
-        self.lanes[dest].lock().push(packet);
+        self.total.add(size);
+        self.lanes[dest].lock().push(parcel);
+        size
     }
 
-    /// Takes everything queued for shard `dest`.
-    pub(crate) fn drain(&self, dest: usize) -> Vec<ShardPacket<M>> {
-        let mut lane = self.lanes[dest].lock();
-        let got = std::mem::take(&mut *lane);
+    /// Takes everything queued for lane `dest`.
+    pub(crate) fn drain(&self, dest: usize) -> Vec<T> {
+        let got = std::mem::take(&mut *self.lanes[dest].lock());
         self.pending.sub(got.len() as u64);
         got
     }
 
-    /// Packets currently queued anywhere.
+    /// Parcels currently queued anywhere.
     pub(crate) fn pending(&self) -> u64 {
         self.pending.get()
     }
 
-    /// Serialized bytes posted since construction.
-    pub(crate) fn bytes_sent(&self) -> u64 {
-        self.bytes.get()
-    }
-}
-
-/// Per-partition registrations for end-of-iteration callbacks.
-#[derive(Debug)]
-pub(crate) struct NotifyBoard {
-    slots: Vec<Mutex<Vec<VertexId>>>,
-}
-
-impl NotifyBoard {
-    pub(crate) fn new(partitions: usize) -> Self {
-        let mut slots = Vec::with_capacity(partitions);
-        slots.resize_with(partitions, || Mutex::new(Vec::new()));
-        NotifyBoard { slots }
-    }
-
-    pub(crate) fn post(&self, dest: usize, mut vids: Vec<VertexId>) {
-        if vids.is_empty() {
-            return;
-        }
-        self.slots[dest].lock().append(&mut vids);
-    }
-
-    pub(crate) fn drain(&self, dest: usize) -> Vec<VertexId> {
-        std::mem::take(&mut *self.slots[dest].lock())
+    /// [`Parcel::size`] summed over every parcel posted since
+    /// construction.
+    pub(crate) fn total(&self) -> u64 {
+        self.total.get()
     }
 }
 
@@ -226,11 +168,11 @@ mod tests {
 
     #[test]
     fn post_and_drain_round_trip() {
-        let b: MessageBoard<u32> = MessageBoard::new(2);
+        let b: Lanes<Batch<u32>> = Lanes::new(2);
         b.post(0, Batch::Unicasts(vec![(VertexId(1), 10)]));
         b.post(1, Batch::Multicast(vec![VertexId(2), VertexId(3)], 20));
         assert_eq!(b.pending(), 2);
-        assert_eq!(b.total_sent(), 3);
+        assert_eq!(b.total(), 3);
         let got0 = b.drain(0);
         assert_eq!(got0.len(), 1);
         assert_eq!(b.pending(), 1);
@@ -241,14 +183,14 @@ mod tests {
 
     #[test]
     fn empty_post_is_noop() {
-        let b: MessageBoard<u32> = MessageBoard::new(1);
+        let b: Lanes<Batch<u32>> = Lanes::new(1);
         b.post(0, Batch::Unicasts(Vec::new()));
         assert_eq!(b.pending(), 0);
     }
 
     #[test]
     fn drain_empties_only_target() {
-        let b: MessageBoard<()> = MessageBoard::new(3);
+        let b: Lanes<Batch<()>> = Lanes::new(3);
         for p in 0..3 {
             b.post(p, Batch::Unicasts(vec![(VertexId(0), ())]));
         }
@@ -260,7 +202,7 @@ mod tests {
 
     #[test]
     fn concurrent_posts_all_arrive() {
-        let b: std::sync::Arc<MessageBoard<u64>> = std::sync::Arc::new(MessageBoard::new(2));
+        let b: std::sync::Arc<Lanes<Batch<u64>>> = std::sync::Arc::new(Lanes::new(2));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let b = std::sync::Arc::clone(&b);
@@ -278,7 +220,7 @@ mod tests {
         }
         assert_eq!(b.pending(), 400);
         assert_eq!(b.drain(0).len() + b.drain(1).len(), 400);
-        assert_eq!(b.total_sent(), 400);
+        assert_eq!(b.total(), 400);
     }
 
     #[test]
@@ -294,35 +236,23 @@ mod tests {
 
     #[test]
     fn shard_bus_round_trip_and_accounting() {
-        let bus: ShardBus<u32> = ShardBus::new(3);
-        bus.post(
-            1,
-            ShardPacket::Unicasts(vec![(VertexId(9), 7), (VertexId(10), 8)]),
-        );
-        bus.post(
-            2,
-            ShardPacket::Multicast(vec![VertexId(1), VertexId(2), VertexId(3)], 5),
-        );
-        bus.post(0, ShardPacket::Activate(vec![VertexId(4)]));
-        bus.post(0, ShardPacket::Activate(Vec::new())); // no-op
+        let bus: Lanes<ShardPacket<u32>> = Lanes::new(3);
+        let unicasts = Batch::Unicasts(vec![(VertexId(9), 7), (VertexId(10), 8)]);
+        assert_eq!(bus.post(1, ShardPacket::Messages(unicasts)), 2 * 8);
+        let multicast = Batch::Multicast(vec![VertexId(1), VertexId(2), VertexId(3)], 5);
+        assert_eq!(bus.post(2, ShardPacket::Messages(multicast)), 3 * 4 + 4);
+        assert_eq!(bus.post(0, ShardPacket::Activate(vec![VertexId(4)])), 4);
+        assert_eq!(bus.post(0, ShardPacket::Activate(Vec::new())), 0); // no-op
+        let empty = Batch::Multicast(Vec::new(), 5);
+        assert_eq!(bus.post(0, ShardPacket::Messages(empty)), 0); // no-op
         assert_eq!(bus.pending(), 3);
         // 2 packed (id, u32) pairs + 3 ids + 1 payload + 1 id.
-        assert_eq!(bus.bytes_sent(), 2 * 8 + (3 * 4 + 4) + 4);
+        assert_eq!(bus.total(), 2 * 8 + (3 * 4 + 4) + 4);
         assert_eq!(bus.drain(1).len(), 1);
         assert_eq!(bus.pending(), 2);
         assert_eq!(bus.drain(2).len(), 1);
         assert_eq!(bus.drain(0).len(), 1);
         assert_eq!(bus.pending(), 0);
         assert!(bus.drain(0).is_empty());
-    }
-
-    #[test]
-    fn notify_board_round_trip() {
-        let nb = NotifyBoard::new(2);
-        nb.post(0, vec![VertexId(5), VertexId(6)]);
-        nb.post(0, vec![VertexId(7)]);
-        assert_eq!(nb.drain(0).len(), 3);
-        assert!(nb.drain(0).is_empty());
-        assert!(nb.drain(1).is_empty());
     }
 }

@@ -16,7 +16,7 @@
 //! | edge attributes (separate sections, §3.5.2) | [`Request::with_attrs`](crate::Request::with_attrs) / [`PageVertex::weighted_edges`] |
 //! | `send_msg(v, msg)` / multicast (§3.4.1) | [`VertexContext::send`] / [`VertexContext::multicast`] |
 //! | vertex activation | [`VertexContext::activate`] / [`VertexContext::activate_many`] |
-//! | end-of-iteration registration | [`VertexContext::notify_iteration_end`] |
+//! | end-of-iteration registration | [`VertexContext::notify_iteration_end`] — one bit per vertex: registering again in the same iteration changes nothing; the callbacks of a partition run in ascending id order; a registration made inside [`VertexProgram::run_on_iteration_end`] fires at the next iteration's end |
 //! | *(extension)* compact external-memory layout (§3.5's motivation, pushed further) | `fg_format::ImageFormat::Compressed` — group-varint edge blocks decoded inside [`PageVertex`]; programs are unaffected: same callbacks, same slices, strictly fewer device bytes per iteration |
 //! | *(extension)* pipelined callback scheduling (§3.4's async user tasks, taken to its conclusion) | always on — `run_on_vertex` fires the moment its pages land, possibly on another worker, while later covers are already queued on the device; per-vertex callbacks stay serialized (never concurrent for one vertex), but *order across vertices and vertical passes is not global* — programs must not assume one pass's deliveries finish before the next pass's `run` |
 //! | *(extension)* sharded execution (scale-out of §3: one engine per image shard) | [`Engine::new`](crate::Engine::new) over a `fg_safs::ShardSet` — programs are unaffected: a vertex's handlers still run exclusively on its owning shard against the shared state vector; sends/multicasts/activations to foreign vertices travel as batched packets over the shard bus and are delivered at the same iteration barrier local ones are, and foreign edge-list requests are served from the owning shard's mount |
@@ -75,8 +75,15 @@ use crate::vertex::PageVertex;
 ///   a message, at the iteration barrier, even if the vertex was not
 ///   active this iteration.
 /// * [`run_on_iteration_end`](VertexProgram::run_on_iteration_end) —
-///   end-of-iteration notification; a vertex opts in by calling
-///   [`VertexContext::notify_iteration_end`] during the iteration.
+///   end-of-iteration notification, after the iteration's message
+///   deliveries; a vertex opts in by calling
+///   [`VertexContext::notify_iteration_end`] during the iteration,
+///   from a message handler too. It fires once per registering
+///   iteration, however often the vertex registered, and within a
+///   partition in ascending id order.
+///   A registration made inside the callback fires at the next
+///   iteration's end (and only if the run gets there: a pending
+///   registration does not keep the engine running).
 pub trait VertexProgram: Sync {
     /// Per-vertex algorithmic state. Semi-external memory keeps one
     /// of these in RAM per vertex, so it should be a small constant
@@ -113,7 +120,10 @@ pub trait VertexProgram: Sync {
     }
 
     /// The iteration in which this vertex called
-    /// [`VertexContext::notify_iteration_end`] is over.
+    /// [`VertexContext::notify_iteration_end`] is over: one call per
+    /// registering iteration, in ascending id order within a
+    /// partition. Registering from in here fires at the next
+    /// iteration's end.
     fn run_on_iteration_end(
         &self,
         v: VertexId,

@@ -12,10 +12,13 @@
 //!
 //! The shards of a k > 1 run cooperate through exactly two mechanisms:
 //!
-//! * the [`ShardBus`](crate::messages): messages/activations whose
-//!   destination vertex lives on a foreign shard buffer in per-worker
-//!   outboxes and travel as batched packets, drained by the owner at
-//!   the same iteration boundary a local send would reach;
+//! * the shard bus, one lane per shard of the same
+//!   [`Lanes`](crate::messages) type an engine's inboxes are:
+//!   messages/activations whose destination vertex lives on a foreign
+//!   shard buffer in per-worker outboxes and travel as packets — each
+//!   a message `Batch`, the bundle a local inbox holds, or a list of
+//!   activations — drained by the owner at the same iteration
+//!   boundary a local send would reach;
 //! * a [`Rendezvous`] of k (`rendezvous.rs`): the barrier worker 0 of
 //!   every shard meets at twice per iteration — once after compute (so all of
 //!   the iteration's packets are on the bus before anyone drains)
@@ -40,7 +43,7 @@ use std::thread::ScopedJoinHandle;
 use fg_types::FgError;
 
 use crate::engine::{Engine, Init};
-use crate::messages::ShardBus;
+use crate::messages::{Lanes, ShardPacket};
 use crate::program::VertexProgram;
 use crate::rendezvous::{PeerPanicked, PoisonGuard, Rendezvous};
 use crate::state::SharedStates;
@@ -81,7 +84,7 @@ pub(crate) fn worker_panicked(p: Box<dyn Any + Send>) -> FgError {
 /// cross-shard barrier. Handed into [`Engine::run_shard`] by
 /// [`run_shards`]; `None` for runs without peers.
 pub(crate) struct ShardLink<'a, M> {
-    pub bus: &'a ShardBus<M>,
+    pub bus: &'a Lanes<ShardPacket<M>>,
     pub group: &'a Rendezvous,
 }
 
@@ -106,7 +109,7 @@ pub(crate) fn run_shards<P: VertexProgram>(
     states: &SharedStates<P::State>,
 ) -> std::thread::Result<Vec<RunStats>> {
     let shards = engine.num_shards();
-    let bus: ShardBus<P::Msg> = ShardBus::new(shards);
+    let bus: Lanes<ShardPacket<P::Msg>> = Lanes::new(shards);
     let group = Rendezvous::new(shards);
 
     let per_shard = std::thread::scope(|scope| {
@@ -130,7 +133,7 @@ pub(crate) fn run_shards<P: VertexProgram>(
     debug_assert_eq!(bus.pending(), 0, "bus drained at termination");
     debug_assert_eq!(
         per_shard.iter().map(|s| s.shard_msg_bytes).sum::<u64>(),
-        bus.bytes_sent(),
+        bus.total(),
         "per-shard byte accounting covers exactly the bus traffic"
     );
     Ok(per_shard)

@@ -287,6 +287,143 @@ fn iteration_end_fires_once_per_requesting_iteration() {
     }
 }
 
+/// The iterations whose end a vertex saw, in the order it saw them.
+#[derive(Default, Clone)]
+struct EndLog {
+    ends: Vec<u32>,
+}
+
+/// Registers twice from `run` and once more from the delivery of its
+/// own out-list in each of two iterations, then runs a third without
+/// registering.
+struct RegisterOften;
+
+impl VertexProgram for RegisterOften {
+    type State = EndLog;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        if ctx.iteration() < 2 {
+            ctx.notify_iteration_end();
+            ctx.notify_iteration_end();
+            ctx.request(v, Request::edges(EdgeDir::Out));
+            ctx.activate(v);
+        }
+    }
+
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        _s: &mut EndLog,
+        _vertex: &PageVertex<'_>,
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        ctx.notify_iteration_end();
+    }
+
+    fn run_on_iteration_end(&self, _v: VertexId, s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        s.ends.push(ctx.iteration());
+    }
+}
+
+#[test]
+fn iteration_end_fires_once_for_repeated_registrations() {
+    let g = fixtures::path(10);
+    for (states, stats) in both_modes(&g, &RegisterOften, Init::All, EngineConfig::small()) {
+        assert_eq!(stats.iterations, 3);
+        for (v, s) in states.iter().enumerate() {
+            assert_eq!(s.ends, [0, 1], "vertex {v}");
+        }
+    }
+}
+
+/// Every vertex messages its out-neighbours in iteration 0; a vertex
+/// registers only from `run_on_message`, in the barrier phase.
+struct RegisterOnMessage;
+
+impl VertexProgram for RegisterOnMessage {
+    type State = EndLog;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        ctx.request(v, Request::edges(EdgeDir::Out));
+    }
+
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        _s: &mut EndLog,
+        vertex: &PageVertex<'_>,
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        for dst in vertex.edges() {
+            ctx.send(dst, ());
+        }
+    }
+
+    fn run_on_message(
+        &self,
+        _v: VertexId,
+        _s: &mut EndLog,
+        _msg: &(),
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        ctx.notify_iteration_end();
+    }
+
+    fn run_on_iteration_end(&self, _v: VertexId, s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        s.ends.push(ctx.iteration());
+    }
+}
+
+#[test]
+fn iteration_end_registered_by_a_message_fires_that_iteration() {
+    let g = fixtures::path(10);
+    for (states, stats) in both_modes(&g, &RegisterOnMessage, Init::All, EngineConfig::small()) {
+        assert_eq!(stats.iterations, 1);
+        // Vertex 0 has no in-edge, so no message and no registration.
+        assert!(states[0].ends.is_empty());
+        for (v, s) in states.iter().enumerate().skip(1) {
+            assert_eq!(s.ends, [0], "vertex {v}");
+        }
+    }
+}
+
+/// Registers from `run` in iteration 0 only, then again from inside
+/// every `run_on_iteration_end`; stays active for three iterations.
+struct ReRegister;
+
+impl VertexProgram for ReRegister {
+    type State = EndLog;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        if ctx.iteration() == 0 {
+            ctx.notify_iteration_end();
+        }
+        if ctx.iteration() < 2 {
+            ctx.activate(v);
+        }
+    }
+
+    fn run_on_iteration_end(&self, _v: VertexId, s: &mut EndLog, ctx: &mut VertexContext<'_, ()>) {
+        s.ends.push(ctx.iteration());
+        ctx.notify_iteration_end();
+    }
+}
+
+#[test]
+fn iteration_end_registered_in_the_callback_fires_next_iteration() {
+    let g = fixtures::path(10);
+    for (states, stats) in both_modes(&g, &ReRegister, Init::All, EngineConfig::small()) {
+        assert_eq!(stats.iterations, 3);
+        for (v, s) in states.iter().enumerate() {
+            // Once per iteration: never twice in the one it was made in.
+            assert_eq!(s.ends, [0, 1, 2], "vertex {v}");
+        }
+    }
+}
+
 // -------------------------------------------------- neighbor requests
 
 /// Each vertex requests its *neighbours'* edge lists (the triangle

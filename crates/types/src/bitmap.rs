@@ -1,11 +1,13 @@
-//! Fixed-size bitmaps used for vertex frontiers and activation.
+//! The fixed-size concurrent bitmap behind the engine's per-vertex
+//! sets.
 //!
 //! FlashGraph activates vertices with multicast messages whose payload
 //! is empty (§3.4.1) — the natural dense representation of "the set of
-//! vertices active next iteration" is one bit per vertex. The engine
-//! needs a concurrent version ([`AtomicBitmap`], workers activate
-//! neighbours in parallel) and a single-threaded version ([`Bitmap`],
-//! used for visited sets inside algorithms).
+//! vertices active next iteration" is one bit per vertex, and workers
+//! activate neighbours in parallel, so every bit operation is atomic.
+//! The engine keeps three such sets per run: the frontiers, the
+//! vertices registered for `run_on_iteration_end`, and the busy bits
+//! that make a vertex's callbacks exclusive.
 
 use super::sync::{AtomicU64, Ordering};
 use super::VertexId;
@@ -15,146 +17,6 @@ const BITS: usize = 64;
 #[inline]
 fn word_count(len: usize) -> usize {
     len.div_ceil(BITS)
-}
-
-/// A plain, single-threaded bitmap sized at construction.
-///
-/// # Example
-///
-/// ```
-/// use fg_types::{Bitmap, VertexId};
-///
-/// let mut b = Bitmap::new(10);
-/// assert!(!b.set(VertexId(4)));
-/// assert!(b.set(VertexId(4))); // second set reports it was already on
-/// assert_eq!(b.count_ones(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bitmap {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl Bitmap {
-    /// Creates a bitmap of `len` bits, all clear.
-    pub fn new(len: usize) -> Self {
-        Bitmap {
-            words: vec![0; word_count(len)],
-            len,
-        }
-    }
-
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the bitmap holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets the bit for `v`, returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn set(&mut self, v: VertexId) -> bool {
-        let i = self.check(v);
-        let w = &mut self.words[i / BITS];
-        let mask = 1u64 << (i % BITS);
-        let old = *w & mask != 0;
-        *w |= mask;
-        old
-    }
-
-    /// Clears the bit for `v`, returning the previous value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn clear(&mut self, v: VertexId) -> bool {
-        let i = self.check(v);
-        let w = &mut self.words[i / BITS];
-        let mask = 1u64 << (i % BITS);
-        let old = *w & mask != 0;
-        *w &= !mask;
-        old
-    }
-
-    /// Reads the bit for `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn get(&self, v: VertexId) -> bool {
-        let i = self.check(v);
-        self.words[i / BITS] & (1u64 << (i % BITS)) != 0
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates over the ids of set bits in ascending order.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-            len: self.len,
-        }
-    }
-
-    #[inline]
-    fn check(&self, v: VertexId) -> usize {
-        let i = v.index();
-        assert!(i < self.len, "bit {i} out of range ({} bits)", self.len);
-        i
-    }
-}
-
-/// Iterator over set bits of a [`Bitmap`]; see [`Bitmap::iter_ones`].
-#[derive(Debug)]
-pub struct IterOnes<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-    len: usize,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = VertexId;
-
-    fn next(&mut self) -> Option<VertexId> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                let idx = self.word_idx * BITS + bit;
-                if idx >= self.len {
-                    return None;
-                }
-                return Some(VertexId::from_index(idx));
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-    }
 }
 
 /// A thread-safe bitmap: concurrent `set` from many worker threads.
@@ -342,19 +204,6 @@ impl AtomicBitmap {
         .take_while(move |v| v.index() < hi)
     }
 
-    /// Copies the contents into a plain [`Bitmap`].
-    pub fn to_bitmap(&self) -> Bitmap {
-        Bitmap {
-            words: self
-                .words
-                .iter()
-                // ordering: barrier-only operation (doc contract above).
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            len: self.len,
-        }
-    }
-
     #[inline]
     fn check(&self, v: VertexId) -> usize {
         let i = v.index();
@@ -399,7 +248,7 @@ mod tests {
 
     #[test]
     fn set_get_clear_round_trip() {
-        let mut b = Bitmap::new(130);
+        let b = AtomicBitmap::new(130);
         assert!(!b.get(VertexId(129)));
         assert!(!b.set(VertexId(129)));
         assert!(b.get(VertexId(129)));
@@ -409,7 +258,7 @@ mod tests {
 
     #[test]
     fn iter_ones_crosses_word_boundaries() {
-        let mut b = Bitmap::new(200);
+        let b = AtomicBitmap::new(200);
         for i in [0usize, 63, 64, 65, 127, 128, 199] {
             b.set(VertexId::from_index(i));
         }
@@ -419,7 +268,7 @@ mod tests {
 
     #[test]
     fn count_ones_matches_iter() {
-        let mut b = Bitmap::new(77);
+        let b = AtomicBitmap::new(77);
         for i in (0..77).step_by(3) {
             b.set(VertexId::from_index(i));
         }
@@ -428,7 +277,7 @@ mod tests {
 
     #[test]
     fn clear_all_resets() {
-        let mut b = Bitmap::new(10);
+        let b = AtomicBitmap::new(10);
         b.set(VertexId(1));
         b.set(VertexId(9));
         b.clear_all();
@@ -437,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_bitmap_iterates_nothing() {
-        let b = Bitmap::new(0);
+        let b = AtomicBitmap::new(0);
         assert!(b.is_empty());
         assert_eq!(b.iter_ones().count(), 0);
     }
@@ -445,7 +294,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
-        let b = Bitmap::new(8);
+        let b = AtomicBitmap::new(8);
         b.get(VertexId(8));
     }
 
@@ -506,17 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_to_bitmap_snapshot() {
-        let b = AtomicBitmap::new(40);
-        b.set(VertexId(3));
-        b.set(VertexId(39));
-        let snap = b.to_bitmap();
-        assert!(snap.get(VertexId(3)));
-        assert!(snap.get(VertexId(39)));
-        assert_eq!(snap.count_ones(), 2);
-    }
-
-    #[test]
     fn atomic_parallel_set_is_exact() {
         let b = std::sync::Arc::new(AtomicBitmap::new(10_000));
         let mut handles = Vec::new();
@@ -537,7 +375,7 @@ mod tests {
     #[test]
     fn last_partial_word_bits_beyond_len_ignored() {
         // 70 bits: the second word has 6 valid bits only.
-        let mut b = Bitmap::new(70);
+        let b = AtomicBitmap::new(70);
         b.set(VertexId(69));
         let got: Vec<usize> = b.iter_ones().map(|v| v.index()).collect();
         assert_eq!(got, vec![69]);

@@ -28,12 +28,6 @@ use std::fmt;
 #[repr(transparent)]
 pub struct VertexId(pub u32);
 
-/// A sentinel id that never names a real vertex.
-///
-/// Graphs are bounded by `u32::MAX - 1` vertices so this value is
-/// always out of range.
-pub const INVALID_VERTEX: VertexId = VertexId(u32::MAX);
-
 impl VertexId {
     /// Returns the id as a `usize` index into per-vertex arrays.
     #[inline]
@@ -50,12 +44,6 @@ impl VertexId {
     pub fn from_index(idx: usize) -> Self {
         assert!(idx <= u32::MAX as usize, "vertex index {idx} overflows u32");
         VertexId(idx as u32)
-    }
-
-    /// Returns `true` when this id is the [`INVALID_VERTEX`] sentinel.
-    #[inline]
-    pub fn is_invalid(self) -> bool {
-        self == INVALID_VERTEX
     }
 }
 
@@ -98,13 +86,7 @@ mod tests {
     #[test]
     fn ordering_follows_raw_value() {
         assert!(VertexId(1) < VertexId(2));
-        assert!(VertexId(0) < INVALID_VERTEX);
-    }
-
-    #[test]
-    fn invalid_sentinel_detected() {
-        assert!(INVALID_VERTEX.is_invalid());
-        assert!(!VertexId(0).is_invalid());
+        assert!(VertexId(0) < VertexId(u32::MAX));
     }
 
     #[test]

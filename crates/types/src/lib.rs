@@ -2,8 +2,9 @@
 //!
 //! This crate holds the vocabulary types every other crate in the
 //! workspace speaks: [`VertexId`], [`EdgeDir`], the error type
-//! [`FgError`], and two bitmap implementations used for vertex
-//! frontiers ([`Bitmap`] and the thread-safe [`AtomicBitmap`]).
+//! [`FgError`], and the thread-safe [`AtomicBitmap`] behind the
+//! engine's per-vertex sets (frontiers, iteration-end registrations,
+//! busy bits).
 //!
 //! Nothing in here is specific to semi-external memory; these are the
 //! kinds of types that in the original C++ FlashGraph live in its
@@ -27,8 +28,8 @@ mod error;
 mod id;
 pub mod sync;
 
-pub use bitmap::{AtomicBitmap, Bitmap};
+pub use bitmap::AtomicBitmap;
 pub use cancel::{CancelCause, CancelToken};
 pub use dir::EdgeDir;
 pub use error::{FgError, Result};
-pub use id::{VertexId, INVALID_VERTEX};
+pub use id::VertexId;

@@ -1,9 +1,8 @@
-//! Property-based tests: the bitmaps behave like a reference
-//! `HashSet<usize>` under arbitrary operation sequences.
+//! Property-based tests: the bitmap behaves like a reference
+//! `Vec<bool>` — one flag per bit — under arbitrary operation
+//! sequences.
 
-use std::collections::BTreeSet;
-
-use fg_types::{AtomicBitmap, Bitmap, VertexId};
+use fg_types::{AtomicBitmap, VertexId};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -31,28 +30,28 @@ proptest! {
         len in 1usize..500,
         ops in prop::collection::vec(op_strategy(500), 0..200),
     ) {
-        let mut bm = Bitmap::new(len);
-        let mut model = BTreeSet::new();
+        let bm = AtomicBitmap::new(len);
+        let mut model = vec![false; len];
         for op in ops {
             match op {
                 Op::Set(i) if i < len => {
                     let was = bm.set(VertexId::from_index(i));
-                    prop_assert_eq!(was, !model.insert(i));
+                    prop_assert_eq!(was, std::mem::replace(&mut model[i], true));
                 }
                 Op::Clear(i) if i < len => {
                     let was = bm.clear(VertexId::from_index(i));
-                    prop_assert_eq!(was, model.remove(&i));
+                    prop_assert_eq!(was, std::mem::replace(&mut model[i], false));
                 }
                 Op::ClearAll => {
                     bm.clear_all();
-                    model.clear();
+                    model.fill(false);
                 }
                 _ => {}
             }
         }
-        prop_assert_eq!(bm.count_ones(), model.len());
+        prop_assert_eq!(bm.count_ones(), model.iter().filter(|&&b| b).count());
         let got: Vec<usize> = bm.iter_ones().map(|v| v.index()).collect();
-        let want: Vec<usize> = model.into_iter().collect();
+        let want: Vec<usize> = (0..len).filter(|&i| model[i]).collect();
         prop_assert_eq!(got, want);
     }
 
@@ -62,14 +61,15 @@ proptest! {
         sets in prop::collection::vec(0usize..300, 0..150),
     ) {
         let atomic = AtomicBitmap::new(len);
-        let mut plain = Bitmap::new(len);
+        let mut plain = vec![false; len];
         for i in sets {
             if i < len {
                 atomic.set(VertexId::from_index(i));
-                plain.set(VertexId::from_index(i));
+                plain[i] = true;
             }
         }
-        prop_assert_eq!(atomic.to_bitmap(), plain);
+        let got: Vec<bool> = (0..len).map(|i| atomic.get(VertexId::from_index(i))).collect();
+        prop_assert_eq!(got, plain);
     }
 
     #[test]

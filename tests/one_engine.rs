@@ -339,3 +339,88 @@ fn an_empty_list_owned_by_a_lower_shard_is_delivered_empty() {
         }
     }
 }
+
+/// Every way to register for the iteration end at once, with counts
+/// that differ by vertex: `run` registers and keeps its vertex active
+/// for `v % 3` more iterations, the delivery of a vertex's out-list in
+/// iteration 0 messages its neighbours — across shards, on a sharded
+/// run — whose handlers register, and the callback itself re-registers
+/// on even iterations.
+struct EndCounter;
+
+#[derive(Default, Clone, PartialEq, Debug)]
+struct Ends(Vec<u32>);
+
+impl VertexProgram for EndCounter {
+    type State = Ends;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, _state: &mut Ends, ctx: &mut VertexContext<'_, ()>) {
+        ctx.notify_iteration_end();
+        if ctx.iteration() == 0 {
+            ctx.request(v, Request::edges(EdgeDir::Out));
+        }
+        if ctx.iteration() < v.0 % 3 {
+            ctx.activate(v);
+        }
+    }
+
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        _state: &mut Ends,
+        vertex: &PageVertex<'_>,
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        for dst in vertex.edges() {
+            ctx.send(dst, ());
+        }
+    }
+
+    fn run_on_message(
+        &self,
+        _v: VertexId,
+        _state: &mut Ends,
+        _msg: &(),
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        ctx.notify_iteration_end();
+    }
+
+    fn run_on_iteration_end(
+        &self,
+        _v: VertexId,
+        state: &mut Ends,
+        ctx: &mut VertexContext<'_, ()>,
+    ) {
+        state.0.push(ctx.iteration());
+        if ctx.iteration() % 2 == 0 {
+            ctx.notify_iteration_end();
+        }
+    }
+}
+
+#[test]
+fn iteration_end_callbacks_match_the_one_mount_run_on_two_and_three_shards() {
+    let g = test_graph();
+    let cfg = EngineConfig::small();
+    let (safs, index) = mount(&g);
+    let (want, one) = Engine::new_sem(&safs, index, cfg)
+        .run(&EndCounter, Init::All)
+        .unwrap();
+    assert_eq!(one.iterations, 3);
+    // Not vacuous: the counts differ by vertex.
+    let lens: std::collections::BTreeSet<usize> = want.iter().map(|e| e.0.len()).collect();
+    assert!(lens.len() > 1, "per-vertex counts {lens:?}");
+    for shards in [2, 3] {
+        let (set, index) = shard_set(&g, shards);
+        let (got, stats) = ShardedEngine::new(&set, index, cfg)
+            .run(&EndCounter, Init::All)
+            .unwrap();
+        assert!(stats.shard_msg_bytes > 0, "{shards} shards: messages cross");
+        assert_eq!(stats.iterations, one.iterations, "{shards} shards");
+        for (v, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "{shards} shards: vertex {v}");
+        }
+    }
+}
