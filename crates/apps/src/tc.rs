@@ -255,7 +255,10 @@ mod tests {
     fn vertical_partitioning_same_answer() {
         let g = fixtures::complete(10);
         for parts in [1u32, 2, 4] {
-            let cfg = EngineConfig::small().with_vertical_parts(parts);
+            let cfg = EngineConfig {
+                vertical_parts: parts,
+                ..EngineConfig::small()
+            };
             let engine = Engine::new_mem(&g, cfg);
             let (total, _, _) = triangle_count(&engine, false).unwrap();
             assert_eq!(total, 120, "parts={parts}"); // C(10,3)

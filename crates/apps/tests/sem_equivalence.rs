@@ -171,7 +171,10 @@ fn tc_with_vertical_partitioning_equivalent() {
     let want = fg_baselines::direct::triangle_count(&g);
     for opts in formats() {
         let (safs, index) = sem_fixture(&g, &opts);
-        let cfg = EngineConfig::small().with_vertical_parts(4);
+        let cfg = EngineConfig {
+            vertical_parts: 4,
+            ..EngineConfig::small()
+        };
         let sem = Engine::new_sem(&safs, index, cfg);
         let (got, _, _) = fg_apps::triangle_count(&sem, false).unwrap();
         assert_eq!(got, want);

@@ -33,7 +33,7 @@ pub use fg_graph::gen::Dataset;
 /// Panics, naming the variable and its value, when it is set to
 /// anything but an integer of at least `min` — a typo in a CI matrix
 /// fails loudly instead of silently testing the default.
-pub fn env_pin(name: &str, min: u32) -> Option<u32> {
+fn env_pin(name: &str, min: u32) -> Option<u32> {
     let value = std::env::var_os(name)?;
     match value.to_str().and_then(|s| s.trim().parse().ok()) {
         Some(n) if n >= min => Some(n),
@@ -272,7 +272,7 @@ mod tests {
             3,
         )
         .unwrap();
-        assert_eq!(fx.set.len(), 3);
+        assert_eq!(fx.set.as_slice().len(), 3);
         assert_eq!(fx.index.num_shards(), 3);
         assert_eq!(fx.index.num_vertices(), 30);
         assert_eq!(fx.image_bytes, fx.metas.iter().map(|m| m.total_bytes).sum());

@@ -85,22 +85,6 @@ pub fn secs(s: f64) -> String {
     }
 }
 
-/// Formats a byte count with binary units.
-pub fn bytes(b: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = b as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{b} B")
-    } else {
-        format!("{:.1} {}", v, UNITS[u])
-    }
-}
-
 /// Formats a large count with thousands separators.
 pub fn count(n: u64) -> String {
     let s = n.to_string();
@@ -157,8 +141,6 @@ mod tests {
         assert_eq!(secs(0.0000005), "0.5 µs");
         assert_eq!(secs(0.5), "500.0 ms");
         assert_eq!(secs(2.0), "2.00 s");
-        assert_eq!(bytes(512), "512 B");
-        assert_eq!(bytes(2048), "2.0 KiB");
         assert_eq!(count(1234567), "1,234,567");
         assert_eq!(ratio(2.5), "2.50×");
         assert_eq!(ratio(150.0), "150×");

@@ -125,7 +125,10 @@ fn read_all(rig: &Rig) {
         session.wait(&mut done);
     }
     check_assert(done.len() == 1 && done[0].tag == 7, "one completion");
-    check_assert(done[0].span.page_count() == PAGES as usize, "every page");
+    check_assert(
+        done[0].span.window().page_count() == PAGES as usize,
+        "every page",
+    );
     for landed in &rig.landed {
         check_assert(landed.read(|b| *b), "a delivered page has landed");
     }

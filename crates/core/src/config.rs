@@ -56,7 +56,7 @@ pub struct EngineConfig {
     /// Vertical passes per iteration (§3.8): programs see
     /// `ctx.vertical_part()` and can restrict each pass to a slice of
     /// the neighbour space, improving cache reuse for hub-heavy
-    /// algorithms like triangle counting.
+    /// algorithms like triangle counting. Zero runs as one pass.
     pub vertical_parts: u32,
     /// Hard iteration cap (safety net; algorithms normally converge).
     pub max_iterations: u32,
@@ -99,12 +99,6 @@ impl EngineConfig {
     /// once that probe reads the constant too.
     pub fn resolved_max_merge_bytes(&self) -> u64 {
         crate::merge::MAX_MERGE_BYTES
-    }
-
-    /// Builder-style: sets vertical passes.
-    pub fn with_vertical_parts(mut self, v: u32) -> Self {
-        self.vertical_parts = v.max(1);
-        self
     }
 
     /// Resolved thread count.
@@ -173,11 +167,28 @@ mod tests {
 
     #[test]
     fn vertical_parts_never_zero() {
-        assert_eq!(
-            EngineConfig::default()
-                .with_vertical_parts(0)
-                .vertical_parts,
-            1
-        );
+        // A zero in the field runs every vertex as one pass of one.
+        struct Passes;
+        impl crate::VertexProgram for Passes {
+            type State = (u32, u32);
+            type Msg = ();
+            fn run(
+                &self,
+                _v: fg_types::VertexId,
+                state: &mut (u32, u32),
+                ctx: &mut crate::VertexContext<'_, ()>,
+            ) {
+                state.0 += 1;
+                state.1 = ctx.vertical_part().1;
+            }
+        }
+        let g = fg_graph::fixtures::path(8);
+        let cfg = EngineConfig {
+            vertical_parts: 0,
+            ..EngineConfig::small()
+        };
+        let engine = crate::Engine::new_mem(&g, cfg);
+        let (states, _) = engine.run(&Passes, crate::Init::All).unwrap();
+        assert!(states.iter().all(|&s| s == (1, 1)), "{states:?}");
     }
 }

@@ -269,6 +269,43 @@ impl<M> WorkerScratch<M> {
             engine_requests: 0,
         }
     }
+
+    /// Buffers `msg` for `to`'s partition's board.
+    pub(crate) fn buffer_unicast(&mut self, pmap: &PartitionMap, to: VertexId, msg: M) {
+        self.out_unicasts[pmap.partition_of(to)].push((to, msg));
+        self.buffered_fanout += 1;
+    }
+
+    /// Buffers one payload for many recipients as one batch per
+    /// destination partition (§3.4.1): every batch but the last gets
+    /// a clone of the payload, the last takes it. Local multicasts and
+    /// the foreign batches worker 0 drains off the shard bus both
+    /// split here.
+    pub(crate) fn buffer_multicast(&mut self, pmap: &PartitionMap, to: &[VertexId], msg: M)
+    where
+        M: Clone,
+    {
+        self.buffered_fanout += to.len() as u64;
+        let parts = pmap.num_partitions();
+        if parts == 1 {
+            self.out_multicasts[0].push(Batch::Multicast(to.to_vec(), msg));
+            return;
+        }
+        let mut per_part: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
+        for &v in to {
+            per_part[pmap.partition_of(v)].push(v);
+        }
+        let Some(last) = per_part.iter().rposition(|vs| !vs.is_empty()) else {
+            return;
+        };
+        for (p, vs) in per_part.iter_mut().enumerate().take(last) {
+            if !vs.is_empty() {
+                self.out_multicasts[p].push(Batch::Multicast(std::mem::take(vs), msg.clone()));
+            }
+        }
+        let vs = std::mem::take(&mut per_part[last]);
+        self.out_multicasts[last].push(Batch::Multicast(vs, msg));
+    }
 }
 
 /// The context available inside every vertex-program callback.
@@ -420,9 +457,7 @@ impl<M> VertexContext<'_, M> {
                 return;
             }
         }
-        let dest = self.shared.pmap.partition_of(to);
-        self.scratch.out_unicasts[dest].push((to, msg));
-        self.scratch.buffered_fanout += 1;
+        self.scratch.buffer_unicast(&self.shared.pmap, to, msg);
     }
 
     /// Sends one payload to many vertices, copying it once per
@@ -454,36 +489,13 @@ impl<M> VertexContext<'_, M> {
                     }
                 }
                 if !local.is_empty() {
-                    self.multicast_local(&local, msg);
+                    self.scratch
+                        .buffer_multicast(&self.shared.pmap, &local, msg);
                 }
                 return;
             }
         }
-        self.multicast_local(to, msg);
-    }
-
-    /// The owned-vertex half of [`VertexContext::multicast`]: split
-    /// per destination partition and buffer for the local board.
-    fn multicast_local(&mut self, to: &[VertexId], msg: M)
-    where
-        M: Clone,
-    {
-        let parts = self.shared.pmap.num_partitions();
-        if parts == 1 {
-            self.scratch.buffered_fanout += to.len() as u64;
-            self.scratch.out_multicasts[0].push(Batch::Multicast(to.to_vec(), msg));
-            return;
-        }
-        let mut per_part: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
-        for &v in to {
-            per_part[self.shared.pmap.partition_of(v)].push(v);
-        }
-        for (p, vs) in per_part.into_iter().enumerate() {
-            if !vs.is_empty() {
-                self.scratch.buffered_fanout += vs.len() as u64;
-                self.scratch.out_multicasts[p].push(Batch::Multicast(vs, msg.clone()));
-            }
-        }
+        self.scratch.buffer_multicast(&self.shared.pmap, to, msg);
     }
 
     /// Registers the current vertex for `run_on_iteration_end` at the

@@ -163,43 +163,25 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// Worker 0's half of a cross-shard sync point: takes everything
     /// peers queued for this shard and converts it into the exact form
     /// a local worker would have produced — message batches split by
-    /// destination partition onto the local board, activations OR'd
-    /// into the next frontier.
-    pub(super) fn drain_shard_bus(&self, link: &ShardLink<'_, P::Msg>) {
-        let parts = self.shared.pmap.num_partitions();
+    /// destination partition into worker 0's outboxes and flushed onto
+    /// the local board, activations OR'd into the next frontier. Both
+    /// sync points follow a flush of worker 0's own outboxes, so the
+    /// flush here posts only what the bus brought.
+    pub(super) fn drain_shard_bus(
+        &self,
+        link: &ShardLink<'_, P::Msg>,
+        scratch: &mut WorkerScratch<P::Msg>,
+    ) {
+        let pmap = &self.shared.pmap;
         for pkt in link.bus.drain(self.me) {
             match pkt {
                 ShardPacket::Messages(Batch::Unicasts(entries)) => {
-                    let mut split: Vec<Vec<(VertexId, P::Msg)>> = vec![Vec::new(); parts];
                     for (v, m) in entries {
-                        split[self.shared.pmap.partition_of(v)].push((v, m));
-                    }
-                    for (dest, buf) in split.into_iter().enumerate() {
-                        if !buf.is_empty() {
-                            self.board.post(dest, Batch::Unicasts(buf));
-                        }
+                        scratch.buffer_unicast(pmap, v, m);
                     }
                 }
                 ShardPacket::Messages(Batch::Multicast(vs, m)) => {
-                    let mut split: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
-                    for v in vs {
-                        split[self.shared.pmap.partition_of(v)].push(v);
-                    }
-                    let mut dests: Vec<usize> =
-                        (0..parts).filter(|&p| !split[p].is_empty()).collect();
-                    // The payload moves into the last destination; the
-                    // rest clone, same as a local multicast split.
-                    let last = dests.pop();
-                    for dest in dests {
-                        self.board.post(
-                            dest,
-                            Batch::Multicast(std::mem::take(&mut split[dest]), m.clone()),
-                        );
-                    }
-                    if let Some(dest) = last {
-                        self.board
-                            .post(dest, Batch::Multicast(std::mem::take(&mut split[dest]), m));
-                    }
+                    scratch.buffer_multicast(pmap, &vs, m);
                 }
                 ShardPacket::Activate(vs) => {
                     for v in vs {
@@ -210,6 +192,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 }
             }
         }
+        self.flush_boards(scratch);
     }
 
     pub(super) fn deliver_messages(

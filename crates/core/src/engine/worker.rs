@@ -158,7 +158,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             if let Some(link) = self.link {
                 if self.w == 0 {
                     link.group.rendezvous();
-                    self.drain_shard_bus(link);
+                    self.drain_shard_bus(link, &mut scratch);
                 }
                 self.barrier.rendezvous();
             }
@@ -186,7 +186,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 // lockstep running empty iterations.
                 if let Some(link) = self.link {
                     link.group.rendezvous();
-                    self.drain_shard_bus(link);
+                    self.drain_shard_bus(link, &mut scratch);
                 }
                 let next_count = self.frontiers.next().count_ones() as u64;
                 let quiet = next_count == 0 && self.board.pending() == 0;

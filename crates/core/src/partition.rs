@@ -55,7 +55,7 @@ impl PartitionMap {
 
     /// Range size in vertices.
     #[inline]
-    pub fn range_len(&self) -> usize {
+    fn range_len(&self) -> usize {
         1usize << self.shift
     }
 

@@ -308,6 +308,65 @@ mod tests {
         assert!(total.messages_sent > 0 && total.shard_msg_bytes > 0);
     }
 
+    /// Vertex 0 multicasts one payload to every other vertex: the
+    /// recipients a peer shard owns ride the bus as one batch, which
+    /// that shard's worker 0 splits across all of its partitions.
+    struct Fanout(u32);
+
+    impl VertexProgram for Fanout {
+        type State = u32;
+        type Msg = u32;
+
+        fn run(
+            &self,
+            _v: VertexId,
+            _s: &mut u32,
+            ctx: &mut crate::context::VertexContext<'_, u32>,
+        ) {
+            let all: Vec<VertexId> = (1..self.0).map(VertexId).collect();
+            ctx.multicast(&all, 7);
+        }
+
+        fn run_on_message(
+            &self,
+            _v: VertexId,
+            state: &mut u32,
+            msg: &u32,
+            _ctx: &mut crate::context::VertexContext<'_, u32>,
+        ) {
+            *state += msg;
+        }
+    }
+
+    #[test]
+    fn a_foreign_multicast_reaches_every_partition_of_its_shard_once() {
+        let n = 512;
+        let g = fg_graph::fixtures::path(n);
+        let cfg = EngineConfig {
+            num_threads: 3,
+            ..EngineConfig::small()
+        };
+        let (set, index) = sharded_fixture(&g, 2, ArrayConfig::small_test());
+        // The premise: the peer shard's range spans every partition.
+        let peer = index.shard_range(1);
+        let (lo, hi) = (peer.start as usize, peer.end as usize);
+        let pmap = crate::partition::PartitionMap::new_window(
+            lo,
+            hi,
+            cfg.num_threads,
+            cfg.partition_shift(hi - lo),
+        );
+        assert!((0..cfg.num_threads).all(|p| pmap.ranges_of(p).next().is_some()));
+        let engine = ShardedEngine::new(&set, index, cfg);
+        let (states, stats) = engine
+            .run(&Fanout(n as u32), Init::Seeds(vec![VertexId(0)]))
+            .unwrap();
+        assert_eq!(states[0], 0);
+        assert!(states[1..].iter().all(|&s| s == 7), "{states:?}");
+        assert_eq!(stats.messages_sent, n as u64 - 1);
+        assert!(stats.shard_msg_bytes > 0, "the peer's half rode the bus");
+    }
+
     #[test]
     fn four_one_drive_shards_outread_one() {
         // Each shard brings its own drive, so the run sustains their

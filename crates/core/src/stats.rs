@@ -195,15 +195,6 @@ impl RunStats {
         }
     }
 
-    /// Mean merged-request size in bytes (how well merging worked).
-    pub fn mean_issued_bytes(&self) -> f64 {
-        if self.issued_requests == 0 {
-            0.0
-        } else {
-            self.bytes_requested as f64 / self.issued_requests as f64
-        }
-    }
-
     /// Device bytes read per logically requested byte — the
     /// page-rounding (and cache-miss re-read) waste ratio of
     /// semi-external execution. Small scattered range requests push
@@ -383,12 +374,6 @@ mod tests {
         });
         assert_eq!(s.modeled_runtime_ns(), 50_000_000);
         assert!(s.io_bound());
-    }
-
-    #[test]
-    fn mean_issued_bytes() {
-        let s = base();
-        assert_eq!(s.mean_issued_bytes(), 100.0);
     }
 
     #[test]

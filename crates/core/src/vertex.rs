@@ -333,16 +333,6 @@ impl<'a> PageVertex<'a> {
         }
     }
 
-    /// Whether edge attributes were requested and delivered.
-    #[inline]
-    pub fn has_attrs(&self) -> bool {
-        match &self.data {
-            EdgeData::Span { attrs, .. } => attrs.is_some(),
-            EdgeData::Packed { .. } => false,
-            EdgeData::Slice { attrs, .. } => attrs.is_some(),
-        }
-    }
-
     /// Copies the neighbour ids into a vector (for programs that must
     /// hold a list across callbacks, like triangle counting).
     pub fn to_vec(&self) -> Vec<VertexId> {
@@ -723,7 +713,6 @@ mod tests {
         let pv = slice_pv(&ids);
         assert_eq!(pv.degree(), 3);
         assert_eq!(pv.edges().collect::<Vec<_>>(), ids.to_vec());
-        assert!(!pv.has_attrs());
         assert!(pv.weighted_edges().is_none());
     }
 
@@ -732,7 +721,6 @@ mod tests {
         let ids = [VertexId(1), VertexId(2)];
         let ws = [0.5f32, 2.0];
         let pv = PageVertex::from_slice(VertexId(7), EdgeDir::In, 0, &ids, Some(&ws));
-        assert!(pv.has_attrs());
         let got: Vec<_> = pv.weighted_edges().unwrap().collect();
         assert_eq!(got, vec![(VertexId(1), 0.5), (VertexId(2), 2.0)]);
         assert_eq!(pv.dir(), EdgeDir::In);
@@ -831,7 +819,6 @@ mod tests {
         let list: Vec<u32> = (0..100u32).map(|i| i * 3).collect();
         let pv = packed_pv(&list, 8, 0, 100);
         assert_eq!(pv.degree(), 100);
-        assert!(!pv.has_attrs());
         assert!(pv.weighted_edges().is_none());
         let got: Vec<u32> = pv.edges().map(|e| e.0).collect();
         assert_eq!(got, list);
@@ -932,7 +919,6 @@ mod tests {
         ]);
         // merged: 1(0.5), 2(7.5), 3(1.0 default), 4(9.0 updated)
         let pv = PageVertex::with_overlay(base, &ops, 0, 4);
-        assert!(pv.has_attrs());
         let got: Vec<(u32, f32)> = pv
             .weighted_edges()
             .unwrap()
@@ -958,7 +944,6 @@ mod tests {
         want.insert(1, 1);
         want.push(118);
         assert_eq!(got, want);
-        assert!(!pv.has_attrs());
         assert!(pv.weighted_edges().is_none());
     }
 

@@ -609,7 +609,7 @@ impl VertexProgram for WeightSum {
         vertex: &PageVertex<'_>,
         _ctx: &mut VertexContext<'_, ()>,
     ) {
-        assert!(vertex.has_attrs() || vertex.degree() == 0);
+        assert!(vertex.weighted_edges().is_some() || vertex.degree() == 0);
         for (_, w) in vertex.weighted_edges().into_iter().flatten() {
             state.sum += w;
         }
@@ -933,7 +933,10 @@ fn vertical_passes_run_per_part() {
         }
     }
     let g = fixtures::path(20);
-    let cfg = EngineConfig::small().with_vertical_parts(4);
+    let cfg = EngineConfig {
+        vertical_parts: 4,
+        ..EngineConfig::small()
+    };
     for (states, _) in both_modes(&g, &PassCounter, Init::All, cfg) {
         assert!(states.iter().all(|s| s.runs == 4));
         assert!(states.iter().all(|s| s.parts_seen == 0b1111));

@@ -1742,7 +1742,7 @@ mod tests {
             let span = safs.read_sync(0, total).unwrap();
             assert_eq!(safs.array().stats().snapshot().read_requests, 0, "{what}");
             assert_eq!(safs.cache_stats().misses, 0, "{what}");
-            assert_eq!(span.to_vec(), s.image, "{what}");
+            assert_eq!(span.window().to_vec(), s.image, "{what}");
             let mut device = vec![0u8; total as usize];
             safs.array().read(0, &mut device).unwrap();
             assert_eq!(device, s.image, "{what}: the device holds the array image");
@@ -1781,7 +1781,7 @@ mod tests {
             );
             let span = safs.read_sync(0, total).unwrap();
             assert_eq!(safs.cache_stats().misses, seams.len() as u64, "{what}");
-            assert_eq!(span.to_vec(), s.image, "{what}");
+            assert_eq!(span.window().to_vec(), s.image, "{what}");
         });
     }
 

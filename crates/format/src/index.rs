@@ -435,13 +435,6 @@ impl GraphIndex {
         self.in_.is_some()
     }
 
-    /// The image's restart/skip interval in edges; 0 for raw images
-    /// (the index then never produces [`SliceDecode::Varint`]).
-    #[inline]
-    pub fn skip_interval(&self) -> u32 {
-        self.skip_k
-    }
-
     fn dir(&self, dir: EdgeDir) -> &DirIndex {
         match (dir, &self.in_) {
             (EdgeDir::Out, _) | (_, None) => &self.out,
@@ -586,14 +579,6 @@ impl GraphIndex {
         }
     }
 
-    /// The device byte range of [`GraphIndex::locate_slice`] without
-    /// the decode recipe. On raw images this is the exact positional
-    /// sub-range; on compressed images the range carries codec framing
-    /// and `degree` counts *delivered* edges, not `bytes / 4`.
-    pub fn locate_range(&self, v: VertexId, dir: EdgeDir, start: u64, len: u64) -> EdgeListLoc {
-        self.locate_slice(v, dir, start, len).loc
-    }
-
     /// Locates the contiguous byte extent covering the edge lists of
     /// the id-range `[first, first + count)` in `dir` — what a sweep
     /// of many lists at once reads: `ImageLists` sizes a whole
@@ -657,7 +642,7 @@ impl GraphIndex {
         })
     }
 
-    /// The attribute run parallel to [`GraphIndex::locate_range`]:
+    /// The attribute run parallel to [`GraphIndex::locate_slice`]'s:
     /// attribute positions `[start, start + len)` of `v` in `dir`,
     /// clamped exactly like the edge sub-range (entries are 4 bytes on
     /// both sides, so the two sub-ranges stay in lockstep).
@@ -674,7 +659,7 @@ impl GraphIndex {
             d.is_raw(v),
             "attribute-bearing blocks are always raw-encoded"
         );
-        let edges = self.locate_range(v, dir, start, len);
+        let edges = self.locate_slice(v, dir, start, len).loc;
         Some(EdgeListLoc {
             offset: attr_base + (edges.offset - d.edge_base),
             bytes: edges.bytes,
@@ -887,12 +872,12 @@ mod tests {
         let degrees = vec![3u64, 10, 2];
         let idx = seq_base_index(&degrees);
         let full = idx.locate(VertexId(1), EdgeDir::Out);
-        let sub = idx.locate_range(VertexId(1), EdgeDir::Out, 4, 3);
+        let sub = idx.locate_slice(VertexId(1), EdgeDir::Out, 4, 3).loc;
         assert_eq!(sub.offset, full.offset + 4 * 4);
         assert_eq!(sub.bytes, 3 * 4);
         assert_eq!(sub.degree, 3);
         // A full-width range reproduces locate() exactly.
-        assert_eq!(idx.locate_range(VertexId(1), EdgeDir::Out, 0, 10), full);
+        assert_eq!(idx.locate_slice(VertexId(1), EdgeDir::Out, 0, 10).loc, full);
         // ... and raw images always decode raw.
         assert_eq!(
             idx.locate_slice(VertexId(1), EdgeDir::Out, 4, 3).decode,
@@ -904,15 +889,15 @@ mod tests {
     fn locate_range_clamps_to_list_end() {
         let idx = seq_base_index(&[5]);
         // Tail-truncated: positions [3, 9) clamp to [3, 5).
-        let tail = idx.locate_range(VertexId(0), EdgeDir::Out, 3, 6);
+        let tail = idx.locate_slice(VertexId(0), EdgeDir::Out, 3, 6).loc;
         assert_eq!(tail.degree, 2);
         assert_eq!(tail.bytes, 8);
         // Start past the end: zero bytes at the list's end offset.
-        let past = idx.locate_range(VertexId(0), EdgeDir::Out, 7, 2);
+        let past = idx.locate_slice(VertexId(0), EdgeDir::Out, 7, 2).loc;
         assert_eq!(past.degree, 0);
         assert_eq!(past.bytes, 0);
         // Zero-length range: zero bytes, offset at the position.
-        let zero = idx.locate_range(VertexId(0), EdgeDir::Out, 2, 0);
+        let zero = idx.locate_slice(VertexId(0), EdgeDir::Out, 2, 0).loc;
         assert_eq!(zero.degree, 0);
         assert_eq!(zero.offset, 1000 + 2 * 4);
     }
@@ -921,7 +906,7 @@ mod tests {
     fn attr_range_parallels_edge_range() {
         let degrees = vec![3u64, 8];
         let idx = GraphIndex::build(&degrees, None, 100, 0, Some(10_000), None);
-        let e = idx.locate_range(VertexId(1), EdgeDir::Out, 2, 4);
+        let e = idx.locate_slice(VertexId(1), EdgeDir::Out, 2, 4).loc;
         let a = idx
             .locate_attrs_range(VertexId(1), EdgeDir::Out, 2, 4)
             .unwrap();
@@ -929,7 +914,7 @@ mod tests {
         assert_eq!(a.bytes, e.bytes);
         assert_eq!(a.degree, e.degree);
         // Clamping stays in lockstep too.
-        let e = idx.locate_range(VertexId(1), EdgeDir::Out, 6, 99);
+        let e = idx.locate_slice(VertexId(1), EdgeDir::Out, 6, 99).loc;
         let a = idx
             .locate_attrs_range(VertexId(1), EdgeDir::Out, 6, 99)
             .unwrap();
@@ -1004,7 +989,7 @@ mod tests {
             (100..160u32).collect(),
         ];
         let idx = packed_index(&lists, 8, true);
-        assert_eq!(idx.skip_interval(), 8);
+        assert_eq!(idx.skip_k, 8);
         let mut expect = 1000u64;
         for (i, l) in lists.iter().enumerate() {
             let loc = idx.locate(VertexId(i as u32), EdgeDir::Out);

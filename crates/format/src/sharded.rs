@@ -97,12 +97,6 @@ impl ShardedIndex {
         self.shards[0].is_directed()
     }
 
-    /// The global id bounds, `num_shards() + 1` ascending values.
-    #[inline]
-    pub fn bounds(&self) -> &[u32] {
-        &self.bounds
-    }
-
     /// Global id range shard `s` owns.
     #[inline]
     pub fn shard_range(&self, s: usize) -> Range<u32> {

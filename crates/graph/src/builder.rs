@@ -19,8 +19,11 @@
 //! first of each `(src, dst)` run inside one range, since a run never
 //! spans two ranges of sources. Unweighted edges sort as 8-byte
 //! `(src, dst)` pairs and weighted ones as 12-byte triples. Extra
-//! memory is two edge buffers and the offsets, as in the serial
-//! builder, whatever the thread count.
+//! memory is two edge buffers and the offsets, whatever the thread
+//! count, and the build consumes the builder: once the first pass has
+//! read its edge list, that list's pages take the next pass's output
+//! whenever it fits there (a directed graph's always does), instead
+//! of a fresh buffer.
 
 use fg_types::VertexId;
 
@@ -180,11 +183,11 @@ impl GraphBuilder {
         self
     }
 
-    /// Builds the graph, consuming nothing (the builder can be reused
-    /// after `clone`). Adjacency lists come out sorted by neighbour id
-    /// with parallel edges deduplicated, each keeping the weight it was
-    /// first added with.
-    pub fn build(&self) -> Graph {
+    /// Builds the graph, consuming the builder (its edge list becomes
+    /// sort space; clone the builder to build twice). Adjacency lists
+    /// come out sorted by neighbour id with parallel edges
+    /// deduplicated, each keeping the weight it was first added with.
+    pub fn build(self) -> Graph {
         let len = match &self.edges {
             Edges::Pairs(e) => e.len(),
             Edges::Triples(e) => e.len(),
@@ -194,9 +197,9 @@ impl GraphBuilder {
 
     /// [`GraphBuilder::build`] on `threads` threads; the graph is the
     /// same at any count.
-    pub(crate) fn build_on(&self, threads: usize) -> Graph {
+    pub(crate) fn build_on(self, threads: usize) -> Graph {
         let n = self.max_vertex.map_or(0, |m| m as usize + 1);
-        let (out, in_) = match &self.edges {
+        let (out, in_) = match self.edges {
             Edges::Pairs(e) => csrs(n, self.directed, false, e, threads),
             Edges::Triples(e) => csrs(n, self.directed, true, e, threads),
         };
@@ -210,10 +213,10 @@ fn csrs<E: Edge>(
     n: usize,
     directed: bool,
     weighted: bool,
-    edges: &[E],
+    edges: Vec<E>,
     threads: usize,
 ) -> (Csr, Option<Csr>) {
-    let (mut sorted, mut staged) = (Vec::new(), Vec::new());
+    let mut staged = Vec::new();
     let expand = |e: E| {
         let k = if e.src() == e.dst() {
             0
@@ -224,7 +227,15 @@ fn csrs<E: Edge>(
         };
         ([e, e.reversed()], k)
     };
-    let plan = sort::stage(n, &sort::split(edges, threads), expand, E::dst, &mut staged);
+    let plan = sort::stage(
+        n,
+        &sort::split(&edges, threads),
+        expand,
+        E::dst,
+        &mut staged,
+    );
+    // The input is read: the next pass counts into its pages.
+    let mut sorted = edges;
     let plan = {
         // Only the order is kept: its offsets go before the next pass.
         let by_dst = sort::count(n, plan, &staged, &mut sorted, E::dst, sort::keep_all);
@@ -463,7 +474,7 @@ mod tests {
             };
         }
         b.reserve_vertices(reserve);
-        let g = b.build_on(threads);
+        let g = b.clone().build_on(threads);
 
         let top = edges
             .iter()

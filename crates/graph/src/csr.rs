@@ -59,15 +59,6 @@ impl Csr {
         })
     }
 
-    /// An empty adjacency over `n` vertices.
-    pub fn empty(n: usize) -> Self {
-        Csr {
-            offsets: vec![0; n + 1],
-            neighbors: Vec::new(),
-            weights: None,
-        }
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -59,7 +59,7 @@
 //!   referenced by a span, an in-flight completion or a waiter;
 //! * **the cache never extends a page's life** — a victim entry is
 //!   weak, so the last span dropped frees the buffer exactly as before,
-//!   `capacity_pages()` still bounds the memory the cache alone pins,
+//!   the capacity (sets × ways) still bounds what the cache alone pins,
 //!   and an entry whose page died is dropped on the lookup that finds
 //!   it dead or at the set's next eviction, whichever comes first.
 //!
@@ -366,11 +366,6 @@ impl PageCache {
         PageCache { sets, ways }
     }
 
-    /// Capacity in pages.
-    pub fn capacity_pages(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
     /// The cache's statistics: the sum of the sets' tallies (see the
     /// module docs for when that sum is exact).
     pub fn stats(&self) -> CacheStatsSnapshot {
@@ -455,6 +450,11 @@ impl PageCache {
 mod tests {
     use super::*;
 
+    /// Capacity in pages: every slot of every set.
+    fn slots(c: &PageCache) -> usize {
+        c.sets.len() * c.ways
+    }
+
     fn mk_page(no: u64) -> Arc<Page> {
         Arc::new(Page::new(no, vec![no as u8; 16].into_boxed_slice()))
     }
@@ -488,9 +488,9 @@ mod tests {
         for capacity in 1..=2 * ways {
             let c = PageCache::new(capacity, ways);
             assert!(
-                c.capacity_pages() >= capacity,
+                slots(&c) >= capacity,
                 "capacity {capacity}: rounded capacity {} lost pages",
-                c.capacity_pages()
+                slots(&c)
             );
             c.insert(mk_page(42));
             assert!(
@@ -730,7 +730,7 @@ mod tests {
     fn victim_tables_drain() {
         let c = PageCache::new(16, 4);
         // Nothing held: ten capacities of churn record nothing.
-        for no in 0..10 * c.capacity_pages() as u64 {
+        for no in 0..10 * slots(&c) as u64 {
             c.insert(mk_page(no));
         }
         assert_eq!(c.victim_entries(), 0);
@@ -787,7 +787,7 @@ mod tests {
         let c = PageCache::new(64, 8);
         let originals = fill(&c);
         // Ten capacities read once each, from a range no original is in.
-        let scan = (1u64 << 20)..(1 << 20) + 10 * c.capacity_pages() as u64;
+        let scan = (1u64 << 20)..(1 << 20) + 10 * slots(&c) as u64;
         let mut per_set = vec![0usize; c.sets.len()];
         for no in scan {
             per_set[c.set_of(no)] += 1;
@@ -809,7 +809,7 @@ mod tests {
             }
         }
         let s = c.stats();
-        assert_eq!(s.evictions, 10 * c.capacity_pages() as u64);
+        assert_eq!(s.evictions, 10 * slots(&c) as u64);
     }
 
     #[test]
@@ -985,7 +985,7 @@ mod tests {
                         .iter()
                         .filter(|p| p.strong_count() > w.holders(p))
                         .count();
-                    prop_assert!(slotted <= c.capacity_pages());
+                    prop_assert!(slotted <= slots(&c));
                     w.want.evictions = w.want.insertions - slotted as u64;
                     prop_assert_eq!(c.stats(), w.want);
                     let pinned = w
@@ -999,7 +999,7 @@ mod tests {
                 // what is alive is what is slotted, once each.
                 w.held.clear();
                 let alive: Vec<_> = w.inserted.iter().filter_map(Weak::upgrade).collect();
-                prop_assert!(alive.len() <= c.capacity_pages());
+                prop_assert!(alive.len() <= slots(&c));
                 for p in &alive {
                     // This upgrade and the slot.
                     prop_assert_eq!(Arc::strong_count(p), 2);

@@ -47,7 +47,7 @@
 //!
 //! // Synchronous path (loaders, baselines):
 //! let bytes = safs.read_sync(8192, 15)?;
-//! assert_eq!(&bytes.to_vec(), b"edge list bytes");
+//! assert_eq!(&bytes.window().to_vec(), b"edge list bytes");
 //!
 //! // Asynchronous user-task path (the engine):
 //! let mut session = safs.session();
@@ -57,7 +57,7 @@
 //!     session.wait(&mut done);
 //! }
 //! assert_eq!(done[0].tag, 7);
-//! assert_eq!(done[0].span.to_vec(), b"edge list bytes");
+//! assert_eq!(done[0].span.window().to_vec(), b"edge list bytes");
 //! # Ok::<(), fg_types::FgError>(())
 //! ```
 

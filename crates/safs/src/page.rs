@@ -188,40 +188,6 @@ impl PageSpan {
         self.len == 0
     }
 
-    /// Byte at position `i` ([`SpanWindow::byte`]).
-    #[inline]
-    pub fn byte(&self, i: usize) -> u8 {
-        self.window().byte(i)
-    }
-
-    /// [`SpanWindow::chunk_at`].
-    #[inline]
-    pub fn chunk_at(&self, pos: usize) -> &[u8] {
-        self.window().chunk_at(pos)
-    }
-
-    /// [`SpanWindow::read_bytes`].
-    pub fn read_bytes(&self, at: usize, out: &mut [u8]) {
-        self.window().read_bytes(at, out)
-    }
-
-    /// [`SpanWindow::read_u32_le`].
-    #[inline]
-    pub fn read_u32_le(&self, at: usize) -> u32 {
-        self.window().read_u32_le(at)
-    }
-
-    /// Copies the whole span into a fresh vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.window().to_vec()
-    }
-
-    /// Number of pages the span's bytes lie on (for a slice, the
-    /// sub-range's — not the cover's it keeps alive).
-    pub fn page_count(&self) -> usize {
-        self.window().page_count()
-    }
-
     /// A zero-copy sub-span of `len` bytes starting at span position
     /// `at`: one reference-count bump on the cover's shared page
     /// vector, whatever the sub-range's size (see the module docs for
@@ -525,8 +491,8 @@ mod tests {
         let p = page(0, |i| i as u8, 64);
         let s = PageSpan::new(vec![p], 10, 20);
         assert_eq!(s.len(), 20);
-        assert_eq!(s.byte(0), 10);
-        assert_eq!(s.byte(19), 29);
+        assert_eq!(s.window().byte(0), 10);
+        assert_eq!(s.window().byte(19), 29);
     }
 
     #[test]
@@ -535,7 +501,7 @@ mod tests {
         let p1 = page(1, |_| 0xBB, 16);
         let s = PageSpan::new(vec![p0, p1], 12, 8);
         let mut buf = [0u8; 8];
-        s.read_bytes(0, &mut buf);
+        s.window().read_bytes(0, &mut buf);
         assert_eq!(buf, [0xAA, 0xAA, 0xAA, 0xAA, 0xBB, 0xBB, 0xBB, 0xBB]);
     }
 
@@ -546,7 +512,10 @@ mod tests {
         let p1 = page(1, |i| (16 + i) as u8, 16);
         let s = PageSpan::new(vec![p0, p1], 14, 8);
         // First u32 = bytes 14,15,16,17.
-        assert_eq!(s.read_u32_le(0), u32::from_le_bytes([14, 15, 16, 17]));
+        assert_eq!(
+            s.window().read_u32_le(0),
+            u32::from_le_bytes([14, 15, 16, 17])
+        );
         let all: Vec<u32> = s.window().u32_iter().collect();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1], u32::from_le_bytes([18, 19, 20, 21]));
@@ -557,15 +526,15 @@ mod tests {
         let p0 = page(5, |i| i as u8, 8);
         let p1 = page(6, |i| (8 + i) as u8, 8);
         let s = PageSpan::new(vec![p0, p1], 3, 10);
-        assert_eq!(s.to_vec(), (3u8..13).collect::<Vec<_>>());
+        assert_eq!(s.window().to_vec(), (3u8..13).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_span() {
         let s = PageSpan::empty();
         assert!(s.is_empty());
-        assert_eq!(s.page_count(), 0);
-        assert_eq!(s.to_vec(), Vec::<u8>::new());
+        assert_eq!(s.window().page_count(), 0);
+        assert_eq!(s.window().to_vec(), Vec::<u8>::new());
         assert_eq!(s.window().u32_iter().count(), 0);
     }
 
@@ -596,7 +565,7 @@ mod tests {
     fn byte_out_of_range_panics() {
         let p0 = page(0, |_| 0, 8);
         let s = PageSpan::new(vec![p0], 0, 4);
-        s.byte(4);
+        s.window().byte(4);
     }
 
     #[test]
@@ -606,12 +575,12 @@ mod tests {
         let p2 = page(2, |i| (32 + i) as u8, 16);
         let s = PageSpan::new(vec![p0, p1, p2], 4, 40); // bytes 4..44
         let sub = s.slice(10, 8); // absolute bytes 14..22
-        assert_eq!(sub.to_vec(), (14u8..22).collect::<Vec<_>>());
+        assert_eq!(sub.window().to_vec(), (14u8..22).collect::<Vec<_>>());
         // A sub-span counts the pages its own bytes lie on.
         let tail = s.slice(30, 8); // absolute 34..42: page 2 only
-        assert_eq!(tail.page_count(), 1);
-        assert_eq!(s.page_count(), 3);
-        assert_eq!(tail.to_vec(), (34u8..42).collect::<Vec<_>>());
+        assert_eq!(tail.window().page_count(), 1);
+        assert_eq!(s.window().page_count(), 3);
+        assert_eq!(tail.window().to_vec(), (34u8..42).collect::<Vec<_>>());
     }
 
     #[test]
@@ -651,7 +620,7 @@ mod tests {
         cache.insert(page(1, |_| 9, 8));
         assert_eq!(cache.stats().evictions, 1);
         let hit = cache.get(0).expect("held by the span, so still a hit");
-        assert_eq!(hit.bytes(), &s.to_vec()[..]);
+        assert_eq!(hit.bytes(), &s.window().to_vec()[..]);
         drop(hit);
         assert!(weak.upgrade().is_some());
         drop(s);
@@ -665,31 +634,31 @@ mod tests {
             .map(|n| page(n, move |i| (n as usize * 16 + i) as u8, 16))
             .collect();
         let s = PageSpan::new(pages, 5, 30); // absolute bytes 5..35
-        assert_eq!(s.chunk_at(0), (5u8..16).collect::<Vec<_>>());
-        assert_eq!(s.chunk_at(3), (8u8..16).collect::<Vec<_>>());
-        assert_eq!(s.chunk_at(11), (16u8..32).collect::<Vec<_>>());
+        assert_eq!(s.window().chunk_at(0), (5u8..16).collect::<Vec<_>>());
+        assert_eq!(s.window().chunk_at(3), (8u8..16).collect::<Vec<_>>());
+        assert_eq!(s.window().chunk_at(11), (16u8..32).collect::<Vec<_>>());
         assert_eq!(
-            s.chunk_at(27),
+            s.window().chunk_at(27),
             (32u8..35).collect::<Vec<_>>(),
             "clamped to the span"
         );
-        assert!(s.chunk_at(30).is_empty());
-        assert!(PageSpan::empty().chunk_at(0).is_empty());
+        assert!(s.window().chunk_at(30).is_empty());
+        assert!(PageSpan::empty().window().chunk_at(0).is_empty());
         let mut pos = 0;
         let mut all = Vec::new();
         while pos < s.len() {
-            let c = s.chunk_at(pos);
+            let c = s.window().chunk_at(pos);
             all.extend_from_slice(c);
             pos += c.len();
         }
-        assert_eq!(all, s.to_vec());
+        assert_eq!(all, s.window().to_vec());
     }
 
     #[test]
     #[should_panic(expected = "out of")]
     fn chunk_past_the_end_panics() {
         let s = PageSpan::new(vec![page(0, |_| 0, 8)], 0, 4);
-        s.chunk_at(5);
+        s.window().chunk_at(5);
     }
 
     #[test]
@@ -709,7 +678,8 @@ mod tests {
                         })
                         .collect();
                     let s = PageSpan::new(pages, head, words * 4);
-                    let want: Vec<u32> = (0..words).map(|i| s.read_u32_le(i * 4)).collect();
+                    let want: Vec<u32> =
+                        (0..words).map(|i| s.window().read_u32_le(i * 4)).collect();
                     let w = s.window();
                     let mut it = w.u32_iter();
                     for (i, &w) in want.iter().enumerate() {
@@ -750,7 +720,7 @@ mod tests {
                 let head = cuts.0 % pb;
                 let len = 1 + cuts.1 % (total - head);
                 let cover = PageSpan::new(pages, head, len);
-                let whole = cover.to_vec();
+                let whole = cover.window().to_vec();
                 let a = cuts.2 % len;
                 let outer = cover.slice(a, 1 + cuts.3 % (len - a));
                 let b = cuts.4 % outer.len();
@@ -758,17 +728,17 @@ mod tests {
 
                 for (s, lo) in [(&outer, a), (&inner, a + b)] {
                     let want = &whole[lo..lo + s.len()];
-                    prop_assert_eq!(s.to_vec(), want);
+                    prop_assert_eq!(s.window().to_vec(), want);
                     let mut pos = 0;
                     while pos < s.len() {
-                        let c = s.chunk_at(pos);
+                        let c = s.window().chunk_at(pos);
                         prop_assert!(!c.is_empty());
                         prop_assert_eq!(c, &want[pos..pos + c.len()]);
                         pos += c.len();
                     }
                     for at in 0..s.len().saturating_sub(3) {
                         let w = u32::from_le_bytes(want[at..at + 4].try_into().unwrap());
-                        prop_assert_eq!(s.read_u32_le(at), w);
+                        prop_assert_eq!(s.window().read_u32_le(at), w);
                     }
                     let words = s.slice(0, s.len() - s.len() % 4);
                     let want_words: Vec<u32> = want
@@ -777,13 +747,13 @@ mod tests {
                         .collect();
                     prop_assert_eq!(words.window().u32_iter().collect::<Vec<_>>(), want_words);
                     let abs = head + lo;
-                    prop_assert_eq!(s.page_count(), (abs + s.len() - 1) / pb - abs / pb + 1);
+                    prop_assert_eq!(s.window().page_count(), (abs + s.len() - 1) / pb - abs / pb + 1);
                     // The borrowed window cut at the same place reads
                     // the same bytes, and holds nothing.
                     let strong = Arc::strong_count(&cover.pages.clone().unwrap()) - 1;
                     let w = cover.window().slice(lo, s.len());
                     prop_assert_eq!(w.to_vec(), want);
-                    prop_assert_eq!(w.page_count(), s.page_count());
+                    prop_assert_eq!(w.page_count(), s.window().page_count());
                     prop_assert_eq!(Arc::strong_count(cover.pages.as_ref().unwrap()), strong);
                 }
 

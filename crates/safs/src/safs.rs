@@ -155,26 +155,16 @@ impl Safs {
         self.read_through(offset, len, CacheUse::Booked)
     }
 
-    /// [`Safs::read_sync`] with the *streaming* cache policy, for a
-    /// caller that sweeps a large range once (a compaction reading
-    /// the old image back): resident pages are used, without booking
-    /// hits or misses or counting as a reference to their slots, and
-    /// freshly read pages are not inserted, so the sweep can neither
-    /// evict the hot working set however small the cache is next to
-    /// it, nor promote pages that entered on probation. Each
-    /// contiguous run of absent pages is one device request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FgError::InvalidRequest`] when the range exceeds the
-    /// device.
-    pub fn read_sync_stream(&self, offset: u64, len: u64) -> Result<PageSpan> {
-        self.read_through(offset, len, CacheUse::Stream)
-    }
-
-    /// This mount as a [`ByteSource`] under the streaming policy of
-    /// [`Safs::read_sync_stream`], for a reader that sweeps the image.
-    /// The mount itself is the source under [`Safs::read_sync`]'s.
+    /// This mount as a [`ByteSource`] under the *streaming* cache
+    /// policy, for a caller that sweeps a large range once (a
+    /// compaction reading the old image back): resident pages are
+    /// used, without booking hits or misses or counting as a reference
+    /// to their slots, and freshly read pages are not inserted, so the
+    /// sweep can neither evict the hot working set however small the
+    /// cache is next to it, nor promote pages that entered on
+    /// probation. Each contiguous run of absent pages is one device
+    /// request. The mount itself is the source under
+    /// [`Safs::read_sync`]'s policy.
     pub fn streaming(&self) -> Streaming<'_> {
         Streaming(self)
     }
@@ -246,9 +236,8 @@ impl Safs {
     }
 }
 
-/// A mount read under the streaming policy of
-/// [`Safs::read_sync_stream`]: resident pages are used, and nothing is
-/// booked or inserted. Made by [`Safs::streaming`].
+/// A mount read under the streaming policy: resident pages are used,
+/// and nothing is booked or inserted. Made by [`Safs::streaming`].
 #[derive(Debug, Clone, Copy)]
 pub struct Streaming<'a>(&'a Safs);
 
@@ -260,7 +249,9 @@ impl ByteSource for Safs {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.read_sync(offset, buf.len() as u64)?.read_bytes(0, buf);
+        self.read_sync(offset, buf.len() as u64)?
+            .window()
+            .read_bytes(0, buf);
         Ok(())
     }
 }
@@ -272,7 +263,8 @@ impl ByteSource for Streaming<'_> {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.0
-            .read_sync_stream(offset, buf.len() as u64)?
+            .read_through(offset, buf.len() as u64, CacheUse::Stream)?
+            .window()
             .read_bytes(0, buf);
         Ok(())
     }
@@ -326,7 +318,7 @@ enum CacheUse {
     /// The caller's first look (`Safs::read_sync`): lookups are booked
     /// as hits and misses, fresh pages are inserted.
     Booked,
-    /// A once-only sweep (`Safs::read_sync_stream`): cached pages are
+    /// A once-only sweep (`Safs::streaming`): cached pages are
     /// still *used* when present — the hot set helps the sweep — but
     /// nothing is booked, a resident page's slot is not referenced,
     /// and fresh pages are handed straight to the caller without
@@ -493,8 +485,8 @@ mod tests {
         }
         let span = &out[0].span;
         assert_eq!(span.len(), 18000);
-        assert_eq!(span.read_u32_le(0), (4000 / 4) % 251);
-        assert_eq!(span.read_u32_le(17996), ((4000 + 17996) / 4) % 251);
+        assert_eq!(span.window().read_u32_le(0), (4000 / 4) % 251);
+        assert_eq!(span.window().read_u32_le(17996), ((4000 + 17996) / 4) % 251);
     }
 
     #[test]
@@ -611,7 +603,11 @@ mod tests {
             assert_eq!(span.len(), 3 * 4096);
             // Content correct across the stitched span.
             for at in [0, 4096, 2 * 4096, 3 * 4096 - 4] {
-                assert_eq!(span.read_u32_le(at), (at as u32 / 4) % 251, "sync={sync}");
+                assert_eq!(
+                    span.window().read_u32_le(at),
+                    (at as u32 / 4) % 251,
+                    "sync={sync}"
+                );
             }
         }
     }
@@ -705,13 +701,15 @@ mod tests {
         let cache_before = safs.cache_stats();
         let io_before = safs.array().stats().snapshot();
         // A sweep over pages 0..64 reads around them: 0-1 and 4-63.
-        let span = safs.read_sync_stream(100, 64 * 4096 - 100).unwrap();
+        let span = safs
+            .read_through(100, 64 * 4096 - 100, CacheUse::Stream)
+            .unwrap();
         let io = safs.array().stats().snapshot();
         assert_eq!(io.pages_read - io_before.pages_read, 62);
         assert_eq!(io.read_requests - io_before.read_requests, 1 + 15);
         let mut want = vec![0u8; 64 * 4096 - 100];
         safs.array().read(100, &mut want).unwrap();
-        assert_eq!(span.to_vec(), want);
+        assert_eq!(span.window().to_vec(), want);
         assert_eq!(
             safs.cache_stats(),
             cache_before,
@@ -728,8 +726,8 @@ mod tests {
         assert_eq!(safs.array().stats().snapshot().pages_read, before + 1);
         assert_eq!(safs.mount.cache.victim_entries(), 0);
         drop(span);
-        assert!(safs.read_sync_stream(1 << 20, 1).is_err());
-        assert!(safs.read_sync_stream(0, 0).unwrap().is_empty());
+        assert!(safs.streaming().read_at(1 << 20, &mut [0]).is_err());
+        assert!(safs.streaming().read_at(0, &mut []).is_ok());
     }
 
     #[test]
@@ -744,9 +742,9 @@ mod tests {
         assert!(resident(100) && !resident(0));
         // A stream read uses it without a device read ...
         let io = safs.array().stats().snapshot().pages_read;
-        let span = safs.read_sync_stream(100 * 4096, 4096).unwrap();
+        let mut page = vec![0u8; 4096];
+        safs.streaming().read_at(100 * 4096, &mut page).unwrap();
         assert_eq!(safs.array().stats().snapshot().pages_read, io);
-        drop(span);
         // ... and leaves it the victim of the set's next miss.
         safs.read_sync(101 * 4096, 1).unwrap();
         assert!(!resident(100), "the stream read promoted its page");
@@ -778,9 +776,12 @@ mod tests {
         // replaced one another there, and pages 1-7 stay resident.
         let bytes = safs.array().stats().snapshot().bytes_read;
         let again = safs.read_sync(pb, 7 * pb).unwrap();
-        assert_eq!(again.to_vec(), data[pb as usize..]);
+        assert_eq!(again.window().to_vec(), data[pb as usize..]);
         assert_eq!(safs.array().stats().snapshot().bytes_read, bytes);
-        assert_eq!(safs.read_sync(0, pb).unwrap().to_vec(), data[..pb as usize]);
+        assert_eq!(
+            safs.read_sync(0, pb).unwrap().window().to_vec(),
+            data[..pb as usize]
+        );
         assert_eq!(safs.array().stats().snapshot().bytes_read, bytes + pb);
     }
 
@@ -802,7 +803,7 @@ mod tests {
         let cache = safs.cache_stats();
         // The synchronous path ...
         let again = safs.read_sync(4096, 2 * 4096).unwrap();
-        assert_eq!(again.to_vec(), held.to_vec());
+        assert_eq!(again.window().to_vec(), held.window().to_vec());
         // ... the application-side lookup of a session (an all-hit
         // submit completes inline) ...
         let mut s = safs.session();
@@ -811,7 +812,7 @@ mod tests {
         assert_eq!(s.poll(&mut out), 1);
         // ... and the I/O thread's pre-read re-check all find them.
         let got = read_pages(&safs.mount, 1, 2, CacheUse::Recheck);
-        assert_eq!(got[0].bytes(), held.chunk_at(0));
+        assert_eq!(got[0].bytes(), held.window().chunk_at(0));
         assert_eq!(safs.array().stats().snapshot().pages_read, io.pages_read);
         let d = safs.cache_stats().delta_since(&cache);
         assert_eq!((d.hits, d.pinned_hits, d.misses), (4, 4, 0));
@@ -856,12 +857,16 @@ mod tests {
             s.wait(&mut out);
         }
         assert_eq!(out[0].tag, 9);
-        assert_eq!(out[0].span.read_u32_le(0), (4096 / 4) % 251);
+        assert_eq!(out[0].span.window().read_u32_le(0), (4096 / 4) % 251);
         let mut fetched = Vec::new();
         while fetched.is_empty() {
             fetcher.wait(&mut fetched);
         }
-        assert_eq!(fetched[0].span.page_count(), 2, "fetcher gets its pages");
+        assert_eq!(
+            fetched[0].span.window().page_count(),
+            2,
+            "fetcher gets its pages"
+        );
         let snap = safs.array().stats().snapshot();
         assert_eq!(snap.read_requests, 1, "exactly one device read total");
         assert_eq!(safs.mount.inflight.open_claims(), 0, "claims resolved");
@@ -883,7 +888,10 @@ mod tests {
         while fetched.is_empty() {
             fetcher.wait(&mut fetched);
         }
-        assert_eq!(fetched[0].span.read_u32_le(0), (2 * 4096 / 4) % 251);
+        assert_eq!(
+            fetched[0].span.window().read_u32_le(0),
+            (2 * 4096 / 4) % 251
+        );
         assert_eq!(safs.mount.inflight.open_claims(), 0);
     }
 
@@ -912,7 +920,7 @@ mod tests {
             while out.is_empty() {
                 waiter.wait(&mut out);
             }
-            assert_eq!(out[0].span.read_u32_le(0), (4096 / 4) % 251);
+            assert_eq!(out[0].span.window().read_u32_le(0), (4096 / 4) % 251);
             assert_eq!(safs.array().stats().snapshot().read_requests, 1);
             assert_eq!(safs.mount.inflight.open_claims(), 0);
         }
@@ -1030,12 +1038,12 @@ mod tests {
         let before = reads_and_misses(&safs);
         let span = safs.read_sync(4 * pb, 2 * pb).unwrap();
         assert_eq!(reads_and_misses(&safs), before);
-        assert_eq!(span.to_vec(), device[pb as usize..]);
+        assert_eq!(span.window().to_vec(), device[pb as usize..]);
         // The part-covered page nobody held is left for its first
         // read, which returns the device's bytes.
         let span = safs.read_sync(3 * pb, pb).unwrap();
         assert_eq!(reads_and_misses(&safs), (before.0 + 1, before.1 + 1));
-        assert_eq!(span.to_vec(), device[..pb as usize]);
+        assert_eq!(span.window().to_vec(), device[..pb as usize]);
 
         // A tail page the device ends inside: the write reaches the
         // device's end, so it covers the page.
@@ -1043,7 +1051,10 @@ mod tests {
         let tail: Vec<u8> = (0..6000 - pb).map(|i| i as u8).collect();
         safs.write(pb, &tail).unwrap();
         let before = reads_and_misses(&safs);
-        assert_eq!(safs.read_sync(pb, 6000 - pb).unwrap().to_vec(), tail);
+        assert_eq!(
+            safs.read_sync(pb, 6000 - pb).unwrap().window().to_vec(),
+            tail
+        );
         assert_eq!(reads_and_misses(&safs), before);
     }
 
@@ -1168,8 +1179,8 @@ mod tests {
             prop_assert_eq!(done[0].len() + done[1].len(), asked.len());
             for c in done.iter().flatten() {
                 let (offset, len) = asked[c.tag as usize];
-                let want = safs.read_sync(offset, len).unwrap().to_vec();
-                prop_assert_eq!(c.span.to_vec(), want);
+                let want = safs.read_sync(offset, len).unwrap().window().to_vec();
+                prop_assert_eq!(c.span.window().to_vec(), want);
             }
         }
     }

@@ -45,38 +45,9 @@ impl ShardSet {
         Ok(ShardSet { mounts })
     }
 
-    /// Number of shards.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.mounts.len()
-    }
-
-    /// Whether the set is empty (never true for a constructed set).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.mounts.is_empty()
-    }
-
-    /// Shard `s`'s mount.
-    #[inline]
-    pub fn shard(&self, s: usize) -> &Safs {
-        &self.mounts[s]
-    }
-
     /// The mounts in shard order.
     pub fn as_slice(&self) -> &[Safs] {
         &self.mounts
-    }
-
-    /// Iterates the mounts in shard order.
-    pub fn iter(&self) -> impl Iterator<Item = &Safs> {
-        self.mounts.iter()
-    }
-
-    /// Page size shared by every mount.
-    #[inline]
-    pub fn page_bytes(&self) -> u64 {
-        self.mounts[0].page_bytes()
     }
 
     /// Resets cache and device statistics on every mount.
@@ -131,13 +102,13 @@ mod tests {
     #[test]
     fn mounts_are_independent() {
         let set = set_of(3);
-        assert_eq!(set.len(), 3);
-        set.shard(1).array().write(0, &[7u8; 4096]).unwrap();
-        let span = set.shard(1).read_sync(0, 16).unwrap();
-        assert_eq!(span.to_vec(), vec![7u8; 16]);
+        assert_eq!(set.as_slice().len(), 3);
+        set.as_slice()[1].array().write(0, &[7u8; 4096]).unwrap();
+        let span = set.as_slice()[1].read_sync(0, 16).unwrap();
+        assert_eq!(span.window().to_vec(), vec![7u8; 16]);
         // Only shard 1's device saw traffic.
-        let s0 = set.shard(0).array().stats().snapshot();
-        let s1 = set.shard(1).array().stats().snapshot();
+        let s0 = set.as_slice()[0].array().stats().snapshot();
+        let s1 = set.as_slice()[1].array().stats().snapshot();
         assert_eq!(s0.read_requests, 0);
         assert!(s1.read_requests > 0);
         // ... and the aggregate sees exactly that one shard's reads.
@@ -151,13 +122,14 @@ mod tests {
     #[test]
     fn dedup_counters_sum_across_shards() {
         let set = set_of(3);
-        set.shard(0).array().stats().record_dedup(2, 8192);
-        set.shard(2).array().stats().record_dedup(1, 4096);
+        set.as_slice()[0].array().stats().record_dedup(2, 8192);
+        set.as_slice()[2].array().stats().record_dedup(1, 4096);
         let agg = set.io_stats();
         assert_eq!(agg.dedup_hits, 3);
         assert_eq!(agg.dedup_bytes, 12288);
         // And per-shard snapshots sum to exactly the mount total.
         let sum: u64 = set
+            .as_slice()
             .iter()
             .map(|m| m.array().stats().snapshot().dedup_bytes)
             .sum();

@@ -245,9 +245,9 @@ impl IoStatsSnapshot {
     /// Folds `other` into `self` as the aggregate of *distinct
     /// devices* (e.g. one array per shard): counters sum, per-drive
     /// busy times concatenate (the drives are disjoint), and maxima
-    /// take the max. Queue-depth gauges sum sample-wise, so
-    /// [`IoStatsSnapshot::mean_queue_depth`] of the aggregate is the
-    /// sample-weighted mean across devices.
+    /// take the max. Queue-depth gauges sum sample-wise, so the
+    /// aggregate's `depth_sum / depth_samples` is the sample-weighted
+    /// mean across devices.
     pub fn absorb(&mut self, other: &IoStatsSnapshot) {
         self.read_requests += other.read_requests;
         self.pages_read += other.pages_read;
@@ -265,24 +265,6 @@ impl IoStatsSnapshot {
         self.depth_max = self.depth_max.max(other.depth_max);
         self.dedup_hits += other.dedup_hits;
         self.dedup_bytes += other.dedup_bytes;
-    }
-
-    /// Mean request size in bytes (0 when no reads happened).
-    pub fn mean_read_bytes(&self) -> f64 {
-        if self.read_requests == 0 {
-            0.0
-        } else {
-            self.bytes_read as f64 / self.read_requests as f64
-        }
-    }
-
-    /// Mean sampled device queue depth (0 when never sampled).
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.depth_samples == 0 {
-            0.0
-        } else {
-            self.depth_sum as f64 / self.depth_samples as f64
-        }
     }
 }
 
@@ -360,7 +342,6 @@ mod tests {
         assert_eq!(snap.depth_sum, 5);
         assert_eq!(snap.depth_zero_dips, 2);
         assert_eq!(snap.depth_max, 2);
-        assert!((snap.mean_queue_depth() - 5.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -395,13 +376,5 @@ mod tests {
         s.reset();
         assert_eq!(s.snapshot().dedup_hits, 0);
         assert_eq!(s.snapshot().dedup_bytes, 0);
-    }
-
-    #[test]
-    fn mean_read_bytes_handles_zero() {
-        let s = IoStats::new(1);
-        assert_eq!(s.snapshot().mean_read_bytes(), 0.0);
-        s.record_read(0, 2, 8192, 10);
-        assert_eq!(s.snapshot().mean_read_bytes(), 8192.0);
     }
 }

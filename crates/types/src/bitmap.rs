@@ -31,9 +31,9 @@ fn word_count(len: usize) -> usize {
 /// use fg_types::{AtomicBitmap, VertexId};
 ///
 /// let b = AtomicBitmap::new(128);
-/// b.set(VertexId(100));
-/// assert!(b.get(VertexId(100)));
-/// let ones: Vec<_> = b.iter_ones().collect();
+/// assert!(!b.set(VertexId(100)));
+/// assert!(b.set(VertexId(100)), "set reports the bit it found");
+/// let ones: Vec<_> = b.iter_ones_in_range(64..128).collect();
 /// assert_eq!(ones, vec![VertexId(100)]);
 /// ```
 #[derive(Debug)]
@@ -48,18 +48,6 @@ impl AtomicBitmap {
         let mut words = Vec::with_capacity(word_count(len));
         words.resize_with(word_count(len), || AtomicU64::new(0));
         AtomicBitmap { words, len }
-    }
-
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when the bitmap holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Atomically sets the bit for `v`, returning the previous value.
@@ -132,19 +120,6 @@ impl AtomicBitmap {
         self.words[i / BITS].fetch_and(!mask, Ordering::AcqRel) & mask != 0
     }
 
-    /// Reads the bit for `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn get(&self, v: VertexId) -> bool {
-        let i = self.check(v);
-        // ordering: racy probe by contract; exact reads happen at
-        // barriers (doc contract above).
-        self.words[i / BITS].load(Ordering::Relaxed) & (1u64 << (i % BITS)) != 0
-    }
-
     /// Clears every bit. Not atomic as a whole; callers run it at
     /// barriers when no other thread touches the map.
     pub fn clear_all(&self) {
@@ -163,45 +138,31 @@ impl AtomicBitmap {
             .sum()
     }
 
-    /// Iterates over set bits in ascending id order (consistent only
-    /// at barriers).
-    pub fn iter_ones(&self) -> impl Iterator<Item = VertexId> + '_ {
-        AtomicIterOnes {
-            map: self,
-            word_idx: 0,
-            current: self
-                .words
-                .first()
-                // ordering: barrier-only operation (doc contract above).
-                .map(|w| w.load(Ordering::Relaxed))
-                .unwrap_or(0),
-        }
-    }
-
     /// Iterates over set bits whose index lies in `range`
-    /// (half-open), ascending. Starts scanning at the range's first
-    /// word, so iterating a partition's ranges costs time
-    /// proportional to the range, not the whole bitmap.
+    /// (half-open, clamped to the map), ascending; consistent only at
+    /// barriers. Loads only the words the range touches, so walking a
+    /// partition's ranges costs time proportional to the ranges, not
+    /// the whole bitmap.
     pub fn iter_ones_in_range(
         &self,
         range: std::ops::Range<usize>,
     ) -> impl Iterator<Item = VertexId> + '_ {
-        let lo = range.start.min(self.len);
-        let hi = range.end.min(self.len);
-        let first_word = lo / BITS;
-        let current = if lo < hi {
+        let end = range.end.min(self.len);
+        let lo = range.start.min(end);
+        let word_idx = lo / BITS;
+        let current = if lo < end {
             // Mask off bits below `lo` in the first word.
             // ordering: barrier-only operation (doc contract above).
-            self.words[first_word].load(Ordering::Relaxed) & (u64::MAX << (lo % BITS))
+            self.words[word_idx].load(Ordering::Relaxed) & (u64::MAX << (lo % BITS))
         } else {
             0
         };
         AtomicIterOnes {
             map: self,
-            word_idx: first_word,
+            word_idx,
+            end,
             current,
         }
-        .take_while(move |v| v.index() < hi)
     }
 
     #[inline]
@@ -215,6 +176,8 @@ impl AtomicBitmap {
 struct AtomicIterOnes<'a> {
     map: &'a AtomicBitmap,
     word_idx: usize,
+    /// One past the last bit the walk may yield.
+    end: usize,
     current: u64,
 }
 
@@ -227,13 +190,10 @@ impl Iterator for AtomicIterOnes<'_> {
                 let bit = self.current.trailing_zeros() as usize;
                 self.current &= self.current - 1;
                 let idx = self.word_idx * BITS + bit;
-                if idx >= self.map.len {
-                    return None;
-                }
-                return Some(VertexId::from_index(idx));
+                return (idx < self.end).then(|| VertexId::from_index(idx));
             }
             self.word_idx += 1;
-            if self.word_idx >= self.map.words.len() {
+            if self.word_idx * BITS >= self.end {
                 return None;
             }
             // ordering: barrier-only operation (doc contract above).
@@ -249,11 +209,11 @@ mod tests {
     #[test]
     fn set_get_clear_round_trip() {
         let b = AtomicBitmap::new(130);
-        assert!(!b.get(VertexId(129)));
+        let ones = |b: &AtomicBitmap| b.iter_ones_in_range(0..130).count();
         assert!(!b.set(VertexId(129)));
-        assert!(b.get(VertexId(129)));
+        assert_eq!(ones(&b), 1);
         assert!(b.clear(VertexId(129)));
-        assert!(!b.get(VertexId(129)));
+        assert_eq!(ones(&b), 0);
     }
 
     #[test]
@@ -262,7 +222,7 @@ mod tests {
         for i in [0usize, 63, 64, 65, 127, 128, 199] {
             b.set(VertexId::from_index(i));
         }
-        let got: Vec<usize> = b.iter_ones().map(|v| v.index()).collect();
+        let got: Vec<usize> = b.iter_ones_in_range(0..200).map(|v| v.index()).collect();
         assert_eq!(got, vec![0, 63, 64, 65, 127, 128, 199]);
     }
 
@@ -272,7 +232,7 @@ mod tests {
         for i in (0..77).step_by(3) {
             b.set(VertexId::from_index(i));
         }
-        assert_eq!(b.count_ones(), b.iter_ones().count());
+        assert_eq!(b.count_ones(), b.iter_ones_in_range(0..77).count());
     }
 
     #[test]
@@ -287,15 +247,15 @@ mod tests {
     #[test]
     fn empty_bitmap_iterates_nothing() {
         let b = AtomicBitmap::new(0);
-        assert!(b.is_empty());
-        assert_eq!(b.iter_ones().count(), 0);
+        assert_eq!(b.count_ones(), 0);
+        assert_eq!(b.iter_ones_in_range(0..10).count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn out_of_range_get_panics() {
+    fn out_of_range_set_panics() {
         let b = AtomicBitmap::new(8);
-        b.get(VertexId(8));
+        b.set(VertexId(8));
     }
 
     #[test]
@@ -377,7 +337,10 @@ mod tests {
         // 70 bits: the second word has 6 valid bits only.
         let b = AtomicBitmap::new(70);
         b.set(VertexId(69));
-        let got: Vec<usize> = b.iter_ones().map(|v| v.index()).collect();
+        let got: Vec<usize> = b
+            .iter_ones_in_range(0..usize::MAX)
+            .map(|v| v.index())
+            .collect();
         assert_eq!(got, vec![69]);
     }
 }

@@ -82,8 +82,8 @@ impl CancelToken {
     }
 
     /// Whether [`CancelToken::cancel`] has been called (ignores the
-    /// deadline; use [`CancelToken::check`] for both).
-    pub fn is_cancelled(&self) -> bool {
+    /// deadline).
+    fn is_cancelled(&self) -> bool {
         // ordering: Acquire pairs with the Release in `cancel`.
         self.inner.cancelled.load(Ordering::Acquire)
     }

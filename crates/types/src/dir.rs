@@ -17,9 +17,9 @@ use std::fmt;
 /// ```
 /// use fg_types::EdgeDir;
 ///
-/// assert_eq!(EdgeDir::In.reverse(), EdgeDir::Out);
-/// assert!(EdgeDir::Both.covers(EdgeDir::In));
-/// assert!(!EdgeDir::Out.covers(EdgeDir::In));
+/// let both: Vec<_> = EdgeDir::Both.singles().collect();
+/// assert_eq!(both, vec![EdgeDir::In, EdgeDir::Out]);
+/// assert_eq!(EdgeDir::Out.to_string(), "out");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeDir {
@@ -32,22 +32,6 @@ pub enum EdgeDir {
 }
 
 impl EdgeDir {
-    /// Flips `In` to `Out` and vice versa; `Both` is its own reverse.
-    #[inline]
-    pub fn reverse(self) -> Self {
-        match self {
-            EdgeDir::In => EdgeDir::Out,
-            EdgeDir::Out => EdgeDir::In,
-            EdgeDir::Both => EdgeDir::Both,
-        }
-    }
-
-    /// Returns `true` when data for `other` is a subset of data for `self`.
-    #[inline]
-    pub fn covers(self, other: EdgeDir) -> bool {
-        self == EdgeDir::Both || self == other
-    }
-
     /// Iterates over the single directions included in `self`
     /// (`Both` yields `In` then `Out`).
     pub fn singles(self) -> impl Iterator<Item = EdgeDir> {
@@ -74,27 +58,6 @@ impl fmt::Display for EdgeDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reverse_is_involution() {
-        for d in [EdgeDir::In, EdgeDir::Out, EdgeDir::Both] {
-            assert_eq!(d.reverse().reverse(), d);
-        }
-    }
-
-    #[test]
-    fn both_covers_everything() {
-        for d in [EdgeDir::In, EdgeDir::Out, EdgeDir::Both] {
-            assert!(EdgeDir::Both.covers(d));
-        }
-    }
-
-    #[test]
-    fn single_directions_cover_only_themselves() {
-        assert!(EdgeDir::In.covers(EdgeDir::In));
-        assert!(!EdgeDir::In.covers(EdgeDir::Out));
-        assert!(!EdgeDir::In.covers(EdgeDir::Both));
-    }
 
     #[test]
     fn singles_enumerates_components() {

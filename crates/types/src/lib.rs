@@ -17,8 +17,8 @@
 //!
 //! let frontier = AtomicBitmap::new(64);
 //! frontier.set(VertexId(3));
-//! assert!(frontier.get(VertexId(3)));
 //! assert_eq!(frontier.count_ones(), 1);
+//! assert_eq!(frontier.iter_ones_in_range(0..64).next(), Some(VertexId(3)));
 //! ```
 
 mod bitmap;

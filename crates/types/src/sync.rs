@@ -75,15 +75,6 @@ impl<T> Mutex<T> {
         unpoisoned(self.0.lock())
     }
 
-    /// Acquires the lock if nobody holds it; `None` means held.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Consumes the mutex, returning the protected value.
     pub fn into_inner(self) -> T {
         unpoisoned(self.0.into_inner())
@@ -310,10 +301,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        let held = m.lock();
-        assert!(m.try_lock().is_none(), "held");
-        drop(held);
-        assert!(m.try_lock().is_some());
         assert_eq!(m.into_inner(), 2);
     }
 

@@ -1,9 +1,20 @@
 //! Property-based tests: the bitmap behaves like a reference
 //! `Vec<bool>` — one flag per bit — under arbitrary operation
-//! sequences.
+//! sequences, read back through its one reader, the range walk; and
+//! that walk's cost follows the range, not the map.
 
 use fg_types::{AtomicBitmap, VertexId};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
+
+/// The model's set bits in `lo..hi`, clamped to the model.
+fn model_ones(model: &[bool], lo: usize, hi: usize) -> Vec<usize> {
+    (lo..hi.min(model.len())).filter(|&i| model[i]).collect()
+}
+
+fn walk(b: &AtomicBitmap, lo: usize, hi: usize) -> Vec<usize> {
+    b.iter_ones_in_range(lo..hi).map(|v| v.index()).collect()
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -50,9 +61,7 @@ proptest! {
             }
         }
         prop_assert_eq!(bm.count_ones(), model.iter().filter(|&&b| b).count());
-        let got: Vec<usize> = bm.iter_ones().map(|v| v.index()).collect();
-        let want: Vec<usize> = (0..len).filter(|&i| model[i]).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(walk(&bm, 0, len), model_ones(&model, 0, len));
     }
 
     #[test]
@@ -68,7 +77,8 @@ proptest! {
                 plain[i] = true;
             }
         }
-        let got: Vec<bool> = (0..len).map(|i| atomic.get(VertexId::from_index(i))).collect();
+        // Every one-bit range reads back exactly that bit.
+        let got: Vec<bool> = (0..len).map(|i| !walk(&atomic, i, i + 1).is_empty()).collect();
         prop_assert_eq!(got, plain);
     }
 
@@ -76,21 +86,56 @@ proptest! {
     fn iter_range_is_filtered_iter(
         len in 1usize..300,
         sets in prop::collection::vec(0usize..300, 0..100),
-        lo in 0usize..300,
-        width in 0usize..300,
+        ranges in prop::collection::vec((0usize..400, 0usize..400), 1..16),
     ) {
         let b = AtomicBitmap::new(len);
+        let mut model = vec![false; len];
         for i in sets {
             if i < len {
                 b.set(VertexId::from_index(i));
+                model[i] = true;
             }
         }
-        let hi = lo.saturating_add(width);
-        let got: Vec<_> = b.iter_ones_in_range(lo..hi).collect();
-        let want: Vec<_> = b
-            .iter_ones()
-            .filter(|v| v.index() >= lo && v.index() < hi)
-            .collect();
-        prop_assert_eq!(got, want);
+        // Bounds drawn past `len` and in either order: ranges that are
+        // empty, reversed, off the word grid, or run past the map.
+        for (lo, hi) in ranges {
+            prop_assert_eq!(walk(&b, lo, hi), model_ones(&model, lo, hi));
+        }
     }
+}
+
+/// The shortest of `reps` timings of `f`: a preempted rep cannot fail
+/// the comparison below.
+fn fastest(reps: usize, mut f: impl FnMut()) -> Duration {
+    (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+/// Walking 64 short ranges at the start of a 2^24-bit map with no bit
+/// set past them must cost far less than one walk of the whole map:
+/// the walk stops at its range's last word instead of loading every
+/// word up to the end of the map.
+#[test]
+fn a_short_range_walk_costs_its_range_not_the_map() {
+    const BITS: usize = 1 << 24;
+    let b = AtomicBitmap::new(BITS);
+    b.set(VertexId::from_index(0));
+    let short = fastest(5, || {
+        for r in 0..64 {
+            std::hint::black_box(b.iter_ones_in_range(r * 64..r * 64 + 40).count());
+        }
+    });
+    let whole = fastest(5, || {
+        std::hint::black_box(b.iter_ones_in_range(0..BITS).count());
+    });
+    assert!(
+        short * 100 < whole,
+        "64 short walks took {short:?}, one walk of the whole map {whole:?}"
+    );
 }

@@ -184,7 +184,7 @@ proptest! {
             // Deduped in-flight reads roll up exactly: the per-mount
             // counters sum to the set-wide aggregate.
             let dedup_sum: u64 = set
-                .iter()
+                .as_slice().iter()
                 .map(|m| m.array().stats().snapshot().dedup_bytes)
                 .sum();
             prop_assert_eq!(dedup_sum, set.io_stats().dedup_bytes);

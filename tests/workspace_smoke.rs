@@ -18,7 +18,7 @@ fn umbrella_reexports_reach_every_crate() {
     assert!(flashgraph_repro::fg_ssdsim::ArrayConfig::small_test()
         .validate()
         .is_ok());
-    assert_eq!(flashgraph_repro::fg_bench::report::bytes(2048), "2.0 KiB");
+    assert_eq!(flashgraph_repro::fg_bench::report::count(2048), "2,048");
 }
 
 #[test]
