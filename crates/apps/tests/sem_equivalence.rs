@@ -166,22 +166,6 @@ fn tc_reads_pages_it_still_holds_from_memory_not_the_device() {
 }
 
 #[test]
-fn tc_with_vertical_partitioning_equivalent() {
-    let g = undirected_graph();
-    let want = fg_baselines::direct::triangle_count(&g);
-    for opts in formats() {
-        let (safs, index) = sem_fixture(&g, &opts);
-        let cfg = EngineConfig {
-            vertical_parts: 4,
-            ..EngineConfig::small()
-        };
-        let sem = Engine::new_sem(&safs, index, cfg);
-        let (got, _, _) = fg_apps::triangle_count(&sem, false).unwrap();
-        assert_eq!(got, want);
-    }
-}
-
-#[test]
 fn scan_statistics_equivalent() {
     let g = undirected_graph();
     let (_, want) = fg_baselines::direct::scan_statistics(&g);

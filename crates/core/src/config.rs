@@ -53,11 +53,6 @@ pub struct EngineConfig {
     pub merge_in_engine: bool,
     /// Vertex ordering policy.
     pub scheduler: SchedulerKind,
-    /// Vertical passes per iteration (§3.8): programs see
-    /// `ctx.vertical_part()` and can restrict each pass to a slice of
-    /// the neighbour space, improving cache reuse for hub-heavy
-    /// algorithms like triangle counting. Zero runs as one pass.
-    pub vertical_parts: u32,
     /// Hard iteration cap (safety net; algorithms normally converge).
     pub max_iterations: u32,
 }
@@ -137,7 +132,6 @@ impl Default for EngineConfig {
             issue_batch: 256,
             merge_in_engine: true,
             scheduler: SchedulerKind::Alternating,
-            vertical_parts: 1,
             max_iterations: u32::MAX,
         }
     }
@@ -163,32 +157,5 @@ mod tests {
         assert_eq!(c.partition_shift(usize::MAX), 18);
         // Enough ranges for stealing even on tiny graphs.
         assert!((1usize << 10) >> small >= 4 * 4);
-    }
-
-    #[test]
-    fn vertical_parts_never_zero() {
-        // A zero in the field runs every vertex as one pass of one.
-        struct Passes;
-        impl crate::VertexProgram for Passes {
-            type State = (u32, u32);
-            type Msg = ();
-            fn run(
-                &self,
-                _v: fg_types::VertexId,
-                state: &mut (u32, u32),
-                ctx: &mut crate::VertexContext<'_, ()>,
-            ) {
-                state.0 += 1;
-                state.1 = ctx.vertical_part().1;
-            }
-        }
-        let g = fg_graph::fixtures::path(8);
-        let cfg = EngineConfig {
-            vertical_parts: 0,
-            ..EngineConfig::small()
-        };
-        let engine = crate::Engine::new_mem(&g, cfg);
-        let (states, _) = engine.run(&Passes, crate::Init::All).unwrap();
-        assert!(states.iter().all(|&s| s == (1, 1)), "{states:?}");
     }
 }

@@ -88,7 +88,6 @@ impl ShardView {
 /// Engine-wide immutable state visible to every worker.
 pub(crate) struct RunShared<'g> {
     pub n: usize,
-    pub vparts: u32,
     pub degrees: DegreeSource<'g>,
     pub pmap: PartitionMap,
     /// Present when this run executes one shard of several.
@@ -318,7 +317,6 @@ impl<M> WorkerScratch<M> {
 pub struct VertexContext<'w, M> {
     pub(crate) current: VertexId,
     pub(crate) iteration: u32,
-    pub(crate) vpart: u32,
     pub(crate) shared: &'w RunShared<'w>,
     pub(crate) next_frontier: &'w AtomicBitmap,
     /// The vertices registered for this iteration's end.
@@ -343,19 +341,6 @@ impl<M> VertexContext<'_, M> {
     #[inline]
     pub fn is_directed(&self) -> bool {
         self.shared.degrees.is_directed()
-    }
-
-    /// `(current vertical pass, total passes)` — `(0, 1)` unless
-    /// vertical partitioning is configured (§3.8).
-    ///
-    /// Compute is pipelined, so passes are *not* globally ordered: pass `j + 1`'s `run` may execute while pass
-    /// `j`'s deliveries are still arriving (each callback for this
-    /// vertex stays exclusive, whichever pass it belongs to). State
-    /// that spans passes must therefore be pass-order independent —
-    /// see `fg_apps::tc` for the canonical pattern.
-    #[inline]
-    pub fn vertical_part(&self) -> (u32, u32) {
-        (self.vpart, self.shared.vparts)
     }
 
     /// Degree of any vertex, from the in-memory index — no I/O.
@@ -384,13 +369,6 @@ impl<M> VertexContext<'_, M> {
         }
         if !self.next_frontier.set(v) {
             self.scratch.activations += 1;
-        }
-    }
-
-    /// Activates a batch.
-    pub fn activate_many(&mut self, vs: &[VertexId]) {
-        for &v in vs {
-            self.activate(v);
         }
     }
 

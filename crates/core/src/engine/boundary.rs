@@ -227,7 +227,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         m: &P::Msg,
     ) {
         debug_assert_eq!(self.shared.pmap.partition_of(v), self.w);
-        self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
+        self.with_ctx(iter, scratch, v, |prog, state, ctx| {
             prog.run_on_message(v, state, m, ctx);
         });
         // Message handlers may request edges; those complete within
@@ -254,7 +254,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             self.iteration_end.clear(v);
         }
         for v in registered {
-            self.with_ctx(iter, 0, scratch, v, |prog, state, ctx| {
+            self.with_ctx(iter, scratch, v, |prog, state, ctx| {
                 prog.run_on_iteration_end(v, state, ctx);
             });
             if !scratch.requests.is_empty() {
@@ -279,7 +279,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
     ) {
-        self.absorb_requests(iter, 0, scratch, io);
+        self.absorb_requests(iter, scratch, io);
         io.flush();
         while let Source::Sem(sem) = io {
             if sem.outstanding() == 0 {
@@ -289,11 +289,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             let mut run = 0;
             for e in landed {
                 for i in e.parts() {
-                    debug_assert_eq!(
-                        e.head(i).vpart,
-                        0,
-                        "barrier-phase deliveries stay in pass 0"
-                    );
                     self.complete(iter, &e, i, scratch, io);
                     run += 1;
                 }

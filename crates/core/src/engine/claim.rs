@@ -4,7 +4,7 @@
 //!
 //! Invariant owned here: an active list is written by its owner before
 //! the phase barrier and only read after it, and a cursor only moves
-//! forward, so every active vertex of a pass is claimed exactly once
+//! forward, so every active vertex is claimed exactly once
 //! and exhaustion is permanent within an iteration. Priced, with
 //! `pool.rs`, by the ledger's `engine.noop_ns_per_vertex`.
 
@@ -47,53 +47,49 @@ impl Frontiers {
     }
 }
 
-/// Per-partition active lists plus per-pass steal cursors.
+/// Per-partition active lists plus one steal cursor each.
 ///
 /// Lists are written by their owner during the build phase and read
 /// by every worker during the compute phase; the two phases are
 /// separated by a barrier (same discipline as `SharedStates`).
 pub(super) struct ActiveSet {
     lists: Vec<UnsafeCell<Vec<VertexId>>>,
-    cursors: Vec<Vec<AtomicUsize>>,
+    cursors: Vec<AtomicUsize>,
 }
 
 // SAFETY: see the struct docs — phase discipline plus barriers.
 unsafe impl Sync for ActiveSet {}
 
 impl ActiveSet {
-    pub(super) fn new(parts: usize, vparts: usize) -> Self {
+    pub(super) fn new(parts: usize) -> Self {
         ActiveSet {
             lists: (0..parts).map(|_| UnsafeCell::new(Vec::new())).collect(),
-            cursors: (0..parts)
-                .map(|_| (0..vparts).map(|_| AtomicUsize::new(0)).collect())
-                .collect(),
+            cursors: (0..parts).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Owner installs its list and rewinds its cursors (build phase).
+    /// Owner installs its list and rewinds its cursor (build phase).
     pub(super) fn install(&self, part: usize, list: Vec<VertexId>) {
         // SAFETY: only the owner writes, before the phase barrier.
         unsafe {
             *self.lists[part].get() = list;
         }
-        for c in &self.cursors[part] {
-            // ordering: the phase barrier publishes the reset.
-            c.store(0, Ordering::Relaxed);
-        }
+        // ordering: the phase barrier publishes the reset.
+        self.cursors[part].store(0, Ordering::Relaxed);
     }
 
-    /// Claims the next vertex of `part` in pass `vp`, if any.
-    pub(super) fn claim(&self, part: usize, vp: usize) -> Option<VertexId> {
+    /// Claims the next vertex of `part`, if any.
+    pub(super) fn claim(&self, part: usize) -> Option<VertexId> {
         // SAFETY: compute phase — lists are read-only.
         let list = unsafe { &*self.lists[part].get() };
         // ordering: racy fast-path check; the RMW below is authoritative.
-        if self.cursors[part][vp].load(Ordering::Relaxed) >= list.len() {
+        if self.cursors[part].load(Ordering::Relaxed) >= list.len() {
             return None;
         }
         // ordering: a claim needs only RMW atomicity — the list being
         // claimed from was published by the phase barrier, not by the
         // cursor.
-        let c = self.cursors[part][vp].fetch_add(1, Ordering::Relaxed);
+        let c = self.cursors[part].fetch_add(1, Ordering::Relaxed);
         list.get(c).copied()
     }
 }
@@ -142,9 +138,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// The next vertex of pass `vp`: from this worker's own partition
-    /// while it lasts, then stolen from the others in turn (§3.8.1).
-    pub(super) fn claim(&self, vp: usize, nparts: usize) -> Option<VertexId> {
-        (0..nparts).find_map(|k| self.active.claim((self.w + k) % nparts, vp))
+    /// The next vertex: from this worker's own partition while it
+    /// lasts, then stolen from the others in turn (§3.8.1).
+    pub(super) fn claim(&self, nparts: usize) -> Option<VertexId> {
+        (0..nparts).find_map(|k| self.active.claim((self.w + k) % nparts))
     }
 }

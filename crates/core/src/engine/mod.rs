@@ -415,10 +415,8 @@ impl<'g> Engine<'g> {
         let nthreads = self.cfg.threads().max(1);
         let r = self.cfg.partition_shift(hi - lo);
         let pmap = PartitionMap::new_window(lo, hi, nthreads, r);
-        let vparts = self.cfg.vertical_parts.max(1);
         let shared = RunShared {
             n,
-            vparts,
             degrees,
             pmap: pmap.clone(),
             deltas: self.deltas.clone(),
@@ -426,7 +424,7 @@ impl<'g> Engine<'g> {
         };
         let board: Lanes<Batch<P::Msg>> = Lanes::new(nthreads);
         let iteration_end = AtomicBitmap::new(n);
-        let active = ActiveSet::new(nthreads, vparts as usize);
+        let active = ActiveSet::new(nthreads);
         let barrier = Rendezvous::new(nthreads);
         let control = Control::default();
         let counters = Counters::default();

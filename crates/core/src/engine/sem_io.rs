@@ -70,10 +70,6 @@ use crate::vertex::PageVertex;
 pub(super) struct Header {
     pub(super) requester: VertexId,
     subject: VertexId,
-    /// Vertical pass the request was issued from. Deliveries carry it
-    /// so a stealing worker runs the callback under the same pass
-    /// context the requester would have used.
-    pub(super) vpart: u32,
     dir: EdgeDir,
     /// First edge position of the fetched slice within the subject's
     /// on-SSD list.
@@ -104,7 +100,7 @@ pub(super) struct Header {
 /// I/O. Everything it needs — the base degree, the ops' slot — the
 /// request carries from the lookup that clamped it, so it reads
 /// neither the index nor the view.
-pub(super) fn fetch_window(req: &EdgeRequest, vp: u32) -> Header {
+pub(super) fn fetch_window(req: &EdgeRequest) -> Header {
     let (start, count, overlay) = match req.ops {
         Some(ops) if req.len > 0 => (0, req.base, Some((ops, req.start, req.len))),
         _ => (req.start, req.len, None),
@@ -112,7 +108,6 @@ pub(super) fn fetch_window(req: &EdgeRequest, vp: u32) -> Header {
     Header {
         requester: req.requester,
         subject: req.subject,
-        vpart: vp,
         dir: req.dir,
         start,
         count,
@@ -678,7 +673,7 @@ mod tests {
                 base: degree,
                 ops: None,
             };
-            let head = fetch_window(&req, 0);
+            let head = fetch_window(&req);
             if head.count > 0 {
                 io.enqueue(head, false);
             }

@@ -134,12 +134,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             self.active.install(self.w, list);
             self.barrier.rendezvous();
 
-            // Phase B, compute: every vertical pass in one
-            // completion-counted sweep with no intra-iteration barrier
-            // — the device queue never drains between passes — and one
-            // synchronization, after quiesce, so every worker's message
-            // flush is on the boards before any worker starts phase
-            // C's drains.
+            // Phase B, compute: one completion-counted sweep with no
+            // intra-iteration barrier, and one synchronization, after
+            // quiesce, so every worker's message flush is on the
+            // boards before any worker starts phase C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
             self.compute_pipelined(iter, &mut scratch, &mut io, &mut round);
@@ -222,8 +220,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         self.counters.engine_requests.add(scratch.engine_requests);
     }
 
-    /// The pipelined compute phase: every vertical pass in one
-    /// completion-counted sweep, with no intra-iteration barrier.
+    /// The pipelined compute phase: one completion-counted sweep, with
+    /// no intra-iteration barrier.
     ///
     /// The loop keeps three activities interleaved: (a) claiming
     /// active vertices — own partition first, then stealing — to keep
@@ -234,12 +232,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// claims are exhausted everywhere the worker announces it on
     /// `claims_done` and keeps harvesting/stealing until the pool's
     /// obligation count reaches zero — the iteration's quiesce point.
-    ///
-    /// Vertical passes of one vertex may run concurrently with
-    /// deliveries from an earlier pass; the per-vertex busy bit
-    /// serializes the callbacks, but cross-pass *order* is not
-    /// global. Programs that keep per-pass results independent (all
-    /// in-tree algorithms) are unaffected.
     fn compute_pipelined(
         &self,
         iter: u32,
@@ -249,15 +241,13 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
-        let mut vp = 0u32;
         let mut claiming = true;
         loop {
             if claiming {
                 // (a) Fill the device pipeline with fresh claims.
                 while io.outstanding() < max_pending {
-                    match self.claim(vp as usize, nparts) {
-                        Some(v) => self.run_claimed(iter, vp, v, scratch, io),
-                        None if vp + 1 < self.shared.vparts => vp += 1,
+                    match self.claim(nparts) {
+                        Some(v) => self.run_claimed(iter, v, scratch, io),
                         None => {
                             claiming = false;
                             // Release the half-filled batch, then
@@ -318,17 +308,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     fn run_claimed(
         &self,
         iter: u32,
-        vp: u32,
         v: VertexId,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
     ) {
         self.counters.vertices.inc();
         self.acquire_busy(v);
-        self.with_ctx(iter, vp, scratch, v, |prog, state, ctx| {
+        self.with_ctx(iter, scratch, v, |prog, state, ctx| {
             prog.run(v, state, ctx);
         });
-        self.absorb_requests(iter, vp, scratch, io);
+        self.absorb_requests(iter, scratch, io);
         self.busy.clear_sync(v);
         self.maybe_flush_messages(scratch);
     }
@@ -359,7 +348,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     pub(super) fn with_ctx<F>(
         &self,
         iter: u32,
-        vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         v: VertexId,
         f: F,
@@ -369,7 +357,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         let mut ctx = VertexContext {
             current: v,
             iteration: iter,
-            vpart: vp,
             shared: self.shared,
             next_frontier: self.frontiers.next(),
             iteration_end: self.iteration_end,
@@ -390,7 +377,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     pub(super) fn absorb_requests(
         &self,
         iter: u32,
-        vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
     ) {
@@ -406,10 +392,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 match io {
                     Source::Mem(g) => {
                         let pv = slice_vertex(g, &req, deltas);
-                        self.run_on_vertex(iter, vp, scratch, req.requester, &pv);
+                        self.run_on_vertex(iter, scratch, req.requester, &pv);
                     }
                     Source::Sem(sem) => {
-                        let head = fetch_window(&req, vp);
+                        let head = fetch_window(&req);
                         if head.count == 0 {
                             // A fetch of nothing: no I/O, empty spans,
                             // the overlay window — if any — still
@@ -452,19 +438,18 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         scratch: &mut WorkerScratch<P::Msg>,
     ) {
         let pv = decode(head, edges, attrs, self.shared.deltas.as_deref());
-        self.run_on_vertex(iter, head.vpart, scratch, head.requester, &pv);
+        self.run_on_vertex(iter, scratch, head.requester, &pv);
     }
 
     fn run_on_vertex(
         &self,
         iter: u32,
-        vp: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         requester: VertexId,
         pv: &PageVertex<'_>,
     ) {
         self.counters.edges_delivered.add(pv.degree() as u64);
-        self.with_ctx(iter, vp, scratch, requester, |prog, state, ctx| {
+        self.with_ctx(iter, scratch, requester, |prog, state, ctx| {
             prog.run_on_vertex(requester, state, pv, ctx);
         });
     }
@@ -484,9 +469,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         io: &mut Source<'_>,
     ) {
         let (head, edges, attrs) = e.delivery(i);
-        let vp = head.vpart;
         self.deliver(iter, head, edges, attrs, scratch);
-        self.absorb_requests(iter, vp, scratch, io);
+        self.absorb_requests(iter, scratch, io);
     }
 }
 

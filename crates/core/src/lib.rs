@@ -27,9 +27,9 @@
 //!   vertex-id order (matching edge-list order on SSDs), alternating
 //!   scan direction between iterations; custom orders are pluggable
 //!   ([`SchedulerKind`]), e.g. degree-descending for scan statistics.
-//! * **2-D partitioning and load balancing** (§3.8): range-based
-//!   horizontal partitions (`(vid >> r) % n`), optional vertical
-//!   passes for hub vertices, and cursor-based work stealing.
+//! * **Partitioning and load balancing** (§3.8): range-based
+//!   horizontal partitions (`(vid >> r) % n`) and cursor-based work
+//!   stealing.
 //! * **Two execution modes**: semi-external memory over
 //!   [`fg_safs::Safs`] and a drop-in in-memory mode over
 //!   [`fg_graph::Graph`] — the paper's FG-mem baseline.

@@ -15,10 +15,10 @@
 //! | *part of* a vertex (partial edge list) | [`Request::range`](crate::Request::range) — edge positions `[start, start + len)`, one callback per range; a program bounds a callback's working set by asking for a long list in ranges |
 //! | edge attributes (separate sections, §3.5.2) | [`Request::with_attrs`](crate::Request::with_attrs) / [`PageVertex::weighted_edges`] |
 //! | `send_msg(v, msg)` / multicast (§3.4.1) | [`VertexContext::send`] / [`VertexContext::multicast`] |
-//! | vertex activation | [`VertexContext::activate`] / [`VertexContext::activate_many`] |
+//! | vertex activation | [`VertexContext::activate`] |
 //! | end-of-iteration registration | [`VertexContext::notify_iteration_end`] — one bit per vertex: registering again in the same iteration changes nothing; the callbacks of a partition run in ascending id order; a registration made inside [`VertexProgram::run_on_iteration_end`] fires at the next iteration's end |
 //! | *(extension)* compact external-memory layout (§3.5's motivation, pushed further) | `fg_format::ImageFormat::Compressed` — group-varint edge blocks decoded inside [`PageVertex`]; programs are unaffected: same callbacks, same slices, strictly fewer device bytes per iteration |
-//! | *(extension)* pipelined callback scheduling (§3.4's async user tasks, taken to its conclusion) | always on — `run_on_vertex` fires the moment its pages land, possibly on another worker, while later covers are already queued on the device; per-vertex callbacks stay serialized (never concurrent for one vertex), but *order across vertices and vertical passes is not global* — programs must not assume one pass's deliveries finish before the next pass's `run` |
+//! | *(extension)* pipelined callback scheduling (§3.4's async user tasks, taken to its conclusion) | always on — `run_on_vertex` fires the moment its pages land, possibly on another worker, while later covers are already queued on the device; per-vertex callbacks stay serialized (never concurrent for one vertex), but *order across vertices is not global* — programs must not assume one vertex's deliveries arrive before another vertex's `run` |
 //! | *(extension)* sharded execution (scale-out of §3: one engine per image shard) | [`Engine::new`](crate::Engine::new) over a `fg_safs::ShardSet` — programs are unaffected: a vertex's handlers still run exclusively on its owning shard against the shared state vector; sends/multicasts/activations to foreign vertices travel as batched packets over the shard bus and are delivered at the same iteration barrier local ones are, and foreign edge-list requests are served from the owning shard's mount |
 //! | *(extension)* cooperative cancellation (serving-layer QoS) | `Engine::with_cancel` / `GraphService::run_opts` with a `fg_types::CancelToken` — programs are unaffected and need no cancellation hooks |
 //! | *(extension)* mutable graphs (LSM-style delta ingest) | `GraphService::ingest` + `Engine::with_deltas` — an overlaid vertex's [`PageVertex`] keeps its on-SSD (or CSR) list and beside it an overlay, the vertex's op list borrowed from the query's pinned `DeltaView` (found by a bit test and a popcount), merged on the fly; programs are unaffected: same callbacks, same slices, `edges()`/`weighted_edges()`/`contains()` see the merged list and `edges_delivered` counts merged degrees exactly |
@@ -59,8 +59,7 @@ use crate::vertex::PageVertex;
 /// Handler semantics:
 ///
 /// * [`run`](VertexProgram::run) — entry point, called once per
-///   active vertex per iteration (per vertical pass when vertical
-///   partitioning is on). Runs with *no edge data*: a vertex must
+///   active vertex per iteration. Runs with *no edge data*: a vertex must
 ///   explicitly request edge lists, because many algorithms activate
 ///   vertices that end up doing nothing and reading their lists
 ///   eagerly would waste I/O bandwidth.

@@ -67,7 +67,7 @@ pub struct RunStats {
     pub activations: u64,
     /// Per-vertex message deliveries posted.
     pub messages_sent: u64,
-    /// `run` invocations (vertex × vertical-pass executions).
+    /// `run` invocations: one per active vertex per iteration.
     pub vertices_processed: u64,
     /// Logical edge-list/attribute requests issued by programs.
     pub engine_requests: u64,

@@ -915,35 +915,6 @@ fn batches_on_an_in_flight_page_still_merge() {
 }
 
 #[test]
-fn vertical_passes_run_per_part() {
-    struct PassCounter;
-    #[derive(Default, Clone)]
-    struct PcState {
-        runs: u32,
-        parts_seen: u32,
-    }
-    impl VertexProgram for PassCounter {
-        type State = PcState;
-        type Msg = ();
-        fn run(&self, _v: VertexId, state: &mut PcState, ctx: &mut VertexContext<'_, ()>) {
-            let (part, total) = ctx.vertical_part();
-            assert!(part < total);
-            state.runs += 1;
-            state.parts_seen |= 1 << part;
-        }
-    }
-    let g = fixtures::path(20);
-    let cfg = EngineConfig {
-        vertical_parts: 4,
-        ..EngineConfig::small()
-    };
-    for (states, _) in both_modes(&g, &PassCounter, Init::All, cfg) {
-        assert!(states.iter().all(|s| s.runs == 4));
-        assert!(states.iter().all(|s| s.parts_seen == 0b1111));
-    }
-}
-
-#[test]
 fn stats_track_io_and_cache_in_sem_mode() {
     let g = gen::rmat(8, 6, gen::RmatSkew::default(), 9);
     let (_, stats) = run_mode(
@@ -1414,7 +1385,6 @@ fn per_iteration_io_sums_to_run_totals_under_stealing() {
 fn per_iteration_rows_sum_at(g: &Graph, issue_batch: usize) {
     let cfg = EngineConfig {
         num_threads: 4,
-        vertical_parts: 2,
         issue_batch,
         max_pending: 4 * issue_batch,
         ..EngineConfig::small()

@@ -424,3 +424,36 @@ fn iteration_end_callbacks_match_the_one_mount_run_on_two_and_three_shards() {
         }
     }
 }
+
+#[test]
+fn run_fires_once_per_active_vertex_per_iteration() {
+    // `vertices_processed` counts `run` calls; the per-iteration rows
+    // count the vertices active at each iteration's start. Equal sums
+    // mean no active vertex was skipped or run twice, on one worker
+    // and on four (where claims are stolen across partitions).
+    let g = test_graph();
+    let root = traversal_root(&g);
+    let (safs, index) = mount(&g);
+    let (two_set, two_index) = shard_set(&g, 2);
+    let cfg = EngineConfig::small();
+    let engines = [
+        ("mem", Engine::new_mem(&g, cfg)),
+        ("one mount", Engine::new_sem(&safs, index, cfg)),
+        ("2-shard", ShardedEngine::new(&two_set, two_index, cfg)),
+    ];
+    for (what, engine) in &engines {
+        for threads in [1, 4] {
+            let engine = engine.reconfigured(cfg.with_threads(threads));
+            let (_, bfs) = fg_apps::bfs(&engine, root).unwrap();
+            let (_, pr) = fg_apps::pagerank(&engine, 0.85, 0.01, 30).unwrap();
+            for (app, stats) in [("bfs", bfs), ("pagerank", pr)] {
+                let frontiers: u64 = stats.per_iteration.iter().map(|it| it.frontier).sum();
+                assert!(stats.iterations > 1, "{what}, {threads} workers, {app}");
+                assert_eq!(
+                    stats.vertices_processed, frontiers,
+                    "{what}, {threads} workers, {app}"
+                );
+            }
+        }
+    }
+}

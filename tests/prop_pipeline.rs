@@ -282,28 +282,22 @@ proptest! {
         seed in 0u64..1 << 20,
         raw_seeds in prop::collection::vec(0u32..512, 1..12),
         nthreads in 1usize..5,
-        vparts in 1u32..4,
         opts in image_format(),
     ) {
         // The pipelined scheduler relaxes *when* callbacks run (as
-        // pages land, across vertical passes, possibly stolen by
-        // another worker) but must never change *what* a program
-        // observes: against the in-memory engine on the same graph —
-        // the referee the lock-step barrier scheduler used to stand in
-        // for — every worker count and vertical-pass count must
-        // produce bit-identical per-vertex states and deliver
-        // exactly the same edges, on either image format.
+        // pages land, possibly stolen by another worker) but must
+        // never change *what* a program observes: against the
+        // in-memory engine on the same graph — the referee the
+        // lock-step barrier scheduler used to stand in for — every
+        // worker count must produce bit-identical per-vertex states
+        // and deliver exactly the same edges, on either image format.
         let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
         let n = g.num_vertices() as u32;
         let mut seeds: Vec<VertexId> = raw_seeds.iter().map(|&s| VertexId(s % n)).collect();
         seeds.sort_unstable();
         seeds.dedup();
 
-        let cfg = EngineConfig {
-            num_threads: nthreads,
-            vertical_parts: vparts,
-            ..EngineConfig::small()
-        };
+        let cfg = EngineConfig::small().with_threads(nthreads);
 
         let mem = Engine::new_mem(&g, cfg);
         let (want, want_stats) = mem.run(&LevelBfs, Init::Seeds(seeds.clone())).unwrap();
