@@ -89,7 +89,16 @@ fn run_models() -> ExitCode {
         + protocol!(ready_pool)
         + protocol!(rendezvous)
         + protocol!(gate)
-        + protocol!(inflight_waiter);
+        + protocol!(inflight_waiter)
+        + {
+            use models::inflight_waiter::{check_inline, INLINE_MUTATIONS};
+            explore_protocol(
+                "inflight_waiter_inline",
+                &INLINE_MUTATIONS,
+                check_inline,
+                &cfg,
+            )
+        };
     if bad == 0 {
         println!("fg_check --models: all protocols verified, all mutations caught");
         ExitCode::SUCCESS

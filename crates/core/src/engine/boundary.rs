@@ -48,6 +48,7 @@ pub(super) struct Counters {
     pub(super) issued_requests: Counter,
     pub(super) bytes_requested: Counter,
     pub(super) edges_delivered: Counter,
+    pub(super) swept_requests: Counter,
     /// Serialized bytes of cross-shard packets this engine posted.
     pub(super) shard_msg_bytes: Counter,
 }
@@ -66,6 +67,7 @@ pub(super) struct IterSnapshot {
     bytes_requested: u64,
     issued_requests: u64,
     edges_delivered: u64,
+    swept_requests: u64,
 }
 
 impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
@@ -85,6 +87,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             bytes_requested: self.counters.bytes_requested.get(),
             issued_requests: self.counters.issued_requests.get(),
             edges_delivered: self.counters.edges_delivered.get(),
+            swept_requests: self.counters.swept_requests.get(),
         })
     }
 
@@ -114,6 +117,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             bytes_requested: now.bytes_requested.saturating_sub(before.bytes_requested),
             issued_requests: now.issued_requests.saturating_sub(before.issued_requests),
             edges_delivered: now.edges_delivered.saturating_sub(before.edges_delivered),
+            swept_requests: now.swept_requests.saturating_sub(before.swept_requests),
             io_busy_ns,
         });
         *boundary = Some(now);

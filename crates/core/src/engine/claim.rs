@@ -1,12 +1,18 @@
 //! The claim layer (§3.7, §3.8.1): the build step collects and orders
-//! a partition's active vertices, the compute step claims them one
-//! cursor bump at a time — own partition first, then stolen.
+//! a partition's active vertices, the compute step claims them a *run*
+//! at a time — over a mount up to `2^r` consecutive entries of one
+//! partition's list, `r` the partition function's range shift; in
+//! memory, where nothing sweeps, one — own partition first, then
+//! stolen.
 //!
 //! Invariant owned here: an active list is written by its owner before
 //! the phase barrier and only read after it, and a cursor only moves
-//! forward, so every active vertex is claimed exactly once
-//! and exhaustion is permanent within an iteration. Priced, with
-//! `pool.rs`, by the ledger's `engine.noop_ns_per_vertex`.
+//! forward, by the run length, so every active vertex is claimed
+//! exactly once, in a run whose bounds are fixed offsets of its list
+//! whoever claims it, and exhaustion is permanent within an iteration.
+//! A run is what a worker may sweep (`worker.rs`), so where runs cut
+//! does not depend on the schedule. Priced, with `pool.rs`, by the
+//! ledger's `engine.noop_ns_per_vertex`.
 
 use fg_types::sync::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
@@ -78,8 +84,9 @@ impl ActiveSet {
         self.cursors[part].store(0, Ordering::Relaxed);
     }
 
-    /// Claims the next vertex of `part`, if any.
-    pub(super) fn claim(&self, part: usize) -> Option<VertexId> {
+    /// Claims the next run of up to `len` entries of `part`'s list, if
+    /// any: entries `[k·len, (k+1)·len)` for the next `k`.
+    pub(super) fn claim(&self, part: usize, len: usize) -> Option<&[VertexId]> {
         // SAFETY: compute phase — lists are read-only.
         let list = unsafe { &*self.lists[part].get() };
         // ordering: racy fast-path check; the RMW below is authoritative.
@@ -89,21 +96,27 @@ impl ActiveSet {
         // ordering: a claim needs only RMW atomicity — the list being
         // claimed from was published by the phase barrier, not by the
         // cursor.
-        let c = self.cursors[part].fetch_add(1, Ordering::Relaxed);
-        list.get(c).copied()
+        let c = self.cursors[part].fetch_add(len, Ordering::Relaxed);
+        list.get(c..c + len.min(list.len().saturating_sub(c)))
+            .filter(|run| !run.is_empty())
     }
 }
 
-impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
+impl<'r, P: VertexProgram> WorkerEnv<'r, '_, P> {
     /// Collects the active vertices of this partition in id order.
     pub(super) fn collect_active(&self) -> Vec<VertexId> {
         self.partition_ones(self.frontiers.cur())
     }
 
-    /// The set bits of `map` in this worker's partition, ascending.
+    /// The set bits of `map` in this worker's partition, ascending, in
+    /// a list allocated once at its length: counting first costs a
+    /// walk of the set bits, growing by doubling a dozen allocations
+    /// of an all-active partition.
     pub(super) fn partition_ones(&self, map: &AtomicBitmap) -> Vec<VertexId> {
-        let mut list = Vec::new();
-        for range in self.shared.pmap.ranges_of(self.w) {
+        let ranges = || self.shared.pmap.ranges_of(self.w);
+        let len = ranges().map(|r| map.iter_ones_in_range(r).count()).sum();
+        let mut list = Vec::with_capacity(len);
+        for range in ranges() {
             list.extend(map.iter_ones_in_range(range));
         }
         list
@@ -138,9 +151,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// The next vertex: from this worker's own partition while it
-    /// lasts, then stolen from the others in turn (§3.8.1).
-    pub(super) fn claim(&self, nparts: usize) -> Option<VertexId> {
-        (0..nparts).find_map(|k| self.active.claim((self.w + k) % nparts))
+    /// The next run of up to `len` active vertices: from this worker's
+    /// own partition while it lasts, then stolen from the others in
+    /// turn (§3.8.1).
+    pub(super) fn claim(&self, nparts: usize, len: usize) -> Option<&'r [VertexId]> {
+        (0..nparts).find_map(|k| self.active.claim((self.w + k) % nparts, len))
     }
 }

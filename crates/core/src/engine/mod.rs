@@ -501,6 +501,7 @@ impl<'g> Engine<'g> {
             issued_requests: counters.issued_requests.get(),
             bytes_requested: counters.bytes_requested.get(),
             edges_delivered: counters.edges_delivered.get(),
+            swept_requests: counters.swept_requests.get(),
             queue_wait_ns: 0,
             shard_msg_bytes: counters.shard_msg_bytes.get(),
             io,

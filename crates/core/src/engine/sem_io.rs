@@ -31,6 +31,22 @@
 //! Priced by the ledger's `engine.fetch_ns_per_req` and `merge.*`
 //! rows; `tests/alloc_request_path.rs` holds the allocation floor.
 //!
+//! Beside that selective path sits the sweep, for a claimed run whose
+//! requests are dense on the image. [`SemIo::set_aside`] keeps a run's
+//! sweepable requests — owned, non-empty, without attributes — in the
+//! worker's [`Sweep`] instead of the issue queue; once the run is
+//! through, [`Sweep::settle`] applies the rule per direction: the
+//! requests are dense when their bytes are at least half of the span
+//! from their lowest to their highest image byte ([`DENSE_SHARE`]).
+//! A sparse direction's requests go to the issue queue as if they had
+//! been absorbed one by one ([`SemIo::select`]); a dense direction's are
+//! cut into pieces by the merge rule under the merge cap — so only
+//! pages holding requested bytes are read — and each piece is read by
+//! [`SemIo::sweep_read`], the session's inline read, on the claiming
+//! worker. A swept request is never in `outstanding`, never in a batch
+//! and never in the pool: the claiming worker delivers it, once, from
+//! its piece. With `merge_in_engine` off nothing is set aside.
+//!
 //! What a request costs here it costs per batch. A delivery's bytes
 //! are a window borrowed from its entry's span of the cover
 //! (`SpanWindow::slice` touches no reference count), and its header
@@ -59,8 +75,16 @@ use super::boundary::Counters;
 use super::pool::Run;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
-use crate::merge::{covers, sort_requests, RangeReq, MAX_MERGE_BYTES};
+use crate::merge::{covers, sort_requests, Cover, RangeReq, MAX_MERGE_BYTES};
 use crate::vertex::PageVertex;
+
+/// The least share of a run's span, per direction, its sweepable
+/// requests must ask for to be swept: at one half, a sweep reads at
+/// most twice the bytes asked for (fewer, since it reads only pages
+/// holding requested bytes), and a run below it is scattered enough
+/// that the selective path's merging has little to join. A constant,
+/// like the merge cap.
+const DENSE_SHARE: (u64, u64) = (1, 2);
 
 /// The header of one delivery: who asked, for which slice of whose
 /// list, and how the fetched bytes decode. Written once, where a
@@ -293,6 +317,93 @@ impl Slab {
     }
 }
 
+/// The sweepable requests of the run a worker is claiming, located,
+/// and what the density rule needs of each direction. It lives on the
+/// worker and is emptied, not dropped, after every run, so a run
+/// allocates nothing here once the first has sized it.
+pub(super) struct Sweep {
+    /// Located headers, in the order their requests were made.
+    heads: Vec<Header>,
+    /// One byte range per header, `meta` indexing `heads`.
+    reqs: Vec<RangeReq>,
+    /// Per direction (out, in): the lowest offset, the highest end and
+    /// the bytes asked for.
+    spans: [(u64, u64, u64); 2],
+    /// Per direction: whether its requests sweep, once settled.
+    dense: [bool; 2],
+}
+
+/// A direction's span before its first request: the lowest offset at
+/// its largest.
+const EMPTY_SPAN: (u64, u64, u64) = (u64::MAX, 0, 0);
+
+/// A direction's slot in [`Sweep`]'s per-direction arrays.
+fn slot(dir: EdgeDir) -> usize {
+    usize::from(dir != EdgeDir::Out)
+}
+
+impl Sweep {
+    /// Buffers sized for a run of `len` single-list requests, so that
+    /// the runs of a typical program never regrow them.
+    pub(super) fn new(len: usize) -> Self {
+        Sweep {
+            heads: Vec::with_capacity(len),
+            reqs: Vec::with_capacity(len),
+            spans: [EMPTY_SPAN; 2],
+            dense: [false; 2],
+        }
+    }
+
+    /// Decides, per direction, whether the run's requests sweep, puts
+    /// them in offset order when any do, and returns how many are in
+    /// sparse directions — the ones [`SemIo::select`] enqueues.
+    pub(super) fn settle(&mut self) -> usize {
+        let (num, den) = DENSE_SHARE;
+        for (dense, &(lo, hi, asked)) in self.dense.iter_mut().zip(&self.spans) {
+            *dense = asked > 0 && asked * den >= (hi - lo) * num;
+        }
+        let heads = &self.heads;
+        let dense = self.dense;
+        let swept = |r: &RangeReq| dense[slot(heads[r.meta as usize].dir)];
+        let sparse = self.reqs.iter().filter(|r| !swept(r)).count();
+        if sparse == self.reqs.len() {
+            return sparse;
+        }
+        sort_requests(&mut self.reqs);
+        sparse
+    }
+
+    /// The pieces a sweep reads: the dense requests [`SemIo::select`]
+    /// left, cut by the merge rule under the merge cap, so every page a
+    /// piece covers holds requested bytes.
+    pub(super) fn pieces(&self, page_bytes: u64) -> impl Iterator<Item = Cover> + '_ {
+        covers(&self.reqs, page_bytes, true, MAX_MERGE_BYTES)
+    }
+
+    /// Request `i` of a piece that starts at `offset` and was read into
+    /// `span`: its header, and its bytes as a window over the piece.
+    pub(super) fn part<'s>(
+        &'s self,
+        i: u32,
+        offset: u64,
+        span: &'s PageSpan,
+    ) -> (&'s Header, SpanWindow<'s>) {
+        let r = &self.reqs[i as usize];
+        let at = (r.offset - offset) as usize;
+        (
+            &self.heads[r.meta as usize],
+            span.window().slice(at, r.bytes as usize),
+        )
+    }
+
+    /// Empties the buffers for the next run, keeping their capacity.
+    pub(super) fn clear(&mut self) {
+        self.heads.clear();
+        self.reqs.clear();
+        self.spans = [EMPTY_SPAN; 2];
+    }
+}
+
 /// How long a harvest may wait for its session's first completion.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Wait {
@@ -343,10 +454,12 @@ pub(super) struct SemIo<'s> {
     /// The session's completions on their way through `harvest`, kept
     /// for its capacity.
     landed: Vec<Completion>,
-    /// Bytes and device-bound requests (covers, foreign reads) since
-    /// the last fold into `counters` (see [`SemIo::flush`]).
+    /// Bytes and device-bound requests (covers, foreign reads, swept
+    /// pieces), and requests swept, since the last fold into `counters`
+    /// (see [`SemIo::flush`]).
     bytes_requested: u64,
     issued_requests: u64,
+    swept_requests: u64,
     outstanding: usize,
     /// How many of `outstanding` are still buffered in the issue
     /// queue rather than submitted. Counted in logical requests, not
@@ -385,6 +498,7 @@ impl<'s> SemIo<'s> {
             landed: Vec::new(),
             bytes_requested: 0,
             issued_requests: 0,
+            swept_requests: 0,
             outstanding: 0,
             buffered: 0,
         }
@@ -437,36 +551,121 @@ impl<'s> SemIo<'s> {
         (head, edges, attrs)
     }
 
-    /// Resolves a non-empty fetch of an owned subject into issue-queue
-    /// ranges.
-    pub(super) fn enqueue(&mut self, mut head: Header, attrs: bool) {
+    /// Locates a non-empty fetch of an owned subject: its header with
+    /// the decode filled in, and where its bytes sit on the image.
+    fn locate(&self, mut head: Header) -> (Header, ListSlice) {
         let local = VertexId(head.subject.0 - self.owned.start);
-        let ListSlice { loc, decode } = self
+        let slice = self
             .own
             .locate_slice(local, head.dir, head.start, head.count);
         debug_assert_eq!(
-            loc.degree, head.count,
+            slice.loc.degree, head.count,
             "ranges are clamped at request time against the same index"
         );
-        head.decode = decode;
+        head.decode = slice.decode;
+        (head, slice)
+    }
+
+    /// Moves the requests `reqs` holds that a sweep may deliver —
+    /// owned, non-empty, without attributes — into `sweep`, located,
+    /// and leaves the rest for `absorb_requests`. Sets nothing aside
+    /// with engine-side merging off.
+    pub(super) fn set_aside(&self, reqs: &mut Vec<EdgeRequest>, sweep: &mut Sweep) {
+        if !self.cfg.merge_in_engine {
+            return;
+        }
+        reqs.retain(|req| {
+            let head = fetch_window(req);
+            if req.attrs || head.count == 0 || !self.owns(req.subject) {
+                return true;
+            }
+            let (head, ListSlice { loc, .. }) = self.locate(head);
+            let span = &mut sweep.spans[slot(head.dir)];
+            span.0 = span.0.min(loc.offset);
+            span.1 = span.1.max(loc.offset + loc.bytes);
+            span.2 += loc.bytes;
+            sweep.reqs.push(RangeReq {
+                offset: loc.offset,
+                bytes: loc.bytes,
+                meta: sweep.heads.len() as u32,
+            });
+            sweep.heads.push(head);
+            false
+        });
+    }
+
+    /// Enqueues the requests of `sweep`'s sparse directions and leaves
+    /// it the dense ones; a queue this fills past the issue-batch size
+    /// goes out as one batch, so a run's scattered requests sort and
+    /// merge together, and the batches in use stay as few as when
+    /// requests came one vertex at a time. The caller has accepted
+    /// their obligations.
+    pub(super) fn select(&mut self, sweep: &mut Sweep) {
+        let Sweep {
+            heads, reqs, dense, ..
+        } = sweep;
+        reqs.retain(|r| {
+            let head = heads[r.meta as usize];
+            if dense[slot(head.dir)] {
+                return true;
+            }
+            self.push_request(head, r.offset, r.bytes);
+            false
+        });
+        self.flush_if_full();
+    }
+
+    /// Reads one piece of a sweep on this worker, through the session's
+    /// inline read, and books it: one issued request, the bytes of the
+    /// requests it serves, and those requests as swept.
+    pub(super) fn sweep_read(&mut self, sweep: &Sweep, piece: &Cover) -> PageSpan {
+        let parts = &sweep.reqs[piece.parts.start as usize..piece.parts.end as usize];
+        self.bytes_requested += parts.iter().map(|r| r.bytes).sum::<u64>();
+        self.issued_requests += 1;
+        self.swept_requests += parts.len() as u64;
+        self.session
+            .read_inline(piece.offset, piece.bytes)
+            .expect("edge-list request within image bounds")
+    }
+
+    /// The page size of this worker's mount.
+    pub(super) fn page_bytes(&self) -> u64 {
+        self.page_bytes
+    }
+
+    /// Pushes a located request without attributes into the issue
+    /// queue.
+    fn push_request(&mut self, head: Header, offset: u64, bytes: u64) {
         self.outstanding += 1;
         self.buffered += 1;
-        let pair = attrs.then(|| {
-            debug_assert_eq!(
-                decode,
-                SliceDecode::Raw,
-                "attribute-bearing blocks are always raw (weighted images force it)"
-            );
-            let aloc = self
-                .own
-                .locate_attrs_range(local, head.dir, head.start, head.count)
-                .expect("attrs requested but image has no attribute section");
-            let pair = self.slab.insert(Slot::Join(None));
-            let kind = PartKind::Attrs { pair };
-            self.push_part(aloc.offset, aloc.bytes, PartMeta { head, kind });
-            pair
-        });
-        let kind = PartKind::Edges { pair };
+        let kind = PartKind::Edges { pair: None };
+        self.push_part(offset, bytes, PartMeta { head, kind });
+    }
+
+    /// Resolves a non-empty fetch of an owned subject into issue-queue
+    /// ranges.
+    pub(super) fn enqueue(&mut self, head: Header, attrs: bool) {
+        let (head, ListSlice { loc, decode }) = self.locate(head);
+        if !attrs {
+            self.push_request(head, loc.offset, loc.bytes);
+            return;
+        }
+        debug_assert_eq!(
+            decode,
+            SliceDecode::Raw,
+            "attribute-bearing blocks are always raw (weighted images force it)"
+        );
+        let local = VertexId(head.subject.0 - self.owned.start);
+        let aloc = self
+            .own
+            .locate_attrs_range(local, head.dir, head.start, head.count)
+            .expect("attrs requested but image has no attribute section");
+        self.outstanding += 1;
+        self.buffered += 1;
+        let pair = self.slab.insert(Slot::Join(None));
+        let kind = PartKind::Attrs { pair };
+        self.push_part(aloc.offset, aloc.bytes, PartMeta { head, kind });
+        let kind = PartKind::Edges { pair: Some(pair) };
         self.push_part(loc.offset, loc.bytes, PartMeta { head, kind });
     }
 
@@ -553,6 +752,8 @@ impl<'s> SemIo<'s> {
             self.counters.bytes_requested.add(bytes);
             let issued = std::mem::take(&mut self.issued_requests);
             self.counters.issued_requests.add(issued);
+            let swept = std::mem::take(&mut self.swept_requests);
+            self.counters.swept_requests.add(swept);
         }
     }
 

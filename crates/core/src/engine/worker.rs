@@ -1,14 +1,32 @@
 //! The worker: one thread's iteration loop — build, pipelined compute
 //! (`compute_pipelined`), boundary (`boundary.rs`) — and the road's
-//! last stretch: claimed vertex → `run` → absorbed requests →
-//! delivery → `run_on_vertex` → absorbed follow-ons → release.
+//! last stretch: claimed run → `run` for each of its vertices →
+//! absorbed requests → delivery → `run_on_vertex` → absorbed
+//! follow-ons → release.
+//!
+//! Two roads leave a claimed run (a partition range's worth of the
+//! active list over a mount, one vertex in memory). Over a mount, `run`
+//! for each vertex
+//! leaves its sweepable requests aside (`SemIo::set_aside`: owned,
+//! non-empty, no attributes) and the rest are absorbed at once; once
+//! the run is through, a direction whose set-aside requests ask for at
+//! least half of their span's bytes is *swept* (`sweep`): its pieces
+//! are read on this worker through the session's inline read and each
+//! request delivered in place, under its requester's busy bit, with
+//! its follow-ons absorbed. A sparse direction's requests, and every
+//! follow-on, take the selective road: issue queue, cover, I/O thread,
+//! pool. In memory every request is delivered inline, one vertex at a
+//! time.
 //!
 //! Invariants owned here: a vertex's callbacks never run on two
 //! workers at once — any worker may run a vertex's delivery, but only
 //! under its bit of the busy bitmap, so `SharedStates`' exclusivity
-//! contract survives stealing — and an accepted request is released
+//! contract survives stealing — an accepted request is released
 //! only after its delivery *and* the absorption of the follow-ons
-//! that delivery queued (`complete`).
+//! that delivery queued (`complete`), and a swept request is delivered
+//! exactly once, by the worker that claimed its run, before that
+//! worker claims again (so before it can announce its claims done,
+//! which is what holds quiesce off for it).
 //!
 //! Both ends of that obligation are paid per batch. `absorb_requests`
 //! opens the obligations of everything it enqueued with one
@@ -35,7 +53,7 @@ use fg_types::{AtomicBitmap, VertexId};
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
 use super::pool::{ReadyPool, Round};
-use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Wait};
+use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Sweep, Wait};
 use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
 use crate::messages::{Batch, Lanes};
@@ -96,9 +114,12 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             .unwrap_or(0);
         let mut scratch: WorkerScratch<P::Msg> =
             WorkerScratch::new(self.shared.pmap.num_partitions(), shards);
+        // A run's sweepable requests, over a mount; nothing in memory.
+        let mut sweep = Sweep::new(0);
         let mut io = match &self.engine.backend {
             Backend::Mem(g) => Source::Mem(g),
             Backend::Sem { mounts, index } => {
+                sweep = Sweep::new(self.shared.pmap.range_len());
                 let scope = self.cache_scope.clone();
                 let cfg = &self.engine.cfg;
                 Source::Sem(SemIo::new(
@@ -140,7 +161,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // boards before any worker starts phase C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
-            self.compute_pipelined(iter, &mut scratch, &mut io, &mut round);
+            self.compute_pipelined(iter, &mut scratch, &mut io, &mut round, &mut sweep);
             self.flush_boards(&mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
@@ -223,9 +244,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// The pipelined compute phase: one completion-counted sweep, with
     /// no intra-iteration barrier.
     ///
-    /// The loop keeps three activities interleaved: (a) claiming
-    /// active vertices — own partition first, then stealing — to keep
-    /// up to `max_pending` logical requests on the device, (b)
+    /// The loop keeps three activities interleaved: (a) claiming runs
+    /// of active vertices — own partition first, then stealing — to
+    /// keep up to `max_pending` logical requests on the device, (b)
     /// harvesting this worker's completions into the shared ready
     /// pool, and (c) executing ready deliveries, its own or stolen
     /// from workers whose device queue is ahead of their CPU. Once
@@ -238,16 +259,23 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
         round: &mut Round<Entry>,
+        sweep: &mut Sweep,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
+        // A run is what may sweep: a partition range's worth over a
+        // mount, one vertex in memory, where every delivery is inline.
+        let run_len = match io {
+            Source::Mem(_) => 1,
+            Source::Sem(_) => self.shared.pmap.range_len(),
+        };
         let mut claiming = true;
         loop {
             if claiming {
                 // (a) Fill the device pipeline with fresh claims.
                 while io.outstanding() < max_pending {
-                    match self.claim(nparts) {
-                        Some(v) => self.run_claimed(iter, v, scratch, io),
+                    match self.claim(nparts, run_len) {
+                        Some(run) => self.run_claimed(iter, run, scratch, io, sweep),
                         None => {
                             claiming = false;
                             // Release the half-filled batch, then
@@ -303,23 +331,69 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// Runs a freshly claimed vertex's `run` callback under its busy
-    /// bit and absorbs the requests it queued.
+    /// Runs each vertex of a freshly claimed run's `run` callback under
+    /// its busy bit and absorbs the requests it queued — all but the
+    /// sweepable ones, which wait for the end of the run and [`sweep`].
+    ///
+    /// [`sweep`]: WorkerEnv::sweep
     fn run_claimed(
         &self,
         iter: u32,
-        v: VertexId,
+        run: &[VertexId],
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
+        sweep: &mut Sweep,
     ) {
-        self.counters.vertices.inc();
-        self.acquire_busy(v);
-        self.with_ctx(iter, scratch, v, |prog, state, ctx| {
-            prog.run(v, state, ctx);
-        });
-        self.absorb_requests(iter, scratch, io);
-        self.busy.clear_sync(v);
-        self.maybe_flush_messages(scratch);
+        for &v in run {
+            self.counters.vertices.inc();
+            self.acquire_busy(v);
+            self.with_ctx(iter, scratch, v, |prog, state, ctx| {
+                prog.run(v, state, ctx);
+            });
+            if let Source::Sem(sem) = io {
+                sem.set_aside(&mut scratch.requests, sweep);
+            }
+            self.absorb_requests(iter, scratch, io);
+            self.busy.clear_sync(v);
+            self.maybe_flush_messages(scratch);
+        }
+        self.sweep(iter, scratch, io, sweep);
+    }
+
+    /// Ends a claimed run: its set-aside requests in sparse directions
+    /// go to the issue queue; those in dense directions are read here,
+    /// piece by piece, through the session's inline read, and each is
+    /// delivered in place under its requester's busy bit, its follow-ons
+    /// absorbed as any delivery's are. No obligation is opened for a
+    /// swept request: it is done before this worker claims again.
+    fn sweep(
+        &self,
+        iter: u32,
+        scratch: &mut WorkerScratch<P::Msg>,
+        io: &mut Source<'_>,
+        sweep: &mut Sweep,
+    ) {
+        let Source::Sem(sem) = io else { return };
+        let sparse = sweep.settle();
+        if sparse > 0 {
+            // Before the flushes that could let one complete.
+            self.ready.accept(sparse as u64);
+            sem.select(sweep);
+        }
+        let page_bytes = sem.page_bytes();
+        for piece in sweep.pieces(page_bytes) {
+            let Source::Sem(sem) = io else { unreachable!() };
+            let span = sem.sweep_read(sweep, &piece);
+            for i in piece.parts {
+                let (head, edges) = sweep.part(i, piece.offset, &span);
+                self.acquire_busy(head.requester);
+                self.deliver(iter, head, edges, None, scratch);
+                self.absorb_requests(iter, scratch, io);
+                self.busy.clear_sync(head.requester);
+                self.maybe_flush_messages(scratch);
+            }
+        }
+        sweep.clear();
     }
 
     /// Publishes this worker's landed completions to the ready pool.

@@ -55,7 +55,7 @@ impl PartitionMap {
 
     /// Range size in vertices.
     #[inline]
-    fn range_len(&self) -> usize {
+    pub(crate) fn range_len(&self) -> usize {
         1usize << self.shift
     }
 

@@ -31,6 +31,9 @@ pub struct IterStats {
     pub issued_requests: u64,
     /// Edges delivered to `run_on_vertex` callbacks this iteration.
     pub edges_delivered: u64,
+    /// Requests this iteration delivered by a sweep (see
+    /// [`RunStats::swept_requests`]); the rows sum to the run's total.
+    pub swept_requests: u64,
     /// Increase of the busiest drive's virtual busy time.
     pub io_busy_ns: u64,
 }
@@ -47,6 +50,7 @@ impl IterStats {
         self.bytes_requested += other.bytes_requested;
         self.issued_requests += other.issued_requests;
         self.edges_delivered += other.edges_delivered;
+        self.swept_requests += other.swept_requests;
         self.io_busy_ns = self.io_busy_ns.max(other.io_busy_ns);
     }
 }
@@ -81,6 +85,13 @@ pub struct RunStats {
     /// range/sampled execution it shows how much smaller the touched
     /// edge set was.
     pub edges_delivered: u64,
+    /// Logical requests delivered by a *sweep*: read, a claimed run's
+    /// dense requests together, on the worker that claimed the run,
+    /// rather than through the issue queue, the I/O threads and the
+    /// ready pool. Exact: runs cut at fixed offsets of each partition's
+    /// active list and the rule is deterministic. Zero in memory and
+    /// with engine-side merging off.
+    pub swept_requests: u64,
     /// Nanoseconds the query waited in a [`crate::GraphService`]
     /// admission queue before its engine run began. Zero for runs
     /// invoked directly on an [`crate::Engine`].
@@ -136,6 +147,7 @@ impl RunStats {
         self.issued_requests += other.issued_requests;
         self.bytes_requested += other.bytes_requested;
         self.edges_delivered += other.edges_delivered;
+        self.swept_requests += other.swept_requests;
         self.queue_wait_ns = self.queue_wait_ns.max(other.queue_wait_ns);
         self.shard_msg_bytes += other.shard_msg_bytes;
         // Any shard observing the (shared) token makes the whole run
@@ -227,6 +239,7 @@ mod tests {
             issued_requests: 3,
             bytes_requested: 300,
             edges_delivered: 75,
+            swept_requests: 2,
             queue_wait_ns: 0,
             shard_msg_bytes: 0,
             io: None,
@@ -266,6 +279,7 @@ mod tests {
             bytes_requested: 100,
             issued_requests: 1,
             edges_delivered: 25,
+            swept_requests: 1,
             io_busy_ns: 9,
         });
         let mut b = base();
@@ -298,6 +312,7 @@ mod tests {
             bytes_requested: 50,
             issued_requests: 2,
             edges_delivered: 10,
+            swept_requests: 0,
             io_busy_ns: 4,
         });
         a.absorb(&b);
@@ -312,6 +327,7 @@ mod tests {
         assert_eq!(a.issued_requests, 6);
         assert_eq!(a.bytes_requested, 600);
         assert_eq!(a.edges_delivered, 150);
+        assert_eq!(a.swept_requests, 4);
         assert_eq!(a.shard_msg_bytes, 140);
         let io = a.io.unwrap();
         assert_eq!(io.read_requests, 2);
@@ -323,6 +339,7 @@ mod tests {
         assert_eq!(row.wall_ns, 80);
         assert_eq!(row.read_requests, 4);
         assert_eq!(row.edges_delivered, 35);
+        assert_eq!(row.swept_requests, 1);
         assert_eq!(row.io_busy_ns, 9);
     }
 
@@ -338,6 +355,7 @@ mod tests {
             bytes_requested: 0,
             issued_requests: 0,
             edges_delivered: 0,
+            swept_requests: 0,
             io_busy_ns: 0,
         });
         a.absorb(&b);

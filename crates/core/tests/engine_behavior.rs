@@ -881,6 +881,137 @@ fn engine_merging_reduces_issued_requests() {
     );
 }
 
+// ------------------------------------------------------------ sweeps
+
+/// Every vertex with an out-list asks for it, three iterations running,
+/// every vertex active: the access pattern of PageRank's first
+/// iterations.
+struct OwnListRounds;
+
+#[derive(Default, Clone, Debug, PartialEq)]
+struct RoundsState {
+    rounds: u32,
+    sum: u64,
+}
+
+impl VertexProgram for OwnListRounds {
+    type State = RoundsState;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, state: &mut RoundsState, ctx: &mut VertexContext<'_, ()>) {
+        state.rounds += 1;
+        if ctx.degree(v, EdgeDir::Out) > 0 {
+            ctx.request(v, Request::edges(EdgeDir::Out));
+        }
+        if state.rounds < 3 {
+            ctx.activate(v);
+        }
+    }
+
+    fn run_on_vertex(
+        &self,
+        _v: VertexId,
+        state: &mut RoundsState,
+        vertex: &PageVertex<'_>,
+        _ctx: &mut VertexContext<'_, ()>,
+    ) {
+        state.sum += vertex.edges().map(|w| w.0 as u64).sum::<u64>();
+    }
+}
+
+#[test]
+fn an_all_active_run_sweeps_nine_tenths_of_its_requests() {
+    // Every claimed run asks for every non-empty list in its span, so
+    // each run's requests are as dense as requests get: nearly all are
+    // read on the claiming worker and delivered in place. Exact, and
+    // the per-iteration column sums to it.
+    let g = gen::rmat(12, 8, gen::RmatSkew::default(), 21);
+    let cfg = EngineConfig::default().with_threads(1);
+    let [(mem, mem_stats), (sem, stats)] = both_modes(&g, &OwnListRounds, Init::All, cfg);
+    assert_eq!(sem, mem);
+    assert_eq!(mem_stats.swept_requests, 0, "memory delivers inline");
+    assert!(
+        stats.swept_requests * 10 >= stats.engine_requests * 9,
+        "{} of {} requests swept",
+        stats.swept_requests,
+        stats.engine_requests
+    );
+    let rows: u64 = stats.per_iteration.iter().map(|it| it.swept_requests).sum();
+    assert_eq!(rows, stats.swept_requests);
+    // The same run on two workers, where runs are stolen, sweeps the
+    // same requests: where a run cuts is not up to the schedule.
+    let (_, two) = run_mode(&g, &OwnListRounds, Init::All, cfg.with_threads(2), true);
+    let (_, again) = run_mode(&g, &OwnListRounds, Init::All, cfg.with_threads(2), true);
+    assert_eq!(two.swept_requests, again.swept_requests);
+    assert!(two.swept_requests * 10 >= two.engine_requests * 9);
+}
+
+#[test]
+fn tc_neighbour_fetches_never_sweep() {
+    // Triangle counting asks for its own list in `run` and for its
+    // neighbours' from the own list's delivery. In id order the own
+    // lists of a run are dense and sweep; the neighbour fetches are
+    // follow-ons, and a follow-on always takes the selective path.
+    let d = gen::rmat(9, 6, gen::RmatSkew::default(), 31);
+    let mut b = fg_graph::GraphBuilder::undirected();
+    for (s, t) in d.edges() {
+        b.add_edge(s, t);
+    }
+    let g = b.build();
+    let program = fg_apps::tc::TcProgram { notify: false };
+    let cfg = EngineConfig::default()
+        .with_threads(1)
+        .with_scheduler(SchedulerKind::ById);
+    let [(mem, _), (sem, stats)] = both_modes(&g, &program, Init::All, cfg);
+    let triangles = |states: &[fg_apps::tc::TcState]| -> Vec<u64> {
+        states.iter().map(|s| s.triangles).collect()
+    };
+    assert_eq!(triangles(&sem), triangles(&mem));
+    let own = g.vertices().filter(|&v| g.out_degree(v) >= 2).count() as u64;
+    assert!(
+        stats.engine_requests > 2 * own,
+        "neighbour fetches dominate"
+    );
+    assert!(stats.swept_requests > 0, "own lists in id order sweep");
+    assert!(
+        stats.swept_requests <= own,
+        "{} swept, but only {own} requests are not follow-ons",
+        stats.swept_requests
+    );
+}
+
+#[test]
+fn unmerged_runs_sweep_nothing() {
+    // Figure 12's "merge in SAFS" and "sequential" rows turn engine
+    // merging off; a sweep is engine-side merging, so they sweep
+    // nothing and every request goes to SAFS on its own.
+    let g = gen::rmat(10, 8, gen::RmatSkew::default(), 21);
+    let cfg = EngineConfig::default()
+        .with_threads(2)
+        .with_engine_merge(false);
+    let [(mem, _), (sem, stats)] = both_modes(&g, &OwnListRounds, Init::All, cfg);
+    assert_eq!(sem, mem);
+    assert_eq!(stats.swept_requests, 0);
+    assert_eq!(
+        stats.issued_requests, stats.engine_requests,
+        "one submit per request"
+    );
+}
+
+#[test]
+fn a_weighted_request_never_sweeps() {
+    // A request for a list with its attributes is two byte ranges, in
+    // two sections of the image: it is joined by the selective path,
+    // never swept, whatever its neighbours in the run do.
+    let g = gen::with_random_weights(&gen::rmat(10, 6, gen::RmatSkew::default(), 23), 9.0, 5);
+    let cfg = EngineConfig::default().with_threads(1);
+    let [(mem, _), (sem, stats)] = both_modes(&g, &WeightedProbe, Init::All, cfg);
+    assert_eq!(sem, mem);
+    assert_eq!(stats.swept_requests, 0);
+    let weighted: u64 = g.vertices().map(|v| g.out_degree(v) as u64).sum();
+    assert_eq!(stats.bytes_requested, weighted * 8, "edges and attributes");
+}
+
 /// Short lists, hundreds to a page: every batch after a page's first
 /// lies wholly on a page that is already on its way. The batch must
 /// still merge into a cover — whose pages the mount then attaches or

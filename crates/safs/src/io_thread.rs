@@ -6,7 +6,8 @@
 //! pass reads its runs in groups, one read a group: with `safs_merge`
 //! on it sorts them by page and coalesces adjacent or overlapping runs
 //! (the "merge in SAFS" configuration of Figure 12); off, each run is a
-//! group of its own, in arrival order. The read itself — cache
+//! group of its own, in arrival order. The same pass serves a session's
+//! inline read on the session's own thread. The read itself — cache
 //! re-check, device, insertion — is the caller's closure, so every
 //! primitive here is `super::sync::…`: `fg_check` compiles this file
 //! against its doubles and its `inflight_waiter` harness runs the loop
@@ -90,8 +91,10 @@ pub(crate) fn io_thread_loop(
 }
 
 /// One pass: each group of runs is one `read`, whose pages resolve the
-/// claims they cover and answer every run of the group.
-fn serve(
+/// claims they cover and answer every run of the group. An I/O thread
+/// makes it over its mailbox; a session's inline read
+/// (`IoSession::read_inline`) makes it over the runs it just claimed.
+pub(crate) fn serve(
     batch: &[RunRequest],
     inflight: &InflightTable,
     merge: bool,

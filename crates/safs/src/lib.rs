@@ -11,7 +11,10 @@
 //!   "refactors I/Os from applications and sends them to I/O threads
 //!   with message passing" design. Messages carry batches in both
 //!   directions — one per I/O thread per [`IoSession::kick`], one per
-//!   session per served pass — so the hop's cost is amortised.
+//!   session per served pass — so the hop's cost is amortised. A
+//!   caller that has nothing to overlap a read with can skip the hop:
+//!   [`IoSession::read_inline`] claims like a submit and serves its
+//!   own claims on the calling thread, through the I/O threads' pass.
 //! * **A set-associative, lightweight page cache** ([`PageCache`]):
 //!   pages hash to small independent sets, each with its own lock and
 //!   a GClock eviction hand. Locking is per-set so the cache scales

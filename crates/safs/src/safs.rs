@@ -15,7 +15,7 @@ use fg_types::{FgError, Result};
 use crate::cache::{CacheStats, CacheStatsSnapshot, PageCache};
 use crate::config::SafsConfig;
 use crate::inflight::InflightTable;
-use crate::io_thread::{io_thread_loop, IoMsg};
+use crate::io_thread::{io_thread_loop, serve, IoMsg, RunRequest};
 use crate::page::{Page, PageSpan};
 use crate::session::{Host, IoSession};
 
@@ -302,12 +302,19 @@ impl Host for Safs {
         let ssd = (stripe as usize) % array.num_ssds;
         ssd % self.senders.len()
     }
+
+    fn serve(&self, runs: &[RunRequest]) {
+        let m = &self.mount;
+        let mut read = |first, n| read_pages(m, first, n, CacheUse::Recheck);
+        serve(runs, &m.inflight, m.cfg.safs_merge, &mut read);
+    }
 }
 
 /// What a caller of [`read_pages`] does to the page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheUse {
-    /// An I/O thread's re-check behind a session's booked miss:
+    /// An I/O thread's re-check behind a session's booked miss (or a
+    /// session's own, serving its inline read):
     /// lookups are not counted again, fresh pages are inserted.
     /// Sessions claim a page in the mount's in-flight table before they
     /// dispatch it, so two *sessions* never fetch one page at once; the
@@ -574,15 +581,23 @@ mod tests {
     #[test]
     fn partial_hit_reads_only_missing_pages() {
         // Pages 0..=2 with page 1 resident, through a session (runs cut
-        // at submit, read by the I/O threads) and through `read_sync`
-        // (cut and read on the caller's thread): the same two runs.
-        for sync in [false, true] {
+        // at submit, read by the I/O threads), through a session's
+        // inline read (cut at submit, served on the caller's thread)
+        // and through `read_sync` (cut and read on the caller's
+        // thread): the same two runs.
+        for (sync, inline) in [(false, false), (false, true), (true, false)] {
             let safs = patterned_safs(SafsConfig::default(), 1 << 20);
             safs.read_sync(4096, 1).unwrap();
             safs.array().stats().reset();
             let cache = safs.cache_stats();
             let span = if sync {
                 safs.read_sync(0, 3 * 4096).unwrap()
+            } else if inline {
+                let mut s = safs.session();
+                let span = s.read_inline(0, 3 * 4096).unwrap();
+                assert_eq!(s.pending(), 0, "nothing left behind");
+                assert_eq!(safs.mount.inflight.open_claims(), 0);
+                span
             } else {
                 let mut s = safs.session();
                 s.submit(0, 3 * 4096, 7).unwrap();
@@ -924,6 +939,66 @@ mod tests {
             assert_eq!(safs.array().stats().snapshot().read_requests, 1);
             assert_eq!(safs.mount.inflight.open_claims(), 0);
         }
+    }
+
+    #[test]
+    fn an_inline_read_rides_a_claim_it_did_not_make() {
+        // Another session holds the claims on pages 0-1, its run still
+        // buffered. An inline read of pages 1-3 serves pages 2-3 itself
+        // and rides the claim on page 1 (or, once that read has landed,
+        // finds the page resident): the device reads each page once,
+        // and the inline read waits only until the claimer dispatches.
+        let safs = patterned_safs(SafsConfig::default(), 1 << 16);
+        let mut claimer = safs.session();
+        claimer.submit(0, 2 * 4096, 1).unwrap();
+        let span = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut s = safs.session();
+                s.submit(8 * 4096, 4, 5).unwrap();
+                let span = s.read_inline(4096 + 8, 2 * 4096).unwrap();
+                // The submit before it went out and came back; it
+                // waits for the next poll.
+                let mut out = Vec::new();
+                while out.is_empty() {
+                    s.wait(&mut out);
+                }
+                assert_eq!(out[0].tag, 5);
+                span
+            });
+            claimer.kick();
+            let mut out = Vec::new();
+            while out.is_empty() {
+                claimer.wait(&mut out);
+            }
+            assert_eq!(out[0].span.window().page_count(), 2);
+            reader.join().unwrap()
+        });
+        for at in [0, 4096 - 8, 2 * 4096 - 4] {
+            let o = 4096 + 8 + at;
+            assert_eq!(span.window().read_u32_le(at), (o as u32 / 4) % 251);
+        }
+        let snap = safs.array().stats().snapshot();
+        assert_eq!(snap.pages_read, 5, "pages 0-3 and 8, each read once");
+        assert_eq!(snap.dedup_hits + safs.cache_stats().hits, 1, "page 1");
+        assert_eq!(safs.mount.inflight.open_claims(), 0);
+    }
+
+    #[test]
+    fn an_inline_read_of_resident_pages_books_hits_and_reads_nothing() {
+        let safs = patterned_safs(SafsConfig::default(), 1 << 16);
+        safs.read_sync(0, 2 * 4096).unwrap();
+        let io = safs.array().stats().snapshot();
+        let scope = Arc::new(CacheStats::default());
+        {
+            let mut s = safs.session_scoped(Some(Arc::clone(&scope)));
+            let span = s.read_inline(100, 4096).unwrap();
+            assert_eq!(span.window().page_count(), 2);
+            assert_eq!(span.window().read_u32_le(0), 25);
+        }
+        let after = safs.array().stats().snapshot();
+        assert_eq!(after.read_requests, io.read_requests);
+        assert_eq!(after.depth_samples, io.depth_samples, "nothing queued");
+        assert_eq!(scope.snapshot().hits, 2, "folded into the scope");
     }
 
     #[test]

@@ -18,6 +18,21 @@
 //! routing and the device's books are the mount's ([`Host`]), so every
 //! primitive here is `super::sync::…`: `fg_check` compiles this file
 //! against its doubles (the `inflight_waiter` harness).
+//!
+//! [`IoSession::read_inline`] is the same read without the hop: the
+//! range is looked up, claimed and attached exactly as a submitted one
+//! is, but the session serves its own claimed runs on the calling
+//! thread, through the pass an I/O thread makes (`io_thread::serve`:
+//! re-check, device read, insertion, claim resolution and fan-out to
+//! waiters), and then waits only for the pages it attached to.
+//!
+//! Invariant owned here: a session never waits holding an undispatched
+//! claim. `wait` and `wait_timeout` dispatch before they block, and
+//! `read_inline` dispatches what was buffered and serves what it claimed
+//! before it blocks; between a claim and its dispatch a session runs
+//! only its own submit code, which blocks on nothing. So every claim a
+//! waiter rides is on its way through a pass that blocks on no session,
+//! and no cycle of waits can form.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,6 +66,10 @@ pub(crate) trait Host: Sync {
     fn lookup(&self, pageno: u64) -> Option<Arc<Page>>;
     /// The I/O thread (its index) that serves a run from `first_page`.
     fn route(&self, first_page: u64) -> usize;
+    /// Serves `runs`, claimed by a session of this mount, on the
+    /// calling thread: the pass an I/O thread makes over its mailbox,
+    /// under the mount's device read.
+    fn serve(&self, runs: &[RunRequest]);
 }
 
 /// A per-thread handle issuing asynchronous reads (see the module
@@ -78,6 +97,11 @@ pub struct IoSession<'fs> {
     ready: Vec<Completion>,
     /// Runs submitted but not yet sent, one outbox per I/O thread.
     outbox: Vec<Vec<RunRequest>>,
+    /// The runs an inline read claimed, served on this thread before
+    /// it returns; kept for its capacity.
+    inline: Vec<RunRequest>,
+    /// The inline read's bytes, once its last page is in.
+    inline_done: Option<PageSpan>,
     /// Runs and attachments on the device-queue gauge and not yet
     /// harvested.
     queued: u64,
@@ -86,7 +110,8 @@ pub struct IoSession<'fs> {
 }
 
 struct Pending {
-    tag: u64,
+    /// The caller's tag; `None` for the inline read in progress.
+    tag: Option<u64>,
     head: usize,
     len: usize,
     slots: Vec<Option<Arc<Page>>>,
@@ -128,6 +153,8 @@ impl<'fs> IoSession<'fs> {
             in_flight: HashMap::new(),
             ready: Vec::new(),
             outbox: mailboxes.iter().map(|_| Vec::new()).collect(),
+            inline: Vec::new(),
+            inline_done: None,
             queued: 0,
             reply_tx,
             reply_rx,
@@ -144,12 +171,21 @@ impl<'fs> IoSession<'fs> {
     /// Returns [`fg_types::FgError::InvalidRequest`] when the range
     /// exceeds the device.
     pub fn submit(&mut self, offset: u64, len: u64, tag: u64) -> Result<()> {
+        if let Some(span) = self.open(offset, len, Some(tag))? {
+            self.ready.push(Completion { tag, span });
+        }
+        Ok(())
+    }
+
+    /// Opens a logical read of `[offset, offset + len)`: its span when
+    /// every page is resident, and otherwise `None`, the request
+    /// pending under `tag` with each miss attached to another session's
+    /// claim or claimed, and each contiguous run of claimed misses
+    /// buffered — in its I/O thread's outbox, or for the inline read
+    /// (`tag` `None`) in `inline`.
+    fn open(&mut self, offset: u64, len: u64, tag: Option<u64>) -> Result<Option<PageSpan>> {
         if len == 0 {
-            self.ready.push(Completion {
-                tag,
-                span: PageSpan::empty(),
-            });
-            return Ok(());
+            return Ok(Some(PageSpan::empty()));
         }
         let (pb, capacity) = self.mount.geometry();
         let end = check_range(capacity, offset, len)?;
@@ -162,12 +198,9 @@ impl<'fs> IoSession<'fs> {
         let mut pages = std::mem::take(&mut self.looked_up);
         pages.extend((first..=last).map_while(|p| self.lookup(p)));
         if pages.len() == npages {
-            self.ready.push(Completion {
-                tag,
-                span: PageSpan::new(pages.drain(..), head, len as usize),
-            });
+            let span = PageSpan::new(pages.drain(..), head, len as usize);
             self.looked_up = pages;
-            return Ok(());
+            return Ok(Some(span));
         }
         let first_miss = pages.len();
         let mut slots: Vec<Option<Arc<Page>>> = Vec::with_capacity(npages);
@@ -193,15 +226,18 @@ impl<'fs> IoSession<'fs> {
             match (miss && !rides, run_start) {
                 (true, None) => run_start = Some(k),
                 (false, Some(i)) => {
-                    let thread = self.mount.route(first + i as u64);
-                    self.outbox[thread].push(RunRequest {
+                    let run = RunRequest {
                         first_page: first + i as u64,
                         num_pages: (k - i) as u32,
                         req_id,
                         first_slot: i as u32,
                         session: self.id,
                         reply: self.reply_tx.clone(),
-                    });
+                    };
+                    match tag {
+                        Some(_) => self.outbox[self.mount.route(run.first_page)].push(run),
+                        None => self.inline.push(run),
+                    }
                     run_start = None;
                 }
                 _ => {}
@@ -220,7 +256,7 @@ impl<'fs> IoSession<'fs> {
                 missing,
             },
         );
-        Ok(())
+        Ok(None)
     }
 
     /// Tries to ride another session's in-flight read of `pageno`;
@@ -328,10 +364,11 @@ impl<'fs> IoSession<'fs> {
             if p.missing == 0 {
                 let p = self.in_flight.remove(&done.req_id).unwrap();
                 let pages = p.slots.into_iter().map(|s| s.expect("no page missing"));
-                self.ready.push(Completion {
-                    tag: p.tag,
-                    span: PageSpan::new(pages, p.head, p.len),
-                });
+                let span = PageSpan::new(pages, p.head, p.len);
+                match p.tag {
+                    Some(tag) => self.ready.push(Completion { tag, span }),
+                    None => self.inline_done = Some(span),
+                }
             }
         }
     }
@@ -380,6 +417,51 @@ impl<'fs> IoSession<'fs> {
             }
         }
         self.poll(out)
+    }
+
+    /// Reads `[offset, offset + len)` on the calling thread and returns
+    /// its bytes: looked up, claimed and attached as
+    /// [`IoSession::submit`] does, but the runs this session claims are
+    /// served here, by the I/O threads' pass, with no hop to them; the
+    /// only wait is for pages another session's read is fetching.
+    /// Completions of earlier submits that arrive meanwhile are kept
+    /// for the next poll.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`fg_types::FgError::InvalidRequest`] when the range
+    /// exceeds the device.
+    pub fn read_inline(&mut self, offset: u64, len: u64) -> Result<PageSpan> {
+        // Claims buffered by earlier submits go out first: this session
+        // may wait below, and must not hold an undispatched claim then.
+        self.kick();
+        if let Some(span) = self.open(offset, len, None)? {
+            return Ok(span);
+        }
+        let runs = std::mem::take(&mut self.inline);
+        // On the device-queue gauge as a dispatched run is, until its
+        // reply is applied below.
+        for _ in &runs {
+            self.mount.books().queue_enter();
+        }
+        self.queued += runs.len() as u64;
+        self.mount.serve(&runs);
+        self.inline = runs;
+        self.inline.clear();
+        loop {
+            while let Ok(batch) = self.reply_rx.try_recv() {
+                self.apply(batch);
+            }
+            if let Some(span) = self.inline_done.take() {
+                return Ok(span);
+            }
+            // What is left rides other sessions' dispatched reads. The
+            // session holds its own reply sender, so this never
+            // disconnects.
+            if let Ok(batch) = self.reply_rx.recv() {
+                self.apply(batch);
+            }
+        }
     }
 }
 

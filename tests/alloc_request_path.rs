@@ -1,6 +1,7 @@
 //! Tier-1 allocation floor for the semi-external request path: what a
-//! request allocates, it allocates per *cover* — and next to nothing
-//! per request, on a frozen image and with a pinned delta view alike
+//! request allocates, it allocates per *cover* — a cover of the issue
+//! queue, or a piece a sweep reads for a dense run — and next to nothing
+//! per request, on both paths, on a frozen image and with a pinned delta view alike
 //! (an overlaid delivery borrows its ops from the view), on a raw image
 //! and on a compressed one (a packed delivery decodes in place, out of
 //! a window borrowed from its cover).
@@ -140,7 +141,7 @@ fn floor_holds(g: &Graph, opts: &WriteOptions, view: &Arc<DeltaView>, expected_o
     let default = EngineConfig::default();
     let engine = Engine::new_sem(&safs, index, default.with_threads(1));
 
-    let measure = |issue_batch: usize, deltas: Option<&Arc<DeltaView>>| {
+    let measure = |issue_batch: usize, deltas: Option<&Arc<DeltaView>>, init: &Init| {
         // The shipped depth of the pipeline, in batches: a worker makes
         // as many batches as it ever has out together, and a run this
         // short must not be all ramp-up.
@@ -163,26 +164,30 @@ fn floor_holds(g: &Graph, opts: &WriteOptions, view: &Arc<DeltaView>, expected_o
         assert_eq!(sums.iter().sum::<u64>(), expected);
         let (floor, idle) = allocations_of(&engine, Init::Seeds(Vec::new()));
         assert_eq!(idle.engine_requests, 0);
-        let (warm, stats) = allocations_of(&engine, Init::All);
+        let (warm, stats) = allocations_of(&engine, init.clone());
         assert_eq!(stats.io.as_ref().expect("sem mode").bytes_read, 0, "warm");
         println!(
             "{:?} image, issue_batch {issue_batch}, deltas {}: {warm} allocations warm, \
-             {floor} idle, {} covers, {} requests",
+             {floor} idle, {} covers, {} requests, {} swept",
             opts.format,
             deltas.is_some(),
             stats.issued_requests,
-            stats.engine_requests
+            stats.engine_requests,
+            stats.swept_requests
         );
         (warm.saturating_sub(floor), stats)
     };
 
     // Covers of at most 4 parts, and of 64: a cover's parts are a range
     // of its batch, so neither costs more than the cover's page vector
-    // and a share of amortised growth.
+    // and a share of amortised growth. With every vertex active each
+    // claimed run asks for all of its span and is swept, a piece per
+    // run, which costs its page vector alone.
     for issue_batch in [4, 64] {
-        let (allocations, stats) = measure(issue_batch, None);
+        let (allocations, stats) = measure(issue_batch, None, &Init::All);
         let covers = stats.issued_requests;
         assert!(covers > 0 && stats.engine_requests >= covers);
+        assert!(stats.swept_requests > 0);
         assert!(
             allocations <= 3 * covers,
             "{allocations} allocations for {covers} covers at issue_batch {issue_batch} \
@@ -190,10 +195,25 @@ fn floor_holds(g: &Graph, opts: &WriteOptions, view: &Arc<DeltaView>, expected_o
             opts.format
         );
     }
+    // One vertex in eight active: the runs select, and their requests
+    // go out through the issue queue as one batch a run, so even at the
+    // smallest batch size a request costs a twentieth of an allocation.
+    let scattered = Init::Seeds(g.vertices().step_by(8).collect());
+    for issue_batch in [4, 64] {
+        let (allocations, stats) = measure(issue_batch, None, &scattered);
+        assert_eq!(stats.swept_requests, 0);
+        assert!(
+            allocations * 20 <= stats.engine_requests,
+            "{allocations} allocations for {} selected requests at issue_batch \
+             {issue_batch} ({:?} image)",
+            stats.engine_requests,
+            opts.format
+        );
+    }
     // And at the shipped batch size, a twentieth of an allocation a
     // request — overlaid deliveries included.
     for deltas in [None, Some(view)] {
-        let (allocations, stats) = measure(default.issue_batch, deltas);
+        let (allocations, stats) = measure(default.issue_batch, deltas, &Init::All);
         assert!(
             allocations * 20 <= stats.engine_requests,
             "{allocations} allocations for {} requests (deltas: {}, {:?} image)",

@@ -272,6 +272,30 @@ fn inflight_waiter_mutations_caught() {
 }
 
 #[test]
+fn inflight_waiter_inline_cell_verified() {
+    assert_verified(
+        "inflight_waiter_inline",
+        &models::inflight_waiter::check_inline(None, &cfg()),
+    );
+}
+
+#[test]
+fn inflight_waiter_inline_cell_mutations_caught() {
+    use models::inflight_waiter::{check_inline, Mutation, INLINE_MUTATIONS};
+    // The inline pass's reply to its own session lost: the reader waits
+    // forever for a page it served. The second session's blocking
+    // receive without the pass's clock, or a claim without its stripe
+    // lock: a data race.
+    let expected = [
+        (Mutation::LostReply, "deadlock"),
+        (Mutation::UnorderedReply, "data race"),
+        (Mutation::UnlockedClaim, "data race"),
+    ];
+    assert_eq!(expected.map(|(m, _)| m), INLINE_MUTATIONS);
+    assert_caught("inflight_waiter_inline", check_inline, &expected);
+}
+
+#[test]
 fn lint_clean_on_this_workspace() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let violations = lint::lint_workspace(root).expect("walk workspace sources");

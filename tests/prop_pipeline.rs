@@ -12,6 +12,8 @@ use proptest::prelude::*;
 
 mod common;
 use common::{expected_pieces, SplitProbe};
+mod mixed;
+use mixed::{mixed_frontier, ListProbe, ListState};
 
 fn graph_strategy() -> impl Strategy<Value = (Vec<(u32, u32)>, u32)> {
     (
@@ -109,8 +111,81 @@ fn sem_mount(g: &Graph, opts: &WriteOptions) -> (Safs, fg_format::GraphIndex) {
     (safs, index)
 }
 
+/// `ListProbe` over `frontier` in memory and over a mount of `opts`,
+/// at `workers`: the per-vertex deliveries must be the same; returns
+/// the mounted run's swept requests.
+fn mixed_run_matches_memory(
+    g: &Graph,
+    frontier: &[VertexId],
+    opts: &WriteOptions,
+    workers: usize,
+) -> Result<u64, TestCaseError> {
+    let cfg = EngineConfig::small().with_threads(workers);
+    let init = Init::Seeds(frontier.to_vec());
+    let (want, want_stats) = Engine::new_mem(g, cfg)
+        .run(&ListProbe, init.clone())
+        .unwrap();
+    let (safs, index) = sem_mount(g, opts);
+    let (got, stats) = Engine::new_sem(&safs, index, cfg)
+        .run(&ListProbe, init)
+        .unwrap();
+    let sorted = |s: &[ListState]| s.iter().map(ListState::sorted).collect::<Vec<_>>();
+    prop_assert_eq!(sorted(&got), sorted(&want));
+    prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
+    prop_assert_eq!(stats.iterations, 1);
+    Ok(stats.swept_requests)
+}
+
+#[test]
+fn a_frontier_dense_in_half_its_ids_sweeps_that_half_and_selects_the_rest() {
+    // Every vertex has four out- and four in-edges, so a run of the
+    // dense half asks for every byte of its span and sweeps, and a run
+    // of the scattered half asks for one list in eight and selects —
+    // at any worker count, on either format: exactly the dense half's
+    // out- and in-lists are swept.
+    let n = 4096u32;
+    let mut b = GraphBuilder::directed();
+    for v in 0..n {
+        for k in 1..=4 {
+            b.add_edge(VertexId(v), VertexId((v + k) % n));
+        }
+    }
+    let g = b.build();
+    let frontier = mixed_frontier(n, 8);
+    for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+        for workers in 1..=4 {
+            let swept = mixed_run_matches_memory(&g, &frontier, &opts, workers).unwrap();
+            assert_eq!(swept, n as u64, "{workers} workers, {:?}", opts.format);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn runs_that_sweep_and_runs_that_select_match_memory(
+        scale in 5u32..9,
+        factor in 1u32..8,
+        seed in 0u64..1 << 20,
+        stride in 2u32..9,
+        workers in 1usize..5,
+        opts in image_format(),
+    ) {
+        // One iteration over a frontier dense in half its ids and
+        // scattered in the other: some runs sweep and others select,
+        // and the deliveries are the in-memory engine's. A dense run
+        // asks for every list in its span, so the dense half sweeps
+        // whenever it has a list to ask for.
+        let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
+        let n = g.num_vertices() as u32;
+        let frontier = mixed_frontier(n, stride);
+        let swept = mixed_run_matches_memory(&g, &frontier, &opts, workers)?;
+        let listed = (0..n / 2)
+            .map(VertexId)
+            .any(|v| g.out_degree(v) + g.in_degree(v) > 0);
+        prop_assert_eq!(swept > 0, listed);
+    }
 
     #[test]
     fn sem_bfs_matches_oracle((edges, seed) in graph_strategy(), opts in image_format()) {

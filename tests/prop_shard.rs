@@ -16,6 +16,9 @@ use flashgraph::{
 };
 use proptest::prelude::*;
 
+mod mixed;
+use mixed::{mixed_frontier, ListProbe, ListState};
+
 fn graph_strategy() -> impl Strategy<Value = (Vec<(u32, u32)>, u32)> {
     (
         prop::collection::vec((0u32..150, 0u32..150), 1..400),
@@ -247,6 +250,32 @@ proptest! {
     // The cross product below runs formats × shard counts per case,
     // so it gets fewer cases than the suites above.
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn sharded_runs_that_sweep_and_select_match_memory(
+        scale in 5u32..8,
+        factor in 1u32..8,
+        seed in 0u64..1 << 20,
+        stride in 2u32..9,
+    ) {
+        // Each shard claims runs of its own window's partitions, so a
+        // frontier dense in half the ids sweeps there and selects in
+        // the other half, on every shard count and either format.
+        let g = gen::rmat(scale, factor, gen::RmatSkew::default(), seed);
+        let init = Init::Seeds(mixed_frontier(g.num_vertices() as u32, stride));
+        let mem = Engine::new_mem(&g, EngineConfig::small());
+        let (want, want_stats) = mem.run(&ListProbe, init.clone()).unwrap();
+        let sorted = |s: &[ListState]| s.iter().map(ListState::sorted).collect::<Vec<_>>();
+        for opts in [WriteOptions::default(), WriteOptions::compressed()] {
+            for shards in 1..=MAX_SHARDS {
+                let (set, index) = sharded_fixture(&g, shards, &opts);
+                let engine = ShardedEngine::new(&set, index, EngineConfig::small());
+                let (got, stats) = engine.run(&ListProbe, init.clone()).unwrap();
+                prop_assert_eq!(sorted(&got), sorted(&want));
+                prop_assert_eq!(stats.edges_delivered, want_stats.edges_delivered);
+            }
+        }
+    }
 
     #[test]
     fn sharded_equivalence_across_formats_and_modes(
