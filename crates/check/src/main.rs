@@ -86,6 +86,10 @@ fn run_models() -> ExitCode {
     }
     let bad = protocol!(busy_bit)
         + protocol!(quiesce)
+        + {
+            use models::quiesce::{check_sweep, SWEEP_MUTATIONS};
+            explore_protocol("quiesce_sweep", &SWEEP_MUTATIONS, check_sweep, &cfg)
+        }
         + protocol!(ready_pool)
         + protocol!(rendezvous)
         + protocol!(gate)

@@ -95,7 +95,7 @@ impl shipped_pool::Run for Entry {
 /// an obligation is open for each of its deliveries, and every worker
 /// has announced.
 fn resolved(entries: Vec<Entry>) -> ReadyPool<Entry> {
-    let pool = ReadyPool::new(entries.len());
+    let pool = ReadyPool::new(entries.len(), 0);
     for (w, e) in entries.into_iter().enumerate() {
         pool.accept(e.0.len() as u64);
         pool.push_local(w, &mut vec![e]);

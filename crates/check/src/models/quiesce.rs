@@ -12,6 +12,17 @@
 //! AcqRel decrements, whose RMW chain accumulates every deliverer's
 //! clock) — the referee for the PR 8 `SeqCst → AcqRel/Relaxed`
 //! downgrade of the pool's counters.
+//!
+//! The swept-run cell ([`check_sweep`]): worker A's claimed run was
+//! read on A and resolved into one entry of two deliveries. A accepts
+//! the run's two obligations with one `accept(2)`, pushes the entry to
+//! its own deque, and waits at the claim gate until the run is
+//! delivered — by its own rounds, or by worker B, which has announced
+//! its claims done and steals — before it finds no claim left and
+//! announces. (The engine's gate is the run batch's reference count;
+//! the harness counts the run's deliveries.) Checked as above, and that
+//! every delivery runs under an obligation already open: a release
+//! that comes before its accept is counted against other work.
 
 use super::shipped_pool::{ReadyPool, Round};
 use super::{Entry, Shape};
@@ -43,6 +54,10 @@ pub enum Mutation {
     /// an entry of two leaves an obligation open for good, and the
     /// quiesce never comes (livelock).
     ReleasePerEntry,
+    /// Caller, in the swept-run cell: A accepts its run's obligations
+    /// only after pushing the entry, so B can steal it and deliver — and
+    /// release — before they are open (assertion).
+    LateSweepAccept,
 }
 
 pub const MUTATIONS: [Mutation; 4] = [
@@ -51,6 +66,9 @@ pub const MUTATIONS: [Mutation; 4] = [
     Mutation::EarlyBatchRelease,
     Mutation::ReleasePerEntry,
 ];
+
+/// The mutations the swept-run cell must catch.
+pub const SWEEP_MUTATIONS: [Mutation; 1] = [Mutation::LateSweepAccept];
 
 /// `release`'s `fetch_sub`, the only one in `pool.rs`.
 const RELAXED_PUBLISH: Fault = Fault("pool.rs", "fetch_sub", 0);
@@ -165,7 +183,7 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
     explore(cfg, faults, move || {
         let cell = |v| CCell::new(&format!("cell{}", v), 0);
         let h = Arc::new(Harness {
-            pool: ReadyPool::new(WORKERS),
+            pool: ReadyPool::new(WORKERS, 0),
             cells: (0..VERTICES).map(cell).collect(),
             finished: Counter::new(0),
             mutation,
@@ -174,6 +192,99 @@ pub fn check(mutation: Option<Mutation>, cfg: &Config) -> Report {
         cspawn_each(WORKERS, move |w| hw.run_worker(w));
         h.assert_quiesced_world();
         // Phase D's own checks: no obligation open, injector empty.
+        h.pool.begin_iteration();
+    })
+}
+
+/// The swept-run cell's worker A, and its run: vertices 0 and 1.
+const A: usize = 0;
+const SWEPT: Range<u32> = 0..2;
+
+struct SweptRun {
+    pool: ReadyPool<Entry>,
+    cells: Vec<CCell<u32>>,
+    /// Obligations opened and deliveries that are through: the
+    /// harness's own bookkeeping, as [`Harness::finished`] is.
+    opened: Counter,
+    finished: Counter,
+    late_accept: bool,
+}
+
+impl SweptRun {
+    fn accept(&self) {
+        self.pool.accept(SWEPT.len() as u64);
+        self.opened.set(SWEPT.len() as u64);
+    }
+
+    /// One delivery round of worker `w`; returns the deliveries run.
+    fn round(&self, w: usize, round: &mut Round<Entry>) -> u64 {
+        let deliver = |_: &Entry, v: u32| {
+            check_assert(
+                self.finished.get() < self.opened.get(),
+                "a delivery runs under an open obligation",
+            );
+            self.cells[v as usize].write(|c| *c = v + 1);
+            self.finished.inc();
+        };
+        self.pool
+            .deliver_round(w, BUDGET, round, |_, _| false, |_, _| {}, deliver)
+    }
+
+    /// Worker `w`: A sweeps its run first and holds its next claim
+    /// until the run is delivered; then both announce and deliver until
+    /// quiesced.
+    fn run_worker(&self, w: usize) {
+        let mut round = Round::default();
+        if w == A {
+            if !self.late_accept {
+                self.accept();
+            }
+            let entry = Entry(SWEPT, Shape::Shipped);
+            self.pool.push_local(A, &mut vec![entry]);
+            if self.late_accept {
+                self.accept();
+            }
+            while self.finished.get() < SWEPT.len() as u64 {
+                if self.round(A, &mut round) == 0 {
+                    cyield();
+                }
+            }
+        }
+        // The next claim finds nothing.
+        self.pool.announce_claims_done();
+        while !self.pool.quiesced(WORKERS) {
+            if self.round(w, &mut round) == 0 {
+                cyield();
+            }
+        }
+        self.assert_quiesced_world();
+    }
+
+    fn assert_quiesced_world(&self) {
+        check_assert(
+            self.finished.get() == SWEPT.len() as u64,
+            "quiesced() implies the swept run is delivered",
+        );
+        let sum: u32 = self.cells.iter().map(|c| c.read(|v| *v)).sum();
+        check_assert(sum == 1 + 2, "... and its state is visible");
+    }
+}
+
+/// Explores the swept-run cell (see the module docs); `mutation: None`
+/// is the shipped behaviour.
+pub fn check_sweep(mutation: Option<Mutation>, cfg: &Config) -> Report {
+    explore(cfg, &[], move || {
+        let cell = |v| CCell::new(&format!("cell{}", v), 0);
+        let h = Arc::new(SweptRun {
+            pool: ReadyPool::new(WORKERS, 0),
+            cells: SWEPT.map(cell).collect(),
+            opened: Counter::new(0),
+            finished: Counter::new(0),
+            late_accept: mutation == Some(Mutation::LateSweepAccept),
+        });
+        let hw = h.clone();
+        cspawn_each(WORKERS, move |w| hw.run_worker(w));
+        h.assert_quiesced_world();
         h.pool.begin_iteration();
     })
 }

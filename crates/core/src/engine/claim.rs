@@ -10,9 +10,12 @@
 //! forward, by the run length, so every active vertex is claimed
 //! exactly once, in a run whose bounds are fixed offsets of its list
 //! whoever claims it, and exhaustion is permanent within an iteration.
-//! A run is what a worker may sweep (`worker.rs`), so where runs cut
-//! does not depend on the schedule. Priced, with `pool.rs`, by the
-//! ledger's `engine.noop_ns_per_vertex`.
+//! A run is the unit whose requests are read one of two ways — swept
+//! on the claiming worker or selected through the I/O threads — and
+//! then delivered the one way, through the ready pool (`worker.rs`);
+//! since runs cut at fixed offsets, which requests sweep does not
+//! depend on the schedule. Priced, with `pool.rs`, by the ledger's
+//! `engine.noop_ns_per_vertex`.
 
 use fg_types::sync::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;

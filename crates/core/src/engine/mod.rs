@@ -45,6 +45,7 @@ mod worker;
 use boundary::{Control, Counters};
 use claim::{ActiveSet, Frontiers};
 use pool::ReadyPool;
+use sem_io::ENTRY_DELIVERIES;
 use worker::WorkerEnv;
 
 /// Initial activation of a run.
@@ -428,7 +429,9 @@ impl<'g> Engine<'g> {
         let barrier = Rendezvous::new(nthreads);
         let control = Control::default();
         let counters = Counters::default();
-        let ready_pool = ReadyPool::new(nthreads);
+        // Deques with room for a swept run's entries.
+        let depth = pmap.range_len().div_ceil(ENTRY_DELIVERIES as usize);
+        let ready_pool = ReadyPool::new(nthreads, depth);
         // Per-vertex callback locks: a claim or delivery holds the
         // vertex's bit for the duration of its callback (and any
         // inline cascade), so two workers never run the same vertex

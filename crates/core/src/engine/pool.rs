@@ -1,16 +1,19 @@
 //! The ready pool: where a resolved entry — a run of one cover's
 //! deliveries, the engine's `sem_io::Entry` — waits for a CPU, and the
 //! one owner of the quiesce protocol that ends an iteration's compute
-//! without a barrier (see [`ReadyPool`]). The two counters are
-//! private; `accept` / `release` / `announce_claims_done` /
-//! `quiesced` / `begin_iteration` are the whole protocol, each ordering
-//! stated beside its access, and [`ReadyPool::deliver_round`] is a
-//! worker's side of it. The referee reads this file, not a copy:
-//! `fg_check` compiles it against its instrumented `sync` (so every
-//! primitive is `super::sync::…`, and the busy bit and the delivery are
-//! the caller's closures) and its `busy_bit`, `quiesce` and
-//! `ready_pool` harnesses explore it as shipped. Priced, with
-//! `claim.rs`, by the ledger's `engine.noop_ns_per_vertex`.
+//! without a barrier (see [`ReadyPool`]). Every read cover comes here,
+//! whether an I/O thread read it or the claiming worker swept it, so
+//! [`ReadyPool::deliver_round`] is the one road from a semi-external
+//! request to its callback. The two counters are private; `accept` /
+//! `release` / `announce_claims_done` / `quiesced` / `begin_iteration`
+//! are the whole protocol, each ordering stated beside its access, and
+//! `deliver_round` is a worker's side of it. The referee reads this
+//! file, not a copy: `fg_check` compiles it against its instrumented
+//! `sync` (so every primitive is `super::sync::…`, and the busy bit and
+//! the delivery are the caller's closures) and its `busy_bit`,
+//! `quiesce` (with its swept-run cell) and `ready_pool` harnesses
+//! explore it as shipped. Priced, with `claim.rs`, by the ledger's
+//! `engine.noop_ns_per_vertex`.
 //!
 //! Everything here moves batches of entries, so a delivery pays a
 //! share of a share of a lock or an RMW, not one of its own. The
@@ -35,12 +38,12 @@ use std::ops::Range;
 /// completion counters.
 ///
 /// Resolved entries (the engine's `T` is `sem_io::Entry`) land in the
-/// resolving worker's deque, where the owner takes them LIFO (the
-/// spans are cache-warm) and other workers steal them FIFO when their
-/// own device queue is ahead of their CPU. The shared injector takes
-/// hand-offs: a taken delivery whose requester is busy on another
-/// worker goes there, as an entry of one, instead of blocking the
-/// taker.
+/// resolving worker's deque — a harvest's, or a swept run's — where the
+/// owner takes them LIFO (the spans are cache-warm) and other workers
+/// steal them FIFO when their own device queue is ahead of their CPU.
+/// The shared injector takes hand-offs: a taken delivery whose
+/// requester is busy on another worker goes there, as an entry of one,
+/// instead of blocking the taker.
 ///
 /// Two counters replace the compute-phase barrier: `obligations`,
 /// the edge requests accepted into the I/O layer and not yet released,
@@ -67,10 +70,12 @@ pub(super) trait Run: Sized {
 pub(super) type Round<T> = (Vec<T>, Vec<T>);
 
 impl<T> ReadyPool<T> {
-    pub(super) fn new(workers: usize) -> Self {
+    /// A pool for `workers`, each deque with room for `depth` entries.
+    pub(super) fn new(workers: usize, depth: usize) -> Self {
+        let deque = || Mutex::new(VecDeque::with_capacity(depth));
         ReadyPool {
             injector: Mutex::new(VecDeque::new()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            deques: (0..workers).map(|_| deque()).collect(),
             obligations: AtomicU64::new(0),
             claims_done: AtomicUsize::new(0),
         }
@@ -248,7 +253,7 @@ mod tests {
 
     #[test]
     fn an_open_obligation_holds_quiesce_off() {
-        let pool = ReadyPool::<u32>::new(2);
+        let pool = ReadyPool::<u32>::new(2, 0);
         pool.accept(3);
         pool.announce_claims_done();
         pool.announce_claims_done();
@@ -267,7 +272,7 @@ mod tests {
 
     #[test]
     fn the_last_announcement_completes_quiesce() {
-        let pool = ReadyPool::<u32>::new(3);
+        let pool = ReadyPool::<u32>::new(3, 0);
         assert!(!pool.quiesced(3));
         pool.announce_claims_done();
         pool.announce_claims_done();
@@ -280,12 +285,12 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "release without a matching accept")]
     fn release_without_accept_is_caught() {
-        ReadyPool::<u32>::new(1).release(1);
+        ReadyPool::<u32>::new(1, 0).release(1);
     }
 
     #[test]
     fn pop_is_own_lifo_then_injector_fifo_then_victim_fifo() {
-        let pool = ReadyPool::new(3);
+        let pool = ReadyPool::new(3, 0);
         pool.push_local(0, &mut vec![1, 2, 3]);
         pool.push_local(1, &mut vec![11, 12, 13]);
         pool.push_local(2, &mut vec![21]);
@@ -311,7 +316,7 @@ mod tests {
 
     #[test]
     fn begin_iteration_rewinds_claims_only() {
-        let pool = ReadyPool::new(2);
+        let pool = ReadyPool::new(2, 0);
         pool.announce_claims_done();
         pool.announce_claims_done();
         assert!(pool.quiesced(2));
@@ -338,7 +343,7 @@ mod tests {
     #[test]
     #[allow(clippy::single_range_in_vec_init)] // a run of three deliveries
     fn a_round_requeues_a_busy_delivery_alone_and_releases_once() {
-        let pool = ReadyPool::<Range<u32>>::new(1);
+        let pool = ReadyPool::<Range<u32>>::new(1, 0);
         pool.accept(3);
         pool.push_local(0, &mut vec![0..3]);
         pool.announce_claims_done();

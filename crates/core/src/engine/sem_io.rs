@@ -1,59 +1,60 @@
 //! The semi-external I/O layer of one worker (§3.6): a request
-//! becomes a delivery header, the header a byte range in the issue
-//! queue, the queue a sorted [`Batch`] whose covers go out on the
-//! worker's own SAFS session, and a completion [`Entry`]s — runs of
-//! its cover's requests — for the ready pool.
+//! becomes a delivery header, the header a byte range in a [`Batch`],
+//! the batch covers, and a read cover [`Entry`]s — runs of its
+//! requests — for the ready pool.
 //!
 //! A request is written once, where it is enqueued, and read in place
-//! from then on. [`SemIo::flush`] swaps the filled queue into a batch,
-//! sorts it once, and cuts covers as *index ranges* of it
-//! (`merge::covers`); a slab slot and a pool entry are such a range
-//! plus a reference to the batch, and a delivery's header and byte
-//! range are read out of the batch when its callback runs.
+//! from then on. A batch is sorted once and cut into covers as *index
+//! ranges* of it (`merge::covers`); a slab slot and a pool entry are
+//! such a range plus a reference to the batch, and a delivery's header
+//! and byte range are read out of the batch when its callback runs.
+//!
+//! A claimed run's requests are read one of two ways and delivered one
+//! way. [`SemIo::set_aside`] stages a run's sweepable requests — owned,
+//! non-empty, without attributes — in the worker's run batch instead of
+//! enqueueing them; once the run is through, [`SemIo::settle`] applies
+//! the rule per direction:
+//! the requests are dense when their bytes are at least half of the
+//! span from their lowest to their highest image byte
+//! ([`DENSE_SHARE`]). A sparse direction's requests, and every other
+//! request, go to the issue queue, which [`SemIo::flush`] turns into a
+//! batch whose covers are *submitted*: the session's I/O threads read
+//! them, and `harvest` resolves what lands. A dense direction's
+//! requests stay in the run batch, whose covers are *read inline* on
+//! the claiming worker (`IoSession::read_inline`, the session's own
+//! read) and resolved at once. One function cuts and issues both
+//! ([`SemIo::issue`]); from the resolve on an entry is an entry,
+//! whichever way its cover was read. With `merge_in_engine` off nothing
+//! is set aside.
 //!
 //! Invariant owned here: every request counted in `outstanding` is
 //! either `buffered` in the issue queue or named by exactly one live
 //! slab range or pool entry of its batch (a weighted request's second
 //! half by its join slot as well), and is delivered exactly once, with
 //! the header it was enqueued with. And the bound that makes batches
-//! recyclable: besides the worker's own list of them, a batch is
+//! recyclable: besides the worker's own references to them, a batch is
 //! referenced only by those ranges and entries, so batches in use ≤
-//! covers with an undelivered part, and `flush` makes a batch only
-//! when every one on the list is in use — the list holds no more than
-//! were once needed together, and in the steady state neither the
-//! queue nor a batch is allocated or regrown. `SemIo` owns its session
-//! and its flush policy, so nothing outside this file submits, kicks
-//! or polls. The flush gate — `harvest`'s stall-point flush over
-//! `outstanding` and `buffered`, plain fields of one worker — has no
-//! interleaving to explore; `engine_behavior`'s
+//! covers with an undelivered part, and a flush makes a batch only
+//! when every one on its list is in use — the list holds no more than
+//! were once needed together — while the run batch is made once and
+//! stages a run only when no entry names it. In the steady state
+//! neither the queue nor a batch is allocated or regrown. `SemIo` owns its
+//! session and its flush policy, so nothing outside this file submits,
+//! reads, kicks or polls. The flush gate — `harvest`'s stall-point
+//! flush over `outstanding` and `buffered`, plain fields of one worker
+//! — has no interleaving to explore; `engine_behavior`'s
 //! `pipeline_survives_max_pending_below_issue_batch` holds it, under a
 //! watchdog.
 //! Priced by the ledger's `engine.fetch_ns_per_req` and `merge.*`
 //! rows; `tests/alloc_request_path.rs` holds the allocation floor.
-//!
-//! Beside that selective path sits the sweep, for a claimed run whose
-//! requests are dense on the image. [`SemIo::set_aside`] keeps a run's
-//! sweepable requests — owned, non-empty, without attributes — in the
-//! worker's [`Sweep`] instead of the issue queue; once the run is
-//! through, [`Sweep::settle`] applies the rule per direction: the
-//! requests are dense when their bytes are at least half of the span
-//! from their lowest to their highest image byte ([`DENSE_SHARE`]).
-//! A sparse direction's requests go to the issue queue as if they had
-//! been absorbed one by one ([`SemIo::select`]); a dense direction's are
-//! cut into pieces by the merge rule under the merge cap — so only
-//! pages holding requested bytes are read — and each piece is read by
-//! [`SemIo::sweep_read`], the session's inline read, on the claiming
-//! worker. A swept request is never in `outstanding`, never in a batch
-//! and never in the pool: the claiming worker delivers it, once, from
-//! its piece. With `merge_in_engine` off nothing is set aside.
 //!
 //! What a request costs here it costs per batch. A delivery's bytes
 //! are a window borrowed from its entry's span of the cover
 //! (`SpanWindow::slice` touches no reference count), and its header
 //! carries what the request's one degree and one view lookup found, so
 //! nothing here reads the view, and the index only to locate bytes.
-//! And the layer's two tallies, `bytes_requested` and
-//! `issued_requests`, are plain fields of the worker's own `SemIo`,
+//! And the layer's tallies, `bytes_requested`, `issued_requests` and
+//! `swept_requests`, are plain fields of the worker's own `SemIo`,
 //! folded into the run's shared
 //! [`Counters`] by [`SemIo::flush`] — which every path to a boundary
 //! ends with: the compute loop's exit test and the barrier phase's
@@ -75,7 +76,7 @@ use super::boundary::Counters;
 use super::pool::Run;
 use crate::config::EngineConfig;
 use crate::context::EdgeRequest;
-use crate::merge::{covers, sort_requests, Cover, RangeReq, MAX_MERGE_BYTES};
+use crate::merge::{covers, sort_requests, RangeReq, MAX_MERGE_BYTES};
 use crate::vertex::PageVertex;
 
 /// The least share of a run's span, per direction, its sweepable
@@ -189,20 +190,46 @@ struct PartMeta {
     kind: PartKind,
 }
 
-/// One flushed issue batch, immutable from the flush on and shared by
-/// everything that names a range of it.
+/// Byte ranges and what each is for: the issue queue, a run's staged
+/// requests, and — once issued — a batch, immutable from then on and
+/// shared by everything that names a range of it.
+#[derive(Default)]
 struct Batch {
-    /// The batch's byte ranges in `merge::sort_requests` order; `meta`
-    /// indexes `metas`.
+    /// The byte ranges, in `merge::sort_requests` order once issued;
+    /// `meta` indexes `metas`.
     reqs: Vec<RangeReq>,
     /// What each range is for, in enqueue order.
     metas: Vec<PartMeta>,
 }
 
 impl Batch {
+    fn with_capacity(len: usize) -> Self {
+        Batch {
+            reqs: Vec::with_capacity(len),
+            metas: Vec::with_capacity(len),
+        }
+    }
+
     fn part(&self, i: u32) -> (&RangeReq, &PartMeta) {
         let r = &self.reqs[i as usize];
         (r, &self.metas[r.meta as usize])
+    }
+
+    /// Appends one byte range and what it is for.
+    fn push(&mut self, offset: u64, bytes: u64, meta: PartMeta) {
+        self.metas.push(meta);
+        let meta = (self.metas.len() - 1) as u32;
+        self.reqs.push(RangeReq {
+            offset,
+            bytes,
+            meta,
+        });
+    }
+
+    /// Empties the batch, keeping its capacity.
+    fn clear(&mut self) {
+        self.reqs.clear();
+        self.metas.clear();
     }
 }
 
@@ -212,7 +239,7 @@ impl Batch {
 /// span and one batch reference between them, short enough that one
 /// worker's hub-sized cover still feeds its siblings. Measured with
 /// the round budget beside `worker.rs`'s `ROUND_ENTRIES`, which see.
-const ENTRY_DELIVERIES: u32 = 64;
+pub(super) const ENTRY_DELIVERIES: u32 = 64;
 
 /// What crosses the ready pool: a run of one landed cover's requests,
 /// at most [`ENTRY_DELIVERIES`] of them, as a range of their batch.
@@ -281,8 +308,9 @@ impl Entry {
 
 /// What a slab slot tracks while its I/O is out.
 enum Slot {
-    /// A submitted cover, under the tag SAFS echoes back: where it
-    /// starts and which range of `batch` it serves.
+    /// A cover, under the tag its completion carries (SAFS echoes it
+    /// back; an inline read resolves it at once): where it starts and
+    /// which range of `batch` it serves.
     Cover {
         offset: u64,
         batch: Arc<Batch>,
@@ -317,91 +345,27 @@ impl Slab {
     }
 }
 
-/// The sweepable requests of the run a worker is claiming, located,
-/// and what the density rule needs of each direction. It lives on the
-/// worker and is emptied, not dropped, after every run, so a run
-/// allocates nothing here once the first has sized it.
-pub(super) struct Sweep {
-    /// Located headers, in the order their requests were made.
-    heads: Vec<Header>,
-    /// One byte range per header, `meta` indexing `heads`.
-    reqs: Vec<RangeReq>,
-    /// Per direction (out, in): the lowest offset, the highest end and
-    /// the bytes asked for.
-    spans: [(u64, u64, u64); 2],
-    /// Per direction: whether its requests sweep, once settled.
-    dense: [bool; 2],
-}
-
 /// A direction's span before its first request: the lowest offset at
 /// its largest.
 const EMPTY_SPAN: (u64, u64, u64) = (u64::MAX, 0, 0);
 
-/// A direction's slot in [`Sweep`]'s per-direction arrays.
+/// A direction's slot in [`SemIo`]'s per-direction spans.
 fn slot(dir: EdgeDir) -> usize {
     usize::from(dir != EdgeDir::Out)
 }
 
-impl Sweep {
-    /// Buffers sized for a run of `len` single-list requests, so that
-    /// the runs of a typical program never regrow them.
-    pub(super) fn new(len: usize) -> Self {
-        Sweep {
-            heads: Vec::with_capacity(len),
-            reqs: Vec::with_capacity(len),
-            spans: [EMPTY_SPAN; 2],
-            dense: [false; 2],
-        }
-    }
-
-    /// Decides, per direction, whether the run's requests sweep, puts
-    /// them in offset order when any do, and returns how many are in
-    /// sparse directions — the ones [`SemIo::select`] enqueues.
-    pub(super) fn settle(&mut self) -> usize {
-        let (num, den) = DENSE_SHARE;
-        for (dense, &(lo, hi, asked)) in self.dense.iter_mut().zip(&self.spans) {
-            *dense = asked > 0 && asked * den >= (hi - lo) * num;
-        }
-        let heads = &self.heads;
-        let dense = self.dense;
-        let swept = |r: &RangeReq| dense[slot(heads[r.meta as usize].dir)];
-        let sparse = self.reqs.iter().filter(|r| !swept(r)).count();
-        if sparse == self.reqs.len() {
-            return sparse;
-        }
-        sort_requests(&mut self.reqs);
-        sparse
-    }
-
-    /// The pieces a sweep reads: the dense requests [`SemIo::select`]
-    /// left, cut by the merge rule under the merge cap, so every page a
-    /// piece covers holds requested bytes.
-    pub(super) fn pieces(&self, page_bytes: u64) -> impl Iterator<Item = Cover> + '_ {
-        covers(&self.reqs, page_bytes, true, MAX_MERGE_BYTES)
-    }
-
-    /// Request `i` of a piece that starts at `offset` and was read into
-    /// `span`: its header, and its bytes as a window over the piece.
-    pub(super) fn part<'s>(
-        &'s self,
-        i: u32,
-        offset: u64,
-        span: &'s PageSpan,
-    ) -> (&'s Header, SpanWindow<'s>) {
-        let r = &self.reqs[i as usize];
-        let at = (r.offset - offset) as usize;
-        (
-            &self.heads[r.meta as usize],
-            span.window().slice(at, r.bytes as usize),
-        )
-    }
-
-    /// Empties the buffers for the next run, keeping their capacity.
-    pub(super) fn clear(&mut self) {
-        self.heads.clear();
-        self.reqs.clear();
-        self.spans = [EMPTY_SPAN; 2];
-    }
+/// Locates a non-empty fetch of an owned subject in `own`, the index
+/// of the shard whose ids start at `first`: its header with the decode
+/// filled in, and where its bytes sit on the image.
+fn locate(own: &GraphIndex, first: u32, mut head: Header) -> (Header, ListSlice) {
+    let local = VertexId(head.subject.0 - first);
+    let slice = own.locate_slice(local, head.dir, head.start, head.count);
+    debug_assert_eq!(
+        slice.loc.degree, head.count,
+        "ranges are clamped at request time against the same index"
+    );
+    head.decode = slice.decode;
+    (head, slice)
 }
 
 /// How long a harvest may wait for its session's first completion.
@@ -417,14 +381,15 @@ pub(super) enum Wait {
 }
 
 /// The semi-external per-worker I/O state: the SAFS session, the issue
-/// queue, the batches it was flushed into and the slab of covers in
-/// flight.
+/// queue and the batches it was flushed into, the batch of the run
+/// being claimed, and the slab of covers in flight.
 ///
 /// The queue flushes at the issue-batch size (or at a stall point, see
 /// [`SemIo::flush`]), merges only page-adjacent requests, and submits
-/// through the page cache — the paper's one request path: selective
-/// access plus conservative merging, which is also what makes a dense
-/// iteration's reads sequential.
+/// through the page cache — the paper's request path: selective access
+/// plus conservative merging, which is also what makes a dense
+/// iteration's reads sequential. A dense run's batch is cut by the same
+/// rule and read on this worker instead.
 pub(super) struct SemIo<'s> {
     session: IoSession<'s>,
     /// Every mount of the run and the router over their indexes: a
@@ -442,11 +407,19 @@ pub(super) struct SemIo<'s> {
     /// for the run (the merge cap is a constant).
     cfg: EngineConfig,
     page_bytes: u64,
-    /// The batch being filled: byte ranges, and what each is for.
-    issue_q: Vec<RangeReq>,
-    issue_meta: Vec<PartMeta>,
-    /// Every batch this worker has made: the flushed ones a slab
-    /// range or a pool entry may still name, and the spares (see
+    /// The issue queue: the batch being filled.
+    queue: Batch,
+    /// The sweepable requests of the run being claimed, located and
+    /// staged in the batch a sweep cuts its covers from, and per
+    /// direction (out, in) the lowest offset, the highest end and the
+    /// bytes they ask for. One batch, made once and kept apart from
+    /// the queue's: a worker stages a run only once every entry of its
+    /// last sweep is delivered ([`SemIo::reclaim_run`]), so no more
+    /// than one run's requests and pages are held for a sweep.
+    run: Arc<Batch>,
+    spans: [(u64, u64, u64); 2],
+    /// Every batch the queue was flushed into: the ones a slab range or
+    /// a pool entry may still name, and the spares (see
     /// [`SemIo::spare_batch`]).
     batches: Vec<Arc<Batch>>,
     slab: Slab,
@@ -454,9 +427,9 @@ pub(super) struct SemIo<'s> {
     /// The session's completions on their way through `harvest`, kept
     /// for its capacity.
     landed: Vec<Completion>,
-    /// Bytes and device-bound requests (covers, foreign reads, swept
-    /// pieces), and requests swept, since the last fold into `counters`
-    /// (see [`SemIo::flush`]).
+    /// Bytes and device-bound requests (covers, foreign reads), and
+    /// requests read inline, since the last fold into `counters` (see
+    /// [`SemIo::flush`]).
     bytes_requested: u64,
     issued_requests: u64,
     swept_requests: u64,
@@ -471,13 +444,17 @@ pub(super) struct SemIo<'s> {
 
 impl<'s> SemIo<'s> {
     /// Worker I/O for shard `me` of `index`, one mount per shard; the
-    /// session books its cache lookups to `scope`.
+    /// session books its cache lookups to `scope`. The run batch and
+    /// the ready list are sized for a claimed run of `run_len`
+    /// requests, so that the runs of a typical program never regrow
+    /// them.
     pub(super) fn new(
         mounts: &'s [Safs],
         index: &'s ShardedIndex,
         me: usize,
         scope: Option<Arc<CacheStats>>,
         cfg: &EngineConfig,
+        run_len: usize,
         counters: &'s Counters,
     ) -> Self {
         SemIo {
@@ -490,11 +467,12 @@ impl<'s> SemIo<'s> {
             cfg: *cfg,
             // Every mount of a run shares one page size.
             page_bytes: mounts[me].page_bytes(),
-            issue_q: Vec::new(),
-            issue_meta: Vec::new(),
+            queue: Batch::default(),
+            run: Arc::new(Batch::with_capacity(run_len)),
+            spans: [EMPTY_SPAN; 2],
             batches: Vec::new(),
             slab: Slab::default(),
-            ready: Vec::new(),
+            ready: Vec::with_capacity(run_len.div_ceil(ENTRY_DELIVERIES as usize)),
             landed: Vec::new(),
             bytes_requested: 0,
             issued_requests: 0,
@@ -551,103 +529,93 @@ impl<'s> SemIo<'s> {
         (head, edges, attrs)
     }
 
-    /// Locates a non-empty fetch of an owned subject: its header with
-    /// the decode filled in, and where its bytes sit on the image.
-    fn locate(&self, mut head: Header) -> (Header, ListSlice) {
-        let local = VertexId(head.subject.0 - self.owned.start);
-        let slice = self
-            .own
-            .locate_slice(local, head.dir, head.start, head.count);
-        debug_assert_eq!(
-            slice.loc.degree, head.count,
-            "ranges are clamped at request time against the same index"
-        );
-        head.decode = slice.decode;
-        (head, slice)
-    }
-
-    /// Moves the requests `reqs` holds that a sweep may deliver —
-    /// owned, non-empty, without attributes — into `sweep`, located,
+    /// Moves the requests `reqs` holds that a sweep may read — owned,
+    /// non-empty, without attributes — into the run's batch, located,
     /// and leaves the rest for `absorb_requests`. Sets nothing aside
     /// with engine-side merging off.
-    pub(super) fn set_aside(&self, reqs: &mut Vec<EdgeRequest>, sweep: &mut Sweep) {
-        if !self.cfg.merge_in_engine {
+    pub(super) fn set_aside(&mut self, reqs: &mut Vec<EdgeRequest>) {
+        if !self.cfg.merge_in_engine || reqs.is_empty() {
             return;
         }
+        let run = Arc::get_mut(&mut self.run).expect("a run is staged once its sweep is delivered");
+        let (own, owned, spans) = (self.own, &self.owned, &mut self.spans);
         reqs.retain(|req| {
             let head = fetch_window(req);
-            if req.attrs || head.count == 0 || !self.owns(req.subject) {
+            if req.attrs || head.count == 0 || !owned.contains(&req.subject.0) {
                 return true;
             }
-            let (head, ListSlice { loc, .. }) = self.locate(head);
-            let span = &mut sweep.spans[slot(head.dir)];
+            let (head, ListSlice { loc, .. }) = locate(own, owned.start, head);
+            let span = &mut spans[slot(head.dir)];
             span.0 = span.0.min(loc.offset);
             span.1 = span.1.max(loc.offset + loc.bytes);
             span.2 += loc.bytes;
-            sweep.reqs.push(RangeReq {
-                offset: loc.offset,
-                bytes: loc.bytes,
-                meta: sweep.heads.len() as u32,
-            });
-            sweep.heads.push(head);
+            let kind = PartKind::Edges { pair: None };
+            run.push(loc.offset, loc.bytes, PartMeta { head, kind });
             false
         });
     }
 
-    /// Enqueues the requests of `sweep`'s sparse directions and leaves
-    /// it the dense ones; a queue this fills past the issue-batch size
-    /// goes out as one batch, so a run's scattered requests sort and
-    /// merge together, and the batches in use stay as few as when
-    /// requests came one vertex at a time. The caller has accepted
-    /// their obligations.
-    pub(super) fn select(&mut self, sweep: &mut Sweep) {
-        let Sweep {
-            heads, reqs, dense, ..
-        } = sweep;
-        reqs.retain(|r| {
-            let head = heads[r.meta as usize];
-            if dense[slot(head.dir)] {
-                return true;
+    /// Requests staged for the run being claimed: the obligations its
+    /// end opens, before [`SemIo::settle`].
+    pub(super) fn staged(&self) -> usize {
+        self.run.reqs.len()
+    }
+
+    /// Takes the run batch back, emptied for the next run, once every
+    /// entry of this worker's last sweep has been delivered; false while
+    /// one is still out. The gate a worker claims through. `get_mut` is
+    /// the acquire that orders a thief's last read of the batch before
+    /// this worker's writes.
+    pub(super) fn reclaim_run(&mut self) -> bool {
+        Arc::get_mut(&mut self.run).map(Batch::clear).is_some()
+    }
+
+    /// Ends a claimed run. Per direction, its staged requests are dense
+    /// when they ask for at least [`DENSE_SHARE`] of their span. A
+    /// sparse direction's go to the issue queue — a queue this fills
+    /// past the issue-batch size goes out as one batch, so a run's
+    /// scattered requests sort and merge together — and a dense
+    /// direction's stay in the run's batch, which is read on this
+    /// worker ([`SemIo::issue`]): its entries are ready to harvest on
+    /// return. The caller has accepted every staged request's
+    /// obligation.
+    pub(super) fn settle(&mut self) {
+        let (num, den) = DENSE_SHARE;
+        let spans = std::mem::replace(&mut self.spans, [EMPTY_SPAN; 2]);
+        let dense = spans.map(|(lo, hi, asked)| asked > 0 && asked * den >= (hi - lo) * num);
+        let run = Arc::get_mut(&mut self.run).expect("a run is staged once its sweep is delivered");
+        let mut swept = 0;
+        for i in 0..run.reqs.len() {
+            let r = run.reqs[i];
+            let pm = run.metas[r.meta as usize];
+            self.outstanding += 1;
+            self.bytes_requested += r.bytes;
+            if dense[slot(pm.head.dir)] {
+                run.reqs[swept] = r;
+                swept += 1;
+            } else {
+                self.buffered += 1;
+                self.queue.push(r.offset, r.bytes, pm);
             }
-            self.push_request(head, r.offset, r.bytes);
-            false
-        });
+        }
+        run.reqs.truncate(swept);
+        sort_requests(&mut run.reqs);
         self.flush_if_full();
-    }
-
-    /// Reads one piece of a sweep on this worker, through the session's
-    /// inline read, and books it: one issued request, the bytes of the
-    /// requests it serves, and those requests as swept.
-    pub(super) fn sweep_read(&mut self, sweep: &Sweep, piece: &Cover) -> PageSpan {
-        let parts = &sweep.reqs[piece.parts.start as usize..piece.parts.end as usize];
-        self.bytes_requested += parts.iter().map(|r| r.bytes).sum::<u64>();
-        self.issued_requests += 1;
-        self.swept_requests += parts.len() as u64;
-        self.session
-            .read_inline(piece.offset, piece.bytes)
-            .expect("edge-list request within image bounds")
-    }
-
-    /// The page size of this worker's mount.
-    pub(super) fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-
-    /// Pushes a located request without attributes into the issue
-    /// queue.
-    fn push_request(&mut self, head: Header, offset: u64, bytes: u64) {
-        self.outstanding += 1;
-        self.buffered += 1;
-        let kind = PartKind::Edges { pair: None };
-        self.push_part(offset, bytes, PartMeta { head, kind });
+        if swept > 0 {
+            self.swept_requests += swept as u64;
+            self.issue(&Arc::clone(&self.run), true);
+        }
     }
 
     /// Resolves a non-empty fetch of an owned subject into issue-queue
     /// ranges.
     pub(super) fn enqueue(&mut self, head: Header, attrs: bool) {
-        let (head, ListSlice { loc, decode }) = self.locate(head);
+        let (head, ListSlice { loc, decode }) = locate(self.own, self.owned.start, head);
+        self.outstanding += 1;
+        self.buffered += 1;
         if !attrs {
-            self.push_request(head, loc.offset, loc.bytes);
+            let kind = PartKind::Edges { pair: None };
+            self.push_part(loc.offset, loc.bytes, PartMeta { head, kind });
             return;
         }
         debug_assert_eq!(
@@ -660,8 +628,6 @@ impl<'s> SemIo<'s> {
             .own
             .locate_attrs_range(local, head.dir, head.start, head.count)
             .expect("attrs requested but image has no attribute section");
-        self.outstanding += 1;
-        self.buffered += 1;
         let pair = self.slab.insert(Slot::Join(None));
         let kind = PartKind::Attrs { pair };
         self.push_part(aloc.offset, aloc.bytes, PartMeta { head, kind });
@@ -671,19 +637,14 @@ impl<'s> SemIo<'s> {
 
     /// Appends one byte range + its metadata to the issue queue.
     fn push_part(&mut self, offset: u64, bytes: u64, meta: PartMeta) {
-        self.issue_meta.push(meta);
-        self.issue_q.push(RangeReq {
-            offset,
-            bytes,
-            meta: (self.issue_meta.len() - 1) as u32,
-        });
+        self.queue.push(offset, bytes, meta);
         self.bytes_requested += bytes;
     }
 
     /// Flushes the issue queue once it has reached the issue-batch
     /// size.
     pub(super) fn flush_if_full(&mut self) {
-        if self.issue_q.len() >= self.cfg.issue_batch {
+        if self.queue.reqs.len() >= self.cfg.issue_batch {
             self.flush();
         }
     }
@@ -700,10 +661,7 @@ impl<'s> SemIo<'s> {
         let spare = listed.position(|b| Arc::get_mut(b).is_some());
         match spare {
             Some(i) => self.batches.swap_remove(i),
-            None => Arc::new(Batch {
-                reqs: Vec::with_capacity(self.issue_q.capacity()),
-                metas: Vec::with_capacity(self.issue_meta.capacity()),
-            }),
+            None => Arc::new(Batch::with_capacity(self.queue.reqs.capacity())),
         }
     }
 
@@ -711,35 +669,16 @@ impl<'s> SemIo<'s> {
     /// little is buffered — the end-of-claims flush, the stall-point
     /// flush, and the synchronous barrier-phase drain — and folds this
     /// worker's tallies into the run's counters (see the module docs).
-    ///
-    /// The queue trades places with a spare batch's emptied vectors,
-    /// is sorted where it lies, and each cover goes into the slab as a
-    /// range of it. What becomes of a cover's pages — cache hit, a
-    /// ride on a read already on its way (this session's earlier
-    /// covers included), or a device run — is `IoSession::submit`'s
-    /// decision alone.
+    /// The queue trades places with a spare batch's emptied vectors.
     pub(super) fn flush(&mut self) {
-        if !self.issue_q.is_empty() {
+        if !self.queue.reqs.is_empty() {
             let mut batch = self.spare_batch();
             let b = Arc::get_mut(&mut batch).expect("a spare batch is unshared");
-            b.reqs.clear();
-            b.metas.clear();
-            std::mem::swap(&mut b.reqs, &mut self.issue_q);
-            std::mem::swap(&mut b.metas, &mut self.issue_meta);
+            b.clear();
+            std::mem::swap(b, &mut self.queue);
             sort_requests(&mut b.reqs);
             self.buffered = 0;
-            let merge = self.cfg.merge_in_engine;
-            for c in covers(&batch.reqs, self.page_bytes, merge, MAX_MERGE_BYTES) {
-                let tag = self.slab.insert(Slot::Cover {
-                    offset: c.offset,
-                    batch: Arc::clone(&batch),
-                    parts: c.parts,
-                });
-                self.issued_requests += 1;
-                self.session
-                    .submit(c.offset, c.bytes, tag as u64)
-                    .expect("edge-list request within image bounds");
-            }
+            self.issue(&batch, false);
             self.batches.push(batch);
             // The whole batch crosses to the I/O threads as one message
             // per thread, so they sort and coalesce it as a whole too.
@@ -754,6 +693,32 @@ impl<'s> SemIo<'s> {
             self.counters.issued_requests.add(issued);
             let swept = std::mem::take(&mut self.swept_requests);
             self.counters.swept_requests.add(swept);
+        }
+    }
+
+    /// Cuts a batch, sorted where it lies, into covers, and puts each
+    /// into the slab as a range of it: submitted to the session, or —
+    /// `inline`, a dense run's — read here with the session's inline
+    /// read and resolved at once. What becomes of a cover's pages —
+    /// cache hit, a ride on a read already on its way (this session's
+    /// earlier covers included), or a device run — is the session's
+    /// decision alone.
+    fn issue(&mut self, batch: &Arc<Batch>, inline: bool) {
+        let merge = self.cfg.merge_in_engine;
+        for c in covers(&batch.reqs, self.page_bytes, merge, MAX_MERGE_BYTES) {
+            let tag = self.slab.insert(Slot::Cover {
+                offset: c.offset,
+                batch: Arc::clone(batch),
+                parts: c.parts,
+            }) as u64;
+            self.issued_requests += 1;
+            let bounds = "edge-list request within image bounds";
+            if inline {
+                let span = self.session.read_inline(c.offset, c.bytes).expect(bounds);
+                self.resolve(Completion { tag, span });
+            } else {
+                self.session.submit(c.offset, c.bytes, tag).expect(bounds);
+            }
         }
     }
 
@@ -787,7 +752,8 @@ impl<'s> SemIo<'s> {
         &mut self.ready
     }
 
-    /// Turns a SAFS completion into ready entries: each run of the
+    /// Turns a completion — harvested from the session, or an inline
+    /// read's — into ready entries: each run of the
     /// cover's plain requests, cut at [`ENTRY_DELIVERIES`], is one; a
     /// weighted request's half waits in its join slot for the other
     /// (which may be in another cover) and the pair is an entry of its
@@ -860,7 +826,7 @@ mod tests {
     /// Enqueues own-list requests, vertex after vertex from `next`,
     /// until the queue holds a full batch.
     fn fill(io: &mut SemIo<'_>, next: &mut u32, n: u32) {
-        while io.issue_q.len() < io.cfg.issue_batch {
+        while io.queue.reqs.len() < io.cfg.issue_batch {
             let v = VertexId(*next % n);
             *next += 1;
             let degree = io.index.degree(v, EdgeDir::Out);
@@ -912,7 +878,7 @@ mod tests {
             issue_batch: 32,
             ..EngineConfig::small()
         };
-        let mut io = SemIo::new(&mounts, &index, 0, None, &cfg, &counters);
+        let mut io = SemIo::new(&mounts, &index, 0, None, &cfg, 0, &counters);
         let mut next = 0;
 
         // Ten full batches, each delivered before the next is flushed:
@@ -921,9 +887,9 @@ mod tests {
         for _ in 0..10 {
             fill(&mut io, &mut next, n);
             io.flush();
-            let first = *capacity.get_or_insert(io.issue_q.capacity());
-            assert_eq!(io.issue_q.capacity(), first);
-            assert!(io.issue_meta.capacity() >= cfg.issue_batch);
+            let first = *capacity.get_or_insert(io.queue.reqs.capacity());
+            assert_eq!(io.queue.reqs.capacity(), first);
+            assert!(io.queue.metas.capacity() >= cfg.issue_batch);
             assert_eq!(io.batches.len(), 1);
             assert_eq!(drain(&mut io), cfg.issue_batch);
         }
@@ -958,7 +924,7 @@ mod tests {
         }
         drop(held);
         assert_eq!(in_use(&mut io), 0);
-        assert_eq!(io.issue_q.capacity(), capacity.unwrap());
+        assert_eq!(io.queue.reqs.capacity(), capacity.unwrap());
         assert_eq!(io.outstanding(), 0);
     }
 }

@@ -1,44 +1,44 @@
 //! The worker: one thread's iteration loop — build, pipelined compute
 //! (`compute_pipelined`), boundary (`boundary.rs`) — and the road's
 //! last stretch: claimed run → `run` for each of its vertices →
-//! absorbed requests → delivery → `run_on_vertex` → absorbed
-//! follow-ons → release.
+//! absorbed requests → pool entry → delivery → `run_on_vertex` →
+//! absorbed follow-ons → release.
 //!
-//! Two roads leave a claimed run (a partition range's worth of the
-//! active list over a mount, one vertex in memory). Over a mount, `run`
-//! for each vertex
-//! leaves its sweepable requests aside (`SemIo::set_aside`: owned,
-//! non-empty, no attributes) and the rest are absorbed at once; once
-//! the run is through, a direction whose set-aside requests ask for at
-//! least half of their span's bytes is *swept* (`sweep`): its pieces
-//! are read on this worker through the session's inline read and each
-//! request delivered in place, under its requester's busy bit, with
-//! its follow-ons absorbed. A sparse direction's requests, and every
-//! follow-on, take the selective road: issue queue, cover, I/O thread,
-//! pool. In memory every request is delivered inline, one vertex at a
-//! time.
+//! A claimed run (a partition range's worth of the active list over a
+//! mount, one vertex in memory) reads its requests one of two ways and
+//! delivers them one way. Over a mount, `run` for each vertex leaves
+//! its sweepable requests staged (`SemIo::set_aside`: owned, non-empty,
+//! no attributes) and the rest are absorbed at once; once the run is
+//! through, the worker accepts every staged request's obligation with
+//! one `accept(n)` and `SemIo::settle` reads a dense direction's covers
+//! here, through the session's inline read, and sends a sparse one's
+//! requests to the issue queue, where every follow-on goes too. Either
+//! way a read cover becomes pool entries, and every entry is delivered
+//! by `ReadyPool::deliver_round`. A worker whose run swept claims again
+//! only once every entry of the sweep is delivered — by itself or by a
+//! thief — so it never holds more than one run's pages and staged
+//! requests for a sweep. In memory every request is delivered inline,
+//! one vertex at a time.
 //!
 //! Invariants owned here: a vertex's callbacks never run on two
 //! workers at once — any worker may run a vertex's delivery, but only
 //! under its bit of the busy bitmap, so `SharedStates`' exclusivity
-//! contract survives stealing — an accepted request is released
-//! only after its delivery *and* the absorption of the follow-ons
-//! that delivery queued (`complete`), and a swept request is delivered
-//! exactly once, by the worker that claimed its run, before that
-//! worker claims again (so before it can announce its claims done,
-//! which is what holds quiesce off for it).
+//! contract survives stealing — and an accepted request is released
+//! only after its delivery *and* the absorption of the follow-ons that
+//! delivery queued (`complete`).
 //!
-//! Both ends of that obligation are paid per batch. `absorb_requests`
-//! opens the obligations of everything it enqueued with one
-//! `accept(n)`, after the last enqueue and before the only thing that
-//! could let one complete — this worker's own flush; until then the
-//! caller's cover (its unannounced claims, or the obligation of the
-//! delivery being absorbed) holds quiesce off. What comes back through
-//! the pool is an *entry*: a run of up to 64 of one cover's requests,
-//! named as a range of their issue batch (`sem_io::Entry`), never a
-//! value per request. The compute loop runs `ReadyPool::deliver_round`
-//! (walk, busy bit, conflict requeue, one `release(n)`; `fg_check`
-//! explores it as shipped), handing it the requester's busy bit as
+//! Both ends of that obligation are paid per batch. A request's
+//! obligation is opened by one `accept(n)` for everything an absorb
+//! enqueued or a run staged, after the last enqueue and before the
+//! only things that could let one complete — this worker's own flush,
+//! or its inline read; until then the caller's cover (its unannounced
+//! claims, or the obligation of the delivery being absorbed) holds
+//! quiesce off. What comes back through the pool is an *entry*: a run
+//! of up to 64 of one cover's requests, named as a range of their
+//! batch (`sem_io::Entry`), never a value per request. The compute loop
+//! runs `ReadyPool::deliver_round` (walk, busy bit, conflict requeue,
+//! one `release(n)`; `fg_check` explores it as shipped, a swept run's
+//! entry among its cells), handing it the requester's busy bit as
 //! closures and `complete` as the delivery: header read from the
 //! batch, bytes a window over the cover, callback, follow-ons absorbed.
 
@@ -53,7 +53,7 @@ use fg_types::{AtomicBitmap, VertexId};
 use super::boundary::{Control, Counters};
 use super::claim::{ActiveSet, Frontiers};
 use super::pool::{ReadyPool, Round};
-use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Sweep, Wait};
+use super::sem_io::{decode, fetch_window, Entry, Header, SemIo, Wait};
 use super::{Backend, Engine};
 use crate::context::{EdgeRequest, RunShared, VertexContext, WorkerScratch};
 use crate::messages::{Batch, Lanes};
@@ -114,25 +114,25 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             .unwrap_or(0);
         let mut scratch: WorkerScratch<P::Msg> =
             WorkerScratch::new(self.shared.pmap.num_partitions(), shards);
-        // A run's sweepable requests, over a mount; nothing in memory.
-        let mut sweep = Sweep::new(0);
         let mut io = match &self.engine.backend {
             Backend::Mem(g) => Source::Mem(g),
             Backend::Sem { mounts, index } => {
-                sweep = Sweep::new(self.shared.pmap.range_len());
                 let scope = self.cache_scope.clone();
                 let cfg = &self.engine.cfg;
+                let run_len = self.shared.pmap.range_len();
                 Source::Sem(SemIo::new(
                     mounts,
                     index,
                     self.me,
                     scope,
                     cfg,
+                    run_len,
                     self.counters,
                 ))
             }
         };
-        let mut round = Round::default();
+        // Sized for a full round, so the first runs do not regrow it.
+        let mut round: Round<Entry> = (Vec::with_capacity(ROUND_ENTRIES), Vec::new());
         // Worker 0's counter snapshot at the last recorded boundary.
         // Taken here — before any worker can pass the first phase-A
         // barrier, and nothing before that barrier touches a counter
@@ -161,7 +161,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             // boards before any worker starts phase C's drains.
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
-            self.compute_pipelined(iter, &mut scratch, &mut io, &mut round, &mut sweep);
+            self.compute_pipelined(iter, &mut scratch, &mut io, &mut round);
             self.flush_boards(&mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
@@ -249,7 +249,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// keep up to `max_pending` logical requests on the device, (b)
     /// harvesting this worker's completions into the shared ready
     /// pool, and (c) executing ready deliveries, its own or stolen
-    /// from workers whose device queue is ahead of their CPU. Once
+    /// from workers whose device queue is ahead of their CPU. After a
+    /// run that swept, (a) waits until every entry of the sweep has
+    /// been delivered, by this worker or a thief: they pin the run's
+    /// pages and its batch, which stages the next run. Once
     /// claims are exhausted everywhere the worker announces it on
     /// `claims_done` and keeps harvesting/stealing until the pool's
     /// obligation count reaches zero — the iteration's quiesce point.
@@ -259,7 +262,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
         round: &mut Round<Entry>,
-        sweep: &mut Sweep,
     ) {
         let nparts = self.shared.pmap.num_partitions();
         let max_pending = self.engine.cfg.max_pending.max(1);
@@ -273,9 +275,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         loop {
             if claiming {
                 // (a) Fill the device pipeline with fresh claims.
-                while io.outstanding() < max_pending {
+                while io.outstanding() < max_pending && io.reclaim_run() {
                     match self.claim(nparts, run_len) {
-                        Some(run) => self.run_claimed(iter, run, scratch, io, sweep),
+                        Some(run) => self.run_claimed(iter, run, scratch, io),
                         None => {
                             claiming = false;
                             // Release the half-filled batch, then
@@ -322,9 +324,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                     // block briefly (bounded, so we resume stealing
                     // even if our own replies are slow).
                     self.harvest(io, Wait::Brief);
-                } else if !claiming {
-                    // Other workers still hold obligations; retry the
-                    // pool politely.
+                } else {
+                    // Other workers still hold obligations, or our last
+                    // sweep's entries; retry the pool politely.
                     std::thread::yield_now();
                 }
             }
@@ -332,17 +334,17 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     }
 
     /// Runs each vertex of a freshly claimed run's `run` callback under
-    /// its busy bit and absorbs the requests it queued — all but the
-    /// sweepable ones, which wait for the end of the run and [`sweep`].
-    ///
-    /// [`sweep`]: WorkerEnv::sweep
+    /// its busy bit and absorbs the requests it queued, all but the
+    /// ones a sweep may read, which wait staged for the end of the run.
+    /// There they are accepted — one `accept(n)`, before any is
+    /// selected or read — and settled (`SemIo::settle`): a sweep's
+    /// entries are ready for this worker's next harvest.
     fn run_claimed(
         &self,
         iter: u32,
         run: &[VertexId],
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
-        sweep: &mut Sweep,
     ) {
         for &v in run {
             self.counters.vertices.inc();
@@ -351,49 +353,19 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 prog.run(v, state, ctx);
             });
             if let Source::Sem(sem) = io {
-                sem.set_aside(&mut scratch.requests, sweep);
+                sem.set_aside(&mut scratch.requests);
             }
             self.absorb_requests(iter, scratch, io);
             self.busy.clear_sync(v);
             self.maybe_flush_messages(scratch);
         }
-        self.sweep(iter, scratch, io, sweep);
-    }
-
-    /// Ends a claimed run: its set-aside requests in sparse directions
-    /// go to the issue queue; those in dense directions are read here,
-    /// piece by piece, through the session's inline read, and each is
-    /// delivered in place under its requester's busy bit, its follow-ons
-    /// absorbed as any delivery's are. No obligation is opened for a
-    /// swept request: it is done before this worker claims again.
-    fn sweep(
-        &self,
-        iter: u32,
-        scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut Source<'_>,
-        sweep: &mut Sweep,
-    ) {
-        let Source::Sem(sem) = io else { return };
-        let sparse = sweep.settle();
-        if sparse > 0 {
-            // Before the flushes that could let one complete.
-            self.ready.accept(sparse as u64);
-            sem.select(sweep);
-        }
-        let page_bytes = sem.page_bytes();
-        for piece in sweep.pieces(page_bytes) {
-            let Source::Sem(sem) = io else { unreachable!() };
-            let span = sem.sweep_read(sweep, &piece);
-            for i in piece.parts {
-                let (head, edges) = sweep.part(i, piece.offset, &span);
-                self.acquire_busy(head.requester);
-                self.deliver(iter, head, edges, None, scratch);
-                self.absorb_requests(iter, scratch, io);
-                self.busy.clear_sync(head.requester);
-                self.maybe_flush_messages(scratch);
+        if let Source::Sem(sem) = io {
+            let staged = sem.staged();
+            if staged > 0 {
+                self.ready.accept(staged as u64);
+                sem.settle();
             }
         }
-        sweep.clear();
     }
 
     /// Publishes this worker's landed completions to the ready pool.
@@ -565,6 +537,14 @@ impl Source<'_> {
         match self {
             Source::Mem(_) => 0,
             Source::Sem(s) => s.outstanding(),
+        }
+    }
+
+    /// See [`SemIo::reclaim_run`]; always, in memory.
+    pub(super) fn reclaim_run(&mut self) -> bool {
+        match self {
+            Source::Mem(_) => true,
+            Source::Sem(s) => s.reclaim_run(),
         }
     }
 

@@ -31,8 +31,9 @@ pub struct IterStats {
     pub issued_requests: u64,
     /// Edges delivered to `run_on_vertex` callbacks this iteration.
     pub edges_delivered: u64,
-    /// Requests this iteration delivered by a sweep (see
-    /// [`RunStats::swept_requests`]); the rows sum to the run's total.
+    /// Requests this iteration read by a sweep, on the claiming worker
+    /// (see [`RunStats::swept_requests`]); the rows sum to the run's
+    /// total.
     pub swept_requests: u64,
     /// Increase of the busiest drive's virtual busy time.
     pub io_busy_ns: u64,
@@ -85,12 +86,12 @@ pub struct RunStats {
     /// range/sampled execution it shows how much smaller the touched
     /// edge set was.
     pub edges_delivered: u64,
-    /// Logical requests delivered by a *sweep*: read, a claimed run's
-    /// dense requests together, on the worker that claimed the run,
-    /// rather than through the issue queue, the I/O threads and the
-    /// ready pool. Exact: runs cut at fixed offsets of each partition's
-    /// active list and the rule is deterministic. Zero in memory and
-    /// with engine-side merging off.
+    /// Logical requests read by a *sweep*: a claimed run's dense
+    /// requests, read together on the claiming worker rather than
+    /// through the issue queue and the I/O threads (and delivered
+    /// through the ready pool, as every request is). Exact: runs cut at
+    /// fixed offsets of each partition's active list and the rule is
+    /// deterministic. Zero in memory and with engine-side merging off.
     pub swept_requests: u64,
     /// Nanoseconds the query waited in a [`crate::GraphService`]
     /// admission queue before its engine run began. Zero for runs

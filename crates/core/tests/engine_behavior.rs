@@ -923,8 +923,8 @@ impl VertexProgram for OwnListRounds {
 fn an_all_active_run_sweeps_nine_tenths_of_its_requests() {
     // Every claimed run asks for every non-empty list in its span, so
     // each run's requests are as dense as requests get: nearly all are
-    // read on the claiming worker and delivered in place. Exact, and
-    // the per-iteration column sums to it.
+    // read on the claiming worker. Exact, and the per-iteration column
+    // sums to it.
     let g = gen::rmat(12, 8, gen::RmatSkew::default(), 21);
     let cfg = EngineConfig::default().with_threads(1);
     let [(mem, mem_stats), (sem, stats)] = both_modes(&g, &OwnListRounds, Init::All, cfg);
@@ -944,6 +944,91 @@ fn an_all_active_run_sweeps_nine_tenths_of_its_requests() {
     let (_, again) = run_mode(&g, &OwnListRounds, Init::All, cfg.with_threads(2), true);
     assert_eq!(two.swept_requests, again.swept_requests);
     assert!(two.swept_requests * 10 >= two.engine_requests * 9);
+}
+
+/// Every vertex asks for its own out- and in-list, three iterations
+/// running, every vertex active: both directions of every claimed run
+/// are dense and sweep. A requester's two deliveries lie in different
+/// sections of the image, so in different covers and entries, which
+/// the claiming worker and a thief can hold at once. The flag of
+/// [`GuardedNeighborDegrees`] checks that they never overlap.
+struct GuardedBothLists;
+
+#[derive(Default, Clone, Debug, PartialEq)]
+struct BothListsState {
+    inside: bool,
+    rounds: u32,
+    deliveries: u64,
+    sum: u64,
+}
+
+impl VertexProgram for GuardedBothLists {
+    type State = BothListsState;
+    type Msg = ();
+
+    fn run(&self, v: VertexId, state: &mut BothListsState, ctx: &mut VertexContext<'_, ()>) {
+        state.rounds += 1;
+        for dir in [EdgeDir::Out, EdgeDir::In] {
+            if ctx.degree(v, dir) > 0 {
+                ctx.request(v, Request::edges(dir));
+            }
+        }
+        if state.rounds < 3 {
+            ctx.activate(v);
+        }
+    }
+
+    fn run_on_vertex(
+        &self,
+        v: VertexId,
+        state: &mut BothListsState,
+        vertex: &PageVertex<'_>,
+        _ctx: &mut VertexContext<'_, ()>,
+    ) {
+        assert!(!state.inside, "two callbacks of {v} at once");
+        state.inside = true;
+        state.deliveries += 1;
+        state.sum += vertex.edges().map(|w| w.0 as u64).sum::<u64>();
+        // Give a worker holding the requester's other delivery time to
+        // try.
+        std::thread::yield_now();
+        state.inside = false;
+    }
+}
+
+/// Swept runs on four workers over a hub-heavy graph: every run's
+/// covers are read on its claiming worker and resolved into its deque,
+/// thieves take half of it, a delivery whose requester is busy goes to
+/// the injector, and a worker whose run swept claims again only once
+/// every entry of the sweep is delivered. Under a watchdog (the
+/// `pipeline_survives_max_pending_below_issue_batch` pattern): a claim
+/// gate that never opens fails the test instead of hanging the suite.
+#[test]
+fn swept_deliveries_conflict_and_are_stolen_without_wedging() {
+    const WATCHDOG: Duration = Duration::from_secs(60);
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let g = gen::rmat(12, 16, gen::RmatSkew::social(), 41);
+        let cfg = EngineConfig::default().with_threads(4);
+        let [(mem, _), (sem, stats)] = both_modes(&g, &GuardedBothLists, Init::All, cfg);
+        assert_eq!(sem, mem);
+        assert!(
+            stats.swept_requests * 10 >= stats.engine_requests * 9,
+            "{} of {} requests swept",
+            stats.swept_requests,
+            stats.engine_requests
+        );
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(()) => runner.join().unwrap(),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("still running after {WATCHDOG:?}: a claim gate that never opens")
+        }
+    }
 }
 
 #[test]

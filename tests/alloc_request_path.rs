@@ -1,6 +1,6 @@
 //! Tier-1 allocation floor for the semi-external request path: what a
 //! request allocates, it allocates per *cover* — a cover of the issue
-//! queue, or a piece a sweep reads for a dense run — and next to nothing
+//! queue, or one a sweep reads for a dense run — and next to nothing
 //! per request, on both paths, on a frozen image and with a pinned delta view alike
 //! (an overlaid delivery borrows its ops from the view), on a raw image
 //! and on a compressed one (a packed delivery decodes in place, out of
@@ -181,8 +181,7 @@ fn floor_holds(g: &Graph, opts: &WriteOptions, view: &Arc<DeltaView>, expected_o
     // Covers of at most 4 parts, and of 64: a cover's parts are a range
     // of its batch, so neither costs more than the cover's page vector
     // and a share of amortised growth. With every vertex active each
-    // claimed run asks for all of its span and is swept, a piece per
-    // run, which costs its page vector alone.
+    // claimed run asks for all of its span and is swept.
     for issue_batch in [4, 64] {
         let (allocations, stats) = measure(issue_batch, None, &Init::All);
         let covers = stats.issued_requests;

@@ -1,5 +1,6 @@
 //! Tier-1 gate for `fg_check`: every protocol — all six explored as
-//! the shipped code — passes exhaustive bounded
+//! the shipped code, with the quiesce harness's swept-run cell and the
+//! in-flight harness's inline cell — passes exhaustive bounded
 //! exploration, every seeded mutation is detected with a
 //! counterexample trace, and the workspace lint runs clean on this
 //! repository.
@@ -109,6 +110,21 @@ fn quiesce_mutations_caught() {
         (Mutation::ReleasePerEntry, "livelock"),
     ];
     assert_caught("quiesce", check, &expected);
+}
+
+#[test]
+fn quiesce_sweep_cell_verified() {
+    assert_verified("quiesce_sweep", &models::quiesce::check_sweep(None, &cfg()));
+}
+
+#[test]
+fn quiesce_sweep_cell_mutations_caught() {
+    use models::quiesce::{check_sweep, Mutation, SWEEP_MUTATIONS};
+    // A swept run's entry pushed before its obligations are accepted:
+    // a thief delivers it, and releases, against nothing open.
+    let expected = [(Mutation::LateSweepAccept, "assertion")];
+    assert_eq!(expected.map(|(m, _)| m), SWEEP_MUTATIONS);
+    assert_caught("quiesce_sweep", check_sweep, &expected);
 }
 
 #[test]
