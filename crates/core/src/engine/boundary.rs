@@ -1,23 +1,24 @@
 //! The iteration boundary: run control, the run's counters and the
 //! per-iteration rows cut from them, the flushes that move buffered
 //! messages to the boards and the shard bus, and the barrier phase's
-//! own deliveries (messages, iteration-end callbacks, and the
-//! synchronous completion of any edge request those handlers make).
+//! own deliveries: messages and iteration-end callbacks, and the edge
+//! requests those handlers make, each read at once and delivered
+//! inline (`absorb_requests`, which the compute phase's inline
+//! deliveries take too) before the next handler runs.
 //!
 //! Invariant owned here: counters are read exactly only at quiesced
 //! points (worker 0 in phase D, or after the join) and per-iteration
 //! rows are deltas between consecutive such points, so they sum to the
 //! run totals whatever stealing moved where. Barrier-phase deliveries
 //! are owner-only — a vertex's messages reach the worker that owns its
-//! partition — so no busy bit is involved.
+//! partition, and so do the edge lists its handlers request — so no
+//! busy bit is involved.
 
 use fg_types::sync::{AtomicBool, AtomicU32, Counter, Mutex};
 use std::time::Instant;
 
 use fg_types::{CancelCause, VertexId};
 
-use super::pool::Run;
-use super::sem_io::Wait;
 use super::worker::{Source, WorkerEnv};
 use crate::context::WorkerScratch;
 use crate::messages::{Batch, ShardPacket};
@@ -123,26 +124,33 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         *boundary = Some(now);
     }
 
-    pub(super) fn maybe_flush_messages(&self, scratch: &mut WorkerScratch<P::Msg>) {
+    pub(super) fn maybe_flush_messages(&self, iter: u32, scratch: &mut WorkerScratch<P::Msg>) {
         if scratch.buffered_fanout >= MSG_FLUSH_FANOUT {
-            self.flush_boards(scratch);
+            self.flush_boards(iter, scratch);
         }
     }
 
-    pub(super) fn flush_boards(&self, scratch: &mut WorkerScratch<P::Msg>) {
+    /// Posts this worker's outboxes for iteration `iter`'s drains: the
+    /// current iteration's from the compute phase, the next one's from
+    /// the barrier phase.
+    pub(super) fn flush_boards(&self, iter: u32, scratch: &mut WorkerScratch<P::Msg>) {
+        let board = |dest: usize, batch: Batch<P::Msg>| {
+            self.board.post(self.board.lane(iter, dest), batch);
+        };
         for (dest, buf) in scratch.out_unicasts.iter_mut().enumerate() {
             if !buf.is_empty() {
-                self.board.post(dest, Batch::Unicasts(std::mem::take(buf)));
+                board(dest, Batch::Unicasts(std::mem::take(buf)));
             }
         }
         for (dest, buf) in scratch.out_multicasts.iter_mut().enumerate() {
             for batch in buf.drain(..) {
-                self.board.post(dest, batch);
+                board(dest, batch);
             }
         }
         if let Some(link) = self.link {
             let post = |dest: usize, pkt: ShardPacket<P::Msg>| {
-                self.counters.shard_msg_bytes.add(link.bus.post(dest, pkt));
+                let lane = link.bus.lane(iter, dest);
+                self.counters.shard_msg_bytes.add(link.bus.post(lane, pkt));
             };
             for (dest, buf) in scratch.shard_unicasts.iter_mut().enumerate() {
                 if !buf.is_empty() {
@@ -165,19 +173,20 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     }
 
     /// Worker 0's half of a cross-shard sync point: takes everything
-    /// peers queued for this shard and converts it into the exact form
-    /// a local worker would have produced — message batches split by
-    /// destination partition into worker 0's outboxes and flushed onto
-    /// the local board, activations OR'd into the next frontier. Both
-    /// sync points follow a flush of worker 0's own outboxes, so the
-    /// flush here posts only what the bus brought.
+    /// peers queued for this shard's iteration `iter` and converts it
+    /// into the exact form a local worker would have produced — message
+    /// batches split by destination partition into worker 0's outboxes
+    /// and flushed onto the local board, activations OR'd into the next
+    /// frontier. Both sync points follow a flush of worker 0's own
+    /// outboxes, so the flush here posts only what the bus brought.
     pub(super) fn drain_shard_bus(
         &self,
         link: &ShardLink<'_, P::Msg>,
+        iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
     ) {
         let pmap = &self.shared.pmap;
-        for pkt in link.bus.drain(self.me) {
+        for pkt in link.bus.drain(link.bus.lane(iter, self.me)) {
             match pkt {
                 ShardPacket::Messages(Batch::Unicasts(entries)) => {
                     for (v, m) in entries {
@@ -196,7 +205,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 }
             }
         }
-        self.flush_boards(scratch);
+        self.flush_boards(iter, scratch);
     }
 
     pub(super) fn deliver_messages(
@@ -205,7 +214,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
     ) {
-        let batches = self.board.drain(self.w);
+        let batches = self.board.drain(self.board.lane(iter, self.w));
         for batch in batches {
             match batch {
                 Batch::Unicasts(entries) => {
@@ -234,17 +243,18 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         self.with_ctx(iter, scratch, v, |prog, state, ctx| {
             prog.run_on_message(v, state, m, ctx);
         });
-        // Message handlers may request edges; those complete within
-        // the barrier phase, synchronously.
+        // Most message handlers request nothing: spare every message
+        // the absorb's call.
         if !scratch.requests.is_empty() {
-            self.complete_phase_requests(iter, scratch, io);
+            self.absorb_requests(iter, scratch, io, true);
         }
     }
 
     /// Runs `run_on_iteration_end` for this partition's registered
     /// vertices, in ascending id order. Only this worker sets their
-    /// bits in phase C (its message handlers, which ran before this
-    /// walk), so what the walk takes is complete. The bits are cleared
+    /// bits in phase C (its message handlers and the deliveries they
+    /// asked for, which ran before this walk), so what the walk takes
+    /// is complete. The bits are cleared
     /// before the first callback, so a registration made inside one
     /// stays for the next iteration's end.
     pub(super) fn apply_iteration_end(
@@ -261,46 +271,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             self.with_ctx(iter, scratch, v, |prog, state, ctx| {
                 prog.run_on_iteration_end(v, state, ctx);
             });
-            if !scratch.requests.is_empty() {
-                self.complete_phase_requests(iter, scratch, io);
-            }
-        }
-    }
-
-    /// Synchronously completes the edge requests a barrier-phase
-    /// handler (message / iteration-end) queued: blocks for at least
-    /// one completion at a time and runs every delivery that landed.
-    /// Owner-only — no busy bit, nothing through the pool.
-    ///
-    /// Called only after a handler that queued a request: with none
-    /// queued there is nothing to absorb, nothing outstanding (phase C
-    /// starts quiesced and each call drains what it started), and
-    /// nothing to fold (the compute loop's exit flush folded the
-    /// tallies), so a call would be a no-op at a per-message price.
-    fn complete_phase_requests(
-        &self,
-        iter: u32,
-        scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut Source<'_>,
-    ) {
-        self.absorb_requests(iter, scratch, io);
-        io.flush();
-        while let Source::Sem(sem) = io {
-            if sem.outstanding() == 0 {
-                break;
-            }
-            let landed = std::mem::take(sem.harvest(Wait::Block));
-            let mut run = 0;
-            for e in landed {
-                for i in e.parts() {
-                    self.complete(iter, &e, i, scratch, io);
-                    run += 1;
-                }
-            }
-            self.ready.release(run);
-            // Callbacks may have queued more requests.
-            io.flush();
-            self.maybe_flush_messages(scratch);
+            self.absorb_requests(iter, scratch, io, true);
         }
     }
 }

@@ -27,6 +27,13 @@
 //! whichever way its cover was read. With `merge_in_engine` off nothing
 //! is set aside.
 //!
+//! A fetch its caller delivers inline is read by [`SemIo::read_now`]
+//! instead, on this thread: a foreign subject's from its owner's mount
+//! (`Safs::read_sync`), and — in a barrier phase, where nothing is in
+//! flight to overlap a read with — an owned subject's through the
+//! session's inline read. So every non-empty fetch of a run is read by
+//! [`SemIo::issue`], as a cover, or by `read_now`.
+//!
 //! Invariant owned here: every request counted in `outstanding` is
 //! either `buffered` in the issue queue or named by exactly one live
 //! slab range or pool entry of its batch (a weighted request's second
@@ -57,8 +64,8 @@
 //! `swept_requests`, are plain fields of the worker's own `SemIo`,
 //! folded into the run's shared
 //! [`Counters`] by [`SemIo::flush`] — which every path to a boundary
-//! ends with: the compute loop's exit test and the barrier phase's
-//! drain both flush after their last delivery, before the barrier
+//! ends with: the compute loop's exit test and the end of the barrier
+//! phase both flush after their last delivery, before the barrier
 //! worker 0 snapshots behind. So a boundary snapshot still sees every
 //! byte of the iteration that requested it, and the per-iteration rows
 //! still sum to the totals.
@@ -67,7 +74,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fg_format::{GraphIndex, ListSlice, ShardedIndex, SliceDecode};
+use fg_format::{EdgeListLoc, GraphIndex, ListSlice, ShardedIndex, SliceDecode};
 use fg_graph::{DeltaSlot, DeltaView};
 use fg_safs::{CacheStats, Completion, IoSession, PageSpan, Safs, SpanWindow};
 use fg_types::{EdgeDir, VertexId};
@@ -143,10 +150,10 @@ pub(super) fn fetch_window(req: &EdgeRequest) -> Header {
 
 /// Decodes one delivery's bytes into a deliverable [`PageVertex`]:
 /// an entry's part, or an inline delivery's (a fetch of nothing, a
-/// foreign read), its bytes windows borrowed from the cover or read
-/// that holds them. An overlaid delivery wraps the decoded (full) base
-/// list with the subject's pinned delta ops, borrowed from the view and
-/// windowed to the request's merged-coordinate slice.
+/// [`SemIo::read_now`]), its bytes windows borrowed from the cover or
+/// read that holds them. An overlaid delivery wraps the decoded (full)
+/// base list with the subject's pinned delta ops, borrowed from the
+/// view and windowed to the request's merged-coordinate slice.
 pub(super) fn decode<'d>(
     head: &Header,
     edges: SpanWindow<'d>,
@@ -376,8 +383,6 @@ pub(super) enum Wait {
     /// Briefly: completions only arrive on the session that issued
     /// them, but stolen work may appear in the pool at any moment.
     Brief,
-    /// Until one lands: the barrier phase has nothing else to run.
-    Block,
 }
 
 /// The semi-external per-worker I/O state: the SAFS session, the issue
@@ -396,6 +401,8 @@ pub(super) struct SemIo<'s> {
     /// subject another shard owns is read from its owner's mount.
     mounts: &'s [Safs],
     index: &'s ShardedIndex,
+    /// This shard, whose mount the session reads.
+    me: usize,
     /// This shard's own index, keyed by local ids: owned subjects are
     /// rebased by `owned.start` before locate calls (0 for a
     /// whole-graph image).
@@ -461,6 +468,7 @@ impl<'s> SemIo<'s> {
             session: mounts[me].session_scoped(scope),
             mounts,
             index,
+            me,
             own: index.shard(me),
             owned: index.shard_range(me),
             counters,
@@ -493,13 +501,14 @@ impl<'s> SemIo<'s> {
         self.owned.contains(&v.0)
     }
 
-    /// Reads a non-empty slice of a foreign subject (TC-style
-    /// neighbour-list reads): located on the owning shard's index and
-    /// read from its mount synchronously — the cross-shard analogue of
-    /// the in-memory source's inline delivery, safe because the
-    /// requester holds its busy bit and the subject's *state* is never
-    /// touched, only its on-disk edges.
-    pub(super) fn read_foreign(
+    /// Reads a non-empty fetch at once, for its caller to deliver
+    /// inline: on this shard through the session's inline read (booked
+    /// to the run's cache scope, riding reads already in flight), on a
+    /// peer's from its mount (`Safs::read_sync`). Safe because the
+    /// caller owns the requester — its busy bit, or in a barrier phase
+    /// its partition — and the subject's *state* is never touched, only
+    /// its on-disk edges.
+    pub(super) fn read_now(
         &mut self,
         mut head: Header,
         attrs: bool,
@@ -507,26 +516,29 @@ impl<'s> SemIo<'s> {
         let (subject, dir) = (head.subject, head.dir);
         let (start, count) = (head.start, head.count);
         let (s, slice) = self.index.locate_slice(subject, dir, start, count);
-        let loc = slice.loc;
-        debug_assert_eq!(loc.degree, count);
+        debug_assert_eq!(slice.loc.degree, count);
         head.decode = slice.decode;
-        self.bytes_requested += loc.bytes;
-        self.issued_requests += 1;
-        let edges = self.mounts[s]
-            .read_sync(loc.offset, loc.bytes)
-            .expect("foreign shard edge read");
+        let edges = self.read_at(s, slice.loc);
         let attrs = attrs.then(|| {
             let (sa, aloc) = self
                 .index
                 .locate_attrs_range(subject, dir, start, count)
                 .expect("attrs requested but image has no attribute section");
-            self.bytes_requested += aloc.bytes;
-            self.issued_requests += 1;
-            self.mounts[sa]
-                .read_sync(aloc.offset, aloc.bytes)
-                .expect("foreign shard attr read")
+            self.read_at(sa, aloc)
         });
         (head, edges, attrs)
+    }
+
+    /// One read of [`SemIo::read_now`], on shard `s`'s image.
+    fn read_at(&mut self, s: usize, loc: EdgeListLoc) -> PageSpan {
+        self.bytes_requested += loc.bytes;
+        self.issued_requests += 1;
+        let read = if s == self.me {
+            self.session.read_inline(loc.offset, loc.bytes)
+        } else {
+            self.mounts[s].read_sync(loc.offset, loc.bytes)
+        };
+        read.expect("edge-list request within image bounds")
     }
 
     /// Moves the requests `reqs` holds that a sweep may read — owned,
@@ -666,9 +678,10 @@ impl<'s> SemIo<'s> {
     }
 
     /// Sorts, merges, and submits the issue queue (§3.6), however
-    /// little is buffered — the end-of-claims flush, the stall-point
-    /// flush, and the synchronous barrier-phase drain — and folds this
-    /// worker's tallies into the run's counters (see the module docs).
+    /// little is buffered — the end-of-claims flush and the stall-point
+    /// flush — and folds this worker's tallies into the run's counters
+    /// (see the module docs); a barrier phase ends with one, for the
+    /// tallies of its inline reads.
     /// The queue trades places with a spare batch's emptied vectors.
     pub(super) fn flush(&mut self) {
         if !self.queue.reqs.is_empty() {
@@ -742,7 +755,6 @@ impl<'s> SemIo<'s> {
             Wait::Brief => self
                 .session
                 .wait_timeout(&mut landed, Duration::from_micros(200)),
-            Wait::Block => self.session.wait(&mut landed),
         };
         self.counters.wait_ns.add(t.elapsed().as_nanos() as u64);
         for c in landed.drain(..) {
@@ -852,7 +864,7 @@ mod tests {
     fn drain(io: &mut SemIo<'_>) -> usize {
         let mut delivered = 0;
         while io.outstanding() > 0 {
-            let landed = io.harvest(Wait::Block);
+            let landed = io.harvest(Wait::Brief);
             delivered += landed.iter().map(|e| e.parts().len()).sum::<usize>();
             landed.clear();
         }
@@ -904,11 +916,12 @@ mod tests {
         }
         // An entry held back keeps its batch, and only its batch, from
         // being reused: with two spares beside it, nothing is made.
-        let held = {
-            let landed = io.harvest(Wait::Block);
-            let held = landed.pop().expect("a blocking harvest lands a cover");
-            landed.clear();
-            held
+        let held = loop {
+            let landed = io.harvest(Wait::Brief);
+            if let Some(held) = landed.pop() {
+                landed.clear();
+                break held;
+            }
         };
         drain(&mut io);
         let in_use = |io: &mut SemIo<'_>| {

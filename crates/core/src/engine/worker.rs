@@ -20,12 +20,18 @@
 //! requests for a sweep. In memory every request is delivered inline,
 //! one vertex at a time.
 //!
+//! A barrier phase delivers every request inline, on the worker that
+//! owns the requester's partition: a fetch is read at once
+//! (`SemIo::read_now`, as a foreign subject's is in the compute phase),
+//! so a handler's fetches and their follow-ons are delivered before the
+//! worker runs the next handler.
+//!
 //! Invariants owned here: a vertex's callbacks never run on two
 //! workers at once — any worker may run a vertex's delivery, but only
 //! under its bit of the busy bitmap, so `SharedStates`' exclusivity
 //! contract survives stealing — and an accepted request is released
 //! only after its delivery *and* the absorption of the follow-ons that
-//! delivery queued (`complete`).
+//! delivery queued.
 //!
 //! Both ends of that obligation are paid per batch. A request's
 //! obligation is opened by one `accept(n)` for everything an absorb
@@ -39,8 +45,9 @@
 //! runs `ReadyPool::deliver_round` (walk, busy bit, conflict requeue,
 //! one `release(n)`; `fg_check` explores it as shipped, a swept run's
 //! entry among its cells), handing it the requester's busy bit as
-//! closures and `complete` as the delivery: header read from the
-//! batch, bytes a window over the cover, callback, follow-ons absorbed.
+//! closures and the delivery: header read from the batch, bytes a
+//! window over the cover, callback, follow-ons absorbed (accepted in
+//! their turn, under the delivered request's obligation).
 
 use fg_types::sync::{Mutex, Ordering};
 use std::sync::Arc;
@@ -162,7 +169,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             let wait_before = self.counters.wait_ns.get();
             let t = Instant::now();
             self.compute_pipelined(iter, &mut scratch, &mut io, &mut round);
-            self.flush_boards(&mut scratch);
+            self.flush_boards(iter, &mut scratch);
             let busy = t.elapsed().as_nanos() as u64;
             let waited = self.counters.wait_ns.get() - wait_before;
             self.counters.compute_ns.add(busy.saturating_sub(waited));
@@ -177,17 +184,21 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             if let Some(link) = self.link {
                 if self.w == 0 {
                     link.group.rendezvous();
-                    self.drain_shard_bus(link, &mut scratch);
+                    self.drain_shard_bus(link, iter, &mut scratch);
                 }
                 self.barrier.rendezvous();
             }
 
             // Phase C: message delivery + iteration-end callbacks for
-            // this partition.
+            // this partition. What they send is posted for the next
+            // iteration's drains.
             let t = Instant::now();
             self.deliver_messages(iter, &mut scratch, &mut io);
             self.apply_iteration_end(iter, &mut scratch, &mut io);
-            self.flush_boards(&mut scratch);
+            self.flush_boards(iter + 1, &mut scratch);
+            // Folds the tallies of the phase's reads before the barrier
+            // worker 0 snapshots behind.
+            io.flush();
             self.counters.compute_ns.add(t.elapsed().as_nanos() as u64);
             self.barrier.rendezvous();
 
@@ -205,7 +216,7 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 // lockstep running empty iterations.
                 if let Some(link) = self.link {
                     link.group.rendezvous();
-                    self.drain_shard_bus(link, &mut scratch);
+                    self.drain_shard_bus(link, iter + 1, &mut scratch);
                 }
                 let next_count = self.frontiers.next().count_ones() as u64;
                 let quiet = next_count == 0 && self.board.pending() == 0;
@@ -302,8 +313,10 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                 |e, i| self.busy.set_sync(requester(e, i)),
                 |e, i| self.busy.clear_sync(requester(e, i)),
                 |e, i| {
-                    self.complete(iter, e, i, scratch, io);
-                    self.maybe_flush_messages(scratch);
+                    let (head, edges, attrs) = e.delivery(i);
+                    self.deliver(iter, head, edges, attrs, scratch);
+                    self.absorb_requests(iter, scratch, io, false);
+                    self.maybe_flush_messages(iter, scratch);
                 },
             );
             if executed == 0 {
@@ -355,9 +368,9 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
             if let Source::Sem(sem) = io {
                 sem.set_aside(&mut scratch.requests);
             }
-            self.absorb_requests(iter, scratch, io);
+            self.absorb_requests(iter, scratch, io, false);
             self.busy.clear_sync(v);
-            self.maybe_flush_messages(scratch);
+            self.maybe_flush_messages(iter, scratch);
         }
         if let Source::Sem(sem) = io {
             let staged = sem.staged();
@@ -417,14 +430,16 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
     /// Moves the requests a callback queued in `scratch` into the
     /// worker's source, flushing its issue queue once that has filled.
     /// What needs no asynchronous fetch — everything in memory, a
-    /// fetch of nothing, a foreign subject — is delivered inline,
-    /// under the busy bit the caller already holds (possibly
-    /// cascading: its follow-ons are absorbed by this same loop).
+    /// fetch of nothing, a foreign subject, and with `inline` (a
+    /// barrier phase) every fetch — is delivered here, under the busy
+    /// bit or partition the caller already holds (possibly cascading:
+    /// its follow-ons are absorbed by this same loop).
     pub(super) fn absorb_requests(
         &self,
         iter: u32,
         scratch: &mut WorkerScratch<P::Msg>,
         io: &mut Source<'_>,
+        inline: bool,
     ) {
         let deltas = self.shared.deltas.as_deref();
         let mut enqueued = 0;
@@ -449,8 +464,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
                             let empty = SpanWindow::EMPTY;
                             let attrs = req.attrs.then_some(empty);
                             self.deliver(iter, &head, empty, attrs, scratch);
-                        } else if !sem.owns(req.subject) {
-                            let (head, edges, attrs) = sem.read_foreign(head, req.attrs);
+                        } else if inline || !sem.owns(req.subject) {
+                            let (head, edges, attrs) = sem.read_now(head, req.attrs);
                             let attrs = attrs.as_ref().map(PageSpan::window);
                             self.deliver(iter, &head, edges.window(), attrs, scratch);
                         } else {
@@ -472,9 +487,8 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         }
     }
 
-    /// Where every semi-external delivery ends: an entry's, walked in
-    /// the compute phase or a barrier phase, or an inline one (a fetch
-    /// of nothing, a foreign read).
+    /// Where every semi-external delivery ends: an entry's, or an
+    /// inline one (a fetch of nothing, a `SemIo::read_now`).
     fn deliver(
         &self,
         iter: u32,
@@ -498,25 +512,6 @@ impl<P: VertexProgram> WorkerEnv<'_, '_, P> {
         self.with_ctx(iter, scratch, requester, |prog, state, ctx| {
             prog.run_on_vertex(requester, state, pv, ctx);
         });
-    }
-
-    /// Completes an accepted request — delivery `i` of `e`: the
-    /// callback, and the absorption of the follow-on requests it queued
-    /// (accepted in their turn, under this obligation's cover). The
-    /// release is the caller's, once for its whole round. The caller
-    /// owns the requester — its busy bit in the compute phase, its
-    /// partition in the barrier phase.
-    pub(super) fn complete(
-        &self,
-        iter: u32,
-        e: &Entry,
-        i: u32,
-        scratch: &mut WorkerScratch<P::Msg>,
-        io: &mut Source<'_>,
-    ) {
-        let (head, edges, attrs) = e.delivery(i);
-        self.deliver(iter, head, edges, attrs, scratch);
-        self.absorb_requests(iter, scratch, io);
     }
 }
 

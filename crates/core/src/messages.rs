@@ -23,8 +23,10 @@
 //! drain starts.
 //!
 //! The inboxes and the shard bus of a run with peers are one type,
-//! [`Lanes`]: a locked vector of parcels per destination, drained by
-//! its owner.
+//! [`Lanes`]: a locked vector of parcels per destination and iteration
+//! parity, drained by its owner. A barrier-phase post goes to the next
+//! iteration's lane, so it cannot reach a drain of this iteration that
+//! a slower worker, or a slower shard, has yet to start.
 
 use fg_types::sync::{Counter, Mutex};
 use fg_types::VertexId;
@@ -97,11 +99,11 @@ impl<M> Parcel for ShardPacket<M> {
     }
 }
 
-/// One lane of parcels per destination, shared by all posters: the
-/// per-partition inboxes of one engine (`Lanes<Batch<M>>`, whose
-/// total counts deliveries) and the shard bus of a run with peers
-/// (`Lanes<ShardPacket<M>>`, one lane per shard, whose total counts
-/// wire bytes).
+/// Two lanes of parcels per destination, one per iteration parity (see
+/// [`Lanes::lane`]), shared by all posters: the per-partition inboxes
+/// of one engine (`Lanes<Batch<M>>`, whose total counts deliveries)
+/// and the shard bus of a run with peers (`Lanes<ShardPacket<M>>`, a
+/// destination per shard, whose total counts wire bytes).
 ///
 /// Workers post whenever their outboxes flush; a lane's owner drains
 /// it at the iteration barrier. The bus is drained at the two
@@ -122,30 +124,36 @@ pub(crate) struct Lanes<T> {
 }
 
 impl<T: Parcel> Lanes<T> {
-    pub(crate) fn new(lanes: usize) -> Self {
+    /// Lanes for `dests` destinations.
+    pub(crate) fn new(dests: usize) -> Self {
         Lanes {
-            lanes: (0..lanes).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: (0..2 * dests).map(|_| Mutex::new(Vec::new())).collect(),
             pending: Counter::default(),
             total: Counter::default(),
         }
     }
 
-    /// Posts one parcel to lane `dest` and returns the size booked for
+    /// The lane of `dest` that iteration `iter`'s drain takes.
+    pub(crate) fn lane(&self, iter: u32, dest: usize) -> usize {
+        (iter % 2) as usize * (self.lanes.len() / 2) + dest
+    }
+
+    /// Posts one parcel to lane `lane` and returns the size booked for
     /// it; an empty parcel is dropped and books 0.
-    pub(crate) fn post(&self, dest: usize, parcel: T) -> u64 {
+    pub(crate) fn post(&self, lane: usize, parcel: T) -> u64 {
         if parcel.fanout() == 0 {
             return 0;
         }
         let size = parcel.size();
         self.pending.inc();
         self.total.add(size);
-        self.lanes[dest].lock().push(parcel);
+        self.lanes[lane].lock().push(parcel);
         size
     }
 
-    /// Takes everything queued for lane `dest`.
-    pub(crate) fn drain(&self, dest: usize) -> Vec<T> {
-        let got = std::mem::take(&mut *self.lanes[dest].lock());
+    /// Takes everything queued for lane `lane`.
+    pub(crate) fn drain(&self, lane: usize) -> Vec<T> {
+        let got = std::mem::take(&mut *self.lanes[lane].lock());
         self.pending.sub(got.len() as u64);
         got
     }
@@ -198,6 +206,17 @@ mod tests {
         assert_eq!(b.pending(), 2);
         assert_eq!(b.drain(0).len(), 1);
         assert_eq!(b.drain(2).len(), 1);
+    }
+
+    #[test]
+    fn a_post_for_the_next_iteration_waits_for_its_drain() {
+        let b: Lanes<Batch<u32>> = Lanes::new(2);
+        b.post(b.lane(4, 1), Batch::Unicasts(vec![(VertexId(1), 5)]));
+        assert!(b.drain(b.lane(3, 1)).is_empty());
+        assert!(b.drain(b.lane(4, 0)).is_empty());
+        assert_eq!(b.pending(), 1);
+        assert_eq!(b.drain(b.lane(4, 1)).len(), 1);
+        assert_eq!(b.pending(), 0);
     }
 
     #[test]

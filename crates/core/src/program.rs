@@ -83,6 +83,15 @@ use crate::vertex::PageVertex;
 ///   A registration made inside the callback fires at the next
 ///   iteration's end (and only if the run gets there: a pending
 ///   registration does not keep the engine running).
+///
+/// Every handler may request edge lists. The two barrier-phase
+/// handlers, `run_on_message` and `run_on_iteration_end`, run on the
+/// worker that owns the vertex's partition, and their requests are
+/// delivered there too: each fetch is read at once and its
+/// `run_on_vertex` runs before that worker runs the next handler, as
+/// do the deliveries of the requests those deliveries make. Messages
+/// sent and activations made in the barrier phase, from a handler or
+/// from one of those deliveries, take effect in the next iteration.
 pub trait VertexProgram: Sync {
     /// Per-vertex algorithmic state. Semi-external memory keeps one
     /// of these in RAM per vertex, so it should be a small constant

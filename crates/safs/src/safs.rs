@@ -143,9 +143,10 @@ impl Safs {
     /// the page cache (lookups booked, fresh pages inserted) with one
     /// device read per contiguous run of misses. Used where the
     /// caller has nothing to overlap the read with: the engine's
-    /// foreign-shard reads (`SemIo::read_foreign`) and the serving
-    /// layer's image headers and ingest canonicalisation (the mount as
-    /// a [`ByteSource`]); a worker's own shard goes through sessions.
+    /// reads of a peer shard's lists (`SemIo::read_now`) and the
+    /// serving layer's image headers and ingest canonicalisation (the
+    /// mount as a [`ByteSource`]); a worker's own shard goes through
+    /// sessions.
     ///
     /// # Errors
     ///

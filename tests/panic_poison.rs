@@ -65,12 +65,21 @@ enum Boom {
     Run,
     OnVertex,
     OnMessage,
+    /// The delivery of the in-list the victim's message handler asks
+    /// for: a fetch read and delivered in the barrier phase.
+    BarrierDelivery,
 }
 
-const BOOMS: [Boom; 3] = [Boom::Run, Boom::OnVertex, Boom::OnMessage];
+const BOOMS: [Boom; 4] = [
+    Boom::Run,
+    Boom::OnVertex,
+    Boom::OnMessage,
+    Boom::BarrierDelivery,
+];
 
 /// Flood fill by messages: every callback kind runs on every vertex
-/// that has an edge each way, the victim among them.
+/// that has an edge each way, the victim among them. Only the victim's
+/// message handler fetches, and only when its delivery is to panic.
 struct Flood {
     boom: Boom,
     victim: VertexId,
@@ -107,6 +116,11 @@ impl VertexProgram for Flood {
         vertex: &PageVertex<'_>,
         ctx: &mut VertexContext<'_, ()>,
     ) {
+        if vertex.dir() == EdgeDir::In {
+            // Only a message handler asks for an in-list.
+            self.maybe_panic(Boom::BarrierDelivery, v);
+            return;
+        }
         self.maybe_panic(Boom::OnVertex, v);
         for dst in vertex.edges() {
             ctx.send(dst, ());
@@ -121,6 +135,9 @@ impl VertexProgram for Flood {
         ctx: &mut VertexContext<'_, ()>,
     ) {
         self.maybe_panic(Boom::OnMessage, v);
+        if matches!(self.boom, Boom::BarrierDelivery) && v == self.victim {
+            ctx.request(v, Request::edges(EdgeDir::In));
+        }
         if !*seen {
             ctx.activate(v);
         }
